@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from repro import telemetry
@@ -50,7 +49,7 @@ from repro.observe.journal import (
     new_trace_id,
     verify_journal,
 )
-from repro.resilience import failpoints
+from repro.resilience import failpoints, fsio
 from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import RepositoryLock
 from repro.resilience.recovery import run_recovery
@@ -88,25 +87,6 @@ def save_state(orpheus: Orpheus, root: str | None = None) -> None:
     StateStore(root).save(orpheus)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write via a temp file in the same directory + ``os.replace`` so a
-    crash mid-write can never leave a truncated file behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def load_telemetry(root: str | None = None) -> Snapshot:
     """The accumulated cross-invocation snapshot (empty when absent)."""
     path = _telemetry_path(root)
@@ -119,8 +99,10 @@ def load_telemetry(root: str | None = None) -> Snapshot:
 
 
 def save_telemetry(snapshot: Snapshot, root: str | None = None) -> None:
-    _atomic_write(
-        _telemetry_path(root), snapshot.to_json(indent=None).encode()
+    fsio.atomic_write(
+        _telemetry_path(root),
+        snapshot.to_json(indent=None).encode(),
+        fsync=False,
     )
 
 

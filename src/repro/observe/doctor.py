@@ -1301,6 +1301,7 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
         read_directory,
         referenced_pages,
     )
+    from repro.resilience import fsio
     from repro.resilience.statestore import StateStore
 
     layout = StateStore(root).integrity().get("layout")
@@ -1365,7 +1366,7 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
         )
 
     orphans = orphan_pages(root)
-    temps = pagefiles.stray_page_temps(directory)
+    temps = fsio.stray_temps(directory)
     if orphans or temps:
         data["orphan_pages"] = len(orphans)
         data["stray_temps"] = len(temps)

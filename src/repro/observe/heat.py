@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.resilience import fsio
 
 HEAT_SCHEMA_VERSION = 1
 
@@ -417,21 +418,13 @@ class HeatAccountant:
         return cls.from_dict(payload)
 
     def save(self, root: str | None = None) -> None:
-        """Atomic replace (temp + ``os.replace``), crash-safe like
-        every other accumulator file under ``.orpheus/``."""
-        path = heat_path(root)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        """Atomic replace, crash-safe like every other accumulator
+        file under ``.orpheus/``."""
+        fsio.atomic_write(
+            heat_path(root),
+            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8"),
+            fsync=False,
+        )
 
 
 # ----------------------------------------------------------------------

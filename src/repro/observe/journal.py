@@ -16,13 +16,12 @@ counts drifting, datasets that should or should not exist).
 
 from __future__ import annotations
 
-import json
-import os
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.resilience import failpoints, fsio
 
 JOURNAL_DIR = "journal"
 JOURNAL_FILE = "ops.jsonl"
@@ -100,37 +99,16 @@ class Journal:
         )
 
     def append(self, record: OpRecord | dict) -> None:
-        """Append one record as a single JSON line (atomic at the
-        line level: one ``write`` call of one ``\\n``-terminated line)."""
-        from repro.resilience import failpoints
-
+        """Append one record as a single fsynced JSON line."""
         payload = record.to_dict() if isinstance(record, OpRecord) else record
-        line = json.dumps(payload, sort_keys=True, default=str) + "\n"
         failpoints.fire("journal.before_append")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        fsio.append_jsonl(self.path, payload, fsync=True)
         failpoints.fire("journal.after_append")
 
     def read(self) -> list[dict]:
         """All well-formed records, oldest first. Malformed lines (e.g. a
         torn tail write) are skipped, not fatal."""
-        if not self.path.exists():
-            return []
-        records: list[dict] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        return fsio.read_jsonl(self.path)[0]
 
     def render_text(self, records: list[dict] | None = None) -> str:
         records = self.read() if records is None else records

@@ -147,6 +147,15 @@ class RegressionReport:
         return "\n".join(lines) + "\n"
 
 
+def breaches(
+    delta: float, base: float, rel_tol: float, abs_floor: float
+) -> bool:
+    """The one noise rule: ``delta`` over ``base`` counts only when it
+    exceeds the relative tolerance AND the absolute floor, so jitter on
+    a fast operation cannot trip a gate and a slow one stays honest."""
+    return delta > base * rel_tol and delta > abs_floor
+
+
 def _usable(value) -> bool:
     return (
         isinstance(value, (int, float))
@@ -215,10 +224,10 @@ def compare(
             )
             continue
         delta = cur - base
-        if delta > base * rel_tol and delta > abs_floor_s:
+        if breaches(delta, base, rel_tol, abs_floor_s):
             verdict = REGRESSION
             detail = f"+{delta / base:.1%} over baseline"
-        elif -delta > base * rel_tol and -delta > abs_floor_s:
+        elif breaches(-delta, base, rel_tol, abs_floor_s):
             verdict = IMPROVEMENT
             detail = f"{delta / base:.1%} under baseline"
         else:

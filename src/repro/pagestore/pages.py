@@ -22,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import tempfile
 from pathlib import Path
+
+from repro.resilience import fsio
 
 PAGE_MAGIC = b"ORPHPG1\0"
 _LEN_STRUCT = struct.Struct(">Q")
@@ -84,28 +85,13 @@ def write_page(directory: Path, page_id: str, payload: bytes) -> bool:
     final = page_path(directory, page_id)
     if final.exists():
         return False
-    directory.mkdir(parents=True, exist_ok=True)
     blob = (
         PAGE_MAGIC
         + _LEN_STRUCT.pack(len(payload))
         + hashlib.sha256(payload).digest()
         + payload
     )
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=page_id + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, final)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    fsio.atomic_write(final, blob, fsync=True)
     return True
 
 
@@ -144,23 +130,3 @@ def list_page_files(directory: Path) -> list[Path]:
     if not directory.is_dir():
         return []
     return sorted(directory.glob("*" + PAGE_SUFFIX))
-
-
-def stray_page_temps(directory: Path) -> list[Path]:
-    """Leftover ``*.tmp`` files from interrupted page writes."""
-    if not directory.is_dir():
-        return []
-    return sorted(directory.glob("*.tmp"))
-
-
-def fsync_dir(directory: Path) -> None:
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)

@@ -36,7 +36,6 @@ import io
 import json
 import os
 import pickle
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,17 +46,13 @@ from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import get_pool, refresh_pins_from_heat
 from repro.pagestore.codec import PICKLE_PROTOCOL
 from repro.pagestore.pages import PageCorruptionError
-from repro.resilience import failpoints
+from repro.resilience import failpoints, fsio
 
 #: Version of the outer (container payload) structure.
 SKELETON_FORMAT = 2
 
 DIRECTORY_FILE = "directory.json"
 DIRECTORY_SCHEMA_VERSION = 1
-
-#: Force the save layout: ``paged`` or ``pickle``. Unset = keep the
-#: repository's current layout (fresh repositories default to pickle).
-LAYOUT_ENV = "ORPHEUS_STATE_LAYOUT"
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +603,7 @@ def paged_save(store, obj) -> dict:
             pool.discard_dirty(pages_path, page_id)
         raise
     if written:
-        pagefiles.fsync_dir(pages_path)
+        fsio.fsync_dir(pages_path)
     failpoints.fire("pagestore.after_page_write")
 
     accountant = getattr(getattr(obj, "database", None), "accountant", None)
@@ -713,24 +708,10 @@ def _directory_generation(refs) -> dict:
 
 def _write_directory_file(root, document: dict) -> None:
     path = directory_path(root)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = json.dumps(document, indent=None).encode()
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    fsio.atomic_write(
+        path, json.dumps(document, indent=None).encode(), fsync=True
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    pagefiles.fsync_dir(path.parent)
+    fsio.fsync_dir(path.parent)
 
 
 def _swap_directory(root, refs, page_bytes: int) -> None:
@@ -839,22 +820,14 @@ def _gc_pages(root, keep: set[str]) -> int:
 
 
 def clean_pagestore(root, dry_run: bool = False) -> list[tuple[str, str]]:
-    """Recovery hook: remove interrupted page writes and orphaned page
-    files; rebuild the directory when it is torn. Returns
-    ``(kind, detail)`` action pairs for the recovery report."""
+    """Recovery hook: remove orphaned page files and rebuild the
+    directory when it is torn (interrupted writes' temps are swept by
+    recovery itself). Returns ``(kind, detail)`` action pairs for the
+    recovery report."""
     actions: list[tuple[str, str]] = []
     directory = pagefiles.pages_dir(root)
     if not directory.is_dir():
         return actions
-    for temp in pagefiles.stray_page_temps(directory):
-        actions.append(
-            ("clean-temp", f"remove interrupted page write {temp.name}")
-        )
-        if not dry_run:
-            try:
-                temp.unlink()
-            except OSError:
-                pass
     orphans = orphan_pages(root)
     if orphans:
         total = sum(p.stat().st_size for p in orphans if p.exists())

@@ -14,11 +14,15 @@ this bolt-on reproduction persists everything in flat files under
   begin/done window of every mutating command.
 * :mod:`repro.resilience.recovery` — classifies torn operations after a
   crash and rolls back or reconciles them (``orpheus recover``).
-* :mod:`repro.resilience.failpoints` — deterministic crash/error/delay
-  injection (``ORPHEUS_FAILPOINTS``) proving all of the above.
+* :mod:`repro.resilience.fsio` — the one durable-file module: atomic
+  replace and JSON-lines append/read/rewrite for every file under
+  ``.orpheus/``.
+* :mod:`repro.resilience.failpoints` — the one fault-injection
+  registry (``ORPHEUS_FAILPOINTS``), storage and daemon sites alike,
+  proving all of the above.
 
-See ``docs/resilience.md`` for the on-disk layout and the recovery
-walkthrough.
+See ``docs/resilience.md`` for the on-disk layout, which files fsync
+and why, the site × action table, and the recovery walkthrough.
 """
 
 from __future__ import annotations

@@ -1,0 +1,140 @@
+"""How a file under ``.orpheus/`` becomes durable — the one place.
+
+Two shapes cover every on-disk artifact the repository owns:
+
+* **whole-file replace** (:func:`atomic_write`): write a temp file next
+  to the target, optionally fsync it, ``os.replace`` it over the
+  target. A crash leaves the old file or the new one, never a torn
+  one, plus at worst one ``<name>.<random>.tmp`` that
+  :func:`stray_temps` finds and recovery removes.
+* **JSON-lines log** (:func:`append_jsonl` / :func:`read_jsonl` /
+  :func:`rewrite_jsonl`): one ``\\n``-terminated JSON object per
+  ``write`` call, so a crash tears at most the final line (and the
+  next append starts a fresh one rather than gluing onto it); readers
+  skip what does not parse — including non-UTF-8 garbage, which is
+  decoded with ``errors="replace"`` rather than raised — and report
+  whether the tail was torn.
+
+Each caller says whether its file is worth an ``fsync`` (state, pages,
+the page directory, the operation journal and the intent log are;
+telemetry, heat, the slow log, the daemon status file and flight
+segments are observability and are not). ``docs/resilience.md`` has
+the table.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+
+#: Every temp this module creates is ``<target name>.<random>.tmp`` in
+#: the target's directory (same filesystem, so the replace is atomic).
+TEMP_SUFFIX = ".tmp"
+
+
+def make_temp(path: Path) -> tuple[int, str]:
+    """Create the temp file for replacing ``path``: ``(fd, name)``."""
+    return tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=TEMP_SUFFIX
+    )
+
+
+def stray_temps(directory: Path, target: str | None = None) -> list[Path]:
+    """Temps that interrupted writes left under ``directory``: all of
+    them, recursively, or only those of the file named ``target``."""
+    if target is None:
+        return sorted(directory.rglob("*" + TEMP_SUFFIX))
+    return sorted(directory.glob(f"{target}.*{TEMP_SUFFIX}"))
+
+
+def fsync_dir(directory: Path) -> None:
+    """Make a rename in ``directory`` durable; best effort, because not
+    every filesystem lets a directory be opened or synced."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(dir_fd)
+    except OSError:
+        pass
+    finally:
+        os.close(dir_fd)
+
+
+def atomic_write(path: Path, data: bytes, *, fsync: bool) -> None:
+    """Replace ``path`` with ``data``; the temp is removed on failure."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = make_temp(path)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def jsonl_line(record: dict) -> bytes:
+    """One record as one ``\\n``-terminated, key-sorted JSON line."""
+    return (json.dumps(record, sort_keys=True, default=str) + "\n").encode(
+        "utf-8"
+    )
+
+
+def append_jsonl(path: Path, record: dict, *, fsync: bool) -> None:
+    """Append one record as a single ``write`` of one whole line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = jsonl_line(record)
+    with open(path, "ab+") as handle:
+        size = handle.tell()
+        if size and os.pread(handle.fileno(), 1, size - 1) != b"\n":
+            # A torn or garbage tail would swallow this record too.
+            line = b"\n" + line
+        handle.write(line)
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
+
+
+def read_jsonl(path: str | Path) -> tuple[list[dict], bool]:
+    """``(records, torn)``: every well-formed JSON object, oldest first.
+
+    Lines that do not parse are skipped, wherever they are; ``torn`` is
+    True when the *last* line does not parse or the file does not end
+    in a newline — what a crash mid-append leaves. A missing or
+    unreadable file reads as empty.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError:
+        return [], False
+    torn = bool(raw) and not raw.endswith(b"\n")
+    records: list[dict] = []
+    lines = raw.decode("utf-8", errors="replace").splitlines()
+    for index, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            if index == len(lines) - 1:
+                torn = True
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records, torn
+
+
+def rewrite_jsonl(path: Path, records: list[dict], *, fsync: bool) -> None:
+    """Atomically replace a log with ``records`` (compaction)."""
+    atomic_write(path, b"".join(map(jsonl_line, records)), fsync=fsync)

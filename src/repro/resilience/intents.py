@@ -8,21 +8,19 @@ matching ``done`` record. A ``begin`` with no ``done`` therefore marks a
 completion — and :mod:`repro.resilience.recovery` uses the pair set to
 decide what to roll back or reconcile.
 
-Records are single fsynced JSON lines (same torn-tail-tolerant idiom as
-the operation journal). Completed pairs are garbage: once the file
-accumulates more than :data:`COMPACT_THRESHOLD` records it is compacted
-down to just the pending ``begin`` records via an atomic rewrite.
+Records are single fsynced JSON lines (:mod:`repro.resilience.fsio`,
+like the operation journal). Completed pairs are garbage: once the
+file accumulates more than :data:`COMPACT_THRESHOLD` records it is
+compacted down to just the pending ``begin`` records via an atomic
+rewrite.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 
 from repro import telemetry
-from repro.resilience import failpoints
+from repro.resilience import failpoints, fsio
 
 INTENTS_FILE = "intents.jsonl"
 JOURNAL_DIR = "journal"
@@ -50,47 +48,28 @@ class IntentLog:
         for key, value in details.items():
             if value is not None:
                 record[key] = value
-        self._append(record)
+        fsio.append_jsonl(self.path, record, fsync=True)
         failpoints.fire("intent.after_begin")
 
     def done(self, trace_id: str, status: str = "ok") -> None:
         """Mark the operation complete (state + journal both durable)."""
         failpoints.fire("intent.before_done")
-        self._append(
+        fsio.append_jsonl(
+            self.path,
             {
                 "phase": "done",
                 "trace_id": trace_id,
                 "status": status,
                 "ts": telemetry.now(),
-            }
+            },
+            fsync=True,
         )
         self.compact_if_needed()
-
-    def _append(self, record: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, default=str) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
 
     # ------------------------------------------------------------------
     def read(self) -> list[dict]:
         """All well-formed records; torn tail lines are skipped."""
-        if not self.path.exists():
-            return []
-        records: list[dict] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        return fsio.read_jsonl(self.path)[0]
 
     def pending(self) -> list[dict]:
         """``begin`` records with no matching ``done`` — torn operations."""
@@ -111,29 +90,8 @@ class IntentLog:
         records = self.read()
         if len(records) <= threshold:
             return False
-        self._rewrite(self.pending())
+        fsio.rewrite_jsonl(self.path, self.pending(), fsync=True)
         return True
-
-    def _rewrite(self, records: list[dict]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(
-                        json.dumps(record, sort_keys=True, default=str) + "\n"
-                    )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
 
 def has_pending_intents(root: str | None = None) -> bool:
@@ -143,7 +101,4 @@ def has_pending_intents(root: str | None = None) -> bool:
     process) is harmless — the recovery path re-checks under the
     exclusive lock and no-ops once the other process completes.
     """
-    log = IntentLog(root)
-    if not log.path.exists():
-        return False
-    return bool(log.pending())
+    return bool(IntentLog(root).pending())

@@ -16,8 +16,8 @@ effects actually landed and repairs the repository:
 
 * effects stopped before the state save → **roll back**: delete the
   torn checkout artifact (if provably ours: named in the intent, newer
-  than the intent timestamp, untracked by staging) and stray state
-  temp files; the operation simply never happened.
+  than the intent timestamp, untracked by staging) and every stray
+  temp file under ``.orpheus/``; the operation simply never happened.
 * state saved but never journaled → **reconcile forward**: synthesize
   the missing operation-journal record from the version graph (marked
   ``"recovered": true``) so ``orpheus log --verify`` and the doctor
@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.observe.journal import Journal, journal_expected_state, verify_journal
+from repro.resilience import fsio
 from repro.resilience.intents import IntentLog
 from repro.resilience.statestore import StateCorruptionError, StateStore
 
@@ -105,10 +106,14 @@ def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
     intents = IntentLog(root)
     journal = Journal(root)
 
-    for temp in store.stray_temps():
+    # Every temp an interrupted write left anywhere under .orpheus/: we
+    # hold the exclusive lock, so no live writer can own one.
+    for temp in fsio.stray_temps(store.dir):
         report.actions.append(
             RecoveryAction(
-                "clean-temp", f"remove interrupted state write {temp.name}"
+                "clean-temp",
+                f"remove interrupted write "
+                f"{temp.relative_to(store.dir).as_posix()}",
             )
         )
         if not dry_run:

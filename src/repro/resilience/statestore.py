@@ -31,12 +31,11 @@ import os
 import pickle
 import struct
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.resilience import failpoints
+from repro.resilience import failpoints, fsio
 
 MAGIC = b"ORPHSTA1"
 #: Paged-layout container: same header, but the payload is a pagestore
@@ -93,19 +92,7 @@ class StateStore:
 
     def stray_temps(self) -> list[Path]:
         """Leftover ``state.pkl.*.tmp`` files from interrupted writes."""
-        if not self.dir.is_dir():
-            return []
-        return sorted(self.dir.glob(self.path.name + ".*.tmp"))
-
-    def clean_stray_temps(self) -> list[Path]:
-        removed = []
-        for temp in self.stray_temps():
-            try:
-                temp.unlink()
-                removed.append(temp)
-            except OSError:
-                pass
-        return removed
+        return fsio.stray_temps(self.dir, self.path.name)
 
     # ------------------------------------------------------------------
     # Save
@@ -148,9 +135,7 @@ class StateStore:
             + hashlib.sha256(payload).digest()
             + payload
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.dir, prefix=self.path.name + ".", suffix=".tmp"
-        )
+        fd, tmp_name = fsio.make_temp(self.path)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
@@ -161,7 +146,7 @@ class StateStore:
             failpoints.fire("statestore.before_replace")
             os.replace(tmp_name, self.path)
             failpoints.fire("statestore.after_replace")
-            self._fsync_dir()
+            fsio.fsync_dir(self.dir)
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -187,18 +172,6 @@ class StateStore:
             # Filesystem without hard links: fall back to a copy.
             link_tmp.write_bytes(self.path.read_bytes())
         os.replace(link_tmp, bak)
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.dir, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
 
     # ------------------------------------------------------------------
     # Load

@@ -34,9 +34,10 @@ concurrency, caching, and backpressure become first-class subsystems:
   flight (``orpheus replay``) with a recorded-vs-replayed report.
 * :mod:`repro.service.loadgen` — the open-loop Zipf-skewed synthetic
   load generator behind ``orpheus bench --tier service-scale``.
-* :mod:`repro.service.faults` — chaos fault injection for the serving
-  layer (``ORPHEUS_SERVICE_FAILPOINTS``): connection resets, torn
-  frames, worker exceptions, failing saves, cache corruption.
+* chaos fault injection for the serving layer (connection resets,
+  torn frames, worker exceptions, failing saves, cache corruption)
+  uses the one registry in :mod:`repro.resilience.failpoints`; the
+  site × action table is in ``docs/resilience.md``.
 * :mod:`repro.service.degrade` — graceful degradation: degraded
   read-only mode on repeated save failures, and the poison-request
   quarantine for requests that crash workers.
@@ -67,7 +68,6 @@ from repro.service.degrade import (
     Quarantine,
     QuarantinedRequestError,
 )
-from repro.service.faults import InjectedFaultError
 from repro.service.loadgen import LoadConfig, run_load
 from repro.service.protocol import PROTOCOL_VERSION, Request, Response
 from repro.service.recorder import FlightRecorder, read_flight
@@ -82,7 +82,6 @@ __all__ = [
     "DegradeController",
     "DegradedError",
     "FlightRecorder",
-    "InjectedFaultError",
     "LoadConfig",
     "PROTOCOL_VERSION",
     "Quarantine",

@@ -44,9 +44,10 @@ from repro.core.csvio import read_csv, read_schema_file, write_csv, write_schema
 from repro.core.errors import CVDError
 from repro.observe.heat import HeatAccountant, build_event
 from repro.observe.journal import Journal, make_record
+from repro.resilience import failpoints, fsio
 from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import RepositoryLock
-from repro.service import faults, protocol
+from repro.service import protocol
 from repro.service.cache import DEFAULT_BUDGET_BYTES, CacheEntry, VersionCache
 from repro.service.degrade import (
     DegradeController,
@@ -459,14 +460,14 @@ class ServiceDaemon:
                     )
                     continue
                 try:
-                    kind = faults.take("conn.after_recv")
-                except faults.InjectedFaultError as error:
+                    kind = failpoints.fire("conn.after_recv")
+                except failpoints.FailpointError as error:
                     channel.send(
                         Response(
                             id=request.id,
                             status=protocol.ERROR,
                             error=str(error),
-                            error_type="InjectedFaultError",
+                            error_type="FailpointError",
                             error_kind="internal",
                         ).to_dict()
                     )
@@ -483,8 +484,8 @@ class ServiceDaemon:
                     session.errors += 1
                 send_failed = False
                 try:
-                    kind = faults.take("conn.before_send")
-                except faults.InjectedFaultError:
+                    kind = failpoints.fire("conn.before_send")
+                except failpoints.FailpointError:
                     # The 'error' action at the send site behaves like a
                     # failed write: drop the connection, keep the daemon.
                     kind = "reset"
@@ -757,7 +758,7 @@ class ServiceDaemon:
         self, session, request: Request, rtrace: RequestTrace
     ) -> dict:
         rtrace.mark_started()
-        faults.take("worker.before_execute")
+        failpoints.fire("worker.before_execute")
         handler = getattr(self, f"_op_{request.op}")
         span_ctx = telemetry.span(
             f"service.{request.op}",
@@ -769,7 +770,7 @@ class ServiceDaemon:
         try:
             with span_ctx:
                 data = handler(session, request)
-                faults.take("worker.mid_execute")
+                failpoints.fire("worker.mid_execute")
         finally:
             # Graft the worker's live span subtree (cache lookup,
             # materialization, ...) under the request's execute phase.
@@ -876,7 +877,7 @@ class ServiceDaemon:
         ) as lookup:
             entry = self.cache.get(dataset, vids)
             if entry is not None:
-                if faults.take("cache.corrupt_entry") == "corrupt":
+                if failpoints.fire("cache.corrupt_entry") == "corrupt":
                     entry.rows.append(("__corrupt__",))
                 if not entry.verify():
                     # Integrity seal mismatch: contain the rot — drop
@@ -963,7 +964,7 @@ class ServiceDaemon:
         from repro.cli import save_state
 
         try:
-            faults.take("state.before_save")
+            failpoints.fire("state.before_save")
             save_state(self.orpheus, self.root)
         except Exception as error:
             self.degrade.record_save_failure(error)
@@ -1000,7 +1001,7 @@ class ServiceDaemon:
         the *client's* trace id (and session id) so remote mutations
         correlate end to end."""
         rtrace.mark_started()
-        faults.take("worker.before_execute")
+        failpoints.fire("worker.before_execute")
         trace_id = rtrace.trace_id
         dataset = request.get("dataset")
         journaled = request.op in ("init", "commit", "drop", "optimize")
@@ -1033,7 +1034,7 @@ class ServiceDaemon:
                         span.set_attr("trace_id", trace_id)
                     handler = getattr(self, f"_op_{request.op}")
                     data = handler(session, request, record)
-                    faults.take("worker.mid_execute")
+                    failpoints.fire("worker.mid_execute")
                 self._save_state_guarded()
             except Exception as error:
                 if record is not None:
@@ -1235,7 +1236,7 @@ class ServiceDaemon:
         payload["flight"] = self.recorder.status()
         payload["degrade"] = self.degrade.status()
         payload["quarantine"] = self.quarantine.status()
-        payload["faults"] = faults.stats()
+        payload["faults"] = failpoints.stats()
         payload["failures"] = self.failure_counters()
         payload["heat"] = self.heat_summary()
         payload["buffer_pool"] = self.buffer_pool_stats()
@@ -1381,7 +1382,7 @@ class ServiceDaemon:
             "sessions": self.sessions.status(),
             "degrade": self.degrade.status(),
             "quarantine": self.quarantine.status(),
-            "faults": faults.stats(),
+            "faults": failpoints.stats(),
             "metrics": (
                 self._metrics_server.address
                 if self._metrics_server is not None
@@ -1393,7 +1394,6 @@ class ServiceDaemon:
 
     def _write_status_file(self) -> None:
         path = status_file_path(self.root)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "pid": os.getpid(),
             "boot_id": self.boot_id,
@@ -1408,6 +1408,8 @@ class ServiceDaemon:
                 else None
             ),
         }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        fsio.atomic_write(
+            path,
+            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
+            fsync=False,
+        )

@@ -55,6 +55,7 @@ import uuid
 from pathlib import Path
 
 from repro import telemetry
+from repro.resilience import fsio
 
 #: Bumped on incompatible record-shape changes; readers refuse nothing
 #: (forward-compatible key lookup) but replay warns on a mismatch.
@@ -241,8 +242,7 @@ class FlightRecorder:
 
     def append(self, entry: dict) -> None:
         """Append one already-shaped record under the writer lock."""
-        line = json.dumps(entry, sort_keys=True, default=str) + "\n"
-        data = line.encode("utf-8")
+        data = fsio.jsonl_line(entry)
         try:
             with self._lock:
                 handle = self._current_handle(len(data))
@@ -284,9 +284,7 @@ class FlightRecorder:
             "sample": self.sample,
             "ts": telemetry.now(),
         }
-        data = (
-            json.dumps(header, sort_keys=True, default=str) + "\n"
-        ).encode("utf-8")
+        data = fsio.jsonl_line(header)
         self._handle.write(data)
         self._handle.flush()
         self._segment_written = len(data)
@@ -368,26 +366,10 @@ def read_segment(path: str | Path) -> tuple[dict | None, list[dict], bool]:
     parse (or a file not ending in a newline) marks the tail torn —
     expected after a crash, never fatal.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return None, [], False
-    torn = bool(raw) and not raw.endswith(b"\n")
+    entries, torn = fsio.read_jsonl(path)
     header: dict | None = None
     records: list[dict] = []
-    lines = raw.decode("utf-8", errors="replace").splitlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            if index == len(lines) - 1:
-                torn = True
-            continue
-        if not isinstance(entry, dict):
-            continue
+    for entry in entries:
         if entry.get("kind") == "header" and header is None:
             header = entry
         elif entry.get("kind") == "request":

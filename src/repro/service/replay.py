@@ -26,8 +26,8 @@ where the recording left them.
 
 ``--check`` turns the report into a gate: exit non-zero when any op's
 replayed p95 drifts past the latency budget (relative ``--budget-pct``
-AND absolute ``--budget-ms`` floor, mirroring the bench regression
-gate's noise rule), or when the replayed op counts fail to reproduce
+AND absolute ``--budget-ms`` floor — the bench regression gate's noise
+rule, :func:`repro.observe.regress.breaches`), or when the replayed op counts fail to reproduce
 the recording.
 """
 
@@ -38,6 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.observe.regress import breaches
 from repro.service.recorder import (
     FLIGHT_SCHEMA_VERSION,
     read_flight,
@@ -540,8 +541,7 @@ def check_report(
     """Gate violations for ``--check``: empty means pass.
 
     A drift must breach the relative budget AND the absolute floor —
-    the same noise rule as the bench regression gate, so microsecond
-    jitter on a fast op cannot fail CI.
+    :func:`repro.observe.regress.breaches`, the bench gate's noise rule.
     """
     violations = []
     if not report["match"]["requests"]:
@@ -557,7 +557,12 @@ def check_report(
         drift_pct = entry.get("drift_p95_pct")
         if drift_s is None or drift_pct is None:
             continue
-        if drift_pct > budget_pct and drift_s * 1000.0 > budget_ms:
+        if breaches(
+            drift_s,
+            entry["recorded"]["p95_s"],
+            budget_pct / 100.0,
+            budget_ms / 1000.0,
+        ):
             violations.append(
                 f"op {op!r}: replayed p95 drifted +{drift_pct:.1f}% "
                 f"(+{drift_s * 1000.0:.2f}ms) past the "

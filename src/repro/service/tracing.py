@@ -36,13 +36,13 @@ bounded by compaction so a misbehaving deployment cannot fill a disk.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from pathlib import Path
 
 from repro import telemetry
 from repro.observe.journal import new_trace_id
+from repro.resilience import fsio
 
 #: Request phases, in lifecycle order; also the child-span names
 #: (prefixed ``service.``) of every request's span tree.
@@ -334,15 +334,6 @@ class SlowLog:
         self._count: int | None = None
         self.appended = 0
 
-    def _load_count(self) -> int:
-        if self._count is None:
-            try:
-                with open(self.path, "r", encoding="utf-8") as handle:
-                    self._count = sum(1 for line in handle if line.strip())
-            except OSError:
-                self._count = 0
-        return self._count
-
     def consider(self, trace: RequestTrace) -> bool:
         """Append the request's span tree when it breached the
         threshold; returns True when captured."""
@@ -352,45 +343,20 @@ class SlowLog:
         return True
 
     def append(self, tree: dict) -> None:
-        count = self._load_count()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if count + 1 > self.max_entries:
-            self._compact()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(tree, sort_keys=True, default=str) + "\n")
-        self._count = self._load_count() + 1
+        if self._count is None:
+            self._count = len(self.read())
+        if self._count + 1 > self.max_entries:
+            keep = self.read()[-(self.max_entries // 2):]
+            fsio.rewrite_jsonl(self.path, keep, fsync=False)
+            self._count = len(keep)
+        fsio.append_jsonl(self.path, tree, fsync=False)
+        self._count += 1
         self.appended += 1
         telemetry.count("service.slow_requests")
 
-    def _compact(self) -> None:
-        keep = self.read()[-(self.max_entries // 2):]
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in keep:
-                handle.write(
-                    json.dumps(entry, sort_keys=True, default=str) + "\n"
-                )
-        os.replace(tmp, self.path)
-        self._count = len(keep)
-
     def read(self) -> list[dict]:
         """All well-formed entries, oldest first (torn tails skipped)."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(entry, dict):
-                entries.append(entry)
-        return entries
+        return fsio.read_jsonl(self.path)[0]
 
     def stats(self) -> dict:
         """Summary for ``stats``/``status`` payloads and the doctor."""

@@ -243,14 +243,12 @@ def test_clean_pagestore_removes_orphans_and_rebuilds_directory(tmp_path):
     orphan_payload = b"orphan-page-payload"
     orphan_id = pagefiles.page_id_for(orphan_payload)
     pagefiles.write_page(directory, orphan_id, orphan_payload)
-    (directory / "deadbeef.tmp").write_bytes(b"torn")
     directory_path(tmp_path).write_text("{not json")
     assert read_directory(tmp_path) is None
 
     plan = clean_pagestore(tmp_path, dry_run=True)
     kinds = [kind for kind, _ in plan]
     assert "clean-orphan-pages" in kinds
-    assert "clean-temp" in kinds
     assert "rebuild-directory" in kinds
     # Dry run touched nothing.
     assert pagefiles.page_path(directory, orphan_id).exists()
@@ -258,7 +256,6 @@ def test_clean_pagestore_removes_orphans_and_rebuilds_directory(tmp_path):
     actions = clean_pagestore(tmp_path, dry_run=False)
     assert [kind for kind, _ in actions] == kinds
     assert not pagefiles.page_path(directory, orphan_id).exists()
-    assert not (directory / "deadbeef.tmp").exists()
     rebuilt = read_directory(tmp_path)
     assert rebuilt is not None
     assert rebuilt["generations"]

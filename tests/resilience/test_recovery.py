@@ -7,6 +7,7 @@ import json
 import os
 
 from repro import telemetry
+from repro.observe.journal import Journal
 from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.recovery import run_recovery
 
@@ -61,6 +62,71 @@ class TestNothingToDo:
     def test_uninitialized_directory(self, tmp_path):
         report = run_recovery(tmp_path)
         assert report.clean and report.actions == []
+
+
+class TestStrayTemps:
+    #: One interrupted-write temp per file that is replaced atomically.
+    TARGETS = (
+        "state.pkl",
+        "telemetry.json",
+        "service.json",
+        "telemetry/heat.json",
+        "journal/intents.jsonl",
+        "journal/slow.jsonl",
+        "pages/directory.json",
+        "pages/0123abcd.pg",
+    )
+
+    def plant(self, workspace):
+        temps = []
+        for target in self.TARGETS:
+            temp = workspace / ".orpheus" / (target + ".k3x9.tmp")
+            temp.parent.mkdir(parents=True, exist_ok=True)
+            temp.write_bytes(b"partial")
+            temps.append(temp)
+        return temps
+
+    def test_dry_run_lists_every_temp_and_removes_none(self, workspace):
+        build_repo(workspace)
+        temps = self.plant(workspace)
+        report = run_recovery(workspace, dry_run=True)
+        cleaned = [a.detail for a in report.actions if a.kind == "clean-temp"]
+        assert len(cleaned) == len(temps)
+        for target in self.TARGETS:
+            assert any(f"{target}.k3x9.tmp" in d for d in cleaned), target
+        assert all(temp.exists() for temp in temps)
+
+    def test_real_run_removes_every_temp(self, workspace):
+        build_repo(workspace)
+        temps = self.plant(workspace)
+        report = run_recovery(workspace)
+        assert report.clean
+        assert not any(temp.exists() for temp in temps)
+        assert run_recovery(workspace).actions == []
+
+
+class TestGarbageBytes:
+    """A non-UTF-8 byte in either log must not brick the repository:
+    the pending-intent check reads both before *every* command."""
+
+    def test_commands_survive_garbage_in_both_logs(self, workspace):
+        build_repo(workspace)
+        ops_before = Journal(workspace).read()
+        intents_before = IntentLog(workspace).read()
+        assert ops_before and intents_before
+        for path in (ops_path(workspace), intents_path(workspace)):
+            with open(path, "ab") as handle:
+                handle.write(b"\xff\xfe")
+
+        assert Journal(workspace).read() == ops_before
+        assert IntentLog(workspace).read() == intents_before
+        assert run_inproc(workspace, "ls") == 0
+        commit_new_version(workspace)
+        assert run_inproc(workspace, "recover") == 0
+        assert run_recovery(workspace).clean
+        # ...and what is appended after the garbage is not glued to it.
+        assert Journal(workspace).read()[-1]["command"] == "commit"
+        assert run_inproc(workspace, "log", "--ops", "--verify") == 0
 
 
 class TestSynthesizeCommit:

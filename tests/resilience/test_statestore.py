@@ -158,15 +158,12 @@ class TestVerifyBlob:
 
 
 class TestStrayTemps:
-    def test_listed_and_cleaned(self, store):
+    def test_only_the_state_files_temps_are_listed(self, store):
         store.save("x")
         stray = store.dir / "state.pkl.abc123.tmp"
         stray.write_bytes(b"partial")
+        (store.dir / "telemetry.json.abc123.tmp").write_bytes(b"partial")
         assert store.stray_temps() == [stray]
-        removed = store.clean_stray_temps()
-        assert removed == [stray]
-        assert not stray.exists()
-        assert store.stray_temps() == []
 
 
 class TestIntegrity:

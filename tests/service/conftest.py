@@ -16,7 +16,6 @@ import pytest
 
 from repro import telemetry
 from repro.resilience import failpoints
-from repro.service import faults as service_faults
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 
@@ -38,10 +37,8 @@ def workspace(tmp_path):
 @pytest.fixture(autouse=True)
 def clean_global_state():
     failpoints.clear()
-    service_faults.clear()
     yield
     failpoints.clear()
-    service_faults.clear()
     telemetry.reset()
     telemetry.disable()
 
@@ -117,7 +114,6 @@ def spawn_daemon_subprocess(
     root,
     *extra_args,
     failpoints_spec: str | None = None,
-    service_failpoints_spec: str | None = None,
 ) -> subprocess.Popen:
     """Start `orpheus serve` as a real subprocess and wait for its
     status file (the daemon's readiness signal)."""
@@ -126,11 +122,8 @@ def spawn_daemon_subprocess(
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     env.pop("ORPHEUS_FAILPOINTS", None)
-    env.pop("ORPHEUS_SERVICE_FAILPOINTS", None)
     if failpoints_spec:
         env["ORPHEUS_FAILPOINTS"] = failpoints_spec
-    if service_failpoints_spec:
-        env["ORPHEUS_SERVICE_FAILPOINTS"] = service_failpoints_spec
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli",

@@ -1,5 +1,5 @@
 """The chaos matrix: a real subprocess daemon is driven into every
-service-layer fault site (ORPHEUS_SERVICE_FAILPOINTS) while clients run
+service-layer fault site (ORPHEUS_FAILPOINTS) while clients run
 a mixed op workload. The containment contract, asserted per cell:
 
 * the daemon process survives (except the explicit ``crash`` cells);
@@ -26,7 +26,7 @@ from repro.service.client import (
     ServiceError,
     ServiceUnavailableError,
 )
-from repro.service.faults import REGISTERED
+from repro.resilience.failpoints import SERVICE_SITES
 
 from tests.service.conftest import (
     SUBPROCESS_TIMEOUT,
@@ -88,7 +88,7 @@ def _run_cell(workspace, tmp_path, spec, op, acked):
 def test_chaos_cell_containment(workspace, tmp_path, spec):
     seed_dataset(workspace)
     proc = spawn_daemon_subprocess(
-        workspace, "--workers", "2", service_failpoints_spec=spec
+        workspace, "--workers", "2", failpoints_spec=spec
     )
     acked: list[int] = []
     try:
@@ -130,7 +130,7 @@ def test_chaos_crash_cell_recovers_on_restart(workspace, tmp_path):
     seed_dataset(workspace)
     proc = spawn_daemon_subprocess(
         workspace,
-        service_failpoints_spec="worker.mid_execute=crash",
+        failpoints_spec="worker.mid_execute=crash",
     )
     try:
         work = tmp_path / "doomed.csv"
@@ -169,7 +169,7 @@ def test_chaos_degraded_mode_subprocess(workspace, tmp_path):
     seed_dataset(workspace)
     proc = spawn_daemon_subprocess(
         workspace,
-        service_failpoints_spec="state.before_save=error@3",
+        failpoints_spec="state.before_save=error@3",
     )
     try:
         with ServiceClient(root=str(workspace), timeout=30) as client:
@@ -219,7 +219,7 @@ def test_chaos_concurrent_commit_storm_no_lost_updates(
     proc = spawn_daemon_subprocess(
         workspace,
         "--workers", "2",
-        service_failpoints_spec=(
+        failpoints_spec=(
             "state.before_save=error@2,"
             "conn.before_send=reset@2,"
             "worker.before_execute=delay:0.02@10"
@@ -303,6 +303,6 @@ def test_chaos_matrix_coverage():
         f"chaos matrix ran only {len(CELLS)} cells: {CELLS}"
     )
     visited = {spec.split("=", 1)[0] for spec, _, _ in CELLS if "=" in spec}
-    assert REGISTERED <= visited, (
-        f"fault sites never exercised: {sorted(REGISTERED - visited)}"
+    assert SERVICE_SITES <= visited, (
+        f"fault sites never exercised: {sorted(SERVICE_SITES - visited)}"
     )

@@ -112,7 +112,7 @@ class TestDaemonDeadline:
         answered ``deadline_exceeded`` — with the dedicated counter
         bumped, not errors_total (shedding is load policy, not
         failure)."""
-        from repro.service import faults
+        from repro.resilience import failpoints
 
         seed_dataset(workspace)
         handle = daemon_factory(workers=2)
@@ -121,7 +121,7 @@ class TestDaemonDeadline:
                 work = tmp_path / "w.csv"
                 slow_client.checkout("inter", [1], file=str(work))
                 # every write sleeps 0.5s at the execute boundary
-                faults.activate(
+                failpoints.activate(
                     "worker.before_execute", "delay", arg=0.5
                 )
                 results = {}
@@ -147,7 +147,7 @@ class TestDaemonDeadline:
                         trace=new_trace_context(deadline_ms=100),
                     )
                 thread.join(timeout=30)
-                faults.clear()
+                failpoints.clear()
 
                 assert "slow" in results, results
                 status = fast.status()

@@ -6,7 +6,7 @@ poison-request quarantine end to end including the flush op."""
 
 import pytest
 
-from repro.service import faults
+from repro.resilience import failpoints
 from repro.service.client import (
     ServiceDegradedError,
     ServiceError,
@@ -121,7 +121,7 @@ class TestDaemonDegradedMode:
             with handle.client() as client:
                 work = tmp_path / "w.csv"
                 client.checkout("inter", [1], file=str(work))
-                faults.activate("state.before_save", "error", count=3)
+                failpoints.activate("state.before_save", "error", count=3)
                 # Three *distinct* commits (unique messages -> unique
                 # digests) so the quarantine never kicks in first.
                 for turn in range(3):
@@ -132,7 +132,7 @@ class TestDaemonDegradedMode:
                         )
                 status = client.status()
                 assert status["degrade"]["degraded"], status["degrade"]
-                assert "InjectedFaultError" in status["degrade"]["cause"]
+                assert "FailpointError" in status["degrade"]["cause"]
 
                 # writes refuse with the typed degraded status...
                 with pytest.raises(ServiceDegradedError) as excinfo:
@@ -196,7 +196,7 @@ class TestDaemonQuarantine:
         handle = daemon_factory(workers=2)
         with handle:
             with handle.client() as client:
-                faults.activate("worker.mid_execute", "error")
+                failpoints.activate("worker.mid_execute", "error")
                 for _ in range(2):
                     with pytest.raises(ServiceInternalError):
                         client.checkout("inter", [1], inline=True)
@@ -209,7 +209,7 @@ class TestDaemonQuarantine:
 
                 # the quarantine outlives the fault: even with the
                 # injection disarmed, the poisoned digest stays refused
-                faults.deactivate("worker.mid_execute")
+                failpoints.deactivate("worker.mid_execute")
                 with pytest.raises(ServiceError, match="quarantined"):
                     client.checkout("inter", [1], inline=True)
 

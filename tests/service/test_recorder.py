@@ -309,7 +309,7 @@ def test_record_stamps_outcome_and_error_kind(tmp_path):
     recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
     rtrace = RequestTrace("commit", dataset="inter")
     rtrace.digest = "e" * 16
-    rtrace.finish("error", "InjectedFaultError", "internal")
+    rtrace.finish("error", "FailpointError", "internal")
     recorder.record(
         rtrace,
         SimpleNamespace(params={"dataset": "inter", "file": "w.csv"}),
