@@ -17,6 +17,7 @@ Physical storage is delegated to a pluggable :class:`DataModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro import telemetry
@@ -354,9 +355,13 @@ class CVD:
         ) as checkout_span:
             rows: list[tuple] = []
             rid_map: dict[tuple, int] = {}
-            seen_keys: set[tuple] = set()
             scanned = 0
             key_positions = self.schema.key_positions()
+            if len(key_positions) == 1:  # itemgetter(i) returns a bare value
+                (column,) = key_positions
+                key_of = lambda payload: (payload[column],)  # noqa: E731
+            else:
+                key_of = itemgetter(*key_positions) if key_positions else None
             for vid in vids:
                 self.versions.get(vid)
                 with telemetry.span(
@@ -367,16 +372,10 @@ class CVD:
                         model_span.set_attr("rows", len(version_rows))
                 scanned += len(version_rows)
                 for rid, payload in version_rows:
-                    key = (
-                        tuple(payload[i] for i in key_positions)
-                        if key_positions
-                        else (rid,)
-                    )
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    rows.append(payload)
-                    rid_map[key] = rid
+                    key = key_of(payload) if key_of else (rid,)
+                    if key not in rid_map:  # earlier versions take precedence
+                        rid_map[key] = rid
+                        rows.append(payload)
             telemetry.count("cvd.checkout.rows_materialized", len(rows))
             telemetry.count("cvd.checkout.rows_deduplicated", scanned - len(rows))
             if checkout_span is not None:

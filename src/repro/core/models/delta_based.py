@@ -115,20 +115,20 @@ class DeltaBasedModel(DataModel):
         result: list[RecordRow] = []
         chain = self.chain_of(vid)
         telemetry.observe("model.delta_based.chain_length", len(chain))
+        width = self._arity
         for step in chain:
-            table = self._delta_tables[step]
-            width = self._arity
-            for row in table.scan():
-                rid = row[0]
-                if rid in seen:
-                    continue
-                seen.add(rid)
-                tombstone = row[1]
-                if not tombstone:
-                    payload = tuple(row[2 : 2 + width])
-                    if len(payload) < width:
-                        payload = payload + (None,) * (width - len(payload))
-                    result.append((rid, payload))
+            # rid is the delta table's key, so a step never repeats one.
+            fresh = [
+                row
+                for row in self._delta_tables[step].scan()
+                if row[0] not in seen
+            ]
+            seen.update(row[0] for row in fresh)
+            result += [
+                (row[0], self._pad(row[2 : 2 + width]))
+                for row in fresh
+                if not row[1]  # tombstone
+            ]
         return result
 
     def explain_checkout(self, vid: int):

@@ -357,7 +357,7 @@ def _load_paged_table(state: dict, ref_tuple, index_spec: dict):
 #: never in the skeleton.
 _TABLE_HEAVY_ATTRS = frozenset(
     {"_rows", "_pk_index", "_secondary", "_ordered",
-     "_pager", "_saved_ref", "_saved_stamp"}
+     "_pager", "_saved_ref", "_saved_stamp", "_bytes_skew"}
 )
 
 

@@ -13,11 +13,15 @@ Every charge is mirrored into the process telemetry registry under the
 *lifetime* I/O totals across invocations — not just the per-EXPLAIN
 snapshots a single command sees. While telemetry is disabled (the
 default for embedding programs) the mirror costs one branch per charge.
+
+Operators charge once per call with summed ``(rows, bytes)``, never once
+per row, which is what makes a lock per charge affordable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 
 from repro import telemetry
 
@@ -58,7 +62,14 @@ class CostSnapshot:
 
 
 class CostAccountant:
-    """Mutable counters that physical operators charge work against."""
+    """Mutable counters that physical operators charge work against.
+
+    Shared by every table of a repository and, in the daemon, by every
+    reader-pool worker, so each charge takes a lock — a class attribute:
+    the accountant rides inside ``state.pkl`` and a lock cannot.
+    """
+
+    _lock = threading.Lock()
 
     def __init__(self) -> None:
         self.seq_rows = 0
@@ -71,35 +82,40 @@ class CostAccountant:
         self.page_writes = 0
 
     def charge_seq_scan(self, rows: int, row_bytes: int = 0) -> None:
-        self.seq_rows += rows
-        self.bytes_read += row_bytes
+        with self._lock:
+            self.seq_rows += rows
+            self.bytes_read += row_bytes
         telemetry.count("storage.io.seq_rows", rows)
         if row_bytes:
             telemetry.count("storage.io.bytes_read", row_bytes)
 
     def charge_random_read(self, rows: int = 1, row_bytes: int = 0) -> None:
-        self.random_rows += rows
-        self.bytes_read += row_bytes
+        with self._lock:
+            self.random_rows += rows
+            self.bytes_read += row_bytes
         telemetry.count("storage.io.random_rows", rows)
         if row_bytes:
             telemetry.count("storage.io.bytes_read", row_bytes)
 
     def charge_write(self, rows: int, row_bytes: int = 0) -> None:
-        self.rows_written += rows
-        self.bytes_written += row_bytes
+        with self._lock:
+            self.rows_written += rows
+            self.bytes_written += row_bytes
         telemetry.count("storage.io.rows_written", rows)
         if row_bytes:
             telemetry.count("storage.io.bytes_written", row_bytes)
 
     def charge_index_probe(self, probes: int = 1) -> None:
-        self.index_probes += probes
+        with self._lock:
+            self.index_probes += probes
         telemetry.count("storage.io.index_probes", probes)
 
     def charge_page_read(self, pages: int, page_bytes: int = 0) -> None:
         """A buffer-pool fault: whole pages read from disk. Folds into
         ``bytes_read`` so the amplification report sees real page I/O."""
-        self.page_reads += pages
-        self.bytes_read += page_bytes
+        with self._lock:
+            self.page_reads += pages
+            self.bytes_read += page_bytes
         telemetry.count("storage.io.page_reads", pages)
         if page_bytes:
             telemetry.count("storage.io.page_bytes_read", page_bytes)
@@ -107,31 +123,28 @@ class CostAccountant:
 
     def charge_page_write(self, pages: int, page_bytes: int = 0) -> None:
         """Dirty-page write-back during a paged save."""
-        self.page_writes += pages
-        self.bytes_written += page_bytes
+        with self._lock:
+            self.page_writes += pages
+            self.bytes_written += page_bytes
         telemetry.count("storage.io.page_writes", pages)
         if page_bytes:
             telemetry.count("storage.io.page_bytes_written", page_bytes)
             telemetry.count("storage.io.bytes_written", page_bytes)
 
     def snapshot(self) -> CostSnapshot:
-        return CostSnapshot(
-            self.seq_rows,
-            self.random_rows,
-            self.rows_written,
-            self.index_probes,
-            self.bytes_read,
-            self.bytes_written,
-            self.page_reads,
-            self.page_writes,
-        )
+        with self._lock:
+            return CostSnapshot(
+                self.seq_rows,
+                self.random_rows,
+                self.rows_written,
+                self.index_probes,
+                self.bytes_read,
+                self.bytes_written,
+                self.page_reads,
+                self.page_writes,
+            )
 
     def reset(self) -> None:
-        self.seq_rows = 0
-        self.random_rows = 0
-        self.rows_written = 0
-        self.index_probes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.page_reads = 0
-        self.page_writes = 0
+        with self._lock:
+            for counter in fields(CostSnapshot):
+                setattr(self, counter.name, 0)

@@ -28,10 +28,7 @@ def hash_join(
     """
     key_set = set(keys)
     position = table.schema.position(column)
-    matched: list[Row] = []
-    for row in table.scan():
-        if row[position] in key_set:
-            matched.append(row)
+    matched = [row for row in table.scan() if row[position] in key_set]
     telemetry.count("join.hash.rows_scanned", table.row_count)
     telemetry.count("join.hash.rows_matched", len(matched))
     return matched
@@ -86,12 +83,9 @@ def index_nested_loop_join(
     approach a full scan, which is the observation that lets the paper
     model checkout cost as linear in |R_k| (Section 5.5.5).
     """
-    matched: list[Row] = []
-    probes = 0
-    for key in keys:
-        probes += 1
-        matched.extend(table.lookup(column, key))
-    telemetry.count("join.index_nested_loop.probes", probes)
+    keys = list(keys)
+    matched = table.lookup_many(column, keys)
+    telemetry.count("join.index_nested_loop.probes", len(keys))
     telemetry.count("join.index_nested_loop.rows_matched", len(matched))
     return matched
 

@@ -34,6 +34,14 @@ class Table:
     stay position-stable; :meth:`vacuum` compacts when needed.
     """
 
+    #: What the live rows measure in THIS process minus ``_bytes``; None
+    #: until a full scan needs it. ``_bytes`` is saved with the state, and
+    #: a process that loaded its schema sizes text and arrays differently
+    #: from the one that wrote the rows (``DataType.sizeof`` tests
+    #: identity, which pickling loses). Mutators move ``_bytes`` by this
+    #: process's sizes, so the gap is constant. Never saved.
+    _bytes_skew: int | None = None
+
     def __init__(
         self,
         name: str,
@@ -50,6 +58,7 @@ class Table:
         self._rows: list[Row | None] = []
         self._live_count = 0
         self._bytes = 0
+        self._bytes_skew = 0  # every row will be sized by this process
         self._pk_index: HashIndex | None = (
             HashIndex() if self.enforce_primary_key else None
         )
@@ -246,16 +255,25 @@ class Table:
             self.schema.position(column): expr.bind(self.schema)
             for column, expr in assignments.items()
         }
+        self._ensure_page_load()
+        # Sized on entry: the rewrite behind the scan changes row sizes.
+        charge, bytes_on_entry = self._scan_charge(), self._bytes
         updated = 0
-        for slot, row in self._iter_slots():
-            self.accountant.charge_seq_scan(1, self.schema.row_bytes(row))
-            if test is not None and not test(row):
-                continue
-            new_row = list(row)
-            for position, evaluate in bound.items():
-                new_row[position] = evaluate(row)
-            self._replace_at(slot, tuple(new_row))
-            updated += 1
+        try:
+            for slot, row in enumerate(self._rows):
+                if row is None or (test is not None and not test(row)):
+                    continue
+                new_row = list(row)
+                for position, evaluate in bound.items():
+                    new_row[position] = evaluate(row)
+                self._replace_at(slot, tuple(new_row))
+                updated += 1
+        except BaseException:  # only the rows through ``slot`` were read
+            rows, size = self._scan_charge(slot)
+            charge = rows, size - (self._bytes - bytes_on_entry)
+            raise
+        finally:
+            self._charge_seq_scan(*charge)
         return updated
 
     def _replace_at(self, slot: int, new_row: Row) -> None:
@@ -330,6 +348,9 @@ class Table:
                 mutable = list(row)
                 mutable[position] = coerced
                 self._rows[slot] = tuple(mutable)
+        # Size follows type (integer 4, decimal 8, text by length).
+        self._bytes = self._sized()[1]
+        self._bytes_skew = 0
         self.accountant.charge_write(self._live_count)
 
     def vacuum(self) -> None:
@@ -359,17 +380,46 @@ class Table:
                 yield slot, row
 
     def scan(self) -> Iterator[Row]:
-        """Full sequential scan; charges one sequential row per live row."""
-        for _slot, row in self._iter_slots():
-            self.accountant.charge_seq_scan(1, self.schema.row_bytes(row))
-            yield row
+        """Full sequential scan, charged once per call rather than per row.
+
+        Read to the end, it charges the table's maintained row and byte
+        totals in O(1); abandoned early, it charges exactly the rows it
+        yielded, when the generator is closed. Do not mutate the table
+        from inside the loop.
+        """
+        self._ensure_page_load()
+        slot = None
+        try:
+            for slot, row in enumerate(self._rows):
+                if row is not None:
+                    yield row
+            slot = None  # read to the end
+        finally:
+            self._charge_seq_scan(*self._scan_charge(slot))
+
+    def _sized(self, stop: int | None = None) -> tuple[int, int]:
+        """``(rows, bytes)`` of the live rows in heap slots ``[0, stop)``,
+        as this process sizes them."""
+        live = [row for row in self._rows[:stop] if row is not None]
+        return len(live), sum(map(self.schema.row_bytes, live))
+
+    def _scan_charge(self, last_slot: int | None = None) -> tuple[int, int]:
+        """``(rows, bytes)`` that one sequential read of the heap through
+        ``last_slot`` touches (None: all of it, O(1) once the skew of
+        ``_bytes`` has been measured)."""
+        if last_slot is not None:
+            return self._sized(last_slot + 1)
+        if self._bytes_skew is None:
+            self._bytes_skew = self._sized()[1] - self._bytes
+        return self._live_count, self._bytes + self._bytes_skew
+
+    def _charge_seq_scan(self, rows: int, size: int) -> None:
+        if rows:  # a read that touches nothing leaves no trace
+            self.accountant.charge_seq_scan(rows, size)
 
     def scan_where(self, predicate: Expression) -> Iterator[Row]:
         """Sequential scan with a pushed-down filter."""
-        test = predicate.bind(self.schema)
-        for row in self.scan():
-            if test(row):
-                yield row
+        return filter(predicate.bind(self.schema), self.scan())
 
     def fetch_slot(self, slot: int) -> Row | None:
         """Random access by heap position (charged as random I/O)."""
@@ -380,9 +430,15 @@ class Table:
         return row
 
     def lookup(self, column: str, key: Hashable) -> list[Row]:
-        """Index lookup; falls back to a sequential scan without an index.
+        """Index lookup; falls back to a sequential scan without an index."""
+        return self.lookup_many(column, (key,))
 
-        Whether the fetches after the probe are charged as random or
+    def lookup_many(self, column: str, keys: Iterable[Hashable]) -> list[Row]:
+        """Batched index lookups, preserving key order: one probe charge
+        and one read charge for the whole batch (one sequential scan per
+        key without an index).
+
+        Whether the fetches after the probes are charged as random or
         sequential depends on the clustering: probing ``rid`` on a table
         clustered by ``rid`` touches adjacent pages.
         """
@@ -390,27 +446,24 @@ class Table:
         index = self._index_for(column)
         if index is None:
             position = self.schema.position(column)
-            return [row for row in self.scan() if row[position] == key]
-        self.accountant.charge_index_probe(1)
-        rows: list[Row] = []
-        clustered = self._is_clustered_on(column)
-        for slot in index.lookup(key):
-            row = self._rows[slot]
-            if row is None:
-                continue
-            row_bytes = self.schema.row_bytes(row)
-            if clustered:
-                self.accountant.charge_seq_scan(1, row_bytes)
-            else:
-                self.accountant.charge_random_read(1, row_bytes)
-            rows.append(row)
-        return rows
-
-    def lookup_many(self, column: str, keys: Iterable[Hashable]) -> list[Row]:
-        """Batched index lookups, preserving key order."""
-        rows: list[Row] = []
-        for key in keys:
-            rows.extend(self.lookup(column, key))
+            return [r for key in keys for r in self.scan() if r[position] == key]
+        keys = list(keys)
+        heap = self._rows
+        rows = [
+            row
+            for key in keys
+            for slot in index.lookup(key)
+            if (row := heap[slot]) is not None
+        ]
+        if keys:
+            self.accountant.charge_index_probe(len(keys))
+        if rows:
+            charge = (
+                self.accountant.charge_seq_scan
+                if self._is_clustered_on(column)
+                else self.accountant.charge_random_read
+            )
+            charge(len(rows), sum(map(self.schema.row_bytes, rows)))
         return rows
 
     def _index_for(self, column: str) -> HashIndex | OrderedIndex | None:
@@ -454,7 +507,7 @@ class Table:
     def __getstate__(self) -> dict:
         self._ensure_page_load()  # a plain pickle must carry the rows
         state = dict(self.__dict__)
-        for transient in ("_pager", "_saved_ref", "_saved_stamp"):
+        for transient in ("_pager", "_saved_ref", "_saved_stamp", "_bytes_skew"):
             state.pop(transient, None)
         return state
 

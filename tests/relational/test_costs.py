@@ -1,6 +1,12 @@
 """Tests for the cost accountant."""
 
+import sys
+import threading
+
 from repro.relational.costs import CostAccountant, CostSnapshot
+from repro.relational.schema import ColumnDef, Schema
+from repro.relational.table import Table
+from repro.relational.types import INT, TEXT
 
 
 class TestAccounting:
@@ -49,3 +55,50 @@ class TestAccounting:
     def test_total_rows_read(self):
         snapshot = CostSnapshot(5, 3, 0, 0, 0, 0)
         assert snapshot.total_rows_read() == 8
+
+
+class TestSharedAcrossThreads:
+    """The daemon's reader pool charges one accountant from every worker."""
+
+    def test_concurrent_scans_lose_no_charge(self):
+        accountant = CostAccountant()
+        table = Table(
+            "people",
+            Schema(
+                [ColumnDef("id", INT), ColumnDef("name", TEXT)],
+                primary_key=("id",),
+            ),
+            accountant=accountant,
+        )
+        for i in range(200):
+            table.insert((i, "x" * (i % 7)))
+        one_row = table.schema.row_bytes(table.lookup("id", 7)[0])
+        accountant.reset()
+        threads, scans_each = 8, 150
+        start = threading.Barrier(threads)
+
+        def reader():
+            start.wait(timeout=30)
+            for _ in range(scans_each):
+                for _row in table.scan():
+                    pass
+                table.lookup("id", 7)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=reader) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        total = accountant.snapshot()
+        scans = threads * scans_each
+        assert total.seq_rows == scans * len(table)
+        assert total.random_rows == total.index_probes == scans
+        assert total.bytes_read == scans * (
+            table.storage_bytes(include_indexes=False) + one_row
+        )
