@@ -47,6 +47,13 @@ REPO_ROOT = _PACKAGE_DIR.parent
 DEFAULT_BASELINE = _PACKAGE_DIR / "baselines.json"
 HISTORY_DIRNAME = Path("results") / "bench_history"
 
+#: ``--check`` gates between two benches of the same run, ``(bench,
+#: reference, factor)``: ROADMAP 1(d)'s "paged <= pickle", with the 10 %
+#: its exit criterion allows at this fixture size.
+RELATIONAL_GATES = (
+    ("storage/checkout_cold_paged", "storage/checkout_cold_pickle", 1.10),
+)
+
 
 def discover() -> list[str]:
     """Import every bench module so its units register; returns the
@@ -234,7 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="rewrite the baseline file from this run's medians",
+        help="rewrite the baseline file from this run's medians "
+        "(with --filter: only the rows that ran)",
     )
     parser.add_argument(
         "--baseline",
@@ -276,12 +284,23 @@ def main(argv: list[str] | None = None) -> int:
     from repro.observe import regress
 
     if args.update_baseline:
-        regress.write_baseline(args.baseline, payload)
+        try:
+            regress.write_baseline(
+                args.baseline, payload, partial=args.filter is not None
+            )
+        except ValueError as exc:  # nothing to merge a filtered run into
+            sys.stderr.write(f"baseline not updated: {exc}\n")
+            return 2
         echo(f"baseline updated: {args.baseline}")
         return 0
     if args.check:
         report = regress.check_payload(
             payload, args.baseline, partial=args.filter is not None
+        )
+        report.verdicts.extend(
+            regress.relate(
+                payload["benches"], RELATIONAL_GATES, report.abs_floor_s
+            )
         )
         sys.stdout.write(report.render_text())
         if report.has_regressions and not args.warn_only:

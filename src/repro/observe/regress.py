@@ -23,7 +23,8 @@ may override both for its whole suite.
 
 ``orpheus bench --check`` exits non-zero iff at least one verdict is
 ``regression``; ``orpheus bench --update-baseline`` rewrites the
-baseline from the run's medians.
+baseline from the run's medians (a ``--filter``-ed run only its own
+rows). :func:`relate` gates one bench against another of the same run.
 """
 
 from __future__ import annotations
@@ -278,14 +279,57 @@ def baseline_from_payload(payload: dict) -> dict:
     }
 
 
-def write_baseline(path: Path | str, payload: dict) -> Path:
+def write_baseline(
+    path: Path | str, payload: dict, partial: bool = False
+) -> Path:
+    """Write the baseline for ``payload``. ``partial`` marks a filtered
+    run: its rows replace their namesakes in the existing file, every
+    other row of which is kept. Raises ``ValueError``, writing nothing,
+    when that file exists but cannot be merged into (unreadable, or of
+    another schema version): only a full run may replace it."""
     path = Path(path)
+    document = baseline_from_payload(payload)
+    existing = load_baseline(path) if partial else None
+    if existing is not None:
+        if existing.get("schema_version") != document["schema_version"]:
+            raise ValueError(
+                f"{path} has schema_version {existing.get('schema_version')!r}, "
+                f"this run {document['schema_version']!r}: "
+                "re-freeze it from an unfiltered run"
+            )
+        document["benches"] = {**existing["benches"], **document["benches"]}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(baseline_from_payload(payload), indent=2, sort_keys=True)
-        + "\n"
-    )
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def relate(
+    current_benches: dict,
+    gates: tuple[tuple[str, str, float], ...],
+    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
+) -> list[BenchVerdict]:
+    """Gates between two benches of the same run, which no baseline can
+    express: ``(bench, reference, factor)`` is a regression when
+    ``bench`` takes more than ``factor`` times ``reference`` (and more
+    than the absolute floor on top). A gate whose benches did not both
+    run says nothing."""
+    verdicts = []
+    for name, reference, factor in gates:
+        cur = _bench_wall(current_benches.get(name, {}))
+        ref = _bench_wall(current_benches.get(reference, {}))
+        if not _usable(cur) or not _usable(ref):
+            continue
+        failed = breaches(cur - ref, ref, factor - 1.0, abs_floor_s)
+        verdicts.append(
+            BenchVerdict(
+                f"{name} <= {factor:g}x {reference}",
+                REGRESSION if failed else OK,
+                baseline_s=ref,
+                current_s=cur,
+                detail="same-run gate",
+            )
+        )
+    return verdicts
 
 
 def check_payload(

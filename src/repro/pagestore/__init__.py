@@ -10,7 +10,8 @@ keeping the state store's crash-safety contract:
   Pages are immutable: a dirty segment writes *new* pages and the old
   ones age out with the backup generations (the ForkBase chunk idiom).
 * :mod:`repro.pagestore.codec` — segment encodings: columnar table
-  slices, delta/range-encoded rlist and vlist arrays, varint framing.
+  slices with delta-encoded integer columns and rid lists, one
+  compressed pickle per segment; the v1 (varint) codecs are decode-only.
 * :mod:`repro.pagestore.bufferpool` — a process-wide byte-budgeted LRU
   over decoded pages with heat-guided pinning
   (:mod:`repro.observe.heat`) and dirty-page tracking.

@@ -2,65 +2,215 @@
 
 A *segment* is one logical unit of repository state — a physical
 table's rows, a CVD's payload map, a membership (vlist) map — encoded
-to bytes, sliced into pages, and decoded back on fault. Four codecs:
+to bytes, sliced into pages, and decoded back on fault. Saves write:
 
-``rows.v1``
-    Columnar table slices: a tombstone bitmap over heap slots, then one
-    block per column. Integer columns are zigzag-delta varint encoded;
-    rlist-shaped columns (sorted integer arrays, plain or
-    :class:`~repro.relational.arrays.RangeEncodedArray`) are range
-    encoded; everything else is a pickled column vector — still
-    column-major, so a wide table compresses per attribute.
-``records.v1``
-    A ``rid → payload`` map: delta-varint rid array plus a pickled
-    payload vector in rid order.
-``rlistmap.v1``
-    A ``vid → frozenset(rid)`` map (version membership / vlists):
-    zigzag keys, range-encoded rid sets.
+``rows.v2``
+    Columnar table slices: a live-slot mask (``None`` = tombstone), then
+    one entry per column. A column of non-negative integers is a
+    delta-encoded :class:`array.array`; a column of rid lists is the
+    lists' lengths plus one delta array of all their members, so a run
+    of consecutive rids costs the compressor a repeated ``1``; any other
+    column (text, mixed types) is the column itself — still
+    column-major, so a wide table compresses per attribute, and a
+    :class:`~repro.relational.arrays.RangeEncodedArray` is written as
+    its ranges, never as its members.
+``records.v2``
+    A ``rid → payload`` map: a delta-encoded rid array plus the payload
+    vector in rid order.
+``rlistmap.v2``
+    A ``vid → frozenset(rid)`` map (version membership / vlists): the
+    vids plus the sorted rid sets as a column of rid lists.
 ``pickle.v1``
     Fallback for irregular shapes (e.g. rows of mixed arity mid
     schema-evolution).
 
-All codecs are exact round-trips: value types are preserved
-(``RangeEncodedArray`` stays range-encoded, tombstones stay ``None``).
+A v2 segment is one pickle of those parts under one ``zlib`` level-1
+pass, and every loop over stored values runs inside a C builtin
+(``map`` / ``zip`` / ``itertools`` / the pickler), so encoding or
+decoding a segment costs the same few Python calls whatever its size.
+``rows.v1`` / ``records.v1`` / ``rlistmap.v1`` (zigzag-delta varints
+and run lengths, read one integer at a time) are decode-only:
+repositories written before v2 still load, and a clean segment keeps
+its v1 pages until something dirties it.
+
+All codecs are exact round-trips: value types are preserved (``bool``
+never becomes ``int``, integers beyond int64 survive, tombstones stay
+``None``, ``RangeEncodedArray`` stays range-encoded).
 """
 
 from __future__ import annotations
 
+import io
 import pickle
-from typing import Iterable
+import sys
+import zlib
+from array import array
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, is_not, itemgetter, mul
 
 from repro.relational.arrays import RangeEncodedArray
 
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+_LISTS, _RANGES = "lists", "ranges"
+_RANGES_OF = attrgetter("_ranges")  # a slot: read without a Python call
 
+ROWS_V2 = "rows.v2"
+RECORDS_V2 = "records.v2"
+RLISTMAP_V2 = "rlistmap.v2"
+PICKLE_V1 = "pickle.v1"
 ROWS_V1 = "rows.v1"
 RECORDS_V1 = "records.v1"
 RLISTMAP_V1 = "rlistmap.v1"
-PICKLE_V1 = "pickle.v1"
 
+
+# ----------------------------------------------------------------------
+# v2: one compressed pickle per segment, integers as delta arrays
+# ----------------------------------------------------------------------
+def _pack(parts: object) -> bytes:
+    return zlib.compress(pickle.dumps(parts, PICKLE_PROTOCOL), 1)
+
+
+def _unpack(blob: bytes) -> object:
+    return pickle.loads(zlib.decompress(blob))
+
+
+def _pack_ints(values: list) -> array | None:
+    """Deltas of a vector of exact, non-negative ``int`` as a 32- or
+    64-bit array, or ``None`` when neither holds them.
+
+    One big-integer subtraction takes every delta at once: the vector's
+    little-endian lanes minus the same lanes moved up one place. Setting
+    each lane's sign bit first keeps a falling value from borrowing out
+    of its neighbour; clearing it again leaves the two's-complement
+    delta. (A big-endian host, whose lanes lie the other way round,
+    keeps its columns plain.)"""
+    if list(map(type, values)).count(int) != len(values):
+        return None  # a bool, a None, a float among them
+    if sys.byteorder != "little":
+        return None
+    for typecode in "IQ":  # the typecodes array converts to fastest
+        try:
+            lanes = array(typecode, values)
+        except OverflowError:  # a negative value, or one too wide
+            continue
+        n_bits = 8 * lanes.itemsize * len(lanes)
+        current = int.from_bytes(lanes.tobytes(), "little")
+        sign = int.from_bytes(
+            (bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little"
+        )
+        if current & sign:  # no room for the sign of a delta
+            continue
+        previous = (current << 8 * lanes.itemsize) & ((1 << n_bits) - 1)
+        deltas = array(typecode.lower())
+        deltas.frombytes(
+            (((current | sign) - previous) ^ sign).to_bytes(n_bits // 8, "little")
+        )
+        return deltas
+    return None
+
+
+def _unpack_ints(deltas: array) -> list[int]:
+    return list(accumulate(deltas))
+
+
+def _pack_column(column: list) -> array | tuple | list:
+    """An int column as its delta array; a column of rid lists, or of
+    ``RangeEncodedArray`` (their range bounds), as ``(kind, length of
+    each value, delta array of all the values end to end)``; any other
+    column as it is."""
+    packed = _pack_ints(column)
+    if packed is not None:
+        return packed
+    kinds = list(map(type, column))
+    if kinds.count(list) == len(column):
+        kind, values, members = _LISTS, column, chain.from_iterable(column)
+    elif kinds.count(RangeEncodedArray) == len(column):
+        kind, values = _RANGES, list(map(_RANGES_OF, column))
+        members = chain.from_iterable(chain.from_iterable(values))
+    else:
+        return column
+    packed = _pack_ints(list(members))
+    if packed is None:
+        return column
+    return kind, list(map(len, values)), packed
+
+
+def _unpack_column(packed: array | tuple | list) -> list:
+    if isinstance(packed, array):
+        return _unpack_ints(packed)
+    if not isinstance(packed, tuple):
+        return packed
+    kind, lengths, deltas = packed
+    flat = _unpack_ints(deltas)
+    if kind == _RANGES:
+        flat = list(zip(flat[::2], flat[1::2]))
+    ends = list(accumulate(lengths))
+    values = map(flat.__getitem__, map(slice, chain((0,), ends), ends))
+    if kind == _RANGES:
+        values = map(RangeEncodedArray.from_ranges, values)
+    return list(values)
+
+
+def encode_table_rows(
+    rows: list[tuple | None], n_cols: int
+) -> tuple[str, bytes]:
+    """Encode a heap's slot list (``None`` = tombstone). Falls back to
+    ``pickle.v1`` when live rows do not all match the schema arity."""
+    mask = bytes(map(is_not, rows, repeat(None)))
+    live = list(compress(rows, mask))
+    if not set(map(len, live)) <= {n_cols}:
+        return PICKLE_V1, pickle.dumps(rows, PICKLE_PROTOCOL)
+    # One itemgetter pass per column: zip(*live) would first allocate an
+    # iterator per row.
+    columns = [list(map(itemgetter(i), live)) for i in range(n_cols)]
+    return ROWS_V2, _pack((mask, list(map(_pack_column, columns))))
+
+
+def _decode_table_rows(blob: bytes) -> list[tuple | None]:
+    mask, columns = _unpack(blob)
+    if columns:
+        live = list(zip(*map(_unpack_column, columns)))
+    else:  # rows of no columns
+        live = [()] * sum(mask)
+    if 0 not in mask:
+        return live
+    # Slot s holds live row number accumulate(mask)[s], or None.
+    live.insert(0, None)
+    return list(map(live.__getitem__, map(mul, accumulate(mask), mask)))
+
+
+def _encode_records(payloads: dict) -> bytes:
+    rids = sorted(payloads)
+    return _pack((_pack_column(rids), list(map(payloads.__getitem__, rids))))
+
+
+def _decode_records(blob: bytes) -> dict:
+    rids, values = _unpack(blob)
+    return dict(zip(_unpack_column(rids), values))
+
+
+def _encode_rlist_map(membership: dict) -> bytes:
+    members = list(map(frozenset, membership.values()))
+    try:
+        members = _pack_column(list(map(sorted, members)))
+    except TypeError:  # rids that do not order: the sets as they are
+        pass
+    return _pack((list(membership), members))
+
+
+def _decode_rlist_map(blob: bytes) -> dict:
+    keys, members = _unpack(blob)
+    return dict(zip(keys, map(frozenset, _unpack_column(members))))
+
+
+# ----------------------------------------------------------------------
+# v1, decode-only: zigzag-delta varints and (gap, run-length) ranges
+# ----------------------------------------------------------------------
 _COL_PICKLE = 0
 _COL_INT = 1
 _COL_INT_ARRAY = 2
 
-_VAL_LIST = 0
 _VAL_RANGE_ARRAY = 1
-
-
-# ----------------------------------------------------------------------
-# Varint primitives
-# ----------------------------------------------------------------------
-def write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"uvarint cannot encode negative {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
 
 
 def read_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
@@ -75,40 +225,9 @@ def read_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def write_svarint(out: bytearray, value: int) -> None:
-    # Python ints are unbounded; emulate zigzag without a fixed width.
-    write_uvarint(out, (-value << 1) - 1 if value < 0 else value << 1)
-
-
 def read_svarint(buf: bytes, pos: int) -> tuple[int, int]:
     raw, pos = read_uvarint(buf, pos)
     return (-(raw + 1) >> 1) if raw & 1 else raw >> 1, pos
-
-
-# ----------------------------------------------------------------------
-# Range encoding for sorted integer arrays (rlists, rid sets)
-# ----------------------------------------------------------------------
-def _write_ranges(out: bytearray, values: Iterable[int]) -> None:
-    """Encode a strictly-increasing integer sequence as
-    (gap, run-length) pairs — the Section 4.2 range encoding."""
-    ranges: list[tuple[int, int]] = []
-    start = previous = None
-    for value in values:
-        if start is None:
-            start = previous = value
-        elif value == previous + 1:
-            previous = value
-        else:
-            ranges.append((start, previous))
-            start = previous = value
-    if start is not None:
-        ranges.append((start, previous))
-    write_uvarint(out, len(ranges))
-    cursor = 0
-    for lo, hi in ranges:
-        write_svarint(out, lo - cursor)
-        write_uvarint(out, hi - lo)
-        cursor = hi
 
 
 def _read_range_values(buf: bytes, pos: int) -> tuple[list[int], int]:
@@ -124,72 +243,7 @@ def _read_range_values(buf: bytes, pos: int) -> tuple[list[int], int]:
     return values, pos
 
 
-def _is_sorted_ints(value: object) -> bool:
-    if not isinstance(value, list):
-        return False
-    previous = None
-    for item in value:
-        if type(item) is not int:
-            return False
-        if previous is not None and item <= previous:
-            return False
-        previous = item
-    return True
-
-
-# ----------------------------------------------------------------------
-# rows.v1 — columnar table slices
-# ----------------------------------------------------------------------
-def encode_table_rows(
-    rows: list[tuple | None], n_cols: int
-) -> tuple[str, bytes]:
-    """Encode a heap's slot list (``None`` = tombstone). Falls back to
-    ``pickle.v1`` when live rows do not all match the schema arity."""
-    live = [row for row in rows if row is not None]
-    if any(len(row) != n_cols for row in live):
-        return PICKLE_V1, pickle.dumps(rows, PICKLE_PROTOCOL)
-    out = bytearray()
-    write_uvarint(out, len(rows))
-    write_uvarint(out, n_cols)
-    bitmap = bytearray((len(rows) + 7) // 8)
-    for slot, row in enumerate(rows):
-        if row is not None:
-            bitmap[slot >> 3] |= 1 << (slot & 7)
-    out += bytes(bitmap)
-    for position in range(n_cols):
-        column = [row[position] for row in live]
-        out += _encode_column(column)
-    return ROWS_V1, bytes(out)
-
-
-def _encode_column(column: list[object]) -> bytes:
-    out = bytearray()
-    if column and all(type(v) is int for v in column):
-        out.append(_COL_INT)
-        cursor = 0
-        for value in column:
-            write_svarint(out, value - cursor)
-            cursor = value
-        return bytes(out)
-    if column and all(
-        isinstance(v, RangeEncodedArray) or _is_sorted_ints(v)
-        for v in column
-    ):
-        out.append(_COL_INT_ARRAY)
-        for value in column:
-            if isinstance(value, RangeEncodedArray):
-                out.append(_VAL_RANGE_ARRAY)
-                _write_ranges(out, value)
-            else:
-                out.append(_VAL_LIST)
-                _write_ranges(out, value)
-        return bytes(out)
-    out.append(_COL_PICKLE)
-    out += pickle.dumps(column, PICKLE_PROTOCOL)
-    return bytes(out)
-
-
-def decode_table_rows(blob: bytes) -> list[tuple | None]:
+def _decode_table_rows_v1(blob: bytes) -> list[tuple | None]:
     pos = 0
     n_slots, pos = read_uvarint(blob, pos)
     n_cols, pos = read_uvarint(blob, pos)
@@ -201,7 +255,7 @@ def decode_table_rows(blob: bytes) -> list[tuple | None]:
     ]
     columns: list[list[object]] = []
     for _ in range(n_cols):
-        column, pos = _decode_column(blob, pos, len(live_slots))
+        column, pos = _decode_column_v1(blob, pos, len(live_slots))
         columns.append(column)
     rows: list[tuple | None] = [None] * n_slots
     for index, slot in enumerate(live_slots):
@@ -209,7 +263,7 @@ def decode_table_rows(blob: bytes) -> list[tuple | None]:
     return rows
 
 
-def _decode_column(
+def _decode_column_v1(
     blob: bytes, pos: int, count: int
 ) -> tuple[list[object], int]:
     tag = blob[pos]
@@ -235,32 +289,14 @@ def _decode_column(
         return values, pos
     if tag == _COL_PICKLE:
         # Pickle reports how many bytes it consumed via Unpickler.
-        import io
-
         stream = io.BytesIO(blob)
         stream.seek(pos)
-        unpickler = pickle.Unpickler(stream)
-        values = unpickler.load()
+        values = pickle.Unpickler(stream).load()
         return values, stream.tell()
     raise ValueError(f"unknown rows.v1 column tag {tag}")
 
 
-# ----------------------------------------------------------------------
-# records.v1 — rid → payload maps
-# ----------------------------------------------------------------------
-def encode_records(payloads: dict) -> bytes:
-    rids = sorted(payloads)
-    out = bytearray()
-    write_uvarint(out, len(rids))
-    cursor = 0
-    for rid in rids:
-        write_svarint(out, rid - cursor)
-        cursor = rid
-    out += pickle.dumps([payloads[rid] for rid in rids], PICKLE_PROTOCOL)
-    return bytes(out)
-
-
-def decode_records(blob: bytes) -> dict:
+def _decode_records_v1(blob: bytes) -> dict:
     pos = 0
     count, pos = read_uvarint(blob, pos)
     rids: list[int] = []
@@ -273,19 +309,7 @@ def decode_records(blob: bytes) -> dict:
     return dict(zip(rids, values))
 
 
-# ----------------------------------------------------------------------
-# rlistmap.v1 — vid → frozenset(rid) maps (version membership)
-# ----------------------------------------------------------------------
-def encode_rlist_map(membership: dict) -> bytes:
-    out = bytearray()
-    write_uvarint(out, len(membership))
-    for key in sorted(membership):
-        write_svarint(out, key)
-        _write_ranges(out, sorted(membership[key]))
-    return bytes(out)
-
-
-def decode_rlist_map(blob: bytes) -> dict:
+def _decode_rlist_map_v1(blob: bytes) -> dict:
     pos = 0
     count, pos = read_uvarint(blob, pos)
     decoded: dict = {}
@@ -299,23 +323,29 @@ def decode_rlist_map(blob: bytes) -> dict:
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
+_ENCODERS = {
+    RECORDS_V2: _encode_records,
+    RLISTMAP_V2: _encode_rlist_map,
+    PICKLE_V1: lambda obj: pickle.dumps(obj, PICKLE_PROTOCOL),
+}
+_DECODERS = {
+    ROWS_V2: _decode_table_rows,
+    RECORDS_V2: _decode_records,
+    RLISTMAP_V2: _decode_rlist_map,
+    PICKLE_V1: pickle.loads,
+    ROWS_V1: _decode_table_rows_v1,
+    RECORDS_V1: _decode_records_v1,
+    RLISTMAP_V1: _decode_rlist_map_v1,
+}
+
+
 def encode_segment(codec: str, obj: object) -> bytes:
-    if codec == RECORDS_V1:
-        return encode_records(obj)  # type: ignore[arg-type]
-    if codec == RLISTMAP_V1:
-        return encode_rlist_map(obj)  # type: ignore[arg-type]
-    if codec == PICKLE_V1:
-        return pickle.dumps(obj, PICKLE_PROTOCOL)
-    raise ValueError(f"unknown segment codec {codec!r}")
+    if codec not in _ENCODERS:
+        raise ValueError(f"unknown segment codec {codec!r}")
+    return _ENCODERS[codec](obj)
 
 
 def decode_segment(codec: str, blob: bytes) -> object:
-    if codec == ROWS_V1:
-        return decode_table_rows(blob)
-    if codec == RECORDS_V1:
-        return decode_records(blob)
-    if codec == RLISTMAP_V1:
-        return decode_rlist_map(blob)
-    if codec == PICKLE_V1:
-        return pickle.loads(blob)
-    raise ValueError(f"unknown segment codec {codec!r}")
+    if codec not in _DECODERS:
+        raise ValueError(f"unknown segment codec {codec!r}")
+    return _DECODERS[codec](blob)

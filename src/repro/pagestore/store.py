@@ -388,22 +388,22 @@ class _SaveContext:
         for name, cvd in cvds.items():
             self._register_dict(
                 cvd, "_payloads", f"cvd:{name}:payloads",
-                codec.RECORDS_V1, name,
+                codec.RECORDS_V2, name,
             )
             self._register_dict(
                 cvd, "_membership", f"cvd:{name}:membership",
-                codec.RLISTMAP_V1, name,
+                codec.RLISTMAP_V2, name,
             )
             model = getattr(cvd, "model", None)
             if model is None:
                 continue
             self._register_dict(
                 model, "_payloads", f"model:{name}:payloads",
-                codec.RECORDS_V1, name,
+                codec.RECORDS_V2, name,
             )
             self._register_dict(
                 model, "_membership", f"model:{name}:membership",
-                codec.RLISTMAP_V1, name,
+                codec.RLISTMAP_V2, name,
             )
             partitions = getattr(model, "_partitions", None)
             try:

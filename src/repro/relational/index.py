@@ -16,6 +16,17 @@ class HashIndex:
     def __init__(self) -> None:
         self._buckets: dict[Hashable, list[int]] = {}
 
+    @classmethod
+    def build(
+        cls, keys: Iterable[Hashable], positions: Iterable[int]
+    ) -> "HashIndex":
+        """Bulk-load an index from parallel keys and row positions. The
+        keys must be distinct, as a primary key's are: of a repeated key
+        only the last position would be kept."""
+        index = cls()
+        index._buckets = dict(zip(keys, map(list, zip(positions))))
+        return index
+
     def add(self, key: Hashable, position: int) -> None:
         self._buckets.setdefault(key, []).append(position)
 

@@ -67,7 +67,11 @@ class Schema:
 
     def key_of(self, row: Sequence[object]) -> tuple[object, ...]:
         """Extract the primary-key tuple from a row."""
-        return tuple(row[i] for i in self.key_positions())
+        try:
+            positions = self._key_positions
+        except AttributeError:  # first call, or a state saved before the cache
+            positions = self._key_positions = self.key_positions()
+        return tuple(row[i] for i in positions)
 
     def validate_row(self, row: Sequence[object]) -> None:
         """Raise :class:`SchemaError` unless the row matches this schema."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import enum
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.relational.costs import CostAccountant
@@ -90,11 +92,16 @@ class Table:
             rows = pager.load(self.accountant)
             self._rows = rows
             if pager.index_spec.get("pk") and self.enforce_primary_key:
-                pk_index = HashIndex()
-                for slot, row in enumerate(rows):
-                    if row is not None:
-                        pk_index.add(self.schema.key_of(row), slot)
-                self._pk_index = pk_index
+                # One key column at a time, never one row at a time.
+                is_live = list(map(is_not, rows, repeat(None)))
+                live = list(compress(rows, is_live))
+                key_columns = (
+                    map(itemgetter(position), live)
+                    for position in self.schema.key_positions()
+                )
+                self._pk_index = HashIndex.build(
+                    zip(*key_columns), compress(range(len(rows)), is_live)
+                )
             else:
                 self._pk_index = None
             self._secondary = {}

@@ -32,11 +32,18 @@ class DataType:
     python_type: type
     byte_size: int
 
+    def __reduce__(self):
+        # Unpickle to the module singleton. States written before this
+        # reduce existed still load as equal-but-distinct copies, which
+        # is why the methods below compare names, not identity.
+        return type_by_name, (self.name,)
+
     def validate(self, value: object) -> bool:
         """Return True if ``value`` is storable in a column of this type."""
         if value is None:
             return True
-        if self is INT_ARRAY:
+        name = self.name
+        if name == INT_ARRAY.name:
             from repro.relational.arrays import RangeEncodedArray
 
             if isinstance(value, RangeEncodedArray):
@@ -44,10 +51,10 @@ class DataType:
             return isinstance(value, (list, tuple)) and all(
                 isinstance(v, int) for v in value
             )
-        if self is FLOAT:
+        if name == FLOAT.name:
             # Integers are acceptable in decimal columns.
             return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is INT:
+        if name == INT.name:
             return isinstance(value, int) and not isinstance(value, bool)
         return isinstance(value, self.python_type)
 
@@ -55,15 +62,16 @@ class DataType:
         """Coerce ``value`` into this type, e.g. when a column widens."""
         if value is None:
             return None
-        if self is INT_ARRAY:
+        name = self.name
+        if name == INT_ARRAY.name:
             return list(value)  # type: ignore[arg-type]
-        if self is TEXT:
+        if name == TEXT.name:
             return str(value)
-        if self is FLOAT:
+        if name == FLOAT.name:
             return float(value)  # type: ignore[arg-type]
-        if self is INT:
+        if name == INT.name:
             return int(value)  # type: ignore[arg-type]
-        if self is BOOL:
+        if name == BOOL.name:
             return bool(value)
         raise TypeError(f"cannot coerce into {self.name}")
 
@@ -71,13 +79,14 @@ class DataType:
         """Approximate storage bytes for one value of this type."""
         if value is None:
             return 1
-        if self is INT_ARRAY:
+        name = self.name
+        if name == INT_ARRAY.name:
             from repro.relational.arrays import RangeEncodedArray
 
             if isinstance(value, RangeEncodedArray):
                 return value.encoded_bytes()
             return 4 * len(value) + 4  # type: ignore[arg-type]
-        if self is TEXT:
+        if name == TEXT.name:
             return len(str(value)) + 1
         return self.byte_size
 
@@ -108,7 +117,7 @@ def generalize_types(a: DataType, b: DataType) -> DataType:
     ``integer`` widens to ``decimal``; any scalar widens to ``text``.
     Arrays do not participate in widening and must match exactly.
     """
-    if a is b:
+    if a == b:
         return a
     if INT_ARRAY in (a, b):
         raise ValueError("array types cannot be generalized with scalars")
@@ -117,6 +126,6 @@ def generalize_types(a: DataType, b: DataType) -> DataType:
     wider = a if order_a >= order_b else b
     # Booleans only widen through text: there is no numeric reading of a
     # boolean column in the paper's single-pool scheme.
-    if BOOL in (a, b) and wider is not TEXT:
+    if BOOL in (a, b) and wider != TEXT:
         return TEXT
     return wider

@@ -160,6 +160,49 @@ def test_update_baseline_writes_file(stub_suite, tmp_path):
     assert "stub/rows" in doc["benches"]
 
 
+def test_filtered_update_baseline_keeps_unfiltered_rows(stub_suite, tmp_path):
+    baseline = tmp_path / "baselines.json"
+    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
+    before = json.loads(baseline.read_text())["benches"]
+    assert set(before) == {"stub/rows", "stub/sleep"}
+    DURATION["s"] = 0.08
+    assert (
+        run_main(
+            tmp_path, "--filter", "stub/sleep", "--update-baseline",
+            baseline=baseline,
+        )
+        == 0
+    )
+    after = json.loads(baseline.read_text())["benches"]
+    assert after["stub/rows"] == before["stub/rows"]
+    assert after["stub/sleep"]["wall_s"] > before["stub/sleep"]["wall_s"]
+    # A file the filtered run cannot merge into is left as it is.
+    baseline.write_text("{not json")
+    assert (
+        run_main(
+            tmp_path, "--filter", "stub/sleep", "--update-baseline",
+            baseline=baseline,
+        )
+        == 2
+    )
+    assert baseline.read_text() == "{not json"
+
+
+def test_check_applies_the_same_run_gates(stub_suite, tmp_path, monkeypatch, capsys):
+    baseline = tmp_path / "baselines.json"
+    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
+    monkeypatch.setattr(
+        runner, "RELATIONAL_GATES", (("stub/sleep", "stub/rows", 1.10),)
+    )
+    capsys.readouterr()
+    assert run_main(tmp_path, "--check", baseline=baseline) == 1  # 50 ms vs ~0
+    assert "stub/sleep <= 1.1x stub/rows" in capsys.readouterr().out
+    monkeypatch.setattr(
+        runner, "RELATIONAL_GATES", (("stub/rows", "stub/sleep", 1.10),)
+    )
+    assert run_main(tmp_path, "--check", baseline=baseline) == 0
+
+
 # --- regression gating (the acceptance contract) ----------------------
 
 

@@ -165,6 +165,52 @@ def test_write_and_load_baseline_round_trip(tmp_path):
     assert verdict_of(report, "a").verdict == OK
 
 
+def test_a_partial_baseline_update_keeps_the_other_rows(tmp_path):
+    path = tmp_path / "baselines.json"
+    write_baseline(path, payload({"a": bench(1.0), "b": bench(2.0)}))
+    write_baseline(path, payload({"b": bench(3.0), "c": bench(4.0)}), partial=True)
+    benches = load_baseline(path)["benches"]
+    assert {name: row["wall_s"] for name, row in benches.items()} == {
+        "a": 1.0, "b": 3.0, "c": 4.0,
+    }
+    # A full run still replaces the file: rows it did not produce go.
+    write_baseline(path, payload({"c": bench(5.0)}))
+    assert set(load_baseline(path)["benches"]) == {"c"}
+    # No file yet: the partial run's rows alone.
+    path.unlink()
+    write_baseline(path, payload({"a": bench(1.0)}), partial=True)
+    assert set(load_baseline(path)["benches"]) == {"a"}
+
+
+@pytest.mark.parametrize(
+    "existing", ["{not json", "[]", '{"benches": {}, "schema_version": -1}']
+)
+def test_a_partial_update_refuses_a_file_it_cannot_merge_into(tmp_path, existing):
+    """Writing the filtered rows alone would silently drop every other
+    row — the bug ``partial`` exists to remove."""
+    path = tmp_path / "baselines.json"
+    path.write_text(existing)
+    with pytest.raises(ValueError):
+        write_baseline(path, payload({"a": bench(1.0)}), partial=True)
+    assert path.read_text() == existing
+    # An unfiltered run is how such a file gets replaced.
+    write_baseline(path, payload({"a": bench(1.0)}))
+    assert set(load_baseline(path)["benches"]) == {"a"}
+
+
+def test_relate_gates_one_bench_against_another_of_the_same_run():
+    gates = (("paged", "pickle", 1.10),)
+    run = {"paged": bench(0.0146), "pickle": bench(0.0089)}
+    (verdict,) = regress.relate(run, gates)
+    assert verdict.verdict == REGRESSION
+    assert (verdict.baseline_s, verdict.current_s) == (0.0089, 0.0146)
+    run = {"paged": bench(0.0095), "pickle": bench(0.0089)}  # within 10 %
+    assert regress.relate(run, gates)[0].verdict == OK
+    run = {"paged": bench(0.0019), "pickle": bench(0.0010)}  # under the floor
+    assert regress.relate(run, gates)[0].verdict == OK
+    assert regress.relate({"paged": bench(1.0)}, gates) == []  # filtered out
+
+
 def test_load_baseline_rejects_non_baseline_json(tmp_path):
     path = tmp_path / "baselines.json"
     path.write_text(json.dumps({"hello": "world"}))

@@ -5,6 +5,8 @@ dirty-proportional write-back, GC, backup fallback, and migration."""
 from __future__ import annotations
 
 import pickle
+import tarfile
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +22,9 @@ from repro.pagestore.store import (
     read_directory,
     referenced_pages,
 )
+from repro.relational.arrays import RangeEncodedArray
 from repro.relational.schema import ColumnDef, Schema
-from repro.relational.types import INT, TEXT
+from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
 from repro.resilience.statestore import StateStore
 
 SCHEMA = Schema(
@@ -89,7 +92,10 @@ def test_round_trip_preserves_checkout(tmp_path, model):
 
 
 def test_large_segments_split_across_pages(tmp_path, monkeypatch):
-    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "4096")
+    # v2 segments are compressed: 800 rows no longer fill a 4 KiB page,
+    # the smallest the knob allows, so the floor is lowered with it.
+    monkeypatch.setattr(pagefiles, "_MIN_PAGE_BYTES", 512)
+    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "512")
     orpheus = build_orpheus(rows_per=800)
     stats = save_paged(tmp_path, orpheus)
     refs_pages = referenced_pages(tmp_path)
@@ -390,3 +396,110 @@ def test_layout_env_switches_save_format(tmp_path, monkeypatch):
     monkeypatch.delenv("ORPHEUS_STATE_LAYOUT")
     store.save(orpheus)
     assert store.integrity()["layout"] == "pickle"
+
+
+# ----------------------------------------------------------------------
+# Repositories written with the v1 segment codecs
+# ----------------------------------------------------------------------
+def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
+    """``data/v1_repo.tar.gz`` is the state ``data/make_v1_repo.py`` saved
+    at commit 133513a: datasets ``ds`` and ``other``, two versions each,
+    every segment ``*.v1``."""
+    with tarfile.open(Path(__file__).parent / "data" / "v1_repo.tar.gz") as archive:
+        archive.extractall(tmp_path, filter="data")
+    before = read_directory(tmp_path)["generations"][0]["segments"]
+    assert {ref["codec"].split(".")[1] for ref in before.values()} == {"v1"}
+
+    loaded, info = load(tmp_path)
+    assert info.paged and not info.fallback
+    for name in ("ds", "other"):
+        rows = [(f"{name}-k{i}", i) for i in range(8)]
+        assert checkout_rows(loaded, name, 1) == sorted(rows)
+        assert checkout_rows(loaded, name, 2) == sorted(
+            rows[2:] + [(f"{name}-extra", 99)]
+        )
+
+    third = loaded.cvd("ds").commit(
+        [("ds-new", 7)], parents=(2,), message="touch ds", author="alice"
+    )
+    save_paged(tmp_path, loaded)
+    after = read_directory(tmp_path)["generations"][0]["segments"]
+    assert after.keys() == before.keys()
+    for key, ref in after.items():
+        if ":ds" in key:  # decoded from v1, dirtied, re-encoded
+            assert ref["codec"].endswith(".v2"), key
+        else:  # never faulted in: the v1 ref rides through verbatim
+            assert ref == before[key], key
+
+    reset_pool()
+    reloaded, _ = load(tmp_path)
+    assert checkout_rows(reloaded, "ds", third) == [("ds-new", 7)]
+    assert checkout_rows(reloaded, "other", 2) == checkout_rows(loaded, "other", 2)
+
+
+# ----------------------------------------------------------------------
+# What a load rebuilds, and what it must not lose
+# ----------------------------------------------------------------------
+def test_page_load_rebuilds_the_pk_index_without_per_row_schema_calls(
+    tmp_path, monkeypatch
+):
+    save_paged(tmp_path, build_orpheus(rows_per=500))
+    reset_pool()
+    loaded, _ = load(tmp_path)
+    table = loaded.database.table("ds__data")
+    assert table.paged_out
+    calls = []
+    real = Schema.key_positions
+    monkeypatch.setattr(
+        Schema, "key_positions", lambda self: calls.append(1) or real(self)
+    )
+    table._ensure_page_load()
+    assert len(calls) <= 2
+    rid = table.rows_snapshot()[137][0]
+    assert table.lookup("rid", rid) == [table.rows_snapshot()[137]]
+
+
+@pytest.mark.parametrize("layout", ["pickle", "paged"])
+def test_data_types_behave_the_same_after_a_reload(tmp_path, layout):
+    """A ``DataType`` that came out of a pickle used to be equal to its
+    singleton but not identical, and sized, validated and coerced as if
+    it were none of the five."""
+    types = (INT, FLOAT, TEXT, BOOL, INT_ARRAY)
+    schema = Schema([ColumnDef(f"c{i}", dtype) for i, dtype in enumerate(types)])
+    orpheus = Orpheus()
+    orpheus.create_user("alice")
+    orpheus.config("alice")
+    orpheus.init("ds", schema, [(1, 2.5, "hello", True, (1, 2, 3))])
+    if layout == "paged":
+        save_paged(tmp_path, orpheus)
+        reset_pool()
+        loaded, _ = load(tmp_path)
+    else:
+        loaded = pickle.loads(pickle.dumps(orpheus))
+    probes = [None, 3, True, 2.5, "3", "hello", [1, 2, 3], (4, 5),
+              RangeEncodedArray([1, 2, 3, 9])]
+
+    def outcome(method, value):
+        try:
+            return method(value)
+        except (TypeError, ValueError) as error:
+            return type(error)
+
+    def behaviour(dtype):
+        return [
+            [outcome(method, value) for value in probes]
+            for method in (dtype.validate, dtype.coerce, dtype.sizeof)
+        ]
+
+    reloaded = [column.dtype for column in loaded.cvd("ds").schema.columns]
+    assert [dtype.name for dtype in reloaded] == [dtype.name for dtype in types]
+    for fresh, dtype in zip(types, reloaded):
+        assert dtype is fresh
+        assert behaviour(dtype) == behaviour(fresh)
+    # The reproducers of the bug, spelled out.
+    text, array, integer = reloaded[2], reloaded[4], reloaded[0]
+    assert text.sizeof("hello") == 6
+    assert array.sizeof([1, 2, 3]) == 16
+    assert array.validate(RangeEncodedArray([1, 2]))
+    assert not integer.validate(True)
+    assert integer.coerce("3") == 3

@@ -1,7 +1,10 @@
 """Tests for column data types and widening."""
 
+import pickle
+
 import pytest
 
+from repro.relational.arrays import RangeEncodedArray
 from repro.relational.types import (
     BOOL,
     FLOAT,
@@ -106,3 +109,39 @@ class TestLookup:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             type_by_name("varchar")
+
+
+class TestPickling:
+    ALL = (INT, FLOAT, TEXT, BOOL, INT_ARRAY)
+
+    @staticmethod
+    def legacy_copy(dtype):
+        """What a state written before ``DataType.__reduce__`` unpickles
+        to: equal to the singleton, not identical."""
+        clone = object.__new__(type(dtype))
+        clone.__dict__.update(dtype.__dict__)
+        assert clone == dtype and clone is not dtype
+        return clone
+
+    def test_round_trip_is_the_singleton(self):
+        for dtype in self.ALL:
+            assert pickle.loads(pickle.dumps(dtype)) is dtype
+
+    def test_a_legacy_copy_behaves_like_the_singleton(self):
+        text, array, integer = map(self.legacy_copy, (TEXT, INT_ARRAY, INT))
+        assert text.sizeof("hello") == 6
+        assert array.sizeof([1, 2, 3]) == 16
+        assert array.validate(RangeEncodedArray([1, 2]))
+        assert array.sizeof(RangeEncodedArray([1, 2])) == 12
+        assert not integer.validate(True)
+        assert integer.coerce("3") == 3
+        for dtype in self.ALL:
+            assert self.legacy_copy(dtype).coerce(None) is None
+
+    def test_legacy_copies_generalize(self):
+        integer, decimal, boolean = map(self.legacy_copy, (INT, FLOAT, BOOL))
+        assert generalize_types(integer, self.legacy_copy(INT)) == INT
+        assert generalize_types(integer, decimal) == FLOAT
+        assert generalize_types(boolean, integer) == TEXT
+        with pytest.raises(ValueError):
+            generalize_types(self.legacy_copy(INT_ARRAY), integer)
