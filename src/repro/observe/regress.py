@@ -310,8 +310,9 @@ def relate(
 ) -> list[BenchVerdict]:
     """Gates between two benches of the same run, which no baseline can
     express: ``(bench, reference, factor)`` is a regression when
-    ``bench`` takes more than ``factor`` times ``reference`` (and more
-    than the absolute floor on top). A gate whose benches did not both
+    ``bench`` takes more than ``factor`` times ``reference`` by over
+    the absolute floor. ``factor`` may be below 1 ("warm <= 0.6x cold"
+    fails a cache that does nothing). A gate whose benches did not both
     run says nothing."""
     verdicts = []
     for name, reference, factor in gates:
@@ -319,7 +320,7 @@ def relate(
         ref = _bench_wall(current_benches.get(reference, {}))
         if not _usable(cur) or not _usable(ref):
             continue
-        failed = breaches(cur - ref, ref, factor - 1.0, abs_floor_s)
+        failed = cur - factor * ref > abs_floor_s
         verdicts.append(
             BenchVerdict(
                 f"{name} <= {factor:g}x {reference}",

@@ -5,7 +5,8 @@ materialization every time; under a multi-client daemon the same few
 versions are requested over and over (the paper's workloads are
 exactly that shape: many analysts pulling the latest curated version).
 This cache keeps fully materialized checkouts — ``(columns, rows,
-parents)`` — keyed by ``(dataset, vids-tuple)`` under a byte budget:
+parents)``, plus the rows' wire encoding once an inline checkout has
+asked for it — keyed by ``(dataset, vids-tuple)`` under a byte budget:
 
 * **LRU** by access order; inserting past the budget evicts from the
   cold end. An entry larger than the whole budget is never admitted.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,16 +51,44 @@ class CacheEntry:
     #: ``cache.corrupt_entry`` chaos fault) is caught at read time
     #: instead of being served as version history.
     sealed_rows: int = -1
+    #: The rows as the JSON array an inline checkout's frame carries
+    #: (``protocol.encode_rows``): a hit sends these bytes instead of
+    #: encoding the rows again. None until an inline checkout needs it;
+    #: a file checkout never builds one.
+    body: bytes | None = None
+    #: ``(length, crc32)`` of ``body`` at admission, checked like
+    #: ``sealed_rows`` — the seal covers the representation served.
+    sealed_body: tuple[int, int] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not self.size_bytes:
-            self.size_bytes = estimate_entry_bytes(self.columns, self.rows)
+            self.size_bytes = estimate_entry_bytes(
+                self.columns, self.rows
+            ) + len(self.body or b"")
         if self.sealed_rows < 0:
             self.sealed_rows = len(self.rows)
+        self.sealed_body = self._body_seal()
+
+    def _body_seal(self) -> tuple[int, int] | None:
+        if self.body is None:
+            return None
+        return len(self.body), zlib.crc32(self.body)
 
     def verify(self) -> bool:
         """True when the entry still matches its admission-time seal."""
-        return len(self.rows) == self.sealed_rows
+        return (
+            len(self.rows) == self.sealed_rows
+            and self._body_seal() == self.sealed_body
+        )
+
+    def corrupt(self) -> None:
+        """Chaos-testing only (``cache.corrupt_entry``): damage the
+        representation a hit would serve — the body when there is one,
+        else the rows."""
+        if self.body is not None:
+            self.body = self.body[:-1] + b"?"
+        else:
+            self.rows.append(("__corrupt__",))
 
 
 @dataclass

@@ -382,8 +382,22 @@ class ServiceDaemon:
 
     def _housekeeping_loop(self) -> None:
         while not self._stop.wait(self.config.fold_interval):
-            self._fold_telemetry()
-            self._probe_degraded()
+            self._housekeeping_tick()
+
+    def _housekeeping_tick(self) -> None:
+        self._fold_telemetry()
+        self._probe_degraded()
+        # Re-aim the buffer pool's pins at whatever got hot since the
+        # last tick, so the hottest partitions stay resident across
+        # cold churn. Heat decays over an hour, so the tick keeps up
+        # and no request pays for the ranking.
+        from repro.pagestore.bufferpool import get_pool, refresh_pins_from_heat
+
+        try:
+            refresh_pins_from_heat(get_pool(), self.heat)
+        except Exception:
+            # Ranking raced a connection's fold; the next tick retries.
+            telemetry.count("service.heat.fold_errors")
 
     def _probe_degraded(self) -> None:
         """While degraded, periodically probe the save path; the first
@@ -447,64 +461,60 @@ class ServiceDaemon:
                     return
                 if line is None:
                     return
+                request = rtrace = kind = None
                 try:
                     request = protocol.decode_request(line)
-                except protocol.ProtocolError as error:
-                    channel.send(
-                        Response(
-                            id=0,
-                            status=protocol.ERROR,
-                            error=str(error),
-                            error_type="ProtocolError",
-                        ).to_dict()
-                    )
-                    continue
-                try:
                     kind = failpoints.fire("conn.after_recv")
-                except failpoints.FailpointError as error:
-                    channel.send(
-                        Response(
-                            id=request.id,
-                            status=protocol.ERROR,
-                            error=str(error),
-                            error_type="FailpointError",
-                            error_kind="internal",
-                        ).to_dict()
+                except (
+                    protocol.ProtocolError, failpoints.FailpointError
+                ) as error:
+                    # Refused before dispatch (garbage frame, or the
+                    # 'error' action at the receive site): answered,
+                    # but not traced or counted against the session.
+                    response = Response(
+                        id=request.id if request else 0,
+                        status=protocol.ERROR,
+                        error=str(error),
+                        error_type=type(error).__name__,
+                        error_kind="internal" if request else None,
                     )
-                    continue
-                if kind in ("reset", "torn"):
-                    # Connection-level fault after the request arrived:
-                    # the client sees a reset, never a torn response.
-                    channel.abort()
-                    return
-                session.touch()
-                rtrace = RequestTrace.from_request(request, session)
-                response = self._handle_request(session, request, rtrace)
-                if response.status not in (protocol.OK, protocol.SHUTDOWN):
-                    session.errors += 1
-                send_failed = False
-                try:
-                    kind = failpoints.fire("conn.before_send")
-                except failpoints.FailpointError:
-                    # The 'error' action at the send site behaves like a
-                    # failed write: drop the connection, keep the daemon.
-                    kind = "reset"
+                else:
+                    if kind in ("reset", "torn"):
+                        # Connection-level fault after the request
+                        # arrived: the client sees a reset, never a
+                        # torn response.
+                        channel.abort()
+                        return
+                    session.touch()
+                    rtrace = RequestTrace.from_request(request, session)
+                    response = self._handle_request(session, request, rtrace)
+                    if response.status not in (protocol.OK, protocol.SHUTDOWN):
+                        session.errors += 1
+                    try:
+                        kind = failpoints.fire("conn.before_send")
+                    except failpoints.FailpointError:
+                        # The 'error' action at the send site behaves
+                        # like a failed write: drop the connection,
+                        # keep the daemon.
+                        kind = "reset"
+                frame = protocol.encode_response(response)
+                send_failed = kind in ("reset", "torn")
                 if kind == "reset":
                     channel.abort()
-                    send_failed = True
                 elif kind == "torn":
-                    channel.send_torn(response.to_dict())
-                    send_failed = True
+                    channel.send_torn(frame)
                 else:
                     try:
-                        channel.send(response.to_dict())
+                        channel.send(frame)
                     except OSError:
                         send_failed = True
-                # The serialize phase closes only once the bytes are on
-                # the wire (or the send failed); finalize regardless so
-                # even a request whose client vanished leaves a span.
-                rtrace.mark_sent()
-                self._finalize_request(rtrace, request)
+                if rtrace is not None:
+                    # The serialize phase closes only once the bytes are
+                    # on the wire (or the send failed); finalize
+                    # regardless so even a request whose client vanished
+                    # leaves a span.
+                    rtrace.mark_sent()
+                    self._finalize_request(rtrace, request)
                 if send_failed:
                     return
                 if getattr(session, "wants_shutdown", False):
@@ -537,29 +547,33 @@ class ServiceDaemon:
         except (HandshakeError, protocol.ProtocolError) as error:
             try:
                 channel.send(
-                    Response(
-                        id=request.id if request is not None else 0,
-                        status=protocol.DENIED,
-                        error=str(error),
-                        error_type=type(error).__name__,
-                    ).to_dict()
+                    protocol.encode_response(
+                        Response(
+                            id=request.id if request is not None else 0,
+                            status=protocol.DENIED,
+                            error=str(error),
+                            error_type=type(error).__name__,
+                        )
+                    )
                 )
             except OSError:
                 pass
             return None
         channel.send(
-            Response(
-                id=request.id,
-                status=protocol.OK,
-                data={
-                    "session_id": session.session_id,
-                    "protocol": protocol.PROTOCOL_VERSION,
-                    "server": "orpheusd",
-                    "pid": os.getpid(),
-                    "boot_id": self.boot_id,
-                    "user": session.user,
-                },
-            ).to_dict()
+            protocol.encode_response(
+                Response(
+                    id=request.id,
+                    status=protocol.OK,
+                    data={
+                        "session_id": session.session_id,
+                        "protocol": protocol.PROTOCOL_VERSION,
+                        "server": "orpheusd",
+                        "pid": os.getpid(),
+                        "boot_id": self.boot_id,
+                        "user": session.user,
+                    },
+                )
+            )
         )
         return session
 
@@ -872,13 +886,14 @@ class ServiceDaemon:
             raise ValueError("checkout requires 'dataset' and 'versions'")
         self.orpheus.access.check_cvd_access(dataset, user=session.user or None)
         cvd = self.orpheus.cvd(dataset)
+        inline = bool(request.get("inline"))
         with telemetry.span(
             "service.checkout.cache_lookup", dataset=dataset
         ) as lookup:
             entry = self.cache.get(dataset, vids)
             if entry is not None:
                 if failpoints.fire("cache.corrupt_entry") == "corrupt":
-                    entry.rows.append(("__corrupt__",))
+                    entry.corrupt()
                 if not entry.verify():
                     # Integrity seal mismatch: contain the rot — drop
                     # the entry and rematerialize from version storage
@@ -892,10 +907,20 @@ class ServiceDaemon:
         if entry is None:
             with telemetry.span("service.checkout.materialize", dataset=dataset):
                 result = cvd.checkout(vids if len(vids) > 1 else vids[0])
+            columns, rows = list(result.columns), list(result.rows)
+            parents = tuple(result.parents)
+        else:
+            columns, rows, parents = entry.columns, entry.rows, entry.parents
+        if entry is None or (inline and entry.body is None):
+            # The rows are encoded once per entry, by the first inline
+            # checkout that needs them (a miss, or a hit on an entry a
+            # file checkout admitted); admitting again keeps the byte
+            # budget exact. A file checkout never pays for a body.
             entry = CacheEntry(
-                columns=list(result.columns),
-                rows=list(result.rows),
-                parents=tuple(result.parents),
+                columns,
+                rows,
+                parents,
+                body=protocol.encode_rows(rows) if inline else None,
             )
             self.cache.put(dataset, vids, entry)
         telemetry.count("command.checkout.rows_materialized", len(entry.rows))
@@ -918,8 +943,9 @@ class ServiceDaemon:
                 file_path, dataset, entry.parents, session.user
             )
             data["file"] = file_path
-        if request.get("inline"):
-            data["data"] = [list(row) for row in entry.rows]
+        if inline:
+            # Already-encoded bytes: the frame builder splices them.
+            data["data"] = entry.body
         return data
 
     def _op_diff(self, session, request: Request) -> dict:
@@ -1208,14 +1234,6 @@ class ServiceDaemon:
             telemetry.count(
                 "service.heat.partition_touches", len(event.partitions)
             )
-            # Re-aim the buffer pool's pins at whatever just got hot, so
-            # the hottest partitions stay resident across cold churn.
-            from repro.pagestore.bufferpool import (
-                get_pool,
-                refresh_pins_from_heat,
-            )
-
-            refresh_pins_from_heat(get_pool(), self.heat, rtrace.started_ts)
         except Exception:
             telemetry.count("service.heat.fold_errors")
 

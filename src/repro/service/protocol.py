@@ -148,11 +148,44 @@ class Response:
         return self.status == OK
 
 
+def _dumps(value) -> str:
+    """The wire's JSON dialect: compact, ASCII, ``str()`` for the rest."""
+    return json.dumps(value, separators=(",", ":"), default=str)
+
+
 def encode(payload: dict) -> bytes:
     """One wire frame: compact JSON + newline."""
-    return (
-        json.dumps(payload, separators=(",", ":"), default=str) + "\n"
-    ).encode("utf-8")
+    return (_dumps(payload) + "\n").encode("utf-8")
+
+
+def encode_rows(rows: list) -> bytes:
+    """A checkout's rows as the JSON array a frame carries at
+    ``data.data``. The daemon encodes a version once, keeps these bytes
+    on its cache entry, and :func:`encode_response` splices them."""
+    return _dumps(rows).encode("utf-8")
+
+
+def encode_response(response: Response) -> bytes:
+    """The wire frame of one response — every response leaves through
+    here. A ``bytes`` value at ``data["data"]`` is already-encoded JSON
+    (:func:`encode_rows`) and is spliced in verbatim as the frame's
+    last member, so answering from the cache encodes only the envelope
+    around it. Decodes equal to ``encode(response.to_dict())`` with the
+    rows in place of their bytes; only the key order differs."""
+    payload = response.to_dict()
+    data = payload.get("data")
+    body = data.get("data") if isinstance(data, dict) else None
+    if not isinstance(body, bytes):
+        return encode(payload)
+    del payload["data"]
+    rest = {key: value for key, value in data.items() if key != "data"}
+    # Both objects are left open ([:-1] drops the closing brace) and
+    # closed again after the body.
+    envelope = (
+        f'{_dumps(payload)[:-1]},"data":{_dumps(rest)[:-1]}'
+        f'{"," if rest else ""}"data":'
+    )
+    return b"".join((envelope.encode("utf-8"), body, b"}}\n"))
 
 
 def decode_request(line: bytes | str) -> Request:
@@ -209,20 +242,25 @@ class LineChannel:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._buffer = bytearray()
+        #: Prefix of the buffer already searched for a newline, so a
+        #: frame arriving in many chunks is scanned once, not per chunk.
+        self._scanned = 0
 
-    def send(self, payload: dict) -> None:
-        self.sock.sendall(encode(payload))
+    def send(self, payload: dict | bytes) -> None:
+        """Write one frame: a payload to encode, or a ready frame."""
+        self.sock.sendall(
+            payload if isinstance(payload, bytes) else encode(payload)
+        )
 
-    def send_torn(self, payload: dict) -> None:
+    def send_torn(self, frame: bytes) -> None:
         """Chaos-testing only: send roughly half the frame, then close.
 
         Simulates a server dying mid-write; the peer must treat the
         unterminated partial line as EOF (the torn-tail drop in
         :meth:`recv_line`), never parse it as a response.
         """
-        data = encode(payload)
         try:
-            self.sock.sendall(data[: max(1, len(data) // 2)])
+            self.sock.sendall(frame[: max(1, len(frame) // 2)])
         except OSError:
             pass
         self.close()
@@ -250,11 +288,13 @@ class LineChannel:
         peer goes quiet (the daemon's idle-session reaper relies on it).
         """
         while True:
-            newline = self._buffer.find(b"\n")
+            newline = self._buffer.find(b"\n", self._scanned)
             if newline >= 0:
                 line = bytes(self._buffer[:newline])
                 del self._buffer[: newline + 1]
+                self._scanned = 0
                 return line
+            self._scanned = len(self._buffer)
             if len(self._buffer) > MAX_LINE_BYTES:
                 raise ProtocolError(
                     f"peer sent more than {MAX_LINE_BYTES} bytes without "
@@ -265,6 +305,7 @@ class LineChannel:
                 if self._buffer:
                     # torn tail: drop it, same policy as the journals
                     self._buffer.clear()
+                    self._scanned = 0
                 return None
             self._buffer.extend(chunk)
 

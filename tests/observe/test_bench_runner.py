@@ -203,6 +203,34 @@ def test_check_applies_the_same_run_gates(stub_suite, tmp_path, monkeypatch, cap
     assert run_main(tmp_path, "--check", baseline=baseline) == 0
 
 
+def test_same_run_gate_fails_even_under_warn_only(
+    stub_suite, tmp_path, monkeypatch, capsys
+):
+    """A ratio of two benches of one run does not depend on the
+    machine, so --warn-only (for the frozen baselines) does not excuse
+    it; a factor < 1 gate passes, fails, and abstains like any other."""
+    baseline = tmp_path / "baselines.json"
+    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
+    check = ("--check", "--warn-only")
+    monkeypatch.setattr(
+        runner, "RELATIONAL_GATES", (("stub/sleep", "stub/rows", 0.6),)
+    )
+    capsys.readouterr()
+    assert run_main(tmp_path, *check, baseline=baseline) == 1
+    assert "stub/sleep <= 0.6x stub/rows" in capsys.readouterr().out
+    monkeypatch.setattr(
+        runner, "RELATIONAL_GATES", (("stub/rows", "stub/sleep", 0.6),)
+    )
+    assert run_main(tmp_path, *check, baseline=baseline) == 0
+    assert "stub/rows <= 0.6x stub/sleep" in capsys.readouterr().out
+    # One side filtered out of the run: the gate says nothing.
+    assert (
+        run_main(tmp_path, "--filter", "stub/rows", *check, baseline=baseline)
+        == 0
+    )
+    assert "0.6x" not in capsys.readouterr().out
+
+
 # --- regression gating (the acceptance contract) ----------------------
 
 

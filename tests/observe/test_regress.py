@@ -211,6 +211,24 @@ def test_relate_gates_one_bench_against_another_of_the_same_run():
     assert regress.relate({"paged": bench(1.0)}, gates) == []  # filtered out
 
 
+def test_relate_factor_below_one_gates_a_speedup():
+    """"warm <= 0.6x cold": passes when the cache works, fails when it
+    does nothing (warm == cold), says nothing when one side is absent."""
+    gates = (("warm", "cold", 0.6),)
+    run = {"warm": bench(0.026), "cold": bench(0.084)}
+    (verdict,) = regress.relate(run, gates)
+    assert verdict.verdict == OK
+    assert verdict.name == "warm <= 0.6x cold"
+    run = {"warm": bench(0.084), "cold": bench(0.084)}  # a no-op cache
+    assert regress.relate(run, gates)[0].verdict == REGRESSION
+    run = {"warm": bench(0.052), "cold": bench(0.084)}  # over by 1.6 ms < floor
+    assert regress.relate(run, gates)[0].verdict == OK
+    run = {"warm": bench(0.060), "cold": bench(0.084)}  # 0.71x
+    assert regress.relate(run, gates)[0].verdict == REGRESSION
+    assert regress.relate({"warm": bench(0.084)}, gates) == []
+    assert regress.relate({"cold": bench(0.084)}, gates) == []
+
+
 def test_load_baseline_rejects_non_baseline_json(tmp_path):
     path = tmp_path / "baselines.json"
     path.write_text(json.dumps({"hello": "world"}))

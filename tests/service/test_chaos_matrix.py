@@ -50,6 +50,9 @@ CHAOS_SPECS = [
 
 OPS = ("checkout", "ls", "log", "commit")
 
+#: Version 1 of the seeded dataset, as an inline checkout returns it.
+ORACLE_ROWS = [["k1", 1], ["k2", 2], ["k3", 3]]
+
 #: (spec, op, outcome) tuples, appended as cells execute; the final
 #: accounting test audits coverage. Typed exceptions and ok both count
 #: as contained; anything else fails the cell's test on the spot.
@@ -62,8 +65,13 @@ def _run_cell(workspace, tmp_path, spec, op, acked):
     try:
         with ServiceClient(root=str(workspace), timeout=20) as client:
             if op == "checkout":
-                data = client.checkout("inter", [1], inline=True)
-                assert data["rows"] == 3, f"torn read: {data}"
+                # Twice: the second read is an inline hit, served from
+                # the entry's encoded bytes — where cache.corrupt_entry
+                # fires, and what its seal must catch.
+                for _ in range(2):
+                    data = client.checkout("inter", [1], inline=True)
+                    assert data["rows"] == 3, f"torn read: {data}"
+                    assert sorted(data["data"]) == ORACLE_ROWS, data
             elif op == "ls":
                 client.ls()
             elif op == "log":
@@ -121,6 +129,13 @@ def test_chaos_cell_containment(workspace, tmp_path, spec):
             proc.wait(timeout=SUBPROCESS_TIMEOUT)
     # the crash never tore the repository
     assert IntentLog(str(workspace)).pending() == []
+    if spec.startswith("cache.corrupt_entry"):
+        # the fault hit the served bytes exactly once and was caught
+        # (counters fold into the repository accumulator at drain)
+        from repro.cli import load_telemetry
+
+        counters = load_telemetry(str(workspace)).counters
+        assert counters.get("service.cache.corruption_detected") == 1
 
 
 def test_chaos_crash_cell_recovers_on_restart(workspace, tmp_path):

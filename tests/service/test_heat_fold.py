@@ -100,3 +100,36 @@ def test_flight_mining_matches_live_accounting(busy_daemon):
             assert entry["rows_scanned"] == twin["rows_scanned"], key
             assert entry["bytes_scanned"] == twin["bytes_scanned"], key
             assert entry["heat"] == pytest.approx(twin["heat"]), key
+
+
+def test_pins_follow_heat_on_the_housekeeping_tick_not_per_request(
+    workspace, monkeypatch
+):
+    """Requests fold heat but never re-rank the buffer pool's pins;
+    the housekeeping tick does, from the heat they left behind."""
+    from repro.pagestore.bufferpool import BufferPool, get_pool
+
+    set_pins_calls = []
+    original = BufferPool.set_pins
+
+    def counting(self, heat_keys):
+        set_pins_calls.append(frozenset(heat_keys))
+        original(self, heat_keys)
+
+    with DaemonHandle(workspace) as handle:  # fold_interval 30 s: no tick fires
+        with handle.client() as client:
+            client.init(
+                "demo",
+                str(workspace / "data.csv"),
+                str(workspace / "schema.csv"),
+            )
+            monkeypatch.setattr(BufferPool, "set_pins", counting)
+            for _ in range(5):
+                client.checkout("demo", [1], inline=True)
+            client.diff("demo", 1, 1)
+            client.ping()  # same connection: the diff has been folded
+            assert handle.daemon.heat.events_total == 7
+            assert set_pins_calls == []
+            handle.daemon._housekeeping_tick()
+            assert set_pins_calls == [frozenset({"demo", "demo:p0"})]
+            assert get_pool().pins == {"demo", "demo:p0"}

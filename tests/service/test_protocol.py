@@ -1,6 +1,7 @@
 """Wire-protocol unit tests: framing, decoding, and the line channel."""
 
 import socket
+import threading
 
 import pytest
 
@@ -80,6 +81,33 @@ class TestLineChannel:
         left.sock.sendall(frame[:5])
         left.sock.sendall(frame[5:])
         assert decode_request(right.recv_line()).op == "ping"
+        left.close()
+        right.close()
+
+    def test_multi_chunk_frame_is_searched_once(self):
+        """Reassembly is linear in the frame: each recv resumes the
+        newline search where the last one stopped (it used to rescan
+        from offset 0, ~N/64KiB times over)."""
+
+        class CountingBuffer(bytearray):
+            scanned = 0
+
+            def find(self, sub, start=0):
+                self.scanned += len(self) - start
+                return super().find(sub, start)
+
+        left, right = self._pair()
+        right._buffer = CountingBuffer()
+        frame = encode({"op": "ping", "id": 1, "pad": "x" * 1_000_000})
+        tail = encode({"op": "ls", "id": 2})
+        sender = threading.Thread(target=left.sock.sendall, args=(frame + tail,))
+        sender.start()
+        request = decode_request(right.recv_line())
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+        assert request.op == "ping" and len(request.get("pad")) == 1_000_000
+        assert right._buffer.scanned <= 2 * len(frame)
+        assert decode_request(right.recv_line()).op == "ls"
         left.close()
         right.close()
 
