@@ -12,7 +12,7 @@ import csv
 from pathlib import Path
 
 from repro.relational.schema import ColumnDef, Schema
-from repro.relational.types import DataType, type_by_name
+from repro.relational.types import type_by_name
 
 
 def write_csv(path: str | Path, columns: list[str], rows: list[tuple]) -> None:
@@ -57,8 +57,12 @@ def read_csv(path: str | Path, schema: Schema) -> list[tuple]:
 
     The header row must match the schema's column names (order included);
     this is the check the ``-s`` schema file exists to make possible.
+    Every data line must carry exactly one field per column: a short
+    row, a long row or a blank line raises ``ValueError`` naming the
+    (1-based) line, and never commits NULL-padded or truncated.
     """
-    rows: list[tuple] = []
+    width = len(schema.columns)
+    raws: list[list[str]] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -68,22 +72,28 @@ def read_csv(path: str | Path, schema: Schema) -> list[tuple]:
                 f"{schema.column_names}"
             )
         for raw in reader:
-            rows.append(
-                tuple(
-                    _coerce(value, column.dtype)
-                    for value, column in zip(raw, schema.columns)
+            if len(raw) != width:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(raw)} field(s) "
+                    f"where the schema has {width} column(s)"
                 )
-            )
-    return rows
+            raws.append(raw)
+    # One converter per column, applied a column at a time.
+    columns = [
+        _convert_column(_CONVERTERS.get(column.dtype.name, str), values)
+        for column, values in zip(schema.columns, zip(*raws))
+    ]
+    return list(zip(*columns))
 
 
-def _coerce(value: str, dtype: DataType) -> object:
-    if value == "":
-        return None
-    if dtype.name == "integer":
-        return int(value)
-    if dtype.name == "decimal":
-        return float(value)
-    if dtype.name == "boolean":
-        return value.lower() in ("true", "t", "1")
-    return value
+def _convert_column(convert, values: tuple[str, ...]) -> list:
+    if "" not in values:
+        return list(map(convert, values))
+    return [convert(value) if value else None for value in values]  # "" = NULL
+
+
+_CONVERTERS = {
+    "integer": int,
+    "decimal": float,
+    "boolean": lambda value: value.lower() in ("true", "t", "1"),
+}

@@ -80,12 +80,34 @@ class CVD:
         else:
             self.model = model
         self._next_rid = 1
-        #: rid membership per version (the bipartite graph, CVD-side).
-        self._membership: dict[int, frozenset[int]] = {}
-        #: payload -> rid cache per version for the parent-diff at commit.
-        self._payloads: dict[int, tuple] = {}
+        self._num_records = 0
         #: attribute ids (single pool) per version, for schema evolution.
         self._version_columns: dict[int, list[str]] = {}
+        self._reset_memo()
+
+    # ------------------------------------------------------------------
+    # The memo: version -> rids and rid -> payload, as this process has
+    # seen them. The model's tables are the only stored copy; a miss
+    # reads them, so a long-lived process pays for a version once and a
+    # one-shot command only for the versions it touches.
+    # ------------------------------------------------------------------
+    def _reset_memo(self) -> None:
+        self._membership: dict[int, frozenset[int]] = {}
+        self._payloads: dict[int, tuple] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_membership"], state["_payloads"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # A state from before the memo stored both maps: they only give
+        # the record count now, the next save leaves them out.
+        stored_payloads = state.pop("_payloads", ())
+        state.pop("_membership", None)
+        state.setdefault("_num_records", len(stored_payloads))
+        self.__dict__.update(state)
+        self._reset_memo()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -96,16 +118,32 @@ class CVD:
 
     @property
     def num_records(self) -> int:
-        return len(self._payloads)
+        return self._num_records
 
     def membership(self, vid: int) -> frozenset[int]:
-        try:
-            return self._membership[vid]
-        except KeyError:
-            raise NoSuchVersionError(f"no version {vid} in CVD {self.name!r}") from None
+        rids = self._membership.get(vid)
+        if rids is None:
+            if vid not in self.versions:
+                raise NoSuchVersionError(
+                    f"no version {vid} in CVD {self.name!r}"
+                )
+            rids = self._membership[vid] = self.model.rids_of(vid)
+        return rids
 
     def payload_of(self, rid: int) -> tuple:
-        return self._payloads[rid]
+        return self.payloads_of((rid,))[0]
+
+    def payloads_of(
+        self, rids: Sequence[int], vid: int | None = None
+    ) -> list[tuple]:
+        """The payloads of ``rids``, in order; misses are read from the
+        model in one batch (``KeyError`` for a rid it does not hold).
+        ``vid``, if given, is a version known to contain them all."""
+        memo = self._payloads
+        missing = [rid for rid in rids if rid not in memo]
+        if missing:
+            memo.update(self.model.payloads_of(missing, vid))
+        return [memo[rid] for rid in rids]
 
     def storage_bytes(self) -> int:
         return self.model.storage_bytes()
@@ -186,43 +224,50 @@ class CVD:
         diff_versions = parents if diff_against is None else diff_against
         parent_payload_rids: dict[tuple, int] = {}
         for parent in diff_versions:
-            for rid in self._membership[parent]:
+            # Lowest rid first, so which of two equal payloads is reused
+            # does not depend on how this process built the rid set.
+            rids = sorted(self.membership(parent))
+            for rid, payload in zip(rids, self.payloads_of(rids, parent)):
                 # Pad stored payloads so records committed before a schema
                 # change still match their (NULL-extended) reappearance.
-                parent_payload_rids.setdefault(
-                    self._pad_row(self._payloads[rid]), rid
-                )
+                parent_payload_rids.setdefault(self._pad_row(payload), rid)
 
-        membership: set[int] = set()
+        records: dict[int, tuple] = {}
         new_records: dict[int, tuple] = {}
+        next_rid = self._next_rid
         for row in rows:
             padded = self._pad_row(row)
             rid = parent_payload_rids.get(padded)
-            if rid is None or rid in membership:
+            if rid is None or rid in records:
                 # New or modified record (or a duplicate full row, which
                 # must stay distinct since rids identify row instances).
-                rid = self._next_rid
-                self._next_rid += 1
-                self._payloads[rid] = padded
+                rid = next_rid
+                next_rid += 1
                 new_records[rid] = padded
-            membership.add(rid)
+            records[rid] = padded
 
         telemetry.count("cvd.commit.rows_in", len(rows))
         telemetry.count("cvd.commit.new_records", len(new_records))
         telemetry.count(
-            "cvd.commit.reused_records", len(membership) - len(new_records)
+            "cvd.commit.reused_records", len(records) - len(new_records)
         )
         vid = self.versions.allocate_vid()
-        frozen = frozenset(membership)
-        parent_membership = {p: self._membership[p] for p in parents}
+        frozen = frozenset(records)
+        parent_membership = {p: self.membership(p) for p in parents}
         with telemetry.span(
             "model.commit", model=self.model.model_name
         ) as model_span:
             self.model.commit_version(
-                vid, tuple(parents), frozen, new_records, parent_membership
+                vid, tuple(parents), frozen, new_records, parent_membership,
+                records,
             )
             if model_span is not None:
                 model_span.set_attr("rows", len(new_records))
+        # Only now: a model that refused the version must leave neither
+        # the memo nor the rid counter ahead of its tables.
+        self._next_rid = next_rid
+        self._num_records += len(new_records)
+        self._payloads.update(new_records)
         self._membership[vid] = frozen
         attribute_ids = tuple(
             self.attributes.intern(column.name, column.dtype)
@@ -320,6 +365,9 @@ class CVD:
         # partitioning this touches each small partition, not one giant
         # CVD table.
         self.model.alter_schema(self.schema)
+        # The tables now hold every record NULL-extended and coerced to
+        # the evolved types; payloads memoized before that are stale.
+        self._payloads = {}
         # Re-order incoming rows into full-schema order.
         order = {name: i for i, name in enumerate(columns)}
         remapped: list[tuple] = []
@@ -397,9 +445,10 @@ class CVD:
         """Records in a but not b, and in b but not a (by rid)."""
         a = self.membership(vid_a)
         b = self.membership(vid_b)
-        only_a = [self._payloads[r] for r in sorted(a - b)]
-        only_b = [self._payloads[r] for r in sorted(b - a)]
-        return only_a, only_b
+        return (
+            self.payloads_of(sorted(a - b), vid_a),
+            self.payloads_of(sorted(b - a), vid_b),
+        )
 
     def v_diff(
         self, first: int | Sequence[int], second: int | Sequence[int]
@@ -407,7 +456,7 @@ class CVD:
         """Records present in any of ``first`` but none of ``second``."""
         first_set = self._union_membership(first)
         second_set = self._union_membership(second)
-        return [self._payloads[r] for r in sorted(first_set - second_set)]
+        return self.payloads_of(sorted(first_set - second_set))
 
     def v_intersect(self, vids: Sequence[int]) -> list[tuple]:
         """Records present in *all* of ``vids``."""
@@ -416,7 +465,7 @@ class CVD:
         common: frozenset[int] = self.membership(vids[0])
         for vid in vids[1:]:
             common &= self.membership(vid)
-        return [self._payloads[r] for r in sorted(common)]
+        return self.payloads_of(sorted(common), vids[0])
 
     def _union_membership(self, vids: int | Sequence[int]) -> frozenset[int]:
         if isinstance(vids, int):
@@ -469,9 +518,9 @@ class CVD:
         from repro.observe.explain import ExplainNode, io_cost
 
         parent_sizes = {
-            parent: len(self._membership[parent])
+            parent: self.versions.get(parent).record_count
             for parent in parents
-            if parent in self._membership
+            if parent in self.versions
         }
         parent_rows = sum(parent_sizes.values())
         node = ExplainNode(
@@ -573,7 +622,6 @@ class CVD:
                 rid: history.payloads[rid] for rid in new_rids
                 if rid not in cvd._payloads
             }
-            cvd._payloads.update(new_records)
             parent_membership = {
                 p: cvd._membership[p] for p in commit.parents
             }
@@ -583,7 +631,10 @@ class CVD:
                 commit.rids,
                 new_records,
                 parent_membership,
+                history.payloads,
             )
+            cvd._num_records += len(new_records)
+            cvd._payloads.update(new_records)
             cvd._membership[commit.vid] = commit.rids
             cvd.versions.register(
                 VersionMetadata(

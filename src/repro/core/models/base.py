@@ -11,10 +11,11 @@ produce the (rid, payload) pairs of that version.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
+from repro.relational.table import Row, Table
 from repro.relational.types import INT, INT_ARRAY
 
 RecordRow = tuple[int, tuple]
@@ -26,6 +27,12 @@ class DataModel(abc.ABC):
 
     #: Registry name, e.g. ``split_by_rlist``.
     model_name: str = ""
+
+    #: Never saved: the tables are the one stored copy of version -> rids
+    #: and rid -> payload. A model that keeps these (the partitioned
+    #: store) keeps them as a per-process memo over its tables; states
+    #: written while they were stored shed them at their next save.
+    _UNSAVED = frozenset({"_payloads", "_membership"})
 
     def __init__(
         self, database: Database, cvd_name: str, data_schema: Schema
@@ -40,6 +47,13 @@ class DataModel(abc.ABC):
         self.cvd_name = cvd_name
         self.data_schema = data_schema
 
+    def __getstate__(self) -> dict:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in self._UNSAVED
+        }
+
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def commit_version(
@@ -49,6 +63,7 @@ class DataModel(abc.ABC):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
         """Persist version ``vid``.
 
@@ -60,11 +75,64 @@ class DataModel(abc.ABC):
             parent_membership: rid membership of each parent version —
                 supplied so delta-style models can compute differences
                 without asking the CVD back.
+            records: rid -> payload for (at least) every rid of the
+                version, so a model that writes reused records again
+                needs no payload map of its own.
         """
 
     @abc.abstractmethod
     def checkout_rids(self, vid: int) -> list[RecordRow]:
         """Return all (rid, payload) pairs of version ``vid``."""
+
+    def rids_of(self, vid: int) -> frozenset[int]:
+        """The rids of version ``vid``, read from the tables. Models
+        that store rid lists override this with something cheaper than
+        a checkout."""
+        return frozenset(rid for rid, _payload in self.checkout_rids(vid))
+
+    def payloads_of(
+        self, rids: Iterable[int], vid: int | None = None
+    ) -> dict[int, tuple]:
+        """rid -> payload for those of ``rids`` the tables hold, by
+        keyed lookup. ``vid`` names a version known to contain them,
+        for models that can go straight to the table that serves it."""
+        return self._lookup_payloads(self._record_tables(vid), rids)
+
+    @abc.abstractmethod
+    def stored_versions(self) -> set[int]:
+        """The vids the tables can serve (read without charging I/O:
+        this is the doctor's cross-check against the version graph)."""
+
+    def _record_tables(self, vid: int | None = None) -> Iterable[Table]:
+        """The rid-keyed tables that embed the data attributes."""
+        for name in self.table_names():
+            table = self.database.table(name)
+            if table.schema.has_column("rid") and all(
+                table.schema.has_column(c.name)
+                for c in self.data_schema.columns
+            ):
+                yield table
+
+    def _lookup_payloads(
+        self,
+        tables: Iterable[Table],
+        rids: Iterable[int],
+        is_record: Callable[[Row], object] | None = None,
+    ) -> dict[int, tuple]:
+        """Probe ``tables`` in turn for the rids still missing. The data
+        attributes are the trailing columns of every record table."""
+        width = len(self.data_schema.columns)
+        found: dict[int, tuple] = {}
+        missing = list(rids)
+        for table in tables:
+            if found:
+                missing = [rid for rid in missing if rid not in found]
+            if not missing:
+                break
+            for row in table.lookup_many("rid", missing):
+                if is_record is None or is_record(row):
+                    found[row[0]] = row[len(row) - width :]
+        return found
 
     @abc.abstractmethod
     def storage_bytes(self) -> int:
@@ -120,13 +188,7 @@ class DataModel(abc.ABC):
         mitigation Section 4.3 mentions.
         """
         old_names = {c.name for c in self.data_schema.columns}
-        for table_name in self.table_names():
-            table = self.database.table(table_name)
-            if not all(
-                table.schema.has_column(c.name)
-                for c in self.data_schema.columns
-            ):
-                continue  # versioning/metadata table without data columns
+        for table in list(self._record_tables()):
             for column in new_schema.columns:
                 if column.name not in old_names:
                     table.add_column(column)

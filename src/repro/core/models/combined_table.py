@@ -48,6 +48,7 @@ class CombinedTableModel(DataModel):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
         existing = membership - new_records.keys()
         if existing:
@@ -61,6 +62,9 @@ class CombinedTableModel(DataModel):
         for rid, payload in new_records.items():
             self._table.insert((rid, [vid], *payload))
         telemetry.count("model.combined_table.rows_inserted", len(new_records))
+
+    def stored_versions(self) -> set[int]:
+        return set().union(*(row[1] for row in self._table.rows_snapshot()))
 
     def checkout_rids(self, vid: int) -> list[RecordRow]:
         predicate = ArrayContainedBy(lit([vid]), col("vlist"))

@@ -15,7 +15,7 @@ paper's qualitative argument against it despite competitive storage.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel, RecordRow
@@ -38,7 +38,6 @@ class DeltaBasedModel(DataModel):
                 primary_key=("vid",),
             ),
         )
-        self._payloads: dict[int, tuple] = {}
 
     @property
     def _arity(self) -> int:
@@ -65,8 +64,8 @@ class DeltaBasedModel(DataModel):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
-        self._payloads.update(new_records)
         base: int | None = None
         if parents:
             base = max(
@@ -80,7 +79,7 @@ class DeltaBasedModel(DataModel):
         inserted = membership - base_rids
         deleted = base_rids - membership
         for rid in sorted(inserted):
-            table.insert((rid, False, *self._pad(self._payloads[rid])))
+            table.insert((rid, False, *self._pad(records[rid])))
         blank = (None,) * self._arity
         for rid in sorted(deleted):
             table.insert((rid, True, *blank))
@@ -107,6 +106,17 @@ class DeltaBasedModel(DataModel):
             seen.add(current)
             current = self.base_of(current)
         return chain
+
+    def payloads_of(
+        self, rids: Iterable[int], vid: int | None = None
+    ) -> dict[int, tuple]:
+        # A tombstone row carries a rid and no record.
+        return self._lookup_payloads(
+            self._delta_tables.values(), rids, lambda row: not row[1]
+        )
+
+    def stored_versions(self) -> set[int]:
+        return set(self._delta_tables)
 
     def checkout_rids(self, vid: int) -> list[RecordRow]:
         if vid not in self._delta_tables:
@@ -192,4 +202,3 @@ class DeltaBasedModel(DataModel):
     def drop(self) -> None:
         super().drop()
         self._delta_tables.clear()
-        self._payloads.clear()

@@ -75,6 +75,7 @@ class SplitByRlistModel(DataModel):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
         for rid, payload in new_records.items():
             self._data.insert((rid, *payload))
@@ -102,6 +103,12 @@ class SplitByRlistModel(DataModel):
         if not rows:
             return []
         return list(rows[0][1])  # unnest(rlist)
+
+    def rids_of(self, vid: int) -> frozenset[int]:
+        return frozenset(self.rlist_of(vid))
+
+    def stored_versions(self) -> set[int]:
+        return {row[0] for row in self._versioning.rows_snapshot()}
 
     def checkout_rids(self, vid: int) -> list[RecordRow]:
         rids = self.rlist_of(vid)

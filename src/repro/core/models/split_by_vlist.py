@@ -62,6 +62,7 @@ class SplitByVlistModel(DataModel):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
         existing = membership - new_records.keys()
         if existing:
@@ -79,6 +80,11 @@ class SplitByVlistModel(DataModel):
             # member record (charged against the shared accountant).
             self._vlist_index[vid] = set(membership)
             self._versioning.accountant.charge_write(len(membership))
+
+    def stored_versions(self) -> set[int]:
+        return set().union(
+            *(row[1] for row in self._versioning.rows_snapshot())
+        )
 
     def checkout_rids(self, vid: int) -> list[RecordRow]:
         if self.vlist_index_enabled and vid in self._vlist_index:

@@ -21,9 +21,6 @@ class TablePerVersionModel(DataModel):
     def __init__(self, database, cvd_name, data_schema) -> None:
         super().__init__(database, cvd_name, data_schema)
         self._tables: dict[int, Table] = {}
-        #: Payload cache so commits can copy parent records without a
-        #: CVD round-trip: rid -> payload.
-        self._payloads: dict[int, tuple] = {}
 
     @property
     def _arity(self) -> int:
@@ -39,8 +36,8 @@ class TablePerVersionModel(DataModel):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
-        self._payloads.update(new_records)
         table = self.database.create_table(
             f"{self.cvd_name}__v{vid}", self._rid_data_schema()
         )
@@ -48,12 +45,22 @@ class TablePerVersionModel(DataModel):
         # slower than split-by-rlist in Figure 4.1(b).
         width = self._arity
         for rid in sorted(membership):
-            payload = self._payloads[rid]
+            payload = records[rid]
             if len(payload) < width:  # record predates a schema change
                 payload = payload + (None,) * (width - len(payload))
             table.insert((rid, *payload))
         telemetry.count("model.table_per_version.rows_inserted", len(membership))
         self._tables[vid] = table
+
+    def stored_versions(self) -> set[int]:
+        return set(self._tables)
+
+    def _record_tables(self, vid: int | None = None) -> list[Table]:
+        """Every version's table, ``vid``'s own (which has all of its
+        records) first."""
+        own = self._tables.get(vid)
+        others = [t for t in self._tables.values() if t is not own]
+        return others if own is None else [own, *others]
 
     def checkout_rids(self, vid: int) -> list[RecordRow]:
         table = self._tables.get(vid)
@@ -115,4 +122,3 @@ class TablePerVersionModel(DataModel):
     def drop(self) -> None:
         super().drop()
         self._tables.clear()
-        self._payloads.clear()

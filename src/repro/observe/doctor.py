@@ -224,7 +224,9 @@ def probe_partition_imbalance(orpheus) -> list[ProbeResult]:
         model = orpheus.cvd(name).model
         if not isinstance(model, PartitionedRlistStore):
             continue
-        sizes = [len(r) for r in model._partition_records if r]
+        sizes = list(
+            filter(None, (p.data_record_count() for p in model._partitions))
+        )
         if len(sizes) < 2:
             continue
         mean = sum(sizes) / len(sizes)
@@ -337,12 +339,13 @@ def probe_storage_plan_chains(store) -> ProbeResult:
 
 
 def probe_orphaned_versions(orpheus) -> list[ProbeResult]:
-    """Version-graph metadata and physical membership must agree."""
+    """The version graph and the versions the physical model's tables
+    can serve must agree."""
     results: list[ProbeResult] = []
     for name in orpheus.ls():
         cvd = orpheus.cvd(name)
         graph_vids = set(cvd.versions.vids())
-        member_vids = set(cvd._membership)
+        member_vids = cvd.model.stored_versions()
         missing_physical = sorted(graph_vids - member_vids)
         missing_metadata = sorted(member_vids - graph_vids)
         if missing_physical or missing_metadata:

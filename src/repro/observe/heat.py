@@ -616,9 +616,8 @@ def _heat_weighted_checkout_cost(
     """Average records scanned per checkout when versions are drawn by
     observed heat instead of uniformly — the live C_avg reweighted by
     what the workload actually asks for."""
-    store = cvd.model
-    records = getattr(store, "_partition_records", None)
-    if records is None:
+    partitions = getattr(cvd.model, "_partitions", None)
+    if partitions is None:
         return None
     total_weight = 0.0
     total_cost = 0.0
@@ -630,10 +629,10 @@ def _heat_weighted_checkout_cost(
         if weight <= 0:
             continue
         index = partition_of(cvd, vid)
-        if index >= len(records):
+        if index >= len(partitions):
             continue
         total_weight += weight
-        total_cost += weight * len(records[index])
+        total_cost += weight * partitions[index].data_record_count()
     if total_weight <= 0:
         return None
     return total_cost / total_weight

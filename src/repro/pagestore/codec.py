@@ -1,8 +1,8 @@
 """Segment encodings for the paged store.
 
 A *segment* is one logical unit of repository state — a physical
-table's rows, a CVD's payload map, a membership (vlist) map — encoded
-to bytes, sliced into pages, and decoded back on fault. Saves write:
+table's rows — encoded to bytes, sliced into pages, and decoded back on
+fault. Saves write:
 
 ``rows.v2``
     Columnar table slices: a live-slot mask (``None`` = tombstone), then
@@ -14,12 +14,6 @@ to bytes, sliced into pages, and decoded back on fault. Saves write:
     column-major, so a wide table compresses per attribute, and a
     :class:`~repro.relational.arrays.RangeEncodedArray` is written as
     its ranges, never as its members.
-``records.v2``
-    A ``rid → payload`` map: a delta-encoded rid array plus the payload
-    vector in rid order.
-``rlistmap.v2``
-    A ``vid → frozenset(rid)`` map (version membership / vlists): the
-    vids plus the sorted rid sets as a column of rid lists.
 ``pickle.v1``
     Fallback for irregular shapes (e.g. rows of mixed arity mid
     schema-evolution).
@@ -28,10 +22,9 @@ A v2 segment is one pickle of those parts under one ``zlib`` level-1
 pass, and every loop over stored values runs inside a C builtin
 (``map`` / ``zip`` / ``itertools`` / the pickler), so encoding or
 decoding a segment costs the same few Python calls whatever its size.
-``rows.v1`` / ``records.v1`` / ``rlistmap.v1`` (zigzag-delta varints
-and run lengths, read one integer at a time) are decode-only:
-repositories written before v2 still load, and a clean segment keeps
-its v1 pages until something dirties it.
+``rows.v1`` (zigzag-delta varints and run lengths, read one integer at
+a time) is decode-only: repositories written before v2 still load, and
+a clean segment keeps its v1 pages until something dirties it.
 
 All codecs are exact round-trips: value types are preserved (``bool``
 never becomes ``int``, integers beyond int64 survive, tombstones stay
@@ -55,12 +48,8 @@ _LISTS, _RANGES = "lists", "ranges"
 _RANGES_OF = attrgetter("_ranges")  # a slot: read without a Python call
 
 ROWS_V2 = "rows.v2"
-RECORDS_V2 = "records.v2"
-RLISTMAP_V2 = "rlistmap.v2"
 PICKLE_V1 = "pickle.v1"
 ROWS_V1 = "rows.v1"
-RECORDS_V1 = "records.v1"
-RLISTMAP_V1 = "rlistmap.v1"
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +148,7 @@ def encode_table_rows(
     mask = bytes(map(is_not, rows, repeat(None)))
     live = list(compress(rows, mask))
     if not set(map(len, live)) <= {n_cols}:
-        return PICKLE_V1, pickle.dumps(rows, PICKLE_PROTOCOL)
+        return PICKLE_V1, encode_segment(PICKLE_V1, rows)
     # One itemgetter pass per column: zip(*live) would first allocate an
     # iterator per row.
     columns = [list(map(itemgetter(i), live)) for i in range(n_cols)]
@@ -177,30 +166,6 @@ def _decode_table_rows(blob: bytes) -> list[tuple | None]:
     # Slot s holds live row number accumulate(mask)[s], or None.
     live.insert(0, None)
     return list(map(live.__getitem__, map(mul, accumulate(mask), mask)))
-
-
-def _encode_records(payloads: dict) -> bytes:
-    rids = sorted(payloads)
-    return _pack((_pack_column(rids), list(map(payloads.__getitem__, rids))))
-
-
-def _decode_records(blob: bytes) -> dict:
-    rids, values = _unpack(blob)
-    return dict(zip(_unpack_column(rids), values))
-
-
-def _encode_rlist_map(membership: dict) -> bytes:
-    members = list(map(frozenset, membership.values()))
-    try:
-        members = _pack_column(list(map(sorted, members)))
-    except TypeError:  # rids that do not order: the sets as they are
-        pass
-    return _pack((list(membership), members))
-
-
-def _decode_rlist_map(blob: bytes) -> dict:
-    keys, members = _unpack(blob)
-    return dict(zip(keys, map(frozenset, _unpack_column(members))))
 
 
 # ----------------------------------------------------------------------
@@ -296,53 +261,22 @@ def _decode_column_v1(
     raise ValueError(f"unknown rows.v1 column tag {tag}")
 
 
-def _decode_records_v1(blob: bytes) -> dict:
-    pos = 0
-    count, pos = read_uvarint(blob, pos)
-    rids: list[int] = []
-    cursor = 0
-    for _ in range(count):
-        delta, pos = read_svarint(blob, pos)
-        cursor += delta
-        rids.append(cursor)
-    values = pickle.loads(blob[pos:])
-    return dict(zip(rids, values))
-
-
-def _decode_rlist_map_v1(blob: bytes) -> dict:
-    pos = 0
-    count, pos = read_uvarint(blob, pos)
-    decoded: dict = {}
-    for _ in range(count):
-        key, pos = read_svarint(blob, pos)
-        values, pos = _read_range_values(blob, pos)
-        decoded[key] = frozenset(values)
-    return decoded
-
-
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
-_ENCODERS = {
-    RECORDS_V2: _encode_records,
-    RLISTMAP_V2: _encode_rlist_map,
-    PICKLE_V1: lambda obj: pickle.dumps(obj, PICKLE_PROTOCOL),
-}
 _DECODERS = {
     ROWS_V2: _decode_table_rows,
-    RECORDS_V2: _decode_records,
-    RLISTMAP_V2: _decode_rlist_map,
     PICKLE_V1: pickle.loads,
     ROWS_V1: _decode_table_rows_v1,
-    RECORDS_V1: _decode_records_v1,
-    RLISTMAP_V1: _decode_rlist_map_v1,
 }
 
 
 def encode_segment(codec: str, obj: object) -> bytes:
-    if codec not in _ENCODERS:
+    """Table rows have :func:`encode_table_rows`; what is left to encode
+    by name is its fallback."""
+    if codec != PICKLE_V1:
         raise ValueError(f"unknown segment codec {codec!r}")
-    return _ENCODERS[codec](obj)
+    return pickle.dumps(obj, PICKLE_PROTOCOL)
 
 
 def decode_segment(codec: str, blob: bytes) -> object:

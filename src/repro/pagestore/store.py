@@ -7,11 +7,12 @@ A paged save splits the repository object graph into:
   maps), pickled into the checksummed ``state.pkl`` container exactly
   like the legacy layout (same temp/fsync/rename/backup machinery,
   same failpoints, same crash matrix); and
-* **segments** — the heavy parts (each physical table's rows, each
-  CVD's payload and membership maps), encoded by
-  :mod:`repro.pagestore.codec`, sliced into content-addressed pages
-  (:mod:`repro.pagestore.pages`), and replaced in the skeleton by lazy
-  stubs that fault their pages through the buffer pool on first touch.
+* **segments** — the heavy parts (each physical table's rows; the
+  tables are the only stored copy of version → rids and rid →
+  payload), encoded by :mod:`repro.pagestore.codec`, sliced into
+  content-addressed pages (:mod:`repro.pagestore.pages`), and replaced
+  in the skeleton by lazy stubs that fault their pages through the
+  buffer pool on first touch.
 
 Save = dirty-segment write-back: a segment whose stub was never
 hydrated, or whose backing object is unchanged since the last save,
@@ -175,145 +176,6 @@ def _require_store() -> PageStore:
 # ----------------------------------------------------------------------
 # Lazy stubs
 # ----------------------------------------------------------------------
-class PagedDict(dict):
-    """A dict-shaped segment stub that faults its pages on first use.
-
-    Reads and writes hydrate in place (writes also mark the segment
-    dirty so the next save re-encodes it); ``len()`` answers from the
-    segment's count hint without touching disk, so ``orpheus ls`` stays
-    fault-free. Plain pickling hydrates and degrades to an ordinary
-    dict, which is what keeps ``migrate-state --to pickle`` honest.
-    """
-
-    def __init__(self, store: PageStore, ref: SegmentRef) -> None:
-        super().__init__()
-        self._store = store
-        self._ref: SegmentRef | None = ref
-        self._loaded_ref: SegmentRef | None = None
-        self._mutated = False
-
-    @classmethod
-    def adopt(cls, data: dict) -> "PagedDict":
-        """Wrap live in-memory data (first paged save of a repository
-        whose dicts are still plain). Exact ``dict`` instances bypass
-        ``reducer_override`` — a documented CPython fast path — so the
-        save swaps them for adopted stubs it *can* intercept."""
-        stub = cls(None, None)
-        stub._ref = None
-        dict.update(stub, data)
-        stub._mutated = True
-        return stub
-
-    @property
-    def hydrated(self) -> bool:
-        return self._ref is None
-
-    def _hydrate(self) -> None:
-        ref = self._ref
-        if ref is None:
-            return
-        decoded = self._store.read_segment(ref)
-        dict.update(self, decoded)  # populate before clearing the ref
-        self._loaded_ref = ref
-        self._ref = None
-
-    # -- reads ---------------------------------------------------------
-    def __getitem__(self, key):
-        self._hydrate()
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        self._hydrate()
-        return dict.get(self, key, default)
-
-    def __contains__(self, key):
-        self._hydrate()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):
-        self._hydrate()
-        return dict.__iter__(self)
-
-    def keys(self):
-        self._hydrate()
-        return dict.keys(self)
-
-    def values(self):
-        self._hydrate()
-        return dict.values(self)
-
-    def items(self):
-        self._hydrate()
-        return dict.items(self)
-
-    def __len__(self):
-        if self._ref is not None:
-            return self._ref.count_hint
-        return dict.__len__(self)
-
-    def __eq__(self, other):
-        self._hydrate()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # dicts are unhashable; keep it that way
-
-    def copy(self):
-        self._hydrate()
-        return dict(self)
-
-    # -- writes --------------------------------------------------------
-    def _touch(self) -> None:
-        self._hydrate()
-        self._mutated = True
-
-    def __setitem__(self, key, value):
-        self._touch()
-        dict.__setitem__(self, key, value)
-
-    def __delitem__(self, key):
-        self._touch()
-        dict.__delitem__(self, key)
-
-    def update(self, *args, **kwargs):
-        self._touch()
-        dict.update(self, *args, **kwargs)
-
-    def pop(self, *args):
-        self._touch()
-        return dict.pop(self, *args)
-
-    def popitem(self):
-        self._touch()
-        return dict.popitem(self)
-
-    def clear(self):
-        self._touch()
-        dict.clear(self)
-
-    def setdefault(self, key, default=None):
-        self._touch()
-        return dict.setdefault(self, key, default)
-
-    # -- pickling ------------------------------------------------------
-    def __reduce__(self):
-        # Plain pickling (legacy-layout save, deepcopy) must carry the
-        # data, not the stub: hydrate and emit an ordinary dict.
-        self._hydrate()
-        return (dict, (dict(self),))
-
-    def __repr__(self):
-        if self._ref is not None:
-            return (
-                f"<PagedDict lazy key={self._ref.key!r} "
-                f"~{self._ref.count_hint} entries>"
-            )
-        return dict.__repr__(self)
-
-
 class TablePager:
     """Deferred row-segment load for one :class:`Table`."""
 
@@ -330,8 +192,13 @@ class TablePager:
         return self.store.read_segment(self.ref, accountant)
 
 
-def _load_paged_dict(ref_tuple) -> PagedDict:
-    return PagedDict(_require_store(), SegmentRef.from_tuple(ref_tuple))
+def _load_paged_dict(ref_tuple) -> range:
+    """What a skeleton written while version -> rids and rid -> payload
+    maps were segments unpickles in their place: only the entry count,
+    which is all the holder's ``__setstate__`` reads before dropping it.
+    The segment's pages are never faulted; page GC reclaims them after
+    the next save."""
+    return range(SegmentRef.from_tuple(ref_tuple).count_hint)
 
 
 def _load_paged_table(state: dict, ref_tuple, index_spec: dict):
@@ -372,39 +239,20 @@ class _SaveContext:
         self.pending: dict[str, bytes] = {}
         #: table name → heat key (``dataset:pN``).
         self.heat_keys: dict[str, str] = {}
-        #: id(dict) → (key, codec, heat_key, holder) for the payload /
-        #: membership maps to spill (holder keeps the id() alive).
-        self.dict_meta: dict[int, tuple] = {}
         self.segments_encoded = 0
         self.segments_reused = 0
 
     # -- registration --------------------------------------------------
     def harvest(self, obj) -> None:
-        """Walk the repository, marking which plain dicts become
-        segments and which heat key each physical table belongs to."""
+        """Walk the repository, noting which heat key each physical
+        table belongs to."""
         cvds = getattr(obj, "_cvds", None)
         if not isinstance(cvds, dict):
             return
         for name, cvd in cvds.items():
-            self._register_dict(
-                cvd, "_payloads", f"cvd:{name}:payloads",
-                codec.RECORDS_V2, name,
-            )
-            self._register_dict(
-                cvd, "_membership", f"cvd:{name}:membership",
-                codec.RLISTMAP_V2, name,
-            )
             model = getattr(cvd, "model", None)
             if model is None:
                 continue
-            self._register_dict(
-                model, "_payloads", f"model:{name}:payloads",
-                codec.RECORDS_V2, name,
-            )
-            self._register_dict(
-                model, "_membership", f"model:{name}:membership",
-                codec.RLISTMAP_V2, name,
-            )
             partitions = getattr(model, "_partitions", None)
             try:
                 if partitions:
@@ -416,20 +264,6 @@ class _SaveContext:
                         self.heat_keys[table_name] = f"{name}:p0"
             except Exception:
                 pass  # heat keys are advisory
-
-    def _register_dict(
-        self, holder, attr: str, key: str, codec_name: str, heat_key: str
-    ) -> None:
-        value = holder.__dict__.get(attr) if hasattr(holder, "__dict__") else None
-        if value is None:
-            return
-        if type(value) is dict:
-            # Exact dicts never reach reducer_override; adopt them into
-            # stubs in place (a dict subclass, so callers never notice).
-            value = PagedDict.adopt(value)
-            setattr(holder, attr, value)
-        if isinstance(value, PagedDict):
-            self.dict_meta[id(value)] = (key, codec_name, heat_key, value)
 
     # -- segment assembly ----------------------------------------------
     def add_segment(
@@ -466,16 +300,6 @@ class _SaveContext:
         self.segments_reused += 1
         return ref
 
-    def encode_dict(
-        self, data: dict, key: str, codec_name: str, heat_key: str | None
-    ) -> SegmentRef:
-        try:
-            blob = codec.encode_segment(codec_name, data)
-        except Exception:
-            codec_name = codec.PICKLE_V1
-            blob = pickle.dumps(dict(data), PICKLE_PROTOCOL)
-        return self.add_segment(key, codec_name, blob, heat_key, len(data))
-
 
 class _PagedPickler(pickle.Pickler):
     """Pickles the skeleton, spilling heavy structures into segments."""
@@ -489,29 +313,7 @@ class _PagedPickler(pickle.Pickler):
 
         if isinstance(obj, Table):
             return self._reduce_table(obj)
-        if isinstance(obj, PagedDict):
-            return self._reduce_paged_dict(obj)
         return NotImplemented
-
-    def _reduce_paged_dict(self, obj: PagedDict):
-        meta = self.ctx.dict_meta.get(id(obj))
-        if obj._ref is not None:
-            # Never hydrated this process: the data cannot have changed.
-            ref = self.ctx.reuse(obj._ref)
-        elif not obj._mutated and obj._loaded_ref is not None:
-            ref = self.ctx.reuse(obj._loaded_ref)
-        else:
-            if meta is not None:
-                key, codec_name, heat_key, _holder = meta
-            else:
-                previous = obj._loaded_ref or obj._ref
-                key = previous.key if previous else "dict:anon"
-                codec_name = previous.codec if previous else codec.PICKLE_V1
-                heat_key = previous.heat_key if previous else None
-            ref = self.ctx.encode_dict(dict(obj), key, codec_name, heat_key)
-            obj._loaded_ref = ref
-            obj._mutated = False
-        return (_load_paged_dict, (ref.to_tuple(),))
 
     def _reduce_table(self, table):
         pager = getattr(table, "_pager", None)
@@ -888,8 +690,7 @@ def migrate_state(
         stats = paged_save(store, obj)
         result.update(stats)
     else:
-        # Hydrates every segment: Table.__getstate__ and
-        # PagedDict.__reduce__ degrade to plain structures.
+        # Hydrates every segment: Table.__getstate__ carries the rows.
         store.save_bytes(pickle.dumps(obj, PICKLE_PROTOCOL))
     telemetry.count("pagestore.migrations")
     return result

@@ -47,6 +47,7 @@ class PartitionedRlistStore(DataModel):
     """Drop-in :class:`DataModel` storing split-by-rlist per partition."""
 
     model_name = "partitioned_rlist"
+    _UNSAVED = DataModel._UNSAVED | {"_partition_records"}
 
     def __init__(
         self,
@@ -75,19 +76,68 @@ class PartitionedRlistStore(DataModel):
         self.migration_strategy = migration_strategy
         self.join_algorithm = join_algorithm
         self._partitions: list[SplitByRlistModel] = []
-        self._partition_records: list[set[int]] = []
         self._partition_versions: list[set[int]] = []
         self._partition_of: dict[int, int] = {}
         self._suffix_counter = 0
         #: CVD-wide state mirrored from commits.
-        self._payloads: dict[int, tuple] = {}
-        self._membership: dict[int, frozenset[int]] = {}
+        self._num_records = 0
         self._parents: dict[int, tuple[int, ...]] = {}
         self._order: list[int] = []
+        self._reset_memo()
         #: δ* from the last LyreSplit run (splitting parameter reused by
         #: the online rule); starts permissive so early commits cluster.
         self._delta_star = 0.1
         self.migrations: list[MigrationStats] = []
+
+    # ------------------------------------------------------------------
+    # The memo: what this process has read or written of the partitions'
+    # tables, which are the only stored copy. Commits keep it current; a
+    # miss reads the owning partition.
+    # ------------------------------------------------------------------
+    def _reset_memo(self) -> None:
+        self._payloads: dict[int, tuple] = {}
+        self._membership: dict[int, frozenset[int]] = {}
+        #: Per partition, the rids its data table holds (None: not read).
+        self._partition_records: list[set[int] | None] = [None] * len(
+            self._partitions
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        # A state from before the memo stored these maps: they only give
+        # the record count now, the next save leaves them out.
+        state.setdefault("_num_records", len(state.get("_payloads", ())))
+        self.__dict__.update(
+            (k, v) for k, v in state.items() if k not in self._UNSAVED
+        )
+        self._reset_memo()
+
+    def rids_of(self, vid: int) -> frozenset[int]:
+        rids = self._membership.get(vid)
+        if rids is None:
+            partition = self._partitions[self._partition_of[vid]]
+            rids = self._membership[vid] = partition.rids_of(vid)
+        return rids
+
+    def _records_in(self, index: int) -> set[int]:
+        """The rids partition ``index`` holds — the keys of its data
+        table's rid index, so reading them is not charged."""
+        records = self._partition_records[index]
+        if records is None:
+            table = self._partitions[index].data_table
+            records = {row[0] for row in table.rows_snapshot()}
+            self._partition_records[index] = records
+        return records
+
+    def _record_tables(self, vid: int | None = None):
+        """Every partition's data table, the one that owns ``vid`` first."""
+        owner = self._partition_of.get(vid)
+        ordered = sorted(
+            enumerate(self._partitions), key=lambda item: item[0] != owner
+        )
+        return [partition.data_table for _index, partition in ordered]
+
+    def stored_versions(self) -> set[int]:
+        return set().union(*(p.stored_versions() for p in self._partitions))
 
     # ------------------------------------------------------------------
     # DataModel interface
@@ -105,14 +155,16 @@ class PartitionedRlistStore(DataModel):
         membership: frozenset[int],
         new_records: Mapping[int, tuple],
         parent_membership: Mapping[int, frozenset[int]],
+        records: Mapping[int, tuple],
     ) -> None:
+        self._num_records += len(new_records)
         self._payloads.update(new_records)
         self._membership[vid] = membership
         self._parents[vid] = tuple(parents)
         self._order.append(vid)
 
-        target = self._route_commit(vid, parents, membership)
-        self._add_version_to_partition(vid, membership, target)
+        target = self._route_commit(parent_membership, membership)
+        self._add_version_to_partition(vid, membership, target, records)
 
         if self.auto_migrate and len(self._order) > 1:
             self.maybe_migrate()
@@ -142,7 +194,7 @@ class PartitionedRlistStore(DataModel):
                     else 0
                 ),
                 "partition_records": (
-                    len(self._partition_records[index])
+                    self._partitions[index].data_record_count()
                     if index is not None
                     else 0
                 ),
@@ -192,8 +244,7 @@ class PartitionedRlistStore(DataModel):
     # ------------------------------------------------------------------
     def _route_commit(
         self,
-        vid: int,
-        parents: Sequence[int],
+        parent_membership: Mapping[int, frozenset[int]],
         membership: frozenset[int],
     ) -> int | None:
         """Choose an existing partition for the new version, or None to
@@ -202,19 +253,19 @@ class PartitionedRlistStore(DataModel):
             return None
         best_index: int | None = None
         best_weight = -1
-        for parent in parents:
+        for parent, parent_rids in parent_membership.items():
             index = self._partition_of.get(parent)
             if index is None:
                 continue
-            weight = len(self._membership[parent] & membership)
+            weight = len(parent_rids & membership)
             if weight > best_weight:
                 best_weight = weight
                 best_index = index
         if best_index is None:
             return None
-        total_records = len(self._payloads)
+        total_records = self._num_records
         budget = self.storage_threshold_factor * total_records
-        current_storage = sum(len(r) for r in self._partition_records)
+        current_storage = self.current_storage_cost()
         # Open a new partition when the parent overlap is light *and*
         # storage allows; otherwise join the parent's partition.
         if (
@@ -225,19 +276,24 @@ class PartitionedRlistStore(DataModel):
         return best_index
 
     def _add_version_to_partition(
-        self, vid: int, membership: frozenset[int], index: int | None
+        self,
+        vid: int,
+        membership: frozenset[int],
+        index: int | None,
+        records: Mapping[int, tuple],
     ) -> None:
         if index is None:
             partition = self._new_partition()
             index = len(self._partitions) - 1
         else:
             partition = self._partitions[index]
-        missing = membership - self._partition_records[index]
+        held = self._records_in(index)
+        missing = membership - held
         for rid in sorted(missing):
-            partition.data_table.insert((rid, *self._payloads[rid]))
+            partition.data_table.insert((rid, *records[rid]))
         telemetry.count("partition.commit.rows_copied", len(missing))
         partition.versioning_table.insert((vid, sorted(membership)))
-        self._partition_records[index] |= membership
+        held |= membership
         self._partition_versions[index].add(vid)
         self._partition_of[vid] = index
 
@@ -267,27 +323,24 @@ class PartitionedRlistStore(DataModel):
     def current_checkout_cost(self) -> float:
         """C_avg over the live partitions, in records."""
         total = 0
-        for versions, records in zip(
-            self._partition_versions, self._partition_records
+        for versions, partition in zip(
+            self._partition_versions, self._partitions
         ):
-            total += len(versions) * len(records)
+            total += len(versions) * partition.data_record_count()
         n = len(self._order)
         return total / n if n else 0.0
 
     def current_storage_cost(self) -> int:
-        return sum(len(r) for r in self._partition_records)
+        return sum(p.data_record_count() for p in self._partitions)
 
     def best_partitioning(self) -> tuple[Partitioning, float]:
         """Run LyreSplit under the current budget; returns (P*, C*_avg)."""
-        graph = build_version_graph(
-            self._membership, self._order, self._parents
-        )
-        budget = self.storage_threshold_factor * len(self._payloads)
-        result = lyresplit_for_budget(
-            graph, budget, membership=self._membership
-        )
+        membership = {vid: self.rids_of(vid) for vid in self._order}
+        graph = build_version_graph(membership, self._order, self._parents)
+        budget = self.storage_threshold_factor * self._num_records
+        result = lyresplit_for_budget(graph, budget, membership=membership)
         self._delta_star = result.delta
-        checkout = result.partitioning.checkout_cost(self._membership)
+        checkout = result.partitioning.checkout_cost(membership)
         return result.partitioning, checkout
 
     def maybe_migrate(self) -> MigrationStats | None:
@@ -332,23 +385,28 @@ class PartitionedRlistStore(DataModel):
         rebuilt = 0
         reused = 0
 
+        membership = {vid: self.rids_of(vid) for vid in self._order}
         new_groups = [set(group) for group in target.groups]
         new_records = [
-            set().union(*(self._membership[v] for v in group))
-            if group
-            else set()
+            set().union(*(membership[v] for v in group))
             for group in new_groups
         ]
+        old_partitions = self._partitions
+        old_records = [
+            self._records_in(index) for index in range(len(old_partitions))
+        ]
+        # Everything that may move, read while the old tables still stand.
+        payloads = self._payloads
+        unread = set().union(*new_records).difference(payloads)
+        if unread:
+            payloads.update(self.payloads_of(unread))
 
         if self.migration_strategy == "naive":
             plan: list[tuple[int, int | None]] = [
                 (i, None) for i in range(len(new_groups))
             ]
         else:
-            plan = self._match_partitions(new_groups, new_records)
-
-        old_partitions = self._partitions
-        old_records = self._partition_records
+            plan = self._match_partitions(new_groups, new_records, old_records)
 
         self._partitions = []
         self._partition_records = []
@@ -362,7 +420,7 @@ class PartitionedRlistStore(DataModel):
             if old_index is None:
                 partition = self._new_partition()
                 for rid in sorted(records):
-                    partition.data_table.insert((rid, *self._payloads[rid]))
+                    partition.data_table.insert((rid, *payloads[rid]))
                 inserted += len(records)
                 rebuilt += 1
                 index = len(self._partitions) - 1
@@ -378,7 +436,7 @@ class PartitionedRlistStore(DataModel):
                 to_insert = records - existing
                 to_delete = existing - records
                 for rid in sorted(to_insert):
-                    partition.data_table.insert((rid, *self._payloads[rid]))
+                    partition.data_table.insert((rid, *payloads[rid]))
                 if to_delete:
                     from repro.relational.expressions import InSet, col
 
@@ -395,7 +453,7 @@ class PartitionedRlistStore(DataModel):
             for vid in group:
                 self._partition_of[vid] = index
                 partition.versioning_table.insert(
-                    (vid, sorted(self._membership[vid]))
+                    (vid, sorted(membership[vid]))
                 )
 
         # Drop old partitions that were not reused.
@@ -430,6 +488,7 @@ class PartitionedRlistStore(DataModel):
         self,
         new_groups: list[set[int]],
         new_records: list[set[int]],
+        old_records: list[set[int]],
     ) -> list[tuple[int, int | None]]:
         """Greedy closest-partition matching by modification cost.
 
@@ -440,7 +499,7 @@ class PartitionedRlistStore(DataModel):
         """
         candidates: list[tuple[int, int, int]] = []
         for i, records in enumerate(new_records):
-            for j, old in enumerate(self._partition_records):
+            for j, old in enumerate(old_records):
                 if not (new_groups[i] & self._partition_versions[j]):
                     continue  # no common versions: unlikely to be close
                 cost = len(records - old) + len(old - records)

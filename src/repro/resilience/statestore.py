@@ -154,6 +154,10 @@ class StateStore:
                 pass
             raise
         telemetry.count("resilience.state.saves")
+        # The write side of ``storage.io.state_bytes_read``: the whole
+        # container on the pickle layout, the skeleton on the paged one
+        # (its pages count as ``storage.io.page_bytes_written``).
+        telemetry.count("storage.io.state_bytes_written", len(blob))
 
     def _rotate_backups(self) -> None:
         """Shift ``state.pkl`` → ``.bak`` → ``.bak.1`` without ever

@@ -276,8 +276,8 @@ class Repository:
             if not metadata.parents:
                 changed = True
             relation = VRelation(relation_name, columns, changed=changed)
-            for rid in sorted(membership):
-                payload = cvd.payload_of(rid)
+            rids = sorted(membership)
+            for rid, payload in zip(rids, cvd.payloads_of(rids, vid)):
                 record = VRecord(
                     f"{record_id_prefix}{rid}",
                     dict(zip(columns, payload)),

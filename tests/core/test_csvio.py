@@ -45,6 +45,19 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             read_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "line, fields",
+        [("k3,7", 2), ("", 0), ("k4,1,2.0,true,4", 5)],
+        ids=["short", "blank", "long"],
+    )
+    def test_a_ragged_row_is_rejected_with_its_line(self, tmp_path, line, fields):
+        """None of these may load NULL-padded, truncated, or as an
+        all-NULL record: line 3 of the file does not fit the schema."""
+        path = tmp_path / "data.csv"
+        path.write_text(f"name,count,ratio,active\na,1,0.5,true\n{line}\nb,2,1.0,f\n")
+        with pytest.raises(ValueError, match=rf"line 3: {fields} field"):
+            read_csv(path, SCHEMA)
+
     def test_empty_values_become_none(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("name,count,ratio,active\nx,,,\n")

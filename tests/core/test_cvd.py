@@ -57,6 +57,38 @@ class TestCommit:
         with pytest.raises(NoSuchVersionError):
             cvd.commit([("a", 1)], parents=[7])
 
+    def test_a_refused_commit_leaves_no_trace_in_the_memo(self, cvd):
+        """The memo and the rid counter follow the model's tables: they
+        move only once ``commit_version`` has returned."""
+        twin = CVD(Database(), "demo", cvd.schema)
+        for each in (cvd, twin):
+            first = each.commit([("a", 1), ("b", 2)])
+
+        real = cvd.model.commit_version
+
+        def refuse(*args):
+            raise RuntimeError("disk full")
+
+        cvd.model.commit_version = refuse
+        with pytest.raises(RuntimeError, match="disk full"):
+            cvd.commit([("a", 1), ("c", 3), ("d", 4)], parents=[first])
+        cvd.model.commit_version = real
+
+        assert cvd._next_rid == twin._next_rid
+        assert cvd.num_records == twin.num_records == 2
+        assert cvd._membership == twin._membership
+        assert cvd._payloads == twin._payloads
+        for rid in (3, 4):  # the rids the refused commit would have used
+            with pytest.raises(KeyError):
+                cvd.payload_of(rid)
+
+        for each in (cvd, twin):
+            each.commit([("b", 2), ("e", 5)], parents=[first])
+        (new,) = cvd.membership(cvd.versions.vids()[-1]) - cvd.membership(first)
+        (expected,) = twin.membership(2) - twin.membership(first)
+        assert new == expected == 3
+        assert cvd.payload_of(new) == twin.payload_of(expected) == ("e", 5)
+
     def test_metadata_recorded(self, cvd):
         vid = cvd.commit([("a", 1)], message="hello", author="alice")
         metadata = cvd.versions.get(vid)

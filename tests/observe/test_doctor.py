@@ -21,8 +21,10 @@ from repro.observe.doctor import (
     run_doctor,
 )
 from repro.partition.partitioned_store import PartitionedRlistStore
+from repro.relational.expressions import col
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
+from repro.resilience.statestore import StateStore
 
 
 def make_orpheus(model: str = "split_by_rlist") -> Orpheus:
@@ -42,7 +44,7 @@ def degrade(orpheus) -> None:
     cost blows past the (1+δ) bound and the migration tolerance µ."""
     store = orpheus.cvd("d").model
     assert isinstance(store, PartitionedRlistStore)
-    store._route_commit = lambda vid, parents, membership: 0
+    store._route_commit = lambda parent_membership, membership: 0
     cvd = orpheus.cvd("d")
     for j in range(3):
         rows = [(f"g{j}_{i}", i) for i in range(20)]
@@ -85,12 +87,45 @@ class TestProbes:
         assert results[0].severity == "warn"
         assert "delta chain" in results[0].summary
 
-    def test_orphaned_version_fails(self):
+    @pytest.mark.parametrize(
+        "model", ["split_by_rlist", "partitioned_rlist", "table_per_version"]
+    )
+    def test_orphaned_version_fails_until_the_state_is_restored(
+        self, model, tmp_path
+    ):
+        """Fire: the versioning row of a version the graph still lists is
+        gone from the tables. Clear: the remediation the probe states —
+        put the backup ``state.pkl`` back."""
+        store = StateStore(tmp_path)
+        orpheus = make_orpheus(model)
+        store.save(orpheus)  # becomes state.pkl.bak at the next save
+        assert probe_orphaned_versions(orpheus)[0].severity == "ok"
+        if model == "table_per_version":
+            del orpheus.cvd("d").model._tables[1]
+        else:
+            versioning = orpheus.database.table(
+                orpheus.cvd("d").model.table_names()[1]
+            )
+            assert versioning.delete_where(col("vid") == 1) == 1
+        store.save(orpheus)
+
+        damaged, _info = store.load(warn=None)
+        (result,) = probe_orphaned_versions(damaged)
+        assert result.severity == "fail"
+        assert result.data["missing_physical"] == [1]
+        assert "restore .orpheus/state.pkl from backup" in result.remediation
+
+        store.path.write_bytes(store.backup_paths[0].read_bytes())
+        restored, _info = store.load(warn=None)
+        assert probe_orphaned_versions(restored)[0].severity == "ok"
+
+    def test_a_version_the_graph_does_not_list_fails(self):
         orpheus = make_orpheus()
-        del orpheus.cvd("d")._membership[1]
-        results = probe_orphaned_versions(orpheus)
-        assert results[0].severity == "fail"
-        assert "restore" in results[0].remediation
+        model = orpheus.cvd("d").model
+        model.insert_versions_bulk([(9, frozenset({1, 2}))])
+        (result,) = probe_orphaned_versions(orpheus)
+        assert result.severity == "fail"
+        assert result.data["missing_metadata"] == [9]
 
     def test_vanished_staging_file_warns(self, tmp_path):
         orpheus = make_orpheus()
@@ -192,7 +227,7 @@ class TestCliDoctor:
         monkeypatch.setattr(
             PartitionedRlistStore,
             "_route_commit",
-            lambda self, vid, parents, membership: 0,
+            lambda self, parent_membership, membership: 0,
         )
         for j in range(3):
             csv = workspace / f"g{j}.csv"

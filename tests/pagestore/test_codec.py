@@ -118,51 +118,6 @@ def test_rows_arity_mismatch_falls_back_to_pickle_v1():
 
 
 # ----------------------------------------------------------------------
-# records.v2 / rlistmap.v2
-# ----------------------------------------------------------------------
-def records_round_trip(payloads):
-    return codec.decode_segment(
-        codec.RECORDS_V2, codec.encode_segment(codec.RECORDS_V2, payloads)
-    )
-
-
-def rlist_map_round_trip(membership):
-    return codec.decode_segment(
-        codec.RLISTMAP_V2, codec.encode_segment(codec.RLISTMAP_V2, membership)
-    )
-
-
-def test_records_round_trip_sparse_rids():
-    payloads = {10_000: ("c", 3), 0: ("a", 1), 7: ("b", 2), -4: "not a tuple"}
-    assert exact(records_round_trip(payloads)) == exact(payloads)
-
-
-def test_records_empty():
-    assert records_round_trip({}) == {}
-
-
-@pytest.mark.parametrize("payloads", [{"b": 1, "a": 2}, {True: 1, 5: 2}, {2**64: 0}])
-def test_records_keys_that_no_int_array_holds_survive(payloads):
-    assert exact(records_round_trip(payloads)) == exact(payloads)
-
-
-def test_rlist_map_round_trip_returns_frozensets():
-    membership = {
-        1: frozenset({0, 1, 2, 3}),
-        2: frozenset({1, 3, 7}),
-        3: frozenset({2**70}),
-        5: frozenset(),
-    }
-    assert exact(rlist_map_round_trip(membership)) == exact(membership)
-
-
-def test_rlist_map_accepts_plain_sets_and_lists():
-    assert exact(rlist_map_round_trip({1: {3, 1, 2}, 2: [5, 9]})) == exact(
-        {1: frozenset({1, 2, 3}), 2: frozenset({5, 9})}
-    )
-
-
-# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 def test_pickle_v1_round_trips_anything():
@@ -172,7 +127,7 @@ def test_pickle_v1_round_trips_anything():
 
 
 @pytest.mark.parametrize(
-    "name", ["nope.v9", codec.ROWS_V1, codec.RECORDS_V1, codec.RLISTMAP_V1]
+    "name", ["nope.v9", codec.ROWS_V1, "records.v2", "rlistmap.v2"]
 )
 def test_unknown_and_decode_only_codecs_do_not_encode(name):
     with pytest.raises(ValueError):
@@ -238,22 +193,6 @@ def test_any_ragged_heap_falls_back_to_pickle_v1(wide, narrow, rng):
     assert exact(decoded) == exact(rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.dictionaries(
-        ints, st.one_of(st.tuples(st.text(max_size=4), ints), st.none()), max_size=30
-    )
-)
-def test_any_records_map_round_trips_exactly(payloads):
-    assert exact(records_round_trip(payloads)) == exact(payloads)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(ints, st.frozensets(ints, max_size=12), max_size=12))
-def test_any_rlist_map_round_trips_exactly(membership):
-    assert exact(rlist_map_round_trip(membership)) == exact(membership)
-
-
 # ----------------------------------------------------------------------
 # Size: the fixed-width, compressed v2 layouts against v1's varints
 # ----------------------------------------------------------------------
@@ -281,37 +220,30 @@ def _data_rows() -> list[tuple[int, str, int, int]]:
     ]
 
 
-def _rlist_segment_sizes(rlists) -> tuple[int, int, int]:
+def _rlist_segment_sizes(rlists) -> tuple[int, int]:
     ranged = [(vid, RangeEncodedArray(rids)) for vid, rids in rlists]
-    membership = {vid: frozenset(rids) for vid, rids in rlists}
     return (
         len(codec.encode_table_rows(rlists, 2)[1]),
         len(codec.encode_table_rows(ranged, 2)[1]),
-        len(codec.encode_segment(codec.RLISTMAP_V2, membership)),
     )
 
 
 def test_v2_segments_are_no_larger_than_v1_wrote():
     """The v1 sizes are what the v1 encoders (deleted with this test's
     arrival) produced for the very same seeded inputs."""
-    plain, ranged, membership = _rlist_segment_sizes(_versioned_rlists())
+    plain, ranged = _rlist_segment_sizes(_versioned_rlists())
     assert plain <= 39_165
     assert ranged <= 39_165
-    assert membership <= 39_128
-    data = _data_rows()
-    assert len(codec.encode_table_rows(data, 4)[1]) <= 75_972
-    payloads = {row[0]: row[1:] for row in data}
-    assert len(codec.encode_segment(codec.RECORDS_V2, payloads)) <= 100_035
+    assert len(codec.encode_table_rows(_data_rows(), 4)[1]) <= 75_972
 
 
 def test_v2_rlists_stay_no_larger_than_v1_past_the_compression_window():
     """One version's 20,000 rids no longer fit the 32 KB window zlib
     matches in, so nothing here can come from one version's list
     repeating its parent's: each list has to be compact by itself."""
-    plain, ranged, membership = _rlist_segment_sizes(_versioned_rlists(20_000, 24))
+    plain, ranged = _rlist_segment_sizes(_versioned_rlists(20_000, 24))
     assert plain <= 286_119
     assert ranged <= 286_119
-    assert membership <= 286_089
 
 
 def test_append_only_rlists_cost_a_few_bytes_a_version():
@@ -320,10 +252,9 @@ def test_append_only_rlists_cost_a_few_bytes_a_version():
     compression pass, which is some seventy bytes a version, and a plain
     pickled list (10.9 KB) would fail this."""
     dense = [(vid, list(range(1, 2001 + 50 * vid))) for vid in range(1, 31)]
-    plain, ranged, membership = _rlist_segment_sizes(dense)
+    plain, ranged = _rlist_segment_sizes(dense)
     assert plain < 2_500
     assert ranged < 400
-    assert membership < 2_500
 
 
 def test_a_range_encoded_array_is_written_from_its_ranges():
@@ -353,22 +284,6 @@ def test_golden_rows_v1_blob_decodes():
         (2**40, "c", [], 2.5),
     ]
     assert exact(codec.decode_segment(codec.ROWS_V1, blob)) == exact(expected)
-
-
-def test_golden_records_v1_blob_decodes():
-    blob = (
-        b"\x03\x00\x0e\x92\x9c\x01\x80\x05\x95\x1d\x00\x00\x00\x00\x00\x00\x00"
-        b"]\x94(\x8c\x01a\x94K\x01\x86\x94\x8c\x01b\x94K\x02\x86\x94\x8c\x01c"
-        b"\x94K\x03\x86\x94e."
-    )
-    expected = {0: ("a", 1), 7: ("b", 2), 10_000: ("c", 3)}
-    assert exact(codec.decode_segment(codec.RECORDS_V1, blob)) == exact(expected)
-
-
-def test_golden_rlistmap_v1_blob_decodes():
-    blob = b"\x03\x02\x01\x00\x03\x04\x03\x02\x00\x04\x00\x08\x00\n\x00"
-    expected = {1: frozenset({0, 1, 2, 3}), 2: frozenset({1, 3, 7}), 5: frozenset()}
-    assert exact(codec.decode_segment(codec.RLISTMAP_V1, blob)) == exact(expected)
 
 
 # ----------------------------------------------------------------------
@@ -412,31 +327,8 @@ def _rows_cycle(n: int):
     return cycle
 
 
-def _segment_cycle(name: str, obj: dict):
-    def cycle():
-        assert codec.decode_segment(name, codec.encode_segment(name, obj)) == obj
-
-    return cycle
-
-
-def _records(n: int) -> dict:
-    return {3 * i: (f"k{i}", i) for i in range(n)}
-
-
-def _membership(n: int) -> dict:
-    return {vid: frozenset(range(vid, vid + 5)) for vid in range(n)}
-
-
-@pytest.mark.parametrize(
-    "cycle",
-    [
-        _rows_cycle,
-        lambda n: _segment_cycle(codec.RECORDS_V2, _records(n)),
-        lambda n: _segment_cycle(codec.RLISTMAP_V2, _membership(n)),
-    ],
-    ids=["rows", "records", "rlistmap"],
-)
-def test_python_calls_do_not_grow_with_the_segment(cycle):
+def test_python_calls_do_not_grow_with_the_segment():
+    cycle = _rows_cycle
     small, large = python_calls(cycle(10)), python_calls(cycle(10_000))
     assert large <= small + 5, (small, large)
     assert small < 60

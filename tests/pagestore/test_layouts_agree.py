@@ -1,30 +1,52 @@
-"""The pickle and the paged layout hold the same repository.
+"""The pickle and the paged layout hold the same repository, a process
+that reloads it before every operation sees what one that never reloads
+does, and both hold every rid list and every record once.
 
 One seeded history (inserts, updates, deletes, a branch, tombstoned heap
 slots) is committed under each layout the way the CLI does it — every
 command loads the state afresh and saves it — for every data model.
 Every version must then check out to the same rows under both, and a
-round trip through ``migrate-state`` must not change any of them."""
+round trip through ``migrate-state`` must not change any of them.
+
+A second history (rid reuse, duplicate full rows, a two-parent merge, a
+schema change that NULL-pads its parents) is driven twice per model and
+layout: *cold*, reloading before every operation, so every parent diff
+and every set operation has to read the model's tables; and *warm*, one
+process whose memo its own commits filled. Rids, memberships, diffs,
+checkouts and the checkout's cost accounting must not tell them apart.
+
+The structural tests count bytes and pages, never time; the upgrade
+tests load states written before the tables were the only copy."""
 
 from __future__ import annotations
 
+import io
 import pickle
+import pickletools
 import random
+import tarfile
+from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.core.commands import Orpheus
+from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
+from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
-from repro.pagestore.store import migrate_state
+from repro.pagestore.store import migrate_state, read_directory
 from repro.relational.schema import ColumnDef, Schema
+from repro.relational.table import Table
 from repro.relational.types import INT, TEXT
-from repro.resilience.statestore import LAYOUT_ENV, StateStore
+from repro.resilience.statestore import HEADER_SIZE, LAYOUT_ENV, StateStore
 
 SCHEMA = Schema(
     [ColumnDef("key", TEXT), ColumnDef("value", INT)], primary_key=("key",)
 )
 MODELS = sorted(DATA_MODELS) + ["partitioned_rlist"]
+LAYOUTS = ("pickle", "paged")
+DATA = Path(__file__).parent / "data"
 
 
 def history(seed: int = 5) -> list[tuple[int | None, list[tuple[str, int]]]]:
@@ -67,10 +89,15 @@ def tombstone_every_heap(orpheus) -> None:
             table.insert(row)
 
 
-def build(root, model: str, versions) -> None:
+def new_repository() -> Orpheus:
     orpheus = Orpheus()
     orpheus.create_user("alice")
     orpheus.config("alice")
+    return orpheus
+
+
+def build(root, model: str, versions) -> None:
+    orpheus = new_repository()
     orpheus.init("ds", SCHEMA, versions[0][1], model=model)
     StateStore(root).save(orpheus)
     for vid, (parent, rows) in enumerate(versions[1:], start=2):
@@ -100,7 +127,7 @@ def test_every_version_checks_out_the_same_under_both_layouts(
 ):
     versions = history()
     expected = {vid: rows for vid, (_p, rows) in enumerate(versions, start=1)}
-    for layout in ("pickle", "paged"):
+    for layout in LAYOUTS:
         monkeypatch.setenv(LAYOUT_ENV, layout)
         root = tmp_path / layout
         root.mkdir()
@@ -119,3 +146,365 @@ def test_every_version_checks_out_the_same_under_both_layouts(
     copy = pickle.loads(pickle.dumps(restored))
     for vid, rows in expected.items():
         assert sorted(copy.cvd("ds").checkout(vid).rows) == rows
+
+
+# ----------------------------------------------------------------------
+# Cold equals warm
+# ----------------------------------------------------------------------
+#: No primary key: a version may hold the same full row twice.
+BAG = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)])
+EVOLVED = ["key", "value", "note"]
+
+
+def script(model: str) -> list:
+    """Operations ``orpheus -> result``, in order. Versions: 1 root (one
+    row in it twice), 2 and 3 a chain, 4 a branch off 2, 5 the merge of 3
+    and 4, 6 adds a column (its untouched rows are their parents',
+    NULL-padded), 7 edits 6."""
+    rng = random.Random(11)
+    rows = {
+        1: [(f"k{i:02d}", rng.randrange(100)) for i in range(30)] + [("dup", 1)] * 2
+    }
+
+    def edit(parent: list, tag: str) -> list:
+        kept = [row for row in parent if rng.random() > 0.15]
+        changed = [(k, v + 1000) if rng.random() < 0.1 else (k, v) for k, v in kept]
+        return changed + [(f"{tag}{i}", rng.randrange(100)) for i in range(3)]
+
+    rows[2] = edit(rows[1], "a")
+    rows[3] = edit(rows[2], "b")
+    rows[4] = edit(rows[2], "c")
+    rows[5] = sorted(set(rows[3]) | set(rows[4])) + [("dup", 1)]
+    rows[6] = [
+        (k, v, "noted" if index % 5 == 0 else None)
+        for index, (k, v) in enumerate(rows[5])
+    ]
+    rows[7] = rows[6][3:] + [("z", 7, None)]
+    parents = {2: (1,), 3: (2,), 4: (2,), 5: (3, 4), 6: (5,), 7: (6,)}
+
+    def commit(vid: int):
+        def operation(orpheus):
+            cvd = orpheus.cvd("ds")
+            evolved = vid >= 6
+            committed = cvd.commit(
+                rows[vid],
+                parents=parents[vid],
+                message=f"v{vid}",
+                author="alice",
+                columns=EVOLVED if evolved else None,
+                column_types={"note": TEXT} if evolved else None,
+            )
+            return committed, sorted(cvd.membership(committed)), cvd.num_records
+
+        return operation
+
+    def checkout(vids):
+        def operation(orpheus):
+            cvd, accountant = orpheus.cvd("ds"), orpheus.database.accountant
+            result = cvd.checkout(vids)
+            # Priced on a second run: a cold paged process has by then
+            # faulted its pages in, which is charged apart from the rows.
+            before = accountant.snapshot()
+            cvd.checkout(vids)
+            cost = accountant.snapshot() - before
+            return sorted(result.rows, key=repr), sorted(result.rid_map.values()), cost
+
+        return operation
+
+    def query(name: str, *args):
+        return lambda orpheus: getattr(orpheus.cvd("ds"), name)(*args)
+
+    operations = [commit(vid) for vid in (2, 3, 4, 5)]
+    if model == "partitioned_rlist":
+        operations.append(
+            lambda orpheus: sorted(map(sorted, orpheus.optimize("ds").groups))
+        )
+    operations += [commit(6), commit(7)]
+    operations += [checkout(vid) for vid in range(1, 8)] + [checkout((7, 3))]
+    operations += [query("membership", vid) for vid in range(1, 8)]
+    operations += [
+        query("diff", 1, 7), query("diff", 3, 4), query("diff", 5, 6),
+        query("v_diff", (3, 4), (2,)), query("v_diff", 7, (1, 5)),
+        query("v_intersect", (2, 3, 4)), query("v_intersect", (1, 7)),
+    ]
+    return operations, rows[1]
+
+
+def run_cold(root, model: str) -> list:
+    operations, root_rows = script(model)
+    orpheus = new_repository()
+    orpheus.init("ds", BAG, root_rows, model=model)
+    StateStore(root).save(orpheus)
+    return [command(root, operation) for operation in operations]
+
+
+def run_warm(model: str) -> list:
+    operations, root_rows = script(model)
+    orpheus = new_repository()
+    orpheus.init("ds", BAG, root_rows, model=model)
+    return [operation(orpheus) for operation in operations]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_process_that_always_reloads_agrees_with_one_that_never_does(
+    model, tmp_path, monkeypatch
+):
+    warm = run_warm(model)
+    for layout in LAYOUTS:
+        monkeypatch.setenv(LAYOUT_ENV, layout)
+        root = tmp_path / layout
+        root.mkdir()
+        cold = run_cold(root, model)
+        for step, (got, expected) in enumerate(zip(cold, warm, strict=True)):
+            assert got == expected, (layout, step)
+
+
+# ----------------------------------------------------------------------
+# One copy, counted
+# ----------------------------------------------------------------------
+class _TablesApart(pickle.Pickler):
+    """Pickles everything a save reaches except the physical tables."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Table):
+            return str, (obj.name,)
+        return NotImplemented
+
+
+RID_BASE = 1_000_000
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_outside_the_tables_nothing_saved_holds_a_rid_or_a_payload(model):
+    """Rids are moved up to where no vid, count or slot number reaches
+    and every record carries a marker, so either one turning up in what
+    is saved around the tables means a second copy of it is saved."""
+    orpheus = new_repository()
+    cvd = orpheus._cvds["ds"] = CVD(orpheus.database, "ds", BAG, model=model)
+    cvd._next_rid = RID_BASE
+    rows = [(f"PAYLOAD-{i}", i) for i in range(30)]
+    first = cvd.commit(rows, author="alice")
+    second = cvd.commit(rows[5:] + [("PAYLOAD-new", 1)], parents=(first,))
+    cvd.commit(rows[:20], parents=(first, second))
+    if model == "partitioned_rlist":
+        orpheus.optimize("ds")
+    cvd.diff(first, second)  # whatever the memo holds, it holds now
+
+    buffer = io.BytesIO()
+    _TablesApart(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(orpheus)
+    around = buffer.getvalue()
+    assert b"PAYLOAD-" not in around
+    big = {
+        arg
+        for opcode, arg, _pos in pickletools.genops(around)
+        if isinstance(arg, int) and RID_BASE <= arg < 2 * RID_BASE
+    }
+    assert big <= {cvd._next_rid}  # the counter, one past the last rid
+    restored = pickle.loads(pickle.dumps(orpheus)).cvd("ds")
+    assert restored.num_records == cvd.num_records == 31
+    assert restored.diff(first, second) == cvd.diff(first, second)
+
+
+def fixture_rows(rng: random.Random, start: int, count: int) -> list[tuple]:
+    """Rows shaped like ``benchmarks/e2e``'s: fixed-width key and tag."""
+    return [
+        (
+            f"k{key:06d}",
+            rng.randrange(100_000, 1_000_000),
+            rng.randrange(10, 100),
+            f"t{rng.randrange(100_000):05d}",
+        )
+        for key in range(start, start + count)
+    ]
+
+
+WIDE = Schema(
+    [
+        ColumnDef("key", TEXT), ColumnDef("value", INT),
+        ColumnDef("grp", INT), ColumnDef("tag", TEXT),
+    ],
+    primary_key=("key",),
+)
+#: Pickled size of the same history at f170a81, where ``CVD._membership``
+#: and ``CVD._payloads`` were saved beside the two tables.
+STATE_BYTES_BEFORE = 854_605
+
+
+class History:
+    """3,000 rows, each version swapping 5 % of its parent's for new."""
+
+    def __init__(self, root) -> None:
+        self.root = root
+        self.rng = random.Random("fixture:7")
+        self.rows = fixture_rows(self.rng, 0, 3000)
+        self.next_key = 3000
+        orpheus = new_repository()
+        orpheus.init("mid", WIDE, self.rows, model="split_by_rlist")
+        StateStore(root).save(orpheus)
+        self.orpheus = orpheus
+        self.versions = 1
+
+    def commit(self) -> dict:
+        """One more 5 % commit, saved; what it wrote."""
+        doomed = set(self.rng.sample(range(len(self.rows)), 150))
+        kept = [row for i, row in enumerate(self.rows) if i not in doomed]
+        fresh = fixture_rows(self.rng, self.next_key, 150)
+        self.next_key += 150
+        self.rows = kept + fresh
+        cvd = self.orpheus.cvd("mid")
+        counters = telemetry.get_registry().counter_value
+        names = (
+            "storage.io.state_bytes_written", "storage.io.page_bytes_written",
+            "pagestore.pages_written", "pagestore.segments_encoded",
+        )
+        before = [counters(name) for name in names]
+        vid = cvd.commit(self.rows, parents=(self.versions,), author="alice")
+        StateStore(self.root).save(self.orpheus)
+        self.versions = vid
+        wrote = dict(zip(names, (counters(n) - b for n, b in zip(names, before))))
+        new = sorted(cvd.membership(vid) - cvd.membership(vid - 1))
+        wrote["rid_list"] = len(pickle.dumps(sorted(cvd.membership(vid))))
+        # A record as the pickle layout stores it: its heap row and its
+        # entry in the data table's rid index (slot numbers run like rids).
+        wrote["new_records"] = len(
+            pickle.dumps([(rid, *cvd.payload_of(rid)) for rid in new])
+        ) + len(pickle.dumps({(rid,): [rid] for rid in new}))
+        return wrote
+
+    def commit_until(self, versions: int) -> None:
+        while self.versions < versions:
+            self.commit()
+
+
+def test_the_pickled_state_holds_each_rid_list_and_record_once(tmp_path):
+    telemetry.enable()
+    history = History(tmp_path)
+    history.commit_until(24)
+    size = (tmp_path / ".orpheus" / "state.pkl").stat().st_size
+    assert size <= 0.6 * STATE_BYTES_BEFORE
+
+    # What one more commit adds to the bytes every save writes: its rid
+    # list and its new records — and the same at version 124 as at 24.
+    growth = {}
+    for versions in (24, 124):
+        history.commit_until(versions)
+        saved = history.commit()["storage.io.state_bytes_written"]
+        wrote = history.commit()
+        growth[versions] = wrote["storage.io.state_bytes_written"] - saved
+        allowed = 1.10 * (wrote["rid_list"] + wrote["new_records"])
+        assert 0 < growth[versions] <= allowed, (versions, wrote)
+    assert growth[124] == pytest.approx(growth[24], rel=0.02)
+
+
+def test_a_paged_commit_writes_back_two_segments(tmp_path, monkeypatch):
+    monkeypatch.setenv(LAYOUT_ENV, "paged")
+    telemetry.enable()
+    history = History(tmp_path)
+    for versions in (24, 124):
+        history.commit_until(versions)
+        wrote = history.commit()
+        assert wrote["pagestore.segments_encoded"] == 2, versions
+        if versions == 24:
+            assert wrote["pagestore.pages_written"] <= 4
+    newest = read_directory(tmp_path)["generations"][0]["segments"]
+    assert sorted(newest) == ["table:mid__data", "table:mid__rlist"]
+
+
+# ----------------------------------------------------------------------
+# States written while the maps were stored
+# ----------------------------------------------------------------------
+def unpack(archive: str, into: Path) -> None:
+    with tarfile.open(DATA / archive) as tar:
+        tar.extractall(into, filter="data")
+
+
+def legacy_root(kind: str, tmp_path: Path) -> tuple[Path, dict[str, dict[int, list]]]:
+    """An unpacked repository of ``kind`` and what its versions hold."""
+    if kind == "paged-v1":  # data/make_v1_repo.py, at 133513a
+        unpack("v1_repo.tar.gz", tmp_path)
+        expected = {}
+        for name in ("ds", "other"):
+            rows = [(f"{name}-k{i}", i) for i in range(8)]
+            expected[name] = {1: rows, 2: rows[2:] + [(f"{name}-extra", 99)]}
+        return tmp_path, expected
+    unpack("head_repo.tar.gz", tmp_path)  # data/make_head_repo.py, at f170a81
+    expected = {}
+    for name in MODELS:
+        rows = [(f"{name}-k{i}", i) for i in range(8)]
+        extra = [(f"{name}-extra", 99)]
+        expected[name] = {1: rows, 2: rows[2:] + extra, 3: rows + extra}
+    if kind == "paged-v2":
+        return tmp_path / "paged", expected
+    root = tmp_path / "pickle"
+    if kind == "bare-pickle":  # as written before the checksummed container
+        state = root / ".orpheus" / "state.pkl"
+        state.write_bytes(state.read_bytes()[HEADER_SIZE:])
+    return root, expected
+
+
+def page_files(root: Path) -> set[str]:
+    return {p.name for p in pagefiles.list_page_files(pagefiles.pages_dir(root))}
+
+
+@pytest.mark.parametrize("kind", ["paged-v1", "paged-v2", "pickle", "bare-pickle"])
+def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
+    root, expected = legacy_root(kind, tmp_path)
+    paged = kind.startswith("paged")
+    old_pages = page_files(root)
+    if paged:
+        before = read_directory(root)["generations"][0]["segments"]
+        dict_segments = [key for key in before if not key.startswith("table:")]
+        assert dict_segments  # the fixture is what it says it is
+
+    want = {
+        name: {vid: sorted(rows) for vid, rows in versions.items()}
+        for name, versions in expected.items()
+    }
+
+    def every_version(orpheus):
+        return {
+            name: {
+                vid: sorted(orpheus.cvd(name).checkout(vid).rows)
+                for vid in versions
+            }
+            for name, versions in want.items()
+        }
+
+    assert command(root, every_version) == want
+    assert command(root, lambda o: {n: o.cvd(n).num_records for n in want}) == {
+        name: 9 for name in want
+    }
+
+    # One commit per dataset: each reuses its parent's rids, so each
+    # reads the parent back from the tables the old maps shadowed.
+    for name, versions in expected.items():
+        newest = max(versions)
+        rows = versions[newest][1:] + [(f"{name}-upgraded", 1)]
+        added = command(
+            root,
+            lambda o: (
+                o.cvd(name).commit(rows, parents=(newest,), author="alice"),
+                o.cvd(name).num_records,
+            ),
+        )
+        assert added == (newest + 1, 10)
+        want[name][newest + 1] = sorted(rows)
+    assert command(root, every_version) == want
+
+    state = (root / ".orpheus" / "state.pkl").read_bytes()
+    assert StateStore(root).integrity()["layout"] == ("paged" if paged else "pickle")
+    if not paged:  # no saved object has an attribute of these names
+        for shed in (b"_payloads", b"_membership", b"_partition_records"):
+            assert shed not in state
+        return
+    after = read_directory(root)["generations"][0]["segments"]
+    assert all(key.startswith("table:") for key in after), sorted(after)
+    # The saves above have rotated every backup generation past the old
+    # segments: nothing references their pages, and GC has taken them.
+    dict_pages = {
+        page + pagefiles.PAGE_SUFFIX
+        for key in dict_segments
+        for page in before[key]["pages"]
+    }
+    assert dict_pages <= old_pages
+    assert not dict_pages & page_files(root)

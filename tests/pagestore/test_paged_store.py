@@ -424,7 +424,10 @@ def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
     )
     save_paged(tmp_path, loaded)
     after = read_directory(tmp_path)["generations"][0]["segments"]
-    assert after.keys() == before.keys()
+    # The ``cvd:*`` map segments are not carried over (the tables hold
+    # what they held; tests/pagestore/test_layouts_agree.py follows
+    # their pages to the GC), every table segment is.
+    assert after.keys() == {key for key in before if key.startswith("table:")}
     for key, ref in after.items():
         if ":ds" in key:  # decoded from v1, dirtied, re-encoded
             assert ref["codec"].endswith(".v2"), key

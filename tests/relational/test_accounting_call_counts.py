@@ -38,7 +38,7 @@ def accounting_calls(n_rows: int, monkeypatch) -> dict[str, tuple[int, int]]:
     database.accountant = accountant
     model = SplitByRlistModel(database, "guard", Schema([ColumnDef("a", INT)]))
     records = {rid: (rid * rid,) for rid in range(1, n_rows + 1)}
-    model.commit_version(1, (), frozenset(records), records, {})
+    model.commit_version(1, (), frozenset(records), records, {}, records)
     table = model.data_table
 
     counted = [0]

@@ -115,10 +115,12 @@ class TestCommitDurabilityPinned:
     """One CLI ``commit`` issues exactly the fsyncs it did before the
     writers moved into fsio (counted at the parent commit): intent
     begin, state temp, ``.orpheus/`` dir, journal line, intent done —
-    plus, on the paged layout, each dirty page, the pages dir, the page
+    plus, on the paged layout, each dirty page (the data table's and the
+    versioning table's: the tables are the only stored copy of a
+    version's rids and a record's payload), the pages dir, the page
     directory file and its dir. Telemetry and heat never sync."""
 
-    @pytest.mark.parametrize("layout,expected", [("pickle", 5), ("paged", 12)])
+    @pytest.mark.parametrize("layout,expected", [("pickle", 5), ("paged", 10)])
     def test_fsyncs_per_commit(
         self, workspace, monkeypatch, request, layout, expected
     ):

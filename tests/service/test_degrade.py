@@ -166,6 +166,34 @@ class TestDaemonDegradedMode:
                 log = client.log(dataset="inter")
                 assert [v["vid"] for v in log["versions"]] == [1, 2]
 
+    def test_a_nacked_commit_takes_its_memo_entries_with_it(
+        self, workspace, daemon_factory, tmp_path
+    ):
+        """The CVD's version -> rids / rid -> payload memo lives on the
+        state object, so re-anchoring to the last durable save drops what
+        the doomed commit published into it, rid counter included."""
+        seed_dataset(workspace)
+        handle = daemon_factory(workers=2)
+        with handle, handle.client() as client:
+            work = tmp_path / "w.csv"
+            client.checkout("inter", [1], file=str(work))
+            with open(work, "a", newline="") as out:
+                out.write("k9,9\r\n")
+            doomed_on = handle.daemon.orpheus.cvd("inter")
+            failpoints.activate("state.before_save", "error", count=1)
+            with pytest.raises(ServiceInternalError):
+                client.commit("inter", file=str(work), message="doomed", parents=[1])
+            assert 2 in doomed_on._membership  # it had been published...
+
+            cvd = handle.daemon.orpheus.cvd("inter")
+            assert cvd is not doomed_on  # ...on the state that was dropped
+            assert cvd._membership == {} and cvd._payloads == {}
+            kept = client.commit("inter", file=str(work), message="kept", parents=[1])
+            assert kept["version"] == 2
+            (new,) = cvd.membership(2) - cvd.membership(1)
+            assert new == cvd.num_records == 4
+            assert cvd.payload_of(new) == ("k9", 9)
+
     def test_degraded_write_does_not_count_as_save_failure(
         self, workspace, daemon_factory, tmp_path
     ):

@@ -124,6 +124,41 @@ class TestLifecycle:
         assert len(lines) == 1 + 3  # header + union of records
 
 
+class TestRaggedCsv:
+    """A CSV row that does not fit the schema fails the commit whole: at
+    f170a81 each of these landed in version 2 (NULL-padded, as an
+    all-NULL record with a NULL primary key, truncated)."""
+
+    @pytest.mark.parametrize(
+        "line", ["ENSP5,7", "", "ENSP5,ENSP6,1,2,3"], ids=["short", "blank", "long"]
+    )
+    def test_commit_refuses_it_and_journals_the_error(
+        self, workspace, capsys, line
+    ):
+        from repro.observe.journal import Journal
+
+        assert run(
+            workspace, "init", "-d", "inter",
+            "-f", str(workspace / "data.csv"),
+            "-s", str(workspace / "schema.csv"),
+        ) == 0
+        work = workspace / "work.csv"
+        assert run(
+            workspace, "checkout", "-d", "inter", "-v", "1", "-f", str(work)
+        ) == 0
+        with open(work, "a", newline="") as handle:
+            handle.write(f"{line}\r\nENSP7,ENSP8,70\r\n")
+        capsys.readouterr()
+        assert run(workspace, "commit", "-d", "inter", "-f", str(work)) == 1
+        assert "line 4" in capsys.readouterr().err
+        assert run(workspace, "log", "-d", "inter") == 0
+        assert "v2" not in capsys.readouterr().out
+        last = Journal(str(workspace)).read()[-1]
+        assert (last["command"], last["status"]) == ("commit", "error")
+        assert last["error"]["type"] == "ValueError"
+        assert "line 4" in last["error"]["message"]
+
+
 class TestProfileCommand:
     def _init(self, workspace):
         run(workspace, "create_user", "a")

@@ -78,3 +78,14 @@ def test_the_second_failpoint_knob_is_gone():
     for path in SRC.rglob("*.py"):
         assert knob not in path.read_text(), path
     assert not (SRC / "service" / "faults.py").exists()
+
+
+def test_no_dict_shaped_segment_is_left():
+    """Version -> rids and rid -> payload are stored in the physical
+    tables only: the lazy dict stub that paged a second copy of each, and
+    the two codecs that encoded them, must not come back."""
+    gone = ("Paged" + "Dict", "records" + ".v", "rlist" + "map")  # split: see above
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        for name in gone:
+            assert name not in text, (path, name)
