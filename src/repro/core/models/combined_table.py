@@ -59,8 +59,9 @@ class CombinedTableModel(DataModel):
                 {"vlist": ArrayAppend(col("vlist"), lit(vid))},
             )
         telemetry.count("model.combined_table.vlist_appends", len(existing))
-        for rid, payload in new_records.items():
-            self._table.insert((rid, [vid], *payload))
+        self._table.insert_many(
+            (rid, [vid], *payload) for rid, payload in new_records.items()
+        )
         telemetry.count("model.combined_table.rows_inserted", len(new_records))
 
     def stored_versions(self) -> set[int]:

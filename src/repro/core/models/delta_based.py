@@ -78,11 +78,11 @@ class DeltaBasedModel(DataModel):
         base_rids = parent_membership[base] if base is not None else frozenset()
         inserted = membership - base_rids
         deleted = base_rids - membership
-        for rid in sorted(inserted):
-            table.insert((rid, False, *self._pad(records[rid])))
         blank = (None,) * self._arity
-        for rid in sorted(deleted):
-            table.insert((rid, True, *blank))
+        table.insert_many(
+            (rid, False, *self._pad(records[rid])) for rid in sorted(inserted)
+        )
+        table.insert_many((rid, True, *blank) for rid in sorted(deleted))
         telemetry.count("model.delta_based.rows_inserted", len(inserted))
         telemetry.count("model.delta_based.tombstones_inserted", len(deleted))
         self._delta_tables[vid] = table

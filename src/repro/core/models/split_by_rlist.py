@@ -77,8 +77,9 @@ class SplitByRlistModel(DataModel):
         parent_membership: Mapping[int, frozenset[int]],
         records: Mapping[int, tuple],
     ) -> None:
-        for rid, payload in new_records.items():
-            self._data.insert((rid, *payload))
+        self._data.insert_many(
+            (rid, *payload) for rid, payload in new_records.items()
+        )
         # One tuple into the versioning table; no array rewriting.
         self._versioning.insert((vid, self._encode_rlist(membership)))
         telemetry.count("model.split_by_rlist.rows_inserted", len(new_records))

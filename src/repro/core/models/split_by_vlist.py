@@ -71,9 +71,10 @@ class SplitByVlistModel(DataModel):
                 {"vlist": ArrayAppend(col("vlist"), lit(vid))},
             )
         telemetry.count("model.split_by_vlist.vlist_appends", len(existing))
-        for rid, payload in new_records.items():
-            self._data.insert((rid, *payload))
-            self._versioning.insert((rid, [vid]))
+        self._data.insert_many(
+            (rid, *payload) for rid, payload in new_records.items()
+        )
+        self._versioning.insert_many((rid, [vid]) for rid in new_records)
         telemetry.count("model.split_by_vlist.rows_inserted", len(new_records))
         if self.vlist_index_enabled:
             # The footnote's extra commit cost: one more index write per

@@ -44,11 +44,11 @@ class TablePerVersionModel(DataModel):
         # Insert *all* records of the version — this is what makes commit
         # slower than split-by-rlist in Figure 4.1(b).
         width = self._arity
-        for rid in sorted(membership):
-            payload = records[rid]
-            if len(payload) < width:  # record predates a schema change
-                payload = payload + (None,) * (width - len(payload))
-            table.insert((rid, *payload))
+        # A record that predates a schema change is NULL-padded.
+        table.insert_many(
+            (rid, *records[rid], *(None,) * (width - len(records[rid])))
+            for rid in sorted(membership)
+        )
         telemetry.count("model.table_per_version.rows_inserted", len(membership))
         self._tables[vid] = table
 

@@ -57,11 +57,10 @@ class StagingArea:
             raise StagingError(f"table {table_name!r} already exists")
         table = self.database.create_table(table_name, schema)
         try:
-            for row in rows:
-                table.insert(row)
+            table.insert_many(rows)
         except BaseException:
-            # A mid-loop insert failure must not leave an orphaned,
-            # partially-populated table the staging area does not track.
+            # A refused row must not leave an orphaned table the staging
+            # area does not track.
             self.database.drop_table(table_name, missing_ok=True)
             raise
         telemetry.count("staging.rows_materialized", len(rows))

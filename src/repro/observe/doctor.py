@@ -1297,9 +1297,11 @@ PAGE_SPOT_CHECK = 8
 def probe_page_store(root: str | None = None) -> ProbeResult:
     """Verify the paged layout's on-disk invariants: every referenced
     page present, a readable page directory, no orphans or stray temps,
-    and a checksum spot-check over the page files."""
+    and a checksum spot-check over the pages the live generation wrote
+    last (the ones an interrupted write-back could have hurt)."""
     from repro.pagestore import pages as pagefiles
     from repro.pagestore.store import (
+        live_pages,
         orphan_pages,
         read_directory,
         referenced_pages,
@@ -1348,12 +1350,18 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
         )
 
     corrupt = []
-    for path in files[:PAGE_SPOT_CHECK]:
+    live = live_pages(root)
+    newest_first = sorted(
+        (path for path in files if path.stem in live),
+        key=lambda path: path.stat().st_mtime_ns,
+        reverse=True,
+    )
+    for path in newest_first[:PAGE_SPOT_CHECK]:
         try:
             pagefiles.read_page(directory, path.name[: -len(pagefiles.PAGE_SUFFIX)])
         except Exception as error:
             corrupt.append(f"{path.name}: {error}")
-    data["pages_checked"] = min(len(files), PAGE_SPOT_CHECK)
+    data["pages_checked"] = min(len(newest_first), PAGE_SPOT_CHECK)
     if corrupt:
         data["corrupt_pages"] = corrupt
         return ProbeResult(
@@ -1361,9 +1369,11 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
             severity=FAIL,
             summary=f"{len(corrupt)} corrupt page file(s) detected",
             remediation=(
-                "page checksums do not verify; run `orpheus recover` to "
-                "fall back to an intact backup generation, then "
-                "`orpheus migrate-state --to paged` to rewrite pages"
+                "page checksums do not verify; restore .orpheus/state.pkl "
+                "from the newest backup generation that does not reference "
+                "them (state.pkl.bak), run `orpheus recover` to sweep the "
+                "pages it leaves unreferenced, and redo what "
+                "`orpheus log --ops` lists after that generation"
             ),
             data=data,
         )

@@ -18,10 +18,9 @@ keeping the state store's crash-safety contract:
 * :mod:`repro.pagestore.store` — the ``ORPHSTA2`` layout behind
   :class:`repro.resilience.statestore.StateStore`: the object graph is
   split into an eagerly-loaded skeleton plus lazily-faulted segments
-  (one per physical table, plus payload/membership maps per CVD), so
-  ``checkout`` touches only the pages of the partitions LyreSplit
-  mapped the version to, and a save writes only the pages of segments
-  that actually changed.
+  (each physical table's heap as a run of chunks), so ``checkout``
+  touches only the pages of the partitions LyreSplit mapped the version
+  to, and a save writes only the chunks a commit wrote to.
 """
 
 from repro.pagestore.bufferpool import (  # noqa: F401

@@ -7,18 +7,21 @@ A paged save splits the repository object graph into:
   maps), pickled into the checksummed ``state.pkl`` container exactly
   like the legacy layout (same temp/fsync/rename/backup machinery,
   same failpoints, same crash matrix); and
-* **segments** — the heavy parts (each physical table's rows; the
-  tables are the only stored copy of version → rids and rid →
-  payload), encoded by :mod:`repro.pagestore.codec`, sliced into
+* **segments** — the heavy parts (each physical table's rows, as a run
+  of chunks: contiguous heap slot ranges, one segment each; the tables
+  are the only stored copy of version → rids and rid → payload),
+  encoded by :mod:`repro.pagestore.codec`, sliced into
   content-addressed pages (:mod:`repro.pagestore.pages`), and replaced
   in the skeleton by lazy stubs that fault their pages through the
   buffer pool on first touch.
 
-Save = dirty-segment write-back: a segment whose stub was never
-hydrated, or whose backing object is unchanged since the last save,
-reuses its previous pages verbatim — commit I/O is proportional to
-what the commit touched, not to total state. Content addressing means
-even a re-encoded segment only writes the pages that actually changed.
+Save = dirty-chunk write-back: a table whose stub was never hydrated or
+that nothing wrote to since the last save reuses its chunks' pages
+verbatim, and so does every chunk of a written table below the lowest
+slot written; the heap is cut and encoded again only from that slot on
+— commit I/O is proportional to what the commit touched, not to total
+state or to the history. Content addressing means even a re-encoded
+chunk only writes the pages that actually changed.
 
 Crash safety: new pages are written and fsync'd *before* the atomic
 ``state.pkl`` swap; a crash in between leaves only unreferenced page
@@ -38,7 +41,7 @@ import json
 import os
 import pickle
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import telemetry
@@ -177,19 +180,27 @@ def _require_store() -> PageStore:
 # Lazy stubs
 # ----------------------------------------------------------------------
 class TablePager:
-    """Deferred row-segment load for one :class:`Table`."""
+    """Deferred load of one :class:`Table`'s row chunks."""
 
-    __slots__ = ("store", "ref", "index_spec")
+    __slots__ = ("store", "refs", "index_spec")
 
     def __init__(
-        self, store: PageStore, ref: SegmentRef, index_spec: dict
+        self, store: PageStore, refs: tuple[SegmentRef, ...], index_spec: dict
     ) -> None:
         self.store = store
-        self.ref = ref
+        self.refs = refs
         self.index_spec = index_spec
 
-    def load(self, accountant=None) -> list:
-        return self.store.read_segment(self.ref, accountant)
+    def load(self, accountant=None) -> tuple[list, tuple]:
+        """Every chunk faulted in: the heap's slots end to end, and each
+        ``(end slot, ref)`` by what the chunk decoded to (a segment
+        written before there were chunks is one chunk, however long)."""
+        rows: list = []
+        chunks = []
+        for ref in self.refs:
+            rows += self.store.read_segment(ref, accountant)
+            chunks.append((len(rows), ref))
+        return rows, tuple(chunks)
 
 
 def _load_paged_dict(ref_tuple) -> range:
@@ -201,20 +212,27 @@ def _load_paged_dict(ref_tuple) -> range:
     return range(SegmentRef.from_tuple(ref_tuple).count_hint)
 
 
-def _load_paged_table(state: dict, ref_tuple, index_spec: dict):
+def _load_chunked_table(state: dict, ref_tuples, index_spec: dict):
     from repro.relational.table import Table
 
     table = Table.__new__(Table)
-    table.__dict__.update(state)
-    ref = SegmentRef.from_tuple(ref_tuple)
+    table.__setstate__(state)
     table._rows = []
     table._pk_index = None
     table._secondary = {}
     table._ordered = {}
-    table._pager = TablePager(_require_store(), ref, dict(index_spec))
-    table._saved_ref = ref
-    table._saved_stamp = state.get("_stamp", 0)
+    table._pager = TablePager(
+        _require_store(),
+        tuple(map(SegmentRef.from_tuple, ref_tuples)),
+        dict(index_spec),
+    )
+    table._dirty_from = None  # what the pager names is what is saved
     return table
+
+
+def _load_paged_table(state: dict, ref_tuple, index_spec: dict):
+    """What a skeleton written while a table was one segment names."""
+    return _load_chunked_table(state, (ref_tuple,), index_spec)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +242,7 @@ def _load_paged_table(state: dict, ref_tuple, index_spec: dict):
 #: never in the skeleton.
 _TABLE_HEAVY_ATTRS = frozenset(
     {"_rows", "_pk_index", "_secondary", "_ordered",
-     "_pager", "_saved_ref", "_saved_stamp", "_bytes_skew"}
+     "_pager", "_saved_chunks", "_dirty_from", "_bytes_skew"}
 )
 
 
@@ -241,6 +259,8 @@ class _SaveContext:
         self.heat_keys: dict[str, str] = {}
         self.segments_encoded = 0
         self.segments_reused = 0
+        #: (table, its chunks) for every table this save cut anew.
+        self.cut: list[tuple[object, tuple]] = []
 
     # -- registration --------------------------------------------------
     def harvest(self, obj) -> None:
@@ -266,39 +286,82 @@ class _SaveContext:
                 pass  # heat keys are advisory
 
     # -- segment assembly ----------------------------------------------
+    def _claim(self, key: str) -> str:
+        while key in self.segments:
+            key += "~"  # defensive: keys are unique by construction
+        return key
+
     def add_segment(
         self, key: str, codec_name: str, blob: bytes,
         heat_key: str | None, count_hint: int,
     ) -> SegmentRef:
-        while key in self.segments:
-            key += "~"  # defensive: keys are unique by construction
-        payloads = pagefiles.split_payload(blob, self.page_bytes)
         page_ids = []
-        for payload in payloads:
+        for payload in pagefiles.split_payload(blob, self.page_bytes):
             page_id = pagefiles.page_id_for(payload)
             page_ids.append(page_id)
             self.pending.setdefault(page_id, payload)
         ref = SegmentRef(
-            key, codec_name, len(blob),
+            self._claim(key), codec_name, len(blob),
             hashlib.sha256(blob).hexdigest(), tuple(page_ids),
             heat_key, count_hint,
         )
-        self.segments[key] = ref
+        self.segments[ref.key] = ref
         self.segments_encoded += 1
         return ref
 
-    def reuse(self, ref: SegmentRef) -> SegmentRef:
-        key = ref.key
-        while key in self.segments:
-            key += "~"
+    def reuse(self, ref: SegmentRef, key: str) -> SegmentRef:
+        """``ref``'s pages, untouched, under ``key``."""
+        key = self._claim(key)
         if key != ref.key:
-            ref = SegmentRef(
-                key, ref.codec, ref.length, ref.sha, ref.pages,
-                ref.heat_key, ref.count_hint,
-            )
+            ref = replace(ref, key=key)
         self.segments[key] = ref
         self.segments_reused += 1
         return ref
+
+    def table_chunks(self, table) -> list[SegmentRef]:
+        """A faulted-in table's heap as a run of chunks, each a slot
+        range encoded on its own. Saved chunks that lie wholly below the
+        lowest slot written since ride through; from there on the heap
+        is cut again, a chunk ending where its rows are accounted a page
+        of bytes (what encoding it costs follows its uncompressed size,
+        so the bound on a chunk is the bound on an append's encode)."""
+        rows, saved = table._rows, table._saved_chunks
+        if table._dirty_from is None:
+            return [self.reuse(ref, ref.key) for _end, ref in saved]
+        if table._bytes > 0:
+            per_chunk = max(1, self.page_bytes * len(table) // table._bytes)
+        else:  # tombstones only, or rows of no columns
+            per_chunk = self.page_bytes
+        keep = sum(end <= table._dirty_from for end, _ref in saved)
+        if keep and keep == len(saved):  # nothing but an append
+            tail_start = saved[-2][0] if keep > 1 else 0
+            if saved[-1][0] - tail_start < per_chunk:
+                keep -= 1  # the last chunk is open until it holds its share
+        chunks = [
+            (end, self.reuse(ref, f"table:{table.name}#{number}"))
+            for number, (end, ref) in enumerate(saved[:keep])
+        ]
+        start = chunks[-1][0] if chunks else 0
+        heat_key = self.heat_keys.get(table.name)
+        while start < len(rows) or not chunks:  # no rows: one empty chunk
+            end = min(start + per_chunk, len(rows))
+            codec_name, blob = codec.encode_table_rows(
+                rows[start:end], len(table.schema.columns)
+            )
+            ref = self.add_segment(
+                f"table:{table.name}#{len(chunks)}", codec_name, blob,
+                heat_key, end - start,
+            )
+            chunks.append((end, ref))
+            start = end
+        self.cut.append((table, tuple(chunks)))
+        return [ref for _end, ref in chunks]
+
+    def mark_saved(self) -> None:
+        """The state naming the new chunks is on disk: they are what the
+        tables' next save reuses."""
+        for table, chunks in self.cut:
+            table._saved_chunks, table._dirty_from = chunks, None
 
 
 class _PagedPickler(pickle.Pickler):
@@ -317,40 +380,24 @@ class _PagedPickler(pickle.Pickler):
 
     def _reduce_table(self, table):
         pager = getattr(table, "_pager", None)
-        stamp = getattr(table, "_stamp", 0)
         if pager is not None:
-            # Rows never faulted in: reuse the segment untouched.
-            ref = self.ctx.reuse(pager.ref)
+            # Rows never faulted in: every chunk rides through untouched.
+            refs = [self.ctx.reuse(ref, ref.key) for ref in pager.refs]
             index_spec = dict(pager.index_spec)
         else:
+            refs = self.ctx.table_chunks(table)
             index_spec = {
                 "pk": table._pk_index is not None,
                 "secondary": sorted(table._secondary),
                 "ordered": sorted(table._ordered),
             }
-            saved_ref = getattr(table, "_saved_ref", None)
-            if (
-                saved_ref is not None
-                and getattr(table, "_saved_stamp", -1) == stamp
-            ):
-                ref = self.ctx.reuse(saved_ref)
-            else:
-                codec_name, blob = codec.encode_table_rows(
-                    table._rows, len(table.schema.columns)
-                )
-                ref = self.ctx.add_segment(
-                    f"table:{table.name}", codec_name, blob,
-                    self.ctx.heat_keys.get(table.name),
-                    len(table._rows),
-                )
-                table._saved_ref = ref
-                table._saved_stamp = stamp
         state = {
             name: value
             for name, value in table.__dict__.items()
             if name not in _TABLE_HEAVY_ATTRS
         }
-        return (_load_paged_table, (state, ref.to_tuple(), index_spec))
+        ref_tuples = tuple(ref.to_tuple() for ref in refs)
+        return (_load_chunked_table, (state, ref_tuples, index_spec))
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +464,7 @@ def paged_save(store, obj) -> dict:
         telemetry.count("storage.io.bytes_written", written_bytes)
 
     store.save_bytes(payload, magic=statestore.MAGIC2)
+    ctx.mark_saved()
 
     _swap_directory(root, refs, page_bytes)
     removed = _gc_pages(root, keep=set(all_pages))
@@ -588,6 +636,13 @@ def referenced_pages(root) -> set[str]:
     for outer in _state_outers(root):
         referenced.update(outer.get("pages") or ())
     return referenced
+
+
+def live_pages(root) -> set[str]:
+    """The page ids of the newest state generation that verifies (the
+    one a load would use)."""
+    newest = next(_state_outers(root), {})
+    return set(newest.get("pages") or ())
 
 
 def orphan_pages(root) -> list[Path]:

@@ -289,8 +289,9 @@ class PartitionedRlistStore(DataModel):
             partition = self._partitions[index]
         held = self._records_in(index)
         missing = membership - held
-        for rid in sorted(missing):
-            partition.data_table.insert((rid, *records[rid]))
+        partition.data_table.insert_many(
+            (rid, *records[rid]) for rid in sorted(missing)
+        )
         telemetry.count("partition.commit.rows_copied", len(missing))
         partition.versioning_table.insert((vid, sorted(membership)))
         held |= membership
@@ -419,8 +420,9 @@ class PartitionedRlistStore(DataModel):
             records = new_records[new_index]
             if old_index is None:
                 partition = self._new_partition()
-                for rid in sorted(records):
-                    partition.data_table.insert((rid, *payloads[rid]))
+                partition.data_table.insert_many(
+                    (rid, *payloads[rid]) for rid in sorted(records)
+                )
                 inserted += len(records)
                 rebuilt += 1
                 index = len(self._partitions) - 1
@@ -435,8 +437,9 @@ class PartitionedRlistStore(DataModel):
                 existing = old_records[old_index]
                 to_insert = records - existing
                 to_delete = existing - records
-                for rid in sorted(to_insert):
-                    partition.data_table.insert((rid, *payloads[rid]))
+                partition.data_table.insert_many(
+                    (rid, *payloads[rid]) for rid in sorted(to_insert)
+                )
                 if to_delete:
                     from repro.relational.expressions import InSet, col
 

@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.relational.errors import SchemaError, UnknownColumnError
-from repro.relational.types import DataType, generalize_types
+from repro.relational.types import INT_ARRAY, TEXT, DataType, generalize_types
+
+
+def _column_bytes(dtype: DataType, values: list) -> int:
+    """``sum(map(dtype.sizeof, values))`` without a call per value where
+    the type allows: a fixed-width value is ``byte_size`` or, NULL, 1; a
+    string its length and 1. Arrays (few and fat) and a text column
+    holding anything but ``str`` are sized value by value."""
+    if dtype.name == TEXT.name and set(map(type, values)) <= {str, type(None)}:
+        # filter(None, ...) also drops "", which has no length to add.
+        return sum(map(len, filter(None, values))) + len(values)
+    if dtype.name in (TEXT.name, INT_ARRAY.name):
+        return sum(map(dtype.sizeof, values))
+    nulls = values.count(None)
+    return dtype.byte_size * (len(values) - nulls) + nulls
 
 
 @dataclass(frozen=True)
@@ -106,6 +121,17 @@ class Schema:
     def row_bytes(self, row: Sequence[object]) -> int:
         """Approximate on-disk byte size of one row under this schema."""
         return sum(c.dtype.sizeof(v) for v, c in zip(row, self.columns))
+
+    def rows_bytes(self, rows: Sequence[Sequence[object]]) -> int:
+        """``sum(map(self.row_bytes, rows))``, sized a column at a time:
+        the Python calls it costs grow with the columns, not the rows."""
+        if len(rows) < 2 or len(set(map(len, rows))) > 1:
+            # One row is cheaper as itself; ragged rows have no columns.
+            return sum(map(self.row_bytes, rows))
+        return sum(
+            _column_bytes(column.dtype, list(map(itemgetter(position), rows)))
+            for position, column in enumerate(self.columns[: len(rows[0])])
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):

@@ -66,19 +66,19 @@ class Table:
         )
         self._secondary: dict[str, HashIndex] = {}
         self._ordered: dict[str, OrderedIndex] = {}
-        # Paged-layout plumbing: a write-version stamp (bumped by every
-        # mutator; lets a save skip re-encoding untouched tables), and a
-        # pager set by the paged loader in place of _rows/_indexes.
-        self._stamp = 0
+        # Paged-layout plumbing: a pager set by the paged loader in
+        # place of _rows/_indexes; the chunks the last paged save cut
+        # the heap into, as (end slot, SegmentRef); and the lowest slot
+        # written since (None: none), below which a save reuses them.
         self._pager = None
-        self._saved_ref = None
-        self._saved_stamp = -1
+        self._saved_chunks: tuple = ()
+        self._dirty_from: int | None = 0
 
     # ------------------------------------------------------------------
     # Paged loading
     # ------------------------------------------------------------------
     def _ensure_page_load(self) -> None:
-        """Fault in this table's row segment if it is still paged out.
+        """Fault in this table's row chunks if it is still paged out.
 
         Every row-touching entry point gates through here; metadata
         reads (``len``, ``row_count``, ``has_index``, ``schema``) answer
@@ -89,7 +89,7 @@ class Table:
             return
         self._pager = None  # block re-entry from index rebuild below
         try:
-            rows = pager.load(self.accountant)
+            rows, self._saved_chunks = pager.load(self.accountant)
             self._rows = rows
             if pager.index_spec.get("pk") and self.enforce_primary_key:
                 # One key column at a time, never one row at a time.
@@ -116,8 +116,13 @@ class Table:
 
     @property
     def paged_out(self) -> bool:
-        """True while the row segment has not been faulted in."""
+        """True while the row chunks have not been faulted in."""
         return self._pager is not None
+
+    def _dirty(self, slot: int) -> None:
+        """Heap slots from ``slot`` on are no longer what was saved."""
+        if self._dirty_from is None or slot < self._dirty_from:
+            self._dirty_from = slot
 
     # ------------------------------------------------------------------
     # Introspection
@@ -178,49 +183,53 @@ class Table:
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[object]) -> int:
         """Insert one row; returns its slot position."""
-        self._ensure_page_load()
-        self._stamp += 1
-        self.schema.validate_row(row)
-        stored: Row = tuple(row)
-        if self._pk_index is not None:
-            key = self.schema.key_of(stored)
-            if self._pk_index.contains(key):
-                raise DuplicateKeyError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-        slot = len(self._rows)
-        self._rows.append(stored)
-        self._live_count += 1
-        row_bytes = self.schema.row_bytes(stored)
-        self._bytes += row_bytes
-        self.accountant.charge_write(1, row_bytes)
-        if self._pk_index is not None:
-            self._pk_index.add(self.schema.key_of(stored), slot)
-        for column, index in self._secondary.items():
-            index.add(stored[self.schema.position(column)], slot)
-        for column, ordered_index in self._ordered.items():
-            ordered_index.add(
-                stored[self.schema.position(column)],  # type: ignore[arg-type]
-                slot,
-            )
-        return slot
+        self.insert_many((row,))
+        return len(self._rows) - 1
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
-        count = 0
+        """Bulk insert, charged once; returns the number of rows inserted.
+        A row that fails validation or repeats a key raises before any
+        row of the batch is appended."""
+        self._ensure_page_load()
+        pk_index, key_of = self._pk_index, self.schema.key_of
+        stored: list[Row] = []
+        keys: dict[tuple, None] = {}  # the batch's, in row order
         for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+            self.schema.validate_row(row)
+            row = tuple(row)
+            if pk_index is not None:
+                key = key_of(row)
+                if key in keys or pk_index.contains(key):
+                    raise DuplicateKeyError(
+                        f"duplicate primary key {key!r} in table {self.name!r}"
+                    )
+                keys[key] = None
+            stored.append(row)
+        if not stored:
+            return 0
+        first = len(self._rows)
+        slots = range(first, first + len(stored))
+        self._dirty(first)
+        self._rows.extend(stored)
+        self._live_count += len(stored)
+        size = self.schema.rows_bytes(stored)
+        self._bytes += size
+        self.accountant.charge_write(len(stored), size)
+        for key, slot in zip(keys, slots):
+            pk_index.add(key, slot)
+        for column, index in (*self._secondary.items(), *self._ordered.items()):
+            position = self.schema.position(column)
+            for row, slot in zip(stored, slots):
+                index.add(row[position], slot)  # type: ignore[arg-type]
+        return len(stored)
 
     def delete_at(self, slot: int) -> None:
         """Tombstone the row in ``slot``."""
         self._ensure_page_load()
         row = self._rows[slot]
-        if row is not None:
-            self._stamp += 1
         if row is None:
             return
+        self._dirty(slot)
         self._rows[slot] = None
         self._live_count -= 1
         row_bytes = self.schema.row_bytes(row)
@@ -284,7 +293,6 @@ class Table:
         return updated
 
     def _replace_at(self, slot: int, new_row: Row) -> None:
-        self._stamp += 1
         old_row = self._rows[slot]
         assert old_row is not None
         self.schema.validate_row(new_row)
@@ -310,6 +318,7 @@ class Table:
             if old_row[position] != new_row[position]:
                 ordered_index.remove(old_row[position], slot)  # type: ignore[arg-type]
                 ordered_index.add(new_row[position], slot)  # type: ignore[arg-type]
+        self._dirty(slot)
         self._rows[slot] = new_row
         self._bytes += new_bytes - old_bytes
         self.accountant.charge_write(1, new_bytes)
@@ -320,7 +329,7 @@ class Table:
     def add_column(self, column) -> None:
         """ALTER TABLE ADD COLUMN: existing rows read NULL for it."""
         self._ensure_page_load()
-        self._stamp += 1
+        self._dirty(0)
         from repro.relational.schema import Schema
 
         self.schema = Schema(
@@ -336,7 +345,7 @@ class Table:
         """ALTER TABLE ALTER COLUMN TYPE to a more general type; existing
         values are coerced in place."""
         self._ensure_page_load()
-        self._stamp += 1
+        self._dirty(0)
         from repro.relational.schema import ColumnDef, Schema
         from repro.relational.types import generalize_types
 
@@ -363,7 +372,7 @@ class Table:
     def vacuum(self) -> None:
         """Compact tombstones and rebuild indexes."""
         self._ensure_page_load()
-        self._stamp += 1
+        self._dirty(0)
         live = [row for row in self._rows if row is not None]
         self._rows = list(live)
         if self._pk_index is not None:
@@ -408,7 +417,7 @@ class Table:
         """``(rows, bytes)`` of the live rows in heap slots ``[0, stop)``,
         as this process sizes them."""
         live = [row for row in self._rows[:stop] if row is not None]
-        return len(live), sum(map(self.schema.row_bytes, live))
+        return len(live), self.schema.rows_bytes(live)
 
     def _scan_charge(self, last_slot: int | None = None) -> tuple[int, int]:
         """``(rows, bytes)`` that one sequential read of the heap through
@@ -470,7 +479,7 @@ class Table:
                 if self._is_clustered_on(column)
                 else self.accountant.charge_random_read
             )
-            charge(len(rows), sum(map(self.schema.row_bytes, rows)))
+            charge(len(rows), self.schema.rows_bytes(rows))
         return rows
 
     def _index_for(self, column: str) -> HashIndex | OrderedIndex | None:
@@ -514,17 +523,16 @@ class Table:
     def __getstate__(self) -> dict:
         self._ensure_page_load()  # a plain pickle must carry the rows
         state = dict(self.__dict__)
-        for transient in ("_pager", "_saved_ref", "_saved_stamp", "_bytes_skew"):
+        for transient in ("_pager", "_saved_chunks", "_dirty_from", "_bytes_skew"):
             state.pop(transient, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Pickles from before the paged layout lack these attributes.
-        self.__dict__.setdefault("_stamp", 0)
-        self.__dict__.setdefault("_pager", None)
-        self.__dict__.setdefault("_saved_ref", None)
-        self.__dict__.setdefault("_saved_stamp", -1)
+        self.__dict__.pop("_stamp", None)  # states from before _dirty_from
+        self._pager = None
+        self._saved_chunks = ()  # no paged save has seen these rows
+        self._dirty_from = 0
 
 
 class _PkAdapter:

@@ -7,13 +7,15 @@ from __future__ import annotations
 from repro.observe.doctor import (
     FAIL,
     OK,
+    PAGE_SPOT_CHECK,
     WARN,
     probe_buffer_pool,
     probe_page_store,
 )
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
-from repro.pagestore.store import paged_save, referenced_pages
+from repro.pagestore.store import live_pages, paged_save, referenced_pages
+from repro.resilience.recovery import run_recovery
 from repro.resilience.statestore import StateStore
 
 from tests.pagestore.test_paged_store import build_orpheus
@@ -65,6 +67,44 @@ def test_corrupt_page_fails_spot_check(tmp_path):
     assert result.severity == FAIL
     assert "corrupt" in result.summary
     assert result.data["corrupt_pages"]
+
+
+def test_spot_check_follows_the_newest_writes(tmp_path):
+    """More pages than one run checks: the page the last commit wrote is
+    among those it does check, and the stated remediation clears it."""
+    store = StateStore(tmp_path)
+    orpheus = build_orpheus(datasets=[f"ds{i}" for i in range(10)])
+    paged_save(store, orpheus)
+    before = live_pages(tmp_path)
+    assert len(before) > PAGE_SPOT_CHECK
+    reset_pool()
+    loaded, _info = store.load(warn=None)
+    loaded.cvd("ds3").commit(
+        [("fresh", 1)], parents=(2,), message="third", author="alice"
+    )
+    paged_save(store, loaded)
+    directory = pagefiles.pages_dir(tmp_path)
+    written = sorted(live_pages(tmp_path) - before)
+    assert written
+    victim = pagefiles.page_path(directory, written[-1])  # sorts past the 8th
+    blob = bytearray(victim.read_bytes())
+    blob[-1] ^= 0xFF
+    victim.write_bytes(bytes(blob))
+
+    result = probe_page_store(str(tmp_path))
+    assert result.severity == FAIL
+    assert result.data["pages_checked"] == PAGE_SPOT_CHECK
+    assert victim.name in result.data["corrupt_pages"][0]
+    assert "state.pkl.bak" in result.remediation
+    assert "recover" in result.remediation
+
+    store.path.write_bytes(store.backup_paths[0].read_bytes())
+    assert probe_page_store(str(tmp_path)).severity == WARN  # now an orphan
+    run_recovery(str(tmp_path))
+    assert probe_page_store(str(tmp_path)).severity == OK
+    reset_pool()
+    restored, _info = store.load(warn=None)
+    assert restored.cvd("ds3").versions.vids() == [1, 2]
 
 
 def test_orphan_pages_warn(tmp_path):

@@ -25,6 +25,7 @@ import pickle
 import pickletools
 import random
 import tarfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,12 +34,13 @@ from repro import telemetry
 from repro.core.commands import Orpheus
 from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
+from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import migrate_state, read_directory
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Table
-from repro.relational.types import INT, TEXT
+from repro.relational.types import FLOAT, INT, TEXT
 from repro.resilience.statestore import HEADER_SIZE, LAYOUT_ENV, StateStore
 
 SCHEMA = Schema(
@@ -156,20 +158,41 @@ BAG = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)])
 EVOLVED = ["key", "value", "note"]
 
 
-def script(model: str) -> list:
+def tombstone_the_front_of_every_heap(orpheus) -> int:
+    """Delete the first two thirds of every physical table's rows and
+    insert them again: same content, a long run of dead slots first."""
+    dead = 0
+    for table in orpheus.database:
+        front = list(table._iter_slots())[: 2 * len(table) // 3]
+        for slot, _row in front:
+            table.delete_at(slot)
+        table.insert_many(row for _slot, row in front)
+        dead += len(front)
+    return dead
+
+
+def vacuum_every_heap(orpheus) -> int:
+    for table in orpheus.database:
+        table.vacuum()
+    return sum(len(table) for table in orpheus.database)
+
+
+def script(model: str, n_rows: int = 30, pad: str = "") -> list:
     """Operations ``orpheus -> result``, in order. Versions: 1 root (one
     row in it twice), 2 and 3 a chain, 4 a branch off 2, 5 the merge of 3
     and 4, 6 adds a column (its untouched rows are their parents',
-    NULL-padded), 7 edits 6."""
+    NULL-padded), 7 edits 6, 8 widens ``value`` to decimal, 9 is empty;
+    between them every heap is tombstoned from the front, then vacuumed."""
     rng = random.Random(11)
     rows = {
-        1: [(f"k{i:02d}", rng.randrange(100)) for i in range(30)] + [("dup", 1)] * 2
+        1: [(f"k{i:04d}{pad}", rng.randrange(100)) for i in range(n_rows)]
+        + [("dup", 1)] * 2
     }
 
     def edit(parent: list, tag: str) -> list:
         kept = [row for row in parent if rng.random() > 0.15]
         changed = [(k, v + 1000) if rng.random() < 0.1 else (k, v) for k, v in kept]
-        return changed + [(f"{tag}{i}", rng.randrange(100)) for i in range(3)]
+        return changed + [(f"{tag}{i}{pad}", rng.randrange(100)) for i in range(3)]
 
     rows[2] = edit(rows[1], "a")
     rows[3] = edit(rows[2], "b")
@@ -180,7 +203,9 @@ def script(model: str) -> list:
         for index, (k, v) in enumerate(rows[5])
     ]
     rows[7] = rows[6][3:] + [("z", 7, None)]
-    parents = {2: (1,), 3: (2,), 4: (2,), 5: (3, 4), 6: (5,), 7: (6,)}
+    rows[8] = [(k, v + 0.5, note) for k, v, note in rows[7][:-2]]
+    rows[9] = []
+    parents = {2: (1,), 3: (2,), 4: (2,), 5: (3, 4), 6: (5,), 7: (6,), 8: (7,), 9: (8,)}
 
     def commit(vid: int):
         def operation(orpheus):
@@ -192,7 +217,11 @@ def script(model: str) -> list:
                 message=f"v{vid}",
                 author="alice",
                 columns=EVOLVED if evolved else None,
-                column_types={"note": TEXT} if evolved else None,
+                column_types=(
+                    {"note": TEXT, "value": FLOAT if vid >= 8 else INT}
+                    if evolved
+                    else None
+                ),
             )
             return committed, sorted(cvd.membership(committed)), cvd.num_records
 
@@ -219,44 +248,59 @@ def script(model: str) -> list:
         operations.append(
             lambda orpheus: sorted(map(sorted, orpheus.optimize("ds").groups))
         )
-    operations += [commit(6), commit(7)]
-    operations += [checkout(vid) for vid in range(1, 8)] + [checkout((7, 3))]
-    operations += [query("membership", vid) for vid in range(1, 8)]
+    operations += [commit(6), tombstone_the_front_of_every_heap, commit(7)]
+    operations += [checkout(vid) for vid in range(1, 8)]
+    operations += [vacuum_every_heap, commit(8), commit(9)]
+    operations += [checkout(vid) for vid in range(1, 10)] + [checkout((7, 3))]
+    operations += [query("membership", vid) for vid in range(1, 10)]
     operations += [
         query("diff", 1, 7), query("diff", 3, 4), query("diff", 5, 6),
+        query("diff", 7, 8), query("diff", 8, 9),
         query("v_diff", (3, 4), (2,)), query("v_diff", 7, (1, 5)),
         query("v_intersect", (2, 3, 4)), query("v_intersect", (1, 7)),
     ]
     return operations, rows[1]
 
 
-def run_cold(root, model: str) -> list:
-    operations, root_rows = script(model)
+def run_cold(root, model: str, **shape) -> list:
+    operations, root_rows = script(model, **shape)
     orpheus = new_repository()
     orpheus.init("ds", BAG, root_rows, model=model)
     StateStore(root).save(orpheus)
     return [command(root, operation) for operation in operations]
 
 
-def run_warm(model: str) -> list:
-    operations, root_rows = script(model)
+def run_warm(model: str, **shape) -> list:
+    operations, root_rows = script(model, **shape)
     orpheus = new_repository()
     orpheus.init("ds", BAG, root_rows, model=model)
     return [operation(orpheus) for operation in operations]
 
 
+#: At the smallest page there is, with rows enough that a table holding
+#: a whole version is a run of five chunks and more, and a table of rid
+#: lists starts a chunk every third version.
+SMALL_PAGES = {"n_rows": 300, "pad": "-" * 60}
+
+
+@pytest.mark.parametrize("shape", [{}, SMALL_PAGES], ids=["64KiB", "4KiB"])
 @pytest.mark.parametrize("model", MODELS)
 def test_a_process_that_always_reloads_agrees_with_one_that_never_does(
-    model, tmp_path, monkeypatch
+    model, shape, tmp_path, monkeypatch
 ):
-    warm = run_warm(model)
+    if shape:
+        monkeypatch.setenv(pagefiles.PAGE_BYTES_ENV, "4096")
+    warm = run_warm(model, **shape)
     for layout in LAYOUTS:
         monkeypatch.setenv(LAYOUT_ENV, layout)
         root = tmp_path / layout
         root.mkdir()
-        cold = run_cold(root, model)
+        cold = run_cold(root, model, **shape)
         for step, (got, expected) in enumerate(zip(cold, warm, strict=True)):
             assert got == expected, (layout, step)
+    if shape:
+        chunks = Counter(key.partition("#")[0] for key in newest_segments(root))
+        assert max(chunks.values()) >= 5, chunks
 
 
 # ----------------------------------------------------------------------
@@ -396,18 +440,56 @@ def test_the_pickled_state_holds_each_rid_list_and_record_once(tmp_path):
     assert growth[124] == pytest.approx(growth[24], rel=0.02)
 
 
-def test_a_paged_commit_writes_back_two_segments(tmp_path, monkeypatch):
+def newest_segments(root) -> dict[str, dict]:
+    return read_directory(root)["generations"][0]["segments"]
+
+
+def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
+    tmp_path, monkeypatch
+):
+    """Chunks encoded, heap slots handed to the encoder and pages written
+    by one 5 % commit do not grow with the versions before it, and every
+    chunk below the slots it wrote keeps its pages."""
     monkeypatch.setenv(LAYOUT_ENV, "paged")
     telemetry.enable()
+    slots = []
+    encode = codec.encode_table_rows
+    monkeypatch.setattr(
+        codec, "encode_table_rows",
+        lambda rows, n_cols: slots.append(len(rows)) or encode(rows, n_cols),
+    )
     history = History(tmp_path)
-    for versions in (24, 124):
-        history.commit_until(versions)
+    # A full data chunk (a page of 27-byte rows) plus the commit's 150 new
+    # rows, and at most a chunk of 5 rid lists (12,008 bytes each).
+    per_data, per_rlist = 65536 // 27, 65536 // 12008
+    window = {}
+    for versions in (24, 124, 240):
+        history.commit_until(versions - 16)
+        del slots[:]
+        for _ in range(15):  # with the next: the data tail fills up once
+            wrote = history.commit()
+            assert wrote["pagestore.segments_encoded"] <= 3, history.versions
+        window[versions] = sum(slots)
+        del slots[:]
+        before = newest_segments(tmp_path)
         wrote = history.commit()
-        assert wrote["pagestore.segments_encoded"] == 2, versions
-        if versions == 24:
-            assert wrote["pagestore.pages_written"] <= 4
-    newest = read_directory(tmp_path)["generations"][0]["segments"]
-    assert sorted(newest) == ["table:mid__data", "table:mid__rlist"]
+        assert history.versions == versions
+        assert wrote["pagestore.segments_encoded"] == len(slots) <= 3
+        assert wrote["pagestore.pages_written"] <= 3
+        assert sum(slots) <= per_data + 150 + per_rlist
+        window[versions] += sum(slots)
+        after = newest_segments(tmp_path)
+        assert all(key.startswith("table:mid__") and "#" in key for key in after)
+        for table in ("table:mid__data#", "table:mid__rlist#"):
+            chunks = sorted(
+                (key for key in before if key.startswith(table)),
+                key=lambda key: int(key.partition("#")[2]),
+            )
+            assert len(chunks) > 1
+            for key in chunks[:-1]:  # all but the open tail: untouched
+                assert after[key] == before[key], key
+    assert window[124] == pytest.approx(window[24], rel=0.10)
+    assert window[240] == pytest.approx(window[24], rel=0.10)
 
 
 # ----------------------------------------------------------------------
@@ -497,14 +579,24 @@ def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
         for shed in (b"_payloads", b"_membership", b"_partition_records"):
             assert shed not in state
         return
-    after = read_directory(root)["generations"][0]["segments"]
+    command(root, lambda o: None)  # the last commit's parent leaves .bak.1
+    after = newest_segments(root)
     assert all(key.startswith("table:") for key in after), sorted(after)
+    # A table a commit wrote to is a run of chunks now; one it did not
+    # (another version's own table) keeps its whole-table segment as is.
+    chunked = {key.partition("#")[0] for key in after if "#" in key}
+    whole = after.keys() - {key for key in after if "#" in key}
+    assert chunked and not chunked & whole
+    assert all(after[key] == before[key] for key in whole)
+    assert bool(whole) == (kind == "paged-v2")  # it has per-version tables
     # The saves above have rotated every backup generation past the old
     # segments: nothing references their pages, and GC has taken them.
-    dict_pages = {
+    kept = {page for ref in after.values() for page in ref["pages"]}
+    old = {
         page + pagefiles.PAGE_SUFFIX
-        for key in dict_segments
+        for key in [*dict_segments, *(chunked & before.keys())]
         for page in before[key]["pages"]
+        if page not in kept
     }
-    assert dict_pages <= old_pages
-    assert not dict_pages & page_files(root)
+    assert old and old <= old_pages
+    assert not old & page_files(root)

@@ -5,6 +5,7 @@ dirty-proportional write-back, GC, backup fallback, and migration."""
 from __future__ import annotations
 
 import pickle
+import random
 import tarfile
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from repro.pagestore.store import (
     referenced_pages,
 )
 from repro.relational.arrays import RangeEncodedArray
+from repro.relational.errors import DuplicateKeyError, SchemaError
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
 from repro.resilience.statestore import StateStore
@@ -91,16 +93,21 @@ def test_round_trip_preserves_checkout(tmp_path, model):
     assert checkout_rows(loaded, "ds", 2) == expected_v2
 
 
-def test_large_segments_split_across_pages(tmp_path, monkeypatch):
-    # v2 segments are compressed: 800 rows no longer fill a 4 KiB page,
-    # the smallest the knob allows, so the floor is lowered with it.
-    monkeypatch.setattr(pagefiles, "_MIN_PAGE_BYTES", 512)
-    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "512")
-    orpheus = build_orpheus(rows_per=800)
+def test_a_chunk_longer_than_a_page_splits_across_pages(tmp_path, monkeypatch):
+    """A chunk ends where its rows are accounted a page of bytes, and
+    compresses to less; what still outgrows a page is one fat row."""
+    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "4096")
+    rng = random.Random(3)
+    rows = [(rng.randbytes(6000).hex(), i) for i in range(3)]
+    orpheus = Orpheus()
+    orpheus.create_user("alice")
+    orpheus.config("alice")
+    orpheus.init("ds", SCHEMA, rows)
     stats = save_paged(tmp_path, orpheus)
     refs_pages = referenced_pages(tmp_path)
     assert stats["pages"] == len(refs_pages)
-    assert stats["pages"] > stats["segments"]  # at least one split
+    assert stats["segments"] == 3 + 1  # a chunk per row, and the rid list
+    assert stats["pages"] >= 2 * 3 + 1  # each row's chunk: two pages or more
     for path in pagefiles.list_page_files(pagefiles.pages_dir(tmp_path)):
         payload = pagefiles.read_page(
             pagefiles.pages_dir(tmp_path),
@@ -110,7 +117,35 @@ def test_large_segments_split_across_pages(tmp_path, monkeypatch):
 
     reset_pool()
     loaded, _ = load(tmp_path)
-    assert len(checkout_rows(loaded, "ds", 2)) == 801
+    assert checkout_rows(loaded, "ds", 1) == sorted(rows)
+
+
+def test_a_heap_is_saved_as_chunks_and_an_append_writes_the_last(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "4096")
+    orpheus = build_orpheus(rows_per=800)
+    save_paged(tmp_path, orpheus)
+    before = read_directory(tmp_path)["generations"][0]["segments"]
+    data = sorted(key for key in before if key.startswith("table:ds__data#"))
+    assert len(data) >= 4 and "table:ds__data" not in before
+
+    reset_pool()
+    loaded, _ = load(tmp_path)
+    loaded.cvd("ds").commit(
+        [("ds-new", 7)], parents=(2,), message="append", author="alice"
+    )
+    stats = save_paged(tmp_path, loaded)
+    assert stats["segments_encoded"] == 2  # the data tail, the new rid list
+    after = read_directory(tmp_path)["generations"][0]["segments"]
+    changed = {key for key in after if after[key] != before.get(key)}
+    last = max(data, key=lambda key: int(key.partition("#")[2]))
+    assert changed == {last, "table:ds__rlist#2"}  # a page per rid list
+
+    reset_pool()
+    reloaded, _ = load(tmp_path)
+    assert checkout_rows(reloaded, "ds", 3) == [("ds-new", 7)]
+    assert len(checkout_rows(reloaded, "ds", 2)) == 801
 
 
 def test_listing_does_not_fault_any_pages(tmp_path):
@@ -156,6 +191,25 @@ def test_unchanged_resave_reuses_everything(tmp_path):
     assert second["segments_reused"] == first["segments"]
     assert second["pages_written"] == 0
     assert second["bytes_written"] == 0
+
+
+def test_a_refused_insert_leaves_the_table_clean(tmp_path):
+    orpheus = build_orpheus(datasets=("ds1", "ds2"))
+    first = save_paged(tmp_path, orpheus)
+    before = read_directory(tmp_path)["generations"][0]["segments"]
+    reset_pool()
+    loaded, _ = load(tmp_path)
+    table = loaded.database.table("ds1__data")
+    present = table.rows_snapshot()[0]
+    with pytest.raises(DuplicateKeyError):
+        table.insert(present)
+    with pytest.raises(SchemaError):
+        table.insert(present[:-1])
+    second = save_paged(tmp_path, loaded)
+    assert second["segments_encoded"] == 0
+    assert second["segments_reused"] == first["segments"]
+    assert second["pages_written"] == 0
+    assert read_directory(tmp_path)["generations"][0]["segments"] == before
 
 
 def test_commit_writes_back_only_touched_segments(tmp_path):
@@ -426,12 +480,17 @@ def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
     after = read_directory(tmp_path)["generations"][0]["segments"]
     # The ``cvd:*`` map segments are not carried over (the tables hold
     # what they held; tests/pagestore/test_layouts_agree.py follows
-    # their pages to the GC), every table segment is.
-    assert after.keys() == {key for key in before if key.startswith("table:")}
+    # their pages to the GC), every table is: as the chunks the commit
+    # cut it into, or as the whole-table segment it was.
+    assert after.keys() == {
+        key + "#0" if ":ds" in key else key
+        for key in before
+        if key.startswith("table:")
+    }
     for key, ref in after.items():
         if ":ds" in key:  # decoded from v1, dirtied, re-encoded
             assert ref["codec"].endswith(".v2"), key
-        else:  # never faulted in: the v1 ref rides through verbatim
+        else:  # not written to: the v1 ref rides through verbatim
             assert ref == before[key], key
 
     reset_pool()

@@ -22,12 +22,13 @@ from repro.core.models import DATA_MODELS
 from repro.core.models.split_by_rlist import SplitByRlistModel
 from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import paged_save
+from repro.relational.arrays import RangeEncodedArray
 from repro.relational.database import Database
-from repro.relational.errors import SchemaError
+from repro.relational.errors import DuplicateKeyError, SchemaError
 from repro.relational.expressions import col, lit
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import ClusterOrder, Table
-from repro.relational.types import FLOAT, INT, TEXT
+from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
 from repro.resilience.statestore import StateStore
 
 
@@ -62,6 +63,30 @@ def naive_lookup_many(table, column, keys):
     return found
 
 
+def naive_insert_many(table, rows):
+    """One validation, one key check and one write charge per row."""
+    table._ensure_page_load()
+    count = 0
+    for row in rows:
+        table.schema.validate_row(row)
+        stored = tuple(row)
+        if table._pk_index is not None:
+            key = table.schema.key_of(stored)
+            if table._pk_index.contains(key):
+                raise DuplicateKeyError(f"duplicate primary key {key!r}")
+            table._pk_index.add(key, len(table._rows))
+        for indexes in (table._secondary, table._ordered):
+            for column, index in indexes.items():
+                index.add(stored[table.schema.position(column)], len(table._rows))
+        table._rows.append(stored)
+        table._live_count += 1
+        size = table.schema.row_bytes(stored)
+        table._bytes += size
+        table.accountant.charge_write(1, size)
+        count += 1
+    return count
+
+
 @pytest.fixture
 def oracle(monkeypatch):
     """Swap the per-row oracle in under every access path (``lookup``,
@@ -70,6 +95,7 @@ def oracle(monkeypatch):
     def install():
         monkeypatch.setattr(Table, "scan", naive_scan)
         monkeypatch.setattr(Table, "lookup_many", naive_lookup_many)
+        monkeypatch.setattr(Table, "insert_many", naive_insert_many)
 
     return install
 
@@ -251,6 +277,100 @@ def test_lookup_many_matches_the_oracle_with_and_without_an_index(
         for t in (indexed, bare)
     ]
     assert batched[0][1].index_probes == len(keys)
+
+
+MIXED = Schema(
+    [
+        ColumnDef("id", INT), ColumnDef("name", TEXT), ColumnDef("score", FLOAT),
+        ColumnDef("flag", BOOL), ColumnDef("members", INT_ARRAY),
+    ],
+    primary_key=("id",),
+)
+
+
+def _mixed_rows(n: int, start: int = 0) -> list[tuple]:
+    """Every type, NULLs in every nullable column, arrays both ways."""
+    return [
+        (
+            i,
+            None if i % 5 == 0 else "n" * (i % 11),
+            None if i % 7 == 0 else i / 3,
+            None if i % 3 == 0 else i % 2 == 0,
+            None if i % 4 == 0
+            else RangeEncodedArray(range(i, 2 * i)) if i % 4 == 1
+            else list(range(i % 9)),
+        )
+        for i in range(start, start + n)
+    ]
+
+
+def _mixed_table(**kwargs) -> Table:
+    table = Table("mixed", MIXED, **kwargs)
+    table.create_index("name")
+    table.create_index("score")
+    table.create_index("id", ordered=True)  # (an ordered index holds no NULL)
+    return table
+
+
+def test_insert_many_charges_and_builds_what_row_by_row_inserts_do(metered, oracle):
+    rows = _mixed_rows(60)
+    batched, twin = _mixed_table(), _mixed_table()
+    got = measure(batched.accountant, lambda: batched.insert_many(iter(rows)))
+    one = measure(batched.accountant, lambda: batched.insert(_mixed_rows(1, 60)[0]))
+    oracle()
+    assert got == measure(twin.accountant, lambda: twin.insert_many(iter(rows)))
+    assert one == measure(twin.accountant, lambda: twin.insert(_mixed_rows(1, 60)[0]))
+    assert one[0] == 60 and got[1].rows_written == 60
+    assert batched.rows_snapshot() == twin.rows_snapshot()
+    assert batched.storage_bytes() == twin.storage_bytes()
+    for column, key in (("id", 17), ("name", "nnn"), ("score", 2.0)):
+        assert batched.lookup(column, key) == twin.lookup(column, key) != []
+
+
+@pytest.mark.parametrize(
+    "bad", [(7, "dup", 1.0, True, None), (99, "short"), (99, 5, 1.0, True, None)]
+)
+def test_a_refused_row_leaves_the_whole_batch_out(bad, metered):
+    table = _mixed_table()
+    table.insert_many(_mixed_rows(10))
+    state = (table.rows_snapshot(), table.storage_bytes(), table._dirty_from)
+    batch = _mixed_rows(5, 10) + [bad] + _mixed_rows(5, 15)
+    _, delta, io = measure(
+        table.accountant,
+        lambda: pytest.raises((DuplicateKeyError, SchemaError), table.insert_many, batch),
+    )
+    assert delta.rows_written == 0 and io == {}
+    assert (table.rows_snapshot(), table.storage_bytes(), table._dirty_from) == state
+    with pytest.raises(DuplicateKeyError):  # twice within one batch
+        table.insert_many(_mixed_rows(3, 20) + _mixed_rows(1, 21))
+    assert table.rows_snapshot() == state[0]
+
+
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_reads_of_every_type_match_the_oracle(reloaded, metered, oracle):
+    table = _mixed_table(cluster_order=ClusterOrder.PRIMARY_KEY)
+    table.insert_many(_mixed_rows(80))
+    for slot in (0, 13, 14, 79):
+        table.delete_at(slot)
+    if reloaded:
+        table = _reloaded(table)
+    sizes = [0 if r is None else table.schema.row_bytes(r) for r in table._rows]
+    for stop in (None, 0, 1, 14, 40, 80):
+        live = [r for r in table._rows[:stop] if r is not None]
+        assert table._sized(stop) == (len(live), sum(sizes[:stop]))
+    reads = {
+        "scan": lambda: list(table.scan()),
+        "abandoned": lambda: list(islice(table.scan(), 25)),
+        "by key": lambda: table.lookup_many("id", [5, 13, 404, 78, 5]),
+        "by text": lambda: table.lookup_many("name", ["nnn", None, "absent"]),
+        "by decimal": lambda: table.lookup_many("score", [2.0, 11.0]),
+        "no index": lambda: table.lookup_many("flag", [True, None]),
+    }
+    batched = {name: measure(table.accountant, read) for name, read in reads.items()}
+    oracle()
+    for name, read in reads.items():
+        assert batched[name] == measure(table.accountant, read), name
+    assert batched["by key"][1].bytes_read == sum(sizes[i] for i in (5, 78, 5))
 
 
 def test_update_where_charges_rows_at_the_size_they_were_read(metered):
