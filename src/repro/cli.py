@@ -32,6 +32,7 @@ command to print its span tree.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -45,8 +46,10 @@ from repro.observe.journal import (
     JOURNALED_COMMANDS,
     MUTATING_COMMANDS,
     Journal,
+    fill_record,
     make_record,
     new_trace_id,
+    requested_versions,
     verify_journal,
 )
 from repro.resilience import failpoints, fsio
@@ -350,10 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--flight-sample",
         type=float,
-        default=None,
+        default=1.0,
         metavar="FRAC",
         help="fraction of requests the flight recorder keeps, 0..1 "
-        "(default: $ORPHEUS_FLIGHT_SAMPLE or 1.0; 0 disables)",
+        "(default 1.0; 0 disables)",
     )
     serve.add_argument(
         "--flight-segment-mb",
@@ -673,9 +676,7 @@ def _locked_invocation(
         telemetry.count("commands.failed")
         telemetry.count(f"commands.failed.{kind}")
         if record is not None:
-            record.status = "error"
-            record.error_type = kind
-            record.error_message = str(error)
+            fill_record(record, _params(args), error=error)
         code = 1
     tree = telemetry.last_span_tree()
     if record is not None:
@@ -706,19 +707,12 @@ def _fold_heat_cli(args: argparse.Namespace, record) -> None:
         from repro.observe.heat import HeatAccountant, build_event
 
         registry = telemetry.get_registry()
-        # The "requested version": what the command produced (commit/
-        # init) or what it asked for (checkout/diff) — same rule as the
-        # daemon's stamping, so live and mined events agree.
-        if record.output_version is not None:
-            versions = [record.output_version]
-        else:
-            versions = list(record.input_versions or ())
         event = build_event(
             getattr(args, "_orpheus", None),
             ts=record.ts,
             command=record.command,
             dataset=record.dataset,
-            versions=versions,
+            versions=requested_versions(record.to_dict()),
             rows_returned=record.rows or 0,
             rows_scanned=registry.counter_value("storage.io.seq_rows")
             + registry.counter_value("storage.io.random_rows"),
@@ -739,11 +733,44 @@ def _render_plan(plan, args) -> str:
     return (plan.to_json() if args.json else plan.render()) + "\n"
 
 
+#: Argument names that are request parameters. Both grammars (local and
+#: ``remote``) name them as orpheusd's ops do.
+_PARAMS = (
+    "dataset", "versions", "file", "schema", "message", "parents", "model",
+    "a", "b", "sql", "gamma", "mu", "name", "email", "ops", "recent",
+)
+
+
+def _params(args: argparse.Namespace) -> dict:
+    """The request a parsed command line stands for: what orpheusd
+    receives, and what :meth:`Orpheus.execute` takes in process."""
+    params = {}
+    for key in _PARAMS:
+        value = getattr(args, key, None)
+        if value is not None and value is not False:
+            params[key] = value
+    return params
+
+
+def _plan(orpheus: Orpheus, args: argparse.Namespace):
+    """The EXPLAIN tree of a checkout, commit or diff command line."""
+    cvd = orpheus.cvd(args.dataset)
+    if args.command == "checkout":
+        return cvd.explain_checkout(args.versions)
+    if args.command == "diff":
+        return cvd.explain_diff(args.a, args.b)
+    schema = read_schema_file(args.schema) if args.schema else cvd.schema
+    pin = orpheus.staging.pinned(args.file)
+    return cvd.explain_commit(
+        len(read_csv(args.file, schema)), pin.parents if pin else ()
+    )
+
+
 def _dispatch(args: argparse.Namespace, record=None) -> int:
     """Execute one parsed command; raises on failure (the boundary in
     :func:`main` turns exceptions into exit code 1, telemetry, and the
     journal record). ``record`` is the journal entry to fill in for
-    mutating commands (None for read-only or plan-only invocations)."""
+    journaled commands (None for the others and plan-only invocations)."""
     out = sys.stdout
     if args.command == "recover":
         # Recovery manages its own files and must run even when the
@@ -754,227 +781,76 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     if args.command == "migrate-state":
         # Handles its own load/save cycle (the save must use the target
         # layout, not whatever save_state would sniff).
-        import json as _json
-
         from repro.pagestore.store import migrate_state
 
         result = migrate_state(args.root, to=args.to, dry_run=args.dry_run)
-        out.write(_json.dumps(result, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
         return 0
     orpheus = load_state(args.root)
     #: The heat fold in _locked_invocation resolves models/partitions
     #: against the same state this command ran on.
     args._orpheus = orpheus
+    user = orpheus.access.current_user or ""
     if record is not None:
-        record.user = orpheus.access.current_user or ""
-        record.dataset = getattr(args, "dataset", None)
-
-    if args.command == "init":
-        vid = orpheus.init_from_csv(
-            args.dataset, args.file, args.schema, model=args.model
-        )
-        if record is not None:
-            record.output_version = vid
-            record.rows = orpheus.cvd(args.dataset).versions.get(
-                vid
-            ).record_count
-        out.write(f"initialized CVD {args.dataset!r} at version {vid}\n")
-    elif args.command == "checkout":
-        if record is not None:
-            record.input_versions = list(args.versions)
-        plan = None
-        if args.explain:
-            plan = orpheus.cvd(args.dataset).explain_checkout(args.versions)
-        if args.explain == "plan":
-            out.write(_render_plan(plan, args))
-            return 0
-        do = lambda: orpheus.checkout_csv(
-            args.dataset, args.versions, args.file, args.schema
-        )
-        result = run_with_actuals(plan, do) if plan is not None else do()
-        if record is not None:
-            record.rows = len(result.rows)
-        if plan is not None:
-            out.write(_render_plan(plan, args))
-        out.write(
-            f"checked out version(s) {args.versions} of "
-            f"{args.dataset!r} into {args.file} "
-            f"({len(result.rows)} records)\n"
-        )
-    elif args.command == "commit":
-        cvd = orpheus.cvd(args.dataset)
-        schema = (
-            read_schema_file(args.schema) if args.schema else cvd.schema
-        )
-        rows = read_csv(args.file, schema)
-        info = orpheus.staging._staged.get(args.file)
-        parents = info.parents if info is not None else ()
-        plan = None
-        if args.explain:
-            plan = cvd.explain_commit(len(rows), parents)
-        if args.explain == "plan":
-            out.write(_render_plan(plan, args))
-            return 0
-        try:
-            telemetry.count(
-                "command.commit.bytes_staged", os.path.getsize(args.file)
-            )
-        except OSError:
-            pass
-
-        def do_commit():
-            vid = cvd.commit(
-                rows,
-                parents=parents,
-                message=args.message,
-                author=orpheus.access.current_user or "",
-                columns=schema.column_names,
-                column_types={c.name: c.dtype for c in schema.columns},
-            )
-            orpheus.staging._staged.pop(args.file, None)
-            return vid
-
-        vid = (
-            run_with_actuals(plan, do_commit)
-            if plan is not None
-            else do_commit()
-        )
-        if record is not None:
-            record.input_versions = list(parents)
-            record.output_version = vid
-            record.rows = len(rows)
-        if plan is not None:
-            out.write(_render_plan(plan, args))
-        out.write(f"committed version {vid} to {args.dataset!r}\n")
-    elif args.command == "log":
-        if args.ops:
-            journal = Journal(args.root)
-            records = journal.read()
-            if args.json:
-                import json as _json
-
-                out.write(_json.dumps(records, default=str) + "\n")
-            else:
-                out.write(journal.render_text(records))
-            if args.verify:
-                divergences = verify_journal(orpheus, records)
-                if divergences:
-                    for line in divergences:
-                        out.write(f"DIVERGED: {line}\n")
-                    return 1
-                out.write("journal and version graph agree\n")
-            return 0
-        if args.dataset is None:
-            raise ValueError("log requires -d/--dataset (or --ops)")
-        if args.json:
-            import json as _json
-
-            out.write(
-                _json.dumps(orpheus.log_info(args.dataset), default=str)
-                + "\n"
-            )
-            return 0
-        cvd = orpheus.cvd(args.dataset)
-        for vid in cvd.versions.vids():
-            metadata = cvd.versions.get(vid)
-            parents = ",".join(map(str, metadata.parents)) or "-"
-            out.write(
-                f"v{vid}  parents=[{parents}]  "
-                f"records={metadata.record_count}  "
-                f"author={metadata.author or '-'}  "
-                f"{metadata.message}\n"
-            )
-    elif args.command == "diff":
-        if record is not None:
-            record.input_versions = [args.a, args.b]
-        plan = None
-        if args.explain:
-            plan = orpheus.cvd(args.dataset).explain_diff(args.a, args.b)
-        if args.explain == "plan":
-            out.write(_render_plan(plan, args))
-            return 0
-        do = lambda: orpheus.diff(args.dataset, args.a, args.b)
-        only_a, only_b = run_with_actuals(plan, do) if plan is not None else do()
-        if record is not None:
-            record.rows = len(only_a) + len(only_b)
-        if plan is not None:
-            out.write(_render_plan(plan, args))
-        out.write(f"records only in v{args.a}: {len(only_a)}\n")
-        for row in only_a[:20]:
-            out.write(f"  + {row}\n")
-        out.write(f"records only in v{args.b}: {len(only_b)}\n")
-        for row in only_b[:20]:
-            out.write(f"  - {row}\n")
-    elif args.command == "run":
-        result = orpheus.run(args.sql)
-        if record is not None:
-            record.rows = len(result.rows)
-        rows = result.rows
-        if args.limit is not None:
-            rows = rows[: args.limit]
-        if args.json:
-            import json as _json
-
-            out.write(
-                _json.dumps(
-                    {
-                        "columns": list(result.columns),
-                        "rows": [list(row) for row in rows],
-                        "total_rows": len(result.rows),
-                    },
-                    default=str,
-                )
-                + "\n"
-            )
-        else:
-            out.write("  ".join(result.columns) + "\n")
-            for row in rows:
-                out.write("  ".join(str(value) for value in row) + "\n")
-            if args.limit is not None and len(result.rows) > args.limit:
-                out.write(
-                    f"... ({len(result.rows) - args.limit} more rows)\n"
-                )
-    elif args.command == "ls":
-        if args.json:
-            import json as _json
-
-            out.write(_json.dumps(orpheus.ls_info(), default=str) + "\n")
-        else:
-            for name in orpheus.ls():
-                cvd = orpheus.cvd(name)
-                out.write(
-                    f"{name}  versions={cvd.num_versions}  "
-                    f"records={cvd.num_records}\n"
-                )
-    elif args.command == "drop":
-        orpheus.drop(args.dataset)
-        out.write(f"dropped {args.dataset!r}\n")
-    elif args.command == "optimize":
-        partitioning = orpheus.optimize(
-            args.dataset,
-            storage_threshold_factor=args.gamma,
-            tolerance=args.mu,
-        )
-        out.write(
-            f"repartitioned {args.dataset!r} into "
-            f"{partitioning.num_partitions} partitions\n"
-        )
-    elif args.command == "doctor":
+        record.user = user
+    if args.command == "doctor":
         report = run_doctor(orpheus, args.root)
         out.write(report.to_json() + "\n" if args.json else report.render_text())
         return report.exit_code
-    elif args.command == "create_user":
-        orpheus.create_user(args.name, args.email)
-        out.write(f"created user {args.name!r}\n")
-    elif args.command == "config":
+    if args.command == "config":
         orpheus.config(args.name)
         out.write(f"logged in as {args.name!r}\n")
-    elif args.command == "whoami":
-        out.write(orpheus.whoami() + "\n")
+        save_state(orpheus, args.root)
+        return 0
 
+    params = _params(args)
+    explain = getattr(args, "explain", None)
+    plan = _plan(orpheus, args) if explain else None
+    if explain == "plan":
+        out.write(_render_plan(plan, args))
+        return 0
+    do = lambda: orpheus.execute(
+        args.command, params, user, root=args.root, read_csv=read_csv
+    )
+    data = run_with_actuals(plan, do) if plan is not None else do()
+    if record is not None:
+        fill_record(record, params, data)
+    if plan is not None:
+        out.write(_render_plan(plan, args))
+    code = _write_local(out, args, params, data, orpheus)
     # Readers hold only the shared lock and must not rewrite state.
     if args.command in STATE_WRITING_COMMANDS:
         save_state(orpheus, args.root)
+    return code
+
+
+def _write_local(out, args, params: dict, data: dict, orpheus) -> int:
+    """Print an in-process result: the shared renderer, or the local-only
+    ``--json`` / ``run --limit`` views; then ``log --ops --verify``."""
+    limit = getattr(args, "limit", None)
+    if limit is not None:
+        data = dict(data, data=data["data"][:limit])
+    if args.command in ("log", "ls", "run") and args.json:
+        if args.command == "run":
+            payload = {
+                "columns": data["columns"],
+                "rows": data["data"],
+                "total_rows": data["row_count"],
+            }
+        else:
+            payload = data.get("records", data.get("datasets", data))
+        out.write(json.dumps(payload, default=str) + "\n")
+    else:
+        _render(out, args.command, params, data)
+        if limit is not None and data["row_count"] > limit:
+            out.write(f"... ({data['row_count'] - limit} more rows)\n")
+    if args.command == "log" and args.ops and args.verify:
+        divergences = verify_journal(orpheus, data["records"])
+        for line in divergences:
+            out.write(f"DIVERGED: {line}\n")
+        if divergences:
+            return 1
+        out.write("journal and version graph agree\n")
     return 0
 
 
@@ -1127,7 +1003,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     """``orpheus serve``: run (or query/stop) the version-service
     daemon. ``--status`` and ``--stop`` talk to a running daemon over
     its socket and never touch the repository lock the daemon holds."""
-    import json as _json
     import signal
 
     from repro.service.client import (
@@ -1156,7 +1031,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             sys.stderr.write(f"error: {error}\n")
             return 1
         if args.json:
-            sys.stdout.write(_json.dumps(status, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
         else:
             cache = status.get("cache", {})
             requests = status.get("requests", {})
@@ -1356,12 +1231,11 @@ def _build_remote_parser() -> argparse.ArgumentParser:
 def _run_remote(args: argparse.Namespace) -> int:
     """``orpheus remote <cmd ...>``: forward one command to the daemon.
 
-    Output mirrors the local CLI so scripts can switch between direct
-    and served execution by inserting ``remote``; ``--json`` prints the
-    raw response data instead.
+    The daemon runs the same command code as the local CLI and the
+    answer is rendered by the same renderer, so scripts can switch
+    between direct and served execution by inserting ``remote``;
+    ``--json`` prints the raw response data instead.
     """
-    import json as _json
-
     from repro.service.client import (
         ServiceBusyError,
         ServiceClient,
@@ -1375,12 +1249,15 @@ def _run_remote(args: argparse.Namespace) -> int:
         sys.stderr.write("error: remote needs a command to forward\n")
         return 2
     remote_args = _build_remote_parser().parse_args(cmd)
-    out = sys.stdout
+    op = remote_args.rcmd.replace("-", "_")
+    params = _params(remote_args)
+    if op == "checkout" and "file" not in params:
+        params["inline"] = True
     try:
         with ServiceClient(
             socket_path=args.socket, root=args.root, user=args.user
         ) as client:
-            data = _remote_dispatch(client, remote_args)
+            data = client.request(op, **params)
     except ServiceBusyError as error:
         sys.stderr.write(f"busy: {error} (retry with backoff)\n")
         return 3
@@ -1388,83 +1265,37 @@ def _run_remote(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: {error}\n")
         return 1
     if args.json:
-        out.write(_json.dumps(data, default=str, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(data, default=str, sort_keys=True) + "\n")
         return 0
-    _render_remote(out, remote_args, data)
+    _render(sys.stdout, op, params, data)
     return 0
 
 
-def _remote_dispatch(client, r: argparse.Namespace) -> dict:
-    if r.rcmd == "init":
-        return client.init(r.dataset, r.file, r.schema, model=r.model)
-    if r.rcmd == "checkout":
-        return client.checkout(
-            r.dataset, r.versions, file=r.file, schema=r.schema,
-            inline=r.file is None,
-        )
-    if r.rcmd == "commit":
-        return client.commit(
-            r.dataset, r.file, message=r.message, schema=r.schema,
-            parents=r.parents,
-        )
-    if r.rcmd == "log":
-        return client.log(dataset=r.dataset, ops=r.ops)
-    if r.rcmd == "diff":
-        return client.diff(r.dataset, r.a, r.b)
-    if r.rcmd == "ls":
-        return {"datasets": client.ls()}
-    if r.rcmd == "run":
-        return client.run(r.sql)
-    if r.rcmd == "drop":
-        return client.drop(r.dataset)
-    if r.rcmd == "optimize":
-        return client.optimize(r.dataset, gamma=r.gamma, mu=r.mu)
-    if r.rcmd == "create_user":
-        return client.create_user(r.name, r.email)
-    if r.rcmd == "whoami":
-        return client.whoami()
-    if r.rcmd == "doctor":
-        return client.doctor()
-    if r.rcmd == "status":
-        return client.status()
-    if r.rcmd == "stats":
-        return client.stats(recent=r.recent)
-    if r.rcmd == "ping":
-        return {"pong": client.ping()}
-    if r.rcmd == "flush-cache":
-        return {"dropped": client.flush_cache()}
-    if r.rcmd == "flush-quarantine":
-        return {"dropped": client.flush_quarantine()}
-    if r.rcmd == "shutdown":
-        client.shutdown()
-        return {"stopping": True}
-    raise AssertionError(r.rcmd)
-
-
-def _render_remote(out, r: argparse.Namespace, data: dict) -> None:
-    """Human output for remote responses, mirroring the local CLI."""
-    import json as _json
-
-    if r.rcmd == "init":
+def _render(out, op: str, params: dict, data: dict) -> None:
+    """Human output of one command's result dict: the same lines whether
+    the command ran in process or on orpheusd."""
+    if op == "init":
         out.write(
             f"initialized CVD {data['dataset']!r} at version "
             f"{data['version']}\n"
         )
-    elif r.rcmd == "checkout":
+    elif op == "checkout":
         where = f"into {data['file']} " if data.get("file") else ""
         hot = " [cached]" if data.get("cached") else ""
         out.write(
-            f"checked out version(s) {r.versions} of {r.dataset!r} "
-            f"{where}({data['rows']} records){hot}\n"
+            f"checked out version(s) {params['versions']} of "
+            f"{params['dataset']!r} {where}({data['rows']} records){hot}\n"
         )
         if data.get("data") is not None:
             out.write("  ".join(data["columns"]) + "\n")
             for row in data["data"]:
                 out.write("  ".join(str(v) for v in row) + "\n")
-    elif r.rcmd == "commit":
-        out.write(f"committed version {data['version']} to {r.dataset!r}\n")
-    elif r.rcmd == "log":
-        if r.ops:
+    elif op == "commit":
+        out.write(
+            f"committed version {data['version']} to {params['dataset']!r}\n"
+        )
+    elif op == "log":
+        if params.get("ops"):
             out.write(Journal().render_text(data.get("records", [])))
         else:
             for v in data.get("versions", []):
@@ -1474,45 +1305,45 @@ def _render_remote(out, r: argparse.Namespace, data: dict) -> None:
                     f"records={v['records']}  "
                     f"author={v['author'] or '-'}  {v['message']}\n"
                 )
-    elif r.rcmd == "diff":
-        out.write(f"records only in v{r.a}: {data['only_a_count']}\n")
+    elif op == "diff":
+        out.write(f"records only in v{params['a']}: {data['only_a_count']}\n")
         for row in data["only_a"]:
             out.write(f"  + {tuple(row)}\n")
-        out.write(f"records only in v{r.b}: {data['only_b_count']}\n")
+        out.write(f"records only in v{params['b']}: {data['only_b_count']}\n")
         for row in data["only_b"]:
             out.write(f"  - {tuple(row)}\n")
-    elif r.rcmd == "ls":
+    elif op == "ls":
         for info in data["datasets"]:
             out.write(
                 f"{info['dataset']}  versions={info['versions']}  "
                 f"records={info['records']}\n"
             )
-    elif r.rcmd == "run":
+    elif op == "run":
         out.write("  ".join(data["columns"]) + "\n")
         for row in data["data"]:
             out.write("  ".join(str(v) for v in row) + "\n")
-    elif r.rcmd == "drop":
-        out.write(f"dropped {r.dataset!r}\n")
-    elif r.rcmd == "optimize":
+    elif op == "drop":
+        out.write(f"dropped {params['dataset']!r}\n")
+    elif op == "optimize":
         out.write(
-            f"repartitioned {r.dataset!r} into "
+            f"repartitioned {params['dataset']!r} into "
             f"{data['partitions']} partitions\n"
         )
-    elif r.rcmd == "create_user":
+    elif op == "create_user":
         out.write(f"created user {data['user']!r}\n")
-    elif r.rcmd == "whoami":
+    elif op == "whoami":
         out.write((data.get("user") or "anonymous") + "\n")
-    elif r.rcmd in ("doctor", "status", "stats"):
-        out.write(_json.dumps(data, indent=2, sort_keys=True, default=str) + "\n")
-    elif r.rcmd == "ping":
+    elif op in ("doctor", "status", "stats"):
+        out.write(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n")
+    elif op == "ping":
         out.write("pong\n" if data.get("pong") else "no reply\n")
-    elif r.rcmd == "flush-cache":
+    elif op == "flush_cache":
         out.write(f"dropped {data['dropped']} cached checkouts\n")
-    elif r.rcmd == "flush-quarantine":
+    elif op == "flush_quarantine":
         out.write(
             f"cleared {data['dropped']} quarantined request digest(s)\n"
         )
-    elif r.rcmd == "shutdown":
+    elif op == "shutdown":
         out.write("orpheusd draining\n")
 
 
@@ -1542,8 +1373,6 @@ def _run_heat(args: argparse.Namespace) -> int:
     journal); amplification and the advisor join that heat with the
     live page cost model.
     """
-    import json as _json
-
     from repro.observe.amplification import (
         amplification_report,
         bound_comparison,
@@ -1599,7 +1428,7 @@ def _run_heat(args: argparse.Namespace) -> int:
     }
     if args.json:
         sys.stdout.write(
-            _json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+            json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
         )
         return 0
     out = sys.stdout

@@ -7,16 +7,24 @@ Implements the command set of Section 3.3.1 — ``init``, ``checkout``
 materializes rows into the staging area, the provenance manager logs the
 derivation metadata, the access controller gates who may touch what, and
 the version manager updates the metadata on commit.
+
+Each command the CLI and orpheusd serve is one ``cmd_<name>`` method run
+through :meth:`Orpheus.execute`: it takes the request parameters (what
+orpheusd receives; the CLI builds the same dict from its arguments) and
+the acting user, and returns the response dict orpheusd sends. Both
+front ends render that dict with one renderer and journal it with one
+rule (:func:`repro.observe.journal.op_fields`).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 from repro import telemetry
 from repro.core.access import AccessController
 from repro.core.cvd import CVD, CheckoutResult
-from repro.core.errors import CVDError, StagingError
+from repro.core.errors import CVDError
 from repro.core.csvio import read_csv, read_schema_file, write_csv, write_schema_file
 from repro.core.staging import StagingArea
 from repro.relational.database import Database
@@ -56,11 +64,12 @@ class Orpheus:
         rows: Sequence[tuple] = (),
         model: str = "split_by_rlist",
         message: str = "initial version",
+        author: str | None = None,
     ) -> int:
         """Initialize a new CVD from rows (or an empty relation).
 
         Returns the vid of the initial version (created only when rows
-        are provided).
+        are provided). ``author`` defaults to the logged-in user.
         """
         with telemetry.span("command.init", dataset=name, model=str(model)):
             if name in self._cvds:
@@ -72,7 +81,11 @@ class Orpheus:
                     rows,
                     parents=(),
                     message=message,
-                    author=self.access.current_user or "",
+                    author=(
+                        self.access.current_user or ""
+                        if author is None
+                        else author
+                    ),
                 )
             return 0
 
@@ -82,11 +95,12 @@ class Orpheus:
         csv_path: str,
         schema_path: str,
         model: str = "split_by_rlist",
+        author: str | None = None,
     ) -> int:
         """``init -f file.csv -s schema``: register a CSV as a new CVD."""
         schema = read_schema_file(schema_path)
         rows = read_csv(csv_path, schema)
-        return self.init(name, schema, rows, model=model)
+        return self.init(name, schema, rows, model=model, author=author)
 
     def init_from_table(
         self,
@@ -119,48 +133,6 @@ class Orpheus:
     def ls(self) -> list[str]:
         """List all CVDs."""
         return sorted(self._cvds)
-
-    def ls_info(self) -> list[dict]:
-        """Machine-readable ``ls``: one summary dict per CVD.
-
-        Shared by ``orpheus ls --json`` and the service daemon's ``ls``
-        op, so local and remote listings agree field-for-field.
-        """
-        summaries = []
-        for name in self.ls():
-            cvd = self._cvds[name]
-            summaries.append(
-                {
-                    "dataset": name,
-                    "versions": cvd.num_versions,
-                    "records": cvd.num_records,
-                    "model": type(cvd.model).__name__,
-                }
-            )
-        return summaries
-
-    def log_info(self, name: str) -> dict:
-        """Machine-readable ``log``: the version graph of one CVD.
-
-        Shared by ``orpheus log --json`` and the daemon's ``log`` op.
-        """
-        cvd = self.cvd(name)
-        versions = []
-        for vid in cvd.versions.vids():
-            metadata = cvd.versions.get(vid)
-            versions.append(
-                {
-                    "vid": vid,
-                    "parents": list(metadata.parents),
-                    "children": list(metadata.children),
-                    "records": metadata.record_count,
-                    "author": metadata.author or "",
-                    "message": metadata.message,
-                    "commit_time": metadata.commit_time,
-                    "checkout_time": metadata.checkout_time,
-                }
-            )
-        return {"dataset": name, "versions": versions}
 
     def drop(self, name: str) -> None:
         cvd = self.cvd(name)
@@ -203,7 +175,6 @@ class Orpheus:
         if merge_strategy == "precedence":
             result = cvd.checkout(vids)
         else:
-            from repro.core.cvd import CheckoutResult
             from repro.core.merge import merge_latest, merge_strict
 
             if isinstance(vids, int):
@@ -236,30 +207,6 @@ class Orpheus:
             cvd.versions.get(parent).checkout_time = telemetry.now()
         return table
 
-    def checkout_csv(
-        self,
-        cvd_name: str,
-        vids: int | Sequence[int],
-        csv_path: str,
-        schema_path: str | None = None,
-    ) -> CheckoutResult:
-        """``checkout [cvd] -v vids -f file.csv``."""
-        with telemetry.span("command.checkout", dataset=cvd_name, target="csv"):
-            self.access.check_cvd_access(cvd_name)
-            cvd = self.cvd(cvd_name)
-            result = cvd.checkout(vids)
-            write_csv(csv_path, result.columns, result.rows)
-            if schema_path is not None:
-                write_schema_file(schema_path, cvd.schema)
-            telemetry.count(
-                "command.checkout.rows_materialized", len(result.rows)
-            )
-            # Track the file as derived from these versions (provenance).
-            self.staging._staged[csv_path] = _csv_staged(
-                csv_path, cvd_name, result.parents, self.access.current_user or ""
-            )
-            return result
-
     def commit(
         self,
         table_name: str,
@@ -287,48 +234,6 @@ class Orpheus:
             if current is not None:
                 current.set_attr("vid", vid)
             self.staging.release(table_name)
-            return vid
-
-    def commit_csv(
-        self,
-        csv_path: str,
-        schema_path: str,
-        message: str = "",
-    ) -> int:
-        """``commit -f file.csv -s schema -m message``."""
-        try:
-            info = self.staging.metadata(csv_path)
-        except StagingError:
-            raise StagingError(
-                f"{csv_path!r} was not produced by checkout_csv; "
-                "use init_from_csv for new datasets"
-            ) from None
-        with telemetry.span(
-            "command.commit", dataset=info.cvd_name, source="csv"
-        ) as current:
-            import os
-
-            schema = read_schema_file(schema_path)
-            rows = read_csv(csv_path, schema)
-            try:
-                telemetry.count(
-                    "command.commit.bytes_staged", os.path.getsize(csv_path)
-                )
-            except OSError:
-                pass
-            cvd = self.cvd(info.cvd_name)
-            vid = cvd.commit(
-                rows,
-                parents=info.parents,
-                message=message,
-                author=self.access.current_user or "",
-                columns=schema.column_names,
-                column_types={c.name: c.dtype for c in schema.columns},
-                checkout_time=info.checkout_time,
-            )
-            if current is not None:
-                current.set_attr("vid", vid)
-            del self.staging._staged[csv_path]
             return vid
 
     # ------------------------------------------------------------------
@@ -389,10 +294,207 @@ class Orpheus:
                 current.set_attr("partitions", partitioning.num_partitions)
             return partitioning
 
+    # ------------------------------------------------------------------
+    # The command set: one method per command, shared by the CLI and
+    # orpheusd. Each takes the request parameters and the acting user
+    # and returns the response dict orpheusd sends.
+    # ------------------------------------------------------------------
+    def execute(
+        self,
+        op: str,
+        params: dict,
+        user: str = "",
+        root: str | None = None,
+        read_csv=read_csv,
+    ) -> dict:
+        """Run command ``op``. ``root`` locates the operation journal
+        ``log`` reads with ``ops``; ``read_csv`` parses the file a
+        ``commit`` stores (the CLI passes its own name for it, which
+        the e2e harness times)."""
+        if op not in COMMANDS:
+            raise ValueError(f"unknown command {op!r}")
+        if op == "log":
+            return self.cmd_log(params, user, root)
+        if op == "commit":
+            return self.cmd_commit(params, user, read_csv)
+        return getattr(self, f"cmd_{op}")(params, user)
 
-def _csv_staged(path: str, cvd_name: str, parents, owner: str):
-    from repro.core.staging import StagedTable
+    def cmd_init(self, params: dict, user: str = "") -> dict:
+        dataset = params.get("dataset")
+        vid = self.init_from_csv(
+            dataset,
+            params.get("file"),
+            params.get("schema"),
+            model=params.get("model") or "split_by_rlist",
+            author=user,
+        )
+        rows = self.cvd(dataset).versions.get(vid).record_count if vid else 0
+        return {"dataset": dataset, "version": vid, "rows": rows}
 
-    return StagedTable(
-        table_name=path, cvd_name=cvd_name, parents=parents, owner=owner
-    )
+    def cmd_checkout(self, params: dict, user: str = "", materialize=None) -> dict:
+        """Materialize version(s); with ``file``, write them there as
+        CSV (and the schema to ``schema``) and pin the file's parents
+        for its commit. ``materialize(cvd, vids)`` returns anything with
+        ``columns``/``rows``/``parents`` — orpheusd's version cache."""
+        dataset = params.get("dataset")
+        vids = [int(v) for v in params.get("versions") or ()]
+        if not dataset or not vids:
+            raise ValueError("checkout requires 'dataset' and 'versions'")
+        self.access.check_cvd_access(dataset, user=user or None)
+        cvd = self.cvd(dataset)
+        result = materialize(cvd, vids) if materialize else cvd.checkout(vids)
+        telemetry.count("command.checkout.rows_materialized", len(result.rows))
+        data = {
+            "rows": len(result.rows),
+            "columns": list(result.columns),
+            "parents": list(result.parents),
+        }
+        path = params.get("file")
+        if path:
+            write_csv(path, result.columns, result.rows)
+            if params.get("schema"):
+                write_schema_file(params["schema"], cvd.schema)
+            self.staging.pin(path, dataset, result.parents, user)
+            data["file"] = path
+        return data
+
+    def cmd_commit(self, params: dict, user: str = "", read_csv=read_csv) -> dict:
+        """Commit a CSV file as a new version. Parents: the explicit
+        ``parents``, else the checkout pin of the file, else none (a new
+        root); the pin also supplies the version's checkout time."""
+        dataset, path = params.get("dataset"), params.get("file")
+        if not dataset or not path:
+            raise ValueError("commit requires 'dataset' and 'file'")
+        cvd = self.cvd(dataset)
+        schema = (
+            read_schema_file(params["schema"])
+            if params.get("schema")
+            else cvd.schema
+        )
+        rows = read_csv(path, schema)
+        pin = self.staging.pinned(path)
+        explicit = params.get("parents")
+        if explicit is not None:
+            parents = tuple(int(p) for p in explicit)
+        else:
+            parents = pin.parents if pin is not None else ()
+        try:
+            telemetry.count("command.commit.bytes_staged", os.path.getsize(path))
+        except OSError:
+            pass
+        vid = cvd.commit(
+            rows,
+            parents=parents,
+            message=params.get("message") or "",
+            author=user,
+            columns=schema.column_names,
+            column_types={c.name: c.dtype for c in schema.columns},
+            checkout_time=pin.checkout_time if pin is not None else None,
+        )
+        self.staging.unpin(path)
+        return {
+            "dataset": dataset,
+            "version": vid,
+            "rows": len(rows),
+            "parents": list(parents),
+        }
+
+    def cmd_log(self, params: dict, user: str = "", root: str | None = None) -> dict:
+        """The version graph of one CVD, or with ``ops`` the operation
+        journal of the repository at ``root``."""
+        if params.get("ops"):
+            from repro.observe.journal import Journal
+
+            return {"records": Journal(root).read()}
+        dataset = params.get("dataset")
+        if not dataset:
+            raise ValueError("log requires 'dataset' (or ops=true)")
+        cvd = self.cvd(dataset)
+        versions = []
+        for vid in cvd.versions.vids():
+            metadata = cvd.versions.get(vid)
+            versions.append(
+                {
+                    "vid": vid,
+                    "parents": list(metadata.parents),
+                    "children": list(metadata.children),
+                    "records": metadata.record_count,
+                    "author": metadata.author or "",
+                    "message": metadata.message,
+                    "commit_time": metadata.commit_time,
+                    "checkout_time": metadata.checkout_time,
+                }
+            )
+        return {"dataset": dataset, "versions": versions}
+
+    def cmd_diff(self, params: dict, user: str = "") -> dict:
+        """Record counts only in ``a`` / only in ``b``, with the first
+        ``limit`` (default 20) records of each side."""
+        vid_a, vid_b = int(params.get("a")), int(params.get("b"))
+        only_a, only_b = self.diff(params.get("dataset"), vid_a, vid_b)
+        limit = params.get("limit", 20)
+        return {
+            "a": vid_a,
+            "b": vid_b,
+            "only_a_count": len(only_a),
+            "only_b_count": len(only_b),
+            "only_a": [list(row) for row in only_a[:limit]],
+            "only_b": [list(row) for row in only_b[:limit]],
+        }
+
+    def cmd_run(self, params: dict, user: str = "") -> dict:
+        sql = params.get("sql")
+        if not sql:
+            raise ValueError("run requires 'sql'")
+        result = self.run(sql)
+        return {
+            "columns": list(result.columns),
+            "data": [list(row) for row in result.rows],
+            "row_count": len(result.rows),
+        }
+
+    def cmd_ls(self, params: dict, user: str = "") -> dict:
+        return {
+            "datasets": [
+                {
+                    "dataset": name,
+                    "versions": cvd.num_versions,
+                    "records": cvd.num_records,
+                    "model": type(cvd.model).__name__,
+                }
+                for name, cvd in sorted(self._cvds.items())
+            ]
+        }
+
+    def cmd_drop(self, params: dict, user: str = "") -> dict:
+        dataset = params.get("dataset")
+        self.drop(dataset)
+        return {"dataset": dataset, "dropped": True}
+
+    def cmd_optimize(self, params: dict, user: str = "") -> dict:
+        dataset = params.get("dataset")
+        partitioning = self.optimize(
+            dataset,
+            storage_threshold_factor=params.get("gamma", 2.0),
+            tolerance=params.get("mu", 1.5),
+        )
+        return {"dataset": dataset, "partitions": partitioning.num_partitions}
+
+    def cmd_create_user(self, params: dict, user: str = "") -> dict:
+        name = params.get("name")
+        if not name:
+            raise ValueError("create_user requires 'name'")
+        self.create_user(name, params.get("email") or "")
+        return {"user": name}
+
+    def cmd_whoami(self, params: dict, user: str = "") -> dict:
+        return {"user": user or "", "anonymous": not user}
+
+
+#: The commands :meth:`Orpheus.execute` runs.
+COMMANDS = frozenset(
+    {
+        "init", "checkout", "commit", "log", "diff", "run", "ls", "drop",
+        "optimize", "create_user", "whoami",
+    }
+)

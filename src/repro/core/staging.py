@@ -95,5 +95,20 @@ class StagingArea:
         self.database.drop_table(table_name, missing_ok=True)
         del self._staged[table_name]
 
+    def pin(
+        self, path: str, cvd_name: str, parents: tuple[int, ...], owner: str
+    ) -> None:
+        """Remember that a checkout wrote the file ``path`` from
+        ``parents``: the provenance a later commit of that file uses."""
+        self._staged[path] = StagedTable(
+            table_name=path, cvd_name=cvd_name, parents=tuple(parents), owner=owner
+        )
+
+    def pinned(self, path: str) -> StagedTable | None:
+        return self._staged.get(path)
+
+    def unpin(self, path: str) -> None:
+        self._staged.pop(path, None)
+
     def staged_names(self) -> list[str]:
         return sorted(self._staged)

@@ -85,10 +85,8 @@ FLIGHT_BUDGET_BYTES = 64 * 1024 * 1024
 FLIGHT_BUDGET_ENV = "ORPHEUS_FLIGHT_BUDGET_BYTES"
 
 #: Fault budget for the service_faults probe: worker errors or deadline
-#: sheds above this percentage of total requests warn. Override via the
-#: environment (e.g. a chaos CI job that *expects* a high fault rate).
+#: sheds above this percentage of total requests warn.
 FAULT_BUDGET_PCT = 1.0
-FAULT_BUDGET_ENV = "ORPHEUS_FAULT_BUDGET_PCT"
 
 
 @dataclass
@@ -854,8 +852,8 @@ def probe_service_faults(root: str | None = None) -> ProbeResult:
     added by the service fault-injection work: warns when the daemon is
     in degraded read-only mode (writes are bouncing), when poisoned
     requests sit quarantined, or when the worker-error / deadline-shed
-    rate exceeds the fault budget (``ORPHEUS_FAULT_BUDGET_PCT`` percent
-    of total requests, default 1%). No daemon — or a daemon we cannot
+    rate exceeds the fault budget (``FAULT_BUDGET_PCT``, 1% of total
+    requests). No daemon — or a daemon we cannot
     reach — is OK here; liveness is ``service_health``'s job.
     """
     from repro.service.client import (
@@ -913,11 +911,6 @@ def probe_service_faults(root: str | None = None) -> ProbeResult:
     deadline_exceeded = int(
         requests.get("deadline_exceeded", 0) or 0
     ) + int(requests.get("deadline_shed", 0) or 0)
-    budget_raw = os.environ.get(FAULT_BUDGET_ENV)
-    try:
-        budget_pct = float(budget_raw) if budget_raw else FAULT_BUDGET_PCT
-    except ValueError:
-        budget_pct = FAULT_BUDGET_PCT
     worker_pct = 100.0 * worker_errors / total
     deadline_pct = 100.0 * deadline_exceeded / total
     quarantined = int(quarantine.get("quarantined", 0) or 0)
@@ -938,19 +931,19 @@ def probe_service_faults(root: str | None = None) -> ProbeResult:
             "--status`, fix or stop the offending request, then "
             "`orpheus remote -- flush-quarantine`"
         )
-    if worker_pct > budget_pct:
+    if worker_pct > FAULT_BUDGET_PCT:
         problems.append(
             f"worker-error rate {worker_pct:.1f}% exceeds the "
-            f"{budget_pct:.1f}% budget"
+            f"{FAULT_BUDGET_PCT:.1f}% budget"
         )
         remediation.append(
             "check the daemon stderr and the journal for the failing "
             "op; repeated crashers quarantine automatically"
         )
-    if deadline_pct > budget_pct:
+    if deadline_pct > FAULT_BUDGET_PCT:
         problems.append(
             f"deadline-shed rate {deadline_pct:.1f}% exceeds the "
-            f"{budget_pct:.1f}% budget"
+            f"{FAULT_BUDGET_PCT:.1f}% budget"
         )
         remediation.append(
             "the queue is slow, not full: raise client deadlines "
@@ -961,7 +954,7 @@ def probe_service_faults(root: str | None = None) -> ProbeResult:
         "total": requests.get("total", 0),
         "worker_errors": worker_errors,
         "deadline_exceeded": deadline_exceeded,
-        "budget_pct": budget_pct,
+        "budget_pct": FAULT_BUDGET_PCT,
         "degrade": degrade,
         "quarantine": {
             key: value

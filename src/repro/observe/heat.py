@@ -442,7 +442,7 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
     predates scan stamping. Events come back in timestamp order so the
     mined EWMA equals the live one.
     """
-    from repro.observe.journal import Journal
+    from repro.observe.journal import Journal, requested_versions
     from repro.service.recorder import flight_dir_path, read_flight
 
     events: list[AccessEvent] = []
@@ -484,20 +484,13 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
         command = record.get("command")
         if not dataset or command not in HEAT_COMMANDS:
             continue
-        # Same "requested version" rule as the live folds: the output
-        # version when the command produced one, else the inputs.
-        output = record.get("output_version")
-        if output is not None:
-            versions = [output]
-        else:
-            versions = list(record.get("input_versions") or ())
         events.append(
             build_event(
                 orpheus,
                 ts=float(record.get("ts") or 0.0),
                 command=str(command),
                 dataset=str(dataset),
-                versions=versions,
+                versions=requested_versions(record),
                 rows_returned=record.get("rows") or 0,
             )
         )

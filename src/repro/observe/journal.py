@@ -259,3 +259,73 @@ def make_record(
         ts=telemetry.now(),
         user=user,
     )
+
+
+def journals(op: str, params: dict) -> bool:
+    """Does this command append a journal record? Every journaled
+    command, except a checkout without a file: orpheusd's inline cache
+    read is not a repository operation."""
+    return op in JOURNALED_COMMANDS and (op != "checkout" or bool(params.get("file")))
+
+
+def op_fields(op: str, params: dict, result: dict | None = None) -> dict:
+    """The per-op fields of a command — dataset, input versions, output
+    version, rows — from its request parameters and, when it succeeded,
+    the result dict it returned. The one rule behind journal records
+    (CLI and daemon alike), the daemon's request-trace stamps, and the
+    heat folds."""
+    result = result or {}
+    if op == "checkout":
+        inputs = params.get("versions") or ()
+    elif op == "diff":
+        inputs = (params.get("a"), params.get("b"))
+    else:
+        inputs = result.get("parents") or ()
+    if op == "diff":
+        rows = (
+            result["only_a_count"] + result["only_b_count"] if result else None
+        )
+    elif op == "run":
+        rows = result.get("row_count")
+    else:
+        rows = result.get("rows")
+    try:
+        input_versions = [int(v) for v in inputs if v is not None]
+    except (TypeError, ValueError):
+        input_versions = []  # a malformed request: it failed before running
+    return {
+        "dataset": params.get("dataset"),
+        "input_versions": input_versions,
+        "output_version": result.get("version"),
+        "rows": rows,
+    }
+
+
+def requested_versions(fields: dict) -> list[int]:
+    """The version(s) an access is about, for the heat models: what the
+    command produced (init/commit), else what it read (checkout/diff).
+    Takes :func:`op_fields` output or a journal record dict."""
+    output = fields.get("output_version")
+    if output is not None:
+        return [output]
+    return list(fields.get("input_versions") or ())
+
+
+def fill_record(
+    record: OpRecord,
+    params: dict,
+    result: dict | None = None,
+    error: BaseException | None = None,
+) -> OpRecord:
+    """Stamp a finished command's outcome on its journal record — the
+    only writer of the per-op fields."""
+    fields = op_fields(record.command, params, result)
+    record.dataset = fields["dataset"]
+    record.input_versions = fields["input_versions"]
+    record.output_version = fields["output_version"]
+    record.rows = fields["rows"]
+    if error is not None:
+        record.status = "error"
+        record.error_type = type(error).__name__
+        record.error_message = str(error)
+    return record

@@ -16,6 +16,10 @@ from memory. Per request the per-invocation lock/load/save tax becomes:
   client sees ``ok`` — the same crash-consistency contract as the CLI,
   so ``orpheus recover`` and the doctor probes keep working unchanged.
 
+Either way the command itself is the CLI's: :meth:`Orpheus.execute`
+(checkout through the cache as its ``materialize`` hook), journaled by
+the same :func:`~repro.observe.journal.fill_record`.
+
 Durability note for checkouts: a file checkout's staging pin (the
 provenance parents a later commit needs) lives in daemon memory and is
 persisted by the next mutation or the graceful drain; a daemon crash
@@ -40,10 +44,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.core.csvio import read_csv, read_schema_file, write_csv, write_schema_file
 from repro.core.errors import CVDError
 from repro.observe.heat import HeatAccountant, build_event
-from repro.observe.journal import Journal, make_record
+from repro.observe.journal import (
+    Journal,
+    fill_record,
+    journals,
+    make_record,
+    op_fields,
+    requested_versions,
+)
 from repro.resilience import failpoints, fsio
 from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import RepositoryLock
@@ -59,6 +69,7 @@ from repro.service.metrics import RECENT_CAP, ServiceMetrics
 from repro.service.protocol import LineChannel, Request, Response
 from repro.service.recorder import (
     DEFAULT_MAX_SEGMENTS,
+    DEFAULT_SAMPLE,
     DEFAULT_SEGMENT_BYTES,
     FlightRecorder,
     args_digest,
@@ -143,9 +154,8 @@ class ServiceConfig:
     slow_ms: float | None = None
     #: Span trees kept in the in-memory recent ring for ``stats``.
     recent_traces: int = RECENT_CAP
-    #: Flight-recorder sample fraction; None reads
-    #: ``ORPHEUS_FLIGHT_SAMPLE`` (default 1.0 — always on), 0 disables.
-    flight_sample: float | None = None
+    #: Flight-recorder sample fraction (1.0 — always on; 0 disables).
+    flight_sample: float = DEFAULT_SAMPLE
     flight_segment_bytes: int = DEFAULT_SEGMENT_BYTES
     flight_max_segments: int = DEFAULT_MAX_SEGMENTS
 
@@ -625,7 +635,7 @@ class ServiceDaemon:
             self.quarantine.check(rtrace.digest, request.op)
             if request.op in protocol.READ_OPS:
                 job = self.scheduler.submit_read(
-                    lambda: self._execute_read(session, request, rtrace),
+                    lambda: self._execute(session, request, rtrace, False),
                     deadline=rtrace.deadline_at,
                 )
             elif request.op in protocol.WRITE_OPS:
@@ -633,7 +643,7 @@ class ServiceDaemon:
                 # before they occupy writer-queue capacity.
                 self.degrade.check_writable()
                 job = self.scheduler.submit_write(
-                    lambda: self._execute_write(session, request, rtrace),
+                    lambda: self._execute(session, request, rtrace, True),
                     dataset=request.get("dataset"),
                     deadline=rtrace.deadline_at,
                 )
@@ -766,53 +776,93 @@ class ServiceDaemon:
         raise AssertionError(request.op)
 
     # ------------------------------------------------------------------
-    # Read handlers (shared lock, worker pool)
+    # Execution (worker pool for reads, writer thread for writes)
     # ------------------------------------------------------------------
-    def _execute_read(
-        self, session, request: Request, rtrace: RequestTrace
+    def _execute(
+        self, session, request: Request, rtrace: RequestTrace, write: bool
     ) -> dict:
+        """Run one scheduled request. A write gets the CLI's durability
+        bracket: intent begin -> execute -> state save -> journal ->
+        intent done, then cache invalidation. Journal records and
+        intents carry the *client's* trace id (and session id), so
+        remote work correlates end to end."""
         rtrace.mark_started()
         failpoints.fire("worker.before_execute")
-        handler = getattr(self, f"_op_{request.op}")
+        op, params = request.op, request.params
+        trace_id = rtrace.trace_id
+        dataset = params.get("dataset")
+        record = None
+        if journals(op, params):
+            record = make_record(trace_id, op, user=session.user)
+            record.session_id = rtrace.session_id
+        bracketed = write and record is not None
+        if bracketed:
+            self.intents.begin(trace_id, op, dataset=dataset, file=params.get("file"))
         span_ctx = telemetry.span(
-            f"service.{request.op}",
-            dataset=request.get("dataset") or "",
+            f"service.{op}",
+            dataset=dataset or "",
             user=session.user,
-            trace_id=rtrace.trace_id,
+            trace_id=trace_id,
         )
         before = self._cost_snapshot()
         try:
-            with span_ctx:
-                data = handler(session, request)
-                failpoints.fire("worker.mid_execute")
+            try:
+                with span_ctx:
+                    data = self._run_op(session, request)
+                    failpoints.fire("worker.mid_execute")
+                if write:
+                    self._save_state_guarded()
+            except Exception as error:
+                if record is not None:
+                    self.journal.append(fill_record(record, params, error=error))
+                if bracketed:
+                    self.intents.done(trace_id, status="error")
+                if write and not isinstance(error, _USER_ERRORS):
+                    # Internal failure (worker crash mid-mutation, or a
+                    # save that left memory ahead of disk): re-anchor
+                    # the in-memory state to the last durable save so a
+                    # NACKed mutation can never be observed by later
+                    # reads or built on by later commits. User errors
+                    # skip this — their commands failed before mutating,
+                    # and a reload would drop live staging pins.
+                    self._reload_state(dataset)
+                raise
+            if record is not None:
+                self.journal.append(fill_record(record, params, data))
+            if bracketed:
+                self.intents.done(trace_id)
+            if write and dataset:
+                invalidated = self.cache.invalidate_dataset(dataset)
+                data.setdefault("cache_invalidated", invalidated)
+            fields = op_fields(op, params, data)
+            rtrace.version_ids = tuple(requested_versions(fields))
+            if fields["rows"] is not None:
+                rtrace.rows_returned = fields["rows"]
+            if op == "checkout":
+                rtrace.cached = bool(data.get("cached"))
+            return data
         finally:
             # Graft the worker's live span subtree (cache lookup,
             # materialization, ...) under the request's execute phase.
             rtrace.exec_node = getattr(span_ctx, "node", None)
             rtrace.mark_executed()
             self._stamp_io(rtrace, before)
+
+    def _run_op(self, session, request: Request) -> dict:
+        """The command itself: the shared :meth:`Orpheus.execute`, except
+        checkout (through the version cache) and the daemon's own
+        ``status`` and ``doctor``."""
         if request.op == "checkout":
-            rtrace.cached = bool(data.get("cached"))
-            rtrace.rows_returned = int(data.get("rows") or 0)
-            rtrace.version_ids = tuple(
-                int(v) for v in request.get("versions") or ()
-            )
-        elif request.op == "diff":
-            rtrace.rows_returned = int(
-                data.get("only_a_count", 0) + data.get("only_b_count", 0)
-            )
-            rtrace.version_ids = tuple(
-                int(v)
-                for v in (request.get("a"), request.get("b"))
-                if v is not None
-            )
-        elif request.op == "run":
-            rtrace.rows_returned = int(data.get("row_count") or 0)
-        if request.op in ("diff", "run") or (
-            request.op == "checkout" and request.get("file")
-        ):
-            self._journal_read_op(session, request, data, rtrace)
-        return data
+            return self._op_checkout(session, request)
+        if request.op == "status":
+            return self.status()
+        if request.op == "doctor":
+            from repro.observe.doctor import run_doctor
+
+            return run_doctor(self.orpheus, self.root).to_dict()
+        return self.orpheus.execute(
+            request.op, request.params, session.user, root=self.root
+        )
 
     def _cost_snapshot(self):
         """The shared accountant's counters before a handler runs (None
@@ -836,148 +886,62 @@ class ServiceDaemon:
         rtrace.bytes_scanned = delta.bytes_read
         rtrace.rows_written = delta.rows_written
 
-    def _journal_read_op(
-        self, session, request: Request, data: dict, rtrace: RequestTrace
-    ) -> None:
-        """Uniform observability: remote diff/run/file-checkout land in
-        the operation journal exactly like their CLI counterparts —
-        under the *client's* trace id, so `orpheus log --ops`
-        correlates remote work end to end."""
-        record = make_record(
-            rtrace.trace_id, request.op, user=session.user
-        )
-        record.session_id = rtrace.session_id
-        record.dataset = request.get("dataset")
-        if request.op == "checkout":
-            record.input_versions = [int(v) for v in request.get("versions", [])]
-            record.rows = data.get("rows")
-        elif request.op == "diff":
-            record.input_versions = [
-                int(request.get("a")), int(request.get("b"))
-            ]
-            record.rows = data.get("only_a_count", 0) + data.get(
-                "only_b_count", 0
-            )
-        elif request.op == "run":
-            record.rows = data.get("row_count")
-        self.journal.append(record)
-
-    def _op_status(self, session, request: Request) -> dict:
-        return self.status()
-
-    def _op_whoami(self, session, request: Request) -> dict:
-        return {"user": session.user or "", "anonymous": not session.user}
-
-    def _op_ls(self, session, request: Request) -> dict:
-        return {"datasets": self.orpheus.ls_info()}
-
-    def _op_log(self, session, request: Request) -> dict:
-        if request.get("ops"):
-            return {"records": self.journal.read()}
-        dataset = request.get("dataset")
-        if not dataset:
-            raise ValueError("log requires 'dataset' (or ops=true)")
-        return self.orpheus.log_info(dataset)
-
     def _op_checkout(self, session, request: Request) -> dict:
+        """The shared checkout command, materializing through the
+        version cache; an inline checkout (no file) also gets the rows,
+        as the entry's already-encoded body."""
         dataset = request.get("dataset")
-        vids = [int(v) for v in request.get("versions") or ()]
-        if not dataset or not vids:
-            raise ValueError("checkout requires 'dataset' and 'versions'")
-        self.orpheus.access.check_cvd_access(dataset, user=session.user or None)
-        cvd = self.orpheus.cvd(dataset)
         inline = bool(request.get("inline"))
-        with telemetry.span(
-            "service.checkout.cache_lookup", dataset=dataset
-        ) as lookup:
-            entry = self.cache.get(dataset, vids)
-            if entry is not None:
-                if failpoints.fire("cache.corrupt_entry") == "corrupt":
-                    entry.corrupt()
-                if not entry.verify():
-                    # Integrity seal mismatch: contain the rot — drop
-                    # the entry and rematerialize from version storage
-                    # rather than serving corrupted history.
-                    self.cache.drop(dataset, vids)
-                    telemetry.count("service.cache.corruption_detected")
-                    entry = None
-            cached = entry is not None
-            if lookup is not None:
-                lookup.set_attr("hit", cached)
-        if entry is None:
-            with telemetry.span("service.checkout.materialize", dataset=dataset):
-                result = cvd.checkout(vids if len(vids) > 1 else vids[0])
-            columns, rows = list(result.columns), list(result.rows)
-            parents = tuple(result.parents)
-        else:
-            columns, rows, parents = entry.columns, entry.rows, entry.parents
-        if entry is None or (inline and entry.body is None):
-            # The rows are encoded once per entry, by the first inline
-            # checkout that needs them (a miss, or a hit on an entry a
-            # file checkout admitted); admitting again keeps the byte
-            # budget exact. A file checkout never pays for a body.
-            entry = CacheEntry(
-                columns,
-                rows,
-                parents,
-                body=protocol.encode_rows(rows) if inline else None,
-            )
-            self.cache.put(dataset, vids, entry)
-        telemetry.count("command.checkout.rows_materialized", len(entry.rows))
-        data: dict = {
-            "rows": len(entry.rows),
-            "columns": entry.columns,
-            "parents": list(entry.parents),
-            "cached": cached,
-        }
-        file_path = request.get("file")
-        if file_path:
-            write_csv(file_path, entry.columns, entry.rows)
-            if request.get("schema"):
-                write_schema_file(request.get("schema"), cvd.schema)
-            # Provenance pin so a later commit of this file knows its
-            # parents (persisted with the next state save).
-            from repro.core.commands import _csv_staged
+        cached, entry = False, None
 
-            self.orpheus.staging._staged[file_path] = _csv_staged(
-                file_path, dataset, entry.parents, session.user
-            )
-            data["file"] = file_path
+        def through_cache(cvd, vids):
+            nonlocal cached, entry
+            with telemetry.span(
+                "service.checkout.cache_lookup", dataset=dataset
+            ) as lookup:
+                entry = self.cache.get(dataset, vids)
+                if entry is not None:
+                    if failpoints.fire("cache.corrupt_entry") == "corrupt":
+                        entry.corrupt()
+                    if not entry.verify():
+                        # Integrity seal mismatch: contain the rot —
+                        # drop the entry and rematerialize from version
+                        # storage rather than serving corrupted history.
+                        self.cache.drop(dataset, vids)
+                        telemetry.count("service.cache.corruption_detected")
+                        entry = None
+                cached = entry is not None
+                if lookup is not None:
+                    lookup.set_attr("hit", cached)
+            if entry is None or (inline and entry.body is None):
+                # The rows are encoded once per entry, by the first
+                # inline checkout that needs them (a miss, or a hit on
+                # an entry a file checkout admitted); admitting again
+                # keeps the byte budget exact. A file checkout never
+                # pays for a body.
+                source = entry
+                if source is None:
+                    with telemetry.span(
+                        "service.checkout.materialize", dataset=dataset
+                    ):
+                        source = cvd.checkout(vids)
+                entry = CacheEntry(
+                    list(source.columns),
+                    source.rows,
+                    tuple(source.parents),
+                    body=protocol.encode_rows(source.rows) if inline else None,
+                )
+                self.cache.put(dataset, vids, entry)
+            return entry
+
+        data = self.orpheus.cmd_checkout(
+            request.params, session.user, through_cache
+        )
+        data["cached"] = cached
         if inline:
             # Already-encoded bytes: the frame builder splices them.
             data["data"] = entry.body
         return data
-
-    def _op_diff(self, session, request: Request) -> dict:
-        dataset = request.get("dataset")
-        vid_a, vid_b = int(request.get("a")), int(request.get("b"))
-        only_a, only_b = self.orpheus.diff(dataset, vid_a, vid_b)
-        limit = request.get("limit", 20)
-        data = {
-            "a": vid_a,
-            "b": vid_b,
-            "only_a_count": len(only_a),
-            "only_b_count": len(only_b),
-            "only_a": [list(r) for r in only_a[:limit]],
-            "only_b": [list(r) for r in only_b[:limit]],
-        }
-        return data
-
-    def _op_run(self, session, request: Request) -> dict:
-        sql = request.get("sql")
-        if not sql:
-            raise ValueError("run requires 'sql'")
-        result = self.orpheus.run(sql)
-        return {
-            "columns": list(result.columns),
-            "data": [list(row) for row in result.rows],
-            "row_count": len(result.rows),
-        }
-
-    def _op_doctor(self, session, request: Request) -> dict:
-        from repro.observe.doctor import run_doctor
-
-        return run_doctor(self.orpheus, self.root).to_dict()
 
     # ------------------------------------------------------------------
     # State persistence (guarded by the degrade controller)
@@ -1014,158 +978,6 @@ class ServiceDaemon:
         telemetry.count("service.state.reloads")
         if dataset:
             self.cache.invalidate_dataset(dataset)
-
-    # ------------------------------------------------------------------
-    # Write handlers (exclusive lock, writer thread)
-    # ------------------------------------------------------------------
-    def _execute_write(
-        self, session, request: Request, rtrace: RequestTrace
-    ) -> dict:
-        """One mutation with the CLI's full durability bracket:
-        intent begin -> execute -> state save -> journal -> intent done,
-        then cache invalidation. The journal record and intent carry
-        the *client's* trace id (and session id) so remote mutations
-        correlate end to end."""
-        rtrace.mark_started()
-        failpoints.fire("worker.before_execute")
-        trace_id = rtrace.trace_id
-        dataset = request.get("dataset")
-        journaled = request.op in ("init", "commit", "drop", "optimize")
-        if journaled:
-            self.intents.begin(
-                trace_id,
-                request.op,
-                dataset=dataset,
-                file=request.get("file"),
-            )
-        record = (
-            make_record(trace_id, request.op, user=session.user)
-            if journaled
-            else None
-        )
-        if record is not None:
-            record.session_id = rtrace.session_id
-            record.dataset = dataset
-        span_ctx = telemetry.span(
-            f"service.{request.op}",
-            dataset=dataset or "",
-            user=session.user,
-            trace_id=trace_id,
-        )
-        before = self._cost_snapshot()
-        try:
-            try:
-                with span_ctx as span:
-                    if span is not None:
-                        span.set_attr("trace_id", trace_id)
-                    handler = getattr(self, f"_op_{request.op}")
-                    data = handler(session, request, record)
-                    failpoints.fire("worker.mid_execute")
-                self._save_state_guarded()
-            except Exception as error:
-                if record is not None:
-                    record.status = "error"
-                    record.error_type = type(error).__name__
-                    record.error_message = str(error)
-                    self.journal.append(record)
-                if journaled:
-                    self.intents.done(trace_id, status="error")
-                if not isinstance(error, _USER_ERRORS):
-                    # Internal failure (worker crash mid-mutation, or a
-                    # save that left memory ahead of disk): re-anchor
-                    # the in-memory state to the last durable save so a
-                    # NACKed mutation can never be observed by later
-                    # reads or built on by later commits. User errors
-                    # skip this — their handlers failed before mutating,
-                    # and a reload would drop live staging pins.
-                    self._reload_state(dataset)
-                raise
-            if record is not None:
-                self.journal.append(record)
-                if record.output_version is not None:
-                    rtrace.version_ids = (record.output_version,)
-                if record.rows is not None:
-                    rtrace.rows_returned = record.rows
-            if journaled:
-                self.intents.done(trace_id)
-            if dataset:
-                invalidated = self.cache.invalidate_dataset(dataset)
-                data.setdefault("cache_invalidated", invalidated)
-            return data
-        finally:
-            rtrace.exec_node = getattr(span_ctx, "node", None)
-            rtrace.mark_executed()
-            self._stamp_io(rtrace, before)
-
-    def _op_init(self, session, request: Request, record) -> dict:
-        dataset = request.get("dataset")
-        vid = self.orpheus.init_from_csv(
-            dataset,
-            request.get("file"),
-            request.get("schema"),
-            model=request.get("model", "split_by_rlist"),
-        )
-        if record is not None:
-            record.output_version = vid
-            record.rows = self.orpheus.cvd(dataset).versions.get(vid).record_count
-        return {"dataset": dataset, "version": vid}
-
-    def _op_commit(self, session, request: Request, record) -> dict:
-        dataset = request.get("dataset")
-        file_path = request.get("file")
-        if not dataset or not file_path:
-            raise ValueError("commit requires 'dataset' and 'file'")
-        cvd = self.orpheus.cvd(dataset)
-        schema = (
-            read_schema_file(request.get("schema"))
-            if request.get("schema")
-            else cvd.schema
-        )
-        rows = read_csv(file_path, schema)
-        explicit = request.get("parents")
-        if explicit is not None:
-            parents = tuple(int(p) for p in explicit)
-        else:
-            info = self.orpheus.staging._staged.get(file_path)
-            parents = tuple(info.parents) if info is not None else ()
-        vid = cvd.commit(
-            rows,
-            parents=parents,
-            message=request.get("message", ""),
-            author=session.user,
-            columns=schema.column_names,
-            column_types={c.name: c.dtype for c in schema.columns},
-        )
-        self.orpheus.staging._staged.pop(file_path, None)
-        if record is not None:
-            record.input_versions = list(parents)
-            record.output_version = vid
-            record.rows = len(rows)
-        return {"dataset": dataset, "version": vid, "rows": len(rows)}
-
-    def _op_drop(self, session, request: Request, record) -> dict:
-        dataset = request.get("dataset")
-        self.orpheus.drop(dataset)
-        return {"dataset": dataset, "dropped": True}
-
-    def _op_optimize(self, session, request: Request, record) -> dict:
-        dataset = request.get("dataset")
-        partitioning = self.orpheus.optimize(
-            dataset,
-            storage_threshold_factor=request.get("gamma", 2.0),
-            tolerance=request.get("mu", 1.5),
-        )
-        return {
-            "dataset": dataset,
-            "partitions": partitioning.num_partitions,
-        }
-
-    def _op_create_user(self, session, request: Request, record) -> dict:
-        name = request.get("name")
-        if not name:
-            raise ValueError("create_user requires 'name'")
-        self.orpheus.create_user(name, request.get("email", ""))
-        return {"user": name}
 
     # ------------------------------------------------------------------
     # Observability

@@ -31,7 +31,7 @@ id stripped) — enough for :mod:`repro.service.replay` to re-issue the
 workload; ``digest`` is its stable hash, so workload characterization
 ("how many distinct queries?") never needs to compare dicts.
 
-Sampling (``--flight-sample`` / ``ORPHEUS_FLIGHT_SAMPLE``) is
+Sampling (``orpheus serve --flight-sample``, default 1.0) is
 deterministic per trace id: all BUSY retries of one logical operation
 are kept or dropped together, and a replayed comparison stays
 apples-to-apples. At ``0`` the record call is a single attribute test
@@ -63,8 +63,7 @@ FLIGHT_SCHEMA_VERSION = 1
 
 FLIGHT_DIR = "flight"
 
-#: Env var: fraction of traces recorded (0 disables, 1 records all).
-SAMPLE_ENV = "ORPHEUS_FLIGHT_SAMPLE"
+#: Fraction of traces recorded by default (0 disables, 1 records all).
 DEFAULT_SAMPLE = 1.0
 
 #: Rotation defaults; ``orpheus serve --flight-segment-mb /
@@ -80,18 +79,6 @@ _ENVELOPE_KEYS = ("trace", "id")
 def new_boot_id() -> str:
     """A fresh 8-hex-char id for one daemon serving epoch."""
     return uuid.uuid4().hex[:8]
-
-
-def flight_sample() -> float:
-    """The configured sample fraction, clamped to [0, 1]."""
-    raw = os.environ.get(SAMPLE_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_SAMPLE
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_SAMPLE
-    return min(1.0, max(0.0, value))
 
 
 def flight_dir_path(root: str | None = None) -> Path:
@@ -151,16 +138,14 @@ class FlightRecorder:
     def __init__(
         self,
         root: str | None = None,
-        sample: float | None = None,
+        sample: float = DEFAULT_SAMPLE,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
         boot_id: str | None = None,
         pid: int | None = None,
     ) -> None:
         self.dir = flight_dir_path(root)
-        self.sample = (
-            flight_sample() if sample is None else min(1.0, max(0.0, sample))
-        )
+        self.sample = min(1.0, max(0.0, sample))
         self.segment_bytes = max(4096, int(segment_bytes))
         self.max_segments = max(1, int(max_segments))
         self.boot_id = boot_id or new_boot_id()

@@ -145,21 +145,35 @@ class TestCsvRoundtrip:
     def test_checkout_commit_via_csv(self, orpheus, tmp_path):
         csv_path = str(tmp_path / "work.csv")
         schema_path = str(tmp_path / "schema.csv")
-        orpheus.checkout_csv("demo", 1, csv_path, schema_path)
+        orpheus.execute(
+            "checkout",
+            {"dataset": "demo", "versions": [1], "file": csv_path, "schema": schema_path},
+            "alice",
+        )
         with open(csv_path, "a", newline="") as handle:
             handle.write("c,3\r\n")
-        vid = orpheus.commit_csv(csv_path, schema_path, message="from csv")
+        data = orpheus.execute(
+            "commit",
+            {"dataset": "demo", "file": csv_path, "schema": schema_path,
+             "message": "from csv"},
+            "alice",
+        )
+        assert data["parents"] == [1]
+        vid = data["version"]
         assert orpheus.cvd("demo").versions.get(vid).record_count == 3
+        assert orpheus.staging.pinned(csv_path) is None
 
-    def test_commit_unknown_csv_rejected(self, orpheus, tmp_path):
+    def test_commit_unpinned_csv_is_a_new_root(self, orpheus, tmp_path):
+        """A file no checkout wrote commits with no parents unless the
+        request names them — the CLI's and the daemon's rule."""
         stray = tmp_path / "stray.csv"
         stray.write_text("key,value\nz,1\n")
-        schema_path = tmp_path / "schema.csv"
-        from repro.core.csvio import write_schema_file
-
-        write_schema_file(schema_path, SCHEMA)
-        with pytest.raises(StagingError):
-            orpheus.commit_csv(str(stray), str(schema_path))
+        params = {"dataset": "demo", "file": str(stray)}
+        root = orpheus.execute("commit", params, "alice")["version"]
+        assert orpheus.cvd("demo").versions.parents(root) == ()
+        child = orpheus.execute("commit", dict(params, parents=[root]), "alice")
+        assert child["parents"] == [root]
+        assert orpheus.cvd("demo").versions.get(root).checkout_time is None
 
     def test_init_from_table(self, orpheus):
         source = orpheus.database.create_table("legacy", SCHEMA)

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import telemetry
+from repro.core.commands import Orpheus
 from repro.resilience import failpoints
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceUnavailableError
@@ -56,6 +57,8 @@ ROW_CASES = {
 class StubRepository:
     """Just enough of an Orpheus for ``_op_checkout``: versions hold
     whatever rows a case needs (a real CVD cannot store a date)."""
+
+    cmd_checkout = Orpheus.cmd_checkout
 
     def __init__(self, versions: dict[int, list[tuple]]) -> None:
         self.versions = versions

@@ -273,19 +273,6 @@ def test_write_error_counts_not_raises(tmp_path, monkeypatch):
     ) == 1
 
 
-def test_flight_sample_env_clamped(monkeypatch):
-    from repro.service import recorder as mod
-
-    monkeypatch.setenv(mod.SAMPLE_ENV, "0.25")
-    assert mod.flight_sample() == 0.25
-    monkeypatch.setenv(mod.SAMPLE_ENV, "7")
-    assert mod.flight_sample() == 1.0
-    monkeypatch.setenv(mod.SAMPLE_ENV, "-3")
-    assert mod.flight_sample() == 0.0
-    monkeypatch.setenv(mod.SAMPLE_ENV, "not-a-number")
-    assert mod.flight_sample() == mod.DEFAULT_SAMPLE
-
-
 # ----------------------------------------------------------------------
 # Fault outcomes in flight records
 # ----------------------------------------------------------------------

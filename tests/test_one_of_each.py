@@ -89,3 +89,61 @@ def test_no_dict_shaped_segment_is_left():
         text = path.read_text()
         for name in gone:
             assert name not in text, (path, name)
+
+
+def _called_names(tree) -> set[str]:
+    """Every ``f(...)`` and ``x.f(...)`` name called in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                names.add(func.attr)
+    return names
+
+
+def test_front_ends_leave_checkout_and_commit_to_the_commands():
+    """The CLI and orpheusd call ``Orpheus.execute``; neither writes a
+    checkout's CSV nor commits to a CVD itself."""
+    trees = dict(modules())
+    for name in ("cli.py", "service/daemon.py"):
+        called = _called_names(trees[name])
+        assert "write_csv" not in called, name
+        assert "commit" not in called, name
+        assert "execute" in called, name  # the walk sees what it guards
+
+
+def test_one_function_writes_the_journal_fields():
+    """dataset/versions/rows of a journal record come from one rule."""
+    fields = {"input_versions", "output_version"}
+    writers = set()
+    for name, tree in modules():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                    else []
+                )
+                for target in targets:
+                    if isinstance(target, ast.Attribute) and (
+                        target.attr in fields
+                        or (
+                            target.attr == "rows"
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "record"
+                        )
+                    ):
+                        writers.add((name, function.name))
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "OpRecord"
+                    and any(k.arg in fields | {"rows"} for k in node.keywords)
+                ):
+                    writers.add((name, function.name))
+    assert writers == {("observe/journal.py", "fill_record")}
