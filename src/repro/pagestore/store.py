@@ -12,13 +12,14 @@ A paged save splits the repository object graph into:
   are the only stored copy of version → rids and rid → payload),
   encoded by :mod:`repro.pagestore.codec`, sliced into
   content-addressed pages (:mod:`repro.pagestore.pages`), and replaced
-  in the skeleton by lazy stubs that fault their pages through the
-  buffer pool on first touch.
+  in the skeleton by their refs; a loaded table reads each chunk
+  through the buffer pool when an access first needs it, steered by
+  the chunk's slot range and zone map (:class:`TablePager`).
 
-Save = dirty-chunk write-back: a table whose stub was never hydrated or
-that nothing wrote to since the last save reuses its chunks' pages
-verbatim, and so does every chunk of a written table below the lowest
-slot written; the heap is cut and encoded again only from that slot on
+Save = dirty-chunk write-back: a table nothing wrote to since the last
+save reuses its chunks' pages verbatim, and so does every chunk of a
+written table below the lowest slot written; the heap is read, cut and
+encoded again only from that slot on
 — commit I/O is proportional to what the commit touched, not to total
 state or to the history. Content addressing means even a re-encoded
 chunk only writes the pages that actually changed.
@@ -41,7 +42,9 @@ import json
 import os
 import pickle
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 
 from repro import telemetry
@@ -72,7 +75,12 @@ class SegmentRef:
     sha: str
     pages: tuple[str, ...]
     heat_key: str | None = None
+    #: A table chunk's heap slots (tombstones included).
     count_hint: int = 0
+    #: A table chunk's least and greatest primary key, as key tuples:
+    #: ``()`` when it holds no live row, None when unknown (no primary
+    #: key, keys that do not order, or saved before zone maps).
+    zone: tuple | None = None
 
     def to_tuple(self) -> tuple:
         return (
@@ -83,14 +91,15 @@ class SegmentRef:
             tuple(self.pages),
             self.heat_key,
             self.count_hint,
+            self.zone,
         )
 
     @classmethod
     def from_tuple(cls, data) -> "SegmentRef":
-        key, codec_name, length, sha, page_ids, heat_key, count_hint = data
+        key, codec_name, length, sha, page_ids, heat_key, count_hint, *zone = data
         return cls(
             key, codec_name, int(length), sha, tuple(page_ids),
-            heat_key, int(count_hint),
+            heat_key, int(count_hint), zone[0] if zone else None,
         )
 
 
@@ -180,27 +189,77 @@ def _require_store() -> PageStore:
 # Lazy stubs
 # ----------------------------------------------------------------------
 class TablePager:
-    """Deferred load of one :class:`Table`'s row chunks."""
+    """A :class:`Table`'s saved chunks, read one at a time.
 
-    __slots__ = ("store", "refs", "index_spec")
+    A chunk's slot range follows from the ``count_hint`` of the refs
+    before it and its zone map is in its ref, so neither needs a decode.
+    A chunk is *unread* until its rows are in the heap and *unindexed*
+    until they are in the table's indexes; an unindexed chunk holds no
+    key outside its zone map (a write that changes a key indexes every
+    chunk first). ``lock`` serialises the daemon's concurrent readers.
+    """
 
-    def __init__(
-        self, store: PageStore, refs: tuple[SegmentRef, ...], index_spec: dict
-    ) -> None:
+    __slots__ = ("store", "refs", "ends", "unread", "unindexed", "lock")
+
+    def __init__(self, store: PageStore, refs: tuple[SegmentRef, ...]) -> None:
         self.store = store
         self.refs = refs
-        self.index_spec = index_spec
+        self.ends = list(accumulate(ref.count_hint for ref in refs))
+        self.unread = {n for n, ref in enumerate(refs) if ref.count_hint}
+        self.unindexed = set(self.unread)
+        self.lock = threading.Lock()
 
-    def load(self, accountant=None) -> tuple[list, tuple]:
-        """Every chunk faulted in: the heap's slots end to end, and each
-        ``(end slot, ref)`` by what the chunk decoded to (a segment
-        written before there were chunks is one chunk, however long)."""
-        rows: list = []
-        chunks = []
-        for ref in self.refs:
-            rows += self.store.read_segment(ref, accountant)
-            chunks.append((len(rows), ref))
-        return rows, tuple(chunks)
+    @property
+    def slots(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def span(self, number: int) -> tuple[int, int]:
+        """Chunk ``number``'s heap slots, ``[start, stop)``."""
+        return (self.ends[number - 1] if number else 0), self.ends[number]
+
+    def after(self, slot: int) -> range:
+        """The chunks that end past ``slot``."""
+        return range(bisect_right(self.ends, slot), len(self.ends))
+
+    def holding(self, slot: int) -> int | None:
+        """The chunk holding ``slot``; None past the last."""
+        after = self.after(slot)
+        return after.start if after else None
+
+    def covering(self, keys) -> list[int]:
+        """The unindexed chunks whose zone map may hold one of ``keys``
+        (primary-key tuples). A chunk without a zone map may hold any."""
+        if not self.unindexed:
+            return []
+        try:
+            keys = sorted(keys)
+        except TypeError:
+            return sorted(self.unindexed)
+        numbers = []
+        for number in sorted(self.unindexed):
+            zone = self.refs[number].zone
+            if zone is None:
+                numbers.append(number)
+            elif zone:
+                low, high = zone
+                try:
+                    at = bisect_left(keys, low)
+                    if at < len(keys) and keys[at] <= high:
+                        numbers.append(number)
+                except TypeError:
+                    numbers.append(number)
+        return numbers
+
+    def read(self, number: int, accountant=None) -> list:
+        """Chunk ``number``'s heap slots, decoded."""
+        ref = self.refs[number]
+        rows = self.store.read_segment(ref, accountant)
+        if len(rows) != ref.count_hint:
+            raise PageCorruptionError(
+                f"segment {ref.key}: decoded {len(rows)} slots, "
+                f"expected {ref.count_hint}"
+            )
+        return rows
 
 
 def _load_paged_dict(ref_tuple) -> range:
@@ -217,16 +276,8 @@ def _load_chunked_table(state: dict, ref_tuples, index_spec: dict):
 
     table = Table.__new__(Table)
     table.__setstate__(state)
-    table._rows = []
-    table._pk_index = None
-    table._secondary = {}
-    table._ordered = {}
-    table._pager = TablePager(
-        _require_store(),
-        tuple(map(SegmentRef.from_tuple, ref_tuples)),
-        dict(index_spec),
-    )
-    table._dirty_from = None  # what the pager names is what is saved
+    refs = tuple(map(SegmentRef.from_tuple, ref_tuples))
+    table._attach(TablePager(_require_store(), refs), index_spec)
     return table
 
 
@@ -293,7 +344,7 @@ class _SaveContext:
 
     def add_segment(
         self, key: str, codec_name: str, blob: bytes,
-        heat_key: str | None, count_hint: int,
+        heat_key: str | None, count_hint: int, zone: tuple | None = None,
     ) -> SegmentRef:
         page_ids = []
         for payload in pagefiles.split_payload(blob, self.page_bytes):
@@ -303,7 +354,7 @@ class _SaveContext:
         ref = SegmentRef(
             self._claim(key), codec_name, len(blob),
             hashlib.sha256(blob).hexdigest(), tuple(page_ids),
-            heat_key, count_hint,
+            heat_key, count_hint, zone,
         )
         self.segments[ref.key] = ref
         self.segments_encoded += 1
@@ -324,8 +375,9 @@ class _SaveContext:
         lowest slot written since ride through; from there on the heap
         is cut again, a chunk ending where its rows are accounted a page
         of bytes (what encoding it costs follows its uncompressed size,
-        so the bound on a chunk is the bound on an append's encode)."""
-        rows, saved = table._rows, table._saved_chunks
+        so the bound on a chunk is the bound on an append's encode).
+        Each chunk it encodes carries its zone map."""
+        saved = table._saved_chunks
         if table._dirty_from is None:
             return [self.reuse(ref, ref.key) for _end, ref in saved]
         if table._bytes > 0:
@@ -342,15 +394,18 @@ class _SaveContext:
             for number, (end, ref) in enumerate(saved[:keep])
         ]
         start = chunks[-1][0] if chunks else 0
+        table._fault_from(start)  # what is encoded again must be read
+        rows = table._rows
         heat_key = self.heat_keys.get(table.name)
         while start < len(rows) or not chunks:  # no rows: one empty chunk
             end = min(start + per_chunk, len(rows))
+            chunk = rows[start:end]
             codec_name, blob = codec.encode_table_rows(
-                rows[start:end], len(table.schema.columns)
+                chunk, len(table.schema.columns)
             )
             ref = self.add_segment(
                 f"table:{table.name}#{len(chunks)}", codec_name, blob,
-                heat_key, end - start,
+                heat_key, end - start, table._zone_map(chunk),
             )
             chunks.append((end, ref))
             start = end
@@ -379,18 +434,13 @@ class _PagedPickler(pickle.Pickler):
         return NotImplemented
 
     def _reduce_table(self, table):
-        pager = getattr(table, "_pager", None)
-        if pager is not None:
-            # Rows never faulted in: every chunk rides through untouched.
-            refs = [self.ctx.reuse(ref, ref.key) for ref in pager.refs]
-            index_spec = dict(pager.index_spec)
-        else:
-            refs = self.ctx.table_chunks(table)
-            index_spec = {
-                "pk": table._pk_index is not None,
-                "secondary": sorted(table._secondary),
-                "ordered": sorted(table._ordered),
-            }
+        refs = self.ctx.table_chunks(table)
+        # The indexes the table declares, whatever they hold so far (a
+        # save builds none); the primary key's follows from the schema.
+        index_spec = {
+            "secondary": sorted(table._secondary),
+            "ordered": sorted(table._ordered),
+        }
         state = {
             name: value
             for name, value in table.__dict__.items()

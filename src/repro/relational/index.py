@@ -16,16 +16,14 @@ class HashIndex:
     def __init__(self) -> None:
         self._buckets: dict[Hashable, list[int]] = {}
 
-    @classmethod
-    def build(
-        cls, keys: Iterable[Hashable], positions: Iterable[int]
-    ) -> "HashIndex":
-        """Bulk-load an index from parallel keys and row positions. The
-        keys must be distinct, as a primary key's are: of a repeated key
-        only the last position would be kept."""
-        index = cls()
-        index._buckets = dict(zip(keys, map(list, zip(positions))))
-        return index
+    def add_distinct(
+        self, keys: Iterable[Hashable], positions: Iterable[int]
+    ) -> None:
+        """Bulk-add parallel keys and row positions. The keys must be
+        distinct from each other and from those already held, as a
+        primary key's are: of a repeated key only the last position
+        would be kept."""
+        self._buckets.update(zip(keys, map(list, zip(positions))))
 
     def add(self, key: Hashable, position: int) -> None:
         self._buckets.setdefault(key, []).append(position)
@@ -53,11 +51,6 @@ class HashIndex:
 
     def keys(self) -> Iterable[Hashable]:
         return self._buckets.keys()
-
-    def approximate_bytes(self) -> int:
-        """Rough index size: key + pointer per entry plus bucket overhead."""
-        entries = len(self)
-        return 16 * entries + 8 * len(self._buckets)
 
 
 class OrderedIndex:
@@ -99,6 +92,3 @@ class OrderedIndex:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def approximate_bytes(self) -> int:
-        return 16 * len(self._entries)

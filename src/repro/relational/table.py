@@ -66,58 +66,122 @@ class Table:
         )
         self._secondary: dict[str, HashIndex] = {}
         self._ordered: dict[str, OrderedIndex] = {}
-        # Paged-layout plumbing: a pager set by the paged loader in
-        # place of _rows/_indexes; the chunks the last paged save cut
-        # the heap into, as (end slot, SegmentRef); and the lowest slot
-        # written since (None: none), below which a save reuses them.
+        # Paged-layout plumbing: the pager of the saved chunks not yet
+        # read or indexed (None: every row and index entry is here); the
+        # chunks the last paged save cut the heap into, as (end slot,
+        # SegmentRef); and the lowest slot written since (None: none),
+        # below which a save reuses them.
         self._pager = None
         self._saved_chunks: tuple = ()
         self._dirty_from: int | None = 0
 
     # ------------------------------------------------------------------
-    # Paged loading
+    # Paged loading: the heap as saved chunks, read one at a time
     # ------------------------------------------------------------------
-    def _ensure_page_load(self) -> None:
-        """Fault in this table's row chunks if it is still paged out.
+    def _attach(self, pager, index_spec: dict) -> None:
+        """Back the heap with ``pager``'s saved chunks, none read yet.
 
-        Every row-touching entry point gates through here; metadata
-        reads (``len``, ``row_count``, ``has_index``, ``schema``) answer
-        from the skeleton without any I/O.
+        Every slot exists from the start (a chunk's slot range is in its
+        ref); a chunk's rows arrive on the first access that needs them.
+        The indexes — the primary key's and those ``index_spec`` names —
+        start empty and take a chunk's rows when a keyed read first lands
+        in it. Metadata (``len``, ``row_count``, ``has_index``,
+        ``storage_bytes``, ``schema``) answers without any I/O.
         """
+        self._rows = [None] * pager.slots
+        self._saved_chunks = tuple(zip(pager.ends, pager.refs))
+        self._dirty_from = None  # what the pager names is what is saved
+        self._pk_index = HashIndex() if self.enforce_primary_key else None
+        self._secondary = {c: HashIndex() for c in index_spec.get("secondary", ())}
+        self._ordered = {c: OrderedIndex() for c in index_spec.get("ordered", ())}
+        if self._pk_index is None and not (self._secondary or self._ordered):
+            pager.unindexed.clear()
+        self._pager = pager if pager.unread or pager.unindexed else None
+
+    def _fault(self, pager, numbers: Iterable[int], index: bool = False) -> None:
+        """Read the saved chunks ``numbers`` into their heap slots and,
+        with ``index``, add their rows to every index. The pager goes
+        once every chunk is both read and indexed."""
+        with pager.lock:
+            for number in numbers:
+                if number in pager.unread:
+                    start, stop = pager.span(number)
+                    self._rows[start:stop] = pager.read(number, self.accountant)
+                    pager.unread.discard(number)
+                if index and number in pager.unindexed:
+                    self._index_slots(*pager.span(number))
+                    pager.unindexed.discard(number)
+            if not (pager.unread or pager.unindexed) and self._pager is pager:
+                self._pager = None
+
+    def _fault_all(self, index: bool = False) -> None:
+        """Every saved chunk read (and, with ``index``, indexed)."""
+        pager = self._pager
+        if pager is not None:
+            self._fault(pager, range(len(pager.refs)), index)
+
+    def _fault_from(self, slot: int) -> None:
+        """Every saved chunk that ends past ``slot`` read."""
+        pager = self._pager
+        if pager is not None:
+            self._fault(pager, pager.after(slot))
+
+    def _fault_slot(self, slot: int) -> bool:
+        """The saved chunk holding ``slot`` read; whether the indexes
+        hold its rows (a slot past the saved chunks was written here)."""
         pager = self._pager
         if pager is None:
-            return
-        self._pager = None  # block re-entry from index rebuild below
+            return True
+        number = pager.holding(slot)
+        if number is None:
+            return True
+        if number in pager.unread:  # read again under the lock
+            self._fault(pager, (number,))
+        return number not in pager.unindexed
+
+    def _index_slots(self, start: int, stop: int) -> None:
+        """Add the live rows of heap slots ``[start, stop)`` to every
+        index; the primary key's a key column at a time."""
+        rows = self._rows[start:stop]
+        is_live = list(map(is_not, rows, repeat(None)))
+        live = list(compress(rows, is_live))
+        slots = list(compress(range(start, stop), is_live))
+        if self._pk_index is not None:
+            key_columns = (
+                map(itemgetter(position), live)
+                for position in self.schema.key_positions()
+            )
+            self._pk_index.add_distinct(zip(*key_columns), slots)
+        for column, index in (*self._secondary.items(), *self._ordered.items()):
+            position = self.schema.position(column)
+            for row, slot in zip(live, slots):
+                index.add(row[position], slot)  # type: ignore[arg-type]
+
+    def _zone_map(self, rows: list) -> tuple | None:
+        """The least and the greatest primary key among the live
+        ``rows``: ``()`` when there are none, None when the table has no
+        primary key or its keys do not order."""
+        if self._pk_index is None:
+            return None
+        live = list(compress(rows, map(is_not, rows, repeat(None))))
+        if not live:
+            return ()
+        positions = self.schema.key_positions()
+        if len(positions) == 1:
+            keys = list(map(itemgetter(positions[0]), live))
+        else:
+            keys = list(zip(*(map(itemgetter(p), live) for p in positions)))
         try:
-            rows, self._saved_chunks = pager.load(self.accountant)
-            self._rows = rows
-            if pager.index_spec.get("pk") and self.enforce_primary_key:
-                # One key column at a time, never one row at a time.
-                is_live = list(map(is_not, rows, repeat(None)))
-                live = list(compress(rows, is_live))
-                key_columns = (
-                    map(itemgetter(position), live)
-                    for position in self.schema.key_positions()
-                )
-                self._pk_index = HashIndex.build(
-                    zip(*key_columns), compress(range(len(rows)), is_live)
-                )
-            else:
-                self._pk_index = None
-            self._secondary = {}
-            self._ordered = {}
-            for column in pager.index_spec.get("secondary", ()):
-                self.create_index(column, ordered=False)
-            for column in pager.index_spec.get("ordered", ()):
-                self.create_index(column, ordered=True)
-        except BaseException:
-            self._pager = pager  # stay paged-out; retry can succeed
-            raise
+            low, high = min(keys), max(keys)
+        except TypeError:
+            return None
+        return ((low,), (high,)) if len(positions) == 1 else (low, high)
 
     @property
     def paged_out(self) -> bool:
-        """True while the row chunks have not been faulted in."""
-        return self._pager is not None
+        """True while some saved chunk has not been read."""
+        pager = self._pager
+        return pager is not None and bool(pager.unread)
 
     def _dirty(self, slot: int) -> None:
         """Heap slots from ``slot`` on are no longer what was saved."""
@@ -135,27 +199,25 @@ class Table:
         return self._live_count
 
     def storage_bytes(self, include_indexes: bool = True) -> int:
-        """Approximate total storage including index structures."""
-        total = self._bytes
-        if self._pager is not None:
-            # Paged out: answer from the skeleton's byte counter alone
-            # rather than faulting in rows just to size their indexes.
-            return total
-        if include_indexes:
-            if self._pk_index is not None:
-                total += self._pk_index.approximate_bytes()
-            for index in self._secondary.values():
-                total += index.approximate_bytes()
-            for index in self._ordered.values():
-                total += index.approximate_bytes()
-        return total
+        """Approximate total storage including index structures.
+
+        An index is sized by the live rows it covers once built — a hash
+        index 24 bytes a row (an entry and a bucket), an ordered one 16 —
+        so a table answers the same whether paged out, partly read or
+        resident, whatever its indexes hold so far.
+        """
+        if not include_indexes:
+            return self._bytes
+        hashed = (self._pk_index is not None) + len(self._secondary)
+        per_row = 24 * hashed + 16 * len(self._ordered)
+        return self._bytes + per_row * self._live_count
 
     # ------------------------------------------------------------------
     # Index management
     # ------------------------------------------------------------------
     def create_index(self, column: str, ordered: bool = False) -> None:
         """Create a secondary index on ``column`` over existing rows."""
-        self._ensure_page_load()
+        self._fault_all(index=True)
         position = self.schema.position(column)
         if ordered:
             index = OrderedIndex()
@@ -171,11 +233,6 @@ class Table:
             self._secondary[column] = hash_index
 
     def has_index(self, column: str) -> bool:
-        if self._pager is not None:
-            spec = self._pager.index_spec
-            return column in spec.get("secondary", ()) or column in spec.get(
-                "ordered", ()
-            )
         return column in self._secondary or column in self._ordered
 
     # ------------------------------------------------------------------
@@ -189,8 +246,9 @@ class Table:
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
         """Bulk insert, charged once; returns the number of rows inserted.
         A row that fails validation or repeats a key raises before any
-        row of the batch is appended."""
-        self._ensure_page_load()
+        row of the batch is appended. Of the saved chunks, only those
+        whose zone map may hold a new key are read (and indexed) for the
+        key check; the rows go past them all."""
         pk_index, key_of = self._pk_index, self.schema.key_of
         stored: list[Row] = []
         keys: dict[tuple, None] = {}  # the batch's, in row order
@@ -199,7 +257,7 @@ class Table:
             row = tuple(row)
             if pk_index is not None:
                 key = key_of(row)
-                if key in keys or pk_index.contains(key):
+                if key in keys:
                     raise DuplicateKeyError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
                     )
@@ -207,6 +265,15 @@ class Table:
             stored.append(row)
         if not stored:
             return 0
+        if pk_index is not None:
+            pager = self._pager
+            if pager is not None:
+                self._fault(pager, pager.covering(keys), index=True)
+            if not pk_index.keys().isdisjoint(keys):
+                key = next(filter(pk_index.contains, keys))
+                raise DuplicateKeyError(
+                    f"duplicate primary key {key!r} in table {self.name!r}"
+                )
         first = len(self._rows)
         slots = range(first, first + len(stored))
         self._dirty(first)
@@ -224,8 +291,9 @@ class Table:
         return len(stored)
 
     def delete_at(self, slot: int) -> None:
-        """Tombstone the row in ``slot``."""
-        self._ensure_page_load()
+        """Tombstone the row in ``slot``. Indexes not yet built over its
+        chunk are left alone: they will be built from what is left."""
+        indexed = self._fault_slot(slot)
         row = self._rows[slot]
         if row is None:
             return
@@ -235,6 +303,8 @@ class Table:
         row_bytes = self.schema.row_bytes(row)
         self._bytes -= row_bytes
         self.accountant.charge_write(1, row_bytes)
+        if not indexed:
+            return
         if self._pk_index is not None:
             self._pk_index.remove(self.schema.key_of(row), slot)
         for column, index in self._secondary.items():
@@ -271,7 +341,7 @@ class Table:
             self.schema.position(column): expr.bind(self.schema)
             for column, expr in assignments.items()
         }
-        self._ensure_page_load()
+        self._fault_all()
         # Sized on entry: the rewrite behind the scan changes row sizes.
         charge, bytes_on_entry = self._scan_charge(), self._bytes
         updated = 0
@@ -293,6 +363,7 @@ class Table:
         return updated
 
     def _replace_at(self, slot: int, new_row: Row) -> None:
+        indexed = self._fault_slot(slot)
         old_row = self._rows[slot]
         assert old_row is not None
         self.schema.validate_row(new_row)
@@ -302,22 +373,27 @@ class Table:
             old_key = self.schema.key_of(old_row)
             new_key = self.schema.key_of(new_row)
             if old_key != new_key:
+                # The new key may sit in a chunk not indexed yet, and may
+                # leave this chunk's zone map: index every chunk first.
+                self._fault_all(index=True)
+                indexed = True
                 if self._pk_index.contains(new_key):
                     raise DuplicateKeyError(
                         f"duplicate primary key {new_key!r} in {self.name!r}"
                     )
                 self._pk_index.remove(old_key, slot)
                 self._pk_index.add(new_key, slot)
-        for column, index in self._secondary.items():
-            position = self.schema.position(column)
-            if old_row[position] != new_row[position]:
-                index.remove(old_row[position], slot)
-                index.add(new_row[position], slot)
-        for column, ordered_index in self._ordered.items():
-            position = self.schema.position(column)
-            if old_row[position] != new_row[position]:
-                ordered_index.remove(old_row[position], slot)  # type: ignore[arg-type]
-                ordered_index.add(new_row[position], slot)  # type: ignore[arg-type]
+        if indexed:
+            for column, index in self._secondary.items():
+                position = self.schema.position(column)
+                if old_row[position] != new_row[position]:
+                    index.remove(old_row[position], slot)
+                    index.add(new_row[position], slot)
+            for column, ordered_index in self._ordered.items():
+                position = self.schema.position(column)
+                if old_row[position] != new_row[position]:
+                    ordered_index.remove(old_row[position], slot)  # type: ignore[arg-type]
+                    ordered_index.add(new_row[position], slot)  # type: ignore[arg-type]
         self._dirty(slot)
         self._rows[slot] = new_row
         self._bytes += new_bytes - old_bytes
@@ -328,7 +404,7 @@ class Table:
     # ------------------------------------------------------------------
     def add_column(self, column) -> None:
         """ALTER TABLE ADD COLUMN: existing rows read NULL for it."""
-        self._ensure_page_load()
+        self._fault_all()
         self._dirty(0)
         from repro.relational.schema import Schema
 
@@ -343,8 +419,9 @@ class Table:
 
     def widen_column(self, name: str, dtype) -> None:
         """ALTER TABLE ALTER COLUMN TYPE to a more general type; existing
-        values are coerced in place."""
-        self._ensure_page_load()
+        values are coerced in place (keys too, so every index is built
+        first: a zone map holds the keys as they were)."""
+        self._fault_all(index=True)
         self._dirty(0)
         from repro.relational.schema import ColumnDef, Schema
         from repro.relational.types import generalize_types
@@ -371,26 +448,21 @@ class Table:
 
     def vacuum(self) -> None:
         """Compact tombstones and rebuild indexes."""
-        self._ensure_page_load()
+        self._fault_all()
+        self._pager = None  # every slot moves: the indexes start over
         self._dirty(0)
-        live = [row for row in self._rows if row is not None]
-        self._rows = list(live)
+        self._rows = [row for row in self._rows if row is not None]
         if self._pk_index is not None:
             self._pk_index = HashIndex()
-            for slot, row in enumerate(self._rows):
-                self._pk_index.add(self.schema.key_of(row), slot)  # type: ignore[arg-type]
-        for column in list(self._secondary):
-            self._secondary.pop(column)
-            self.create_index(column, ordered=False)
-        for column in list(self._ordered):
-            self._ordered.pop(column)
-            self.create_index(column, ordered=True)
+        self._secondary = {column: HashIndex() for column in self._secondary}
+        self._ordered = {column: OrderedIndex() for column in self._ordered}
+        self._index_slots(0, len(self._rows))
 
     # ------------------------------------------------------------------
     # Access paths
     # ------------------------------------------------------------------
     def _iter_slots(self) -> Iterator[tuple[int, Row]]:
-        self._ensure_page_load()
+        self._fault_all()
         for slot, row in enumerate(self._rows):
             if row is not None:
                 yield slot, row
@@ -401,9 +473,10 @@ class Table:
         Read to the end, it charges the table's maintained row and byte
         totals in O(1); abandoned early, it charges exactly the rows it
         yielded, when the generator is closed. Do not mutate the table
-        from inside the loop.
+        from inside the loop. It reads every saved chunk and builds no
+        index.
         """
-        self._ensure_page_load()
+        self._fault_all()
         slot = None
         try:
             for slot, row in enumerate(self._rows):
@@ -439,7 +512,7 @@ class Table:
 
     def fetch_slot(self, slot: int) -> Row | None:
         """Random access by heap position (charged as random I/O)."""
-        self._ensure_page_load()
+        self._fault_slot(slot)
         row = self._rows[slot]
         if row is not None:
             self.accountant.charge_random_read(1, self.schema.row_bytes(row))
@@ -457,8 +530,19 @@ class Table:
         Whether the fetches after the probes are charged as random or
         sequential depends on the clustering: probing ``rid`` on a table
         clustered by ``rid`` touches adjacent pages.
+
+        Of the saved chunks, a lookup on the primary key reads and
+        indexes those whose zone map may hold one of ``keys``; one on
+        another indexed column, all of them.
         """
-        self._ensure_page_load()
+        pager = self._pager
+        if pager is not None:
+            keys = list(keys)
+            if self._pk_index is not None and self.schema.primary_key == (column,):
+                numbers = pager.covering([(key,) for key in keys])
+                self._fault(pager, numbers, index=True)
+            elif self.has_index(column):
+                self._fault_all(index=True)
         index = self._index_for(column)
         if index is None:
             position = self.schema.position(column)
@@ -521,7 +605,7 @@ class Table:
     # via its reducer_override)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        self._ensure_page_load()  # a plain pickle must carry the rows
+        self._fault_all(index=True)  # a plain pickle carries it all
         state = dict(self.__dict__)
         for transient in ("_pager", "_saved_chunks", "_dirty_from", "_bytes_skew"):
             state.pop(transient, None)

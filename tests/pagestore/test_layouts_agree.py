@@ -13,10 +13,13 @@ schema change that NULL-pads its parents) is driven twice per model and
 layout: *cold*, reloading before every operation, so every parent diff
 and every set operation has to read the model's tables; and *warm*, one
 process whose memo its own commits filled. Rids, memberships, diffs,
-checkouts and the checkout's cost accounting must not tell them apart.
+checkouts and the checkout's cost accounting must not tell them apart,
+and neither may a probe of every table entry point, which a cold paged
+process runs on tables it has read only in part.
 
-The structural tests count bytes and pages, never time; the upgrade
-tests load states written before the tables were the only copy."""
+The structural tests count bytes, pages and decoded chunks, never time;
+the upgrade tests load states written before the tables were the only
+copy, and before chunks carried zone maps."""
 
 from __future__ import annotations
 
@@ -37,7 +40,15 @@ from repro.core.models import DATA_MODELS
 from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
-from repro.pagestore.store import migrate_state, read_directory
+from repro.pagestore.store import (
+    PageStore,
+    SegmentRef,
+    _state_outers,
+    migrate_state,
+    read_directory,
+)
+from repro.relational.errors import DuplicateKeyError
+from repro.relational.expressions import col, lit
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Table
 from repro.relational.types import FLOAT, INT, TEXT
@@ -150,6 +161,33 @@ def test_every_version_checks_out_the_same_under_both_layouts(
         assert sorted(copy.cvd("ds").checkout(vid).rows) == rows
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_storage_bytes_do_not_depend_on_what_has_been_read(
+    model, tmp_path, monkeypatch
+):
+    """An index is sized by the rows it covers, built or not: a paged
+    state answers the same paged out, after a checkout has read part of
+    it, and resident — and the same as the pickle layout does."""
+    monkeypatch.setenv(pagefiles.PAGE_BYTES_ENV, "4096")
+    versions = history()
+    sizes = {}
+    for layout in LAYOUTS:
+        monkeypatch.setenv(LAYOUT_ENV, layout)
+        root = tmp_path / layout
+        root.mkdir()
+        build(root, model, versions)
+        reset_pool()
+        orpheus, _info = StateStore(root).load(warn=None)
+        cvd = orpheus.cvd("ds")
+        sizes[layout, "loaded"] = cvd.storage_bytes()
+        cvd.checkout(len(versions))
+        sizes[layout, "checked out"] = cvd.storage_bytes()
+        for table in orpheus.database:
+            table._fault_all(index=True)
+        sizes[layout, "resident"] = cvd.storage_bytes()
+    assert len(set(sizes.values())) == 1, sizes
+
+
 # ----------------------------------------------------------------------
 # Cold equals warm
 # ----------------------------------------------------------------------
@@ -177,12 +215,56 @@ def vacuum_every_heap(orpheus) -> int:
     return sum(len(table) for table in orpheus.database)
 
 
-def script(model: str, n_rows: int = 30, pad: str = "") -> list:
+def probe_every_heap(orpheus, partly_read: set[str]) -> list:
+    """Every physical table's entry points on as much of it as this
+    process has read: keyed lookups (absent keys too), a slot fetch, a
+    refused duplicate insert that must leave the table clean, then a
+    delete, a re-insert and two key-changing updates that put back what
+    they took. The reads come first, so a reloaded table is only partly
+    read while they run; ``partly_read`` collects the tables that were
+    still so after the lookups."""
+    bound = orpheus.cvd("ds")._next_rid + 2
+    keys = [bound, bound // 2, 3, 1, -1]
+    seen = []
+    for table in sorted(orpheus.database, key=lambda table: table.name):
+        (column,) = table.schema.primary_key
+        size = table.storage_bytes()
+        found = table.lookup_many(column, keys)
+        one = table.lookup(column, 3)
+        if table.paged_out:
+            partly_read.add(table.name)
+        middle = len(table._rows) // 2
+        fetched = table.fetch_slot(middle) if table._rows else None
+        refused = None
+        if found:
+            clean = (table._dirty_from, len(table), table.storage_bytes())
+            with pytest.raises(DuplicateKeyError) as error:
+                table.insert_many([(bound + 100, *found[0][1:]), found[0]])
+            assert (table._dirty_from, len(table), table.storage_bytes()) == clean
+            refused = str(error.value)
+        if fetched is not None:
+            table.delete_at(middle)
+            table.insert(fetched)
+            key = fetched[table.schema.position(column)]
+            table.update_where(col(column) == lit(key), {column: lit(bound + 50)})
+            table.update_where(col(column) == lit(bound + 50), {column: lit(key)})
+        after = table.lookup_many(column, keys)
+        seen.append(
+            (table.name, size, found, one, fetched, refused, after,
+             table.storage_bytes())
+        )
+    return seen
+
+
+def script(
+    model: str, n_rows: int = 30, pad: str = "", partly_read: set | None = None
+) -> list:
     """Operations ``orpheus -> result``, in order. Versions: 1 root (one
     row in it twice), 2 and 3 a chain, 4 a branch off 2, 5 the merge of 3
     and 4, 6 adds a column (its untouched rows are their parents',
     NULL-padded), 7 edits 6, 8 widens ``value`` to decimal, 9 is empty;
-    between them every heap is tombstoned from the front, then vacuumed."""
+    between them every heap is tombstoned from the front, then vacuumed,
+    and probed entry point by entry point twice."""
     rng = random.Random(11)
     rows = {
         1: [(f"k{i:04d}{pad}", rng.randrange(100)) for i in range(n_rows)]
@@ -248,9 +330,12 @@ def script(model: str, n_rows: int = 30, pad: str = "") -> list:
         operations.append(
             lambda orpheus: sorted(map(sorted, orpheus.optimize("ds").groups))
         )
-    operations += [commit(6), tombstone_the_front_of_every_heap, commit(7)]
+    def probe(orpheus):
+        return probe_every_heap(orpheus, set() if partly_read is None else partly_read)
+
+    operations += [commit(6), probe, tombstone_the_front_of_every_heap, commit(7)]
     operations += [checkout(vid) for vid in range(1, 8)]
-    operations += [vacuum_every_heap, commit(8), commit(9)]
+    operations += [vacuum_every_heap, commit(8), commit(9), probe]
     operations += [checkout(vid) for vid in range(1, 10)] + [checkout((7, 3))]
     operations += [query("membership", vid) for vid in range(1, 10)]
     operations += [
@@ -291,16 +376,18 @@ def test_a_process_that_always_reloads_agrees_with_one_that_never_does(
     if shape:
         monkeypatch.setenv(pagefiles.PAGE_BYTES_ENV, "4096")
     warm = run_warm(model, **shape)
+    partly_read = set()
     for layout in LAYOUTS:
         monkeypatch.setenv(LAYOUT_ENV, layout)
         root = tmp_path / layout
         root.mkdir()
-        cold = run_cold(root, model, **shape)
+        cold = run_cold(root, model, partly_read=partly_read, **shape)
         for step, (got, expected) in enumerate(zip(cold, warm, strict=True)):
             assert got == expected, (layout, step)
     if shape:
         chunks = Counter(key.partition("#")[0] for key in newest_segments(root))
         assert max(chunks.values()) >= 5, chunks
+        assert partly_read  # the probes ran on tables read only in part
 
 
 # ----------------------------------------------------------------------
@@ -388,8 +475,12 @@ class History:
         self.orpheus = orpheus
         self.versions = 1
 
-    def commit(self) -> dict:
-        """One more 5 % commit, saved; what it wrote."""
+    def commit(self, fresh: bool = False) -> dict:
+        """One more 5 % commit, saved; what it wrote. ``fresh``: made by
+        a process that loads the state first, as a CLI commit is."""
+        if fresh:
+            reset_pool()
+            self.orpheus, _info = StateStore(self.root).load(warn=None)
         doomed = set(self.rng.sample(range(len(self.rows)), 150))
         kept = [row for i, row in enumerate(self.rows) if i not in doomed]
         fresh = fixture_rows(self.rng, self.next_key, 150)
@@ -444,20 +535,45 @@ def newest_segments(root) -> dict[str, dict]:
     return read_directory(root)["generations"][0]["segments"]
 
 
+def pull(root, vid: int) -> Table:
+    """A CLI pull of ``vid`` in a fresh process: load, check out to a
+    file, save the pin. The data table it read."""
+    reset_pool()
+    store = StateStore(root)
+    orpheus, _info = store.load(warn=None)
+    params = {"dataset": "mid", "versions": [vid], "file": str(root / "pull.csv")}
+    assert orpheus.execute("checkout", params, "alice")["rows"] == 3000
+    store.save(orpheus)
+    return orpheus.database.table("mid__data")
+
+
 def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
     tmp_path, monkeypatch
 ):
     """Chunks encoded, heap slots handed to the encoder and pages written
     by one 5 % commit do not grow with the versions before it, and every
-    chunk below the slots it wrote keeps its pages."""
+    chunk below the slots it wrote keeps its pages. A process that loads
+    the state reads one chunk of rid lists to pull a version and at most
+    two to commit one, and a pull builds no index on the data table."""
     monkeypatch.setenv(LAYOUT_ENV, "paged")
     telemetry.enable()
-    slots = []
+    slots, decoded = [], []
     encode = codec.encode_table_rows
     monkeypatch.setattr(
         codec, "encode_table_rows",
         lambda rows, n_cols: slots.append(len(rows)) or encode(rows, n_cols),
     )
+    read_segment = PageStore.read_segment
+    monkeypatch.setattr(
+        PageStore, "read_segment",
+        lambda store, ref, accountant=None: (
+            decoded.append(ref.key) or read_segment(store, ref, accountant)
+        ),
+    )
+
+    def rid_lists_decoded() -> int:
+        return sum(key.startswith("table:mid__rlist#") for key in decoded)
+
     history = History(tmp_path)
     # A full data chunk (a page of 27-byte rows) plus the commit's 150 new
     # rows, and at most a chunk of 5 rid lists (12,008 bytes each).
@@ -470,10 +586,11 @@ def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
             wrote = history.commit()
             assert wrote["pagestore.segments_encoded"] <= 3, history.versions
         window[versions] = sum(slots)
-        del slots[:]
+        del slots[:], decoded[:]
         before = newest_segments(tmp_path)
-        wrote = history.commit()
+        wrote = history.commit(fresh=True)
         assert history.versions == versions
+        assert 1 <= rid_lists_decoded() <= 2  # the parent's chunk, the tail
         assert wrote["pagestore.segments_encoded"] == len(slots) <= 3
         assert wrote["pagestore.pages_written"] <= 3
         assert sum(slots) <= per_data + 150 + per_rlist
@@ -488,6 +605,10 @@ def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
             assert len(chunks) > 1
             for key in chunks[:-1]:  # all but the open tail: untouched
                 assert after[key] == before[key], key
+        del decoded[:]
+        data = pull(tmp_path, versions)
+        assert rid_lists_decoded() == 1
+        assert not data._pk_index.keys() and data._pager is not None
     assert window[124] == pytest.approx(window[24], rel=0.10)
     assert window[240] == pytest.approx(window[24], rel=0.10)
 
@@ -528,6 +649,22 @@ def page_files(root: Path) -> set[str]:
     return {p.name for p in pagefiles.list_page_files(pagefiles.pages_dir(root))}
 
 
+def keyed_lookups_agree_with_a_scan(orpheus) -> bool:
+    """Each table's keyed lookups, run first (so on a reloaded table
+    whose chunks may have no zone map, only partly read), find what a
+    scan finds."""
+    probes = {}
+    for table in orpheus.database:
+        (column,) = table.schema.primary_key
+        keys = list(range(-1, 40, 2))
+        probes[table] = (keys, table.lookup_many(column, keys))
+    for table, (keys, found) in probes.items():
+        position = table.schema.position(table.schema.primary_key[0])
+        by_key = {row[position]: row for row in table.rows_snapshot()}
+        assert found == [by_key[key] for key in keys if key in by_key], table.name
+    return True
+
+
 @pytest.mark.parametrize("kind", ["paged-v1", "paged-v2", "pickle", "bare-pickle"])
 def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
     root, expected = legacy_root(kind, tmp_path)
@@ -556,6 +693,7 @@ def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
     assert command(root, lambda o: {n: o.cvd(n).num_records for n in want}) == {
         name: 9 for name in want
     }
+    assert command(root, keyed_lookups_agree_with_a_scan)
 
     # One commit per dataset: each reuses its parent's rids, so each
     # reads the parent back from the tables the old maps shadowed.
@@ -580,6 +718,7 @@ def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
             assert shed not in state
         return
     command(root, lambda o: None)  # the last commit's parent leaves .bak.1
+    assert command(root, keyed_lookups_agree_with_a_scan)
     after = newest_segments(root)
     assert all(key.startswith("table:") for key in after), sorted(after)
     # A table a commit wrote to is a run of chunks now; one it did not
@@ -588,6 +727,13 @@ def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
     whole = after.keys() - {key for key in after if "#" in key}
     assert chunked and not chunked & whole
     assert all(after[key] == before[key] for key in whole)
+    # The chunks a commit cut carry zone maps; what rode through has none.
+    zones = {
+        ref.key: ref.zone
+        for ref in map(SegmentRef.from_tuple, next(_state_outers(root))["segments"])
+    }
+    assert all(zones[key] is not None for key in after if "#" in key), zones
+    assert all(zones[key] is None for key in whole)
     assert bool(whole) == (kind == "paged-v2")  # it has per-version tables
     # The saves above have rotated every backup generation past the old
     # segments: nothing references their pages, and GC has taken them.

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 import tarfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -510,15 +512,63 @@ def test_page_load_rebuilds_the_pk_index_without_per_row_schema_calls(
     loaded, _ = load(tmp_path)
     table = loaded.database.table("ds__data")
     assert table.paged_out
+    rows = table.rows_snapshot()  # reads every chunk, builds no index
+    assert not table.paged_out and not table._pk_index.keys()
     calls = []
     real = Schema.key_positions
     monkeypatch.setattr(
         Schema, "key_positions", lambda self: calls.append(1) or real(self)
     )
-    table._ensure_page_load()
+    # The first keyed lookup builds the index of the chunk it lands in.
+    assert table.lookup("rid", rows[137][0]) == [rows[137]]
     assert len(calls) <= 2
-    rid = table.rows_snapshot()[137][0]
-    assert table.lookup("rid", rid) == [table.rows_snapshot()[137]]
+    assert table._pager is None and len(table._pk_index) == len(rows)
+
+
+def test_threads_reading_a_part_read_table_each_see_every_row(
+    tmp_path, monkeypatch
+):
+    """Readers racing on one freshly loaded table — keyed lookups that
+    land in different chunks, and scans — each get every row they ask
+    for, and the index they build between them holds each row once."""
+    monkeypatch.setenv(pagefiles.PAGE_BYTES_ENV, "4096")
+    orpheus = build_orpheus(rows_per=1200)
+    orpheus.database.table("ds__data").create_index("value")  # not unique
+    save_paged(tmp_path, orpheus)
+    reset_pool()
+    expected = load(tmp_path)[0].database.table("ds__data").rows_snapshot()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            reset_pool()
+            table = load(tmp_path)[0].database.table("ds__data")
+            assert len(table._saved_chunks) >= 4
+            outcomes = []
+
+            def read(worker: int) -> None:
+                try:
+                    if worker % 3 == 0:
+                        outcomes.append(list(table.scan()) == expected)
+                    else:
+                        rows = expected[worker::7]
+                        found = table.lookup_many("rid", [row[0] for row in rows])
+                        outcomes.append(found == rows)
+                except Exception as error:  # reported by the assert below
+                    outcomes.append(error)
+
+            threads = [threading.Thread(target=read, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert outcomes == [True] * 8, outcomes
+            table._fault_all(index=True)
+            assert len(table._pk_index) == len(table) == len(expected)
+            assert len(table._secondary["value"]) == len(expected)
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.mark.parametrize("layout", ["pickle", "paged"])

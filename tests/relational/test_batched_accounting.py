@@ -36,7 +36,7 @@ from repro.resilience.statestore import StateStore
 # The oracle: one charge per row, as the engine did before batching.
 # ----------------------------------------------------------------------
 def naive_scan(table):
-    table._ensure_page_load()
+    table._fault_all(index=True)
     for row in table._rows:
         if row is not None:
             table.accountant.charge_seq_scan(1, table.schema.row_bytes(row))
@@ -44,7 +44,7 @@ def naive_scan(table):
 
 
 def naive_lookup_many(table, column, keys):
-    table._ensure_page_load()
+    table._fault_all(index=True)
     index = table._index_for(column)
     if index is None:
         position = table.schema.position(column)
@@ -65,7 +65,7 @@ def naive_lookup_many(table, column, keys):
 
 def naive_insert_many(table, rows):
     """One validation, one key check and one write charge per row."""
-    table._ensure_page_load()
+    table._fault_all(index=True)
     count = 0
     for row in rows:
         table.schema.validate_row(row)
@@ -491,7 +491,7 @@ def test_a_reloaded_repository_charges_what_the_oracle_charges(
         author="alice",
     )
     for table in loaded.database:
-        table._ensure_page_load()  # page faults are charged as reads too
+        table._fault_all(index=True)  # page faults are charged as reads too
 
     def checkouts():
         return [

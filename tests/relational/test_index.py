@@ -31,12 +31,12 @@ class TestHashIndex:
         index.add("b", 2)
         assert len(index) == 3
 
-    def test_approximate_bytes_grows(self):
+    def test_add_distinct_adds_one_position_per_key(self):
         index = HashIndex()
-        empty = index.approximate_bytes()
-        for i in range(100):
-            index.add(i, i)
-        assert index.approximate_bytes() > empty
+        index.add("a", 0)
+        index.add_distinct(["b", "c"], [4, 7])
+        assert [index.lookup(k) for k in "abc"] == [[0], [4], [7]]
+        assert len(index) == 3
 
 
 class TestOrderedIndex:
