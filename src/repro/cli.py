@@ -35,13 +35,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
 from repro.core.commands import Orpheus
 from repro.core.csvio import read_csv, read_schema_file
-from repro.observe.doctor import run_doctor
-from repro.observe.explain import run_with_actuals
 from repro.observe.journal import (
     JOURNALED_COMMANDS,
     MUTATING_COMMANDS,
@@ -54,8 +53,7 @@ from repro.observe.journal import (
 )
 from repro.resilience import failpoints, fsio
 from repro.resilience.intents import IntentLog, has_pending_intents
-from repro.resilience.lock import RepositoryLock
-from repro.resilience.recovery import run_recovery
+from repro.resilience.lock import RepositoryLock, fold_lock
 from repro.resilience.statestore import StateStore
 from repro.telemetry.snapshot import Snapshot
 
@@ -109,434 +107,62 @@ def save_telemetry(snapshot: Snapshot, root: str | None = None) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orpheus",
-        description="Dataset version control (OrpheusDB reproduction)",
-    )
-    parser.add_argument(
-        "--root", default=None, help="repository root (default: cwd)"
-    )
-    parser.add_argument(
-        "--timings",
-        action="store_true",
-        help="print this invocation's span tree to stderr",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ----------------------------------------------------------------------
+# The command table: one grammar for `orpheus` and `orpheus remote`
+# ----------------------------------------------------------------------
 
-    init = sub.add_parser("init", help="register a CSV as a new CVD")
-    init.add_argument("-d", "--dataset", required=True)
-    init.add_argument("-f", "--file", required=True)
-    init.add_argument("-s", "--schema", required=True)
-    init.add_argument("--model", default="split_by_rlist")
-
-    checkout = sub.add_parser("checkout", help="materialize version(s) to CSV")
-    checkout.add_argument("-d", "--dataset", required=True)
-    checkout.add_argument(
-        "-v", "--versions", required=True, nargs="+", type=int
-    )
-    checkout.add_argument("-f", "--file", required=True)
-    checkout.add_argument("-s", "--schema", default=None)
-    _add_explain(checkout)
-
-    commit = sub.add_parser("commit", help="commit a checked-out CSV")
-    commit.add_argument("-d", "--dataset", required=True)
-    commit.add_argument("-f", "--file", required=True)
-    commit.add_argument("-s", "--schema", default=None)
-    commit.add_argument("-m", "--message", default="")
-    _add_explain(commit)
-
-    log = sub.add_parser("log", help="show the version graph")
-    log.add_argument("-d", "--dataset", default=None)
-    log.add_argument(
-        "--ops",
-        action="store_true",
-        help="show the operation journal instead of the version graph",
-    )
-    log.add_argument(
-        "--verify",
-        action="store_true",
-        help="with --ops: replay the journal against the version graph",
-    )
-    log.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-
-    diff = sub.add_parser("diff", help="records in one version but not another")
-    diff.add_argument("-d", "--dataset", required=True)
-    diff.add_argument("-a", type=int, required=True)
-    diff.add_argument("-b", type=int, required=True)
-    _add_explain(diff)
-
-    ls = sub.add_parser("ls", help="list CVDs")
-    ls.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-
-    runq = sub.add_parser(
-        "run", help="execute a version-aware SQL SELECT"
-    )
-    runq.add_argument("sql", help="the query, e.g. \"SELECT * FROM d ...\"")
-    runq.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    runq.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        help="print at most this many rows (full result still computed)",
-    )
-
-    drop = sub.add_parser("drop", help="drop a CVD")
-    drop.add_argument("-d", "--dataset", required=True)
-
-    optimize = sub.add_parser("optimize", help="run the partition optimizer")
-    optimize.add_argument("-d", "--dataset", required=True)
-    optimize.add_argument("--gamma", type=float, default=2.0)
-    optimize.add_argument("--mu", type=float, default=1.5)
-
-    user = sub.add_parser("create_user", help="register a user")
-    user.add_argument("name")
-    user.add_argument("--email", default="")
-
-    config = sub.add_parser("config", help="log in as a user")
-    config.add_argument("name")
-
-    sub.add_parser("whoami", help="print the current user")
-
-    doctor = sub.add_parser(
-        "doctor", help="run storage-health probes against this repository"
-    )
-    doctor.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
-
-    recover = sub.add_parser(
-        "recover",
-        help="detect and repair operations torn by a crash",
-    )
-    recover.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report what recovery would do without changing anything",
-    )
-
-    migrate = sub.add_parser(
-        "migrate-state",
-        help="convert the repository between the pickle and paged "
-        "(out-of-core) state layouts in place",
-    )
-    migrate.add_argument(
-        "--to",
-        choices=("paged", "pickle"),
-        default="paged",
-        help="target layout (default: paged)",
-    )
-    migrate.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report the planned conversion without changing anything",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run any orpheus command with resource profiling and "
-        "print its span-tree profile",
-    )
-    profile.add_argument(
-        "--top",
-        type=int,
-        default=15,
-        help="number of hot spans in the self-time table (default 15)",
-    )
-    profile.add_argument(
-        "--collapsed",
-        action="store_true",
-        help="emit folded stacks (flamegraph.pl / speedscope format) "
-        "instead of the tree",
-    )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the profiled tree and hot-span table as JSON",
-    )
-    profile.add_argument(
-        "cmd",
-        nargs=argparse.REMAINDER,
-        metavar="command",
-        help="the orpheus command to profile, e.g. "
-        "`orpheus profile checkout -d data -v 3 -f out.csv`",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the unified benchmark suite (same flags as "
-        "`python -m benchmarks`)",
-    )
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument(
-        "--tier",
-        default=None,
-        metavar="TAG",
-        help="run the benches carrying this tier tag instead of the "
-        "quick tier (e.g. service-scale)",
-    )
-    bench.add_argument("--filter", default=None, metavar="SUBSTR")
-    bench.add_argument("--repeats", type=int, default=None)
-    bench.add_argument("--list", action="store_true")
-    bench.add_argument("--json", action="store_true")
-    bench.add_argument("--no-write", action="store_true")
-    bench.add_argument("--check", action="store_true")
-    bench.add_argument("--warn-only", action="store_true")
-    bench.add_argument("--update-baseline", action="store_true")
-    bench.add_argument("--baseline", default=None)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the version-service daemon (orpheusd) over this "
-        "repository",
-    )
-    serve.add_argument(
-        "--socket",
-        default=None,
-        help="Unix socket path (default: .orpheus/service.sock)",
-    )
-    serve.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="additionally listen on TCP (port 0 picks a free port)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4, help="read worker threads"
-    )
-    serve.add_argument(
-        "--cache-mb",
-        type=float,
-        default=64.0,
-        help="materialized-version cache budget in MiB",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=8,
-        help="writer queue depth before BUSY load-shedding",
-    )
-    serve.add_argument(
-        "--read-queue-depth",
-        type=int,
-        default=64,
-        help="read queue depth before BUSY load-shedding",
-    )
-    serve.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=300.0,
-        help="close sessions silent for this many seconds",
-    )
-    serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve Prometheus /metrics (and /stats, /healthz) on this "
-        "HTTP port; 0 picks a free port, recorded in service.json",
-    )
-    serve.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="log requests slower than this to "
-        ".orpheus/journal/slow.jsonl (default: $ORPHEUS_SLOW_MS or 500)",
-    )
-    serve.add_argument(
-        "--flight-sample",
-        type=float,
-        default=1.0,
-        metavar="FRAC",
-        help="fraction of requests the flight recorder keeps, 0..1 "
-        "(default 1.0; 0 disables)",
-    )
-    serve.add_argument(
-        "--flight-segment-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="rotate flight-recorder segments at this size (default 4)",
-    )
-    serve.add_argument(
-        "--flight-segments",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep at most N flight segments on disk (default 8)",
-    )
-    serve.add_argument(
-        "--status",
-        action="store_true",
-        help="query a running daemon instead of starting one",
-    )
-    serve.add_argument(
-        "--stop",
-        action="store_true",
-        help="ask a running daemon to drain and exit",
-    )
-    serve.add_argument(
-        "--json", action="store_true", help="with --status: JSON output"
-    )
-
-    remote = sub.add_parser(
-        "remote",
-        help="run a command against the daemon instead of the local "
-        "state file",
-    )
-    remote.add_argument(
-        "--user",
-        default=os.environ.get("ORPHEUS_USER", ""),
-        help="session identity (default: $ORPHEUS_USER or anonymous)",
-    )
-    remote.add_argument(
-        "--socket", default=None, help="daemon socket (default: discover)"
-    )
-    remote.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw response data as JSON",
-    )
-    remote.add_argument(
-        "cmd",
-        nargs=argparse.REMAINDER,
-        metavar="command",
-        help="the command to forward, e.g. "
-        "`orpheus remote checkout -d data -v 3 -f out.csv`",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="live dashboard for a running daemon (polls its stats op)",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between polls (default 2)",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="print one frame and exit (no screen clearing)",
-    )
-    top.add_argument(
-        "--json",
-        action="store_true",
-        help="dump the raw stats payload instead of the dashboard",
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,  # bounded loop, for tests/scripts
-    )
-
-    replay = sub.add_parser(
-        "replay",
-        help="re-issue a recorded flight against the running daemon "
-        "and compare latency/shed/cache behaviour",
-    )
-    replay.add_argument(
-        "flight_dir",
-        nargs="?",
-        default=None,
-        metavar="FLIGHT_DIR",
-        help="flight-recorder directory "
-        "(default: .orpheus/journal/flight)",
-    )
-    replay.add_argument(
-        "--speedup",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="compress recorded inter-arrival times by this factor "
-        "(default 1 = real time)",
-    )
-    replay.add_argument(
-        "--user",
-        default=os.environ.get("ORPHEUS_USER", ""),
-        help="session identity for the replay connections",
-    )
-    replay.add_argument(
-        "--socket", default=None, help="daemon socket (default: discover)"
-    )
-    replay.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison report as JSON",
-    )
-    replay.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when replayed p95 drifts past the budget "
-        "or op counts fail to reproduce the recording",
-    )
-    replay.add_argument(
-        "--budget-pct",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="with --check: relative p95 drift budget (default 50)",
-    )
-    replay.add_argument(
-        "--budget-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="with --check: absolute p95 drift floor (default 5)",
-    )
-
-    heat = sub.add_parser(
-        "heat",
-        help="storage access observatory: hot/cold partitions and "
-        "versions, I/O amplification, and the partition advisor",
-    )
-    heat.add_argument(
-        "-d", "--dataset", default=None, help="restrict to one dataset"
-    )
-    heat.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="rows per hot/cold table (default 10)",
-    )
-    heat.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    heat.add_argument(
-        "--from-flight",
-        action="store_true",
-        help="rebuild the heat model offline from the flight recorder "
-        "and the ops journal instead of reading heat.json",
-    )
-
-    stats = sub.add_parser(
-        "stats", help="show accumulated telemetry for this repository"
-    )
-    stats.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    stats.add_argument(
-        "--prometheus",
-        action="store_true",
-        help="Prometheus text exposition format",
-    )
-    stats.add_argument(
-        "--reset", action="store_true", help="clear the recorded telemetry"
-    )
-    return parser
+#: Argument names that are request parameters: what ``orpheus remote``
+#: forwards and what orpheusd's ops and :meth:`Orpheus.execute` take.
+_PARAMS = (
+    "dataset", "versions", "file", "schema", "message", "model",
+    "a", "b", "sql", "gamma", "mu", "name", "email", "ops", "recent",
+)
 
 
-def _add_explain(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
+@dataclass(frozen=True)
+class Arg:
+    """One ``add_argument`` call. ``local=False`` leaves it out of the
+    local grammar; ``remote`` says whether ``orpheus remote`` has it,
+    and by default it does exactly when it is a request parameter —
+    output flags such as ``--json`` or ``--explain`` stay local."""
+
+    flags: tuple[str, ...]
+    kwargs: dict
+    local: bool = True
+    remote: bool | None = None
+
+    def in_grammar(self, remote: bool) -> bool:
+        if not remote:
+            return self.local
+        if self.remote is not None:
+            return self.remote
+        name = next((f for f in self.flags if f.startswith("--")), self.flags[0])
+        return name.lstrip("-").replace("-", "_") in _PARAMS
+
+
+def _arg(*flags: str, local: bool = True, remote: bool | None = None, **kwargs) -> Arg:
+    return Arg(flags, kwargs, local, remote)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command of the table: its name, help line and arguments, and
+    which grammars have it — ``orpheus`` itself, ``orpheus remote``
+    (which forwards it to orpheusd), or both."""
+
+    name: str
+    help: str = ""
+    args: tuple[Arg, ...] = ()
+    local: bool = True
+    remote: bool = False
+
+    def in_grammar(self, remote: bool) -> bool:
+        return self.remote if remote else self.local
+
+
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_EXPLAIN = (
+    _arg(
         "--explain",
         nargs="?",
         const="plan",
@@ -544,17 +170,497 @@ def _add_explain(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="print the plan tree; 'analyze' also executes and attaches "
         "actual rows and per-node timings",
-    )
-    subparser.add_argument(
+    ),
+    _arg(
         "--json",
         action="store_true",
         help="with --explain: emit the plan tree as JSON",
+    ),
+)
+_DATASET = _arg("-d", "--dataset", required=True)
+_SOCKET = _arg("--socket", default=None, help="daemon socket (default: discover)")
+
+#: Every command, in the order the help lists them. ``orpheus remote``
+#: has the commands marked ``remote``, with their request parameters;
+#: each run builds the sub-parser of its own command only.
+COMMAND_TABLE: dict[str, Command] = {
+    command.name: command
+    for command in (
+        Command("init", "register a CSV as a new CVD", (
+            _DATASET,
+            _arg("-f", "--file", required=True),
+            _arg("-s", "--schema", required=True),
+            _arg("--model", default="split_by_rlist"),
+        ), remote=True),
+        Command("checkout", "materialize version(s) to CSV", (
+            _DATASET,
+            _arg("-v", "--versions", required=True, nargs="+", type=int),
+            _arg("-f", "--file", required=True, remote=False),
+            # Remotely the file is optional: without it the rows come
+            # back inline.
+            _arg("-f", "--file", default=None, local=False),
+            _arg("-s", "--schema", default=None),
+            *_EXPLAIN,
+        ), remote=True),
+        Command("commit", "commit a checked-out CSV", (
+            _DATASET,
+            _arg("-f", "--file", required=True),
+            _arg("-s", "--schema", default=None),
+            _arg("-m", "--message", default=""),
+            *_EXPLAIN,
+        ), remote=True),
+        Command("log", "show the version graph", (
+            _arg("-d", "--dataset", default=None),
+            _arg(
+                "--ops",
+                action="store_true",
+                help="show the operation journal instead of the version graph",
+            ),
+            _arg(
+                "--verify",
+                action="store_true",
+                help="with --ops: replay the journal against the version graph",
+            ),
+            _JSON,
+        ), remote=True),
+        Command("diff", "records in one version but not another", (
+            _DATASET,
+            _arg("-a", type=int, required=True),
+            _arg("-b", type=int, required=True),
+            *_EXPLAIN,
+        ), remote=True),
+        Command("ls", "list CVDs", (_JSON,), remote=True),
+        Command("run", "execute a version-aware SQL SELECT", (
+            _arg("sql", help="the query, e.g. \"SELECT * FROM d ...\""),
+            _JSON,
+            _arg(
+                "--limit",
+                type=int,
+                default=None,
+                help="print at most this many rows (full result still computed)",
+            ),
+        ), remote=True),
+        Command("drop", "drop a CVD", (_DATASET,), remote=True),
+        Command("optimize", "run the partition optimizer", (
+            _DATASET,
+            _arg("--gamma", type=float, default=2.0),
+            _arg("--mu", type=float, default=1.5),
+        ), remote=True),
+        Command("create_user", "register a user", (
+            _arg("name"),
+            _arg("--email", default=""),
+        ), remote=True),
+        Command("config", "log in as a user", (_arg("name"),)),
+        Command("whoami", "print the current user", remote=True),
+        Command(
+            "doctor",
+            "run storage-health probes against this repository",
+            (_arg("--json", action="store_true", help="machine-readable report"),),
+            remote=True,
+        ),
+        Command("status", local=False, remote=True),
+        Command("recover", "detect and repair operations torn by a crash", (
+            _arg(
+                "--dry-run",
+                action="store_true",
+                help="report what recovery would do without changing anything",
+            ),
+        )),
+        Command(
+            "migrate-state",
+            "convert the repository between the pickle and paged "
+            "(out-of-core) state layouts in place",
+            (
+                _arg(
+                    "--to",
+                    choices=("paged", "pickle"),
+                    default="paged",
+                    help="target layout (default: paged)",
+                ),
+                _arg(
+                    "--dry-run",
+                    action="store_true",
+                    help="report the planned conversion without changing anything",
+                ),
+            ),
+        ),
+        Command(
+            "profile",
+            "run any orpheus command with resource profiling and print its "
+            "span-tree profile",
+            (
+                _arg(
+                    "--top",
+                    type=int,
+                    default=15,
+                    help="number of hot spans in the self-time table (default 15)",
+                ),
+                _arg(
+                    "--collapsed",
+                    action="store_true",
+                    help="emit folded stacks (flamegraph.pl / speedscope "
+                    "format) instead of the tree",
+                ),
+                _arg(
+                    "--json",
+                    action="store_true",
+                    help="emit the profiled tree and hot-span table as JSON",
+                ),
+                _arg(
+                    "cmd",
+                    nargs=argparse.REMAINDER,
+                    metavar="command",
+                    help="the orpheus command to profile, e.g. "
+                    "`orpheus profile checkout -d data -v 3 -f out.csv`",
+                ),
+            ),
+        ),
+        Command(
+            "bench",
+            "run the unified benchmark suite (same flags as "
+            "`python -m benchmarks`)",
+            (
+                _arg("--quick", action="store_true"),
+                _arg(
+                    "--tier",
+                    default=None,
+                    metavar="TAG",
+                    help="run the benches carrying this tier tag instead of "
+                    "the quick tier (e.g. service-scale)",
+                ),
+                _arg("--filter", default=None, metavar="SUBSTR"),
+                _arg("--repeats", type=int, default=None),
+                _arg("--list", action="store_true"),
+                _arg("--json", action="store_true"),
+                _arg("--no-write", action="store_true"),
+                _arg("--check", action="store_true"),
+                _arg("--warn-only", action="store_true"),
+                _arg("--update-baseline", action="store_true"),
+                _arg("--baseline", default=None),
+            ),
+        ),
+        Command(
+            "serve",
+            "run the version-service daemon (orpheusd) over this repository",
+            (
+                _arg(
+                    "--socket",
+                    default=None,
+                    help="Unix socket path (default: .orpheus/service.sock)",
+                ),
+                _arg(
+                    "--tcp",
+                    default=None,
+                    metavar="HOST:PORT",
+                    help="additionally listen on TCP (port 0 picks a free port)",
+                ),
+                _arg("--workers", type=int, default=4, help="read worker threads"),
+                _arg(
+                    "--cache-mb",
+                    type=float,
+                    default=64.0,
+                    help="materialized-version cache budget in MiB",
+                ),
+                _arg(
+                    "--queue-depth",
+                    type=int,
+                    default=8,
+                    help="writer queue depth before BUSY load-shedding",
+                ),
+                _arg(
+                    "--read-queue-depth",
+                    type=int,
+                    default=64,
+                    help="read queue depth before BUSY load-shedding",
+                ),
+                _arg(
+                    "--idle-timeout",
+                    type=float,
+                    default=300.0,
+                    help="close sessions silent for this many seconds",
+                ),
+                _arg(
+                    "--metrics-port",
+                    type=int,
+                    default=None,
+                    metavar="PORT",
+                    help="serve Prometheus /metrics (and /stats, /healthz) on "
+                    "this HTTP port; 0 picks a free port, recorded in "
+                    "service.json",
+                ),
+                _arg(
+                    "--slow-ms",
+                    type=float,
+                    default=None,
+                    metavar="MS",
+                    help="log requests slower than this to "
+                    ".orpheus/journal/slow.jsonl (default: $ORPHEUS_SLOW_MS "
+                    "or 500)",
+                ),
+                _arg(
+                    "--flight-sample",
+                    type=float,
+                    default=1.0,
+                    metavar="FRAC",
+                    help="fraction of requests the flight recorder keeps, "
+                    "0..1 (default 1.0; 0 disables)",
+                ),
+                _arg(
+                    "--flight-segment-mb",
+                    type=float,
+                    default=None,
+                    metavar="MB",
+                    help="rotate flight-recorder segments at this size "
+                    "(default 4)",
+                ),
+                _arg(
+                    "--flight-segments",
+                    type=int,
+                    default=None,
+                    metavar="N",
+                    help="keep at most N flight segments on disk (default 8)",
+                ),
+                _arg(
+                    "--status",
+                    action="store_true",
+                    help="query a running daemon instead of starting one",
+                ),
+                _arg(
+                    "--stop",
+                    action="store_true",
+                    help="ask a running daemon to drain and exit",
+                ),
+                _arg("--json", action="store_true", help="with --status: JSON output"),
+            ),
+        ),
+        Command(
+            "remote",
+            "run a command against the daemon instead of the local state file",
+            (
+                # None means $ORPHEUS_USER, read when the command runs.
+                _arg(
+                    "--user",
+                    default=None,
+                    help="session identity (default: $ORPHEUS_USER or anonymous)",
+                ),
+                _SOCKET,
+                _arg(
+                    "--json",
+                    action="store_true",
+                    help="print the raw response data as JSON",
+                ),
+                _arg(
+                    "cmd",
+                    nargs=argparse.REMAINDER,
+                    metavar="command",
+                    help="the command to forward, e.g. "
+                    "`orpheus remote checkout -d data -v 3 -f out.csv`",
+                ),
+            ),
+        ),
+        Command(
+            "top",
+            "live dashboard for a running daemon (polls its stats op)",
+            (
+                _arg(
+                    "--interval",
+                    type=float,
+                    default=2.0,
+                    help="seconds between polls (default 2)",
+                ),
+                _arg(
+                    "--once",
+                    action="store_true",
+                    help="print one frame and exit (no screen clearing)",
+                ),
+                _arg(
+                    "--json",
+                    action="store_true",
+                    help="dump the raw stats payload instead of the dashboard",
+                ),
+                _arg(
+                    "--iterations",
+                    type=int,
+                    default=None,
+                    help=argparse.SUPPRESS,  # bounded loop, for tests/scripts
+                ),
+            ),
+        ),
+        Command(
+            "replay",
+            "re-issue a recorded flight against the running daemon and "
+            "compare latency/shed/cache behaviour",
+            (
+                _arg(
+                    "flight_dir",
+                    nargs="?",
+                    default=None,
+                    metavar="FLIGHT_DIR",
+                    help="flight-recorder directory "
+                    "(default: .orpheus/journal/flight)",
+                ),
+                _arg(
+                    "--speedup",
+                    type=float,
+                    default=1.0,
+                    metavar="X",
+                    help="compress recorded inter-arrival times by this "
+                    "factor (default 1 = real time)",
+                ),
+                _arg(
+                    "--user",
+                    default=None,
+                    help="session identity for the replay connections",
+                ),
+                _SOCKET,
+                _arg(
+                    "--json",
+                    action="store_true",
+                    help="emit the comparison report as JSON",
+                ),
+                _arg(
+                    "--check",
+                    action="store_true",
+                    help="exit non-zero when replayed p95 drifts past the "
+                    "budget or op counts fail to reproduce the recording",
+                ),
+                _arg(
+                    "--budget-pct",
+                    type=float,
+                    default=None,
+                    metavar="PCT",
+                    help="with --check: relative p95 drift budget (default 50)",
+                ),
+                _arg(
+                    "--budget-ms",
+                    type=float,
+                    default=None,
+                    metavar="MS",
+                    help="with --check: absolute p95 drift floor (default 5)",
+                ),
+            ),
+        ),
+        Command(
+            "heat",
+            "storage access observatory: hot/cold partitions and versions, "
+            "I/O amplification, and the partition advisor",
+            (
+                _arg("-d", "--dataset", default=None, help="restrict to one dataset"),
+                _arg(
+                    "--top",
+                    type=int,
+                    default=10,
+                    help="rows per hot/cold table (default 10)",
+                ),
+                _JSON,
+                _arg(
+                    "--from-flight",
+                    action="store_true",
+                    help="rebuild the heat model offline from the flight "
+                    "recorder and the ops journal instead of reading heat.json",
+                ),
+            ),
+        ),
+        Command("stats", "show accumulated telemetry for this repository", (
+            _JSON,
+            _arg(
+                "--prometheus",
+                action="store_true",
+                help="Prometheus text exposition format",
+            ),
+            _arg("--reset", action="store_true", help="clear the recorded telemetry"),
+            # `orpheus remote stats` asks orpheusd for its live metrics.
+            _arg(
+                "--recent",
+                type=int,
+                default=0,
+                help="include the N newest server-side span trees",
+                local=False,
+            ),
+        ), remote=True),
+        Command("ping", local=False, remote=True),
+        Command("flush-cache", local=False, remote=True),
+        Command("flush-quarantine", local=False, remote=True),
+        Command("shutdown", local=False, remote=True),
     )
+}
+
+
+def _build_parser(
+    command: str | None = None, remote: bool = False
+) -> argparse.ArgumentParser:
+    """``orpheus``'s grammar, or with ``remote`` ``orpheus remote``'s:
+    every command of the table, or only ``command``'s sub-parser (whose
+    errors raise :class:`_Reparse` instead of printing)."""
+    parser_class = _OneCommandParser if command else argparse.ArgumentParser
+    if remote:
+        parser = parser_class(prog="orpheus remote")
+    else:
+        parser = parser_class(
+            prog="orpheus",
+            description="Dataset version control (OrpheusDB reproduction)",
+        )
+        parser.add_argument(
+            "--root", default=None, help="repository root (default: cwd)"
+        )
+        parser.add_argument(
+            "--timings",
+            action="store_true",
+            help="print this invocation's span tree to stderr",
+        )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for entry in COMMAND_TABLE.values():
+        if command not in (None, entry.name) or not entry.in_grammar(remote):
+            continue
+        # `orpheus remote -h` lists bare command names.
+        help_kw = {} if remote else {"help": entry.help}
+        subparser = sub.add_parser(entry.name, **help_kw)
+        for arg in entry.args:
+            if arg.in_grammar(remote):
+                subparser.add_argument(*arg.flags, **arg.kwargs)
+    return parser
+
+
+class _Reparse(Exception):
+    """A one-command parse failed: let the full grammar report it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _Reparse(message)
+
+
+def _command_word(argv: list[str], remote: bool) -> str | None:
+    """The table command ``argv`` names, past the top-level ``--root
+    VALUE`` / ``--root=VALUE`` / ``--timings``; None for anything else."""
+    index = 0
+    while not remote and index < len(argv):
+        if argv[index] == "--root":
+            index += 2
+        elif argv[index].startswith("--root=") or argv[index] == "--timings":
+            index += 1
+        else:
+            break
+    entry = COMMAND_TABLE.get(argv[index]) if index < len(argv) else None
+    return entry.name if entry is not None and entry.in_grammar(remote) else None
+
+
+def _parse(argv: list[str], remote: bool = False) -> argparse.Namespace:
+    """Parse one command line building only the sub-parser of the
+    command it names. Top-level help, a missing or unknown command and
+    every parse error go to the full grammar, so their text (whose
+    usage line lists every command) is exactly the full grammar's."""
+    command = _command_word(argv, remote)
+    if command is not None:
+        try:
+            return _build_parser(command, remote).parse_args(argv)
+        except _Reparse:
+            pass
+    return _build_parser(remote=remote).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.command == "profile":
         return _run_profile(args)
     if args.command == "bench":
@@ -637,6 +743,8 @@ def _auto_recover(root: str | None) -> None:
     """
     if not has_pending_intents(root):
         return
+    from repro.resilience.recovery import run_recovery
+
     with RepositoryLock(root, shared=False, command="auto-recover"):
         report = run_recovery(root, dry_run=False)
     if report.actions:
@@ -685,12 +793,15 @@ def _locked_invocation(
         Journal(args.root).append(record)
     if mutating:
         intents.done(trace_id, status=record.status if record else "ok")
-    _fold_heat_cli(args, record)
-    failpoints.fire("telemetry.before_save")
-    save_telemetry(
-        load_telemetry(args.root).merged(telemetry.snapshot()),
-        args.root,
-    )
+    # Readers run side by side under the shared lock; the two
+    # read-modify-writes of the accumulators must not.
+    with fold_lock(args.root):
+        _fold_heat_cli(args, record)
+        failpoints.fire("telemetry.before_save")
+        save_telemetry(
+            load_telemetry(args.root).merged(telemetry.snapshot()),
+            args.root,
+        )
     if args.timings and tree is not None:
         sys.stderr.write(tree.render() + "\n")
     return code
@@ -700,7 +811,7 @@ def _fold_heat_cli(args: argparse.Namespace, record) -> None:
     """Fold one successful journaled dataset access into the persisted
     heat model (``.orpheus/telemetry/heat.json``), using this
     invocation's ``storage.io.*`` counters as the scan footprint. Runs
-    under the invocation's repository lock; never fatal."""
+    under the fold lock; never fatal."""
     if record is None or record.status != "ok" or not record.dataset:
         return
     try:
@@ -731,14 +842,6 @@ def _fold_heat_cli(args: argparse.Namespace, record) -> None:
 
 def _render_plan(plan, args) -> str:
     return (plan.to_json() if args.json else plan.render()) + "\n"
-
-
-#: Argument names that are request parameters. Both grammars (local and
-#: ``remote``) name them as orpheusd's ops do.
-_PARAMS = (
-    "dataset", "versions", "file", "schema", "message", "parents", "model",
-    "a", "b", "sql", "gamma", "mu", "name", "email", "ops", "recent",
-)
 
 
 def _params(args: argparse.Namespace) -> dict:
@@ -775,6 +878,8 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     if args.command == "recover":
         # Recovery manages its own files and must run even when the
         # state is too corrupt for load_state.
+        from repro.resilience.recovery import run_recovery
+
         report = run_recovery(args.root, dry_run=args.dry_run)
         out.write(report.render_text())
         return 0 if report.clean else 1
@@ -794,6 +899,8 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     if record is not None:
         record.user = user
     if args.command == "doctor":
+        from repro.observe.doctor import run_doctor
+
         report = run_doctor(orpheus, args.root)
         out.write(report.to_json() + "\n" if args.json else report.render_text())
         return report.exit_code
@@ -812,7 +919,12 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     do = lambda: orpheus.execute(
         args.command, params, user, root=args.root, read_csv=read_csv
     )
-    data = run_with_actuals(plan, do) if plan is not None else do()
+    if plan is None:
+        data = do()
+    else:
+        from repro.observe.explain import run_with_actuals
+
+        data = run_with_actuals(plan, do)
     if record is not None:
         fill_record(record, params, data)
     if plan is not None:
@@ -960,7 +1072,7 @@ def _run_replay(args: argparse.Namespace) -> int:
             flight_dir,
             root=args.root,
             socket_path=args.socket,
-            user=args.user,
+            user=_user(args),
             speedup=args.speedup,
         )
     except Exception as error:
@@ -990,6 +1102,14 @@ def _run_replay(args: argparse.Namespace) -> int:
             return 3
         sys.stderr.write("replay check: ok\n")
     return 0
+
+
+def _user(args: argparse.Namespace) -> str:
+    """The session identity of ``remote`` / ``replay``: ``--user``, else
+    ``$ORPHEUS_USER``, else anonymous."""
+    if args.user is not None:
+        return args.user
+    return os.environ.get("ORPHEUS_USER", "")
 
 
 def _parse_tcp(spec: str) -> tuple[str, int]:
@@ -1158,76 +1278,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_remote_parser() -> argparse.ArgumentParser:
-    """The commands ``orpheus remote`` can forward. Mirrors the local
-    grammar so muscle memory transfers: ``orpheus remote commit -d ...``."""
-    parser = argparse.ArgumentParser(
-        prog="orpheus remote", add_help=True
-    )
-    sub = parser.add_subparsers(dest="rcmd", required=True)
-
-    init = sub.add_parser("init")
-    init.add_argument("-d", "--dataset", required=True)
-    init.add_argument("-f", "--file", required=True)
-    init.add_argument("-s", "--schema", required=True)
-    init.add_argument("--model", default="split_by_rlist")
-
-    checkout = sub.add_parser("checkout")
-    checkout.add_argument("-d", "--dataset", required=True)
-    checkout.add_argument("-v", "--versions", required=True, nargs="+", type=int)
-    checkout.add_argument("-f", "--file", default=None)
-    checkout.add_argument("-s", "--schema", default=None)
-
-    commit = sub.add_parser("commit")
-    commit.add_argument("-d", "--dataset", required=True)
-    commit.add_argument("-f", "--file", required=True)
-    commit.add_argument("-s", "--schema", default=None)
-    commit.add_argument("-m", "--message", default="")
-    commit.add_argument("--parents", nargs="*", type=int, default=None)
-
-    log = sub.add_parser("log")
-    log.add_argument("-d", "--dataset", default=None)
-    log.add_argument("--ops", action="store_true")
-
-    diff = sub.add_parser("diff")
-    diff.add_argument("-d", "--dataset", required=True)
-    diff.add_argument("-a", type=int, required=True)
-    diff.add_argument("-b", type=int, required=True)
-
-    sub.add_parser("ls")
-
-    runq = sub.add_parser("run")
-    runq.add_argument("sql")
-
-    drop = sub.add_parser("drop")
-    drop.add_argument("-d", "--dataset", required=True)
-
-    optimize = sub.add_parser("optimize")
-    optimize.add_argument("-d", "--dataset", required=True)
-    optimize.add_argument("--gamma", type=float, default=2.0)
-    optimize.add_argument("--mu", type=float, default=1.5)
-
-    user = sub.add_parser("create_user")
-    user.add_argument("name")
-    user.add_argument("--email", default="")
-
-    sub.add_parser("whoami")
-    sub.add_parser("doctor")
-    sub.add_parser("status")
-    rstats = sub.add_parser("stats")
-    rstats.add_argument(
-        "--recent",
-        type=int,
-        default=0,
-        help="include the N newest server-side span trees",
-    )
-    sub.add_parser("ping")
-    sub.add_parser("flush-cache")
-    sub.add_parser("flush-quarantine")
-    sub.add_parser("shutdown")
-    return parser
-
-
 def _run_remote(args: argparse.Namespace) -> int:
     """``orpheus remote <cmd ...>``: forward one command to the daemon.
 
@@ -1248,14 +1298,14 @@ def _run_remote(args: argparse.Namespace) -> int:
     if not cmd:
         sys.stderr.write("error: remote needs a command to forward\n")
         return 2
-    remote_args = _build_remote_parser().parse_args(cmd)
-    op = remote_args.rcmd.replace("-", "_")
+    remote_args = _parse(cmd, remote=True)
+    op = remote_args.command.replace("-", "_")
     params = _params(remote_args)
     if op == "checkout" and "file" not in params:
         params["inline"] = True
     try:
         with ServiceClient(
-            socket_path=args.socket, root=args.root, user=args.user
+            socket_path=args.socket, root=args.root, user=_user(args)
         ) as client:
             data = client.request(op, **params)
     except ServiceBusyError as error:

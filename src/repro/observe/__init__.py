@@ -18,66 +18,48 @@ package makes it *explainable*:
 * :mod:`repro.observe.regress` — noise-aware benchmark regression
   gating against ``benchmarks/baselines.json`` (``orpheus bench
   --check`` / ``--update-baseline``).
+
+The names below resolve on first use, so importing one submodule (the
+CLI's checkout/commit path needs only the journal) does not import the
+others.
 """
 
-from repro.observe.doctor import (
-    DoctorReport,
-    ProbeResult,
-    run_doctor,
-)
-from repro.observe.profile import (
-    HotSpan,
-    aggregate,
-    collapsed_stacks,
-    profile_to_dict,
-    render_report,
-)
-from repro.observe.regress import (
-    BenchVerdict,
-    RegressionReport,
-    check_payload,
-    compare,
-    load_baseline,
-    write_baseline,
-)
-from repro.observe.explain import (
-    ExplainNode,
-    attach_actuals,
-    io_cost,
-    run_with_actuals,
-)
-from repro.observe.journal import (
-    Journal,
-    MUTATING_COMMANDS,
-    OpRecord,
-    make_record,
-    new_trace_id,
-    verify_journal,
-)
+from importlib import import_module
 
-__all__ = [
-    "BenchVerdict",
-    "DoctorReport",
-    "ExplainNode",
-    "HotSpan",
-    "Journal",
-    "MUTATING_COMMANDS",
-    "OpRecord",
-    "ProbeResult",
-    "RegressionReport",
-    "aggregate",
-    "attach_actuals",
-    "check_payload",
-    "collapsed_stacks",
-    "compare",
-    "io_cost",
-    "load_baseline",
-    "make_record",
-    "new_trace_id",
-    "profile_to_dict",
-    "render_report",
-    "run_doctor",
-    "run_with_actuals",
-    "verify_journal",
-    "write_baseline",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "DoctorReport": "doctor",
+    "ProbeResult": "doctor",
+    "run_doctor": "doctor",
+    "HotSpan": "profile",
+    "aggregate": "profile",
+    "collapsed_stacks": "profile",
+    "profile_to_dict": "profile",
+    "render_report": "profile",
+    "BenchVerdict": "regress",
+    "RegressionReport": "regress",
+    "check_payload": "regress",
+    "compare": "regress",
+    "load_baseline": "regress",
+    "write_baseline": "regress",
+    "ExplainNode": "explain",
+    "attach_actuals": "explain",
+    "io_cost": "explain",
+    "run_with_actuals": "explain",
+    "Journal": "journal",
+    "MUTATING_COMMANDS": "journal",
+    "OpRecord": "journal",
+    "make_record": "journal",
+    "new_trace_id": "journal",
+    "verify_journal": "journal",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(name)
+    return getattr(import_module(f"repro.observe.{module}"), name)
+
+
+__all__ = sorted(_EXPORTS)

@@ -29,10 +29,11 @@ scan totals ride alongside for amplification math
 
 The model persists as ``.orpheus/telemetry/heat.json`` — a *directory*
 ``telemetry/`` next to the flat ``telemetry.json`` accumulator, leaving
-room for future per-surface observability files. Writers always hold
-the repository lock (the CLI folds under its invocation lock; the
-daemon owns the exclusive lock for its whole life), so load-fold-save
-is race-free.
+room for future per-surface observability files. Load-fold-save is
+race-free: the CLI folds under the fold lock
+(:func:`repro.resilience.lock.fold_lock`, because readers share the
+repository lock), and the daemon owns the exclusive repository lock
+for its whole life.
 
 :func:`advise` is the workload-driven partition advisor: observed heat
 joined with the existing page cost model (``current_checkout_cost`` /

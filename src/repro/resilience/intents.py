@@ -9,10 +9,12 @@ completion — and :mod:`repro.resilience.recovery` uses the pair set to
 decide what to roll back or reconcile.
 
 Records are single fsynced JSON lines (:mod:`repro.resilience.fsio`,
-like the operation journal). Completed pairs are garbage: once the
-file accumulates more than :data:`COMPACT_THRESHOLD` records it is
+like the operation journal). Completed pairs are garbage: once a
+``done`` leaves the file larger than :data:`COMPACT_BYTES` it is
 compacted down to just the pending ``begin`` records via an atomic
-rewrite.
+rewrite. The decision is one ``stat``, so a ``done`` parses nothing
+until it compacts, and the lock-free pending check every command runs
+first parses a file of at most that size: a couple of dozen lines.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro.resilience import failpoints, fsio
 
 INTENTS_FILE = "intents.jsonl"
 JOURNAL_DIR = "journal"
-COMPACT_THRESHOLD = 256
+#: A begin/done pair is 200-400 bytes, so this is 10-20 operations.
+COMPACT_BYTES = 4096
 
 
 class IntentLog:
@@ -86,9 +89,14 @@ class IntentLog:
         ]
 
     # ------------------------------------------------------------------
-    def compact_if_needed(self, threshold: int = COMPACT_THRESHOLD) -> bool:
-        records = self.read()
-        if len(records) <= threshold:
+    def compact_if_needed(self, threshold: int = COMPACT_BYTES) -> bool:
+        """Rewrite the log as its pending ``begin`` records once it is
+        larger than ``threshold`` bytes. Caller holds the exclusive
+        repository lock."""
+        try:
+            if self.path.stat().st_size <= threshold:
+                return False
+        except FileNotFoundError:
             return False
         fsio.rewrite_jsonl(self.path, self.pending(), fsync=True)
         return True

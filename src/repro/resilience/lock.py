@@ -23,6 +23,11 @@ Contention is surfaced in telemetry: ``resilience.lock.acquired`` /
 ``orpheus stats``. Waiters retry with jittered exponential backoff and
 give up after ``timeout`` seconds (``ORPHEUS_LOCK_TIMEOUT`` overrides)
 with an error naming the holder.
+
+:func:`fold_lock` is the second, much shorter lock: readers share the
+repository lock, so the one read-modify-write they all do — folding
+their telemetry and heat into the accumulators — queues on a file of
+its own instead.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro import telemetry
@@ -42,6 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 LOCK_FILE = "repo.lock"
+FOLD_LOCK_FILE = "fold.lock"
 ENV_TIMEOUT = "ORPHEUS_LOCK_TIMEOUT"
 DEFAULT_TIMEOUT = 10.0
 #: Fallback mode only: a lock file older than this with a dead holder is
@@ -246,3 +253,23 @@ class RepositoryLock:
             f"repository lock on {self.path}{detail}; retry, raise "
             f"{ENV_TIMEOUT}, or remove the lock file if the holder is gone"
         )
+
+
+@contextmanager
+def fold_lock(root: str | None = None):
+    """Hold an exclusive ``flock`` on ``.orpheus/fold.lock`` around one
+    fold into ``telemetry.json`` / ``telemetry/heat.json``, so readers
+    that share the repository lock do not lose each other's updates.
+    Blocking and short: a fold is a few file reads and writes. Without
+    ``fcntl`` it is a no-op, because the fallback repository lock is
+    exclusive for readers too."""
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    path = Path(root or ".") / ".orpheus" / FOLD_LOCK_FILE
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the flock

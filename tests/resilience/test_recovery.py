@@ -299,7 +299,7 @@ class TestIntentLog:
 
     def test_done_autocompacts_past_threshold(self, tmp_path):
         log = IntentLog(tmp_path)
-        for index in range(140):  # 280 records > COMPACT_THRESHOLD
+        for index in range(140):  # 280 records, far past COMPACT_BYTES
             log.begin(f"t{index}", "commit")
             log.done(f"t{index}")
         assert len(log.read()) < 280

@@ -1,14 +1,17 @@
 """One implementation per command: ``orpheus <cmd>`` and
-``orpheus remote -- <cmd>`` run the same :meth:`Orpheus.execute` code,
-print the same lines, and journal the same records; a commit stores its
-checkout pin's time however it arrives."""
+``orpheus remote -- <cmd>`` accept the same request flags, run the same
+:meth:`Orpheus.execute` code, print the same lines, and journal the
+same records; a commit stores its checkout pin's time however it
+arrives."""
 
 from __future__ import annotations
+
+import argparse
 
 import pytest
 
 from repro import telemetry
-from repro.cli import load_state, main
+from repro.cli import _PARAMS, COMMAND_TABLE, _build_parser, load_state, main
 from repro.core.commands import Orpheus
 from repro.observe.journal import Journal
 from repro.resilience.statestore import LAYOUT_ENV
@@ -142,3 +145,31 @@ def test_local_and_remote_agree(tmp_path, monkeypatch, capsys, layout):
         "init", "checkout", "commit", "diff", "run", "optimize", "drop",
     ]
     assert remote_journal == local_journal
+
+
+def request_flags(command: str, remote: bool) -> set[str]:
+    """The request-parameter flags (and positionals) ``command``'s
+    sub-parser accepts in the local or the remote grammar."""
+    parser = _build_parser(command, remote)
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = set()
+    for action in subparsers.choices[command]._actions:
+        if action.dest in _PARAMS:
+            flags.update(action.option_strings or [action.dest])
+    return flags
+
+
+@pytest.mark.parametrize(
+    "command", [n for n, c in COMMAND_TABLE.items() if c.local and c.remote]
+)
+def test_remote_accepts_exactly_the_local_request_flags(command):
+    local, remote = request_flags(command, False), request_flags(command, True)
+    if command == "stats":
+        # Two commands under one name: the local one renders the
+        # telemetry history; the remote one asks orpheusd for its live
+        # metrics, optionally with its newest span trees.
+        assert (local, remote) == (set(), {"--recent"})
+    else:
+        assert remote == local
