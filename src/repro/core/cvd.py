@@ -215,11 +215,14 @@ class CVD:
             list(columns), column_types or {}
         ):
             rows = self._evolve_schema(rows, list(columns), column_types or {})
-        rows = [tuple(row) for row in rows]
+        rows = list(map(tuple, rows))
         commit_span = telemetry.current_span()
         if commit_span is not None:
             commit_span.set_attr("rows", len(rows))
-        self._check_primary_key(rows)
+        # Outside a schema evolution every row has the schema's arity,
+        # and then nothing below needs a per-row Python call to pad it.
+        full_width = self._full_width(rows)
+        self._check_primary_key(rows, full_width)
 
         diff_versions = parents if diff_against is None else diff_against
         parent_payload_rids: dict[tuple, int] = {}
@@ -227,16 +230,23 @@ class CVD:
             # Lowest rid first, so which of two equal payloads is reused
             # does not depend on how this process built the rid set.
             rids = sorted(self.membership(parent))
-            for rid, payload in zip(rids, self.payloads_of(rids, parent)):
+            payloads = self.payloads_of(rids, parent)
+            if not self._full_width(payloads):
                 # Pad stored payloads so records committed before a schema
                 # change still match their (NULL-extended) reappearance.
-                parent_payload_rids.setdefault(self._pad_row(payload), rid)
+                payloads = list(map(self._pad_row, payloads))
+            # Built highest rid first, so the lowest one is what stays;
+            # then the earlier parents' entries win.
+            reused = dict(zip(reversed(payloads), reversed(rids)))
+            reused.update(parent_payload_rids)
+            parent_payload_rids = reused
 
+        if not full_width:
+            rows = list(map(self._pad_row, rows))
         records: dict[int, tuple] = {}
         new_records: dict[int, tuple] = {}
         next_rid = self._next_rid
-        for row in rows:
-            padded = self._pad_row(row)
+        for padded in rows:
             rid = parent_payload_rids.get(padded)
             if rid is None or rid in records:
                 # New or modified record (or a duplicate full row, which
@@ -312,10 +322,18 @@ class CVD:
             f"row arity {len(row)} exceeds schema arity {width}"
         )
 
-    def _check_primary_key(self, rows: list[tuple]) -> None:
+    def _full_width(self, rows: list[tuple]) -> bool:
+        """Whether every row has exactly the schema's arity."""
+        return set(map(len, rows)) <= {len(self.schema.columns)}
+
+    def _check_primary_key(self, rows: list[tuple], full_width: bool) -> None:
         if not self.schema.primary_key:
             return
         positions = self.schema.key_positions()
+        if full_width and len(set(map(itemgetter(*positions), rows))) == len(rows):
+            return
+        # Short rows key on the columns they have; a duplicate is found,
+        # and named, one row at a time.
         seen: set[tuple] = set()
         for row in rows:
             key = tuple(row[i] for i in positions if i < len(row))

@@ -45,7 +45,9 @@ _LEN_STRUCT = struct.Struct(">Q")
 HEADER_SIZE = len(MAGIC) + _LEN_STRUCT.size + hashlib.sha256().digest_size
 
 #: Force the layout ``save`` writes: ``paged`` or ``pickle``. Unset =
-#: keep whatever layout the repository already uses.
+#: the writer's rule: orpheusd writes paged (upgrading a pickle
+#: repository at its first save), the CLI keeps whatever layout the
+#: repository already uses.
 LAYOUT_ENV = "ORPHEUS_STATE_LAYOUT"
 
 STATE_DIR = ".orpheus"
@@ -97,13 +99,17 @@ class StateStore:
     # ------------------------------------------------------------------
     # Save
     # ------------------------------------------------------------------
-    def save_layout(self) -> str:
+    def save_layout(self, prefer: str | None = None) -> str:
         """Layout the next ``save`` writes: the ``ORPHEUS_STATE_LAYOUT``
-        override if set, else whatever the live file already uses
-        (fresh repositories default to pickle)."""
+        override if set; else ``prefer``, the writer's own layout when
+        it has one (orpheusd's is ``paged``, so its first save upgrades
+        a pickle repository, one way); else whatever the live file
+        already uses (fresh repositories default to pickle)."""
         env = os.environ.get(LAYOUT_ENV, "").strip().lower()
         if env in ("paged", "pickle"):
             return env
+        if prefer is not None:
+            return prefer
         try:
             with open(self.path, "rb") as handle:
                 if handle.read(len(MAGIC2)) == MAGIC2:
@@ -112,8 +118,8 @@ class StateStore:
             pass
         return "pickle"
 
-    def save(self, obj: object) -> None:
-        if self.save_layout() == "paged":
+    def save(self, obj: object, prefer: str | None = None) -> None:
+        if self.save_layout(prefer) == "paged":
             from repro.pagestore.store import paged_save
 
             paged_save(self, obj)

@@ -51,12 +51,14 @@ from repro.observe.journal import (
     fill_record,
     journals,
     make_record,
+    new_trace_id,
     op_fields,
     requested_versions,
 )
 from repro.resilience import failpoints, fsio
 from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import RepositoryLock
+from repro.resilience.statestore import StateStore
 from repro.service import protocol
 from repro.service.cache import DEFAULT_BUDGET_BYTES, CacheEntry, VersionCache
 from repro.service.degrade import (
@@ -320,7 +322,7 @@ class ServiceDaemon:
         self._threads.clear()
         if self.orpheus is not None:
             try:
-                self._save_state_guarded()
+                self._save_state_guarded(bracket=True)
             except Exception:
                 # Best-effort on the way out: a still-failing save must
                 # not block socket/lock cleanup (the state on disk is
@@ -420,7 +422,7 @@ class ServiceDaemon:
             if not self.degrade.degraded:
                 return
             try:
-                self._save_state_guarded()
+                self._save_state_guarded(bracket=True)
             except Exception:
                 return  # still degraded; the next interval retries
 
@@ -946,19 +948,31 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     # State persistence (guarded by the degrade controller)
     # ------------------------------------------------------------------
-    def _save_state_guarded(self) -> None:
+    def _save_state_guarded(self, bracket: bool = False) -> None:
         """One durable state save, feeding the degrade controller: a
         failure (including the ``state.before_save`` chaos site) counts
         toward the degraded-mode threshold, a success resets it — and,
-        when degraded, flips the daemon back to read-write."""
-        from repro.cli import save_state
+        when degraded, flips the daemon back to read-write. The daemon
+        writes the paged layout, so a commit re-encodes the chunks it
+        dirtied instead of re-pickling the whole history.
 
+        A save no write asked for (the degraded-mode probe, the drain)
+        passes ``bracket`` and runs under its own ``serve`` intent, as a
+        write's save runs under the write's: a crash inside it leaves
+        page debris that the next start's recovery then cleans."""
+        trace_id = new_trace_id() if bracket else None
+        if trace_id:
+            self.intents.begin(trace_id, "serve")
         try:
             failpoints.fire("state.before_save")
-            save_state(self.orpheus, self.root)
+            StateStore(self.root).save(self.orpheus, prefer="paged")
         except Exception as error:
+            if trace_id:
+                self.intents.done(trace_id, status="error")
             self.degrade.record_save_failure(error)
             raise
+        if trace_id:
+            self.intents.done(trace_id)
         self.degrade.record_save_success()
 
     def _reload_state(self, dataset: str | None = None) -> None:

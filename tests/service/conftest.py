@@ -61,6 +61,26 @@ def seed_dataset(root, name="inter") -> None:
     )
 
 
+def assert_healthy_on_disk(root) -> None:
+    """What ``orpheus log --ops --verify`` and ``orpheus doctor`` check,
+    run on the state a fresh process would load."""
+    from repro.observe.doctor import run_doctor
+    from repro.observe.journal import Journal, verify_journal
+    from repro.pagestore.bufferpool import reset_pool
+    from repro.resilience.statestore import StateStore
+
+    reset_pool()
+    orpheus, _info = StateStore(root).load(warn=None)
+    assert verify_journal(orpheus, Journal(str(root)).read()) == []
+    probes = {
+        result.probe: result.severity
+        for result in run_doctor(orpheus, str(root)).results
+    }
+    assert "fail" not in probes.values(), probes
+    for probe in ("state_integrity", "page_store_health", "journal"):
+        assert probes[probe] == "ok", probes
+
+
 class DaemonHandle:
     """An in-process daemon plus its serve thread, for `with` use."""
 

@@ -7,17 +7,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.observe.journal import Journal
+from repro.pagestore.store import live_pages, orphan_pages, read_directory
 from repro.resilience import failpoints
 from repro.resilience.intents import IntentLog
+from repro.resilience.statestore import LAYOUT_ENV, MAGIC, MAGIC2, StateStore
 from repro.service.client import (
     ServiceBusyError,
+    ServiceClient,
     ServiceError,
     ServiceUnavailableError,
 )
 
 from tests.service.conftest import (
     SUBPROCESS_TIMEOUT,
+    assert_healthy_on_disk,
     seed_dataset,
     spawn_daemon_subprocess,
 )
@@ -224,6 +229,89 @@ class TestKillMidCommit:
             proc.terminate()
             assert proc.wait(timeout=SUBPROCESS_TIMEOUT) == 0  # graceful drain
         assert not (Path(workspace) / ".orpheus" / "service.json").exists()
+
+    @pytest.mark.parametrize("during", ["commit", "drain"])
+    @pytest.mark.parametrize(
+        "site, upgraded",
+        [
+            ("pagestore.after_page_write", False),
+            ("pagestore.before_directory_swap", True),
+            ("statestore.after_replace", True),
+        ],
+    )
+    def test_daemon_killed_in_its_upgrading_save_recovers_on_restart(
+        self, workspace, tmp_path, monkeypatch, site, upgraded, during
+    ):
+        """The daemon's first save upgrades a pickle repository to the
+        paged layout: a commit's, or, when it served no write, the
+        drain's. Killed inside it, the repository restarts either still
+        pickle with no orphan pages, or paged with a rebuilt page
+        directory; either way the doctor is green, every acknowledged
+        commit reads back identically and the commit can be retried."""
+        monkeypatch.delenv(LAYOUT_ENV, raising=False)
+        seed_dataset(workspace)
+        work = tmp_path / "work.csv"
+        root = str(workspace)
+        assert main(["--root", root, "checkout", "-d", "inter", "-v", "1",
+                     "-f", str(work)]) == 0
+        work.write_text(work.read_text() + "k4,4\n")
+        assert main(["--root", root, "commit", "-d", "inter", "-f", str(work),
+                     "-m", "acked"]) == 0
+
+        def read_back() -> dict:
+            orpheus, _info = StateStore(root).load(warn=None)
+            cvd = orpheus.cvd("inter")
+            return {vid: sorted(cvd.checkout(vid).rows) for vid in (1, 2)}
+
+        acked = read_back()
+        state = workspace / ".orpheus" / "state.pkl"
+        assert state.read_bytes().startswith(MAGIC)
+
+        work.write_text(work.read_text() + "k5,5\n")
+        proc = spawn_daemon_subprocess(workspace, failpoints_spec=f"{site}=crash")
+        try:
+            if during == "commit":
+                with pytest.raises((ServiceError, ServiceUnavailableError)):
+                    with ServiceClient(root=root, timeout=30) as client:
+                        client.commit("inter", file=str(work), parents=[2])
+            else:
+                proc.terminate()
+            assert proc.wait(timeout=SUBPROCESS_TIMEOUT) == 86
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=SUBPROCESS_TIMEOUT)
+        assert IntentLog(root).pending()
+        # What the kill left: page files no state names, or a paged
+        # state with no page directory.
+        if upgraded:
+            assert read_directory(workspace) is None
+        else:
+            assert orphan_pages(workspace)
+
+        proc = spawn_daemon_subprocess(workspace)
+        try:
+            # Startup recovery has run; nothing has saved since.
+            assert state.read_bytes().startswith(MAGIC2 if upgraded else MAGIC)
+            assert orphan_pages(workspace) == []
+            if upgraded:
+                newest = read_directory(workspace)["generations"][0]
+                pages = {p for ref in newest["segments"].values() for p in ref["pages"]}
+                assert pages == live_pages(workspace)
+            with ServiceClient(root=root, timeout=30) as client:
+                probes = {p["probe"]: p["severity"] for p in client.doctor()["probes"]}
+                assert probes["pending_intents"] == "ok", probes
+                assert probes["page_store_health"] == "ok", probes
+                retried = client.commit("inter", file=str(work), parents=[2])
+                # Only a killed commit whose state swap landed made v3.
+                landed = during == "commit" and upgraded
+                assert retried["version"] == (4 if landed else 3)
+        finally:
+            proc.terminate()
+            assert proc.wait(timeout=SUBPROCESS_TIMEOUT) == 0
+        assert state.read_bytes().startswith(MAGIC2)
+        assert read_back() == acked
+        assert_healthy_on_disk(workspace)
 
     def test_cli_recover_cleans_after_daemon_crash(self, workspace, tmp_path):
         """`orpheus recover` (no daemon) also repairs the torn state."""

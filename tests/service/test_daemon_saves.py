@@ -1,0 +1,86 @@
+"""orpheusd saves through the paged store: a pickle repository is
+upgraded one way at the daemon's first save, and from then on a commit
+re-encodes the two tail chunks it appended to, however long the history
+(``ORPHEUS_STATE_LAYOUT=pickle`` still keeps the daemon on the pickle
+layout)."""
+
+from repro.pagestore import store as pagestore
+from repro.pagestore.store import orphan_pages, read_directory
+from repro.resilience.statestore import LAYOUT_ENV, MAGIC, MAGIC2
+
+from tests.service.conftest import assert_healthy_on_disk, seed_dataset
+
+
+def magic(root) -> bytes:
+    return (root / ".orpheus" / "state.pkl").read_bytes()[: len(MAGIC)]
+
+
+def rlist_tail_pages(root) -> int:
+    segments = read_directory(root)["generations"][0]["segments"]
+    tail = max(
+        (key for key in segments if key.startswith("table:inter__rlist#")),
+        key=lambda key: int(key.partition("#")[2]),
+    )
+    return len(segments[tail]["pages"])
+
+
+def test_the_first_daemon_save_upgrades_and_commits_stay_flat(
+    workspace, daemon_factory, tmp_path, monkeypatch
+):
+    monkeypatch.delenv(LAYOUT_ENV, raising=False)
+    # Small pages, so both tables are runs of chunks long before v124.
+    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "4096")
+    (workspace / "data.csv").write_text(
+        "key,value\n" + "".join(f"r{n},{n}\n" for n in range(900))
+    )
+    seed_dataset(workspace)
+    assert magic(workspace) == MAGIC
+    saves = []
+    paged_save = pagestore.paged_save
+    monkeypatch.setattr(
+        pagestore, "paged_save",
+        lambda store, obj: saves.append(paged_save(store, obj)) or saves[-1],
+    )
+    work = tmp_path / "work.csv"
+    at, tail_pages = {}, {}
+    with daemon_factory() as handle, handle.client() as client:
+        client.checkout("inter", [1], file=str(work))
+        head = 1
+        for key in range(4, 128):
+            with open(work, "a") as edit:
+                edit.write(f"k{key},{key}\n")
+            head = client.commit(
+                "inter", file=str(work), message=f"add k{key}", parents=[head]
+            )["version"]
+            if head in (2, 24, 124):
+                at[head] = saves[-1]
+                assert magic(workspace) == MAGIC2, head
+                tail_pages[head] = rlist_tail_pages(workspace)
+                assert_healthy_on_disk(workspace)
+    assert head == 125
+    # The upgrade encoded every chunk; later commits the two tails only.
+    assert at[2]["segments_encoded"] == at[2]["segments"] > 2
+    for vid in (24, 124):
+        assert at[vid]["segments_encoded"] == 2, (vid, at[vid])
+        assert at[vid]["segments_reused"] == at[vid]["segments"] - 2
+    assert at[124]["segments"] > at[24]["segments"]
+    growth = tail_pages[124] - tail_pages[24]
+    assert 0 <= at[124]["pages_written"] - at[24]["pages_written"] <= growth
+    assert orphan_pages(workspace) == []
+    assert_healthy_on_disk(workspace)
+
+
+def test_the_layout_variable_keeps_the_daemon_on_pickle(
+    workspace, daemon_factory, tmp_path, monkeypatch
+):
+    monkeypatch.setenv(LAYOUT_ENV, "pickle")
+    seed_dataset(workspace)
+    work = tmp_path / "work.csv"
+    with daemon_factory() as handle, handle.client() as client:
+        client.checkout("inter", [1], file=str(work))
+        work.write_text(work.read_text() + "k4,4\n")
+        assert client.commit("inter", file=str(work))["version"] == 2
+        assert magic(workspace) == MAGIC
+    assert magic(workspace) == MAGIC
+    assert not (workspace / ".orpheus" / "pages").exists()
+    assert_healthy_on_disk(workspace)
