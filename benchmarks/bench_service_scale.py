@@ -1,6 +1,6 @@
 """Service-scale load ramp: the daemon under open-loop Zipf traffic.
 
-``orpheus bench --tier service-scale`` runs the
+``python -m benchmarks --tier service-scale`` runs the
 :mod:`repro.service.loadgen` harness against the shared in-process
 daemon fixture: a client ramp (8 → 64 simulated open-loop clients)
 issuing Zipf-skewed inline checkouts plus a small commit stream. The

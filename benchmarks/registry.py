@@ -1,8 +1,7 @@
 """Registry of runner-executable benchmarks.
 
 A bench module exposes small, tagged measurement units to the unified
-runner (``python -m benchmarks`` / ``orpheus bench``) by decorating a
-callable::
+runner (``python -m benchmarks``) by decorating a callable::
 
     @quick_bench(
         "fig4_1/commit_rlist_xs",
@@ -36,7 +35,7 @@ QUICK = "quick"
 #: The service-scale tier: multi-client load ramps against a live
 #: daemon (tens of simulated clients, seconds per step). Deliberately
 #: NOT part of the quick tier: run it with
-#: ``orpheus bench --tier service-scale``.
+#: ``python -m benchmarks --tier service-scale``.
 SERVICE_SCALE = "service-scale"
 
 

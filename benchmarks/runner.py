@@ -1,5 +1,4 @@
-"""The unified benchmark runner behind ``python -m benchmarks`` and
-``orpheus bench``.
+"""The unified benchmark runner behind ``python -m benchmarks``.
 
 Discovers every ``benchmarks/bench_*.py`` module (each registers its
 runner-executable units via :mod:`benchmarks.registry`), runs the
@@ -17,7 +16,9 @@ the process RSS high-water mark, and the telemetry counters the bench
 declared (rows moved, join volumes, ...), normalized to one run.
 
 Regression gating (``--check`` / ``--update-baseline``) delegates to
-:mod:`repro.observe.regress` against ``benchmarks/baselines.json``.
+:mod:`repro.observe.regress` against ``benchmarks/baselines.json``;
+``--check`` also says when that file no longer matches the registered
+quick tier (:func:`stale_baseline_notes`).
 """
 
 from __future__ import annotations
@@ -70,6 +71,39 @@ def discover() -> list[str]:
         importlib.import_module(name)
         names.append(name)
     return names
+
+
+def stale_baseline_notes(baseline_path: Path) -> list[str]:
+    """The baseline's rows against the registered quick tier, whatever
+    this run's ``--tier`` or ``--filter``: quick benches with no row
+    (unbaselined) and rows with no quick bench (orphaned). A missing,
+    unreadable or other-schema baseline is
+    :func:`repro.observe.regress.check_payload`'s to report."""
+    from repro.observe import regress
+
+    try:
+        baseline = regress.load_baseline(baseline_path)
+    except (ValueError, json.JSONDecodeError):
+        return []
+    if baseline is None:
+        return []
+    if baseline.get("schema_version") != BENCH_SCHEMA_VERSION:
+        return []
+    registered = {spec.name for spec in registry.benches(registry.QUICK)}
+    rows = set(baseline.get("benches", {}))
+    notes = []
+    if registered - rows:
+        notes.append(
+            f"baseline is stale: {len(registered - rows)} quick bench(es) "
+            f"unbaselined ({', '.join(sorted(registered - rows))}) — run "
+            f"`python -m benchmarks --quick --update-baseline`"
+        )
+    if rows - registered:
+        notes.append(
+            f"baseline is stale: {len(rows - registered)} orphaned "
+            f"entr(ies) with no quick bench ({', '.join(sorted(rows - registered))})"
+        )
+    return notes
 
 
 def git_sha(repo_root: Path = REPO_ROOT) -> str:
@@ -307,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             payload["benches"], RELATIONAL_GATES, report.abs_floor_s
         )
         report.verdicts.extend(gates)
+        report.notes.extend(stale_baseline_notes(args.baseline))
         sys.stdout.write(report.render_text())
         gate_failed = any(v.verdict == regress.REGRESSION for v in gates)
         if gate_failed or (report.has_regressions and not args.warn_only):

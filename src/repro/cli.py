@@ -316,30 +316,6 @@ COMMAND_TABLE: dict[str, Command] = {
             ),
         ),
         Command(
-            "bench",
-            "run the unified benchmark suite (same flags as "
-            "`python -m benchmarks`)",
-            (
-                _arg("--quick", action="store_true"),
-                _arg(
-                    "--tier",
-                    default=None,
-                    metavar="TAG",
-                    help="run the benches carrying this tier tag instead of "
-                    "the quick tier (e.g. service-scale)",
-                ),
-                _arg("--filter", default=None, metavar="SUBSTR"),
-                _arg("--repeats", type=int, default=None),
-                _arg("--list", action="store_true"),
-                _arg("--json", action="store_true"),
-                _arg("--no-write", action="store_true"),
-                _arg("--check", action="store_true"),
-                _arg("--warn-only", action="store_true"),
-                _arg("--update-baseline", action="store_true"),
-                _arg("--baseline", default=None),
-            ),
-        ),
-        Command(
             "serve",
             "run the version-service daemon (orpheusd) over this repository",
             (
@@ -663,8 +639,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.command == "profile":
         return _run_profile(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "remote":
@@ -808,11 +782,12 @@ def _locked_invocation(
 
 
 def _fold_heat_cli(args: argparse.Namespace, record) -> None:
-    """Fold one successful journaled dataset access into the persisted
-    heat model (``.orpheus/telemetry/heat.json``), using this
-    invocation's ``storage.io.*`` counters as the scan footprint. Runs
-    under the fold lock; never fatal."""
-    if record is None or record.status != "ok" or not record.dataset:
+    """Fold a journaled command that :func:`build_event` counts as a
+    heat event into the persisted heat model
+    (``.orpheus/telemetry/heat.json``), using this invocation's
+    ``storage.io.*`` counters as the scan footprint. Runs under the
+    fold lock; never fatal."""
+    if record is None:
         return
     try:
         from repro.observe.heat import HeatAccountant, build_event
@@ -832,7 +807,10 @@ def _fold_heat_cli(args: argparse.Namespace, record) -> None:
             bytes_written=registry.counter_value(
                 "storage.io.bytes_written"
             ),
+            status=record.status,
         )
+        if event is None:
+            return
         heat = HeatAccountant.load(args.root)
         heat.record(event)
         heat.save(args.root)
@@ -982,7 +960,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     if not cmd:
         sys.stderr.write("error: profile needs a command to run\n")
         return 2
-    if cmd[0] in ("profile", "bench"):
+    if cmd[0] == "profile":
         sys.stderr.write(f"error: cannot profile {cmd[0]!r}\n")
         return 2
     inner = (["--root", args.root] if args.root else []) + cmd
@@ -1006,37 +984,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(render_report(tree, args.top))
     return code
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    """``orpheus bench ...``: forward to the unified benchmark runner
-    (``python -m benchmarks``), which must be importable — i.e. run
-    from a checkout of the repository."""
-    try:
-        from benchmarks.runner import main as bench_main
-    except ImportError:
-        sys.stderr.write(
-            "error: the benchmark suite is not importable; run from the "
-            "repository root (or `python -m benchmarks` with the repo "
-            "on sys.path)\n"
-        )
-        return 2
-    bench_args: list[str] = []
-    for flag in (
-        "quick", "list", "json", "no_write", "check", "warn_only",
-        "update_baseline",
-    ):
-        if getattr(args, flag):
-            bench_args.append("--" + flag.replace("_", "-"))
-    if args.tier is not None:
-        bench_args += ["--tier", args.tier]
-    if args.filter is not None:
-        bench_args += ["--filter", args.filter]
-    if args.repeats is not None:
-        bench_args += ["--repeats", str(args.repeats)]
-    if args.baseline is not None:
-        bench_args += ["--baseline", args.baseline]
-    return bench_main(bench_args)
 
 
 def _run_replay(args: argparse.Namespace) -> int:
@@ -1153,14 +1100,15 @@ def _run_serve(args: argparse.Namespace) -> int:
         if args.json:
             sys.stdout.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
         else:
+            server = status.get("server", {})
             cache = status.get("cache", {})
             requests = status.get("requests", {})
             scheduler = status.get("scheduler", {})
             sys.stdout.write(
-                f"orpheusd pid={status.get('pid')} "
+                f"orpheusd pid={server.get('pid')} "
                 f"uptime={status.get('uptime_s')}s "
-                f"datasets={status.get('datasets')}\n"
-                f"  socket: {status.get('socket')}\n"
+                f"datasets={server.get('datasets')}\n"
+                f"  socket: {server.get('socket')}\n"
                 f"  requests: {requests.get('total', 0)} total, "
                 f"{requests.get('busy', 0)} shed busy\n"
                 f"  scheduler: {scheduler.get('executed_reads', 0)} reads, "
@@ -1191,22 +1139,17 @@ def _run_serve(args: argparse.Namespace) -> int:
                     f"{quarantine.get('refused_total', 0)} refusal(s) "
                     f"(clear with `orpheus remote -- flush-quarantine`)\n"
                 )
-            failures = {
-                key: requests.get(key, 0)
-                for key in (
-                    "worker_errors",
-                    "deadline_exceeded",
-                    "deadline_shed",
-                    "degraded_refused",
-                )
-            }
-            if any(failures.values()):
+            failures = (
+                requests.get("worker_errors", 0),
+                requests.get("deadline_exceeded", 0),
+                scheduler.get("deadline_shed", 0),
+                requests.get("degraded", 0),
+            )
+            if any(failures):
                 sys.stdout.write(
-                    f"  failures: {failures['worker_errors']} worker "
-                    f"error(s), {failures['deadline_exceeded']} deadline "
-                    f"refusal(s), {failures['deadline_shed']} deadline "
-                    f"shed(s), {failures['degraded_refused']} degraded "
-                    f"refusal(s)\n"
+                    "  failures: {} worker error(s), {} deadline "
+                    "refusal(s) ({} shed in the queue), {} degraded "
+                    "refusal(s)\n".format(*failures)
                 )
             slow = status.get("slow", {})
             if slow.get("count"):
@@ -1227,9 +1170,9 @@ def _run_serve(args: argparse.Namespace) -> int:
                     )
                 else:
                     sys.stdout.write("  flight: recording disabled\n")
-            if status.get("metrics"):
+            if server.get("metrics"):
                 sys.stdout.write(
-                    f"  metrics: http://{status['metrics']}/metrics\n"
+                    f"  metrics: http://{server['metrics']}/metrics\n"
                 )
         return 0
 

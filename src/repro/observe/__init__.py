@@ -16,8 +16,8 @@ package makes it *explainable*:
   span trees (``orpheus profile``: hot-span table, folded stacks,
   JSON);
 * :mod:`repro.observe.regress` — noise-aware benchmark regression
-  gating against ``benchmarks/baselines.json`` (``orpheus bench
-  --check`` / ``--update-baseline``).
+  gating against ``benchmarks/baselines.json`` (``python -m
+  benchmarks --check`` / ``--update-baseline``).
 
 The names below resolve on first use, so importing one submodule (the
 CLI's checkout/commit path needs only the journal) does not import the

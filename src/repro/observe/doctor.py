@@ -42,9 +42,6 @@ and machine-readable data. The probes:
   readable page directory.
 * **buffer pool** — budget pressure on the page cache: thrash (eviction
   rate rivaling fault rate) and leaked dirty pages.
-* **perf baselines** — inside a source checkout, the benchmark
-  regression baseline must exist, match the runner's schema version,
-  and cover the registered quick tier.
 
 ``run_doctor`` executes all probes; the report's exit code is non-zero
 when any probe fails, so CI can gate on ``orpheus doctor --json``.
@@ -78,11 +75,6 @@ SLOW_LOG_WARN_ENTRIES = 50
 #: Env var: p99 latency budget (ms) for the slow_requests probe; the
 #: probe warns when the slow log's p99 breaches it.
 SLOW_P99_BUDGET_ENV = "ORPHEUS_SLOW_P99_BUDGET_MS"
-
-#: Flight-recorder on-disk budget before the doctor warns (override
-#: via the environment; rotation should keep well under this).
-FLIGHT_BUDGET_BYTES = 64 * 1024 * 1024
-FLIGHT_BUDGET_ENV = "ORPHEUS_FLIGHT_BUDGET_BYTES"
 
 #: Fault budget for the service_faults probe: worker errors or deadline
 #: sheds above this percentage of total requests warn.
@@ -643,112 +635,22 @@ def probe_pending_intents(root: str | None = None) -> ProbeResult:
     )
 
 
-def probe_perf_baselines(root: str | None = None) -> ProbeResult:
-    """The performance-gating baseline must exist and track the bench
-    suite.
+@dataclass
+class DaemonView:
+    """One look at the daemon ``.orpheus/service.json`` names, shared by
+    the two service probes: ``state`` is ``absent``, ``self`` (the doctor
+    runs inside the daemon), ``dead``, ``unreachable`` or ``live``, with
+    the live daemon's report (the ``status`` op) in ``report``."""
 
-    Only meaningful inside a source checkout where the ``benchmarks``
-    package is importable; a deployed repository (the usual ``--root``)
-    reports OK/not-applicable. Warns when ``benchmarks/baselines.json``
-    is missing, schema-version mismatched, or stale relative to the
-    registered quick tier (benches with no baseline entry, or entries
-    whose bench no longer exists).
-    """
-    try:
-        from benchmarks import runner
-        from benchmarks.registry import QUICK, benches
-    except ImportError:
-        return ProbeResult(
-            probe="perf_baselines",
-            severity=OK,
-            summary="bench suite not importable here (not a source "
-            "checkout); nothing to gate",
-        )
-    from repro.observe import regress
-
-    remediation = (
-        "run `orpheus bench --quick --update-baseline` and commit "
-        "benchmarks/baselines.json"
-    )
-    baseline_path = runner.DEFAULT_BASELINE
-    try:
-        baseline = regress.load_baseline(baseline_path)
-    except (ValueError, json.JSONDecodeError) as error:
-        return ProbeResult(
-            probe="perf_baselines",
-            severity=WARN,
-            summary=f"baseline unreadable: {error}",
-            remediation=remediation,
-            data={"path": str(baseline_path)},
-        )
-    if baseline is None:
-        return ProbeResult(
-            probe="perf_baselines",
-            severity=WARN,
-            summary="no benchmark baseline: regressions in the quick "
-            "tier would ship silently",
-            remediation=remediation,
-            data={"path": str(baseline_path)},
-        )
-    if baseline.get("schema_version") != runner.BENCH_SCHEMA_VERSION:
-        return ProbeResult(
-            probe="perf_baselines",
-            severity=WARN,
-            summary=(
-                f"baseline schema_version "
-                f"{baseline.get('schema_version')!r} != runner's "
-                f"{runner.BENCH_SCHEMA_VERSION}"
-            ),
-            remediation=remediation,
-            data={"path": str(baseline_path)},
-        )
-    try:
-        runner.discover()
-    except Exception as error:  # a broken bench module is suite damage
-        return ProbeResult(
-            probe="perf_baselines",
-            severity=WARN,
-            summary=f"bench discovery failed: {error}",
-            remediation="fix the failing bench module import",
-        )
-    registered = {spec.name for spec in benches(QUICK)}
-    in_baseline = set(baseline.get("benches", {}))
-    unbaselined = sorted(registered - in_baseline)
-    orphaned = sorted(in_baseline - registered)
-    if unbaselined or orphaned:
-        return ProbeResult(
-            probe="perf_baselines",
-            severity=WARN,
-            summary=(
-                f"baseline is stale: {len(unbaselined)} bench(es) "
-                f"unbaselined, {len(orphaned)} orphaned entr(ies)"
-            ),
-            remediation=remediation,
-            data={
-                "unbaselined": unbaselined[:20],
-                "orphaned": orphaned[:20],
-            },
-        )
-    return ProbeResult(
-        probe="perf_baselines",
-        severity=OK,
-        summary=(
-            f"baseline covers all {len(registered)} quick bench(es) "
-            f"(sha {baseline.get('git_sha', '?')})"
-        ),
-        data={"benches": len(registered)},
-    )
+    state: str
+    pid: int = 0
+    socket: str | None = None
+    report: dict = field(default_factory=dict)
+    error: str = ""
 
 
-def probe_service_health(root: str | None = None) -> ProbeResult:
-    """The version-service daemon, when one claims this repository.
-
-    Reads ``.orpheus/service.json``: a live pid gets a status query over
-    the daemon's socket (queue pressure and cache hit rate surface
-    here); a dead pid means a crashed daemon left its status file (and
-    possibly socket) behind — warn and point at cleanup. No status file
-    at all is OK: serving is optional.
-    """
+def view_daemon(root: str | None = None) -> DaemonView:
+    """Read the status file, check the pid, and fetch the report once."""
     from repro.service.client import (
         ServiceClient,
         ServiceError,
@@ -758,52 +660,61 @@ def probe_service_health(root: str | None = None) -> ProbeResult:
 
     status = read_status_file(root)
     if status is None:
-        return ProbeResult(
-            probe="service_health",
-            severity=OK,
-            summary="no daemon registered (orpheus serve not running)",
-        )
+        return DaemonView("absent")
     pid = int(status.get("pid") or 0)
+    socket = status.get("socket")
     if pid == os.getpid():
-        # We *are* the daemon (remote doctor runs on a read worker);
-        # querying our own socket would tie up a second worker — the
-        # status op already reports the live scheduler/cache numbers.
-        return ProbeResult(
-            probe="service_health",
-            severity=OK,
-            summary=f"this process is the daemon (pid {pid})",
-            data={"pid": pid, "socket": status.get("socket")},
-        )
+        return DaemonView("self", pid, socket)
     if not _pid_alive(pid):
-        return ProbeResult(
-            probe="service_health",
-            severity=WARN,
-            summary=f"stale service.json: daemon pid {pid} is dead",
-            remediation=(
+        return DaemonView("dead", pid, socket)
+    try:
+        with ServiceClient(socket_path=socket, root=root) as client:
+            return DaemonView("live", pid, socket, report=client.status())
+    except ServiceError as error:
+        return DaemonView("unreachable", pid, socket, error=str(error))
+
+
+def probe_service_health(
+    root: str | None = None, view: DaemonView | None = None
+) -> ProbeResult:
+    """The version-service daemon, when one claims this repository.
+
+    A live daemon's report surfaces queue pressure and cache hit rate;
+    a dead pid means a crashed daemon left its status file (and
+    possibly socket) behind — warn and point at cleanup. No status file
+    at all is OK: serving is optional.
+    """
+    view = view or view_daemon(root)
+    pid = view.pid
+    if view.state != "live":
+        severity, summary, remediation = {
+            "absent": (
+                OK, "no daemon registered (orpheus serve not running)", "",
+            ),
+            # Querying our own socket would tie up a second worker.
+            "self": (OK, f"this process is the daemon (pid {pid})", ""),
+            "dead": (
+                WARN,
+                f"stale service.json: daemon pid {pid} is dead",
                 "remove .orpheus/service.json and the stale socket, then "
                 "restart with `orpheus serve` (startup also recovers any "
-                "torn operations)"
+                "torn operations)",
             ),
-            data={"pid": pid, "socket": status.get("socket")},
-        )
-    try:
-        with ServiceClient(
-            socket_path=status.get("socket"), root=root
-        ) as client:
-            live = client.status()
-    except ServiceError as error:
+            "unreachable": (
+                WARN,
+                f"daemon pid {pid} is alive but unresponsive: {view.error}",
+                "the daemon may be wedged; check its stderr, then "
+                "SIGTERM it (graceful drain) and restart",
+            ),
+        }[view.state]
         return ProbeResult(
             probe="service_health",
-            severity=WARN,
-            summary=(
-                f"daemon pid {pid} is alive but unresponsive: {error}"
-            ),
-            remediation=(
-                "the daemon may be wedged; check its stderr, then "
-                "SIGTERM it (graceful drain) and restart"
-            ),
-            data={"pid": pid, "socket": status.get("socket")},
+            severity=severity,
+            summary=summary,
+            remediation=remediation,
+            data={"pid": pid, "socket": view.socket} if pid else {},
         )
+    live = view.report
     scheduler = live.get("scheduler", {})
     cache = live.get("cache", {})
     requests = live.get("requests", {})
@@ -811,7 +722,7 @@ def probe_service_health(root: str | None = None) -> ProbeResult:
         1, scheduler.get("write_queue_capacity", 1)
     )
     shed = scheduler.get("shed_reads", 0) + scheduler.get("shed_writes", 0)
-    draining = live.get("draining", False)
+    draining = live.get("server", {}).get("draining", False)
     if draining:
         severity, note = WARN, "daemon is draining"
     elif write_pressure:
@@ -845,72 +756,43 @@ def probe_service_health(root: str | None = None) -> ProbeResult:
     )
 
 
-def probe_service_faults(root: str | None = None) -> ProbeResult:
+def probe_service_faults(
+    root: str | None = None, view: DaemonView | None = None
+) -> ProbeResult:
     """Fault-tolerance posture of a running daemon.
 
-    Queries the daemon's status for the degraded/quarantine machinery
-    added by the service fault-injection work: warns when the daemon is
-    in degraded read-only mode (writes are bouncing), when poisoned
-    requests sit quarantined, or when the worker-error / deadline-shed
-    rate exceeds the fault budget (``FAULT_BUDGET_PCT``, 1% of total
-    requests). No daemon — or a daemon we cannot
-    reach — is OK here; liveness is ``service_health``'s job.
+    Warns when the daemon is in degraded read-only mode (writes are
+    bouncing), when poisoned requests sit quarantined, or when the
+    worker-error / deadline rate exceeds the fault budget
+    (``FAULT_BUDGET_PCT``, 1% of total requests). The deadline count is
+    the report's ``requests.deadline_exceeded``, which already includes
+    every queue shed. No daemon — or a daemon we cannot reach — is OK
+    here; liveness is ``service_health``'s job.
     """
-    from repro.service.client import (
-        ServiceClient,
-        ServiceError,
-        _pid_alive,
-        read_status_file,
-    )
-
-    status = read_status_file(root)
-    if status is None:
-        return ProbeResult(
-            probe="service_faults",
-            severity=OK,
-            summary="no daemon registered (nothing to degrade)",
-        )
-    pid = int(status.get("pid") or 0)
-    if pid == os.getpid():
-        # Remote doctor runs on a read worker inside the daemon; the
-        # status op already reports the degrade/quarantine numbers.
-        return ProbeResult(
-            probe="service_faults",
-            severity=OK,
-            summary=f"this process is the daemon (pid {pid})",
-            data={"pid": pid},
-        )
-    if not _pid_alive(pid):
-        return ProbeResult(
-            probe="service_faults",
-            severity=OK,
-            summary=f"daemon pid {pid} is dead (see service_health)",
-            data={"pid": pid},
-        )
-    try:
-        with ServiceClient(
-            socket_path=status.get("socket"), root=root
-        ) as client:
-            live = client.status()
-    except ServiceError:
-        return ProbeResult(
-            probe="service_faults",
-            severity=OK,
-            summary=(
+    view = view or view_daemon(root)
+    pid = view.pid
+    if view.state != "live":
+        summary = {
+            "absent": "no daemon registered (nothing to degrade)",
+            "self": f"this process is the daemon (pid {pid})",
+            "dead": f"daemon pid {pid} is dead (see service_health)",
+            "unreachable": (
                 f"daemon pid {pid} unreachable (see service_health)"
             ),
-            data={"pid": pid},
+        }[view.state]
+        return ProbeResult(
+            probe="service_faults",
+            severity=OK,
+            summary=summary,
+            data={"pid": pid} if pid else {},
         )
+    live = view.report
     requests = live.get("requests", {})
-    degrade = requests.get("degrade", {}) or live.get("degrade", {})
-    quarantine = (
-        requests.get("quarantine", {}) or live.get("quarantine", {})
-    )
+    degrade = live.get("degrade", {})
+    quarantine = live.get("quarantine", {})
     total = max(1, int(requests.get("total", 0) or 0))
     worker_errors = int(requests.get("worker_errors", 0) or 0)
-    deadline_exceeded = int(
-        requests.get("deadline_exceeded", 0) or 0
-    ) + int(requests.get("deadline_shed", 0) or 0)
+    deadline_exceeded = int(requests.get("deadline_exceeded", 0) or 0)
     worker_pct = 100.0 * worker_errors / total
     deadline_pct = 100.0 * deadline_exceeded / total
     quarantined = int(quarantine.get("quarantined", 0) or 0)
@@ -1053,15 +935,15 @@ def probe_slow_requests(root: str | None = None) -> ProbeResult:
 
 
 def probe_flight_recorder(root: str | None = None) -> ProbeResult:
-    """Flight segments must stay within their byte budget and end
-    cleanly.
+    """Flight segments must stay within the recorder's own bound and
+    end cleanly.
 
-    Warns when the recorder's on-disk footprint exceeds
-    ``ORPHEUS_FLIGHT_BUDGET_BYTES`` (default 64 MiB) — rotation is
-    misconfigured or pruning is failing — or when the newest segment
-    has a torn tail while no daemon is running, meaning the last
-    daemon died mid-write and the final records of the capture are
-    lost to `orpheus replay`.
+    The bound is the newest segment header's ``segment_bytes`` ×
+    ``max_segments``: the recorder rotates and prunes to it, so on-disk
+    bytes above it mean pruning failed. A torn tail on the newest
+    segment while no daemon is running means the last daemon died
+    mid-write and the final records of the capture are lost to
+    `orpheus replay`.
     """
     from repro.service.client import daemon_running
     from repro.service.recorder import flight_dir_path, flight_dir_status
@@ -1074,20 +956,21 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             severity=OK,
             summary="no flight segments recorded",
         )
-    budget_raw = os.environ.get(FLIGHT_BUDGET_ENV)
-    try:
-        budget = int(budget_raw) if budget_raw else FLIGHT_BUDGET_BYTES
-    except ValueError:
-        budget = FLIGHT_BUDGET_BYTES
-    over_budget = status["bytes"] > budget
+    bound = status["segment_bytes"] * status["max_segments"]
     # A torn tail is expected while a daemon is appending; it only
     # signals data loss once nothing is writing.
     torn = status["newest_torn"] and not daemon_running(root)
-    if over_budget:
+    if status["bytes"] > bound:
         severity = WARN
         summary = (
-            f"flight segments use {status['bytes']} bytes "
-            f"(budget {budget})"
+            f"flight segments use {status['bytes']} bytes, over the "
+            f"recorder's bound of {bound} ({status['max_segments']} × "
+            f"{status['segment_bytes']}): pruning failed"
+        )
+        remediation = (
+            "check the flight directory's permissions and delete the "
+            "oldest flight-*.jsonl segments; the daemon prunes to its "
+            "bound each time it opens a segment"
         )
     elif torn:
         severity = WARN
@@ -1095,28 +978,25 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             "newest flight segment has a torn tail and no daemon is "
             "writing — the last capture lost its final records"
         )
+        remediation = (
+            "torn tails are tolerated by `orpheus replay`, which skips "
+            "the unparseable final line"
+        )
     else:
-        severity = OK
+        severity, remediation = OK, ""
         summary = (
             f"{status['segments']} flight segment(s), "
-            f"{status['bytes']} bytes"
+            f"{status['bytes']} bytes (bound {bound})"
         )
     return ProbeResult(
         probe="flight_recorder",
         severity=severity,
         summary=summary,
-        remediation=(
-            "tune rotation with `orpheus serve --flight-segment-mb/"
-            "--flight-segments` (or dial sampling down with "
-            "--flight-sample); torn tails are tolerated by "
-            "`orpheus replay`, which skips the unparseable final line"
-            if severity != OK
-            else ""
-        ),
+        remediation=remediation,
         data={
             "segments": status["segments"],
             "bytes": status["bytes"],
-            "budget_bytes": budget,
+            "bound_bytes": bound,
             "newest_torn": status["newest_torn"],
             "path": str(flight_dir),
         },
@@ -1488,15 +1368,15 @@ def run_doctor(orpheus, root: str | None = None) -> DoctorReport:
         report.results.append(probe_backup_freshness(root))
         report.results.append(probe_lock_health(root))
         report.results.append(probe_pending_intents(root))
-        report.results.append(probe_service_health(root))
-        report.results.append(probe_service_faults(root))
+        daemon = view_daemon(root)
+        report.results.append(probe_service_health(root, daemon))
+        report.results.append(probe_service_faults(root, daemon))
         report.results.append(probe_slow_requests(root))
         report.results.append(probe_flight_recorder(root))
         report.results.append(probe_heat_skew(orpheus, root))
         report.results.append(probe_io_amplification(orpheus, root))
         report.results.append(probe_page_store(root))
         report.results.append(probe_buffer_pool(root))
-        report.results.append(probe_perf_baselines(root))
         telemetry.count("observe.doctor.runs")
         telemetry.count(
             "observe.doctor.failures",

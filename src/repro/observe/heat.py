@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
@@ -172,7 +172,7 @@ def resolve_access(orpheus, dataset: str, versions) -> dict:
         if index not in touched:
             touched.append(index)
     if not touched and (versions or ()) == ():
-        # Dataset-level touch (drop/optimize/run): charge partition 0
+        # Dataset-level touch (optimize/run): charge partition 0
         # so partition-touch totals still count the access.
         touched = [0]
     info["rows_requested"] = rows
@@ -191,9 +191,16 @@ def build_event(
     bytes_scanned: int = 0,
     rows_written: int = 0,
     bytes_written: int = 0,
-) -> AccessEvent:
-    """One :class:`AccessEvent` with model/partition/denominator fields
-    resolved against live state."""
+    status: str = "ok",
+) -> AccessEvent | None:
+    """The heat event of one finished command, or None when it is not
+    one. The one rule, for the daemon, the CLI and the offline miner
+    alike: a command is a heat event when it succeeded, named a
+    dataset, and is one of :data:`HEAT_COMMANDS`. The event's
+    model/partition/denominator fields are resolved against live
+    state."""
+    if status != "ok" or not dataset or command not in HEAT_COMMANDS:
+        return None
     vids = tuple(int(v) for v in versions or ())
     info = resolve_access(orpheus, dataset, vids)
     return AccessEvent(
@@ -355,6 +362,54 @@ class HeatAccountant:
             return None
         return cold / total
 
+    def summary(self, top: int = 5, orpheus=None) -> dict:
+        """The all-time rollup orpheusd reports: totals, the ``top``
+        hottest datasets and partitions, and per-dataset fields under
+        ``datasets``. With live state, a dataset's ``read_amplification``
+        is its data model's checkout sample."""
+        now = telemetry.now()
+
+        def hottest(table: dict, label: str) -> list[dict]:
+            return [
+                {label: key, "heat": round(heat, 4), "touches": entry["touches"]}
+                for key, entry, heat in self.ranked(table, now)[:top]
+            ]
+
+        with self._lock:
+            touches: dict[str, int] = {}
+            for key, entry in self.partitions.items():
+                dataset = key.rpartition(":")[0]
+                touches[dataset] = touches.get(dataset, 0) + entry["touches"]
+            datasets = {}
+            for name, entry in self.datasets.items():
+                fields = {
+                    "heat": round(self.current_heat(entry, now), 4),
+                    "rows_scanned": entry["rows_scanned"],
+                    "bytes_scanned": entry["bytes_scanned"],
+                    "partition_touches": touches.get(name, 0),
+                }
+                model = resolve_access(orpheus, name, ())["model"]
+                sample = self.samples.get(f"{model}|checkout")
+                if sample and sample["rows_requested"] > 0:
+                    fields["read_amplification"] = round(
+                        sample["rows_scanned"] / sample["rows_requested"], 4
+                    )
+                datasets[name] = fields
+            return {
+                "half_life_s": self.half_life_s,
+                "events_total": self.events_total,
+                "rows_scanned_total": sum(
+                    e["rows_scanned"] for e in self.datasets.values()
+                ),
+                "bytes_scanned_total": sum(
+                    e["bytes_scanned"] for e in self.datasets.values()
+                ),
+                "partition_touches_total": sum(touches.values()),
+                "hot_datasets": hottest(self.datasets, "dataset"),
+                "hot_partitions": hottest(self.partitions, "partition"),
+                "datasets": datasets,
+            }
+
     # -- persistence -----------------------------------------------------
     def to_dict(self) -> dict:
         with self._lock:
@@ -446,55 +501,45 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
     from repro.observe.journal import Journal, requested_versions
     from repro.service.recorder import flight_dir_path, read_flight
 
-    events: list[AccessEvent] = []
+    events: list[AccessEvent | None] = []
     flight_traces: set[str] = set()
     flight = read_flight(flight_dir_path(root))
     for record in flight["records"]:
         trace = record.get("trace")
         if trace:
             flight_traces.add(str(trace))
-        if record.get("status") != "ok":
-            continue
-        dataset = record.get("dataset")
-        op = record.get("op")
-        if not dataset or op not in HEAT_COMMANDS:
-            continue
         versions = record.get("versions")
         if versions is None:
-            params = record.get("params") or {}
-            versions = params.get("versions") or ()
+            versions = (record.get("params") or {}).get("versions") or ()
         events.append(
             build_event(
                 orpheus,
                 ts=float(record.get("ts") or 0.0),
-                command=str(op),
-                dataset=str(dataset),
+                command=str(record.get("op")),
+                dataset=record.get("dataset"),
                 versions=versions,
                 rows_returned=record.get("rows_returned") or 0,
                 rows_scanned=record.get("rows_scanned") or 0,
                 bytes_scanned=record.get("bytes_scanned") or 0,
                 rows_written=record.get("rows_written") or 0,
+                status=record.get("status"),
             )
         )
     for record in Journal(root).read():
         if record.get("trace_id") in flight_traces:
             continue  # the daemon journaled it *and* flight-recorded it
-        if record.get("status") != "ok":
-            continue
-        dataset = record.get("dataset")
-        command = record.get("command")
-        if not dataset or command not in HEAT_COMMANDS:
-            continue
         events.append(
             build_event(
                 orpheus,
                 ts=float(record.get("ts") or 0.0),
-                command=str(command),
-                dataset=str(dataset),
+                command=str(record.get("command")),
+                dataset=record.get("dataset"),
                 versions=requested_versions(record),
                 rows_returned=record.get("rows") or 0,
+                status=record.get("status"),
             )
         )
+    events = [event for event in events if event is not None]
     events.sort(key=lambda e: e.ts)
     return events
 

@@ -21,8 +21,8 @@ The default tolerance is ±10% relative with a 2 ms absolute floor —
 the ≤10% jitter band a laptop-scale run exhibits — and a baseline file
 may override both for its whole suite.
 
-``orpheus bench --check`` exits non-zero iff at least one verdict is
-``regression``; ``orpheus bench --update-baseline`` rewrites the
+``python -m benchmarks --check`` exits non-zero iff at least one
+verdict is ``regression``; ``--update-baseline`` rewrites the
 baseline from the run's medians (a ``--filter``-ed run only its own
 rows). :func:`relate` gates one bench against another of the same run.
 """
@@ -142,7 +142,7 @@ class RegressionReport:
         )
         if self._count(IMPROVEMENT) or self._count(NEW):
             lines.append(
-                "hint: run `orpheus bench --update-baseline` to adopt "
+                "hint: run `python -m benchmarks --update-baseline` to adopt "
                 "the new numbers"
             )
         return "\n".join(lines) + "\n"
@@ -338,7 +338,7 @@ def check_payload(
     baseline_path: Path | str,
     partial: bool = False,
 ) -> RegressionReport:
-    """The ``orpheus bench --check`` entry: compare a run payload with
+    """The ``python -m benchmarks --check`` entry: compare a run payload with
     the baseline file, folding file-level problems into report notes."""
     try:
         baseline = load_baseline(baseline_path)
@@ -354,7 +354,7 @@ def check_payload(
         report = compare({}, payload.get("benches", {}), partial=partial)
         report.notes.append(
             f"no baseline at {baseline_path}; every bench is new — "
-            f"run `orpheus bench --update-baseline` to create one"
+            f"run `python -m benchmarks --update-baseline` to create one"
         )
         return report
     rel_tol = baseline.get("rel_tol", DEFAULT_REL_TOL)
@@ -366,7 +366,7 @@ def check_payload(
         report.notes.append(
             f"baseline schema_version {base_version} != run "
             f"schema_version {run_version}; timings not compared — "
-            f"run `orpheus bench --update-baseline`"
+            f"run `python -m benchmarks --update-baseline`"
         )
         return report
     report = compare(

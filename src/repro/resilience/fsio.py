@@ -8,12 +8,13 @@ Two shapes cover every on-disk artifact the repository owns:
   one, plus at worst one ``<name>.<random>.tmp`` that
   :func:`stray_temps` finds and recovery removes.
 * **JSON-lines log** (:func:`append_jsonl` / :func:`read_jsonl` /
-  :func:`rewrite_jsonl`): one ``\\n``-terminated JSON object per
-  ``write`` call, so a crash tears at most the final line (and the
-  next append starts a fresh one rather than gluing onto it); readers
-  skip what does not parse — including non-UTF-8 garbage, which is
-  decoded with ``errors="replace"`` rather than raised — and report
-  whether the tail was torn.
+  :func:`jsonl_head` / :func:`jsonl_torn` / :func:`rewrite_jsonl`):
+  one ``\\n``-terminated JSON object per ``write`` call, so a crash
+  tears at most the final line (and the next append starts a fresh one
+  rather than gluing onto it); readers skip what does not parse —
+  including non-UTF-8 garbage, which is decoded with
+  ``errors="replace"`` rather than raised — and report whether the
+  tail was torn.
 
 Each caller says whether its file is worth an ``fsync`` (state, pages,
 the page directory, the operation journal and the intent log are;
@@ -133,6 +134,45 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], bool]:
         if isinstance(record, dict):
             records.append(record)
     return records, torn
+
+
+def jsonl_head(path: str | Path, limit: int = 4096) -> dict:
+    """The first line's record, read alone ({} when it is missing, longer
+    than ``limit`` or not a JSON object)."""
+    try:
+        with open(path, "rb") as handle:
+            line = handle.readline(limit)
+        record = json.loads(line.decode("utf-8", errors="replace"))
+    except (OSError, ValueError):
+        return {}
+    return record if isinstance(record, dict) else {}
+
+
+def jsonl_torn(path: str | Path, chunk: int = 4096) -> bool:
+    """:func:`read_jsonl`'s ``torn``, reading only the final line: a
+    file that does not end in a newline is torn, and so is one whose
+    last line does not parse."""
+    try:
+        with open(path, "rb") as handle:
+            pos = handle.seek(0, os.SEEK_END)
+            tail = b""
+            # Back up a chunk at a time until the final line is whole.
+            while pos > 0 and b"\n" not in tail[:-1]:
+                step = min(chunk, pos)
+                pos -= step
+                handle.seek(pos)
+                tail = handle.read(step) + tail
+    except OSError:
+        return False
+    if not tail.endswith(b"\n"):
+        return bool(tail)
+    last = tail[:-1].rpartition(b"\n")[2].decode("utf-8", errors="replace")
+    try:
+        if last.strip():
+            json.loads(last)
+    except ValueError:
+        return True
+    return False
 
 
 def rewrite_jsonl(path: Path, records: list[dict], *, fsync: bool) -> None:

@@ -33,7 +33,7 @@ concurrency, caching, and backpressure become first-class subsystems:
 * :mod:`repro.service.replay` — trace-driven replay of a recorded
   flight (``orpheus replay``) with a recorded-vs-replayed report.
 * :mod:`repro.service.loadgen` — the open-loop Zipf-skewed synthetic
-  load generator behind ``orpheus bench --tier service-scale``.
+  load generator behind ``python -m benchmarks --tier service-scale``.
 * chaos fault injection for the serving layer (connection resets,
   torn frames, worker exceptions, failing saves, cache corruption)
   uses the one registry in :mod:`repro.resilience.failpoints`; the

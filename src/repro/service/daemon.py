@@ -40,7 +40,7 @@ import os
 import socket
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
@@ -191,17 +191,13 @@ class ServiceDaemon:
         self._stopped = threading.Event()
         self._shutdown_mutex = threading.Lock()
         self.started_ts: float | None = None
-        self.requests_total = 0
-        self.requests_by_op: dict[str, int] = {}
-        self.busy_responses = 0
-        #: Fault-tolerance surfaces: degraded read-only mode, the
-        #: poison-request quarantine, and lifetime failure counters.
+        #: Fault-tolerance surfaces: degraded read-only mode and the
+        #: poison-request quarantine.
         self.degrade = DegradeController()
         self.quarantine = Quarantine()
-        self.worker_errors_total = 0
-        self.deadline_exceeded_total = 0
-        self.degraded_refused_total = 0
         self._was_telemetry_enabled = False
+        #: The one request ledger: every outcome is counted there, at
+        #: finalize.
         self.metrics = ServiceMetrics(recent_cap=self.config.recent_traces)
         self.slow_log = SlowLog(self.root, threshold_ms=self.config.slow_ms)
         #: One serving epoch: fresh per start, stamped on every flight
@@ -604,10 +600,6 @@ class ServiceDaemon:
     def _dispatch_request(
         self, session, request: Request, rtrace: RequestTrace
     ) -> Response:
-        self.requests_total += 1
-        self.requests_by_op[request.op] = (
-            self.requests_by_op.get(request.op, 0) + 1
-        )
         telemetry.count("service.requests")
         telemetry.count(f"service.requests.{request.op}")
         if self.sessions.draining and request.op != "shutdown":
@@ -667,7 +659,6 @@ class ServiceDaemon:
             # Shed before it ever queued: admission is the terminal
             # phase of this trace, and the client still gets the ids.
             rtrace.mark_admitted()
-            self.busy_responses += 1
             telemetry.count("service.busy")
             return Response(
                 id=request.id,
@@ -683,7 +674,6 @@ class ServiceDaemon:
             return self._deadline_response(request, str(error))
         except DegradedError as error:
             rtrace.mark_admitted()
-            self.degraded_refused_total += 1
             telemetry.count("service.request.degraded_refused")
             return Response(
                 id=request.id,
@@ -704,7 +694,6 @@ class ServiceDaemon:
             return self._error_response(request, rtrace, error)
 
     def _deadline_response(self, request: Request, where: str) -> Response:
-        self.deadline_exceeded_total += 1
         telemetry.count("service.request.deadline_exceeded")
         return Response(
             id=request.id,
@@ -717,13 +706,12 @@ class ServiceDaemon:
         self, request: Request, rtrace: RequestTrace, error: BaseException
     ) -> Response:
         """Classify a worker exception: user errors answer the client
-        and stop there; internal errors additionally count as worker
-        crashes, feed the quarantine, and are flagged on the wire so
-        clients know the server — not the request — failed. Either way
-        the daemon survives."""
+        and stop there; internal errors additionally feed the
+        quarantine and are flagged on the wire (the metrics ledger
+        counts them as worker errors) so clients know the server — not
+        the request — failed. Either way the daemon survives."""
         kind = "user" if isinstance(error, _USER_ERRORS) else "internal"
         if kind == "internal":
-            self.worker_errors_total += 1
             telemetry.count("service.request.worker_errors")
             if rtrace.digest:
                 self.quarantine.note_crash(rtrace.digest, request.op, error)
@@ -747,7 +735,7 @@ class ServiceDaemon:
                 error="already shook hands",
                 error_type="ProtocolError",
             )
-        if request.op == "stats":
+        if request.op in ("stats", "status"):
             recent = request.get("recent") or 0
             try:
                 recent = max(0, int(recent))
@@ -853,11 +841,9 @@ class ServiceDaemon:
     def _run_op(self, session, request: Request) -> dict:
         """The command itself: the shared :meth:`Orpheus.execute`, except
         checkout (through the version cache) and the daemon's own
-        ``status`` and ``doctor``."""
+        ``doctor``."""
         if request.op == "checkout":
             return self._op_checkout(session, request)
-        if request.op == "status":
-            return self.status()
         if request.op == "doctor":
             from repro.observe.doctor import run_doctor
 
@@ -1021,10 +1007,9 @@ class ServiceDaemon:
         )
 
     def _fold_heat(self, rtrace: RequestTrace) -> None:
-        """Fold a successful dataset access into the heat model and the
-        per-dataset I/O rollups (never fatal to the connection)."""
-        if rtrace.status != "ok" or not rtrace.dataset:
-            return
+        """Fold a finished request into the heat model when
+        :func:`build_event` says it is a heat event (never fatal to the
+        connection)."""
         try:
             event = build_event(
                 self.orpheus,
@@ -1036,42 +1021,52 @@ class ServiceDaemon:
                 rows_scanned=rtrace.rows_scanned or 0,
                 bytes_scanned=rtrace.bytes_scanned or 0,
                 rows_written=rtrace.rows_written or 0,
+                status=rtrace.status,
             )
+            if event is None:
+                return
             self.heat.record(event)
-            entry = self.heat.datasets.get(rtrace.dataset)
-            sample = self.heat.samples.get(f"{event.model}|checkout")
-            self.metrics.record_io(
-                rtrace.dataset,
-                rows_scanned=event.rows_scanned,
-                bytes_scanned=event.bytes_scanned,
-                rows_written=event.rows_written,
-                partition_touches=len(event.partitions),
-                heat=(
-                    self.heat.current_heat(entry, rtrace.started_ts)
-                    if entry
-                    else None
-                ),
-                read_amplification=(
-                    sample["rows_scanned"] / sample["rows_requested"]
-                    if sample and sample["rows_requested"] > 0
-                    else None
-                ),
-            )
             telemetry.count(
                 "service.heat.partition_touches", len(event.partitions)
             )
         except Exception:
             telemetry.count("service.heat.fold_errors")
 
-    def stats_payload(self, recent: int = 0) -> dict:
-        """The ``stats`` op response: daemon-lifetime request metrics
-        plus live scheduler/cache/session state."""
-        payload = self.metrics.to_dict(recent=recent)
-        payload["server"] = {
+    def _identity(self) -> dict:
+        """Who this daemon is and where to reach it: the whole of
+        ``.orpheus/service.json`` and the identity half of the report's
+        ``server`` block."""
+        return {
             "pid": os.getpid(),
             "boot_id": self.boot_id,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "root": str(Path(self.root or ".").resolve()),
+            "socket": self.config.resolved_socket(),
+            "tcp": list(self.config.tcp) if self.config.tcp else None,
+            "metrics": (
+                self._metrics_server.address
+                if self._metrics_server is not None
+                else None
+            ),
             "started_ts": self.started_ts,
+        }
+
+    def stats_payload(self, recent: int = 0) -> dict:
+        """The daemon's one report, behind the ``stats`` and ``status``
+        ops, ``/stats``, ``serve --status``, ``orpheus top`` and the
+        doctor's daemon probes. Built outside the scheduler, so it never
+        waits for a writer; nothing here iterates what a writer mutates."""
+        payload = self.metrics.to_dict(recent=recent)
+        started = self.started_ts
+        payload["uptime_s"] = round(
+            max(0.0, telemetry.now() - started) if started else 0.0, 3
+        )
+        orpheus = self.orpheus
+        payload["server"] = {
+            "name": "orpheusd",
+            **self._identity(),
             "draining": self.sessions.draining,
+            "datasets": len(orpheus._cvds) if orpheus is not None else 0,
         }
         payload["scheduler"] = self.scheduler.status()
         payload["cache"] = self.cache.stats().to_dict()
@@ -1081,8 +1076,11 @@ class ServiceDaemon:
         payload["degrade"] = self.degrade.status()
         payload["quarantine"] = self.quarantine.status()
         payload["faults"] = failpoints.stats()
-        payload["failures"] = self.failure_counters()
-        payload["heat"] = self.heat_summary()
+        heat = self.heat.summary(orpheus=orpheus)
+        for dataset, fields in heat.pop("datasets").items():
+            if dataset in payload["by_dataset"]:
+                payload["by_dataset"][dataset].update(fields)
+        payload["heat"] = heat
         payload["buffer_pool"] = self.buffer_pool_stats()
         return payload
 
@@ -1096,54 +1094,13 @@ class ServiceDaemon:
         except Exception:
             return {}
 
-    def heat_summary(self, top: int = 5) -> dict:
-        """The inline heat rollup for ``stats``: hottest datasets and
-        partitions plus daemon-lifetime scan totals."""
-        now = telemetry.now()
-        return {
-            "half_life_s": self.heat.half_life_s,
-            "events_total": self.heat.events_total,
-            "rows_scanned_total": self.metrics.rows_scanned_total,
-            "bytes_scanned_total": self.metrics.bytes_scanned_total,
-            "partition_touches_total": (
-                self.metrics.partition_touches_total
-            ),
-            "hot_datasets": [
-                {
-                    "dataset": key,
-                    "heat": round(heat, 4),
-                    "touches": entry["touches"],
-                }
-                for key, entry, heat in self.heat.ranked(
-                    self.heat.datasets, now
-                )[:top]
-            ],
-            "hot_partitions": [
-                {
-                    "partition": key,
-                    "heat": round(heat, 4),
-                    "touches": entry["touches"],
-                }
-                for key, entry, heat in self.heat.ranked(
-                    self.heat.partitions, now
-                )[:top]
-            ],
-        }
-
-    def failure_counters(self) -> dict:
-        return {
-            "worker_errors": self.worker_errors_total,
-            "deadline_exceeded": self.deadline_exceeded_total,
-            "deadline_shed": self.scheduler.deadline_shed,
-            "degraded_refused": self.degraded_refused_total,
-        }
-
     def render_metrics(self) -> str:
         """Prometheus exposition for the ``/metrics`` endpoint."""
         scheduler = self.scheduler.status()
         cache = self.cache.stats().to_dict()
         sessions = self.sessions.status()
         pool = self.buffer_pool_stats()
+        heat = self.heat.summary(top=0)
         return self.metrics.render_prometheus(
             extra_counters={
                 "cache_hits_total": cache.get("hits", 0),
@@ -1158,15 +1115,10 @@ class ServiceDaemon:
                     "deadline_shed", 0
                 ),
                 "sessions_opened_total": sessions.get("total_opened", 0),
-                "worker_errors_total": self.worker_errors_total,
-                "deadline_exceeded_total": self.deadline_exceeded_total,
-                "degraded_refused_total": self.degraded_refused_total,
                 "degraded_entries_total": self.degrade.entries_total,
-                "partition_touch_total": (
-                    self.metrics.partition_touches_total
-                ),
-                "scanned_rows_total": self.metrics.rows_scanned_total,
-                "scanned_bytes_total": self.metrics.bytes_scanned_total,
+                "partition_touch_total": heat["partition_touches_total"],
+                "scanned_rows_total": heat["rows_scanned_total"],
+                "scanned_bytes_total": heat["bytes_scanned_total"],
                 "page_faults_total": pool.get("faults", 0),
                 "page_evictions_total": pool.get("evictions", 0),
                 "page_writebacks_total": pool.get("writebacks", 0),
@@ -1194,66 +1146,11 @@ class ServiceDaemon:
     def draining(self) -> bool:
         return self.sessions.draining
 
-    # ------------------------------------------------------------------
-    # Status
-    # ------------------------------------------------------------------
-    def status(self) -> dict:
-        uptime = (
-            telemetry.now() - self.started_ts
-            if self.started_ts is not None
-            else 0.0
-        )
-        return {
-            "server": "orpheusd",
-            "pid": os.getpid(),
-            "boot_id": self.boot_id,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "root": str(Path(self.root or ".").resolve()),
-            "socket": self.config.resolved_socket(),
-            "tcp": list(self.config.tcp) if self.config.tcp else None,
-            "started_ts": self.started_ts,
-            "uptime_s": round(uptime, 3),
-            "draining": self.sessions.draining,
-            "datasets": len(self.orpheus.ls()) if self.orpheus else 0,
-            "requests": {
-                "total": self.requests_total,
-                "busy": self.busy_responses,
-                "by_op": dict(sorted(self.requests_by_op.items())),
-                **self.failure_counters(),
-            },
-            "scheduler": self.scheduler.status(),
-            "cache": self.cache.stats().to_dict(),
-            "sessions": self.sessions.status(),
-            "degrade": self.degrade.status(),
-            "quarantine": self.quarantine.status(),
-            "faults": failpoints.stats(),
-            "metrics": (
-                self._metrics_server.address
-                if self._metrics_server is not None
-                else None
-            ),
-            "slow": self.slow_log.stats(),
-            "flight": self.recorder.status(),
-        }
-
     def _write_status_file(self) -> None:
-        path = status_file_path(self.root)
-        payload = {
-            "pid": os.getpid(),
-            "boot_id": self.boot_id,
-            "socket": self.config.resolved_socket(),
-            "tcp": list(self.config.tcp) if self.config.tcp else None,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "started_ts": self.started_ts,
-            "root": str(Path(self.root or ".").resolve()),
-            "metrics": (
-                self._metrics_server.address
-                if self._metrics_server is not None
-                else None
-            ),
-        }
         fsio.atomic_write(
-            path,
-            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
+            status_file_path(self.root),
+            json.dumps(self._identity(), indent=2, sort_keys=True).encode(
+                "utf-8"
+            ),
             fsync=False,
         )

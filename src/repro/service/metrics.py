@@ -9,9 +9,10 @@ complement: it accumulates every finished :class:`RequestTrace` for the
 daemon's whole lifetime, independent of the telemetry enabled flag and
 its fold/reset cycle.
 
-It keeps, under one lock:
+It is the daemon's one request ledger, each outcome counted once when
+its request is finalized, and keeps, under one lock:
 
-* global request/error/BUSY totals;
+* global request/error/BUSY/deadline/degraded/worker-error totals;
 * per-op latency and per-phase (admission/queue-wait/execute/serialize)
   histograms with p50/p95/p99;
 * per-session and per-dataset (CVD) rollups;
@@ -30,7 +31,6 @@ import re
 import threading
 from collections import deque
 
-from repro import telemetry
 from repro.telemetry.registry import Histogram
 from repro.telemetry.snapshot import _prom_label_value, _prom_value
 
@@ -59,24 +59,23 @@ def _round(value: float | None) -> float | None:
     return None if value is None else round(value, 6)
 
 
-class _OpStats:
-    """Per-operation rollup: outcome counts + phase distributions."""
+class _Outcomes:
+    """Request counts by outcome — the one place a request outcome is
+    counted, for the whole daemon and for each op. Deadline sheds and
+    degraded-mode refusals are *load policy*, not failures: they get
+    their own counts, so an error-rate alert never fires because
+    clients ran polite budgets. ``worker_errors`` is the subset of
+    errors the daemon caused (``error_kind`` internal)."""
 
     __slots__ = (
-        "count", "errors", "busy", "deadline", "degraded",
-        "latency", "phases",
+        "count", "errors", "busy", "deadline", "degraded", "worker_errors",
     )
 
-    def __init__(self, op: str) -> None:
-        self.count = 0
-        self.errors = 0
-        self.busy = 0
-        self.deadline = 0
-        self.degraded = 0
-        self.latency = Histogram(op)
-        self.phases = {name: Histogram(f"{op}.{name}") for name in PHASES}
+    def __init__(self) -> None:
+        self.count = self.errors = self.busy = 0
+        self.deadline = self.degraded = self.worker_errors = 0
 
-    def record(self, rtrace: RequestTrace) -> None:
+    def add(self, rtrace: RequestTrace) -> None:
         self.count += 1
         if rtrace.status == "busy":
             self.busy += 1
@@ -86,17 +85,39 @@ class _OpStats:
             self.degraded += 1
         elif rtrace.status not in ("ok", "shutdown"):
             self.errors += 1
+            if rtrace.error_kind == "internal":
+                self.worker_errors += 1
+
+    def to_dict(self, count_key: str = "count") -> dict:
+        return {
+            count_key: self.count,
+            "errors": self.errors,
+            "busy": self.busy,
+            "deadline_exceeded": self.deadline,
+            "degraded": self.degraded,
+            "worker_errors": self.worker_errors,
+        }
+
+
+class _OpStats(_Outcomes):
+    """Per-operation rollup: outcome counts + phase distributions."""
+
+    __slots__ = ("latency", "phases")
+
+    def __init__(self, op: str) -> None:
+        super().__init__()
+        self.latency = Histogram(op)
+        self.phases = {name: Histogram(f"{op}.{name}") for name in PHASES}
+
+    def record(self, rtrace: RequestTrace) -> None:
+        self.add(rtrace)
         self.latency.add(rtrace.total_s)
         for name, value in rtrace.phase_seconds().items():
             self.phases[name].add(value)
 
     def to_dict(self) -> dict:
         return {
-            "count": self.count,
-            "errors": self.errors,
-            "busy": self.busy,
-            "deadline_exceeded": self.deadline,
-            "degraded": self.degraded,
+            **super().to_dict(),
             "latency": _hist_summary(self.latency),
             "phases": {
                 name: _hist_summary(h)
@@ -111,23 +132,8 @@ class ServiceMetrics:
 
     def __init__(self, recent_cap: int = RECENT_CAP) -> None:
         self._lock = threading.Lock()
-        self.started_ts = telemetry.now()
-        self.requests_total = 0
-        self.errors_total = 0
-        self.busy_total = 0
-        #: Deadline sheds and degraded-mode refusals are *load policy*,
-        #: not failures — they get their own counters so an error-rate
-        #: alert never fires because clients ran polite budgets.
-        self.deadline_total = 0
-        self.degraded_total = 0
+        self.totals = _Outcomes()
         self.slow_total = 0
-        #: Storage-access totals (from the per-request cost-accountant
-        #: stamps) — the Prometheus sidecar's
-        #: ``orpheusd_scanned_bytes_total`` / ``_partition_touch_total``.
-        self.rows_scanned_total = 0
-        self.bytes_scanned_total = 0
-        self.rows_written_total = 0
-        self.partition_touches_total = 0
         self.by_op: dict[str, _OpStats] = {}
         self.by_session: dict[int, dict] = {}
         self.by_dataset: dict[str, dict] = {}
@@ -137,15 +143,7 @@ class ServiceMetrics:
         """Fold one finished request into every rollup."""
         tree = rtrace.to_span_tree()
         with self._lock:
-            self.requests_total += 1
-            if rtrace.status == "busy":
-                self.busy_total += 1
-            elif rtrace.status == "deadline_exceeded":
-                self.deadline_total += 1
-            elif rtrace.status == "degraded":
-                self.degraded_total += 1
-            elif rtrace.status not in ("ok", "shutdown"):
-                self.errors_total += 1
+            self.totals.add(rtrace)
             if slow:
                 self.slow_total += 1
             op_stats = self.by_op.get(rtrace.op)
@@ -160,48 +158,6 @@ class ServiceMetrics:
             if rtrace.dataset:
                 self._roll(self.by_dataset, rtrace.dataset, rtrace)
             self.recent.append(tree)
-
-    def record_io(
-        self,
-        dataset: str | None,
-        rows_scanned: int = 0,
-        bytes_scanned: int = 0,
-        rows_written: int = 0,
-        partition_touches: int = 0,
-        heat: float | None = None,
-        read_amplification: float | None = None,
-    ) -> None:
-        """Fold one request's storage-access footprint: daemon-lifetime
-        totals plus the per-dataset heat/amplification rollup the
-        ``stats`` op and ``orpheus top`` render."""
-        with self._lock:
-            self.rows_scanned_total += rows_scanned
-            self.bytes_scanned_total += bytes_scanned
-            self.rows_written_total += rows_written
-            self.partition_touches_total += partition_touches
-            if not dataset:
-                return
-            entry = self.by_dataset.get(dataset)
-            if entry is None:
-                entry = self.by_dataset[dataset] = {
-                    "count": 0, "errors": 0, "busy": 0, "total_s": 0.0,
-                }
-            entry["rows_scanned"] = (
-                entry.get("rows_scanned", 0) + rows_scanned
-            )
-            entry["bytes_scanned"] = (
-                entry.get("bytes_scanned", 0) + bytes_scanned
-            )
-            entry["rows_written"] = (
-                entry.get("rows_written", 0) + rows_written
-            )
-            entry["partition_touches"] = (
-                entry.get("partition_touches", 0) + partition_touches
-            )
-            if heat is not None:
-                entry["heat"] = round(heat, 4)
-            if read_amplification is not None:
-                entry["read_amplification"] = round(read_amplification, 4)
 
     def _roll(self, table: dict, key, rtrace: RequestTrace, **extra) -> None:
         entry = table.get(key)
@@ -226,16 +182,8 @@ class ServiceMetrics:
         """The ``stats`` op payload (request up to ``recent`` traces)."""
         with self._lock:
             payload = {
-                "started_ts": self.started_ts,
-                "uptime_s": round(
-                    max(0.0, telemetry.now() - self.started_ts), 3
-                ),
                 "requests": {
-                    "total": self.requests_total,
-                    "errors": self.errors_total,
-                    "busy": self.busy_total,
-                    "deadline_exceeded": self.deadline_total,
-                    "degraded": self.degraded_total,
+                    **self.totals.to_dict(count_key="total"),
                     "slow": self.slow_total,
                 },
                 "by_op": {
@@ -268,23 +216,20 @@ class ServiceMetrics:
         """
         with self._lock:
             lines: list[str] = []
-            _counter(lines, "orpheusd_requests_total", self.requests_total)
-            _counter(lines, "orpheusd_errors_total", self.errors_total)
-            _counter(lines, "orpheusd_busy_total", self.busy_total)
-            _counter(
-                lines,
-                "orpheusd_deadline_exceeded_responses_total",
-                self.deadline_total,
-            )
-            _counter(
-                lines,
-                "orpheusd_degraded_responses_total",
-                self.degraded_total,
-            )
-            _counter(
-                lines, "orpheusd_slow_requests_total", self.slow_total
-            )
-            for name, value in sorted((extra_counters or {}).items()):
+            totals = self.totals
+            for name, value in (
+                ("requests_total", totals.count),
+                ("errors_total", totals.errors),
+                ("busy_total", totals.busy),
+                ("deadline_exceeded_responses_total", totals.deadline),
+                ("degraded_responses_total", totals.degraded),
+                # The same two counts under their older family names.
+                ("deadline_exceeded_total", totals.deadline),
+                ("degraded_refused_total", totals.degraded),
+                ("worker_errors_total", totals.worker_errors),
+                ("slow_requests_total", self.slow_total),
+                *sorted((extra_counters or {}).items()),
+            ):
                 _counter(lines, _family(name), value)
             for name, value in sorted((extra_gauges or {}).items()):
                 _gauge(lines, _family(name), value)

@@ -75,7 +75,7 @@ DEGRADED = "degraded"
 #: pool under the shared lock. ``checkout`` is read-only in the service
 #: model — materialization never changes version history.
 READ_OPS = frozenset(
-    {"checkout", "diff", "log", "ls", "run", "whoami", "doctor", "status"}
+    {"checkout", "diff", "log", "ls", "run", "whoami", "doctor"}
 )
 
 #: Mutations: serialized through the writer queue, journaled, and
@@ -85,10 +85,12 @@ WRITE_OPS = frozenset(
 )
 
 #: Session/admin operations handled outside the scheduler. ``stats``
-#: reads the daemon's in-memory observability state only — no
-#: repository access — so it stays live even when the queues are full.
+#: and ``status`` are two names for the daemon's one report, built from
+#: in-memory state only — no repository access — so it stays live even
+#: when the queues are full or a writer holds the lock.
 CONTROL_OPS = frozenset(
-    {"hello", "ping", "stats", "flush_cache", "flush_quarantine", "shutdown"}
+    {"hello", "ping", "stats", "status", "flush_cache", "flush_quarantine",
+     "shutdown"}
 )
 
 ALL_OPS = READ_OPS | WRITE_OPS | CONTROL_OPS

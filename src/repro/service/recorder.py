@@ -40,9 +40,11 @@ path.
 
 Bounds: segments rotate at ``segment_bytes`` and at most
 ``max_segments`` are kept (oldest deleted), so an always-on recorder
-cannot fill a disk. Appends flush per line but never fsync — the
-flight record is observability, not durability; a torn tail from a
-crash is skipped by readers the same way the journals tolerate it.
+cannot fill a disk. Every header states both values, so a reader knows
+the bound the directory should keep. Appends flush per line but never
+fsync — the flight record is observability, not durability; a torn
+tail from a crash is skipped by readers the same way the journals
+tolerate it.
 """
 
 from __future__ import annotations
@@ -267,6 +269,8 @@ class FlightRecorder:
             "pid": self.pid,
             "segment": self._segment_seq,
             "sample": self.sample,
+            "segment_bytes": self.segment_bytes,
+            "max_segments": self.max_segments,
             "ts": telemetry.now(),
         }
         data = fsio.jsonl_line(header)
@@ -383,10 +387,13 @@ def read_flight(flight_dir: str | Path) -> dict:
 
 
 def flight_dir_status(flight_dir: str | Path) -> dict:
-    """Cheap on-disk summary: segment count, bytes, torn newest tail.
+    """Cheap on-disk summary: segment count, bytes, whether the newest
+    segment's tail is torn, and the bound its header states
+    (``segment_bytes`` × ``max_segments``; the defaults for headers
+    that predate the fields).
 
-    Reads only the newest segment's bytes (for the torn check) — safe
-    to call from the doctor and the status surfaces while a daemon is
+    Reads only the newest segment's first and last lines — cheap, and
+    safe to call from the doctor and the report while a daemon is
     writing.
     """
     segments = list_segments(flight_dir)
@@ -396,11 +403,16 @@ def flight_dir_status(flight_dir: str | Path) -> dict:
             total += segment.stat().st_size
         except OSError:
             pass
-    newest_torn = False
-    if segments:
-        _header, _records, newest_torn = read_segment(segments[-1])
+    header = fsio.jsonl_head(segments[-1]) if segments else {}
     return {
         "segments": len(segments),
         "bytes": total,
-        "newest_torn": newest_torn,
+        "newest_torn": bool(segments) and fsio.jsonl_torn(segments[-1]),
+        "segment_bytes": int(
+            header.get("segment_bytes") or DEFAULT_SEGMENT_BYTES
+        ),
+        "max_segments": int(
+            header.get("max_segments") or DEFAULT_MAX_SEGMENTS
+        ),
     }
+

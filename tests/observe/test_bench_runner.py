@@ -2,8 +2,8 @@
 
 The stub bench sleeps for a test-controlled duration, so these tests
 prove the acceptance contract directly: an injected 3x slowdown makes
-``orpheus bench --check`` exit non-zero, while <=10% jitter on the same
-bench is tolerated.
+``python -m benchmarks --check`` exit non-zero, while <=10% jitter on
+the same bench is tolerated.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks import registry, runner
 from benchmarks.registry import BenchSpec
-from repro import cli, telemetry
+from repro import telemetry
 
 #: Controlled by each test; the stub bench sleeps this long per run.
 DURATION = {"s": 0.05}
@@ -306,37 +306,81 @@ def test_check_without_baseline_passes(stub_suite, tmp_path, capsys):
     assert "no baseline" in capsys.readouterr().out
 
 
-def test_orpheus_bench_forwards_to_runner(stub_suite, tmp_path, capsys):
-    """The ``orpheus bench --check`` path itself — the CLI must forward
-    flags to the runner and propagate its exit code."""
+def test_module_entry_propagates_the_check_exit_code(
+    stub_suite, tmp_path, capsys, monkeypatch
+):
+    """The ``python -m benchmarks --check`` path itself: the package's
+    ``__main__`` hands argv to the runner and exits with its code."""
+    import runpy
+    import sys
+
     baseline = tmp_path / "baselines.json"
+    common = ["--no-write", "--filter", "stub/sleep", "--baseline", str(baseline)]
+
+    def run_module(*extra) -> int:
+        monkeypatch.setattr(sys, "argv", ["benchmarks", *common, *extra])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("benchmarks", run_name="__main__")
+        return exit_.value.code
+
     DURATION["s"] = 0.05
-    assert (
-        cli.main(
-            [
-                "bench",
-                "--no-write",
-                "--filter",
-                "stub/sleep",
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        == 0
-    )
+    assert run_module("--update-baseline") == 0
     DURATION["s"] = 0.15
     capsys.readouterr()
-    code = cli.main(
-        [
-            "bench",
-            "--no-write",
-            "--filter",
-            "stub/sleep",
-            "--check",
-            "--baseline",
-            str(baseline),
-        ]
-    )
-    assert code == 1
+    assert run_module("--check") == 1
     assert "[REGRESSION" in capsys.readouterr().out
+
+
+# --- baseline coverage (what --check says about the file itself) ------
+
+
+def test_check_reports_unreadable_baseline(stub_suite, tmp_path, capsys):
+    baseline = tmp_path / "baselines.json"
+    baseline.write_text("{not json")
+    assert run_main(tmp_path, "--filter", "stub/rows", "--check", baseline=baseline) == 0
+    assert "baseline unreadable" in capsys.readouterr().out
+
+
+def test_check_reports_schema_mismatch(stub_suite, tmp_path, capsys):
+    baseline = tmp_path / "baselines.json"
+    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
+    doc = json.loads(baseline.read_text())
+    doc["schema_version"] = runner.BENCH_SCHEMA_VERSION + 1
+    baseline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_main(tmp_path, "--filter", "stub/rows", "--check", baseline=baseline) == 0
+    out = capsys.readouterr().out
+    assert "schema_version" in out and "not compared" in out
+    assert "stale" not in out
+
+
+def test_check_reports_unbaselined_and_orphaned_rows(stub_suite, tmp_path, capsys):
+    """Coverage is judged against the registered quick tier, not the
+    filtered run: a row for a bench that no longer exists and a quick
+    bench with no row both show, though neither ran."""
+    baseline = tmp_path / "baselines.json"
+    assert (
+        run_main(tmp_path, "--filter", "stub/rows", "--update-baseline", baseline=baseline)
+        == 0
+    )
+    capsys.readouterr()
+    assert run_main(tmp_path, "--filter", "stub/rows", "--check", baseline=baseline) == 0
+    out = capsys.readouterr().out
+    assert "1 quick bench(es) unbaselined (stub/sleep)" in out
+    assert "orphaned" not in out
+
+    doc = json.loads(baseline.read_text())
+    doc["benches"]["stub/sleep"] = doc["benches"]["stub/rows"]
+    doc["benches"]["stub/gone"] = doc["benches"]["stub/rows"]
+    baseline.write_text(json.dumps(doc))
+    assert run_main(tmp_path, "--filter", "stub/rows", "--check", baseline=baseline) == 0
+    out = capsys.readouterr().out
+    assert "1 orphaned entr(ies) with no quick bench (stub/gone)" in out
+    assert "unbaselined" not in out
+
+
+def test_stale_baseline_notes_quiet_when_covered_or_absent(stub_suite, tmp_path):
+    baseline = tmp_path / "baselines.json"
+    assert runner.stale_baseline_notes(baseline) == []  # missing: check_payload's
+    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
+    assert runner.stale_baseline_notes(baseline) == []

@@ -75,6 +75,8 @@ class TestJsonl:
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert fsio.read_jsonl(tmp_path / "absent.jsonl") == ([], False)
+        assert fsio.jsonl_torn(tmp_path / "absent.jsonl") is False
+        assert fsio.jsonl_head(tmp_path / "absent.jsonl") == {}
 
     @pytest.mark.parametrize(
         "tail,kept,torn",
@@ -85,6 +87,10 @@ class TestJsonl:
             (b'\xff\xfe\n{"n": 2}\n', [2], False),  # garbage inside only
             (b'[1, 2]\n{"n": 2}\n', [2], False),    # JSON, but not a record
             (b'\xff\xfe{"n": 2}\n', [], True),      # glued to garbage: lost
+            (b'{"n": 2}\nnull\n', [2], False),      # JSON null: not torn
+            (b'{"n": 2}\n \n', [2], False),         # a blank last line
+            (b'{"n": 2, "pad": "' + b"x" * 9000 + b'"}\n', [2], False),
+            (b'{"n": 2, "pad": "' + b"x" * 9000 + b'"\n', [], True),
         ],
     )
     def test_torn_tail_flag(self, tmp_path, tail, kept, torn):
@@ -93,6 +99,10 @@ class TestJsonl:
         records, flagged = fsio.read_jsonl(log)
         assert [r["n"] for r in records] == [1] + kept
         assert flagged is torn
+        # The same rule from the final line alone, lines longer than
+        # the read-back chunk included.
+        assert fsio.jsonl_torn(log) is torn
+        assert fsio.jsonl_head(log) == {"n": 1}
 
     @pytest.mark.parametrize("tail", [b'{"n": 2, "x', b"\xff\xfe"])
     def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path, tail):

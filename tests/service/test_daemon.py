@@ -59,8 +59,8 @@ class TestLifecycle:
         with daemon_factory() as handle:
             with handle.client() as client:
                 status = client.status()
-        assert status["server"] == "orpheusd"
-        assert status["datasets"] == 1
+        assert status["server"]["name"] == "orpheusd"
+        assert status["server"]["datasets"] == 1
         for key in ("scheduler", "cache", "sessions", "requests"):
             assert key in status
 

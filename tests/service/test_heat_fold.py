@@ -101,6 +101,27 @@ def test_flight_mining_matches_live_accounting(busy_daemon):
             assert entry["bytes_scanned"] == twin["bytes_scanned"], key
             assert entry["heat"] == pytest.approx(twin["heat"]), key
 
+    # One rule decides what is a heat event on every path: neither a
+    # daemon `log -d` (a dataset request, not an access) nor a CLI `drop`
+    # is one, live or mined. The CLI part is compared by count and
+    # sample key only: the journal carries no scan stamps.
+    from repro.cli import main
+
+    with DaemonHandle(root) as handle:
+        with handle.client() as client:
+            client.log(dataset="demo")
+            client.log(dataset="demo")
+    init = [
+        "--root", str(root), "init", "-d", "scratch",
+        "-f", str(root / "data.csv"), "-s", str(root / "schema.csv"),
+    ]
+    for argv in (init, ["--root", str(root), "drop", "-d", "scratch"], init):
+        assert main(argv) == 0
+    mined = mine(str(root), load_state(str(root)))
+    live = HeatAccountant.load(str(root))
+    assert live.events_total == mined.events_total == 7
+    assert set(live.samples) == set(mined.samples)
+
 
 def test_pins_follow_heat_on_the_housekeeping_tick_not_per_request(
     workspace, monkeypatch

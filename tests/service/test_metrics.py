@@ -65,7 +65,7 @@ class TestServiceMetrics:
         payload = metrics.to_dict(recent=8)
         assert payload["requests"] == {
             "total": 4, "errors": 1, "busy": 1, "slow": 1,
-            "deadline_exceeded": 0, "degraded": 0,
+            "deadline_exceeded": 0, "degraded": 0, "worker_errors": 0,
         }
         checkout = payload["by_op"]["checkout"]
         assert checkout["count"] == 3
@@ -155,7 +155,7 @@ class TestStatsOp:
             with handle.client() as client:
                 status = client.status()
             assert "slow" in status
-            assert status["metrics"] is None  # no --metrics-port
+            assert status["server"]["metrics"] is None  # no --metrics-port
 
 
 class _FakeDaemon:

@@ -8,8 +8,11 @@ import os
 
 import pytest
 
-from repro.observe.doctor import FLIGHT_BUDGET_ENV, probe_flight_recorder
+from repro.observe.doctor import probe_flight_recorder
+from repro.resilience import fsio
 from repro.service.recorder import (
+    DEFAULT_MAX_SEGMENTS,
+    DEFAULT_SEGMENT_BYTES,
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
     _trace_keep,
@@ -90,6 +93,8 @@ def test_segment_starts_with_header(tmp_path):
     assert header["schema"] == FLIGHT_SCHEMA_VERSION
     assert header["boot_id"] == recorder.boot_id
     assert header["pid"] == os.getpid()
+    assert header["segment_bytes"] == recorder.segment_bytes
+    assert header["max_segments"] == recorder.max_segments
     assert len(records) == 1 and records[0]["trace"] == "trace0000"
 
 
@@ -198,7 +203,7 @@ def test_daemon_flight_status_surfaces(workspace, daemon_factory):
         assert stats["flight"]["records_written"] >= 1
         assert stats["server"]["boot_id"] == handle.daemon.boot_id
         assert status["flight"]["segments"] >= 1
-        assert status["boot_id"] == handle.daemon.boot_id
+        assert status["server"]["boot_id"] == handle.daemon.boot_id
 
 
 def test_daemon_sample_zero_records_nothing(workspace, daemon_factory):
@@ -223,18 +228,84 @@ def test_probe_ok_when_no_segments(tmp_path):
     assert "no flight segments" in result.summary
 
 
-def test_probe_warns_over_byte_budget(tmp_path, monkeypatch):
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
-    for i in range(20):
+def _fill_two_segment_recorder(root) -> FlightRecorder:
+    """A recorder bounded at 2 × 4 KiB, written well past its bound so
+    it rotated and pruned down to it."""
+    recorder = FlightRecorder(
+        root=str(root), sample=1.0, segment_bytes=4096, max_segments=2,
+    )
+    for i in range(100):
         recorder.append(_entry(i))
     recorder.close()
-    monkeypatch.setenv(FLIGHT_BUDGET_ENV, "10")
+    return recorder
+
+
+def test_probe_ok_at_the_recorders_bound(tmp_path):
+    _fill_two_segment_recorder(tmp_path)
+    status = flight_dir_status(flight_dir_path(str(tmp_path)))
+    assert status["segments"] == 2
+    assert (status["segment_bytes"], status["max_segments"]) == (4096, 2)
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "ok", result.summary
+    assert result.data["bound_bytes"] == 2 * 4096
+
+
+def test_probe_warns_when_pruning_failed(tmp_path):
+    """More segments on disk than the newest header's ``max_segments``
+    means pruning failed: the bytes exceed the recorder's bound."""
+    recorder = _fill_two_segment_recorder(tmp_path)
+    newest = list_segments(recorder.dir)[-1]
+    for seq in range(3):  # what a prune that kept failing leaves
+        (recorder.dir / f"flight-stale-{seq:06d}.jsonl").write_bytes(
+            newest.read_bytes()
+        )
     result = probe_flight_recorder(str(tmp_path))
     assert result.severity == "warn"
-    assert "budget" in result.summary
-    assert "--flight-segment" in result.remediation
-    monkeypatch.delenv(FLIGHT_BUDGET_ENV)
-    assert probe_flight_recorder(str(tmp_path)).severity == "ok"
+    assert "pruning failed" in result.summary
+    assert "oldest flight-*.jsonl" in result.remediation
+
+
+def test_status_bound_falls_back_for_headers_without_it(tmp_path):
+    directory = flight_dir_path(str(tmp_path))
+    directory.mkdir(parents=True)
+    (directory / "flight-old-000001.jsonl").write_bytes(
+        fsio.jsonl_line({"kind": "header", "schema": 1, "boot_id": "old"})
+        + fsio.jsonl_line(_entry(0))
+    )
+    status = flight_dir_status(directory)
+    assert status["segment_bytes"] == DEFAULT_SEGMENT_BYTES
+    assert status["max_segments"] == DEFAULT_MAX_SEGMENTS
+    assert status["newest_torn"] is False
+
+
+def test_status_reads_only_the_tail_of_a_full_segment(tmp_path, monkeypatch):
+    """``stats``, ``status``, every ``orpheus top`` poll and every doctor
+    run ask for the flight summary: it must not parse a 4 MiB segment
+    to learn whether its last line is torn."""
+    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder.append(_entry(0))
+    recorder.close()
+    segment = list_segments(recorder.dir)[-1]
+    line = fsio.jsonl_line(_entry(1))
+    with open(segment, "ab") as handle:
+        handle.write(line * (DEFAULT_SEGMENT_BYTES // len(line)))
+
+    def refuse(path):
+        raise AssertionError("flight_dir_status parsed the whole segment")
+
+    monkeypatch.setattr(fsio, "read_jsonl", refuse)
+    status = flight_dir_status(recorder.dir)
+    assert status["bytes"] >= DEFAULT_SEGMENT_BYTES
+    assert status["newest_torn"] is False
+    with open(segment, "ab") as handle:
+        handle.write(line[:-1])  # a crash mid-append: no newline
+    assert flight_dir_status(recorder.dir)["newest_torn"] is True
+    with open(segment, "ab") as handle:
+        handle.write(b"\n" + b'{"kind": "request", "op"' + b"\n")
+    assert flight_dir_status(recorder.dir)["newest_torn"] is True
+    with open(segment, "ab") as handle:
+        handle.write(line)  # a whole line after the garbage one
+    assert flight_dir_status(recorder.dir)["newest_torn"] is False
 
 
 def test_probe_warns_on_torn_tail_without_daemon(tmp_path):

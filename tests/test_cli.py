@@ -231,7 +231,7 @@ class TestProfileCommand:
         assert "needs a command" in capsys.readouterr().err
 
     def test_profile_refuses_recursion(self, workspace, capsys):
-        assert run(workspace, "profile", "bench") == 2
+        assert run(workspace, "profile", "profile", "ls") == 2
         assert "cannot profile" in capsys.readouterr().err
 
 

@@ -59,10 +59,6 @@ LOCAL_CORPUS = [
     ["migrate-state", "--to", "pickle", "--dry-run"],
     ["profile", "--top", "5", "--collapsed", "--json", "checkout", "-d", "ds", "-v", "1", "-f", "o"],
     ["profile", "--", "ls"],
-    ["bench"],
-    ["bench", "--quick", "--tier", "t", "--filter", "f", "--repeats", "3", "--list",
-     "--json", "--no-write", "--check", "--warn-only", "--update-baseline",
-     "--baseline", "b.json"],
     ["serve", "--socket", "s.sock", "--tcp", "127.0.0.1:0", "--workers", "2",
      "--cache-mb", "8", "--queue-depth", "4", "--read-queue-depth", "16",
      "--idle-timeout", "30", "--metrics-port", "0", "--slow-ms", "100",

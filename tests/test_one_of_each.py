@@ -147,3 +147,51 @@ def test_one_function_writes_the_journal_fields():
                 ):
                     writers.add((name, function.name))
     assert writers == {("observe/journal.py", "fill_record")}
+
+
+def test_one_rule_decides_what_is_a_heat_event():
+    """The daemon's fold, the CLI's fold and the offline miner all ask
+    ``build_event``; none filters commands on its own."""
+    users = set()
+    for name, tree in modules():
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and any(
+                isinstance(node, ast.Name) and node.id == "HEAT_COMMANDS"
+                for node in ast.walk(function)
+            ):
+                users.add((name, function.name))
+    assert users == {("observe/heat.py", "build_event")}
+
+
+def test_orpheusd_keeps_one_set_of_books():
+    """Request outcomes are counted in the metrics ledger only, and the
+    ``status`` op is the ``stats`` report, not a second builder."""
+    tree = dict(modules())["service/daemon.py"]
+    counters = [
+        node.target.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Attribute)
+        and isinstance(node.target.value, ast.Name)
+        and node.target.value.id == "self"
+    ]
+    assert counters == []
+    daemon = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "ServiceDaemon"
+    )
+    methods = {n.name for n in daemon.body if isinstance(n, ast.FunctionDef)}
+    assert "stats_payload" in methods and "status" not in methods
+
+
+def test_the_program_imports_no_benchmarks():
+    """The bench suite is tooling: ``python -m benchmarks`` runs it, and
+    no command (``doctor`` included) imports it."""
+    imported = set()
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((name, (node.module or "").split(".")[0]))
+            elif isinstance(node, ast.Import):
+                imported.update((name, a.name.split(".")[0]) for a in node.names)
+    assert {name for name, top in imported if top == "benchmarks"} == set()
