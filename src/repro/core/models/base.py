@@ -82,7 +82,8 @@ class DataModel(abc.ABC):
 
     @abc.abstractmethod
     def checkout_rids(self, vid: int) -> list[RecordRow]:
-        """Return all (rid, payload) pairs of version ``vid``."""
+        """Return all (rid, payload) pairs of version ``vid``, in
+        ascending rid order."""
 
     def rids_of(self, vid: int) -> frozenset[int]:
         """The rids of version ``vid``, read from the tables. Models

@@ -15,6 +15,7 @@ paper's qualitative argument against it despite competitive storage.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
@@ -139,6 +140,9 @@ class DeltaBasedModel(DataModel):
                 for row in fresh
                 if not row[1]  # tombstone
             ]
+        # The chain yields the newest delta first; every model emits a
+        # version in ascending rid order.
+        result.sort(key=itemgetter(0))
         return result
 
     def explain_checkout(self, vid: int):

@@ -173,6 +173,15 @@ class PartitionedRlistStore(DataModel):
         index = self._partition_of[vid]
         return self._partitions[index].checkout_rids(vid)
 
+    def alter_schema(self, new_schema) -> None:
+        super().alter_schema(new_schema)
+        # The tables now hold every record NULL-extended and coerced to
+        # the evolved types: each partition reads them at the new width,
+        # and a migration must not copy the old payloads.
+        for partition in self._partitions:
+            partition.data_schema = new_schema
+        self._payloads = {}
+
     def storage_bytes(self) -> int:
         return sum(p.storage_bytes() for p in self._partitions)
 

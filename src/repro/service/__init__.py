@@ -18,9 +18,10 @@ concurrency, caching, and backpressure become first-class subsystems:
   a worker pool under a shared lock; mutations serialize through a
   single writer queue with per-CVD depth accounting and ``busy``
   load-shedding under backpressure.
-* :mod:`repro.service.cache` — a byte-budgeted LRU of materialized
-  versions, invalidated per CVD on commit/optimize/drop, making
-  repeated checkouts of hot versions near-free.
+* :mod:`repro.service.cache` — a byte-budgeted LRU of materialized,
+  immutable versions: a commit admits its own version and evicts
+  nothing, so repeated checkouts of hot versions, the new head
+  included, are near-free.
 * :mod:`repro.service.daemon` — the server: owns the repository lock
   for its lifetime, runs crash recovery at startup, journals mutations
   through the same intent log / operation journal as the CLI, folds

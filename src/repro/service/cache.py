@@ -6,20 +6,22 @@ versions are requested over and over (the paper's workloads are
 exactly that shape: many analysts pulling the latest curated version).
 This cache keeps fully materialized checkouts — ``(columns, rows,
 parents)``, plus the rows' wire encoding once an inline checkout has
-asked for it — keyed by ``(dataset, vids-tuple)`` under a byte budget:
+asked for it — keyed by ``(dataset, vids-tuple, schema token)`` under a
+byte budget:
 
+* **Immutable entries** — a committed version never changes, so a
+  commit or ``optimize`` evicts nothing (the daemon admits the version
+  a commit wrote). A schema-evolving commit changes the token, the
+  columns' names and types, so entries made before it stop matching.
 * **LRU** by access order; inserting past the budget evicts from the
   cold end. An entry larger than the whole budget is never admitted.
-* **Per-CVD invalidation** — any mutation of a dataset (commit,
-  optimize, drop, init) drops every entry for that dataset only;
-  other datasets' hot entries survive.
-* **Counters** — hits/misses/evictions/invalidations both locally (for
-  the daemon's ``status`` payload, which must work even when telemetry
-  is disabled) and as ``service.cache.*`` telemetry counters visible in
-  ``orpheus stats``.
+* **Counters** — hits/misses/evictions/invalidations (a ``drop`` or a
+  reload that evicted) both locally (for the daemon's ``status``
+  payload, which must work even when telemetry is disabled) and as
+  ``service.cache.*`` telemetry counters visible in ``orpheus stats``.
 
 Thread-safe: the daemon's reader pool probes it concurrently while the
-writer thread invalidates.
+writer thread admits and evicts.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import telemetry
+
+#: One version id, or several in precedence order.
+Vids = int | Sequence[int]
 
 #: Default byte budget (64 MiB) — roughly a few hundred mid-sized
 #: materialized versions; ``orpheus serve --cache-mb`` overrides.
@@ -139,15 +144,12 @@ def estimate_entry_bytes(columns: Sequence[str], rows: Sequence[tuple]) -> int:
 
 
 class VersionCache:
-    """Byte-budgeted LRU of materialized versions with per-CVD
-    invalidation."""
+    """Byte-budgeted LRU of materialized, immutable versions."""
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
         self.budget_bytes = max(0, int(budget_bytes))
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple[str, tuple[int, ...]], CacheEntry]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -156,13 +158,16 @@ class VersionCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def key(dataset: str, vids: int | Sequence[int]) -> tuple[str, tuple[int, ...]]:
+    def key(dataset: str, vids: Vids, schema=None) -> tuple:
+        """The token is ``schema``'s columns (names and types), not a
+        counter a state reload could reset."""
         if isinstance(vids, int):
             vids = (vids,)
-        return (dataset, tuple(int(v) for v in vids))
+        token = tuple(schema.columns) if schema is not None else ()
+        return (dataset, tuple(int(v) for v in vids), token)
 
-    def get(self, dataset: str, vids: int | Sequence[int]) -> CacheEntry | None:
-        key = self.key(dataset, vids)
+    def get(self, dataset: str, vids: Vids, schema=None) -> CacheEntry | None:
+        key = self.key(dataset, vids, schema)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -175,14 +180,14 @@ class VersionCache:
         return entry
 
     def put(
-        self, dataset: str, vids: int | Sequence[int], entry: CacheEntry
+        self, dataset: str, vids: Vids, entry: CacheEntry, schema=None
     ) -> bool:
         """Admit an entry, evicting LRU entries to fit. Returns False
         when the entry alone exceeds the whole budget (not admitted)."""
         if entry.size_bytes > self.budget_bytes:
             telemetry.count("service.cache.rejected_oversize")
             return False
-        key = self.key(dataset, vids)
+        key = self.key(dataset, vids, schema)
         evicted = 0
         with self._lock:
             old = self._entries.pop(key, None)
@@ -200,10 +205,10 @@ class VersionCache:
             telemetry.count("service.cache.evictions", evicted)
         return True
 
-    def invalidate_dataset(self, dataset: str) -> int:
-        """Drop every entry materialized from ``dataset``."""
+    def invalidate(self, stale: Callable[[str, tuple[int, ...]], bool]) -> int:
+        """Drop every entry whose ``(dataset, vids)`` is ``stale``."""
         with self._lock:
-            doomed = [k for k in self._entries if k[0] == dataset]
+            doomed = [k for k in self._entries if stale(k[0], k[1])]
             for key in doomed:
                 self._bytes -= self._entries.pop(key).size_bytes
             if doomed:
@@ -213,9 +218,9 @@ class VersionCache:
             telemetry.count("service.cache.invalidated_entries", len(doomed))
         return len(doomed)
 
-    def drop(self, dataset: str, vids: int | Sequence[int]) -> bool:
+    def drop(self, dataset: str, vids: Vids, schema=None) -> bool:
         """Evict one specific entry (corruption containment path)."""
-        key = self.key(dataset, vids)
+        key = self.key(dataset, vids, schema)
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:

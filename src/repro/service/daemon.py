@@ -773,7 +773,8 @@ class ServiceDaemon:
     ) -> dict:
         """Run one scheduled request. A write gets the CLI's durability
         bracket: intent begin -> execute -> state save -> journal ->
-        intent done, then cache invalidation. Journal records and
+        intent done. A drop evicts its dataset's cache entries once
+        saved; a commit admits its version last. Journal records and
         intents carry the *client's* trace id (and session id), so
         remote work correlates end to end."""
         rtrace.mark_started()
@@ -817,13 +818,15 @@ class ServiceDaemon:
                     # and a reload would drop live staging pins.
                     self._reload_state(dataset)
                 raise
+            if op == "drop":
+                # Durable, and a re-init may reuse the vids: evict now.
+                self.cache.invalidate(lambda name, _vids: name == dataset)
             if record is not None:
                 self.journal.append(fill_record(record, params, data))
             if bracketed:
                 self.intents.done(trace_id)
-            if write and dataset:
-                invalidated = self.cache.invalidate_dataset(dataset)
-                data.setdefault("cache_invalidated", invalidated)
+            if op == "commit":
+                self._admit(dataset, data["version"])
             fields = op_fields(op, params, data)
             rtrace.version_ids = tuple(requested_versions(fields))
             if fields["rows"] is not None:
@@ -887,7 +890,7 @@ class ServiceDaemon:
             with telemetry.span(
                 "service.checkout.cache_lookup", dataset=dataset
             ) as lookup:
-                entry = self.cache.get(dataset, vids)
+                entry = self.cache.get(dataset, vids, cvd.schema)
                 if entry is not None:
                     if failpoints.fire("cache.corrupt_entry") == "corrupt":
                         entry.corrupt()
@@ -895,7 +898,7 @@ class ServiceDaemon:
                         # Integrity seal mismatch: contain the rot —
                         # drop the entry and rematerialize from version
                         # storage rather than serving corrupted history.
-                        self.cache.drop(dataset, vids)
+                        self.cache.drop(dataset, vids, cvd.schema)
                         telemetry.count("service.cache.corruption_detected")
                         entry = None
                 cached = entry is not None
@@ -919,7 +922,7 @@ class ServiceDaemon:
                     tuple(source.parents),
                     body=protocol.encode_rows(source.rows) if inline else None,
                 )
-                self.cache.put(dataset, vids, entry)
+                self.cache.put(dataset, vids, entry, cvd.schema)
             return entry
 
         data = self.orpheus.cmd_checkout(
@@ -930,6 +933,16 @@ class ServiceDaemon:
             # Already-encoded bytes: the frame builder splices them.
             data["data"] = entry.body
         return data
+
+    def _admit(self, dataset: str, vid: int) -> None:
+        """Write-through: admit the version a commit just made durable,
+        as its checkout would materialize it (rows in ascending rid
+        order). Its rids and payloads are memo hits after the commit;
+        the entry gets its own list of the memo's tuples."""
+        cvd = self.orpheus.cvd(dataset)
+        rows = cvd.payloads_of(sorted(cvd.membership(vid)), vid)
+        entry = CacheEntry(cvd.schema.column_names, rows, (vid,))
+        self.cache.put(dataset, [vid], entry, cvd.schema)
 
     # ------------------------------------------------------------------
     # State persistence (guarded by the degrade controller)
@@ -963,21 +976,28 @@ class ServiceDaemon:
 
     def _reload_state(self, dataset: str | None = None) -> None:
         """Re-anchor in-memory state to the last durable save (called
-        with the exclusive writer lock already held). Cached entries
-        for the touched dataset go with it — they may describe
-        in-memory versions that just ceased to exist."""
+        with the exclusive writer lock already held). The failed write
+        admitted nothing, so the cache keeps every entry whose versions
+        the reloaded state holds; the rest (versions a failed reload
+        left readable from memory) go."""
         from repro.cli import load_state
 
         try:
             self.orpheus = load_state(self.root)
         except Exception:
             # Disk worse than memory (e.g. the volume is gone): keep
-            # serving reads from memory rather than dying here.
+            # serving reads from memory rather than dying here. The
+            # failed write may have torn the dataset in memory; its
+            # entries go, so hits and misses read one state.
             telemetry.count("service.state.reload_failures")
+            self.cache.invalidate(lambda name, _vids: name == dataset)
             return
         telemetry.count("service.state.reloads")
-        if dataset:
-            self.cache.invalidate_dataset(dataset)
+        cvds = self.orpheus._cvds
+        self.cache.invalidate(
+            lambda name, vids: name not in cvds
+            or not all(vid in cvds[name].versions for vid in vids)
+        )
 
     # ------------------------------------------------------------------
     # Observability

@@ -1,10 +1,16 @@
 """Cross-model tests: all five physical designs must agree on contents
 while differing in the cost profile Chapter 4 describes."""
 
+import random
+
 import pytest
 
+from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
 from repro.datasets.protein import protein_history
+from repro.relational.database import Database
+from repro.relational.schema import ColumnDef, Schema
+from repro.relational.types import INT, TEXT
 from tests.conftest import make_protein_cvd
 
 ALL_MODELS = sorted(DATA_MODELS)
@@ -30,6 +36,37 @@ class TestCheckoutAgreement:
     def test_missing_version_is_empty_or_raises(self, model, protein_schema):
         cvd = make_protein_cvd(model, protein_schema)
         assert cvd.model.checkout_rids(999) == []
+
+
+@pytest.mark.parametrize("model", ALL_MODELS + ["partitioned_rlist"])
+def test_single_version_checkout_is_in_ascending_rid_order(model):
+    """The one canonical row order: a version's rows by ascending rid,
+    in every model, and partitioned before and after ``optimize``. It
+    is what lets orpheusd build a cache entry from the memo at commit
+    (``payloads_of(sorted(membership))``) that equals the checkout."""
+    rng = random.Random(5)
+    schema = Schema([ColumnDef("k", TEXT), ColumnDef("v", INT)], primary_key=("k",))
+    cvd = CVD(Database(), "d", schema, model=model)
+    vids = [cvd.commit([(f"k{i:03d}", i) for i in range(40)])]
+    for step in range(12):
+        parent = rng.choice(vids)
+        rows = [row for row in cvd.checkout(parent).rows if rng.random() > 0.2]
+        rows += [(f"n{step}.{j}", j) for j in range(5)]
+        rng.shuffle(rows)
+        vids.append(cvd.commit(rows, parents=(parent,)))
+
+    def assert_ascending():
+        for vid in vids:
+            rids = [rid for rid, _payload in cvd.model.checkout_rids(vid)]
+            assert rids == sorted(rids), vid
+            by_rid = cvd.payloads_of(sorted(cvd.membership(vid)))
+            assert cvd.checkout(vid).rows == by_rid, vid
+
+    assert_ascending()
+    if model == "partitioned_rlist":
+        partitioning = cvd.model.optimize(storage_threshold_factor=1.5)
+        assert partitioning.num_partitions > 1
+        assert_ascending()
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

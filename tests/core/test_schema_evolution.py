@@ -50,6 +50,26 @@ class TestAddColumn:
         old = cvd.checkout(v1)
         assert old.rows[0] == ("p1", "p2", 1, 2, None)
 
+    def test_partitioned_versions_survive_evolution_and_optimize(self):
+        schema = Schema([ColumnDef("k", TEXT), ColumnDef("v", INT)])
+        cvd = CVD(Database(), "d", schema, model="partitioned_rlist")
+        vids = [cvd.commit([(f"k{i}", i) for i in range(8)])]
+        for step in range(4):
+            rows = cvd.checkout(vids[-1]).rows[1:] + [(f"n{step}", step)]
+            vids.append(cvd.commit(rows, parents=[vids[-1]]))
+        vids.append(
+            cvd.commit(
+                [(f"a{i}", i, "x") for i in range(8)],
+                parents=[vids[0]],
+                columns=["k", "v", "note"],
+                column_types={"note": TEXT},
+            )
+        )
+        before = [cvd.checkout(vid).rows for vid in vids]
+        assert before[0][0] == ("k0", 0, None)
+        assert cvd.model.optimize(storage_threshold_factor=2.0).num_partitions > 1
+        assert [cvd.checkout(vid).rows for vid in vids] == before
+
     def test_new_column_requires_type(self, cvd):
         v1 = cvd.commit([("p1", "p2", 1, 2)])
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
-"""Materialized-version cache: LRU, byte budget, per-CVD invalidation."""
+"""Materialized-version cache: LRU, byte budget, schema-token keys,
+surgical eviction."""
 
+from repro.relational.schema import ColumnDef, Schema
+from repro.relational.types import FLOAT, INT, TEXT
 from repro.service.cache import CacheEntry, VersionCache
 
 
@@ -33,6 +36,21 @@ class TestLookup:
         cache.put("d", [1, 2], entry(marker="a"))
         assert cache.get("d", [2, 1]) is None
 
+    def test_key_carries_the_schema_token(self):
+        # A schema-evolving commit changes how every older version
+        # materializes; entries made under the old schema stop matching.
+        before = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)])
+        added = before.with_column(ColumnDef("note", TEXT))
+        widened = before.with_widened_column("value", FLOAT)
+        cache = VersionCache(1 << 20)
+        cache.put("d", [1], entry(), before)
+        assert cache.get("d", [1], before) is not None
+        assert cache.get("d", [1], added) is None
+        assert cache.get("d", [1], widened) is None
+        # Equal schemas are equal tokens: a state reload keeps the key.
+        reloaded = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)])
+        assert cache.get("d", [1], reloaded) is not None
+
 
 class TestEviction:
     def test_lru_evicts_cold_entries(self):
@@ -61,14 +79,24 @@ class TestEviction:
 
 
 class TestInvalidation:
-    def test_invalidate_dataset_is_surgical(self):
+    def test_invalidate_is_surgical(self):
         cache = VersionCache(1 << 20)
         cache.put("hot", [1], entry())
         cache.put("hot", [2], entry())
         cache.put("cold", [1], entry())
-        assert cache.invalidate_dataset("hot") == 2
+        assert cache.invalidate(lambda name, _vids: name == "hot") == 2
         assert cache.get("hot", [1]) is None
         assert cache.get("cold", [1]) is not None
+        # A call that evicts nothing is not an invalidation.
+        assert cache.invalidate(lambda name, _vids: name == "gone") == 0
+        assert cache.stats().invalidations == 1
+
+    def test_invalidate_sees_the_vids(self):
+        cache = VersionCache(1 << 20)
+        for vids in ([1], [2], [1, 2]):
+            cache.put("d", vids, entry())
+        assert cache.invalidate(lambda _name, vids: 2 in vids) == 2
+        assert cache.get("d", [1]) is not None
 
     def test_clear_drops_everything(self):
         cache = VersionCache(1 << 20)

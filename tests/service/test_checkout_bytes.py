@@ -21,6 +21,8 @@ import pytest
 
 from repro import telemetry
 from repro.core.commands import Orpheus
+from repro.relational.schema import ColumnDef, Schema
+from repro.relational.types import INT, TEXT
 from repro.resilience import failpoints
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceUnavailableError
@@ -59,6 +61,7 @@ class StubRepository:
     whatever rows a case needs (a real CVD cannot store a date)."""
 
     cmd_checkout = Orpheus.cmd_checkout
+    schema = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)])
 
     def __init__(self, versions: dict[int, list[tuple]]) -> None:
         self.versions = versions
@@ -88,6 +91,12 @@ def inline_checkout(daemon, vids) -> dict:
         op="checkout", id=3, params={"dataset": "d", "versions": vids, "inline": True}
     )
     return daemon._op_checkout(SESSION, request)
+
+
+def cached_entry(handle, vid: int):
+    """A daemon's cache entry for one version of the seeded dataset."""
+    schema = handle.daemon.orpheus.cvd("inter").schema
+    return handle.daemon.cache.get("inter", [vid], schema)
 
 
 def old_frame(data: dict, rows: list[tuple]) -> bytes:
@@ -120,7 +129,7 @@ def test_spliced_frame_decodes_like_the_encoded_dict(tmp_path, case, vids):
         )
     # Encoded once: the hit served the very object the miss stored.
     assert bodies[0] is bodies[1]
-    assert bodies[0] is daemon.cache.get("d", vids).body
+    assert bodies[0] is daemon.cache.get("d", vids, StubRepository.schema).body
     assert daemon.orpheus.checkouts == 1
 
 
@@ -164,11 +173,13 @@ def test_inline_checkout_over_the_socket_matches_the_library(
             client.checkout("inter", [1], file=str(work))
             work.write_text(work.read_text() + "k4,4\n")
             client.commit("inter", file=str(work), message="grow", parents=[1])
-            for vids in ([2], [1, 2]):
+            # The commit admitted v2 (without a body): its first inline
+            # checkout is a hit that encodes the rows.
+            for vids, first in (([2], True), ([1, 2], False)):
                 result = handle.daemon.orpheus.cvd("inter").checkout(
                     vids if len(vids) > 1 else vids[0]
                 )
-                for cached in (False, True):
+                for cached in (first, True):
                     data = client.checkout("inter", vids, inline=True)
                     assert data["cached"] is cached
                     assert data["data"] == [list(row) for row in result.rows]
@@ -208,7 +219,7 @@ def test_corrupt_body_is_caught_by_the_byte_seal(workspace, daemon_factory):
     with daemon_factory() as handle:
         with handle.client() as client:
             oracle = client.checkout("inter", [1], inline=True)["data"]
-            stale = handle.daemon.cache.get("inter", [1])
+            stale = cached_entry(handle, 1)
             before = telemetry.get_registry().counter_value(
                 "service.cache.corruption_detected"
             )
@@ -228,9 +239,38 @@ def test_corrupt_body_is_caught_by_the_byte_seal(workspace, daemon_factory):
             # caught it; the row seal alone would have passed.
             assert len(stale.rows) == stale.sealed_rows
             assert not stale.verify()
-            fresh = handle.daemon.cache.get("inter", [1])
+            fresh = cached_entry(handle, 1)
             assert fresh is not stale and fresh.verify()
             assert client.checkout("inter", [1], inline=True)["cached"] is True
+
+
+def test_corrupt_write_through_entry_is_caught_and_healed(
+    workspace, daemon_factory, tmp_path
+):
+    """The entry a commit admits is sealed like any other, and its rows
+    are its own list: damaging them leaves the CVD untouched."""
+    seed_dataset(workspace)
+    with daemon_factory() as handle:
+        with handle.client() as client:
+            work = tmp_path / "w.csv"
+            client.checkout("inter", [1], file=str(work))
+            work.write_text(work.read_text() + "k4,4\n")
+            assert client.commit("inter", file=str(work))["version"] == 2
+            admitted = cached_entry(handle, 2)
+            assert admitted.body is None  # so the fault damages the rows
+            cvd = handle.daemon.orpheus.cvd("inter")
+            oracle = cvd.checkout(2).rows
+            failpoints.activate("cache.corrupt_entry", "corrupt", count=1)
+            pulled = client.checkout("inter", [2], file=str(work))
+            assert pulled["cached"] is False
+            assert "__corrupt__" not in work.read_text()
+            assert not admitted.verify()
+            assert cvd.payloads_of(sorted(cvd.membership(2))) == oracle
+            assert cvd.checkout(2).rows == oracle
+            healed = cached_entry(handle, 2)
+            assert healed is not admitted and healed.verify()
+            assert healed.rows == oracle
+            assert client.checkout("inter", [2], file=str(work))["cached"] is True
 
 
 # ----------------------------------------------------------------------
@@ -252,21 +292,21 @@ def test_budget_counts_bodies_and_file_checkouts_build_none(
                 )
             # Room for about two and a half entries with bodies.
             client.checkout("inter", [4], inline=True)
-            cache.budget_bytes = int(cache.get("inter", [4]).size_bytes * 2.5)
+            cache.budget_bytes = int(cached_entry(handle, 4).size_bytes * 2.5)
             client.flush_cache()
 
             def admitted() -> int:
                 return sum(e.size_bytes for e in cache._entries.values())
 
             client.checkout("inter", [1], file=str(work))
-            file_only = cache.get("inter", [1])
+            file_only = cached_entry(handle, 1)
             assert file_only.body is None
             assert cache.stats().bytes == admitted() == file_only.size_bytes
 
             # The first inline hit builds the body and re-admits.
             data = client.checkout("inter", [1], inline=True)
             assert data["cached"] is True
-            with_body = cache.get("inter", [1])
+            with_body = cached_entry(handle, 1)
             assert with_body.body is not None
             assert with_body.rows is file_only.rows
             assert with_body.size_bytes == file_only.size_bytes + len(with_body.body)
@@ -274,7 +314,7 @@ def test_budget_counts_bodies_and_file_checkouts_build_none(
 
             # A later file checkout reuses the entry and leaves it alone.
             client.checkout("inter", [1], file=str(work))
-            assert cache.get("inter", [1]) is with_body
+            assert cached_entry(handle, 1) is with_body
 
             for vid in (2, 3, 4, 1, 2):
                 client.checkout("inter", [vid], inline=True)

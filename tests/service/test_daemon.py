@@ -130,7 +130,9 @@ class TestHandshake:
 
 
 class TestCaching:
-    def test_cold_then_hot_then_invalidated(self, workspace, daemon_factory, tmp_path):
+    def test_cold_then_hot_then_committed_head_is_hot(
+        self, workspace, daemon_factory, tmp_path
+    ):
         seed_dataset(workspace)
         with daemon_factory() as handle:
             with handle.client() as client:
@@ -140,18 +142,25 @@ class TestCaching:
                 assert hot["cached"] is True
                 assert hot["data"] == cold["data"]
 
-                # a commit to the dataset invalidates its entries
+                # a commit evicts nothing and admits its own version
                 work = tmp_path / "work.csv"
                 client.checkout("inter", [1], file=str(work))
                 work.write_text(work.read_text() + "k4,4\n")
                 result = client.commit("inter", file=str(work), message="add k4")
                 assert result["version"] == 2
-                assert result["cache_invalidated"] >= 1
+                assert client.checkout("inter", [1], inline=True)["cached"] is True
+                head = client.checkout("inter", [2], inline=True)
+                assert head["cached"] is True
+                assert head["data"] == cold["data"] + [["k4", 4]]
+                assert client.status()["cache"]["invalidations"] == 0
 
+                # a drop evicts the dataset: its name and vids may return
+                client.drop("inter")
+                client.init("inter", str(work), str(workspace / "schema.csv"))
                 again = client.checkout("inter", [1], inline=True)
-                assert again["cached"] is False  # re-materialized
-                stats = client.status()["cache"]
-                assert stats["invalidations"] >= 1
+                assert again["cached"] is False
+                assert again["data"] == head["data"]
+                assert client.status()["cache"]["invalidations"] == 1
 
     def test_flush_cache(self, workspace, daemon_factory):
         seed_dataset(workspace)
