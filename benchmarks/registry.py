@@ -1,6 +1,6 @@
 """Registry of runner-executable benchmarks.
 
-A bench module exposes small, tagged measurement units to the unified
+A bench module exposes small measurement units to the unified
 runner (``python -m benchmarks``) by decorating a callable::
 
     @quick_bench(
@@ -22,21 +22,15 @@ exported counter describes one run).
 Names are ``<figure-or-chapter>/<unit>`` and must be unique across the
 whole suite; they are the keys of ``BENCH_<sha>.json`` and of
 ``benchmarks/baselines.json``, so renaming one is a baseline change.
+There is one tier, the quick one: every unit runs in CI well under a
+minute. orpheusd and the storage layouts are measured end to end by
+``benchmarks/e2e``, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
-
-#: The quick tier: small-scale, CI-runnable in well under a minute each.
-QUICK = "quick"
-
-#: The service-scale tier: multi-client load ramps against a live
-#: daemon (tens of simulated clients, seconds per step). Deliberately
-#: NOT part of the quick tier: run it with
-#: ``python -m benchmarks --tier service-scale``.
-SERVICE_SCALE = "service-scale"
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,6 @@ class BenchSpec:
     setup: Callable | None = None
     repeats: int = 5
     warmup: int = 1
-    tags: tuple[str, ...] = (QUICK,)
     #: Telemetry counter name prefixes whose per-run values are
     #: exported alongside the timings (e.g. rows moved, join volumes).
     counters: tuple[str, ...] = field(default_factory=tuple)
@@ -75,7 +68,6 @@ def quick_bench(
     setup: Callable | None = None,
     repeats: int = 5,
     warmup: int = 1,
-    tags: tuple[str, ...] = (QUICK,),
     counters: tuple[str, ...] = (),
 ):
     """Decorator registering ``fn`` as a runner-executable bench."""
@@ -88,7 +80,6 @@ def quick_bench(
                 setup=setup,
                 repeats=repeats,
                 warmup=warmup,
-                tags=tuple(tags),
                 counters=tuple(counters),
             )
         )
@@ -97,13 +88,12 @@ def quick_bench(
     return decorate
 
 
-def benches(tag: str | None = QUICK, pattern: str | None = None):
-    """Registered specs filtered by tag and substring pattern, sorted
-    by name (deterministic run order)."""
+def benches(pattern: str | None = None):
+    """Registered specs whose name contains ``pattern``, sorted by name
+    (deterministic run order)."""
     specs = [
         spec
         for spec in REGISTRY.values()
-        if (tag is None or tag in spec.tags)
-        and (pattern is None or pattern in spec.name)
+        if pattern is None or pattern in spec.name
     ]
     return sorted(specs, key=lambda spec: spec.name)

@@ -1,8 +1,8 @@
 """The unified benchmark runner behind ``python -m benchmarks``.
 
 Discovers every ``benchmarks/bench_*.py`` module (each registers its
-runner-executable units via :mod:`benchmarks.registry`), runs the
-requested tier with shared warmup + median-of-k measurement
+runner-executable units via :mod:`benchmarks.registry`), runs them
+with shared warmup + median-of-k measurement
 (:func:`benchmarks.common.measure`), and emits a schema-versioned
 result file:
 
@@ -18,7 +18,7 @@ declared (rows moved, join volumes, ...), normalized to one run.
 Regression gating (``--check`` / ``--update-baseline``) delegates to
 :mod:`repro.observe.regress` against ``benchmarks/baselines.json``;
 ``--check`` also says when that file no longer matches the registered
-quick tier (:func:`stale_baseline_notes`).
+benches (:func:`stale_baseline_notes`).
 """
 
 from __future__ import annotations
@@ -48,19 +48,6 @@ REPO_ROOT = _PACKAGE_DIR.parent
 DEFAULT_BASELINE = _PACKAGE_DIR / "baselines.json"
 HISTORY_DIRNAME = Path("results") / "bench_history"
 
-#: ``--check`` gates between two benches of the same run, ``(bench,
-#: reference, factor)``: ROADMAP 1(d)'s "paged <= pickle", with the 10 %
-#: its exit criterion allows at this fixture size; and the version
-#: cache's reason to exist — the same number of inline checkouts must
-#: cost a hit at most 0.6x a miss (0.3x measured), so a cache that
-#: does nothing fails. A ratio within one run is machine-independent,
-#: so these fail ``--check`` even under ``--warn-only``.
-RELATIONAL_GATES = (
-    ("storage/checkout_cold_paged", "storage/checkout_cold_pickle", 1.10),
-    ("service/checkout_cached", "service/checkout_cold", 0.6),
-)
-
-
 def discover() -> list[str]:
     """Import every bench module so its units register; returns the
     module names imported. Import errors propagate — a bench module
@@ -74,8 +61,8 @@ def discover() -> list[str]:
 
 
 def stale_baseline_notes(baseline_path: Path) -> list[str]:
-    """The baseline's rows against the registered quick tier, whatever
-    this run's ``--tier`` or ``--filter``: quick benches with no row
+    """The baseline's rows against the registered benches, whatever
+    this run's ``--filter``: quick benches with no row
     (unbaselined) and rows with no quick bench (orphaned). A missing,
     unreadable or other-schema baseline is
     :func:`repro.observe.regress.check_payload`'s to report."""
@@ -89,14 +76,14 @@ def stale_baseline_notes(baseline_path: Path) -> list[str]:
         return []
     if baseline.get("schema_version") != BENCH_SCHEMA_VERSION:
         return []
-    registered = {spec.name for spec in registry.benches(registry.QUICK)}
+    registered = {spec.name for spec in registry.benches()}
     rows = set(baseline.get("benches", {}))
     notes = []
     if registered - rows:
         notes.append(
             f"baseline is stale: {len(registered - rows)} quick bench(es) "
             f"unbaselined ({', '.join(sorted(registered - rows))}) — run "
-            f"`python -m benchmarks --quick --update-baseline`"
+            f"`python -m benchmarks --update-baseline`"
         )
     if rows - registered:
         notes.append(
@@ -160,23 +147,16 @@ def run_spec(spec: registry.BenchSpec, repeats: int | None = None) -> dict:
         record["max_rss_kb"] = rss
     if counters:
         record["counters"] = counters
-    # A bench returning a dict is reporting structured results beyond
-    # wall time (e.g. the service-scale ramp's per-step shed rate and
-    # p99); carry it into BENCH_<sha>.json verbatim.
-    if isinstance(m.result, dict):
-        record["extra"] = m.result
-    record["tags"] = list(spec.tags)
     return record
 
 
 def run_benches(
-    tag: str | None = registry.QUICK,
     pattern: str | None = None,
     repeats: int | None = None,
     echo=None,
 ) -> dict:
     """Run the selected benches and return the full payload dict."""
-    specs = registry.benches(tag, pattern)
+    specs = registry.benches(pattern)
     was_enabled = telemetry.is_enabled()
     telemetry.enable()
     benches = {}
@@ -201,7 +181,6 @@ def run_benches(
         "schema_version": BENCH_SCHEMA_VERSION,
         "git_sha": git_sha(),
         "created_at": time.time(),
-        "tier": tag or "all",
         "host": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -228,18 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m benchmarks",
         description="Unified benchmark runner with JSON trajectory "
         "output and baseline regression gating.",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the quick tier (the default)",
-    )
-    parser.add_argument(
-        "--tier",
-        default=None,
-        metavar="TAG",
-        help="run the benches carrying this tier tag instead of the "
-        f"quick tier (e.g. {registry.SERVICE_SCALE})",
     )
     parser.add_argument(
         "--filter",
@@ -276,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "--warn-only",
         action="store_true",
         help="with --check: report regressions against the frozen "
-        "baseline but exit 0 (same-run gates still fail)",
+        "baseline but exit 0",
     )
     parser.add_argument(
         "--update-baseline",
@@ -299,17 +266,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     discover()
-    tier = args.tier if args.tier is not None else registry.QUICK
     if args.list:
-        for spec in registry.benches(tier, args.filter):
+        for spec in registry.benches(args.filter):
             sys.stdout.write(
-                f"{spec.name}  repeats={spec.repeats} "
-                f"warmup={spec.warmup} tags={','.join(spec.tags)}\n"
+                f"{spec.name}  repeats={spec.repeats} warmup={spec.warmup}\n"
             )
         return 0
 
     echo = lambda msg: sys.stderr.write(msg + "\n")
-    payload = run_benches(tier, args.filter, args.repeats, echo=echo)
+    payload = run_benches(args.filter, args.repeats, echo=echo)
     if not payload["benches"]:
         sys.stderr.write("no benches matched\n")
         return 2
@@ -337,14 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         report = regress.check_payload(
             payload, args.baseline, partial=args.filter is not None
         )
-        gates = regress.relate(
-            payload["benches"], RELATIONAL_GATES, report.abs_floor_s
-        )
-        report.verdicts.extend(gates)
         report.notes.extend(stale_baseline_notes(args.baseline))
         sys.stdout.write(report.render_text())
-        gate_failed = any(v.verdict == regress.REGRESSION for v in gates)
-        if gate_failed or (report.has_regressions and not args.warn_only):
+        if report.has_regressions and not args.warn_only:
             return 1
         if report.has_regressions:
             echo("warn-only mode: regressions reported, exit 0")

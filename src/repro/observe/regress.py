@@ -24,7 +24,7 @@ may override both for its whole suite.
 ``python -m benchmarks --check`` exits non-zero iff at least one
 verdict is ``regression``; ``--update-baseline`` rewrites the
 baseline from the run's medians (a ``--filter``-ed run only its own
-rows). :func:`relate` gates one bench against another of the same run.
+rows).
 """
 
 from __future__ import annotations
@@ -301,36 +301,6 @@ def write_baseline(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def relate(
-    current_benches: dict,
-    gates: tuple[tuple[str, str, float], ...],
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-) -> list[BenchVerdict]:
-    """Gates between two benches of the same run, which no baseline can
-    express: ``(bench, reference, factor)`` is a regression when
-    ``bench`` takes more than ``factor`` times ``reference`` by over
-    the absolute floor. ``factor`` may be below 1 ("warm <= 0.6x cold"
-    fails a cache that does nothing). A gate whose benches did not both
-    run says nothing."""
-    verdicts = []
-    for name, reference, factor in gates:
-        cur = _bench_wall(current_benches.get(name, {}))
-        ref = _bench_wall(current_benches.get(reference, {}))
-        if not _usable(cur) or not _usable(ref):
-            continue
-        failed = cur - factor * ref > abs_floor_s
-        verdicts.append(
-            BenchVerdict(
-                f"{name} <= {factor:g}x {reference}",
-                REGRESSION if failed else OK,
-                baseline_s=ref,
-                current_s=cur,
-                detail="same-run gate",
-            )
-        )
-    return verdicts
 
 
 def check_payload(

@@ -48,8 +48,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro import telemetry
-
 ENV_VAR = "ORPHEUS_FAILPOINTS"
 
 #: Exit code used by the ``crash`` action, distinctive so tests can tell
@@ -247,9 +245,6 @@ def fire(name: str) -> str | None:
             if armed.remaining <= 0:
                 _active.pop(name, None)
         _fired[name] = _fired.get(name, 0) + 1
-    if name in SERVICE_SITES:
-        telemetry.count("service.faults.fired")
-        telemetry.count(f"service.faults.fired.{name}")
     if armed.kind == "delay":
         time.sleep(float(armed.arg))
         return None

@@ -33,8 +33,6 @@ concurrency, caching, and backpressure become first-class subsystems:
   flight recorder behind ``.orpheus/journal/flight/``.
 * :mod:`repro.service.replay` — trace-driven replay of a recorded
   flight (``orpheus replay``) with a recorded-vs-replayed report.
-* :mod:`repro.service.loadgen` — the open-loop Zipf-skewed synthetic
-  load generator behind ``python -m benchmarks --tier service-scale``.
 * chaos fault injection for the serving layer (connection resets,
   torn frames, worker exceptions, failing saves, cache corruption)
   uses the one registry in :mod:`repro.resilience.failpoints`; the
@@ -69,7 +67,6 @@ from repro.service.degrade import (
     Quarantine,
     QuarantinedRequestError,
 )
-from repro.service.loadgen import LoadConfig, run_load
 from repro.service.protocol import PROTOCOL_VERSION, Request, Response
 from repro.service.recorder import FlightRecorder, read_flight
 from repro.service.replay import run_replay
@@ -83,7 +80,6 @@ __all__ = [
     "DegradeController",
     "DegradedError",
     "FlightRecorder",
-    "LoadConfig",
     "PROTOCOL_VERSION",
     "Quarantine",
     "QuarantinedRequestError",
@@ -108,6 +104,5 @@ __all__ = [
     "default_socket_path",
     "read_flight",
     "read_status_file",
-    "run_load",
     "run_replay",
 ]

@@ -16,9 +16,9 @@ byte budget:
 * **LRU** by access order; inserting past the budget evicts from the
   cold end. An entry larger than the whole budget is never admitted.
 * **Counters** — hits/misses/evictions/invalidations (a ``drop`` or a
-  reload that evicted) both locally (for the daemon's ``status``
-  payload, which must work even when telemetry is disabled) and as
-  ``service.cache.*`` telemetry counters visible in ``orpheus stats``.
+  reload that evicted), kept here and reported in the ``cache`` block
+  of the daemon's one report (``stats``), which works with telemetry
+  disabled. Only an oversize rejection is a telemetry counter.
 
 Thread-safe: the daemon's reader pool probes it concurrently while the
 writer thread admits and evicts.
@@ -172,11 +172,9 @@ class VersionCache:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
-                telemetry.count("service.cache.misses")
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        telemetry.count("service.cache.hits")
         return entry
 
     def put(
@@ -188,7 +186,6 @@ class VersionCache:
             telemetry.count("service.cache.rejected_oversize")
             return False
         key = self.key(dataset, vids, schema)
-        evicted = 0
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -197,12 +194,8 @@ class VersionCache:
                 _, cold = self._entries.popitem(last=False)
                 self._bytes -= cold.size_bytes
                 self._evictions += 1
-                evicted += 1
             self._entries[key] = entry
             self._bytes += entry.size_bytes
-            telemetry.gauge("service.cache.bytes", self._bytes)
-        if evicted:
-            telemetry.count("service.cache.evictions", evicted)
         return True
 
     def invalidate(self, stale: Callable[[str, tuple[int, ...]], bool]) -> int:
@@ -213,9 +206,6 @@ class VersionCache:
                 self._bytes -= self._entries.pop(key).size_bytes
             if doomed:
                 self._invalidations += 1
-            telemetry.gauge("service.cache.bytes", self._bytes)
-        if doomed:
-            telemetry.count("service.cache.invalidated_entries", len(doomed))
         return len(doomed)
 
     def drop(self, dataset: str, vids: Vids, schema=None) -> bool:
@@ -226,7 +216,6 @@ class VersionCache:
             if entry is None:
                 return False
             self._bytes -= entry.size_bytes
-            telemetry.gauge("service.cache.bytes", self._bytes)
         return True
 
     def clear(self) -> int:
@@ -234,7 +223,6 @@ class VersionCache:
             count = len(self._entries)
             self._entries.clear()
             self._bytes = 0
-            telemetry.gauge("service.cache.bytes", 0)
         return count
 
     # ------------------------------------------------------------------

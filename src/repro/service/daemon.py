@@ -28,7 +28,7 @@ artifact recovery the CLI already has cleans up the file.
 
 Shutdown (SIGTERM/SIGINT or a ``shutdown`` request): stop accepting,
 drain the scheduler, save state, fold telemetry into the repository
-accumulator (so ``orpheus stats`` sees the serving counters), remove
+accumulator (so ``orpheus stats`` sees the daemon's spans), remove
 the socket and status file, release the lock, exit 0.
 """
 
@@ -67,7 +67,7 @@ from repro.service.degrade import (
     Quarantine,
     QuarantinedRequestError,
 )
-from repro.service.metrics import RECENT_CAP, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import LineChannel, Request, Response
 from repro.service.recorder import (
     DEFAULT_MAX_SEGMENTS,
@@ -105,6 +105,12 @@ _MAX_SOCKET_PATH = 100
 #: How often the housekeeping thread folds telemetry into
 #: ``.orpheus/telemetry.json`` (seconds).
 FOLD_INTERVAL = 30.0
+
+#: Seconds the drain waits for queued work before closing connections.
+DRAIN_TIMEOUT = 30.0
+
+#: Seconds a connection waits for its scheduled job's answer.
+REQUEST_TIMEOUT = 120.0
 
 #: Exceptions the *request* caused (bad version id, missing file, a
 #: malformed argument): answered with ``error_kind: user`` and never
@@ -145,8 +151,6 @@ class ServiceConfig:
     write_queue_depth: int = DEFAULT_WRITE_QUEUE_DEPTH
     per_cvd_depth: int | None = None
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT
-    drain_timeout: float = 30.0
-    request_timeout: float = 120.0
     fold_interval: float = FOLD_INTERVAL
     #: None disables the HTTP monitoring sidecar; 0 binds an ephemeral
     #: port (recorded in service.json for scrapers to discover).
@@ -154,8 +158,6 @@ class ServiceConfig:
     metrics_host: str = "127.0.0.1"
     #: Slow-request threshold in ms; None reads ``ORPHEUS_SLOW_MS``.
     slow_ms: float | None = None
-    #: Span trees kept in the in-memory recent ring for ``stats``.
-    recent_traces: int = RECENT_CAP
     #: Flight-recorder sample fraction (1.0 — always on; 0 disables).
     flight_sample: float = DEFAULT_SAMPLE
     flight_segment_bytes: int = DEFAULT_SEGMENT_BYTES
@@ -198,7 +200,7 @@ class ServiceDaemon:
         self._was_telemetry_enabled = False
         #: The one request ledger: every outcome is counted there, at
         #: finalize.
-        self.metrics = ServiceMetrics(recent_cap=self.config.recent_traces)
+        self.metrics = ServiceMetrics()
         self.slow_log = SlowLog(self.root, threshold_ms=self.config.slow_ms)
         #: One serving epoch: fresh per start, stamped on every flight
         #: segment and status payload so readers (and `orpheus top`)
@@ -308,7 +310,7 @@ class ServiceDaemon:
             except Exception:
                 pass
             self._metrics_server = None
-        self.scheduler.stop(timeout=self.config.drain_timeout)
+        self.scheduler.stop(timeout=DRAIN_TIMEOUT)
         with self._channels_lock:
             channels = list(self._channels)
         for channel in channels:
@@ -600,8 +602,6 @@ class ServiceDaemon:
     def _dispatch_request(
         self, session, request: Request, rtrace: RequestTrace
     ) -> Response:
-        telemetry.count("service.requests")
-        telemetry.count(f"service.requests.{request.op}")
         if self.sessions.draining and request.op != "shutdown":
             return Response(
                 id=request.id,
@@ -653,13 +653,12 @@ class ServiceDaemon:
             # The job's own submission stamp avoids a race with a worker
             # that started before this thread resumed.
             rtrace.t_admitted = job.submitted_at
-            data = job.wait(self.config.request_timeout)
+            data = job.wait(REQUEST_TIMEOUT)
             return Response(id=request.id, status=protocol.OK, data=data)
         except QueueFullError as error:
             # Shed before it ever queued: admission is the terminal
             # phase of this trace, and the client still gets the ids.
             rtrace.mark_admitted()
-            telemetry.count("service.busy")
             return Response(
                 id=request.id,
                 status=protocol.BUSY,
@@ -674,7 +673,6 @@ class ServiceDaemon:
             return self._deadline_response(request, str(error))
         except DegradedError as error:
             rtrace.mark_admitted()
-            telemetry.count("service.request.degraded_refused")
             return Response(
                 id=request.id,
                 status=protocol.DEGRADED,
@@ -694,7 +692,6 @@ class ServiceDaemon:
             return self._error_response(request, rtrace, error)
 
     def _deadline_response(self, request: Request, where: str) -> Response:
-        telemetry.count("service.request.deadline_exceeded")
         return Response(
             id=request.id,
             status=protocol.DEADLINE_EXCEEDED,
@@ -711,10 +708,8 @@ class ServiceDaemon:
         counts them as worker errors) so clients know the server — not
         the request — failed. Either way the daemon survives."""
         kind = "user" if isinstance(error, _USER_ERRORS) else "internal"
-        if kind == "internal":
-            telemetry.count("service.request.worker_errors")
-            if rtrace.digest:
-                self.quarantine.note_crash(rtrace.digest, request.op, error)
+        if kind == "internal" and rtrace.digest:
+            self.quarantine.note_crash(rtrace.digest, request.op, error)
         return Response(
             id=request.id,
             status=protocol.ERROR,
@@ -1006,9 +1001,8 @@ class ServiceDaemon:
         self, rtrace: RequestTrace, request: Request
     ) -> None:
         """Fold one finished request into every observability surface:
-        metrics rollups, the flight recorder, slow log, and the
-        fold-file counters the bench runner reads for the
-        queue-wait/exec split."""
+        the slow log, the flight recorder, the metrics ledger and the
+        heat model."""
         try:
             slow = self.slow_log.consider(rtrace)
         except Exception:
@@ -1019,12 +1013,6 @@ class ServiceDaemon:
             pass  # same contract: recording never kills the connection
         self.metrics.record(rtrace, slow=slow)
         self._fold_heat(rtrace)
-        telemetry.count("service.request.count")
-        for name, value in rtrace.phase_seconds().items():
-            telemetry.count(f"service.request.{name}_seconds_total", value)
-        telemetry.count(
-            "service.request.total_seconds_total", rtrace.total_s
-        )
 
     def _fold_heat(self, rtrace: RequestTrace) -> None:
         """Fold a finished request into the heat model when
@@ -1043,12 +1031,8 @@ class ServiceDaemon:
                 rows_written=rtrace.rows_written or 0,
                 status=rtrace.status,
             )
-            if event is None:
-                return
-            self.heat.record(event)
-            telemetry.count(
-                "service.heat.partition_touches", len(event.partitions)
-            )
+            if event is not None:
+                self.heat.record(event)
         except Exception:
             telemetry.count("service.heat.fold_errors")
 

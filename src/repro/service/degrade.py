@@ -106,14 +106,12 @@ class DegradeController:
         with self._lock:
             self.save_failures_total += 1
             self._consecutive_failures += 1
-            telemetry.count("service.degrade.save_failures")
             if self._degraded or self._consecutive_failures < self.threshold:
                 return False
             self._degraded = True
             self._cause = f"{type(error).__name__}: {error}"
             self._entered_ts = telemetry.now()
             self.entries_total += 1
-            telemetry.count("service.degrade.entered")
             return True
 
     def record_save_success(self) -> bool:
@@ -126,7 +124,6 @@ class DegradeController:
             self._cause = None
             self._entered_ts = None
             self.exits_total += 1
-            telemetry.count("service.degrade.exited")
             return True
 
     def check_writable(self) -> None:
@@ -181,9 +178,7 @@ class Quarantine:
             if entry is None or entry["crashes"] < self.strikes:
                 return
             self.refused_total += 1
-            crashes = entry["crashes"]
-        telemetry.count("service.quarantine.refused")
-        raise QuarantinedRequestError(digest, op, crashes)
+            raise QuarantinedRequestError(digest, op, entry["crashes"])
 
     def flush(self) -> int:
         """Clear all tracked digests; returns how many were quarantined."""

@@ -16,8 +16,9 @@ its request is finalized, and keeps, under one lock:
 * per-op latency and per-phase (admission/queue-wait/execute/serialize)
   histograms with p50/p95/p99;
 * per-session and per-dataset (CVD) rollups;
-* a bounded ring of recent span trees, so ``stats {"recent": n}`` can
-  hand back whole traces without a log file round-trip.
+* a bounded ring of recent requests, so ``stats {"recent": n}`` can
+  hand back whole span trees without a log file round-trip. A tree is
+  rendered only when a reader asks for it.
 
 Rendering reuses the telemetry layer's exposition-format helpers so the
 ``/metrics`` endpoint and ``orpheus stats --prometheus`` agree on
@@ -36,7 +37,7 @@ from repro.telemetry.snapshot import _prom_label_value, _prom_value
 
 from repro.service.tracing import PHASES, RequestTrace
 
-#: Span trees kept in the in-memory recent ring.
+#: Finished requests kept in the in-memory recent ring.
 RECENT_CAP = 64
 
 
@@ -130,18 +131,17 @@ class _OpStats(_Outcomes):
 class ServiceMetrics:
     """Thread-safe daemon-lifetime aggregation of request traces."""
 
-    def __init__(self, recent_cap: int = RECENT_CAP) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.totals = _Outcomes()
         self.slow_total = 0
         self.by_op: dict[str, _OpStats] = {}
         self.by_session: dict[int, dict] = {}
         self.by_dataset: dict[str, dict] = {}
-        self.recent: deque = deque(maxlen=max(1, recent_cap))
+        self.recent: deque[RequestTrace] = deque(maxlen=RECENT_CAP)
 
     def record(self, rtrace: RequestTrace, slow: bool = False) -> None:
         """Fold one finished request into every rollup."""
-        tree = rtrace.to_span_tree()
         with self._lock:
             self.totals.add(rtrace)
             if slow:
@@ -157,7 +157,7 @@ class ServiceMetrics:
                 )
             if rtrace.dataset:
                 self._roll(self.by_dataset, rtrace.dataset, rtrace)
-            self.recent.append(tree)
+            self.recent.append(rtrace)
 
     def _roll(self, table: dict, key, rtrace: RequestTrace, **extra) -> None:
         entry = table.get(key)
@@ -179,7 +179,8 @@ class ServiceMetrics:
     # Readers
     # ------------------------------------------------------------------
     def to_dict(self, recent: int = 0) -> dict:
-        """The ``stats`` op payload (request up to ``recent`` traces)."""
+        """The ``stats`` op payload (request up to ``recent`` span
+        trees, rendered here, outside the lock)."""
         with self._lock:
             payload = {
                 "requests": {
@@ -199,9 +200,10 @@ class ServiceMetrics:
                     for name, entry in sorted(self.by_dataset.items())
                 },
             }
-            if recent > 0:
-                payload["recent"] = list(self.recent)[-recent:]
-            return payload
+            traces = list(self.recent)[-recent:] if recent > 0 else None
+        if traces is not None:
+            payload["recent"] = [rtrace.to_span_tree() for rtrace in traces]
+        return payload
 
     def render_prometheus(
         self,

@@ -240,8 +240,6 @@ class FlightRecorder:
         except OSError:
             # A full disk must not take the request path down with it.
             telemetry.count("service.flight.write_errors")
-            return
-        telemetry.count("service.flight.records")
 
     def _current_handle(self, incoming: int):
         """The open segment, rotating first if this write would breach

@@ -267,11 +267,9 @@ class RequestScheduler:
             self._reads.put(job)
         except QueueFullError:
             self.shed_reads += 1
-            telemetry.count("service.scheduler.shed_reads")
             raise QueueFullError(
                 f"read queue full ({self._reads.depth} pending); retry"
             ) from None
-        telemetry.gauge("service.scheduler.read_queue_depth", len(self._reads))
         return job
 
     def submit_write(
@@ -287,7 +285,6 @@ class RequestScheduler:
                 and self._pending_per_cvd.get(key, 0) >= self.per_cvd_depth
             ):
                 self.shed_writes += 1
-                telemetry.count("service.scheduler.shed_writes")
                 raise QueueFullError(
                     f"writer queue full for dataset {dataset!r} "
                     f"({self.per_cvd_depth} pending); retry"
@@ -300,14 +297,10 @@ class RequestScheduler:
                 self._writes.put(job)
             except QueueFullError:
                 self.shed_writes += 1
-                telemetry.count("service.scheduler.shed_writes")
                 raise QueueFullError(
                     f"writer queue full ({self._writes.depth} pending); retry"
                 ) from None
             self._pending_per_cvd[key] = self._pending_per_cvd.get(key, 0) + 1
-        telemetry.gauge(
-            "service.scheduler.write_queue_depth", len(self._writes)
-        )
         return job
 
     # ------------------------------------------------------------------
@@ -318,7 +311,6 @@ class RequestScheduler:
         if not job.expired():
             return False
         self.deadline_shed += 1
-        telemetry.count("service.scheduler.deadline_shed")
         job.cancel(
             DeadlineExceededError(
                 f"deadline expired after "

@@ -114,15 +114,12 @@ class SessionManager:
             )
             self._sessions[session.session_id] = session
             self.total_opened += 1
-            telemetry.gauge("service.sessions.active", len(self._sessions))
-        telemetry.count("service.sessions.opened")
         return session
 
     def close(self, session: Session) -> None:
         session.closed = True
         with self._lock:
             self._sessions.pop(session.session_id, None)
-            telemetry.gauge("service.sessions.active", len(self._sessions))
 
     def idle_expired(self, session: Session, now: float | None = None) -> bool:
         now = telemetry.now() if now is None else now
@@ -130,7 +127,6 @@ class SessionManager:
 
     def note_idle_close(self) -> None:
         self.total_idle_closed += 1
-        telemetry.count("service.sessions.idle_closed")
 
     # ------------------------------------------------------------------
     def begin_drain(self) -> None:

@@ -352,7 +352,6 @@ class SlowLog:
         fsio.append_jsonl(self.path, tree, fsync=False)
         self._count += 1
         self.appended += 1
-        telemetry.count("service.slow_requests")
 
     def read(self) -> list[dict]:
         """All well-formed entries, oldest first (torn tails skipped)."""

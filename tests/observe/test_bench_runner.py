@@ -96,7 +96,19 @@ def test_payload_schema_fields(stub_suite):
     record = payload["benches"]["stub/rows"]
     assert set(record["wall_s"]) == {"median", "min", "max", "samples"}
     assert "cpu_s" in record
-    assert record["tags"] == [registry.QUICK]
+
+
+def test_a_record_holds_only_what_the_runner_measured(stub_suite):
+    """One tier: the payload names none, and a bench's return value is
+    not carried into its record."""
+    registry.register(
+        BenchSpec("stub/returns", lambda: {"steps": [1, 2]}, repeats=1)
+    )
+    payload = runner.run_benches(pattern="stub/returns")
+    assert "tier" not in payload
+    record = payload["benches"]["stub/returns"]
+    assert {"extra", "tags"}.isdisjoint(record)
+    assert "wall_s" in record
 
 
 def test_counters_normalized_per_run(stub_suite):
@@ -133,6 +145,14 @@ def test_main_list_and_no_match(stub_suite, tmp_path, capsys):
     assert run_main(tmp_path, "--list") == 0
     assert "stub/sleep" in capsys.readouterr().out
     assert run_main(tmp_path, "--filter", "nothing-matches") == 2
+
+
+@pytest.mark.parametrize("flag", ["--quick", "--tier=service-scale"])
+def test_there_is_no_tier_to_choose(stub_suite, tmp_path, flag, capsys):
+    with pytest.raises(SystemExit) as refused:
+        run_main(tmp_path, flag, "--list")
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_main_writes_bench_json(stub_suite, tmp_path):
@@ -186,49 +206,6 @@ def test_filtered_update_baseline_keeps_unfiltered_rows(stub_suite, tmp_path):
         == 2
     )
     assert baseline.read_text() == "{not json"
-
-
-def test_check_applies_the_same_run_gates(stub_suite, tmp_path, monkeypatch, capsys):
-    baseline = tmp_path / "baselines.json"
-    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
-    monkeypatch.setattr(
-        runner, "RELATIONAL_GATES", (("stub/sleep", "stub/rows", 1.10),)
-    )
-    capsys.readouterr()
-    assert run_main(tmp_path, "--check", baseline=baseline) == 1  # 50 ms vs ~0
-    assert "stub/sleep <= 1.1x stub/rows" in capsys.readouterr().out
-    monkeypatch.setattr(
-        runner, "RELATIONAL_GATES", (("stub/rows", "stub/sleep", 1.10),)
-    )
-    assert run_main(tmp_path, "--check", baseline=baseline) == 0
-
-
-def test_same_run_gate_fails_even_under_warn_only(
-    stub_suite, tmp_path, monkeypatch, capsys
-):
-    """A ratio of two benches of one run does not depend on the
-    machine, so --warn-only (for the frozen baselines) does not excuse
-    it; a factor < 1 gate passes, fails, and abstains like any other."""
-    baseline = tmp_path / "baselines.json"
-    assert run_main(tmp_path, "--update-baseline", baseline=baseline) == 0
-    check = ("--check", "--warn-only")
-    monkeypatch.setattr(
-        runner, "RELATIONAL_GATES", (("stub/sleep", "stub/rows", 0.6),)
-    )
-    capsys.readouterr()
-    assert run_main(tmp_path, *check, baseline=baseline) == 1
-    assert "stub/sleep <= 0.6x stub/rows" in capsys.readouterr().out
-    monkeypatch.setattr(
-        runner, "RELATIONAL_GATES", (("stub/rows", "stub/sleep", 0.6),)
-    )
-    assert run_main(tmp_path, *check, baseline=baseline) == 0
-    assert "stub/rows <= 0.6x stub/sleep" in capsys.readouterr().out
-    # One side filtered out of the run: the gate says nothing.
-    assert (
-        run_main(tmp_path, "--filter", "stub/rows", *check, baseline=baseline)
-        == 0
-    )
-    assert "0.6x" not in capsys.readouterr().out
 
 
 # --- regression gating (the acceptance contract) ----------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.core.commands import Orpheus
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import get_pool, reset_pool
@@ -615,3 +616,79 @@ def test_data_types_behave_the_same_after_a_reload(tmp_path, layout):
     assert array.validate(RangeEncodedArray([1, 2]))
     assert not integer.validate(True)
     assert integer.coerce("3") == 3
+
+
+# ----------------------------------------------------------------------
+# Read footprint against the pickle layout
+# ----------------------------------------------------------------------
+FOOTPRINT_ROWS = 1500
+FOOTPRINT_VERSIONS = 6
+
+
+def _footprint_rows(version: int) -> list[tuple]:
+    """Version ``v`` keeps most of v1's rows and rewrites a
+    deterministic 5 % per version: the collaborative-edit shape."""
+    rng = random.Random(4200 + version)
+    rows = {f"k{i}": i for i in range(FOOTPRINT_ROWS)}
+    for _ in range((version - 1) * FOOTPRINT_ROWS // 20):
+        rows[f"k{rng.randrange(FOOTPRINT_ROWS)}"] = rng.randrange(10_000)
+    return sorted(rows.items())
+
+
+@pytest.fixture(scope="module")
+def both_layouts(tmp_path_factory):
+    """One repository per (data model, layout), built once."""
+    base = tmp_path_factory.mktemp("footprint")
+    roots = {}
+    for model in ("split_by_rlist", "partitioned_rlist"):
+        orpheus = Orpheus()
+        orpheus.create_user("alice")
+        orpheus.config("alice")
+        vid = orpheus.init("ds", SCHEMA, _footprint_rows(1), model=model)
+        for version in range(2, FOOTPRINT_VERSIONS + 1):
+            vid = orpheus.cvd("ds").commit(
+                _footprint_rows(version), parents=(vid,),
+                message=f"v{version}", author="alice",
+            )
+        roots[model, "paged"] = base / f"{model}-paged"
+        save_paged(roots[model, "paged"], orpheus)
+        roots[model, "pickle"] = base / f"{model}-pickle"
+        StateStore(roots[model, "pickle"]).save_bytes(pickle.dumps(orpheus))
+    return roots
+
+
+def _checkout_latest(root, layout: str) -> None:
+    loaded, info = load(root)
+    assert info.paged == (layout == "paged")
+    assert len(loaded.cvd("ds").checkout(FOOTPRINT_VERSIONS).rows) == FOOTPRINT_ROWS
+
+
+def test_paged_checkout_reads_less_than_pickle(both_layouts):
+    """A cold paged checkout's physical reads (skeleton plus faulted
+    pages) undercut the pickle layout's whole-state read, per model."""
+    telemetry.enable()
+    registry = telemetry.get_registry()
+    for model in ("split_by_rlist", "partitioned_rlist"):
+        read = {}
+        for layout in ("paged", "pickle"):
+            reset_pool()
+            telemetry.reset()
+            _checkout_latest(both_layouts[model, layout], layout)
+            read[layout] = (
+                registry.counter_value("storage.io.state_bytes_read"),
+                registry.counter_value("storage.io.page_bytes_read"),
+            )
+        assert read["pickle"][1] == 0
+        assert read["paged"][1] > 0, "a paged checkout faults pages"
+        assert sum(read["paged"]) < read["pickle"][0], (model, read)
+
+
+def test_warm_pool_serves_checkout_without_faults(both_layouts):
+    root = both_layouts["split_by_rlist", "paged"]
+    _checkout_latest(root, "paged")
+    pool = get_pool()
+    faults_cold = pool.faults
+    assert faults_cold > 0
+    _checkout_latest(root, "paged")
+    assert pool.faults == faults_cold, "a warm checkout does not fault"
+    assert pool.hits > 0

@@ -157,7 +157,7 @@ class TestCircuitBreakerIntegration:
 
     def test_breaker_shared_across_clients(self, tmp_path):
         """A fleet can share one breaker: failures accumulate across
-        client instances (the loadgen / retry-storm use case)."""
+        client instances (the retry-storm use case)."""
         breaker = CircuitBreaker(
             failure_threshold=4, recovery_s=30, max_recovery_s=30
         )

@@ -4,6 +4,7 @@ the doctor probe over it, and the ``orpheus top`` dashboard."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import urllib.error
@@ -13,8 +14,9 @@ import pytest
 
 from repro.observe.doctor import probe_slow_requests
 from repro.observe.top import render_frame, run_top
+from repro.service.daemon import ServiceConfig
 from repro.service.httpmon import MetricsServer
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import RECENT_CAP, ServiceMetrics
 from repro.service.protocol import Request
 from repro.service.tracing import RequestTrace, SlowLog
 
@@ -81,10 +83,32 @@ class TestServiceMetrics:
         assert payload["recent"][-1]["error_type"] == "ValueError"
 
     def test_recent_ring_is_bounded(self):
-        metrics = ServiceMetrics(recent_cap=4)
-        for _ in range(10):
+        metrics = ServiceMetrics()
+        for _ in range(RECENT_CAP + 6):
             metrics.record(make_trace())
-        assert len(metrics.to_dict(recent=100)["recent"]) == 4
+        assert len(metrics.to_dict(recent=1000)["recent"]) == RECENT_CAP
+
+    def test_ring_keeps_finished_traces_and_renders_the_newest_on_read(self):
+        metrics = ServiceMetrics()
+        traces = [make_trace(op=f"op{index}") for index in range(5)]
+        for rtrace in traces:
+            metrics.record(rtrace)
+        assert list(metrics.recent) == traces  # kept as recorded
+        assert "recent" not in metrics.to_dict()
+        recent = metrics.to_dict(recent=2)["recent"]
+        assert [tree["op"] for tree in recent] == ["op3", "op4"]
+        assert [tree["trace_id"] for tree in recent] == [
+            rtrace.trace_id for rtrace in traces[-2:]
+        ]
+
+    def test_ring_size_and_daemon_waits_are_not_settable(self):
+        fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+        assert fields.isdisjoint(
+            {"recent_traces", "drain_timeout", "request_timeout"}
+        )
+        with pytest.raises(TypeError):
+            ServiceMetrics(recent_cap=4)
+        assert ServiceMetrics().recent.maxlen == RECENT_CAP
 
     def test_prometheus_exposition_well_formed(self):
         metrics = ServiceMetrics()
@@ -146,6 +170,43 @@ class TestStatsOp:
             assert stats["server"]["pid"] > 0
             assert stats["slow"]["count"] == 0
             assert stats["cache"]["entries"] >= 0
+
+    def test_span_trees_render_only_for_a_recent_read(
+        self, workspace, daemon_factory, monkeypatch
+    ):
+        """The ring keeps finished requests: 50 of them render no span
+        tree, and ``stats --recent 3`` renders the newest three, whole."""
+        rendered = []
+        to_span_tree = RequestTrace.to_span_tree
+
+        def counting(rtrace):
+            rendered.append(rtrace.trace_id)
+            return to_span_tree(rtrace)
+
+        monkeypatch.setattr(RequestTrace, "to_span_tree", counting)
+        seed_dataset(workspace)
+        with daemon_factory(slow_ms=60_000) as handle:
+            with handle.client() as client:
+                traces = []
+                for _ in range(50):
+                    client.checkout("inter", [1], inline=True)
+                    traces.append(client.last_trace["trace_id"])
+                assert rendered == []
+                recent = client.stats(recent=3)["recent"]
+        assert rendered == traces[-3:]
+        assert [tree["trace_id"] for tree in recent] == traces[-3:]
+        for tree in recent:
+            assert (tree["name"], tree["op"], tree["status"]) == (
+                "service.request", "checkout", "ok",
+            )
+            assert tree["cached"] is True
+            phases = [child["name"] for child in tree["children"]]
+            assert phases == [
+                "service.admission", "service.queue_wait",
+                "service.execute", "service.serialize",
+            ]
+            (grafted,) = tree["children"][2]["children"]
+            assert grafted["name"] == "service.checkout"
 
     def test_status_op_still_reports_slow_and_metrics(
         self, workspace, daemon_factory

@@ -5,9 +5,15 @@ merely mentions a name does not trip it."""
 from __future__ import annotations
 
 import ast
+import importlib.util
+import threading
+import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
 #: The only modules allowed to rename a file into place or make a temp:
 #: fsio does it for everyone, the state store interleaves failpoints
@@ -195,3 +201,124 @@ def test_the_program_imports_no_benchmarks():
             elif isinstance(node, ast.Import):
                 imported.update((name, a.name.split(".")[0]) for a in node.names)
     assert {name for name, top in imported if top == "benchmarks"} == set()
+
+
+#: Telemetry names orpheusd no longer counts, because its one report
+#: (``stats_payload``: ``stats``, ``/stats``, ``/metrics``) carries them.
+LEDGER_ONLY = (
+    "service.requests",
+    "service.busy",
+    "service.request.",
+    "service.cache.hits",
+    "service.cache.misses",
+    "service.cache.evictions",
+    "service.cache.invalidated_entries",
+    "service.cache.bytes",
+    "service.scheduler.",
+    "service.sessions.",
+    "service.degrade.",
+    "service.quarantine.refused",
+    "service.flight.records",
+    "service.faults.fired",
+    "service.slow_requests",
+    "service.heat.partition_touches",
+)
+
+
+def test_orpheusd_counts_each_event_once(tmp_path):
+    """A miss, two hits, a commit and a BUSY shed through an in-process
+    daemon: the folded ``telemetry.json`` holds none of the counters
+    the report keeps, and the report holds every one of them."""
+    from repro import telemetry
+    from repro.cli import load_telemetry
+    from repro.resilience import failpoints
+    from repro.service.client import ServiceBusyError
+
+    from .service.conftest import DaemonHandle, seed_dataset
+
+    (tmp_path / "data.csv").write_text("key,value\nk1,1\nk2,2\nk3,3\n")
+    (tmp_path / "schema.csv").write_text(
+        "key,text\nvalue,integer\nprimary_key,key\n"
+    )
+    seed_dataset(tmp_path)
+    work = tmp_path / "work.csv"
+    try:
+        with DaemonHandle(tmp_path, per_cvd_depth=1) as handle:
+            with handle.client() as client:
+                client.checkout("inter", [1], inline=True)  # miss
+                client.checkout("inter", [1], inline=True)  # hit
+                client.checkout("inter", [1], file=str(work))  # hit
+            with work.open("a") as out:
+                out.write("k4,4\r\n")
+            failpoints.activate(
+                "worker.before_execute", "delay", arg=0.5, count=1
+            )
+
+            def commit(message: str) -> None:
+                with handle.client() as client:
+                    client.commit(
+                        "inter", file=str(work), message=message, parents=[1]
+                    )
+
+            slow = threading.Thread(target=commit, args=("edit",))
+            slow.start()
+            time.sleep(0.15)  # the commit holds the dataset's one slot
+            with pytest.raises(ServiceBusyError):
+                commit("refused")
+            slow.join(timeout=30)
+            assert not slow.is_alive()
+            # Each connection finalizes its request after the reply is
+            # sent, so the report may trail the clients by a moment.
+            deadline = time.monotonic() + 5
+            earlier_stats = 0  # each one is flight-recorded too
+            with handle.client() as client:
+                report = client.stats()
+                while report["by_op"].get("commit", {"count": 0})["count"] < 2:
+                    assert time.monotonic() < deadline, report["by_op"]
+                    time.sleep(0.01)
+                    earlier_stats += 1
+                    report = client.stats()
+        folded = load_telemetry(str(tmp_path))  # the drain's final fold
+    finally:
+        failpoints.clear()
+        telemetry.reset()
+        telemetry.disable()
+
+    assert folded.counters.get("service.daemon.starts") == 1
+    names = set(folded.counters) | set(folded.gauges)
+    assert sorted(n for n in names if n.startswith(LEDGER_ONLY)) == []
+
+    requests, by_op = report["requests"], report["by_op"]
+    assert (requests["busy"], requests["errors"]) == (1, 0)
+    assert by_op["checkout"]["count"] == 3
+    assert by_op["commit"]["count"] == by_op["commit"]["busy"] + 1 == 2
+    assert by_op["commit"]["phases"]["execute"]["total_s"] >= 0.5
+    assert (report["cache"]["misses"], report["cache"]["hits"]) == (1, 2)
+    assert report["scheduler"]["shed_writes"] == 1
+    assert report["sessions"]["total_opened"] == 4
+    assert report["faults"]["fired"] == {"worker.before_execute": 1}
+    assert report["flight"]["records_written"] == 5 + earlier_stats
+    assert report["heat"]["partition_touches_total"] >= 1
+    for block in ("degrade", "quarantine", "slow"):
+        assert block in report
+
+
+def test_only_the_e2e_harness_benchmarks_orpheusd():
+    """The daemon and the storage layouts are measured by
+    ``benchmarks/e2e`` alone; the load generator is gone."""
+    importers = set()
+    for path in sorted((REPO / "benchmarks").rglob("*.py")):
+        relative = path.relative_to(REPO / "benchmarks")
+        if relative.parts[0] == "e2e":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = (
+                [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else [a.name for a in node.names] if isinstance(node, ast.Import)
+                else []
+            )
+            if any(m.startswith("repro.service") for m in modules):
+                importers.add(relative.as_posix())
+    assert importers == set()
+    assert importlib.util.find_spec("repro.service.loadgen") is None
+    assert not (SRC / "service" / "loadgen.py").exists()
