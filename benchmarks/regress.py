@@ -41,8 +41,7 @@ DEFAULT_REL_TOL = 0.10
 DEFAULT_ABS_FLOOR_S = 0.002
 
 BASELINE_KIND = "orpheus-bench-baseline"
-#: Must match benchmarks.runner.BENCH_SCHEMA_VERSION (kept numeric and
-#: duplicated here so src/ never imports the benchmarks package).
+#: Must match benchmarks.runner.BENCH_SCHEMA_VERSION.
 BASELINE_SCHEMA_VERSION = 1
 
 OK = "ok"

@@ -16,7 +16,7 @@ the process RSS high-water mark, and the telemetry counters the bench
 declared (rows moved, join volumes, ...), normalized to one run.
 
 Regression gating (``--check`` / ``--update-baseline``) delegates to
-:mod:`repro.observe.regress` against ``benchmarks/baselines.json``;
+:mod:`benchmarks.regress` against ``benchmarks/baselines.json``;
 ``--check`` also says when that file no longer matches the registered
 benches (:func:`stale_baseline_notes`).
 """
@@ -65,8 +65,8 @@ def stale_baseline_notes(baseline_path: Path) -> list[str]:
     this run's ``--filter``: quick benches with no row
     (unbaselined) and rows with no quick bench (orphaned). A missing,
     unreadable or other-schema baseline is
-    :func:`repro.observe.regress.check_payload`'s to report."""
-    from repro.observe import regress
+    :func:`benchmarks.regress.check_payload`'s to report."""
+    from benchmarks import regress
 
     try:
         baseline = regress.load_baseline(baseline_path)
@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
 
-    from repro.observe import regress
+    from benchmarks import regress
 
     if args.update_baseline:
         try:

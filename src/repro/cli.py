@@ -367,34 +367,11 @@ COMMAND_TABLE: dict[str, Command] = {
                 _arg(
                     "--slow-ms",
                     type=float,
-                    default=None,
+                    default=500.0,
                     metavar="MS",
-                    help="log requests slower than this to "
-                    ".orpheus/journal/slow.jsonl (default: $ORPHEUS_SLOW_MS "
-                    "or 500)",
-                ),
-                _arg(
-                    "--flight-sample",
-                    type=float,
-                    default=1.0,
-                    metavar="FRAC",
-                    help="fraction of requests the flight recorder keeps, "
-                    "0..1 (default 1.0; 0 disables)",
-                ),
-                _arg(
-                    "--flight-segment-mb",
-                    type=float,
-                    default=None,
-                    metavar="MB",
-                    help="rotate flight-recorder segments at this size "
-                    "(default 4)",
-                ),
-                _arg(
-                    "--flight-segments",
-                    type=int,
-                    default=None,
-                    metavar="N",
-                    help="keep at most N flight segments on disk (default 8)",
+                    help="keep the span breakdown of requests slower than "
+                    "this in their flight record (default 500; 0 keeps "
+                    "every request's)",
                 ),
                 _arg(
                     "--status",
@@ -459,60 +436,6 @@ COMMAND_TABLE: dict[str, Command] = {
                     type=int,
                     default=None,
                     help=argparse.SUPPRESS,  # bounded loop, for tests/scripts
-                ),
-            ),
-        ),
-        Command(
-            "replay",
-            "re-issue a recorded flight against the running daemon and "
-            "compare latency/shed/cache behaviour",
-            (
-                _arg(
-                    "flight_dir",
-                    nargs="?",
-                    default=None,
-                    metavar="FLIGHT_DIR",
-                    help="flight-recorder directory "
-                    "(default: .orpheus/journal/flight)",
-                ),
-                _arg(
-                    "--speedup",
-                    type=float,
-                    default=1.0,
-                    metavar="X",
-                    help="compress recorded inter-arrival times by this "
-                    "factor (default 1 = real time)",
-                ),
-                _arg(
-                    "--user",
-                    default=None,
-                    help="session identity for the replay connections",
-                ),
-                _SOCKET,
-                _arg(
-                    "--json",
-                    action="store_true",
-                    help="emit the comparison report as JSON",
-                ),
-                _arg(
-                    "--check",
-                    action="store_true",
-                    help="exit non-zero when replayed p95 drifts past the "
-                    "budget or op counts fail to reproduce the recording",
-                ),
-                _arg(
-                    "--budget-pct",
-                    type=float,
-                    default=None,
-                    metavar="PCT",
-                    help="with --check: relative p95 drift budget (default 50)",
-                ),
-                _arg(
-                    "--budget-ms",
-                    type=float,
-                    default=None,
-                    metavar="MS",
-                    help="with --check: absolute p95 drift floor (default 5)",
                 ),
             ),
         ),
@@ -643,8 +566,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(args)
     if args.command == "remote":
         return _run_remote(args)
-    if args.command == "replay":
-        return _run_replay(args)
     if args.command == "top":
         from repro.observe.top import run_top
 
@@ -986,73 +907,8 @@ def _run_profile(args: argparse.Namespace) -> int:
     return code
 
 
-def _run_replay(args: argparse.Namespace) -> int:
-    """``orpheus replay``: re-issue a recorded flight against the live
-    daemon and print (or gate on) the recorded-vs-replayed report."""
-    from repro.service.client import daemon_running
-    from repro.service.recorder import flight_dir_path
-    from repro.service.replay import (
-        DEFAULT_BUDGET_MS,
-        DEFAULT_BUDGET_PCT,
-        check_report,
-        render_report_text,
-        run_replay,
-        write_report_json,
-    )
-
-    flight_dir = args.flight_dir or str(flight_dir_path(args.root))
-    if not os.path.isdir(flight_dir):
-        sys.stderr.write(
-            f"error: no flight directory at {flight_dir} — start the "
-            "daemon with flight recording on (`orpheus serve`) and run "
-            "a workload first\n"
-        )
-        return 1
-    if args.socket is None and not daemon_running(args.root):
-        sys.stderr.write(
-            "error: orpheusd is not running here; start it with "
-            "`orpheus serve` before replaying\n"
-        )
-        return 1
-    try:
-        report = run_replay(
-            flight_dir,
-            root=args.root,
-            socket_path=args.socket,
-            user=_user(args),
-            speedup=args.speedup,
-        )
-    except Exception as error:
-        sys.stderr.write(f"error: {error}\n")
-        return 1
-    if args.json:
-        sys.stdout.write(write_report_json(report) + "\n")
-    else:
-        sys.stdout.write(render_report_text(report))
-    if args.check:
-        violations = check_report(
-            report,
-            budget_pct=(
-                args.budget_pct
-                if args.budget_pct is not None
-                else DEFAULT_BUDGET_PCT
-            ),
-            budget_ms=(
-                args.budget_ms
-                if args.budget_ms is not None
-                else DEFAULT_BUDGET_MS
-            ),
-        )
-        for violation in violations:
-            sys.stderr.write(f"replay check: {violation}\n")
-        if violations:
-            return 3
-        sys.stderr.write("replay check: ok\n")
-    return 0
-
-
 def _user(args: argparse.Namespace) -> str:
-    """The session identity of ``remote`` / ``replay``: ``--user``, else
+    """The session identity of ``remote``: ``--user``, else
     ``$ORPHEUS_USER``, else anonymous."""
     if args.user is not None:
         return args.user
@@ -1151,25 +1007,20 @@ def _run_serve(args: argparse.Namespace) -> int:
                     "refusal(s) ({} shed in the queue), {} degraded "
                     "refusal(s)\n".format(*failures)
                 )
-            slow = status.get("slow", {})
-            if slow.get("count"):
+            if requests.get("slow"):
                 sys.stdout.write(
-                    f"  slow: {slow.get('count')} request(s) over "
-                    f"{slow.get('threshold_ms')}ms logged "
-                    f"(see `orpheus top`)\n"
+                    f"  slow: {requests['slow']} request(s) over "
+                    f"{server.get('slow_ms', 0):g}ms (their spans are in the "
+                    f"flight record)\n"
                 )
             flight = status.get("flight", {})
             if flight:
-                if flight.get("enabled"):
-                    sys.stdout.write(
-                        f"  flight: recording at sample "
-                        f"{flight.get('sample', 0.0):g}, "
-                        f"{flight.get('segments', 0)} segment(s), "
-                        f"{flight.get('bytes', 0)} bytes "
-                        f"(replay with `orpheus replay`)\n"
-                    )
-                else:
-                    sys.stdout.write("  flight: recording disabled\n")
+                sys.stdout.write(
+                    f"  flight: {flight.get('records_written', 0)} "
+                    f"request(s) recorded, "
+                    f"{flight.get('segments', 0)} segment(s), "
+                    f"{flight.get('bytes', 0)} bytes\n"
+                )
             if server.get("metrics"):
                 sys.stdout.write(
                     f"  metrics: http://{server['metrics']}/metrics\n"
@@ -1194,17 +1045,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_timeout,
         metrics_port=args.metrics_port,
         slow_ms=args.slow_ms,
-        flight_sample=args.flight_sample,
-        flight_segment_bytes=(
-            int(args.flight_segment_mb * 1024 * 1024)
-            if args.flight_segment_mb is not None
-            else ServiceConfig.flight_segment_bytes
-        ),
-        flight_max_segments=(
-            args.flight_segments
-            if args.flight_segments is not None
-            else ServiceConfig.flight_max_segments
-        ),
     )
     daemon = ServiceDaemon(config)
     for signum in (signal.SIGTERM, signal.SIGINT):

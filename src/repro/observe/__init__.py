@@ -14,10 +14,7 @@ package makes it *explainable*:
   operation journal behind ``orpheus log --ops`` and replay-verify;
 * :mod:`repro.observe.profile` — self/total-time analysis of profiled
   span trees (``orpheus profile``: hot-span table, folded stacks,
-  JSON);
-* :mod:`repro.observe.regress` — noise-aware benchmark regression
-  gating against ``benchmarks/baselines.json`` (``python -m
-  benchmarks --check`` / ``--update-baseline``).
+  JSON).
 
 The names below resolve on first use, so importing one submodule (the
 CLI's checkout/commit path needs only the journal) does not import the
@@ -36,12 +33,6 @@ _EXPORTS = {
     "collapsed_stacks": "profile",
     "profile_to_dict": "profile",
     "render_report": "profile",
-    "BenchVerdict": "regress",
-    "RegressionReport": "regress",
-    "check_payload": "regress",
-    "compare": "regress",
-    "load_baseline": "regress",
-    "write_baseline": "regress",
     "ExplainNode": "explain",
     "attach_actuals": "explain",
     "io_cost": "explain",

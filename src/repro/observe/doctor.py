@@ -70,10 +70,10 @@ IMBALANCE_FACTOR = 4.0
 STALE_STAGING_SECONDS = 7 * 24 * 3600.0
 #: Accumulated telemetry beyond this many bytes warns.
 TELEMETRY_WARN_BYTES = 4 * 1024 * 1024
-#: A slow-request log holding at least this many entries warns.
+#: A flight directory holding at least this many slow requests warns.
 SLOW_LOG_WARN_ENTRIES = 50
-#: Env var: p99 latency budget (ms) for the slow_requests probe; the
-#: probe warns when the slow log's p99 breaches it.
+#: Env var: p99 latency budget (ms) for the flight_recorder probe; the
+#: probe warns when the slow requests' p99 breaches it.
 SLOW_P99_BUDGET_ENV = "ORPHEUS_SLOW_P99_BUDGET_MS"
 
 #: Fault budget for the service_faults probe: worker errors or deadline
@@ -864,89 +864,33 @@ def probe_service_faults(
     )
 
 
-def probe_slow_requests(root: str | None = None) -> ProbeResult:
-    """The daemon's slow-request log must stay small and under budget.
-
-    Warns when the log has accumulated :data:`SLOW_LOG_WARN_ENTRIES`
-    outliers, or when its p99 breaches the optional latency budget in
-    ``ORPHEUS_SLOW_P99_BUDGET_MS``. No log is healthy — it only exists
-    once a daemon has seen requests past ``ORPHEUS_SLOW_MS``.
-    """
-    from repro.service.tracing import SlowLog
-
-    log = SlowLog(root)
-    stats = log.stats()
-    count = stats["count"]
-    p99_ms = stats["p99_ms"]
-    if count == 0:
-        return ProbeResult(
-            probe="slow_requests",
-            severity=OK,
-            summary="no slow requests logged",
-        )
-    budget_raw = os.environ.get(SLOW_P99_BUDGET_ENV)
-    budget_ms: float | None = None
-    if budget_raw:
-        try:
-            budget_ms = float(budget_raw)
-        except ValueError:
-            budget_ms = None
-    over_budget = (
-        budget_ms is not None and p99_ms is not None and p99_ms > budget_ms
-    )
-    growing = count >= SLOW_LOG_WARN_ENTRIES
-    if over_budget:
-        severity = WARN
-        summary = (
-            f"slow-request p99 {p99_ms:.0f}ms breaches the "
-            f"{budget_ms:.0f}ms budget ({count} logged)"
-        )
-    elif growing:
-        severity = WARN
-        summary = (
-            f"slow-request log is growing: {count} entries over "
-            f"{stats['threshold_ms']:.0f}ms"
-        )
-    else:
-        severity = OK
-        summary = (
-            f"{count} slow request(s) logged"
-            + (f", p99 {p99_ms:.0f}ms" if p99_ms is not None else "")
-        )
-    return ProbeResult(
-        probe="slow_requests",
-        severity=severity,
-        summary=summary,
-        remediation=(
-            "watch the live breakdown with `orpheus top` and profile "
-            "the hot phase with `orpheus profile`; the span trees in "
-            ".orpheus/journal/slow.jsonl name the slow phase per request"
-            if severity != OK
-            else ""
-        ),
-        data={
-            "count": count,
-            "p99_ms": p99_ms,
-            "threshold_ms": stats["threshold_ms"],
-            "budget_ms": budget_ms,
-            "path": stats["path"],
-        },
-    )
+def _slow_budget_ms() -> float | None:
+    """``ORPHEUS_SLOW_P99_BUDGET_MS``, or None when unset or malformed."""
+    try:
+        return float(os.environ.get(SLOW_P99_BUDGET_ENV) or "")
+    except ValueError:
+        return None
 
 
 def probe_flight_recorder(root: str | None = None) -> ProbeResult:
-    """Flight segments must stay within the recorder's own bound and
-    end cleanly.
+    """Flight segments must stay within the recorder's own bound, end
+    cleanly, and hold few, fast slow requests.
 
     The bound is the newest segment header's ``segment_bytes`` ×
     ``max_segments``: the recorder rotates and prunes to it, so on-disk
     bytes above it mean pruning failed. A torn tail on the newest
     segment while no daemon is running means the last daemon died
-    mid-write and the final records of the capture are lost to
-    `orpheus replay`.
+    mid-write and the capture lost its final records. Slow requests
+    (records carrying ``spans``) warn at :data:`SLOW_LOG_WARN_ENTRIES`
+    or when their p99 breaches ``ORPHEUS_SLOW_P99_BUDGET_MS``; only
+    their lines are parsed.
     """
     from repro.service.client import daemon_running
-    from repro.service.recorder import flight_dir_path, flight_dir_status
+    from repro.service.recorder import (
+        flight_dir_path,
+        flight_dir_status,
+        read_slow,
+    )
 
     flight_dir = flight_dir_path(root)
     status = flight_dir_status(flight_dir)
@@ -960,8 +904,18 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
     # A torn tail is expected while a daemon is appending; it only
     # signals data loss once nothing is writing.
     torn = status["newest_torn"] and not daemon_running(root)
+    durations = sorted(
+        record["total_s"] for record in read_slow(flight_dir)
+        if isinstance(record.get("total_s"), (int, float))
+    )
+    slow = len(durations)
+    p99_ms = (
+        round(durations[min(slow - 1, int(0.99 * slow))] * 1000.0, 3)
+        if durations else None
+    )
+    budget_ms = _slow_budget_ms()
+    severity, remediation = WARN, ""
     if status["bytes"] > bound:
-        severity = WARN
         summary = (
             f"flight segments use {status['bytes']} bytes, over the "
             f"recorder's bound of {bound} ({status['max_segments']} × "
@@ -973,20 +927,37 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             "bound each time it opens a segment"
         )
     elif torn:
-        severity = WARN
         summary = (
             "newest flight segment has a torn tail and no daemon is "
             "writing — the last capture lost its final records"
         )
         remediation = (
-            "torn tails are tolerated by `orpheus replay`, which skips "
-            "the unparseable final line"
+            "nothing to repair: readers (`orpheus heat --from-flight`, "
+            "this probe) skip the unparseable final line"
+        )
+    elif budget_ms is not None and p99_ms is not None and p99_ms > budget_ms:
+        summary = (
+            f"slow-request p99 {p99_ms:.0f}ms breaches the "
+            f"{budget_ms:.0f}ms budget ({slow} recorded)"
+        )
+    elif slow >= SLOW_LOG_WARN_ENTRIES:
+        summary = (
+            f"slow requests are piling up: {slow} over "
+            f"{status['slow_ms']:g}ms"
         )
     else:
-        severity, remediation = OK, ""
+        severity = OK
         summary = (
             f"{status['segments']} flight segment(s), "
-            f"{status['bytes']} bytes (bound {bound})"
+            f"{status['bytes']} bytes (bound {bound}), "
+            f"{slow} slow request(s)"
+            + (f", p99 {p99_ms:.0f}ms" if p99_ms is not None else "")
+        )
+    if severity == WARN and not remediation:
+        remediation = (
+            "watch the live breakdown with `orpheus top` and profile "
+            "the hot phase with `orpheus profile`; the `spans` of each "
+            "slow flight record name its slow phase"
         )
     return ProbeResult(
         probe="flight_recorder",
@@ -998,6 +969,10 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             "bytes": status["bytes"],
             "bound_bytes": bound,
             "newest_torn": status["newest_torn"],
+            "slow": slow,
+            "slow_p99_ms": p99_ms,
+            "slow_ms": status["slow_ms"],
+            "budget_ms": budget_ms,
             "path": str(flight_dir),
         },
     )
@@ -1371,7 +1346,6 @@ def run_doctor(orpheus, root: str | None = None) -> DoctorReport:
         daemon = view_daemon(root)
         report.results.append(probe_service_health(root, daemon))
         report.results.append(probe_service_faults(root, daemon))
-        report.results.append(probe_slow_requests(root))
         report.results.append(probe_flight_recorder(root))
         report.results.append(probe_heat_skew(orpheus, root))
         report.results.append(probe_io_amplification(orpheus, root))

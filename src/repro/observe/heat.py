@@ -15,7 +15,7 @@ live execution path reduces to an event through the same helpers
 (:func:`resolve_access`, :func:`partition_of`), and the offline miner
 (:func:`mine_events`) rebuilds the *same* events from the flight
 recorder and the ops journal, so a heat model mined after the fact
-matches the one accumulated live (given full flight sampling).
+matches the one accumulated live.
 
 Heat itself is an exponentially-decayed touch count::
 
@@ -508,16 +508,13 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
         trace = record.get("trace")
         if trace:
             flight_traces.add(str(trace))
-        versions = record.get("versions")
-        if versions is None:
-            versions = (record.get("params") or {}).get("versions") or ()
         events.append(
             build_event(
                 orpheus,
                 ts=float(record.get("ts") or 0.0),
                 command=str(record.get("op")),
                 dataset=record.get("dataset"),
-                versions=versions,
+                versions=record.get("versions") or (),
                 rows_returned=record.get("rows_returned") or 0,
                 rows_scanned=record.get("rows_scanned") or 0,
                 bytes_scanned=record.get("bytes_scanned") or 0,

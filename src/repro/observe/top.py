@@ -79,7 +79,6 @@ def render_frame(
     scheduler = stats.get("scheduler", {})
     cache = stats.get("cache", {})
     sessions = stats.get("sessions", {})
-    slow = stats.get("slow", {})
     pool = stats.get("buffer_pool", {})
 
     lines = [
@@ -96,8 +95,8 @@ def render_frame(
             f" · busy {requests.get('busy', 0)}"
             f" · slow {requests.get('slow', 0)}"
             + (
-                f" (p99 {slow['p99_ms']:.0f}ms logged)"
-                if slow.get("p99_ms") is not None
+                f" (over {server['slow_ms']:g}ms)"
+                if server.get("slow_ms") is not None
                 else ""
             )
         ),

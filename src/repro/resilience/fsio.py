@@ -18,8 +18,8 @@ Two shapes cover every on-disk artifact the repository owns:
 
 Each caller says whether its file is worth an ``fsync`` (state, pages,
 the page directory, the operation journal and the intent log are;
-telemetry, heat, the slow log, the daemon status file and flight
-segments are observability and are not). ``docs/resilience.md`` has
+telemetry, heat, the daemon status file and flight segments are
+observability and are not). ``docs/resilience.md`` has
 the table.
 """
 
@@ -106,13 +106,16 @@ def append_jsonl(path: Path, record: dict, *, fsync: bool) -> None:
             os.fsync(handle.fileno())
 
 
-def read_jsonl(path: str | Path) -> tuple[list[dict], bool]:
+def read_jsonl(
+    path: str | Path, marker: str | None = None
+) -> tuple[list[dict], bool]:
     """``(records, torn)``: every well-formed JSON object, oldest first.
 
     Lines that do not parse are skipped, wherever they are; ``torn`` is
     True when the *last* line does not parse or the file does not end
     in a newline — what a crash mid-append leaves. A missing or
-    unreadable file reads as empty.
+    unreadable file reads as empty. With ``marker``, lines that do not
+    contain it are skipped without being parsed.
     """
     try:
         raw = Path(path).read_bytes()
@@ -123,7 +126,7 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], bool]:
     lines = raw.decode("utf-8", errors="replace").splitlines()
     for index, line in enumerate(lines):
         line = line.strip()
-        if not line:
+        if not line or (marker is not None and marker not in line):
             continue
         try:
             record = json.loads(line)

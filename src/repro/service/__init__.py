@@ -30,9 +30,8 @@ concurrency, caching, and backpressure become first-class subsystems:
 * :mod:`repro.service.client` — the thin client library behind
   ``orpheus remote <cmd>``.
 * :mod:`repro.service.recorder` — the always-on, bounded workload
-  flight recorder behind ``.orpheus/journal/flight/``.
-* :mod:`repro.service.replay` — trace-driven replay of a recorded
-  flight (``orpheus replay``) with a recorded-vs-replayed report.
+  flight recorder behind ``.orpheus/journal/flight/``: one record per
+  request, with the span breakdown of slow ones.
 * chaos fault injection for the serving layer (connection resets,
   torn frames, worker exceptions, failing saves, cache corruption)
   uses the one registry in :mod:`repro.resilience.failpoints`; the
@@ -69,7 +68,6 @@ from repro.service.degrade import (
 )
 from repro.service.protocol import PROTOCOL_VERSION, Request, Response
 from repro.service.recorder import FlightRecorder, read_flight
-from repro.service.replay import run_replay
 from repro.service.scheduler import QueueFullError, RequestScheduler
 from repro.service.sessions import Session, SessionManager
 
@@ -104,5 +102,4 @@ __all__ = [
     "default_socket_path",
     "read_flight",
     "read_status_file",
-    "run_replay",
 ]

@@ -69,15 +69,8 @@ from repro.service.degrade import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import LineChannel, Request, Response
-from repro.service.recorder import (
-    DEFAULT_MAX_SEGMENTS,
-    DEFAULT_SAMPLE,
-    DEFAULT_SEGMENT_BYTES,
-    FlightRecorder,
-    args_digest,
-    new_boot_id,
-)
-from repro.service.tracing import RequestTrace, SlowLog
+from repro.service.recorder import FlightRecorder, args_digest, new_boot_id
+from repro.service.tracing import DEFAULT_SLOW_MS, RequestTrace
 from repro.service.scheduler import (
     DEFAULT_READ_QUEUE_DEPTH,
     DEFAULT_WORKERS,
@@ -156,12 +149,9 @@ class ServiceConfig:
     #: port (recorded in service.json for scrapers to discover).
     metrics_port: int | None = None
     metrics_host: str = "127.0.0.1"
-    #: Slow-request threshold in ms; None reads ``ORPHEUS_SLOW_MS``.
-    slow_ms: float | None = None
-    #: Flight-recorder sample fraction (1.0 — always on; 0 disables).
-    flight_sample: float = DEFAULT_SAMPLE
-    flight_segment_bytes: int = DEFAULT_SEGMENT_BYTES
-    flight_max_segments: int = DEFAULT_MAX_SEGMENTS
+    #: Requests at least this slow (ms) keep their spans in the flight
+    #: record.
+    slow_ms: float = DEFAULT_SLOW_MS
 
     def resolved_socket(self) -> str:
         return self.socket_path or default_socket_path(self.root)
@@ -201,17 +191,12 @@ class ServiceDaemon:
         #: The one request ledger: every outcome is counted there, at
         #: finalize.
         self.metrics = ServiceMetrics()
-        self.slow_log = SlowLog(self.root, threshold_ms=self.config.slow_ms)
         #: One serving epoch: fresh per start, stamped on every flight
         #: segment and status payload so readers (and `orpheus top`)
         #: can tell a restart from a counter glitch.
         self.boot_id = new_boot_id()
         self.recorder = FlightRecorder(
-            self.root,
-            sample=self.config.flight_sample,
-            segment_bytes=self.config.flight_segment_bytes,
-            max_segments=self.config.flight_max_segments,
-            boot_id=self.boot_id,
+            self.root, slow_ms=self.config.slow_ms, boot_id=self.boot_id
         )
         #: The storage access observatory: reloaded under the lock at
         #: start, folded per request, persisted with every telemetry
@@ -1001,16 +986,13 @@ class ServiceDaemon:
         self, rtrace: RequestTrace, request: Request
     ) -> None:
         """Fold one finished request into every observability surface:
-        the slow log, the flight recorder, the metrics ledger and the
-        heat model."""
+        its flight record (with spans when slow), the metrics ledger and
+        the heat model."""
+        slow = rtrace.total_s * 1000.0 >= self.config.slow_ms
         try:
-            slow = self.slow_log.consider(rtrace)
+            self.recorder.record(rtrace, request, slow)
         except Exception:
-            slow = False  # a full disk must not kill the connection
-        try:
-            self.recorder.record(rtrace, request)
-        except Exception:
-            pass  # same contract: recording never kills the connection
+            pass  # recording never kills the connection
         self.metrics.record(rtrace, slow=slow)
         self._fold_heat(rtrace)
 
@@ -1071,11 +1053,11 @@ class ServiceDaemon:
             **self._identity(),
             "draining": self.sessions.draining,
             "datasets": len(orpheus._cvds) if orpheus is not None else 0,
+            "slow_ms": self.config.slow_ms,
         }
         payload["scheduler"] = self.scheduler.status()
         payload["cache"] = self.cache.stats().to_dict()
         payload["sessions"] = self.sessions.status()
-        payload["slow"] = self.slow_log.stats()
         payload["flight"] = self.recorder.status()
         payload["degrade"] = self.degrade.status()
         payload["quarantine"] = self.quarantine.status()

@@ -1,50 +1,47 @@
 """The workload flight recorder: what traffic did this daemon serve?
 
-PR 6 made a *single* request observable end to end; this module makes
-the *workload* observable. The daemon appends one JSON line per
-finished request — including BUSY sheds, which are exactly the
-requests a capacity story must not lose — to segmented, size-rotated
-files under ``.orpheus/journal/flight/``::
+Request tracing (:mod:`repro.service.tracing`) makes a *single*
+request observable end to end; this module makes the *workload*
+observable. The daemon appends one JSON line per finished request —
+including BUSY sheds, which are exactly the requests a capacity story
+must not lose — to segmented, size-rotated files under
+``.orpheus/journal/flight/``::
 
     flight-<boot_id>-000001.jsonl
     flight-<boot_id>-000002.jsonl
     ...
 
 Every segment starts with a **header record** naming the schema
-version, the daemon pid, and its boot id (a fresh id per daemon start,
-so readers can split a directory into serving epochs and ``orpheus
-top`` can detect restarts). After the header, each line is one
-**request record**:
+version, the daemon pid, its boot id (a fresh id per daemon start, so
+readers can split a directory into serving epochs and ``orpheus top``
+can detect restarts) and the slow threshold ``slow_ms``. After the
+header, each line is one **request record**:
 
     {"kind": "request", "ts": 1723....,   # arrival wall-clock
      "op": "checkout", "dataset": "inter", "session": 2,
      "trace": "9f2c64b01a77d3e8", "attempt": 0,
      "digest": "5ab0c9...",               # normalized-args digest
-     "params": {"dataset": "inter", "versions": [3]},
-     "status": "ok", "cached": true,
+     "versions": [3], "status": "ok", "cached": true,
      "phases": {"admission": 1e-05, "queue_wait": 2e-4,
                 "execute": 0.013, "serialize": 5e-5},
      "total_s": 0.0133}
 
-``params`` is the normalized argument set (trace context and request
-id stripped) — enough for :mod:`repro.service.replay` to re-issue the
-workload; ``digest`` is its stable hash, so workload characterization
-("how many distinct queries?") never needs to compare dicts.
+``digest`` is a stable hash of the request's arguments (trace context
+and request id stripped), so the quarantine and workload
+characterization ("how many distinct queries?") never compare dicts.
+A request over the slow threshold also carries ``spans``: its phase
+child spans, the handler's span subtree grafted under
+``service.execute``. That is the whole slow-request view; the doctor's
+``flight_recorder`` probe reads it without parsing the other records.
 
-Sampling (``orpheus serve --flight-sample``, default 1.0) is
-deterministic per trace id: all BUSY retries of one logical operation
-are kept or dropped together, and a replayed comparison stays
-apples-to-apples. At ``0`` the record call is a single attribute test
-— dialing the recorder down costs nothing measurable on the request
-path.
-
-Bounds: segments rotate at ``segment_bytes`` and at most
-``max_segments`` are kept (oldest deleted), so an always-on recorder
-cannot fill a disk. Every header states both values, so a reader knows
-the bound the directory should keep. Appends flush per line but never
-fsync — the flight record is observability, not durability; a torn
-tail from a crash is skipped by readers the same way the journals
-tolerate it.
+The recorder keeps every request, so ``orpheus heat --from-flight``
+and the slow view are complete. Segments rotate at ``segment_bytes``
+and at most ``max_segments`` are kept (oldest deleted), so an
+always-on recorder cannot fill a disk. Every header states both
+values, so a reader knows the bound the directory should keep.
+Appends flush per line but never fsync — the flight record is
+observability, not durability; a torn tail from a crash is skipped by
+readers the same way the journals tolerate it.
 """
 
 from __future__ import annotations
@@ -58,23 +55,21 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.resilience import fsio
+from repro.service.tracing import DEFAULT_SLOW_MS
 
 #: Bumped on incompatible record-shape changes; readers refuse nothing
-#: (forward-compatible key lookup) but replay warns on a mismatch.
+#: (forward-compatible key lookup).
 FLIGHT_SCHEMA_VERSION = 1
 
 FLIGHT_DIR = "flight"
 
-#: Fraction of traces recorded by default (0 disables, 1 records all).
-DEFAULT_SAMPLE = 1.0
-
-#: Rotation defaults; ``orpheus serve --flight-segment-mb /
-#: --flight-segments`` override.
+#: The recorder's on-disk bound: ``DEFAULT_MAX_SEGMENTS`` segments of
+#: ``DEFAULT_SEGMENT_BYTES`` each.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 DEFAULT_MAX_SEGMENTS = 8
 
 #: Request params that are transport envelope, not workload: stripped
-#: before hashing and recording.
+#: before hashing.
 _ENVELOPE_KEYS = ("trace", "id")
 
 
@@ -88,7 +83,7 @@ def flight_dir_path(root: str | None = None) -> Path:
 
 
 def normalize_params(params: dict) -> dict:
-    """The replayable argument set: request params minus the envelope."""
+    """The workload's argument set: request params minus the envelope."""
     return {
         key: value
         for key, value in params.items()
@@ -107,8 +102,7 @@ def args_digest(op: str, params: dict) -> str:
 def request_outcome(status: str, error_kind: str | None) -> str | None:
     """The fault-outcome tag a record carries (None for the ordinary
     ok/busy/error-by-the-user cases): ``deadline_exceeded``,
-    ``degraded``, or ``worker_error``. Replay comparison reports count
-    these so a chaos capture replays apples-to-apples."""
+    ``degraded``, or ``worker_error``."""
     if status == "deadline_exceeded":
         return "deadline_exceeded"
     if status == "degraded":
@@ -116,17 +110,6 @@ def request_outcome(status: str, error_kind: str | None) -> str | None:
     if status == "error" and error_kind == "internal":
         return "worker_error"
     return None
-
-
-def _trace_keep(trace_id: str, sample: float) -> bool:
-    """Deterministic per-trace sampling: one logical operation (all its
-    BUSY retries share a trace id) is kept or dropped as a unit."""
-    if sample >= 1.0:
-        return True
-    if sample <= 0.0:
-        return False
-    digest = hashlib.sha256(trace_id.encode("utf-8", "replace")).digest()
-    return int.from_bytes(digest[:4], "big") / 0xFFFFFFFF < sample
 
 
 class FlightRecorder:
@@ -140,21 +123,19 @@ class FlightRecorder:
     def __init__(
         self,
         root: str | None = None,
-        sample: float = DEFAULT_SAMPLE,
+        slow_ms: float = DEFAULT_SLOW_MS,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
         boot_id: str | None = None,
         pid: int | None = None,
     ) -> None:
         self.dir = flight_dir_path(root)
-        self.sample = min(1.0, max(0.0, sample))
+        self.slow_ms = slow_ms
         self.segment_bytes = max(4096, int(segment_bytes))
         self.max_segments = max(1, int(max_segments))
         self.boot_id = boot_id or new_boot_id()
         self.pid = os.getpid() if pid is None else pid
-        self.enabled = self.sample > 0.0
         self.records_written = 0
-        self.records_sampled_out = 0
         self._lock = threading.Lock()
         self._handle = None
         self._segment_seq = 0
@@ -164,16 +145,9 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def record(self, rtrace, request) -> None:
+    def record(self, rtrace, request, slow: bool = False) -> None:
         """Append one finished request (``RequestTrace`` + its decoded
-        ``Request``). The fast path when dialed to 0 is one attribute
-        test and a return."""
-        if not self.enabled:
-            return
-        if not _trace_keep(rtrace.trace_id, self.sample):
-            self.records_sampled_out += 1
-            return
-        params = normalize_params(request.params)
+        ``Request``); a ``slow`` one keeps its phase spans."""
         entry: dict = {
             "kind": "request",
             "ts": rtrace.started_ts,
@@ -183,7 +157,6 @@ class FlightRecorder:
             # on it); recompute only for requests that never got there.
             "digest": getattr(rtrace, "digest", None)
             or args_digest(rtrace.op, request.params),
-            "params": params,
             "status": rtrace.status,
             "total_s": round(rtrace.total_s, 6),
         }
@@ -208,7 +181,7 @@ class FlightRecorder:
             entry["error_kind"] = rtrace.error_kind
         # Storage-access stamps (additive; absent on requests that
         # never executed): enough for `orpheus heat --from-flight` to
-        # rebuild the heat model and for replay's I/O-drift section.
+        # rebuild the heat model.
         if getattr(rtrace, "rows_scanned", None) is not None:
             entry["rows_scanned"] = rtrace.rows_scanned
         if getattr(rtrace, "bytes_scanned", None) is not None:
@@ -225,6 +198,8 @@ class FlightRecorder:
         }
         if phases:
             entry["phases"] = phases
+        if slow:
+            entry["spans"] = rtrace.phase_spans()
         self.append(entry)
 
     def append(self, entry: dict) -> None:
@@ -266,7 +241,7 @@ class FlightRecorder:
             "boot_id": self.boot_id,
             "pid": self.pid,
             "segment": self._segment_seq,
-            "sample": self.sample,
+            "slow_ms": self.slow_ms,
             "segment_bytes": self.segment_bytes,
             "max_segments": self.max_segments,
             "ts": telemetry.now(),
@@ -308,11 +283,8 @@ class FlightRecorder:
         """The flight line in ``stats``/``status`` payloads."""
         summary = flight_dir_status(self.dir)
         return {
-            "enabled": self.enabled,
-            "sample": self.sample,
             "boot_id": self.boot_id,
             "records_written": self.records_written,
-            "sampled_out": self.records_sampled_out,
             "segment_bytes": self.segment_bytes,
             "max_segments": self.max_segments,
             "segments": summary["segments"],
@@ -322,7 +294,8 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# Reading (used by replay, the doctor probe, and the status surfaces)
+# Reading (used by the heat miner, the doctor probe, and the status
+# surfaces)
 # ----------------------------------------------------------------------
 def list_segments(flight_dir: str | Path) -> list[Path]:
     """Segment files oldest-first (the name embeds boot id + sequence;
@@ -384,11 +357,31 @@ def read_flight(flight_dir: str | Path) -> dict:
     return {"headers": headers, "records": records, "torn_segments": torn}
 
 
+#: Appears in a request line only when the record carries ``spans``
+#: (keys are sorted and string values escape their quotes).
+_SPANS_MARKER = '"spans": ['
+
+
+def read_slow(flight_dir: str | Path) -> list[dict]:
+    """The slow request records (those carrying ``spans``), in captured
+    order. Only lines holding the ``spans`` key are parsed, so a
+    directory full of fast requests costs a byte scan, not a JSON
+    parse per record."""
+    slow: list[dict] = []
+    for segment in list_segments(flight_dir):
+        entries, _torn = fsio.read_jsonl(segment, marker=_SPANS_MARKER)
+        slow.extend(
+            entry for entry in entries
+            if entry.get("kind") == "request" and "spans" in entry
+        )
+    return slow
+
+
 def flight_dir_status(flight_dir: str | Path) -> dict:
     """Cheap on-disk summary: segment count, bytes, whether the newest
-    segment's tail is torn, and the bound its header states
-    (``segment_bytes`` × ``max_segments``; the defaults for headers
-    that predate the fields).
+    segment's tail is torn, and the bound and slow threshold its header
+    states (``segment_bytes`` × ``max_segments``, ``slow_ms``; the
+    defaults for headers that predate the fields).
 
     Reads only the newest segment's first and last lines — cheap, and
     safe to call from the doctor and the report while a daemon is
@@ -412,5 +405,6 @@ def flight_dir_status(flight_dir: str | Path) -> dict:
         "max_segments": int(
             header.get("max_segments") or DEFAULT_MAX_SEGMENTS
         ),
+        "slow_ms": float(header.get("slow_ms", DEFAULT_SLOW_MS)),
     }
 

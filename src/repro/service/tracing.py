@@ -10,7 +10,7 @@ A client stamps every request with a W3C-style trace context — a
 
 The daemon adopts the client's trace id (minting one only for clients
 that sent none), so the server-side span tree, the journal records the
-request produces, the slow-request log, and the client's own view all
+request produces, its flight record, and the client's own view all
 correlate on one id. Retries of a shed (``busy``) request re-send the
 *same* trace id with an incremented ``attempt`` — one logical operation
 is one trace, however many times the scheduler bounced it.
@@ -29,36 +29,25 @@ explicit child spans the observability surface exposes everywhere:
   span subtree (cache lookup, materialization, ...) grafted beneath;
 * ``service.serialize`` — response encode + socket write.
 
-:class:`SlowLog` captures the full span breakdown of outliers into
-``.orpheus/journal/slow.jsonl`` (threshold ``ORPHEUS_SLOW_MS``),
-bounded by compaction so a misbehaving deployment cannot fill a disk.
+A request slower than ``orpheus serve --slow-ms`` keeps these child
+spans in its flight record (:mod:`repro.service.recorder`).
 """
 
 from __future__ import annotations
 
-import os
 import uuid
-from pathlib import Path
 
 from repro import telemetry
 from repro.observe.journal import new_trace_id
-from repro.resilience import fsio
 
 #: Request phases, in lifecycle order; also the child-span names
 #: (prefixed ``service.``) of every request's span tree.
 PHASES = ("admission", "queue_wait", "execute", "serialize")
 
-#: Env var: requests slower than this many milliseconds (wall, decode
-#: to last byte written) are captured in the slow-request log. ``0``
-#: logs every request (useful in CI); unset uses the default.
-SLOW_ENV = "ORPHEUS_SLOW_MS"
+#: Requests slower than this many milliseconds (wall, decode to last
+#: byte written) are slow: their flight record keeps the span breakdown.
+#: ``orpheus serve --slow-ms`` sets it; ``0`` makes every request slow.
 DEFAULT_SLOW_MS = 500.0
-
-#: The slow log is compacted down to half this many entries whenever
-#: appending would exceed it — bounded by construction.
-MAX_SLOW_ENTRIES = 512
-
-SLOW_FILE = "slow.jsonl"
 
 
 def new_span_id() -> str:
@@ -261,14 +250,20 @@ class RequestTrace:
                 summary[f"{name}_s"] = round(value, 6)
         return summary
 
-    def to_span_tree(self) -> dict:
-        """The full server-side span tree for this request."""
+    def phase_spans(self) -> list[dict]:
+        """One child span per phase that ran, the handler's live span
+        subtree grafted under ``service.execute``."""
         children = []
         for name, value in self.phase_seconds().items():
             child = {"name": f"service.{name}", "duration_s": value}
             if name == "execute" and self.exec_node is not None:
                 child["children"] = [self.exec_node.to_dict()]
             children.append(child)
+        return children
+
+    def to_span_tree(self) -> dict:
+        """The full server-side span tree for this request."""
+        children = self.phase_spans()
         tree = {
             "name": "service.request",
             "trace_id": self.trace_id,
@@ -300,78 +295,3 @@ class RequestTrace:
             tree["children"] = children
         return tree
 
-
-def slow_threshold_ms() -> float:
-    """The configured slow-request threshold in milliseconds."""
-    raw = os.environ.get(SLOW_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_SLOW_MS
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_SLOW_MS
-
-
-class SlowLog:
-    """Bounded JSON-lines log of slow-request span breakdowns.
-
-    One daemon owns the file at a time (the daemon holds the repository
-    lock), so an in-memory line count is authoritative after the first
-    lazy load; compaction keeps the newest half when the bound is hit.
-    """
-
-    def __init__(
-        self,
-        root: str | None = None,
-        threshold_ms: float | None = None,
-        max_entries: int = MAX_SLOW_ENTRIES,
-    ) -> None:
-        self.path = Path(root or ".") / ".orpheus" / "journal" / SLOW_FILE
-        self.threshold_ms = (
-            slow_threshold_ms() if threshold_ms is None else threshold_ms
-        )
-        self.max_entries = max(2, max_entries)
-        self._count: int | None = None
-        self.appended = 0
-
-    def consider(self, trace: RequestTrace) -> bool:
-        """Append the request's span tree when it breached the
-        threshold; returns True when captured."""
-        if trace.total_s * 1000.0 < self.threshold_ms:
-            return False
-        self.append(trace.to_span_tree())
-        return True
-
-    def append(self, tree: dict) -> None:
-        if self._count is None:
-            self._count = len(self.read())
-        if self._count + 1 > self.max_entries:
-            keep = self.read()[-(self.max_entries // 2):]
-            fsio.rewrite_jsonl(self.path, keep, fsync=False)
-            self._count = len(keep)
-        fsio.append_jsonl(self.path, tree, fsync=False)
-        self._count += 1
-        self.appended += 1
-
-    def read(self) -> list[dict]:
-        """All well-formed entries, oldest first (torn tails skipped)."""
-        return fsio.read_jsonl(self.path)[0]
-
-    def stats(self) -> dict:
-        """Summary for ``stats``/``status`` payloads and the doctor."""
-        entries = self.read()
-        durations = sorted(
-            e["duration_s"] for e in entries
-            if isinstance(e.get("duration_s"), (int, float))
-        )
-        p99 = None
-        if durations:
-            p99 = durations[min(len(durations) - 1, int(0.99 * len(durations)))]
-        return {
-            "count": len(entries),
-            "appended": self.appended,
-            "threshold_ms": self.threshold_ms,
-            "max_entries": self.max_entries,
-            "p99_ms": None if p99 is None else round(p99 * 1000.0, 3),
-            "path": str(self.path),
-        }

@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from repro.observe import regress
-from repro.observe.regress import (
+from benchmarks import regress
+from benchmarks.regress import (
     IMPROVEMENT,
     NEW,
     OK,

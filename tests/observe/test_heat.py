@@ -28,6 +28,7 @@ from repro.observe.heat import (
     build_event,
     heat_path,
     mine,
+    mine_events,
     partition_of,
     resolve_access,
 )
@@ -355,6 +356,32 @@ class TestHeatCli:
             assert set(mined_table) == set(live_table)
             for key, entry in mined_table.items():
                 assert entry["touches"] == live_table[key]["touches"]
+
+
+@pytest.mark.parametrize(
+    "shape,mined",
+    [
+        ({"versions": [2]}, (2,)),
+        # The live fold reads only ``versions``; so does mining.
+        ({"params": {"versions": [3]}}, ()),
+        ({"versions": [2], "params": {"versions": [3]}}, (2,)),
+    ],
+    ids=["versions", "params-only", "both"],
+)
+def test_mining_reads_a_flight_records_own_versions(tmp_path, shape, mined):
+    from repro.service.recorder import FlightRecorder
+
+    recorder = FlightRecorder(root=str(tmp_path))
+    recorder.append({
+        "kind": "request", "ts": 1.0, "op": "checkout", "trace": "t" * 16,
+        "digest": "d" * 16, "dataset": "d", "status": "ok",
+        "total_s": 0.001, **shape,
+    })
+    recorder.close()
+    (event,) = mine_events(str(tmp_path))
+    assert (event.command, event.dataset, event.versions) == (
+        "checkout", "d", mined,
+    )
 
 
 class TestDoctorProbes:

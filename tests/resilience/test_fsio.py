@@ -54,7 +54,7 @@ class TestAtomicWrite:
 
     def test_stray_temps_finds_nested_or_one_targets(self, tmp_path):
         (tmp_path / "journal").mkdir()
-        nested = tmp_path / "journal" / "slow.jsonl.q1.tmp"
+        nested = tmp_path / "journal" / "intents.jsonl.q1.tmp"
         top = tmp_path / "state.pkl.q2.tmp"
         for path in (nested, top, tmp_path / "state.pkl"):
             path.write_bytes(b"x")
@@ -110,6 +110,36 @@ class TestJsonl:
         log.write_bytes(b'{"n": 1}\n' + tail)
         fsio.append_jsonl(log, {"n": 3}, fsync=False)
         assert fsio.read_jsonl(log) == ([{"n": 1}, {"n": 3}], False)
+
+    def test_marker_skips_lines_without_parsing_them(self, tmp_path, monkeypatch):
+        log = tmp_path / "log.jsonl"
+        for n in range(6):
+            record = {"n": n, "m": 1} if n % 3 == 0 else {"n": n}
+            fsio.append_jsonl(log, record, fsync=False)
+        parsed = []
+        loads = fsio.json.loads
+        monkeypatch.setattr(
+            fsio.json, "loads", lambda text: parsed.append(text) or loads(text)
+        )
+        records, torn = fsio.read_jsonl(log, marker='"m": ')
+        assert [r["n"] for r in records] == [0, 3] and not torn
+        assert len(parsed) == 2
+        assert fsio.read_jsonl(tmp_path / "absent.jsonl", marker='"m": ') == ([], False)
+
+    @pytest.mark.parametrize(
+        "tail,kept,torn",
+        [
+            (b'{"m": 1, "n": 2}', [1, 2], True),   # newline missing
+            (b'{"m": 1, "n": 2, "x', [1], True),   # a marked line cut
+            (b'{"n": 2}\n', [1], False),           # an unmarked last line
+        ],
+    )
+    def test_marker_keeps_the_torn_rule(self, tmp_path, tail, kept, torn):
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(b'{"m": 1, "n": 1}\n{"n": 9}\n' + tail)
+        records, flagged = fsio.read_jsonl(log, marker='"m": ')
+        assert [r["n"] for r in records] == kept
+        assert flagged is torn
 
     def test_rewrite_replaces_atomically(self, tmp_path, fsyncs):
         log = tmp_path / "log.jsonl"

@@ -80,7 +80,7 @@ def test_restarted_daemon_resumes_heat(busy_daemon):
 
 def test_flight_mining_matches_live_accounting(busy_daemon):
     """The offline miner rebuilds the live model from the flight
-    recorder: identical events (the daemon flight-samples at 1.0), so
+    recorder: identical events (the recorder keeps every request), so
     identical touch tables, scan sums, and amplification samples."""
     root, _stats, _metrics = busy_daemon
     from repro.cli import load_state

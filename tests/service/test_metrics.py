@@ -1,24 +1,25 @@
 """The observability surface: ServiceMetrics rollups, the ``stats``
-protocol op, the Prometheus HTTP sidecar, the bounded slow-request log,
-the doctor probe over it, and the ``orpheus top`` dashboard."""
+protocol op, the Prometheus HTTP sidecar, and the ``orpheus top``
+dashboard."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import re
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.observe.doctor import probe_slow_requests
 from repro.observe.top import render_frame, run_top
 from repro.service.daemon import ServiceConfig
 from repro.service.httpmon import MetricsServer
 from repro.service.metrics import RECENT_CAP, ServiceMetrics
 from repro.service.protocol import Request
-from repro.service.tracing import RequestTrace, SlowLog
+from repro.service.recorder import flight_dir_path, read_slow
+from repro.service.tracing import DEFAULT_SLOW_MS, RequestTrace
 
 from .conftest import seed_dataset
 
@@ -161,14 +162,15 @@ class TestStatsOp:
                 stats = client.stats()
             for key in (
                 "requests", "by_op", "by_session", "by_dataset",
-                "server", "scheduler", "cache", "sessions", "slow",
-                "uptime_s",
+                "server", "scheduler", "cache", "sessions", "uptime_s",
             ):
                 assert key in stats, f"stats missing {key!r}"
             assert "recent" not in stats  # only on request
             assert stats["requests"]["total"] >= 1
             assert stats["server"]["pid"] > 0
-            assert stats["slow"]["count"] == 0
+            assert "slow" not in stats  # the ledger counts slow requests
+            assert stats["requests"]["slow"] == 0
+            assert stats["server"]["slow_ms"] == 500.0
             assert stats["cache"]["entries"] >= 0
 
     def test_span_trees_render_only_for_a_recent_read(
@@ -208,15 +210,83 @@ class TestStatsOp:
             (grafted,) = tree["children"][2]["children"]
             assert grafted["name"] == "service.checkout"
 
-    def test_status_op_still_reports_slow_and_metrics(
+    def test_status_op_reports_the_slow_threshold_and_metrics(
         self, workspace, daemon_factory
     ):
         seed_dataset(workspace)
-        with daemon_factory() as handle:
+        with daemon_factory(slow_ms=120) as handle:
             with handle.client() as client:
                 status = client.status()
-            assert "slow" in status
+            assert status["server"]["slow_ms"] == 120
             assert status["server"]["metrics"] is None  # no --metrics-port
+
+    def test_the_slow_threshold_has_one_default(self):
+        from repro.cli import _parse
+
+        assert DEFAULT_SLOW_MS == 500.0
+        assert ServiceConfig().slow_ms == DEFAULT_SLOW_MS
+        assert _parse(["serve"]).slow_ms == DEFAULT_SLOW_MS
+
+    def test_the_environment_does_not_set_the_slow_threshold(
+        self, workspace, daemon_factory, monkeypatch
+    ):
+        """``serve --slow-ms`` is the one way to set the threshold."""
+        monkeypatch.setenv("ORPHEUS_" + "SLOW_MS", "0")
+        seed_dataset(workspace)
+        with daemon_factory() as handle:
+            with handle.client() as client:
+                client.checkout("inter", [1], inline=True)
+                stats = client.stats()
+        assert stats["server"]["slow_ms"] == DEFAULT_SLOW_MS
+        assert stats["requests"]["slow"] == 0
+        assert read_slow(flight_dir_path(str(workspace))) == []
+
+    def test_serve_status_prints_the_slow_and_flight_lines(
+        self, workspace, daemon_factory, capsys
+    ):
+        from repro.cli import main
+
+        seed_dataset(workspace)
+        with daemon_factory(slow_ms=0) as handle:
+            with handle.client() as client:
+                client.checkout("inter", [1], inline=True)
+                client.checkout("inter", [1], inline=True)
+            # A request is counted just after its response is sent; the
+            # CLI asks on a new connection.
+            deadline = time.monotonic() + 5.0
+            while handle.daemon.metrics.to_dict()["requests"]["slow"] < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            capsys.readouterr()
+            assert main(["--root", str(workspace), "serve", "--status"]) == 0
+            out = capsys.readouterr().out
+        # The two checkouts were slow and recorded; the status request
+        # answering this is counted only after it is sent.
+        assert "  slow: 2 request(s) over 0ms" in out
+        assert "  flight: 2 request(s) recorded, 1 segment(s)" in out
+
+    def test_doctor_checks_slow_requests_in_the_flight_probe(
+        self, workspace, daemon_factory
+    ):
+        from repro.cli import load_state
+        from repro.observe.doctor import run_doctor
+
+        seed_dataset(workspace)
+        with daemon_factory(slow_ms=0) as handle:
+            with handle.client() as client:
+                for _ in range(3):
+                    client.checkout("inter", [1], inline=True)
+        results = {
+            result.probe: result
+            for result in run_doctor(
+                load_state(str(workspace)), str(workspace)
+            ).results
+        }
+        assert "slow_requests" not in results
+        flight = results["flight_recorder"]
+        assert flight.severity == "ok", flight.summary
+        assert flight.data["slow"] == 3
+        assert flight.data["slow_ms"] == 0
 
 
 class _FakeDaemon:
@@ -280,75 +350,6 @@ class TestMetricsServer:
             assert 'orpheusd_op_requests_total{op="checkout"}' in text
 
 
-class TestSlowLog:
-    def test_threshold_filters(self, tmp_path):
-        log = SlowLog(str(tmp_path), threshold_ms=10_000)
-        assert log.consider(make_trace()) is False
-        assert log.stats()["count"] == 0
-        eager = SlowLog(str(tmp_path), threshold_ms=0)
-        assert eager.consider(make_trace()) is True
-        assert eager.stats()["count"] == 1
-
-    def test_env_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ORPHEUS_SLOW_MS", "123.5")
-        assert SlowLog(str(tmp_path)).threshold_ms == 123.5
-        monkeypatch.setenv("ORPHEUS_SLOW_MS", "junk")
-        assert SlowLog(str(tmp_path)).threshold_ms == 500.0
-
-    def test_compaction_keeps_newest_half(self, tmp_path):
-        log = SlowLog(str(tmp_path), threshold_ms=0, max_entries=8)
-        for index in range(20):
-            log.append({"name": "service.request", "seq": index})
-        entries = log.read()
-        assert len(entries) <= 8
-        assert entries[-1]["seq"] == 19  # newest survives compaction
-        assert log.appended == 20
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        log = SlowLog(str(tmp_path), threshold_ms=0)
-        log.append({"name": "service.request", "duration_s": 0.25})
-        with open(log.path, "a", encoding="utf-8") as handle:
-            handle.write('{"torn": ')  # crash mid-write
-        fresh = SlowLog(str(tmp_path), threshold_ms=0)
-        assert len(fresh.read()) == 1
-        assert fresh.stats()["p99_ms"] == 250.0
-
-
-class TestSlowRequestsProbe:
-    def test_empty_log_is_ok(self, workspace):
-        result = probe_slow_requests(str(workspace))
-        assert result.severity == "ok"
-        assert "no slow requests" in result.summary
-
-    def test_few_entries_ok(self, workspace):
-        log = SlowLog(str(workspace), threshold_ms=0)
-        log.append({"name": "service.request", "duration_s": 0.9})
-        result = probe_slow_requests(str(workspace))
-        assert result.severity == "ok"
-        assert result.data["count"] == 1
-
-    def test_growth_warns(self, workspace):
-        log = SlowLog(str(workspace), threshold_ms=0)
-        for _ in range(50):
-            log.append({"name": "service.request", "duration_s": 0.6})
-        result = probe_slow_requests(str(workspace))
-        assert result.severity == "warn"
-        assert "growing" in result.summary
-        assert "orpheus top" in result.remediation
-
-    def test_p99_budget_breach_warns(self, workspace, monkeypatch):
-        log = SlowLog(str(workspace), threshold_ms=0)
-        log.append({"name": "service.request", "duration_s": 2.0})
-        monkeypatch.setenv("ORPHEUS_SLOW_P99_BUDGET_MS", "1000")
-        result = probe_slow_requests(str(workspace))
-        assert result.severity == "warn"
-        assert "breaches" in result.summary
-        assert result.data["budget_ms"] == 1000.0
-        # Under budget: back to OK.
-        monkeypatch.setenv("ORPHEUS_SLOW_P99_BUDGET_MS", "5000")
-        assert probe_slow_requests(str(workspace)).severity == "ok"
-
-
 class TestTopDashboard:
     def test_render_frame_live_payload(
         self, workspace, daemon_factory, tmp_path
@@ -369,13 +370,35 @@ class TestTopDashboard:
     def test_render_frame_rates_use_previous_poll(self):
         prev = {"requests": {"total": 10}, "by_op": {}}
         stats = {
-            "server": {"pid": 1}, "uptime_s": 4.0,
-            "requests": {"total": 20, "errors": 0, "busy": 0, "slow": 0},
+            "server": {"pid": 1, "slow_ms": 500.0}, "uptime_s": 4.0,
+            "requests": {"total": 20, "errors": 0, "busy": 0, "slow": 2},
             "by_op": {}, "scheduler": {}, "cache": {}, "sessions": {},
-            "slow": {},
         }
         frame = render_frame(stats, prev, interval=2.0)
         assert "(5.0/s)" in frame
+        assert "slow 2 (over 500ms)" in frame
+
+    def test_render_frame_without_a_threshold_shows_the_bare_count(self):
+        stats = {
+            "server": {"pid": 1}, "uptime_s": 4.0,
+            "requests": {"total": 20, "errors": 0, "busy": 0, "slow": 2},
+            "by_op": {}, "scheduler": {}, "cache": {}, "sessions": {},
+        }
+        frame = render_frame(stats)
+        assert "slow 2" in frame
+        assert "(over" not in frame
+
+    def test_render_frame_reads_the_live_slow_count_and_threshold(
+        self, workspace, daemon_factory
+    ):
+        seed_dataset(workspace)
+        with daemon_factory(slow_ms=0) as handle:
+            with handle.client() as client:
+                for _ in range(3):
+                    client.checkout("inter", [1], inline=True)
+                stats = client.stats()
+        assert stats["requests"]["slow"] == 3
+        assert "slow 3 (over 0ms)" in render_frame(stats)
 
     def test_run_top_once_json(
         self, workspace, daemon_factory, tmp_path, capsys

@@ -24,6 +24,7 @@ from repro.service.client import (
     ServiceError,
     ServiceInternalError,
 )
+from repro.service.recorder import flight_dir_path, read_flight
 from repro.service.tracing import new_trace_context
 
 from ..test_one_of_each import LEDGER_ONLY
@@ -298,7 +299,7 @@ EVENTS = {
     "slow_request": (
         {"slow_ms": 0},
         _slow_requests,
-        {"requests.total": 3, "requests.slow": 3, "slow.count": 3},
+        {"requests.total": 3, "requests.slow": 3, "server.slow_ms": 0},
         {},
     ),
     "cache_eviction": (
@@ -333,6 +334,17 @@ def test_an_event_is_counted_in_the_report_and_nowhere_else(
             act(handle, client, work)
             report = _settled(client, expected)
     assert {path: _at(report, path) for path in expected} == expected
+    if event == "slow_request":
+        # Each slow request's spans ride on its one flight record (the
+        # stats polls that read the report are slow requests too).
+        spans = [
+            record["op"]
+            for record in read_flight(flight_dir_path(str(workspace)))[
+                "records"
+            ]
+            if "spans" in record and record["op"] != "stats"
+        ]
+        assert spans == ["checkout"] * 3
 
     folded = load_telemetry(str(workspace))
     kept = {"service.daemon.starts": 1, **kept}

@@ -1,21 +1,22 @@
-"""Flight recorder: bounded segments, deterministic sampling,
+"""Flight recorder: bounded segments, slow requests' spans,
 torn-tail-tolerant reads, and the doctor/status surfaces over them."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from repro.observe.doctor import probe_flight_recorder
+from repro.observe.doctor import SLOW_LOG_WARN_ENTRIES, probe_flight_recorder
 from repro.resilience import fsio
 from repro.service.recorder import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_SEGMENT_BYTES,
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
-    _trace_keep,
     args_digest,
     flight_dir_path,
     flight_dir_status,
@@ -23,7 +24,9 @@ from repro.service.recorder import (
     normalize_params,
     read_flight,
     read_segment,
+    read_slow,
 )
+from repro.service.tracing import DEFAULT_SLOW_MS, RequestTrace
 from tests.service.conftest import seed_dataset
 
 
@@ -34,7 +37,8 @@ def _entry(i: int, op: str = "checkout") -> dict:
         "op": op,
         "trace": f"trace{i:04d}",
         "digest": "d" * 16,
-        "params": {"dataset": "inter", "versions": [1]},
+        "dataset": "inter",
+        "versions": [1],
         "status": "ok",
         "total_s": 0.001,
     }
@@ -67,23 +71,11 @@ def test_digest_stable_under_envelope_and_key_order():
     assert a != args_digest("diff", {"dataset": "d", "versions": [3]})
 
 
-def test_trace_sampling_deterministic_and_proportional():
-    keep_half = {t for t in (f"t{i}" for i in range(400))
-                 if _trace_keep(t, 0.5)}
-    # Same trace id always lands on the same side of the cut.
-    assert keep_half == {
-        t for t in (f"t{i}" for i in range(400)) if _trace_keep(t, 0.5)
-    }
-    assert 100 < len(keep_half) < 300  # roughly half, hash-distributed
-    assert all(_trace_keep(f"t{i}", 1.0) for i in range(10))
-    assert not any(_trace_keep(f"t{i}", 0.0) for i in range(10))
-
-
 # ----------------------------------------------------------------------
 # Segments: header, rotation, pruning, torn tails
 # ----------------------------------------------------------------------
 def test_segment_starts_with_header(tmp_path):
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     recorder.append(_entry(0))
     recorder.close()
     segments = list_segments(flight_dir_path(str(tmp_path)))
@@ -95,13 +87,13 @@ def test_segment_starts_with_header(tmp_path):
     assert header["pid"] == os.getpid()
     assert header["segment_bytes"] == recorder.segment_bytes
     assert header["max_segments"] == recorder.max_segments
+    assert header["slow_ms"] == recorder.slow_ms == 500.0
     assert len(records) == 1 and records[0]["trace"] == "trace0000"
 
 
 def test_rotation_and_pruning_bound_disk(tmp_path):
     recorder = FlightRecorder(
-        root=str(tmp_path), sample=1.0,
-        segment_bytes=4096, max_segments=3,
+        root=str(tmp_path), segment_bytes=4096, max_segments=3,
     )
     for i in range(300):  # ~200 bytes/line >> 3 segments worth
         recorder.append(_entry(i))
@@ -119,7 +111,7 @@ def test_rotation_and_pruning_bound_disk(tmp_path):
 
 
 def test_torn_tail_skipped_not_fatal(tmp_path):
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     for i in range(5):
         recorder.append(_entry(i))
     recorder.close()
@@ -136,21 +128,8 @@ def test_torn_tail_skipped_not_fatal(tmp_path):
     assert flight_dir_status(recorder.dir)["newest_torn"]
 
 
-def test_sample_zero_is_disabled_and_writes_nothing(tmp_path):
-    recorder = FlightRecorder(root=str(tmp_path), sample=0.0)
-    assert not recorder.enabled
-    recorder.append(_entry(0))  # append still works if forced...
-    status = recorder.status()
-    assert status["enabled"] is False and status["sample"] == 0.0
-    # ...but record() is the daemon's entry point and must no-op.
-    class _Trace:
-        trace_id = "t1"
-    recorder.record(_Trace(), None)  # request never touched
-    assert recorder.records_written == 1  # only the forced append
-
-
 def test_status_reports_counts_and_footprint(tmp_path):
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     for i in range(3):
         recorder.append(_entry(i))
     status = recorder.status()
@@ -178,7 +157,8 @@ def test_daemon_records_requests_with_phases(workspace, daemon_factory):
     assert "hello" not in ops  # handshake is not workload
     checkout = next(r for r in flight["records"] if r["op"] == "checkout")
     assert checkout["dataset"] == "inter"
-    assert checkout["params"]["versions"] == [1]
+    assert checkout["versions"] == [1]
+    assert "params" not in checkout
     assert "trace" in checkout and "digest" in checkout
     assert {"admission", "queue_wait", "execute"} <= set(
         checkout["phases"]
@@ -198,25 +178,122 @@ def test_daemon_flight_status_surfaces(workspace, daemon_factory):
             client.checkout("inter", [1], inline=True)
             stats = client.stats()
             status = client.status()
-        assert stats["flight"]["enabled"] is True
-        assert stats["flight"]["sample"] == 1.0
         assert stats["flight"]["records_written"] >= 1
         assert stats["server"]["boot_id"] == handle.daemon.boot_id
         assert status["flight"]["segments"] >= 1
         assert status["server"]["boot_id"] == handle.daemon.boot_id
 
 
-def test_daemon_sample_zero_records_nothing(workspace, daemon_factory):
+def test_only_a_slow_request_carries_spans(workspace, daemon_factory):
+    """Over ``slow_ms`` a record keeps its phase spans, the handler's
+    subtree under ``service.execute``, and nothing the record already
+    says; under it, no ``spans``."""
     seed_dataset(workspace)
-    with daemon_factory(flight_sample=0.0) as handle:
+    with daemon_factory(slow_ms=0) as handle:
         with handle.client() as client:
             client.checkout("inter", [1], inline=True)
-            stats = client.stats()
-        assert stats["flight"]["enabled"] is False
-        assert stats["flight"]["records_written"] == 0
-    assert flight_dir_status(flight_dir_path(str(workspace)))[
-        "segments"
-    ] == 0
+    with daemon_factory(slow_ms=60_000) as handle:
+        with handle.client() as client:
+            client.checkout("inter", [1], inline=True)
+    flight = read_flight(flight_dir_path(str(workspace)))
+    assert [h["slow_ms"] for h in flight["headers"]] == [0, 60_000]
+    slow, fast = [r for r in flight["records"] if r["op"] == "checkout"]
+    assert "spans" not in fast
+    assert [span["name"] for span in slow["spans"]] == [
+        "service.admission", "service.queue_wait",
+        "service.execute", "service.serialize",
+    ]
+    (handler,) = slow["spans"][2]["children"]
+    assert handler["name"] == "service.checkout"
+    carried = {"trace_id", "op", "status", "started_at", "dataset"}
+    assert all(carried.isdisjoint(span) for span in slow["spans"])
+    assert read_slow(flight_dir_path(str(workspace))) == [slow]
+
+
+def test_every_request_is_recorded(workspace, daemon_factory):
+    """The recorder takes no sample: each finished request is one
+    record, so the slow view and ``heat --from-flight`` are complete."""
+    seed_dataset(workspace)
+    with daemon_factory() as handle:
+        with handle.client() as client:
+            for _ in range(20):
+                client.checkout("inter", [1], inline=True)
+            status = client.status()
+        recorder = handle.daemon.recorder
+    records = read_flight(recorder.dir)["records"]
+    assert [r["op"] for r in records].count("checkout") == 20
+    assert len(records) == recorder.records_written
+    assert set(status["flight"]) == {
+        "boot_id", "records_written", "segment_bytes", "max_segments",
+        "segments", "bytes", "path",
+    }
+    assert "sample" not in inspect.signature(FlightRecorder).parameters
+
+
+def _finished_trace() -> RequestTrace:
+    rtrace = RequestTrace("checkout", dataset="inter")
+    rtrace.digest = "a" * 16
+    rtrace.mark_admitted()
+    rtrace.mark_started()
+    rtrace.mark_executed()
+    rtrace.mark_sent()
+    rtrace.finish("ok")
+    return rtrace
+
+
+def test_record_adds_only_the_phase_spans_when_slow(tmp_path):
+    recorder = FlightRecorder(root=str(tmp_path))
+    rtrace = _finished_trace()
+    request = SimpleNamespace(params={"dataset": "inter", "versions": [1]})
+    recorder.record(rtrace, request)
+    recorder.record(rtrace, request, slow=True)
+    recorder.close()
+    fast, slow = read_flight(recorder.dir)["records"]
+    assert "spans" not in fast
+    assert slow.pop("spans") == rtrace.phase_spans()
+    assert slow == fast
+
+
+def test_read_slow_keeps_captured_order_across_segments(tmp_path):
+    recorder = FlightRecorder(
+        root=str(tmp_path), segment_bytes=4096, max_segments=3,
+    )
+    for i in range(60):
+        recorder.append(_slow_entry(i) if i % 3 == 0 else _entry(i))
+    recorder.close()
+    assert len(list_segments(recorder.dir)) == 3
+    expected = [
+        r for r in read_flight(recorder.dir)["records"] if "spans" in r
+    ]
+    assert len(expected) > 3
+    assert read_slow(recorder.dir) == expected
+    assert [r["trace"] for r in expected] == sorted(
+        r["trace"] for r in expected
+    )
+    assert probe_flight_recorder(str(tmp_path)).data["slow"] == len(expected)
+
+
+def test_read_slow_skips_a_torn_slow_tail(tmp_path):
+    recorder = FlightRecorder(root=str(tmp_path))
+    recorder.append(_slow_entry(0))
+    recorder.append(_slow_entry(1))
+    recorder.close()
+    with open(list_segments(recorder.dir)[-1], "ab") as handle:
+        handle.write(fsio.jsonl_line(_slow_entry(2))[:-8])
+    assert [r["trace"] for r in read_slow(recorder.dir)] == [
+        "trace0000", "trace0001",
+    ]
+
+
+def test_a_record_merely_mentioning_spans_is_not_slow(tmp_path):
+    """A string value quoting the marker is escaped, so it never matches;
+    a nested ``spans`` key matches the marker but is not the record's."""
+    recorder = FlightRecorder(root=str(tmp_path))
+    recorder.append(dict(_entry(0), dataset='"spans": [', user='"spans": [1]'))
+    recorder.append(dict(_entry(1), error={"spans": [1]}))
+    recorder.close()
+    assert len(read_flight(recorder.dir)["records"]) == 2
+    assert read_slow(recorder.dir) == []
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +309,7 @@ def _fill_two_segment_recorder(root) -> FlightRecorder:
     """A recorder bounded at 2 × 4 KiB, written well past its bound so
     it rotated and pruned down to it."""
     recorder = FlightRecorder(
-        root=str(root), sample=1.0, segment_bytes=4096, max_segments=2,
+        root=str(root), segment_bytes=4096, max_segments=2,
     )
     for i in range(100):
         recorder.append(_entry(i))
@@ -275,14 +352,30 @@ def test_status_bound_falls_back_for_headers_without_it(tmp_path):
     status = flight_dir_status(directory)
     assert status["segment_bytes"] == DEFAULT_SEGMENT_BYTES
     assert status["max_segments"] == DEFAULT_MAX_SEGMENTS
+    assert status["slow_ms"] == DEFAULT_SLOW_MS
     assert status["newest_torn"] is False
+
+
+def test_status_states_the_newest_headers_slow_ms(tmp_path):
+    for boot_id, slow_ms in (("aaaa", 0), ("bbbb", 250)):
+        recorder = FlightRecorder(
+            root=str(tmp_path), slow_ms=slow_ms, boot_id=boot_id,
+        )
+        recorder.append(_entry(0))
+        recorder.close()
+    directory = flight_dir_path(str(tmp_path))
+    assert [
+        read_segment(segment)[0]["slow_ms"]
+        for segment in list_segments(directory)
+    ] == [0, 250]
+    assert flight_dir_status(directory)["slow_ms"] == 250
 
 
 def test_status_reads_only_the_tail_of_a_full_segment(tmp_path, monkeypatch):
     """``stats``, ``status``, every ``orpheus top`` poll and every doctor
     run ask for the flight summary: it must not parse a 4 MiB segment
     to learn whether its last line is torn."""
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     recorder.append(_entry(0))
     recorder.close()
     segment = list_segments(recorder.dir)[-1]
@@ -309,7 +402,7 @@ def test_status_reads_only_the_tail_of_a_full_segment(tmp_path, monkeypatch):
 
 
 def test_probe_warns_on_torn_tail_without_daemon(tmp_path):
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     recorder.append(_entry(0))
     recorder.close()
     segment = list_segments(recorder.dir)[-1]
@@ -318,14 +411,128 @@ def test_probe_warns_on_torn_tail_without_daemon(tmp_path):
     result = probe_flight_recorder(str(tmp_path))
     assert result.severity == "warn"
     assert "torn tail" in result.summary
-    assert "orpheus replay" in result.remediation
+    assert "nothing to repair" in result.remediation
+
+
+def _slow_entry(i: int, total_s: float = 0.6) -> dict:
+    return dict(
+        _entry(i),
+        total_s=total_s,
+        spans=[{"name": "service.execute", "duration_s": total_s}],
+    )
+
+
+def test_probe_counts_slow_requests(tmp_path):
+    recorder = FlightRecorder(root=str(tmp_path), slow_ms=250)
+    recorder.append(_entry(0))
+    recorder.append(_slow_entry(1, total_s=0.9))
+    recorder.close()
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "ok", result.summary
+    assert "1 slow request(s), p99 900ms" in result.summary
+    data = result.data
+    assert (data["slow"], data["slow_p99_ms"], data["slow_ms"]) == (
+        1, 900.0, 250,
+    )
+
+
+def test_probe_warns_when_slow_requests_pile_up(tmp_path):
+    recorder = FlightRecorder(root=str(tmp_path))
+    for i in range(SLOW_LOG_WARN_ENTRIES):
+        recorder.append(_slow_entry(i))
+    recorder.close()
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "warn"
+    assert "piling up" in result.summary
+    assert "orpheus top" in result.remediation
+
+
+def test_probe_warns_when_slow_p99_breaches_the_budget(tmp_path, monkeypatch):
+    recorder = FlightRecorder(root=str(tmp_path))
+    recorder.append(_slow_entry(0, total_s=2.0))
+    recorder.close()
+    monkeypatch.setenv("ORPHEUS_SLOW_P99_BUDGET_MS", "1000")
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "warn"
+    assert "breaches" in result.summary
+    assert result.data["budget_ms"] == 1000.0
+    monkeypatch.setenv("ORPHEUS_SLOW_P99_BUDGET_MS", "5000")
+    assert probe_flight_recorder(str(tmp_path)).severity == "ok"
+
+
+def test_probe_ignores_a_malformed_budget(tmp_path, monkeypatch):
+    recorder = FlightRecorder(root=str(tmp_path))
+    recorder.append(_slow_entry(0, total_s=2.0))
+    recorder.close()
+    monkeypatch.setenv("ORPHEUS_SLOW_P99_BUDGET_MS", "fast")
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "ok", result.summary
+    assert result.data["budget_ms"] is None
+    assert result.data["slow_p99_ms"] == 2000.0
+
+
+def test_probe_p99_is_taken_over_every_slow_request(tmp_path):
+    recorder = FlightRecorder(root=str(tmp_path))
+    count = SLOW_LOG_WARN_ENTRIES - 10
+    for i in reversed(range(count)):
+        recorder.append(_slow_entry(i, total_s=0.5 + i / 1000))
+    recorder.close()
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "ok", result.summary
+    assert result.data["slow"] == count
+    assert result.data["slow_p99_ms"] == round((0.5 + (count - 1) / 1000) * 1000, 3)
+
+
+class _CountingJson:
+    """``fsio``'s ``json`` module, recording every text it parses."""
+
+    def __init__(self) -> None:
+        self.parsed: list[str] = []
+
+    def loads(self, text):
+        self.parsed.append(text)
+        return json.loads(text)
+
+    def dumps(self, *args, **kwargs):
+        return json.dumps(*args, **kwargs)
+
+
+def test_probe_parses_only_the_slow_records_of_a_full_segment(
+    tmp_path, monkeypatch
+):
+    """Every doctor run asks for the slow requests: over a full segment
+    of fast requests it parses the header and the final line, not one
+    record per line."""
+    recorder = FlightRecorder(root=str(tmp_path))
+    recorder.append(_entry(0))
+    recorder.close()
+    segment = list_segments(recorder.dir)[-1]
+    line = fsio.jsonl_line(_entry(1))
+    with open(segment, "ab") as handle:
+        handle.write(line * (DEFAULT_SEGMENT_BYTES // len(line)))
+
+    counting = _CountingJson()
+    monkeypatch.setattr(fsio, "json", counting)
+    result = probe_flight_recorder(str(tmp_path))
+    assert result.severity == "ok", result.summary
+    assert result.data["slow"] == 0
+    assert result.data["bytes"] >= DEFAULT_SEGMENT_BYTES
+    assert len(counting.parsed) <= 2  # the header and the torn check
+
+    with open(segment, "ab") as handle:
+        handle.write(fsio.jsonl_line(_slow_entry(2)) * 2 + line)
+    counting.parsed.clear()
+    assert probe_flight_recorder(str(tmp_path)).data["slow"] == 2
+    fast = [text for text in counting.parsed if '"spans"' not in text]
+    assert len(fast) <= 2, fast
+    assert read_slow(recorder.dir) == [_slow_entry(2)] * 2
 
 
 def test_write_error_counts_not_raises(tmp_path, monkeypatch):
     from repro import telemetry
 
     telemetry.enable()
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     recorder.append(_entry(0))
 
     class _Broken:
@@ -364,7 +571,7 @@ def test_record_stamps_outcome_and_error_kind(tmp_path):
 
     from repro.service.tracing import RequestTrace
 
-    recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
+    recorder = FlightRecorder(root=str(tmp_path))
     rtrace = RequestTrace("commit", dataset="inter")
     rtrace.digest = "e" * 16
     rtrace.finish("error", "FailpointError", "internal")

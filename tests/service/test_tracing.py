@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,6 +101,40 @@ class TestTraceContext:
         assert tree["op"] == "checkout"
         assert _child_names(tree) == [f"service.{p}" for p in PHASES]
 
+    def test_phase_spans_are_the_span_trees_children(self):
+        """What a slow flight record keeps: the phase children, the
+        handler subtree under ``service.execute``, no request fields."""
+        rtrace = RequestTrace("checkout", dataset="inter")
+        rtrace.mark_admitted()
+        rtrace.mark_started()
+        rtrace.exec_node = SimpleNamespace(
+            to_dict=lambda: {"name": "service.checkout", "duration_s": 0.0}
+        )
+        rtrace.mark_executed()
+        rtrace.mark_sent()
+        rtrace.finish("ok")
+        spans = rtrace.phase_spans()
+        assert spans == rtrace.to_span_tree()["children"]
+        assert [span["name"] for span in spans] == [
+            f"service.{p}" for p in PHASES
+        ]
+        assert spans[2]["children"] == [
+            {"name": "service.checkout", "duration_s": 0.0}
+        ]
+        for span in spans:
+            assert set(span) <= {"name", "duration_s", "children"}
+
+    def test_phase_spans_omit_phases_that_never_ran(self):
+        """A request shed at admission never queued or executed."""
+        rtrace = RequestTrace("commit", dataset="inter")
+        rtrace.mark_admitted()
+        rtrace.mark_sent()
+        rtrace.finish("busy", "QueueFullError")
+        assert [span["name"] for span in rtrace.phase_spans()] == [
+            "service.admission", "service.serialize",
+        ]
+        assert all("children" not in span for span in rtrace.phase_spans())
+
     def test_wire_trace_omits_serialize(self):
         rtrace = RequestTrace.from_request(Request(op="ping"), session=None)
         rtrace.mark_admitted()
@@ -110,7 +145,8 @@ class TestTraceContext:
         assert wire["trace_id"] == rtrace.trace_id
         assert "execute_s" in wire and "queue_wait_s" in wire
         # The daemon cannot time its own response serialization before
-        # sending the response; that phase lands only in stats/slow-log.
+        # sending the response; that phase lands only in stats and the
+        # flight record.
         assert "serialize_s" not in wire
 
 
