@@ -335,7 +335,9 @@ class Orpheus:
         """Materialize version(s); with ``file``, write them there as
         CSV (and the schema to ``schema``) and pin the file's parents
         for its commit. ``materialize(cvd, vids)`` returns anything with
-        ``columns``/``rows``/``parents`` — orpheusd's version cache."""
+        ``columns``/``rows``/``parents``/``rids`` — orpheusd's version
+        cache, whose ``rids`` are None for one version (its rows are in
+        ascending rid order)."""
         dataset = params.get("dataset")
         vids = [int(v) for v in params.get("versions") or ()]
         if not dataset or not vids:
@@ -351,7 +353,10 @@ class Orpheus:
         }
         path = params.get("file")
         if path:
-            write_csv(path, result.columns, result.rows)
+            rids = result.rids
+            if rids is None:
+                rids = sorted(cvd.membership(vids[0]))
+            write_csv(path, result.columns, cvd.lines_of(rids, result.rows))
             if params.get("schema"):
                 write_schema_file(params["schema"], cvd.schema)
             self.staging.pin(path, dataset, result.parents, user)
@@ -361,7 +366,9 @@ class Orpheus:
     def cmd_commit(self, params: dict, user: str = "", read_csv=read_csv) -> dict:
         """Commit a CSV file as a new version. Parents: the explicit
         ``parents``, else the checkout pin of the file, else none (a new
-        root); the pin also supplies the version's checkout time."""
+        root); the pin also supplies the version's checkout time. Under
+        the CVD's own schema, a line a checkout rendered is taken for
+        its record unparsed."""
         dataset, path = params.get("dataset"), params.get("file")
         if not dataset or not path:
             raise ValueError("commit requires 'dataset' and 'file'")
@@ -371,7 +378,8 @@ class Orpheus:
             if params.get("schema")
             else cvd.schema
         )
-        rows = read_csv(path, schema)
+        own_schema = schema.columns == cvd.schema.columns
+        rows = read_csv(path, schema, cvd.parsed_lines() if own_schema else None)
         pin = self.staging.pinned(path)
         explicit = params.get("parents")
         if explicit is not None:

@@ -4,26 +4,46 @@ Data scientists often prefer editing a CSV in Python or R over SQL on a
 staged table; OrpheusDB supports checking a version out *to* a CSV file
 and committing a CSV back, with a schema file ensuring columns map
 correctly.
+
+A checkout writes the lines a CVD rendered once per record
+(:func:`render_lines`); a commit takes a line it knows parses back to
+exactly its record's payload for that payload (:func:`parsed_back`).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import type_by_name
 
+#: What ``csv.writer`` ends a row with.
+LINE_END = "\r\n"
 
-def write_csv(path: str | Path, columns: list[str], rows: list[tuple]) -> None:
-    """Write a checkout's rows to ``path`` with a header row."""
+
+class _Echo:
+    """A file whose ``write`` returns the row ``csv.writer`` rendered."""
+
+    write = str
+
+
+def render_lines(rows: list[tuple]) -> list[str]:
+    """Each row as the line ``csv.writer`` writes for it, :data:`LINE_END`
+    included."""
+    return list(map(csv.writer(_Echo).writerow, rows))
+
+
+def write_csv(path: str | Path, columns: list[str], lines: list[str]) -> None:
+    """Write a checkout to ``path``: a header row, then ``lines``, the
+    rows' canonical lines (:func:`render_lines`)."""
     from repro.resilience import failpoints
 
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
+        csv.writer(handle).writerow(columns)
         failpoints.fire("csv.mid_write")
-        writer.writerows(rows)
+        handle.write("".join(lines))
 
 
 def write_schema_file(path: str | Path, schema: Schema) -> None:
@@ -52,7 +72,9 @@ def read_schema_file(path: str | Path) -> Schema:
     return Schema(columns, primary_key)
 
 
-def read_csv(path: str | Path, schema: Schema) -> list[tuple]:
+def read_csv(
+    path: str | Path, schema: Schema, known: dict[str, tuple] | None = None
+) -> list[tuple]:
     """Read rows from ``path``, coercing values per the schema.
 
     The header row must match the schema's column names (order included);
@@ -60,7 +82,16 @@ def read_csv(path: str | Path, schema: Schema) -> list[tuple]:
     Every data line must carry exactly one field per column: a short
     row, a long row or a blank line raises ``ValueError`` naming the
     (1-based) line, and never commits NULL-padded or truncated.
+
+    ``known`` maps lines to the rows this function returns for them
+    (:func:`parsed_back`), which are then not parsed again; a file with
+    a quote or a bare carriage return, or one it rejects, is read in
+    full, so errors read the same.
     """
+    if known:
+        rows = _read_known(path, schema, known)
+        if rows is not None:
+            return rows
     width = len(schema.columns)
     raws: list[list[str]] = []
     with open(path, newline="") as handle:
@@ -78,7 +109,69 @@ def read_csv(path: str | Path, schema: Schema) -> list[tuple]:
                     f"where the schema has {width} column(s)"
                 )
             raws.append(raw)
-    # One converter per column, applied a column at a time.
+    return _convert(schema, raws)
+
+
+def _read_known(
+    path: str | Path, schema: Schema, known: dict[str, tuple]
+) -> list[tuple] | None:
+    """:func:`read_csv` for a file of unquoted lines, parsing only the
+    lines ``known`` lacks; None when the file needs the full reader."""
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or text.count("\r") != text.count(LINE_END):
+        return None
+    lines = text.replace(LINE_END, "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final line break; a blank line stays
+    if not lines or lines[0].split(",") != schema.column_names:
+        return None
+    del lines[0]
+    rows = list(map(known.get, lines))
+    unseen = [n for n, row in enumerate(rows) if row is None]
+    raws = list(csv.reader([lines[n] for n in unseen]))
+    if any(len(raw) != len(schema.columns) for raw in raws):
+        return None
+    for n, row in zip(unseen, _convert(schema, raws)):
+        rows[n] = row
+    return rows
+
+
+def parsed_back(
+    schema: Schema, rows: list[tuple], lines: list[str]
+) -> dict[str, tuple]:
+    """``{line: row}`` for each row :func:`read_csv` returns unchanged, in
+    value and in type, from its line (:func:`render_lines`; the key lacks
+    :data:`LINE_END`): one with no NULL, empty text, NaN or quoted field,
+    each value of the type its column parses to."""
+    kinds = tuple(_PARSED_TYPES.get(c.dtype.name, str) for c in schema.columns)
+    lines = [line[: -len(LINE_END)] for line in lines]
+    if (  # the common case, checked a column at a time
+        set(map(len, rows)) == {len(kinds)}
+        and '"' not in "\n".join(lines)
+        and all(
+            set(map(type, values)) == {kind}
+            and "" not in values
+            and not (kind is float and any(map(math.isnan, values)))
+            for values, kind in zip(zip(*rows), kinds)
+        )
+    ):
+        return dict(zip(lines, rows))
+    return {
+        line: row
+        for row, line in zip(rows, lines)
+        if tuple(map(type, row)) == kinds
+        and '"' not in line
+        and "" not in row
+        and all(value == value for value in row)  # only NaN is not
+    }
+
+
+def _convert(schema: Schema, raws: list[list[str]]) -> list[tuple]:
+    """One converter per column, applied a column at a time."""
     columns = [
         _convert_column(_CONVERTERS.get(column.dtype.name, str), values)
         for column, values in zip(schema.columns, zip(*raws))
@@ -97,3 +190,5 @@ _CONVERTERS = {
     "decimal": float,
     "boolean": lambda value: value.lower() in ("true", "t", "1"),
 }
+#: The type each converter returns (``str`` for the rest).
+_PARSED_TYPES = {"integer": int, "decimal": float, "boolean": bool}

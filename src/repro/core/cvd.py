@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from repro import telemetry
 
+from repro.core import csvio
 from repro.core.errors import NoSuchVersionError, PrimaryKeyViolationError
 from repro.core.metadata import AttributeRegistry, VersionManager, VersionMetadata
 from repro.core.models import DataModel, make_model
@@ -48,6 +49,11 @@ class CheckoutResult:
     rid_map: dict[tuple, int]
     parents: tuple[int, ...]
     columns: list[str]
+
+    @property
+    def rids(self) -> list[int]:
+        """The rows' rids, in row order."""
+        return list(self.rid_map.values())
 
 
 class CVD:
@@ -89,15 +95,29 @@ class CVD:
     # The memo: version -> rids and rid -> payload, as this process has
     # seen them. The model's tables are the only stored copy; a miss
     # reads them, so a long-lived process pays for a version once and a
-    # one-shot command only for the versions it touches.
+    # one-shot command only for the versions it touches. Beside it, the
+    # records' CSV lines as file checkouts rendered them, and which of
+    # those lines a commit may take for their payload unparsed, judged
+    # once per line when a commit first asks (a pull never pays for it).
+    # Both follow the schema, so a schema change drops them.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
         self._membership: dict[int, frozenset[int]] = {}
         self._payloads: dict[int, tuple] = {}
+        self._reset_lines()
+
+    def _reset_lines(self) -> None:
+        #: rid -> its canonical CSV line (csvio.render_lines).
+        self._lines: dict[int, str] = {}
+        #: line -> payload, for the lines read_csv parses back to it.
+        self._parses: dict[str, tuple] = {}
+        #: (payloads, lines) rendered and not yet judged for _parses.
+        self._unjudged: list[tuple[Sequence[tuple], list[str]]] = []
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_membership"], state["_payloads"]
+        del state["_lines"], state["_parses"], state["_unjudged"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -144,6 +164,45 @@ class CVD:
         if missing:
             memo.update(self.model.payloads_of(missing, vid))
         return [memo[rid] for rid in rids]
+
+    def lines_of(
+        self, rids: Sequence[int], rows: Sequence[tuple] | None = None
+    ) -> list[str]:
+        """The canonical CSV line of each of ``rids``, in order: what
+        ``csv.writer`` writes for its payload, terminator included.
+        Only rids never rendered before are formatted, from ``rows``
+        (their payloads, in order) when the caller holds them."""
+        lines = self._lines
+        if not lines:  # nothing rendered yet: all of them, in order
+            payloads = self.payloads_of(rids) if rows is None else rows
+            return self._render(rids, payloads)
+        todo = [n for n, rid in enumerate(rids) if rid not in lines]
+        if todo:
+            new = [rids[n] for n in todo]
+            if rows is None:
+                payloads = self.payloads_of(new)
+            else:
+                payloads = [rows[n] for n in todo]
+            self._render(new, payloads)
+        return list(map(lines.__getitem__, rids))
+
+    def _render(
+        self, rids: Sequence[int], payloads: Sequence[tuple]
+    ) -> list[str]:
+        rendered = csvio.render_lines(payloads)
+        self._lines.update(zip(rids, rendered))
+        self._unjudged.append((payloads, rendered))
+        return rendered
+
+    def parsed_lines(self) -> dict[str, tuple]:
+        """Every rendered line that ``read_csv`` parses back to exactly
+        its record's payload, mapped to that payload (live, not a copy)."""
+        for payloads, rendered in self._unjudged:
+            self._parses.update(
+                csvio.parsed_back(self.schema, payloads, rendered)
+            )
+        self._unjudged.clear()
+        return self._parses
 
     def storage_bytes(self) -> int:
         return self.model.storage_bytes()
@@ -384,8 +443,10 @@ class CVD:
         # CVD table.
         self.model.alter_schema(self.schema)
         # The tables now hold every record NULL-extended and coerced to
-        # the evolved types; payloads memoized before that are stale.
+        # the evolved types; payloads memoized before that are stale,
+        # and so are the lines rendered from them.
         self._payloads = {}
+        self._reset_lines()
         # Re-order incoming rows into full-schema order.
         order = {name: i for i, name in enumerate(columns)}
         remapped: list[tuple] = []

@@ -38,8 +38,7 @@ and machine-readable data. The probes:
 * **I/O amplification** — observed checkout rows-scanned over
   rows-requested per data model against ``ORPHEUS_AMP_BUDGET``.
 * **page store health** — paged-layout invariants: every referenced
-  page file present, checksum spot-check, no orphans/stray temps, a
-  readable page directory.
+  page file present, checksum spot-check, no orphans/stray temps.
 * **buffer pool** — budget pressure on the page cache: thrash (eviction
   rate rivaling fault rate) and leaked dirty pages.
 
@@ -1144,14 +1143,13 @@ PAGE_SPOT_CHECK = 8
 
 def probe_page_store(root: str | None = None) -> ProbeResult:
     """Verify the paged layout's on-disk invariants: every referenced
-    page present, a readable page directory, no orphans or stray temps,
-    and a checksum spot-check over the pages the live generation wrote
-    last (the ones an interrupted write-back could have hurt)."""
+    page present, no orphans or stray temps, and a checksum spot-check
+    over the pages the live generation wrote last (the ones an
+    interrupted write-back could have hurt)."""
     from repro.pagestore import pages as pagefiles
     from repro.pagestore.store import (
         live_pages,
         orphan_pages,
-        read_directory,
         referenced_pages,
     )
     from repro.resilience import fsio
@@ -1239,18 +1237,6 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
                 f"temp file(s) — debris from an interrupted write-back"
             ),
             remediation="run `orpheus recover` to clean the page store",
-            data=data,
-        )
-
-    if layout == "paged" and read_directory(root) is None:
-        return ProbeResult(
-            probe="page_store_health",
-            severity=WARN,
-            summary="page directory missing or torn",
-            remediation=(
-                "loads do not depend on it, but GC and tooling do; run "
-                "`orpheus recover` to rebuild directory.json"
-            ),
             data=data,
         )
 

@@ -42,6 +42,4 @@ from repro.pagestore.store import (  # noqa: F401
     orphan_pages,
     paged_load,
     paged_save,
-    read_directory,
-    rebuild_directory,
 )

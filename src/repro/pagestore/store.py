@@ -25,12 +25,14 @@ state or to the history. Content addressing means even a re-encoded
 chunk only writes the pages that actually changed.
 
 Crash safety: new pages are written and fsync'd *before* the atomic
-``state.pkl`` swap; a crash in between leaves only unreferenced page
-files, which :func:`clean_pagestore` (wired into recovery) deletes.
-The page *directory* (``.orpheus/pages/directory.json``) is an
-atomically-swapped index used by the doctor and garbage collection —
-loads never depend on it, so a torn directory is always rebuildable
-from the state containers themselves (:func:`rebuild_directory`).
+``state.pkl`` swap. A save that fails before the swap unlinks the
+pages it wrote that no state file names; one killed there leaves them
+as orphans, which :func:`clean_pagestore` (wired into recovery)
+deletes. Garbage collection reads no backup: each outer document
+carries the page lists of the two generations that back it up
+(``history``), and the process that loaded or saved the live
+generation keeps those lists, so a save deletes exactly the pages of
+the generation the rotation drops that nothing kept still names.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import os
 import pickle
 import threading
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -57,9 +59,6 @@ from repro.resilience import failpoints, fsio
 
 #: Version of the outer (container payload) structure.
 SKELETON_FORMAT = 2
-
-DIRECTORY_FILE = "directory.json"
-DIRECTORY_SCHEMA_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +452,26 @@ class _PagedPickler(pickle.Pickler):
 # ----------------------------------------------------------------------
 # Save / load entry points (called by StateStore)
 # ----------------------------------------------------------------------
+#: Repository object -> (its state file, the page ids of the live
+#: generation, of .bak, of .bak.1) as the process that loaded or last
+#: saved it left them. Weak, so it lives as long as the object; never
+#: pickled, so no other process or repository acts on it.
+_generations: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _remember(store, obj, generations) -> None:
+    with contextlib.suppress(TypeError):  # no weak references: not kept
+        _generations[obj] = (store.path.absolute(), *generations)
+
+
+def _kept_generations(store, obj) -> tuple | None:
+    try:
+        root, *kept = _generations[obj]
+    except (KeyError, TypeError):
+        return None
+    return tuple(kept) if root == store.path.absolute() else None
+
+
 def paged_save(store, obj) -> dict:
     """Write ``obj`` in the paged layout through ``store`` (a
     :class:`~repro.resilience.statestore.StateStore`). Returns save
@@ -468,6 +487,14 @@ def paged_save(store, obj) -> dict:
     skeleton = buffer.getvalue()
     refs = sorted(ctx.segments.values(), key=lambda ref: ref.key)
     all_pages = sorted({pid for ref in refs for pid in ref.pages})
+    kept = _kept_generations(store, obj)
+    bootstrap = kept is None
+    if bootstrap:  # read what the live file and both backups reference
+        kept = tuple(
+            frozenset((_read_outer(path) or {}).get("pages") or ())
+            for path in (store.path, *store.backup_paths)
+        )
+    live, back, dropped = kept
     payload = pickle.dumps(
         {
             "format": SKELETON_FORMAT,
@@ -475,17 +502,18 @@ def paged_save(store, obj) -> dict:
             "skeleton": skeleton,
             "segments": [ref.to_tuple() for ref in refs],
             "pages": all_pages,
+            "history": [sorted(live), sorted(back)],
         },
         PICKLE_PROTOCOL,
     )
 
     pages_path = pagefiles.pages_dir(root)
     pool = get_pool()
-    written = 0
+    written: list[str] = []
     written_bytes = 0
-    failpoints.fire("pagestore.before_page_write")
     dirty: list[str] = []
     try:
+        failpoints.fire("pagestore.before_page_write")
         for page_id in sorted(ctx.pending):
             data = ctx.pending[page_id]
             if pagefiles.page_path(pages_path, page_id).exists():
@@ -495,32 +523,41 @@ def paged_save(store, obj) -> dict:
             pagefiles.write_page(pages_path, page_id, data)
             pool.mark_clean(pages_path, page_id)
             dirty.pop()
-            written += 1
+            written.append(page_id)
             written_bytes += len(data)
+        if written:
+            fsio.fsync_dir(pages_path)
+        failpoints.fire("pagestore.after_page_write")
+
+        accountant = getattr(getattr(obj, "database", None), "accountant", None)
+        if accountant is not None and hasattr(accountant, "charge_page_write"):
+            accountant.charge_page_write(len(written), written_bytes)
+        else:
+            telemetry.count("storage.io.page_writes", len(written))
+            telemetry.count("storage.io.page_bytes_written", written_bytes)
+            telemetry.count("storage.io.bytes_written", written_bytes)
+
+        store.save_bytes(payload, magic=statestore.MAGIC2)
     except BaseException:
         for page_id in dirty:
             pool.discard_dirty(pages_path, page_id)
+        # Whether the swap happened is unknown, so the state files say
+        # which of this save's pages, and of the generation a rotation
+        # may have dropped, are still named; the lists are read anew.
+        with contextlib.suppress(TypeError):
+            _generations.pop(obj, None)
+        doomed = (set(written) | dropped) - referenced_pages(root)
+        _unlink_pages(pages_path, doomed)
         raise
-    if written:
-        fsio.fsync_dir(pages_path)
-    failpoints.fire("pagestore.after_page_write")
-
-    accountant = getattr(getattr(obj, "database", None), "accountant", None)
-    if accountant is not None and hasattr(accountant, "charge_page_write"):
-        accountant.charge_page_write(written, written_bytes)
-    else:
-        telemetry.count("storage.io.page_writes", written)
-        telemetry.count("storage.io.page_bytes_written", written_bytes)
-        telemetry.count("storage.io.bytes_written", written_bytes)
-
-    store.save_bytes(payload, magic=statestore.MAGIC2)
     ctx.mark_saved()
-
-    _swap_directory(root, refs, page_bytes)
-    removed = _gc_pages(root, keep=set(all_pages))
+    _remember(store, obj, (frozenset(all_pages), live, back))
+    removed = _unlink_pages(pages_path, dropped - live - back - set(all_pages))
+    if bootstrap:  # the page index older releases kept
+        for path in pages_path.glob("*.json"):
+            path.unlink(missing_ok=True)
 
     telemetry.count("pagestore.saves")
-    telemetry.count("pagestore.pages_written", written)
+    telemetry.count("pagestore.pages_written", len(written))
     telemetry.count("pagestore.segments_encoded", ctx.segments_encoded)
     telemetry.count("pagestore.segments_reused", ctx.segments_reused)
     if removed:
@@ -530,14 +567,15 @@ def paged_save(store, obj) -> dict:
         "segments_encoded": ctx.segments_encoded,
         "segments_reused": ctx.segments_reused,
         "pages": len(all_pages),
-        "pages_written": written,
+        "pages_written": len(written),
         "bytes_written": written_bytes,
         "pages_gc": removed,
     }
 
 
-def paged_load(store, payload: bytes) -> object:
-    """Unpickle a paged container payload into a lazily-backed object."""
+def paged_load(store, payload: bytes, live: bool = True) -> object:
+    """Unpickle a paged container payload into a lazily-backed object;
+    the live file's (``live``) page lists steer the object's next save."""
     outer = pickle.loads(payload)
     if not isinstance(outer, dict) or outer.get("format") != SKELETON_FORMAT:
         raise ValueError("unsupported paged state format")
@@ -546,6 +584,12 @@ def paged_load(store, payload: bytes) -> object:
     page_store = PageStore(root)
     with load_context(page_store):
         obj = pickle.loads(outer["skeleton"])
+    history = outer.get("history")
+    if live and history is not None:
+        _remember(
+            store, obj,
+            (frozenset(outer.get("pages") or ()), *map(frozenset, history)),
+        )
     telemetry.count("pagestore.loads")
     return obj
 
@@ -568,122 +612,41 @@ def _verify_pages_exist(root, page_ids) -> None:
 
 
 # ----------------------------------------------------------------------
-# Page directory (atomically swapped sidecar index)
-# ----------------------------------------------------------------------
-def directory_path(root) -> Path:
-    return pagefiles.pages_dir(root) / DIRECTORY_FILE
-
-
-def read_directory(root) -> dict | None:
-    """The parsed directory, or None when missing/corrupt (loads never
-    need it; the doctor and recovery treat None as 'rebuild me')."""
-    path = directory_path(root)
-    try:
-        parsed = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(parsed, dict)
-        or parsed.get("schema_version") != DIRECTORY_SCHEMA_VERSION
-        or not isinstance(parsed.get("generations"), list)
-    ):
-        return None
-    return parsed
-
-
-def _directory_generation(refs) -> dict:
-    return {
-        "segments": {
-            ref.key: {
-                "codec": ref.codec,
-                "bytes": ref.length,
-                "sha": ref.sha,
-                "pages": list(ref.pages),
-                "heat_key": ref.heat_key,
-            }
-            for ref in refs
-        }
-    }
-
-
-def _write_directory_file(root, document: dict) -> None:
-    path = directory_path(root)
-    fsio.atomic_write(
-        path, json.dumps(document, indent=None).encode(), fsync=True
-    )
-    fsio.fsync_dir(path.parent)
-
-
-def _swap_directory(root, refs, page_bytes: int) -> None:
-    from repro.resilience.statestore import BACKUP_SUFFIXES
-
-    existing = read_directory(root)
-    generations = existing["generations"] if existing else []
-    generations = [_directory_generation(refs)] + generations
-    generations = generations[: 1 + len(BACKUP_SUFFIXES)]
-    failpoints.fire("pagestore.before_directory_swap")
-    _write_directory_file(
-        root,
-        {
-            "schema_version": DIRECTORY_SCHEMA_VERSION,
-            "page_bytes": page_bytes,
-            "generations": generations,
-        },
-    )
-    failpoints.fire("pagestore.after_directory_swap")
-
-
-def rebuild_directory(root) -> dict | None:
-    """Reconstruct the directory from the state containers (live +
-    backups). Used by recovery after a torn directory write."""
-    generations = []
-    page_bytes = pagefiles.page_size()
-    for outer in _state_outers(root):
-        refs = [SegmentRef.from_tuple(t) for t in outer.get("segments", ())]
-        page_bytes = outer.get("page_bytes", page_bytes)
-        generations.append(_directory_generation(refs))
-    if not generations:
-        return None
-    document = {
-        "schema_version": DIRECTORY_SCHEMA_VERSION,
-        "page_bytes": page_bytes,
-        "generations": generations,
-    }
-    _write_directory_file(root, document)
-    return document
-
-
-# ----------------------------------------------------------------------
 # Referenced-page accounting, GC, and recovery hooks
 # ----------------------------------------------------------------------
-def _state_outers(root):
+def _read_outer(path: Path) -> dict | None:
+    """The outer document of a paged state file that verifies, else None."""
+    from repro.resilience import statestore
+
+    try:
+        blob = path.read_bytes()
+        payload, _legacy = statestore.StateStore.verify_blob(blob)
+        if not blob.startswith(statestore.MAGIC2):
+            return None
+        outer = pickle.loads(payload)
+    except Exception:
+        return None
+    if isinstance(outer, dict) and outer.get("format") == SKELETON_FORMAT:
+        return outer
+    return None
+
+
+def state_outers(root):
     """Outer payload dicts of every verifiable paged state generation,
     newest first."""
     from repro.resilience import statestore
 
     store = statestore.StateStore(root)
     for candidate in [store.path, *store.backup_paths]:
-        if not candidate.exists():
-            continue
-        try:
-            blob = candidate.read_bytes()
-            payload, _legacy = statestore.StateStore.verify_blob(blob)
-        except Exception:
-            continue
-        if not blob.startswith(statestore.MAGIC2):
-            continue
-        try:
-            outer = pickle.loads(payload)
-        except Exception:
-            continue
-        if isinstance(outer, dict) and outer.get("format") == SKELETON_FORMAT:
+        outer = _read_outer(candidate)
+        if outer is not None:
             yield outer
 
 
 def referenced_pages(root) -> set[str]:
     """Every page id referenced by any live/backup state generation."""
     referenced: set[str] = set()
-    for outer in _state_outers(root):
+    for outer in state_outers(root):
         referenced.update(outer.get("pages") or ())
     return referenced
 
@@ -691,7 +654,7 @@ def referenced_pages(root) -> set[str]:
 def live_pages(root) -> set[str]:
     """The page ids of the newest state generation that verifies (the
     one a load would use)."""
-    newest = next(_state_outers(root), {})
+    newest = next(state_outers(root), {})
     return set(newest.get("pages") or ())
 
 
@@ -707,19 +670,11 @@ def orphan_pages(root) -> list[Path]:
     return [path for path in files if path.name[:-suffix] not in referenced]
 
 
-def _gc_pages(root, keep: set[str]) -> int:
-    directory = pagefiles.pages_dir(root)
-    files = pagefiles.list_page_files(directory)
-    if not files:
-        return 0
-    referenced = referenced_pages(root) | keep
-    suffix = len(pagefiles.PAGE_SUFFIX)
+def _unlink_pages(directory: Path, page_ids) -> int:
     removed = 0
-    for path in files:
-        if path.name[:-suffix] in referenced:
-            continue
+    for page_id in page_ids:
         try:
-            path.unlink()
+            pagefiles.page_path(directory, page_id).unlink()
             removed += 1
         except OSError:
             pass
@@ -727,10 +682,9 @@ def _gc_pages(root, keep: set[str]) -> int:
 
 
 def clean_pagestore(root, dry_run: bool = False) -> list[tuple[str, str]]:
-    """Recovery hook: remove orphaned page files and rebuild the
-    directory when it is torn (interrupted writes' temps are swept by
-    recovery itself). Returns ``(kind, detail)`` action pairs for the
-    recovery report."""
+    """Recovery hook: remove orphaned page files (interrupted writes'
+    temps are swept by recovery itself). Returns ``(kind, detail)``
+    action pairs for the recovery report."""
     actions: list[tuple[str, str]] = []
     directory = pagefiles.pages_dir(root)
     if not directory.is_dir():
@@ -752,12 +706,6 @@ def clean_pagestore(root, dry_run: bool = False) -> list[tuple[str, str]]:
                 except OSError:
                     pass
             telemetry.count("pagestore.orphans_removed", len(orphans))
-    if read_directory(root) is None and any(_state_outers(root)):
-        actions.append(
-            ("rebuild-directory", "page directory missing or torn; rebuild")
-        )
-        if not dry_run:
-            rebuild_directory(root)
     return actions
 
 

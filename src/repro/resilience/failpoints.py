@@ -72,11 +72,9 @@ STORAGE_SITES = frozenset(
         # telemetry accumulator save (repro.cli)
         "telemetry.before_save",
         # paged state layout (repro.pagestore.store) — dirty-page
-        # write-back and the page-directory swap
+        # write-back
         "pagestore.before_page_write",
         "pagestore.after_page_write",
-        "pagestore.before_directory_swap",
-        "pagestore.after_directory_swap",
     }
 )
 

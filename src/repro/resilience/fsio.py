@@ -17,7 +17,7 @@ Two shapes cover every on-disk artifact the repository owns:
   tail was torn.
 
 Each caller says whether its file is worth an ``fsync`` (state, pages,
-the page directory, the operation journal and the intent log are;
+the operation journal and the intent log are;
 telemetry, heat, the daemon status file and flight segments are
 observability and are not). ``docs/resilience.md`` has
 the table.

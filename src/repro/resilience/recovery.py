@@ -123,8 +123,8 @@ def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
                 pass
 
     # Paged layout: a save that died between page write-back and the
-    # state swap leaves orphaned page files (and possibly a torn page
-    # directory). Clean them with the same dry-run discipline.
+    # state swap leaves orphaned page files. Clean them with the same
+    # dry-run discipline.
     try:
         from repro.pagestore.store import clean_pagestore
 

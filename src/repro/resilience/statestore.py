@@ -210,7 +210,9 @@ class StateStore:
                 if paged:
                     from repro.pagestore.store import paged_load
 
-                    obj = paged_load(self, payload)
+                    obj = paged_load(
+                        self, payload, live=candidate == self.path
+                    )
                 else:
                     obj = pickle.loads(payload)
             except StateCorruptionError as error:

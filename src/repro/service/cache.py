@@ -64,6 +64,9 @@ class CacheEntry:
     #: ``(length, crc32)`` of ``body`` at admission, checked like
     #: ``sealed_rows`` — the seal covers the representation served.
     sealed_body: tuple[int, int] | None = field(default=None, init=False)
+    #: The rows' rids, in row order, for an entry of several versions;
+    #: None for one version, whose rows are in ascending rid order.
+    rids: list[int] | None = None
 
     def __post_init__(self) -> None:
         if not self.size_bytes:

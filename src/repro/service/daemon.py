@@ -901,6 +901,7 @@ class ServiceDaemon:
                     source.rows,
                     tuple(source.parents),
                     body=protocol.encode_rows(source.rows) if inline else None,
+                    rids=source.rids if len(vids) > 1 else None,
                 )
                 self.cache.put(dataset, vids, entry, cvd.schema)
             return entry

@@ -5,6 +5,7 @@ import pytest
 from repro.core.csvio import (
     read_csv,
     read_schema_file,
+    render_lines,
     write_csv,
     write_schema_file,
 )
@@ -27,7 +28,7 @@ ROWS = [("a", 1, 0.5, True), ("b", 2, 1.25, False), ("c", None, None, None)]
 class TestRoundtrip:
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"
-        write_csv(path, SCHEMA.column_names, ROWS)
+        write_csv(path, SCHEMA.column_names, render_lines(ROWS))
         back = read_csv(path, SCHEMA)
         assert back == ROWS
 

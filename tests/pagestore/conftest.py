@@ -8,7 +8,16 @@ import pytest
 
 from repro import telemetry
 from repro.pagestore.bufferpool import reset_pool
+from repro.pagestore.store import SegmentRef, state_outers
 from repro.resilience import failpoints
+
+
+def newest_segments(root) -> dict[str, SegmentRef]:
+    """The segments of the newest state generation that verifies, by key."""
+    outer = next(state_outers(root))
+    return {
+        ref.key: ref for ref in map(SegmentRef.from_tuple, outer["segments"])
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -40,19 +40,15 @@ from repro.core.models import DATA_MODELS
 from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
-from repro.pagestore.store import (
-    PageStore,
-    SegmentRef,
-    _state_outers,
-    migrate_state,
-    read_directory,
-)
+from repro.pagestore.store import PageStore, migrate_state
 from repro.relational.errors import DuplicateKeyError
 from repro.relational.expressions import col, lit
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Table
 from repro.relational.types import FLOAT, INT, TEXT
 from repro.resilience.statestore import HEADER_SIZE, LAYOUT_ENV, StateStore
+
+from tests.pagestore.conftest import newest_segments
 
 SCHEMA = Schema(
     [ColumnDef("key", TEXT), ColumnDef("value", INT)], primary_key=("key",)
@@ -531,10 +527,6 @@ def test_the_pickled_state_holds_each_rid_list_and_record_once(tmp_path):
     assert growth[124] == pytest.approx(growth[24], rel=0.02)
 
 
-def newest_segments(root) -> dict[str, dict]:
-    return read_directory(root)["generations"][0]["segments"]
-
-
 def pull(root, vid: int) -> Table:
     """A CLI pull of ``vid`` in a fresh process: load, check out to a
     file, save the pin. The data table it read."""
@@ -671,7 +663,7 @@ def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
     paged = kind.startswith("paged")
     old_pages = page_files(root)
     if paged:
-        before = read_directory(root)["generations"][0]["segments"]
+        before = newest_segments(root)
         dict_segments = [key for key in before if not key.startswith("table:")]
         assert dict_segments  # the fixture is what it says it is
 
@@ -728,20 +720,17 @@ def test_a_state_that_stored_the_maps_loads_and_sheds_them(kind, tmp_path):
     assert chunked and not chunked & whole
     assert all(after[key] == before[key] for key in whole)
     # The chunks a commit cut carry zone maps; what rode through has none.
-    zones = {
-        ref.key: ref.zone
-        for ref in map(SegmentRef.from_tuple, next(_state_outers(root))["segments"])
-    }
+    zones = {key: ref.zone for key, ref in after.items()}
     assert all(zones[key] is not None for key in after if "#" in key), zones
     assert all(zones[key] is None for key in whole)
     assert bool(whole) == (kind == "paged-v2")  # it has per-version tables
     # The saves above have rotated every backup generation past the old
     # segments: nothing references their pages, and GC has taken them.
-    kept = {page for ref in after.values() for page in ref["pages"]}
+    kept = {page for ref in after.values() for page in ref.pages}
     old = {
         page + pagefiles.PAGE_SUFFIX
         for key in [*dict_segments, *(chunked & before.keys())]
-        for page in before[key]["pages"]
+        for page in before[key].pages
         if page not in kept
     }
     assert old and old <= old_pages

@@ -19,18 +19,19 @@ from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import get_pool, reset_pool
 from repro.pagestore.store import (
     clean_pagestore,
-    directory_path,
     migrate_state,
     orphan_pages,
     paged_save,
-    read_directory,
     referenced_pages,
+    state_outers,
 )
 from repro.relational.arrays import RangeEncodedArray
 from repro.relational.errors import DuplicateKeyError, SchemaError
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
 from repro.resilience.statestore import StateStore
+
+from tests.pagestore.conftest import newest_segments
 
 SCHEMA = Schema(
     [ColumnDef("key", TEXT), ColumnDef("value", INT)],
@@ -129,7 +130,7 @@ def test_a_heap_is_saved_as_chunks_and_an_append_writes_the_last(
     monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "4096")
     orpheus = build_orpheus(rows_per=800)
     save_paged(tmp_path, orpheus)
-    before = read_directory(tmp_path)["generations"][0]["segments"]
+    before = newest_segments(tmp_path)
     data = sorted(key for key in before if key.startswith("table:ds__data#"))
     assert len(data) >= 4 and "table:ds__data" not in before
 
@@ -140,7 +141,7 @@ def test_a_heap_is_saved_as_chunks_and_an_append_writes_the_last(
     )
     stats = save_paged(tmp_path, loaded)
     assert stats["segments_encoded"] == 2  # the data tail, the new rid list
-    after = read_directory(tmp_path)["generations"][0]["segments"]
+    after = newest_segments(tmp_path)
     changed = {key for key in after if after[key] != before.get(key)}
     last = max(data, key=lambda key: int(key.partition("#")[2]))
     assert changed == {last, "table:ds__rlist#2"}  # a page per rid list
@@ -199,7 +200,7 @@ def test_unchanged_resave_reuses_everything(tmp_path):
 def test_a_refused_insert_leaves_the_table_clean(tmp_path):
     orpheus = build_orpheus(datasets=("ds1", "ds2"))
     first = save_paged(tmp_path, orpheus)
-    before = read_directory(tmp_path)["generations"][0]["segments"]
+    before = newest_segments(tmp_path)
     reset_pool()
     loaded, _ = load(tmp_path)
     table = loaded.database.table("ds1__data")
@@ -212,7 +213,7 @@ def test_a_refused_insert_leaves_the_table_clean(tmp_path):
     assert second["segments_encoded"] == 0
     assert second["segments_reused"] == first["segments"]
     assert second["pages_written"] == 0
-    assert read_directory(tmp_path)["generations"][0]["segments"] == before
+    assert newest_segments(tmp_path) == before
 
 
 def test_commit_writes_back_only_touched_segments(tmp_path):
@@ -253,7 +254,7 @@ def test_content_addressing_dedups_identical_pages(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# GC, orphans, and the page directory
+# GC, orphans, and each generation's history
 # ----------------------------------------------------------------------
 def test_gc_keeps_backup_generation_pages(tmp_path):
     orpheus = build_orpheus()
@@ -300,43 +301,46 @@ def test_gc_removes_pages_once_generation_rotates_out(tmp_path):
     assert gen1_pages - still_referenced, "rotation must free some pages"
 
 
-def test_clean_pagestore_removes_orphans_and_rebuilds_directory(tmp_path):
+def test_clean_pagestore_removes_orphans(tmp_path):
     save_paged(tmp_path, build_orpheus())
     directory = pagefiles.pages_dir(tmp_path)
     orphan_payload = b"orphan-page-payload"
     orphan_id = pagefiles.page_id_for(orphan_payload)
     pagefiles.write_page(directory, orphan_id, orphan_payload)
-    directory_path(tmp_path).write_text("{not json")
-    assert read_directory(tmp_path) is None
 
     plan = clean_pagestore(tmp_path, dry_run=True)
-    kinds = [kind for kind, _ in plan]
-    assert "clean-orphan-pages" in kinds
-    assert "rebuild-directory" in kinds
+    assert [kind for kind, _ in plan] == ["clean-orphan-pages"]
     # Dry run touched nothing.
     assert pagefiles.page_path(directory, orphan_id).exists()
 
     actions = clean_pagestore(tmp_path, dry_run=False)
-    assert [kind for kind, _ in actions] == kinds
+    assert actions == plan
     assert not pagefiles.page_path(directory, orphan_id).exists()
-    rebuilt = read_directory(tmp_path)
-    assert rebuilt is not None
-    assert rebuilt["generations"]
-    assert rebuilt["generations"][0]["segments"]
+    assert clean_pagestore(tmp_path) == []
 
 
-def test_directory_tracks_generations(tmp_path):
+def test_each_generation_names_the_pages_of_the_two_it_rotates_behind(
+    tmp_path,
+):
+    """An outer's ``history`` is the page lists ``.bak`` and ``.bak.1``
+    hold once it is live: what lets a save collect garbage without
+    opening a backup."""
     orpheus = build_orpheus()
-    save_paged(tmp_path, orpheus)
-    parsed = read_directory(tmp_path)
-    assert parsed is not None
-    assert len(parsed["generations"]) == 1
-    segments = parsed["generations"][0]["segments"]
-    assert any(key.startswith("table:") for key in segments)
-    for entry in segments.values():
-        assert {"codec", "bytes", "sha", "pages"} <= set(entry)
-    save_paged(tmp_path, orpheus)
-    assert len(read_directory(tmp_path)["generations"]) == 2
+    generations = []
+    for round_no in range(4):
+        orpheus.cvd("ds").commit(
+            [(f"gen-{round_no}", round_no)],
+            parents=(2 + round_no,),
+            message="churn",
+            author="alice",
+        )
+        save_paged(tmp_path, orpheus)
+        outers = list(state_outers(tmp_path))
+        generations.append(outers[0]["pages"])
+        behind = ([[], []] + generations)[-3:-1]  # .bak.1, .bak
+        assert outers[0]["history"] == behind[::-1]
+        assert [outer["pages"] for outer in outers] == generations[::-1][:3]
+    assert orphan_pages(tmp_path) == []
 
 
 # ----------------------------------------------------------------------
@@ -355,9 +359,7 @@ def test_missing_new_pages_fall_back_to_backup_generation(tmp_path):
     # Destroy a page only the live generation references: the load must
     # detect it and fall back to the .bak generation (whose pages GC
     # deliberately retained).
-    from repro.pagestore.store import _state_outers
-
-    outers = list(_state_outers(tmp_path))
+    outers = list(state_outers(tmp_path))
     assert len(outers) >= 2
     live_only = set(outers[0]["pages"]) - set(outers[1]["pages"])
     assert live_only
@@ -464,8 +466,8 @@ def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
     every segment ``*.v1``."""
     with tarfile.open(Path(__file__).parent / "data" / "v1_repo.tar.gz") as archive:
         archive.extractall(tmp_path, filter="data")
-    before = read_directory(tmp_path)["generations"][0]["segments"]
-    assert {ref["codec"].split(".")[1] for ref in before.values()} == {"v1"}
+    before = newest_segments(tmp_path)
+    assert {ref.codec.split(".")[1] for ref in before.values()} == {"v1"}
 
     loaded, info = load(tmp_path)
     assert info.paged and not info.fallback
@@ -480,7 +482,7 @@ def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
         [("ds-new", 7)], parents=(2,), message="touch ds", author="alice"
     )
     save_paged(tmp_path, loaded)
-    after = read_directory(tmp_path)["generations"][0]["segments"]
+    after = newest_segments(tmp_path)
     # The ``cvd:*`` map segments are not carried over (the tables hold
     # what they held; tests/pagestore/test_layouts_agree.py follows
     # their pages to the GC), every table is: as the chunks the commit
@@ -492,7 +494,7 @@ def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
     }
     for key, ref in after.items():
         if ":ds" in key:  # decoded from v1, dirtied, re-encoded
-            assert ref["codec"].endswith(".v2"), key
+            assert ref.codec.endswith(".v2"), key
         else:  # not written to: the v1 ref rides through verbatim
             assert ref == before[key], key
 

@@ -2,11 +2,11 @@
 
 Every cell runs with ``ORPHEUS_STATE_LAYOUT=paged`` exported, so the
 in-process setup *and* the crashed subprocess both persist through the
-page store. The paged-specific failpoints bracket dirty-page write-back
-and the page-directory swap; the invariants are the legacy matrix's,
-plus two paged ones: a crashed write-back leaves only orphan page files
-(which recovery removes), and a torn page directory is rebuilt from the
-state containers."""
+page store. The paged-specific failpoints bracket dirty-page write-back;
+``statestore.after_replace`` is the crash between the state swap and
+page garbage collection. The invariants are the legacy matrix's, plus a
+paged one: a crashed save leaves only orphan page files, which recovery
+removes."""
 
 from __future__ import annotations
 
@@ -14,11 +14,7 @@ import pytest
 
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
-from repro.pagestore.store import (
-    directory_path,
-    orphan_pages,
-    read_directory,
-)
+from repro.pagestore.store import orphan_pages
 from repro.resilience.failpoints import CRASH_EXIT_CODE
 from repro.resilience.statestore import StateStore
 
@@ -29,8 +25,7 @@ PAGED_FAILPOINTS = [
     "pagestore.before_page_write",
     "pagestore.after_page_write",
     "statestore.before_replace",
-    "pagestore.before_directory_swap",
-    "pagestore.after_directory_swap",
+    "statestore.after_replace",
 ]
 
 COMMANDS = ["init", "commit"]
@@ -98,13 +93,8 @@ def test_paged_repo_usable_after_commit_crash(failpoint, workspace):
     crashed = run_cli(workspace, *argv, failpoints_spec=f"{failpoint}=crash")
     assert crashed.returncode == CRASH_EXIT_CODE
 
-    # The directory swap happens after the atomic state replace: only
-    # those two cells leave the commit durable.
-    state_landed = failpoint in (
-        "pagestore.before_directory_swap",
-        "pagestore.after_directory_swap",
-    )
-    if not state_landed:
+    # Only a crash after the atomic state replace leaves it durable.
+    if failpoint != "statestore.after_replace":
         assert run_inproc(workspace, *argv) == 0
     assert run_inproc(workspace, "log", "--ops", "--verify") == 0
     assert run_inproc(workspace, "diff", "-d", "ds", "-a", "1", "-b", "2") == 0
@@ -139,18 +129,6 @@ def test_crashed_writeback_leaves_only_orphans_and_recovery_removes_them(
     assert run_inproc(workspace, "doctor") == 0
     # The uncommitted version never became durable.
     assert run_inproc(workspace, "log", "--ops", "--verify") == 0
-
-
-def test_torn_page_directory_is_rebuilt(workspace):
-    prepare("commit", workspace)  # init happened; repo is paged
-    directory_path(workspace).write_text('{"schema_version":')  # torn JSON
-    assert read_directory(workspace) is None
-
-    assert run_inproc(workspace, "recover") == 0
-    rebuilt = read_directory(workspace)
-    assert rebuilt is not None
-    assert rebuilt["generations"][0]["segments"]
-    assert run_inproc(workspace, "doctor") == 0
 
 
 def test_doctor_reports_paged_layout_health(workspace, capsys):

@@ -157,10 +157,11 @@ class TestCommitDurabilityPinned:
     begin, state temp, ``.orpheus/`` dir, journal line, intent done —
     plus, on the paged layout, each dirty page (the data table's and the
     versioning table's: the tables are the only stored copy of a
-    version's rids and a record's payload), the pages dir, the page
-    directory file and its dir. Telemetry and heat never sync."""
+    version's rids and a record's payload) and the pages dir; page
+    garbage collection reads and syncs nothing. Telemetry and heat never
+    sync."""
 
-    @pytest.mark.parametrize("layout,expected", [("pickle", 5), ("paged", 10)])
+    @pytest.mark.parametrize("layout,expected", [("pickle", 5), ("paged", 8)])
     def test_fsyncs_per_commit(
         self, workspace, monkeypatch, request, layout, expected
     ):

@@ -72,7 +72,6 @@ class TestStrayTemps:
         "service.json",
         "telemetry/heat.json",
         "journal/intents.jsonl",
-        "pages/directory.json",
         "pages/0123abcd.pg",
     )
 

@@ -76,7 +76,8 @@ class StubRepository:
         vids = [vids] if isinstance(vids, int) else list(vids)
         rows = [row for vid in vids for row in self.versions[vid]]
         return SimpleNamespace(
-            columns=["key", "value"], rows=rows, parents=tuple(vids)
+            columns=["key", "value"], rows=rows, parents=tuple(vids),
+            rids=list(range(1, len(rows) + 1)),
         )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.observe.journal import Journal
-from repro.pagestore.store import live_pages, orphan_pages, read_directory
+from repro.pagestore.store import orphan_pages
 from repro.resilience import failpoints
 from repro.resilience.intents import IntentLog
 from repro.resilience.statestore import LAYOUT_ENV, MAGIC, MAGIC2, StateStore
@@ -235,7 +235,6 @@ class TestKillMidCommit:
         "site, upgraded",
         [
             ("pagestore.after_page_write", False),
-            ("pagestore.before_directory_swap", True),
             ("statestore.after_replace", True),
         ],
     )
@@ -245,9 +244,9 @@ class TestKillMidCommit:
         """The daemon's first save upgrades a pickle repository to the
         paged layout: a commit's, or, when it served no write, the
         drain's. Killed inside it, the repository restarts either still
-        pickle with no orphan pages, or paged with a rebuilt page
-        directory; either way the doctor is green, every acknowledged
-        commit reads back identically and the commit can be retried."""
+        pickle or paged, with no orphan pages either way; the doctor is
+        green, every acknowledged commit reads back identically and the
+        commit can be retried."""
         monkeypatch.delenv(LAYOUT_ENV, raising=False)
         seed_dataset(workspace)
         work = tmp_path / "work.csv"
@@ -283,21 +282,15 @@ class TestKillMidCommit:
                 proc.wait(timeout=SUBPROCESS_TIMEOUT)
         assert IntentLog(root).pending()
         # What the kill left: page files no state names, or a paged
-        # state with no page directory.
-        if upgraded:
-            assert read_directory(workspace) is None
-        else:
-            assert orphan_pages(workspace)
+        # state already in place.
+        assert state.read_bytes().startswith(MAGIC2 if upgraded else MAGIC)
+        assert bool(orphan_pages(workspace)) != upgraded
 
         proc = spawn_daemon_subprocess(workspace)
         try:
             # Startup recovery has run; nothing has saved since.
             assert state.read_bytes().startswith(MAGIC2 if upgraded else MAGIC)
             assert orphan_pages(workspace) == []
-            if upgraded:
-                newest = read_directory(workspace)["generations"][0]
-                pages = {p for ref in newest["segments"].values() for p in ref["pages"]}
-                assert pages == live_pages(workspace)
             with ServiceClient(root=root, timeout=30) as client:
                 probes = {p["probe"]: p["severity"] for p in client.doctor()["probes"]}
                 assert probes["pending_intents"] == "ok", probes

@@ -1,13 +1,17 @@
 """orpheusd saves through the paged store: a pickle repository is
 upgraded one way at the daemon's first save, and from then on a commit
-re-encodes the two tail chunks it appended to, however long the history
-(``ORPHEUS_STATE_LAYOUT=pickle`` still keeps the daemon on the pickle
-layout)."""
+re-encodes the two tail chunks it appended to, however long the history,
+and reads none of it back (``ORPHEUS_STATE_LAYOUT=pickle`` still keeps
+the daemon on the pickle layout)."""
+
+import os
+from pathlib import Path
 
 from repro.pagestore import store as pagestore
-from repro.pagestore.store import orphan_pages, read_directory
+from repro.pagestore.store import orphan_pages
 from repro.resilience.statestore import LAYOUT_ENV, MAGIC, MAGIC2
 
+from tests.pagestore.conftest import newest_segments
 from tests.service.conftest import assert_healthy_on_disk, seed_dataset
 
 
@@ -16,12 +20,12 @@ def magic(root) -> bytes:
 
 
 def rlist_tail_pages(root) -> int:
-    segments = read_directory(root)["generations"][0]["segments"]
+    segments = newest_segments(root)
     tail = max(
         (key for key in segments if key.startswith("table:inter__rlist#")),
         key=lambda key: int(key.partition("#")[2]),
     )
-    return len(segments[tail]["pages"])
+    return len(segments[tail].pages)
 
 
 def test_the_first_daemon_save_upgrades_and_commits_stay_flat(
@@ -83,4 +87,54 @@ def test_the_layout_variable_keeps_the_daemon_on_pickle(
         assert magic(workspace) == MAGIC
     assert magic(workspace) == MAGIC
     assert not (workspace / ".orpheus" / "pages").exists()
+    assert_healthy_on_disk(workspace)
+
+
+def test_a_steady_state_commit_makes_eight_fsyncs_and_reads_no_history(
+    workspace, daemon_factory, tmp_path, monkeypatch
+):
+    """Intent begin, two pages, the pages directory, the state temp, the
+    state directory, the journal, intent done: eight fsyncs. No state
+    file is read back and ``pages/`` is never listed."""
+    monkeypatch.delenv(LAYOUT_ENV, raising=False)
+    seed_dataset(workspace)
+    saves = []
+    paged_save = pagestore.paged_save
+    monkeypatch.setattr(
+        pagestore, "paged_save",
+        lambda store, obj: saves.append(paged_save(store, obj)) or saves[-1],
+    )
+    counts = {"fsync": 0, "state_reads": 0, "page_listings": 0}
+    fsync, read_bytes, glob = os.fsync, Path.read_bytes, Path.glob
+
+    def counted_fsync(fd):
+        counts["fsync"] += 1
+        return fsync(fd)
+
+    def counted_read_bytes(path):
+        counts["state_reads"] += path.name.startswith("state.pkl")
+        return read_bytes(path)
+
+    def counted_glob(path, pattern):
+        counts["page_listings"] += path.name == "pages"
+        return glob(path, pattern)
+
+    work = tmp_path / "work.csv"
+    with daemon_factory() as handle, handle.client() as client:
+        client.checkout("inter", [1], file=str(work))
+        head = 1
+        for key in range(4, 8):
+            with open(work, "a") as edit:
+                edit.write(f"k{key},{key}\n")
+            if key == 7:  # the upgrade and one commit after it are behind
+                monkeypatch.setattr(os, "fsync", counted_fsync)
+                monkeypatch.setattr(Path, "read_bytes", counted_read_bytes)
+                monkeypatch.setattr(Path, "glob", counted_glob)
+            head = client.commit(
+                "inter", file=str(work), parents=[head]
+            )["version"]
+        monkeypatch.undo()
+    assert saves[-1]["pages_written"] == 2, saves[-1]
+    assert counts == {"fsync": 8, "state_reads": 0, "page_listings": 0}
+    assert orphan_pages(workspace) == []
     assert_healthy_on_disk(workspace)
