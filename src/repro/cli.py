@@ -48,7 +48,6 @@ from repro.observe.journal import (
     fill_record,
     make_record,
     new_trace_id,
-    requested_versions,
     verify_journal,
 )
 from repro.resilience import failpoints, fsio
@@ -452,12 +451,6 @@ COMMAND_TABLE: dict[str, Command] = {
                     help="rows per hot/cold table (default 10)",
                 ),
                 _JSON,
-                _arg(
-                    "--from-flight",
-                    action="store_true",
-                    help="rebuild the heat model offline from the flight "
-                    "recorder and the ops journal instead of reading heat.json",
-                ),
             ),
         ),
         Command("stats", "show accumulated telemetry for this repository", (
@@ -584,8 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         ):
             return _run_stats(args)
     if args.command == "heat":
-        # Pure reader: renders the persisted heat model (or mines one
-        # offline) without folding telemetry of its own.
+        # Pure reader: mines the heat model from the journal and the
+        # flight record without folding telemetry of its own.
         with RepositoryLock(args.root, shared=True, command="heat"):
             return _run_heat(args)
 
@@ -685,13 +678,13 @@ def _locked_invocation(
     if record is not None:
         if tree is not None:
             record.duration_s = tree.duration_s
+        _stamp_scans(record)
         Journal(args.root).append(record)
     if mutating:
         intents.done(trace_id, status=record.status if record else "ok")
-    # Readers run side by side under the shared lock; the two
-    # read-modify-writes of the accumulators must not.
+    # Readers run side by side under the shared lock; the
+    # read-modify-write of the accumulator must not.
     with fold_lock(args.root):
-        _fold_heat_cli(args, record)
         failpoints.fire("telemetry.before_save")
         save_telemetry(
             load_telemetry(args.root).merged(telemetry.snapshot()),
@@ -702,41 +695,16 @@ def _locked_invocation(
     return code
 
 
-def _fold_heat_cli(args: argparse.Namespace, record) -> None:
-    """Fold a journaled command that :func:`build_event` counts as a
-    heat event into the persisted heat model
-    (``.orpheus/telemetry/heat.json``), using this invocation's
-    ``storage.io.*`` counters as the scan footprint. Runs under the
-    fold lock; never fatal."""
-    if record is None:
-        return
-    try:
-        from repro.observe.heat import HeatAccountant, build_event
-
-        registry = telemetry.get_registry()
-        event = build_event(
-            getattr(args, "_orpheus", None),
-            ts=record.ts,
-            command=record.command,
-            dataset=record.dataset,
-            versions=requested_versions(record.to_dict()),
-            rows_returned=record.rows or 0,
-            rows_scanned=registry.counter_value("storage.io.seq_rows")
-            + registry.counter_value("storage.io.random_rows"),
-            bytes_scanned=registry.counter_value("storage.io.bytes_read"),
-            rows_written=registry.counter_value("storage.io.rows_written"),
-            bytes_written=registry.counter_value(
-                "storage.io.bytes_written"
-            ),
-            status=record.status,
-        )
-        if event is None:
-            return
-        heat = HeatAccountant.load(args.root)
-        heat.record(event)
-        heat.save(args.root)
-    except Exception as error:
-        sys.stderr.write(f"warning: heat accounting skipped: {error}\n")
+def _stamp_scans(record) -> None:
+    """Stamp this invocation's ``storage.io.*`` counters on its journal
+    record: the scan footprint :func:`repro.observe.heat.mine` reads."""
+    registry = telemetry.get_registry()
+    record.rows_scanned = registry.counter_value(
+        "storage.io.seq_rows"
+    ) + registry.counter_value("storage.io.random_rows")
+    record.bytes_scanned = registry.counter_value("storage.io.bytes_read")
+    record.rows_written = registry.counter_value("storage.io.rows_written")
+    record.bytes_written = registry.counter_value("storage.io.bytes_written")
 
 
 def _render_plan(plan, args) -> str:
@@ -791,9 +759,6 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
         out.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
         return 0
     orpheus = load_state(args.root)
-    #: The heat fold in _locked_invocation resolves models/partitions
-    #: against the same state this command ran on.
-    args._orpheus = orpheus
     user = orpheus.access.current_user or ""
     if record is not None:
         record.user = user
@@ -1201,26 +1166,22 @@ def _run_stats(args: argparse.Namespace) -> int:
 def _run_heat(args: argparse.Namespace) -> int:
     """``orpheus heat``: the storage access observatory report.
 
-    Hot/cold rankings come from the persisted EWMA model (or, with
-    ``--from-flight``, from re-mining the flight recorder + ops
-    journal); amplification and the advisor join that heat with the
-    live page cost model.
+    Hot/cold rankings come from the EWMA model mined from the ops
+    journal and the flight record; amplification and the advisor join
+    that heat with the live page cost model.
     """
     from repro.observe.amplification import (
         amplification_report,
         bound_comparison,
     )
-    from repro.observe.heat import HeatAccountant, advise, mine
+    from repro.observe.heat import advise, mine
 
     try:
         orpheus = load_state(args.root)
     except FileNotFoundError:
         sys.stderr.write("error: not an orpheus repository\n")
         return 2
-    if args.from_flight:
-        heat = mine(args.root, orpheus)
-    else:
-        heat = HeatAccountant.load(args.root)
+    heat = mine(args.root, orpheus)
     now = telemetry.now()
     top = max(1, args.top)
 
@@ -1247,7 +1208,6 @@ def _run_heat(args: argparse.Namespace) -> int:
     cold = heat.cold_fraction(orpheus, now)
     report = {
         "schema_version": 1,
-        "source": "flight" if args.from_flight else "live",
         "half_life_s": heat.half_life_s,
         "events_total": heat.events_total,
         "hot_datasets": _table(heat.datasets, reverse=True),
@@ -1267,8 +1227,7 @@ def _run_heat(args: argparse.Namespace) -> int:
     out = sys.stdout
     out.write(
         f"heat model: {report['events_total']} events, "
-        f"half-life {report['half_life_s']:g}s, "
-        f"source={report['source']}\n"
+        f"half-life {report['half_life_s']:g}s\n"
     )
     if cold is not None:
         out.write(f"cold fraction: {cold:.1%} of versions\n")
@@ -1320,8 +1279,7 @@ def _run_heat(args: argparse.Namespace) -> int:
             )
     if not heat.events_total:
         out.write(
-            "no access events recorded yet -- run some commands (or "
-            "`orpheus heat --from-flight` against a recorded workload)\n"
+            "no access events recorded yet -- run some commands\n"
         )
     return 0
 

@@ -7,9 +7,9 @@ is rows (or bytes) actually scanned divided by the rows the requested
 version contains — the factor a perfect layout would hold at 1.0 —
 and **write amplification** is rows physically written divided by rows
 committed. Both are computed per command and per data model from the
-heat model's sample sums (:class:`repro.observe.heat.HeatAccountant`),
-so the same numbers come out of live accounting and offline flight
-mining.
+sample sums of the mined heat model
+(:class:`repro.observe.heat.HeatAccountant`); :func:`read_amplification`
+is the one place the read ratio is computed.
 
 For partitioned stores the observed per-checkout scan is also compared
 against the LyreSplit bound: Chapter 5 proves the chosen partitioning
@@ -20,7 +20,7 @@ stayed inside it.
 
 from __future__ import annotations
 
-from repro.observe.heat import HeatAccountant, amp_budget
+from repro.observe import heat as heat_model
 
 
 def _sample_factors(sample: dict) -> dict:
@@ -36,10 +36,9 @@ def _sample_factors(sample: dict) -> dict:
         "read_amplification": None,
         "write_amplification": None,
     }
-    if sample["rows_requested"] > 0:
-        out["read_amplification"] = round(
-            sample["rows_scanned"] / sample["rows_requested"], 4
-        )
+    amp = read_amplification(sample)
+    if amp is not None:
+        out["read_amplification"] = round(amp, 4)
         if sample["rows_written"]:
             out["write_amplification"] = round(
                 sample["rows_written"] / sample["rows_requested"], 4
@@ -47,7 +46,7 @@ def _sample_factors(sample: dict) -> dict:
     return out
 
 
-def amplification_report(heat: HeatAccountant) -> dict:
+def amplification_report(heat: heat_model.HeatAccountant) -> dict:
     """``{model: {command: factors}}`` over everything observed so far.
 
     ``read_amplification`` below 1.0 is real, not an error: the version
@@ -61,29 +60,36 @@ def amplification_report(heat: HeatAccountant) -> dict:
     return report
 
 
-def checkout_amplification(heat: HeatAccountant, model: str) -> float | None:
-    """The observed checkout read-amplification factor for one model."""
-    sample = heat.samples.get(f"{model}|checkout")
+def read_amplification(sample: dict | None) -> float | None:
+    """Rows scanned per requested row of one (model, command) sample
+    (None without a denominator)."""
     if not sample or sample["rows_requested"] <= 0:
         return None
     return sample["rows_scanned"] / sample["rows_requested"]
 
 
-def bound_comparison(orpheus, heat: HeatAccountant) -> list[dict]:
+def checkout_amplification(
+    heat: heat_model.HeatAccountant, model: str
+) -> float | None:
+    """The observed checkout read-amplification factor for one model."""
+    return read_amplification(heat.samples.get(f"{model}|checkout"))
+
+
+def bound_comparison(orpheus, heat: heat_model.HeatAccountant) -> list[dict]:
     """Observed per-checkout scan vs. the LyreSplit checkout-cost bound,
     per dataset.
 
     For a partitioned store the bound is (1+δ*)·C*_avg (LyreSplit rerun
     under the live budget); for monolithic models there is no proved
-    bound, so the row reports the observed amplification against the
-    configured ``ORPHEUS_AMP_BUDGET`` instead.
+    bound, so the row reports the observed amplification against
+    :data:`~repro.observe.heat.AMP_BUDGET` instead.
     """
     from repro.core.errors import CVDError
 
     rows: list[dict] = []
     if orpheus is None:
         return rows
-    budget = amp_budget()
+    budget = heat_model.AMP_BUDGET
     for dataset in sorted(heat.datasets):
         try:
             cvd = orpheus.cvd(dataset)

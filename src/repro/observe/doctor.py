@@ -31,12 +31,12 @@ and machine-readable data. The probes:
 * **service faults** — a running daemon's fault-tolerance posture:
   degraded read-only mode, quarantined poison requests, and
   worker-error / deadline-shed rates against the fault budget.
-* **heat skew** — decayed partition heat from the access observatory
-  (:mod:`repro.observe.heat`): one partition soaking up most of a
-  dataset's heat means the static split no longer matches the
-  workload → see the ``orpheus heat`` advisor.
+* **heat skew** — decayed partition heat mined from the journal and
+  the flight record (:mod:`repro.observe.heat`): one partition soaking
+  up most of a dataset's heat means the static split no longer matches
+  the workload → see the ``orpheus heat`` advisor.
 * **I/O amplification** — observed checkout rows-scanned over
-  rows-requested per data model against ``ORPHEUS_AMP_BUDGET``.
+  rows-requested per data model against the amplification budget.
 * **page store health** — paged-layout invariants: every referenced
   page file present, checksum spot-check, no orphans/stray temps.
 * **buffer pool** — budget pressure on the page cache: thrash (eviction
@@ -931,7 +931,7 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             "writing — the last capture lost its final records"
         )
         remediation = (
-            "nothing to repair: readers (`orpheus heat --from-flight`, "
+            "nothing to repair: readers (`orpheus heat`, "
             "this probe) skip the unparseable final line"
         )
     elif budget_ms is not None and p99_ms is not None and p99_ms > budget_ms:
@@ -1006,26 +1006,19 @@ def probe_journal(orpheus, root: str | None = None) -> ProbeResult:
     )
 
 
-def probe_heat_skew(orpheus, root: str | None = None) -> ProbeResult:
+def probe_heat_skew(orpheus, heat) -> ProbeResult:
     """Partition heat concentration from the access observatory.
 
     A partitioned layout only pays off when the workload spreads across
     partitions; one partition soaking up most of the decayed heat means
     the static split no longer matches the access pattern. Skew is the
     hottest partition's heat over the per-dataset mean; breaching
-    ``ORPHEUS_HEAT_SKEW_FACTOR`` warns and points at the advisor.
+    :data:`~repro.observe.heat.HEAT_SKEW_FACTOR` warns and points at the
+    advisor. ``heat`` is the mined model (:func:`repro.observe.heat.mine`).
     """
-    from repro.observe.heat import (
-        HEAT_SKEW_ENV,
-        HEAT_SKEW_FACTOR,
-        HeatAccountant,
-    )
+    from repro.observe import heat as heat_model
 
-    try:
-        factor = float(os.environ.get(HEAT_SKEW_ENV, HEAT_SKEW_FACTOR))
-    except ValueError:
-        factor = HEAT_SKEW_FACTOR
-    heat = HeatAccountant.load(root)
+    factor = heat_model.HEAT_SKEW_FACTOR
     if not heat.events_total or not heat.partitions:
         return ProbeResult(
             probe="heat_skew",
@@ -1079,17 +1072,17 @@ def probe_heat_skew(orpheus, root: str | None = None) -> ProbeResult:
     )
 
 
-def probe_io_amplification(orpheus, root: str | None = None) -> ProbeResult:
-    """Observed checkout read amplification vs. ``ORPHEUS_AMP_BUDGET``.
+def probe_io_amplification(heat) -> ProbeResult:
+    """Observed checkout read amplification vs.
+    :data:`~repro.observe.heat.AMP_BUDGET`.
 
-    Rows scanned per requested row, per data model, from the heat
+    Rows scanned per requested row, per data model, from the mined heat
     model's samples. Above the budget warns; above four times the
     budget fails — checkouts are paying for almost nothing but waste.
     """
+    from repro.observe import heat as heat_model
     from repro.observe.amplification import amplification_report
-    from repro.observe.heat import HeatAccountant, amp_budget
 
-    heat = HeatAccountant.load(root)
     report = amplification_report(heat)
     amps = {
         model: commands["checkout"]["read_amplification"]
@@ -1103,7 +1096,7 @@ def probe_io_amplification(orpheus, root: str | None = None) -> ProbeResult:
             severity=OK,
             summary="no checkouts observed",
         )
-    budget = amp_budget()
+    budget = heat_model.AMP_BUDGET
     worst_model = max(amps, key=amps.get)
     worst = amps[worst_model]
     data = {"amp_budget": budget, "checkout_read_amplification": amps}
@@ -1298,7 +1291,7 @@ def probe_buffer_pool(root: str | None = None) -> ProbeResult:
             remediation=(
                 f"the working set exceeds the budget; raise "
                 f"{BUFFER_BYTES_ENV} (currently "
-                f"{stats['budget_bytes']} bytes) or pin fewer keys"
+                f"{stats['budget_bytes']} bytes)"
             ),
             data=data,
         )
@@ -1316,6 +1309,8 @@ def probe_buffer_pool(root: str | None = None) -> ProbeResult:
 # ----------------------------------------------------------------------
 def run_doctor(orpheus, root: str | None = None) -> DoctorReport:
     """Run every probe against one repository."""
+    from repro.observe.heat import mine
+
     with telemetry.span("observe.doctor"):
         report = DoctorReport()
         report.results.extend(probe_checkout_cost(orpheus))
@@ -1333,8 +1328,9 @@ def run_doctor(orpheus, root: str | None = None) -> DoctorReport:
         report.results.append(probe_service_health(root, daemon))
         report.results.append(probe_service_faults(root, daemon))
         report.results.append(probe_flight_recorder(root))
-        report.results.append(probe_heat_skew(orpheus, root))
-        report.results.append(probe_io_amplification(orpheus, root))
+        heat = mine(root, orpheus)
+        report.results.append(probe_heat_skew(orpheus, heat))
+        report.results.append(probe_io_amplification(heat))
         report.results.append(probe_page_store(root))
         report.results.append(probe_buffer_pool(root))
         telemetry.count("observe.doctor.runs")

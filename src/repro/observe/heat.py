@@ -5,35 +5,32 @@ patterns*: LyreSplit keeps the average checkout within a provable bound
 of optimal **for the workload the version graph implies**. This module
 makes the actual workload observable at the same granularity the
 partitioner reasons about — which datasets, versions, and partitions a
-deployment really touches, and how many rows/bytes each touch scanned —
-so the upcoming paged column store (ROADMAP item 1) can place its
-buffer pool on evidence instead of intuition.
+deployment really touches, and how many rows/bytes each touch scanned.
 
-The unit of accounting is an :class:`AccessEvent` — one finished
-command (CLI invocation or daemon request) against one dataset. Every
-live execution path reduces to an event through the same helpers
-(:func:`resolve_access`, :func:`partition_of`), and the offline miner
-(:func:`mine_events`) rebuilds the *same* events from the flight
-recorder and the ops journal, so a heat model mined after the fact
-matches the one accumulated live.
+Heat is a view of the records the system already writes, never kept
+beside them: :func:`mine` rebuilds the model from the ops journal
+(every journaled CLI command, stamped with its scan footprint) and the
+daemon's flight record (every orpheusd request). The unit of
+accounting is an :class:`AccessEvent` — one finished command against
+one dataset — and :func:`build_event` is the one rule that decides
+which records are events. Two consequences follow from reading the
+record rather than keeping a model:
+
+* the window is what the records retain: journaled operations for the
+  journal's whole life, the daemon's inline checkouts (which do not
+  journal) for as long as the flight record keeps their segment;
+* events are resolved against the *current* state, so after
+  ``optimize`` old events are charged to today's partitions, and after
+  ``drop`` they lose their model and partitions.
 
 Heat itself is an exponentially-decayed touch count::
 
     heat(t) = heat(t_last) * 0.5 ** ((t - t_last) / half_life) + 1
 
-per touch, with the half-life tunable via ``ORPHEUS_HEAT_HALFLIFE_S``.
-All timestamps flow through :func:`repro.telemetry.now`, so decay is
-deterministic under the injectable clock. Raw (undecayed) touch and
-scan totals ride alongside for amplification math
-(:mod:`repro.observe.amplification`).
-
-The model persists as ``.orpheus/telemetry/heat.json`` — a *directory*
-``telemetry/`` next to the flat ``telemetry.json`` accumulator, leaving
-room for future per-surface observability files. Load-fold-save is
-race-free: the CLI folds under the fold lock
-(:func:`repro.resilience.lock.fold_lock`, because readers share the
-repository lock), and the daemon owns the exclusive repository lock
-for its whole life.
+per touch, with a half-life of :data:`HALF_LIFE_S`. All timestamps flow
+through :func:`repro.telemetry.now`, so decay is deterministic under
+the injectable clock. Raw (undecayed) touch and scan totals ride
+alongside for amplification math (:mod:`repro.observe.amplification`).
 
 :func:`advise` is the workload-driven partition advisor: observed heat
 joined with the existing page cost model (``current_checkout_cost`` /
@@ -44,26 +41,13 @@ with estimated checkout-cost deltas.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import telemetry
-from repro.resilience import fsio
 
-HEAT_SCHEMA_VERSION = 1
-
-#: ``.orpheus/telemetry/`` — the observatory's directory (the flat
-#: ``.orpheus/telemetry.json`` accumulator predates it and stays put).
-TELEMETRY_DIR = "telemetry"
-HEAT_FILE = "heat.json"
-
-#: EWMA half-life in seconds; one hour by default so "hot" means
-#: "touched this session", not "touched ever".
-DEFAULT_HALF_LIFE_S = 3600.0
-HALF_LIFE_ENV = "ORPHEUS_HEAT_HALFLIFE_S"
+#: EWMA half-life in seconds: one hour, so "hot" means "touched this
+#: session", not "touched ever".
+HALF_LIFE_S = 3600.0
 
 #: Decayed heat below this counts as cold in the cold-fraction and
 #: cold-table renderings.
@@ -72,38 +56,13 @@ COLD_HEAT = 0.05
 #: Read-amplification budget (scanned rows per requested row) the
 #: advisor and the ``io_amplification`` doctor probe compare against.
 AMP_BUDGET = 10.0
-AMP_BUDGET_ENV = "ORPHEUS_AMP_BUDGET"
 
 #: Partition-heat skew (max/mean) budget for the ``heat_skew`` probe.
 HEAT_SKEW_FACTOR = 4.0
-HEAT_SKEW_ENV = "ORPHEUS_HEAT_SKEW_FACTOR"
 
 #: Commands whose journal/flight records describe dataset access worth
-#: folding into the heat model (reads and writes both count as touches).
+#: counting in the heat model (reads and writes both count as touches).
 HEAT_COMMANDS = ("init", "checkout", "commit", "diff", "run", "optimize")
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def amp_budget() -> float:
-    """The configured read-amplification budget (``ORPHEUS_AMP_BUDGET``)."""
-    return max(1.0, _env_float(AMP_BUDGET_ENV, AMP_BUDGET))
-
-
-def heat_half_life() -> float:
-    return max(1.0, _env_float(HALF_LIFE_ENV, DEFAULT_HALF_LIFE_S))
-
-
-def heat_path(root: str | None = None) -> Path:
-    return Path(root or ".") / ".orpheus" / TELEMETRY_DIR / HEAT_FILE
 
 
 @dataclass
@@ -149,8 +108,7 @@ def partition_of(cvd, vid: int) -> int:
 
 def resolve_access(orpheus, dataset: str, versions) -> dict:
     """Model name, requested-rows denominator, and partitions touched
-    for one access — shared by the CLI fold, the daemon fold, and the
-    offline miner so all three produce identical events."""
+    for one access, resolved against live state."""
     info = {"model": "", "rows_requested": 0, "partitions": ()}
     if orpheus is None or not dataset:
         return info
@@ -194,9 +152,8 @@ def build_event(
     status: str = "ok",
 ) -> AccessEvent | None:
     """The heat event of one finished command, or None when it is not
-    one. The one rule, for the daemon, the CLI and the offline miner
-    alike: a command is a heat event when it succeeded, named a
-    dataset, and is one of :data:`HEAT_COMMANDS`. The event's
+    one: a command is a heat event when it succeeded, named a dataset,
+    and is one of :data:`HEAT_COMMANDS`. The event's
     model/partition/denominator fields are resolved against live
     state."""
     if status != "ok" or not dataset or command not in HEAT_COMMANDS:
@@ -247,20 +204,18 @@ class HeatAccountant:
     Three heat tables — ``datasets`` (key: dataset name), ``versions``
     (key: ``dataset:vid``), ``partitions`` (key: ``dataset:pN``) — and
     one amplification table ``samples`` (key: ``model|command``).
-    Thread-safe: the daemon records from worker threads and persists
-    from the housekeeping thread.
+    Built by :func:`mine` on one thread; not thread-safe.
     """
 
     def __init__(self, half_life_s: float | None = None) -> None:
-        self.half_life_s = (
-            heat_half_life() if half_life_s is None else max(1.0, half_life_s)
+        self.half_life_s = max(
+            1.0, HALF_LIFE_S if half_life_s is None else half_life_s
         )
         self.datasets: dict[str, dict] = {}
         self.versions: dict[str, dict] = {}
         self.partitions: dict[str, dict] = {}
         self.samples: dict[str, dict] = {}
         self.events_total = 0
-        self._lock = threading.Lock()
 
     # -- recording -------------------------------------------------------
     def _bump(
@@ -280,42 +235,32 @@ class HeatAccountant:
         """Fold one access event into every table."""
         if not event.dataset:
             return
-        with self._lock:
-            self.events_total += 1
+        self.events_total += 1
+        rows, nbytes = event.rows_scanned, event.bytes_scanned
+        self._bump(self.datasets, event.dataset, event.ts, rows, nbytes)
+        for vid in event.versions:
             self._bump(
-                self.datasets,
-                event.dataset,
-                event.ts,
-                event.rows_scanned,
-                event.bytes_scanned,
+                self.versions, f"{event.dataset}:{vid}", event.ts, rows, nbytes
             )
-            for vid in event.versions:
-                self._bump(
-                    self.versions,
-                    f"{event.dataset}:{vid}",
-                    event.ts,
-                    event.rows_scanned,
-                    event.bytes_scanned,
-                )
-            for index in event.partitions:
-                self._bump(
-                    self.partitions,
-                    f"{event.dataset}:p{index}",
-                    event.ts,
-                    event.rows_scanned,
-                    event.bytes_scanned,
-                )
-            key = f"{event.model or '(unknown)'}|{event.command}"
-            sample = self.samples.get(key)
-            if sample is None:
-                sample = self.samples[key] = _new_sample()
-            sample["events"] += 1
-            sample["rows_requested"] += event.rows_requested
-            sample["rows_returned"] += event.rows_returned
-            sample["rows_scanned"] += event.rows_scanned
-            sample["bytes_scanned"] += event.bytes_scanned
-            sample["rows_written"] += event.rows_written
-            sample["bytes_written"] += event.bytes_written
+        for index in event.partitions:
+            self._bump(
+                self.partitions,
+                f"{event.dataset}:p{index}",
+                event.ts,
+                rows,
+                nbytes,
+            )
+        key = f"{event.model or '(unknown)'}|{event.command}"
+        sample = self.samples.get(key)
+        if sample is None:
+            sample = self.samples[key] = _new_sample()
+        sample["events"] += 1
+        sample["rows_requested"] += event.rows_requested
+        sample["rows_returned"] += event.rows_returned
+        sample["rows_scanned"] += event.rows_scanned
+        sample["bytes_scanned"] += event.bytes_scanned
+        sample["rows_written"] += event.rows_written
+        sample["bytes_written"] += event.bytes_written
 
     # -- derived ---------------------------------------------------------
     def current_heat(self, entry: dict, now: float | None = None) -> float:
@@ -362,141 +307,19 @@ class HeatAccountant:
             return None
         return cold / total
 
-    def summary(self, top: int = 5, orpheus=None) -> dict:
-        """The all-time rollup orpheusd reports: totals, the ``top``
-        hottest datasets and partitions, and per-dataset fields under
-        ``datasets``. With live state, a dataset's ``read_amplification``
-        is its data model's checkout sample."""
-        now = telemetry.now()
-
-        def hottest(table: dict, label: str) -> list[dict]:
-            return [
-                {label: key, "heat": round(heat, 4), "touches": entry["touches"]}
-                for key, entry, heat in self.ranked(table, now)[:top]
-            ]
-
-        with self._lock:
-            touches: dict[str, int] = {}
-            for key, entry in self.partitions.items():
-                dataset = key.rpartition(":")[0]
-                touches[dataset] = touches.get(dataset, 0) + entry["touches"]
-            datasets = {}
-            for name, entry in self.datasets.items():
-                fields = {
-                    "heat": round(self.current_heat(entry, now), 4),
-                    "rows_scanned": entry["rows_scanned"],
-                    "bytes_scanned": entry["bytes_scanned"],
-                    "partition_touches": touches.get(name, 0),
-                }
-                model = resolve_access(orpheus, name, ())["model"]
-                sample = self.samples.get(f"{model}|checkout")
-                if sample and sample["rows_requested"] > 0:
-                    fields["read_amplification"] = round(
-                        sample["rows_scanned"] / sample["rows_requested"], 4
-                    )
-                datasets[name] = fields
-            return {
-                "half_life_s": self.half_life_s,
-                "events_total": self.events_total,
-                "rows_scanned_total": sum(
-                    e["rows_scanned"] for e in self.datasets.values()
-                ),
-                "bytes_scanned_total": sum(
-                    e["bytes_scanned"] for e in self.datasets.values()
-                ),
-                "partition_touches_total": sum(touches.values()),
-                "hot_datasets": hottest(self.datasets, "dataset"),
-                "hot_partitions": hottest(self.partitions, "partition"),
-                "datasets": datasets,
-            }
-
-    # -- persistence -----------------------------------------------------
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "schema_version": HEAT_SCHEMA_VERSION,
-                "half_life_s": self.half_life_s,
-                "events_total": self.events_total,
-                "datasets": {k: dict(v) for k, v in self.datasets.items()},
-                "versions": {k: dict(v) for k, v in self.versions.items()},
-                "partitions": {
-                    k: dict(v) for k, v in self.partitions.items()
-                },
-                "samples": {k: dict(v) for k, v in self.samples.items()},
-            }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HeatAccountant":
-        accountant = cls(
-            half_life_s=float(payload.get("half_life_s") or 0) or None
-        )
-        accountant.events_total = int(payload.get("events_total") or 0)
-        for name in ("datasets", "versions", "partitions"):
-            table = payload.get(name)
-            if isinstance(table, dict):
-                target = getattr(accountant, name)
-                for key, entry in table.items():
-                    if isinstance(entry, dict):
-                        merged = _new_entry()
-                        merged.update(
-                            {
-                                k: entry[k]
-                                for k in merged
-                                if isinstance(entry.get(k), (int, float))
-                            }
-                        )
-                        target[key] = merged
-        samples = payload.get("samples")
-        if isinstance(samples, dict):
-            for key, sample in samples.items():
-                if isinstance(sample, dict):
-                    merged = _new_sample()
-                    merged.update(
-                        {
-                            k: int(sample[k])
-                            for k in merged
-                            if isinstance(sample.get(k), (int, float))
-                        }
-                    )
-                    accountant.samples[key] = merged
-        return accountant
-
-    @classmethod
-    def load(cls, root: str | None = None) -> "HeatAccountant":
-        """The persisted model (fresh when absent or corrupt)."""
-        path = heat_path(root)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return cls()
-        if not isinstance(payload, dict):
-            return cls()
-        return cls.from_dict(payload)
-
-    def save(self, root: str | None = None) -> None:
-        """Atomic replace, crash-safe like every other accumulator
-        file under ``.orpheus/``."""
-        fsio.atomic_write(
-            heat_path(root),
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8"),
-            fsync=False,
-        )
-
 
 # ----------------------------------------------------------------------
-# Offline mining (`orpheus heat --from-flight`)
+# Mining: the one derivation of the heat model
 # ----------------------------------------------------------------------
 def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
     """Reconstruct access events from the flight recorder and the ops
     journal.
 
-    Flight records carry full scan stamps (``rows_scanned`` /
-    ``bytes_scanned`` / ``rows_written`` / ``rows_returned`` /
-    ``versions``); journal records that have *no* flight twin (CLI
-    invocations — matched by trace id) contribute touch counts and
-    returned rows but scanned counts of zero, since the journal
-    predates scan stamping. Events come back in timestamp order so the
-    mined EWMA equals the live one.
+    Flight records and CLI journal records both carry scan stamps
+    (``rows_scanned`` / ``bytes_scanned`` / ``rows_written``); a
+    journal record with a flight twin (a daemon op, matched by trace
+    id) is skipped, so each command counts once. Events come back in
+    timestamp order, so the EWMA folds them as they happened.
     """
     from repro.observe.journal import Journal, requested_versions
     from repro.service.recorder import flight_dir_path, read_flight
@@ -533,6 +356,10 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
                 dataset=record.get("dataset"),
                 versions=requested_versions(record),
                 rows_returned=record.get("rows") or 0,
+                rows_scanned=record.get("rows_scanned") or 0,
+                bytes_scanned=record.get("bytes_scanned") or 0,
+                rows_written=record.get("rows_written") or 0,
+                bytes_written=record.get("bytes_written") or 0,
                 status=record.get("status"),
             )
         )
@@ -542,7 +369,8 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
 
 
 def mine(root: str | None, orpheus=None) -> HeatAccountant:
-    """A fresh heat model rebuilt offline from recorded history."""
+    """The heat model of everything the journal and the flight record
+    hold, resolved against ``orpheus`` (the live state)."""
     accountant = HeatAccountant()
     for event in mine_events(root, orpheus):
         accountant.record(event)
@@ -565,7 +393,7 @@ def advise(
       current budget): the workload concentrates on partitions the
       static layout made expensive → ``orpheus optimize``.
     * ``migrate`` — a monolithic model whose observed checkout read
-      amplification breaches ``ORPHEUS_AMP_BUDGET``: checkouts scan
+      amplification breaches :data:`AMP_BUDGET`: checkouts scan
       many times the rows they return → move to ``partitioned_rlist``.
     * ``keep`` — the observed workload is served within budget.
 
@@ -573,9 +401,9 @@ def advise(
     saving first, so position 0 is always the advisor's best move.
     """
     from repro.core.errors import CVDError
+    from repro.observe.amplification import checkout_amplification
 
     at = telemetry.now() if now is None else now
-    budget = amp_budget()
     recommendations: list[dict] = []
     for dataset, entry in sorted(heat.datasets.items()):
         if orpheus is None:
@@ -620,11 +448,11 @@ def advise(
                     f"`orpheus optimize -d {dataset}`"
                 )
         else:
-            sample = heat.samples.get(f"{model}|checkout")
-            if sample and sample["rows_requested"] > 0:
-                amp = sample["rows_scanned"] / sample["rows_requested"]
+            amp = checkout_amplification(heat, model)
+            if amp is not None:
                 rec["read_amplification"] = round(amp, 3)
-                if amp > budget:
+                if amp > AMP_BUDGET:
+                    sample = heat.samples[f"{model}|checkout"]
                     per_checkout = (
                         sample["rows_scanned"] - sample["rows_requested"]
                     ) / max(1, sample["events"])
@@ -634,7 +462,7 @@ def advise(
                     )
                     rec["reason"] = (
                         f"checkout scans {amp:.1f}× the requested rows on "
-                        f"model {model} (budget {budget:g}); migrate to "
+                        f"model {model} (budget {AMP_BUDGET:g}); migrate to "
                         f"partitioned_rlist"
                     )
         recommendations.append(rec)

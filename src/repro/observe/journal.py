@@ -38,6 +38,12 @@ MUTATING_COMMANDS = frozenset(
 JOURNALED_COMMANDS = MUTATING_COMMANDS | frozenset({"diff", "run"})
 
 
+#: The scan-footprint fields an :class:`OpRecord` may carry.
+SCAN_FIELDS = (
+    "rows_scanned", "bytes_scanned", "rows_written", "bytes_written",
+)
+
+
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id for one CLI invocation."""
     return uuid.uuid4().hex[:16]
@@ -61,6 +67,13 @@ class OpRecord:
     duration_s: float | None = None
     error_type: str | None = None
     error_message: str | None = None
+    #: A CLI command's scan footprint (its ``storage.io.*`` counters),
+    #: the journal's half of the mined heat model. The daemon leaves
+    #: them unset: its flight record carries each request's.
+    rows_scanned: int | None = None
+    bytes_scanned: int | None = None
+    rows_written: int | None = None
+    bytes_written: int | None = None
 
     def to_dict(self) -> dict:
         record = {
@@ -82,6 +95,10 @@ class OpRecord:
             record["rows"] = self.rows
         if self.duration_s is not None:
             record["duration_s"] = self.duration_s
+        for key in SCAN_FIELDS:
+            value = getattr(self, key)
+            if value is not None:
+                record[key] = value
         if self.error_type is not None:
             record["error"] = {
                 "type": self.error_type,
@@ -272,8 +289,7 @@ def op_fields(op: str, params: dict, result: dict | None = None) -> dict:
     """The per-op fields of a command — dataset, input versions, output
     version, rows — from its request parameters and, when it succeeded,
     the result dict it returned. The one rule behind journal records
-    (CLI and daemon alike), the daemon's request-trace stamps, and the
-    heat folds."""
+    (CLI and daemon alike) and the daemon's request-trace stamps."""
     result = result or {}
     if op == "checkout":
         inputs = params.get("versions") or ()
@@ -302,7 +318,7 @@ def op_fields(op: str, params: dict, result: dict | None = None) -> dict:
 
 
 def requested_versions(fields: dict) -> list[int]:
-    """The version(s) an access is about, for the heat models: what the
+    """The version(s) an access is about, for the heat model: what the
     command produced (init/commit), else what it read (checkout/diff).
     Takes :func:`op_fields` output or a journal record dict."""
     output = fields.get("output_version")

@@ -4,9 +4,9 @@ Polls the daemon's ``stats`` protocol op and renders per-op throughput
 (rates are deltas between consecutive polls), latency percentiles with
 the queue-wait/execute split, queue depths, cache efficiency, and the
 busiest sessions — the glanceable answer to "what is the daemon doing
-right now", without log spelunking. When the daemon has folded access
-events, a heat section shows per-dataset decayed heat, partition
-touches, scan volume, and checkout read amplification.
+right now", without log spelunking. A scan table shows the rows and
+bytes each dataset's requests scanned (``orpheus heat`` has the heat,
+partition and amplification analysis).
 
 ``run_top`` is test-friendly: ``once=True`` prints a single frame with
 no screen clearing, ``as_json=True`` dumps the raw stats payload, and
@@ -121,8 +121,7 @@ def render_frame(
             f"{_fmt_bytes(pool.get('budget_bytes', 0))} · "
             f"hit {pool.get('hit_rate', 0.0):.0%} · "
             f"faults {pool.get('faults', 0)} · "
-            f"wb {pool.get('writebacks', 0)} · "
-            f"pins {len(pool.get('pinned_keys', []))}"
+            f"wb {pool.get('writebacks', 0)}"
         )
         if pool
         else "pages   (pool idle)",
@@ -149,39 +148,25 @@ def render_frame(
             f"{_fmt_ms(phases.get('execute', {}).get('p95_s')):>9} "
             f"{op_stats.get('busy', 0):>5}"
         )
-    heat = stats.get("heat", {})
-    by_dataset = stats.get("by_dataset", {})
-    touched = {
+    scanned = {
         name: entry
-        for name, entry in by_dataset.items()
-        if entry.get("heat") is not None
-        or entry.get("partition_touches")
+        for name, entry in stats.get("by_dataset", {}).items()
+        if entry.get("rows_scanned") or entry.get("bytes_scanned")
     }
-    if heat.get("events_total") or touched:
+    if scanned:
         lines.append("")
         lines.append(
-            f"heat    {heat.get('events_total', 0)} events · "
-            f"{heat.get('partition_touches_total', 0)} partition touches · "
-            f"scanned {_fmt_bytes(heat.get('bytes_scanned_total', 0))} · "
-            f"half-life {heat.get('half_life_s', 0):g}s"
+            f"{'dataset':<16} {'count':>7} {'scan-rows':>10}"
+            f" {'scan-bytes':>11}"
         )
-    if touched:
-        lines.append(
-            f"{'dataset':<16} {'heat':>8} {'touches':>8} {'scan-rows':>10}"
-            f" {'scan-bytes':>11} {'read-amp':>9}"
-        )
-        hottest = sorted(
-            touched.items(),
-            key=lambda item: -(item[1].get("heat") or 0.0),
+        busiest = sorted(
+            scanned.items(), key=lambda item: -item[1]["rows_scanned"]
         )[:10]
-        for name, entry in hottest:
-            amp = entry.get("read_amplification")
+        for name, entry in busiest:
             lines.append(
-                f"{name:<16} {entry.get('heat') or 0.0:>8.2f} "
-                f"{entry.get('partition_touches', 0):>8} "
-                f"{entry.get('rows_scanned', 0):>10} "
-                f"{_fmt_bytes(entry.get('bytes_scanned', 0)):>11} "
-                f"{'-' if amp is None else f'{amp:.2f}x':>9}"
+                f"{name:<16} {entry.get('count', 0):>7} "
+                f"{entry['rows_scanned']:>10} "
+                f"{_fmt_bytes(entry['bytes_scanned']):>11}"
             )
     by_session = stats.get("by_session", {})
     if by_session:

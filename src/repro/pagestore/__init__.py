@@ -13,8 +13,7 @@ keeping the state store's crash-safety contract:
   slices with delta-encoded integer columns and rid lists, one
   compressed pickle per segment; the v1 (varint) codecs are decode-only.
 * :mod:`repro.pagestore.bufferpool` — a process-wide byte-budgeted LRU
-  over decoded pages with heat-guided pinning
-  (:mod:`repro.observe.heat`) and dirty-page tracking.
+  over page payloads that never evicts a dirty (not yet durable) page.
 * :mod:`repro.pagestore.store` — the ``ORPHSTA2`` layout behind
   :class:`repro.resilience.statestore.StateStore`: the object graph is
   split into an eagerly-loaded skeleton plus lazily-faulted segments

@@ -1,21 +1,17 @@
-"""The byte-budgeted buffer pool: LRU page cache with heat-guided pins.
+"""The byte-budgeted buffer pool: a plain LRU page cache.
 
 One pool per process (shared by every daemon worker and every lazily
 loaded repository), budgeted in bytes via ``ORPHEUS_BUFFER_BYTES``.
 Page faults read and verify the on-disk page file; hits are a dict
-probe. Three residency classes, in eviction order:
+probe. Two residency classes:
 
-1. **unpinned clean** — evicted strictly LRU;
-2. **pinned clean** — pages whose ``heat_key`` (a ``dataset`` or
-   ``dataset:pN`` key from :mod:`repro.observe.heat`) is in the pin
-   set; evicted only when the budget cannot be met otherwise;
-3. **dirty** — pages written by an in-flight save but not yet durable;
+1. **clean** — evicted strictly LRU once the pool is over budget;
+2. **dirty** — pages written by an in-flight save but not yet durable;
    never evicted, accounted separately, marked clean (one *writeback*)
    once fsync'd and referenced by the swapped state.
 
-Pin refresh is driven by the heat observatory: the hottest partitions
-and datasets stay resident across the cold-scan churn of everything
-else (:func:`refresh_pins_from_heat`).
+A read names its segment's ``heat_key`` (``dataset:pN``) only to count
+faults per partition (``faults_by_key``).
 """
 
 from __future__ import annotations
@@ -32,9 +28,6 @@ from repro.pagestore import pages as pagefiles
 DEFAULT_BUFFER_BYTES = 64 * 1024 * 1024
 BUFFER_BYTES_ENV = "ORPHEUS_BUFFER_BYTES"
 
-#: How many of the hottest partition/dataset keys a heat refresh pins.
-DEFAULT_PIN_LIMIT = 8
-
 
 def configured_budget() -> int:
     raw = os.environ.get(BUFFER_BYTES_ENV, "")
@@ -46,11 +39,10 @@ def configured_budget() -> int:
 
 
 class _Frame:
-    __slots__ = ("data", "heat_key", "dirty")
+    __slots__ = ("data", "dirty")
 
-    def __init__(self, data: bytes, heat_key: str | None, dirty: bool):
+    def __init__(self, data: bytes, dirty: bool):
         self.data = data
-        self.heat_key = heat_key
         self.dirty = dirty
 
 
@@ -63,7 +55,6 @@ class BufferPool:
         )
         self._lock = threading.RLock()
         self._frames: "OrderedDict[tuple[str, str], _Frame]" = OrderedDict()
-        self._pins: frozenset[str] = frozenset()
         self.resident_bytes = 0
         self.dirty_bytes = 0
         self.faults = 0
@@ -102,16 +93,13 @@ class BufferPool:
                 self.faults_by_key[heat_key] = (
                     self.faults_by_key.get(heat_key, 0) + 1
                 )
-            self._admit(key, data, heat_key, dirty=False)
+            self._admit(key, data, dirty=False)
         return data
 
     # ------------------------------------------------------------------
     # Dirty pages (save write-back)
     # ------------------------------------------------------------------
-    def put_dirty(
-        self, directory: Path, page_id: str, data: bytes,
-        heat_key: str | None = None,
-    ) -> None:
+    def put_dirty(self, directory: Path, page_id: str, data: bytes) -> None:
         key = (str(directory), page_id)
         with self._lock:
             frame = self._frames.get(key)
@@ -121,7 +109,7 @@ class BufferPool:
                     self.dirty_bytes += len(frame.data)
                 self._frames.move_to_end(key)
                 return
-            self._admit(key, data, heat_key, dirty=True)
+            self._admit(key, data, dirty=True)
             self.dirty_bytes += len(data)
 
     def mark_clean(self, directory: Path, page_id: str) -> None:
@@ -148,32 +136,14 @@ class BufferPool:
                 self.dirty_bytes -= len(frame.data)
 
     # ------------------------------------------------------------------
-    # Pinning
-    # ------------------------------------------------------------------
-    def set_pins(self, heat_keys) -> None:
-        with self._lock:
-            self._pins = frozenset(heat_keys)
-            self._evict_to_budget()
-
-    @property
-    def pins(self) -> frozenset[str]:
-        return self._pins
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _admit(
-        self,
-        key: tuple[str, str],
-        data: bytes,
-        heat_key: str | None,
-        dirty: bool,
-    ) -> None:
+    def _admit(self, key: tuple[str, str], data: bytes, dirty: bool) -> None:
         # A page larger than the whole budget is served but not cached
         # (unless dirty — dirty pages must stay tracked until durable).
         if not dirty and len(data) > self.budget_bytes:
             return
-        self._frames[key] = _Frame(data, heat_key, dirty)
+        self._frames[key] = _Frame(data, dirty)
         self._frames.move_to_end(key)
         self.resident_bytes += len(data)
         self._evict_to_budget()
@@ -181,25 +151,17 @@ class BufferPool:
     def _evict_to_budget(self) -> None:
         if self.resident_bytes <= self.budget_bytes:
             return
-        # Pass 1: unpinned clean, LRU order. Pass 2: pinned clean (the
-        # budget is a hard cap; pins are advisory). Dirty never leaves.
-        for spare_pins in (False, True):
-            for key in list(self._frames):
-                if self.resident_bytes <= self.budget_bytes:
-                    return
-                frame = self._frames[key]
-                if frame.dirty:
-                    continue
-                pinned = (
-                    frame.heat_key is not None
-                    and frame.heat_key in self._pins
-                )
-                if pinned and not spare_pins:
-                    continue
-                del self._frames[key]
-                self.resident_bytes -= len(frame.data)
-                self.evictions += 1
-                telemetry.count("pagestore.pool.evictions")
+        # Clean pages leave in LRU order; dirty ones never do.
+        for key in list(self._frames):
+            if self.resident_bytes <= self.budget_bytes:
+                return
+            frame = self._frames[key]
+            if frame.dirty:
+                continue
+            del self._frames[key]
+            self.resident_bytes -= len(frame.data)
+            self.evictions += 1
+            telemetry.count("pagestore.pool.evictions")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -208,22 +170,12 @@ class BufferPool:
         with self._lock:
             return len(self._frames)
 
-    def pinned_bytes(self) -> int:
-        with self._lock:
-            return sum(
-                len(frame.data)
-                for frame in self._frames.values()
-                if frame.heat_key is not None and frame.heat_key in self._pins
-            )
-
     def stats(self) -> dict:
         with self._lock:
             return {
                 "budget_bytes": self.budget_bytes,
                 "resident_bytes": self.resident_bytes,
                 "resident_pages": len(self._frames),
-                "pinned_keys": sorted(self._pins),
-                "pinned_bytes": self.pinned_bytes(),
                 "dirty_bytes": self.dirty_bytes,
                 "faults": self.faults,
                 "hits": self.hits,
@@ -267,23 +219,3 @@ def reset_pool(budget_bytes: int | None = None) -> BufferPool:
         _pool = BufferPool(budget_bytes)
         return _pool
 
-
-def refresh_pins_from_heat(
-    pool: BufferPool, heat, now: float | None = None,
-    limit: int = DEFAULT_PIN_LIMIT,
-) -> frozenset[str]:
-    """Pin the hottest partition and dataset keys from a
-    :class:`repro.observe.heat.HeatAccountant`. Cold entries (decayed
-    to ~nothing) never pin, so an idle repository pins nothing."""
-    from repro.observe.heat import COLD_HEAT
-
-    now = telemetry.now() if now is None else now
-    pins: list[str] = []
-    for table in (heat.partitions, heat.datasets):
-        ranked = heat.ranked(table, now)
-        for key, _entry, current in ranked[:limit]:
-            if current >= COLD_HEAT:
-                pins.append(key)
-    selection = frozenset(pins)
-    pool.set_pins(selection)
-    return selection

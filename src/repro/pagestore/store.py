@@ -52,7 +52,7 @@ from pathlib import Path
 from repro import telemetry
 from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import get_pool, refresh_pins_from_heat
+from repro.pagestore.bufferpool import get_pool
 from repro.pagestore.codec import PICKLE_PROTOCOL
 from repro.pagestore.pages import PageCorruptionError
 from repro.resilience import failpoints, fsio
@@ -118,26 +118,10 @@ class PageStore:
     """Faults segments for one repository through the shared pool."""
 
     def __init__(self, root: str | os.PathLike | None) -> None:
-        self.root = str(root) if root is not None else None
         self.dir = pagefiles.pages_dir(root)
-        self._pins_refreshed = False
-
-    def _maybe_refresh_pins(self) -> None:
-        if self._pins_refreshed:
-            return
-        self._pins_refreshed = True
-        try:
-            from repro.observe.heat import HeatAccountant
-
-            heat = HeatAccountant.load(self.root)
-            if heat.events_total:
-                refresh_pins_from_heat(get_pool(), heat)
-        except Exception:
-            pass  # pinning is advisory; never fail a fault over it
 
     def read_segment(self, ref: SegmentRef, accountant=None) -> object:
         """Fault in and decode one segment, verifying its checksum."""
-        self._maybe_refresh_pins()
         pool = get_pool()
         parts = [
             pool.read(self.dir, page_id, ref.heat_key)

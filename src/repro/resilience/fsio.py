@@ -18,7 +18,7 @@ Two shapes cover every on-disk artifact the repository owns:
 
 Each caller says whether its file is worth an ``fsync`` (state, pages,
 the operation journal and the intent log are;
-telemetry, heat, the daemon status file and flight segments are
+telemetry, the daemon status file and flight segments are
 observability and are not). ``docs/resilience.md`` has
 the table.
 """

@@ -26,8 +26,8 @@ with an error naming the holder.
 
 :func:`fold_lock` is the second, much shorter lock: readers share the
 repository lock, so the one read-modify-write they all do — folding
-their telemetry and heat into the accumulators — queues on a file of
-its own instead.
+their telemetry into the accumulator — queues on a file of its own
+instead.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ class RepositoryLock:
 @contextmanager
 def fold_lock(root: str | None = None):
     """Hold an exclusive ``flock`` on ``.orpheus/fold.lock`` around one
-    fold into ``telemetry.json`` / ``telemetry/heat.json``, so readers
+    fold into ``telemetry.json``, so readers
     that share the repository lock do not lose each other's updates.
     Blocking and short: a fold is a few file reads and writes. Without
     ``fcntl`` it is a no-op, because the fallback repository lock is

@@ -45,7 +45,6 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.core.errors import CVDError
-from repro.observe.heat import HeatAccountant, build_event
 from repro.observe.journal import (
     Journal,
     fill_record,
@@ -198,10 +197,6 @@ class ServiceDaemon:
         self.recorder = FlightRecorder(
             self.root, slow_ms=self.config.slow_ms, boot_id=self.boot_id
         )
-        #: The storage access observatory: reloaded under the lock at
-        #: start, folded per request, persisted with every telemetry
-        #: fold and at drain.
-        self.heat = HeatAccountant()
         self._metrics_server = None
 
     # ------------------------------------------------------------------
@@ -228,7 +223,6 @@ class ServiceDaemon:
                         f"operation(s) from a previous crash at startup\n"
                     )
             self.orpheus = load_state(self.root)
-            self.heat = HeatAccountant.load(self.root)
             self._bind()
             if self.config.metrics_port is not None:
                 from repro.service.httpmon import MetricsServer
@@ -382,17 +376,6 @@ class ServiceDaemon:
     def _housekeeping_tick(self) -> None:
         self._fold_telemetry()
         self._probe_degraded()
-        # Re-aim the buffer pool's pins at whatever got hot since the
-        # last tick, so the hottest partitions stay resident across
-        # cold churn. Heat decays over an hour, so the tick keeps up
-        # and no request pays for the ranking.
-        from repro.pagestore.bufferpool import get_pool, refresh_pins_from_heat
-
-        try:
-            refresh_pins_from_heat(get_pool(), self.heat)
-        except Exception:
-            # Ranking raced a connection's fold; the next tick retries.
-            telemetry.count("service.heat.fold_errors")
 
     def _probe_degraded(self) -> None:
         """While degraded, periodically probe the save path; the first
@@ -415,11 +398,6 @@ class ServiceDaemon:
         Keeps ``orpheus stats`` meaningful while the daemon runs."""
         from repro.cli import load_telemetry, save_telemetry
 
-        try:
-            self.heat.save(self.root)
-        except OSError:
-            if final:
-                raise
         try:
             save_telemetry(
                 load_telemetry(self.root).merged(telemetry.snapshot()),
@@ -987,37 +965,14 @@ class ServiceDaemon:
         self, rtrace: RequestTrace, request: Request
     ) -> None:
         """Fold one finished request into every observability surface:
-        its flight record (with spans when slow), the metrics ledger and
-        the heat model."""
+        its flight record (with spans when slow) and the metrics
+        ledger."""
         slow = rtrace.total_s * 1000.0 >= self.config.slow_ms
         try:
             self.recorder.record(rtrace, request, slow)
         except Exception:
             pass  # recording never kills the connection
         self.metrics.record(rtrace, slow=slow)
-        self._fold_heat(rtrace)
-
-    def _fold_heat(self, rtrace: RequestTrace) -> None:
-        """Fold a finished request into the heat model when
-        :func:`build_event` says it is a heat event (never fatal to the
-        connection)."""
-        try:
-            event = build_event(
-                self.orpheus,
-                ts=rtrace.started_ts,
-                command=rtrace.op,
-                dataset=rtrace.dataset,
-                versions=rtrace.version_ids or (),
-                rows_returned=rtrace.rows_returned or 0,
-                rows_scanned=rtrace.rows_scanned or 0,
-                bytes_scanned=rtrace.bytes_scanned or 0,
-                rows_written=rtrace.rows_written or 0,
-                status=rtrace.status,
-            )
-            if event is not None:
-                self.heat.record(event)
-        except Exception:
-            telemetry.count("service.heat.fold_errors")
 
     def _identity(self) -> dict:
         """Who this daemon is and where to reach it: the whole of
@@ -1063,11 +1018,6 @@ class ServiceDaemon:
         payload["degrade"] = self.degrade.status()
         payload["quarantine"] = self.quarantine.status()
         payload["faults"] = failpoints.stats()
-        heat = self.heat.summary(orpheus=orpheus)
-        for dataset, fields in heat.pop("datasets").items():
-            if dataset in payload["by_dataset"]:
-                payload["by_dataset"][dataset].update(fields)
-        payload["heat"] = heat
         payload["buffer_pool"] = self.buffer_pool_stats()
         return payload
 
@@ -1087,7 +1037,6 @@ class ServiceDaemon:
         cache = self.cache.stats().to_dict()
         sessions = self.sessions.status()
         pool = self.buffer_pool_stats()
-        heat = self.heat.summary(top=0)
         return self.metrics.render_prometheus(
             extra_counters={
                 "cache_hits_total": cache.get("hits", 0),
@@ -1103,9 +1052,6 @@ class ServiceDaemon:
                 ),
                 "sessions_opened_total": sessions.get("total_opened", 0),
                 "degraded_entries_total": self.degrade.entries_total,
-                "partition_touch_total": heat["partition_touches_total"],
-                "scanned_rows_total": heat["rows_scanned_total"],
-                "scanned_bytes_total": heat["bytes_scanned_total"],
                 "page_faults_total": pool.get("faults", 0),
                 "page_evictions_total": pool.get("evictions", 0),
                 "page_writebacks_total": pool.get("writebacks", 0),
@@ -1125,7 +1071,6 @@ class ServiceDaemon:
                 "buffer_pool_resident_pages": pool.get("resident_pages", 0),
                 "buffer_pool_dirty_bytes": pool.get("dirty_bytes", 0),
                 "buffer_pool_budget_bytes": pool.get("budget_bytes", 0),
-                "buffer_pool_pinned_bytes": pool.get("pinned_bytes", 0),
             },
         )
 

@@ -15,7 +15,8 @@ its request is finalized, and keeps, under one lock:
 * global request/error/BUSY/deadline/degraded/worker-error totals;
 * per-op latency and per-phase (admission/queue-wait/execute/serialize)
   histograms with p50/p95/p99;
-* per-session and per-dataset (CVD) rollups;
+* per-session and per-dataset (CVD) rollups, the dataset ones with the
+  rows and bytes each dataset's requests scanned;
 * a bounded ring of recent requests, so ``stats {"recent": n}`` can
   hand back whole span trees without a log file round-trip. A tree is
   rendered only when a reader asks for it.
@@ -156,10 +157,15 @@ class ServiceMetrics:
                     user=rtrace.user,
                 )
             if rtrace.dataset:
-                self._roll(self.by_dataset, rtrace.dataset, rtrace)
+                entry = self._roll(
+                    self.by_dataset, rtrace.dataset, rtrace,
+                    rows_scanned=0, bytes_scanned=0,
+                )
+                entry["rows_scanned"] += rtrace.rows_scanned or 0
+                entry["bytes_scanned"] += rtrace.bytes_scanned or 0
             self.recent.append(rtrace)
 
-    def _roll(self, table: dict, key, rtrace: RequestTrace, **extra) -> None:
+    def _roll(self, table: dict, key, rtrace: RequestTrace, **extra) -> dict:
         entry = table.get(key)
         if entry is None:
             entry = table[key] = {
@@ -174,6 +180,7 @@ class ServiceMetrics:
         entry["total_s"] = round(entry["total_s"] + rtrace.total_s, 6)
         entry["last_op"] = rtrace.op
         entry["last_ts"] = rtrace.started_ts
+        return entry
 
     # ------------------------------------------------------------------
     # Readers
@@ -219,6 +226,9 @@ class ServiceMetrics:
         with self._lock:
             lines: list[str] = []
             totals = self.totals
+            rolls = self.by_dataset.values()
+            scanned_rows = sum(r["rows_scanned"] for r in rolls)
+            scanned_bytes = sum(r["bytes_scanned"] for r in rolls)
             for name, value in (
                 ("requests_total", totals.count),
                 ("errors_total", totals.errors),
@@ -230,6 +240,8 @@ class ServiceMetrics:
                 ("degraded_refused_total", totals.degraded),
                 ("worker_errors_total", totals.worker_errors),
                 ("slow_requests_total", self.slow_total),
+                ("scanned_rows_total", scanned_rows),
+                ("scanned_bytes_total", scanned_bytes),
                 *sorted((extra_counters or {}).items()),
             ):
                 _counter(lines, _family(name), value)

@@ -34,14 +34,14 @@ child spans, the handler's span subtree grafted under
 ``service.execute``. That is the whole slow-request view; the doctor's
 ``flight_recorder`` probe reads it without parsing the other records.
 
-The recorder keeps every request, so ``orpheus heat --from-flight``
-and the slow view are complete. Segments rotate at ``segment_bytes``
-and at most ``max_segments`` are kept (oldest deleted), so an
-always-on recorder cannot fill a disk. Every header states both
-values, so a reader knows the bound the directory should keep.
-Appends flush per line but never fsync — the flight record is
-observability, not durability; a torn tail from a crash is skipped by
-readers the same way the journals tolerate it.
+The recorder keeps every request, so ``orpheus heat`` (which mines
+it) and the slow view are complete for the segments it retains.
+Segments rotate at ``segment_bytes`` and at most ``max_segments`` are
+kept (oldest deleted), so an always-on recorder cannot fill a disk.
+Every header states both values, so a reader knows the bound the
+directory should keep. Appends flush per line but never fsync — the
+flight record is observability, not durability; a torn tail from a
+crash is skipped by readers the same way the journals tolerate it.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ class FlightRecorder:
         if getattr(rtrace, "error_kind", None):
             entry["error_kind"] = rtrace.error_kind
         # Storage-access stamps (additive; absent on requests that
-        # never executed): enough for `orpheus heat --from-flight` to
-        # rebuild the heat model.
+        # never executed): enough for `orpheus heat` to mine the heat
+        # model.
         if getattr(rtrace, "rows_scanned", None) is not None:
             entry["rows_scanned"] = rtrace.rows_scanned
         if getattr(rtrace, "bytes_scanned", None) is not None:

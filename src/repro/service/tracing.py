@@ -139,8 +139,8 @@ class RequestTrace:
         self.exec_node = None
         #: Storage-access footprint, stamped from cost-accountant
         #: deltas around the handler (None = never executed / not a
-        #: dataset access). Feeds the flight recorder and the heat
-        #: model.
+        #: dataset access). Feeds the flight recorder (so the mined
+        #: heat model) and the ledger's per-dataset scan totals.
         self.rows_scanned: int | None = None
         self.bytes_scanned: int | None = None
         self.rows_written: int | None = None

@@ -1,7 +1,7 @@
 """The storage access observatory: EWMA heat determinism under the
 injectable clock, amplification math against hand-computed fixtures,
-the partition advisor, persistence, the ``orpheus heat`` CLI, and the
-``heat_skew`` / ``io_amplification`` doctor probes."""
+the partition advisor, mining from the journal, the ``orpheus heat``
+CLI, and the ``heat_skew`` / ``io_amplification`` doctor probes."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.cli import main
+from repro.cli import load_state, main
 from repro.core.commands import Orpheus
+from repro.observe import heat as heat_module
 from repro.observe.amplification import (
     amplification_report,
     bound_comparison,
@@ -26,7 +27,6 @@ from repro.observe.heat import (
     HeatAccountant,
     advise,
     build_event,
-    heat_path,
     mine,
     mine_events,
     partition_of,
@@ -99,12 +99,9 @@ class TestEwmaDecay:
         for event in events:
             a.record(event)
             b.record(event)
-        da, db = a.to_dict(), b.to_dict()
-        assert da == db
-        # And a JSON round trip preserves the model bit-for-bit.
-        assert HeatAccountant.from_dict(
-            json.loads(json.dumps(da))
-        ).to_dict() == da
+        for table in ("datasets", "versions", "partitions", "samples"):
+            assert getattr(a, table) == getattr(b, table)
+        assert a.events_total == b.events_total == len(events)
 
     def test_out_of_order_timestamp_never_reheats(self):
         heat = HeatAccountant(half_life_s=100.0)
@@ -120,11 +117,10 @@ class TestEwmaDecay:
         frozen_clock.advance(10_000.0)
         assert heat.cold_fraction() == 1.0
 
-    def test_half_life_env_override(self, monkeypatch):
-        monkeypatch.setenv("ORPHEUS_HEAT_HALFLIFE_S", "42.5")
-        assert HeatAccountant().half_life_s == 42.5
-        monkeypatch.setenv("ORPHEUS_HEAT_HALFLIFE_S", "not-a-number")
+    def test_half_life_is_the_module_constant(self, monkeypatch):
         assert HeatAccountant().half_life_s == 3600.0
+        monkeypatch.setattr(heat_module, "HALF_LIFE_S", 42.5)
+        assert HeatAccountant().half_life_s == 42.5
 
 
 class TestEventResolution:
@@ -203,7 +199,7 @@ class TestAmplification:
         ) is None
 
     def test_bound_comparison_monolithic_uses_amp_budget(self, monkeypatch):
-        monkeypatch.setenv("ORPHEUS_AMP_BUDGET", "2.0")
+        monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
         orpheus = make_orpheus()
         heat = self.fixture_heat()
         (row,) = bound_comparison(orpheus, heat)
@@ -235,7 +231,7 @@ class TestAdvisor:
         assert rec["rank"] == 1
 
     def test_amplified_monolithic_recommends_migration(self, monkeypatch):
-        monkeypatch.setenv("ORPHEUS_AMP_BUDGET", "2.0")
+        monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
         orpheus = make_orpheus()
         heat = HeatAccountant(half_life_s=100.0)
         heat.record(touch(
@@ -247,7 +243,7 @@ class TestAdvisor:
         assert "partitioned_rlist" in rec["reason"]
 
     def test_recommendations_are_ranked(self, monkeypatch):
-        monkeypatch.setenv("ORPHEUS_AMP_BUDGET", "2.0")
+        monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
         orpheus = make_orpheus()
         schema = Schema(
             [ColumnDef("key", TEXT), ColumnDef("value", INT)],
@@ -267,25 +263,6 @@ class TestAdvisor:
         recs = advise(orpheus, heat, now=0.0)
         assert [r["rank"] for r in recs] == [1, 2]
         assert recs[0]["dataset"] == "d"  # the big saving ranks first
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        heat = HeatAccountant(half_life_s=100.0)
-        heat.record(touch(ts=5.0, versions=(1,), rows_scanned=7))
-        heat.save(str(tmp_path))
-        path = heat_path(str(tmp_path))
-        assert path.exists()
-        assert path.parent.name == "telemetry"
-        loaded = HeatAccountant.load(str(tmp_path))
-        assert loaded.to_dict() == heat.to_dict()
-
-    def test_load_missing_or_corrupt_is_fresh(self, tmp_path):
-        assert HeatAccountant.load(str(tmp_path)).events_total == 0
-        path = heat_path(str(tmp_path))
-        path.parent.mkdir(parents=True)
-        path.write_text("{broken")
-        assert HeatAccountant.load(str(tmp_path)).events_total == 0
 
 
 class TestHeatCli:
@@ -319,19 +296,18 @@ class TestHeatCli:
         assert checkout["read_amplification"] is not None
         assert report["advisor"][0]["rank"] == 1
 
-    def test_cli_from_flight_mines_journal(self, tmp_path, capsys):
+    def test_cli_leaves_no_telemetry_directory(self, tmp_path):
+        """Heat is mined, never kept: init, a checkout and a commit
+        write no ``.orpheus/telemetry/``."""
         root = self.seed(tmp_path)
-        capsys.readouterr()
-        heat_path(root).unlink()  # discard the live model entirely
+        with open(tmp_path / "out.csv", "a") as handle:
+            handle.write("k3,3\n")
         assert main([
-            "--root", root, "heat", "--from-flight", "--json",
+            "--root", root, "commit", "-d", "demo",
+            "-f", str(tmp_path / "out.csv"), "-m", "grow",
         ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["source"] == "flight"
-        # Both CLI invocations journal, so both mine back (with zero
-        # scan counts -- the journal predates scan stamping).
-        assert report["events_total"] == 2
-        assert report["hot_datasets"][0]["key"] == "demo"
+        assert (tmp_path / ".orpheus" / "telemetry.json").exists()
+        assert not (tmp_path / ".orpheus" / "telemetry").exists()
 
     def test_cli_text_rendering(self, tmp_path, capsys):
         root = self.seed(tmp_path)
@@ -341,21 +317,45 @@ class TestHeatCli:
         assert "hot datasets" in out
         assert "advisor" in out
 
-    def test_mine_matches_journal_touches(self, tmp_path):
-        root = self.seed(tmp_path)
-        from repro.cli import load_state
+    def test_mined_cli_scans_equal_the_commands_counters(self, tmp_path):
+        """The journal carries each CLI command's scan footprint, so the
+        mined checkout sample scans exactly what the checkouts'
+        ``storage.io`` counters say they scanned."""
 
+        def last_command_scanned() -> int:
+            registry = telemetry.get_registry()  # reset by every main()
+            return registry.counter_value(
+                "storage.io.seq_rows"
+            ) + registry.counter_value("storage.io.random_rows")
+
+        root = self.seed(tmp_path)  # its last command is a checkout
+        scanned = last_command_scanned()
+        for _ in range(3):
+            (tmp_path / "out.csv").unlink()
+            assert main([
+                "--root", root, "checkout", "-d", "demo", "-v", "1",
+                "-f", str(tmp_path / "out.csv"),
+            ]) == 0
+            scanned += last_command_scanned()
+        assert scanned > 0
+        sample = mine(root, load_state(root)).samples[
+            "split_by_rlist|checkout"
+        ]
+        assert sample["events"] == 4
+        assert sample["rows_scanned"] == scanned
+
+    def test_mine_matches_journal_touches(self, tmp_path):
+        """Every successful journaled heat command is one mined touch,
+        charged to its dataset, its version and its partition."""
+        root = self.seed(tmp_path)
         mined = mine(root, load_state(root))
-        live = HeatAccountant.load(root)
-        # Touch accounting agrees exactly with the live fold; only the
-        # scan counts differ (journal records carry none).
-        assert mined.events_total == live.events_total == 2
-        for table in ("datasets", "versions", "partitions"):
-            mined_table = getattr(mined, table)
-            live_table = getattr(live, table)
-            assert set(mined_table) == set(live_table)
-            for key, entry in mined_table.items():
-                assert entry["touches"] == live_table[key]["touches"]
+        assert mined.events_total == 2  # init + checkout
+        assert mined.datasets["demo"]["touches"] == 2
+        assert mined.versions["demo:1"]["touches"] == 2
+        assert mined.partitions["demo:p0"]["touches"] == 2
+        assert set(mined.samples) == {
+            "split_by_rlist|init", "split_by_rlist|checkout",
+        }
 
 
 @pytest.mark.parametrize(
@@ -385,64 +385,47 @@ def test_mining_reads_a_flight_records_own_versions(tmp_path, shape, mined):
 
 
 class TestDoctorProbes:
-    def test_no_heat_is_ok(self, tmp_path):
-        result = probe_heat_skew(None, str(tmp_path))
+    def test_no_heat_is_ok(self):
+        result = probe_heat_skew(None, HeatAccountant())
         assert result.severity == "ok"
         assert result.summary == "no heat recorded"
-        result = probe_io_amplification(None, str(tmp_path))
+        result = probe_io_amplification(HeatAccountant())
         assert result.severity == "ok"
 
-    def write_heat(self, root, heat) -> None:
-        heat.save(root)
-
-    def test_heat_skew_warns_over_budget(self, tmp_path, monkeypatch):
+    def test_heat_skew_warns_over_budget(self, monkeypatch):
         heat = HeatAccountant(half_life_s=1e9)  # no decay in-test
         for _ in range(8):
             heat.record(touch(ts=0.0, partitions=(0,)))
         heat.record(touch(ts=0.0, partitions=(1,)))
-        self.write_heat(str(tmp_path), heat)
-        monkeypatch.setenv("ORPHEUS_HEAT_SKEW_FACTOR", "100")
-        assert probe_heat_skew(None, str(tmp_path)).severity == "ok"
-        monkeypatch.setenv("ORPHEUS_HEAT_SKEW_FACTOR", "1.5")
-        result = probe_heat_skew(None, str(tmp_path))
+        monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 100.0)
+        assert probe_heat_skew(None, heat).severity == "ok"
+        monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 1.5)
+        result = probe_heat_skew(None, heat)
         assert result.severity == "warn"
         assert result.data["skew_by_dataset"]["d"] > 1.5
         assert "optimize" in result.remediation
 
-    def test_single_partition_never_skews(self, tmp_path, monkeypatch):
+    def test_single_partition_never_skews(self, monkeypatch):
         heat = HeatAccountant(half_life_s=1e9)
         for _ in range(10):
             heat.record(touch(ts=0.0, partitions=(0,)))
-        self.write_heat(str(tmp_path), heat)
-        monkeypatch.setenv("ORPHEUS_HEAT_SKEW_FACTOR", "1.01")
-        assert probe_heat_skew(None, str(tmp_path)).severity == "ok"
+        monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 1.01)
+        assert probe_heat_skew(None, heat).severity == "ok"
 
-    def test_io_amplification_severity_thresholds(
-        self, tmp_path, monkeypatch
-    ):
+    def test_io_amplification_severity_thresholds(self, monkeypatch):
         heat = HeatAccountant(half_life_s=1e9)
         heat.record(touch(
             ts=0.0, rows_requested=10, rows_scanned=30,  # amp 3.0
         ))
-        self.write_heat(str(tmp_path), heat)
-        monkeypatch.setenv("ORPHEUS_AMP_BUDGET", "4.0")
-        assert probe_io_amplification(
-            None, str(tmp_path)
-        ).severity == "ok"
-        monkeypatch.setenv("ORPHEUS_AMP_BUDGET", "2.0")
-        assert probe_io_amplification(
-            None, str(tmp_path)
-        ).severity == "warn"
-        # amp 3.0 > 4 x budget 0.5 -> fail (budget floor is 1.0, so
-        # use a scan heavy enough to breach 4x).
+        monkeypatch.setattr(heat_module, "AMP_BUDGET", 4.0)
+        assert probe_io_amplification(heat).severity == "ok"
+        monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
+        assert probe_io_amplification(heat).severity == "warn"
+        # Total amp 10 > 4 x budget 2.0 -> fail.
         heat.record(touch(
-            ts=1.0, rows_requested=10, rows_scanned=170,  # total amp 10
+            ts=1.0, rows_requested=10, rows_scanned=170,
         ))
-        self.write_heat(str(tmp_path), heat)
-        monkeypatch.setenv("ORPHEUS_AMP_BUDGET", "2.0")
-        assert probe_io_amplification(
-            None, str(tmp_path)
-        ).severity == "fail"
+        assert probe_io_amplification(heat).severity == "fail"
 
     def test_probes_registered_in_run_doctor(self, tmp_path):
         from repro.observe.doctor import run_doctor
@@ -450,3 +433,17 @@ class TestDoctorProbes:
         report = run_doctor(make_orpheus(), str(tmp_path))
         probes = {r.probe for r in report.results}
         assert {"heat_skew", "io_amplification"} <= probes
+
+    def test_run_doctor_mines_the_journal(self, tmp_path):
+        """The probes read the mined model: a CLI repository's
+        checkouts reach ``io_amplification`` with no heat file."""
+        from repro.observe.doctor import run_doctor
+
+        root = TestHeatCli().seed(tmp_path)
+        results = {
+            r.probe: r for r in run_doctor(load_state(root), root).results
+        }
+        amps = results["io_amplification"].data[
+            "checkout_read_amplification"
+        ]
+        assert amps["split_by_rlist"] > 0

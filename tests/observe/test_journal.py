@@ -284,3 +284,17 @@ class TestCliJournal:
         records = Journal(str(workspace)).read()
         assert records[-1]["command"] == "drop"
         assert run(workspace, "log", "--ops", "--verify") == 0
+
+
+def test_scan_fields_are_journaled_only_when_stamped():
+    from repro.observe.journal import SCAN_FIELDS, OpRecord
+
+    record = OpRecord(trace_id="t", command="checkout", status="ok", ts=1.0)
+    assert not set(SCAN_FIELDS) & set(record.to_dict())
+    record.rows_scanned, record.bytes_scanned = 7, 70
+    record.rows_written = record.bytes_written = 0
+    stamped = record.to_dict()
+    assert {key: stamped[key] for key in SCAN_FIELDS} == {
+        "rows_scanned": 7, "bytes_scanned": 70,
+        "rows_written": 0, "bytes_written": 0,
+    }

@@ -1,18 +1,12 @@
-"""Buffer-pool unit tests: LRU eviction order, pin semantics, budget
-enforcement, and dirty-page accounting."""
+"""Buffer-pool unit tests: LRU eviction order, budget enforcement, and
+dirty-page accounting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.observe.heat import HeatAccountant
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import (
-    BufferPool,
-    get_pool,
-    refresh_pins_from_heat,
-    reset_pool,
-)
+from repro.pagestore.bufferpool import BufferPool, get_pool, reset_pool
 
 PAGE = 1024  # payload bytes per test page
 
@@ -80,58 +74,19 @@ def test_oversize_clean_page_served_but_not_cached(pages_dir):
     assert pool.resident_bytes == 0
 
 
-# ----------------------------------------------------------------------
-# Pinning
-# ----------------------------------------------------------------------
-def test_pinned_pages_survive_eviction_pressure(pages_dir):
+def test_heat_key_protects_no_page(pages_dir):
+    """Plain LRU: a page's heat key only counts its faults; the
+    least-recently used clean page leaves first whatever its key."""
     pool = BufferPool(budget_bytes=2 * PAGE)
     hot = put_page(pages_dir, 1)
-    pool.set_pins({"ds:p0"})
     pool.read(pages_dir, hot, heat_key="ds:p0")
-    cold_ids = [put_page(pages_dir, seed) for seed in range(2, 8)]
-    for page_id in cold_ids:
-        pool.read(pages_dir, page_id, heat_key="other")
-    # The pinned page outlived six colder arrivals.
+    for seed in (2, 3):
+        pool.read(pages_dir, put_page(pages_dir, seed), heat_key="other")
+    assert pool.evictions == 1
     faults_before = pool.faults
     pool.read(pages_dir, hot, heat_key="ds:p0")
-    assert pool.faults == faults_before
-    assert pool.pinned_bytes() == PAGE
-
-
-def test_pins_yield_when_budget_cannot_be_met_otherwise(pages_dir):
-    """The budget is a hard cap: when everything resident is pinned,
-    pass 2 evicts pinned pages rather than blowing the budget."""
-    pool = BufferPool(budget_bytes=2 * PAGE)
-    pool.set_pins({"hot"})
-    for seed in range(1, 5):
-        pool.read(pages_dir, put_page(pages_dir, seed), heat_key="hot")
-    assert pool.resident_bytes <= pool.budget_bytes
-    assert pool.evictions == 2
-
-
-def test_refresh_pins_from_heat_selects_hot_keys_only():
-    pool = BufferPool(budget_bytes=10 * PAGE)
-    heat = HeatAccountant()
-    now = 1000.0
-    heat.partitions["ds:p0"] = {"heat": 5.0, "last_ts": now}
-    heat.partitions["ds:p1"] = {"heat": 0.0001, "last_ts": now}  # cold
-    heat.datasets["ds"] = {"heat": 3.0, "last_ts": now}
-    pins = refresh_pins_from_heat(pool, heat, now=now)
-    assert pins == frozenset({"ds:p0", "ds"})
-    assert pool.pins == pins
-
-
-def test_refresh_pins_respects_limit():
-    pool = BufferPool(budget_bytes=10 * PAGE)
-    heat = HeatAccountant()
-    now = 1000.0
-    for index in range(10):
-        heat.partitions[f"ds:p{index}"] = {
-            "heat": 10.0 - index,
-            "last_ts": now,
-        }
-    pins = refresh_pins_from_heat(pool, heat, now=now, limit=3)
-    assert pins == frozenset({"ds:p0", "ds:p1", "ds:p2"})
+    assert pool.faults == faults_before + 1
+    assert pool.faults_by_key == {"ds:p0": 2, "other": 2}
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +124,23 @@ def test_dirty_pages_never_evicted(pages_dir):
     assert pool.resident_bytes <= pool.budget_bytes
 
 
+def test_eviction_skips_dirty_pages_for_older_clean_ones(pages_dir):
+    """Over budget, eviction passes over a dirty LRU page and takes the
+    next clean one."""
+    pool = BufferPool(budget_bytes=2 * PAGE)
+    payload = b"d" * PAGE
+    dirty = pagefiles.page_id_for(payload)
+    pool.put_dirty(pages_dir, dirty, payload)  # least recently used
+    clean = put_page(pages_dir, 1)
+    pool.read(pages_dir, clean)
+    pool.read(pages_dir, put_page(pages_dir, 2))
+    assert pool.evictions == 1
+    assert pool.dirty_bytes == PAGE
+    faults_before = pool.faults
+    pool.read(pages_dir, clean)  # the clean one was the one evicted
+    assert pool.faults == faults_before + 1
+
+
 def test_discard_dirty_drops_without_writeback(pages_dir):
     pool = BufferPool(budget_bytes=10 * PAGE)
     payload = b"x" * PAGE
@@ -203,6 +175,7 @@ def test_stats_shape(pages_dir):
     assert stats["hit_rate"] == 0.5
     assert stats["budget_bytes"] == 10 * PAGE
     assert stats["dirty_bytes"] == 0
+    assert not [key for key in stats if key.startswith("pinned")]
 
 
 def test_missing_page_raises_corruption(pages_dir):

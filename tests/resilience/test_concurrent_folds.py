@@ -1,7 +1,9 @@
 """Read-only commands run side by side under the shared repository lock;
-their telemetry and heat folds must still all land. Twelve real ``diff``
-processes start their commands at the same instant, and both
-accumulators must count exactly twelve more."""
+their telemetry folds and journal records must still all land. Twelve
+real ``diff`` processes start their commands at the same instant: the
+telemetry accumulator must count exactly twelve more, and the heat
+model mined from the journal exactly twelve more events, each carrying
+its diff's scan footprint."""
 
 from __future__ import annotations
 
@@ -11,6 +13,9 @@ import subprocess
 import sys
 import time
 
+from repro import telemetry
+from repro.cli import load_state
+from repro.observe.heat import mine
 from tests.resilience.conftest import SRC, SUBPROCESS_TIMEOUT, run_inproc
 
 READERS = 12
@@ -27,9 +32,11 @@ sys.exit(main(["--root", root, "diff", "-d", "ds", "-a", "1", "-b", "2"]))
 """
 
 
-def heat_events(root) -> int:
-    path = root / ".orpheus" / "telemetry" / "heat.json"
-    return json.loads(path.read_text())["events_total"]
+def diff_sample(root) -> dict:
+    """The mined ``diff`` sample: event count and rows scanned."""
+    heat = mine(str(root), load_state(str(root)))
+    empty = {"events": 0, "rows_scanned": 0}
+    return heat.samples.get("split_by_rlist|diff", empty)
 
 
 def diff_spans(root) -> int:
@@ -47,7 +54,14 @@ def test_concurrent_readers_lose_no_fold(workspace):
     with open(work, "a") as handle:
         handle.write("k4,4\n")
     assert run_inproc(workspace, "commit", "-d", "ds", "-f", str(work)) == 0
-    heat_before, spans_before = heat_events(workspace), diff_spans(workspace)
+    # One diff in process, for the scan footprint each reader repeats.
+    assert run_inproc(workspace, "diff", "-d", "ds", "-a", "1", "-b", "2") == 0
+    registry = telemetry.get_registry()
+    per_diff = registry.counter_value(
+        "storage.io.seq_rows"
+    ) + registry.counter_value("storage.io.random_rows")
+    assert per_diff > 0
+    before, spans_before = diff_sample(workspace), diff_spans(workspace)
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
@@ -71,5 +85,7 @@ def test_concurrent_readers_lose_no_fold(workspace):
         _, err = reader.communicate(timeout=SUBPROCESS_TIMEOUT)
         assert reader.returncode == 0, err
 
-    assert heat_events(workspace) - heat_before == READERS
+    after = diff_sample(workspace)
+    assert after["events"] - before["events"] == READERS
+    assert after["rows_scanned"] - before["rows_scanned"] == READERS * per_diff
     assert diff_spans(workspace) - spans_before == READERS

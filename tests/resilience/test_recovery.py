@@ -70,7 +70,6 @@ class TestStrayTemps:
         "state.pkl",
         "telemetry.json",
         "service.json",
-        "telemetry/heat.json",
         "journal/intents.jsonl",
         "pages/0123abcd.pg",
     )

@@ -13,7 +13,7 @@ import pytest
 from repro import telemetry
 from repro.cli import _PARAMS, COMMAND_TABLE, _build_parser, load_state, main
 from repro.core.commands import Orpheus
-from repro.observe.journal import Journal
+from repro.observe.journal import SCAN_FIELDS, Journal
 from repro.resilience.statestore import LAYOUT_ENV
 from repro.telemetry.clock import FrozenClock
 
@@ -22,8 +22,10 @@ from tests.service.conftest import DaemonHandle
 DATA = "key,value\nk1,1\nk2,2\nk3,3\n"
 SCHEMA = "key,text\nvalue,integer\nprimary_key,key\n"
 
-#: Journal fields that name the invocation rather than what it did.
-PER_INVOCATION = ("trace_id", "session_id", "ts", "duration_s")
+#: Journal fields that name the invocation rather than what it did,
+#: and the scan footprint only a CLI record carries (a daemon request's
+#: is in its flight record).
+PER_INVOCATION = ("trace_id", "session_id", "ts", "duration_s", *SCAN_FIELDS)
 
 
 def make_repo(path):

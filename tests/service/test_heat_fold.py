@@ -1,19 +1,26 @@
-"""Daemon-side heat accounting: live folds, the ``stats`` heat rollup,
-Prometheus scan counters, persistence across the housekeeping fold, and
-flight-mining parity with the live model."""
+"""Daemon-side access accounting: orpheusd keeps no heat model of its
+own. Its request ledger rolls up each dataset's scans, the heat model
+is mined from the flight record and the journal, and what the record
+has pruned leaves the model."""
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 
-from repro.observe.heat import HeatAccountant, mine
-from tests.service.conftest import DaemonHandle
+from repro.cli import load_state, main
+from repro.observe import heat as heat_module
+from repro.observe.heat import mine
+from repro.service.recorder import FlightRecorder, flight_dir_path, read_flight
+from tests.service.conftest import DaemonHandle, seed_dataset
 
 
 @pytest.fixture
 def busy_daemon(workspace):
     """A daemon that served one full workload (init, checkouts, commit,
-    diff) and shut down cleanly, persisting its heat model."""
+    diff) and shut down cleanly."""
     with DaemonHandle(workspace) as handle:
         with handle.client() as client:
             client.init(
@@ -32,41 +39,60 @@ def busy_daemon(workspace):
     return workspace, stats, metrics_text
 
 
-def test_stats_carries_heat_rollup(busy_daemon):
+def test_stats_carries_no_heat_block(busy_daemon):
     _root, stats, _metrics = busy_daemon
-    heat = stats["heat"]
-    assert heat["events_total"] == 5
-    assert heat["partition_touches_total"] >= 5
-    assert heat["rows_scanned_total"] > 0
-    assert heat["hot_datasets"][0]["dataset"] == "demo"
-    assert heat["hot_partitions"][0]["partition"] == "demo:p0"
+    assert "heat" not in stats
+    entry = stats["by_dataset"]["demo"]
+    for gone in ("heat", "partition_touches", "read_amplification"):
+        assert gone not in entry
 
 
 def test_by_dataset_gains_io_rollups(busy_daemon):
     _root, stats, _metrics = busy_daemon
     entry = stats["by_dataset"]["demo"]
+    assert entry["count"] == 5
     assert entry["rows_scanned"] > 0
-    assert entry["partition_touches"] >= 5
-    assert entry["heat"] > 0
-    assert entry["read_amplification"] is not None
+    assert entry["bytes_scanned"] > 0
 
 
 def test_prometheus_scan_counters(busy_daemon):
-    _root, _stats, metrics = busy_daemon
-    assert "orpheusd_partition_touch_total" in metrics
-    assert "orpheusd_scanned_bytes_total" in metrics
-    for line in metrics.splitlines():
-        if line.startswith("orpheusd_partition_touch_total"):
-            assert float(line.split()[-1]) >= 5
+    _root, stats, metrics = busy_daemon
+    assert "orpheusd_partition_touch_total" not in metrics
+    assert "orpheusd_buffer_pool_pinned_bytes" not in metrics
+    samples = dict(
+        line.split() for line in metrics.splitlines()
+        if line.startswith("orpheusd_scanned_")
+    )
+    entry = stats["by_dataset"]["demo"]
+    rows, nbytes = entry["rows_scanned"], entry["bytes_scanned"]
+    assert float(samples["orpheusd_scanned_rows_total"]) == rows
+    assert float(samples["orpheusd_scanned_bytes_total"]) == nbytes
+
+
+def test_top_renders_the_ledgers_scan_table(busy_daemon):
+    from repro.observe.top import render_frame
+
+    _root, stats, _metrics = busy_daemon
+    frame = render_frame(stats)
+    assert "scan-rows" in frame
+    assert "half-life" not in frame and "pins" not in frame
+    entry = stats["by_dataset"]["demo"]
+    (row,) = [line for line in frame.splitlines() if line.startswith("demo ")]
+    count, rows = str(entry["count"]), str(entry["rows_scanned"])
+    assert row.split()[1:3] == [count, rows]
 
 
 def test_heat_persists_across_shutdown(busy_daemon):
-    root, stats, _metrics = busy_daemon
-    live = HeatAccountant.load(str(root))
-    assert live.events_total == stats["heat"]["events_total"]
-    assert "demo:1" in live.versions
-    assert "demo:2" in live.versions
-    assert live.samples["split_by_rlist|checkout"]["events"] == 2
+    """The daemon's heat outlives it in the flight record: the model
+    mined after shutdown holds every access it served."""
+    root, _stats, _metrics = busy_daemon
+    mined = mine(str(root), load_state(str(root)))
+    assert mined.events_total == 5
+    assert "demo:1" in mined.versions
+    assert "demo:2" in mined.versions
+    assert mined.samples["split_by_rlist|checkout"]["events"] == 2
+    assert mined.samples["split_by_rlist|checkout"]["rows_scanned"] > 0
+    assert not (root / ".orpheus" / "telemetry").exists()
 
 
 def test_restarted_daemon_resumes_heat(busy_daemon):
@@ -74,39 +100,13 @@ def test_restarted_daemon_resumes_heat(busy_daemon):
     with DaemonHandle(root) as handle:
         with handle.client() as client:
             client.checkout("demo", [2])
-            stats = client.stats()
-    assert stats["heat"]["events_total"] == 6
+    assert mine(str(root), load_state(str(root))).events_total == 6
 
 
-def test_flight_mining_matches_live_accounting(busy_daemon):
-    """The offline miner rebuilds the live model from the flight
-    recorder: identical events (the recorder keeps every request), so
-    identical touch tables, scan sums, and amplification samples."""
+def test_one_rule_decides_heat_events(busy_daemon):
+    """Neither a daemon `log -d` (a dataset request, not an access) nor
+    a CLI `drop` is a heat event; a CLI `init` is."""
     root, _stats, _metrics = busy_daemon
-    from repro.cli import load_state
-
-    orpheus = load_state(str(root))
-    mined = mine(str(root), orpheus)
-    live = HeatAccountant.load(str(root))
-    assert mined.events_total == live.events_total
-    assert mined.samples == live.samples
-    for table in ("datasets", "versions", "partitions"):
-        mined_table = getattr(mined, table)
-        live_table = getattr(live, table)
-        assert set(mined_table) == set(live_table)
-        for key, entry in mined_table.items():
-            twin = live_table[key]
-            assert entry["touches"] == twin["touches"], key
-            assert entry["rows_scanned"] == twin["rows_scanned"], key
-            assert entry["bytes_scanned"] == twin["bytes_scanned"], key
-            assert entry["heat"] == pytest.approx(twin["heat"]), key
-
-    # One rule decides what is a heat event on every path: neither a
-    # daemon `log -d` (a dataset request, not an access) nor a CLI `drop`
-    # is one, live or mined. The CLI part is compared by count and
-    # sample key only: the journal carries no scan stamps.
-    from repro.cli import main
-
     with DaemonHandle(root) as handle:
         with handle.client() as client:
             client.log(dataset="demo")
@@ -118,39 +118,69 @@ def test_flight_mining_matches_live_accounting(busy_daemon):
     for argv in (init, ["--root", str(root), "drop", "-d", "scratch"], init):
         assert main(argv) == 0
     mined = mine(str(root), load_state(str(root)))
-    live = HeatAccountant.load(str(root))
-    assert live.events_total == mined.events_total == 7
-    assert set(live.samples) == set(mined.samples)
+    assert mined.events_total == 7
+    assert mined.samples["split_by_rlist|init"]["events"] == 3
 
 
-def test_pins_follow_heat_on_the_housekeeping_tick_not_per_request(
-    workspace, monkeypatch
-):
-    """Requests fold heat but never re-rank the buffer pool's pins;
-    the housekeeping tick does, from the heat they left behind."""
-    from repro.pagestore.bufferpool import BufferPool, get_pool
+def test_serving_builds_no_heat_events(workspace, monkeypatch):
+    """orpheusd keeps no heat beside the record: serving 50 inline
+    checkouts never builds a heat event, wherever ``build_event`` was
+    imported."""
+    calls = []
+    real = heat_module.build_event
 
-    set_pins_calls = []
-    original = BufferPool.set_pins
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    def counting(self, heat_keys):
-        set_pins_calls.append(frozenset(heat_keys))
-        original(self, heat_keys)
-
-    with DaemonHandle(workspace) as handle:  # fold_interval 30 s: no tick fires
+    with DaemonHandle(workspace) as handle:
         with handle.client() as client:
             client.init(
                 "demo",
                 str(workspace / "data.csv"),
                 str(workspace / "schema.csv"),
             )
-            monkeypatch.setattr(BufferPool, "set_pins", counting)
-            for _ in range(5):
+            for module in list(sys.modules.values()):
+                if getattr(module, "build_event", None) is real:
+                    monkeypatch.setattr(module, "build_event", counting)
+            for _ in range(50):
                 client.checkout("demo", [1], inline=True)
-            client.diff("demo", 1, 1)
-            client.ping()  # same connection: the diff has been folded
-            assert handle.daemon.heat.events_total == 7
-            assert set_pins_calls == []
-            handle.daemon._housekeeping_tick()
-            assert set_pins_calls == [frozenset({"demo", "demo:p0"})]
-            assert get_pool().pins == {"demo", "demo:p0"}
+            client.ping()  # same connection: every checkout finalized
+    assert calls == []
+
+
+def test_pruned_flight_reads_leave_heat_but_journaled_commit_stays(
+    workspace, capsys
+):
+    """Heat covers what the records retain: reads whose flight segment
+    was pruned leave ``orpheus heat``; the daemon's commit stays,
+    because the ops journal keeps it."""
+    seed_dataset(workspace, "inter")
+    with DaemonHandle(workspace) as handle:
+        daemon = handle.daemon
+        daemon.recorder = FlightRecorder(
+            str(workspace), segment_bytes=4096, max_segments=2,
+            boot_id=daemon.boot_id,
+        )
+        with handle.client() as client:
+            commit_file = workspace / "commit.csv"
+            commit_file.write_text("key,value\nk1,1\nk2,2\nk3,3\nk4,4\n")
+            client.commit(
+                "inter", str(commit_file), message="grow", parents=[1]
+            )
+            for _ in range(60):
+                client.checkout("inter", [1], inline=True)
+    records = read_flight(flight_dir_path(str(workspace)))["records"]
+    ops = [record["op"] for record in records]
+    assert "commit" not in ops  # its segment was pruned
+    kept = ops.count("checkout")
+    assert 0 < kept < 60
+
+    capsys.readouterr()
+    assert main(["--root", str(workspace), "heat", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    samples = report["amplification"]["split_by_rlist"]
+    assert samples["checkout"]["events"] == kept
+    assert samples["commit"]["events"] == 1
+    assert samples["init"]["events"] == 1
+    assert report["events_total"] == kept + 2

@@ -212,7 +212,8 @@ def test_only_a_slow_request_carries_spans(workspace, daemon_factory):
 
 def test_every_request_is_recorded(workspace, daemon_factory):
     """The recorder takes no sample: each finished request is one
-    record, so the slow view and ``heat --from-flight`` are complete."""
+    record, so the slow view and the mined ``orpheus heat`` are
+    complete."""
     seed_dataset(workspace)
     with daemon_factory() as handle:
         with handle.client() as client:

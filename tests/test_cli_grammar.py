@@ -67,7 +67,7 @@ LOCAL_CORPUS = [
     ["remote", "--user", "u", "--socket", "s.sock", "--json", "checkout", "-d", "ds", "-v", "1"],
     ["remote", "--", "ls"],
     ["top", "--interval", "0.5", "--once", "--json", "--iterations", "2"],
-    ["heat", "-d", "ds", "--top", "3", "--json", "--from-flight"],
+    ["heat", "-d", "ds", "--top", "3", "--json"],
     ["heat", "--dataset", "ds"],
     ["stats", "--json"],
     ["stats", "--prometheus"],
