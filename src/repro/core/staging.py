@@ -9,6 +9,7 @@ access-controller rule from Section 3.3.1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from repro import telemetry
@@ -109,6 +110,15 @@ class StagingArea:
 
     def unpin(self, path: str) -> None:
         self._staged.pop(path, None)
+
+    def vanished(self) -> list[str]:
+        """Checkouts pinned to a file that no longer exists on disk."""
+        return [
+            name
+            for name in self._staged
+            if (name.endswith(".csv") or os.sep in name)
+            and not os.path.exists(name)
+        ]
 
     def staged_names(self) -> list[str]:
         return sorted(self._staged)

@@ -1,8 +1,17 @@
 """``orpheus doctor`` — storage-health probes with remediation hints.
 
-Each probe inspects one aspect of a repository and returns a severity
-(``ok``/``warn``/``fail``), a one-line summary, a concrete remediation,
-and machine-readable data. The probes:
+The doctor is one table, :data:`PROBES`, of probes with one signature:
+``probe(checkup) -> list[ProbeResult]``. A :class:`Checkup` carries the
+repository (``orpheus``, ``root``) and ``report``, orpheusd's own
+``stats_payload()`` when the doctor runs inside the daemon (``orpheus
+remote -- doctor``) and None from the CLI. It reads each shared source
+once per run: the state-integrity report, the operation journal and the
+mined heat model. The runner owns two rules: a probe that finds
+nothing to judge returns ``[]`` and gets one OK line carrying its idle
+summary, and a remediation is kept only on a result that is not OK.
+
+Each result has a severity (``ok``/``warn``/``fail``), a one-line
+summary, a concrete remediation, and machine-readable data. The probes:
 
 * **checkout-cost ratio** — for partitioned CVDs, the live C_avg against
   the LyreSplit optimum C*_avg; drifting past the migration tolerance µ
@@ -24,13 +33,15 @@ and machine-readable data. The probes:
   generation; stray temp files from interrupted writes.
 * **backup freshness** — backup generations must exist (and track the
   live file) once the repository has history.
-* **lock health** — last-holder liveness for the repository lock, and
-  stale fallback-lock detection.
 * **pending intents** — torn operations (intent begun, never completed)
   fail the probe and point at ``orpheus recover``.
-* **service faults** — a running daemon's fault-tolerance posture:
-  degraded read-only mode, quarantined poison requests, and
-  worker-error / deadline-shed rates against the fault budget.
+* **service health / service faults** — orpheusd's report: draining,
+  writer-queue saturation, degraded read-only mode, quarantined poison
+  requests, and worker-error / deadline-shed rates against the fault
+  budget. From the CLI, which holds the repository lock no daemon can
+  share, a ``service.json`` left behind is stale.
+* **flight recorder** — flight segments within the recorder's bound,
+  no torn tail once nothing writes, few slow requests.
 * **heat skew** — decayed partition heat mined from the journal and
   the flight record (:mod:`repro.observe.heat`): one partition soaking
   up most of a dataset's heat means the static split no longer matches
@@ -39,18 +50,18 @@ and machine-readable data. The probes:
   rows-requested per data model against the amplification budget.
 * **page store health** — paged-layout invariants: every referenced
   page file present, checksum spot-check, no orphans/stray temps.
-* **buffer pool** — budget pressure on the page cache: thrash (eviction
-  rate rivaling fault rate) and leaked dirty pages.
+* **buffer pool** — orpheusd's page cache: thrash (eviction rate
+  rivaling fault rate) and leaked dirty pages.
 
-``run_doctor`` executes all probes; the report's exit code is non-zero
-when any probe fails, so CI can gate on ``orpheus doctor --json``.
+``run_doctor`` runs the table; the report's exit code is non-zero when
+any probe fails, so CI can gate on ``orpheus doctor --json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro import telemetry
@@ -71,9 +82,6 @@ STALE_STAGING_SECONDS = 7 * 24 * 3600.0
 TELEMETRY_WARN_BYTES = 4 * 1024 * 1024
 #: A flight directory holding at least this many slow requests warns.
 SLOW_LOG_WARN_ENTRIES = 50
-#: Env var: p99 latency budget (ms) for the flight_recorder probe; the
-#: probe warns when the slow requests' p99 breaches it.
-SLOW_P99_BUDGET_ENV = "ORPHEUS_SLOW_P99_BUDGET_MS"
 
 #: Fault budget for the service_faults probe: worker errors or deadline
 #: sheds above this percentage of total requests warn.
@@ -137,25 +145,52 @@ class DoctorReport:
                 f"[{result.severity.upper():<4}] {result.probe:<24} "
                 f"{result.summary}"
             )
-            if result.remediation and result.severity != OK:
+            if result.remediation:
                 lines.append(f"       -> {result.remediation}")
         lines.append(f"overall: {self.severity}")
         return "\n".join(lines) + "\n"
 
 
+@dataclass
+class Checkup:
+    """What one doctor run looks at. ``report`` is orpheusd's
+    ``stats_payload()`` when the daemon runs the doctor, else None; the
+    shared sources are read on first use and once per run."""
+
+    orpheus: object = None
+    root: str | None = None
+    report: dict | None = None
+
+    @cached_property
+    def integrity(self) -> dict:
+        from repro.resilience.statestore import StateStore
+
+        return StateStore(self.root).integrity()
+
+    @cached_property
+    def journal(self) -> list[dict]:
+        from repro.observe.journal import Journal
+
+        return Journal(self.root).read()
+
+    @cached_property
+    def heat(self):
+        from repro.observe.heat import mine
+
+        return mine(self.root, self.orpheus, self.journal)
+
+
 # ----------------------------------------------------------------------
 # Probes
 # ----------------------------------------------------------------------
-def probe_checkout_cost(orpheus) -> list[ProbeResult]:
+def probe_checkout_cost(checkup: Checkup) -> list[ProbeResult]:
     """Live checkout cost vs. the LyreSplit optimum, per partitioned CVD."""
     from repro.partition.partitioned_store import PartitionedRlistStore
 
     results: list[ProbeResult] = []
-    for name in orpheus.ls():
-        model = orpheus.cvd(name).model
-        if not isinstance(model, PartitionedRlistStore):
-            continue
-        if not model._order:
+    for name in checkup.orpheus.ls():
+        model = checkup.orpheus.cvd(name).model
+        if not isinstance(model, PartitionedRlistStore) or not model._order:
             continue
         current = model.current_checkout_cost()
         _target, best = model.best_partitioning()
@@ -163,54 +198,36 @@ def probe_checkout_cost(orpheus) -> list[ProbeResult]:
         if best <= 0:
             continue
         ratio = current / best
-        bound = max(delta_bound, model.tolerance)
-        if ratio > bound:
+        if ratio > max(delta_bound, model.tolerance):
             severity = FAIL
         elif ratio > delta_bound:
             severity = WARN
         else:
             severity = OK
-        results.append(
-            ProbeResult(
-                probe=f"checkout_cost[{name}]",
-                severity=severity,
-                summary=(
-                    f"cost ratio {ratio:.2f} vs bound "
-                    f"1+δ={delta_bound:.2f} (µ={model.tolerance:.2f})"
-                ),
-                remediation=(
-                    f"re-run `orpheus optimize -d {name}`: checkout cost "
-                    f"ratio {ratio:.2f} exceeds 1+δ={delta_bound:.2f}"
-                    if severity != OK
-                    else ""
-                ),
-                data={
-                    "dataset": name,
-                    "current_cost": current,
-                    "optimal_cost": best,
-                    "ratio": round(ratio, 4),
-                    "delta_bound": round(delta_bound, 4),
-                    "tolerance": model.tolerance,
-                },
-            )
-        )
-    if not results:
-        results.append(
-            ProbeResult(
-                probe="checkout_cost",
-                severity=OK,
-                summary="no partitioned CVDs to check",
-            )
-        )
+        results.append(ProbeResult(
+            f"checkout_cost[{name}]", severity,
+            f"cost ratio {ratio:.2f} vs bound 1+δ={delta_bound:.2f} "
+            f"(µ={model.tolerance:.2f})",
+            f"re-run `orpheus optimize -d {name}`: checkout cost ratio "
+            f"{ratio:.2f} exceeds 1+δ={delta_bound:.2f}",
+            {
+                "dataset": name,
+                "current_cost": current,
+                "optimal_cost": best,
+                "ratio": round(ratio, 4),
+                "delta_bound": round(delta_bound, 4),
+                "tolerance": model.tolerance,
+            },
+        ))
     return results
 
 
-def probe_partition_imbalance(orpheus) -> list[ProbeResult]:
+def probe_partition_imbalance(checkup: Checkup) -> list[ProbeResult]:
     from repro.partition.partitioned_store import PartitionedRlistStore
 
     results: list[ProbeResult] = []
-    for name in orpheus.ls():
-        model = orpheus.cvd(name).model
+    for name in checkup.orpheus.ls():
+        model = checkup.orpheus.cvd(name).model
         if not isinstance(model, PartitionedRlistStore):
             continue
         sizes = list(
@@ -220,165 +237,90 @@ def probe_partition_imbalance(orpheus) -> list[ProbeResult]:
             continue
         mean = sum(sizes) / len(sizes)
         largest = max(sizes)
-        imbalanced = mean > 0 and largest > IMBALANCE_FACTOR * mean
-        results.append(
-            ProbeResult(
-                probe=f"partition_imbalance[{name}]",
-                severity=WARN if imbalanced else OK,
-                summary=(
-                    f"{len(sizes)} partitions, sizes "
-                    f"min={min(sizes)} mean={mean:.0f} max={largest}"
-                ),
-                remediation=(
-                    f"re-run `orpheus optimize -d {name}` to rebalance"
-                    if imbalanced
-                    else ""
-                ),
-                data={"dataset": name, "partition_sizes": sorted(sizes)},
-            )
-        )
-    if not results:
-        results.append(
-            ProbeResult(
-                probe="partition_imbalance",
-                severity=OK,
-                summary="no partitioned CVDs to check",
-            )
-        )
+        results.append(ProbeResult(
+            f"partition_imbalance[{name}]",
+            WARN if mean > 0 and largest > IMBALANCE_FACTOR * mean else OK,
+            f"{len(sizes)} partitions, sizes min={min(sizes)} "
+            f"mean={mean:.0f} max={largest}",
+            f"re-run `orpheus optimize -d {name}` to rebalance",
+            {"dataset": name, "partition_sizes": sorted(sizes)},
+        ))
     return results
 
 
-def probe_delta_chains(orpheus) -> list[ProbeResult]:
+def probe_delta_chains(checkup: Checkup) -> list[ProbeResult]:
     """Delta-chain length distribution for delta-based CVDs."""
     from repro.core.models.delta_based import DeltaBasedModel
 
     results: list[ProbeResult] = []
-    for name in orpheus.ls():
-        cvd = orpheus.cvd(name)
+    for name in checkup.orpheus.ls():
+        cvd = checkup.orpheus.cvd(name)
         if not isinstance(cvd.model, DeltaBasedModel):
             continue
         histogram: dict[int, int] = {}
-        longest = 0
         for vid in cvd.versions.vids():
             length = len(cvd.model.chain_of(vid)) - 1
             histogram[length] = histogram.get(length, 0) + 1
-            longest = max(longest, length)
+        longest = max(histogram, default=0)
         if longest > 4 * CHAIN_WARN:
             severity = FAIL
         elif longest > CHAIN_WARN:
             severity = WARN
         else:
             severity = OK
-        results.append(
-            ProbeResult(
-                probe=f"delta_chains[{name}]",
-                severity=severity,
-                summary=f"longest delta chain {longest} (threshold {CHAIN_WARN})",
-                remediation=(
-                    "re-commit hot versions against a nearer base, or "
-                    "migrate the CVD to split_by_rlist"
-                    if severity != OK
-                    else ""
-                ),
-                data={
-                    "dataset": name,
-                    "chain_histogram": {
-                        str(k): v for k, v in sorted(histogram.items())
-                    },
+        results.append(ProbeResult(
+            f"delta_chains[{name}]", severity,
+            f"longest delta chain {longest} (threshold {CHAIN_WARN})",
+            f"a stored chain never shortens: check out the versions you "
+            f"still need, `orpheus drop -d {name}` and `orpheus init` them "
+            f"again under `--model split_by_rlist` (history restarts)",
+            {
+                "dataset": name,
+                "chain_histogram": {
+                    str(k): v for k, v in sorted(histogram.items())
                 },
-            )
-        )
-    if not results:
-        results.append(
-            ProbeResult(
-                probe="delta_chains",
-                severity=OK,
-                summary="no delta-based CVDs to check",
-            )
-        )
+            },
+        ))
     return results
 
 
-def probe_storage_plan_chains(store) -> ProbeResult:
-    """Chain-length distribution of a Chapter-7 storage plan.
-
-    Library-level probe: takes a ``VersionedStore`` (or anything with a
-    ``plan()`` returning a :class:`~repro.storage.graph.StoragePlan`).
-    """
-    plan = store.plan() if callable(getattr(store, "plan", None)) else store
-    histogram = plan.depth_histogram()
-    longest = max(histogram, default=0)
-    if longest > 4 * CHAIN_WARN:
-        severity = FAIL
-    elif longest > CHAIN_WARN:
-        severity = WARN
-    else:
-        severity = OK
-    return ProbeResult(
-        probe="storage_plan_chains",
-        severity=severity,
-        summary=f"longest materialization chain {longest}",
-        remediation=(
-            "re-solve the storage plan with a tighter recreation bound"
-            if severity != OK
-            else ""
-        ),
-        data={"chain_histogram": {str(k): v for k, v in sorted(histogram.items())}},
-    )
-
-
-def probe_orphaned_versions(orpheus) -> list[ProbeResult]:
+def probe_orphaned_versions(checkup: Checkup) -> list[ProbeResult]:
     """The version graph and the versions the physical model's tables
     can serve must agree."""
     results: list[ProbeResult] = []
-    for name in orpheus.ls():
-        cvd = orpheus.cvd(name)
+    for name in checkup.orpheus.ls():
+        cvd = checkup.orpheus.cvd(name)
         graph_vids = set(cvd.versions.vids())
         member_vids = cvd.model.stored_versions()
         missing_physical = sorted(graph_vids - member_vids)
         missing_metadata = sorted(member_vids - graph_vids)
         if missing_physical or missing_metadata:
-            results.append(
-                ProbeResult(
-                    probe=f"orphaned_versions[{name}]",
-                    severity=FAIL,
-                    summary=(
-                        f"{len(missing_physical)} versions lack physical "
-                        f"membership, {len(missing_metadata)} lack metadata"
-                    ),
-                    remediation=(
-                        "state is corrupt; restore .orpheus/state.pkl from "
-                        "backup or re-init from the journal"
-                    ),
-                    data={
-                        "dataset": name,
-                        "missing_physical": missing_physical[:20],
-                        "missing_metadata": missing_metadata[:20],
-                    },
-                )
-            )
-    if not results:
-        results.append(
-            ProbeResult(
-                probe="orphaned_versions",
-                severity=OK,
-                summary="version graph and physical membership agree",
-            )
-        )
+            results.append(ProbeResult(
+                f"orphaned_versions[{name}]", FAIL,
+                f"{len(missing_physical)} versions lack physical "
+                f"membership, {len(missing_metadata)} lack metadata",
+                "state is corrupt; restore .orpheus/state.pkl from backup "
+                "or re-init from the journal",
+                {
+                    "dataset": name,
+                    "missing_physical": missing_physical[:20],
+                    "missing_metadata": missing_metadata[:20],
+                },
+            ))
     return results
 
 
-def probe_stale_staging(orpheus) -> ProbeResult:
+def probe_stale_staging(checkup: Checkup) -> list[ProbeResult]:
     """Staged checkouts whose file vanished or that sat too long."""
+    staging = checkup.orpheus.staging
     now = telemetry.now()
-    vanished: list[str] = []
-    stale: list[str] = []
-    for name, info in orpheus.staging._staged.items():
-        looks_like_path = name.endswith(".csv") or os.sep in name
-        if looks_like_path and not os.path.exists(name):
-            vanished.append(name)
-        elif now - info.checkout_time > STALE_STAGING_SECONDS:
-            stale.append(name)
+    vanished = staging.vanished()
+    stale = [
+        name
+        for name, info in staging._staged.items()
+        if name not in vanished
+        and now - info.checkout_time > STALE_STAGING_SECONDS
+    ]
     if vanished:
         severity = WARN
         summary = f"{len(vanished)} staged file(s) no longer exist on disk"
@@ -387,522 +329,287 @@ def probe_stale_staging(orpheus) -> ProbeResult:
         summary = f"{len(stale)} staged checkout(s) uncommitted for >7 days"
     else:
         severity = OK
-        summary = f"{len(orpheus.staging._staged)} staged checkout(s), all live"
-    return ProbeResult(
-        probe="stale_staging",
-        severity=severity,
-        summary=summary,
-        remediation=(
-            "commit or release the staged checkouts (they hold parent "
-            "pins for provenance)"
-            if severity != OK
-            else ""
-        ),
-        data={"vanished": vanished[:20], "stale": stale[:20]},
-    )
+        summary = f"{len(staging._staged)} staged checkout(s), all live"
+    return [ProbeResult(
+        "stale_staging", severity, summary,
+        "commit the staged checkouts you still want (they hold parent "
+        "pins for provenance); delete the files of the others and run "
+        "`orpheus recover`, which releases every checkout whose file is "
+        "gone",
+        {"vanished": vanished[:20], "stale": stale[:20]},
+    )]
 
 
-def probe_telemetry_accumulator(root: str | None = None) -> ProbeResult:
+def probe_telemetry_accumulator(checkup: Checkup) -> list[ProbeResult]:
     """``.orpheus/telemetry.json`` must stay parseable and bounded."""
-    path = Path(root or ".") / ".orpheus" / "telemetry.json"
+    path = Path(checkup.root or ".") / ".orpheus" / "telemetry.json"
     if not path.exists():
-        return ProbeResult(
-            probe="telemetry_accumulator",
-            severity=OK,
-            summary="no accumulated telemetry",
-        )
+        return []
     size = path.stat().st_size
     try:
         json.loads(path.read_text())
-        parseable = True
     except ValueError:
-        parseable = False
-    if not parseable:
-        return ProbeResult(
-            probe="telemetry_accumulator",
-            severity=WARN,
-            summary=f"telemetry.json is corrupt ({size} bytes)",
-            remediation="run `orpheus stats --reset` to start a fresh history",
-            data={"bytes": size},
-        )
-    severity = WARN if size > TELEMETRY_WARN_BYTES else OK
-    return ProbeResult(
-        probe="telemetry_accumulator",
-        severity=severity,
-        summary=f"telemetry.json is {size} bytes",
-        remediation=(
-            "run `orpheus stats --reset` after exporting the history"
-            if severity != OK
-            else ""
-        ),
-        data={"bytes": size},
-    )
+        severity, summary = WARN, f"telemetry.json is corrupt ({size} bytes)"
+        remediation = "run `orpheus stats --reset` to start a fresh history"
+    else:
+        severity = WARN if size > TELEMETRY_WARN_BYTES else OK
+        summary = f"telemetry.json is {size} bytes"
+        remediation = "run `orpheus stats --reset` after exporting the history"
+    return [ProbeResult(
+        "telemetry_accumulator", severity, summary, remediation,
+        {"bytes": size},
+    )]
 
 
-def probe_state_integrity(root: str | None = None) -> ProbeResult:
+def probe_state_integrity(checkup: Checkup) -> list[ProbeResult]:
     """Checksum-verify ``state.pkl`` and every backup generation."""
-    from repro.resilience.statestore import StateStore
-
-    store = StateStore(root)
-    report = store.integrity()
+    report = checkup.integrity
     status = report["status"]
     stray = report["stray_temps"]
     if status == "missing":
-        return ProbeResult(
-            probe="state_integrity",
-            severity=OK,
-            summary="no state file yet (fresh repository)",
-            data=report,
-        )
+        return []
     if status == "corrupt":
         fallback_ok = any(b["ok"] for b in report["backups"])
-        return ProbeResult(
-            probe="state_integrity",
-            severity=WARN if fallback_ok else FAIL,
-            summary=(
-                f"state.pkl is corrupt ({report['detail']}); "
-                + (
-                    "a verified backup will serve loads"
-                    if fallback_ok
-                    else "no verified backup exists"
-                )
-            ),
-            remediation=(
-                "run `orpheus recover` (any mutating command also "
-                "rewrites state from the backup)"
-                if fallback_ok
-                else "restore .orpheus/state.pkl from an external copy "
-                "or re-init from the operation journal"
-            ),
-            data=report,
+        severity = WARN if fallback_ok else FAIL
+        summary = f"state.pkl is corrupt ({report['detail']}); " + (
+            "a verified backup will serve loads"
+            if fallback_ok
+            else "no verified backup exists"
         )
-    severity = WARN if (status == "legacy" or stray) else OK
-    bits = [f"{report['bytes']} bytes, checksum ok"]
-    if status == "legacy":
-        bits = [f"{report['bytes']} bytes, legacy pre-checksum format"]
-    if stray:
-        bits.append(f"{len(stray)} interrupted write temp(s)")
-    return ProbeResult(
-        probe="state_integrity",
-        severity=severity,
-        summary="; ".join(bits),
-        remediation=(
-            "run `orpheus recover` to clean up (legacy files upgrade on "
-            "the next mutating command)"
-            if severity != OK
-            else ""
-        ),
-        data=report,
-    )
-
-
-def probe_backup_freshness(root: str | None = None) -> ProbeResult:
-    """Backup generations must exist once the repository has history."""
-    from repro.observe.journal import Journal
-    from repro.resilience.statestore import StateStore
-
-    store = StateStore(root)
-    if not store.path.exists():
-        return ProbeResult(
-            probe="backup_freshness",
-            severity=OK,
-            summary="no state file yet, nothing to back up",
-        )
-    backups = [p for p in store.backup_paths if p.exists()]
-    ops = len(Journal(root).read())
-    if not backups:
-        severity = WARN if ops >= 2 else OK
-        return ProbeResult(
-            probe="backup_freshness",
-            severity=severity,
-            summary=(
-                f"no backup generation yet ({ops} journaled operation(s))"
-            ),
-            remediation=(
-                "backups rotate on every state save; investigate why "
-                "none exists despite repeated operations"
-                if severity != OK
-                else ""
-            ),
-            data={"ops": ops},
-        )
-    state_mtime = store.path.stat().st_mtime
-    newest = max(p.stat().st_mtime for p in backups)
-    lag = state_mtime - newest
-    stale = lag > STALE_STAGING_SECONDS
-    return ProbeResult(
-        probe="backup_freshness",
-        severity=WARN if stale else OK,
-        summary=(
-            f"{len(backups)} backup generation(s), newest "
-            f"{max(lag, 0):.0f}s behind the live state"
-        ),
-        remediation=(
-            "backups have not rotated in over a week of state writes; "
-            "check filesystem permissions on .orpheus/"
-            if stale
-            else ""
-        ),
-        data={
-            "backups": [p.name for p in backups],
-            "lag_seconds": round(lag, 1),
-        },
-    )
-
-
-def probe_lock_health(root: str | None = None) -> ProbeResult:
-    """Repository lock file state and last-holder liveness."""
-    from repro.resilience.lock import LOCK_FILE, _pid_alive, holder_info
-
-    lock_dir = Path(root or ".") / ".orpheus"
-    path = lock_dir / LOCK_FILE
-    if not path.exists():
-        return ProbeResult(
-            probe="lock_health",
-            severity=OK,
-            summary="no lock activity yet",
-        )
-    holder = holder_info(root) or {}
-    pid = int(holder.get("pid") or 0)
-    fallback = lock_dir / (LOCK_FILE + ".excl")
-    if fallback.exists():
-        fallback_holder: dict = {}
-        try:
-            fallback_holder = json.loads(fallback.read_text())
-        except (OSError, ValueError):
-            pass
-        fallback_pid = int(fallback_holder.get("pid") or 0)
-        if not _pid_alive(fallback_pid):
-            return ProbeResult(
-                probe="lock_health",
-                severity=WARN,
-                summary=(
-                    f"stale fallback lock: holder pid {fallback_pid} is dead"
-                ),
-                remediation=(
-                    f"remove {fallback} (the next lock attempt also breaks "
-                    f"it automatically)"
-                ),
-                data={"fallback_pid": fallback_pid},
-            )
-    if pid and _pid_alive(pid):
-        summary = (
-            f"last exclusive holder pid {pid} "
-            f"({holder.get('command') or '?'}) is alive"
+        remediation = (
+            "run `orpheus recover`: it rewrites state.pkl from the "
+            "verified backup"
+            if fallback_ok
+            else "restore .orpheus/state.pkl from an external copy or "
+            "re-init from the operation journal"
         )
     else:
-        summary = "lock file present; no live holder (flock auto-released)"
-    return ProbeResult(
-        probe="lock_health",
-        severity=OK,
-        summary=summary,
-        data={"holder": holder},
-    )
+        severity = WARN if (status == "legacy" or stray) else OK
+        bits = [f"{report['bytes']} bytes, checksum ok"]
+        if status == "legacy":
+            bits = [f"{report['bytes']} bytes, legacy pre-checksum format"]
+        if stray:
+            bits.append(f"{len(stray)} interrupted write temp(s)")
+        summary = "; ".join(bits)
+        remediation = (
+            "run `orpheus recover` to clean up (legacy files upgrade on "
+            "the next mutating command)"
+        )
+    return [ProbeResult("state_integrity", severity, summary, remediation, report)]
 
 
-def probe_pending_intents(root: str | None = None) -> ProbeResult:
+def probe_backup_freshness(checkup: Checkup) -> list[ProbeResult]:
+    """Backup generations must exist once the repository has history."""
+    from repro.resilience.statestore import StateStore
+
+    store = StateStore(checkup.root)
+    if not store.path.exists():
+        return []
+    backups = [p for p in store.backup_paths if p.exists()]
+    if not backups:
+        ops = len(checkup.journal)
+        return [ProbeResult(
+            "backup_freshness", WARN if ops >= 2 else OK,
+            f"no backup generation yet ({ops} journaled operation(s))",
+            "every state save rotates a backup in: run the next mutating "
+            "command (a commit); if none appears, check filesystem "
+            "permissions on .orpheus/",
+            {"ops": ops},
+        )]
+    lag = store.path.stat().st_mtime - max(p.stat().st_mtime for p in backups)
+    return [ProbeResult(
+        "backup_freshness", WARN if lag > STALE_STAGING_SECONDS else OK,
+        f"{len(backups)} backup generation(s), newest "
+        f"{max(lag, 0):.0f}s behind the live state",
+        "backups have not rotated in over a week of state writes; check "
+        "filesystem permissions on .orpheus/",
+        {"backups": [p.name for p in backups], "lag_seconds": round(lag, 1)},
+    )]
+
+
+def probe_pending_intents(checkup: Checkup) -> list[ProbeResult]:
     """Torn operations (intent begun, never completed) demand recovery."""
     from repro.resilience.intents import IntentLog
 
-    log = IntentLog(root)
-    records = log.read()
+    log = IntentLog(checkup.root)
     pending = log.pending()
-    if pending:
-        return ProbeResult(
-            probe="pending_intents",
-            severity=FAIL,
-            summary=(
-                f"{len(pending)} torn operation(s): a process died "
-                f"mid-command"
-            ),
-            remediation="run `orpheus recover` (any command auto-recovers)",
-            data={
-                "pending": [
-                    {
-                        "trace_id": r.get("trace_id"),
-                        "command": r.get("command"),
-                        "dataset": r.get("dataset"),
-                    }
-                    for r in pending[:20]
-                ]
-            },
-        )
-    return ProbeResult(
-        probe="pending_intents",
-        severity=OK,
-        summary=f"{len(records)} intent record(s), none pending",
-    )
+    if not pending:
+        return [ProbeResult(
+            "pending_intents", OK,
+            f"{len(log.read())} intent record(s), none pending",
+        )]
+    return [ProbeResult(
+        "pending_intents", FAIL,
+        f"{len(pending)} torn operation(s): a process died mid-command",
+        "run `orpheus recover` (any command auto-recovers)",
+        {"pending": [
+            {key: r.get(key) for key in ("trace_id", "command", "dataset")}
+            for r in pending[:20]
+        ]},
+    )]
 
 
-@dataclass
-class DaemonView:
-    """One look at the daemon ``.orpheus/service.json`` names, shared by
-    the two service probes: ``state`` is ``absent``, ``self`` (the doctor
-    runs inside the daemon), ``dead``, ``unreachable`` or ``live``, with
-    the live daemon's report (the ``status`` op) in ``report``."""
+def probe_service_health(checkup: Checkup) -> list[ProbeResult]:
+    """orpheusd's queue pressure and cache hit rate, from its report.
 
-    state: str
-    pid: int = 0
-    socket: str | None = None
-    report: dict = field(default_factory=dict)
-    error: str = ""
-
-
-def view_daemon(root: str | None = None) -> DaemonView:
-    """Read the status file, check the pid, and fetch the report once."""
-    from repro.service.client import (
-        ServiceClient,
-        ServiceError,
-        _pid_alive,
-        read_status_file,
-    )
-
-    status = read_status_file(root)
-    if status is None:
-        return DaemonView("absent")
-    pid = int(status.get("pid") or 0)
-    socket = status.get("socket")
-    if pid == os.getpid():
-        return DaemonView("self", pid, socket)
-    if not _pid_alive(pid):
-        return DaemonView("dead", pid, socket)
-    try:
-        with ServiceClient(socket_path=socket, root=root) as client:
-            return DaemonView("live", pid, socket, report=client.status())
-    except ServiceError as error:
-        return DaemonView("unreachable", pid, socket, error=str(error))
-
-
-def probe_service_health(
-    root: str | None = None, view: DaemonView | None = None
-) -> ProbeResult:
-    """The version-service daemon, when one claims this repository.
-
-    A live daemon's report surfaces queue pressure and cache hit rate;
-    a dead pid means a crashed daemon left its status file (and
-    possibly socket) behind — warn and point at cleanup. No status file
-    at all is OK: serving is optional.
+    Without a report the doctor runs in a CLI process holding the
+    repository lock, which a live daemon never shares: a
+    ``service.json`` it finds was left by a daemon that died. No status
+    file at all is OK; serving is optional.
     """
-    view = view or view_daemon(root)
-    pid = view.pid
-    if view.state != "live":
-        severity, summary, remediation = {
-            "absent": (
-                OK, "no daemon registered (orpheus serve not running)", "",
-            ),
-            # Querying our own socket would tie up a second worker.
-            "self": (OK, f"this process is the daemon (pid {pid})", ""),
-            "dead": (
-                WARN,
-                f"stale service.json: daemon pid {pid} is dead",
-                "remove .orpheus/service.json and the stale socket, then "
-                "restart with `orpheus serve` (startup also recovers any "
-                "torn operations)",
-            ),
-            "unreachable": (
-                WARN,
-                f"daemon pid {pid} is alive but unresponsive: {view.error}",
-                "the daemon may be wedged; check its stderr, then "
-                "SIGTERM it (graceful drain) and restart",
-            ),
-        }[view.state]
-        return ProbeResult(
-            probe="service_health",
-            severity=severity,
-            summary=summary,
-            remediation=remediation,
-            data={"pid": pid, "socket": view.socket} if pid else {},
-        )
-    live = view.report
+    live = checkup.report
+    if live is None:
+        from repro.service.client import read_status_file
+
+        status = read_status_file(checkup.root)
+        if status is None:
+            return []
+        pid = int(status.get("pid") or 0)
+        return [ProbeResult(
+            "service_health", WARN,
+            f"stale service.json: the daemon that wrote it (pid {pid}) "
+            f"is dead",
+            "remove .orpheus/service.json and the stale socket, then "
+            "restart with `orpheus serve` (startup also recovers any torn "
+            "operations)",
+            {"pid": pid, "socket": status.get("socket")},
+        )]
+    server = live.get("server", {})
     scheduler = live.get("scheduler", {})
     cache = live.get("cache", {})
     requests = live.get("requests", {})
-    write_pressure = scheduler.get("write_queue_depth", 0) >= max(
-        1, scheduler.get("write_queue_capacity", 1)
+    remediation = (
+        "raise `orpheus serve --queue-depth`/--workers or slow the "
+        "writers; shed requests surface as BUSY to clients"
     )
-    shed = scheduler.get("shed_reads", 0) + scheduler.get("shed_writes", 0)
-    draining = live.get("server", {}).get("draining", False)
-    if draining:
-        severity, note = WARN, "daemon is draining"
-    elif write_pressure:
+    if server.get("draining", False):
+        severity, note, remediation = WARN, "daemon is draining", ""
+    elif scheduler.get("write_queue_depth", 0) >= max(
+        1, scheduler.get("write_queue_capacity", 1)
+    ):
         severity, note = WARN, "writer queue is saturated"
     else:
         severity, note = OK, "daemon healthy"
-    return ProbeResult(
-        probe="service_health",
-        severity=severity,
-        summary=(
-            f"{note}: pid {pid}, uptime {live.get('uptime_s', 0):.0f}s, "
-            f"{requests.get('total', 0)} requests "
-            f"({requests.get('busy', 0)} shed busy), cache hit rate "
-            f"{cache.get('hit_rate', 0.0):.0%}"
-        ),
-        remediation=(
-            "raise `orpheus serve --queue-depth`/--workers or slow the "
-            "writers; shed requests surface as BUSY to clients"
-            if severity != OK and not draining
-            else ""
-        ),
-        data={
-            "pid": pid,
+    return [ProbeResult(
+        "service_health", severity,
+        f"{note}: pid {server.get('pid')}, uptime "
+        f"{live.get('uptime_s', 0):.0f}s, {requests.get('total', 0)} "
+        f"requests ({requests.get('busy', 0)} shed busy), cache hit rate "
+        f"{cache.get('hit_rate', 0.0):.0%}",
+        remediation,
+        {
+            "pid": server.get("pid"),
             "uptime_s": live.get("uptime_s"),
             "requests": requests,
-            "shed": shed,
+            "shed": scheduler.get("shed_reads", 0)
+            + scheduler.get("shed_writes", 0),
             "scheduler": scheduler,
             "cache": cache,
             "sessions": live.get("sessions", {}).get("active"),
         },
-    )
+    )]
 
 
-def probe_service_faults(
-    root: str | None = None, view: DaemonView | None = None
-) -> ProbeResult:
-    """Fault-tolerance posture of a running daemon.
+def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
+    """Fault-tolerance posture of orpheusd, from its report.
 
     Warns when the daemon is in degraded read-only mode (writes are
     bouncing), when poisoned requests sit quarantined, or when the
     worker-error / deadline rate exceeds the fault budget
     (``FAULT_BUDGET_PCT``, 1% of total requests). The deadline count is
     the report's ``requests.deadline_exceeded``, which already includes
-    every queue shed. No daemon — or a daemon we cannot reach — is OK
-    here; liveness is ``service_health``'s job.
+    every queue shed. Without a report there is no daemon to judge.
     """
-    view = view or view_daemon(root)
-    pid = view.pid
-    if view.state != "live":
-        summary = {
-            "absent": "no daemon registered (nothing to degrade)",
-            "self": f"this process is the daemon (pid {pid})",
-            "dead": f"daemon pid {pid} is dead (see service_health)",
-            "unreachable": (
-                f"daemon pid {pid} unreachable (see service_health)"
-            ),
-        }[view.state]
-        return ProbeResult(
-            probe="service_faults",
-            severity=OK,
-            summary=summary,
-            data={"pid": pid} if pid else {},
-        )
-    live = view.report
+    live = checkup.report
+    if live is None:
+        return []
+    pid = live.get("server", {}).get("pid")
     requests = live.get("requests", {})
     degrade = live.get("degrade", {})
     quarantine = live.get("quarantine", {})
     total = max(1, int(requests.get("total", 0) or 0))
     worker_errors = int(requests.get("worker_errors", 0) or 0)
     deadline_exceeded = int(requests.get("deadline_exceeded", 0) or 0)
-    worker_pct = 100.0 * worker_errors / total
-    deadline_pct = 100.0 * deadline_exceeded / total
     quarantined = int(quarantine.get("quarantined", 0) or 0)
     problems: list[str] = []
     remediation: list[str] = []
     if degrade.get("degraded"):
-        cause = degrade.get("cause") or "unknown"
-        problems.append(f"degraded read-only mode ({cause})")
+        problems.append(
+            f"degraded read-only mode ({degrade.get('cause') or 'unknown'})"
+        )
         remediation.append(
-            "fix the storage fault behind the failing saves (disk "
-            "full? permissions?); the daemon probes a save each "
-            "housekeeping tick and exits degraded mode on success"
+            "fix the storage fault behind the failing saves (disk full? "
+            "permissions?); the daemon probes a save each housekeeping "
+            "tick and exits degraded mode on success"
         )
     if quarantined:
         problems.append(f"{quarantined} request digest(s) quarantined")
         remediation.append(
-            "inspect the quarantine entries in `orpheus serve "
-            "--status`, fix or stop the offending request, then "
-            "`orpheus remote -- flush-quarantine`"
+            "inspect the quarantine entries in `orpheus serve --status`, "
+            "fix or stop the offending request, then `orpheus remote -- "
+            "flush-quarantine`"
         )
-    if worker_pct > FAULT_BUDGET_PCT:
-        problems.append(
-            f"worker-error rate {worker_pct:.1f}% exceeds the "
-            f"{FAULT_BUDGET_PCT:.1f}% budget"
-        )
-        remediation.append(
-            "check the daemon stderr and the journal for the failing "
-            "op; repeated crashers quarantine automatically"
-        )
-    if deadline_pct > FAULT_BUDGET_PCT:
-        problems.append(
-            f"deadline-shed rate {deadline_pct:.1f}% exceeds the "
-            f"{FAULT_BUDGET_PCT:.1f}% budget"
-        )
-        remediation.append(
-            "the queue is slow, not full: raise client deadlines "
-            "(ORPHEUS_CLIENT_DEADLINE_MS), add workers, or shed load"
-        )
-    data = {
-        "pid": pid,
-        "total": requests.get("total", 0),
-        "worker_errors": worker_errors,
-        "deadline_exceeded": deadline_exceeded,
-        "budget_pct": FAULT_BUDGET_PCT,
-        "degrade": degrade,
-        "quarantine": {
-            key: value
-            for key, value in quarantine.items()
-            if key != "entries"
-        },
-    }
-    if problems:
-        return ProbeResult(
-            probe="service_faults",
-            severity=WARN,
-            summary="; ".join(problems),
-            remediation="; ".join(remediation),
-            data=data,
-        )
-    return ProbeResult(
-        probe="service_faults",
-        severity=OK,
-        summary=(
-            f"daemon pid {pid} healthy: {worker_errors} worker "
-            f"error(s), {deadline_exceeded} deadline shed(s), "
-            f"quarantine empty"
-        ),
-        data=data,
+    for count, what, remedy in (
+        (worker_errors, "worker-error",
+         "check the daemon stderr and the journal for the failing op; "
+         "repeated crashers quarantine automatically"),
+        (deadline_exceeded, "deadline-shed",
+         "the queue is slow, not full: raise client deadlines "
+         "(ORPHEUS_CLIENT_DEADLINE_MS), add workers, or shed load"),
+    ):
+        pct = 100.0 * count / total
+        if pct > FAULT_BUDGET_PCT:
+            problems.append(
+                f"{what} rate {pct:.1f}% exceeds the "
+                f"{FAULT_BUDGET_PCT:.1f}% budget"
+            )
+            remediation.append(remedy)
+    summary = "; ".join(problems) or (
+        f"daemon pid {pid} healthy: {worker_errors} worker error(s), "
+        f"{deadline_exceeded} deadline shed(s), quarantine empty"
     )
+    return [ProbeResult(
+        "service_faults", WARN if problems else OK, summary,
+        "; ".join(remediation),
+        {
+            "pid": pid,
+            "total": requests.get("total", 0),
+            "worker_errors": worker_errors,
+            "deadline_exceeded": deadline_exceeded,
+            "budget_pct": FAULT_BUDGET_PCT,
+            "degrade": degrade,
+            "quarantine": {
+                key: value
+                for key, value in quarantine.items()
+                if key != "entries"
+            },
+        },
+    )]
 
 
-def _slow_budget_ms() -> float | None:
-    """``ORPHEUS_SLOW_P99_BUDGET_MS``, or None when unset or malformed."""
-    try:
-        return float(os.environ.get(SLOW_P99_BUDGET_ENV) or "")
-    except ValueError:
-        return None
-
-
-def probe_flight_recorder(root: str | None = None) -> ProbeResult:
+def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
     """Flight segments must stay within the recorder's own bound, end
-    cleanly, and hold few, fast slow requests.
+    cleanly, and hold few slow requests.
 
     The bound is the newest segment header's ``segment_bytes`` ×
     ``max_segments``: the recorder rotates and prunes to it, so on-disk
     bytes above it mean pruning failed. A torn tail on the newest
-    segment while no daemon is running means the last daemon died
-    mid-write and the capture lost its final records. Slow requests
-    (records carrying ``spans``) warn at :data:`SLOW_LOG_WARN_ENTRIES`
-    or when their p99 breaches ``ORPHEUS_SLOW_P99_BUDGET_MS``; only
-    their lines are parsed.
+    segment while no daemon is running (no report) means the last
+    daemon died mid-write and the capture lost its final records. Slow
+    requests (records carrying ``spans``) warn at
+    :data:`SLOW_LOG_WARN_ENTRIES`; only their lines are parsed.
     """
-    from repro.service.client import daemon_running
     from repro.service.recorder import (
         flight_dir_path,
         flight_dir_status,
         read_slow,
     )
 
-    flight_dir = flight_dir_path(root)
+    flight_dir = flight_dir_path(checkup.root)
     status = flight_dir_status(flight_dir)
     if not status["segments"]:
-        return ProbeResult(
-            probe="flight_recorder",
-            severity=OK,
-            summary="no flight segments recorded",
-        )
+        return []
     bound = status["segment_bytes"] * status["max_segments"]
-    # A torn tail is expected while a daemon is appending; it only
-    # signals data loss once nothing is writing.
-    torn = status["newest_torn"] and not daemon_running(root)
     durations = sorted(
         record["total_s"] for record in read_slow(flight_dir)
         if isinstance(record.get("total_s"), (int, float))
@@ -912,8 +619,7 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
         round(durations[min(slow - 1, int(0.99 * slow))] * 1000.0, 3)
         if durations else None
     )
-    budget_ms = _slow_budget_ms()
-    severity, remediation = WARN, ""
+    severity = WARN
     if status["bytes"] > bound:
         summary = (
             f"flight segments use {status['bytes']} bytes, over the "
@@ -925,45 +631,38 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             "oldest flight-*.jsonl segments; the daemon prunes to its "
             "bound each time it opens a segment"
         )
-    elif torn:
+    elif status["newest_torn"] and checkup.report is None:
+        # A torn tail is expected while a daemon is appending; it only
+        # signals data loss once nothing is writing.
         summary = (
             "newest flight segment has a torn tail and no daemon is "
             "writing — the last capture lost its final records"
         )
         remediation = (
-            "nothing to repair: readers (`orpheus heat`, "
-            "this probe) skip the unparseable final line"
-        )
-    elif budget_ms is not None and p99_ms is not None and p99_ms > budget_ms:
-        summary = (
-            f"slow-request p99 {p99_ms:.0f}ms breaches the "
-            f"{budget_ms:.0f}ms budget ({slow} recorded)"
+            "nothing to repair: readers (`orpheus heat`, this probe) skip "
+            "the unparseable final line, and the next `orpheus serve` "
+            "starts a fresh segment"
         )
     elif slow >= SLOW_LOG_WARN_ENTRIES:
         summary = (
             f"slow requests are piling up: {slow} over "
             f"{status['slow_ms']:g}ms"
         )
+        remediation = (
+            "watch the live breakdown with `orpheus top` and profile the "
+            "hot phase with `orpheus profile`; the `spans` of each slow "
+            "flight record name its slow phase"
+        )
     else:
-        severity = OK
+        severity, remediation = OK, ""
         summary = (
-            f"{status['segments']} flight segment(s), "
-            f"{status['bytes']} bytes (bound {bound}), "
-            f"{slow} slow request(s)"
+            f"{status['segments']} flight segment(s), {status['bytes']} "
+            f"bytes (bound {bound}), {slow} slow request(s)"
             + (f", p99 {p99_ms:.0f}ms" if p99_ms is not None else "")
         )
-    if severity == WARN and not remediation:
-        remediation = (
-            "watch the live breakdown with `orpheus top` and profile "
-            "the hot phase with `orpheus profile`; the `spans` of each "
-            "slow flight record name its slow phase"
-        )
-    return ProbeResult(
-        probe="flight_recorder",
-        severity=severity,
-        summary=summary,
-        remediation=remediation,
-        data={
+    return [ProbeResult(
+        "flight_recorder", severity, summary, remediation,
+        {
             "segments": status["segments"],
             "bytes": status["bytes"],
             "bound_bytes": bound,
@@ -971,42 +670,30 @@ def probe_flight_recorder(root: str | None = None) -> ProbeResult:
             "slow": slow,
             "slow_p99_ms": p99_ms,
             "slow_ms": status["slow_ms"],
-            "budget_ms": budget_ms,
             "path": str(flight_dir),
         },
-    )
+    )]
 
 
-def probe_journal(orpheus, root: str | None = None) -> ProbeResult:
+def probe_journal(checkup: Checkup) -> list[ProbeResult]:
     """Replay-verify the operation journal against the version graph."""
-    from repro.observe.journal import Journal, verify_journal
+    from repro.observe.journal import verify_journal
 
-    journal = Journal(root)
-    records = journal.read()
+    records = checkup.journal
     if not records:
-        return ProbeResult(
-            probe="journal",
-            severity=OK,
-            summary="no operations journaled",
-        )
-    divergences = verify_journal(orpheus, records)
-    return ProbeResult(
-        probe="journal",
-        severity=FAIL if divergences else OK,
-        summary=(
-            f"{len(records)} records, {len(divergences)} divergence(s)"
-        ),
-        remediation=(
-            "the store was mutated outside the CLI or state was lost; "
-            "inspect `orpheus log --ops --verify`"
-            if divergences
-            else ""
-        ),
-        data={"divergences": divergences[:20]},
-    )
+        return []
+    divergences = verify_journal(checkup.orpheus, records)
+    return [ProbeResult(
+        "journal", FAIL if divergences else OK,
+        f"{len(records)} records, {len(divergences)} divergence(s)",
+        "the state lost journaled operations (a restored backup?) or was "
+        "changed outside the CLI: `orpheus log --ops --verify` names each "
+        "divergence; redo the operations the state lacks",
+        {"divergences": divergences[:20]},
+    )]
 
 
-def probe_heat_skew(orpheus, heat) -> ProbeResult:
+def probe_heat_skew(checkup: Checkup) -> list[ProbeResult]:
     """Partition heat concentration from the access observatory.
 
     A partitioned layout only pays off when the workload spreads across
@@ -1014,17 +701,15 @@ def probe_heat_skew(orpheus, heat) -> ProbeResult:
     the static split no longer matches the access pattern. Skew is the
     hottest partition's heat over the per-dataset mean; breaching
     :data:`~repro.observe.heat.HEAT_SKEW_FACTOR` warns and points at the
-    advisor. ``heat`` is the mined model (:func:`repro.observe.heat.mine`).
+    advisor. Heat is mined against the live state, so a repartition
+    re-attributes every past access.
     """
     from repro.observe import heat as heat_model
 
+    heat = checkup.heat
     factor = heat_model.HEAT_SKEW_FACTOR
     if not heat.events_total or not heat.partitions:
-        return ProbeResult(
-            probe="heat_skew",
-            severity=OK,
-            summary="no heat recorded",
-        )
+        return []
     now = telemetry.now()
     by_dataset: dict[str, list[float]] = {}
     for key, entry in heat.partitions.items():
@@ -1039,92 +724,78 @@ def probe_heat_skew(orpheus, heat) -> ProbeResult:
         mean = sum(heats) / len(heats)
         if mean > 0:
             skews[dataset] = round(max(heats) / mean, 3)
-    cold = heat.cold_fraction(orpheus, now)
-    data = {
-        "skew_factor_budget": factor,
-        "skew_by_dataset": skews,
-        "cold_fraction": None if cold is None else round(cold, 4),
-    }
+    cold = heat.cold_fraction(checkup.orpheus, now)
     worst = max(skews.values(), default=0.0)
     if worst > factor:
-        hot = max(skews, key=skews.get)
-        return ProbeResult(
-            probe="heat_skew",
-            severity=WARN,
-            summary=(
-                f"partition heat skew {worst:.1f}x on {hot!r} "
-                f"(budget {factor:g}x)"
-            ),
-            remediation=(
-                "the workload concentrates on few partitions; see "
-                "`orpheus heat` advisor and consider `orpheus optimize`"
-            ),
-            data=data,
+        severity = WARN
+        summary = (
+            f"partition heat skew {worst:.1f}x on "
+            f"{max(skews, key=skews.get)!r} (budget {factor:g}x)"
         )
-    return ProbeResult(
-        probe="heat_skew",
-        severity=OK,
-        summary=(
-            f"heat spread ok across {len(by_dataset)} dataset(s) "
-            f"(worst skew {worst:.1f}x, budget {factor:g}x)"
-        ),
-        data=data,
-    )
+    else:
+        severity = OK
+        summary = (
+            f"heat spread ok across {len(by_dataset)} dataset(s) (worst "
+            f"skew {worst:.1f}x, budget {factor:g}x)"
+        )
+    return [ProbeResult(
+        "heat_skew", severity, summary,
+        "the workload concentrates on few partitions; see `orpheus heat` "
+        "advisor and consider `orpheus optimize`",
+        {
+            "skew_factor_budget": factor,
+            "skew_by_dataset": skews,
+            "cold_fraction": None if cold is None else round(cold, 4),
+        },
+    )]
 
 
-def probe_io_amplification(heat) -> ProbeResult:
+def probe_io_amplification(checkup: Checkup) -> list[ProbeResult]:
     """Observed checkout read amplification vs.
     :data:`~repro.observe.heat.AMP_BUDGET`.
 
     Rows scanned per requested row, per data model, from the mined heat
     model's samples. Above the budget warns; above four times the
     budget fails — checkouts are paying for almost nothing but waste.
+    Checkouts of a dataset dropped since (model ``(unknown)``) judge no
+    layout and are left out.
     """
     from repro.observe import heat as heat_model
     from repro.observe.amplification import amplification_report
 
-    report = amplification_report(heat)
     amps = {
         model: commands["checkout"]["read_amplification"]
-        for model, commands in report.items()
-        if commands.get("checkout", {}).get("read_amplification")
+        for model, commands in amplification_report(checkup.heat).items()
+        if model != "(unknown)"
+        and commands.get("checkout", {}).get("read_amplification")
         is not None
     }
     if not amps:
-        return ProbeResult(
-            probe="io_amplification",
-            severity=OK,
-            summary="no checkouts observed",
-        )
+        return []
     budget = heat_model.AMP_BUDGET
     worst_model = max(amps, key=amps.get)
     worst = amps[worst_model]
-    data = {"amp_budget": budget, "checkout_read_amplification": amps}
     if worst > budget:
         severity = FAIL if worst > 4 * budget else WARN
-        return ProbeResult(
-            probe="io_amplification",
-            severity=severity,
-            summary=(
-                f"checkout reads {worst:.1f}x the requested rows on "
-                f"{worst_model} (budget {budget:g}x)"
-            ),
-            remediation=(
-                "the layout scans far more than it returns; see "
-                "`orpheus heat` for the amplification table and the "
-                "advisor's migration recommendation"
-            ),
-            data=data,
+        summary = (
+            f"checkout reads {worst:.1f}x the requested rows on "
+            f"{worst_model} (budget {budget:g}x)"
         )
-    return ProbeResult(
-        probe="io_amplification",
-        severity=OK,
-        summary=(
+    else:
+        severity = OK
+        summary = (
             f"worst checkout read amplification {worst:.2f}x "
             f"({worst_model}, budget {budget:g}x)"
-        ),
-        data=data,
-    )
+        )
+    return [ProbeResult(
+        "io_amplification", severity, summary,
+        "the layout scans far more than it returns; see `orpheus heat` "
+        "for the amplification table and the advisor's recommendation, "
+        "then check out the versions you need, `orpheus drop` the dataset "
+        "and `orpheus init` them under a new name with `--model "
+        "partitioned_rlist`",
+        {"amp_budget": budget, "checkout_read_amplification": amps},
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -1134,7 +805,7 @@ def probe_io_amplification(heat) -> ProbeResult:
 PAGE_SPOT_CHECK = 8
 
 
-def probe_page_store(root: str | None = None) -> ProbeResult:
+def probe_page_store(checkup: Checkup) -> list[ProbeResult]:
     """Verify the paged layout's on-disk invariants: every referenced
     page present, no orphans or stray temps, and a checksum spot-check
     over the pages the live generation wrote last (the ones an
@@ -1146,17 +817,12 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
         referenced_pages,
     )
     from repro.resilience import fsio
-    from repro.resilience.statestore import StateStore
 
-    layout = StateStore(root).integrity().get("layout")
+    root = checkup.root
+    layout = checkup.integrity.get("layout")
     directory = pagefiles.pages_dir(root)
     if layout != "paged" and not directory.is_dir():
-        return ProbeResult(
-            probe="page_store_health",
-            severity=OK,
-            summary="pickle layout; page store not in use",
-            data={"layout": layout or "missing"},
-        )
+        return []
 
     files = pagefiles.list_page_files(directory)
     on_disk = {path.name[: -len(pagefiles.PAGE_SUFFIX)] for path in files}
@@ -1170,22 +836,20 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
         ),
     }
 
+    def result(severity, summary, remediation=""):
+        return [ProbeResult(
+            "page_store_health", severity, summary, remediation, data
+        )]
+
     missing = sorted(referenced - on_disk)
     if missing:
         data["missing_pages"] = missing[:8]
-        return ProbeResult(
-            probe="page_store_health",
-            severity=FAIL,
-            summary=(
-                f"{len(missing)} referenced page file(s) missing from "
-                f"{directory}"
-            ),
-            remediation=(
-                "the live state references pages that are gone; load will "
-                "fall back to a backup generation — run `orpheus recover` "
-                "and check `orpheus log --ops` for lost operations"
-            ),
-            data=data,
+        return result(
+            FAIL,
+            f"{len(missing)} referenced page file(s) missing from {directory}",
+            "the live state references pages that are gone; load will fall "
+            "back to a backup generation — run `orpheus recover` and check "
+            "`orpheus log --ops` for lost operations",
         )
 
     corrupt = []
@@ -1203,18 +867,14 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
     data["pages_checked"] = min(len(newest_first), PAGE_SPOT_CHECK)
     if corrupt:
         data["corrupt_pages"] = corrupt
-        return ProbeResult(
-            probe="page_store_health",
-            severity=FAIL,
-            summary=f"{len(corrupt)} corrupt page file(s) detected",
-            remediation=(
-                "page checksums do not verify; restore .orpheus/state.pkl "
-                "from the newest backup generation that does not reference "
-                "them (state.pkl.bak), run `orpheus recover` to sweep the "
-                "pages it leaves unreferenced, and redo what "
-                "`orpheus log --ops` lists after that generation"
-            ),
-            data=data,
+        return result(
+            FAIL,
+            f"{len(corrupt)} corrupt page file(s) detected",
+            "page checksums do not verify; restore .orpheus/state.pkl from "
+            "the newest backup generation that does not reference them "
+            "(state.pkl.bak), run `orpheus recover` to sweep the pages it "
+            "leaves unreferenced, and redo what `orpheus log --ops` lists "
+            "after that generation",
         )
 
     orphans = orphan_pages(root)
@@ -1222,120 +882,139 @@ def probe_page_store(root: str | None = None) -> ProbeResult:
     if orphans or temps:
         data["orphan_pages"] = len(orphans)
         data["stray_temps"] = len(temps)
-        return ProbeResult(
-            probe="page_store_health",
-            severity=WARN,
-            summary=(
-                f"{len(orphans)} orphaned page(s) and {len(temps)} stray "
-                f"temp file(s) — debris from an interrupted write-back"
-            ),
-            remediation="run `orpheus recover` to clean the page store",
-            data=data,
+        return result(
+            WARN,
+            f"{len(orphans)} orphaned page(s) and {len(temps)} stray temp "
+            f"file(s) — debris from an interrupted write-back",
+            "run `orpheus recover` to clean the page store",
         )
-
-    return ProbeResult(
-        probe="page_store_health",
-        severity=OK,
-        summary=(
-            f"{len(files)} page file(s), all referenced pages present, "
-            f"{data['pages_checked']} checksum-verified"
-        ),
-        data=data,
+    return result(
+        OK,
+        f"{len(files)} page file(s), all referenced pages present, "
+        f"{data['pages_checked']} checksum-verified",
     )
 
 
-def probe_buffer_pool(root: str | None = None) -> ProbeResult:
-    """Buffer-pool budget pressure: a pool that evicts almost as often
-    as it faults is thrashing — the budget is too small for the working
-    set the workload actually touches."""
-    from repro.pagestore.bufferpool import BUFFER_BYTES_ENV, get_pool
+def probe_buffer_pool(checkup: Checkup) -> list[ProbeResult]:
+    """orpheusd's page cache under budget pressure: a pool that evicts
+    almost as often as it faults is thrashing — the budget is too small
+    for the working set the workload actually touches. A one-shot CLI
+    process has no pool worth judging."""
+    from repro.pagestore.bufferpool import BUFFER_BYTES_ENV
 
-    stats = get_pool().stats()
-    data = dict(stats)
+    stats = (checkup.report or {}).get("buffer_pool")
+    if not stats:
+        return []
     traffic = stats["faults"] + stats["hits"]
+    severity, remediation = WARN, ""
     if traffic == 0:
-        return ProbeResult(
-            probe="buffer_pool",
-            severity=OK,
-            summary=(
-                f"pool idle (budget "
-                f"{stats['budget_bytes'] // (1024 * 1024)} MiB)"
-            ),
-            data=data,
+        severity = OK
+        summary = (
+            f"pool idle (budget {stats['budget_bytes'] // (1024 * 1024)} MiB)"
         )
-    if stats["dirty_bytes"] > 0:
-        return ProbeResult(
-            probe="buffer_pool",
-            severity=WARN,
-            summary=(
-                f"{stats['dirty_bytes']} dirty byte(s) resident outside "
-                f"a save — a write-back did not complete"
-            ),
-            remediation="run `orpheus recover`; dirty pages never evict "
-            "and will pin the budget down until cleared",
-            data=data,
+    elif stats["dirty_bytes"] > 0:
+        summary = (
+            f"{stats['dirty_bytes']} dirty byte(s) resident outside a save "
+            f"— a write-back did not complete"
         )
-    if (
-        stats["evictions"] > 0
-        and stats["faults"] > 0
-        and stats["evictions"] >= 0.5 * stats["faults"]
+        remediation = (
+            "dirty pages never evict and live only in orpheusd's memory: "
+            "restart it (`orpheus serve --stop`, then `orpheus serve`), "
+            "running `orpheus recover` in between to sweep what the "
+            "write-back left"
+        )
+    elif stats["faults"] > 0 and stats["evictions"] >= max(
+        1, 0.5 * stats["faults"]
     ):
-        return ProbeResult(
-            probe="buffer_pool",
-            severity=WARN,
-            summary=(
-                f"pool thrashing: {stats['evictions']} evictions against "
-                f"{stats['faults']} faults "
-                f"(hit rate {stats['hit_rate']:.0%})"
-            ),
-            remediation=(
-                f"the working set exceeds the budget; raise "
-                f"{BUFFER_BYTES_ENV} (currently "
-                f"{stats['budget_bytes']} bytes)"
-            ),
-            data=data,
+        summary = (
+            f"pool thrashing: {stats['evictions']} evictions against "
+            f"{stats['faults']} faults (hit rate {stats['hit_rate']:.0%})"
         )
-    return ProbeResult(
-        probe="buffer_pool",
-        severity=OK,
-        summary=(
+        remediation = (
+            f"the working set exceeds the budget; restart orpheusd with a "
+            f"larger {BUFFER_BYTES_ENV} (currently {stats['budget_bytes']} "
+            f"bytes)"
+        )
+    else:
+        severity = OK
+        summary = (
             f"hit rate {stats['hit_rate']:.0%} over {traffic} access(es), "
             f"{stats['resident_pages']} page(s) resident"
-        ),
-        data=data,
-    )
+        )
+    return [ProbeResult("buffer_pool", severity, summary, remediation, dict(stats))]
 
 
 # ----------------------------------------------------------------------
-def run_doctor(orpheus, root: str | None = None) -> DoctorReport:
-    """Run every probe against one repository."""
-    from repro.observe.heat import mine
+#: The doctor: probe name -> (probe, the OK summary it gets when it
+#: returns nothing; empty for the probes that always report), in report
+#: order.
+PROBES = {
+    "checkout_cost": (probe_checkout_cost, "no partitioned CVDs to check"),
+    "partition_imbalance": (
+        probe_partition_imbalance, "no partitioned CVDs to check",
+    ),
+    "delta_chains": (probe_delta_chains, "no delta-based CVDs to check"),
+    "orphaned_versions": (
+        probe_orphaned_versions,
+        "version graph and physical membership agree",
+    ),
+    "stale_staging": (probe_stale_staging, ""),
+    "telemetry_accumulator": (
+        probe_telemetry_accumulator, "no accumulated telemetry",
+    ),
+    "journal": (probe_journal, "no operations journaled"),
+    "state_integrity": (
+        probe_state_integrity, "no state file yet (fresh repository)",
+    ),
+    "backup_freshness": (
+        probe_backup_freshness, "no state file yet, nothing to back up",
+    ),
+    "pending_intents": (probe_pending_intents, ""),
+    "service_health": (
+        probe_service_health,
+        "no daemon registered (orpheus serve not running)",
+    ),
+    "service_faults": (
+        probe_service_faults,
+        "no daemon report: `orpheus remote -- doctor` judges orpheusd",
+    ),
+    "flight_recorder": (probe_flight_recorder, "no flight segments recorded"),
+    "heat_skew": (probe_heat_skew, "no heat recorded"),
+    "io_amplification": (probe_io_amplification, "no checkouts observed"),
+    "page_store_health": (
+        probe_page_store, "pickle layout; page store not in use",
+    ),
+    "buffer_pool": (
+        probe_buffer_pool,
+        "no daemon report: `orpheus remote -- doctor` judges orpheusd's pool",
+    ),
+}
 
+
+def run_probe(name: str, checkup: Checkup) -> list[ProbeResult]:
+    """One probe under the runner's two rules: nothing found is one OK
+    line with the idle summary, and an OK result carries no remedy."""
+    probe, idle = PROBES[name]
+    results = probe(checkup) or [ProbeResult(name, OK, idle)]
+    for result in results:
+        if result.severity == OK:
+            result.remediation = ""
+    return results
+
+
+def run_doctor(
+    orpheus, root: str | None = None, report: dict | None = None
+) -> DoctorReport:
+    """Run every probe against one repository; ``report`` is orpheusd's
+    own report when the daemon runs the doctor."""
+    checkup = Checkup(orpheus, root, report)
     with telemetry.span("observe.doctor"):
-        report = DoctorReport()
-        report.results.extend(probe_checkout_cost(orpheus))
-        report.results.extend(probe_partition_imbalance(orpheus))
-        report.results.extend(probe_delta_chains(orpheus))
-        report.results.extend(probe_orphaned_versions(orpheus))
-        report.results.append(probe_stale_staging(orpheus))
-        report.results.append(probe_telemetry_accumulator(root))
-        report.results.append(probe_journal(orpheus, root))
-        report.results.append(probe_state_integrity(root))
-        report.results.append(probe_backup_freshness(root))
-        report.results.append(probe_lock_health(root))
-        report.results.append(probe_pending_intents(root))
-        daemon = view_daemon(root)
-        report.results.append(probe_service_health(root, daemon))
-        report.results.append(probe_service_faults(root, daemon))
-        report.results.append(probe_flight_recorder(root))
-        heat = mine(root, orpheus)
-        report.results.append(probe_heat_skew(orpheus, heat))
-        report.results.append(probe_io_amplification(heat))
-        report.results.append(probe_page_store(root))
-        report.results.append(probe_buffer_pool(root))
+        doctor = DoctorReport(
+            [result for name in PROBES for result in run_probe(name, checkup)]
+        )
         telemetry.count("observe.doctor.runs")
         telemetry.count(
             "observe.doctor.failures",
-            sum(1 for r in report.results if r.severity == FAIL),
+            sum(1 for r in doctor.results if r.severity == FAIL),
         )
-        return report
+        return doctor

@@ -124,8 +124,8 @@ def resolve_access(orpheus, dataset: str, versions) -> dict:
     for vid in versions or ():
         try:
             rows += cvd.versions.get(int(vid)).record_count
-        except (KeyError, ValueError, TypeError):
-            continue
+        except (CVDError, KeyError, ValueError, TypeError):
+            continue  # a version the live state no longer holds
         index = partition_of(cvd, int(vid))
         if index not in touched:
             touched.append(index)
@@ -311,9 +311,11 @@ class HeatAccountant:
 # ----------------------------------------------------------------------
 # Mining: the one derivation of the heat model
 # ----------------------------------------------------------------------
-def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
+def mine_events(
+    root: str | None, orpheus=None, journal: list[dict] | None = None
+) -> list[AccessEvent]:
     """Reconstruct access events from the flight recorder and the ops
-    journal.
+    journal (``journal``: its records when the caller already read them).
 
     Flight records and CLI journal records both carry scan stamps
     (``rows_scanned`` / ``bytes_scanned`` / ``rows_written``); a
@@ -345,7 +347,7 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
                 status=record.get("status"),
             )
         )
-    for record in Journal(root).read():
+    for record in Journal(root).read() if journal is None else journal:
         if record.get("trace_id") in flight_traces:
             continue  # the daemon journaled it *and* flight-recorded it
         events.append(
@@ -368,11 +370,13 @@ def mine_events(root: str | None, orpheus=None) -> list[AccessEvent]:
     return events
 
 
-def mine(root: str | None, orpheus=None) -> HeatAccountant:
+def mine(
+    root: str | None, orpheus=None, journal: list[dict] | None = None
+) -> HeatAccountant:
     """The heat model of everything the journal and the flight record
     hold, resolved against ``orpheus`` (the live state)."""
     accountant = HeatAccountant()
-    for event in mine_events(root, orpheus):
+    for event in mine_events(root, orpheus, journal):
         accountant.record(event)
     return accountant
 

@@ -62,7 +62,9 @@ class LockTimeoutError(RuntimeError):
     """Could not acquire the repository lock within the timeout."""
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Does process ``pid`` exist? A permission error means it does (it
+    belongs to someone else); any other error means it does not."""
     if pid <= 0:
         return False
     try:
@@ -207,7 +209,7 @@ class RepositoryLock:
         except (OSError, ValueError):
             return
         pid = int(data.get("pid", 0)) if isinstance(data, dict) else 0
-        dead = not _pid_alive(pid)
+        dead = not pid_alive(pid)
         expired = (time.time() - stat.st_mtime) > self.stale_after
         if dead or expired:
             try:
@@ -243,7 +245,7 @@ class RepositoryLock:
         pid = holder.get("pid")
         detail = ""
         if pid:
-            state = "alive" if _pid_alive(int(pid)) else "dead"
+            state = "alive" if pid_alive(int(pid)) else "dead"
             detail = (
                 f" (last exclusive holder: pid {pid}, {state}, "
                 f"command {holder.get('command') or '?'!r})"

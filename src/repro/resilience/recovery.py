@@ -24,6 +24,10 @@ effects actually landed and repairs the repository:
   journal probe agree with reality again.
 * journaled but the intent was never closed → just resolve the intent.
 
+Every pass also rewrites a live state file that only a backup could
+serve, and releases the staging pin of each checkout whose file no
+longer exists (nothing can commit it).
+
 Recovery runs automatically before any command when pending intents
 exist (under the exclusive repository lock), and explicitly via
 ``orpheus recover [--dry-run]``.
@@ -50,7 +54,9 @@ _MTIME_SLACK = 1.0
 class RecoveryAction:
     """One repair (taken, or planned under ``--dry-run``)."""
 
-    kind: str  # clean-temp | rollback-artifact | synthesize-journal | resolve-intent
+    #: clean-temp | rollback-artifact | synthesize-journal |
+    #: resolve-intent | restore-state | release-staging
+    kind: str
     detail: str
 
 
@@ -145,6 +151,25 @@ def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
     except StateCorruptionError as error:
         corrupt = True
         report.problems.append(str(error))
+
+    # A live state file that only a backup could serve is rewritten from
+    # it, and a checkout pinned to a file that is gone (nothing can
+    # commit it) is released.
+    repairs = []
+    if report.state_source not in (None, store.path.name):
+        repairs.append(RecoveryAction(
+            "restore-state",
+            f"rewrite {store.path.name} from {report.state_source}",
+        ))
+    for path in orpheus.staging.vanished() if orpheus is not None else ():
+        repairs.append(
+            RecoveryAction("release-staging", f"{path} no longer exists")
+        )
+        if not dry_run:
+            orpheus.staging.unpin(path)
+    report.actions.extend(repairs)
+    if repairs and not dry_run:
+        store.save(orpheus)
 
     pending = intents.pending()
     if not pending:

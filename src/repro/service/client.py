@@ -47,6 +47,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from repro.resilience.lock import pid_alive
 from repro.service import protocol
 from repro.service.protocol import LineChannel, Response
 from repro.service.tracing import new_trace_context
@@ -230,22 +231,10 @@ def read_status_file(root: str | None = None) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True
-    return True
-
-
 def daemon_running(root: str | None = None) -> bool:
     """True when service.json names a live pid."""
     status = read_status_file(root)
-    return status is not None and _pid_alive(int(status.get("pid") or 0))
+    return status is not None and pid_alive(int(status.get("pid") or 0))
 
 
 class ServiceClient:

@@ -808,7 +808,9 @@ class ServiceDaemon:
         if request.op == "doctor":
             from repro.observe.doctor import run_doctor
 
-            return run_doctor(self.orpheus, self.root).to_dict()
+            return run_doctor(
+                self.orpheus, self.root, self.stats_payload()
+            ).to_dict()
         return self.orpheus.execute(
             request.op, request.params, session.user, root=self.root
         )

@@ -12,11 +12,11 @@ from repro.core.commands import Orpheus
 from repro.core.cvd import CVD
 from repro.observe.doctor import (
     CHAIN_WARN,
+    Checkup,
     probe_checkout_cost,
     probe_delta_chains,
     probe_orphaned_versions,
     probe_stale_staging,
-    probe_storage_plan_chains,
     probe_telemetry_accumulator,
     run_doctor,
 )
@@ -60,7 +60,7 @@ class TestProbes:
     def test_degraded_partitioning_fails_with_remediation(self):
         orpheus = make_orpheus("partitioned_rlist")
         degrade(orpheus)
-        results = probe_checkout_cost(orpheus)
+        results = probe_checkout_cost(Checkup(orpheus))
         assert len(results) == 1
         assert results[0].severity == "fail"
         assert "orpheus optimize" in results[0].remediation
@@ -73,7 +73,7 @@ class TestProbes:
         degrade(orpheus)
         del orpheus.cvd("d").model._route_commit  # restore the real rule
         orpheus.optimize("d")
-        assert probe_checkout_cost(orpheus)[0].severity == "ok"
+        assert probe_checkout_cost(Checkup(orpheus))[0].severity == "ok"
 
     def test_long_delta_chain_warns(self):
         orpheus = make_orpheus("delta_based")
@@ -83,7 +83,7 @@ class TestProbes:
         for j in range(CHAIN_WARN + 2):
             rows = rows + [(f"n{j}", 100 + j)]
             vid = cvd.commit(rows, parents=(vid,), message=f"c{j}")
-        results = probe_delta_chains(orpheus)
+        results = probe_delta_chains(Checkup(orpheus))
         assert results[0].severity == "warn"
         assert "delta chain" in results[0].summary
 
@@ -99,7 +99,7 @@ class TestProbes:
         store = StateStore(tmp_path)
         orpheus = make_orpheus(model)
         store.save(orpheus)  # becomes state.pkl.bak at the next save
-        assert probe_orphaned_versions(orpheus)[0].severity == "ok"
+        assert probe_orphaned_versions(Checkup(orpheus)) == []
         if model == "table_per_version":
             del orpheus.cvd("d").model._tables[1]
         else:
@@ -110,20 +110,20 @@ class TestProbes:
         store.save(orpheus)
 
         damaged, _info = store.load(warn=None)
-        (result,) = probe_orphaned_versions(damaged)
+        (result,) = probe_orphaned_versions(Checkup(damaged))
         assert result.severity == "fail"
         assert result.data["missing_physical"] == [1]
         assert "restore .orpheus/state.pkl from backup" in result.remediation
 
         store.path.write_bytes(store.backup_paths[0].read_bytes())
         restored, _info = store.load(warn=None)
-        assert probe_orphaned_versions(restored)[0].severity == "ok"
+        assert probe_orphaned_versions(Checkup(restored)) == []
 
     def test_a_version_the_graph_does_not_list_fails(self):
         orpheus = make_orpheus()
         model = orpheus.cvd("d").model
         model.insert_versions_bulk([(9, frozenset({1, 2}))])
-        (result,) = probe_orphaned_versions(orpheus)
+        (result,) = probe_orphaned_versions(Checkup(orpheus))
         assert result.severity == "fail"
         assert result.data["missing_metadata"] == [9]
 
@@ -136,7 +136,7 @@ class TestProbes:
         orpheus.staging._staged[gone] = StagedTable(
             table_name=gone, cvd_name="d", parents=(1,), owner=""
         )
-        result = probe_stale_staging(orpheus)
+        (result,) = probe_stale_staging(Checkup(orpheus))
         assert result.severity == "warn"
         assert "no longer exist" in result.summary
 
@@ -144,17 +144,9 @@ class TestProbes:
         telemetry_dir = tmp_path / ".orpheus"
         telemetry_dir.mkdir()
         (telemetry_dir / "telemetry.json").write_text("{not json")
-        result = probe_telemetry_accumulator(str(tmp_path))
+        (result,) = probe_telemetry_accumulator(Checkup(root=str(tmp_path)))
         assert result.severity == "warn"
         assert "stats --reset" in result.remediation
-
-    def test_storage_plan_chain_probe(self):
-        class FakePlan:
-            def depth_histogram(self):
-                return {1: 3, 4 * CHAIN_WARN + 1: 1}
-
-        result = probe_storage_plan_chains(FakePlan())
-        assert result.severity == "fail"
 
 
 class TestReport:
@@ -243,3 +235,44 @@ class TestCliDoctor:
         out = capsys.readouterr().out
         assert "[FAIL]" in out
         assert "orpheus optimize" in out
+
+
+class TestCheckup:
+    def test_one_run_reads_each_shared_source_once(
+        self, workspace, monkeypatch
+    ):
+        """State integrity, the journal and the mined heat are read once
+        per doctor run, however many probes judge them."""
+        from repro.cli import load_state
+        from repro.observe import heat
+        from repro.observe.journal import Journal
+
+        assert run(
+            workspace,
+            "init", "-d", "d",
+            "-f", str(workspace / "data.csv"),
+            "-s", str(workspace / "schema.csv"),
+        ) == 0
+        work = workspace / "work.csv"
+        assert run(workspace, "checkout", "-d", "d", "-v", "1", "-f", str(work)) == 0
+        with open(work, "a") as handle:
+            handle.write("k99,99\n")
+        assert run(workspace, "commit", "-d", "d", "-f", str(work)) == 0
+        calls = {"integrity": 0, "read": 0, "mine": 0}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(StateStore, "integrity", "integrity")
+        counted(Journal, "read", "read")
+        counted(heat, "mine", "mine")
+        report = run_doctor(load_state(str(workspace)), str(workspace))
+        assert calls == {"integrity": 1, "read": 1, "mine": 1}
+        probes = {result.probe for result in report.results}
+        assert {"journal", "backup_freshness", "heat_skew"} <= probes

@@ -18,10 +18,7 @@ from repro.observe.amplification import (
     bound_comparison,
     checkout_amplification,
 )
-from repro.observe.doctor import (
-    probe_heat_skew,
-    probe_io_amplification,
-)
+from repro.observe.doctor import Checkup, run_probe
 from repro.observe.heat import (
     AccessEvent,
     HeatAccountant,
@@ -145,6 +142,14 @@ class TestEventResolution:
         assert info == {
             "model": "", "rows_requested": 0, "partitions": ()
         }
+
+    def test_resolve_skips_a_version_the_state_lost(self):
+        """A recorded access to a version the live state no longer holds
+        (dropped and re-initialised, or an older generation restored)
+        counts no rows instead of raising."""
+        info = resolve_access(make_orpheus(), "d", (1, 99))
+        assert info["rows_requested"] == 20
+        assert info["partitions"] == (0,)
 
     def test_build_event_coerces(self):
         orpheus = make_orpheus()
@@ -384,12 +389,20 @@ def test_mining_reads_a_flight_records_own_versions(tmp_path, shape, mined):
     )
 
 
+def heat_probe(name, heat):
+    """One heat probe judging ``heat`` as if mined."""
+    checkup = Checkup()
+    checkup.heat = heat
+    (result,) = run_probe(name, checkup)
+    return result
+
+
 class TestDoctorProbes:
     def test_no_heat_is_ok(self):
-        result = probe_heat_skew(None, HeatAccountant())
+        result = heat_probe("heat_skew", HeatAccountant())
         assert result.severity == "ok"
         assert result.summary == "no heat recorded"
-        result = probe_io_amplification(HeatAccountant())
+        result = heat_probe("io_amplification", HeatAccountant())
         assert result.severity == "ok"
 
     def test_heat_skew_warns_over_budget(self, monkeypatch):
@@ -398,9 +411,9 @@ class TestDoctorProbes:
             heat.record(touch(ts=0.0, partitions=(0,)))
         heat.record(touch(ts=0.0, partitions=(1,)))
         monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 100.0)
-        assert probe_heat_skew(None, heat).severity == "ok"
+        assert heat_probe("heat_skew", heat).severity == "ok"
         monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 1.5)
-        result = probe_heat_skew(None, heat)
+        result = heat_probe("heat_skew", heat)
         assert result.severity == "warn"
         assert result.data["skew_by_dataset"]["d"] > 1.5
         assert "optimize" in result.remediation
@@ -410,7 +423,7 @@ class TestDoctorProbes:
         for _ in range(10):
             heat.record(touch(ts=0.0, partitions=(0,)))
         monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 1.01)
-        assert probe_heat_skew(None, heat).severity == "ok"
+        assert heat_probe("heat_skew", heat).severity == "ok"
 
     def test_io_amplification_severity_thresholds(self, monkeypatch):
         heat = HeatAccountant(half_life_s=1e9)
@@ -418,14 +431,14 @@ class TestDoctorProbes:
             ts=0.0, rows_requested=10, rows_scanned=30,  # amp 3.0
         ))
         monkeypatch.setattr(heat_module, "AMP_BUDGET", 4.0)
-        assert probe_io_amplification(heat).severity == "ok"
+        assert heat_probe("io_amplification", heat).severity == "ok"
         monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
-        assert probe_io_amplification(heat).severity == "warn"
+        assert heat_probe("io_amplification", heat).severity == "warn"
         # Total amp 10 > 4 x budget 2.0 -> fail.
         heat.record(touch(
             ts=1.0, rows_requested=10, rows_scanned=170,
         ))
-        assert probe_io_amplification(heat).severity == "fail"
+        assert heat_probe("io_amplification", heat).severity == "fail"
 
     def test_probes_registered_in_run_doctor(self, tmp_path):
         from repro.observe.doctor import run_doctor

@@ -1,6 +1,7 @@
 """Doctor probes for the paged layout: ``page_store_health`` and
 ``buffer_pool`` must grade missing/corrupt/orphaned pages and pool
-pressure, each with an actionable remediation."""
+pressure, each with an actionable remediation. ``buffer_pool`` judges
+the pool stats of orpheusd's report, built here from a pool."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from repro.observe.doctor import (
     OK,
     PAGE_SPOT_CHECK,
     WARN,
-    probe_buffer_pool,
-    probe_page_store,
+    Checkup,
+    run_probe,
 )
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import reset_pool
@@ -19,6 +20,18 @@ from repro.resilience.recovery import run_recovery
 from repro.resilience.statestore import StateStore
 
 from tests.pagestore.test_paged_store import build_orpheus
+
+
+def probe_page_store(root):
+    (result,) = run_probe("page_store_health", Checkup(root=root))
+    return result
+
+
+def probe_buffer_pool(pool):
+    (result,) = run_probe(
+        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
+    )
+    return result
 
 
 def make_paged_repo(root):
@@ -121,8 +134,7 @@ def test_orphan_pages_warn(tmp_path):
 # buffer_pool
 # ----------------------------------------------------------------------
 def test_idle_pool_is_ok(tmp_path):
-    reset_pool()
-    result = probe_buffer_pool(str(tmp_path))
+    result = probe_buffer_pool(reset_pool())
     assert result.severity == OK
     assert "idle" in result.summary
 
@@ -135,7 +147,7 @@ def test_leaked_dirty_bytes_warn(tmp_path):
     pagefiles.write_page(directory, page_id, payload)
     pool.read(directory, page_id)  # some traffic
     pool.put_dirty(directory, "f" * pagefiles.PAGE_ID_HEX, b"z" * 256)
-    result = probe_buffer_pool(str(tmp_path))
+    result = probe_buffer_pool(pool)
     assert result.severity == WARN
     assert "dirty" in result.summary
     assert "recover" in result.remediation
@@ -149,7 +161,7 @@ def test_thrashing_pool_warns_with_budget_hint(tmp_path):
         page_id = pagefiles.page_id_for(payload)
         pagefiles.write_page(directory, page_id, payload)
         pool.read(directory, page_id)
-    result = probe_buffer_pool(str(tmp_path))
+    result = probe_buffer_pool(pool)
     assert result.severity == WARN
     assert "thrash" in result.summary
     assert "ORPHEUS_BUFFER_BYTES" in result.remediation
@@ -163,6 +175,6 @@ def test_healthy_pool_traffic_is_ok(tmp_path):
     pagefiles.write_page(directory, page_id, payload)
     for _ in range(10):
         pool.read(directory, page_id)
-    result = probe_buffer_pool(str(tmp_path))
+    result = probe_buffer_pool(pool)
     assert result.severity == OK
     assert result.data["hits"] == 9

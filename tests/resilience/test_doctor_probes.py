@@ -1,25 +1,32 @@
 """The resilience-facing doctor probes: state integrity, backup
-freshness, lock health, and pending intents."""
+freshness, and pending intents."""
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
 
-from repro.observe.doctor import (
-    FAIL,
-    OK,
-    WARN,
-    probe_backup_freshness,
-    probe_lock_health,
-    probe_pending_intents,
-    probe_state_integrity,
-)
+from repro.observe.doctor import FAIL, OK, WARN, Checkup, run_probe
 from repro.resilience.intents import IntentLog
 from repro.resilience.statestore import MAGIC, StateStore
 
 from tests.resilience.conftest import run_inproc
+
+
+def probe(name, root):
+    (result,) = run_probe(name, Checkup(root=str(root)))
+    return result
+
+
+def probe_state_integrity(root):
+    return probe("state_integrity", root)
+
+
+def probe_backup_freshness(root):
+    return probe("backup_freshness", root)
+
+
+def probe_pending_intents(root):
+    return probe("pending_intents", root)
 
 
 def build_repo(workspace, commits=0):
@@ -100,32 +107,6 @@ class TestBackupFreshness:
         result = probe_backup_freshness(str(workspace))
         assert result.severity == OK
         assert "backup generation" in result.summary
-
-
-class TestLockHealth:
-    def test_no_lock_file_ok(self, tmp_path):
-        result = probe_lock_health(str(tmp_path))
-        assert result.severity == OK
-
-    def test_after_normal_use_ok(self, workspace):
-        build_repo(workspace)
-        result = probe_lock_health(str(workspace))
-        assert result.severity == OK
-
-    def test_stale_fallback_lock_warns(self, workspace):
-        build_repo(workspace)
-        excl = workspace / ".orpheus" / "repo.lock.excl"
-        excl.write_text(json.dumps({"pid": 2**22 - 3, "ts": "t"}))
-        result = probe_lock_health(str(workspace))
-        assert result.severity == WARN
-        assert "stale" in result.summary
-        assert "remove" in result.remediation
-
-    def test_live_fallback_lock_not_stale(self, workspace):
-        build_repo(workspace)
-        excl = workspace / ".orpheus" / "repo.lock.excl"
-        excl.write_text(json.dumps({"pid": os.getpid(), "ts": "t"}))
-        assert probe_lock_health(str(workspace)).severity == OK
 
 
 class TestPendingIntents:

@@ -190,3 +190,29 @@ class TestTwoProcessSmoke:
         assert payload["spans"]["cli.commit"]["count"] == 2
         counters = payload["counters"]
         assert counters.get("resilience.lock.acquired", 0) >= 2
+
+
+def test_pid_alive_reads_an_unexpected_kill_error_as_dead(monkeypatch):
+    """ESRCH is dead and EPERM is alive (someone else's process); any
+    other ``os.kill`` error is taken as dead, everywhere the pid of a
+    lock holder or a daemon is judged."""
+    import errno
+
+    from repro.resilience import lock
+    from repro.service import client
+
+    def raising(error):
+        def kill(pid, signal):
+            raise error
+
+        return kill
+
+    for error, alive in (
+        (ProcessLookupError(errno.ESRCH, "no such process"), False),
+        (PermissionError(errno.EPERM, "not yours"), True),
+        (OSError(errno.EINVAL, "invalid"), False),
+    ):
+        monkeypatch.setattr(lock.os, "kill", raising(error))
+        assert lock.pid_alive(4242) is alive
+    assert lock.pid_alive(0) is False
+    assert client.pid_alive is lock.pid_alive

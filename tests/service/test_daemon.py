@@ -2,6 +2,7 @@
 handshake, caching, durability bracket, journaling, load shedding,
 and the doctor probe."""
 
+import json
 import os
 import threading
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.observe.doctor import probe_service_health
+from repro.observe.doctor import Checkup, run_probe
 from repro.observe.journal import Journal
 from repro.resilience import failpoints
 from repro.resilience.lock import LockTimeoutError, RepositoryLock
@@ -305,16 +306,23 @@ class TestLoadShedding:
                     client.close()
 
 
+def probe_service_health(root, report=None):
+    (result,) = run_probe("service_health", Checkup(root=root, report=report))
+    return result
+
+
 class TestDoctorProbe:
     def test_healthy_daemon_probes_ok(self, workspace, daemon_factory):
         seed_dataset(workspace)
         with daemon_factory() as handle:
             with handle.client() as client:
                 client.checkout("inter", [1], inline=True)
-            # status file names *this* process (in-process daemon), which
-            # the probe reports without a self-connect.
-            result = probe_service_health(str(workspace))
-            assert result.severity == "ok"
+            # The daemon's doctor judges the daemon's own report.
+            result = probe_service_health(
+                str(workspace), handle.daemon.stats_payload()
+            )
+            assert result.severity == "ok", result.summary
+            assert result.data["pid"] == os.getpid()
 
     def test_no_daemon_is_ok(self, workspace):
         seed_dataset(workspace)
@@ -331,6 +339,61 @@ class TestDoctorProbe:
         result = probe_service_health(str(workspace))
         assert result.severity == "warn"
         assert "dead" in result.summary
+
+    def test_a_status_file_naming_a_live_pid_is_stale_too(self, workspace):
+        """The CLI doctor holds the repository lock no daemon shares, so
+        a leftover ``service.json`` is stale whatever pid it names."""
+        seed_dataset(workspace)
+        status_path = workspace / ".orpheus" / "service.json"
+        status_path.write_text(json.dumps({"pid": os.getpid()}))
+        result = probe_service_health(str(workspace))
+        assert result.severity == "warn"
+        assert "service.json" in result.remediation
+
+    @staticmethod
+    def _faults(client) -> dict:
+        probes = {p["probe"]: p for p in client.doctor()["probes"]}
+        return probes["service_faults"]
+
+    def test_remote_doctor_sees_degraded_mode(self, workspace, daemon_factory):
+        seed_dataset(workspace)
+        with daemon_factory() as handle, handle.client() as client:
+            degrade = handle.daemon.degrade
+            for _ in range(degrade.threshold):
+                degrade.record_save_failure(RuntimeError("disk full"))
+            faults = self._faults(client)
+        assert faults["severity"] == "warn"
+        assert "degraded read-only mode" in faults["summary"]
+        assert "disk full" in faults["summary"]
+        assert faults["data"]["degrade"]["degraded"] is True
+
+    def test_remote_doctor_sees_a_quarantined_digest(
+        self, workspace, daemon_factory
+    ):
+        seed_dataset(workspace)
+        with daemon_factory() as handle, handle.client() as client:
+            strikes = handle.daemon.quarantine.strikes
+            failpoints.activate("worker.mid_execute", "error", count=strikes)
+            for _ in range(strikes):
+                with pytest.raises(ServiceError):
+                    client.checkout("inter", [1], inline=True)
+            faults = self._faults(client)
+        assert faults["severity"] == "warn"
+        assert "1 request digest(s) quarantined" in faults["summary"]
+        assert "flush-quarantine" in faults["remediation"]
+
+    def test_remote_doctor_sees_worker_errors_over_budget(
+        self, workspace, daemon_factory
+    ):
+        seed_dataset(workspace)
+        with daemon_factory() as handle, handle.client() as client:
+            failpoints.activate("worker.mid_execute", "error", count=1)
+            with pytest.raises(ServiceError):
+                client.checkout("inter", [1], inline=True)
+            faults = self._faults(client)
+        assert faults["severity"] == "warn"
+        assert "worker-error rate" in faults["summary"]
+        assert faults["data"]["worker_errors"] == 1
 
     def test_remote_doctor_runs_clean(self, workspace, daemon_factory):
         seed_dataset(workspace)

@@ -15,7 +15,6 @@ import pytest
 from repro.cli import load_telemetry
 from repro.observe import doctor
 from repro.resilience import failpoints
-from repro.service import client as service_client
 from repro.service import daemon as daemon_module
 from repro.service.client import (
     ServiceBusyError,
@@ -71,7 +70,7 @@ def _shed_one_in_the_queue(handle, work, busy_too=False) -> None:
 
 
 def test_one_queue_shed_is_one_deadline_event(
-    workspace, daemon_factory, tmp_path, monkeypatch
+    workspace, daemon_factory, tmp_path
 ):
     """A request shed in the queue is one ``deadline_exceeded`` response;
     the scheduler's ``deadline_shed`` is the subset of those shed in a
@@ -87,27 +86,8 @@ def test_one_queue_shed_is_one_deadline_event(
     assert report["requests"]["deadline_exceeded"] == 1
     assert report["scheduler"]["deadline_shed"] == 1
 
-    # The probe, fed this report as if it came from another process (an
-    # in-process daemon would short-circuit it as "this process").
-    class _Client:
-        def __init__(self, **_kwargs):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def status(self):
-            return report
-
-    monkeypatch.setattr(
-        service_client, "read_status_file", lambda root: {"pid": 1}
-    )
-    monkeypatch.setattr(service_client, "_pid_alive", lambda pid: True)
-    monkeypatch.setattr(service_client, "ServiceClient", _Client)
-    result = doctor.probe_service_faults(str(workspace))
+    # The probe judges this very report, as the daemon hands it over.
+    (result,) = doctor.probe_service_faults(doctor.Checkup(report=report))
     assert result.data["deadline_exceeded"] == 1
 
 

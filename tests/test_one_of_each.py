@@ -406,3 +406,18 @@ def test_a_request_is_appended_to_one_jsonl_file(tmp_path):
         ), name
     fields = {field.name for field in dataclasses.fields(ServiceConfig)}
     assert not any(name.startswith("flight") for name in fields)
+
+
+def test_one_module_decides_whether_a_pid_is_alive():
+    """The lock and the service client once disagreed on an OSError
+    other than ESRCH/EPERM; the lock's answer (dead) is the only one."""
+    definers = [
+        name
+        for name, tree in modules()
+        if any(
+            isinstance(node, ast.FunctionDef)
+            and node.name.lstrip("_") == "pid_alive"
+            for node in ast.walk(tree)
+        )
+    ]
+    assert definers == ["resilience/lock.py"]
