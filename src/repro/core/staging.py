@@ -100,24 +100,31 @@ class StagingArea:
         self, path: str, cvd_name: str, parents: tuple[int, ...], owner: str
     ) -> None:
         """Remember that a checkout wrote the file ``path`` from
-        ``parents``: the provenance a later commit of that file uses."""
-        self._staged[path] = StagedTable(
-            table_name=path, cvd_name=cvd_name, parents=tuple(parents), owner=owner
+        ``parents``: the provenance a later commit of that file uses.
+        The pin is keyed by the absolute path, so a process in another
+        directory (recovery, the doctor, orpheusd) tests the file that
+        was actually written."""
+        key = os.path.abspath(path)
+        self._staged[key] = StagedTable(
+            table_name=key, cvd_name=cvd_name, parents=tuple(parents), owner=owner
         )
 
     def pinned(self, path: str) -> StagedTable | None:
-        return self._staged.get(path)
+        # A pin written before pins were absolute is keyed as typed.
+        return self._staged.get(os.path.abspath(path)) or self._staged.get(path)
 
     def unpin(self, path: str) -> None:
+        self._staged.pop(os.path.abspath(path), None)
         self._staged.pop(path, None)
 
     def vanished(self) -> list[str]:
-        """Checkouts pinned to a file that no longer exists on disk."""
+        """Checkouts pinned to a file that no longer exists on disk. A
+        pin keyed by a relative path names no directory, so it is never
+        reported: its file may exist where the checkout ran."""
         return [
             name
             for name in self._staged
-            if (name.endswith(".csv") or os.sep in name)
-            and not os.path.exists(name)
+            if os.path.isabs(name) and not os.path.exists(name)
         ]
 
     def staged_names(self) -> list[str]:

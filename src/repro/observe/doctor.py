@@ -190,7 +190,9 @@ def probe_checkout_cost(checkup: Checkup) -> list[ProbeResult]:
     results: list[ProbeResult] = []
     for name in checkup.orpheus.ls():
         model = checkup.orpheus.cvd(name).model
-        if not isinstance(model, PartitionedRlistStore) or not model._order:
+        if not isinstance(model, PartitionedRlistStore):
+            continue
+        if not model._order:
             continue
         current = model.current_checkout_cost()
         _target, best = model.best_partitioning()
@@ -198,27 +200,35 @@ def probe_checkout_cost(checkup: Checkup) -> list[ProbeResult]:
         if best <= 0:
             continue
         ratio = current / best
-        if ratio > max(delta_bound, model.tolerance):
+        bound = max(delta_bound, model.tolerance)
+        if ratio > bound:
             severity = FAIL
         elif ratio > delta_bound:
             severity = WARN
         else:
             severity = OK
-        results.append(ProbeResult(
-            f"checkout_cost[{name}]", severity,
-            f"cost ratio {ratio:.2f} vs bound 1+δ={delta_bound:.2f} "
-            f"(µ={model.tolerance:.2f})",
-            f"re-run `orpheus optimize -d {name}`: checkout cost ratio "
-            f"{ratio:.2f} exceeds 1+δ={delta_bound:.2f}",
-            {
-                "dataset": name,
-                "current_cost": current,
-                "optimal_cost": best,
-                "ratio": round(ratio, 4),
-                "delta_bound": round(delta_bound, 4),
-                "tolerance": model.tolerance,
-            },
-        ))
+        results.append(
+            ProbeResult(
+                probe=f"checkout_cost[{name}]",
+                severity=severity,
+                summary=(
+                    f"cost ratio {ratio:.2f} vs bound "
+                    f"1+δ={delta_bound:.2f} (µ={model.tolerance:.2f})"
+                ),
+                remediation=(
+                    f"re-run `orpheus optimize -d {name}`: checkout cost "
+                    f"ratio {ratio:.2f} exceeds 1+δ={delta_bound:.2f}"
+                ),
+                data={
+                    "dataset": name,
+                    "current_cost": current,
+                    "optimal_cost": best,
+                    "ratio": round(ratio, 4),
+                    "delta_bound": round(delta_bound, 4),
+                    "tolerance": model.tolerance,
+                },
+            )
+        )
     return results
 
 
@@ -237,14 +247,19 @@ def probe_partition_imbalance(checkup: Checkup) -> list[ProbeResult]:
             continue
         mean = sum(sizes) / len(sizes)
         largest = max(sizes)
-        results.append(ProbeResult(
-            f"partition_imbalance[{name}]",
-            WARN if mean > 0 and largest > IMBALANCE_FACTOR * mean else OK,
-            f"{len(sizes)} partitions, sizes min={min(sizes)} "
-            f"mean={mean:.0f} max={largest}",
-            f"re-run `orpheus optimize -d {name}` to rebalance",
-            {"dataset": name, "partition_sizes": sorted(sizes)},
-        ))
+        imbalanced = mean > 0 and largest > IMBALANCE_FACTOR * mean
+        results.append(
+            ProbeResult(
+                probe=f"partition_imbalance[{name}]",
+                severity=WARN if imbalanced else OK,
+                summary=(
+                    f"{len(sizes)} partitions, sizes "
+                    f"min={min(sizes)} mean={mean:.0f} max={largest}"
+                ),
+                remediation=f"re-run `orpheus optimize -d {name}` to rebalance",
+                data={"dataset": name, "partition_sizes": sorted(sizes)},
+            )
+        )
     return results
 
 
@@ -258,29 +273,36 @@ def probe_delta_chains(checkup: Checkup) -> list[ProbeResult]:
         if not isinstance(cvd.model, DeltaBasedModel):
             continue
         histogram: dict[int, int] = {}
+        longest = 0
         for vid in cvd.versions.vids():
             length = len(cvd.model.chain_of(vid)) - 1
             histogram[length] = histogram.get(length, 0) + 1
-        longest = max(histogram, default=0)
+            longest = max(longest, length)
         if longest > 4 * CHAIN_WARN:
             severity = FAIL
         elif longest > CHAIN_WARN:
             severity = WARN
         else:
             severity = OK
-        results.append(ProbeResult(
-            f"delta_chains[{name}]", severity,
-            f"longest delta chain {longest} (threshold {CHAIN_WARN})",
-            f"a stored chain never shortens: check out the versions you "
-            f"still need, `orpheus drop -d {name}` and `orpheus init` them "
-            f"again under `--model split_by_rlist` (history restarts)",
-            {
-                "dataset": name,
-                "chain_histogram": {
-                    str(k): v for k, v in sorted(histogram.items())
+        results.append(
+            ProbeResult(
+                probe=f"delta_chains[{name}]",
+                severity=severity,
+                summary=f"longest delta chain {longest} (threshold {CHAIN_WARN})",
+                remediation=(
+                    f"a stored chain never shortens: check out the versions "
+                    f"you still need, `orpheus drop -d {name}` and `orpheus "
+                    f"init` them again under `--model split_by_rlist` "
+                    f"(history restarts)"
+                ),
+                data={
+                    "dataset": name,
+                    "chain_histogram": {
+                        str(k): v for k, v in sorted(histogram.items())
+                    },
                 },
-            },
-        ))
+            )
+        )
     return results
 
 
@@ -295,18 +317,25 @@ def probe_orphaned_versions(checkup: Checkup) -> list[ProbeResult]:
         missing_physical = sorted(graph_vids - member_vids)
         missing_metadata = sorted(member_vids - graph_vids)
         if missing_physical or missing_metadata:
-            results.append(ProbeResult(
-                f"orphaned_versions[{name}]", FAIL,
-                f"{len(missing_physical)} versions lack physical "
-                f"membership, {len(missing_metadata)} lack metadata",
-                "state is corrupt; restore .orpheus/state.pkl from backup "
-                "or re-init from the journal",
-                {
-                    "dataset": name,
-                    "missing_physical": missing_physical[:20],
-                    "missing_metadata": missing_metadata[:20],
-                },
-            ))
+            results.append(
+                ProbeResult(
+                    probe=f"orphaned_versions[{name}]",
+                    severity=FAIL,
+                    summary=(
+                        f"{len(missing_physical)} versions lack physical "
+                        f"membership, {len(missing_metadata)} lack metadata"
+                    ),
+                    remediation=(
+                        "state is corrupt; restore .orpheus/state.pkl from "
+                        "backup or re-init from the journal"
+                    ),
+                    data={
+                        "dataset": name,
+                        "missing_physical": missing_physical[:20],
+                        "missing_metadata": missing_metadata[:20],
+                    },
+                )
+            )
     return results
 
 
@@ -330,14 +359,20 @@ def probe_stale_staging(checkup: Checkup) -> list[ProbeResult]:
     else:
         severity = OK
         summary = f"{len(staging._staged)} staged checkout(s), all live"
-    return [ProbeResult(
-        "stale_staging", severity, summary,
-        "commit the staged checkouts you still want (they hold parent "
-        "pins for provenance); delete the files of the others and run "
-        "`orpheus recover`, which releases every checkout whose file is "
-        "gone",
-        {"vanished": vanished[:20], "stale": stale[:20]},
-    )]
+    return [
+        ProbeResult(
+            probe="stale_staging",
+            severity=severity,
+            summary=summary,
+            remediation=(
+                "commit the staged checkouts you still want (they hold "
+                "parent pins for provenance); delete the files of the "
+                "others and run `orpheus recover`, which releases every "
+                "checkout whose file is gone"
+            ),
+            data={"vanished": vanished[:20], "stale": stale[:20]},
+        )
+    ]
 
 
 def probe_telemetry_accumulator(checkup: Checkup) -> list[ProbeResult]:
@@ -348,17 +383,32 @@ def probe_telemetry_accumulator(checkup: Checkup) -> list[ProbeResult]:
     size = path.stat().st_size
     try:
         json.loads(path.read_text())
+        parseable = True
     except ValueError:
-        severity, summary = WARN, f"telemetry.json is corrupt ({size} bytes)"
-        remediation = "run `orpheus stats --reset` to start a fresh history"
-    else:
-        severity = WARN if size > TELEMETRY_WARN_BYTES else OK
-        summary = f"telemetry.json is {size} bytes"
-        remediation = "run `orpheus stats --reset` after exporting the history"
-    return [ProbeResult(
-        "telemetry_accumulator", severity, summary, remediation,
-        {"bytes": size},
-    )]
+        parseable = False
+    if not parseable:
+        return [
+            ProbeResult(
+                probe="telemetry_accumulator",
+                severity=WARN,
+                summary=f"telemetry.json is corrupt ({size} bytes)",
+                remediation=(
+                    "run `orpheus stats --reset` to start a fresh history"
+                ),
+                data={"bytes": size},
+            )
+        ]
+    return [
+        ProbeResult(
+            probe="telemetry_accumulator",
+            severity=WARN if size > TELEMETRY_WARN_BYTES else OK,
+            summary=f"telemetry.json is {size} bytes",
+            remediation=(
+                "run `orpheus stats --reset` after exporting the history"
+            ),
+            data={"bytes": size},
+        )
+    ]
 
 
 def probe_state_integrity(checkup: Checkup) -> list[ProbeResult]:
@@ -370,32 +420,46 @@ def probe_state_integrity(checkup: Checkup) -> list[ProbeResult]:
         return []
     if status == "corrupt":
         fallback_ok = any(b["ok"] for b in report["backups"])
-        severity = WARN if fallback_ok else FAIL
-        summary = f"state.pkl is corrupt ({report['detail']}); " + (
-            "a verified backup will serve loads"
-            if fallback_ok
-            else "no verified backup exists"
+        return [
+            ProbeResult(
+                probe="state_integrity",
+                severity=WARN if fallback_ok else FAIL,
+                summary=(
+                    f"state.pkl is corrupt ({report['detail']}); "
+                    + (
+                        "a verified backup will serve loads"
+                        if fallback_ok
+                        else "no verified backup exists"
+                    )
+                ),
+                remediation=(
+                    "run `orpheus recover`: it rewrites state.pkl from "
+                    "the verified backup"
+                    if fallback_ok
+                    else "restore .orpheus/state.pkl from an external copy "
+                    "or re-init from the operation journal"
+                ),
+                data=report,
+            )
+        ]
+    severity = WARN if (status == "legacy" or stray) else OK
+    bits = [f"{report['bytes']} bytes, checksum ok"]
+    if status == "legacy":
+        bits = [f"{report['bytes']} bytes, legacy pre-checksum format"]
+    if stray:
+        bits.append(f"{len(stray)} interrupted write temp(s)")
+    return [
+        ProbeResult(
+            probe="state_integrity",
+            severity=severity,
+            summary="; ".join(bits),
+            remediation=(
+                "run `orpheus recover` to clean up (legacy files upgrade on "
+                "the next mutating command)"
+            ),
+            data=report,
         )
-        remediation = (
-            "run `orpheus recover`: it rewrites state.pkl from the "
-            "verified backup"
-            if fallback_ok
-            else "restore .orpheus/state.pkl from an external copy or "
-            "re-init from the operation journal"
-        )
-    else:
-        severity = WARN if (status == "legacy" or stray) else OK
-        bits = [f"{report['bytes']} bytes, checksum ok"]
-        if status == "legacy":
-            bits = [f"{report['bytes']} bytes, legacy pre-checksum format"]
-        if stray:
-            bits.append(f"{len(stray)} interrupted write temp(s)")
-        summary = "; ".join(bits)
-        remediation = (
-            "run `orpheus recover` to clean up (legacy files upgrade on "
-            "the next mutating command)"
-        )
-    return [ProbeResult("state_integrity", severity, summary, remediation, report)]
+    ]
 
 
 def probe_backup_freshness(checkup: Checkup) -> list[ProbeResult]:
@@ -406,25 +470,45 @@ def probe_backup_freshness(checkup: Checkup) -> list[ProbeResult]:
     if not store.path.exists():
         return []
     backups = [p for p in store.backup_paths if p.exists()]
+    ops = len(checkup.journal)
     if not backups:
-        ops = len(checkup.journal)
-        return [ProbeResult(
-            "backup_freshness", WARN if ops >= 2 else OK,
-            f"no backup generation yet ({ops} journaled operation(s))",
-            "every state save rotates a backup in: run the next mutating "
-            "command (a commit); if none appears, check filesystem "
-            "permissions on .orpheus/",
-            {"ops": ops},
-        )]
-    lag = store.path.stat().st_mtime - max(p.stat().st_mtime for p in backups)
-    return [ProbeResult(
-        "backup_freshness", WARN if lag > STALE_STAGING_SECONDS else OK,
-        f"{len(backups)} backup generation(s), newest "
-        f"{max(lag, 0):.0f}s behind the live state",
-        "backups have not rotated in over a week of state writes; check "
-        "filesystem permissions on .orpheus/",
-        {"backups": [p.name for p in backups], "lag_seconds": round(lag, 1)},
-    )]
+        return [
+            ProbeResult(
+                probe="backup_freshness",
+                severity=WARN if ops >= 2 else OK,
+                summary=(
+                    f"no backup generation yet ({ops} journaled operation(s))"
+                ),
+                remediation=(
+                    "every state save rotates a backup in: run the next "
+                    "mutating command (a commit); if none appears, check "
+                    "filesystem permissions on .orpheus/"
+                ),
+                data={"ops": ops},
+            )
+        ]
+    state_mtime = store.path.stat().st_mtime
+    newest = max(p.stat().st_mtime for p in backups)
+    lag = state_mtime - newest
+    stale = lag > STALE_STAGING_SECONDS
+    return [
+        ProbeResult(
+            probe="backup_freshness",
+            severity=WARN if stale else OK,
+            summary=(
+                f"{len(backups)} backup generation(s), newest "
+                f"{max(lag, 0):.0f}s behind the live state"
+            ),
+            remediation=(
+                "backups have not rotated in over a week of state writes; "
+                "check filesystem permissions on .orpheus/"
+            ),
+            data={
+                "backups": [p.name for p in backups],
+                "lag_seconds": round(lag, 1),
+            },
+        )
+    ]
 
 
 def probe_pending_intents(checkup: Checkup) -> list[ProbeResult]:
@@ -432,21 +516,37 @@ def probe_pending_intents(checkup: Checkup) -> list[ProbeResult]:
     from repro.resilience.intents import IntentLog
 
     log = IntentLog(checkup.root)
+    records = log.read()
     pending = log.pending()
-    if not pending:
-        return [ProbeResult(
-            "pending_intents", OK,
-            f"{len(log.read())} intent record(s), none pending",
-        )]
-    return [ProbeResult(
-        "pending_intents", FAIL,
-        f"{len(pending)} torn operation(s): a process died mid-command",
-        "run `orpheus recover` (any command auto-recovers)",
-        {"pending": [
-            {key: r.get(key) for key in ("trace_id", "command", "dataset")}
-            for r in pending[:20]
-        ]},
-    )]
+    if pending:
+        return [
+            ProbeResult(
+                probe="pending_intents",
+                severity=FAIL,
+                summary=(
+                    f"{len(pending)} torn operation(s): a process died "
+                    f"mid-command"
+                ),
+                remediation="run `orpheus recover` (any command auto-recovers)",
+                data={
+                    "pending": [
+                        {
+                            "trace_id": r.get("trace_id"),
+                            "command": r.get("command"),
+                            "dataset": r.get("dataset"),
+                        }
+                        for r in pending[:20]
+                    ]
+                },
+            )
+        ]
+    return [
+        ProbeResult(
+            probe="pending_intents",
+            severity=OK,
+            summary=f"{len(records)} intent record(s), none pending",
+        )
+    ]
 
 
 def probe_service_health(checkup: Checkup) -> list[ProbeResult]:
@@ -465,15 +565,22 @@ def probe_service_health(checkup: Checkup) -> list[ProbeResult]:
         if status is None:
             return []
         pid = int(status.get("pid") or 0)
-        return [ProbeResult(
-            "service_health", WARN,
-            f"stale service.json: the daemon that wrote it (pid {pid}) "
-            f"is dead",
-            "remove .orpheus/service.json and the stale socket, then "
-            "restart with `orpheus serve` (startup also recovers any torn "
-            "operations)",
-            {"pid": pid, "socket": status.get("socket")},
-        )]
+        return [
+            ProbeResult(
+                probe="service_health",
+                severity=WARN,
+                summary=(
+                    f"stale service.json: the daemon that wrote it "
+                    f"(pid {pid}) is dead"
+                ),
+                remediation=(
+                    "remove .orpheus/service.json and the stale socket, "
+                    "then restart with `orpheus serve` (startup also "
+                    "recovers any torn operations)"
+                ),
+                data={"pid": pid, "socket": status.get("socket")},
+            )
+        ]
     server = live.get("server", {})
     scheduler = live.get("scheduler", {})
     cache = live.get("cache", {})
@@ -482,32 +589,39 @@ def probe_service_health(checkup: Checkup) -> list[ProbeResult]:
         "raise `orpheus serve --queue-depth`/--workers or slow the "
         "writers; shed requests surface as BUSY to clients"
     )
+    queue_full = scheduler.get("write_queue_depth", 0) >= max(
+        1, scheduler.get("write_queue_capacity", 1)
+    )
     if server.get("draining", False):
         severity, note, remediation = WARN, "daemon is draining", ""
-    elif scheduler.get("write_queue_depth", 0) >= max(
-        1, scheduler.get("write_queue_capacity", 1)
-    ):
+    elif queue_full:
         severity, note = WARN, "writer queue is saturated"
     else:
         severity, note = OK, "daemon healthy"
-    return [ProbeResult(
-        "service_health", severity,
-        f"{note}: pid {server.get('pid')}, uptime "
-        f"{live.get('uptime_s', 0):.0f}s, {requests.get('total', 0)} "
-        f"requests ({requests.get('busy', 0)} shed busy), cache hit rate "
-        f"{cache.get('hit_rate', 0.0):.0%}",
-        remediation,
-        {
-            "pid": server.get("pid"),
-            "uptime_s": live.get("uptime_s"),
-            "requests": requests,
-            "shed": scheduler.get("shed_reads", 0)
-            + scheduler.get("shed_writes", 0),
-            "scheduler": scheduler,
-            "cache": cache,
-            "sessions": live.get("sessions", {}).get("active"),
-        },
-    )]
+    return [
+        ProbeResult(
+            probe="service_health",
+            severity=severity,
+            summary=(
+                f"{note}: pid {server.get('pid')}, uptime "
+                f"{live.get('uptime_s', 0):.0f}s, "
+                f"{requests.get('total', 0)} requests "
+                f"({requests.get('busy', 0)} shed busy), "
+                f"cache hit rate {cache.get('hit_rate', 0.0):.0%}"
+            ),
+            remediation=remediation,
+            data={
+                "pid": server.get("pid"),
+                "uptime_s": live.get("uptime_s"),
+                "requests": requests,
+                "shed": scheduler.get("shed_reads", 0)
+                + scheduler.get("shed_writes", 0),
+                "scheduler": scheduler,
+                "cache": cache,
+                "sessions": live.get("sessions", {}).get("active"),
+            },
+        )
+    ]
 
 
 def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
@@ -550,12 +664,18 @@ def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
             "flush-quarantine`"
         )
     for count, what, remedy in (
-        (worker_errors, "worker-error",
-         "check the daemon stderr and the journal for the failing op; "
-         "repeated crashers quarantine automatically"),
-        (deadline_exceeded, "deadline-shed",
-         "the queue is slow, not full: raise client deadlines "
-         "(ORPHEUS_CLIENT_DEADLINE_MS), add workers, or shed load"),
+        (
+            worker_errors,
+            "worker-error",
+            "check the daemon stderr and the journal for the failing op; "
+            "repeated crashers quarantine automatically",
+        ),
+        (
+            deadline_exceeded,
+            "deadline-shed",
+            "the queue is slow, not full: raise client deadlines "
+            "(ORPHEUS_CLIENT_DEADLINE_MS), add workers, or shed load",
+        ),
     ):
         pct = 100.0 * count / total
         if pct > FAULT_BUDGET_PCT:
@@ -564,27 +684,35 @@ def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
                 f"{FAULT_BUDGET_PCT:.1f}% budget"
             )
             remediation.append(remedy)
-    summary = "; ".join(problems) or (
-        f"daemon pid {pid} healthy: {worker_errors} worker error(s), "
-        f"{deadline_exceeded} deadline shed(s), quarantine empty"
-    )
-    return [ProbeResult(
-        "service_faults", WARN if problems else OK, summary,
-        "; ".join(remediation),
-        {
-            "pid": pid,
-            "total": requests.get("total", 0),
-            "worker_errors": worker_errors,
-            "deadline_exceeded": deadline_exceeded,
-            "budget_pct": FAULT_BUDGET_PCT,
-            "degrade": degrade,
-            "quarantine": {
-                key: value
-                for key, value in quarantine.items()
-                if key != "entries"
+    if problems:
+        severity, summary = WARN, "; ".join(problems)
+    else:
+        severity = OK
+        summary = (
+            f"daemon pid {pid} healthy: {worker_errors} worker error(s), "
+            f"{deadline_exceeded} deadline shed(s), quarantine empty"
+        )
+    return [
+        ProbeResult(
+            probe="service_faults",
+            severity=severity,
+            summary=summary,
+            remediation="; ".join(remediation),
+            data={
+                "pid": pid,
+                "total": requests.get("total", 0),
+                "worker_errors": worker_errors,
+                "deadline_exceeded": deadline_exceeded,
+                "budget_pct": FAULT_BUDGET_PCT,
+                "degrade": degrade,
+                "quarantine": {
+                    key: value
+                    for key, value in quarantine.items()
+                    if key != "entries"
+                },
             },
-        },
-    )]
+        )
+    ]
 
 
 def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
@@ -610,6 +738,9 @@ def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
     if not status["segments"]:
         return []
     bound = status["segment_bytes"] * status["max_segments"]
+    # A torn tail is expected while a daemon is appending; it only
+    # signals data loss once nothing is writing.
+    torn = status["newest_torn"] and checkup.report is None
     durations = sorted(
         record["total_s"] for record in read_slow(flight_dir)
         if isinstance(record.get("total_s"), (int, float))
@@ -619,7 +750,7 @@ def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
         round(durations[min(slow - 1, int(0.99 * slow))] * 1000.0, 3)
         if durations else None
     )
-    severity = WARN
+    severity, remediation = WARN, ""
     if status["bytes"] > bound:
         summary = (
             f"flight segments use {status['bytes']} bytes, over the "
@@ -631,9 +762,7 @@ def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
             "oldest flight-*.jsonl segments; the daemon prunes to its "
             "bound each time it opens a segment"
         )
-    elif status["newest_torn"] and checkup.report is None:
-        # A torn tail is expected while a daemon is appending; it only
-        # signals data loss once nothing is writing.
+    elif torn:
         summary = (
             "newest flight segment has a torn tail and no daemon is "
             "writing — the last capture lost its final records"
@@ -649,30 +778,36 @@ def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
             f"{status['slow_ms']:g}ms"
         )
         remediation = (
-            "watch the live breakdown with `orpheus top` and profile the "
-            "hot phase with `orpheus profile`; the `spans` of each slow "
-            "flight record name its slow phase"
+            "watch the live breakdown with `orpheus top` and profile "
+            "the hot phase with `orpheus profile`; the `spans` of each "
+            "slow flight record name its slow phase"
         )
     else:
-        severity, remediation = OK, ""
+        severity = OK
         summary = (
-            f"{status['segments']} flight segment(s), {status['bytes']} "
-            f"bytes (bound {bound}), {slow} slow request(s)"
+            f"{status['segments']} flight segment(s), "
+            f"{status['bytes']} bytes (bound {bound}), "
+            f"{slow} slow request(s)"
             + (f", p99 {p99_ms:.0f}ms" if p99_ms is not None else "")
         )
-    return [ProbeResult(
-        "flight_recorder", severity, summary, remediation,
-        {
-            "segments": status["segments"],
-            "bytes": status["bytes"],
-            "bound_bytes": bound,
-            "newest_torn": status["newest_torn"],
-            "slow": slow,
-            "slow_p99_ms": p99_ms,
-            "slow_ms": status["slow_ms"],
-            "path": str(flight_dir),
-        },
-    )]
+    return [
+        ProbeResult(
+            probe="flight_recorder",
+            severity=severity,
+            summary=summary,
+            remediation=remediation,
+            data={
+                "segments": status["segments"],
+                "bytes": status["bytes"],
+                "bound_bytes": bound,
+                "newest_torn": status["newest_torn"],
+                "slow": slow,
+                "slow_p99_ms": p99_ms,
+                "slow_ms": status["slow_ms"],
+                "path": str(flight_dir),
+            },
+        )
+    ]
 
 
 def probe_journal(checkup: Checkup) -> list[ProbeResult]:
@@ -683,14 +818,22 @@ def probe_journal(checkup: Checkup) -> list[ProbeResult]:
     if not records:
         return []
     divergences = verify_journal(checkup.orpheus, records)
-    return [ProbeResult(
-        "journal", FAIL if divergences else OK,
-        f"{len(records)} records, {len(divergences)} divergence(s)",
-        "the state lost journaled operations (a restored backup?) or was "
-        "changed outside the CLI: `orpheus log --ops --verify` names each "
-        "divergence; redo the operations the state lacks",
-        {"divergences": divergences[:20]},
-    )]
+    return [
+        ProbeResult(
+            probe="journal",
+            severity=FAIL if divergences else OK,
+            summary=(
+                f"{len(records)} records, {len(divergences)} divergence(s)"
+            ),
+            remediation=(
+                "the state lost journaled operations (a restored backup?) "
+                "or was changed outside the CLI: `orpheus log --ops "
+                "--verify` names each divergence; redo the operations the "
+                "state lacks"
+            ),
+            data={"divergences": divergences[:20]},
+        )
+    ]
 
 
 def probe_heat_skew(checkup: Checkup) -> list[ProbeResult]:
@@ -725,29 +868,37 @@ def probe_heat_skew(checkup: Checkup) -> list[ProbeResult]:
         if mean > 0:
             skews[dataset] = round(max(heats) / mean, 3)
     cold = heat.cold_fraction(checkup.orpheus, now)
+    data = {
+        "skew_factor_budget": factor,
+        "skew_by_dataset": skews,
+        "cold_fraction": None if cold is None else round(cold, 4),
+    }
     worst = max(skews.values(), default=0.0)
     if worst > factor:
+        hot = max(skews, key=skews.get)
         severity = WARN
         summary = (
-            f"partition heat skew {worst:.1f}x on "
-            f"{max(skews, key=skews.get)!r} (budget {factor:g}x)"
+            f"partition heat skew {worst:.1f}x on {hot!r} "
+            f"(budget {factor:g}x)"
         )
     else:
         severity = OK
         summary = (
-            f"heat spread ok across {len(by_dataset)} dataset(s) (worst "
-            f"skew {worst:.1f}x, budget {factor:g}x)"
+            f"heat spread ok across {len(by_dataset)} dataset(s) "
+            f"(worst skew {worst:.1f}x, budget {factor:g}x)"
         )
-    return [ProbeResult(
-        "heat_skew", severity, summary,
-        "the workload concentrates on few partitions; see `orpheus heat` "
-        "advisor and consider `orpheus optimize`",
-        {
-            "skew_factor_budget": factor,
-            "skew_by_dataset": skews,
-            "cold_fraction": None if cold is None else round(cold, 4),
-        },
-    )]
+    return [
+        ProbeResult(
+            probe="heat_skew",
+            severity=severity,
+            summary=summary,
+            remediation=(
+                "the workload concentrates on few partitions; see "
+                "`orpheus heat` advisor and consider `orpheus optimize`"
+            ),
+            data=data,
+        )
+    ]
 
 
 def probe_io_amplification(checkup: Checkup) -> list[ProbeResult]:
@@ -763,9 +914,10 @@ def probe_io_amplification(checkup: Checkup) -> list[ProbeResult]:
     from repro.observe import heat as heat_model
     from repro.observe.amplification import amplification_report
 
+    report = amplification_report(checkup.heat)
     amps = {
         model: commands["checkout"]["read_amplification"]
-        for model, commands in amplification_report(checkup.heat).items()
+        for model, commands in report.items()
         if model != "(unknown)"
         and commands.get("checkout", {}).get("read_amplification")
         is not None
@@ -775,6 +927,7 @@ def probe_io_amplification(checkup: Checkup) -> list[ProbeResult]:
     budget = heat_model.AMP_BUDGET
     worst_model = max(amps, key=amps.get)
     worst = amps[worst_model]
+    data = {"amp_budget": budget, "checkout_read_amplification": amps}
     if worst > budget:
         severity = FAIL if worst > 4 * budget else WARN
         summary = (
@@ -787,15 +940,21 @@ def probe_io_amplification(checkup: Checkup) -> list[ProbeResult]:
             f"worst checkout read amplification {worst:.2f}x "
             f"({worst_model}, budget {budget:g}x)"
         )
-    return [ProbeResult(
-        "io_amplification", severity, summary,
-        "the layout scans far more than it returns; see `orpheus heat` "
-        "for the amplification table and the advisor's recommendation, "
-        "then check out the versions you need, `orpheus drop` the dataset "
-        "and `orpheus init` them under a new name with `--model "
-        "partitioned_rlist`",
-        {"amp_budget": budget, "checkout_read_amplification": amps},
-    )]
+    return [
+        ProbeResult(
+            probe="io_amplification",
+            severity=severity,
+            summary=summary,
+            remediation=(
+                "the layout scans far more than it returns; see "
+                "`orpheus heat` for the amplification table and the "
+                "advisor's recommendation, then check out the versions you "
+                "need, `orpheus drop` the dataset and `orpheus init` them "
+                "under a new name with `--model partitioned_rlist`"
+            ),
+            data=data,
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -836,21 +995,26 @@ def probe_page_store(checkup: Checkup) -> list[ProbeResult]:
         ),
     }
 
-    def result(severity, summary, remediation=""):
-        return [ProbeResult(
-            "page_store_health", severity, summary, remediation, data
-        )]
-
     missing = sorted(referenced - on_disk)
     if missing:
         data["missing_pages"] = missing[:8]
-        return result(
-            FAIL,
-            f"{len(missing)} referenced page file(s) missing from {directory}",
-            "the live state references pages that are gone; load will fall "
-            "back to a backup generation — run `orpheus recover` and check "
-            "`orpheus log --ops` for lost operations",
-        )
+        return [
+            ProbeResult(
+                probe="page_store_health",
+                severity=FAIL,
+                summary=(
+                    f"{len(missing)} referenced page file(s) missing from "
+                    f"{directory}"
+                ),
+                remediation=(
+                    "the live state references pages that are gone; load "
+                    "will fall back to a backup generation — run `orpheus "
+                    "recover` and check `orpheus log --ops` for lost "
+                    "operations"
+                ),
+                data=data,
+            )
+        ]
 
     corrupt = []
     live = live_pages(root)
@@ -867,32 +1031,53 @@ def probe_page_store(checkup: Checkup) -> list[ProbeResult]:
     data["pages_checked"] = min(len(newest_first), PAGE_SPOT_CHECK)
     if corrupt:
         data["corrupt_pages"] = corrupt
-        return result(
-            FAIL,
-            f"{len(corrupt)} corrupt page file(s) detected",
-            "page checksums do not verify; restore .orpheus/state.pkl from "
-            "the newest backup generation that does not reference them "
-            "(state.pkl.bak), run `orpheus recover` to sweep the pages it "
-            "leaves unreferenced, and redo what `orpheus log --ops` lists "
-            "after that generation",
-        )
+        return [
+            ProbeResult(
+                probe="page_store_health",
+                severity=FAIL,
+                summary=f"{len(corrupt)} corrupt page file(s) detected",
+                remediation=(
+                    "page checksums do not verify; restore "
+                    ".orpheus/state.pkl from the newest backup generation "
+                    "that does not reference them (state.pkl.bak), run "
+                    "`orpheus recover` to sweep the pages it leaves "
+                    "unreferenced, and redo what `orpheus log --ops` lists "
+                    "after that generation"
+                ),
+                data=data,
+            )
+        ]
 
     orphans = orphan_pages(root)
     temps = fsio.stray_temps(directory)
     if orphans or temps:
         data["orphan_pages"] = len(orphans)
         data["stray_temps"] = len(temps)
-        return result(
-            WARN,
-            f"{len(orphans)} orphaned page(s) and {len(temps)} stray temp "
-            f"file(s) — debris from an interrupted write-back",
-            "run `orpheus recover` to clean the page store",
+        return [
+            ProbeResult(
+                probe="page_store_health",
+                severity=WARN,
+                summary=(
+                    f"{len(orphans)} orphaned page(s) and {len(temps)} "
+                    f"stray temp file(s) — debris from an interrupted "
+                    f"write-back"
+                ),
+                remediation="run `orpheus recover` to clean the page store",
+                data=data,
+            )
+        ]
+
+    return [
+        ProbeResult(
+            probe="page_store_health",
+            severity=OK,
+            summary=(
+                f"{len(files)} page file(s), all referenced pages present, "
+                f"{data['pages_checked']} checksum-verified"
+            ),
+            data=data,
         )
-    return result(
-        OK,
-        f"{len(files)} page file(s), all referenced pages present, "
-        f"{data['pages_checked']} checksum-verified",
-    )
+    ]
 
 
 def probe_buffer_pool(checkup: Checkup) -> list[ProbeResult]:
@@ -905,44 +1090,71 @@ def probe_buffer_pool(checkup: Checkup) -> list[ProbeResult]:
     stats = (checkup.report or {}).get("buffer_pool")
     if not stats:
         return []
+    data = dict(stats)
     traffic = stats["faults"] + stats["hits"]
-    severity, remediation = WARN, ""
     if traffic == 0:
-        severity = OK
-        summary = (
-            f"pool idle (budget {stats['budget_bytes'] // (1024 * 1024)} MiB)"
-        )
-    elif stats["dirty_bytes"] > 0:
-        summary = (
-            f"{stats['dirty_bytes']} dirty byte(s) resident outside a save "
-            f"— a write-back did not complete"
-        )
-        remediation = (
-            "dirty pages never evict and live only in orpheusd's memory: "
-            "restart it (`orpheus serve --stop`, then `orpheus serve`), "
-            "running `orpheus recover` in between to sweep what the "
-            "write-back left"
-        )
-    elif stats["faults"] > 0 and stats["evictions"] >= max(
-        1, 0.5 * stats["faults"]
+        return [
+            ProbeResult(
+                probe="buffer_pool",
+                severity=OK,
+                summary=(
+                    f"pool idle (budget "
+                    f"{stats['budget_bytes'] // (1024 * 1024)} MiB)"
+                ),
+                data=data,
+            )
+        ]
+    if stats["dirty_bytes"] > 0:
+        return [
+            ProbeResult(
+                probe="buffer_pool",
+                severity=WARN,
+                summary=(
+                    f"{stats['dirty_bytes']} dirty byte(s) resident "
+                    f"outside a save — a write-back did not complete"
+                ),
+                remediation=(
+                    "dirty pages never evict and live only in orpheusd's "
+                    "memory: restart it (`orpheus serve --stop`, then "
+                    "`orpheus serve`), running `orpheus recover` in "
+                    "between to sweep what the write-back left"
+                ),
+                data=data,
+            )
+        ]
+    if (
+        stats["evictions"] > 0
+        and stats["faults"] > 0
+        and stats["evictions"] >= 0.5 * stats["faults"]
     ):
-        summary = (
-            f"pool thrashing: {stats['evictions']} evictions against "
-            f"{stats['faults']} faults (hit rate {stats['hit_rate']:.0%})"
+        return [
+            ProbeResult(
+                probe="buffer_pool",
+                severity=WARN,
+                summary=(
+                    f"pool thrashing: {stats['evictions']} evictions "
+                    f"against {stats['faults']} faults "
+                    f"(hit rate {stats['hit_rate']:.0%})"
+                ),
+                remediation=(
+                    f"the working set exceeds the budget; restart orpheusd "
+                    f"with a larger {BUFFER_BYTES_ENV} (currently "
+                    f"{stats['budget_bytes']} bytes)"
+                ),
+                data=data,
+            )
+        ]
+    return [
+        ProbeResult(
+            probe="buffer_pool",
+            severity=OK,
+            summary=(
+                f"hit rate {stats['hit_rate']:.0%} over {traffic} "
+                f"access(es), {stats['resident_pages']} page(s) resident"
+            ),
+            data=data,
         )
-        remediation = (
-            f"the working set exceeds the budget; restart orpheusd with a "
-            f"larger {BUFFER_BYTES_ENV} (currently {stats['budget_bytes']} "
-            f"bytes)"
-        )
-    else:
-        severity = OK
-        summary = (
-            f"hit rate {stats['hit_rate']:.0%} over {traffic} access(es), "
-            f"{stats['resident_pages']} page(s) resident"
-        )
-    return [ProbeResult("buffer_pool", severity, summary, remediation, dict(stats))]
-
+    ]
 
 # ----------------------------------------------------------------------
 #: The doctor: probe name -> (probe, the OK summary it gets when it

@@ -19,6 +19,7 @@ first parses a file of at most that size: a couple of dozen lines.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro import telemetry
@@ -41,7 +42,10 @@ class IntentLog:
     # ------------------------------------------------------------------
     def begin(self, trace_id: str, command: str, **details) -> None:
         """Durably record the intent to run ``command`` before any state
-        is touched."""
+        is touched. A ``file`` is recorded as an absolute path, so a
+        recovery run from another directory reaches the same file."""
+        if details.get("file"):
+            details["file"] = os.path.abspath(details["file"])
         record = {
             "phase": "begin",
             "trace_id": trace_id,

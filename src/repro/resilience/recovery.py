@@ -287,9 +287,8 @@ def _reconcile_intent(
 
     if command == "checkout":
         target = intent.get("file")
-        staged = getattr(orpheus.staging, "_staged", {})
-        if target and target in staged:
-            info = staged[target]
+        info = orpheus.staging.pinned(target) if target else None
+        if info is not None:
             record = {
                 "trace_id": trace_id,
                 "command": "checkout",

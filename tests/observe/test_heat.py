@@ -389,20 +389,19 @@ def test_mining_reads_a_flight_records_own_versions(tmp_path, shape, mined):
     )
 
 
-def heat_probe(name, heat):
-    """One heat probe judging ``heat`` as if mined."""
+def mined(heat) -> Checkup:
+    """A doctor run whose mined heat model is ``heat``."""
     checkup = Checkup()
     checkup.heat = heat
-    (result,) = run_probe(name, checkup)
-    return result
+    return checkup
 
 
 class TestDoctorProbes:
     def test_no_heat_is_ok(self):
-        result = heat_probe("heat_skew", HeatAccountant())
+        (result,) = run_probe("heat_skew", mined(HeatAccountant()))
         assert result.severity == "ok"
         assert result.summary == "no heat recorded"
-        result = heat_probe("io_amplification", HeatAccountant())
+        (result,) = run_probe("io_amplification", mined(HeatAccountant()))
         assert result.severity == "ok"
 
     def test_heat_skew_warns_over_budget(self, monkeypatch):
@@ -411,9 +410,9 @@ class TestDoctorProbes:
             heat.record(touch(ts=0.0, partitions=(0,)))
         heat.record(touch(ts=0.0, partitions=(1,)))
         monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 100.0)
-        assert heat_probe("heat_skew", heat).severity == "ok"
+        assert run_probe("heat_skew", mined(heat))[0].severity == "ok"
         monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 1.5)
-        result = heat_probe("heat_skew", heat)
+        (result,) = run_probe("heat_skew", mined(heat))
         assert result.severity == "warn"
         assert result.data["skew_by_dataset"]["d"] > 1.5
         assert "optimize" in result.remediation
@@ -423,7 +422,7 @@ class TestDoctorProbes:
         for _ in range(10):
             heat.record(touch(ts=0.0, partitions=(0,)))
         monkeypatch.setattr(heat_module, "HEAT_SKEW_FACTOR", 1.01)
-        assert heat_probe("heat_skew", heat).severity == "ok"
+        assert run_probe("heat_skew", mined(heat))[0].severity == "ok"
 
     def test_io_amplification_severity_thresholds(self, monkeypatch):
         heat = HeatAccountant(half_life_s=1e9)
@@ -431,14 +430,14 @@ class TestDoctorProbes:
             ts=0.0, rows_requested=10, rows_scanned=30,  # amp 3.0
         ))
         monkeypatch.setattr(heat_module, "AMP_BUDGET", 4.0)
-        assert heat_probe("io_amplification", heat).severity == "ok"
+        assert run_probe("io_amplification", mined(heat))[0].severity == "ok"
         monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
-        assert heat_probe("io_amplification", heat).severity == "warn"
+        assert run_probe("io_amplification", mined(heat))[0].severity == "warn"
         # Total amp 10 > 4 x budget 2.0 -> fail.
         heat.record(touch(
             ts=1.0, rows_requested=10, rows_scanned=170,
         ))
-        assert heat_probe("io_amplification", heat).severity == "fail"
+        assert run_probe("io_amplification", mined(heat))[0].severity == "fail"
 
     def test_probes_registered_in_run_doctor(self, tmp_path):
         from repro.observe.doctor import run_doctor

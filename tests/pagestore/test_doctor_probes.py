@@ -22,18 +22,6 @@ from repro.resilience.statestore import StateStore
 from tests.pagestore.test_paged_store import build_orpheus
 
 
-def probe_page_store(root):
-    (result,) = run_probe("page_store_health", Checkup(root=root))
-    return result
-
-
-def probe_buffer_pool(pool):
-    (result,) = run_probe(
-        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
-    )
-    return result
-
-
 def make_paged_repo(root):
     orpheus = build_orpheus()
     paged_save(StateStore(root), orpheus)
@@ -44,14 +32,14 @@ def make_paged_repo(root):
 # page_store_health
 # ----------------------------------------------------------------------
 def test_pickle_repo_reports_not_in_use(tmp_path):
-    result = probe_page_store(str(tmp_path))
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == OK
     assert "not in use" in result.summary
 
 
 def test_healthy_paged_repo_is_ok(tmp_path):
     make_paged_repo(tmp_path)
-    result = probe_page_store(str(tmp_path))
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == OK, result.summary
     assert result.data["pages_on_disk"] == result.data["pages_referenced"]
     assert result.data["pages_checked"] > 0
@@ -62,7 +50,7 @@ def test_missing_referenced_page_fails(tmp_path):
     directory = pagefiles.pages_dir(tmp_path)
     victim = sorted(referenced_pages(tmp_path))[0]
     pagefiles.page_path(directory, victim).unlink()
-    result = probe_page_store(str(tmp_path))
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == FAIL
     assert "missing" in result.summary
     assert "recover" in result.remediation
@@ -76,7 +64,7 @@ def test_corrupt_page_fails_spot_check(tmp_path):
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))
-    result = probe_page_store(str(tmp_path))
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == FAIL
     assert "corrupt" in result.summary
     assert result.data["corrupt_pages"]
@@ -104,7 +92,7 @@ def test_spot_check_follows_the_newest_writes(tmp_path):
     blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))
 
-    result = probe_page_store(str(tmp_path))
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == FAIL
     assert result.data["pages_checked"] == PAGE_SPOT_CHECK
     assert victim.name in result.data["corrupt_pages"][0]
@@ -112,9 +100,11 @@ def test_spot_check_follows_the_newest_writes(tmp_path):
     assert "recover" in result.remediation
 
     store.path.write_bytes(store.backup_paths[0].read_bytes())
-    assert probe_page_store(str(tmp_path)).severity == WARN  # now an orphan
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
+    assert result.severity == WARN  # now an orphan
     run_recovery(str(tmp_path))
-    assert probe_page_store(str(tmp_path)).severity == OK
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
+    assert result.severity == OK
     reset_pool()
     restored, _info = store.load(warn=None)
     assert restored.cvd("ds3").versions.vids() == [1, 2]
@@ -125,7 +115,7 @@ def test_orphan_pages_warn(tmp_path):
     directory = pagefiles.pages_dir(tmp_path)
     payload = b"orphaned-by-a-crashed-save"
     pagefiles.write_page(directory, pagefiles.page_id_for(payload), payload)
-    result = probe_page_store(str(tmp_path))
+    (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == WARN
     assert result.data["orphan_pages"] == 1
 
@@ -134,7 +124,9 @@ def test_orphan_pages_warn(tmp_path):
 # buffer_pool
 # ----------------------------------------------------------------------
 def test_idle_pool_is_ok(tmp_path):
-    result = probe_buffer_pool(reset_pool())
+    (result,) = run_probe(
+        "buffer_pool", Checkup(report={"buffer_pool": reset_pool().stats()})
+    )
     assert result.severity == OK
     assert "idle" in result.summary
 
@@ -147,7 +139,9 @@ def test_leaked_dirty_bytes_warn(tmp_path):
     pagefiles.write_page(directory, page_id, payload)
     pool.read(directory, page_id)  # some traffic
     pool.put_dirty(directory, "f" * pagefiles.PAGE_ID_HEX, b"z" * 256)
-    result = probe_buffer_pool(pool)
+    (result,) = run_probe(
+        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
+    )
     assert result.severity == WARN
     assert "dirty" in result.summary
     assert "recover" in result.remediation
@@ -161,7 +155,9 @@ def test_thrashing_pool_warns_with_budget_hint(tmp_path):
         page_id = pagefiles.page_id_for(payload)
         pagefiles.write_page(directory, page_id, payload)
         pool.read(directory, page_id)
-    result = probe_buffer_pool(pool)
+    (result,) = run_probe(
+        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
+    )
     assert result.severity == WARN
     assert "thrash" in result.summary
     assert "ORPHEUS_BUFFER_BYTES" in result.remediation
@@ -175,6 +171,8 @@ def test_healthy_pool_traffic_is_ok(tmp_path):
     pagefiles.write_page(directory, page_id, payload)
     for _ in range(10):
         pool.read(directory, page_id)
-    result = probe_buffer_pool(pool)
+    (result,) = run_probe(
+        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
+    )
     assert result.severity == OK
     assert result.data["hits"] == 9

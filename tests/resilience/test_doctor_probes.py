@@ -12,23 +12,6 @@ from repro.resilience.statestore import MAGIC, StateStore
 from tests.resilience.conftest import run_inproc
 
 
-def probe(name, root):
-    (result,) = run_probe(name, Checkup(root=str(root)))
-    return result
-
-
-def probe_state_integrity(root):
-    return probe("state_integrity", root)
-
-
-def probe_backup_freshness(root):
-    return probe("backup_freshness", root)
-
-
-def probe_pending_intents(root):
-    return probe("pending_intents", root)
-
-
 def build_repo(workspace, commits=0):
     rc = run_inproc(
         workspace,
@@ -52,18 +35,19 @@ def build_repo(workspace, commits=0):
 
 class TestStateIntegrity:
     def test_fresh_repo_ok(self, tmp_path):
-        result = probe_state_integrity(str(tmp_path))
+        (result,) = run_probe("state_integrity", Checkup(root=str(tmp_path)))
         assert result.severity == OK
         assert "fresh" in result.summary
 
     def test_healthy_state_ok(self, workspace):
         build_repo(workspace)
-        assert probe_state_integrity(str(workspace)).severity == OK
+        (result,) = run_probe("state_integrity", Checkup(root=str(workspace)))
+        assert result.severity == OK
 
     def test_corrupt_with_backup_warns(self, workspace):
         build_repo(workspace, commits=1)
         (workspace / ".orpheus" / "state.pkl").write_bytes(MAGIC + b"\x00")
-        result = probe_state_integrity(str(workspace))
+        (result,) = run_probe("state_integrity", Checkup(root=str(workspace)))
         assert result.severity == WARN
         assert "backup" in result.summary
         assert "recover" in result.remediation
@@ -74,7 +58,7 @@ class TestStateIntegrity:
         for backup in store.backup_paths:
             backup.unlink(missing_ok=True)
         store.path.write_bytes(MAGIC + b"\x00")
-        result = probe_state_integrity(str(workspace))
+        (result,) = run_probe("state_integrity", Checkup(root=str(workspace)))
         assert result.severity == FAIL
         assert result.remediation
 
@@ -82,48 +66,50 @@ class TestStateIntegrity:
         store = StateStore(tmp_path)
         store.dir.mkdir(parents=True)
         store.path.write_bytes(pickle.dumps({"old": True}))
-        result = probe_state_integrity(str(tmp_path))
+        (result,) = run_probe("state_integrity", Checkup(root=str(tmp_path)))
         assert result.severity == WARN
         assert "legacy" in result.summary
 
     def test_stray_temp_warns(self, workspace):
         build_repo(workspace)
         (workspace / ".orpheus" / "state.pkl.xyz.tmp").write_bytes(b"junk")
-        assert probe_state_integrity(str(workspace)).severity == WARN
+        (result,) = run_probe("state_integrity", Checkup(root=str(workspace)))
+        assert result.severity == WARN
 
 
 class TestBackupFreshness:
     def test_no_state_ok(self, tmp_path):
-        assert probe_backup_freshness(str(tmp_path)).severity == OK
+        (result,) = run_probe("backup_freshness", Checkup(root=str(tmp_path)))
+        assert result.severity == OK
 
     def test_single_save_no_backup_ok(self, workspace):
         build_repo(workspace)
-        result = probe_backup_freshness(str(workspace))
+        (result,) = run_probe("backup_freshness", Checkup(root=str(workspace)))
         # init alone journals one op; a missing backup is expected.
         assert result.severity == OK
 
     def test_backups_present_ok(self, workspace):
         build_repo(workspace, commits=1)
-        result = probe_backup_freshness(str(workspace))
+        (result,) = run_probe("backup_freshness", Checkup(root=str(workspace)))
         assert result.severity == OK
         assert "backup generation" in result.summary
 
 
 class TestPendingIntents:
     def test_no_log_ok(self, tmp_path):
-        result = probe_pending_intents(str(tmp_path))
+        (result,) = run_probe("pending_intents", Checkup(root=str(tmp_path)))
         assert result.severity == OK
 
     def test_all_closed_ok(self, workspace):
         build_repo(workspace)
-        result = probe_pending_intents(str(workspace))
+        (result,) = run_probe("pending_intents", Checkup(root=str(workspace)))
         assert result.severity == OK
         assert "none pending" in result.summary
 
     def test_pending_intent_fails_with_remediation(self, workspace):
         build_repo(workspace)
         IntentLog(workspace).begin("t-torn", "commit", dataset="ds")
-        result = probe_pending_intents(str(workspace))
+        (result,) = run_probe("pending_intents", Checkup(root=str(workspace)))
         assert result.severity == FAIL
         assert "torn" in result.summary
         assert "orpheus recover" in result.remediation

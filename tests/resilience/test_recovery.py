@@ -7,9 +7,12 @@ import json
 import os
 
 from repro import telemetry
+from repro.cli import load_state
+from repro.core.staging import StagedTable
 from repro.observe.journal import Journal
 from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.recovery import run_recovery
+from repro.resilience.statestore import StateStore
 
 from tests.resilience.conftest import run_inproc
 
@@ -237,6 +240,81 @@ class TestDropReconciliation:
         assert last["command"] == "drop"
         assert last["recovered"] is True
         assert run_inproc(workspace, "log", "--ops", "--verify") == 0
+
+
+class TestRelativeCheckouts:
+    """A checkout pin is keyed by the file's absolute path, so recovery
+    run from another directory tests the file that was written."""
+
+    def checkout_relative(self, workspace, monkeypatch):
+        monkeypatch.chdir(workspace)
+        assert run_inproc(
+            workspace, "checkout", "-d", "ds", "-v", "1", "-f", "rel.csv"
+        ) == 0
+        elsewhere = workspace / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+
+    def commit_relative(self, workspace, monkeypatch):
+        monkeypatch.chdir(workspace)
+        with open("rel.csv", "a") as handle:
+            handle.write("k9,9\n")
+        assert run_inproc(workspace, "commit", "-d", "ds", "-f", "rel.csv") == 0
+        return load_state(str(workspace)).cvd("ds").versions.get(2).parents
+
+    def test_recover_elsewhere_keeps_the_pin(self, workspace, monkeypatch):
+        build_repo(workspace)
+        self.checkout_relative(workspace, monkeypatch)
+        report = run_recovery(workspace)
+        assert not any(a.kind == "release-staging" for a in report.actions)
+        assert self.commit_relative(workspace, monkeypatch) == (1,)
+
+    def test_auto_recover_elsewhere_keeps_the_pin(self, workspace, monkeypatch):
+        build_repo(workspace)
+        self.checkout_relative(workspace, monkeypatch)
+        IntentLog(workspace).begin("t-opt", "optimize", dataset="ds")
+        assert run_inproc(workspace, "ls") == 0  # auto-recovers first
+        assert not has_pending_intents(workspace)
+        assert self.commit_relative(workspace, monkeypatch) == (1,)
+
+    def test_recover_elsewhere_releases_a_gone_file(self, workspace, monkeypatch):
+        build_repo(workspace)
+        self.checkout_relative(workspace, monkeypatch)
+        (workspace / "rel.csv").unlink()
+        report = run_recovery(workspace)
+        released = [a for a in report.actions if a.kind == "release-staging"]
+        assert [a.detail for a in released] == [
+            f"{workspace / 'rel.csv'} no longer exists"
+        ]
+        assert load_state(str(workspace)).staging.pinned(
+            str(workspace / "rel.csv")
+        ) is None
+
+    def test_torn_checkout_reconciles_from_elsewhere(
+        self, workspace, monkeypatch
+    ):
+        build_repo(workspace)
+        self.checkout_relative(workspace, monkeypatch)
+        drop_last_line(ops_path(workspace))
+        drop_last_line(intents_path(workspace))
+        report = run_recovery(workspace)
+        assert any(a.kind == "synthesize-journal" for a in report.actions)
+        assert (workspace / "rel.csv").exists()
+
+    def test_a_pin_keyed_as_typed_is_found_and_never_released(
+        self, workspace, monkeypatch
+    ):
+        """A pin written before pins were absolute names no directory."""
+        build_repo(workspace)
+        orpheus = load_state(str(workspace))
+        orpheus.staging._staged["old.csv"] = StagedTable(
+            table_name="old.csv", cvd_name="ds", parents=(1,), owner=""
+        )
+        StateStore(workspace).save(orpheus)
+        monkeypatch.chdir(workspace)
+        report = run_recovery(workspace)
+        assert not any(a.kind == "release-staging" for a in report.actions)
+        assert load_state(str(workspace)).staging.pinned("old.csv").parents == (1,)
 
 
 class TestResolveOnly:

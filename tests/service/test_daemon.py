@@ -306,11 +306,6 @@ class TestLoadShedding:
                     client.close()
 
 
-def probe_service_health(root, report=None):
-    (result,) = run_probe("service_health", Checkup(root=root, report=report))
-    return result
-
-
 class TestDoctorProbe:
     def test_healthy_daemon_probes_ok(self, workspace, daemon_factory):
         seed_dataset(workspace)
@@ -318,15 +313,15 @@ class TestDoctorProbe:
             with handle.client() as client:
                 client.checkout("inter", [1], inline=True)
             # The daemon's doctor judges the daemon's own report.
-            result = probe_service_health(
-                str(workspace), handle.daemon.stats_payload()
-            )
+            (result,) = run_probe("service_health", Checkup(
+                root=str(workspace), report=handle.daemon.stats_payload()
+            ))
             assert result.severity == "ok", result.summary
             assert result.data["pid"] == os.getpid()
 
     def test_no_daemon_is_ok(self, workspace):
         seed_dataset(workspace)
-        result = probe_service_health(str(workspace))
+        (result,) = run_probe("service_health", Checkup(root=str(workspace)))
         assert result.severity == "ok"
         assert "not running" in result.summary
 
@@ -336,7 +331,7 @@ class TestDoctorProbe:
         status_path.write_text(
             '{"pid": 999999999, "socket": "/tmp/nope.sock"}'
         )
-        result = probe_service_health(str(workspace))
+        (result,) = run_probe("service_health", Checkup(root=str(workspace)))
         assert result.severity == "warn"
         assert "dead" in result.summary
 
@@ -346,7 +341,7 @@ class TestDoctorProbe:
         seed_dataset(workspace)
         status_path = workspace / ".orpheus" / "service.json"
         status_path.write_text(json.dumps({"pid": os.getpid()}))
-        result = probe_service_health(str(workspace))
+        (result,) = run_probe("service_health", Checkup(root=str(workspace)))
         assert result.severity == "warn"
         assert "service.json" in result.remediation
 

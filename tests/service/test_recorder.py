@@ -30,13 +30,6 @@ from repro.service.tracing import DEFAULT_SLOW_MS, RequestTrace
 from tests.service.conftest import seed_dataset
 
 
-def probe_flight_recorder(root, report=None):
-    """The doctor's flight_recorder line; ``report`` stands for a
-    running daemon's."""
-    (result,) = run_probe("flight_recorder", Checkup(root=root, report=report))
-    return result
-
-
 def _entry(i: int, op: str = "checkout") -> dict:
     return {
         "kind": "request",
@@ -278,7 +271,8 @@ def test_read_slow_keeps_captured_order_across_segments(tmp_path):
     assert [r["trace"] for r in expected] == sorted(
         r["trace"] for r in expected
     )
-    assert probe_flight_recorder(str(tmp_path)).data["slow"] == len(expected)
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
+    assert result.data["slow"] == len(expected)
 
 
 def test_read_slow_skips_a_torn_slow_tail(tmp_path):
@@ -308,7 +302,7 @@ def test_a_record_merely_mentioning_spans_is_not_slow(tmp_path):
 # Doctor probe
 # ----------------------------------------------------------------------
 def test_probe_ok_when_no_segments(tmp_path):
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "ok"
     assert "no flight segments" in result.summary
 
@@ -330,7 +324,7 @@ def test_probe_ok_at_the_recorders_bound(tmp_path):
     status = flight_dir_status(flight_dir_path(str(tmp_path)))
     assert status["segments"] == 2
     assert (status["segment_bytes"], status["max_segments"]) == (4096, 2)
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "ok", result.summary
     assert result.data["bound_bytes"] == 2 * 4096
 
@@ -344,7 +338,7 @@ def test_probe_warns_when_pruning_failed(tmp_path):
         (recorder.dir / f"flight-stale-{seq:06d}.jsonl").write_bytes(
             newest.read_bytes()
         )
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "warn"
     assert "pruning failed" in result.summary
     assert "oldest flight-*.jsonl" in result.remediation
@@ -416,7 +410,7 @@ def test_probe_warns_on_torn_tail_without_daemon(tmp_path):
     segment = list_segments(recorder.dir)[-1]
     with open(segment, "ab") as handle:
         handle.write(b'{"torn')
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "warn"
     assert "torn tail" in result.summary
     assert "nothing to repair" in result.remediation
@@ -435,7 +429,7 @@ def test_probe_counts_slow_requests(tmp_path):
     recorder.append(_entry(0))
     recorder.append(_slow_entry(1, total_s=0.9))
     recorder.close()
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "ok", result.summary
     assert "1 slow request(s), p99 900ms" in result.summary
     data = result.data
@@ -449,7 +443,7 @@ def test_probe_warns_when_slow_requests_pile_up(tmp_path):
     for i in range(SLOW_LOG_WARN_ENTRIES):
         recorder.append(_slow_entry(i))
     recorder.close()
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "warn"
     assert "piling up" in result.summary
     assert "orpheus top" in result.remediation
@@ -461,7 +455,7 @@ def test_probe_p99_is_taken_over_every_slow_request(tmp_path):
     for i in reversed(range(count)):
         recorder.append(_slow_entry(i, total_s=0.5 + i / 1000))
     recorder.close()
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "ok", result.summary
     assert result.data["slow"] == count
     assert result.data["slow_p99_ms"] == round((0.5 + (count - 1) / 1000) * 1000, 3)
@@ -497,7 +491,7 @@ def test_probe_parses_only_the_slow_records_of_a_full_segment(
 
     counting = _CountingJson()
     monkeypatch.setattr(fsio, "json", counting)
-    result = probe_flight_recorder(str(tmp_path))
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
     assert result.severity == "ok", result.summary
     assert result.data["slow"] == 0
     assert result.data["bytes"] >= DEFAULT_SEGMENT_BYTES
@@ -506,7 +500,8 @@ def test_probe_parses_only_the_slow_records_of_a_full_segment(
     with open(segment, "ab") as handle:
         handle.write(fsio.jsonl_line(_slow_entry(2)) * 2 + line)
     counting.parsed.clear()
-    assert probe_flight_recorder(str(tmp_path)).data["slow"] == 2
+    (result,) = run_probe("flight_recorder", Checkup(root=str(tmp_path)))
+    assert result.data["slow"] == 2
     fast = [text for text in counting.parsed if '"spans"' not in text]
     assert len(fast) <= 2, fast
     assert read_slow(recorder.dir) == [_slow_entry(2)] * 2
