@@ -18,10 +18,11 @@ the in-memory engine behaves like a local repository between
 invocations. Persistence is crash-safe and concurrency-safe
 (:mod:`repro.resilience`): the state file is checksummed with rotating
 backups, every invocation runs under an advisory repository lock
-(exclusive for writers, shared for readers), mutating commands bracket
-their work with write-ahead intent records, and torn operations from a
-killed process are auto-recovered on the next invocation (or explicitly
-via ``orpheus recover``).
+(exclusive for writers, shared for readers), mutating commands open
+their work with a write-ahead ``begin`` line in the operation journal
+that their op record closes, and torn operations from a killed process
+are auto-recovered on the next invocation (or explicitly via
+``orpheus recover``).
 
 Every command records telemetry (spans, counters, latency histograms);
 the per-invocation snapshot accumulates in ``.orpheus/telemetry.json``
@@ -35,6 +36,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +53,8 @@ from repro.observe.journal import (
     verify_journal,
 )
 from repro.resilience import failpoints, fsio
-from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import RepositoryLock, fold_lock
+from repro.resilience.recovery import needs_recovery, run_recovery
 from repro.resilience.statestore import StateStore
 from repro.telemetry.snapshot import Snapshot
 
@@ -605,7 +607,8 @@ def main(argv: list[str] | None = None) -> int:
     code = 0
     try:
         try:
-            if args.command != "recover":
+            # A writer checks under its own lock, before its `begin`.
+            if args.command != "recover" and not mutating:
                 _auto_recover(args.root)
             with RepositoryLock(
                 args.root, shared=not writes, command=args.command
@@ -620,20 +623,25 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _auto_recover(root: str | None) -> None:
+def _auto_recover(root: str | None, locked: bool = False) -> None:
     """Repair torn operations left by a crashed process before running
     the requested command.
 
-    The pending check is lock-free (a begin record from a *live*
+    A reader checks without the lock (a ``begin`` from a *live*
     in-flight process looks pending too), so the recovery pass
     re-derives the pending set under the exclusive lock — once the
-    other process finishes, there is nothing to do.
+    other process finishes, there is nothing to do. A writer checks
+    once it holds the exclusive lock (``locked``), before it appends
+    its own ``begin``: a process that crashed while it waited for the
+    lock left the newest ``begin`` open, and the journal's tail rule
+    (:meth:`Journal.pending`) holds only if no ``begin`` is appended
+    after an open one.
     """
-    if not has_pending_intents(root):
+    if not needs_recovery(root):
         return
-    from repro.resilience.recovery import run_recovery
-
-    with RepositoryLock(root, shared=False, command="auto-recover"):
+    with nullcontext() if locked else RepositoryLock(
+        root, shared=False, command="auto-recover"
+    ):
         report = run_recovery(root, dry_run=False)
     if report.actions:
         sys.stderr.write(
@@ -643,17 +651,23 @@ def _auto_recover(root: str | None) -> None:
         )
     for problem in report.problems:
         sys.stderr.write(f"warning: recovery incomplete: {problem}\n")
+    if locked and Journal(root).pending():
+        raise RuntimeError(
+            "a torn operation could not be recovered; see "
+            "`orpheus recover --dry-run`"
+        )
 
 
 def _locked_invocation(
     args: argparse.Namespace, record, trace_id: str, mutating: bool
 ) -> int:
-    """One command executed under the repository lock: intent begin,
-    dispatch, journal, intent done, telemetry fold — in that order, so
-    a crash at any point is classifiable by recovery."""
-    intents = IntentLog(args.root)
+    """One command executed under the repository lock: recovery check,
+    ``begin``, dispatch, op record (which closes the ``begin``),
+    telemetry fold — in that order, so a crash at any point is
+    classifiable by recovery."""
     if mutating:
-        intents.begin(
+        _auto_recover(args.root, locked=True)
+        Journal(args.root).begin(
             trace_id,
             args.command,
             dataset=getattr(args, "dataset", None),
@@ -680,8 +694,6 @@ def _locked_invocation(
             record.duration_s = tree.duration_s
         _stamp_scans(record)
         Journal(args.root).append(record)
-    if mutating:
-        intents.done(trace_id, status=record.status if record else "ok")
     # Readers run side by side under the shared lock; the
     # read-modify-write of the accumulator must not.
     with fold_lock(args.root):
@@ -745,8 +757,6 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     if args.command == "recover":
         # Recovery manages its own files and must run even when the
         # state is too corrupt for load_state.
-        from repro.resilience.recovery import run_recovery
-
         report = run_recovery(args.root, dry_run=args.dry_run)
         out.write(report.render_text())
         return 0 if report.clean else 1

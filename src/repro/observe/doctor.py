@@ -33,8 +33,8 @@ summary, a concrete remediation, and machine-readable data. The probes:
   generation; stray temp files from interrupted writes.
 * **backup freshness** — backup generations must exist (and track the
   live file) once the repository has history.
-* **pending intents** — torn operations (intent begun, never completed)
-  fail the probe and point at ``orpheus recover``.
+* **pending intents** — torn operations (a journal ``begin`` nothing
+  closed) fail the probe and point at ``orpheus recover``.
 * **service health / service faults** — orpheusd's report: draining,
   writer-queue saturation, degraded read-only mode, quarantined poison
   requests, and worker-error / deadline-shed rates against the fault
@@ -512,39 +512,32 @@ def probe_backup_freshness(checkup: Checkup) -> list[ProbeResult]:
 
 
 def probe_pending_intents(checkup: Checkup) -> list[ProbeResult]:
-    """Torn operations (intent begun, never completed) demand recovery."""
-    from repro.resilience.intents import IntentLog
+    """Torn operations (a journal ``begin`` nothing closed) demand
+    recovery."""
+    from repro.observe.journal import Journal
 
-    log = IntentLog(checkup.root)
-    records = log.read()
-    pending = log.pending()
-    if pending:
-        return [
-            ProbeResult(
-                probe="pending_intents",
-                severity=FAIL,
-                summary=(
-                    f"{len(pending)} torn operation(s): a process died "
-                    f"mid-command"
-                ),
-                remediation="run `orpheus recover` (any command auto-recovers)",
-                data={
-                    "pending": [
-                        {
-                            "trace_id": r.get("trace_id"),
-                            "command": r.get("command"),
-                            "dataset": r.get("dataset"),
-                        }
-                        for r in pending[:20]
-                    ]
-                },
-            )
-        ]
+    pending = Journal(checkup.root).pending()
+    if not pending:
+        return []
     return [
         ProbeResult(
             probe="pending_intents",
-            severity=OK,
-            summary=f"{len(records)} intent record(s), none pending",
+            severity=FAIL,
+            summary=(
+                f"{len(pending)} torn operation(s): a process died "
+                f"mid-command"
+            ),
+            remediation="run `orpheus recover` (any command auto-recovers)",
+            data={
+                "pending": [
+                    {
+                        "trace_id": r.get("trace_id"),
+                        "command": r.get("command"),
+                        "dataset": r.get("dataset"),
+                    }
+                    for r in pending[:20]
+                ]
+            },
         )
     ]
 
@@ -1181,7 +1174,9 @@ PROBES = {
     "backup_freshness": (
         probe_backup_freshness, "no state file yet, nothing to back up",
     ),
-    "pending_intents": (probe_pending_intents, ""),
+    "pending_intents": (
+        probe_pending_intents, "no journal begin left open, none pending",
+    ),
     "service_health": (
         probe_service_health,
         "no daemon registered (orpheus serve not running)",

@@ -12,10 +12,19 @@ producing which version, touching how many rows, and (for failures) why.
 the journal against the live version graph and reports divergence
 (journaled versions missing from the graph, parent mismatches, record
 counts drifting, datasets that should or should not exist).
+
+The journal is also the write-ahead intent log. Before a mutating
+command touches any state it appends a ``begin`` line; its op record,
+carrying the same trace id, is its completion. A ``begin`` nothing
+later closes marks a *torn* operation, which
+:mod:`repro.resilience.recovery` repairs. Lines that are not op records
+carry a ``phase`` key: ``begin``, or ``done`` for a bracket that closes
+without an op record (an orpheusd ``serve`` save, a recovery rollback).
 """
 
 from __future__ import annotations
 
+import os
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,8 +42,8 @@ MUTATING_COMMANDS = frozenset(
 
 #: Everything that journals: the mutations plus the read-only commands
 #: whose invocations matter for collaborative audit (who queried or
-#: compared what). ``diff`` and ``run`` journal but take no intent
-#: record and no exclusive lock — they cannot tear.
+#: compared what). ``diff`` and ``run`` journal but write no ``begin``
+#: and take no exclusive lock — they cannot tear.
 JOURNALED_COMMANDS = MUTATING_COMMANDS | frozenset({"diff", "run"})
 
 
@@ -122,10 +131,47 @@ class Journal:
         fsio.append_jsonl(self.path, payload, fsync=True)
         failpoints.fire("journal.after_append")
 
+    def begin(self, trace_id: str, command: str, **details) -> None:
+        """Durably record the intent to run ``command`` before any state
+        is touched. A ``file`` is recorded as an absolute path, so a
+        recovery run from another directory reaches the same file."""
+        if details.get("file"):
+            details["file"] = os.path.abspath(details["file"])
+        record = {
+            "phase": "begin",
+            "trace_id": trace_id,
+            "command": command,
+            "ts": telemetry.now(),
+        }
+        for key, value in details.items():
+            if value is not None:
+                record[key] = value
+        fsio.append_jsonl(self.path, record, fsync=True)
+        failpoints.fire("journal.after_begin")
+
     def read(self) -> list[dict]:
-        """All well-formed records, oldest first. Malformed lines (e.g. a
-        torn tail write) are skipped, not fatal."""
-        return fsio.read_jsonl(self.path)[0]
+        """All well-formed op records, oldest first. Malformed lines (e.g.
+        a torn tail write) are skipped, not fatal."""
+        return [r for r in fsio.read_jsonl(self.path)[0] if "phase" not in r]
+
+    def pending(self) -> list[dict]:
+        """The ``begin`` lines no later line closes, oldest first.
+
+        A writer checks this under the exclusive repository lock before
+        it appends its own ``begin``, so every open ``begin`` is newer
+        than the newest closed one. The walk back from the end stops
+        there: it reads the journal's tail, however long the journal."""
+        closed: set = set()
+        open_begins = []
+        for record in fsio.jsonl_reversed(self.path):
+            trace_id = record.get("trace_id")
+            if record.get("phase") != "begin":
+                closed.add(trace_id)
+            elif trace_id in closed:
+                break
+            else:
+                open_begins.append(record)
+        return open_begins[::-1]
 
     def render_text(self, records: list[dict] | None = None) -> str:
         records = self.read() if records is None else records
@@ -260,6 +306,16 @@ def verify_journal(orpheus, records: list[dict]) -> list[str]:
                     f"graph record_count {metadata.record_count}"
                 )
     return divergences
+
+
+def close_line(trace_id: str, status: str) -> dict:
+    """The line that closes a bracket no op record closes."""
+    return {
+        "phase": "done",
+        "trace_id": trace_id,
+        "status": status,
+        "ts": telemetry.now(),
+    }
 
 
 def make_record(

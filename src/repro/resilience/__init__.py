@@ -10,12 +10,11 @@ this bolt-on reproduction persists everything in flat files under
 * :mod:`repro.resilience.lock` — advisory repository lock (exclusive
   for writers, shared for readers) with backoff, stale detection, and
   telemetry.
-* :mod:`repro.resilience.intents` — write-ahead intent log marking the
-  begin/done window of every mutating command.
-* :mod:`repro.resilience.recovery` — classifies torn operations after a
-  crash and rolls back or reconciles them (``orpheus recover``).
+* :mod:`repro.resilience.recovery` — classifies torn operations (a
+  ``begin`` line in the operation journal that no later line closes)
+  after a crash and rolls back or reconciles them (``orpheus recover``).
 * :mod:`repro.resilience.fsio` — the one durable-file module: atomic
-  replace and JSON-lines append/read/rewrite for every file under
+  replace and JSON-lines append/read for every file under
   ``.orpheus/``.
 * :mod:`repro.resilience.failpoints` — the one fault-injection
   registry (``ORPHEUS_FAILPOINTS``), storage and daemon sites alike,
@@ -32,7 +31,6 @@ from repro.resilience.failpoints import (
     FailpointError,
     REGISTERED,
 )
-from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import (
     LockTimeoutError,
     RepositoryLock,
@@ -61,7 +59,6 @@ def __getattr__(name: str):
 __all__ = [
     "CRASH_EXIT_CODE",
     "FailpointError",
-    "IntentLog",
     "LoadInfo",
     "LockTimeoutError",
     "RecoveryAction",
@@ -70,7 +67,6 @@ __all__ = [
     "RepositoryLock",
     "StateCorruptionError",
     "StateStore",
-    "has_pending_intents",
     "holder_info",
     "run_recovery",
 ]

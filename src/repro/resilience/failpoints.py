@@ -1,8 +1,8 @@
 """Deterministic fault injection: the one failpoint registry.
 
 A *failpoint* is a named site in a code path worth breaking on purpose:
-the durability-critical storage steps (state store, journal, intent
-log, CSV writer, telemetry save, page write-back) and the daemon's
+the durability-critical storage steps (state store, journal, CSV
+writer, telemetry save, page write-back) and the daemon's
 request path (connection, worker, state save, cache). Sites call
 :func:`fire`, which is one dict lookup when nothing is armed, so the
 hooks stay in production code permanently.
@@ -57,14 +57,12 @@ CRASH_EXIT_CODE = 86
 #: Storage-path sites; the crash matrices cover these.
 STORAGE_SITES = frozenset(
     {
-        # intent log (repro.resilience.intents)
-        "intent.after_begin",
-        "intent.before_done",
         # transactional state store (repro.resilience.statestore)
         "statestore.after_temp_write",
         "statestore.before_replace",
         "statestore.after_replace",
         # operation journal (repro.observe.journal)
+        "journal.after_begin",
         "journal.before_append",
         "journal.after_append",
         # CSV writer (repro.core.csvio) — torn checkout files

@@ -8,19 +8,19 @@ Two shapes cover every on-disk artifact the repository owns:
   one, plus at worst one ``<name>.<random>.tmp`` that
   :func:`stray_temps` finds and recovery removes.
 * **JSON-lines log** (:func:`append_jsonl` / :func:`read_jsonl` /
-  :func:`jsonl_head` / :func:`jsonl_torn` / :func:`rewrite_jsonl`):
+  :func:`jsonl_head` / :func:`jsonl_torn` / :func:`jsonl_reversed`):
   one ``\\n``-terminated JSON object per ``write`` call, so a crash
   tears at most the final line (and the next append starts a fresh one
   rather than gluing onto it); readers skip what does not parse —
   including non-UTF-8 garbage, which is decoded with
   ``errors="replace"`` rather than raised — and report whether the
-  tail was torn.
+  tail was torn. The last two read a file backward from its end, so
+  their cost does not grow with the file.
 
-Each caller says whether its file is worth an ``fsync`` (state, pages,
-the operation journal and the intent log are;
-telemetry, the daemon status file and flight segments are
-observability and are not). ``docs/resilience.md`` has
-the table.
+Each caller says whether its file is worth an ``fsync`` (state, pages
+and the operation journal are; telemetry, the daemon status file and
+flight segments are observability and are not). ``docs/resilience.md``
+has the table.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 #: Every temp this module creates is ``<target name>.<random>.tmp`` in
@@ -151,25 +152,37 @@ def jsonl_head(path: str | Path, limit: int = 4096) -> dict:
     return record if isinstance(record, dict) else {}
 
 
+def _pieces_reversed(path: str | Path, chunk: int) -> Iterator[bytes]:
+    """A file's ``\\n``-separated pieces, newest first, read backward a
+    chunk at a time: the first is what follows the final newline
+    (``b""`` when the file ends in one). A missing file yields none."""
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return
+    with handle:
+        pos = handle.seek(0, os.SEEK_END)
+        rest = b""
+        while pos > 0:
+            step = min(chunk, pos)
+            pos -= step
+            handle.seek(pos)
+            pieces = (handle.read(step) + rest).split(b"\n")
+            # The first piece may begin before ``pos``: keep it for the
+            # next chunk, unless the file's start has been reached.
+            rest = pieces.pop(0) if pos else b""
+            yield from reversed(pieces)
+
+
 def jsonl_torn(path: str | Path, chunk: int = 4096) -> bool:
     """:func:`read_jsonl`'s ``torn``, reading only the final line: a
     file that does not end in a newline is torn, and so is one whose
     last line does not parse."""
-    try:
-        with open(path, "rb") as handle:
-            pos = handle.seek(0, os.SEEK_END)
-            tail = b""
-            # Back up a chunk at a time until the final line is whole.
-            while pos > 0 and b"\n" not in tail[:-1]:
-                step = min(chunk, pos)
-                pos -= step
-                handle.seek(pos)
-                tail = handle.read(step) + tail
-    except OSError:
-        return False
-    if not tail.endswith(b"\n"):
-        return bool(tail)
-    last = tail[:-1].rpartition(b"\n")[2].decode("utf-8", errors="replace")
+    pieces = _pieces_reversed(path, chunk)
+    after_newline = next(pieces, b"")
+    if after_newline:
+        return True
+    last = next(pieces, b"").decode("utf-8", errors="replace")
     try:
         if last.strip():
             json.loads(last)
@@ -178,6 +191,13 @@ def jsonl_torn(path: str | Path, chunk: int = 4096) -> bool:
     return False
 
 
-def rewrite_jsonl(path: Path, records: list[dict], *, fsync: bool) -> None:
-    """Atomically replace a log with ``records`` (compaction)."""
-    atomic_write(path, b"".join(map(jsonl_line, records)), fsync=fsync)
+def jsonl_reversed(path: str | Path, chunk: int = 4096) -> Iterator[dict]:
+    """:func:`read_jsonl`'s records, newest first, read backward only as
+    far as the caller iterates."""
+    for piece in _pieces_reversed(path, chunk):
+        try:
+            record = json.loads(piece.decode("utf-8", errors="replace"))
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            yield record

@@ -3,33 +3,34 @@
 A mutating command's durable effects land in this order (each step
 atomic on its own):
 
-1. intent ``begin``                      (intent log)
+1. ``begin`` line                        (operation journal, ``ops.jsonl``)
 2. CSV artifact, for checkout           (user-named file)
 3. state save                           (transactional state store)
-4. operation-journal append             (``ops.jsonl``)
-5. intent ``done``                      (intent log)
+4. op record, which closes the ``begin`` (operation journal)
 
 A crash between any two steps leaves a *torn* operation: a pending
-intent whose side effects are some prefix of that list.
-:func:`run_recovery` classifies each pending intent by inspecting which
-effects actually landed and repairs the repository:
+``begin`` whose side effects are some prefix of that list.
+:func:`run_recovery` classifies each pending ``begin`` by inspecting
+which effects actually landed and repairs the repository:
 
 * effects stopped before the state save → **roll back**: delete the
-  torn checkout artifact (if provably ours: named in the intent, newer
-  than the intent timestamp, untracked by staging) and every stray
-  temp file under ``.orpheus/``; the operation simply never happened.
+  torn checkout artifact (if provably ours: named in the ``begin``,
+  newer than its timestamp, untracked by staging) and every stray temp
+  file under ``.orpheus/``; the operation simply never happened, and a
+  ``done`` line closes the ``begin``.
 * state saved but never journaled → **reconcile forward**: synthesize
-  the missing operation-journal record from the version graph (marked
-  ``"recovered": true``) so ``orpheus log --verify`` and the doctor
-  journal probe agree with reality again.
-* journaled but the intent was never closed → just resolve the intent.
+  the missing op record from the version graph (marked
+  ``"recovered": true``, carrying the ``begin``'s trace id, so it closes
+  it) so ``orpheus log --verify`` and the doctor journal probe agree
+  with reality again.
 
 Every pass also rewrites a live state file that only a backup could
-serve, and releases the staging pin of each checkout whose file no
-longer exists (nothing can commit it).
+serve, releases the staging pin of each checkout whose file no longer
+exists (nothing can commit it), and moves the open intents of the
+separate intent log older repositories kept into the journal.
 
-Recovery runs automatically before any command when pending intents
-exist (under the exclusive repository lock), and explicitly via
+Recovery runs automatically before any command when a ``begin`` is
+pending (under the exclusive repository lock), and explicitly via
 ``orpheus recover [--dry-run]``.
 """
 
@@ -40,14 +41,38 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.observe.journal import Journal, journal_expected_state, verify_journal
+from repro.observe.journal import (
+    JOURNAL_DIR,
+    Journal,
+    close_line,
+    journal_expected_state,
+    verify_journal,
+)
 from repro.resilience import fsio
-from repro.resilience.intents import IntentLog
 from repro.resilience.statestore import StateCorruptionError, StateStore
 
-#: Grace window when comparing a file's mtime against the intent
+#: Grace window when comparing a file's mtime against the ``begin``
 #: timestamp (coarse filesystem timestamps, small clock skew).
 _MTIME_SLACK = 1.0
+
+#: The separate intent log older repositories kept beside the journal.
+LEGACY_INTENTS = "intents.jsonl"
+
+
+def _legacy_path(root: str | None) -> Path:
+    return Path(root or ".") / ".orpheus" / JOURNAL_DIR / LEGACY_INTENTS
+
+
+def needs_recovery(root: str | None = None) -> bool:
+    """Cheap check, without the lock: is a ``begin`` pending, or is a
+    legacy intent log left to move into the journal?
+
+    A false positive (an operation in flight in another live process)
+    is harmless: recovery re-derives the pending set under the
+    exclusive lock, and once the other process completes there is
+    nothing to do.
+    """
+    return bool(Journal(root).pending()) or _legacy_path(root).exists()
 
 
 @dataclass
@@ -55,7 +80,7 @@ class RecoveryAction:
     """One repair (taken, or planned under ``--dry-run``)."""
 
     #: clean-temp | rollback-artifact | synthesize-journal |
-    #: resolve-intent | restore-state | release-staging
+    #: resolve-intent | restore-state | release-staging | upgrade-intents
     kind: str
     detail: str
 
@@ -109,7 +134,6 @@ def run_recovery(
 def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
     report = RecoveryReport(dry_run=dry_run)
     store = StateStore(root)
-    intents = IntentLog(root)
     journal = Journal(root)
 
     # Every temp an interrupted write left anywhere under .orpheus/: we
@@ -171,12 +195,12 @@ def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
     if repairs and not dry_run:
         store.save(orpheus)
 
-    pending = intents.pending()
+    legacy = _upgrade_legacy_intents(root, journal, report, dry_run)
+    pending = legacy + journal.pending()
     if not pending:
         return report
 
     records = journal.read()
-    journaled_traces = {r.get("trace_id") for r in records}
     if orpheus is not None:
         expected, alive = journal_expected_state(records)
         live = set(orpheus.ls())
@@ -186,31 +210,22 @@ def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
     telemetry.count("resilience.recover.torn_ops", len(pending))
     for intent in pending:
         trace_id = intent.get("trace_id", "")
-        command = intent.get("command", "?")
-        label = f"{command} (trace {trace_id or '-'})"
-        if trace_id in journaled_traces:
-            report.actions.append(
-                RecoveryAction(
-                    "resolve-intent",
-                    f"{label} already journaled; closing intent",
-                )
-            )
-        elif corrupt:
+        if corrupt:
             report.problems.append(
-                f"cannot reconcile torn {label}: state is unreadable"
+                f"cannot reconcile torn {intent.get('command', '?')} "
+                f"(trace {trace_id or '-'}): state is unreadable"
             )
-            continue  # leave the intent pending for a later attempt
-        else:
-            synthesized = _reconcile_intent(
-                intent, orpheus, expected, alive, live, report, dry_run, journal
+            continue  # leave the begin pending for a later attempt
+        synthesized = _reconcile_intent(
+            intent, orpheus, expected, alive, live, report, dry_run, journal
+        )
+        if synthesized:
+            telemetry.count(
+                "resilience.recover.journal_records_synthesized",
+                synthesized,
             )
-            if synthesized:
-                telemetry.count(
-                    "resilience.recover.journal_records_synthesized",
-                    synthesized,
-                )
-        if not dry_run:
-            intents.done(trace_id, status="recovered")
+        elif not dry_run:
+            journal.append(close_line(trace_id, "recovered"))
 
     if orpheus is not None and not dry_run:
         leftovers = verify_journal(orpheus, journal.read())
@@ -219,6 +234,38 @@ def _run_recovery(root: str | None, dry_run: bool) -> RecoveryReport:
                 f"journal still diverges after recovery: {divergence}"
             )
     return report
+
+
+def _upgrade_legacy_intents(
+    root: str | None, journal: Journal, report: RecoveryReport, dry_run: bool
+) -> list[dict]:
+    """Move the open intents of a legacy intent log into the
+    journal as ``begin`` lines, then delete it. Returns them when this
+    is a dry run (the journal does not hold them then)."""
+    path = _legacy_path(root)
+    if not path.exists():
+        return []
+    records = fsio.read_jsonl(path)[0]
+    done = {r.get("trace_id") for r in records if r.get("phase") == "done"}
+    begins = [
+        r
+        for r in records
+        if r.get("phase") == "begin" and r.get("trace_id") not in done
+    ]
+    if begins:
+        report.actions.append(
+            RecoveryAction(
+                "upgrade-intents",
+                f"move {len(begins)} open intent(s) from {LEGACY_INTENTS} "
+                f"into the journal",
+            )
+        )
+    if dry_run:
+        return begins
+    for begin in begins:
+        fsio.append_jsonl(journal.path, begin, fsync=True)
+    path.unlink(missing_ok=True)
+    return []
 
 
 def _reconcile_intent(
@@ -231,144 +278,93 @@ def _reconcile_intent(
     dry_run: bool,
     journal: Journal,
 ) -> int:
-    """Repair one torn, unjournaled intent. Returns the number of
-    journal records synthesized."""
+    """Repair one torn ``begin``. Returns the number of op records
+    synthesized: each carries the ``begin``'s trace id, so closes it."""
     command = intent.get("command", "?")
     trace_id = intent.get("trace_id", "")
     dataset = intent.get("dataset")
     label = f"{command} (trace {trace_id or '-'})"
 
-    if command in ("init", "commit") and dataset:
-        if dataset not in live:
-            report.actions.append(
-                RecoveryAction(
-                    "resolve-intent", f"{label} died before saving state"
-                )
-            )
-            return 0
-        cvd = orpheus.cvd(dataset)
-        known = expected.get(dataset, {})
-        missing = [v for v in cvd.versions.vids() if v not in known]
-        if not missing:
-            report.actions.append(
-                RecoveryAction(
-                    "resolve-intent", f"{label} left no unjournaled versions"
-                )
-            )
-            return 0
-        for vid in missing:
-            metadata = cvd.versions.get(vid)
-            record = {
+    def resolve(why: str) -> int:
+        report.actions.append(RecoveryAction("resolve-intent", f"{label} {why}"))
+        return 0
+
+    def synthesize(why: str, **fields) -> None:
+        report.actions.append(
+            RecoveryAction("synthesize-journal", f"{label}: {why}")
+        )
+        if not dry_run:
+            journal.append({
                 "trace_id": trace_id,
-                "command": "init" if not metadata.parents else "commit",
+                "command": command,
                 "status": "ok",
                 "ts": intent.get("ts", telemetry.now()),
                 "user": intent.get("user", ""),
                 "dataset": dataset,
-                "output_version": vid,
-                "rows": metadata.record_count,
+                **fields,
                 "recovered": True,
-            }
-            if metadata.parents:
-                record["input_versions"] = list(metadata.parents)
-            report.actions.append(
-                RecoveryAction(
-                    "synthesize-journal",
-                    f"{label}: v{vid} of {dataset!r} exists in the graph "
-                    f"but was never journaled",
-                )
+            })
+
+    if command in ("init", "commit") and dataset:
+        if dataset not in live:
+            return resolve("died before saving state")
+        cvd = orpheus.cvd(dataset)
+        known = expected.setdefault(dataset, {})
+        missing = [v for v in cvd.versions.vids() if v not in known]
+        if not missing:
+            return resolve("left no unjournaled versions")
+        for vid in missing:
+            metadata = cvd.versions.get(vid)
+            parents = list(metadata.parents)
+            synthesize(
+                f"v{vid} of {dataset!r} exists in the graph but was never "
+                f"journaled",
+                command="commit" if parents else "init",
+                output_version=vid,
+                rows=metadata.record_count,
+                **({"input_versions": parents} if parents else {}),
             )
-            if not dry_run:
-                journal.append(record)
-            known = expected.setdefault(dataset, {})
-            known[vid] = (tuple(metadata.parents), metadata.record_count)
-            alive.add(dataset)
+            known[vid] = (tuple(parents), metadata.record_count)
+        alive.add(dataset)
         return len(missing)
 
     if command == "checkout":
         target = intent.get("file")
         info = orpheus.staging.pinned(target) if target else None
         if info is not None:
-            record = {
-                "trace_id": trace_id,
-                "command": "checkout",
-                "status": "ok",
-                "ts": intent.get("ts", telemetry.now()),
-                "user": intent.get("user", ""),
-                "dataset": dataset,
-                "input_versions": list(info.parents),
-                "recovered": True,
-            }
-            report.actions.append(
-                RecoveryAction(
-                    "synthesize-journal",
-                    f"{label}: {target} is staged in state but was never "
-                    f"journaled",
-                )
+            synthesize(
+                f"{target} is staged in state but was never journaled",
+                input_versions=list(info.parents),
             )
-            if not dry_run:
-                journal.append(record)
             return 1
-        if target and _is_torn_artifact(target, intent):
-            report.actions.append(
-                RecoveryAction(
-                    "rollback-artifact",
-                    f"{label}: remove torn checkout file {target}",
-                )
+        if not (target and _is_torn_artifact(target, intent)):
+            return resolve("died before saving state")
+        report.actions.append(
+            RecoveryAction(
+                "rollback-artifact",
+                f"{label}: remove torn checkout file {target}",
             )
-            if not dry_run:
-                try:
-                    os.unlink(target)
-                    telemetry.count("resilience.recover.artifacts_removed")
-                except OSError:
-                    pass
-        else:
-            report.actions.append(
-                RecoveryAction(
-                    "resolve-intent", f"{label} died before saving state"
-                )
-            )
+        )
+        if not dry_run:
+            try:
+                os.unlink(target)
+                telemetry.count("resilience.recover.artifacts_removed")
+            except OSError:
+                pass
         return 0
 
     if command == "drop" and dataset:
-        if dataset not in live and dataset in alive:
-            record = {
-                "trace_id": trace_id,
-                "command": "drop",
-                "status": "ok",
-                "ts": intent.get("ts", telemetry.now()),
-                "user": intent.get("user", ""),
-                "dataset": dataset,
-                "recovered": True,
-            }
-            report.actions.append(
-                RecoveryAction(
-                    "synthesize-journal",
-                    f"{label}: {dataset!r} is gone from state but still "
-                    f"journaled as live",
-                )
-            )
-            if not dry_run:
-                journal.append(record)
-            alive.discard(dataset)
-            expected.pop(dataset, None)
-            return 1
-        report.actions.append(
-            RecoveryAction(
-                "resolve-intent", f"{label} left journal and state agreeing"
-            )
-        )
-        return 0
+        if dataset in live or dataset not in alive:
+            return resolve("left journal and state agreeing")
+        synthesize(f"{dataset!r} is gone from state but still journaled as live")
+        alive.discard(dataset)
+        expected.pop(dataset, None)
+        return 1
 
     # optimize (and anything future): repartitioning carries no
     # version-graph footprint the journal verifier checks, so the only
-    # repair is closing the intent.
-    report.actions.append(
-        RecoveryAction(
-            "resolve-intent", f"{label} has no journal-visible footprint"
-        )
-    )
-    return 0
+    # repair is closing the ``begin``.
+    return resolve("has no journal-visible footprint")
 
 
 def _is_torn_artifact(target: str, intent: dict) -> bool:

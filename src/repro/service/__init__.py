@@ -24,7 +24,7 @@ concurrency, caching, and backpressure become first-class subsystems:
   included, are near-free.
 * :mod:`repro.service.daemon` — the server: owns the repository lock
   for its lifetime, runs crash recovery at startup, journals mutations
-  through the same intent log / operation journal as the CLI, folds
+  through the same operation journal as the CLI, folds
   telemetry into the repository accumulator, and drains gracefully on
   SIGTERM.
 * :mod:`repro.service.client` — the thin client library behind

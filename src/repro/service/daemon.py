@@ -11,10 +11,11 @@ from memory. Per request the per-invocation lock/load/save tax becomes:
   under the in-process shared lock; checkouts are served from the
   materialized-version cache when hot.
 * **writes** (init/commit/optimize/drop/create_user) — serialized
-  through the writer queue; each one brackets with an intent record,
-  appends to the operation journal, and durably saves state before the
-  client sees ``ok`` — the same crash-consistency contract as the CLI,
-  so ``orpheus recover`` and the doctor probes keep working unchanged.
+  through the writer queue; each one appends a ``begin`` line to the
+  operation journal, durably saves state and appends its op record
+  (which closes the ``begin``) before the client sees ``ok`` — the
+  same crash-consistency contract as the CLI, so ``orpheus recover``
+  and the doctor probes keep working unchanged.
 
 Either way the command itself is the CLI's: :meth:`Orpheus.execute`
 (checkout through the cache as its ``materialize`` hook), journaled by
@@ -47,6 +48,8 @@ from repro import telemetry
 from repro.core.errors import CVDError
 from repro.observe.journal import (
     Journal,
+    OpRecord,
+    close_line,
     fill_record,
     journals,
     make_record,
@@ -55,8 +58,8 @@ from repro.observe.journal import (
     requested_versions,
 )
 from repro.resilience import failpoints, fsio
-from repro.resilience.intents import IntentLog, has_pending_intents
 from repro.resilience.lock import RepositoryLock
+from repro.resilience.recovery import needs_recovery, run_recovery
 from repro.resilience.statestore import StateStore
 from repro.service import protocol
 from repro.service.cache import DEFAULT_BUDGET_BYTES, CacheEntry, VersionCache
@@ -172,7 +175,9 @@ class ServiceDaemon:
         )
         self.sessions = SessionManager(self.config.idle_timeout)
         self.journal = Journal(self.root)
-        self.intents = IntentLog(self.root)
+        #: The line closing the last write's ``begin``, while its append
+        #: has not landed (see :meth:`_close`).
+        self._owed: OpRecord | dict | None = None
         self._lock: RepositoryLock | None = None
         self._listeners: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
@@ -213,9 +218,7 @@ class ServiceDaemon:
             self.root, shared=False, command="serve"
         ).acquire()
         try:
-            if has_pending_intents(self.root):
-                from repro.resilience.recovery import run_recovery
-
+            if needs_recovery(self.root):
                 report = run_recovery(self.root, dry_run=False)
                 if report.actions:
                     sys.stderr.write(
@@ -730,11 +733,11 @@ class ServiceDaemon:
         self, session, request: Request, rtrace: RequestTrace, write: bool
     ) -> dict:
         """Run one scheduled request. A write gets the CLI's durability
-        bracket: intent begin -> execute -> state save -> journal ->
-        intent done. A drop evicts its dataset's cache entries once
-        saved; a commit admits its version last. Journal records and
-        intents carry the *client's* trace id (and session id), so
-        remote work correlates end to end."""
+        bracket: ``begin`` -> execute -> state save -> op record. A drop
+        evicts its dataset's cache entries once saved; a commit admits
+        its version last. ``begin`` lines and op records carry the
+        *client's* trace id (and session id), so remote work correlates
+        end to end."""
         rtrace.mark_started()
         failpoints.fire("worker.before_execute")
         op, params = request.op, request.params
@@ -745,8 +748,9 @@ class ServiceDaemon:
             record = make_record(trace_id, op, user=session.user)
             record.session_id = rtrace.session_id
         bracketed = write and record is not None
+        close = self._close if bracketed else self.journal.append
         if bracketed:
-            self.intents.begin(trace_id, op, dataset=dataset, file=params.get("file"))
+            self._begin(trace_id, op, dataset=dataset, file=params.get("file"))
         span_ctx = telemetry.span(
             f"service.{op}",
             dataset=dataset or "",
@@ -763,9 +767,7 @@ class ServiceDaemon:
                     self._save_state_guarded()
             except Exception as error:
                 if record is not None:
-                    self.journal.append(fill_record(record, params, error=error))
-                if bracketed:
-                    self.intents.done(trace_id, status="error")
+                    close(fill_record(record, params, error=error))
                 if write and not isinstance(error, _USER_ERRORS):
                     # Internal failure (worker crash mid-mutation, or a
                     # save that left memory ahead of disk): re-anchor
@@ -780,9 +782,7 @@ class ServiceDaemon:
                 # Durable, and a re-init may reuse the vids: evict now.
                 self.cache.invalidate(lambda name, _vids: name == dataset)
             if record is not None:
-                self.journal.append(fill_record(record, params, data))
-            if bracketed:
-                self.intents.done(trace_id)
+                close(fill_record(record, params, data))
             if op == "commit":
                 self._admit(dataset, data["version"])
             fields = op_fields(op, params, data)
@@ -917,23 +917,41 @@ class ServiceDaemon:
         dirtied instead of re-pickling the whole history.
 
         A save no write asked for (the degraded-mode probe, the drain)
-        passes ``bracket`` and runs under its own ``serve`` intent, as a
-        write's save runs under the write's: a crash inside it leaves
-        page debris that the next start's recovery then cleans."""
+        passes ``bracket`` and runs under a ``serve`` bracket of its
+        own, closed by a ``done`` line, as a write's save runs under the
+        write's: a crash inside it leaves page debris that the next
+        start's recovery then cleans."""
         trace_id = new_trace_id() if bracket else None
         if trace_id:
-            self.intents.begin(trace_id, "serve")
+            self._begin(trace_id, "serve")
         try:
             failpoints.fire("state.before_save")
             StateStore(self.root).save(self.orpheus, prefer="paged")
         except Exception as error:
             if trace_id:
-                self.intents.done(trace_id, status="error")
+                self._close(close_line(trace_id, "error"))
             self.degrade.record_save_failure(error)
             raise
         if trace_id:
-            self.intents.done(trace_id)
+            self._close(close_line(trace_id, "ok"))
         self.degrade.record_save_success()
+
+    def _begin(self, trace_id: str, command: str, **details) -> None:
+        """Open a bracket (the writer lock is held). An owed close whose
+        ``begin`` is still open is appended first: the journal's pending
+        check reads only its tail, which holds only while no ``begin``
+        follows an open one."""
+        if self._owed is not None and self.journal.pending():
+            self._close(self._owed)
+        self._owed = None
+        self.journal.begin(trace_id, command, **details)
+
+    def _close(self, line: OpRecord | dict) -> None:
+        """Append the line that closes a bracket: the write's op record,
+        or a ``done`` line. Until an append of it lands it is owed."""
+        self._owed = line
+        self.journal.append(line)
+        self._owed = None
 
     def _reload_state(self, dataset: str | None = None) -> None:
         """Re-anchor in-memory state to the last durable save (called

@@ -21,13 +21,13 @@ from repro import telemetry
 from repro.cli import load_state, main
 from repro.core.commands import Orpheus
 from repro.observe.doctor import PROBES, run_doctor
+from repro.observe.journal import Journal
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import BUFFER_BYTES_ENV, reset_pool
 from repro.relational.expressions import col
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
 from repro.resilience import failpoints
-from repro.resilience.intents import IntentLog
 from repro.resilience.statestore import LAYOUT_ENV, MAGIC, StateStore
 from repro.service.client import ServiceError
 from repro.service.recorder import FlightRecorder, list_segments
@@ -210,7 +210,7 @@ def backup_freshness(scene):
 
 def pending_intents(scene):
     scene.init()
-    IntentLog(scene.root).begin("t-torn", "commit", dataset="d")
+    Journal(scene.root).begin("t-torn", "commit", dataset="d")
     fired = scene.doctor()
     scene.cli("recover")
     return fired, scene.doctor()

@@ -25,13 +25,12 @@ from tests.resilience.conftest import run_cli, run_inproc
 #: Failpoints on the shared mutating-command path — every one of these
 #: fires for every mutating command.
 COMMON_FAILPOINTS = [
-    "intent.after_begin",
+    "journal.after_begin",
     "statestore.after_temp_write",
     "statestore.before_replace",
     "statestore.after_replace",
     "journal.before_append",
     "journal.after_append",
-    "intent.before_done",
     "telemetry.before_save",
 ]
 
@@ -107,7 +106,6 @@ def test_repo_still_usable_after_commit_crash(failpoint, workspace):
         "statestore.after_replace",
         "journal.before_append",
         "journal.after_append",
-        "intent.before_done",
         "telemetry.before_save",
     )
     if not state_landed:

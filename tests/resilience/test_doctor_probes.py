@@ -6,7 +6,7 @@ from __future__ import annotations
 import pickle
 
 from repro.observe.doctor import FAIL, OK, WARN, Checkup, run_probe
-from repro.resilience.intents import IntentLog
+from repro.observe.journal import Journal
 from repro.resilience.statestore import MAGIC, StateStore
 
 from tests.resilience.conftest import run_inproc
@@ -108,7 +108,7 @@ class TestPendingIntents:
 
     def test_pending_intent_fails_with_remediation(self, workspace):
         build_repo(workspace)
-        IntentLog(workspace).begin("t-torn", "commit", dataset="ds")
+        Journal(workspace).begin("t-torn", "commit", dataset="ds")
         (result,) = run_probe("pending_intents", Checkup(root=str(workspace)))
         assert result.severity == FAIL
         assert "torn" in result.summary

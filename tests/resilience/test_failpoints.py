@@ -41,12 +41,12 @@ class TestParseSpec:
 
     def test_multiple_entries_with_args_and_counts(self):
         parsed = parse_spec(
-            "state.before_save=error@3,intent.after_begin=delay:0.25;"
+            "state.before_save=error@3,journal.after_begin=delay:0.25;"
             "conn.before_send=torn@1 , csv.mid_write=delay"
         )
         assert parsed["state.before_save"].remaining == 3
-        assert parsed["intent.after_begin"].kind == "delay"
-        assert parsed["intent.after_begin"].arg == 0.25
+        assert parsed["journal.after_begin"].kind == "delay"
+        assert parsed["journal.after_begin"].arg == 0.25
         assert parsed["conn.before_send"].kind == "torn"
         assert parsed["conn.before_send"].remaining == 1
         assert parsed["csv.mid_write"].arg == 0.05
@@ -158,7 +158,7 @@ class TestStats:
 
 class TestRegistry:
     def test_one_registry_holds_both_families(self):
-        assert len(STORAGE_SITES) == 11 and len(SERVICE_SITES) == 6
+        assert len(STORAGE_SITES) == 10 and len(SERVICE_SITES) == 6
         assert REGISTERED == STORAGE_SITES | SERVICE_SITES
         assert set(SITE_ACTIONS) <= SERVICE_SITES
         for name in REGISTERED:

@@ -1,8 +1,10 @@
-"""The one durable-file module: atomic replace, JSONL append / read /
-rewrite, and the per-site durability it must not change."""
+"""The one durable-file module: atomic replace, JSONL append / read
+(forward and backward), and the per-site durability it must not
+change."""
 
 from __future__ import annotations
 
+import io
 import os
 
 import pytest
@@ -54,7 +56,7 @@ class TestAtomicWrite:
 
     def test_stray_temps_finds_nested_or_one_targets(self, tmp_path):
         (tmp_path / "journal").mkdir()
-        nested = tmp_path / "journal" / "intents.jsonl.q1.tmp"
+        nested = tmp_path / "journal" / "ops.jsonl.q1.tmp"
         top = tmp_path / "state.pkl.q2.tmp"
         for path in (nested, top, tmp_path / "state.pkl"):
             path.write_bytes(b"x")
@@ -103,6 +105,7 @@ class TestJsonl:
         # the read-back chunk included.
         assert fsio.jsonl_torn(log) is torn
         assert fsio.jsonl_head(log) == {"n": 1}
+        assert list(fsio.jsonl_reversed(log))[::-1] == records
 
     @pytest.mark.parametrize("tail", [b'{"n": 2, "x', b"\xff\xfe"])
     def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path, tail):
@@ -141,27 +144,44 @@ class TestJsonl:
         assert [r["n"] for r in records] == kept
         assert flagged is torn
 
-    def test_rewrite_replaces_atomically(self, tmp_path, fsyncs):
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_reversed_reads_back_only_as_far_as_asked(
+        self, tmp_path, monkeypatch, chunk
+    ):
         log = tmp_path / "log.jsonl"
-        for n in range(5):
-            fsio.append_jsonl(log, {"n": n}, fsync=False)
-        fsio.rewrite_jsonl(log, [{"n": 3}, {"n": 4}], fsync=True)
-        assert fsio.read_jsonl(log) == ([{"n": 3}, {"n": 4}], False)
-        assert len(fsyncs) == 1
-        assert fsio.stray_temps(tmp_path) == []
+        log.write_bytes(
+            b"".join(fsio.jsonl_line({"n": n}) for n in range(50))
+            + b'garbage\n{"n": 50}\n{"n": 51, "x'
+        )
+        records = list(fsio.jsonl_reversed(log, chunk))
+        assert records == fsio.read_jsonl(log)[0][::-1]
+        reads = []
+
+        class Counting(io.BufferedReader):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(
+            fsio, "open", lambda path, mode: Counting(io.FileIO(path)),
+            raising=False,
+        )
+        newest = fsio.jsonl_reversed(log, 64)
+        assert [next(newest)["n"] for _ in range(2)] == [50, 49]
+        assert reads == [64]
+        assert list(fsio.jsonl_reversed(tmp_path / "absent.jsonl")) == []
 
 
 class TestCommitDurabilityPinned:
-    """One CLI ``commit`` issues exactly the fsyncs it did before the
-    writers moved into fsio (counted at the parent commit): intent
-    begin, state temp, ``.orpheus/`` dir, journal line, intent done —
+    """One CLI ``commit`` issues exactly these fsyncs: the journal's
+    ``begin`` line, state temp, ``.orpheus/`` dir, the op record —
     plus, on the paged layout, each dirty page (the data table's and the
     versioning table's: the tables are the only stored copy of a
     version's rids and a record's payload) and the pages dir; page
     garbage collection reads and syncs nothing. Telemetry and heat never
     sync."""
 
-    @pytest.mark.parametrize("layout,expected", [("pickle", 5), ("paged", 8)])
+    @pytest.mark.parametrize("layout,expected", [("pickle", 4), ("paged", 7)])
     def test_fsyncs_per_commit(
         self, workspace, monkeypatch, request, layout, expected
     ):

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.resilience.intents import IntentLog
+from repro.observe.journal import Journal
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -128,7 +128,7 @@ def test_chaos_cell_containment(workspace, tmp_path, spec):
             proc.kill()
             proc.wait(timeout=SUBPROCESS_TIMEOUT)
     # the crash never tore the repository
-    assert IntentLog(str(workspace)).pending() == []
+    assert Journal(str(workspace)).pending() == []
     if spec.startswith("cache.corrupt_entry"):
         # the fault hit the served bytes exactly once and was caught
         # (counters fold into the repository accumulator at drain)
@@ -166,7 +166,7 @@ def test_chaos_crash_cell_recovers_on_restart(workspace, tmp_path):
         with ServiceClient(root=str(workspace), timeout=30) as client:
             log = client.log(dataset="inter")
             assert [v["vid"] for v in log["versions"]] == [1]
-        assert IntentLog(str(workspace)).pending() == []
+        assert Journal(str(workspace)).pending() == []
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=SUBPROCESS_TIMEOUT) == 0
     finally:
@@ -219,7 +219,7 @@ def test_chaos_degraded_mode_subprocess(workspace, tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=SUBPROCESS_TIMEOUT)
-    assert IntentLog(str(workspace)).pending() == []
+    assert Journal(str(workspace)).pending() == []
 
 
 def test_chaos_concurrent_commit_storm_no_lost_updates(
@@ -307,7 +307,7 @@ def test_chaos_concurrent_commit_storm_no_lost_updates(
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=SUBPROCESS_TIMEOUT)
-    assert IntentLog(str(workspace)).pending() == []
+    assert Journal(str(workspace)).pending() == []
     CELLS.append(("storm", "commit", "ok"))
 
 

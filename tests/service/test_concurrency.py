@@ -11,7 +11,6 @@ from repro.cli import main
 from repro.observe.journal import Journal
 from repro.pagestore.store import orphan_pages
 from repro.resilience import failpoints
-from repro.resilience.intents import IntentLog
 from repro.resilience.statestore import LAYOUT_ENV, MAGIC, MAGIC2, StateStore
 from repro.service.client import (
     ServiceBusyError,
@@ -206,7 +205,7 @@ class TestKillMidCommit:
                 proc.wait(timeout=SUBPROCESS_TIMEOUT)
 
         # the crash left a torn operation and a stale status file behind
-        assert IntentLog(str(workspace)).pending(), "expected a torn intent"
+        assert Journal(str(workspace)).pending(), "expected a torn operation"
         assert (Path(workspace) / ".orpheus" / "service.json").exists()
 
         # restart: startup recovery must clean the torn op, and the
@@ -220,7 +219,7 @@ class TestKillMidCommit:
                 # the doomed commit never became durable
                 assert [v["vid"] for v in log["versions"]] == [1]
                 report = client.doctor()
-            assert IntentLog(str(workspace)).pending() == []
+            assert Journal(str(workspace)).pending() == []
             probe_names = {
                 p["probe"]: p["severity"] for p in report["probes"]
             }
@@ -280,7 +279,7 @@ class TestKillMidCommit:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=SUBPROCESS_TIMEOUT)
-        assert IntentLog(root).pending()
+        assert Journal(root).pending()
         # What the kill left: page files no state names, or a paged
         # state already in place.
         assert state.read_bytes().startswith(MAGIC2 if upgraded else MAGIC)
@@ -329,7 +328,7 @@ class TestKillMidCommit:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=SUBPROCESS_TIMEOUT)
-        assert IntentLog(str(workspace)).pending()
+        assert Journal(str(workspace)).pending()
         result = run_cli(workspace, "recover")
         assert result.returncode == 0, result.stderr
-        assert IntentLog(str(workspace)).pending() == []
+        assert Journal(str(workspace)).pending() == []

@@ -227,9 +227,7 @@ class TestDurability:
         records = Journal(str(workspace)).read()
         failed = [r for r in records if r.get("status") == "error"]
         assert failed and failed[-1]["command"] == "drop"
-        from repro.resilience.intents import IntentLog
-
-        assert IntentLog(str(workspace)).pending() == []
+        assert Journal(str(workspace)).pending() == []
 
 
 class TestJournalUniformity:

@@ -90,12 +90,12 @@ def test_the_layout_variable_keeps_the_daemon_on_pickle(
     assert_healthy_on_disk(workspace)
 
 
-def test_a_steady_state_commit_makes_eight_fsyncs_and_reads_no_history(
+def test_a_steady_state_commit_makes_seven_fsyncs_and_reads_no_history(
     workspace, daemon_factory, tmp_path, monkeypatch
 ):
-    """Intent begin, two pages, the pages directory, the state temp, the
-    state directory, the journal, intent done: eight fsyncs. No state
-    file is read back and ``pages/`` is never listed."""
+    """The journal's ``begin`` line, two pages, the pages directory, the
+    state temp, the state directory, the op record: seven fsyncs. No
+    state file is read back and ``pages/`` is never listed."""
     monkeypatch.delenv(LAYOUT_ENV, raising=False)
     seed_dataset(workspace)
     saves = []
@@ -135,6 +135,6 @@ def test_a_steady_state_commit_makes_eight_fsyncs_and_reads_no_history(
             )["version"]
         monkeypatch.undo()
     assert saves[-1]["pages_written"] == 2, saves[-1]
-    assert counts == {"fsync": 8, "state_reads": 0, "page_listings": 0}
+    assert counts == {"fsync": 7, "state_reads": 0, "page_listings": 0}
     assert orphan_pages(workspace) == []
     assert_healthy_on_disk(workspace)

@@ -350,6 +350,15 @@ class TestMetricsServer:
             assert 'orpheusd_op_requests_total{op="checkout"}' in text
 
 
+def await_ledger(handle, op: str) -> None:
+    """The ledger counts a request once its response is on the wire, so
+    a client can read the response before the count lands."""
+    deadline = time.monotonic() + 10
+    while op not in handle.daemon.metrics.by_op:
+        assert time.monotonic() < deadline, f"{op} never reached the ledger"
+        time.sleep(0.005)
+
+
 class TestTopDashboard:
     def test_render_frame_live_payload(
         self, workspace, daemon_factory, tmp_path
@@ -411,6 +420,7 @@ class TestTopDashboard:
                 client.checkout(
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
+            await_ledger(handle, "checkout")
             buffer = io.StringIO()
             assert run_top(
                 root=str(workspace), once=True, as_json=True,
@@ -447,6 +457,7 @@ class TestTopDashboard:
                 client.checkout(
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
+            await_ledger(handle, "checkout")
             capsys.readouterr()  # drop the seed-dataset init banner
             assert main(
                 ["--root", str(workspace), "top", "--once", "--json"]

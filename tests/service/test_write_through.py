@@ -22,6 +22,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.models import DATA_MODELS
+from repro.observe.journal import Journal
 from repro.resilience import failpoints
 from repro.service import protocol
 from repro.service.cache import VersionCache
@@ -209,12 +210,13 @@ def test_pulls_of_the_committed_head_are_hits_that_materialize_nothing(
     assert stats["hits"] == 20
 
 
-@pytest.mark.parametrize("site", ["journal.before_append", "intent.before_done"])
+@pytest.mark.parametrize("site", ["journal.before_append", "journal.after_append"])
 def test_a_drop_evicts_even_when_its_journal_step_fails(
     workspace, daemon_factory, site
 ):
-    """A drop is durable once its save succeeds. A journal or intent
-    failure after that must not leave the dataset's entries behind:
+    """A drop is durable once its save succeeds. A journal failure
+    after that, before or after its op record lands, must not leave the
+    dataset's entries behind:
     a re-init under the same name and schema reuses the vids, and its
     v1 must not be served the dropped rows."""
     data, schema = write_inputs(workspace)
@@ -233,6 +235,11 @@ def test_a_drop_evicts_even_when_its_journal_step_fails(
             assert served["data"] != dropped
             assert served["rows"] == 2
             assert servable_entries_match(handle.daemon) == 1
+    # Whether or not its op record landed, the drop's `begin` is closed
+    # before the re-init's: once, and by the drop's own record.
+    assert Journal(str(workspace)).pending() == []
+    commands = [r["command"] for r in Journal(str(workspace)).read()]
+    assert commands == ["init", "drop", "init"]
 
 
 def test_a_version_only_memory_held_is_evicted_when_a_reload_drops_it(

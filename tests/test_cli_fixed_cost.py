@@ -1,15 +1,17 @@
 """The fixed cost of one CLI command, counted rather than timed: a
 command builds the top-level parser and its own sub-parser only, and
-the intent log is parsed a bounded number of lines per command."""
+its pending check reads the same tail of the journal however long the
+journal grows."""
 
 from __future__ import annotations
 
 import argparse
-import os
+import io
+from pathlib import Path
 
 from repro.cli import main
+from repro.observe.journal import Journal
 from repro.resilience import fsio
-from repro.resilience.intents import COMPACT_BYTES, IntentLog
 
 DATA = "key,value\nk1,1\nk2,2\nk3,3\n"
 SCHEMA = "key,text\nvalue,integer\nprimary_key,key\n"
@@ -46,39 +48,31 @@ def test_checkout_builds_one_sub_parser(tmp_path, monkeypatch):
 
 
 def test_intent_log_parses_stay_bounded(tmp_path, monkeypatch):
-    """In steady state ``done()`` parses nothing (it compacts, and so
-    parses, once every several commands), and the lock-free pending
-    check before each command parses at most COMPACT_BYTES of log."""
+    """The journal is the intent log. Before each checkout appends its
+    ``begin``, the pending check reads the journal backward to the
+    newest ``begin``: the same bytes after 480 commands as after 48."""
     make_repo(tmp_path)
-    intents = IntentLog(tmp_path).path
-    phase = ["pre-check"]
-    parses = {"pre-check": [], "done": []}
-    read_jsonl = fsio.read_jsonl
+    journal = Journal(tmp_path).path
+    reads: list[int] = []
 
-    def counting(path):
-        records, torn = read_jsonl(path)
-        if str(path) == str(intents):
-            parses[phase[0]].append((len(records), os.path.getsize(path)))
-        return records, torn
+    class Counting(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads[-1] += len(data)
+            return data
 
-    done = IntentLog.done
+    def reading(path, mode="r", *args, **kwargs):
+        if mode == "rb" and Path(path) == journal:
+            reads.append(0)
+            return Counting(io.FileIO(path))
+        return open(path, mode, *args, **kwargs)
 
-    def in_done(self, *args, **kwargs):
-        phase[0] = "done"
-        try:
-            return done(self, *args, **kwargs)
-        finally:
-            phase[0] = "pre-check"
-
-    monkeypatch.setattr(fsio, "read_jsonl", counting)
-    monkeypatch.setattr(IntentLog, "done", in_done)
-    commands = 48
-    for _ in range(commands):
+    monkeypatch.setattr(fsio, "open", reading, raising=False)
+    after = {}
+    for command in range(1, 481):
         assert checkout(tmp_path) == 0
-
-    assert len(parses["pre-check"]) == commands
-    assert max(size for _, size in parses["pre-check"]) <= COMPACT_BYTES
-    assert max(records for records, _ in parses["pre-check"]) <= 36
-    # Only compactions parse inside done(), and they are rare but real.
-    assert 1 <= len(parses["done"]) <= commands // 8
-    assert IntentLog(tmp_path).pending() == []
+        if command in (48, 480):
+            after[command] = reads[-1]
+    assert len(reads) == 480  # one check per command
+    assert after[48] == after[480] <= 4096 < journal.stat().st_size // 16
+    assert Journal(tmp_path).pending() == []

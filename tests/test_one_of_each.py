@@ -334,11 +334,12 @@ def test_only_the_e2e_harness_benchmarks_orpheusd():
 def test_a_request_is_appended_to_one_jsonl_file(tmp_path):
     """With every request slow, a checkout, a commit and a BUSY shed are
     each one line of one flight segment. The journaled file checkout and
-    commit also land in the operation journal, the commit in its intent
-    bracket too; nothing else is written per request."""
+    commit also land in the operation journal, the commit as its
+    ``begin`` line too; nothing else is written per request."""
     import dataclasses
 
     from repro.resilience import failpoints
+    from repro.resilience.recovery import LEGACY_INTENTS
     from repro.service.client import ServiceBusyError
     from repro.service.daemon import ServiceConfig
 
@@ -379,11 +380,14 @@ def test_a_request_is_appended_to_one_jsonl_file(tmp_path):
 
     orpheus = tmp_path / ".orpheus"
     logs = sorted(orpheus.rglob("*.jsonl"))
+    # A commit's trace is on two journal lines, its `begin` and its op
+    # record; there is no second log.
     journaled = {
-        "checkout": {"journal/ops.jsonl"},
-        "commit": {"journal/ops.jsonl", "journal/intents.jsonl"},
-        "busy": set(),
+        "checkout": {"journal/ops.jsonl": 1},
+        "commit": {"journal/ops.jsonl": 2},
+        "busy": {},
     }
+    assert not (orpheus / "journal" / LEGACY_INTENTS).exists()
     assert set(traces) == set(journaled)
     for name, trace in sorted(traces.items()):
         written = {
@@ -395,7 +399,8 @@ def test_a_request_is_appended_to_one_jsonl_file(tmp_path):
         }
         flight = [path for path in written if path.startswith("journal/flight/")]
         assert len(flight) == 1 and written[flight[0]] == 1, (name, written)
-        assert set(written) - set(flight) == journaled[name], (name, written)
+        del written[flight[0]]
+        assert written == journaled[name], name
 
     # split: keeps repo-wide grep for the deleted names empty
     assert importlib.util.find_spec("repro.service." + "replay") is None
