@@ -116,7 +116,7 @@ def save_telemetry(snapshot: Snapshot, root: str | None = None) -> None:
 #: forwards and what orpheusd's ops and :meth:`Orpheus.execute` take.
 _PARAMS = (
     "dataset", "versions", "file", "schema", "message", "model",
-    "a", "b", "sql", "gamma", "mu", "name", "email", "ops", "recent",
+    "a", "b", "sql", "gamma", "name", "email", "ops", "recent",
 )
 
 
@@ -245,7 +245,6 @@ COMMAND_TABLE: dict[str, Command] = {
         Command("optimize", "run the partition optimizer", (
             _DATASET,
             _arg("--gamma", type=float, default=2.0),
-            _arg("--mu", type=float, default=1.5),
         ), remote=True),
         Command("create_user", "register a user", (
             _arg("name"),
@@ -1180,10 +1179,7 @@ def _run_heat(args: argparse.Namespace) -> int:
     journal and the flight record; amplification and the advisor join
     that heat with the live page cost model.
     """
-    from repro.observe.amplification import (
-        amplification_report,
-        bound_comparison,
-    )
+    from repro.observe.amplification import amplification_report
     from repro.observe.heat import advise, mine
 
     try:
@@ -1217,7 +1213,7 @@ def _run_heat(args: argparse.Namespace) -> int:
 
     cold = heat.cold_fraction(orpheus, now)
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "half_life_s": heat.half_life_s,
         "events_total": heat.events_total,
         "hot_datasets": _table(heat.datasets, reverse=True),
@@ -1226,7 +1222,6 @@ def _run_heat(args: argparse.Namespace) -> int:
         "cold_partitions": _table(heat.partitions, reverse=False),
         "cold_fraction": None if cold is None else round(cold, 4),
         "amplification": amplification_report(heat),
-        "bound": bound_comparison(orpheus, heat),
         "advisor": advise(orpheus, heat, now),
     }
     if args.json:
@@ -1268,17 +1263,6 @@ def _run_heat(args: argparse.Namespace) -> int:
                     f"write={'-' if wamp is None else wamp} "
                     f"({factors['events']} events)\n"
                 )
-    if report["bound"]:
-        out.write("\ncheckout-cost bound:\n")
-        for row in report["bound"]:
-            bound = row.get("bound_rows_per_checkout")
-            status = row.get("within_bound")
-            out.write(
-                f"  {row['dataset']:<24} model={row['model']} "
-                f"observed={row['observed_rows_per_checkout']} "
-                f"bound={'-' if bound is None else bound} "
-                f"within={'-' if status is None else status}\n"
-            )
     if report["advisor"]:
         out.write("\nadvisor:\n")
         for rec in report["advisor"]:

@@ -266,12 +266,7 @@ class Orpheus:
             telemetry.count("command.diff.rows_compared", len(only_a) + len(only_b))
             return only_a, only_b
 
-    def optimize(
-        self,
-        cvd_name: str,
-        storage_threshold_factor: float = 2.0,
-        tolerance: float = 1.5,
-    ):
+    def optimize(self, cvd_name: str, storage_threshold_factor: float = 2.0):
         """Run the partition optimizer over a CVD (Chapter 5).
 
         Requires the CVD to use the partitioned split-by-rlist store; see
@@ -286,10 +281,7 @@ class Orpheus:
                 raise CVDError(
                     "optimize requires a CVD backed by PartitionedRlistStore"
                 )
-            partitioning = cvd.model.optimize(
-                storage_threshold_factor=storage_threshold_factor,
-                tolerance=tolerance,
-            )
+            partitioning = cvd.model.optimize(storage_threshold_factor)
             if current is not None:
                 current.set_attr("partitions", partitioning.num_partitions)
             return partitioning
@@ -481,11 +473,7 @@ class Orpheus:
 
     def cmd_optimize(self, params: dict, user: str = "") -> dict:
         dataset = params.get("dataset")
-        partitioning = self.optimize(
-            dataset,
-            storage_threshold_factor=params.get("gamma", 2.0),
-            tolerance=params.get("mu", 1.5),
-        )
+        partitioning = self.optimize(dataset, params.get("gamma", 2.0))
         return {"dataset": dataset, "partitions": partitioning.num_partitions}
 
     def cmd_create_user(self, params: dict, user: str = "") -> dict:

@@ -11,11 +11,9 @@ sample sums of the mined heat model
 (:class:`repro.observe.heat.HeatAccountant`); :func:`read_amplification`
 is the one place the read ratio is computed.
 
-For partitioned stores the observed per-checkout scan is also compared
-against the LyreSplit bound: Chapter 5 proves the chosen partitioning
-keeps the *expected* checkout within (1+δ) of optimal; the
-:func:`bound_comparison` report says whether the *observed* workload
-stayed inside it.
+Whether the observed workload is within budget is the advisor's
+judgement (:func:`repro.observe.heat.advise`): µ·C*_avg for a
+partitioned store, :data:`~repro.observe.heat.AMP_BUDGET` for the rest.
 """
 
 from __future__ import annotations
@@ -74,62 +72,3 @@ def checkout_amplification(
     """The observed checkout read-amplification factor for one model."""
     return read_amplification(heat.samples.get(f"{model}|checkout"))
 
-
-def bound_comparison(orpheus, heat: heat_model.HeatAccountant) -> list[dict]:
-    """Observed per-checkout scan vs. the LyreSplit checkout-cost bound,
-    per dataset.
-
-    For a partitioned store the bound is (1+δ*)·C*_avg (LyreSplit rerun
-    under the live budget); for monolithic models there is no proved
-    bound, so the row reports the observed amplification against
-    :data:`~repro.observe.heat.AMP_BUDGET` instead.
-    """
-    from repro.core.errors import CVDError
-
-    rows: list[dict] = []
-    if orpheus is None:
-        return rows
-    budget = heat_model.AMP_BUDGET
-    for dataset in sorted(heat.datasets):
-        try:
-            cvd = orpheus.cvd(dataset)
-        except (KeyError, ValueError, CVDError):
-            continue
-        model = cvd.model.model_name
-        sample = heat.samples.get(f"{model}|checkout")
-        entry = {
-            "dataset": dataset,
-            "model": model,
-            "checkouts": sample["events"] if sample else 0,
-            "observed_rows_per_checkout": (
-                round(sample["rows_scanned"] / sample["events"], 2)
-                if sample and sample["events"]
-                else None
-            ),
-        }
-        store = cvd.model
-        if hasattr(store, "best_partitioning"):
-            try:
-                _target, best = store.best_partitioning()
-                delta = getattr(store, "_delta_star", 0.0)
-                entry["bound_rows_per_checkout"] = round(
-                    (1.0 + delta) * best, 2
-                )
-                entry["delta_star"] = round(delta, 4)
-                observed = entry["observed_rows_per_checkout"]
-                entry["within_bound"] = (
-                    observed is None
-                    or observed <= entry["bound_rows_per_checkout"] + 1e-9
-                )
-            except Exception:
-                entry["bound_rows_per_checkout"] = None
-                entry["within_bound"] = None
-        else:
-            amp = checkout_amplification(heat, model)
-            entry["read_amplification"] = (
-                None if amp is None else round(amp, 4)
-            )
-            entry["amp_budget"] = budget
-            entry["within_bound"] = amp is None or amp <= budget
-        rows.append(entry)
-    return rows

@@ -14,9 +14,9 @@ Each result has a severity (``ok``/``warn``/``fail``), a one-line
 summary, a concrete remediation, and machine-readable data. The probes:
 
 * **checkout-cost ratio** — for partitioned CVDs, the live C_avg against
-  the LyreSplit optimum C*_avg; drifting past the migration tolerance µ
-  (and the (1+δ) guarantee Chapter 5 proves) means checkouts are paying
-  for records they do not need → ``orpheus optimize``.
+  the LyreSplit optimum C*_avg; drifting past µ·C*_avg (Section 5.4's
+  rule, :func:`repro.invariants.within_tolerance`) means checkouts are
+  paying for records they do not need → ``orpheus optimize``.
 * **partition imbalance** — one partition holding most of the records
   defeats the point of partitioning.
 * **delta-chain length** — delta-based models recreate a version by
@@ -184,47 +184,35 @@ class Checkup:
 # Probes
 # ----------------------------------------------------------------------
 def probe_checkout_cost(checkup: Checkup) -> list[ProbeResult]:
-    """Live checkout cost vs. the LyreSplit optimum, per partitioned CVD."""
+    """Live checkout cost vs. µ·C*_avg, per partitioned CVD."""
+    from repro.invariants import within_tolerance
     from repro.partition.partitioned_store import PartitionedRlistStore
 
     results: list[ProbeResult] = []
     for name in checkup.orpheus.ls():
         model = checkup.orpheus.cvd(name).model
-        if not isinstance(model, PartitionedRlistStore):
-            continue
-        if not model._order:
+        if not isinstance(model, PartitionedRlistStore) or not model._order:
             continue
         current = model.current_checkout_cost()
         _target, best = model.best_partitioning()
-        delta_bound = 1.0 + model._delta_star
         if best <= 0:
             continue
         ratio = current / best
-        bound = max(delta_bound, model.tolerance)
-        if ratio > bound:
-            severity = FAIL
-        elif ratio > delta_bound:
-            severity = WARN
-        else:
-            severity = OK
+        ok = within_tolerance(current, best, model.tolerance)
         results.append(
             ProbeResult(
                 probe=f"checkout_cost[{name}]",
-                severity=severity,
-                summary=(
-                    f"cost ratio {ratio:.2f} vs bound "
-                    f"1+δ={delta_bound:.2f} (µ={model.tolerance:.2f})"
-                ),
+                severity=OK if ok else FAIL,
+                summary=f"cost ratio {ratio:.2f} vs µ={model.tolerance:g}",
                 remediation=(
                     f"re-run `orpheus optimize -d {name}`: checkout cost "
-                    f"ratio {ratio:.2f} exceeds 1+δ={delta_bound:.2f}"
+                    f"ratio {ratio:.2f} exceeds µ={model.tolerance:g}"
                 ),
                 data={
                     "dataset": name,
                     "current_cost": current,
                     "optimal_cost": best,
                     "ratio": round(ratio, 4),
-                    "delta_bound": round(delta_bound, 4),
                     "tolerance": model.tolerance,
                 },
             )

@@ -1,8 +1,8 @@
 """Storage-access heat accounting (the storage access observatory).
 
 The paper's partitioning story (Chapter 5) is an argument about *access
-patterns*: LyreSplit keeps the average checkout within a provable bound
-of optimal **for the workload the version graph implies**. This module
+patterns*: LyreSplit bounds the average checkout cost (Theorem 5.2)
+**for the workload the version graph implies**. This module
 makes the actual workload observable at the same granularity the
 partitioner reasons about — which datasets, versions, and partitions a
 deployment really touches, and how many rows/bytes each touch scanned.
@@ -393,8 +393,9 @@ def advise(
     Every touched dataset gets exactly one recommendation:
 
     * ``repartition`` — a partitioned store whose *heat-weighted* live
-      checkout cost exceeds µ·C*_avg (LyreSplit rerun under the
-      current budget): the workload concentrates on partitions the
+      checkout cost is outside µ·C*_avg
+      (:func:`repro.invariants.within_tolerance`, LyreSplit rerun under
+      the current budget): the workload concentrates on partitions the
       static layout made expensive → ``orpheus optimize``.
     * ``migrate`` — a monolithic model whose observed checkout read
       amplification breaches :data:`AMP_BUDGET`: checkouts scan
@@ -405,6 +406,7 @@ def advise(
     saving first, so position 0 is always the advisor's best move.
     """
     from repro.core.errors import CVDError
+    from repro.invariants import within_tolerance
     from repro.observe.amplification import checkout_amplification
 
     at = telemetry.now() if now is None else now
@@ -434,21 +436,17 @@ def advise(
             weighted = _heat_weighted_checkout_cost(cvd, heat, dataset, at)
             live = store.current_checkout_cost()
             observed = weighted if weighted is not None else live
-            try:
-                _target, best = store.best_partitioning()
-            except Exception:
-                best = 0.0
-            tolerance = getattr(store, "tolerance", 1.5)
+            _target, best = store.best_partitioning()
             rec["observed_checkout_cost"] = round(observed, 2)
             rec["optimal_checkout_cost"] = round(best, 2)
-            if best > 0 and observed > tolerance * best:
+            if not within_tolerance(observed, best, store.tolerance):
                 rec["kind"] = "repartition"
                 rec["estimated_checkout_cost_delta"] = round(
                     (observed - best) * max(dataset_heat, 1.0), 2
                 )
                 rec["reason"] = (
                     f"heat-weighted checkout cost {observed:.1f} exceeds "
-                    f"µ={tolerance:g} × C*_avg={best:.1f}; run "
+                    f"µ={store.tolerance:g} × C*_avg={best:.1f}; run "
                     f"`orpheus optimize -d {dataset}`"
                 )
         else:

@@ -8,11 +8,11 @@ checkout touches exactly one partition.
 
 Online maintenance (Section 5.4): a committed version joins its closest
 parent's partition when it shares enough records (w > δ*·|R|) and the
-storage budget allows, otherwise it opens a new partition. When the live
-checkout cost C_avg drifts beyond µ·C*_avg (C*_avg re-computed by
-LyreSplit), the migration engine rebuilds partitions — intelligently
-reusing the closest existing partitions instead of rebuilding from
-scratch.
+storage budget allows, otherwise it opens a new partition; δ* is the δ of
+the last LyreSplit run ``optimize`` or ``maybe_migrate`` adopted. When the
+live checkout cost C_avg drifts beyond µ·C*_avg, the migration engine
+rebuilds partitions — intelligently reusing the closest existing
+partitions instead of rebuilding from scratch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Mapping, Sequence
 from repro import telemetry
 from repro.core.models.base import DataModel, RecordRow
 from repro.core.models.split_by_rlist import SplitByRlistModel
-from repro.partition.lyresplit import lyresplit_for_budget
+from repro.invariants import MU, within_tolerance
+from repro.partition.lyresplit import LyreSplitResult, lyresplit_for_budget
 from repro.partition.version_graph import (
     Partitioning,
     build_version_graph,
@@ -55,7 +56,7 @@ class PartitionedRlistStore(DataModel):
         cvd_name,
         data_schema,
         storage_threshold_factor: float = 2.0,
-        tolerance: float = 1.5,
+        tolerance: float = MU,
         auto_migrate: bool = False,
         migration_strategy: str = "intelligent",
         join_algorithm: str = "hash",
@@ -343,39 +344,36 @@ class PartitionedRlistStore(DataModel):
     def current_storage_cost(self) -> int:
         return sum(p.data_record_count() for p in self._partitions)
 
-    def best_partitioning(self) -> tuple[Partitioning, float]:
-        """Run LyreSplit under the current budget; returns (P*, C*_avg)."""
+    def _lyresplit(self) -> tuple[LyreSplitResult, float]:
+        """LyreSplit under the current budget, and its C*_avg."""
         membership = {vid: self.rids_of(vid) for vid in self._order}
         graph = build_version_graph(membership, self._order, self._parents)
         budget = self.storage_threshold_factor * self._num_records
         result = lyresplit_for_budget(graph, budget, membership=membership)
-        self._delta_star = result.delta
-        checkout = result.partitioning.checkout_cost(membership)
+        return result, result.partitioning.checkout_cost(membership)
+
+    def best_partitioning(self) -> tuple[Partitioning, float]:
+        """(P*, C*_avg) under the current budget; changes nothing."""
+        result, checkout = self._lyresplit()
         return result.partitioning, checkout
 
     def maybe_migrate(self) -> MigrationStats | None:
-        """Trigger the migration engine if C_avg > µ·C*_avg."""
-        target, best_cost = self.best_partitioning()
-        if best_cost <= 0:
+        """Take LyreSplit's δ*; migrate if C_avg > µ·C*_avg."""
+        result, best = self._lyresplit()
+        self._delta_star = result.delta
+        if within_tolerance(self.current_checkout_cost(), best, self.tolerance):
             return None
-        if self.current_checkout_cost() <= self.tolerance * best_cost:
-            return None
-        return self.migrate_to(target)
+        return self.migrate_to(result.partitioning)
 
-    def optimize(
-        self,
-        storage_threshold_factor: float | None = None,
-        tolerance: float | None = None,
-    ) -> Partitioning:
+    def optimize(self, storage_threshold_factor: float | None = None) -> Partitioning:
         """The ``optimize`` command: recompute and migrate unconditionally."""
         with telemetry.span("partition.optimize"):
             if storage_threshold_factor is not None:
                 self.storage_threshold_factor = storage_threshold_factor
-            if tolerance is not None:
-                self.tolerance = tolerance
-            target, _cost = self.best_partitioning()
-            self.migrate_to(target)
-            return target
+            result, _cost = self._lyresplit()
+            self._delta_star = result.delta
+            self.migrate_to(result.partitioning)
+            return result.partitioning
 
     # ------------------------------------------------------------------
     # Migration engine (Section 5.4)

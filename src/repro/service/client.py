@@ -564,8 +564,8 @@ class ServiceClient:
     def drop(self, dataset: str) -> dict:
         return self.request("drop", dataset=dataset)
 
-    def optimize(self, dataset: str, gamma: float = 2.0, mu: float = 1.5) -> dict:
-        return self.request("optimize", dataset=dataset, gamma=gamma, mu=mu)
+    def optimize(self, dataset: str, gamma: float = 2.0) -> dict:
+        return self.request("optimize", dataset=dataset, gamma=gamma)
 
     def create_user(self, name: str, email: str = "") -> dict:
         return self.request("create_user", name=name, email=email)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.invariants import MU, within_tolerance
 from repro.storage.deltas import DeltaCodec
 from repro.storage.graph import ROOT, StorageGraph, StoragePlan
 from repro.storage.solvers.mp import mp_min_storage
@@ -40,7 +41,7 @@ class OnlineVersionedStore:
         self,
         codec: DeltaCodec,
         max_recreation: float,
-        tolerance: float = 1.5,
+        tolerance: float = MU,
         probe_materialized: int = 3,
     ) -> None:
         """Args:
@@ -133,7 +134,7 @@ class OnlineVersionedStore:
         graph = self.graph()
         static_plan = mp_min_storage(graph, self.max_recreation)
         static_storage = static_plan.total_storage_cost(graph)
-        if online_storage > self.tolerance * static_storage:
+        if not within_tolerance(online_storage, static_storage, self.tolerance):
             self._adopt(static_plan)
             self.stats.replans += 1
 

@@ -12,10 +12,10 @@ import pytest
 from repro import telemetry
 from repro.cli import load_state, main
 from repro.core.commands import Orpheus
+from repro.invariants import within_tolerance
 from repro.observe import heat as heat_module
 from repro.observe.amplification import (
     amplification_report,
-    bound_comparison,
     checkout_amplification,
 )
 from repro.observe.doctor import Checkup, run_probe
@@ -32,6 +32,7 @@ from repro.observe.heat import (
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
 from repro.telemetry.clock import FrozenClock
+from tests.observe.test_doctor import degrade
 
 
 @pytest.fixture
@@ -203,28 +204,42 @@ class TestAmplification:
             HeatAccountant(), "split_by_rlist"
         ) is None
 
-    def test_bound_comparison_monolithic_uses_amp_budget(self, monkeypatch):
-        monkeypatch.setattr(heat_module, "AMP_BUDGET", 2.0)
-        orpheus = make_orpheus()
-        heat = self.fixture_heat()
-        (row,) = bound_comparison(orpheus, heat)
-        assert row["dataset"] == "d"
-        assert row["read_amplification"] == pytest.approx(2.5)
-        assert row["within_bound"] is False  # 2.5 > budget 2.0
 
-    def test_bound_comparison_partitioned_reports_lyresplit_bound(self):
-        orpheus = make_orpheus(model="partitioned_rlist")
-        heat = HeatAccountant(half_life_s=100.0)
-        heat.record(touch(
-            ts=0.0, model="partitioned_rlist", versions=(1,),
-            rows_requested=20, rows_scanned=20,
-        ))
-        (row,) = bound_comparison(orpheus, heat)
-        assert row["bound_rows_per_checkout"] is not None
-        assert row["within_bound"] is True
+
+def partitioned_touch(vid: int = 1) -> HeatAccountant:
+    heat = HeatAccountant(half_life_s=100.0)
+    heat.record(touch(
+        ts=0.0, model="partitioned_rlist", versions=(vid,),
+        rows_requested=20, rows_scanned=20,
+    ))
+    return heat
 
 
 class TestAdvisor:
+    def test_partitioned_store_within_mu_keeps(self):
+        orpheus = make_orpheus(model="partitioned_rlist")
+        (rec,) = advise(orpheus, partitioned_touch(), now=0.0)
+        assert rec["kind"] == "keep"
+        assert within_tolerance(
+            rec["observed_checkout_cost"], rec["optimal_checkout_cost"]
+        )
+
+    def test_degraded_store_repartitions_until_optimized(self):
+        orpheus = make_orpheus(model="partitioned_rlist")
+        degrade(orpheus)
+        heat = partitioned_touch(vid=4)
+        (rec,) = advise(orpheus, heat, now=0.0)
+        assert rec["kind"] == "repartition"
+        assert not within_tolerance(
+            rec["observed_checkout_cost"], rec["optimal_checkout_cost"]
+        )
+        assert rec["estimated_checkout_cost_delta"] > 0
+        assert "orpheus optimize -d d" in rec["reason"]
+        del orpheus.cvd("d").model._route_commit  # restore the real rule
+        orpheus.optimize("d")
+        (rec,) = advise(orpheus, heat, now=0.0)
+        assert rec["kind"] == "keep"
+
     def test_within_budget_keeps(self):
         orpheus = make_orpheus()
         heat = HeatAccountant(half_life_s=100.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets.protein import protein_history
+from repro.invariants import checkout_bound_holds, storage_bound_holds
 from repro.partition.lyresplit import lyresplit, lyresplit_for_budget
 from repro.partition.version_graph import graph_from_history
 
@@ -42,10 +43,9 @@ class TestCurDag:
         for delta in (0.3, 0.6):
             result = lyresplit(graph, delta)
             result.partitioning.validate_cover(list(membership))
-            bound = (
-                graph.num_bipartite_edges / graph.num_versions / delta
+            assert checkout_bound_holds(
+                result, graph.num_bipartite_edges, graph.num_versions
             )
-            assert result.estimated_checkout < bound + 1e-9
 
     def test_theorem_5_3_storage_bound(self, cur_tiny):
         """((|R|+|R̂|)/|R|)·(1+δ)^ℓ approximation for DAGs."""
@@ -54,10 +54,7 @@ class TestCurDag:
         result = lyresplit(graph, delta)
         total_records = cur_tiny.num_records
         duplicated = cur_tiny.duplicated_records_as_tree()
-        bound = (total_records + duplicated) * (
-            (1 + delta) ** result.recursion_depth
-        )
-        assert result.estimated_storage <= bound + 1e-6
+        assert storage_bound_holds(result, total_records + duplicated)
 
     def test_exact_storage_not_above_estimate(self, cur_tiny):
         """Post-processing (merging R̂ with R) only shrinks real costs."""

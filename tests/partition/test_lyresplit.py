@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.invariants import checkout_bound_holds, storage_bound_holds
 from repro.partition.lyresplit import lyresplit, lyresplit_for_budget
 from repro.partition.version_graph import (
     VersionTree,
@@ -52,10 +53,9 @@ class TestGuarantees:
         """Theorem 5.2: C_avg < (1/δ)·|E|/|V| after termination."""
         graph = graph_from_history(sci_tiny)
         result = lyresplit(graph, delta)
-        bound = (1.0 / delta) * (
-            graph.num_bipartite_edges / graph.num_versions
+        assert checkout_bound_holds(
+            result, graph.num_bipartite_edges, graph.num_versions
         )
-        assert result.estimated_checkout < bound + 1e-9
 
     @pytest.mark.parametrize("delta", [0.3, 0.6])
     def test_storage_bound_sci(self, sci_tiny, delta):
@@ -64,17 +64,15 @@ class TestGuarantees:
         membership = {c.vid: c.rids for c in sci_tiny.commits}
         total_records = len(frozenset().union(*membership.values()))
         result = lyresplit(graph, delta)
-        bound = (1 + delta) ** result.recursion_depth * total_records
-        assert result.estimated_storage <= bound + 1e-9
+        assert storage_bound_holds(result, total_records)
 
     @pytest.mark.parametrize("delta", [0.3, 0.6])
     def test_checkout_bound_cur_dag(self, cur_tiny, delta):
         graph = graph_from_history(cur_tiny)
         result = lyresplit(graph, delta)
-        bound = (1.0 / delta) * (
-            graph.num_bipartite_edges / graph.num_versions
+        assert checkout_bound_holds(
+            result, graph.num_bipartite_edges, graph.num_versions
         )
-        assert result.estimated_checkout < bound + 1e-9
 
     def test_partitioning_covers_all_versions(self, sci_tiny):
         graph = graph_from_history(sci_tiny)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.cvd import CVD
+from repro.partition.lyresplit import lyresplit_for_budget
 from repro.partition.partitioned_store import PartitionedRlistStore
+from repro.partition.version_graph import build_version_graph
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
@@ -89,7 +91,9 @@ class TestCostTracking:
         )
         assert store.current_checkout_cost() == expected_checkout
 
-    def test_best_partitioning_updates_delta_star(self):
+    def test_optimize_adopts_delta_star(self):
+        """``optimize`` routes by its LyreSplit run's δ from now on; a
+        ``best_partitioning`` lookup leaves δ* alone."""
         cvd, store = make_store()
         v = cvd.commit([(f"k{i}", i) for i in range(30)])
         for _ in range(4):
@@ -99,4 +103,11 @@ class TestCostTracking:
             )
         before = store._delta_star
         store.best_partitioning()
-        assert store._delta_star != before or store._delta_star > 0
+        assert store._delta_star == before
+        membership = {vid: store.rids_of(vid) for vid in store._order}
+        graph = build_version_graph(membership, store._order, store._parents)
+        budget = store.storage_threshold_factor * store._num_records
+        run = lyresplit_for_budget(graph, budget, membership=membership)
+        assert run.delta != before
+        store.optimize()
+        assert store._delta_star == run.delta

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.invariants import checkout_bound_holds, storage_bound_holds
 from repro.partition.lyresplit import lyresplit
 from repro.partition.version_graph import Partitioning, VersionTree
 
@@ -49,8 +50,7 @@ class TestLyreSplitInvariants:
         """Theorem 5.2: C_avg < (1/δ)·|E|/|V| always holds on termination."""
         result = lyresplit(tree, delta)
         num_edges = sum(tree.nodes.values())
-        bound = (1.0 / delta) * num_edges / len(tree.nodes)
-        assert result.estimated_checkout < bound + 1e-9
+        assert checkout_bound_holds(result, num_edges, len(tree.nodes))
 
     @given(tree=version_trees(), delta=st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=100, deadline=None)
@@ -58,8 +58,7 @@ class TestLyreSplitInvariants:
         """Theorem 5.2: S ≤ (1+δ)^ℓ·|R|."""
         result = lyresplit(tree, delta)
         total_records = tree.estimated_component_stats(list(tree.nodes))[1]
-        bound = (1 + delta) ** result.recursion_depth * total_records
-        assert result.estimated_storage <= bound + 1e-6
+        assert storage_bound_holds(result, total_records)
 
     @given(tree=version_trees())
     @settings(max_examples=50, deadline=None)

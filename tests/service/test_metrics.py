@@ -335,6 +335,7 @@ class TestMetricsServer:
                 client.checkout(
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
+            await_ledger(handle, "checkout")
             # The ephemeral port is discoverable from the status file —
             # how CI (and humans) find the scrape endpoint.
             status_file = workspace / ".orpheus" / "service.json"

@@ -45,7 +45,7 @@ LOCAL_CORPUS = [
     ["run", "SELECT key FROM VERSION 1 OF CVD ds", "--json", "--limit", "5"],
     ["drop", "-d", "ds"],
     ["drop", "--dataset", "ds"],
-    ["optimize", "-d", "ds", "--gamma", "3", "--mu", "2.5"],
+    ["optimize", "-d", "ds", "--gamma", "3"],
     ["optimize", "--dataset", "ds"],
     ["create_user", "alice", "--email", "a@example.org"],
     ["create_user", "bob"],
@@ -87,7 +87,7 @@ REMOTE_CORPUS = [
     ["ls"],
     ["run", "SELECT key FROM VERSION 1 OF CVD ds"],
     ["drop", "-d", "ds"],
-    ["optimize", "-d", "ds", "--gamma", "3", "--mu", "2.5"],
+    ["optimize", "-d", "ds", "--gamma", "3"],
     ["create_user", "alice", "--email", "a@example.org"],
     ["whoami"],
     ["doctor"],

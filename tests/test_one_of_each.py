@@ -97,6 +97,39 @@ def test_no_dict_shaped_segment_is_left():
             assert name not in text, (path, name)
 
 
+def test_one_checkout_cost_rule():
+    """µ's value lives in ``invariants.py``: no parameter default and no
+    ``getattr`` fallback elsewhere is the literal 1.5, and the second
+    checkout-cost bound report is gone."""
+    gone = "bound_" + "comparison"  # split: keeps repo-wide grep empty
+
+    def is_mu(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == 1.5
+
+    offenders = []
+    trees = dict(modules())
+    for name, tree in trees.items():
+        if name == "invariants.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if node.name == gone or any(
+                    map(is_mu, args.defaults + args.kw_defaults)
+                ):
+                    offenders.append((name, node.name))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) == 3
+                and is_mu(node.args[2])
+            ):
+                offenders.append((name, "getattr"))
+    assert offenders == []
+    assert any(map(is_mu, ast.walk(trees["invariants.py"])))  # sees µ
+
+
 def _called_names(tree) -> set[str]:
     """Every ``f(...)`` and ``x.f(...)`` name called in ``tree``."""
     names = set()
