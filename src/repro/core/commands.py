@@ -360,7 +360,7 @@ class Orpheus:
         ``parents``, else the checkout pin of the file, else none (a new
         root); the pin also supplies the version's checkout time. Under
         the CVD's own schema, a line a checkout rendered is taken for
-        its record unparsed."""
+        its record unparsed, and hands the commit that record's rid."""
         dataset, path = params.get("dataset"), params.get("file")
         if not dataset or not path:
             raise ValueError("commit requires 'dataset' and 'file'")
@@ -370,8 +370,10 @@ class Orpheus:
             if params.get("schema")
             else cvd.schema
         )
-        own_schema = schema.columns == cvd.schema.columns
-        rows = read_csv(path, schema, cvd.parsed_lines() if own_schema else None)
+        if schema.columns == cvd.schema.columns:
+            rows, matched = read_csv(path, schema, *cvd.parsed_lines())
+        else:
+            rows, matched = read_csv(path, schema), None
         pin = self.staging.pinned(path)
         explicit = params.get("parents")
         if explicit is not None:
@@ -390,6 +392,7 @@ class Orpheus:
             columns=schema.column_names,
             column_types={c.name: c.dtype for c in schema.columns},
             checkout_time=pin.checkout_time if pin is not None else None,
+            matched=matched,
         )
         self.staging.unpin(path)
         return {

@@ -73,8 +73,11 @@ def read_schema_file(path: str | Path) -> Schema:
 
 
 def read_csv(
-    path: str | Path, schema: Schema, known: dict[str, tuple] | None = None
-) -> list[tuple]:
+    path: str | Path,
+    schema: Schema,
+    known: dict[str, tuple] | None = None,
+    rids: dict[str, int] | None = None,
+) -> list[tuple] | tuple[list[tuple], list[int | None] | None]:
     """Read rows from ``path``, coercing values per the schema.
 
     The header row must match the schema's column names (order included);
@@ -86,12 +89,15 @@ def read_csv(
     ``known`` maps lines to the rows this function returns for them
     (:func:`parsed_back`), which are then not parsed again; a file with
     a quote or a bare carriage return, or one it rejects, is read in
-    full, so errors read the same.
+    full, so errors read the same. With ``rids`` (line -> a record id)
+    it returns ``(rows, matched)``: the rid of each row's line, None for
+    a line ``rids`` lacks; ``matched`` is None for a file read in full.
     """
     if known:
         rows = _read_known(path, schema, known)
         if rows is not None:
-            return rows
+            rows, lines = rows
+            return rows if rids is None else (rows, list(map(rids.get, lines)))
     width = len(schema.columns)
     raws: list[list[str]] = []
     with open(path, newline="") as handle:
@@ -109,22 +115,28 @@ def read_csv(
                     f"where the schema has {width} column(s)"
                 )
             raws.append(raw)
-    return _convert(schema, raws)
+    rows = _convert(schema, raws)
+    return rows if rids is None else (rows, None)
 
 
 def _read_known(
     path: str | Path, schema: Schema, known: dict[str, tuple]
-) -> list[tuple] | None:
+) -> tuple[list[tuple], list[str]] | None:
     """:func:`read_csv` for a file of unquoted lines, parsing only the
-    lines ``known`` lacks; None when the file needs the full reader."""
+    lines ``known`` lacks, and those lines; None when the file needs the
+    full reader."""
     try:
         with open(path, newline="") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         return None
-    if '"' in text or text.count("\r") != text.count(LINE_END):
+    if "\r" in text:  # every line ends CRLF, or the full reader runs
+        if text.count("\r") != text.count(LINE_END):
+            return None
+        text = text.replace(LINE_END, "\n")
+    if '"' in text:
         return None
-    lines = text.replace(LINE_END, "\n").split("\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # the final line break; a blank line stays
     if not lines or lines[0].split(",") != schema.column_names:
@@ -137,7 +149,7 @@ def _read_known(
         return None
     for n, row in zip(unseen, _convert(schema, raws)):
         rows[n] = row
-    return rows
+    return rows, lines
 
 
 def parsed_back(
@@ -146,12 +158,16 @@ def parsed_back(
     """``{line: row}`` for each row :func:`read_csv` returns unchanged, in
     value and in type, from its line (:func:`render_lines`; the key lacks
     :data:`LINE_END`): one with no NULL, empty text, NaN or quoted field,
-    each value of the type its column parses to."""
+    each value of the type its column parses to. A line with a ``-0.0``
+    field is left out too: its payload equals ``0.0``'s, its line does
+    not, and a commit matches payloads by their lines."""
     kinds = tuple(_PARSED_TYPES.get(c.dtype.name, str) for c in schema.columns)
     lines = [line[: -len(LINE_END)] for line in lines]
+    text = "\n".join(lines)
     if (  # the common case, checked a column at a time
         set(map(len, rows)) == {len(kinds)}
-        and '"' not in "\n".join(lines)
+        and '"' not in text
+        and "-0.0" not in text
         and all(
             set(map(type, values)) == {kind}
             and "" not in values
@@ -165,6 +181,7 @@ def parsed_back(
         for row, line in zip(rows, lines)
         if tuple(map(type, row)) == kinds
         and '"' not in line
+        and "-0.0" not in line.split(",")
         and "" not in row
         and all(value == value for value in row)  # only NaN is not
     }

@@ -17,6 +17,7 @@ Physical storage is delegated to a pluggable :class:`DataModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -109,16 +110,20 @@ class CVD:
     def _reset_lines(self) -> None:
         #: rid -> its canonical CSV line (csvio.render_lines).
         self._lines: dict[int, str] = {}
-        #: line -> payload, for the lines read_csv parses back to it.
+        #: line -> payload, for the lines read_csv parses back to it;
+        #: line -> the lowest rid it is the line of, those rids, and the
+        #: lines that are several rids'.
         self._parses: dict[str, tuple] = {}
-        #: (payloads, lines) rendered and not yet judged for _parses.
-        self._unjudged: list[tuple[Sequence[tuple], list[str]]] = []
+        self._line_rids: dict[str, int] = {}
+        self._judged: set[int] = set()
+        self._shared: set[str] = set()
+        #: (rids, payloads, lines) rendered and not yet judged.
+        self._unjudged: list[tuple] = []
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_membership"], state["_payloads"]
-        del state["_lines"], state["_parses"], state["_unjudged"]
-        return state
+        memo = {"_membership", "_payloads", "_lines", "_parses", "_line_rids"}
+        memo |= {"_judged", "_shared", "_unjudged"}
+        return {k: v for k, v in self.__dict__.items() if k not in memo}
 
     def __setstate__(self, state: dict) -> None:
         # A state from before the memo stored both maps: they only give
@@ -160,10 +165,10 @@ class CVD:
         model in one batch (``KeyError`` for a rid it does not hold).
         ``vid``, if given, is a version known to contain them all."""
         memo = self._payloads
-        missing = [rid for rid in rids if rid not in memo]
+        missing = list(filterfalse(memo.__contains__, rids))
         if missing:
             memo.update(self.model.payloads_of(missing, vid))
-        return [memo[rid] for rid in rids]
+        return list(map(memo.__getitem__, rids))
 
     def lines_of(
         self, rids: Sequence[int], rows: Sequence[tuple] | None = None
@@ -191,18 +196,26 @@ class CVD:
     ) -> list[str]:
         rendered = csvio.render_lines(payloads)
         self._lines.update(zip(rids, rendered))
-        self._unjudged.append((payloads, rendered))
+        self._unjudged.append((rids, payloads, rendered))
         return rendered
 
-    def parsed_lines(self) -> dict[str, tuple]:
+    def parsed_lines(self) -> tuple[dict[str, tuple], dict[str, int]]:
         """Every rendered line that ``read_csv`` parses back to exactly
-        its record's payload, mapped to that payload (live, not a copy)."""
-        for payloads, rendered in self._unjudged:
-            self._parses.update(
-                csvio.parsed_back(self.schema, payloads, rendered)
-            )
+        its record's payload, mapped to that payload and to the lowest
+        rid whose line it is (both live, not copies)."""
+        line_rids = self._line_rids
+        for rids, payloads, rendered in self._unjudged:
+            judged = csvio.parsed_back(self.schema, payloads, rendered)
+            self._parses.update(judged)
+            for rid, line in zip(rids, rendered):
+                line = line[: -len(csvio.LINE_END)]
+                if line in judged:
+                    self._judged.add(rid)
+                    if line_rids.setdefault(line, rid) != rid:
+                        self._shared.add(line)
+                        line_rids[line] = min(line_rids[line], rid)
         self._unjudged.clear()
-        return self._parses
+        return self._parses, line_rids
 
     def storage_bytes(self) -> int:
         return self.model.storage_bytes()
@@ -225,6 +238,7 @@ class CVD:
         column_types: dict[str, DataType] | None = None,
         checkout_time: float | None = None,
         diff_against: Sequence[int] | None = None,
+        matched: Sequence[int | None] | None = None,
     ) -> int:
         """Add a new version containing ``rows``; returns its vid.
 
@@ -242,12 +256,15 @@ class CVD:
                 Defaults to ``parents`` — the no-cross-version-diff rule;
                 pass all ancestors to trade commit time for deduplication
                 of deleted-then-re-added records.
+            matched: For each row, the rid ``read_csv`` matched its line
+                to (None: none), from the lines :meth:`parsed_lines`
+                returned just before.
         """
         started = telemetry.monotonic()
         with telemetry.span("cvd.commit", dataset=self.name) as current:
             vid = self._commit(
                 rows, parents, message, author, columns, column_types,
-                checkout_time, diff_against,
+                checkout_time, diff_against, matched,
             )
             if current is not None:
                 current.set_attr("vid", vid)
@@ -266,6 +283,7 @@ class CVD:
         column_types: dict[str, DataType] | None,
         checkout_time: float | None,
         diff_against: Sequence[int] | None,
+        matched: Sequence[int | None] | None,
     ) -> int:
         for parent in parents:
             self.versions.get(parent)  # validate early
@@ -274,6 +292,7 @@ class CVD:
             list(columns), column_types or {}
         ):
             rows = self._evolve_schema(rows, list(columns), column_types or {})
+            matched = None  # the lines were the old schema's
         rows = list(map(tuple, rows))
         commit_span = telemetry.current_span()
         if commit_span is not None:
@@ -283,30 +302,22 @@ class CVD:
         full_width = self._full_width(rows)
         self._check_primary_key(rows, full_width)
 
-        diff_versions = parents if diff_against is None else diff_against
-        parent_payload_rids: dict[tuple, int] = {}
-        for parent in diff_versions:
-            # Lowest rid first, so which of two equal payloads is reused
-            # does not depend on how this process built the rid set.
-            rids = sorted(self.membership(parent))
-            payloads = self.payloads_of(rids, parent)
-            if not self._full_width(payloads):
-                # Pad stored payloads so records committed before a schema
-                # change still match their (NULL-extended) reappearance.
-                payloads = list(map(self._pad_row, payloads))
-            # Built highest rid first, so the lowest one is what stays;
-            # then the earlier parents' entries win.
-            reused = dict(zip(reversed(payloads), reversed(rids)))
-            reused.update(parent_payload_rids)
-            parent_payload_rids = reused
-
         if not full_width:
             rows = list(map(self._pad_row, rows))
+        # Each row's candidate: the lowest rid of an equal payload in the
+        # first parent that has one; from the reader's matches, also
+        # payload -> line for the rows rendered to look them up.
+        found = None
+        if matched is not None and diff_against is None and len(parents) == 1:
+            found = self._matched_candidates(rows, matched, parents[0])
+        versions = parents if diff_against is None else diff_against
+        candidates, rendered = found or (
+            self._payload_candidates(rows, versions), None
+        )
         records: dict[int, tuple] = {}
         new_records: dict[int, tuple] = {}
         next_rid = self._next_rid
-        for padded in rows:
-            rid = parent_payload_rids.get(padded)
+        for padded, rid in zip(rows, candidates):
             if rid is None or rid in records:
                 # New or modified record (or a duplicate full row, which
                 # must stay distinct since rids identify row instances).
@@ -336,8 +347,16 @@ class CVD:
         # the memo nor the rid counter ahead of its tables.
         self._next_rid = next_rid
         self._num_records += len(new_records)
-        self._payloads.update(new_records)
+        # A row the reader matched is its record's payload exactly (the
+        # two render alike), so the memo holds the whole version.
+        self._payloads.update(new_records if rendered is None else records)
         self._membership[vid] = frozen
+        if rendered:  # what a pull of the version would render again
+            fresh = [rid for rid, row in new_records.items() if row in rendered]
+            payloads = list(map(new_records.__getitem__, fresh))
+            lines = list(map(rendered.__getitem__, payloads))
+            self._lines.update(zip(fresh, lines))
+            self._unjudged.append((fresh, payloads, lines))
         attribute_ids = tuple(
             self.attributes.intern(column.name, column.dtype)
             for column in self.schema.columns
@@ -356,6 +375,57 @@ class CVD:
         )
         self._version_columns[vid] = self.schema.column_names
         return vid
+
+    def _payload_candidates(
+        self, rows: list[tuple], versions: Sequence[int]
+    ) -> list[int | None]:
+        """Each row's candidate from a payload -> rid map of ``versions``."""
+        parent_payload_rids: dict[tuple, int] = {}
+        for parent in versions:
+            # Lowest rid first, so which of two equal payloads is reused
+            # does not depend on how this process built the rid set.
+            rids = sorted(self.membership(parent))
+            payloads = self.payloads_of(rids, parent)
+            if not self._full_width(payloads):
+                # Pad stored payloads so records committed before a schema
+                # change still match their (NULL-extended) reappearance.
+                payloads = list(map(self._pad_row, payloads))
+            # Built highest rid first, so the lowest one is what stays;
+            # then the earlier parents' entries win.
+            reused = dict(zip(reversed(payloads), reversed(rids)))
+            reused.update(parent_payload_rids)
+            parent_payload_rids = reused
+        if versions:
+            telemetry.count("cvd.commit.payloads_compared", len(rows))
+        return list(map(parent_payload_rids.get, rows))
+
+    def _matched_candidates(
+        self, rows: list[tuple], matched: Sequence[int | None], parent: int
+    ) -> tuple[list[int | None], dict[tuple, str]] | None:
+        """Each row's candidate from the rids the known-lines reader
+        matched, and payload -> line for the other rows: those are
+        rendered and looked up among the parent's lines. Exact while
+        every record of ``parent`` has a judged line, for judged lines
+        and parsed payloads are equal exactly when their lines are (but
+        for -0.0, never judged). None where it is not: the parent holds
+        a record not judged, or a line looked up is -0.0's or several
+        records', the lowest of them not the parent's."""
+        members = self.membership(parent)
+        if not members <= self._judged:
+            return None
+        candidates = list(matched)
+        missed = [n for n, rid in enumerate(matched) if rid not in members]
+        rendered = csvio.render_lines([rows[n] for n in missed])
+        for n, line in zip(missed, rendered):
+            line = line[: -len(csvio.LINE_END)]
+            rid = self._line_rids.get(line)
+            if rid not in members:
+                if line in self._shared or "-0.0" in line.split(","):
+                    return None
+                rid = None
+            candidates[n] = rid
+        telemetry.count("cvd.commit.payloads_compared", len(missed))
+        return candidates, dict(zip(map(rows.__getitem__, missed), rendered))
 
     def _schema_changed(
         self, columns: list[str], column_types: dict[str, DataType]

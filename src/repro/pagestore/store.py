@@ -18,11 +18,11 @@ A paged save splits the repository object graph into:
 
 Save = dirty-chunk write-back: a table nothing wrote to since the last
 save reuses its chunks' pages verbatim, and so does every chunk of a
-written table below the lowest slot written; the heap is read, cut and
-encoded again only from that slot on
-— commit I/O is proportional to what the commit touched, not to total
-state or to the history. Content addressing means even a re-encoded
-chunk only writes the pages that actually changed.
+written table below the lowest slot written; appended rows are encoded
+as a chunk of their own (:meth:`_SaveContext.table_chunks`) — commit
+I/O is proportional to what the commit touched, not to total state or
+to the history. Content addressing means even a re-encoded chunk only
+writes the pages that actually changed.
 
 Crash safety: new pages are written and fsync'd *before* the atomic
 ``state.pkl`` swap. A save that fails before the swap unlinks the
@@ -59,6 +59,9 @@ from repro.resilience import failpoints, fsio
 
 #: Version of the outer (container payload) structure.
 SKELETON_FORMAT = 2
+#: The most chunks a table's open run holds: the append past them seals
+#: it, so small commits leave a read of the newest rows few to fault.
+OPEN_RUN_CHUNKS = 32
 
 
 # ----------------------------------------------------------------------
@@ -353,13 +356,17 @@ class _SaveContext:
         return ref
 
     def table_chunks(self, table) -> list[SegmentRef]:
-        """A faulted-in table's heap as a run of chunks, each a slot
-        range encoded on its own. Saved chunks that lie wholly below the
-        lowest slot written since ride through; from there on the heap
-        is cut again, a chunk ending where its rows are accounted a page
-        of bytes (what encoding it costs follows its uncompressed size,
-        so the bound on a chunk is the bound on an append's encode).
-        Each chunk it encodes carries its zone map."""
+        """A table's heap as a run of chunks, each a slot range encoded
+        on its own with its zone map. A *share* is the rows accounted a
+        page of bytes (encoding cost follows uncompressed size). Chunks
+        wholly below the lowest slot written since ride through. The
+        trailing chunks each short of a share are the *open run*: an
+        append adds its rows to it as a chunk of their own, until the
+        append that would bring it to a share, or past
+        :data:`OPEN_RUN_CHUNKS`, seals it: cuts it again from its first
+        slot as chunks of a share. Another write cuts from the chunk it
+        dirtied, or from the run's start if lower. A chunk without a
+        zone map, of a legacy codec or whole-table never stays open."""
         saved = table._saved_chunks
         if table._dirty_from is None:
             return [self.reuse(ref, ref.key) for _end, ref in saved]
@@ -368,10 +375,22 @@ class _SaveContext:
         else:  # tombstones only, or rows of no columns
             per_chunk = self.page_bytes
         keep = sum(end <= table._dirty_from for end, _ref in saved)
-        if keep and keep == len(saved):  # nothing but an append
-            tail_start = saved[-2][0] if keep > 1 else 0
-            if saved[-1][0] - tail_start < per_chunk:
-                keep -= 1  # the last chunk is open until it holds its share
+        starts = [0, *(end for end, _ref in saved)]
+        run = len(saved)
+        while run and starts[run] - starts[run - 1] < per_chunk:
+            run -= 1
+        if keep >= run and not (
+            keep == len(saved)  # nothing but an append, short of a seal
+            and len(table._rows) - starts[run] < per_chunk
+            and len(saved) - run < OPEN_RUN_CHUNKS
+            and all(
+                ref.codec == codec.ROWS_V2  # a legacy chunk is cut again
+                and "#" in ref.key
+                and (ref.zone is not None or table._pk_index is None)
+                for _end, ref in saved[run:]
+            )
+        ):
+            keep = run
         chunks = [
             (end, self.reuse(ref, f"table:{table.name}#{number}"))
             for number, (end, ref) in enumerate(saved[:keep])

@@ -12,6 +12,7 @@ which :func:`generalize_types` implements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class DataType:
             if isinstance(value, RangeEncodedArray):
                 return True
             return isinstance(value, (list, tuple)) and all(
-                isinstance(v, int) for v in value
+                map(isinstance, value, repeat(int))  # no call per member
             )
         if name == FLOAT.name:
             # Integers are acceptable in decimal columns.

@@ -913,8 +913,9 @@ class ServiceDaemon:
         failure (including the ``state.before_save`` chaos site) counts
         toward the degraded-mode threshold, a success resets it — and,
         when degraded, flips the daemon back to read-write. The daemon
-        writes the paged layout, so a commit re-encodes the chunks it
-        dirtied instead of re-pickling the whole history.
+        writes the paged layout, so a commit encodes the rows it
+        appended as new chunks (and a table's open run again when they
+        seal it) instead of re-pickling the whole history.
 
         A save no write asked for (the degraded-mode probe, the drain)
         passes ``bracket`` and runs under a ``serve`` bracket of its

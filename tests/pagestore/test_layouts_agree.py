@@ -539,14 +539,35 @@ def pull(root, vid: int) -> Table:
     return orpheus.database.table("mid__data")
 
 
+#: Heap slots handed to ``codec.encode_table_rows`` over the 16-commit
+#: windows below at a0aa066, where every append cut the open tail again
+#: (21,170 at 240 versions; 21,874 at 124; 22,147 at 24).
+SLOTS_PER_WINDOW_BEFORE = 21_170
+
+
+def open_run(segments, table: str, share: int) -> list:
+    """``table``'s trailing chunks, each short of ``share`` slots."""
+    chunks = sorted(
+        (ref for key, ref in segments.items() if key.startswith(f"table:{table}#")),
+        key=lambda ref: int(ref.key.partition("#")[2]),
+    )
+    run = []
+    while chunks and chunks[-1].count_hint < share:
+        run.insert(0, chunks.pop())
+    return run
+
+
 def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
     tmp_path, monkeypatch
 ):
     """Chunks encoded, heap slots handed to the encoder and pages written
-    by one 5 % commit do not grow with the versions before it, and every
-    chunk below the slots it wrote keeps its pages. A process that loads
-    the state reads one chunk of rid lists to pull a version and at most
-    two to commit one, and a pull builds no index on the data table."""
+    by one 5 % commit do not grow with the versions before it. A commit
+    encodes its own rows as a chunk of their own and keeps every saved
+    chunk; one that brings a table's open run to a share (seals it) also
+    encodes that run again, and keeps every other chunk. A process that
+    loads the state reads one chunk of rid lists to pull a version, the
+    same one to commit it, and the open run besides when the commit
+    seals it; a pull builds no index on the data table."""
     monkeypatch.setenv(LAYOUT_ENV, "paged")
     telemetry.enable()
     slots, decoded = [], []
@@ -567,40 +588,56 @@ def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
         return sum(key.startswith("table:mid__rlist#") for key in decoded)
 
     history = History(tmp_path)
-    # A full data chunk (a page of 27-byte rows) plus the commit's 150 new
-    # rows, and at most a chunk of 5 rid lists (12,008 bytes each).
+    # A share is a page of 27-byte data rows, or 5 rid lists (12,008
+    # bytes each); a commit appends 150 data rows and one rid list.
     per_data, per_rlist = 65536 // 27, 65536 // 12008
-    window = {}
+    appended = {"mid__data": 150, "mid__rlist": 1}
+    window, seals = {}, Counter()
     for versions in (24, 124, 240):
         history.commit_until(versions - 16)
         del slots[:]
-        for _ in range(15):  # with the next: the data tail fills up once
+        for _ in range(16 - per_rlist):
             wrote = history.commit()
             assert wrote["pagestore.segments_encoded"] <= 3, history.versions
         window[versions] = sum(slots)
-        del slots[:], decoded[:]
-        before = newest_segments(tmp_path)
-        wrote = history.commit(fresh=True)
-        assert history.versions == versions
-        assert 1 <= rid_lists_decoded() <= 2  # the parent's chunk, the tail
-        assert wrote["pagestore.segments_encoded"] == len(slots) <= 3
-        assert wrote["pagestore.pages_written"] <= 3
-        assert sum(slots) <= per_data + 150 + per_rlist
-        window[versions] += sum(slots)
-        after = newest_segments(tmp_path)
-        assert all(key.startswith("table:mid__") and "#" in key for key in after)
-        for table in ("table:mid__data#", "table:mid__rlist#"):
-            chunks = sorted(
-                (key for key in before if key.startswith(table)),
-                key=lambda key: int(key.partition("#")[2]),
-            )
-            assert len(chunks) > 1
-            for key in chunks[:-1]:  # all but the open tail: untouched
+        for _ in range(per_rlist):  # a rid-list seal among them
+            del slots[:], decoded[:]
+            before = newest_segments(tmp_path)
+            wrote = history.commit(fresh=True)
+            sealed = {}
+            for name, rows in appended.items():
+                table = history.orpheus.database.table(name)
+                share = 65536 * len(table) // table._bytes
+                run = open_run(before, name, share)
+                if sum(ref.count_hint for ref in run) + rows >= share:
+                    sealed[name] = run
+            seals["mid__rlist" in sealed] += 1
+            if "mid__rlist" in sealed:  # the parent's chunk and the run
+                assert 1 <= rid_lists_decoded() <= 1 + len(sealed["mid__rlist"])
+            else:  # the parent's chunk only
+                assert rid_lists_decoded() == 1
+            assert wrote["pagestore.segments_encoded"] == len(slots) <= 3
+            assert wrote["pagestore.pages_written"] <= 3
+            # The commit's own rows, and a run short of a share per seal.
+            resealed = [ref for run in sealed.values() for ref in run]
+            assert sum(slots) <= 151 + sum(ref.count_hint for ref in resealed)
+            if not sealed:
+                assert slots == [150, 1], slots
+            window[versions] += sum(slots)
+            after = newest_segments(tmp_path)
+            assert all(key.startswith("table:mid__") and "#" in key for key in after)
+            for table in ("table:mid__data#", "table:mid__rlist#"):
+                assert sum(key.startswith(table) for key in before) > 1
+            cut = {ref.key for ref in resealed}
+            for key in before.keys() - cut:  # every other chunk: untouched
                 assert after[key] == before[key], key
+        assert history.versions == versions
         del decoded[:]
         data = pull(tmp_path, versions)
         assert rid_lists_decoded() == 1
         assert not data._pk_index.keys() and data._pager is not None
+    assert seals[True] and seals[False], seals  # both kinds were checked
+    assert window[24] <= SLOTS_PER_WINDOW_BEFORE / 2, window
     assert window[124] == pytest.approx(window[24], rel=0.10)
     assert window[240] == pytest.approx(window[24], rel=0.10)
 

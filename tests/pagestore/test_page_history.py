@@ -34,11 +34,14 @@ def page_ids(root) -> set[str]:
     return {path.name[: -len(pagefiles.PAGE_SUFFIX)] for path in files}
 
 
-def churn(orpheus, round_no: int) -> None:
-    """One commit that changes what the data and rid-list tails hold."""
+def churn(orpheus, round_no: int, rows: int = 1) -> None:
+    """One commit of ``rows`` new records: it adds a chunk to the data
+    and rid-list tables' open runs, or seals a run it brings to a share
+    (cuts it again, so new pages replace the run's old ones)."""
     cvd = orpheus.cvd("ds")
     cvd.commit(
-        [(f"churn-{round_no}", round_no)],
+        [(f"churn-{round_no}", round_no)]
+        + [(f"churn-{round_no}-{n}", round_no) for n in range(1, rows)],
         parents=(max(cvd.versions.vids()),),
         message="churn",
         author="alice",
@@ -94,19 +97,24 @@ def test_a_save_that_raises_leaves_no_orphans(site, tmp_path):
     assert orphan_pages(tmp_path) == []
 
 
-def test_a_history_less_repository_collects_its_dropped_generation(tmp_path):
+def test_a_history_less_repository_collects_its_dropped_generation(
+    tmp_path, monkeypatch
+):
     """Three generations saved without ``history``: the first save reads
-    them, collects the one its rotation drops, and writes history."""
+    them, collects the one its rotation drops, and writes history. Each
+    commit holds a share of data rows (277 at 4 KiB pages) and more, so
+    each save seals the data table's open run."""
+    monkeypatch.setenv(pagefiles.PAGE_BYTES_ENV, "4096")
     orpheus = build_orpheus()
     for round_no in range(3):
-        churn(orpheus, round_no)
+        churn(orpheus, round_no, rows=300)
         paged_save(StateStore(tmp_path), orpheus)
     oldest = list(state_outers(tmp_path))[2]["pages"]
     strip_history(tmp_path)
 
     reset_pool()
     loaded, _info = StateStore(tmp_path).load(warn=None)
-    churn(loaded, 3)
+    churn(loaded, 3, rows=300)
     paged_save(StateStore(tmp_path), loaded)
     live, back, back1 = (outer["pages"] for outer in state_outers(tmp_path))
     assert list(state_outers(tmp_path))[0]["history"] == [back, back1]

@@ -18,6 +18,7 @@ from repro.core.commands import Orpheus
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.bufferpool import get_pool, reset_pool
 from repro.pagestore.store import (
+    OPEN_RUN_CHUNKS,
     clean_pagestore,
     migrate_state,
     orphan_pages,
@@ -140,16 +141,42 @@ def test_a_heap_is_saved_as_chunks_and_an_append_writes_the_last(
         [("ds-new", 7)], parents=(2,), message="append", author="alice"
     )
     stats = save_paged(tmp_path, loaded)
-    assert stats["segments_encoded"] == 2  # the data tail, the new rid list
+    assert stats["segments_encoded"] == 2  # the new record, the new rid list
     after = newest_segments(tmp_path)
     changed = {key for key in after if after[key] != before.get(key)}
-    last = max(data, key=lambda key: int(key.partition("#")[2]))
-    assert changed == {last, "table:ds__rlist#2"}  # a page per rid list
+    # Short of a share, the open run takes the appended row as a new
+    # last chunk of its own: no saved chunk is written again.
+    assert changed == {f"table:ds__data#{len(data)}", "table:ds__rlist#2"}
+    assert after[f"table:ds__data#{len(data)}"].count_hint == 1
 
     reset_pool()
     reloaded, _ = load(tmp_path)
     assert checkout_rows(reloaded, "ds", 3) == [("ds-new", 7)]
     assert len(checkout_rows(reloaded, "ds", 2)) == 801
+
+
+def test_small_commits_leave_a_bounded_open_run(tmp_path):
+    """One-row commits stay far short of a share (4,445 rows here), so
+    their chunks pile up in the open run until it holds
+    ``OPEN_RUN_CHUNKS``; the next append seals it. A read of the newest
+    version faults no more chunks than that."""
+    orpheus = build_orpheus()
+    cvd = orpheus.cvd("ds")
+    rows = checkout_rows(orpheus, "ds", 2)
+    counts = []
+    for n in range(OPEN_RUN_CHUNKS + 8):
+        rows.append((f"ds-small-{n}", n))
+        cvd.commit(rows, parents=(2 + n,), message="small", author="alice")
+        save_paged(tmp_path, orpheus)
+        segments = newest_segments(tmp_path)
+        counts.append(sum(key.startswith("table:ds__data#") for key in segments))
+    assert max(counts) == OPEN_RUN_CHUNKS  # reached, never passed
+    assert counts[-1] < counts[OPEN_RUN_CHUNKS - 2]  # sealed on the way
+
+    reset_pool()
+    loaded, _ = load(tmp_path)
+    assert checkout_rows(loaded, "ds", cvd.versions.vids()[-1]) == sorted(rows)
+    assert get_pool().faults <= OPEN_RUN_CHUNKS + 1  # and the rid list's
 
 
 def test_listing_does_not_fault_any_pages(tmp_path):
@@ -275,16 +302,20 @@ def test_gc_keeps_backup_generation_pages(tmp_path):
     assert referenced_pages(tmp_path) <= on_disk
 
 
-def test_gc_removes_pages_once_generation_rotates_out(tmp_path):
+def test_gc_removes_pages_once_generation_rotates_out(tmp_path, monkeypatch):
+    monkeypatch.setenv("ORPHEUS_PAGE_BYTES", "4096")  # a share: 277 data rows
     orpheus = build_orpheus()
     save_paged(tmp_path, orpheus)
     gen1_pages = set(referenced_pages(tmp_path))
     reset_pool()
     loaded, _ = load(tmp_path)
-    # Three more saves push the original generation past .bak.1.
+    # Three more saves push the original generation past .bak.1. Each
+    # commits 300 new records, a share and more, so each save seals the
+    # data table's open run: it cuts the run again, new pages replace
+    # its old ones.
     for round_no in range(3):
         loaded.cvd("ds").commit(
-            [(f"gc-{round_no}", round_no)],
+            [(f"gc-{round_no}-{n}", n) for n in range(300)],
             parents=(2 + round_no,),
             message="churn",
             author="alice",

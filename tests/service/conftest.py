@@ -61,6 +61,21 @@ def seed_dataset(root, name="inter") -> None:
     )
 
 
+def await_ledger(handle, until) -> None:
+    """Wait for the daemon's request ledger. It counts a request once
+    the response is on the wire, so a client can read the response (and
+    ask for a report) before the count lands. ``until`` is an op name
+    (wait until the ledger holds one such request) or a predicate of
+    the daemon's :class:`~repro.service.metrics.ServiceMetrics`."""
+    if isinstance(until, str):
+        op = until
+        until = lambda metrics: op in metrics.by_op  # noqa: E731
+    deadline = time.monotonic() + 10
+    while not until(handle.daemon.metrics):
+        assert time.monotonic() < deadline, "the ledger never caught up"
+        time.sleep(0.005)
+
+
 def assert_healthy_on_disk(root) -> None:
     """What ``orpheus log --ops --verify`` and ``orpheus doctor`` check,
     run on the state a fresh process would load."""

@@ -1,7 +1,8 @@
 """orpheusd saves through the paged store: a pickle repository is
 upgraded one way at the daemon's first save, and from then on a commit
-re-encodes the two tail chunks it appended to, however long the history,
-and reads none of it back (``ORPHEUS_STATE_LAYOUT=pickle`` still keeps
+encodes a chunk of appended rows per table (one that seals a table's
+open run encodes the run again), however long the history, and reads
+none of it back (``ORPHEUS_STATE_LAYOUT=pickle`` still keeps
 the daemon on the pickle layout)."""
 
 import os
@@ -62,7 +63,8 @@ def test_the_first_daemon_save_upgrades_and_commits_stay_flat(
                 tail_pages[head] = rlist_tail_pages(workspace)
                 assert_healthy_on_disk(workspace)
     assert head == 125
-    # The upgrade encoded every chunk; later commits the two tails only.
+    # The upgrade encoded every chunk; later commits only the two their
+    # appended rows make.
     assert at[2]["segments_encoded"] == at[2]["segments"] > 2
     for vid in (24, 124):
         assert at[vid]["segments_encoded"] == 2, (vid, at[vid])

@@ -21,7 +21,7 @@ from repro.service.protocol import Request
 from repro.service.recorder import flight_dir_path, read_slow
 from repro.service.tracing import DEFAULT_SLOW_MS, RequestTrace
 
-from .conftest import seed_dataset
+from .conftest import await_ledger, seed_dataset
 
 PROM_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$"
@@ -349,15 +349,6 @@ class TestMetricsServer:
             )
             assert match and int(match.group(1)) >= 1
             assert 'orpheusd_op_requests_total{op="checkout"}' in text
-
-
-def await_ledger(handle, op: str) -> None:
-    """The ledger counts a request once its response is on the wire, so
-    a client can read the response before the count lands."""
-    deadline = time.monotonic() + 10
-    while op not in handle.daemon.metrics.by_op:
-        assert time.monotonic() < deadline, f"{op} never reached the ledger"
-        time.sleep(0.005)
 
 
 class TestTopDashboard:

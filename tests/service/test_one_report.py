@@ -27,7 +27,7 @@ from repro.service.recorder import flight_dir_path, read_flight
 from repro.service.tracing import new_trace_context
 
 from ..test_one_of_each import LEDGER_ONLY
-from .conftest import seed_dataset
+from .conftest import await_ledger, seed_dataset
 
 
 def _commit(client, work, message, **params):
@@ -81,6 +81,11 @@ def test_one_queue_shed_is_one_deadline_event(
         with handle.client() as client:
             client.checkout("inter", [1], file=str(work))
         _shed_one_in_the_queue(handle, work)
+        await_ledger(  # both commits: the one that ran, the one shed
+            handle,
+            lambda metrics: "commit" in metrics.by_op
+            and metrics.by_op["commit"].count == 2,
+        )
         with handle.client() as client:
             report = client.status()
     assert report["requests"]["deadline_exceeded"] == 1
