@@ -24,10 +24,10 @@ that their op record closes, and torn operations from a killed process
 are auto-recovered on the next invocation (or explicitly via
 ``orpheus recover``).
 
-Every command records telemetry (spans, counters, latency histograms);
-the per-invocation snapshot accumulates in ``.orpheus/telemetry.json``
-and ``orpheus stats`` renders the history. Pass ``--timings`` to any
-command to print its span tree.
+``orpheus stats`` reads per-command counts, failures and latencies
+from the record the repository already keeps: the operation journal
+and orpheusd's flight record. Nothing accumulates beside them. Pass
+``--timings`` to any command to print its span tree and counters.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import telemetry
 from repro.core.commands import Orpheus
@@ -52,25 +51,15 @@ from repro.observe.journal import (
     new_trace_id,
     verify_journal,
 )
-from repro.resilience import failpoints, fsio
-from repro.resilience.lock import RepositoryLock, fold_lock
+from repro.resilience.lock import RepositoryLock
 from repro.resilience.recovery import needs_recovery, run_recovery
 from repro.resilience.statestore import StateStore
-from repro.telemetry.snapshot import Snapshot
-
-STATE_DIR = ".orpheus"
-STATE_FILE = "state.pkl"
-TELEMETRY_FILE = "telemetry.json"
 
 #: Commands that rewrite ``state.pkl`` (superset of the journaled
 #: MUTATING_COMMANDS: user management writes state but is not part of
 #: the dataset history). These take the exclusive repository lock;
 #: everything else reads under a shared lock.
 STATE_WRITING_COMMANDS = MUTATING_COMMANDS | {"create_user", "config"}
-
-
-def _telemetry_path(root: str | None = None) -> Path:
-    return Path(root or ".") / STATE_DIR / TELEMETRY_FILE
 
 
 def load_state(root: str | None = None) -> Orpheus:
@@ -89,23 +78,10 @@ def save_state(orpheus: Orpheus, root: str | None = None) -> None:
     StateStore(root).save(orpheus)
 
 
-def load_telemetry(root: str | None = None) -> Snapshot:
-    """The accumulated cross-invocation snapshot (empty when absent)."""
-    path = _telemetry_path(root)
-    if path.exists():
-        try:
-            return Snapshot.from_json(path.read_text())
-        except (ValueError, KeyError):
-            return Snapshot()  # corrupt history: start over
-    return Snapshot()
-
-
-def save_telemetry(snapshot: Snapshot, root: str | None = None) -> None:
-    fsio.atomic_write(
-        _telemetry_path(root),
-        snapshot.to_json(indent=None).encode(),
-        fsync=False,
-    )
+def save_telemetry(*_args) -> None:
+    # Called by nothing: benchmarks/e2e/harness.py:87 still wraps this
+    # name, so it stays until ROADMAP item 1(a) drops it from CLI_TARGETS.
+    pass
 
 
 # ----------------------------------------------------------------------
@@ -454,14 +430,13 @@ COMMAND_TABLE: dict[str, Command] = {
                 _JSON,
             ),
         ),
-        Command("stats", "show accumulated telemetry for this repository", (
+        Command("stats", "command counts and latencies mined from the record", (
             _JSON,
             _arg(
                 "--prometheus",
                 action="store_true",
                 help="Prometheus text exposition format",
             ),
-            _arg("--reset", action="store_true", help="clear the recorded telemetry"),
             # `orpheus remote stats` asks orpheusd for its live metrics.
             _arg(
                 "--recent",
@@ -499,7 +474,7 @@ def _build_parser(
         parser.add_argument(
             "--timings",
             action="store_true",
-            help="print this invocation's span tree to stderr",
+            help="print this invocation's span tree and counters to stderr",
         )
     sub = parser.add_subparsers(dest="command", required=True)
     for entry in COMMAND_TABLE.values():
@@ -570,25 +545,15 @@ def main(argv: list[str] | None = None) -> int:
             once=args.once,
             as_json=args.json,
         )
-    if args.command == "stats":
-        # Readers share the lock; --reset rewrites the accumulator and
-        # must serialize against invocations folding their snapshots in.
-        with RepositoryLock(
-            args.root, shared=not args.reset, command="stats"
-        ):
-            return _run_stats(args)
-    if args.command == "heat":
-        # Pure reader: mines the heat model from the journal and the
-        # flight record without folding telemetry of its own.
-        with RepositoryLock(args.root, shared=True, command="heat"):
-            return _run_heat(args)
+    if args.command in ("stats", "heat"):
+        # Pure readers: both mine the journal and the flight record.
+        with RepositoryLock(args.root, shared=True, command=args.command):
+            return (_run_stats if args.command == "stats" else _run_heat)(args)
 
-    # Each invocation records its own telemetry from a clean registry,
-    # then folds the snapshot into .orpheus/telemetry.json so metrics
-    # accumulate across processes — failures included, tagged under
-    # `commands.failed` with the span's error status keeping the latency
-    # histograms clean. The enabled flag is restored so embedding
-    # programs that keep telemetry off stay unaffected.
+    # Each invocation records its own telemetry from a clean registry
+    # (what --timings prints and the journal record's scan stamps come
+    # from). The enabled flag is restored so embedding programs that
+    # keep telemetry off stay unaffected.
     was_enabled = telemetry.is_enabled()
     telemetry.reset()
     telemetry.enable()
@@ -661,9 +626,8 @@ def _locked_invocation(
     args: argparse.Namespace, record, trace_id: str, mutating: bool
 ) -> int:
     """One command executed under the repository lock: recovery check,
-    ``begin``, dispatch, op record (which closes the ``begin``),
-    telemetry fold — in that order, so a crash at any point is
-    classifiable by recovery."""
+    ``begin``, dispatch, op record (which closes the ``begin``) — in
+    that order, so a crash at any point is classifiable by recovery."""
     if mutating:
         _auto_recover(args.root, locked=True)
         Journal(args.root).begin(
@@ -693,16 +657,11 @@ def _locked_invocation(
             record.duration_s = tree.duration_s
         _stamp_scans(record)
         Journal(args.root).append(record)
-    # Readers run side by side under the shared lock; the
-    # read-modify-write of the accumulator must not.
-    with fold_lock(args.root):
-        failpoints.fire("telemetry.before_save")
-        save_telemetry(
-            load_telemetry(args.root).merged(telemetry.snapshot()),
-            args.root,
-        )
     if args.timings and tree is not None:
+        counters = telemetry.get_registry().counters()
         sys.stderr.write(tree.render() + "\n")
+        if counters:
+            sys.stderr.write(telemetry.Snapshot(counters=counters).render_text())
     return code
 
 
@@ -1155,14 +1114,27 @@ def _render(out, op: str, params: dict, data: dict) -> None:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    """``orpheus stats``: render the accumulated telemetry history."""
-    if args.reset:
-        # Leave an empty-but-valid snapshot behind rather than deleting:
-        # scrapers and `stats --json` consumers keep a parseable file.
-        save_telemetry(Snapshot(), args.root)
-        sys.stdout.write("telemetry reset\n")
-        return 0
-    snapshot = load_telemetry(args.root)
+    """``orpheus stats``: one ``cli.<command>`` / ``service.<op>`` span
+    per finished command the record holds (:func:`operations`), with
+    ``commands.failed[.<Type>]`` and the summed scan stamps as counters.
+    A record without a duration (an orpheusd journal record whose flight
+    twin has rotated away) is not counted."""
+    from repro.observe.journal import SCAN_FIELDS, operations
+
+    registry = telemetry.Registry(enabled=True)
+    for op in operations(args.root):
+        if op.seconds is None:
+            continue
+        failed = op.status != "ok"
+        registry.record_span(f"{op.source}.{op.command}", op.seconds, failed)
+        if failed:
+            registry.inc("commands.failed")
+            if op.error_type:
+                registry.inc(f"commands.failed.{op.error_type}")
+        for key in SCAN_FIELDS:
+            if getattr(op, key):
+                registry.inc(f"io.{key}", getattr(op, key))
+    snapshot = registry.snapshot()
     if args.json:
         sys.stdout.write(snapshot.to_json() + "\n")
     elif args.prometheus:

@@ -8,10 +8,12 @@ package makes it *explainable*:
   actual per-node timings back in from the span tree;
 * :mod:`repro.observe.doctor` — storage-health probes (checkout-cost
   ratio vs. the LyreSplit bound, partition imbalance, delta-chain
-  lengths, orphaned versions, stale staging, telemetry size, journal
-  integrity), each with a severity and a remediation hint;
+  lengths, orphaned versions, stale staging, journal integrity), each
+  with a severity and a remediation hint;
 * :mod:`repro.observe.journal` — the append-only, trace-correlated
-  operation journal behind ``orpheus log --ops`` and replay-verify;
+  operation journal behind ``orpheus log --ops`` and replay-verify,
+  and the one reader of the record ``orpheus stats`` and ``orpheus
+  heat`` mine;
 * :mod:`repro.observe.profile` — self/total-time analysis of profiled
   span trees (``orpheus profile``: hot-span table, folded stacks,
   JSON).

@@ -25,8 +25,6 @@ summary, a concrete remediation, and machine-readable data. The probes:
   must cover the same vids.
 * **stale staging** — staged checkouts whose backing file vanished or
   that have sat uncommitted for a long time.
-* **telemetry accumulator** — ``.orpheus/telemetry.json`` growing without
-  bound or corrupt.
 * **journal integrity** — replay-verify the operation journal against
   the version graph.
 * **state integrity** — checksum-verify ``state.pkl`` and every backup
@@ -62,7 +60,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 from repro import telemetry
 
@@ -78,8 +75,6 @@ CHAIN_WARN = 8
 IMBALANCE_FACTOR = 4.0
 #: Staged checkouts older than this many seconds warn.
 STALE_STAGING_SECONDS = 7 * 24 * 3600.0
-#: Accumulated telemetry beyond this many bytes warns.
-TELEMETRY_WARN_BYTES = 4 * 1024 * 1024
 #: A flight directory holding at least this many slow requests warns.
 SLOW_LOG_WARN_ENTRIES = 50
 
@@ -359,42 +354,6 @@ def probe_stale_staging(checkup: Checkup) -> list[ProbeResult]:
                 "checkout whose file is gone"
             ),
             data={"vanished": vanished[:20], "stale": stale[:20]},
-        )
-    ]
-
-
-def probe_telemetry_accumulator(checkup: Checkup) -> list[ProbeResult]:
-    """``.orpheus/telemetry.json`` must stay parseable and bounded."""
-    path = Path(checkup.root or ".") / ".orpheus" / "telemetry.json"
-    if not path.exists():
-        return []
-    size = path.stat().st_size
-    try:
-        json.loads(path.read_text())
-        parseable = True
-    except ValueError:
-        parseable = False
-    if not parseable:
-        return [
-            ProbeResult(
-                probe="telemetry_accumulator",
-                severity=WARN,
-                summary=f"telemetry.json is corrupt ({size} bytes)",
-                remediation=(
-                    "run `orpheus stats --reset` to start a fresh history"
-                ),
-                data={"bytes": size},
-            )
-        ]
-    return [
-        ProbeResult(
-            probe="telemetry_accumulator",
-            severity=WARN if size > TELEMETRY_WARN_BYTES else OK,
-            summary=f"telemetry.json is {size} bytes",
-            remediation=(
-                "run `orpheus stats --reset` after exporting the history"
-            ),
-            data={"bytes": size},
         )
     ]
 
@@ -1152,9 +1111,6 @@ PROBES = {
         "version graph and physical membership agree",
     ),
     "stale_staging": (probe_stale_staging, ""),
-    "telemetry_accumulator": (
-        probe_telemetry_accumulator, "no accumulated telemetry",
-    ),
     "journal": (probe_journal, "no operations journaled"),
     "state_integrity": (
         probe_state_integrity, "no state file yet (fresh repository)",

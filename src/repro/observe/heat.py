@@ -311,73 +311,24 @@ class HeatAccountant:
 # ----------------------------------------------------------------------
 # Mining: the one derivation of the heat model
 # ----------------------------------------------------------------------
-def mine_events(
-    root: str | None, orpheus=None, journal: list[dict] | None = None
-) -> list[AccessEvent]:
-    """Reconstruct access events from the flight recorder and the ops
-    journal (``journal``: its records when the caller already read them).
-
-    Flight records and CLI journal records both carry scan stamps
-    (``rows_scanned`` / ``bytes_scanned`` / ``rows_written``); a
-    journal record with a flight twin (a daemon op, matched by trace
-    id) is skipped, so each command counts once. Events come back in
-    timestamp order, so the EWMA folds them as they happened.
-    """
-    from repro.observe.journal import Journal, requested_versions
-    from repro.service.recorder import flight_dir_path, read_flight
-
-    events: list[AccessEvent | None] = []
-    flight_traces: set[str] = set()
-    flight = read_flight(flight_dir_path(root))
-    for record in flight["records"]:
-        trace = record.get("trace")
-        if trace:
-            flight_traces.add(str(trace))
-        events.append(
-            build_event(
-                orpheus,
-                ts=float(record.get("ts") or 0.0),
-                command=str(record.get("op")),
-                dataset=record.get("dataset"),
-                versions=record.get("versions") or (),
-                rows_returned=record.get("rows_returned") or 0,
-                rows_scanned=record.get("rows_scanned") or 0,
-                bytes_scanned=record.get("bytes_scanned") or 0,
-                rows_written=record.get("rows_written") or 0,
-                status=record.get("status"),
-            )
-        )
-    for record in Journal(root).read() if journal is None else journal:
-        if record.get("trace_id") in flight_traces:
-            continue  # the daemon journaled it *and* flight-recorded it
-        events.append(
-            build_event(
-                orpheus,
-                ts=float(record.get("ts") or 0.0),
-                command=str(record.get("command")),
-                dataset=record.get("dataset"),
-                versions=requested_versions(record),
-                rows_returned=record.get("rows") or 0,
-                rows_scanned=record.get("rows_scanned") or 0,
-                bytes_scanned=record.get("bytes_scanned") or 0,
-                rows_written=record.get("rows_written") or 0,
-                bytes_written=record.get("bytes_written") or 0,
-                status=record.get("status"),
-            )
-        )
-    events = [event for event in events if event is not None]
-    events.sort(key=lambda e: e.ts)
-    return events
-
-
 def mine(
     root: str | None, orpheus=None, journal: list[dict] | None = None
 ) -> HeatAccountant:
-    """The heat model of everything the journal and the flight record
-    hold, resolved against ``orpheus`` (the live state)."""
+    """The heat model of the access events among the commands the record
+    holds (:func:`repro.observe.journal.operations`, in timestamp order,
+    so the EWMA folds them as they happened), resolved against
+    ``orpheus`` (the live state)."""
+    from repro.observe.journal import operations
+
     accountant = HeatAccountant()
-    for event in mine_events(root, orpheus, journal):
-        accountant.record(event)
+    for op in operations(root, journal):
+        event = build_event(
+            orpheus, op.ts, op.command, op.dataset, op.versions,
+            op.rows_returned, op.rows_scanned, op.bytes_scanned,
+            op.rows_written, op.bytes_written, op.status,
+        )
+        if event is not None:
+            accountant.record(event)
     return accountant
 
 

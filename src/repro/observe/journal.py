@@ -401,3 +401,59 @@ def fill_record(
         record.error_type = type(error).__name__
         record.error_message = str(error)
     return record
+
+
+@dataclass
+class Operation:
+    """One finished command as the record holds it: an orpheusd request
+    (``source`` ``service``, ``seconds`` its ``total_s``) or a journal
+    record (``cli``, ``seconds`` its ``duration_s``)."""
+
+    source: str
+    command: str
+    ts: float
+    status: str
+    error_type: str | None
+    seconds: float | None
+    dataset: str | None
+    versions: tuple
+    rows_returned: int
+    rows_scanned: int
+    bytes_scanned: int
+    rows_written: int
+    bytes_written: int
+
+
+def operations(
+    root: str | None, journal: list[dict] | None = None
+) -> list[Operation]:
+    """Every finished command the flight record and the ops journal
+    (``journal``: its records when the caller already read them) hold,
+    in timestamp order: the one reader behind ``orpheus heat`` and
+    ``orpheus stats``. A journal record with a flight twin (a daemon
+    op, matched by trace id) is skipped, so each command counts once."""
+    from repro.service.recorder import flight_dir_path, read_flight
+
+    found: list[Operation] = []
+    twins: set = set()
+    for record in read_flight(flight_dir_path(root))["records"]:
+        twins.add(record.get("trace"))
+        found.append(Operation(
+            "service", str(record.get("op")), float(record.get("ts") or 0.0),
+            record.get("status"), record.get("error_type"),
+            record.get("total_s"), record.get("dataset"),
+            tuple(record.get("versions") or ()),
+            *(record.get(key) or 0 for key in ("rows_returned", *SCAN_FIELDS)),
+        ))
+    for record in Journal(root).read() if journal is None else journal:
+        if record.get("trace_id") in twins:
+            continue  # the daemon journaled it *and* flight-recorded it
+        found.append(Operation(
+            "cli", str(record.get("command")), float(record.get("ts") or 0.0),
+            record.get("status"), (record.get("error") or {}).get("type"),
+            record.get("duration_s"), record.get("dataset"),
+            tuple(requested_versions(record)),
+            *(record.get(key) or 0 for key in ("rows", *SCAN_FIELDS)),
+        ))
+    found.sort(key=lambda op: op.ts)
+    return found

@@ -8,11 +8,11 @@ Benchmarks report both wall-clock and these counters; the counters are what
 make the Figure 5.7 cost-model validation deterministic.
 
 Every charge is mirrored into the process telemetry registry under the
-``storage.io.*`` counter family, so the accumulated
-``.orpheus/telemetry.json`` (and therefore ``orpheus stats``) carries
-*lifetime* I/O totals across invocations — not just the per-EXPLAIN
-snapshots a single command sees. While telemetry is disabled (the
-default for embedding programs) the mirror costs one branch per charge.
+``storage.io.*`` counter family: a command's ``--timings`` prints them,
+and a journaled command stamps their sums on its op record, which
+``orpheus stats`` and ``orpheus heat`` add up across invocations.
+While telemetry is disabled (the default for embedding programs) the
+mirror costs one branch per charge.
 
 Operators charge once per call with summed ``(rows, bytes)``, never once
 per row, which is what makes a lock per charge affordable.

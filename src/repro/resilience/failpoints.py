@@ -2,7 +2,7 @@
 
 A *failpoint* is a named site in a code path worth breaking on purpose:
 the durability-critical storage steps (state store, journal, CSV
-writer, telemetry save, page write-back) and the daemon's
+writer, page write-back) and the daemon's
 request path (connection, worker, state save, cache). Sites call
 :func:`fire`, which is one dict lookup when nothing is armed, so the
 hooks stay in production code permanently.
@@ -67,8 +67,6 @@ STORAGE_SITES = frozenset(
         "journal.after_append",
         # CSV writer (repro.core.csvio) — torn checkout files
         "csv.mid_write",
-        # telemetry accumulator save (repro.cli)
-        "telemetry.before_save",
         # paged state layout (repro.pagestore.store) — dirty-page
         # write-back
         "pagestore.before_page_write",

@@ -18,8 +18,8 @@ Two shapes cover every on-disk artifact the repository owns:
   their cost does not grow with the file.
 
 Each caller says whether its file is worth an ``fsync`` (state, pages
-and the operation journal are; telemetry, the daemon status file and
-flight segments are observability and are not). ``docs/resilience.md``
+and the operation journal are; the daemon status file and flight
+segments are observability and are not). ``docs/resilience.md``
 has the table.
 """
 

@@ -6,9 +6,9 @@ update. Every CLI invocation now brackets its work in a
 :class:`RepositoryLock` on ``.orpheus/repo.lock``:
 
 * **exclusive** for mutating commands (init/checkout/commit/drop/
-  optimize/user management/recover/stats --reset),
-* **shared** for readers (ls/log/diff/doctor/stats), so reads never
-  queue behind each other.
+  optimize/user management/recover),
+* **shared** for readers (ls/log/diff/doctor/stats/heat), so reads
+  never queue behind each other.
 
 The primary implementation is ``fcntl.flock`` — the kernel releases it
 when the holder dies, so a crashed process can never wedge the
@@ -17,17 +17,12 @@ fallback takes over; there stale locks *are* possible, so the fallback
 breaks locks whose recorded pid is dead or whose file has not been
 touched within ``stale_after`` seconds.
 
-Contention is surfaced in telemetry: ``resilience.lock.acquired`` /
-``.contention`` / ``.stale_broken`` counters and the
-``resilience.lock.wait_seconds`` histogram, all visible in
-``orpheus stats``. Waiters retry with jittered exponential backoff and
+Contention is surfaced in telemetry: the ``resilience.lock.acquired``
+/ ``.contention`` / ``.stale_broken`` counters, which a command's
+``--timings`` prints, and the ``resilience.lock.wait_seconds``
+histogram. Waiters retry with jittered exponential backoff and
 give up after ``timeout`` seconds (``ORPHEUS_LOCK_TIMEOUT`` overrides)
 with an error naming the holder.
-
-:func:`fold_lock` is the second, much shorter lock: readers share the
-repository lock, so the one read-modify-write they all do — folding
-their telemetry into the accumulator — queues on a file of its own
-instead.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ import os
 import random
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from repro import telemetry
@@ -48,7 +42,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 LOCK_FILE = "repo.lock"
-FOLD_LOCK_FILE = "fold.lock"
 ENV_TIMEOUT = "ORPHEUS_LOCK_TIMEOUT"
 DEFAULT_TIMEOUT = 10.0
 #: Fallback mode only: a lock file older than this with a dead holder is
@@ -255,23 +248,3 @@ class RepositoryLock:
             f"repository lock on {self.path}{detail}; retry, raise "
             f"{ENV_TIMEOUT}, or remove the lock file if the holder is gone"
         )
-
-
-@contextmanager
-def fold_lock(root: str | None = None):
-    """Hold an exclusive ``flock`` on ``.orpheus/fold.lock`` around one
-    fold into ``telemetry.json``, so readers
-    that share the repository lock do not lose each other's updates.
-    Blocking and short: a fold is a few file reads and writes. Without
-    ``fcntl`` it is a no-op, because the fallback repository lock is
-    exclusive for readers too."""
-    if fcntl is None:  # pragma: no cover - non-POSIX platforms
-        yield
-        return
-    path = Path(root or ".") / ".orpheus" / FOLD_LOCK_FILE
-    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)  # closing the descriptor releases the flock

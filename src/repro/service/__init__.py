@@ -24,9 +24,8 @@ concurrency, caching, and backpressure become first-class subsystems:
   included, are near-free.
 * :mod:`repro.service.daemon` — the server: owns the repository lock
   for its lifetime, runs crash recovery at startup, journals mutations
-  through the same operation journal as the CLI, folds
-  telemetry into the repository accumulator, and drains gracefully on
-  SIGTERM.
+  through the same operation journal as the CLI, and drains
+  gracefully on SIGTERM.
 * :mod:`repro.service.client` — the thin client library behind
   ``orpheus remote <cmd>``.
 * :mod:`repro.service.recorder` — the always-on, bounded workload

@@ -28,9 +28,9 @@ between the two loses only the pin, never version history — the same
 artifact recovery the CLI already has cleans up the file.
 
 Shutdown (SIGTERM/SIGINT or a ``shutdown`` request): stop accepting,
-drain the scheduler, save state, fold telemetry into the repository
-accumulator (so ``orpheus stats`` sees the daemon's spans), remove
-the socket and status file, release the lock, exit 0.
+drain the scheduler, save state, remove the socket and status file,
+release the lock, exit 0. ``orpheus stats`` reads the daemon's requests
+from its flight record.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ SOCKET_FILE = "service.sock"
 #: repository root (recorded in service.json, so clients still find it).
 _MAX_SOCKET_PATH = 100
 
-#: How often the housekeeping thread folds telemetry into
-#: ``.orpheus/telemetry.json`` (seconds).
-FOLD_INTERVAL = 30.0
+#: Seconds between the housekeeping thread's degraded-save probes.
+PROBE_INTERVAL = 30.0
 
 #: Seconds the drain waits for queued work before closing connections.
 DRAIN_TIMEOUT = 30.0
@@ -146,7 +145,6 @@ class ServiceConfig:
     write_queue_depth: int = DEFAULT_WRITE_QUEUE_DEPTH
     per_cvd_depth: int | None = None
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT
-    fold_interval: float = FOLD_INTERVAL
     #: None disables the HTTP monitoring sidecar; 0 binds an ephemeral
     #: port (recorded in service.json for scrapers to discover).
     metrics_port: int | None = None
@@ -309,7 +307,6 @@ class ServiceDaemon:
                 # the last durable one; nothing acked depends on this).
                 pass
         self.recorder.close()
-        self._fold_telemetry(final=True)
         socket_path = self.config.resolved_socket()
         try:
             os.unlink(socket_path)
@@ -373,12 +370,8 @@ class ServiceDaemon:
             thread.start()
 
     def _housekeeping_loop(self) -> None:
-        while not self._stop.wait(self.config.fold_interval):
-            self._housekeeping_tick()
-
-    def _housekeeping_tick(self) -> None:
-        self._fold_telemetry()
-        self._probe_degraded()
+        while not self._stop.wait(PROBE_INTERVAL):
+            self._probe_degraded()
 
     def _probe_degraded(self) -> None:
         """While degraded, periodically probe the save path; the first
@@ -394,23 +387,6 @@ class ServiceDaemon:
                 self._save_state_guarded(bracket=True)
             except Exception:
                 return  # still degraded; the next interval retries
-
-    def _fold_telemetry(self, final: bool = False) -> None:
-        """Merge this process's telemetry into the repository
-        accumulator and reset the registry so the next fold is a delta.
-        Keeps ``orpheus stats`` meaningful while the daemon runs."""
-        from repro.cli import load_telemetry, save_telemetry
-
-        try:
-            save_telemetry(
-                load_telemetry(self.root).merged(telemetry.snapshot()),
-                self.root,
-            )
-        except OSError:
-            if final:
-                raise
-            return
-        telemetry.reset()
 
     # ------------------------------------------------------------------
     # Connections and dispatch
@@ -1040,6 +1016,10 @@ class ServiceDaemon:
         payload["quarantine"] = self.quarantine.status()
         payload["faults"] = failpoints.stats()
         payload["buffer_pool"] = self.buffer_pool_stats()
+        # What the ledger has no field for, counted since this start.
+        payload["telemetry"] = {
+            "counters": telemetry.get_registry().counters("service.")
+        }
         return payload
 
     def buffer_pool_stats(self) -> dict:

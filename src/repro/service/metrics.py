@@ -1,16 +1,10 @@
 """Daemon-lifetime service metrics: the data behind the `stats` op.
 
-The daemon periodically folds the process-global telemetry registry
-into ``.orpheus/telemetry.json`` and *resets* it, which makes the
-registry a rolling delta — fine for the fold file, useless for a
-Prometheus scraper that needs monotonic counters or for ``orpheus top``
-which wants daemon-lifetime aggregates. :class:`ServiceMetrics` is the
-complement: it accumulates every finished :class:`RequestTrace` for the
-daemon's whole lifetime, independent of the telemetry enabled flag and
-its fold/reset cycle.
-
-It is the daemon's one request ledger, each outcome counted once when
-its request is finalized, and keeps, under one lock:
+:class:`ServiceMetrics` is the daemon's one request ledger. It
+accumulates every finished :class:`RequestTrace` for the daemon's
+whole lifetime, independent of the telemetry enabled flag, each
+outcome counted once when its request is finalized, and keeps, under
+one lock:
 
 * global request/error/BUSY/deadline/degraded/worker-error totals;
 * per-op latency and per-phase (admission/queue-wait/execute/serialize)
@@ -24,7 +18,7 @@ its request is finalized, and keeps, under one lock:
 Rendering reuses the telemetry layer's exposition-format helpers so the
 ``/metrics`` endpoint and ``orpheus stats --prometheus`` agree on
 escaping rules; service families are prefixed ``orpheusd_`` to keep
-them distinct from the folded ``repro_*`` telemetry families.
+them distinct from the ``repro_*`` telemetry families.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ Design constraints, in order:
    The version-control layer itself is single-threaded today, but the
    ROADMAP's scaling direction (sharding, async) must not require
    re-plumbing the metrics layer.
-3. **Mergeable.** Snapshots of two registries (e.g. two CLI
-   invocations) combine losslessly for counters and approximately for
-   histogram percentiles (bounded reservoirs, deterministic
-   decimation — no randomness, so tests are reproducible).
+3. **Bounded.** A histogram keeps a bounded reservoir, decimated
+   deterministically (no randomness, so tests are reproducible), so a
+   long-lived registry — orpheusd's, or the one ``orpheus stats``
+   fills from the record — stays small.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Histogram:
         return ordered[rank]
 
     def summary(self) -> dict:
-        """Serializable form; ``values`` keeps the reservoir for merges."""
+        """Serializable form (the reservoir stays in the registry)."""
         return {
             "count": self.count,
             "total": self.total,
@@ -75,8 +75,6 @@ class Histogram:
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),
-            "values": list(self.values),
-            "stride": self.stride,
         }
 
 
@@ -122,7 +120,7 @@ class Registry:
         self._histograms: dict[str, Histogram] = {}
         self._spans: dict[str, SpanStats] = {}
         #: The most recently completed *root* span tree (a SpanNode),
-        #: kept for `orpheus --timings`; not part of merged snapshots.
+        #: kept for `orpheus --timings`; not part of snapshots.
         self.last_root = None
 
     # -- mutators (each bails on the first line when disabled) ----------
@@ -164,6 +162,14 @@ class Registry:
     # -- readers --------------------------------------------------------
     def counter_value(self, name: str) -> float:
         return self._counters.get(name, 0)
+
+    def counters(self, prefix: str = "") -> dict[str, float]:
+        """The non-zero counters whose names start with ``prefix``."""
+        with self._lock:
+            return {
+                name: value for name, value in self._counters.items()
+                if value and name.startswith(prefix)
+            }
 
     def snapshot(self):
         """Freeze the registry into a :class:`~repro.telemetry.snapshot.Snapshot`."""

@@ -1,8 +1,8 @@
 """Point-in-time views of the metrics registry, in three wire formats.
 
-A :class:`Snapshot` is a plain-data object (JSON round-trippable) so the
-CLI can accumulate one per invocation in ``.orpheus/telemetry.json`` and
-``orpheus stats`` can render the merged history. Renderers:
+A :class:`Snapshot` is a plain-data object: a registry's contents —
+one invocation's (``--timings``), orpheusd's, or the registry
+``orpheus stats`` fills from the journal and the flight record. Renderers:
 
 * :meth:`Snapshot.to_json` — machine-readable (``orpheus stats --json``);
 * :meth:`Snapshot.render_text` — the human ``orpheus stats`` output;
@@ -16,8 +16,6 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from repro.telemetry.registry import RESERVOIR_CAP
-
 
 @dataclass
 class Snapshot:
@@ -26,8 +24,7 @@ class Snapshot:
     Attributes:
         counters: name -> monotonically accumulated value.
         gauges: name -> last set value.
-        histograms: name -> summary dict (count/total/min/max/p50/p95
-            plus the bounded ``values`` reservoir used for merging).
+        histograms: name -> summary dict (count/total/min/max/p50/p95/p99).
         spans: name -> {count, errors, seconds: histogram summary}.
     """
 
@@ -50,64 +47,8 @@ class Snapshot:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Snapshot":
-        return cls(
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            histograms={
-                k: dict(v) for k, v in data.get("histograms", {}).items()
-            },
-            spans={k: dict(v) for k, v in data.get("spans", {}).items()},
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Snapshot":
-        return cls.from_dict(json.loads(text))
-
     def is_empty(self) -> bool:
         return not (self.counters or self.gauges or self.histograms or self.spans)
-
-    # ------------------------------------------------------------------
-    # Merging (counters add; gauges last-wins; histograms combine)
-    # ------------------------------------------------------------------
-    def merged(self, other: "Snapshot") -> "Snapshot":
-        """This snapshot combined with a later one."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges = {**self.gauges, **other.gauges}
-        histograms = dict(self.histograms)
-        for name, summary in other.histograms.items():
-            histograms[name] = (
-                _merge_histogram(histograms[name], summary)
-                if name in histograms
-                else dict(summary)
-            )
-        spans = dict(self.spans)
-        for name, stats in other.spans.items():
-            if name in spans:
-                merged_span = {
-                    "count": spans[name]["count"] + stats["count"],
-                    "errors": spans[name]["errors"] + stats["errors"],
-                    "seconds": _merge_histogram(
-                        spans[name]["seconds"], stats["seconds"]
-                    ),
-                }
-                failed_a = spans[name].get("failed_seconds")
-                failed_b = stats.get("failed_seconds")
-                if failed_a and failed_b:
-                    merged_span["failed_seconds"] = _merge_histogram(
-                        failed_a, failed_b
-                    )
-                elif failed_a or failed_b:
-                    merged_span["failed_seconds"] = dict(failed_a or failed_b)
-                spans[name] = merged_span
-            else:
-                spans[name] = dict(stats)
-        return Snapshot(
-            counters=counters, gauges=gauges, histograms=histograms, spans=spans
-        )
 
     # ------------------------------------------------------------------
     # Renderers
@@ -176,36 +117,6 @@ class Snapshot:
             lines.append(f"# TYPE {error_metric} counter")
             lines.append(f"{error_metric} {stats['errors']}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _merge_histogram(first: dict, second: dict) -> dict:
-    count = first["count"] + second["count"]
-    total = first["total"] + second["total"]
-    mins = [v for v in (first["min"], second["min"]) if v is not None]
-    maxs = [v for v in (first["max"], second["max"]) if v is not None]
-    values = list(first.get("values", ())) + list(second.get("values", ()))
-    stride = max(first.get("stride", 1), second.get("stride", 1))
-    while len(values) > RESERVOIR_CAP:
-        values = values[::2]
-        stride *= 2
-    ordered = sorted(values)
-
-    def percentile(fraction: float) -> float | None:
-        if not ordered:
-            return None
-        return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
-
-    return {
-        "count": count,
-        "total": total,
-        "min": min(mins) if mins else None,
-        "max": max(maxs) if maxs else None,
-        "p50": percentile(0.50),
-        "p95": percentile(0.95),
-        "p99": percentile(0.99),
-        "values": values,
-        "stride": stride,
-    }
 
 
 def _prom_name(name: str) -> str:

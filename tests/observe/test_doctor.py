@@ -18,7 +18,6 @@ from repro.observe.doctor import (
     probe_delta_chains,
     probe_orphaned_versions,
     probe_stale_staging,
-    probe_telemetry_accumulator,
     run_doctor,
 )
 from repro.partition.partitioned_store import PartitionedRlistStore
@@ -143,14 +142,6 @@ class TestProbes:
         (result,) = probe_stale_staging(Checkup(orpheus))
         assert result.severity == "warn"
         assert "no longer exist" in result.summary
-
-    def test_corrupt_telemetry_accumulator_warns(self, tmp_path):
-        telemetry_dir = tmp_path / ".orpheus"
-        telemetry_dir.mkdir()
-        (telemetry_dir / "telemetry.json").write_text("{not json")
-        (result,) = probe_telemetry_accumulator(Checkup(root=str(tmp_path)))
-        assert result.severity == "warn"
-        assert "stats --reset" in result.remediation
 
 
 class TestReport:

@@ -25,7 +25,6 @@ from repro.observe.heat import (
     advise,
     build_event,
     mine,
-    mine_events,
     partition_of,
     resolve_access,
 )
@@ -317,8 +316,9 @@ class TestHeatCli:
         assert report["advisor"][0]["rank"] == 1
 
     def test_cli_leaves_no_telemetry_directory(self, tmp_path):
-        """Heat is mined, never kept: init, a checkout and a commit
-        write no ``.orpheus/telemetry/``."""
+        """Heat and stats are mined, never kept: init, a checkout and a
+        commit write no ``.orpheus/telemetry/`` and no
+        ``.orpheus/telemetry.json``."""
         root = self.seed(tmp_path)
         with open(tmp_path / "out.csv", "a") as handle:
             handle.write("k3,3\n")
@@ -326,7 +326,7 @@ class TestHeatCli:
             "--root", root, "commit", "-d", "demo",
             "-f", str(tmp_path / "out.csv"), "-m", "grow",
         ]) == 0
-        assert (tmp_path / ".orpheus" / "telemetry.json").exists()
+        assert not (tmp_path / ".orpheus" / "telemetry.json").exists()
         assert not (tmp_path / ".orpheus" / "telemetry").exists()
 
     def test_cli_text_rendering(self, tmp_path, capsys):
@@ -398,10 +398,11 @@ def test_mining_reads_a_flight_records_own_versions(tmp_path, shape, mined):
         "total_s": 0.001, **shape,
     })
     recorder.close()
-    (event,) = mine_events(str(tmp_path))
-    assert (event.command, event.dataset, event.versions) == (
-        "checkout", "d", mined,
-    )
+    heat = mine(str(tmp_path))
+    assert heat.events_total == 1
+    assert set(heat.samples) == {"(unknown)|checkout"}
+    assert set(heat.datasets) == {"d"}
+    assert set(heat.versions) == {f"d:{vid}" for vid in mined}
 
 
 def mined(heat) -> Checkup:

@@ -169,14 +169,6 @@ def stale_staging(scene):
     return fired, scene.doctor()
 
 
-def telemetry_accumulator(scene):
-    scene.init()
-    (scene.root / ".orpheus" / "telemetry.json").write_text("{not json")
-    fired = scene.doctor()
-    scene.cli("stats", "--reset")
-    return fired, scene.doctor()
-
-
 def journal(scene):
     """The state loses a journaled commit (an older generation put
     back); committing the same file again redoes it."""
@@ -343,7 +335,6 @@ PAIRS = {
     "delta_chains": (delta_chains, "--model split_by_rlist"),
     "orphaned_versions": (orphaned_versions, "restore .orpheus/state.pkl"),
     "stale_staging": (stale_staging, "orpheus recover"),
-    "telemetry_accumulator": (telemetry_accumulator, "orpheus stats --reset"),
     "journal": (journal, "redo the operations"),
     "state_integrity": (state_integrity, "orpheus recover"),
     "backup_freshness": (backup_freshness, "a commit"),

@@ -1,9 +1,9 @@
 """Read-only commands run side by side under the shared repository lock;
-their telemetry folds and journal records must still all land. Twelve
-real ``diff`` processes start their commands at the same instant: the
-telemetry accumulator must count exactly twelve more, and the heat
-model mined from the journal exactly twelve more events, each carrying
-its diff's scan footprint."""
+their journal records must still all land. Twelve real ``diff``
+processes start their commands at the same instant: ``orpheus stats``
+must count exactly twelve more, and the heat model mined from the
+journal exactly twelve more events, each carrying its diff's scan
+footprint."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from tests.resilience.conftest import SRC, SUBPROCESS_TIMEOUT, run_inproc
 READERS = 12
 
 #: Import first, then wait for the go file, so every process reaches
-#: its fold at about the same moment rather than staggered by imports.
+#: its journal append at about the same moment rather than staggered
+#: by imports.
 RUNNER = """
 import os, sys, time
 from repro.cli import main
@@ -39,12 +40,14 @@ def diff_sample(root) -> dict:
     return heat.samples.get("split_by_rlist|diff", empty)
 
 
-def diff_spans(root) -> int:
-    spans = json.loads((root / ".orpheus" / "telemetry.json").read_text())["spans"]
+def diff_spans(root, capsys) -> int:
+    capsys.readouterr()
+    assert run_inproc(root, "stats", "--json") == 0
+    spans = json.loads(capsys.readouterr().out)["spans"]
     return spans.get("cli.diff", {}).get("count", 0)
 
 
-def test_concurrent_readers_lose_no_fold(workspace):
+def test_concurrent_readers_lose_no_record(workspace, capsys):
     assert run_inproc(
         workspace, "init", "-d", "ds",
         "-f", str(workspace / "data.csv"), "-s", str(workspace / "schema.csv"),
@@ -61,7 +64,8 @@ def test_concurrent_readers_lose_no_fold(workspace):
         "storage.io.seq_rows"
     ) + registry.counter_value("storage.io.random_rows")
     assert per_diff > 0
-    before, spans_before = diff_sample(workspace), diff_spans(workspace)
+    before = diff_sample(workspace)
+    spans_before = diff_spans(workspace, capsys)
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
@@ -88,4 +92,4 @@ def test_concurrent_readers_lose_no_fold(workspace):
     after = diff_sample(workspace)
     assert after["events"] - before["events"] == READERS
     assert after["rows_scanned"] - before["rows_scanned"] == READERS * per_diff
-    assert diff_spans(workspace) - spans_before == READERS
+    assert diff_spans(workspace, capsys) - spans_before == READERS

@@ -94,6 +94,9 @@ class TestCorruptStateNoBackup:
 
 
 class TestCorruptTelemetry:
+    """A ``telemetry.json`` left by an older release is never read nor
+    rewritten: commands, ``stats`` and the doctor ignore it."""
+
     def test_commands_survive_corrupt_telemetry_json(self, workspace):
         build_repo(workspace)
         telemetry_file = workspace / ".orpheus" / "telemetry.json"
@@ -101,18 +104,19 @@ class TestCorruptTelemetry:
         proc = run_cli(workspace, "ls")
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
-        # The corrupt history is replaced by a fresh valid accumulator.
         proc = run_cli(workspace, "stats", "--json")
         assert proc.returncode == 0
-        json.loads(proc.stdout)
+        assert json.loads(proc.stdout)["spans"]["cli.init"]["count"] == 1
+        assert telemetry_file.read_text() == "{not valid json!!"
 
     def test_truncated_telemetry_json(self, workspace):
         build_repo(workspace)
         telemetry_file = workspace / ".orpheus" / "telemetry.json"
-        telemetry_file.write_text(telemetry_file.read_text()[:25])
+        telemetry_file.write_text('{"spans": {"cli.init"')
         proc = run_cli(workspace, "doctor")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "telemetry" not in proc.stdout
 
 
 class TestRecoverDryRunOutput:

@@ -31,7 +31,6 @@ COMMON_FAILPOINTS = [
     "statestore.after_replace",
     "journal.before_append",
     "journal.after_append",
-    "telemetry.before_save",
 ]
 
 COMMANDS = ["init", "checkout", "commit", "drop", "optimize"]
@@ -106,7 +105,6 @@ def test_repo_still_usable_after_commit_crash(failpoint, workspace):
         "statestore.after_replace",
         "journal.before_append",
         "journal.after_append",
-        "telemetry.before_save",
     )
     if not state_landed:
         # The commit never became durable; the retry performs it.

@@ -158,7 +158,7 @@ class TestStats:
 
 class TestRegistry:
     def test_one_registry_holds_both_families(self):
-        assert len(STORAGE_SITES) == 10 and len(SERVICE_SITES) == 6
+        assert len(STORAGE_SITES) == 9 and len(SERVICE_SITES) == 6
         assert REGISTERED == STORAGE_SITES | SERVICE_SITES
         assert set(SITE_ACTIONS) <= SERVICE_SITES
         for name in REGISTERED:

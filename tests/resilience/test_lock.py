@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 
@@ -166,6 +167,7 @@ class TestTwoProcessSmoke:
         def commit(name, spec):
             results[name] = run_cli(
                 workspace,
+                "--timings",
                 "commit",
                 "-d", "ds",
                 "-f", str(workspace / name),
@@ -182,14 +184,17 @@ class TestTwoProcessSmoke:
 
         for name, proc in results.items():
             assert proc.returncode == 0, (name, proc.stderr)
+            # --timings prints the invocation's counters under its spans
+            assert re.search(
+                r"^  resilience\.lock\.acquired +1$", proc.stderr, re.M
+            ), proc.stderr
         verify = run_cli(workspace, "log", "--ops", "--verify")
         assert verify.returncode == 0, verify.stderr
         stats = run_cli(workspace, "stats", "--json")
         assert stats.returncode == 0
-        payload = json.loads(stats.stdout)
+        payload = json.loads(stats.stdout)  # mined from the ops journal
         assert payload["spans"]["cli.commit"]["count"] == 2
-        counters = payload["counters"]
-        assert counters.get("resilience.lock.acquired", 0) >= 2
+        assert "commands.failed" not in payload["counters"]
 
 
 def test_pid_alive_reads_an_unexpected_kill_error_as_dead(monkeypatch):

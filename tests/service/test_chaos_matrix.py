@@ -119,6 +119,7 @@ def test_chaos_cell_containment(workspace, tmp_path, spec):
                 assert vid in graph_vids, (
                     f"acked commit v{vid} lost under {spec}"
                 )
+            counters = client.stats()["telemetry"]["counters"]
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=SUBPROCESS_TIMEOUT) == 0, (
             f"unclean drain under {spec}"
@@ -131,10 +132,7 @@ def test_chaos_cell_containment(workspace, tmp_path, spec):
     assert Journal(str(workspace)).pending() == []
     if spec.startswith("cache.corrupt_entry"):
         # the fault hit the served bytes exactly once and was caught
-        # (counters fold into the repository accumulator at drain)
-        from repro.cli import load_telemetry
-
-        counters = load_telemetry(str(workspace)).counters
+        # (the report carries the daemon-lifetime counters)
         assert counters.get("service.cache.corruption_detected") == 1
 
 

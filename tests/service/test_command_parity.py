@@ -169,9 +169,9 @@ def request_flags(command: str, remote: bool) -> set[str]:
 def test_remote_accepts_exactly_the_local_request_flags(command):
     local, remote = request_flags(command, False), request_flags(command, True)
     if command == "stats":
-        # Two commands under one name: the local one renders the
-        # telemetry history; the remote one asks orpheusd for its live
-        # metrics, optionally with its newest span trees.
+        # Two commands under one name: the local one mines the journal
+        # and the flight record; the remote one asks orpheusd for its
+        # live report, optionally with its newest span trees.
         assert (local, remote) == (set(), {"--recent"})
     else:
         assert remote == local

@@ -23,6 +23,7 @@ from repro.service.client import (
     daemon_running,
     read_status_file,
 )
+from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import PROTOCOL_VERSION
 
 from tests.service.conftest import seed_dataset
@@ -64,6 +65,25 @@ class TestLifecycle:
         assert status["server"]["datasets"] == 1
         for key in ("scheduler", "cache", "sessions", "requests"):
             assert key in status
+
+    def test_drain_finishes_beside_an_unwritable_leftover(self, workspace):
+        """A ``telemetry.json`` that can be neither read nor written
+        (here: a directory) does not stop a drain: ``shutdown()``
+        returns, the socket and ``service.json`` are gone, the daemon is
+        stopped and the repository lock is free."""
+        seed_dataset(workspace)
+        leftover = workspace / ".orpheus" / "telemetry.json"
+        leftover.unlink(missing_ok=True)  # a folding release wrote one
+        leftover.mkdir()
+        daemon = ServiceDaemon(ServiceConfig(root=str(workspace)))
+        daemon.start()
+        socket_path = Path(daemon.config.resolved_socket())
+        assert socket_path.exists()
+        daemon.shutdown()
+        assert daemon._stopped.is_set()
+        assert not socket_path.exists()
+        assert read_status_file(str(workspace)) is None
+        RepositoryLock(str(workspace), shared=False, timeout=2).acquire().release()
 
     def test_shutdown_op_drains(self, workspace, daemon_factory):
         seed_dataset(workspace)

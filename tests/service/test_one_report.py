@@ -12,7 +12,6 @@ import urllib.request
 
 import pytest
 
-from repro.cli import load_telemetry
 from repro.observe import doctor
 from repro.resilience import failpoints
 from repro.service import daemon as daemon_module
@@ -306,9 +305,9 @@ EVENTS = {
 def test_an_event_is_counted_in_the_report_and_nowhere_else(
     event, workspace, daemon_factory, tmp_path
 ):
-    """The report carries the event exactly once; the drain's fold into
-    ``telemetry.json`` holds no second count of anything the report
-    carries, and still holds the counters the report has no field for."""
+    """The report carries the event exactly once; its ``telemetry``
+    counters hold no second count of anything the ledger carries, and
+    do hold the counters the ledger has no field for."""
     config, act, expected, kept = EVENTS[event]
     seed_dataset(workspace)
     seed_dataset(workspace, "other")
@@ -331,10 +330,10 @@ def test_an_event_is_counted_in_the_report_and_nowhere_else(
         ]
         assert spans == ["checkout"] * 3
 
-    folded = load_telemetry(str(workspace))
+    counters = report["telemetry"]["counters"]
     kept = {"service.daemon.starts": 1, **kept}
-    assert {name: folded.counters.get(name) for name in kept} == kept
-    names = set(folded.counters) | set(folded.gauges)
+    assert {name: counters.get(name) for name in kept} == kept
+    names = set(counters)
     assert sorted(n for n in names if n.startswith(LEDGER_ONLY)) == []
 
 

@@ -187,7 +187,7 @@ def test_pulls_of_the_committed_head_are_hits_that_materialize_nothing(
 ):
     data, schema = write_inputs(workspace, rows=50)
     registry = telemetry.get_registry
-    with daemon_factory(fold_interval=3600) as handle:
+    with daemon_factory() as handle:
         with handle.client() as client:
             client.init(DATASET, data, schema)
             editor = Editor(client, workspace)

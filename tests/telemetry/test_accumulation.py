@@ -1,19 +1,14 @@
-"""``.orpheus/telemetry.json`` edge cases: corrupt/truncated recovery,
-concurrent-writer atomicity, reset semantics, and the p99/Prometheus
-rendering added to histogram summaries."""
+"""``orpheus stats`` across invocations: a leftover ``telemetry.json``
+from an older release is never read, a torn journal tail is skipped,
+and the p99/Prometheus rendering of histogram summaries."""
 
 from __future__ import annotations
 
 import json
-import threading
 
 from repro import telemetry
-from repro.cli import (
-    _telemetry_path,
-    load_telemetry,
-    main,
-    save_telemetry,
-)
+from repro.cli import main
+from repro.observe.journal import Journal
 from repro.telemetry.registry import Histogram
 from repro.telemetry.snapshot import (
     Snapshot,
@@ -40,72 +35,43 @@ def drive(workspace) -> None:
     ) == 0
 
 
+def stats(root, capsys) -> dict:
+    capsys.readouterr()
+    assert run(root, "stats", "--json") == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestCorruptRecovery:
-    def test_corrupt_file_loads_as_empty(self, tmp_path):
-        path = _telemetry_path(str(tmp_path))
-        path.parent.mkdir(parents=True)
-        path.write_text("definitely { not json")
-        assert load_telemetry(str(tmp_path)).is_empty()
+    def test_corrupt_file_loads_as_empty(self, tmp_path, capsys):
+        """A corrupt ``telemetry.json`` left by an older release is
+        never read: the history is empty and the file stays as it was."""
+        leftover = tmp_path / ".orpheus" / "telemetry.json"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_text("definitely { not json")
+        assert stats(tmp_path, capsys) == Snapshot().to_dict()
+        assert leftover.read_text() == "definitely { not json"
 
-    def test_truncated_file_loads_as_empty(self, tmp_path):
+    def test_truncated_file_loads_as_empty(self, tmp_path, capsys):
+        """A journal whose only op record is torn mid-line holds no
+        finished command."""
         drive(tmp_path)
-        path = _telemetry_path(str(tmp_path))
+        path = Journal(str(tmp_path)).path
         text = path.read_text()
-        path.write_text(text[: len(text) // 2])  # torn mid-write
-        assert load_telemetry(str(tmp_path)).is_empty()
+        path.write_text(text[: len(text) - 20])  # torn mid-write
+        assert stats(tmp_path, capsys)["spans"] == {}
 
-    def test_next_command_rebuilds_a_valid_history(self, tmp_path):
+    def test_next_command_rebuilds_a_valid_history(self, tmp_path, capsys):
         drive(tmp_path)
-        path = _telemetry_path(str(tmp_path))
-        path.write_text(path.read_text()[:10])
-        assert run(tmp_path, "ls") == 0
-        data = json.loads(path.read_text())
-        assert data["spans"]["cli.ls"]["count"] == 1
-        # The corrupt prefix was discarded, not merged.
-        assert "cli.init" not in data["spans"]
-
-
-class TestConcurrentWriters:
-    def test_last_writer_wins_and_file_stays_parseable(self, tmp_path):
-        snapshots = [
-            Snapshot(counters={f"writer.{i}": float(i)}) for i in range(8)
-        ]
-        threads = [
-            threading.Thread(target=save_telemetry, args=(s, str(tmp_path)))
-            for s in snapshots
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Atomic replace: the survivor is exactly one writer's snapshot,
-        # never an interleaving of two.
-        data = json.loads(_telemetry_path(str(tmp_path)).read_text())
-        assert len(data["counters"]) == 1
-        (name,) = data["counters"]
-        assert name.startswith("writer.")
-
-
-class TestReset:
-    def test_reset_leaves_empty_but_valid_file(self, tmp_path, capsys):
-        drive(tmp_path)
-        assert run(tmp_path, "stats", "--reset") == 0
-        path = _telemetry_path(str(tmp_path))
-        assert path.exists()
-        snapshot = Snapshot.from_json(path.read_text())
-        assert snapshot.is_empty()
-        capsys.readouterr()
-        assert run(tmp_path, "stats") == 0
-        assert "no telemetry recorded" in capsys.readouterr().out
-
-    def test_accumulation_resumes_after_reset(self, tmp_path, capsys):
-        drive(tmp_path)
-        assert run(tmp_path, "stats", "--reset") == 0
-        assert run(tmp_path, "ls") == 0
-        capsys.readouterr()
-        assert run(tmp_path, "stats", "--json") == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["spans"]["cli.ls"]["count"] == 1
+        leftover = tmp_path / ".orpheus" / "telemetry.json"
+        leftover.write_text("{not json")
+        assert run(
+            tmp_path, "checkout", "-d", "d", "-v", "1",
+            "-f", str(tmp_path / "out.csv"),
+        ) == 0
+        data = stats(tmp_path, capsys)
+        assert data["spans"]["cli.init"]["count"] == 1
+        assert data["spans"]["cli.checkout"]["count"] == 1
+        assert leftover.read_text() == "{not json"
 
 
 class TestP99:
@@ -117,17 +83,17 @@ class TestP99:
         assert summary["p99"] == 99.0
         assert summary["p50"] == 50.0
 
-    def test_merge_recomputes_p99(self):
-        a = Histogram("x")
-        b = Histogram("x")
-        for i in range(50):
-            a.add(float(i))
-        for i in range(50, 100):
-            b.add(float(i))
-        merged = Snapshot(histograms={"x": a.summary()}).merged(
-            Snapshot(histograms={"x": b.summary()})
-        )
-        assert merged.histograms["x"]["p99"] == 99.0
+    def test_merge_recomputes_p99(self, tmp_path, capsys):
+        """The p99 of a command is recomputed over every invocation's
+        journaled duration."""
+        journal = Journal(str(tmp_path))
+        for i in range(100):
+            journal.append({
+                "trace_id": f"{i:016x}", "command": "diff", "status": "ok",
+                "ts": float(i), "duration_s": float(i),
+            })
+        seconds = stats(tmp_path, capsys)["spans"]["cli.diff"]["seconds"]
+        assert (seconds["count"], seconds["p99"]) == (100, 99.0)
 
     def test_text_render_includes_p99_column(self):
         telemetry.enable()
@@ -192,9 +158,12 @@ class TestPrometheusHardening:
 
     def test_failed_seconds_exported(self, tmp_path, capsys):
         drive(tmp_path)
-        assert run(tmp_path, "log", "-d", "missing") == 1
+        assert run(
+            tmp_path, "checkout", "-d", "missing", "-v", "1",
+            "-f", str(tmp_path / "out.csv"),
+        ) == 1
         capsys.readouterr()
         assert run(tmp_path, "stats", "--prometheus") == 0
         text = capsys.readouterr().out
-        assert "repro_span_cli_log_failed_seconds_count 1" in text
+        assert "repro_span_cli_checkout_failed_seconds_count 1" in text
         assert "repro_commands_failed 1" in text

@@ -113,42 +113,44 @@ class TestCliStats:
         capsys.readouterr()
         assert run(workspace, "stats", "--json") == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["spans"]["cli.init"]["count"] == 1
-        assert data["spans"]["cli.checkout"]["count"] == 1
-        assert data["spans"]["cli.commit"]["count"] == 1
-        assert data["spans"]["cvd.commit"]["count"] == 2
-        assert data["counters"]["cvd.checkout.rows_materialized"] == 20
-        assert (
-            data["histograms"]["cvd.checkout.latency_seconds"]["count"] == 1
-        )
-        # The accumulated file round-trips through Snapshot unchanged.
-        from repro.telemetry.snapshot import Snapshot
-
-        assert Snapshot.from_dict(data).to_dict() == data
+        # One span per journaled command, mined from the ops journal;
+        # the spans inside a command are --timings' view, not stats'.
+        assert {name: s["count"] for name, s in data["spans"].items()} == {
+            "cli.init": 1, "cli.checkout": 1, "cli.commit": 1,
+        }
+        assert data["spans"]["cli.commit"]["seconds"]["count"] == 1
+        # The summed scan stamps: the checkout read 20 rows, the commit
+        # wrote its new row.
+        assert data["counters"]["io.rows_scanned"] >= 20
+        assert data["counters"]["io.rows_written"] >= 1
 
     def test_stats_accumulates_across_invocations(self, workspace, capsys):
         self._drive(workspace)
         assert run(workspace, "log", "-d", "d") == 0
+        assert run(workspace, "diff", "-d", "d", "-a", "1", "-b", "2") == 0
         capsys.readouterr()
         assert run(workspace, "stats", "--json") == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["spans"]["cli.log"]["count"] == 1
-        # Four successful invocations merged into one history.
+        assert data["spans"]["cli.diff"]["count"] == 1
+        # `log` journals nothing, so stats does not see it.
+        assert "cli.log" not in data["spans"]
+        # Four successful journaled invocations in one history.
         assert sum(
             s["count"] for n, s in data["spans"].items()
             if n.startswith("cli.")
         ) == 4
 
     def test_stats_prometheus_and_reset(self, workspace, capsys):
+        assert run(workspace, "stats") == 0
+        assert "no telemetry recorded" in capsys.readouterr().out
         self._drive(workspace)
         capsys.readouterr()
         assert run(workspace, "stats", "--prometheus") == 0
         text = capsys.readouterr().out
         assert "# TYPE repro_span_cli_init_seconds summary" in text
-        assert run(workspace, "stats", "--reset") == 0
-        capsys.readouterr()
-        assert run(workspace, "stats") == 0
-        assert "no telemetry recorded" in capsys.readouterr().out
+        # There is nothing to reset: the history is the journal.
+        with pytest.raises(SystemExit):
+            run(workspace, "stats", "--reset")
 
     def test_timings_prints_the_span_tree(self, workspace, capsys):
         assert run(
@@ -162,16 +164,20 @@ class TestCliStats:
         assert "cli.init" in err
         assert "command.init" in err
         assert "cvd.commit" in err
+        # ... and, under it, the invocation's non-zero counters.
+        assert "\ncounters\n" in err
+        assert "resilience.lock.acquired" in err
 
     def test_failed_command_is_folded_and_tagged(self, workspace, capsys):
-        assert run(workspace, "log", "-d", "missing") == 1
+        out = str(workspace / "out.csv")
+        assert run(workspace, "checkout", "-d", "missing", "-v", "1", "-f", out) == 1
         capsys.readouterr()
         assert run(workspace, "stats", "--json") == 0
         data = json.loads(capsys.readouterr().out)
         # The failure is recorded, counted, and typed ...
         assert data["counters"]["commands.failed"] == 1
         assert data["counters"]["commands.failed.CVDError"] == 1
-        span = data["spans"]["cli.log"]
+        span = data["spans"]["cli.checkout"]
         assert span["count"] == 1
         assert span["errors"] == 1
         # ... while the success-latency histogram stays clean: the failed

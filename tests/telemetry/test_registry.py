@@ -1,5 +1,5 @@
-"""Registry semantics: counters, gauges, histograms, spans, merging,
-thread safety, and the disabled no-op fast path."""
+"""Registry semantics: counters, gauges, histograms, spans, thread
+safety, and the disabled no-op fast path."""
 
 from __future__ import annotations
 
@@ -20,6 +20,13 @@ class TestCounters:
         telemetry.count("rows")
         telemetry.count("rows", 4)
         assert telemetry.snapshot().counters["rows"] == 5
+
+    def test_counters_reader_keeps_non_zero_names_with_the_prefix(self):
+        registry = Registry(enabled=True)
+        for name, amount in (("a.x", 2), ("a.zero", 0), ("b.y", 1)):
+            registry.inc(name, amount)
+        assert registry.counters("a.") == {"a.x": 2}
+        assert registry.counters() == {"a.x": 2, "b.y": 1}
 
     def test_disabled_records_nothing(self):
         telemetry.disable()
@@ -149,40 +156,8 @@ class TestThreadSafety:
 
 
 class TestSnapshotMerge:
-    def test_counters_add_gauges_last_wins(self):
-        a = Snapshot(counters={"x": 2}, gauges={"g": 1})
-        b = Snapshot(counters={"x": 3, "y": 1}, gauges={"g": 5})
-        merged = a.merged(b)
-        assert merged.counters == {"x": 5, "y": 1}
-        assert merged.gauges == {"g": 5}
-
-    def test_histograms_combine(self):
-        telemetry.enable()
-        for v in (1.0, 2.0):
-            telemetry.observe("lat", v)
-        first = telemetry.snapshot()
-        telemetry.reset()
-        for v in (3.0, 4.0):
-            telemetry.observe("lat", v)
-        merged = first.merged(telemetry.snapshot())
-        h = merged.histograms["lat"]
-        assert h["count"] == 4
-        assert h["total"] == 10.0
-        assert h["min"] == 1.0
-        assert h["max"] == 4.0
-
-    def test_span_stats_combine(self):
-        telemetry.enable()
-        with telemetry.span("s"):
-            pass
-        first = telemetry.snapshot()
-        telemetry.reset()
-        with pytest.raises(RuntimeError):
-            with telemetry.span("s"):
-                raise RuntimeError
-        merged = first.merged(telemetry.snapshot())
-        assert merged.spans["s"]["count"] == 2
-        assert merged.spans["s"]["errors"] == 1
+    """Snapshots no longer merge: one registry holds what ``orpheus
+    stats`` mines, and its snapshot serializes as it is."""
 
     def test_json_round_trip(self):
         telemetry.enable()
@@ -191,8 +166,7 @@ class TestSnapshotMerge:
         with telemetry.span("s"):
             pass
         snap = telemetry.snapshot()
-        again = Snapshot.from_json(snap.to_json())
-        assert again.to_dict() == snap.to_dict()
+        assert json.loads(snap.to_json()) == snap.to_dict()
 
 
 class TestRenderers:

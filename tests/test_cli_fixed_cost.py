@@ -1,12 +1,15 @@
 """The fixed cost of one CLI command, counted rather than timed: a
-command builds the top-level parser and its own sub-parser only, and
-its pending check reads the same tail of the journal however long the
-journal grows."""
+command builds the top-level parser and its own sub-parser only, its
+pending check reads the same tail of the journal however long the
+journal grows, and a reader writes nothing."""
 
 from __future__ import annotations
 
 import argparse
+import builtins
 import io
+import os
+import sys
 from pathlib import Path
 
 from repro.cli import main
@@ -76,3 +79,62 @@ def test_intent_log_parses_stay_bounded(tmp_path, monkeypatch):
     assert len(reads) == 480  # one check per command
     assert after[48] == after[480] <= 4096 < journal.stat().st_size // 16
     assert Journal(tmp_path).pending() == []
+
+
+def test_readers_write_nothing(tmp_path, monkeypatch):
+    """``ls`` and ``log`` (and ``stats``, ``heat`` and ``doctor``) on a
+    paged repository leave every file under ``.orpheus/`` as it was and
+    create none. They call neither ``fsio.atomic_write`` nor
+    ``fsio.append_jsonl``, and the one file they open for writing is
+    ``repo.lock``, to ``flock`` it."""
+    make_repo(tmp_path)
+    root = str(tmp_path)
+    assert main(["--root", root, "migrate-state", "--to", "paged"]) == 0
+    assert checkout(tmp_path) == 0
+    with open(tmp_path / "work.csv", "a", newline="") as handle:
+        handle.write("k4,4\r\n")
+    assert main([
+        "--root", root, "commit", "-d", "ds", "-f", str(tmp_path / "work.csv"),
+    ]) == 0
+    state = tmp_path / ".orpheus"
+    assert (state / "state.pkl").read_bytes()[:8] == b"ORPHSTA2"
+
+    def files() -> dict:
+        return {
+            str(path.relative_to(state)): (path.stat().st_size, path.stat().st_mtime_ns)
+            for path in state.rglob("*") if path.is_file()
+        }
+
+    calls: list[str] = []
+    for name in ("atomic_write", "append_jsonl"):
+        real = getattr(fsio, name)
+        for module in list(sys.modules.values()):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(
+                    module, name, lambda *a, _name=name, **k: calls.append(_name)
+                )
+    opened: list[str] = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def watched_open(path, mode="r", *args, **kwargs):
+        if isinstance(path, (str, Path)) and set(mode) & set("wax+"):
+            opened.append(os.path.basename(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    def watched_os_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_APPEND):
+            opened.append(os.path.basename(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    before = files()
+    monkeypatch.setattr(builtins, "open", watched_open)
+    monkeypatch.setattr(io, "open", watched_open)
+    monkeypatch.setattr(os, "open", watched_os_open)
+    assert main(["--root", root, "ls"]) == 0
+    assert main(["--root", root, "log", "-d", "ds"]) == 0
+    for reader in ("stats", "heat", "doctor"):
+        assert main(["--root", root, reader]) == 0
+    monkeypatch.undo()
+    assert calls == []
+    assert set(opened) == {"repo.lock"}
+    assert files() == before

@@ -71,7 +71,6 @@ LOCAL_CORPUS = [
     ["heat", "--dataset", "ds"],
     ["stats", "--json"],
     ["stats", "--prometheus"],
-    ["stats", "--reset"],
     ["--root", "r", "--timings", "ls"],
     ["--root=r", "whoami"],
     ["--timings", "--root", "r", "log", "-d", "ds"],
@@ -179,6 +178,7 @@ REFUSED = [
     ["serve", "--flight-" + "sample", "0.5"],
     ["serve", "--flight-" + "segment-mb", "1"],
     ["serve", "--flight-" + "segments", "3"],
+    ["stats", "--re" + "set"],
 ]
 
 

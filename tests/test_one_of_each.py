@@ -270,10 +270,9 @@ def _seed(root: Path) -> None:
 
 def test_orpheusd_counts_each_event_once(tmp_path):
     """A miss, two hits, a commit and a BUSY shed through an in-process
-    daemon: the folded ``telemetry.json`` holds none of the counters
-    the report keeps, and the report holds every one of them."""
+    daemon: the report's ``telemetry`` counters hold none of the
+    counters its ledger keeps, and the ledger holds every one of them."""
     from repro import telemetry
-    from repro.cli import load_telemetry
     from repro.resilience import failpoints
     from repro.service.client import ServiceBusyError
 
@@ -317,14 +316,14 @@ def test_orpheusd_counts_each_event_once(tmp_path):
                     time.sleep(0.01)
                     earlier_stats += 1
                     report = client.stats()
-        folded = load_telemetry(str(tmp_path))  # the drain's final fold
     finally:
         failpoints.clear()
         telemetry.reset()
         telemetry.disable()
 
-    assert folded.counters.get("service.daemon.starts") == 1
-    names = set(folded.counters) | set(folded.gauges)
+    counters = report["telemetry"]["counters"]
+    assert counters.get("service.daemon.starts") == 1
+    names = set(counters)
     assert sorted(n for n in names if n.startswith(LEDGER_ONLY)) == []
 
     requests, by_op = report["requests"], report["by_op"]
