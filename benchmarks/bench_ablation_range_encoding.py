@@ -33,7 +33,7 @@ def test_ablation_range_encoding(benchmark):
             )
             vids = sample_vids(history, 10)
             _res, seconds = timed(
-                lambda m=model, v=vids: [m.checkout_rids(x) for x in v]
+                lambda m=model, v=vids: [m.checkout_columns(x) for x in v]
             )
             stats[compress] = (
                 model.versioning_table.storage_bytes(),
@@ -70,6 +70,6 @@ def test_ablation_range_encoding(benchmark):
     model = SplitByRlistModel(db, "b", schema, compress_rlists=True)
     CVD.from_history(db, history, name="b", model=model, schema=schema)
     vid = history.commits[-1].vid
-    benchmark.pedantic(model.checkout_rids, args=(vid,), rounds=3, iterations=1)
+    benchmark.pedantic(model.checkout_columns, args=(vid,), rounds=3, iterations=1)
     for name, ratio in savings.items():
         assert ratio > 1.5, name

@@ -84,7 +84,7 @@ def quick_checkout_rlist(state) -> None:
     """Materialize 10 sampled versions — the panel (c) checkout path."""
     cvd, vids = state
     for vid in vids:
-        cvd.model.checkout_rids(vid)
+        cvd.model.checkout_columns(vid)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ def test_fig4_1c_checkout(benchmark, loaded):
             cvd, _t, history = loaded[model][name]
             vids = sample_vids(history, 15)
             _res, seconds = timed(
-                lambda c=cvd, v=vids: [c.model.checkout_rids(x) for x in v]
+                lambda c=cvd, v=vids: [c.model.checkout_columns(x) for x in v]
             )
             per_checkout = seconds / len(vids)
             checkout_seconds[(model, name)] = per_checkout
@@ -175,7 +175,7 @@ def test_fig4_1c_checkout(benchmark, loaded):
     cvd, _t, history = loaded["split_by_rlist"]["SCI_S"]
     vid = history.commits[-1].vid
     benchmark.pedantic(
-        cvd.model.checkout_rids, args=(vid,), rounds=3, iterations=1
+        cvd.model.checkout_columns, args=(vid,), rounds=3, iterations=1
     )
     # Shape: rlist checkout grows with dataset size; table-per-version
     # stays near-flat (reads only the relevant records).
@@ -232,7 +232,7 @@ def test_fig4_1_contents_agree(benchmark):
     for model in MODELS:
         cvd = load_cvd(history, model)
         contents = {
-            c.vid: sorted(rid for rid, _p in cvd.model.checkout_rids(c.vid))
+            c.vid: cvd.model.checkout_columns(c.vid)[0]
             for c in history.commits[:: max(1, len(history.commits) // 10)]
         }
         if reference is None:

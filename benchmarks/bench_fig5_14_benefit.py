@@ -56,7 +56,7 @@ def measure(history, gamma: float | None) -> tuple[float, float]:
         store.migrate_to(result.partitioning)
         model = store
     vids = sample_vids(history, 15)
-    _res, seconds = timed(lambda: [model.checkout_rids(v) for v in vids])
+    _res, seconds = timed(lambda: [model.checkout_columns(v) for v in vids])
     return seconds / len(vids), cvd.storage_bytes() / 1e6
 
 

@@ -59,7 +59,7 @@ def measured_checkout_seconds(history, partitioning: Partitioning) -> float:
     store.migrate_to(partitioning)
     vids = sample_vids(history, 12)
     _res, seconds = timed(
-        lambda: [store.checkout_rids(v) for v in vids]
+        lambda: [store.checkout_columns(v) for v in vids]
     )
     return seconds / len(vids)
 

@@ -28,7 +28,7 @@ from repro.vquel import Repository, run_query
 def mean_checkout_seconds(model, vids) -> float:
     started = time.perf_counter()
     for vid in vids:
-        model.checkout_rids(vid)
+        model.checkout_columns(vid)
     return (time.perf_counter() - started) / len(vids)
 
 
@@ -88,7 +88,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     store.auto_migrate = True
     head = cvd.versions.latest_vid()
-    head_rows = [payload for _rid, payload in store.checkout_rids(head)]
+    head_rows = store.checkout_columns(head)[1]
     new_vid = cvd.commit(
         head_rows + [(999_999,) * history.num_attributes],
         parents=[head],

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro import telemetry
 from repro.core.access import AccessController
-from repro.core.cvd import CVD, CheckoutResult
+from repro.core.cvd import CVD
 from repro.core.errors import CVDError
 from repro.core.csvio import read_csv, read_schema_file, write_csv, write_schema_file
 from repro.core.staging import StagingArea
@@ -174,6 +174,7 @@ class Orpheus:
         cvd = self.cvd(cvd_name)
         if merge_strategy == "precedence":
             result = cvd.checkout(vids)
+            rows, parents = result.rows, result.parents
         else:
             from repro.core.merge import merge_latest, merge_strict
 
@@ -187,23 +188,17 @@ class Orpheus:
                     f"unknown merge strategy {merge_strategy!r}; have "
                     f"precedence, latest, strict"
                 ) from None
-            merged = merge(cvd, vids)
-            result = CheckoutResult(
-                rows=merged.rows,
-                rid_map={},
-                parents=tuple(vids),
-                columns=cvd.schema.column_names,
-            )
+            rows, parents = merge(cvd, vids).rows, tuple(vids)
         table = self.staging.materialize(
             table_name,
             cvd.schema,
-            result.rows,
+            rows,
             cvd_name,
-            result.parents,
+            parents,
             owner=self.access.current_user or "",
         )
-        telemetry.count("command.checkout.rows_materialized", len(result.rows))
-        for parent in result.parents:
+        telemetry.count("command.checkout.rows_materialized", len(rows))
+        for parent in parents:
             cvd.versions.get(parent).checkout_time = telemetry.now()
         return table
 

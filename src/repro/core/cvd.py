@@ -39,22 +39,17 @@ class CheckoutResult:
     Attributes:
         rows: The materialized records (payload tuples, data attributes
             only) after primary-key precedence resolution.
-        rid_map: primary-key tuple -> rid for every surviving row; used on
-            commit to recognize unchanged records.
+        rids: ``rids[i]`` is the rid of ``rows[i]``. For one version
+            both lists are those the data model returned, rids ascending.
         parents: The versions this checkout was derived from, in
             precedence order.
         columns: Column names of the rows.
     """
 
     rows: list[tuple]
-    rid_map: dict[tuple, int]
+    rids: list[int]
     parents: tuple[int, ...]
     columns: list[str]
-
-    @property
-    def rids(self) -> list[int]:
-        """The rows' rids, in row order."""
-        return list(self.rid_map.values())
 
 
 class CVD:
@@ -540,7 +535,9 @@ class CVD:
         With several vids, records are merged in precedence order: a
         record whose primary key was already produced by an earlier
         version in the list is omitted (Section 3.3.1). Without a primary
-        key, the rid itself deduplicates.
+        key, the rid itself deduplicates. One version's keys are unique
+        (a commit checks them), so its columns are returned as the model
+        built them.
         """
         if isinstance(vids, int):
             vids = (vids,)
@@ -550,29 +547,20 @@ class CVD:
         with telemetry.span(
             "cvd.checkout", dataset=self.name, versions=len(vids)
         ) as checkout_span:
-            rows: list[tuple] = []
-            rid_map: dict[tuple, int] = {}
-            scanned = 0
-            key_positions = self.schema.key_positions()
-            if len(key_positions) == 1:  # itemgetter(i) returns a bare value
-                (column,) = key_positions
-                key_of = lambda payload: (payload[column],)  # noqa: E731
-            else:
-                key_of = itemgetter(*key_positions) if key_positions else None
+            versions = []
             for vid in vids:
                 self.versions.get(vid)
                 with telemetry.span(
                     "model.checkout", model=self.model.model_name, vid=vid
                 ) as model_span:
-                    version_rows = self.model.checkout_rids(vid)
+                    versions.append(self.model.checkout_columns(vid))
                     if model_span is not None:
-                        model_span.set_attr("rows", len(version_rows))
-                scanned += len(version_rows)
-                for rid, payload in version_rows:
-                    key = key_of(payload) if key_of else (rid,)
-                    if key not in rid_map:  # earlier versions take precedence
-                        rid_map[key] = rid
-                        rows.append(payload)
+                        model_span.set_attr("rows", len(versions[-1][0]))
+            if len(versions) == 1:
+                ((rids, rows),) = versions
+            else:
+                rids, rows = self._precedence_merge(versions)
+            scanned = sum(len(version_rids) for version_rids, _ in versions)
             telemetry.count("cvd.checkout.rows_materialized", len(rows))
             telemetry.count("cvd.checkout.rows_deduplicated", scanned - len(rows))
             if checkout_span is not None:
@@ -582,10 +570,29 @@ class CVD:
         )
         return CheckoutResult(
             rows=rows,
-            rid_map=rid_map,
+            rids=rids,
             parents=tuple(vids),
             columns=self.schema.column_names,
         )
+
+    def _precedence_merge(
+        self, versions: Sequence[tuple[list[int], list[tuple]]]
+    ) -> tuple[list[int], list[tuple]]:
+        """Concatenate the versions' columns, keeping a row only if no
+        earlier one had its primary key (its rid, without a key)."""
+        key_positions = self.schema.key_positions()
+        key_of = itemgetter(*key_positions) if key_positions else None
+        seen: set = set()
+        rids: list[int] = []
+        rows: list[tuple] = []
+        for version_rids, payloads in versions:
+            keys = map(key_of, payloads) if key_of else version_rids
+            for rid, payload, key in zip(version_rids, payloads, keys):
+                if key not in seen:
+                    seen.add(key)
+                    rids.append(rid)
+                    rows.append(payload)
+        return rids, rows
 
     # ------------------------------------------------------------------
     # Versioned set operations (Section 3.3.2 functional primitives)

@@ -66,7 +66,7 @@ def _collect(cvd: CVD, vids: Sequence[int]):
     grouped: dict[tuple, list[tuple[int, tuple]]] = {}
     order: list[tuple] = []
     for vid in vids:
-        for rid, payload in cvd.model.checkout_rids(vid):
+        for rid, payload in zip(*cvd.model.checkout_columns(vid)):
             key = (
                 tuple(payload[i] for i in key_positions)
                 if key_positions

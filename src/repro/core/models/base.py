@@ -5,22 +5,19 @@ no-cross-version-diff rule of Section 3.3.1), the version graph, and
 primary-key precedence during multi-version checkout. A data model only
 answers *where bytes live*: given a version's full rid membership and the
 payloads of records that are new to the CVD, persist them; given a vid,
-produce the (rid, payload) pairs of that version.
+produce that version's rids and payloads.
 """
 
 from __future__ import annotations
 
 import abc
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Row, Table
 from repro.relational.types import INT, INT_ARRAY
-
-RecordRow = tuple[int, tuple]
-"""(rid, payload) — payload is the tuple of data-attribute values."""
-
 
 class DataModel(abc.ABC):
     """Abstract physical design for storing a CVD's versions."""
@@ -54,6 +51,10 @@ class DataModel(abc.ABC):
             if name not in self._UNSAVED
         }
 
+    @property
+    def _arity(self) -> int:
+        return len(self.data_schema.columns)
+
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def commit_version(
@@ -81,15 +82,31 @@ class DataModel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
-        """Return all (rid, payload) pairs of version ``vid``, in
-        ascending rid order."""
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
+        """Version ``vid`` as two parallel lists: its rids in ascending
+        order, and each rid's payload (the tuple of data-attribute
+        values), both built from the access path's rows with no pair
+        per row. The lists are the caller's own."""
+
+    def _columns_of(
+        self, rows: Sequence[Row], offset: int = 1
+    ) -> tuple[list[int], list[tuple]]:
+        """Checkout columns of table ``rows`` whose rid is column 0 and
+        whose data attributes start at ``offset``. A heap holds its rows
+        in insertion order, which a reused partition or a re-inserted
+        row takes out of rid order; such rows are sorted first."""
+        rids = list(map(itemgetter(0), rows))
+        if rids != sorted(rids):
+            rows = sorted(rows, key=itemgetter(0))
+            rids.sort()
+        payload = itemgetter(slice(offset, offset + self._arity))
+        return rids, list(map(payload, rows))
 
     def rids_of(self, vid: int) -> frozenset[int]:
         """The rids of version ``vid``, read from the tables. Models
         that store rid lists override this with something cheaper than
         a checkout."""
-        return frozenset(rid for rid, _payload in self.checkout_rids(vid))
+        return frozenset(self.checkout_columns(vid)[0])
 
     def payloads_of(
         self, rids: Iterable[int], vid: int | None = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro import telemetry
-from repro.core.models.base import DataModel, RecordRow
+from repro.core.models.base import DataModel
 from repro.relational.expressions import (
     ArrayAppend,
     ArrayContainedBy,
@@ -33,10 +33,6 @@ class CombinedTableModel(DataModel):
             self._combined_schema(),
             cluster_order=ClusterOrder.RID,
         )
-
-    @property
-    def _arity(self) -> int:
-        return len(self.data_schema.columns)
 
     def table_names(self) -> list[str]:
         return [self._table.name]
@@ -67,11 +63,11 @@ class CombinedTableModel(DataModel):
     def stored_versions(self) -> set[int]:
         return set().union(*(row[1] for row in self._table.rows_snapshot()))
 
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         predicate = ArrayContainedBy(lit([vid]), col("vlist"))
         rows = list(self._table.scan_where(predicate))
         telemetry.count("model.combined_table.rows_checked_out", len(rows))
-        return [(row[0], tuple(row[2 : 2 + self._arity])) for row in rows]
+        return self._columns_of(rows, offset=2)
 
     def explain_checkout(self, vid: int):
         """Full scan of the one combined table with a containment filter."""

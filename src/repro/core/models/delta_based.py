@@ -15,13 +15,12 @@ paper's qualitative argument against it despite competitive storage.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
-from repro.core.models.base import DataModel, RecordRow
+from repro.core.models.base import DataModel
 from repro.relational.schema import ColumnDef, Schema
-from repro.relational.table import Table
+from repro.relational.table import Row, Table
 from repro.relational.types import BOOL, INT
 
 
@@ -39,10 +38,6 @@ class DeltaBasedModel(DataModel):
                 primary_key=("vid",),
             ),
         )
-
-    @property
-    def _arity(self) -> int:
-        return len(self.data_schema.columns)
 
     def table_names(self) -> list[str]:
         return [self._precedent.name] + [
@@ -119,14 +114,13 @@ class DeltaBasedModel(DataModel):
     def stored_versions(self) -> set[int]:
         return set(self._delta_tables)
 
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         if vid not in self._delta_tables:
-            return []
+            return [], []
         seen: set[int] = set()
-        result: list[RecordRow] = []
+        live: list[Row] = []
         chain = self.chain_of(vid)
         telemetry.observe("model.delta_based.chain_length", len(chain))
-        width = self._arity
         for step in chain:
             # rid is the delta table's key, so a step never repeats one.
             fresh = [
@@ -135,15 +129,10 @@ class DeltaBasedModel(DataModel):
                 if row[0] not in seen
             ]
             seen.update(row[0] for row in fresh)
-            result += [
-                (row[0], self._pad(row[2 : 2 + width]))
-                for row in fresh
-                if not row[1]  # tombstone
-            ]
-        # The chain yields the newest delta first; every model emits a
+            live += [row for row in fresh if not row[1]]  # tombstone
+        # The chain yields the newest delta first: _columns_of puts the
         # version in ascending rid order.
-        result.sort(key=itemgetter(0))
-        return result
+        return self._columns_of(live, offset=2)
 
     def explain_checkout(self, vid: int):
         """Walk the base chain root-ward, scanning one delta per step."""

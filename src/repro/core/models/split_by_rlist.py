@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
-from repro.core.models.base import DataModel, RecordRow
+from repro.core.models.base import DataModel
 from repro.relational.joins import JOIN_ALGORITHMS
 from repro.relational.table import ClusterOrder, Table
 
@@ -52,10 +52,6 @@ class SplitByRlistModel(DataModel):
         self._versioning: Table = database.create_table(
             f"{cvd_name}__rlist{table_suffix}", self._vid_rlist_schema()
         )
-
-    @property
-    def _arity(self) -> int:
-        return len(self.data_schema.columns)
 
     def table_names(self) -> list[str]:
         return [self._data.name, self._versioning.name]
@@ -111,13 +107,11 @@ class SplitByRlistModel(DataModel):
     def stored_versions(self) -> set[int]:
         return {row[0] for row in self._versioning.rows_snapshot()}
 
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
-        rids = self.rlist_of(vid)
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         join = JOIN_ALGORITHMS[self.join_algorithm]
-        rows = join(rids, self._data, "rid")
+        rows = join(self.rlist_of(vid), self._data, "rid")
         telemetry.count("model.split_by_rlist.rows_checked_out", len(rows))
-        width = self._arity
-        return [(row[0], tuple(row[1 : 1 + width])) for row in rows]
+        return self._columns_of(rows)
 
     def explain_checkout(self, vid: int):
         """rlist lookup (one index probe) + join against the data table."""

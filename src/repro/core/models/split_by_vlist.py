@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro import telemetry
-from repro.core.models.base import DataModel, RecordRow
+from repro.core.models.base import DataModel
 from repro.relational.expressions import (
     ArrayAppend,
     ArrayContainedBy,
@@ -47,10 +47,6 @@ class SplitByVlistModel(DataModel):
         )
         self.vlist_index_enabled = vlist_index
         self._vlist_index: dict[int, set[int]] = {}
-
-    @property
-    def _arity(self) -> int:
-        return len(self.data_schema.columns)
 
     def table_names(self) -> list[str]:
         return [self._data.name, self._versioning.name]
@@ -87,7 +83,7 @@ class SplitByVlistModel(DataModel):
             *(row[1] for row in self._versioning.rows_snapshot())
         )
 
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         if self.vlist_index_enabled and vid in self._vlist_index:
             rids = sorted(self._vlist_index[vid])
         else:
@@ -99,7 +95,7 @@ class SplitByVlistModel(DataModel):
         # ... JOIN data table (hash join: build on rids, probe via scan).
         rows = hash_join(rids, self._data, "rid")
         telemetry.count("model.split_by_vlist.rows_checked_out", len(rows))
-        return [(row[0], tuple(row[1 : 1 + self._arity])) for row in rows]
+        return self._columns_of(rows)
 
     def explain_checkout(self, vid: int):
         """Containment scan (or inverted-index probe) + hash join."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro import telemetry
-from repro.core.models.base import DataModel, RecordRow
+from repro.core.models.base import DataModel
 from repro.relational.table import Table
 
 
@@ -21,10 +21,6 @@ class TablePerVersionModel(DataModel):
     def __init__(self, database, cvd_name, data_schema) -> None:
         super().__init__(database, cvd_name, data_schema)
         self._tables: dict[int, Table] = {}
-
-    @property
-    def _arity(self) -> int:
-        return len(self.data_schema.columns)
 
     def table_names(self) -> list[str]:
         return [t.name for t in self._tables.values()]
@@ -62,15 +58,11 @@ class TablePerVersionModel(DataModel):
         others = [t for t in self._tables.values() if t is not own]
         return others if own is None else [own, *others]
 
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         table = self._tables.get(vid)
-        if table is None:
-            return []
-        rows = [
-            (row[0], tuple(row[1 : 1 + self._arity])) for row in table.scan()
-        ]
+        rows = list(table.scan()) if table is not None else []
         telemetry.count("model.table_per_version.rows_checked_out", len(rows))
-        return rows
+        return self._columns_of(rows)
 
     def explain_checkout(self, vid: int):
         """Optimal checkout: scan exactly the version's own table."""

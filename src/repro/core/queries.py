@@ -47,7 +47,7 @@ def select_from_versions(
     if limit is not None and limit <= 0:
         return result
     for vid in vids:
-        for rid, payload in cvd.model.checkout_rids(vid):
+        for rid, payload in zip(*cvd.model.checkout_columns(vid)):
             if rid in seen_rids:
                 continue
             seen_rids.add(rid)
@@ -79,7 +79,7 @@ def aggregate_by_version(
     result: list[tuple] = []
     for vid in target_vids:
         value_lists: list[list[object]] = [[] for _ in aggregates]
-        for _rid, payload in cvd.model.checkout_rids(vid):
+        for payload in cvd.model.checkout_columns(vid)[1]:
             if test is not None and not test(payload):
                 continue
             for slot, evaluate in enumerate(bound):
@@ -162,7 +162,7 @@ class VersionQuery:
         for vid in self._candidates:
             count = sum(
                 1
-                for _rid, payload in self._cvd.model.checkout_rids(vid)
+                for payload in self._cvd.model.checkout_columns(vid)[1]
                 if bound(payload)
             )
             if test(count):

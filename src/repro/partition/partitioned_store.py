@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro import telemetry
-from repro.core.models.base import DataModel, RecordRow
+from repro.core.models.base import DataModel
 from repro.core.models.split_by_rlist import SplitByRlistModel
 from repro.invariants import MU, within_tolerance
 from repro.partition.lyresplit import LyreSplitResult, lyresplit_for_budget
@@ -170,9 +170,9 @@ class PartitionedRlistStore(DataModel):
         if self.auto_migrate and len(self._order) > 1:
             self.maybe_migrate()
 
-    def checkout_rids(self, vid: int) -> list[RecordRow]:
+    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         index = self._partition_of[vid]
-        return self._partitions[index].checkout_rids(vid)
+        return self._partitions[index].checkout_columns(vid)
 
     def alter_schema(self, new_schema) -> None:
         super().alter_schema(new_schema)

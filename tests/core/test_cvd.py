@@ -133,11 +133,10 @@ class TestCheckout:
         with pytest.raises(NoSuchVersionError):
             cvd.checkout(5)
 
-    def test_rid_map_points_to_stored_records(self, cvd):
-        vid = cvd.commit([("a", 1)])
+    def test_rids_point_to_stored_records(self, cvd):
+        vid = cvd.commit([("a", 1), ("b", 2)])
         result = cvd.checkout(vid)
-        (rid,) = result.rid_map.values()
-        assert cvd.payload_of(rid) == ("a", 1)
+        assert [cvd.payload_of(rid) for rid in result.rids] == result.rows
 
 
 class TestSetOperations:

@@ -22,20 +22,20 @@ class TestCheckoutAgreement:
         cvd = make_protein_cvd(model, protein_schema)
         history = protein_history()
         for commit in history.commits:
-            got = {rid for rid, _p in cvd.model.checkout_rids(commit.vid)}
+            got = set(cvd.model.checkout_columns(commit.vid)[0])
             assert got == set(commit.rids), (model, commit.vid)
 
     def test_payloads_match(self, model, protein_schema):
         cvd = make_protein_cvd(model, protein_schema)
         history = protein_history()
         for commit in history.commits:
-            got = dict(cvd.model.checkout_rids(commit.vid))
+            got = dict(zip(*cvd.model.checkout_columns(commit.vid)))
             for rid in commit.rids:
                 assert got[rid] == history.payloads[rid]
 
     def test_missing_version_is_empty_or_raises(self, model, protein_schema):
         cvd = make_protein_cvd(model, protein_schema)
-        assert cvd.model.checkout_rids(999) == []
+        assert cvd.model.checkout_columns(999) == ([], [])
 
 
 @pytest.mark.parametrize("model", ALL_MODELS + ["partitioned_rlist"])
@@ -48,16 +48,20 @@ def test_single_version_checkout_is_in_ascending_rid_order(model):
     schema = Schema([ColumnDef("k", TEXT), ColumnDef("v", INT)], primary_key=("k",))
     cvd = CVD(Database(), "d", schema, model=model)
     vids = [cvd.commit([(f"k{i:03d}", i) for i in range(40)])]
-    for step in range(12):
-        parent = rng.choice(vids)
-        rows = [row for row in cvd.checkout(parent).rows if rng.random() > 0.2]
-        rows += [(f"n{step}.{j}", j) for j in range(5)]
-        rng.shuffle(rows)
-        vids.append(cvd.commit(rows, parents=(parent,)))
+
+    def branch(steps: int, tag: str) -> None:
+        for step in range(steps):
+            parent = rng.choice(vids)
+            rows = [row for row in cvd.checkout(parent).rows if rng.random() > 0.2]
+            rows += [(f"n{tag}{step}.{j}", j) for j in range(5)]
+            rng.shuffle(rows)
+            vids.append(cvd.commit(rows, parents=(parent,)))
+
+    branch(12, "")
 
     def assert_ascending():
         for vid in vids:
-            rids = [rid for rid, _payload in cvd.model.checkout_rids(vid)]
+            rids = cvd.model.checkout_columns(vid)[0]
             assert rids == sorted(rids), vid
             by_rid = cvd.payloads_of(sorted(cvd.membership(vid)))
             assert cvd.checkout(vid).rows == by_rid, vid
@@ -66,6 +70,12 @@ def test_single_version_checkout_is_in_ascending_rid_order(model):
     if model == "partitioned_rlist":
         partitioning = cvd.model.optimize(storage_threshold_factor=1.5)
         assert partitioning.num_partitions > 1
+        assert_ascending()
+        # A migration that reuses a partition inserts the records it
+        # lacks after those it kept: its heap is out of rid order.
+        branch(6, "b")
+        cvd.model.optimize(storage_threshold_factor=3.0)
+        assert cvd.model.migrations[-1].partitions_reused
         assert_ascending()
 
 
@@ -146,5 +156,5 @@ class TestDeltaBasedSpecifics:
         cvd = make_protein_cvd("delta_based", protein_schema)
         # r1 is in v1 but dropped from v3 (children of v1): checkout v3
         # must not contain rid 1.
-        rids = {rid for rid, _p in cvd.model.checkout_rids(3)}
+        rids = set(cvd.model.checkout_columns(3)[0])
         assert 1 not in rids

@@ -24,15 +24,13 @@ class TestVlistIndex:
         _c1, plain, _db1 = build(protein_schema, vlist_index=False)
         _c2, indexed, _db2 = build(protein_schema, vlist_index=True)
         for vid in (1, 2, 3, 4):
-            assert sorted(plain.checkout_rids(vid)) == sorted(
-                indexed.checkout_rids(vid)
-            )
+            assert plain.checkout_columns(vid) == indexed.checkout_columns(vid)
 
     def test_index_avoids_versioning_scan(self, protein_schema):
         _cvd, model, db = build(protein_schema, vlist_index=True)
         versioning_rows = model._versioning.row_count
         db.accountant.reset()
-        model.checkout_rids(4)
+        model.checkout_columns(4)
         # Only the data table is scanned (by the hash join); without the
         # index the versioning table's rows would be scanned too.
         assert db.accountant.seq_rows <= model._data.row_count
@@ -40,7 +38,7 @@ class TestVlistIndex:
     def test_plain_variant_scans_versioning_table(self, protein_schema):
         _cvd, model, db = build(protein_schema, vlist_index=False)
         db.accountant.reset()
-        model.checkout_rids(4)
+        model.checkout_columns(4)
         assert db.accountant.seq_rows > model._data.row_count
 
     def test_index_makes_commit_cost_higher(self, protein_schema):

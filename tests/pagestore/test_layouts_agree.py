@@ -184,6 +184,41 @@ def test_storage_bytes_do_not_depend_on_what_has_been_read(
     assert len(set(sizes.values())) == 1, sizes
 
 
+@pytest.mark.parametrize("layout", ["memory", "paged"])
+@pytest.mark.parametrize("model", MODELS)
+def test_a_one_version_checkout_returns_the_models_columns(
+    model, layout, tmp_path, monkeypatch
+):
+    """The CVD makes no per-row pass over one version: its result holds
+    the very lists the data model built, the rids ascending."""
+    versions = history()
+    if layout == "memory":
+        orpheus = new_repository()
+        orpheus.init("ds", SCHEMA, versions[0][1], model=model)
+        for parent, rows in versions[1:]:
+            orpheus.cvd("ds").commit(rows, parents=(parent,))
+    else:
+        monkeypatch.setenv(LAYOUT_ENV, layout)
+        build(tmp_path, model, versions)
+        reset_pool()
+        orpheus, _info = StateStore(tmp_path).load(warn=None)
+    cvd = orpheus.cvd("ds")
+    built = []
+    checkout_columns = cvd.model.checkout_columns
+    monkeypatch.setattr(
+        cvd.model,
+        "checkout_columns",
+        lambda vid: built.append(checkout_columns(vid)) or built[-1],
+    )
+    for vid in range(1, len(versions) + 1):
+        built.clear()
+        result = cvd.checkout(vid)
+        ((rids, payloads),) = built
+        assert result.rows is payloads and result.rids is rids
+        assert rids == sorted(cvd.membership(vid))
+        assert sorted(payloads) == versions[vid - 1][1]
+
+
 # ----------------------------------------------------------------------
 # Cold equals warm
 # ----------------------------------------------------------------------
@@ -314,7 +349,7 @@ def script(
             before = accountant.snapshot()
             cvd.checkout(vids)
             cost = accountant.snapshot() - before
-            return sorted(result.rows, key=repr), sorted(result.rid_map.values()), cost
+            return sorted(result.rows, key=repr), result.rids, cost
 
         return operation
 

@@ -66,7 +66,7 @@ class TestCommitRouting:
         cvd.commit([("a", 1)])
         cvd.commit([("b", 2)])  # no parents: new partition
         assert len(store._partitions) == 2
-        assert {rid for rid, _ in store.checkout_rids(2)} == store._membership[2]
+        assert set(store.checkout_columns(2)[0]) == store._membership[2]
 
 
 class TestCostTracking:

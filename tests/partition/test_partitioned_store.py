@@ -26,7 +26,7 @@ class TestCorrectness:
     def test_checkout_matches_ground_truth(self, sci_tiny):
         _cvd, store = make_store(sci_tiny)
         for commit in sci_tiny.commits[::7]:
-            got = {rid for rid, _p in store.checkout_rids(commit.vid)}
+            got = set(store.checkout_columns(commit.vid)[0])
             assert got == set(commit.rids)
 
     def test_every_version_routed_to_one_partition(self, sci_tiny):
@@ -50,7 +50,7 @@ class TestCorrectness:
         index = store._partition_of[vid]
         partition_rows = store._partitions[index].data_table.row_count
         db.accountant.reset()
-        store.checkout_rids(vid)
+        store.checkout_columns(vid)
         scanned = db.accountant.seq_rows + db.accountant.random_rows
         assert scanned <= partition_rows + len(store._membership[vid]) + 1
 
@@ -61,7 +61,7 @@ class TestCorrectness:
     def test_dag_history(self, cur_tiny):
         _cvd, store = make_store(cur_tiny)
         for commit in cur_tiny.commits[::11]:
-            got = {rid for rid, _p in store.checkout_rids(commit.vid)}
+            got = set(store.checkout_columns(commit.vid)[0])
             assert got == set(commit.rids)
 
 
@@ -107,7 +107,7 @@ class TestMigrationEngine:
         target, _ = store.best_partitioning()
         store.migrate_to(target)
         for commit in sci_tiny.commits[::13]:
-            got = {rid for rid, _p in store.checkout_rids(commit.vid)}
+            got = set(store.checkout_columns(commit.vid)[0])
             assert got == set(commit.rids)
 
     def test_intelligent_cheaper_than_naive(self, sci_tiny):
@@ -148,5 +148,5 @@ class TestMigrationEngine:
             for rid in sorted(sci_tiny.commits[-1].rids)
         ][:50]
         vid = cvd.commit(rows, parents=[sci_tiny.commits[-1].vid])
-        got = {rid for rid, _p in store.checkout_rids(vid)}
+        got = set(store.checkout_columns(vid)[0])
         assert len(got) == len(rows)

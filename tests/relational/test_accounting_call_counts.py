@@ -52,7 +52,7 @@ def accounting_calls(n_rows: int, monkeypatch) -> dict[str, tuple[int, int]]:
         for name, operator in {
             "scan": lambda: list(table.scan()),
             "hash_join": lambda: hash_join(range(1, n_rows + 1, 2), table, "rid"),
-            "split_by_rlist.checkout": lambda: model.checkout_rids(1),
+            "split_by_rlist.checkout": lambda: model.checkout_columns(1)[0],
         }.items():
             accountant.calls = counted[0] = 0
             assert len(operator()) >= n_rows // 2

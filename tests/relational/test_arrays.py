@@ -96,9 +96,7 @@ class TestCompressedRlistModel:
                 db, sci_tiny, name="c", model=model, schema=schema
             )
             contents[compress] = {
-                c.vid: sorted(
-                    rid for rid, _p in model.checkout_rids(c.vid)
-                )
+                c.vid: model.checkout_columns(c.vid)[0]
                 for c in sci_tiny.commits[::9]
             }
             storage[compress] = model.versioning_table.storage_bytes()

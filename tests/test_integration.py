@@ -116,10 +116,7 @@ class TestStorageEngineOverCvdHistory:
 
         store = VersionedStore(CellDeltaCodec())
         for index, commit in enumerate(history.commits, start=1):
-            keyed = {
-                rid: payload
-                for rid, payload in cvd.model.checkout_rids(commit.vid)
-            }
+            keyed = dict(zip(*cvd.model.checkout_columns(commit.vid)))
             parents = tuple(
                 history.commits.index(history.commit_by_vid(p)) + 1
                 for p in commit.parents

@@ -130,6 +130,22 @@ def test_one_checkout_cost_rule():
     assert any(map(is_mu, ast.walk(trees["invariants.py"])))  # sees µ
 
 
+def test_one_checkout_shape():
+    """A data model checks a version out as two parallel lists,
+    ``checkout_columns(vid) -> (rids, payloads)``, and a checkout
+    result carries ``rids`` beside its rows: the (rid, payload) pair
+    list and the key -> rid map are gone from the code and its docs."""
+    gone = ("checkout" + "_rids", "rid" + "_map")  # split: see above
+    for top in ("src", "tests", "benchmarks", "examples", "docs"):
+        for path in (REPO / top).rglob("*"):
+            if path.suffix in (".py", ".md", ".txt", ".json", ".yml"):
+                text = path.read_text()
+                for name in gone:
+                    assert name not in text, (path, name)
+    trees = dict(modules())
+    assert "checkout_columns" in _called_names(trees["core/cvd.py"])
+
+
 def _called_names(tree) -> set[str]:
     """Every ``f(...)`` and ``x.f(...)`` name called in ``tree``."""
     names = set()
