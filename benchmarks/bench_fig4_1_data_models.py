@@ -25,7 +25,6 @@ from benchmarks.common import (
     sample_vids,
     timed,
 )
-from benchmarks.registry import quick_bench
 from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
 from repro.datasets.benchmark import BenchmarkConfig, generate_sci
@@ -47,44 +46,6 @@ def _histories():
         name: generate_sci(config, name=name)
         for name, config in SIZES.items()
     }
-
-
-# ----------------------------------------------------------------------
-# Quick tier (the unified runner's trajectory units)
-# ----------------------------------------------------------------------
-def _quick_history():
-    return generate_sci(SIZES["SCI_XS"], name="quick_fig4_1")
-
-
-@quick_bench(
-    "fig4_1/commit_rlist_xs",
-    setup=_quick_history,
-    repeats=3,
-    counters=("cvd.commit.", "model.split_by_rlist.rows_inserted", "storage.io."),
-)
-def quick_commit_rlist(history) -> None:
-    """Replay the SCI_XS history into a split-by-rlist CVD — the hot
-    commit path panel (b) measures."""
-    load_cvd(history, "split_by_rlist")
-
-
-def _quick_checkout_state():
-    history = _quick_history()
-    cvd = load_cvd(history, "split_by_rlist")
-    return cvd, sample_vids(history, 10)
-
-
-@quick_bench(
-    "fig4_1/checkout_rlist_xs",
-    setup=_quick_checkout_state,
-    repeats=5,
-    counters=("model.split_by_rlist.rows_checked_out", "storage.io."),
-)
-def quick_checkout_rlist(state) -> None:
-    """Materialize 10 sampled versions — the panel (c) checkout path."""
-    cvd, vids = state
-    for vid in vids:
-        cvd.model.checkout_columns(vid)
 
 
 @pytest.fixture(scope="module")

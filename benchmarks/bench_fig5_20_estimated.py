@@ -4,7 +4,9 @@ The cost-model-only companion to Figure 5.8: the same knob sweeps, but
 reporting the *estimated* record-count costs the optimizers themselves
 minimize, with no physical store in the loop. Paper shape: same
 dominance ordering as the wall-clock figure, confirming the cost model
-drives the right decisions.
+drives the right decisions. Asserted, as for Figure 5.8: across
+LyreSplit's δ sweep, estimated storage never falls and estimated C_avg
+never rises.
 """
 
 from __future__ import annotations
@@ -35,14 +37,17 @@ def run_estimated(names: list[str], title_prefix: str) -> None:
         capacity_factors = (0.5, 1.0) if is_large else (0.3, 0.5, 0.8, 1.0)
         ks = (4, 8) if is_large else (2, 4, 8, 16)
         rows = []
+        storages, checkouts = [], []
         for delta in DELTAS:
-            result = lyresplit(graph, delta)
+            partitioning = lyresplit(graph, delta).partitioning
+            storages.append(partitioning.storage_cost(membership))
+            checkouts.append(partitioning.checkout_cost(membership))
             rows.append(
                 (
                     "LyreSplit",
                     f"delta={delta}",
-                    result.partitioning.storage_cost(membership),
-                    fmt(result.partitioning.checkout_cost(membership), 5),
+                    storages[-1],
+                    fmt(checkouts[-1], 5),
                 )
             )
         for factor in capacity_factors:
@@ -76,6 +81,8 @@ def run_estimated(names: list[str], title_prefix: str) -> None:
             ["algorithm", "knob", "storage (records)", "C_avg (records)"],
             rows,
         )
+        assert storages == sorted(storages), (name, storages)
+        assert checkouts == sorted(checkouts, reverse=True), (name, checkouts)
 
 
 def test_fig5_20_estimated_sci(benchmark):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 
 from benchmarks.common import fmt, measure, print_table
-from benchmarks.registry import quick_bench
 from repro.relational.costs import CostAccountant
 from repro.relational.joins import JOIN_ALGORITHMS
 from repro.relational.schema import ColumnDef, Schema
@@ -80,25 +79,6 @@ def run_grid(cluster: ClusterOrder) -> list[tuple]:
                     )
                 )
     return rows
-
-
-def _quick_join_state():
-    table = make_data_table(6_000, ClusterOrder.RID)
-    rlist = sorted(random.Random(11).sample(range(1, 6_001), 500))
-    return table, rlist
-
-
-@quick_bench(
-    "fig5_7/hash_join_6k",
-    setup=_quick_join_state,
-    repeats=5,
-    counters=("join.hash.", "storage.io."),
-)
-def quick_hash_join(state) -> None:
-    """The checkout inner loop: hash-join a 500-rid rlist against a
-    6k-row data table."""
-    table, rlist = state
-    JOIN_ALGORITHMS["hash"](rlist, table, "rid")
 
 
 def test_fig5_7_clustered_on_rid(benchmark):

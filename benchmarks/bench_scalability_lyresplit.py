@@ -15,7 +15,6 @@ import random
 import pytest
 
 from benchmarks.common import fmt, print_table, timed
-from benchmarks.registry import quick_bench
 from repro.partition.lyresplit import lyresplit, lyresplit_for_budget
 from repro.partition.version_graph import VersionTree
 
@@ -46,18 +45,6 @@ def synthetic_tree(num_versions: int, seed: int = 3) -> VersionTree:
     return VersionTree(
         nodes=nodes, parent=parent, weight_to_parent=weight, order=order
     )
-
-
-@quick_bench(
-    "lyresplit/iteration_5k",
-    setup=lambda: synthetic_tree(5_000),
-    repeats=3,
-    counters=("lyresplit.",),
-)
-def quick_lyresplit_iteration(tree) -> None:
-    """One LyreSplit iteration over a 5k-version synthetic tree — the
-    partitioning hot path behind `orpheus optimize`."""
-    lyresplit(tree, 0.5)
 
 
 def test_scalability_lyresplit(benchmark):

@@ -13,33 +13,10 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import fmt, measure, print_table
-from benchmarks.registry import quick_bench
 from repro.storage.solvers import solve
 from repro.storage.solvers.mst import minimum_spanning_storage
 from repro.storage.solvers.spt import shortest_path_tree
 from repro.storage.synthetic import SyntheticConfig, build_store
-
-
-def _quick_solver_state():
-    store = build_store(
-        SyntheticConfig(num_versions=40, branching_factor=0.25, seed=21),
-        extra_pairs=15,
-    )
-    graph = store.graph()
-    beta = minimum_spanning_storage(graph).total_storage_cost(graph) * 1.5
-    return graph, beta
-
-
-@quick_bench(
-    "table7_1/lmg_p3",
-    setup=_quick_solver_state,
-    repeats=3,
-    counters=("storage.",),
-)
-def quick_lmg_p3(state) -> None:
-    """Problem 3 (min ΣR_i s.t. C<=β) via LMG on the Table 7.1 store."""
-    graph, beta = state
-    solve(graph, 3, beta)
 
 
 def test_table7_1_matrix(benchmark):

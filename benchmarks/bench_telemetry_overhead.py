@@ -15,8 +15,7 @@ import random
 import statistics
 import time
 
-from benchmarks.common import bench_main, fmt, print_table
-from benchmarks.registry import quick_bench
+from benchmarks.common import fmt, print_table
 from repro import telemetry
 from repro.core.cvd import CVD
 from repro.relational.database import Database
@@ -75,8 +74,6 @@ def measure(enabled: bool, states) -> list[float]:
         return samples
     finally:
         telemetry.reset()
-        # The run owner (runner / conftest / bench_main) decides whether
-        # the process is instrumented; restore whatever it chose.
         if was_enabled:
             telemetry.enable()
         else:
@@ -120,31 +117,6 @@ def run() -> None:
         )
 
 
-def _quick_states() -> list[list[tuple[int, ...]]]:
-    """A 20-version slice of the overhead history for the quick tier."""
-    return generate_states()[:20]
-
-
-@quick_bench(
-    "telemetry/commit_loop_20v",
-    setup=_quick_states,
-    repeats=3,
-    counters=("cvd.commit.", "model.split_by_rlist.rows_inserted"),
-)
-def quick_commit_loop(states) -> None:
-    commit_loop(states)
-
-
-@quick_bench("telemetry/span_overhead_enabled", repeats=5, warmup=1)
-def quick_span_overhead() -> None:
-    """5k nested spans with telemetry enabled — the instrumented-mode
-    span cost the trajectory tracks across PRs."""
-    for _ in range(2_500):
-        with telemetry.span("bench.outer"):
-            with telemetry.span("bench.inner"):
-                pass
-
-
 def test_disabled_mode_is_cheap():
     """Pytest entry: the disabled no-op path must not dominate the loop.
 
@@ -160,4 +132,4 @@ def test_disabled_mode_is_cheap():
 
 
 if __name__ == "__main__":
-    bench_main(run)
+    run()

@@ -14,21 +14,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro import telemetry
 from repro.core.cvd import CVD
 from repro.datasets.benchmark import STANDARD_CONFIGS, standard_datasets
 from repro.datasets.history import VersionedHistory
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT
-
-# Importing this module must NOT mutate global state: telemetry is
-# enabled explicitly by whoever owns the run — the unified runner
-# (`python -m benchmarks`), the pytest conftest in this directory, or a
-# bench's `__main__` via :func:`bench_main`. Benches still always *run*
-# instrumented so every exported result carries the system's internal
-# metrics (rows moved, span latencies, join volumes) alongside
-# wall-clock; only the side effect of `import benchmarks.common` is gone.
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,10 +105,9 @@ def measure(
     """Run ``func`` ``warmup`` untimed times, then ``repeats`` timed
     times, recording wall and CPU seconds per run.
 
-    This is the shared measurement primitive for every bench and for
-    the unified runner: a single sample is noise-dominated at
-    laptop-scale millisecond workloads, so report medians from here
-    rather than one ``perf_counter`` delta.
+    This is the shared measurement primitive for every bench: a single
+    sample is noise-dominated at laptop-scale millisecond workloads, so
+    report medians from here rather than one ``perf_counter`` delta.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -147,13 +137,6 @@ def timed(func: Callable, *args, **kwargs) -> tuple[object, float]:
     return m.result, m.wall_samples[0]
 
 
-def bench_main(run: Callable[[], None]) -> None:
-    """Entry point for a bench's ``__main__`` block: enables telemetry
-    for the process (the import no longer does) and runs the bench."""
-    telemetry.enable()
-    run()
-
-
 def sample_vids(history: VersionedHistory, count: int = 25) -> list[int]:
     """Deterministic sample of versions for checkout measurements (the
     paper samples 100 random versions; we sample evenly)."""
@@ -168,13 +151,7 @@ def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
     """Fixed-width table printer; also exports the series as CSV.
 
     Every printed table lands in ``results/<slug>.csv`` so the figures
-    can be re-plotted without re-running the harness, and the telemetry
-    accumulated so far lands in ``results/<slug>.telemetry.json``.
-    Printing does NOT reset the registry — the registry lifecycle
-    belongs to whoever owns the run (the unified runner resets between
-    benches; the pytest conftest resets between tests), so exporting a
-    table mid-suite can no longer silently wipe counters another
-    measurement is still accumulating.
+    can be re-plotted without re-running the harness.
     """
     widths = [
         max(len(str(headers[i])), max((len(str(r[i])) for r in rows), default=0))
@@ -187,7 +164,6 @@ def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
     for row in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
     _export_csv(title, headers, rows)
-    _export_telemetry(title)
 
 
 def _results_dir():
@@ -211,16 +187,6 @@ def _export_csv(title: str, headers: list[str], rows: list[tuple]) -> None:
         writer = csv.writer(handle)
         writer.writerow(headers)
         writer.writerows(rows)
-
-
-def _export_telemetry(title: str) -> None:
-    """Snapshot the internal metrics accumulated behind this table (no
-    reset — see :func:`print_table`)."""
-    snapshot = telemetry.snapshot()
-    if snapshot.is_empty():
-        return
-    path = _results_dir() / f"{_slug(title)}.telemetry.json"
-    path.write_text(snapshot.to_json() + "\n")
 
 
 def fmt(value: float, digits: int = 3) -> str:

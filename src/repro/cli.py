@@ -137,6 +137,19 @@ class Command:
         return self.remote if remote else self.local
 
 
+def _tcp_address(spec: str) -> tuple[str, int]:
+    host, _, port = spec.rpartition(":")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"wants HOST:PORT, got {spec!r}")
+    return host, int(port)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"wants an integer >= 1, got {text!r}")
+    return int(text)
+
+
 _JSON = _arg("--json", action="store_true", help="machine-readable output")
 _EXPLAIN = (
     _arg(
@@ -302,6 +315,7 @@ COMMAND_TABLE: dict[str, Command] = {
                 ),
                 _arg(
                     "--tcp",
+                    type=_tcp_address,
                     default=None,
                     metavar="HOST:PORT",
                     help="additionally listen on TCP (port 0 picks a free port)",
@@ -315,13 +329,13 @@ COMMAND_TABLE: dict[str, Command] = {
                 ),
                 _arg(
                     "--queue-depth",
-                    type=int,
+                    type=_positive_int,
                     default=8,
                     help="writer queue depth before BUSY load-shedding",
                 ),
                 _arg(
                     "--read-queue-depth",
-                    type=int,
+                    type=_positive_int,
                     default=64,
                     help="read queue depth before BUSY load-shedding",
                 ),
@@ -848,13 +862,6 @@ def _user(args: argparse.Namespace) -> str:
     return os.environ.get("ORPHEUS_USER", "")
 
 
-def _parse_tcp(spec: str) -> tuple[str, int]:
-    host, _, port = spec.rpartition(":")
-    if not host:
-        raise ValueError(f"--tcp wants HOST:PORT, got {spec!r}")
-    return host, int(port)
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     """``orpheus serve``: run (or query/stop) the version-service
     daemon. ``--status`` and ``--stop`` talk to a running daemon over
@@ -970,7 +977,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         root=args.root,
         socket_path=args.socket,
-        tcp=_parse_tcp(args.tcp) if args.tcp else None,
+        tcp=args.tcp,
         workers=args.workers,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
         read_queue_depth=args.read_queue_depth,

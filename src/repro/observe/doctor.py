@@ -599,9 +599,9 @@ def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
     if quarantined:
         problems.append(f"{quarantined} request digest(s) quarantined")
         remediation.append(
-            "inspect the quarantine entries in `orpheus serve --status`, "
-            "fix or stop the offending request, then `orpheus remote -- "
-            "flush-quarantine`"
+            "inspect `quarantine.entries` in `orpheus serve --status "
+            "--json`, fix or stop the offending request, then `orpheus "
+            "remote -- flush-quarantine`"
         )
     for count, what, remedy in (
         (

@@ -10,14 +10,10 @@ import pytest
 from repro.cli import main
 from repro.core.commands import Orpheus
 from repro.core.cvd import CVD
-from repro.invariants import within_tolerance
 from repro.observe.doctor import (
-    CHAIN_WARN,
     Checkup,
     probe_checkout_cost,
-    probe_delta_chains,
     probe_orphaned_versions,
-    probe_stale_staging,
     run_doctor,
 )
 from repro.partition.partitioned_store import PartitionedRlistStore
@@ -57,38 +53,12 @@ class TestProbes:
         assert report.severity == "ok"
         assert report.exit_code == 0
 
-    def test_degraded_partitioning_fails_with_remediation(self):
-        orpheus = make_orpheus("partitioned_rlist")
-        degrade(orpheus)
-        results = probe_checkout_cost(Checkup(orpheus))
-        assert len(results) == 1
-        assert results[0].severity == "fail"
-        assert "orpheus optimize" in results[0].remediation
-        data = results[0].data
-        assert not within_tolerance(
-            data["current_cost"], data["optimal_cost"], data["tolerance"]
-        )
-        report = run_doctor(orpheus)
-        assert report.exit_code == 1
-
     def test_optimize_heals_the_degraded_store(self):
         orpheus = make_orpheus("partitioned_rlist")
         degrade(orpheus)
         del orpheus.cvd("d").model._route_commit  # restore the real rule
         orpheus.optimize("d")
         assert probe_checkout_cost(Checkup(orpheus))[0].severity == "ok"
-
-    def test_long_delta_chain_warns(self):
-        orpheus = make_orpheus("delta_based")
-        cvd = orpheus.cvd("d")
-        rows = [(f"k{i}", i) for i in range(20)]
-        vid = 1
-        for j in range(CHAIN_WARN + 2):
-            rows = rows + [(f"n{j}", 100 + j)]
-            vid = cvd.commit(rows, parents=(vid,), message=f"c{j}")
-        results = probe_delta_chains(Checkup(orpheus))
-        assert results[0].severity == "warn"
-        assert "delta chain" in results[0].summary
 
     @pytest.mark.parametrize(
         "model", ["split_by_rlist", "partitioned_rlist", "table_per_version"]
@@ -129,19 +99,6 @@ class TestProbes:
         (result,) = probe_orphaned_versions(Checkup(orpheus))
         assert result.severity == "fail"
         assert result.data["missing_metadata"] == [9]
-
-    def test_vanished_staging_file_warns(self, tmp_path):
-        orpheus = make_orpheus()
-        # Stage a path-like key whose backing file does not exist on disk.
-        from repro.core.staging import StagedTable
-
-        gone = str(tmp_path / "gone.csv")
-        orpheus.staging._staged[gone] = StagedTable(
-            table_name=gone, cvd_name="d", parents=(1,), owner=""
-        )
-        (result,) = probe_stale_staging(Checkup(orpheus))
-        assert result.severity == "warn"
-        assert "no longer exist" in result.summary
 
 
 class TestReport:

@@ -20,6 +20,7 @@ import pytest
 from repro import telemetry
 from repro.cli import load_state, main
 from repro.core.commands import Orpheus
+from repro.invariants import within_tolerance
 from repro.observe.doctor import PROBES, run_doctor
 from repro.observe.journal import Journal
 from repro.pagestore import pages as pagefiles
@@ -50,9 +51,12 @@ class Scene:
             "key,text\nvalue,integer\nprimary_key,key\n"
         )
 
-    def cli(self, *args) -> None:
-        with contextlib.redirect_stdout(io.StringIO()):
+    def cli(self, *args) -> str:
+        """Run one CLI command, which must succeed; returns its stdout."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert main(["--root", str(self.root), *args]) == 0, args
+        return out.getvalue()
 
     def init(self) -> None:
         """``orpheus init`` a 20-row CVD ``d``."""
@@ -75,9 +79,12 @@ class Scene:
     def save(self, orpheus) -> None:
         StateStore(self.root).save(orpheus)
 
+    def report(self):
+        return run_doctor(load_state(str(self.root)), str(self.root))
+
     def doctor(self) -> dict:
         """What ``orpheus doctor --json`` prints for this repository."""
-        return run_doctor(load_state(str(self.root)), str(self.root)).to_dict()
+        return self.report().to_dict()
 
 
 def library_cvd(model: str) -> Orpheus:
@@ -111,7 +118,15 @@ def checkout_cost(scene):
         (disjoint(f"g{j}_"), ()) for j in range(3)
     ])
     scene.save(orpheus)
-    fired = scene.doctor()
+    report = scene.report()
+    assert report.exit_code == 1
+    fired = report.to_dict()
+    (line,) = lines(fired, "checkout_cost")
+    assert line["severity"] == "fail"
+    data = line["data"]
+    assert not within_tolerance(
+        data["current_cost"], data["optimal_cost"], data["tolerance"]
+    )
     scene.cli("optimize", "-d", "d")
     return fired, scene.doctor()
 
@@ -138,6 +153,8 @@ def delta_chains(scene):
         vid = orpheus.cvd("d").commit(rows, parents=(vid,), message=f"c{j}")
     scene.save(orpheus)
     fired = scene.doctor()
+    (line,) = lines(fired, "delta_chains")
+    assert "delta chain" in line["summary"]
     head = scene.root / "head.csv"
     scene.cli("checkout", "-d", "d", "-v", str(vid), "-f", str(head))
     scene.cli("drop", "-d", "d")
@@ -165,6 +182,8 @@ def stale_staging(scene):
     scene.cli("checkout", "-d", "d", "-v", "1", "-f", str(scene.work))
     scene.work.unlink()
     fired = scene.doctor()
+    (line,) = lines(fired, "stale_staging")
+    assert "no longer exist" in line["summary"]
     scene.cli("recover")
     return fired, scene.doctor()
 
@@ -219,8 +238,9 @@ def service_health(scene):
 
 
 def service_faults(scene):
-    """orpheusd's own doctor sees a quarantined request digest;
-    ``remote -- flush-quarantine`` clears it."""
+    """orpheusd's own doctor sees a quarantined request digest, which
+    ``serve --status --json`` lists; ``remote -- flush-quarantine``
+    clears it."""
     scene.init()
     with DaemonHandle(scene.root) as handle, handle.client() as client:
         strikes = handle.daemon.quarantine.strikes
@@ -229,6 +249,9 @@ def service_faults(scene):
             with pytest.raises(ServiceError):
                 client.checkout("d", [1], inline=True)
         fired = client.doctor()
+        (digest,) = handle.daemon.quarantine.status()["entries"]
+        status = json.loads(scene.cli("serve", "--status", "--json"))
+        assert digest in status["quarantine"]["entries"]
         scene.cli("remote", "--", "flush-quarantine")
         # The cleared daemon answers again; enough requests dilute the
         # worker-error rate back under the fault budget.

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import COMMAND_TABLE, _build_parser, _parse, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -192,6 +193,62 @@ def test_deleted_command_and_serve_flags_are_refused(argv, monkeypatch):
         "invalid choice" in actual["stderr"]
         or "unrecognized arguments" in actual["stderr"]
     )
+
+
+#: Serve values no daemon can run with: the parser refuses them.
+BAD_SERVE_VALUES = [
+    ["serve", "--tcp", "localhost"],
+    ["serve", "--tcp", "host:abc"],
+    ["serve", "--tcp", "host:"],
+    ["serve", "--tcp", ":8080"],
+    ["serve", "--tcp", "host:-1"],
+    ["serve", "--tcp", "host:65536"],
+    ["serve", "--queue-depth", "0"],
+    ["serve", "--queue-depth", "-1"],
+    ["serve", "--queue-depth", "2.5"],
+    ["serve", "--read-queue-depth", "0"],
+    ["serve", "--read-queue-depth", "-3"],
+    ["serve", "--read-queue-depth", "many"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_SERVE_VALUES, ids=" ".join)
+def test_bad_serve_values_exit_2_before_the_daemon_starts(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    started = []
+    monkeypatch.setattr(cli, "_run_serve", started.append)
+    actual = run(main, argv)
+    assert actual == run(full, argv)
+    assert actual["code"] == 2 and started == []
+    assert actual["stderr"].startswith("usage: orpheus serve")
+    assert f"error: argument {argv[1]}: wants " in actual["stderr"]
+
+
+def test_serve_tcp_parses_to_host_and_port():
+    assert _parse(["serve", "--tcp", "127.0.0.1:0"]).tcp == ("127.0.0.1", 0)
+
+
+#: Serve values at the edges the checks draw, and what they parse to.
+GOOD_SERVE_VALUES = [
+    (["serve"], "tcp", None),
+    (["serve", "--tcp", "example.org:65535"], "tcp", ("example.org", 65535)),
+    (["serve", "--tcp", "::1:8080"], "tcp", ("::1", 8080)),
+    (["serve"], "queue_depth", 8),
+    (["serve", "--queue-depth", "1"], "queue_depth", 1),
+    (["serve"], "read_queue_depth", 64),
+    (["serve", "--read-queue-depth", "1"], "read_queue_depth", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    GOOD_SERVE_VALUES,
+    ids=[f"{field} of {' '.join(argv)}" for argv, field, _ in GOOD_SERVE_VALUES],
+)
+def test_serve_keeps_every_value_a_daemon_can_run_with(argv, field, value):
+    """The edges the checks draw: the last valid port, a host that holds
+    colons of its own, a queue one deep, and the defaults."""
+    assert getattr(_parse(argv), field) == value
 
 
 @pytest.mark.skipif(

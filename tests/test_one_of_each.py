@@ -240,8 +240,9 @@ def test_orpheusd_keeps_one_set_of_books():
 
 
 def test_the_program_imports_no_benchmarks():
-    """The bench suite is tooling: ``python -m benchmarks`` runs it, and
-    no command (``doctor`` included) imports it."""
+    """The bench suite is tooling: pytest runs the paper-figure benches
+    and ``python -m benchmarks.e2e`` the end-to-end workloads, and no
+    command (``doctor`` included) imports it."""
     imported = set()
     for name, tree in modules():
         for node in ast.walk(tree):
@@ -377,6 +378,76 @@ def test_only_the_e2e_harness_benchmarks_orpheusd():
     assert importers == set()
     assert importlib.util.find_spec("repro.service.loadgen") is None
     assert not (SRC / "service" / "loadgen.py").exists()
+
+
+def test_one_timing_gate():
+    """``benchmarks/e2e compare`` is the one timing verdict and the
+    figure benches' asserts the one shape verdict: the advisory runner,
+    its frozen baselines and its decorated units are gone."""
+    gone_files = {"runner.py", "regress.py", "registry.py", "__main__.py"}
+    gone_files.add("baselines" + ".json")  # split: a search for it stays empty
+    decorator = "quick" + "_bench"
+    for path in sorted((REPO / "benchmarks").rglob("*")):
+        relative = path.relative_to(REPO / "benchmarks")
+        if relative.parts[0] == "e2e":
+            continue
+        assert path.name not in gone_files, relative
+        if path.name.startswith("bench_") and path.suffix == ".py":
+            names = {
+                getattr(node, field)
+                for node in ast.walk(ast.parse(path.read_text()))
+                for field in ("id", "attr", "name", "asname", "module")
+                if isinstance(getattr(node, field, None), str)
+            }
+            assert not {n for n in names if decorator in n}, relative
+
+
+def bench_functions():
+    """Every top-level function of ``benchmarks/*.py``, keyed by (module,
+    name), and what each module's bare names resolve to."""
+    functions, scopes = {}, {}
+    for path in (REPO / "benchmarks").glob("*.py"):
+        scope = scopes.setdefault(path.stem, {})
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions[path.stem, node.name] = node
+                scope[node.name] = (path.stem, node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    target = (node.module.rpartition(".")[2], alias.name)
+                    scope[alias.asname or alias.name] = target
+    return functions, scopes
+
+
+def reaches_assert(key, functions, scopes, seen) -> bool:
+    """Does the function ``key`` assert, or call a benchmark function that does?"""
+    if key in seen or key not in functions:
+        return False
+    seen.add(key)
+    for node in ast.walk(functions[key]):
+        if isinstance(node, ast.Assert):
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            target = scopes[key[0]].get(node.func.id)
+            if target and reaches_assert(target, functions, scopes, seen):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((REPO / "benchmarks").glob("bench_*.py")),
+    ids=lambda path: path.name,
+)
+def test_every_figure_bench_asserts_its_shape(path):
+    """The figure benches' asserts are the one shape verdict: each bench
+    test reaches an assert, in its own body or in a benchmark helper it
+    calls, so the step that runs them cannot pass one vacuously."""
+    functions, scopes = bench_functions()
+    tests = [n for m, n in functions if m == path.stem and n.startswith("test_")]
+    assert tests, path.name
+    for name in tests:
+        assert reaches_assert((path.stem, name), functions, scopes, set()), name
 
 
 def test_a_request_is_appended_to_one_jsonl_file(tmp_path):
