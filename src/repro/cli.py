@@ -274,37 +274,6 @@ COMMAND_TABLE: dict[str, Command] = {
             ),
         ),
         Command(
-            "profile",
-            "run any orpheus command with resource profiling and print its "
-            "span-tree profile",
-            (
-                _arg(
-                    "--top",
-                    type=int,
-                    default=15,
-                    help="number of hot spans in the self-time table (default 15)",
-                ),
-                _arg(
-                    "--collapsed",
-                    action="store_true",
-                    help="emit folded stacks (flamegraph.pl / speedscope "
-                    "format) instead of the tree",
-                ),
-                _arg(
-                    "--json",
-                    action="store_true",
-                    help="emit the profiled tree and hot-span table as JSON",
-                ),
-                _arg(
-                    "cmd",
-                    nargs=argparse.REMAINDER,
-                    metavar="command",
-                    help="the orpheus command to profile, e.g. "
-                    "`orpheus profile checkout -d data -v 3 -f out.csv`",
-                ),
-            ),
-        ),
-        Command(
             "serve",
             "run the version-service daemon (orpheusd) over this repository",
             (
@@ -543,26 +512,12 @@ def _parse(argv: list[str], remote: bool = False) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
-    if args.command == "profile":
-        return _run_profile(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "remote":
         return _run_remote(args)
     if args.command == "top":
-        from repro.observe.top import run_top
-
-        return run_top(
-            root=args.root,
-            interval=args.interval,
-            iterations=args.iterations,
-            once=args.once,
-            as_json=args.json,
-        )
-    if args.command in ("stats", "heat"):
-        # Pure readers: both mine the journal and the flight record.
-        with RepositoryLock(args.root, shared=True, command=args.command):
-            return (_run_stats if args.command == "stats" else _run_heat)(args)
+        return _run_top(args)
 
     # Each invocation records its own telemetry from a clean registry
     # (what --timings prints and the journal record's scan stamps come
@@ -575,6 +530,8 @@ def main(argv: list[str] | None = None) -> int:
     # `--explain` without execution neither mutates state nor journals.
     plan_only = getattr(args, "explain", None) == "plan"
     mutating = args.command in MUTATING_COMMANDS and not plan_only
+    # `stats` and `heat` only mine the record: they repair nothing.
+    recovers = args.command not in ("recover", "stats", "heat") and not mutating
     journaled = args.command in JOURNALED_COMMANDS and not plan_only
     writes = (
         (args.command in STATE_WRITING_COMMANDS and not plan_only)
@@ -586,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             # A writer checks under its own lock, before its `begin`.
-            if args.command != "recover" and not mutating:
+            if recovers:
                 _auto_recover(args.root)
             with RepositoryLock(
                 args.root, shared=not writes, command=args.command
@@ -726,6 +683,8 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     journal record). ``record`` is the journal entry to fill in for
     journaled commands (None for the others and plan-only invocations)."""
     out = sys.stdout
+    if args.command in ("stats", "heat"):
+        return (_run_stats if args.command == "stats" else _run_heat)(args)
     if args.command == "recover":
         # Recovery manages its own files and must run even when the
         # state is too corrupt for load_state.
@@ -812,48 +771,6 @@ def _write_local(out, args, params: dict, data: dict, orpheus) -> int:
     return 0
 
 
-def _run_profile(args: argparse.Namespace) -> int:
-    """``orpheus profile <command...>``: run the command with resource
-    profiling enabled and render its span tree (self/total time, CPU,
-    peak memory)."""
-    from repro.observe.profile import (
-        collapsed_stacks,
-        profile_to_json,
-        render_report,
-    )
-
-    cmd = list(args.cmd)
-    if cmd and cmd[0] == "--":
-        cmd = cmd[1:]
-    if not cmd:
-        sys.stderr.write("error: profile needs a command to run\n")
-        return 2
-    if cmd[0] == "profile":
-        sys.stderr.write(f"error: cannot profile {cmd[0]!r}\n")
-        return 2
-    inner = (["--root", args.root] if args.root else []) + cmd
-    was_profiling = telemetry.is_profiling()
-    telemetry.enable_profiling()
-    try:
-        code = main(inner)
-    finally:
-        if not was_profiling:
-            telemetry.disable_profiling()
-    tree = telemetry.last_span_tree()
-    if tree is None:
-        sys.stderr.write(
-            "profile: the command recorded no span tree (nothing to show)\n"
-        )
-        return code if code != 0 else 1
-    if args.collapsed:
-        sys.stdout.write(collapsed_stacks(tree))
-    elif args.json:
-        sys.stdout.write(profile_to_json(tree, args.top) + "\n")
-    else:
-        sys.stdout.write(render_report(tree, args.top))
-    return code
-
-
 def _user(args: argparse.Namespace) -> str:
     """The session identity of ``remote``: ``--user``, else
     ``$ORPHEUS_USER``, else anonymous."""
@@ -872,10 +789,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         ServiceClient,
         ServiceError,
         ServiceUnavailableError,
-        daemon_running,
-        read_status_file,
     )
     from repro.service.daemon import ServiceConfig, ServiceDaemon
+    from repro.service.status import daemon_running, read_status_file
 
     if args.status or args.stop:
         if not daemon_running(args.root):
@@ -999,6 +915,77 @@ def _run_serve(args: argparse.Namespace) -> int:
     daemon.serve_forever()
     sys.stderr.write("orpheusd stopped\n")
     return 0
+
+
+def _run_top(args: argparse.Namespace) -> int:
+    """``orpheus top``: poll the daemon's ``stats`` op and repaint a
+    :func:`~repro.observe.top.render_frame` each ``--interval``.
+
+    Survives a daemon restart mid-session: a failed poll after at
+    least one success drops the connection and retries next interval,
+    and a counter reset (:func:`~repro.observe.top.detect_restart`)
+    discards the previous sample so rates restart from zero instead of
+    rendering garbage deltas."""
+    import time
+
+    from repro.observe.top import detect_restart, render_frame
+    from repro.service.client import ServiceClient, ServiceError
+
+    out = sys.stdout
+    interval = max(0.1, args.interval)
+    prev: dict | None = None
+    polls = 0
+    client: ServiceClient | None = None
+    connected_once = False
+
+    def _drop_client() -> None:
+        nonlocal client
+        if client is not None:
+            try:
+                client.close()
+            except Exception:
+                pass
+            client = None
+
+    try:
+        while True:
+            polls += 1
+            last_poll = args.once or (
+                args.iterations is not None and polls >= args.iterations
+            )
+            try:
+                if client is None:
+                    client = ServiceClient(root=args.root).connect()
+                stats = client.stats()
+            except (ServiceError, OSError) as error:
+                _drop_client()
+                if not connected_once or last_poll:
+                    sys.stderr.write(f"orpheus top: {error}\n")
+                    return 1
+                # The daemon is likely restarting; forget the old
+                # counters and keep polling.
+                prev = None
+                time.sleep(interval)
+                continue
+            connected_once = True
+            restarted = detect_restart(prev, stats)
+            if restarted:
+                prev = None
+            if args.json:
+                out.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+            else:
+                if not args.once:
+                    out.write("\x1b[2J\x1b[H")  # clear + home
+                out.write(render_frame(stats, prev, interval, restarted=restarted))
+            out.flush()
+            prev = stats
+            if last_poll:
+                return 0
+            time.sleep(interval)
+    except KeyboardInterrupt:
+        return 0
+    finally:
+        _drop_client()
 
 
 def _run_remote(args: argparse.Namespace) -> int:

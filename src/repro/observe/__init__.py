@@ -1,7 +1,7 @@
 """repro.observe — the introspection layer over the telemetry primitives.
 
-PR 1 made the system *measurable* (spans, counters, histograms); this
-package makes it *explainable*:
+:mod:`repro.telemetry` makes the system *measurable* (spans, counters,
+histograms); this package makes it *explainable*:
 
 * :mod:`repro.observe.explain` — EXPLAIN plan/cost trees for checkout,
   commit, diff, and VQuel queries, with an analyze mode that folds
@@ -14,9 +14,9 @@ package makes it *explainable*:
   operation journal behind ``orpheus log --ops`` and replay-verify,
   and the one reader of the record ``orpheus stats`` and ``orpheus
   heat`` mine;
-* :mod:`repro.observe.profile` — self/total-time analysis of profiled
-  span trees (``orpheus profile``: hot-span table, folded stacks,
-  JSON).
+* :mod:`repro.observe.heat` — the access-heat model ``orpheus heat``
+  mines from that record, and the partition advisor;
+* :mod:`repro.observe.top` — the ``orpheus top`` dashboard frame.
 
 The names below resolve on first use, so importing one submodule (the
 CLI's checkout/commit path needs only the journal) does not import the
@@ -30,11 +30,6 @@ _EXPORTS = {
     "DoctorReport": "doctor",
     "ProbeResult": "doctor",
     "run_doctor": "doctor",
-    "HotSpan": "profile",
-    "aggregate": "profile",
-    "collapsed_stacks": "profile",
-    "profile_to_dict": "profile",
-    "render_report": "profile",
     "ExplainNode": "explain",
     "attach_actuals": "explain",
     "io_cost": "explain",

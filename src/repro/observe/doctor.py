@@ -499,7 +499,7 @@ def probe_service_health(checkup: Checkup) -> list[ProbeResult]:
     """
     live = checkup.report
     if live is None:
-        from repro.service.client import read_status_file
+        from repro.service.status import read_status_file
 
         status = read_status_file(checkup.root)
         if status is None:
@@ -718,9 +718,8 @@ def probe_flight_recorder(checkup: Checkup) -> list[ProbeResult]:
             f"{status['slow_ms']:g}ms"
         )
         remediation = (
-            "watch the live breakdown with `orpheus top` and profile "
-            "the hot phase with `orpheus profile`; the `spans` of each "
-            "slow flight record name its slow phase"
+            "watch the live breakdown with `orpheus top`; the `spans` "
+            "of each slow flight record name its slow phase"
         )
     else:
         severity = OK

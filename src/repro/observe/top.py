@@ -1,6 +1,6 @@
 """``orpheus top`` — a live terminal dashboard for a running daemon.
 
-Polls the daemon's ``stats`` protocol op and renders per-op throughput
+Renders the daemon's ``stats`` protocol payload: per-op throughput
 (rates are deltas between consecutive polls), latency percentiles with
 the queue-wait/execute split, queue depths, cache efficiency, and the
 busiest sessions — the glanceable answer to "what is the daemon doing
@@ -8,16 +8,11 @@ right now", without log spelunking. A scan table shows the rows and
 bytes each dataset's requests scanned (``orpheus heat`` has the heat,
 partition and amplification analysis).
 
-``run_top`` is test-friendly: ``once=True`` prints a single frame with
-no screen clearing, ``as_json=True`` dumps the raw stats payload, and
-``iterations`` bounds the loop.
+This module only renders: the CLI's poll loop (``repro.cli``) owns
+the daemon connection and hands each payload to :func:`render_frame`.
 """
 
 from __future__ import annotations
-
-import json
-import sys
-import time
 
 
 def _fmt_ms(seconds) -> str:
@@ -194,83 +189,3 @@ def render_frame(
             )
         lines.append("(* = session currently connected)")
     return "\n".join(lines) + "\n"
-
-
-def run_top(
-    root: str | None = None,
-    interval: float = 2.0,
-    iterations: int | None = None,
-    once: bool = False,
-    as_json: bool = False,
-    stream=None,
-) -> int:
-    """Poll ``stats`` and repaint; returns a CLI exit code.
-
-    Survives a daemon restart mid-session: a failed poll after at
-    least one success drops the connection and retries next interval,
-    and a counter reset (new boot id, or the monotonic request total
-    going backwards) discards the previous sample so rates restart
-    from zero instead of rendering garbage deltas."""
-    from repro.service.client import ServiceClient, ServiceError
-
-    stream = stream if stream is not None else sys.stdout
-    interval = max(0.1, interval)
-    prev: dict | None = None
-    count = 0
-    client: ServiceClient | None = None
-    connected_once = False
-
-    def _drop_client() -> None:
-        nonlocal client
-        if client is not None:
-            try:
-                client.close()
-            except Exception:
-                pass
-            client = None
-
-    try:
-        while True:
-            try:
-                if client is None:
-                    client = ServiceClient(root=root).connect()
-                stats = client.stats()
-            except (ServiceError, OSError) as error:
-                _drop_client()
-                count += 1
-                out_of_polls = once or (
-                    iterations is not None and count >= iterations
-                )
-                if not connected_once or out_of_polls:
-                    sys.stderr.write(f"orpheus top: {error}\n")
-                    return 1
-                # The daemon is likely restarting; forget the old
-                # counters and keep polling.
-                prev = None
-                time.sleep(interval)
-                continue
-            connected_once = True
-            restarted = detect_restart(prev, stats)
-            if restarted:
-                prev = None
-            if as_json:
-                stream.write(
-                    json.dumps(stats, indent=2, sort_keys=True) + "\n"
-                )
-            else:
-                frame = render_frame(
-                    stats, prev, interval, restarted=restarted
-                )
-                if not once:
-                    stream.write("\x1b[2J\x1b[H")  # clear + home
-                stream.write(frame)
-            stream.flush()
-            prev = stats
-            count += 1
-            if once or (iterations is not None and count >= iterations):
-                return 0
-            time.sleep(interval)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        _drop_client()

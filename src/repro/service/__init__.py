@@ -55,8 +55,6 @@ from repro.service.client import (
     ServiceError,
     ServiceInternalError,
     ServiceUnavailableError,
-    daemon_running,
-    read_status_file,
 )
 from repro.service.daemon import ServiceConfig, ServiceDaemon, default_socket_path
 from repro.service.degrade import (
@@ -69,6 +67,7 @@ from repro.service.protocol import PROTOCOL_VERSION, Request, Response
 from repro.service.recorder import FlightRecorder, read_flight
 from repro.service.scheduler import QueueFullError, RequestScheduler
 from repro.service.sessions import Session, SessionManager
+from repro.service.status import daemon_running, read_status_file
 
 __all__ = [
     "CacheStats",

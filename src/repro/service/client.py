@@ -39,17 +39,15 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import socket
 import time
-from pathlib import Path
 from typing import Sequence
 
-from repro.resilience.lock import pid_alive
 from repro.service import protocol
 from repro.service.protocol import LineChannel, Response
+from repro.service.status import read_status_file
 from repro.service.tracing import new_trace_context
 
 #: Env var: default total latency budget (ms) per logical operation,
@@ -219,22 +217,6 @@ def client_deadline_ms() -> float | None:
     except ValueError:
         return None
     return value if value > 0 else None
-
-
-def read_status_file(root: str | None = None) -> dict | None:
-    """The daemon's ``.orpheus/service.json``, or None when absent."""
-    path = Path(root or ".") / ".orpheus" / "service.json"
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def daemon_running(root: str | None = None) -> bool:
-    """True when service.json names a live pid."""
-    status = read_status_file(root)
-    return status is not None and pid_alive(int(status.get("pid") or 0))
 
 
 class ServiceClient:

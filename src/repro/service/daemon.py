@@ -87,9 +87,8 @@ from repro.service.sessions import (
     HandshakeError,
     SessionManager,
 )
+from repro.service.status import status_file_path
 
-#: Status/pid file the CLI, client, and doctor probe read.
-STATUS_FILE = "service.json"
 SOCKET_FILE = "service.sock"
 
 #: Unix-domain socket paths are limited to ~108 bytes; repositories in
@@ -126,10 +125,6 @@ def default_socket_path(root: str | None = None) -> str:
         return path
     digest = hashlib.sha256(path.encode()).hexdigest()[:16]
     return f"/tmp/orpheusd-{digest}.sock"
-
-
-def status_file_path(root: str | None = None) -> Path:
-    return Path(root or ".") / ".orpheus" / STATUS_FILE
 
 
 @dataclass

@@ -15,7 +15,6 @@ Public surface (all process-global, guarded by one enabled flag):
   :class:`~repro.telemetry.snapshot.Snapshot`
 * :func:`now` / :func:`monotonic` / :func:`set_clock` — the injectable
   clock every timestamp in the system goes through
-* :mod:`repro.telemetry.log` — the one-JSON-line-per-span bridge
 
 Everything is a no-op costing one branch when telemetry is disabled
 (the default), so instrumentation stays in the inner loops permanently.
@@ -32,13 +31,6 @@ from repro.telemetry.clock import (
     now,
     set_clock,
 )
-from repro.telemetry.profiling import (
-    PROFILE_ENV,
-    arm_from_env,
-    disable_profiling,
-    enable_profiling,
-    is_profiling,
-)
 from repro.telemetry.registry import Histogram, Registry, get_registry
 from repro.telemetry.snapshot import Snapshot
 from repro.telemetry.spans import (
@@ -47,31 +39,24 @@ from repro.telemetry.spans import (
     last_span_tree,
     span,
 )
-from repro.telemetry import log
 
 __all__ = [
     "Clock",
     "FrozenClock",
     "Histogram",
-    "PROFILE_ENV",
     "Registry",
     "Snapshot",
     "SpanNode",
     "SystemClock",
-    "arm_from_env",
     "count",
     "current_span",
     "disable",
-    "disable_profiling",
     "enable",
-    "enable_profiling",
     "gauge",
     "get_clock",
     "get_registry",
     "is_enabled",
-    "is_profiling",
     "last_span_tree",
-    "log",
     "monotonic",
     "now",
     "observe",
@@ -80,12 +65,6 @@ __all__ = [
     "snapshot",
     "span",
 ]
-
-# ORPHEUS_PROFILE=1 arms resource profiling for the whole process the
-# moment telemetry is imported (spans still only profile while the
-# registry itself is enabled).
-arm_from_env()
-
 
 def enable() -> None:
     """Turn metric collection on for the whole process."""

@@ -110,10 +110,6 @@ class Registry:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: Opt-in resource profiling (see repro.telemetry.profiling).
-        #: Checked by spans only after the enabled check, so the
-        #: disabled fast path never pays for it.
-        self.profiling = False
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}

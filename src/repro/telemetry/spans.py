@@ -12,9 +12,7 @@ manager — no allocation, no contextvar touch. When enabled, each span:
 * attaches to the enclosing span (building the per-invocation tree the
   CLI prints under ``--timings``);
 * aggregates its duration into the registry's per-name span stats;
-* closes correctly on exceptions (status ``error``, contextvar reset);
-* emits one JSON line through :mod:`repro.telemetry.log` if the
-  structured-logging bridge is enabled.
+* closes correctly on exceptions (status ``error``, contextvar reset).
 
 ``contextvars`` (rather than a plain global stack) keeps nesting correct
 across threads and async tasks for free.
@@ -22,12 +20,9 @@ across threads and async tasks for free.
 
 from __future__ import annotations
 
-import time
-import tracemalloc
 from contextvars import ContextVar
 
 from repro.telemetry import clock
-from repro.telemetry.profiling import gc_collections
 from repro.telemetry.registry import get_registry
 
 _current: ContextVar["SpanNode | None"] = ContextVar(
@@ -40,7 +35,7 @@ class SpanNode:
 
     __slots__ = (
         "name", "attrs", "started_at", "duration_s", "status", "error",
-        "children", "profile", "_t0", "_prof",
+        "children", "_t0",
     )
 
     def __init__(self, name: str, attrs: dict) -> None:
@@ -51,11 +46,7 @@ class SpanNode:
         self.status = "ok"
         self.error: str | None = None
         self.children: list[SpanNode] = []
-        #: Resource profile dict (cpu_ns, mem_peak_bytes,
-        #: mem_alloc_bytes, gc_collections) when profiling is enabled.
-        self.profile: dict | None = None
         self._t0 = clock.monotonic()
-        self._prof: dict | None = None
 
     def set_attr(self, key: str, value) -> None:
         """Attach an attribute discovered mid-span (e.g. the new vid)."""
@@ -72,8 +63,6 @@ class SpanNode:
             node["attrs"] = dict(self.attrs)
         if self.error:
             node["error"] = self.error
-        if self.profile is not None:
-            node["profile"] = dict(self.profile)
         if self.children:
             node["children"] = [child.to_dict() for child in self.children]
         return node
@@ -89,13 +78,7 @@ class SpanNode:
             else ""
         )
         flag = "" if self.status == "ok" else f" [{self.status}]"
-        prof = ""
-        if self.profile is not None:
-            prof = (
-                f"  cpu={self.profile['cpu_ns'] / 1e9:.6f}s"
-                f" peak_mem={self.profile['mem_peak_bytes']}B"
-            )
-        lines = [f"{'  ' * indent}{self.name}  {duration}{prof}{flag}{attrs}"]
+        lines = [f"{'  ' * indent}{self.name}  {duration}{flag}{attrs}"]
         for child in self.children:
             lines.append(child.render(indent + 1))
         return "\n".join(lines)
@@ -127,8 +110,6 @@ class _SpanContext:
 
     def __enter__(self) -> SpanNode:
         node = self.node = SpanNode(self.name, self.attrs)
-        if get_registry().profiling:
-            _profile_enter(node, _current.get())
         self.token = _current.set(node)
         return node
 
@@ -136,8 +117,6 @@ class _SpanContext:
         node = self.node
         _current.reset(self.token)
         node.duration_s = clock.monotonic() - node._t0
-        if node._prof is not None:
-            _profile_exit(node, _current.get())
         if exc_type is not None:
             node.status = "error"
             node.error = f"{exc_type.__name__}: {exc}"
@@ -148,55 +127,7 @@ class _SpanContext:
         else:
             registry.record_root(node)
         registry.record_span(node.name, node.duration_s, exc_type is not None)
-        from repro.telemetry import log
-
-        log.emit(node, parent.name if parent is not None else None)
         return False
-
-
-def _profile_enter(node: SpanNode, parent: "SpanNode | None") -> None:
-    """Start resource accounting for ``node``.
-
-    ``tracemalloc`` has a single process-wide peak counter, so before a
-    child resets it the observed peak is folded into the parent's
-    running maximum — every ancestor's final peak is then the max of
-    what it saw directly and every descendant's absolute peak.
-    """
-    if not tracemalloc.is_tracing():  # profiling raced a stop; skip
-        return
-    current, peak = tracemalloc.get_traced_memory()
-    if parent is not None and parent._prof is not None:
-        if peak > parent._prof["peak_abs"]:
-            parent._prof["peak_abs"] = peak
-    tracemalloc.reset_peak()
-    node._prof = {
-        "cpu0": time.process_time_ns(),
-        "mem0": current,
-        "peak_abs": current,
-        "gc0": gc_collections(),
-    }
-
-
-def _profile_exit(node: SpanNode, parent: "SpanNode | None") -> None:
-    prof = node._prof
-    node._prof = None
-    cpu_ns = time.process_time_ns() - prof["cpu0"]
-    if tracemalloc.is_tracing():
-        current, peak = tracemalloc.get_traced_memory()
-    else:
-        current = peak = prof["mem0"]
-    peak_abs = max(peak, prof["peak_abs"])
-    if parent is not None and parent._prof is not None:
-        # The running tracemalloc peak (which already covers this whole
-        # subtree) keeps counting for the parent; just propagate ours.
-        if peak_abs > parent._prof["peak_abs"]:
-            parent._prof["peak_abs"] = peak_abs
-    node.profile = {
-        "cpu_ns": cpu_ns,
-        "mem_peak_bytes": max(0, peak_abs - prof["mem0"]),
-        "mem_alloc_bytes": current - prof["mem0"],
-        "gc_collections": gc_collections() - prof["gc0"],
-    }
 
 
 def span(name: str, **attrs):

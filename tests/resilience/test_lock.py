@@ -204,7 +204,7 @@ def test_pid_alive_reads_an_unexpected_kill_error_as_dead(monkeypatch):
     import errno
 
     from repro.resilience import lock
-    from repro.service import client
+    from repro.service import status
 
     def raising(error):
         def kill(pid, signal):
@@ -220,4 +220,4 @@ def test_pid_alive_reads_an_unexpected_kill_error_as_dead(monkeypatch):
         monkeypatch.setattr(lock.os, "kill", raising(error))
         assert lock.pid_alive(4242) is alive
     assert lock.pid_alive(0) is False
-    assert client.pid_alive is lock.pid_alive
+    assert status.pid_alive is lock.pid_alive

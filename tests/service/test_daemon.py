@@ -20,10 +20,9 @@ from repro.service.client import (
     ServiceDeniedError,
     ServiceError,
     ServiceShutdownError,
-    daemon_running,
-    read_status_file,
 )
 from repro.service.daemon import ServiceConfig, ServiceDaemon
+from repro.service.status import daemon_running, read_status_file
 from repro.service.protocol import PROTOCOL_VERSION
 
 from tests.service.conftest import seed_dataset

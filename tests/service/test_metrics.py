@@ -13,7 +13,7 @@ import urllib.request
 
 import pytest
 
-from repro.observe.top import render_frame, run_top
+from repro.observe.top import render_frame
 from repro.service.daemon import ServiceConfig
 from repro.service.httpmon import MetricsServer
 from repro.service.metrics import RECENT_CAP, ServiceMetrics
@@ -401,10 +401,10 @@ class TestTopDashboard:
         assert stats["requests"]["slow"] == 3
         assert "slow 3 (over 0ms)" in render_frame(stats)
 
-    def test_run_top_once_json(
+    def test_top_once_prints_one_plain_frame(
         self, workspace, daemon_factory, tmp_path, capsys
     ):
-        import io
+        from repro.cli import main
 
         seed_dataset(workspace)
         with daemon_factory() as handle:
@@ -413,29 +413,30 @@ class TestTopDashboard:
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
             await_ledger(handle, "checkout")
-            buffer = io.StringIO()
-            assert run_top(
-                root=str(workspace), once=True, as_json=True,
-                stream=buffer,
-            ) == 0
-            payload = json.loads(buffer.getvalue())
-            assert payload["requests"]["total"] >= 1
+            capsys.readouterr()  # drop the seed-dataset init banner
+            assert main(["--root", str(workspace), "top", "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "\x1b[2J" not in out
+        assert out.startswith("orpheusd pid ")
+        assert re.search(r"^checkout\s+1\s", out, re.MULTILINE)
 
-    def test_run_top_iterations_bound(self, workspace, daemon_factory):
-        import io
+    def test_top_iterations_bound(self, workspace, daemon_factory, capsys):
+        from repro.cli import main
 
         seed_dataset(workspace)
         with daemon_factory():
-            buffer = io.StringIO()
-            assert run_top(
-                root=str(workspace), interval=0.1, iterations=2,
-                stream=buffer,
-            ) == 0
-            # Two frames, each starting with the clear-screen escape.
-            assert buffer.getvalue().count("\x1b[2J") == 2
+            capsys.readouterr()
+            assert main([
+                "--root", str(workspace), "top",
+                "--interval", "0.1", "--iterations", "2",
+            ]) == 0
+        # Two frames, each starting with the clear-screen escape.
+        assert capsys.readouterr().out.count("\x1b[2J") == 2
 
-    def test_run_top_no_daemon_errors(self, workspace, capsys):
-        assert run_top(root=str(workspace), once=True) == 1
+    def test_top_without_a_daemon_errors(self, workspace, capsys):
+        from repro.cli import main
+
+        assert main(["--root", str(workspace), "top", "--once"]) == 1
         assert "orpheus top" in capsys.readouterr().err
 
     def test_cli_top_once_json(

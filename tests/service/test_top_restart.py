@@ -50,7 +50,7 @@ def test_render_frame_flags_restart_and_resets_rates():
     prev = _stats(1000, "aaaa")
     current = _stats(3, "bbbb")
     assert detect_restart(prev, current)
-    # The run_top loop passes prev=None after detection; the frame
+    # The CLI's poll loop passes prev=None after detection; the frame
     # must flag the restart and show fresh (zero-based) rates.
     frame = render_frame(current, None, 2.0, restarted=True)
     assert "RESTARTED" in frame

@@ -1,6 +1,6 @@
-"""Telemetry tests mutate process-global state (the registry, the
-clock, the log bridge); this fixture guarantees each test starts clean
-and leaves no trace for the rest of the suite."""
+"""Telemetry tests mutate process-global state (the registry and the
+clock); this fixture guarantees each test starts clean and leaves no
+trace for the rest of the suite."""
 
 from __future__ import annotations
 
@@ -12,18 +12,12 @@ from repro import telemetry
 @pytest.fixture(autouse=True)
 def clean_telemetry():
     was_enabled = telemetry.is_enabled()
-    was_profiling = telemetry.is_profiling()
     telemetry.reset()
     telemetry.set_clock(None)
     yield
     telemetry.reset()
     telemetry.set_clock(None)
-    telemetry.log.disable()
     if was_enabled:
         telemetry.enable()
     else:
         telemetry.disable()
-    if was_profiling:
-        telemetry.enable_profiling()
-    else:
-        telemetry.disable_profiling()

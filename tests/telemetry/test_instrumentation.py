@@ -5,11 +5,12 @@ story through the ``orpheus`` CLI (``stats --json``, ``--timings``)."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro import telemetry
-from repro.cli import main
+from repro.cli import COMMAND_TABLE, main
 from repro.core.commands import Orpheus
 from repro.core.cvd import CVD
 from repro.partition.partitioned_store import PartitionedRlistStore
@@ -189,3 +190,78 @@ class TestCliStats:
         telemetry.disable()
         self._drive(workspace)
         assert not telemetry.is_enabled()
+
+
+#: One command line per local command that runs over the repository
+#: (``serve``, ``remote`` and ``top`` talk to a daemon), after ``_seed``.
+TIMED = {
+    "init": ["init", "-d", "e", "-f", "{data}", "-s", "{schema}"],
+    "checkout": ["checkout", "-d", "d", "-v", "1", "-f", "{out}"],
+    "commit": ["commit", "-d", "d", "-f", "{work}", "-m", "edit"],
+    "log": ["log", "-d", "d"],
+    "diff": ["diff", "-d", "d", "-a", "1", "-b", "1"],
+    "ls": ["ls"],
+    "run": ["run", "SELECT key FROM VERSION 1 OF CVD d"],
+    "drop": ["drop", "-d", "d"],
+    "optimize": ["optimize", "-d", "d"],
+    "create_user": ["create_user", "bob"],
+    "config": ["config", "alice"],
+    "whoami": ["whoami"],
+    "doctor": ["doctor"],
+    "recover": ["recover", "--dry-run"],
+    "migrate-state": ["migrate-state", "--dry-run"],
+    "stats": ["stats"],
+    "heat": ["heat"],
+}
+
+#: Commands that only read: ``--timings`` must not make them write.
+READERS = {"ls", "log", "doctor", "stats", "heat"}
+
+
+def _seed(workspace) -> dict:
+    """A partitioned dataset ``d`` with v1 checked out to ``work.csv``
+    and edited; returns the paths ``TIMED`` names."""
+    paths = {
+        "data": str(workspace / "data.csv"),
+        "schema": str(workspace / "schema.csv"),
+        "work": str(workspace / "work.csv"),
+        "out": str(workspace / "out.csv"),
+    }
+    assert run(workspace, "create_user", "alice") == 0
+    assert run(workspace, "config", "alice") == 0
+    assert run(
+        workspace, "init", "-d", "d", "-f", paths["data"],
+        "-s", paths["schema"], "--model", "partitioned_rlist",
+    ) == 0
+    assert run(workspace, "checkout", "-d", "d", "-v", "1", "-f", paths["work"]) == 0
+    with open(paths["work"], "a", newline="") as handle:
+        handle.write("k99,99\r\n")
+    return paths
+
+
+def _files(root) -> dict:
+    return {
+        path.relative_to(root).as_posix(): path.stat().st_mtime_ns
+        for path in sorted((root / ".orpheus").rglob("*"))
+        if path.is_file() and path.name != "repo.lock"
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        name for name, entry in COMMAND_TABLE.items()
+        if entry.local and name not in ("serve", "remote", "top")
+    ],
+)
+def test_timings_prints_a_tree_rooted_at_the_command(workspace, capsys, command):
+    paths = _seed(workspace)
+    before = _files(workspace)
+    capsys.readouterr()
+    argv = [token.format(**paths) for token in TIMED[command]]
+    run(workspace, "--timings", *argv)
+    err = capsys.readouterr().err
+    assert re.search(rf"^cli\.{re.escape(command)}  \d+\.\d{{6}}s", err, re.M), err
+    assert "\ncounters\n" in err
+    if command in READERS:
+        assert _files(workspace) == before

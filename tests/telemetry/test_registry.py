@@ -3,7 +3,6 @@ safety, and the disabled no-op fast path."""
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 
@@ -198,28 +197,3 @@ class TestRenderers:
     def test_empty_render(self):
         assert Snapshot().render_text() == "no telemetry recorded\n"
         assert Snapshot().render_prometheus() == ""
-
-
-class TestLogBridge:
-    def test_emits_one_json_line_per_span(self):
-        telemetry.enable()
-        stream = io.StringIO()
-        telemetry.log.enable(stream)
-        with telemetry.span("outer"):
-            with telemetry.span("inner", vid=3):
-                pass
-        telemetry.log.disable()
-        lines = [json.loads(l) for l in stream.getvalue().splitlines()]
-        assert [l["name"] for l in lines] == ["inner", "outer"]
-        assert lines[0]["parent"] == "outer"
-        assert lines[0]["attrs"] == {"vid": 3}
-        assert all(l["event"] == "span" for l in lines)
-
-    def test_disabled_bridge_emits_nothing(self):
-        telemetry.enable()
-        stream = io.StringIO()
-        telemetry.log.enable(stream)
-        telemetry.log.disable()
-        with telemetry.span("quiet"):
-            pass
-        assert stream.getvalue() == ""

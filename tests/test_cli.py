@@ -159,82 +159,6 @@ class TestRaggedCsv:
         assert "line 4" in last["error"]["message"]
 
 
-class TestProfileCommand:
-    def _init(self, workspace):
-        run(workspace, "create_user", "a")
-        run(workspace, "config", "a")
-        run(workspace, "init", "-d", "inter",
-            "-f", str(workspace / "data.csv"),
-            "-s", str(workspace / "schema.csv"))
-
-    def test_profile_checkout_prints_cpu_and_memory_columns(
-        self, workspace, capsys
-    ):
-        self._init(workspace)
-        capsys.readouterr()
-        out_file = workspace / "prof.csv"
-        assert (
-            run(
-                workspace,
-                "profile",
-                "checkout", "-d", "inter", "-v", "1", "-f", str(out_file),
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "cpu=" in out
-        assert "peak_mem=" in out
-        assert "hot spans (by self time)" in out
-        assert out_file.exists()
-
-    def test_profile_collapsed_stacks(self, workspace, capsys):
-        self._init(workspace)
-        capsys.readouterr()
-        assert (
-            run(
-                workspace,
-                "profile", "--collapsed",
-                "log", "-d", "inter",
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        # Folded format: every line is "stack;frames <self_us>".
-        folded = [
-            line for line in out.splitlines() if line and line[-1].isdigit()
-        ]
-        assert folded
-        assert all(" " in line for line in folded)
-
-    def test_profile_json_payload(self, workspace, capsys):
-        import json as _json
-
-        self._init(workspace)
-        capsys.readouterr()
-        assert run(workspace, "profile", "--json", "ls") == 0
-        out = capsys.readouterr().out
-        # The profiled command's own stdout precedes the JSON payload.
-        payload = _json.loads(out[out.index("{"):])
-        assert "tree" in payload and "hot_spans" in payload
-        assert payload["tree"]["profile"] is not None
-
-    def test_profile_restores_profiling_state(self, workspace):
-        from repro import telemetry
-
-        self._init(workspace)
-        assert not telemetry.is_profiling()
-        run(workspace, "profile", "ls")
-        assert not telemetry.is_profiling()
-
-    def test_profile_without_command_errors(self, workspace, capsys):
-        assert run(workspace, "profile") == 2
-        assert "needs a command" in capsys.readouterr().err
-
-    def test_profile_refuses_recursion(self, workspace, capsys):
-        assert run(workspace, "profile", "profile", "ls") == 2
-        assert "cannot profile" in capsys.readouterr().err
-
-
 class TestJsonOutputs:
     def _seed(self, workspace):
         run(workspace, "create_user", "a")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -58,8 +59,6 @@ LOCAL_CORPUS = [
     ["recover", "--dry-run"],
     ["migrate-state"],
     ["migrate-state", "--to", "pickle", "--dry-run"],
-    ["profile", "--top", "5", "--collapsed", "--json", "checkout", "-d", "ds", "-v", "1", "-f", "o"],
-    ["profile", "--", "ls"],
     ["serve", "--socket", "s.sock", "--tcp", "127.0.0.1:0", "--workers", "2",
      "--cache-mb", "8", "--queue-depth", "4", "--read-queue-depth", "16",
      "--idle-timeout", "30", "--metrics-port", "0", "--slow-ms", "100"],
@@ -172,10 +171,11 @@ def test_help_and_errors_match_the_full_grammar(label, monkeypatch):
     assert actual == expected
 
 
-#: Options the grammar no longer has (names built by concatenation so a
-#: repository-wide search for them stays empty).
+#: Commands and options the grammar no longer has (names built by
+#: concatenation so a repository-wide search for them stays empty).
 REFUSED = [
     ["re" + "play", "flight"],
+    ["pro" + "file", "ls"],
     ["serve", "--flight-" + "sample", "0.5"],
     ["serve", "--flight-" + "segment-mb", "1"],
     ["serve", "--flight-" + "segments", "3"],
@@ -249,6 +249,34 @@ def test_serve_keeps_every_value_a_daemon_can_run_with(argv, field, value):
     """The edges the checks draw: the last valid port, a host that holds
     colons of its own, a queue one deep, and the defaults."""
     assert getattr(_parse(argv), field) == value
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Where a command is named for a reader to run: the docs, the doctor's
+#: remediations and the CLI's own help.
+NAMING_FILES = [
+    REPO / "README.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    REPO / "src" / "repro" / "observe" / "doctor.py",
+    REPO / "src" / "repro" / "cli.py",
+]
+
+#: `` `orpheus <word>` `` inline, or a command line in a code block.
+NAMED_COMMAND = re.compile(
+    r"`orpheus\s+([A-Za-z][\w-]*)|^\s*(?:\$\s+)?orpheus\s+([A-Za-z][\w-]*)",
+    re.MULTILINE,
+)
+
+
+@pytest.mark.parametrize(
+    "path", NAMING_FILES, ids=lambda path: path.relative_to(REPO).as_posix()
+)
+def test_docs_and_remediations_name_only_commands_that_exist(path):
+    named = {
+        inline or line for inline, line in NAMED_COMMAND.findall(path.read_text())
+    }
+    assert named - set(COMMAND_TABLE) == set()
 
 
 @pytest.mark.skipif(

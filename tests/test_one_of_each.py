@@ -545,3 +545,82 @@ def test_one_module_decides_whether_a_pid_is_alive():
         )
     ]
     assert definers == ["resilience/lock.py"]
+
+
+def test_the_observe_package_only_renders_the_daemon():
+    """``orpheus top``'s poll loop lives in the CLI beside ``serve``:
+    no module under ``observe/`` opens a client connection."""
+    importers = set()
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+                imported += [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            else:
+                continue
+            if "repro.service.client" in imported:
+                importers.add(name)
+    assert {name for name in importers if name.startswith("observe/")} == set()
+    assert "cli.py" in importers  # the walk sees what it guards
+
+
+#: What the span-only telemetry deleted: a resource profiler and a
+#: one-JSON-line-per-span log bridge (split so a search stays empty).
+PROFILER_TOKENS = [
+    "trace" + "malloc",
+    "ORPHEUS_" + "PROFILE",
+    "enable_" + "profiling",
+    "repro.telemetry" + ".log",
+    "observe" + ".profile",
+]
+
+
+@pytest.mark.parametrize("token", PROFILER_TOKENS)
+def test_a_span_only_times(token):
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if token in path.read_text()
+    ]
+    assert offenders == []
+
+
+#: Every environment variable the program reads.
+ORPHEUS_NAMES = {
+    "ORPHEUS_BUFFER_BYTES",
+    "ORPHEUS_CLIENT_DEADLINE_MS",
+    "ORPHEUS_FAILPOINTS",
+    "ORPHEUS_LOCK_TIMEOUT",
+    "ORPHEUS_PAGE_BYTES",
+    "ORPHEUS_STATE_LAYOUT",
+    "ORPHEUS_USER",
+}
+
+
+def test_the_program_reads_seven_orpheus_variables():
+    import re
+
+    found = {
+        match
+        for path in SRC.rglob("*.py")
+        for match in re.findall(r"ORPHEUS_[A-Z_]+", path.read_text())
+    }
+    assert found == ORPHEUS_NAMES
+
+
+def test_timings_has_no_resource_columns_whatever_the_environment(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env["ORPHEUS_" + "PROFILE"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "--timings", "ls"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("cli.ls  ")
+    assert "cpu=" not in done.stderr and "peak_mem=" not in done.stderr
