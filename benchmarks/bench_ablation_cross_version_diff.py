@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 
 from benchmarks.common import fmt, print_table, timed
 from repro.core.cvd import CVD

@@ -8,7 +8,6 @@ wall time.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import fmt, print_table, timed
 from repro.storage.deltas import CellDeltaCodec, LineDeltaCodec, XorDeltaCodec

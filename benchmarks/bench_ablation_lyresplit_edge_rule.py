@@ -9,7 +9,6 @@ usually a better realized storage/checkout point.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import dataset, fmt, membership_of, print_table
 from repro.partition.lyresplit import lyresplit

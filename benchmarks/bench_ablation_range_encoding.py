@@ -8,7 +8,6 @@ the encoding is very effective on real histories.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import dataset, fmt, history_schema, print_table, sample_vids, timed
 from repro.core.cvd import CVD

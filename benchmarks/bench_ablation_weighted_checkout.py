@@ -9,7 +9,6 @@ weighted checkout cost C_w, at matched storage.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import dataset, fmt, membership_of, print_table
 from repro.partition.lyresplit import lyresplit

@@ -12,7 +12,6 @@ construction; tighter µ triggers more replans but lower storage.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import fmt, print_table, timed
 from repro.storage.deltas import LineDeltaCodec

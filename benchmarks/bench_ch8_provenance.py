@@ -14,7 +14,6 @@ operations still linked.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import fmt, print_table, timed
 from repro.provenance import InferenceConfig, evaluate_edges, infer_lineage

@@ -17,18 +17,9 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import (
-    fmt,
-    history_schema,
-    load_cvd,
-    print_table,
-    sample_vids,
-    timed,
-)
-from repro.core.cvd import CVD
+from benchmarks.common import fmt, load_cvd, print_table, sample_vids, timed
 from repro.core.models import DATA_MODELS
 from repro.datasets.benchmark import BenchmarkConfig, generate_sci
-from repro.relational.database import Database
 
 #: Four growing SCI instances standing in for SCI_1M..SCI_8M.
 SIZES = {

@@ -10,7 +10,6 @@ graph — and the gap widens with dataset size.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import dataset, fmt, membership_of, print_table, timed
 from repro.partition.baselines import (

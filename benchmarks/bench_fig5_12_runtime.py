@@ -8,7 +8,7 @@ shape but still pay bipartite-graph costs.
 from __future__ import annotations
 
 from benchmarks.bench_fig5_10_runtime import run_comparison
-from benchmarks.common import dataset, membership_of, timed
+from benchmarks.common import dataset, timed
 from repro.partition.lyresplit import lyresplit
 from repro.partition.version_graph import graph_from_history
 

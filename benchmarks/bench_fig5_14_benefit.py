@@ -11,7 +11,6 @@ scale).
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import (
     dataset,

@@ -12,7 +12,6 @@ naive rebuilds do (~1/10 at µ=1.05 in the paper).
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import dataset, fmt, history_schema, print_table
 from repro.core.cvd import CVD

@@ -11,7 +11,6 @@ never rises.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import dataset, fmt, membership_of, print_table
 from repro.partition.baselines import agglo_partition, kmeans_partition

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 
 from benchmarks.common import fmt, measure, print_table, timed
 from repro.partition.lyresplit import lyresplit, lyresplit_for_budget

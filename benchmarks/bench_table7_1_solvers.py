@@ -10,7 +10,6 @@ the constrained variants interpolate, always satisfying their bound.
 
 from __future__ import annotations
 
-import pytest
 
 from benchmarks.common import fmt, measure, print_table
 from repro.storage.solvers import solve

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.cvd import CVD
-from repro.datasets.benchmark import STANDARD_CONFIGS, standard_datasets
+from repro.datasets.benchmark import standard_datasets
 from repro.datasets.history import VersionedHistory
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema

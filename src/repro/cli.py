@@ -721,7 +721,7 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     if explain == "plan":
         out.write(_render_plan(plan, args))
         return 0
-    do = lambda: orpheus.execute(
+    do = lambda: orpheus.execute(  # noqa: E731
         args.command, params, user, root=args.root, read_csv=read_csv
     )
     if plan is None:

@@ -48,8 +48,6 @@ summary, a concrete remediation, and machine-readable data. The probes:
   rows-requested per data model against the amplification budget.
 * **page store health** — paged-layout invariants: every referenced
   page file present, checksum spot-check, no orphans/stray temps.
-* **buffer pool** — orpheusd's page cache: thrash (eviction rate
-  rivaling fault rate) and leaked dirty pages.
 
 ``run_doctor`` runs the table; the report's exit code is non-zero when
 any probe fails, so CI can gate on ``orpheus doctor --json``.
@@ -1019,82 +1017,6 @@ def probe_page_store(checkup: Checkup) -> list[ProbeResult]:
     ]
 
 
-def probe_buffer_pool(checkup: Checkup) -> list[ProbeResult]:
-    """orpheusd's page cache under budget pressure: a pool that evicts
-    almost as often as it faults is thrashing — the budget is too small
-    for the working set the workload actually touches. A one-shot CLI
-    process has no pool worth judging."""
-    from repro.pagestore.bufferpool import BUFFER_BYTES_ENV
-
-    stats = (checkup.report or {}).get("buffer_pool")
-    if not stats:
-        return []
-    data = dict(stats)
-    traffic = stats["faults"] + stats["hits"]
-    if traffic == 0:
-        return [
-            ProbeResult(
-                probe="buffer_pool",
-                severity=OK,
-                summary=(
-                    f"pool idle (budget "
-                    f"{stats['budget_bytes'] // (1024 * 1024)} MiB)"
-                ),
-                data=data,
-            )
-        ]
-    if stats["dirty_bytes"] > 0:
-        return [
-            ProbeResult(
-                probe="buffer_pool",
-                severity=WARN,
-                summary=(
-                    f"{stats['dirty_bytes']} dirty byte(s) resident "
-                    f"outside a save — a write-back did not complete"
-                ),
-                remediation=(
-                    "dirty pages never evict and live only in orpheusd's "
-                    "memory: restart it (`orpheus serve --stop`, then "
-                    "`orpheus serve`), running `orpheus recover` in "
-                    "between to sweep what the write-back left"
-                ),
-                data=data,
-            )
-        ]
-    if (
-        stats["evictions"] > 0
-        and stats["faults"] > 0
-        and stats["evictions"] >= 0.5 * stats["faults"]
-    ):
-        return [
-            ProbeResult(
-                probe="buffer_pool",
-                severity=WARN,
-                summary=(
-                    f"pool thrashing: {stats['evictions']} evictions "
-                    f"against {stats['faults']} faults "
-                    f"(hit rate {stats['hit_rate']:.0%})"
-                ),
-                remediation=(
-                    f"the working set exceeds the budget; restart orpheusd "
-                    f"with a larger {BUFFER_BYTES_ENV} (currently "
-                    f"{stats['budget_bytes']} bytes)"
-                ),
-                data=data,
-            )
-        ]
-    return [
-        ProbeResult(
-            probe="buffer_pool",
-            severity=OK,
-            summary=(
-                f"hit rate {stats['hit_rate']:.0%} over {traffic} "
-                f"access(es), {stats['resident_pages']} page(s) resident"
-            ),
-            data=data,
-        )
-    ]
-
 # ----------------------------------------------------------------------
 #: The doctor: probe name -> (probe, the OK summary it gets when it
 #: returns nothing; empty for the probes that always report), in report
@@ -1133,10 +1055,6 @@ PROBES = {
     "io_amplification": (probe_io_amplification, "no checkouts observed"),
     "page_store_health": (
         probe_page_store, "pickle layout; page store not in use",
-    ),
-    "buffer_pool": (
-        probe_buffer_pool,
-        "no daemon report: `orpheus remote -- doctor` judges orpheusd's pool",
     ),
 }
 

@@ -74,7 +74,6 @@ def render_frame(
     scheduler = stats.get("scheduler", {})
     cache = stats.get("cache", {})
     sessions = stats.get("sessions", {})
-    pool = stats.get("buffer_pool", {})
 
     lines = [
         (
@@ -110,16 +109,6 @@ def render_frame(
             f"hit {cache.get('hit_rate', 0.0):.0%} · "
             f"evictions {cache.get('evictions', 0)}"
         ),
-        (
-            f"pages   {pool.get('resident_pages', 0)} resident · "
-            f"{_fmt_bytes(pool.get('resident_bytes', 0))} of "
-            f"{_fmt_bytes(pool.get('budget_bytes', 0))} · "
-            f"hit {pool.get('hit_rate', 0.0):.0%} · "
-            f"faults {pool.get('faults', 0)} · "
-            f"wb {pool.get('writebacks', 0)}"
-        )
-        if pool
-        else "pages   (pool idle)",
         "",
         (
             f"{'op':<12} {'count':>7} {'rate':>8} {'p50':>8} {'p95':>8}"

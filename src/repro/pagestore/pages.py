@@ -1,8 +1,8 @@
 """Fixed-size, checksummed, content-addressed page files.
 
-A *page* is the unit of disk I/O and buffer-pool residency: a slice of
-an encoded segment, at most :func:`page_size` payload bytes, stored as
-one file under ``.orpheus/pages/`` named by the SHA-256 of its payload.
+A *page* is the unit of disk I/O: a slice of an encoded segment, at
+most :func:`page_size` payload bytes, stored as one file under
+``.orpheus/pages/`` named by the SHA-256 of its payload.
 Content addressing is what makes write-back both cheap and crash-safe:
 
 * an unchanged page already exists on disk and costs nothing to

@@ -12,8 +12,8 @@ A paged save splits the repository object graph into:
   are the only stored copy of version → rids and rid → payload),
   encoded by :mod:`repro.pagestore.codec`, sliced into
   content-addressed pages (:mod:`repro.pagestore.pages`), and replaced
-  in the skeleton by their refs; a loaded table reads each chunk
-  through the buffer pool when an access first needs it, steered by
+  in the skeleton by their refs; a loaded table reads each chunk's
+  pages from their files when an access first needs it, steered by
   the chunk's slot range and zone map (:class:`TablePager`).
 
 Save = dirty-chunk write-back: a table nothing wrote to since the last
@@ -52,7 +52,6 @@ from pathlib import Path
 from repro import telemetry
 from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import get_pool
 from repro.pagestore.codec import PICKLE_PROTOCOL
 from repro.pagestore.pages import PageCorruptionError
 from repro.resilience import failpoints, fsio
@@ -114,23 +113,60 @@ def _charge_page_read(accountant, n_pages: int, n_bytes: int) -> None:
         telemetry.count("storage.io.bytes_read", n_bytes)
 
 
+class PageReads:
+    """Pages read from their files, process-wide and per segment
+    ``heat_key`` (``dataset:pN``). Nothing keeps a page once its
+    segment is decoded, so every page a read asks for is a fault."""
+
+    __slots__ = ("faults", "faults_by_key", "_lock")
+
+    def __init__(self) -> None:
+        self.faults = 0
+        self.faults_by_key: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def count(self, n_pages: int, heat_key: str | None) -> None:
+        with self._lock:
+            self.faults += n_pages
+            if heat_key:
+                self.faults_by_key[heat_key] = (
+                    self.faults_by_key.get(heat_key, 0) + n_pages
+                )
+
+    def stats(self) -> dict:
+        return {"faults": self.faults, "hits": 0}
+
+
+_page_reads = PageReads()
+
+
+def page_reads() -> PageReads:
+    """This process's page-read counts (every daemon worker's too)."""
+    return _page_reads
+
+
+def reset_page_reads() -> PageReads:
+    """Start this process's page-read counts from zero."""
+    global _page_reads
+    _page_reads = PageReads()
+    return _page_reads
+
+
 # ----------------------------------------------------------------------
 # Per-repository read handle
 # ----------------------------------------------------------------------
 class PageStore:
-    """Faults segments for one repository through the shared pool."""
+    """Reads segments for one repository from its page files."""
 
     def __init__(self, root: str | os.PathLike | None) -> None:
         self.dir = pagefiles.pages_dir(root)
 
     def read_segment(self, ref: SegmentRef, accountant=None) -> object:
-        """Fault in and decode one segment, verifying its checksum."""
-        pool = get_pool()
-        parts = [
-            pool.read(self.dir, page_id, ref.heat_key)
-            for page_id in ref.pages
-        ]
-        blob = b"".join(parts)
+        """Read and decode one segment, verifying its checksum."""
+        blob = b"".join(
+            pagefiles.read_page(self.dir, page_id) for page_id in ref.pages
+        )
+        _page_reads.count(len(ref.pages), ref.heat_key)
         if len(blob) != ref.length:
             raise PageCorruptionError(
                 f"segment {ref.key}: reassembled {len(blob)} bytes, "
@@ -511,21 +547,15 @@ def paged_save(store, obj) -> dict:
     )
 
     pages_path = pagefiles.pages_dir(root)
-    pool = get_pool()
     written: list[str] = []
     written_bytes = 0
-    dirty: list[str] = []
     try:
         failpoints.fire("pagestore.before_page_write")
         for page_id in sorted(ctx.pending):
             data = ctx.pending[page_id]
             if pagefiles.page_path(pages_path, page_id).exists():
                 continue
-            pool.put_dirty(pages_path, page_id, data)
-            dirty.append(page_id)
             pagefiles.write_page(pages_path, page_id, data)
-            pool.mark_clean(pages_path, page_id)
-            dirty.pop()
             written.append(page_id)
             written_bytes += len(data)
         if written:
@@ -542,8 +572,6 @@ def paged_save(store, obj) -> dict:
 
         store.save_bytes(payload, magic=statestore.MAGIC2)
     except BaseException:
-        for page_id in dirty:
-            pool.discard_dirty(pages_path, page_id)
         # Whether the swap happened is unknown, so the state files say
         # which of this save's pages, and of the generation a rotation
         # may have dropped, are still named; the lists are read anew.

@@ -1010,29 +1010,24 @@ class ServiceDaemon:
         payload["degrade"] = self.degrade.status()
         payload["quarantine"] = self.quarantine.status()
         payload["faults"] = failpoints.stats()
-        payload["buffer_pool"] = self.buffer_pool_stats()
+        # Pages read from their files; the block keeps its old name,
+        # which ``benchmarks/e2e`` reads.
+        from repro.pagestore.store import page_reads
+
+        payload["buffer_pool"] = page_reads().stats()
         # What the ledger has no field for, counted since this start.
         payload["telemetry"] = {
             "counters": telemetry.get_registry().counters("service.")
         }
         return payload
 
-    def buffer_pool_stats(self) -> dict:
-        """The shared page-cache stats for ``stats``/``top``/metrics
-        ({} when the pagestore has never been touched)."""
-        try:
-            from repro.pagestore.bufferpool import get_pool
-
-            return get_pool().stats()
-        except Exception:
-            return {}
-
     def render_metrics(self) -> str:
         """Prometheus exposition for the ``/metrics`` endpoint."""
+        from repro.pagestore.store import page_reads
+
         scheduler = self.scheduler.status()
         cache = self.cache.stats().to_dict()
         sessions = self.sessions.status()
-        pool = self.buffer_pool_stats()
         return self.metrics.render_prometheus(
             extra_counters={
                 "cache_hits_total": cache.get("hits", 0),
@@ -1048,9 +1043,7 @@ class ServiceDaemon:
                 ),
                 "sessions_opened_total": sessions.get("total_opened", 0),
                 "degraded_entries_total": self.degrade.entries_total,
-                "page_faults_total": pool.get("faults", 0),
-                "page_evictions_total": pool.get("evictions", 0),
-                "page_writebacks_total": pool.get("writebacks", 0),
+                "page_faults_total": page_reads().faults,
             },
             extra_gauges={
                 "read_queue_depth": scheduler.get("read_queue_depth", 0),
@@ -1063,10 +1056,6 @@ class ServiceDaemon:
                 "quarantined_digests": self.quarantine.status()[
                     "quarantined"
                 ],
-                "buffer_pool_resident_bytes": pool.get("resident_bytes", 0),
-                "buffer_pool_resident_pages": pool.get("resident_pages", 0),
-                "buffer_pool_dirty_bytes": pool.get("dirty_bytes", 0),
-                "buffer_pool_budget_bytes": pool.get("budget_bytes", 0),
             },
         )
 

@@ -229,9 +229,6 @@ class ServiceMetrics:
                 ("busy_total", totals.busy),
                 ("deadline_exceeded_responses_total", totals.deadline),
                 ("degraded_responses_total", totals.degraded),
-                # The same two counts under their older family names.
-                ("deadline_exceeded_total", totals.deadline),
-                ("degraded_refused_total", totals.degraded),
                 ("worker_errors_total", totals.worker_errors),
                 ("slow_requests_total", self.slow_total),
                 ("scanned_rows_total", scanned_rows),

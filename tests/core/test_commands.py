@@ -103,7 +103,7 @@ class TestCheckoutCommit:
         t1 = orpheus.checkout("demo", 1, "x1")
         t1.update_where(None, {"value": lit(99)})
         v2 = orpheus.commit("x1")
-        t2 = orpheus.checkout("demo", 1, "x2")
+        orpheus.checkout("demo", 1, "x2")
         v3 = orpheus.commit("x2")
         merged = orpheus.checkout(
             "demo", [v2, v3], "merged", merge_strategy="latest"

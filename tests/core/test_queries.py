@@ -1,7 +1,5 @@
 """Tests for the version-aware query layer (Section 3.3.2)."""
 
-import pytest
-
 from repro.core.queries import (
     VersionQuery,
     aggregate_by_version,

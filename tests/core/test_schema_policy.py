@@ -1,7 +1,5 @@
 """Tests for the single-pool vs multi-pool comparison (Section 4.3)."""
 
-import pytest
-
 from repro.core.schema_policy import (
     compare_schema_policies,
     costs_from_cvd,

@@ -1,6 +1,5 @@
 """Tests for version-graph rendering."""
 
-from repro.core.sql import run_sql
 from repro.core.visualize import ascii_version_graph, dot_version_graph
 
 

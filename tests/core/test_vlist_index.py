@@ -1,7 +1,5 @@
 """The footnote variant: split-by-vlist with a secondary vlist index."""
 
-import pytest
-
 from repro.core.cvd import CVD
 from repro.core.models.split_by_vlist import SplitByVlistModel
 from repro.datasets.protein import protein_history
@@ -28,7 +26,6 @@ class TestVlistIndex:
 
     def test_index_avoids_versioning_scan(self, protein_schema):
         _cvd, model, db = build(protein_schema, vlist_index=True)
-        versioning_rows = model._versioning.row_count
         db.accountant.reset()
         model.checkout_columns(4)
         # Only the data table is scanned (by the hash join); without the

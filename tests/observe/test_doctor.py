@@ -9,7 +9,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.commands import Orpheus
-from repro.core.cvd import CVD
 from repro.observe.doctor import (
     Checkup,
     probe_checkout_cost,

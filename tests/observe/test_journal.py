@@ -3,7 +3,6 @@ failure), trace-id correlation with the root span, and replay-verify."""
 
 from __future__ import annotations
 
-import json
 
 import pytest
 

@@ -24,7 +24,6 @@ from repro.invariants import within_tolerance
 from repro.observe.doctor import PROBES, run_doctor
 from repro.observe.journal import Journal
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import BUFFER_BYTES_ENV, reset_pool
 from repro.relational.expressions import col
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
@@ -327,30 +326,6 @@ def page_store_health(scene):
     return fired, scene.doctor()
 
 
-def buffer_pool(scene):
-    """A pool budget of two pages thrashes under a dozen; orpheusd
-    restarted with a larger ORPHEUS_BUFFER_BYTES (a fresh process's pool
-    reads it) holds them."""
-    scene.init()
-    directory = pagefiles.pages_dir(scene.root)
-    pages = []
-    for seed in range(12):
-        payload = bytes([seed]) * 4096
-        pages.append(pagefiles.page_id_for(payload))
-        pagefiles.write_page(directory, pages[-1], payload)
-
-    def serve(pool) -> dict:
-        with DaemonHandle(scene.root) as handle, handle.client() as client:
-            for _ in range(2):
-                for page_id in pages:
-                    pool.read(directory, page_id)
-            return client.doctor()
-
-    fired = serve(reset_pool(budget_bytes=2 * 4096))
-    scene.monkeypatch.setenv(BUFFER_BYTES_ENV, str(1024 * 1024))
-    return fired, serve(reset_pool())
-
-
 #: probe -> (case, a phrase of the remediation that names the clear).
 PAIRS = {
     "checkout_cost": (checkout_cost, "orpheus optimize -d d"),
@@ -368,17 +343,14 @@ PAIRS = {
     "heat_skew": (heat_skew, "orpheus optimize"),
     "io_amplification": (io_amplification, "--model partitioned_rlist"),
     "page_store_health": (page_store_health, "orpheus recover"),
-    "buffer_pool": (buffer_pool, BUFFER_BYTES_ENV),
 }
 
 
 @pytest.fixture(autouse=True)
 def clean_global_state():
     failpoints.clear()
-    reset_pool()
     yield
     failpoints.clear()
-    reset_pool()
     telemetry.reset()
     telemetry.disable()
 

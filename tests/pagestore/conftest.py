@@ -1,4 +1,4 @@
-"""Shared hygiene for the paged-store suite: the buffer pool is
+"""Shared hygiene for the paged-store suite: the page-read counts are
 process-global and the layout/page-size knobs are environment
 variables, so every test starts from a clean slate."""
 
@@ -7,8 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import telemetry
-from repro.pagestore.bufferpool import reset_pool
-from repro.pagestore.store import SegmentRef, state_outers
+from repro.pagestore.store import SegmentRef, reset_page_reads, state_outers
 from repro.resilience import failpoints
 
 
@@ -24,11 +23,10 @@ def newest_segments(root) -> dict[str, SegmentRef]:
 def clean_pagestore_globals(monkeypatch):
     monkeypatch.delenv("ORPHEUS_STATE_LAYOUT", raising=False)
     monkeypatch.delenv("ORPHEUS_PAGE_BYTES", raising=False)
-    monkeypatch.delenv("ORPHEUS_BUFFER_BYTES", raising=False)
     failpoints.clear()
-    reset_pool()
+    reset_page_reads()
     yield
     failpoints.clear()
-    reset_pool()
+    reset_page_reads()
     telemetry.reset()
     telemetry.disable()

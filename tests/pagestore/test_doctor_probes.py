@@ -1,7 +1,5 @@
-"""Doctor probes for the paged layout: ``page_store_health`` and
-``buffer_pool`` must grade missing/corrupt/orphaned pages and pool
-pressure, each with an actionable remediation. ``buffer_pool`` judges
-the pool stats of orpheusd's report, built here from a pool."""
+"""Doctor probes for the paged layout: ``page_store_health`` must grade
+missing/corrupt/orphaned pages, each with an actionable remediation."""
 
 from __future__ import annotations
 
@@ -14,7 +12,6 @@ from repro.observe.doctor import (
     run_probe,
 )
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import live_pages, paged_save, referenced_pages
 from repro.resilience.recovery import run_recovery
 from repro.resilience.statestore import StateStore
@@ -78,7 +75,6 @@ def test_spot_check_follows_the_newest_writes(tmp_path):
     paged_save(store, orpheus)
     before = live_pages(tmp_path)
     assert len(before) > PAGE_SPOT_CHECK
-    reset_pool()
     loaded, _info = store.load(warn=None)
     loaded.cvd("ds3").commit(
         [("fresh", 1)], parents=(2,), message="third", author="alice"
@@ -105,7 +101,6 @@ def test_spot_check_follows_the_newest_writes(tmp_path):
     run_recovery(str(tmp_path))
     (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == OK
-    reset_pool()
     restored, _info = store.load(warn=None)
     assert restored.cvd("ds3").versions.vids() == [1, 2]
 
@@ -118,61 +113,3 @@ def test_orphan_pages_warn(tmp_path):
     (result,) = run_probe("page_store_health", Checkup(root=str(tmp_path)))
     assert result.severity == WARN
     assert result.data["orphan_pages"] == 1
-
-
-# ----------------------------------------------------------------------
-# buffer_pool
-# ----------------------------------------------------------------------
-def test_idle_pool_is_ok(tmp_path):
-    (result,) = run_probe(
-        "buffer_pool", Checkup(report={"buffer_pool": reset_pool().stats()})
-    )
-    assert result.severity == OK
-    assert "idle" in result.summary
-
-
-def test_leaked_dirty_bytes_warn(tmp_path):
-    pool = reset_pool()
-    directory = pagefiles.pages_dir(tmp_path)
-    payload = b"d" * 512
-    page_id = pagefiles.page_id_for(payload)
-    pagefiles.write_page(directory, page_id, payload)
-    pool.read(directory, page_id)  # some traffic
-    pool.put_dirty(directory, "f" * pagefiles.PAGE_ID_HEX, b"z" * 256)
-    (result,) = run_probe(
-        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
-    )
-    assert result.severity == WARN
-    assert "dirty" in result.summary
-    assert "recover" in result.remediation
-
-
-def test_thrashing_pool_warns_with_budget_hint(tmp_path):
-    pool = reset_pool(budget_bytes=2 * 4096)
-    directory = pagefiles.pages_dir(tmp_path)
-    for seed in range(12):
-        payload = bytes([seed]) * 4096
-        page_id = pagefiles.page_id_for(payload)
-        pagefiles.write_page(directory, page_id, payload)
-        pool.read(directory, page_id)
-    (result,) = run_probe(
-        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
-    )
-    assert result.severity == WARN
-    assert "thrash" in result.summary
-    assert "ORPHEUS_BUFFER_BYTES" in result.remediation
-
-
-def test_healthy_pool_traffic_is_ok(tmp_path):
-    pool = reset_pool()
-    directory = pagefiles.pages_dir(tmp_path)
-    payload = b"h" * 512
-    page_id = pagefiles.page_id_for(payload)
-    pagefiles.write_page(directory, page_id, payload)
-    for _ in range(10):
-        pool.read(directory, page_id)
-    (result,) = run_probe(
-        "buffer_pool", Checkup(report={"buffer_pool": pool.stats()})
-    )
-    assert result.severity == OK
-    assert result.data["hits"] == 9

@@ -39,7 +39,6 @@ from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
 from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import PageStore, migrate_state
 from repro.relational.errors import DuplicateKeyError
 from repro.relational.expressions import col, lit
@@ -80,7 +79,6 @@ def history(seed: int = 5) -> list[tuple[int | None, list[tuple[str, int]]]]:
 
 def command(root, operation):
     """One CLI-style command: fresh load, operate, save."""
-    reset_pool()
     store = StateStore(root)
     orpheus, _info = store.load(warn=None)
     result = operation(orpheus)
@@ -150,7 +148,6 @@ def test_every_version_checks_out_the_same_under_both_layouts(
     assert checkouts(root, versions) == expected
     assert migrate_state(root, to="pickle")["status"] == "migrated"
     assert StateStore(root).integrity()["layout"] == "pickle"
-    reset_pool()
     restored, _info = StateStore(root).load(warn=None)
     copy = pickle.loads(pickle.dumps(restored))
     for vid, rows in expected.items():
@@ -172,7 +169,6 @@ def test_storage_bytes_do_not_depend_on_what_has_been_read(
         root = tmp_path / layout
         root.mkdir()
         build(root, model, versions)
-        reset_pool()
         orpheus, _info = StateStore(root).load(warn=None)
         cvd = orpheus.cvd("ds")
         sizes[layout, "loaded"] = cvd.storage_bytes()
@@ -200,7 +196,6 @@ def test_a_one_version_checkout_returns_the_models_columns(
     else:
         monkeypatch.setenv(LAYOUT_ENV, layout)
         build(tmp_path, model, versions)
-        reset_pool()
         orpheus, _info = StateStore(tmp_path).load(warn=None)
     cvd = orpheus.cvd("ds")
     built = []
@@ -510,7 +505,6 @@ class History:
         """One more 5 % commit, saved; what it wrote. ``fresh``: made by
         a process that loads the state first, as a CLI commit is."""
         if fresh:
-            reset_pool()
             self.orpheus, _info = StateStore(self.root).load(warn=None)
         doomed = set(self.rng.sample(range(len(self.rows)), 150))
         kept = [row for i, row in enumerate(self.rows) if i not in doomed]
@@ -565,7 +559,6 @@ def test_the_pickled_state_holds_each_rid_list_and_record_once(tmp_path):
 def pull(root, vid: int) -> Table:
     """A CLI pull of ``vid`` in a fresh process: load, check out to a
     file, save the pin. The data table it read."""
-    reset_pool()
     store = StateStore(root)
     orpheus, _info = store.load(warn=None)
     params = {"dataset": "mid", "versions": [vid], "file": str(root / "pull.csv")}

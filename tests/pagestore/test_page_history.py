@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import (
     orphan_pages,
     paged_save,
@@ -85,7 +84,6 @@ def test_a_save_that_raises_leaves_no_orphans(site, tmp_path):
     assert orphan_pages(tmp_path) == []
     assert referenced_pages(tmp_path) <= page_ids(tmp_path)
 
-    reset_pool()
     loaded, info = StateStore(tmp_path).load(warn=None)
     assert not info.fallback
     assert ("churn-3", 3) in checkout_rows(loaded, "ds", 6)
@@ -112,7 +110,6 @@ def test_a_history_less_repository_collects_its_dropped_generation(
     oldest = list(state_outers(tmp_path))[2]["pages"]
     strip_history(tmp_path)
 
-    reset_pool()
     loaded, _info = StateStore(tmp_path).load(warn=None)
     churn(loaded, 3, rows=300)
     paged_save(StateStore(tmp_path), loaded)
@@ -161,7 +158,6 @@ def test_page_lists_remembered_for_one_repository_steer_no_other(tmp_path):
         shutil.copy(page, pagefiles.pages_dir(second))
     paged_save(StateStore(second), orpheus)
     assert referenced_pages(second) <= page_ids(second)
-    reset_pool()
     store = StateStore(second)
     store.path.unlink()  # the load falls back to .bak
     loaded, info = store.load(warn=None)

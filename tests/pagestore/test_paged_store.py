@@ -16,14 +16,15 @@ import pytest
 from repro import telemetry
 from repro.core.commands import Orpheus
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import get_pool, reset_pool
 from repro.pagestore.store import (
     OPEN_RUN_CHUNKS,
     clean_pagestore,
     migrate_state,
     orphan_pages,
+    page_reads,
     paged_save,
     referenced_pages,
+    reset_page_reads,
     state_outers,
 )
 from repro.relational.arrays import RangeEncodedArray
@@ -90,7 +91,6 @@ def test_round_trip_preserves_checkout(tmp_path, model):
     assert stats["segments"] > 0
     assert stats["pages_written"] > 0
 
-    reset_pool()
     loaded, info = load(tmp_path)
     assert info.paged
     assert not info.fallback
@@ -120,7 +120,6 @@ def test_a_chunk_longer_than_a_page_splits_across_pages(tmp_path, monkeypatch):
         )
         assert len(payload) <= 4096
 
-    reset_pool()
     loaded, _ = load(tmp_path)
     assert checkout_rows(loaded, "ds", 1) == sorted(rows)
 
@@ -135,7 +134,6 @@ def test_a_heap_is_saved_as_chunks_and_an_append_writes_the_last(
     data = sorted(key for key in before if key.startswith("table:ds__data#"))
     assert len(data) >= 4 and "table:ds__data" not in before
 
-    reset_pool()
     loaded, _ = load(tmp_path)
     loaded.cvd("ds").commit(
         [("ds-new", 7)], parents=(2,), message="append", author="alice"
@@ -149,7 +147,6 @@ def test_a_heap_is_saved_as_chunks_and_an_append_writes_the_last(
     assert changed == {f"table:ds__data#{len(data)}", "table:ds__rlist#2"}
     assert after[f"table:ds__data#{len(data)}"].count_hint == 1
 
-    reset_pool()
     reloaded, _ = load(tmp_path)
     assert checkout_rows(reloaded, "ds", 3) == [("ds-new", 7)]
     assert len(checkout_rows(reloaded, "ds", 2)) == 801
@@ -173,38 +170,38 @@ def test_small_commits_leave_a_bounded_open_run(tmp_path):
     assert max(counts) == OPEN_RUN_CHUNKS  # reached, never passed
     assert counts[-1] < counts[OPEN_RUN_CHUNKS - 2]  # sealed on the way
 
-    reset_pool()
+    reset_page_reads()
     loaded, _ = load(tmp_path)
     assert checkout_rows(loaded, "ds", cvd.versions.vids()[-1]) == sorted(rows)
-    assert get_pool().faults <= OPEN_RUN_CHUNKS + 1  # and the rid list's
+    assert page_reads().faults <= OPEN_RUN_CHUNKS + 1  # and the rid list's
 
 
 def test_listing_does_not_fault_any_pages(tmp_path):
     save_paged(tmp_path, build_orpheus(datasets=("ds1", "ds2")))
-    reset_pool()
+    reset_page_reads()
     loaded, _ = load(tmp_path)
     assert sorted(loaded.ls()) == ["ds1", "ds2"]
     assert loaded.cvd("ds1").versions.vids() == [1, 2]
-    assert get_pool().faults == 0, get_pool().faults_by_key
+    assert page_reads().faults == 0, page_reads().faults_by_key
 
 
 def test_checkout_faults_only_mapped_pages(tmp_path):
     """The acceptance criterion: a checkout on a paged repository
     faults in only the pages of the partitions/dataset the version
-    maps to, asserted via the pool's per-heat-key fault counters."""
+    maps to, asserted via the per-heat-key page-read counts."""
     save_paged(tmp_path, build_orpheus(datasets=("ds1", "ds2")))
-    reset_pool()
+    reset_page_reads()
     loaded, _ = load(tmp_path)
 
     checkout_rows(loaded, "ds1", 2)
-    pool = get_pool()
-    assert pool.faults > 0
-    touched = set(pool.faults_by_key)
+    reads = page_reads()
+    assert reads.faults > 0
+    touched = set(reads.faults_by_key)
     assert touched, "faults must carry heat keys"
     assert all(key.startswith("ds1") for key in touched), touched
 
     checkout_rows(loaded, "ds2", 1)
-    ds2_keys = set(pool.faults_by_key) - touched
+    ds2_keys = set(reads.faults_by_key) - touched
     assert ds2_keys
     assert all(key.startswith("ds2") for key in ds2_keys), ds2_keys
 
@@ -215,7 +212,6 @@ def test_checkout_faults_only_mapped_pages(tmp_path):
 def test_unchanged_resave_reuses_everything(tmp_path):
     orpheus = build_orpheus(datasets=("ds1", "ds2"))
     first = save_paged(tmp_path, orpheus)
-    reset_pool()
     loaded, _ = load(tmp_path)
     second = save_paged(tmp_path, loaded)
     assert second["segments_encoded"] == 0
@@ -228,7 +224,6 @@ def test_a_refused_insert_leaves_the_table_clean(tmp_path):
     orpheus = build_orpheus(datasets=("ds1", "ds2"))
     first = save_paged(tmp_path, orpheus)
     before = newest_segments(tmp_path)
-    reset_pool()
     loaded, _ = load(tmp_path)
     table = loaded.database.table("ds1__data")
     present = table.rows_snapshot()[0]
@@ -246,7 +241,6 @@ def test_a_refused_insert_leaves_the_table_clean(tmp_path):
 def test_commit_writes_back_only_touched_segments(tmp_path):
     orpheus = build_orpheus(datasets=("ds1", "ds2"))
     first = save_paged(tmp_path, orpheus)
-    reset_pool()
     loaded, _ = load(tmp_path)
 
     loaded.cvd("ds1").commit(
@@ -260,7 +254,6 @@ def test_commit_writes_back_only_touched_segments(tmp_path):
     assert second["segments_encoded"] < first["segments"]
     assert second["pages_written"] < first["pages"]
 
-    reset_pool()
     reloaded, _ = load(tmp_path)
     assert ("ds1-new", 7) in checkout_rows(reloaded, "ds1", 3)
     assert checkout_rows(reloaded, "ds2", 2) == checkout_rows(
@@ -286,7 +279,6 @@ def test_content_addressing_dedups_identical_pages(tmp_path):
 def test_gc_keeps_backup_generation_pages(tmp_path):
     orpheus = build_orpheus()
     save_paged(tmp_path, orpheus)
-    reset_pool()
     loaded, _ = load(tmp_path)
     loaded.cvd("ds").commit(
         [("rot-1", 1)], parents=(2,), message="gen2", author="alice"
@@ -307,7 +299,6 @@ def test_gc_removes_pages_once_generation_rotates_out(tmp_path, monkeypatch):
     orpheus = build_orpheus()
     save_paged(tmp_path, orpheus)
     gen1_pages = set(referenced_pages(tmp_path))
-    reset_pool()
     loaded, _ = load(tmp_path)
     # Three more saves push the original generation past .bak.1. Each
     # commits 300 new records, a share and more, so each save seals the
@@ -380,7 +371,6 @@ def test_each_generation_names_the_pages_of_the_two_it_rotates_behind(
 def test_missing_new_pages_fall_back_to_backup_generation(tmp_path):
     orpheus = build_orpheus()
     save_paged(tmp_path, orpheus)
-    reset_pool()
     loaded, _ = load(tmp_path)
     loaded.cvd("ds").commit(
         [("gen2-row", 5)], parents=(2,), message="gen2", author="alice"
@@ -397,7 +387,6 @@ def test_missing_new_pages_fall_back_to_backup_generation(tmp_path):
     directory = pagefiles.pages_dir(tmp_path)
     pagefiles.page_path(directory, sorted(live_only)[0]).unlink()
 
-    reset_pool()
     recovered, info = load(tmp_path)
     assert info.fallback
     assert info.paged
@@ -413,7 +402,6 @@ def test_corrupt_page_detected_at_fault_time(tmp_path):
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))
 
-    reset_pool()
     loaded, _ = load(tmp_path)  # skeleton loads fine; pages are lazy
     with pytest.raises(Exception) as excinfo:
         for name in loaded.ls():
@@ -433,7 +421,6 @@ def test_plain_pickle_hydrates_stubs(tmp_path):
     orpheus = build_orpheus()
     expected = checkout_rows(orpheus, "ds", 2)
     save_paged(tmp_path, orpheus)
-    reset_pool()
     loaded, _ = load(tmp_path)
     blob = pickle.dumps(loaded)
     standalone = pickle.loads(blob)  # no load_context in sight
@@ -453,7 +440,6 @@ def test_migrate_round_trip(tmp_path):
     assert result["status"] == "migrated"
     assert result["segments"] > 0
     assert StateStore(tmp_path).integrity()["layout"] == "paged"
-    reset_pool()
     loaded, info = load(tmp_path)
     assert info.paged
     assert checkout_rows(loaded, "ds", 2) == expected
@@ -463,7 +449,6 @@ def test_migrate_round_trip(tmp_path):
     back = migrate_state(tmp_path, to="pickle")
     assert back["status"] == "migrated"
     assert StateStore(tmp_path).integrity()["layout"] == "pickle"
-    reset_pool()
     downgraded, info = load(tmp_path)
     assert not info.paged
     assert checkout_rows(downgraded, "ds", 2) == expected
@@ -529,7 +514,6 @@ def test_v1_repository_loads_and_upgrades_only_what_a_commit_dirties(tmp_path):
         else:  # not written to: the v1 ref rides through verbatim
             assert ref == before[key], key
 
-    reset_pool()
     reloaded, _ = load(tmp_path)
     assert checkout_rows(reloaded, "ds", third) == [("ds-new", 7)]
     assert checkout_rows(reloaded, "other", 2) == checkout_rows(loaded, "other", 2)
@@ -542,7 +526,6 @@ def test_page_load_rebuilds_the_pk_index_without_per_row_schema_calls(
     tmp_path, monkeypatch
 ):
     save_paged(tmp_path, build_orpheus(rows_per=500))
-    reset_pool()
     loaded, _ = load(tmp_path)
     table = loaded.database.table("ds__data")
     assert table.paged_out
@@ -569,13 +552,11 @@ def test_threads_reading_a_part_read_table_each_see_every_row(
     orpheus = build_orpheus(rows_per=1200)
     orpheus.database.table("ds__data").create_index("value")  # not unique
     save_paged(tmp_path, orpheus)
-    reset_pool()
     expected = load(tmp_path)[0].database.table("ds__data").rows_snapshot()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _round in range(5):
-            reset_pool()
             table = load(tmp_path)[0].database.table("ds__data")
             assert len(table._saved_chunks) >= 4
             outcomes = []
@@ -618,7 +599,6 @@ def test_data_types_behave_the_same_after_a_reload(tmp_path, layout):
     orpheus.init("ds", schema, [(1, 2.5, "hello", True, (1, 2, 3))])
     if layout == "paged":
         save_paged(tmp_path, orpheus)
-        reset_pool()
         loaded, _ = load(tmp_path)
     else:
         loaded = pickle.loads(pickle.dumps(orpheus))
@@ -704,7 +684,6 @@ def test_paged_checkout_reads_less_than_pickle(both_layouts):
     for model in ("split_by_rlist", "partitioned_rlist"):
         read = {}
         for layout in ("paged", "pickle"):
-            reset_pool()
             telemetry.reset()
             _checkout_latest(both_layouts[model, layout], layout)
             read[layout] = (
@@ -716,12 +695,32 @@ def test_paged_checkout_reads_less_than_pickle(both_layouts):
         assert sum(read["paged"]) < read["pickle"][0], (model, read)
 
 
-def test_warm_pool_serves_checkout_without_faults(both_layouts):
+def test_every_load_reads_its_pages_from_their_files(both_layouts, monkeypatch):
+    """Nothing keeps a page between reads: two loads of one repository
+    in one process read the same pages from their files, as many of
+    them, each time."""
     root = both_layouts["split_by_rlist", "paged"]
-    _checkout_latest(root, "paged")
-    pool = get_pool()
-    faults_cold = pool.faults
-    assert faults_cold > 0
-    _checkout_latest(root, "paged")
-    assert pool.faults == faults_cold, "a warm checkout does not fault"
-    assert pool.hits > 0
+    read_page = pagefiles.read_page
+    loads = []
+
+    def recording(directory, page_id):
+        loads[-1].append(page_id)
+        return read_page(directory, page_id)
+
+    monkeypatch.setattr(pagefiles, "read_page", recording)
+    reads = reset_page_reads()
+    counted = []
+    for _ in range(2):
+        loads.append([])
+        before, keys_before = reads.faults, dict(reads.faults_by_key)
+        _checkout_latest(root, "paged")
+        by_key = {
+            key: n - keys_before.get(key, 0)
+            for key, n in reads.faults_by_key.items()
+        }
+        counted.append((reads.faults - before, by_key))
+    assert loads[0], "a paged checkout reads pages"
+    assert sorted(loads[1]) == sorted(loads[0])
+    assert counted[0][0] == len(loads[0])
+    assert counted[1] == counted[0]
+    assert reads.stats()["hits"] == 0

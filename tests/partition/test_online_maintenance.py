@@ -1,7 +1,5 @@
 """Focused tests for the online-maintenance commit routing (Section 5.4)."""
 
-import pytest
-
 from repro.core.cvd import CVD
 from repro.partition.lyresplit import lyresplit_for_budget
 from repro.partition.partitioned_store import PartitionedRlistStore

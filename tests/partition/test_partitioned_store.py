@@ -1,7 +1,5 @@
 """Tests for the partitioned store: routing, checkout, migration."""
 
-import pytest
-
 from repro.core.cvd import CVD
 from repro.invariants import within_tolerance
 from repro.partition.partitioned_store import PartitionedRlistStore

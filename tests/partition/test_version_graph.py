@@ -3,11 +3,7 @@
 import pytest
 
 from repro.datasets.protein import protein_history
-from repro.partition.version_graph import (
-    Partitioning,
-    build_version_graph,
-    graph_from_history,
-)
+from repro.partition.version_graph import Partitioning, graph_from_history
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Tests for the synthetic repository generator itself."""
 
-import pytest
-
 from repro.provenance.synthetic import RepositoryConfig, generate_repository
 
 

@@ -92,7 +92,7 @@ class TestCompressedRlistModel:
             model = SplitByRlistModel(
                 db, "c", schema, compress_rlists=compress
             )
-            cvd = CVD.from_history(
+            CVD.from_history(
                 db, sci_tiny, name="c", model=model, schema=schema
             )
             contents[compress] = {

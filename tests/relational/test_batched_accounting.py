@@ -20,7 +20,6 @@ from repro.core.commands import Orpheus
 from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
 from repro.core.models.split_by_rlist import SplitByRlistModel
-from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import paged_save
 from repro.relational.arrays import RangeEncodedArray
 from repro.relational.database import Database
@@ -477,7 +476,6 @@ def test_a_reloaded_repository_charges_what_the_oracle_charges(
         rows[5:] + [("extra", 999)], parents=(first,), message="v2", author="alice"
     )
     if layout == "paged":
-        reset_pool()
         paged_save(StateStore(tmp_path), orpheus)
         loaded, _info = StateStore(tmp_path).load(warn=None)
     else:
@@ -503,5 +501,3 @@ def test_a_reloaded_repository_charges_what_the_oracle_charges(
     oracle()
     assert batched == checkouts()
     assert all(delta.bytes_read > 0 for _rows, delta, _io in batched)
-    if layout == "paged":
-        reset_pool()

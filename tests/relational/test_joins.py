@@ -85,7 +85,6 @@ class TestCostModel:
         assert table.accountant.seq_rows + table.accountant.random_rows == 3
 
     def test_inl_random_io_when_unclustered(self):
-        table = make_table(100, ClusterOrder.PRIMARY_KEY)
         # clustering by PK == rid here, so force an unclustered column.
         schema = Schema(
             [ColumnDef("rid", INT), ColumnDef("payload", TEXT)],

@@ -1,7 +1,5 @@
 """Merge-join plan variants: clustered vs unclustered table sides."""
 
-import pytest
-
 from repro.relational.costs import CostAccountant
 from repro.relational.joins import merge_join
 from repro.relational.schema import ColumnDef, Schema

@@ -155,7 +155,7 @@ class TestCostAccounting:
         schema = Schema(
             [ColumnDef("rid", INT)], primary_key=("rid",)
         )
-        t = Table(
+        Table(
             "t",
             schema,
             accountant=accountant,

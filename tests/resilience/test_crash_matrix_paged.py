@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.pagestore import pages as pagefiles
-from repro.pagestore.bufferpool import reset_pool
 from repro.pagestore.store import orphan_pages
 from repro.resilience.failpoints import CRASH_EXIT_CODE
 from repro.resilience.statestore import StateStore
@@ -43,9 +42,6 @@ def paged_layout(monkeypatch):
     subprocess, post-crash verification — uses the paged layout
     (run_cli copies os.environ into the subprocess)."""
     monkeypatch.setenv("ORPHEUS_STATE_LAYOUT", "paged")
-    reset_pool()
-    yield
-    reset_pool()
 
 
 def prepare(command, workspace):
@@ -141,4 +137,3 @@ def test_doctor_reports_paged_layout_health(workspace, capsys):
         p["probe"]: p for p in json.loads(capsys.readouterr().out)["probes"]
     }
     assert probes["page_store_health"]["severity"] == "ok"
-    assert probes["buffer_pool"]["severity"] != "fail"

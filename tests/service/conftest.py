@@ -81,10 +81,8 @@ def assert_healthy_on_disk(root) -> None:
     run on the state a fresh process would load."""
     from repro.observe.doctor import run_doctor
     from repro.observe.journal import Journal, verify_journal
-    from repro.pagestore.bufferpool import reset_pool
     from repro.resilience.statestore import StateStore
 
-    reset_pool()
     orpheus, _info = StateStore(root).load(warn=None)
     assert verify_journal(orpheus, Journal(str(root)).read()) == []
     probes = {

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.models import DATA_MODELS
-from repro.pagestore.bufferpool import reset_pool
 from repro.resilience.statestore import StateStore
 
 MODELS = sorted(DATA_MODELS) + ["partitioned_rlist"]
@@ -25,7 +24,6 @@ SCHEMAS = {
 
 def reference_bytes(root, vids, path) -> bytes:
     """The checkout as the row writer wrote it, from a fresh load."""
-    reset_pool()
     orpheus, _info = StateStore(root).load(warn=None)
     result = orpheus.cvd("d").checkout(vids)
     with open(path, "w", newline="") as handle:

@@ -5,7 +5,6 @@ and the doctor probe."""
 import json
 import os
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -16,14 +15,12 @@ from repro.resilience import failpoints
 from repro.resilience.lock import LockTimeoutError, RepositoryLock
 from repro.service.client import (
     ServiceBusyError,
-    ServiceClient,
     ServiceDeniedError,
     ServiceError,
     ServiceShutdownError,
 )
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.status import daemon_running, read_status_file
-from repro.service.protocol import PROTOCOL_VERSION
 
 from tests.service.conftest import seed_dataset
 

@@ -140,3 +140,27 @@ def test_a_steady_state_commit_makes_seven_fsyncs_and_reads_no_history(
     assert counts == {"fsync": 7, "state_reads": 0, "page_listings": 0}
     assert orphan_pages(workspace) == []
     assert_healthy_on_disk(workspace)
+
+
+def test_the_daemon_counts_the_pages_it_reads_and_keeps_none(
+    workspace, daemon_factory, tmp_path, monkeypatch
+):
+    """A daemon over a paged repository reads a checkout's pages from
+    their files: ``stats`` and ``/metrics`` count them, ``hits`` stays
+    0, and neither reports a pool (residency, budget, evictions or
+    write-backs), nor does its doctor run a pool probe."""
+    monkeypatch.setenv(LAYOUT_ENV, "paged")
+    seed_dataset(workspace)
+    reads = pagestore.reset_page_reads()
+    with daemon_factory() as handle, handle.client() as client:
+        client.checkout("inter", [1], file=str(tmp_path / "pull.csv"))
+        stats = client.stats()
+        metrics = handle.daemon.render_metrics()
+        probes = {line["probe"] for line in client.doctor()["probes"]}
+    assert reads.faults > 0
+    assert stats["buffer_pool"] == {"faults": reads.faults, "hits": 0}
+    assert f"orpheusd_page_faults_total {reads.faults}\n" in metrics
+    for gone in ("page_evictions", "page_writebacks", "buffer_pool"):
+        assert f"orpheusd_{gone}" not in metrics
+    assert "buffer_pool" not in probes
+    assert {"page_store_health", "service_faults"} <= probes

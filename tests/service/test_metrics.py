@@ -494,3 +494,23 @@ class TestFaultOutcomeCounters:
         assert "orpheusd_deadline_exceeded_responses_total 1" in text
         assert "orpheusd_degraded_responses_total 1" in text
         assert "orpheusd_errors_total 0" in text
+
+    def test_prometheus_exports_each_outcome_count_once(self):
+        metrics = ServiceMetrics()
+        for _ in range(3):
+            metrics.record(make_trace(status="deadline_exceeded",
+                                      error_type="DeadlineExceededError"))
+        for _ in range(5):
+            metrics.record(make_trace(op="commit", status="degraded",
+                                      error_type="DegradedError"))
+        samples = [
+            line.split()
+            for line in metrics.render_prometheus().splitlines()
+            if line.startswith("orpheusd_") and "{" not in line
+        ]
+        families = {}
+        for name, value in samples:
+            families.setdefault(value, []).append(name)
+        assert families["3"] == ["orpheusd_deadline_exceeded_responses_total"]
+        assert families["5"] == ["orpheusd_degraded_responses_total"]
+        assert families["8"] == ["orpheusd_requests_total"]

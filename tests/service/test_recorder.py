@@ -8,7 +8,6 @@ import json
 import os
 from types import SimpleNamespace
 
-import pytest
 
 from repro.observe.doctor import SLOW_LOG_WARN_ENTRIES, Checkup, run_probe
 from repro.resilience import fsio

@@ -3,7 +3,6 @@ detected and rates clamped, never rendered as garbage deltas."""
 
 from __future__ import annotations
 
-import io
 
 from repro.observe.top import _rate, detect_restart, render_frame
 
@@ -66,3 +65,12 @@ def test_render_frame_negative_delta_still_clamped():
     frame = render_frame(_stats(3, "bbbb"), _stats(1000, "aaaa"), 2.0)
     assert "-0" not in frame
     assert "0.0/s" in frame
+
+
+def test_render_frame_has_no_page_residency_line():
+    """No page is kept in memory, so the frame shows no residency,
+    whatever page-read counts the report carries."""
+    counted = {**_stats(3, "aaaa"), "buffer_pool": {"faults": 7, "hits": 0}}
+    frame = render_frame(counted)
+    assert not [line for line in frame.splitlines() if line.startswith("pages")]
+    assert frame == render_frame(_stats(3, "aaaa"))

@@ -10,7 +10,6 @@ from repro.storage.solvers.ilp import (
     ilp_min_storage_max_recreation,
     ilp_min_storage_sum_recreation,
 )
-from repro.storage.solvers.last import last_tree
 from repro.storage.solvers.lmg import lmg_min_storage, lmg_min_sum_recreation
 from repro.storage.solvers.mp import mp_min_max_recreation, mp_min_storage
 from repro.storage.solvers.mst import (

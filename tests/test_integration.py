@@ -8,7 +8,6 @@ from repro.core.queries import VersionQuery, aggregate_by_version
 from repro.datasets.benchmark import BenchmarkConfig, generate_sci
 from repro.partition.partitioned_store import PartitionedRlistStore
 from repro.relational.database import Database
-from repro.relational.expressions import col, lit
 from repro.relational.query import Aggregate
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import FLOAT, INT, TEXT

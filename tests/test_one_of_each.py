@@ -589,7 +589,6 @@ def test_a_span_only_times(token):
 
 #: Every environment variable the program reads.
 ORPHEUS_NAMES = {
-    "ORPHEUS_BUFFER_BYTES",
     "ORPHEUS_CLIENT_DEADLINE_MS",
     "ORPHEUS_FAILPOINTS",
     "ORPHEUS_LOCK_TIMEOUT",
@@ -599,7 +598,7 @@ ORPHEUS_NAMES = {
 }
 
 
-def test_the_program_reads_seven_orpheus_variables():
+def test_the_program_reads_six_orpheus_variables():
     import re
 
     found = {
@@ -608,6 +607,49 @@ def test_the_program_reads_seven_orpheus_variables():
         for match in re.findall(r"ORPHEUS_[A-Z_]+", path.read_text())
     }
     assert found == ORPHEUS_NAMES
+
+
+def test_no_pagestore_module_keeps_a_page_after_its_read():
+    """A page is read from its file each time a segment is decoded:
+    no module under ``pagestore/`` holds a frame map, an LRU or a
+    memoizing decorator that could keep a payload once a read returns."""
+    keepers = {"OrderedDict", "lru_cache", "cache", "_frames", "frames"}
+    found = []
+    for name, tree in modules():
+        if not name.startswith("pagestore/"):
+            continue
+        for node in ast.walk(tree):
+            word = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None
+            )
+            if word in keepers:
+                found.append((name, word))
+    assert found == []
+
+
+#: What the buffer-pool deletion took out of the program and its docs
+#: (split so a search stays empty).
+BUFFER_POOL_TOKENS = [
+    "ORPHEUS_" + "BUFFER_BYTES",
+    "put_" + "dirty",
+    "mark_" + "clean",
+    "discard_" + "dirty",
+    "probe_" + "buffer_pool",
+    "write" + "backs",
+]
+
+
+@pytest.mark.parametrize("token", BUFFER_POOL_TOKENS)
+def test_no_buffer_pool_is_left_to_describe(token):
+    texts = [*sorted(SRC.rglob("*.py")), *sorted((REPO / "docs").glob("*.md"))]
+    offenders = [
+        path.relative_to(REPO).as_posix()
+        for path in [*texts, REPO / "README.md"]
+        if token in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_timings_has_no_resource_columns_whatever_the_environment(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vquel import run_query
-from repro.vquel.model import Author, Repository, VFile, VRecord, VRelation, VVersion
+from repro.vquel.model import VFile
 
 
 @pytest.fixture

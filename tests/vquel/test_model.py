@@ -3,14 +3,7 @@
 import pytest
 
 from repro.vquel import run_query
-from repro.vquel.model import (
-    Author,
-    Repository,
-    VFile,
-    VRecord,
-    VRelation,
-    VVersion,
-)
+from repro.vquel.model import Repository, VFile, VRecord, VRelation, VVersion
 
 
 class TestEntities:

@@ -1,9 +1,6 @@
 """Additional VQuel semantics: sorting, casing, filters, derived sets."""
 
-import pytest
-
 from repro.vquel import run_query
-from repro.vquel.errors import VQuelEvaluationError
 
 
 class TestSortSemantics:
