@@ -247,7 +247,6 @@ COMMAND_TABLE: dict[str, Command] = {
             (_arg("--json", action="store_true", help="machine-readable report"),),
             remote=True,
         ),
-        Command("status", local=False, remote=True),
         Command("recover", "detect and repair operations torn by a crash", (
             _arg(
                 "--dry-run",
@@ -332,17 +331,6 @@ COMMAND_TABLE: dict[str, Command] = {
                     "this in their flight record (default 500; 0 keeps "
                     "every request's)",
                 ),
-                _arg(
-                    "--status",
-                    action="store_true",
-                    help="query a running daemon instead of starting one",
-                ),
-                _arg(
-                    "--stop",
-                    action="store_true",
-                    help="ask a running daemon to drain and exit",
-                ),
-                _arg("--json", action="store_true", help="with --status: JSON output"),
             ),
         ),
         Command(
@@ -780,114 +768,18 @@ def _user(args: argparse.Namespace) -> str:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """``orpheus serve``: run (or query/stop) the version-service
-    daemon. ``--status`` and ``--stop`` talk to a running daemon over
-    its socket and never touch the repository lock the daemon holds."""
+    """``orpheus serve``: run the version-service daemon until a signal
+    or a ``shutdown`` request (``orpheus remote shutdown``) drains it."""
     import signal
 
-    from repro.service.client import (
-        ServiceClient,
-        ServiceError,
-        ServiceUnavailableError,
-    )
     from repro.service.daemon import ServiceConfig, ServiceDaemon
     from repro.service.status import daemon_running, read_status_file
-
-    if args.status or args.stop:
-        if not daemon_running(args.root):
-            sys.stderr.write("orpheusd is not running here\n")
-            return 1
-        try:
-            with ServiceClient(
-                socket_path=args.socket, root=args.root
-            ) as client:
-                if args.stop:
-                    client.shutdown()
-                    sys.stdout.write("orpheusd draining\n")
-                    return 0
-                status = client.status()
-        except (ServiceError, ServiceUnavailableError) as error:
-            sys.stderr.write(f"error: {error}\n")
-            return 1
-        if args.json:
-            sys.stdout.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
-        else:
-            server = status.get("server", {})
-            cache = status.get("cache", {})
-            requests = status.get("requests", {})
-            scheduler = status.get("scheduler", {})
-            sys.stdout.write(
-                f"orpheusd pid={server.get('pid')} "
-                f"uptime={status.get('uptime_s')}s "
-                f"datasets={server.get('datasets')}\n"
-                f"  socket: {server.get('socket')}\n"
-                f"  requests: {requests.get('total', 0)} total, "
-                f"{requests.get('busy', 0)} shed busy\n"
-                f"  scheduler: {scheduler.get('executed_reads', 0)} reads, "
-                f"{scheduler.get('executed_writes', 0)} writes, "
-                f"write queue {scheduler.get('write_queue_depth', 0)}/"
-                f"{scheduler.get('write_queue_capacity', 0)}\n"
-                f"  cache: {cache.get('entries', 0)} entries, "
-                f"{cache.get('bytes', 0)} bytes, "
-                f"hit rate {cache.get('hit_rate', 0.0):.0%} "
-                f"({cache.get('hits', 0)} hits / "
-                f"{cache.get('misses', 0)} misses, "
-                f"{cache.get('evictions', 0)} evicted)\n"
-                f"  sessions: "
-                f"{status.get('sessions', {}).get('active', 0)} active\n"
-            )
-            degrade = status.get("degrade", {})
-            if degrade.get("degraded"):
-                sys.stdout.write(
-                    f"  DEGRADED (read-only): "
-                    f"{degrade.get('cause') or 'unknown'} — writes are "
-                    f"refused until a state save succeeds\n"
-                )
-            quarantine = status.get("quarantine", {})
-            if quarantine.get("quarantined"):
-                sys.stdout.write(
-                    f"  quarantine: {quarantine.get('quarantined')} "
-                    f"poisoned digest(s), "
-                    f"{quarantine.get('refused_total', 0)} refusal(s) "
-                    f"(clear with `orpheus remote -- flush-quarantine`)\n"
-                )
-            failures = (
-                requests.get("worker_errors", 0),
-                requests.get("deadline_exceeded", 0),
-                scheduler.get("deadline_shed", 0),
-                requests.get("degraded", 0),
-            )
-            if any(failures):
-                sys.stdout.write(
-                    "  failures: {} worker error(s), {} deadline "
-                    "refusal(s) ({} shed in the queue), {} degraded "
-                    "refusal(s)\n".format(*failures)
-                )
-            if requests.get("slow"):
-                sys.stdout.write(
-                    f"  slow: {requests['slow']} request(s) over "
-                    f"{server.get('slow_ms', 0):g}ms (their spans are in the "
-                    f"flight record)\n"
-                )
-            flight = status.get("flight", {})
-            if flight:
-                sys.stdout.write(
-                    f"  flight: {flight.get('records_written', 0)} "
-                    f"request(s) recorded, "
-                    f"{flight.get('segments', 0)} segment(s), "
-                    f"{flight.get('bytes', 0)} bytes\n"
-                )
-            if server.get("metrics"):
-                sys.stdout.write(
-                    f"  metrics: http://{server['metrics']}/metrics\n"
-                )
-        return 0
 
     if daemon_running(args.root):
         status = read_status_file(args.root) or {}
         sys.stderr.write(
             f"error: orpheusd already running (pid {status.get('pid')}); "
-            f"use `orpheus serve --status` or `orpheus remote`\n"
+            f"watch it with `orpheus top` or use `orpheus remote`\n"
         )
         return 1
     config = ServiceConfig(
@@ -1093,7 +985,7 @@ def _render(out, op: str, params: dict, data: dict) -> None:
         out.write(f"created user {data['user']!r}\n")
     elif op == "whoami":
         out.write((data.get("user") or "anonymous") + "\n")
-    elif op in ("doctor", "status", "stats"):
+    elif op in ("doctor", "stats"):
         out.write(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n")
     elif op == "ping":
         out.write("pong\n" if data.get("pong") else "no reply\n")

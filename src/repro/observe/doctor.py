@@ -597,8 +597,8 @@ def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
     if quarantined:
         problems.append(f"{quarantined} request digest(s) quarantined")
         remediation.append(
-            "inspect `quarantine.entries` in `orpheus serve --status "
-            "--json`, fix or stop the offending request, then `orpheus "
+            "inspect `quarantine.entries` in `orpheus remote --json "
+            "stats`, fix or stop the offending request, then `orpheus "
             "remote -- flush-quarantine`"
         )
     for count, what, remedy in (

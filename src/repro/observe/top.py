@@ -1,10 +1,13 @@
 """``orpheus top`` — a live terminal dashboard for a running daemon.
 
-Renders the daemon's ``stats`` protocol payload: per-op throughput
-(rates are deltas between consecutive polls), latency percentiles with
-the queue-wait/execute split, queue depths, cache efficiency, and the
-busiest sessions — the glanceable answer to "what is the daemon doing
-right now", without log spelunking. A scan table shows the rows and
+Renders the daemon's ``stats`` protocol payload: where it listens,
+degraded mode and its cause, refusals and worker errors, per-op
+throughput (rates are deltas between consecutive polls), latency
+percentiles with the queue-wait/execute split, queue depths, cache
+efficiency, the flight record, the quarantine, and the busiest
+sessions — the glanceable answer to "what is the daemon doing right
+now", without log spelunking. ``orpheus remote --json stats`` prints
+the same payload raw. A scan table shows the rows and
 bytes each dataset's requests scanned (``orpheus heat`` has the heat,
 partition and amplification analysis).
 
@@ -74,6 +77,9 @@ def render_frame(
     scheduler = stats.get("scheduler", {})
     cache = stats.get("cache", {})
     sessions = stats.get("sessions", {})
+    degrade = stats.get("degrade", {})
+    quarantine = stats.get("quarantine", {})
+    flight = stats.get("flight", {})
 
     lines = [
         (
@@ -82,6 +88,22 @@ def render_frame(
             f"{'DRAINING' if server.get('draining') else 'serving'}"
             + (" · RESTARTED (rates reset)" if restarted else "")
         ),
+        (
+            f"socket: {server.get('socket', '?')} · "
+            f"datasets {server.get('datasets', 0)}"
+            + (
+                f" · metrics http://{server['metrics']}/metrics"
+                if server.get("metrics")
+                else ""
+            )
+        ),
+    ]
+    if degrade.get("degraded"):
+        lines.append(
+            f"DEGRADED (read-only): {degrade.get('cause') or 'unknown'} — "
+            f"writes are refused until a state save succeeds"
+        )
+    lines += [
         (
             f"requests {requests.get('total', 0)} "
             f"({_rate(requests.get('total', 0), prev_requests.get('total', 0), interval)})"
@@ -93,6 +115,12 @@ def render_frame(
                 if server.get("slow_ms") is not None
                 else ""
             )
+        ),
+        (
+            f"failures: {requests.get('worker_errors', 0)} worker error(s), "
+            f"{requests.get('deadline_exceeded', 0)} deadline refusal(s) "
+            f"({scheduler.get('deadline_shed', 0)} shed in the queue), "
+            f"{requests.get('degraded', 0)} degraded refusal(s)"
         ),
         (
             f"queues  read {scheduler.get('read_queue_depth', 0)}"
@@ -109,6 +137,19 @@ def render_frame(
             f"hit {cache.get('hit_rate', 0.0):.0%} · "
             f"evictions {cache.get('evictions', 0)}"
         ),
+        (
+            f"flight: {flight.get('records_written', 0)} request(s) "
+            f"recorded, {flight.get('segments', 0)} segment(s), "
+            f"{_fmt_bytes(flight.get('bytes', 0))}"
+        ),
+    ]
+    if quarantine.get("quarantined"):
+        lines.append(
+            f"quarantine: {quarantine['quarantined']} poisoned digest(s), "
+            f"{quarantine.get('refused_total', 0)} refusal(s) (clear with "
+            f"`orpheus remote -- flush-quarantine`)"
+        )
+    lines += [
         "",
         (
             f"{'op':<12} {'count':>7} {'rate':>8} {'p50':>8} {'p95':>8}"

@@ -39,14 +39,13 @@ concurrency, caching, and backpressure become first-class subsystems:
   read-only mode on repeated save failures, and the poison-request
   quarantine for requests that crash workers.
 
-Start it with ``orpheus serve``; inspect it with ``orpheus serve
---status`` or the ``service_health``/``service_faults`` doctor probes.
+Start it with ``orpheus serve``; watch it with ``orpheus top``, read
+its raw report with ``orpheus remote --json stats``, or ask the
+``service_health``/``service_faults`` doctor probes.
 """
 
 from repro.service.cache import CacheStats, VersionCache
 from repro.service.client import (
-    CircuitBreaker,
-    CircuitOpenError,
     ServiceBusyError,
     ServiceClient,
     ServiceDeadlineError,
@@ -71,8 +70,6 @@ from repro.service.status import daemon_running, read_status_file
 
 __all__ = [
     "CacheStats",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "DegradeController",
     "DegradedError",
     "FlightRecorder",

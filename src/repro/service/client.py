@@ -17,15 +17,10 @@ map onto exceptions:
   (``error_kind: internal``); the request itself may be fine.
 * :class:`ServiceError` — the command raised server-side; carries the
   remote exception type name.
-* :class:`CircuitOpenError` — this *client's* circuit breaker is open
-  after repeated connect/timeout failures; no connection was attempted.
+* :class:`ServiceUnavailableError` — no daemon answered: the connect
+  was refused, timed out, or the connection was lost.
 
-Fault tolerance built in: every client owns a :class:`CircuitBreaker`
-that opens after ``failure_threshold`` consecutive transport failures
-(connect refused, timeouts, lost connections), fails fast while open,
-and probes half-open on a jittered exponential recovery schedule — so
-a thousand clients hammering a dead daemon back off instead of
-retrying in lockstep. A total latency budget (``deadline_ms`` or
+A total latency budget (``deadline_ms`` or
 ``ORPHEUS_CLIENT_DEADLINE_MS``) is stamped into every request's trace
 context for server-side shedding and bounds the *total* elapsed time
 of :meth:`ServiceClient.request_with_retry`, not just each backoff.
@@ -54,7 +49,7 @@ from repro.service.tracing import new_trace_context
 #: propagated in the trace context and enforced across retries.
 CLIENT_DEADLINE_ENV = "ORPHEUS_CLIENT_DEADLINE_MS"
 
-#: Backoff sleeps (retry loop and breaker recovery) never exceed this.
+#: Backoff sleeps of the retry loop never exceed this.
 BACKOFF_CAP_S = 2.0
 
 
@@ -102,109 +97,18 @@ class ServiceInternalError(ServiceError):
     (``error_kind: internal``) — the request itself may be valid."""
 
 
-class CircuitOpenError(ServiceUnavailableError):
-    """Failing fast: this client's breaker is open after repeated
-    transport failures; no connection was attempted."""
-
-
 def jittered_backoff(
     base: float,
     attempt: int,
     cap: float = BACKOFF_CAP_S,
     rng: random.Random | None = None,
 ) -> float:
-    """Exponential backoff with full jitter, shared by the retry loop
-    and the breaker's recovery schedule (uniform over (0, delay] — a
-    fleet of clients desynchronizes instead of thundering back)."""
+    """Exponential backoff with full jitter for the retry loop (uniform
+    over (0, delay] — a fleet of clients desynchronizes instead of
+    thundering back)."""
     delay = min(cap, base * (2 ** attempt))
     roll = (rng or random).random()
     return delay * max(0.05, roll)
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker for one client's transport.
-
-    States: ``closed`` (normal), ``open`` (failing fast until a
-    jittered recovery delay passes), ``half_open`` (one probe request
-    allowed through; its outcome closes or re-opens the circuit).
-    ``clock``/``rng`` are injectable so the state machine is unit
-    testable without sleeping.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        recovery_s: float = 0.1,
-        max_recovery_s: float = BACKOFF_CAP_S,
-        clock=time.monotonic,
-        rng: random.Random | None = None,
-    ) -> None:
-        self.failure_threshold = max(1, failure_threshold)
-        self.recovery_s = recovery_s
-        self.max_recovery_s = max_recovery_s
-        self._clock = clock
-        self._rng = rng or random.Random()
-        self.state = "closed"
-        self.consecutive_failures = 0
-        #: How many times the circuit opened without an intervening
-        #: success — drives the exponential recovery delay.
-        self.open_streak = 0
-        self.opened_total = 0
-        self._open_until = 0.0
-
-    def allow(self) -> bool:
-        """May a request proceed now? Transitions open→half_open when
-        the recovery delay has passed (the caller becomes the probe)."""
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            if self._clock() >= self._open_until:
-                self.state = "half_open"
-                return True
-            return False
-        # half_open: exactly one probe at a time; a second caller
-        # arriving before the probe resolves fails fast.
-        return False
-
-    def record_success(self) -> None:
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.open_streak = 0
-
-    def record_failure(self) -> None:
-        self.consecutive_failures += 1
-        if (
-            self.state == "half_open"
-            or self.consecutive_failures >= self.failure_threshold
-        ):
-            self._trip()
-
-    def _trip(self) -> None:
-        self.state = "open"
-        self.open_streak += 1
-        self.opened_total += 1
-        delay = jittered_backoff(
-            self.recovery_s,
-            self.open_streak - 1,
-            cap=self.max_recovery_s,
-            rng=self._rng,
-        )
-        self._open_until = self._clock() + delay
-
-    def remaining_s(self) -> float:
-        """Seconds until an open circuit half-opens (0 when not open)."""
-        if self.state != "open":
-            return 0.0
-        return max(0.0, self._open_until - self._clock())
-
-    def status(self) -> dict:
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "failure_threshold": self.failure_threshold,
-            "opened_total": self.opened_total,
-            "recovery_in_s": round(self.remaining_s(), 4),
-        }
 
 
 def client_deadline_ms() -> float | None:
@@ -230,7 +134,6 @@ class ServiceClient:
         user: str = "",
         timeout: float = 30.0,
         deadline_ms: float | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.root = root
         self.socket_path = socket_path
@@ -243,32 +146,18 @@ class ServiceClient:
         self.deadline_ms = (
             deadline_ms if deadline_ms is not None else client_deadline_ms()
         )
-        self.breaker = breaker or CircuitBreaker()
         self._channel: LineChannel | None = None
         self._next_id = 0
         self.session_id: int | None = None
         #: The server's trace summary for the most recent response
-        #: (including BUSY sheds) — trace/span ids + phase timings,
-        #: plus this client's breaker state under ``"breaker"``.
+        #: (including BUSY sheds) — trace/span ids + phase timings.
         self.last_trace: dict | None = None
 
     # ------------------------------------------------------------------
     def connect(self) -> "ServiceClient":
         if self._channel is not None:
             return self
-        if not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit breaker open after "
-                f"{self.breaker.consecutive_failures} consecutive "
-                f"transport failure(s); retrying in "
-                f"{self.breaker.remaining_s():.2f}s"
-            )
-        try:
-            sock = self._connect_socket()
-        except ServiceUnavailableError:
-            self.breaker.record_failure()
-            raise
-        self._channel = LineChannel(sock)
+        self._channel = LineChannel(self._connect_socket())
         try:
             response = self._roundtrip(
                 {
@@ -277,13 +166,10 @@ class ServiceClient:
                     "user": self.user,
                 }
             )
-        except ServiceUnavailableError:
-            # _roundtrip already closed the channel and fed the breaker.
-            raise
         except BaseException:
-            # A refused handshake (denied, protocol garbage) must not
-            # leak the socket fd: the session never opened, so the
-            # connection has no further use.
+            # A refused handshake (denied, protocol garbage, a lost
+            # connection) must not leak the socket fd: the session never
+            # opened, so the connection has no further use.
             self.close()
             raise
         self.session_id = (response.data or {}).get("session_id")
@@ -418,19 +304,16 @@ class ServiceClient:
             line = channel.recv_line()
         except socket.timeout:
             self.close()
-            self.breaker.record_failure()
             raise ServiceUnavailableError(
                 f"orpheusd did not answer within {self.timeout}s"
             ) from None
         except OSError as error:
             self.close()
-            self.breaker.record_failure()
             raise ServiceUnavailableError(
                 f"connection to orpheusd lost: {error}"
             ) from None
         if line is None:
             self.close()
-            self.breaker.record_failure()
             raise ServiceUnavailableError("orpheusd closed the connection")
         try:
             response = protocol.decode_response(line)
@@ -438,19 +321,13 @@ class ServiceClient:
             # A garbage-speaking peer: the connection is unusable and
             # must not leak — close before surfacing.
             self.close()
-            self.breaker.record_failure()
             raise ServiceUnavailableError(
                 f"orpheusd sent an undecodable frame: {error}"
             ) from None
-        # Any decoded response — including BUSY and errors — proves the
-        # transport works; only connect/timeout/transport failures feed
-        # the breaker.
-        self.breaker.record_success()
         # BUSY and error responses carry a terminal trace summary too;
         # record it before raising so callers can correlate sheds.
         if response.trace is not None:
             self.last_trace = dict(response.trace)
-            self.last_trace["breaker"] = self.breaker.status()
         if response.status == protocol.OK:
             return response
         message = response.error or response.status
@@ -474,9 +351,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def ping(self) -> bool:
         return bool(self.request("ping").get("pong"))
-
-    def status(self) -> dict:
-        return self.request("status")
 
     def stats(self, recent: int = 0) -> dict:
         """Live daemon observability: counters, latency percentiles,

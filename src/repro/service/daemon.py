@@ -138,7 +138,6 @@ class ServiceConfig:
     cache_bytes: int = DEFAULT_BUDGET_BYTES
     read_queue_depth: int = DEFAULT_READ_QUEUE_DEPTH
     write_queue_depth: int = DEFAULT_WRITE_QUEUE_DEPTH
-    per_cvd_depth: int | None = None
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT
     #: None disables the HTTP monitoring sidecar; 0 binds an ephemeral
     #: port (recorded in service.json for scrapers to discover).
@@ -164,7 +163,6 @@ class ServiceDaemon:
             workers=self.config.workers,
             read_queue_depth=self.config.read_queue_depth,
             write_queue_depth=self.config.write_queue_depth,
-            per_cvd_depth=self.config.per_cvd_depth,
         )
         self.sessions = SessionManager(self.config.idle_timeout)
         self.journal = Journal(self.root)
@@ -435,8 +433,6 @@ class ServiceDaemon:
                     session.touch()
                     rtrace = RequestTrace.from_request(request, session)
                     response = self._handle_request(session, request, rtrace)
-                    if response.status not in (protocol.OK, protocol.SHUTDOWN):
-                        session.errors += 1
                     try:
                         kind = failpoints.fire("conn.before_send")
                     except failpoints.FailpointError:
@@ -667,7 +663,7 @@ class ServiceDaemon:
                 error="already shook hands",
                 error_type="ProtocolError",
             )
-        if request.op in ("stats", "status"):
+        if request.op == "stats":
             recent = request.get("recent") or 0
             try:
                 recent = max(0, int(recent))
@@ -986,8 +982,8 @@ class ServiceDaemon:
         }
 
     def stats_payload(self, recent: int = 0) -> dict:
-        """The daemon's one report, behind the ``stats`` and ``status``
-        ops, ``/stats``, ``serve --status``, ``orpheus top`` and the
+        """The daemon's one report, behind the ``stats`` op (``orpheus
+        remote --json stats``), ``/stats``, ``orpheus top`` and the
         doctor's daemon probes. Built outside the scheduler, so it never
         waits for a writer; nothing here iterates what a writer mutates."""
         payload = self.metrics.to_dict(recent=recent)

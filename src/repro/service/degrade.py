@@ -15,7 +15,7 @@ flowing — the repository is still consistent in memory and on disk
 (the failed save rolled back to the last durable state). The
 housekeeping loop probes the save path while degraded; the first
 success flips the daemon back automatically. Mode + cause are
-surfaced in ``stats``, ``serve --status``, and ``/healthz``.
+surfaced in ``stats``, ``orpheus top``, and ``/healthz``.
 
 **Worker-crash quarantine** (:class:`Quarantine`). A request that
 raises an *internal* error (not a user error like a bad version id)

@@ -85,12 +85,11 @@ WRITE_OPS = frozenset(
 )
 
 #: Session/admin operations handled outside the scheduler. ``stats``
-#: and ``status`` are two names for the daemon's one report, built from
-#: in-memory state only — no repository access — so it stays live even
-#: when the queues are full or a writer holds the lock.
+#: is the daemon's one report, built from in-memory state only — no
+#: repository access — so it stays live even when the queues are full
+#: or a writer holds the lock.
 CONTROL_OPS = frozenset(
-    {"hello", "ping", "stats", "status", "flush_cache", "flush_quarantine",
-     "shutdown"}
+    {"hello", "ping", "stats", "flush_cache", "flush_quarantine", "shutdown"}
 )
 
 ALL_OPS = READ_OPS | WRITE_OPS | CONTROL_OPS

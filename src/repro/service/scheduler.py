@@ -213,19 +213,14 @@ class RequestScheduler:
         workers: int = DEFAULT_WORKERS,
         read_queue_depth: int = DEFAULT_READ_QUEUE_DEPTH,
         write_queue_depth: int = DEFAULT_WRITE_QUEUE_DEPTH,
-        per_cvd_depth: int | None = None,
     ) -> None:
         self.workers = max(1, workers)
         self.lock = ReadWriteLock()
         self._reads = _BoundedDeque(read_queue_depth)
         self._writes = _BoundedDeque(write_queue_depth)
         #: Per-CVD writer-queue share: one hot dataset may hold at most
-        #: this many queued mutations before its submissions shed.
-        self.per_cvd_depth = (
-            per_cvd_depth
-            if per_cvd_depth is not None
-            else max(1, write_queue_depth // 2)
-        )
+        #: half the writer queue before its submissions shed.
+        self.per_cvd_depth = max(1, write_queue_depth // 2)
         self._pending_per_cvd: dict[str, int] = {}
         self._pending_lock = threading.Lock()
         self._threads: list[threading.Thread] = []

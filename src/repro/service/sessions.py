@@ -46,15 +46,10 @@ class Session:
     peer: str = ""
     created_ts: float = field(default_factory=telemetry.now)
     last_active_ts: float = field(default_factory=telemetry.now)
-    requests: int = 0
-    #: Requests this session answered with a non-ok status (busy sheds,
-    #: errors, deadline/degraded refusals) — a per-client failure lens.
-    errors: int = 0
-    closed: bool = False
 
     def touch(self) -> None:
+        """Restart the idle clock (the ledger's ``by_session`` counts)."""
         self.last_active_ts = telemetry.now()
-        self.requests += 1
 
     def to_dict(self) -> dict:
         return {
@@ -63,8 +58,6 @@ class Session:
             "peer": self.peer,
             "created_ts": self.created_ts,
             "last_active_ts": self.last_active_ts,
-            "requests": self.requests,
-            "errors": self.errors,
         }
 
 
@@ -117,7 +110,6 @@ class SessionManager:
         return session
 
     def close(self, session: Session) -> None:
-        session.closed = True
         with self._lock:
             self._sessions.pop(session.session_id, None)
 
@@ -135,10 +127,6 @@ class SessionManager:
     @property
     def draining(self) -> bool:
         return self._draining
-
-    def active(self) -> list[Session]:
-        with self._lock:
-            return list(self._sessions.values())
 
     def __len__(self) -> int:
         with self._lock:

@@ -238,7 +238,7 @@ def service_health(scene):
 
 def service_faults(scene):
     """orpheusd's own doctor sees a quarantined request digest, which
-    ``serve --status --json`` lists; ``remote -- flush-quarantine``
+    ``remote --json stats`` lists; ``remote -- flush-quarantine``
     clears it."""
     scene.init()
     with DaemonHandle(scene.root) as handle, handle.client() as client:
@@ -249,8 +249,8 @@ def service_faults(scene):
                 client.checkout("d", [1], inline=True)
         fired = client.doctor()
         (digest,) = handle.daemon.quarantine.status()["entries"]
-        status = json.loads(scene.cli("serve", "--status", "--json"))
-        assert digest in status["quarantine"]["entries"]
+        stats = json.loads(scene.cli("remote", "--json", "stats"))
+        assert digest in stats["quarantine"]["entries"]
         scene.cli("remote", "--", "flush-quarantine")
         # The cleared daemon answers again; enough requests dilute the
         # worker-error rate back under the fault budget.

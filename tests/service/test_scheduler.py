@@ -110,9 +110,9 @@ class TestScheduling:
         assert order == [0, 1]
 
     def test_write_queue_sheds_when_full(self):
-        sched = RequestScheduler(
-            workers=1, read_queue_depth=4, write_queue_depth=1, per_cvd_depth=99
-        )
+        """Two datasets, each within its per-CVD share of one, fill the
+        depth-2 writer queue: a third dataset sheds on the global bound."""
+        sched = RequestScheduler(workers=1, read_queue_depth=4, write_queue_depth=2)
         sched.start()
         release = threading.Event()
         started = threading.Event()
@@ -122,22 +122,26 @@ class TestScheduling:
             release.wait(10)
 
         try:
-            blocker = sched.submit_write(block)
+            blocker = sched.submit_write(block, dataset="a")
             assert started.wait(5)  # blocker is out of the queue, running
-            queued = sched.submit_write(lambda: None)  # fills depth-1 queue
-            with pytest.raises(QueueFullError):
-                sched.submit_write(lambda: None)
+            queued = [
+                sched.submit_write(lambda: None, dataset=name)
+                for name in ("b", "c")
+            ]
+            with pytest.raises(QueueFullError, match=r"queue full \(2 pending\)"):
+                sched.submit_write(lambda: None, dataset="d")
             assert sched.shed_writes == 1
             release.set()
             blocker.wait(5)
-            queued.wait(5)
+            for job in queued:
+                job.wait(5)
         finally:
             release.set()
             sched.stop(timeout=5)
 
     def test_per_cvd_depth_sheds_hot_dataset_only(self):
         sched = RequestScheduler(
-            workers=1, read_queue_depth=4, write_queue_depth=8, per_cvd_depth=1
+            workers=1, read_queue_depth=4, write_queue_depth=2
         )
         sched.start()
         release = threading.Event()

@@ -268,7 +268,6 @@ class TestRetryAndShedTraces:
         seed_dataset(workspace)
         handle = daemon_factory(
             workers=1, read_queue_depth=1, write_queue_depth=1,
-            per_cvd_depth=1,
         )
         with handle:
             failpoints.activate("csv.mid_write", "delay", 0.25)
@@ -328,7 +327,6 @@ class TestRetryAndShedTraces:
         seed_dataset(workspace)
         handle = daemon_factory(
             workers=1, read_queue_depth=1, write_queue_depth=1,
-            per_cvd_depth=1,
         )
         with handle:
             failpoints.activate("csv.mid_write", "delay", 0.25)

@@ -114,7 +114,7 @@ def warm(client) -> None:
 
 
 def invalidations(client) -> int:
-    return client.status()["cache"]["invalidations"]
+    return client.stats()["cache"]["invalidations"]
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -62,8 +62,6 @@ LOCAL_CORPUS = [
     ["serve", "--socket", "s.sock", "--tcp", "127.0.0.1:0", "--workers", "2",
      "--cache-mb", "8", "--queue-depth", "4", "--read-queue-depth", "16",
      "--idle-timeout", "30", "--metrics-port", "0", "--slow-ms", "100"],
-    ["serve", "--status", "--json"],
-    ["serve", "--stop"],
     ["remote", "--user", "u", "--socket", "s.sock", "--json", "checkout", "-d", "ds", "-v", "1"],
     ["remote", "--", "ls"],
     ["top", "--interval", "0.5", "--once", "--json", "--iterations", "2"],
@@ -90,7 +88,6 @@ REMOTE_CORPUS = [
     ["create_user", "alice", "--email", "a@example.org"],
     ["whoami"],
     ["doctor"],
-    ["status"],
     ["stats", "--recent", "3"],
     ["ping"],
     ["flush-cache"],
@@ -180,6 +177,8 @@ REFUSED = [
     ["serve", "--flight-" + "segment-mb", "1"],
     ["serve", "--flight-" + "segments", "3"],
     ["stats", "--re" + "set"],
+    ["serve", "--sta" + "tus"],
+    ["serve", "--st" + "op"],
 ]
 
 
@@ -192,6 +191,28 @@ def test_deleted_command_and_serve_flags_are_refused(argv, monkeypatch):
     assert (
         "invalid choice" in actual["stderr"]
         or "unrecognized arguments" in actual["stderr"]
+    )
+
+
+#: Remote commands the grammar no longer has: ``stats`` is the one report.
+REMOTE_REFUSED = [["sta" + "tus"]]
+
+
+@pytest.mark.parametrize("argv", REMOTE_REFUSED, ids=" ".join)
+def test_deleted_remote_command_is_refused(argv, monkeypatch):
+    """``orpheus remote <gone>`` exits 2 at parse time, before any
+    connection is tried."""
+    monkeypatch.setenv("COLUMNS", "80")
+    connected = []
+    monkeypatch.setattr(
+        "repro.service.client.ServiceClient.connect", connected.append
+    )
+    actual = run(main, ["remote", *argv])
+    assert actual["code"] == 2 and connected == []
+    assert actual["stderr"].startswith("usage: orpheus remote")
+    assert "invalid choice" in actual["stderr"]
+    assert run(lambda a: _parse(a, remote=True), argv) == run(
+        lambda a: _build_parser(remote=True).parse_args(a), argv
     )
 
 

@@ -219,16 +219,17 @@ def test_one_rule_decides_what_is_a_heat_event():
 
 
 def test_orpheusd_keeps_one_set_of_books():
-    """Request outcomes are counted in the metrics ledger only, and the
-    ``status`` op is the ``stats`` report, not a second builder."""
+    """Request outcomes are counted in the metrics ledger only: the
+    daemon bumps no counter of its own nor of a session, and the
+    ``stats`` report has one builder."""
     tree = dict(modules())["service/daemon.py"]
     counters = [
-        node.target.attr
+        f"{node.target.value.id}.{node.target.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.AugAssign)
         and isinstance(node.target, ast.Attribute)
         and isinstance(node.target.value, ast.Name)
-        and node.target.value.id == "self"
+        and node.target.value.id in ("self", "session")
     ]
     assert counters == []
     daemon = next(
@@ -237,6 +238,36 @@ def test_orpheusd_keeps_one_set_of_books():
     )
     methods = {n.name for n in daemon.body if isinstance(n, ast.FunctionDef)}
     assert "stats_payload" in methods and "status" not in methods
+
+
+#: What the one-request-path change took out of the client (split so a
+#: search stays empty).
+BREAKER_NAMES = ["Circuit" + "Breaker", "Circuit" + "OpenError"]
+
+
+@pytest.mark.parametrize("name", BREAKER_NAMES)
+def test_the_client_has_no_circuit_breaker(name):
+    """Every client the program builds is dropped on its first transport
+    failure, so no breaker state is kept between requests."""
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if name in path.read_text()
+    ]
+    assert offenders == []
+
+
+def test_one_op_answers_with_the_daemon_report():
+    """``stats`` is the one op that returns the report; its alias is
+    gone from the wire, the client and the remote grammar."""
+    from repro.cli import COMMAND_TABLE
+    from repro.service import protocol
+    from repro.service.client import ServiceClient
+
+    assert "stats" in protocol.CONTROL_OPS
+    assert "status" not in protocol.ALL_OPS
+    assert not hasattr(ServiceClient, "status")
+    assert "status" not in COMMAND_TABLE
 
 
 def test_the_program_imports_no_benchmarks():
@@ -298,7 +329,7 @@ def test_orpheusd_counts_each_event_once(tmp_path):
     _seed(tmp_path)
     work = tmp_path / "work.csv"
     try:
-        with DaemonHandle(tmp_path, per_cvd_depth=1) as handle:
+        with DaemonHandle(tmp_path, write_queue_depth=2) as handle:
             with handle.client() as client:
                 client.checkout("inter", [1], inline=True)  # miss
                 client.checkout("inter", [1], inline=True)  # hit
@@ -468,7 +499,7 @@ def test_a_request_is_appended_to_one_jsonl_file(tmp_path):
     work = tmp_path / "work.csv"
     traces: dict[str, str] = {}
     try:
-        with DaemonHandle(tmp_path, slow_ms=0, per_cvd_depth=1) as handle:
+        with DaemonHandle(tmp_path, slow_ms=0, write_queue_depth=2) as handle:
             with handle.client() as client:
                 client.checkout("inter", [1], file=str(work))
                 traces["checkout"] = client.last_trace["trace_id"]
