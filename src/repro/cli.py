@@ -374,11 +374,6 @@ COMMAND_TABLE: dict[str, Command] = {
                     help="print one frame and exit (no screen clearing)",
                 ),
                 _arg(
-                    "--json",
-                    action="store_true",
-                    help="dump the raw stats payload instead of the dashboard",
-                ),
-                _arg(
                     "--iterations",
                     type=int,
                     default=None,
@@ -863,12 +858,9 @@ def _run_top(args: argparse.Namespace) -> int:
             restarted = detect_restart(prev, stats)
             if restarted:
                 prev = None
-            if args.json:
-                out.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
-            else:
-                if not args.once:
-                    out.write("\x1b[2J\x1b[H")  # clear + home
-                out.write(render_frame(stats, prev, interval, restarted=restarted))
+            if not args.once:
+                out.write("\x1b[2J\x1b[H")  # clear + home
+            out.write(render_frame(stats, prev, interval, restarted=restarted))
             out.flush()
             prev = stats
             if last_poll:

@@ -94,8 +94,9 @@ class CVD:
     # one-shot command only for the versions it touches. Beside it, the
     # records' CSV lines as file checkouts rendered them, and which of
     # those lines a commit may take for their payload unparsed, judged
-    # once per line when a commit first asks (a pull never pays for it).
-    # Both follow the schema, so a schema change drops them.
+    # once per line when a commit first asks (a pull never pays for it),
+    # and the records' JSON fragments as orpheusd's inline checkouts
+    # encoded them. All follow the schema, so a schema change drops them.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
         self._membership: dict[int, frozenset[int]] = {}
@@ -114,10 +115,12 @@ class CVD:
         self._shared: set[str] = set()
         #: (rids, payloads, lines) rendered and not yet judged.
         self._unjudged: list[tuple] = []
+        #: rid -> its JSON array less the brackets (protocol.encode_rows).
+        self.json_fragments: dict[int, bytes] = {}
 
     def __getstate__(self) -> dict:
         memo = {"_membership", "_payloads", "_lines", "_parses", "_line_rids"}
-        memo |= {"_judged", "_shared", "_unjudged"}
+        memo |= {"_judged", "_shared", "_unjudged", "json_fragments"}
         return {k: v for k, v in self.__dict__.items() if k not in memo}
 
     def __setstate__(self, state: dict) -> None:

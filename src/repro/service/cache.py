@@ -57,9 +57,10 @@ class CacheEntry:
     #: instead of being served as version history.
     sealed_rows: int = -1
     #: The rows as the JSON array an inline checkout's frame carries
-    #: (``protocol.encode_rows``): a hit sends these bytes instead of
-    #: encoding the rows again. None until an inline checkout needs it;
-    #: a file checkout never builds one.
+    #: (``protocol.encode_rows``, joined from the CVD's per-record
+    #: ``json_fragments``): a hit sends these bytes instead of joining
+    #: them again. None until an inline checkout needs it; a file
+    #: checkout never builds one.
     body: bytes | None = None
     #: ``(length, crc32)`` of ``body`` at admission, checked like
     #: ``sealed_rows`` — the seal covers the representation served.

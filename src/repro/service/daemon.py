@@ -460,7 +460,7 @@ class ServiceDaemon:
                     self._finalize_request(rtrace, request)
                 if send_failed:
                     return
-                if getattr(session, "wants_shutdown", False):
+                if session.wants_shutdown:
                     self.request_shutdown()
                     return
         finally:
@@ -834,20 +834,32 @@ class ServiceDaemon:
             if entry is None or (inline and entry.body is None):
                 # The rows are encoded once per entry, by the first
                 # inline checkout that needs them (a miss, or a hit on
-                # an entry a file checkout admitted); admitting again
-                # keeps the byte budget exact. A file checkout never
-                # pays for a body.
+                # an entry a commit or a file checkout admitted), and a
+                # record once per CVD: the body joins its records'
+                # memoized fragments. Admitting again keeps the byte
+                # budget exact. A file checkout never pays for a body.
                 source = entry
                 if source is None:
                     with telemetry.span(
                         "service.checkout.materialize", dataset=dataset
                     ):
                         source = cvd.checkout(vids)
+                body = None
+                if inline:
+                    with telemetry.span(
+                        "service.checkout.encode", dataset=dataset
+                    ):
+                        rids = source.rids
+                        if rids is None:  # one version: ascending rids
+                            rids = sorted(cvd.membership(vids[0]))
+                        body = protocol.encode_rows(
+                            source.rows, rids, cvd.json_fragments
+                        )
                 entry = CacheEntry(
                     list(source.columns),
                     source.rows,
                     tuple(source.parents),
-                    body=protocol.encode_rows(source.rows) if inline else None,
+                    body=body,
                     rids=source.rids if len(vids) > 1 else None,
                 )
                 self.cache.put(dataset, vids, entry, cvd.schema)

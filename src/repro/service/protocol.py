@@ -149,9 +149,9 @@ class Response:
         return self.status == OK
 
 
-def _dumps(value) -> str:
-    """The wire's JSON dialect: compact, ASCII, ``str()`` for the rest."""
-    return json.dumps(value, separators=(",", ":"), default=str)
+#: The wire's JSON dialect: compact, ASCII, ``str()`` for the rest.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+_dumps = _ENCODER.encode
 
 
 def encode(payload: dict) -> bytes:
@@ -159,11 +159,40 @@ def encode(payload: dict) -> bytes:
     return (_dumps(payload) + "\n").encode("utf-8")
 
 
-def encode_rows(rows: list) -> bytes:
+def encode_rows(rows: list, rids: list[int], memo: dict) -> bytes:
     """A checkout's rows as the JSON array a frame carries at
-    ``data.data``. The daemon encodes a version once, keeps these bytes
-    on its cache entry, and :func:`encode_response` splices them."""
-    return _dumps(rows).encode("utf-8")
+    ``data.data``, byte for byte one dump of ``rows``. The daemon
+    encodes a version once, keeps these bytes on its cache entry, and
+    :func:`encode_response` splices them.
+
+    A record is encoded once for every version that holds it. ``memo``
+    is a CVD's rid -> fragment memo (``CVD.json_fragments``: each
+    record's JSON array less its brackets) and ``rids[i]`` is the rid
+    of ``rows[i]``. Only the rows whose rids the memo lacks are
+    encoded, into the memo; the array joins the fragments. Readers fill
+    one memo without a lock: a fragment depends on its record alone, so
+    a race encodes it twice alike, and no key ever leaves a memo (a
+    schema change replaces the CVD's)."""
+    try:  # a version's records are most often all known
+        joined = b"],[".join(map(memo.__getitem__, rids))
+    except KeyError:
+        missing = [n for n, rid in enumerate(rids) if rid not in memo]
+        fresh = _fragments([rows[n] for n in missing])
+        memo.update(zip(map(rids.__getitem__, missing), fresh))
+        joined = b"],[".join(map(memo.__getitem__, rids))
+    return b"[[" + joined + b"]]" if rids else b"[]"
+
+
+def _fragments(rows: list) -> list[bytes]:
+    """Each row's JSON array less its brackets: one bulk dump split at
+    its row boundaries, ``],[``. The pattern cannot overlap itself, so
+    when it occurs once per boundary every occurrence is one; a string
+    or nested array holding it adds more, and then each row is encoded
+    alone."""
+    body = _dumps(rows).encode("utf-8")
+    if body.count(b"],[") == len(rows) - 1:
+        return body[2:-2].split(b"],[")
+    return [_dumps(row)[1:-1].encode("utf-8") for row in rows]
 
 
 def encode_response(response: Response) -> bytes:

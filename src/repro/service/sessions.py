@@ -46,6 +46,9 @@ class Session:
     peer: str = ""
     created_ts: float = field(default_factory=telemetry.now)
     last_active_ts: float = field(default_factory=telemetry.now)
+    #: Set by the ``shutdown`` op; the connection loop drains the
+    #: daemon once its acknowledgement is sent.
+    wants_shutdown: bool = False
 
     def touch(self) -> None:
         """Restart the idle clock (the ledger's ``by_session`` counts)."""

@@ -3,7 +3,8 @@ once per cache entry and spliced into every later frame.
 
 * differential — a spliced frame decodes equal to the frame the old
   path built (``encode(Response(...).to_dict())``), hit and miss, for
-  every value shape a row can hold;
+  every value shape a row can hold, and its body, joined from the CVD's
+  per-record fragments, is byte for byte the one bulk dump of the rows;
 * structural — serving a hit runs the same number of Python calls for
   10 rows and for 10,000;
 * the corruption seal covers the bytes; the byte budget counts them;
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import datetime
 import decimal
+import json
 import socket
 from types import SimpleNamespace
 
@@ -25,6 +27,7 @@ from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
 from repro.resilience import failpoints
 from repro.service import protocol
+from repro.service.cache import CacheEntry
 from repro.service.client import ServiceClient, ServiceUnavailableError
 from repro.service.daemon import ServiceConfig, ServiceDaemon
 from repro.service.protocol import (
@@ -53,12 +56,27 @@ ROW_CASES = {
     ],
     "int_arrays": [("k1", [1, 2, 3]), ("k2", []), ("k3", (4, (5, 6)))],
     "empty_version": [],
+    "one_row": [("k1", 1)],
+    # A row boundary's bytes inside a value: the bulk dump cannot be
+    # split, so each row is encoded alone.
+    "boundary_in_string": [("a],[b", 1), ("k2", 2), ("],[", 3)],
+    "boundary_in_nested_array": [("k1", [[1], [2]]), ("k2", 2)],
 }
+
+#: The cases whose bulk dump holds ``],[`` inside a row.
+UNSPLITTABLE = {"boundary_in_string", "boundary_in_nested_array"}
+
+
+def reference_body(rows) -> bytes:
+    """The rows as one bulk dump in the wire's dialect: what every
+    inline checkout's body was before the fragment memo."""
+    return json.dumps(rows, separators=(",", ":"), default=str).encode("utf-8")
 
 
 class StubRepository:
     """Just enough of an Orpheus for ``_op_checkout``: versions hold
-    whatever rows a case needs (a real CVD cannot store a date)."""
+    whatever rows a case needs (a real CVD cannot store a date). The
+    ``n``-th row of version ``vid`` is record ``vid * 10**6 + n``."""
 
     cmd_checkout = Orpheus.cmd_checkout
     schema = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)])
@@ -67,9 +85,13 @@ class StubRepository:
         self.versions = versions
         self.access = SimpleNamespace(check_cvd_access=lambda *a, **k: None)
         self.checkouts = 0
+        self.json_fragments: dict[int, bytes] = {}
 
     def cvd(self, _dataset):
         return self
+
+    def membership(self, vid):
+        return frozenset(vid * 10**6 + n for n in range(len(self.versions[vid])))
 
     def checkout(self, vids):
         self.checkouts += 1
@@ -77,7 +99,7 @@ class StubRepository:
         rows = [row for vid in vids for row in self.versions[vid]]
         return SimpleNamespace(
             columns=["key", "value"], rows=rows, parents=tuple(vids),
-            rids=list(range(1, len(rows) + 1)),
+            rids=[rid for vid in vids for rid in sorted(self.membership(vid))],
         )
 
 
@@ -132,13 +154,59 @@ def test_spliced_frame_decodes_like_the_encoded_dict(tmp_path, case, vids):
     assert bodies[0] is bodies[1]
     assert bodies[0] is daemon.cache.get("d", vids, StubRepository.schema).body
     assert daemon.orpheus.checkouts == 1
+    assert bodies[0] == reference_body(expected_rows)
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_memo_built_body_is_byte_equal_to_the_bulk_dump(case, monkeypatch):
+    """Cold, warm and half-warm memos all give the bulk dump's bytes;
+    a cold memo costs one dump, unless a row holds a boundary."""
+    rows = ROW_CASES[case]
+    rids = list(range(10, 10 + len(rows)))
+    expected = reference_body(rows)
+    dumps = []
+    real = protocol._dumps
+    monkeypatch.setattr(protocol, "_dumps", lambda v: dumps.append(v) or real(v))
+    memo: dict[int, bytes] = {}
+    assert protocol.encode_rows(rows, rids, memo) == expected
+    if not rows:
+        assert dumps == []
+    elif case in UNSPLITTABLE:
+        assert len(dumps) == 1 + len(rows)
+    else:
+        assert len(dumps) == 1
+    assert sorted(memo) == rids
+    dumps.clear()
+    assert protocol.encode_rows(rows, rids, memo) == expected
+    assert dumps == []  # warm: joined, nothing encoded
+    half = {rid: memo[rid] for rid in rids[::2]}
+    assert protocol.encode_rows(rows, rids, half) == expected
+    assert half == memo
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_hit_on_an_entry_without_a_body_builds_it_from_the_memo(tmp_path, case):
+    """An entry a commit or a file checkout admitted has no body and,
+    for one version, no rids: the first inline hit takes the version's
+    rids from its membership."""
+    rows = ROW_CASES[case]
+    daemon = stub_daemon(tmp_path, {1: rows})
+    daemon.cache.put(
+        "d", [1], CacheEntry(["key", "value"], rows, (1,)), StubRepository.schema
+    )
+    data = inline_checkout(daemon, [1])
+    assert data["cached"] is True and daemon.orpheus.checkouts == 0
+    assert data["data"] == reference_body(rows)
+    assert sorted(daemon.orpheus.json_fragments) == sorted(
+        daemon.orpheus.membership(1)
+    )
 
 
 def test_rows_of_an_entry_with_a_body_are_never_encoded_again(tmp_path, monkeypatch):
     daemon = stub_daemon(tmp_path, {1: ROW_CASES["plain"]})
     inline_checkout(daemon, [1])
     monkeypatch.setattr(
-        protocol, "encode_rows", lambda rows: pytest.fail("re-encoded a hit")
+        protocol, "encode_rows", lambda *args: pytest.fail("re-encoded a hit")
     )
     for _ in range(3):
         data = inline_checkout(daemon, [1])

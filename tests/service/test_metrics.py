@@ -496,9 +496,11 @@ class TestTopDashboard:
         assert main(["--root", str(workspace), "top", "--once"]) == 1
         assert "orpheus top" in capsys.readouterr().err
 
-    def test_cli_top_once_json(
+    def test_raw_report_is_remote_json_stats(
         self, workspace, daemon_factory, tmp_path, capsys
     ):
+        """``top`` only renders; the raw payload is ``remote --json
+        stats``."""
         from repro.cli import main
 
         seed_dataset(workspace)
@@ -510,7 +512,7 @@ class TestTopDashboard:
             await_ledger(handle, "checkout")
             capsys.readouterr()  # drop the seed-dataset init banner
             assert main(
-                ["--root", str(workspace), "top", "--once", "--json"]
+                ["--root", str(workspace), "remote", "--json", "stats"]
             ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["requests"]["total"] >= 1

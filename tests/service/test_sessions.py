@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.daemon import ServiceConfig, ServiceDaemon
+from repro.service.protocol import PROTOCOL_VERSION, Request
 from repro.service.sessions import HandshakeError, SessionManager
 
 
@@ -88,3 +89,15 @@ class TestLifecycle:
         status = manager.status()
         assert status["active"] == 1
         assert status["sessions"][0]["user"] == "alice"
+
+    def test_shutdown_op_marks_the_session(self, tmp_path):
+        """A fresh session does not want the daemon drained; the
+        ``shutdown`` op sets the flag the connection loop reads once the
+        acknowledgement is sent."""
+        manager = SessionManager()
+        session = manager.open(hello(), known_users=set())
+        assert session.wants_shutdown is False
+        daemon = ServiceDaemon(ServiceConfig(root=str(tmp_path)))
+        response = daemon._handle_control(session, Request(op="shutdown", id=1))
+        assert response.ok and response.data == {"stopping": True}
+        assert session.wants_shutdown is True

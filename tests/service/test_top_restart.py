@@ -54,7 +54,14 @@ def test_render_frame_flags_restart_and_resets_rates():
     frame = render_frame(current, None, 2.0, restarted=True)
     assert "RESTARTED" in frame
     assert "-" not in frame.splitlines()[0][:10]  # header intact
-    assert "0.0/s" not in frame or True  # rates restart from zero
+    # Rates restart from zero: 3 requests in 2 s, and none of them is
+    # a delta against the pre-restart sample (which clamps to 0.0/s).
+    assert "requests 3 (1.5/s)" in frame
+    checkout = next(
+        line for line in frame.splitlines() if line.startswith("checkout")
+    )
+    assert checkout.split()[:3] == ["checkout", "3", "1.5/s"]
+    assert "0.0/s" not in frame
     plain = render_frame(current, prev, 2.0)
     assert "RESTARTED" not in plain
 

@@ -24,9 +24,10 @@ from repro import telemetry
 from repro.core.models import DATA_MODELS
 from repro.observe.journal import Journal
 from repro.resilience import failpoints
-from repro.service import protocol
 from repro.service.cache import VersionCache
 from repro.service.client import ServiceError
+
+from tests.service.test_checkout_bytes import reference_body
 
 MODELS = sorted(DATA_MODELS) + ["partitioned_rlist"]
 
@@ -95,11 +96,11 @@ def servable_entries_match(daemon) -> int:
         if token != VersionCache.key(name, vids, cvd.schema)[2]:
             continue
         fresh = cvd.checkout(list(vids))
-        wire = protocol.encode_rows(fresh.rows)
+        wire = reference_body(fresh.rows)
         assert entry.verify()
         assert entry.columns == fresh.columns
         assert entry.parents == fresh.parents
-        assert protocol.encode_rows(entry.rows) == wire, (name, vids)
+        assert reference_body(entry.rows) == wire, (name, vids)
         assert entry.body is None or entry.body == wire, (name, vids)
         compared += 1
     return compared

@@ -64,7 +64,7 @@ LOCAL_CORPUS = [
      "--idle-timeout", "30", "--metrics-port", "0", "--slow-ms", "100"],
     ["remote", "--user", "u", "--socket", "s.sock", "--json", "checkout", "-d", "ds", "-v", "1"],
     ["remote", "--", "ls"],
-    ["top", "--interval", "0.5", "--once", "--json", "--iterations", "2"],
+    ["top", "--interval", "0.5", "--once", "--iterations", "2"],
     ["heat", "-d", "ds", "--top", "3", "--json"],
     ["heat", "--dataset", "ds"],
     ["stats", "--json"],
@@ -179,6 +179,7 @@ REFUSED = [
     ["stats", "--re" + "set"],
     ["serve", "--sta" + "tus"],
     ["serve", "--st" + "op"],
+    ["top", "--js" + "on"],
 ]
 
 
