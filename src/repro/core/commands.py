@@ -342,7 +342,7 @@ class Orpheus:
         if path:
             rids = result.rids
             if rids is None:
-                rids = sorted(cvd.membership(vids[0]))
+                rids = cvd.membership(vids[0])
             write_csv(path, result.columns, cvd.lines_of(rids, result.rows))
             if params.get("schema"):
                 write_schema_file(params["schema"], cvd.schema)

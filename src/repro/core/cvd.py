@@ -16,6 +16,7 @@ Physical storage is delegated to a pluggable :class:`DataModel`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import filterfalse
 from operator import itemgetter
@@ -27,6 +28,7 @@ from repro.core import csvio
 from repro.core.errors import NoSuchVersionError, PrimaryKeyViolationError
 from repro.core.metadata import AttributeRegistry, VersionManager, VersionMetadata
 from repro.core.models import DataModel, make_model
+from repro.relational.arrays import rid_array, rids_within, rids_without
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import DataType, generalize_types
@@ -91,7 +93,9 @@ class CVD:
     # The memo: version -> rids and rid -> payload, as this process has
     # seen them. The model's tables are the only stored copy; a miss
     # reads them, so a long-lived process pays for a version once and a
-    # one-shot command only for the versions it touches. Beside it, the
+    # one-shot command only for the versions it touches. A version's
+    # rids are one ascending rid array, the very object its rlist row
+    # holds where the model stores one (nobody modifies it). Beside it, the
     # records' CSV lines as file checkouts rendered them, and which of
     # those lines a commit may take for their payload unparsed, judged
     # once per line when a commit first asks (a pull never pays for it),
@@ -99,7 +103,7 @@ class CVD:
     # encoded them. All follow the schema, so a schema change drops them.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
-        self._membership: dict[int, frozenset[int]] = {}
+        self._membership: dict[int, array] = {}
         self._payloads: dict[int, tuple] = {}
         self._reset_lines()
 
@@ -143,7 +147,8 @@ class CVD:
     def num_records(self) -> int:
         return self._num_records
 
-    def membership(self, vid: int) -> frozenset[int]:
+    def membership(self, vid: int) -> array:
+        """Version ``vid``'s ascending rid array (shared: never modify)."""
         rids = self._membership.get(vid)
         if rids is None:
             if vid not in self.versions:
@@ -330,14 +335,14 @@ class CVD:
             "cvd.commit.reused_records", len(records) - len(new_records)
         )
         vid = self.versions.allocate_vid()
-        frozen = frozenset(records)
+        membership = self._rids_of_commit(records, new_records, versions)
         parent_membership = {p: self.membership(p) for p in parents}
         with telemetry.span(
             "model.commit", model=self.model.model_name
         ) as model_span:
             self.model.commit_version(
-                vid, tuple(parents), frozen, new_records, parent_membership,
-                records,
+                vid, tuple(parents), membership, new_records,
+                parent_membership, records,
             )
             if model_span is not None:
                 model_span.set_attr("rows", len(new_records))
@@ -348,7 +353,7 @@ class CVD:
         # A row the reader matched is its record's payload exactly (the
         # two render alike), so the memo holds the whole version.
         self._payloads.update(new_records if rendered is None else records)
-        self._membership[vid] = frozen
+        self._membership[vid] = membership
         if rendered:  # what a pull of the version would render again
             fresh = [rid for rid, row in new_records.items() if row in rendered]
             payloads = list(map(new_records.__getitem__, fresh))
@@ -368,11 +373,31 @@ class CVD:
                 message=message,
                 author=author,
                 attribute_ids=attribute_ids,
-                record_count=len(frozen),
+                record_count=len(membership),
             )
         )
         self._version_columns[vid] = self.schema.column_names
         return vid
+
+    def _rids_of_commit(
+        self,
+        records: dict[int, tuple],
+        new_records: dict[int, tuple],
+        versions: Sequence[int],
+    ) -> array:
+        """The committed version's rid array. Every reused rid is one of
+        ``versions``' and every new one is above all stored rids, in
+        ascending order: from one version, its rids the commit kept, in
+        their order, then the new ones, so nothing is sorted."""
+        if len(versions) > 1:
+            return rid_array(sorted(records))
+        kept = rid_array()
+        if versions:
+            kept = rids_within(self.membership(versions[0]), records)
+        kept.extend(new_records)
+        if len(kept) != len(records):  # never drop a rid silently
+            return rid_array(sorted(records))
+        return kept
 
     def _payload_candidates(
         self, rows: list[tuple], versions: Sequence[int]
@@ -382,7 +407,7 @@ class CVD:
         for parent in versions:
             # Lowest rid first, so which of two equal payloads is reused
             # does not depend on how this process built the rid set.
-            rids = sorted(self.membership(parent))
+            rids = self.membership(parent)
             payloads = self.payloads_of(rids, parent)
             if not self._full_width(payloads):
                 # Pad stored payloads so records committed before a schema
@@ -408,7 +433,7 @@ class CVD:
         for -0.0, never judged). None where it is not: the parent holds
         a record not judged, or a line looked up is -0.0's or several
         records', the lowest of them not the parent's."""
-        members = self.membership(parent)
+        members = set(self.membership(parent))  # probed per row
         if not members <= self._judged:
             return None
         candidates = list(matched)
@@ -601,38 +626,38 @@ class CVD:
     # Versioned set operations (Section 3.3.2 functional primitives)
     # ------------------------------------------------------------------
     def diff(self, vid_a: int, vid_b: int) -> tuple[list[tuple], list[tuple]]:
-        """Records in a but not b, and in b but not a (by rid)."""
+        """Records in a but not b, and in b but not a (by rid), each in
+        ascending rid order."""
         a = self.membership(vid_a)
         b = self.membership(vid_b)
         return (
-            self.payloads_of(sorted(a - b), vid_a),
-            self.payloads_of(sorted(b - a), vid_b),
+            self.payloads_of(rids_without(a, set(b)), vid_a),
+            self.payloads_of(rids_without(b, set(a)), vid_b),
         )
 
     def v_diff(
         self, first: int | Sequence[int], second: int | Sequence[int]
     ) -> list[tuple]:
         """Records present in any of ``first`` but none of ``second``."""
-        first_set = self._union_membership(first)
-        second_set = self._union_membership(second)
-        return self.payloads_of(sorted(first_set - second_set))
+        excluded = set(self._union_membership(second))
+        first_rids = self._union_membership(first)
+        return self.payloads_of(rids_without(first_rids, excluded))
 
     def v_intersect(self, vids: Sequence[int]) -> list[tuple]:
         """Records present in *all* of ``vids``."""
         if not vids:
             return []
-        common: frozenset[int] = self.membership(vids[0])
+        common = self.membership(vids[0])
         for vid in vids[1:]:
-            common &= self.membership(vid)
-        return self.payloads_of(sorted(common), vids[0])
+            common = rids_within(common, set(self.membership(vid)))
+        return self.payloads_of(common, vids[0])
 
-    def _union_membership(self, vids: int | Sequence[int]) -> frozenset[int]:
+    def _union_membership(self, vids: int | Sequence[int]) -> array:
+        """The rids of any of ``vids``, ascending."""
         if isinstance(vids, int):
-            vids = (vids,)
-        union: set[int] = set()
-        for vid in vids:
-            union |= self.membership(vid)
-        return frozenset(union)
+            return self.membership(vids)
+        union = set().union(*map(self.membership, vids))
+        return rid_array(sorted(union))
 
     # ------------------------------------------------------------------
     # EXPLAIN plan trees (repro.observe.explain)
@@ -774,6 +799,7 @@ class CVD:
             schema = Schema(columns)
         cvd = cls(database, name or history.name, schema, model=model)
         for commit in history.commits:
+            rids = rid_array(sorted(commit.rids))
             new_rids = set(commit.rids)
             for parent in commit.parents:
                 new_rids -= history.records_of(parent)
@@ -787,14 +813,14 @@ class CVD:
             cvd.model.commit_version(
                 commit.vid,
                 commit.parents,
-                commit.rids,
+                rids,
                 new_records,
                 parent_membership,
                 history.payloads,
             )
             cvd._num_records += len(new_records)
             cvd._payloads.update(new_records)
-            cvd._membership[commit.vid] = commit.rids
+            cvd._membership[commit.vid] = rids
             cvd.versions.register(
                 VersionMetadata(
                     vid=commit.vid,

@@ -11,9 +11,11 @@ produce that version's rids and payloads.
 from __future__ import annotations
 
 import abc
+from array import array
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.relational.arrays import ascending, rid_array
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Row, Table
@@ -26,9 +28,9 @@ class DataModel(abc.ABC):
     model_name: str = ""
 
     #: Never saved: the tables are the one stored copy of version -> rids
-    #: and rid -> payload. A model that keeps these (the partitioned
+    #: and rid -> payload. A model that keeps payloads (the partitioned
     #: store) keeps them as a per-process memo over its tables; states
-    #: written while they were stored shed them at their next save.
+    #: written while these were stored shed them at their next save.
     _UNSAVED = frozenset({"_payloads", "_membership"})
 
     def __init__(
@@ -61,9 +63,9 @@ class DataModel(abc.ABC):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
         """Persist version ``vid``.
@@ -71,9 +73,11 @@ class DataModel(abc.ABC):
         Args:
             vid: The new version id.
             parents: Parent version ids (empty for the root).
-            membership: All rids contained in the version.
+            membership: All rids contained in the version, as the
+                ascending rid array the CVD memoizes: a model may store
+                it as it is, and never modifies it.
             new_records: rid -> payload for rids never stored before.
-            parent_membership: rid membership of each parent version —
+            parent_membership: rid array of each parent version —
                 supplied so delta-style models can compute differences
                 without asking the CVD back.
             records: rid -> payload for (at least) every rid of the
@@ -94,19 +98,19 @@ class DataModel(abc.ABC):
         """Checkout columns of table ``rows`` whose rid is column 0 and
         whose data attributes start at ``offset``. A heap holds its rows
         in insertion order, which a reused partition or a re-inserted
-        row takes out of rid order; such rows are sorted first."""
+        row takes out of rid order; only then are they sorted."""
         rids = list(map(itemgetter(0), rows))
-        if rids != sorted(rids):
+        if not ascending(rids):
             rows = sorted(rows, key=itemgetter(0))
             rids.sort()
         payload = itemgetter(slice(offset, offset + self._arity))
         return rids, list(map(payload, rows))
 
-    def rids_of(self, vid: int) -> frozenset[int]:
-        """The rids of version ``vid``, read from the tables. Models
-        that store rid lists override this with something cheaper than
-        a checkout."""
-        return frozenset(self.checkout_columns(vid)[0])
+    def rids_of(self, vid: int) -> array:
+        """The rids of version ``vid`` as an ascending rid array, read
+        from the tables. Models that store rid lists override this with
+        something cheaper than a checkout."""
+        return rid_array(self.checkout_columns(vid)[0])
 
     def payloads_of(
         self, rids: Iterable[int], vid: int | None = None

@@ -9,10 +9,12 @@ with the ``ARRAY[vid] <@ vlist`` containment filter.
 
 from __future__ import annotations
 
+from array import array
 from typing import Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
+from repro.relational.arrays import rid_array, rids_without
 from repro.relational.expressions import (
     ArrayAppend,
     ArrayContainedBy,
@@ -41,12 +43,12 @@ class CombinedTableModel(DataModel):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
-        existing = membership - new_records.keys()
+        existing = rids_without(membership, new_records)
         if existing:
             # UPDATE combined SET vlist = vlist + vid WHERE rid IN (...):
             # a full scan that rewrites one array per matching record.
@@ -56,7 +58,8 @@ class CombinedTableModel(DataModel):
             )
         telemetry.count("model.combined_table.vlist_appends", len(existing))
         self._table.insert_many(
-            (rid, [vid], *payload) for rid, payload in new_records.items()
+            (rid, rid_array((vid,)), *payload)
+            for rid, payload in new_records.items()
         )
         telemetry.count("model.combined_table.rows_inserted", len(new_records))
 

@@ -15,10 +15,12 @@ paper's qualitative argument against it despite competitive storage.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
+from repro.relational.arrays import rid_array, rids_without
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Row, Table
 from repro.relational.types import BOOL, INT
@@ -57,28 +59,29 @@ class DeltaBasedModel(DataModel):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
+        members = set(membership)
         base: int | None = None
         if parents:
             base = max(
                 parents,
-                key=lambda p: len(parent_membership[p] & membership),
+                key=lambda p: len(members.intersection(parent_membership[p])),
             )
         table = self.database.create_table(
             f"{self.cvd_name}__delta_v{vid}", self._delta_schema()
         )
-        base_rids = parent_membership[base] if base is not None else frozenset()
-        inserted = membership - base_rids
-        deleted = base_rids - membership
+        base_rids = parent_membership[base] if base is not None else rid_array()
+        inserted = rids_without(membership, set(base_rids))
+        deleted = rids_without(base_rids, members)
         blank = (None,) * self._arity
         table.insert_many(
-            (rid, False, *self._pad(records[rid])) for rid in sorted(inserted)
+            (rid, False, *self._pad(records[rid])) for rid in inserted
         )
-        table.insert_many((rid, True, *blank) for rid in sorted(deleted))
+        table.insert_many((rid, True, *blank) for rid in deleted)
         telemetry.count("model.delta_based.rows_inserted", len(inserted))
         telemetry.count("model.delta_based.tombstones_inserted", len(deleted))
         self._delta_tables[vid] = table

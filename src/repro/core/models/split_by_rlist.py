@@ -9,10 +9,12 @@ it with the data table.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
+from repro.relational.arrays import RangeEncodedArray, rid_array
 from repro.relational.joins import JOIN_ALGORITHMS
 from repro.relational.table import ClusterOrder, Table
 
@@ -68,9 +70,9 @@ class SplitByRlistModel(DataModel):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
         self._data.insert_many(
@@ -80,36 +82,39 @@ class SplitByRlistModel(DataModel):
         self._versioning.insert((vid, self._encode_rlist(membership)))
         telemetry.count("model.split_by_rlist.rows_inserted", len(new_records))
 
-    def insert_versions_bulk(
-        self, versions: Iterable[tuple[int, frozenset[int]]]
-    ) -> None:
+    def insert_versions_bulk(self, versions: Iterable[tuple[int, array]]) -> None:
         """Register membership rows without data inserts (migration path)."""
         for vid, membership in versions:
             self._versioning.insert((vid, self._encode_rlist(membership)))
 
-    def _encode_rlist(self, membership: frozenset[int]):
-        ordered = sorted(membership)
+    def _encode_rlist(self, membership: array) -> array | RangeEncodedArray:
+        """The rlist row's value: the version's rid array itself, or its
+        ranges when rlists are compressed."""
         if self.compress_rlists:
-            from repro.relational.arrays import RangeEncodedArray
+            return RangeEncodedArray(membership)
+        return membership
 
-            return RangeEncodedArray(ordered)
-        return ordered
-
-    def rlist_of(self, vid: int) -> list[int]:
+    def _rlist(self, vid: int):
+        """The version's rlist row value, as the row holds it."""
         rows = self._versioning.lookup("vid", vid)
-        if not rows:
-            return []
-        return list(rows[0][1])  # unnest(rlist)
+        return rows[0][1] if rows else ()
 
-    def rids_of(self, vid: int) -> frozenset[int]:
-        return frozenset(self.rlist_of(vid))
+    def rlist_of(self, vid: int) -> array:
+        """unnest(rlist): the row's rid array itself, which is the
+        version's memo entry too; one is made from ranges, or from the
+        list a pickle-layout load left in the row."""
+        rlist = self._rlist(vid)
+        return rlist if type(rlist) is array else rid_array(rlist)
+
+    def rids_of(self, vid: int) -> array:
+        return self.rlist_of(vid)
 
     def stored_versions(self) -> set[int]:
         return {row[0] for row in self._versioning.rows_snapshot()}
 
     def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         join = JOIN_ALGORITHMS[self.join_algorithm]
-        rows = join(self.rlist_of(vid), self._data, "rid")
+        rows = join(self._rlist(vid), self._data, "rid")
         telemetry.count("model.split_by_rlist.rows_checked_out", len(rows))
         return self._columns_of(rows)
 

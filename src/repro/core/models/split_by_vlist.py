@@ -9,10 +9,12 @@ containment, then joins the surviving rids against the data table.
 
 from __future__ import annotations
 
+from array import array
 from typing import Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
+from repro.relational.arrays import rid_array, rids_without
 from repro.relational.expressions import (
     ArrayAppend,
     ArrayContainedBy,
@@ -46,7 +48,8 @@ class SplitByVlistModel(DataModel):
             f"{cvd_name}__vlist", self._rid_vlist_schema()
         )
         self.vlist_index_enabled = vlist_index
-        self._vlist_index: dict[int, set[int]] = {}
+        #: vid -> its rid array (the commit's, shared with the CVD memo).
+        self._vlist_index: dict[int, array] = {}
 
     def table_names(self) -> list[str]:
         return [self._data.name, self._versioning.name]
@@ -55,12 +58,12 @@ class SplitByVlistModel(DataModel):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
-        existing = membership - new_records.keys()
+        existing = rids_without(membership, new_records)
         if existing:
             self._versioning.update_where(
                 InSet(col("rid"), frozenset(existing)),
@@ -70,12 +73,14 @@ class SplitByVlistModel(DataModel):
         self._data.insert_many(
             (rid, *payload) for rid, payload in new_records.items()
         )
-        self._versioning.insert_many((rid, [vid]) for rid in new_records)
+        self._versioning.insert_many(
+            (rid, rid_array((vid,))) for rid in new_records
+        )
         telemetry.count("model.split_by_vlist.rows_inserted", len(new_records))
         if self.vlist_index_enabled:
             # The footnote's extra commit cost: one more index write per
             # member record (charged against the shared accountant).
-            self._vlist_index[vid] = set(membership)
+            self._vlist_index[vid] = membership
             self._versioning.accountant.charge_write(len(membership))
 
     def stored_versions(self) -> set[int]:
@@ -85,7 +90,7 @@ class SplitByVlistModel(DataModel):
 
     def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         if self.vlist_index_enabled and vid in self._vlist_index:
-            rids = sorted(self._vlist_index[vid])
+            rids = self._vlist_index[vid]
         else:
             # SELECT rid FROM versioning WHERE ARRAY[vid] <@ vlist ...
             predicate = ArrayContainedBy(lit([vid]), col("vlist"))

@@ -8,6 +8,7 @@ reads exactly the relevant records.
 
 from __future__ import annotations
 
+from array import array
 from typing import Mapping, Sequence
 
 from repro import telemetry
@@ -29,9 +30,9 @@ class TablePerVersionModel(DataModel):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
         table = self.database.create_table(
@@ -43,7 +44,7 @@ class TablePerVersionModel(DataModel):
         # A record that predates a schema change is NULL-padded.
         table.insert_many(
             (rid, *records[rid], *(None,) * (width - len(records[rid])))
-            for rid in sorted(membership)
+            for rid in membership
         )
         telemetry.count("model.table_per_version.rows_inserted", len(membership))
         self._tables[vid] = table

@@ -180,10 +180,10 @@ class VersionQuery:
             parents = self._cvd.versions.parents(vid)
             if not parents:
                 continue
-            membership = self._cvd.membership(vid)
+            membership = set(self._cvd.membership(vid))
             for parent in parents:
                 parent_membership = self._cvd.membership(parent)
-                delta = len(membership ^ parent_membership)
+                delta = len(membership.symmetric_difference(parent_membership))
                 if test(delta):
                     keep.add(vid)
                     break

@@ -13,7 +13,7 @@ history so the claim can be checked per workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SchemaPolicyCosts:
 
 
 def compare_schema_policies(
-    membership: Mapping[int, frozenset[int]],
+    membership: Mapping[int, Collection[int]],
     version_attributes: Mapping[int, frozenset[int]],
     record_attributes: Mapping[int, frozenset[int]] | None = None,
 ) -> SchemaPolicyCosts:
@@ -61,7 +61,7 @@ def compare_schema_policies(
 
     all_records: set[int] = set()
     for rids in membership.values():
-        all_records |= rids
+        all_records.update(rids)
 
     if record_attributes is None:
         record_attributes = {}

@@ -13,7 +13,9 @@ fault. Saves write:
     column (text, mixed types) is the column itself — still
     column-major, so a wide table compresses per attribute, and a
     :class:`~repro.relational.arrays.RangeEncodedArray` is written as
-    its ranges, never as its members.
+    its ranges, never as its members. A rid array (``array('q')``) is
+    written as the list of its members would be, byte for byte, and
+    every list of such a column decodes as a rid array.
 ``pickle.v1``
     Fallback for irregular shapes (e.g. rows of mixed arity mid
     schema-evolution).
@@ -28,7 +30,8 @@ a clean segment keeps its v1 pages until something dirties it.
 
 All codecs are exact round-trips: value types are preserved (``bool``
 never becomes ``int``, integers beyond int64 survive, tombstones stay
-``None``, ``RangeEncodedArray`` stays range-encoded).
+``None``, ``RangeEncodedArray`` stays range-encoded), but for a list of
+integers, which is held as the rid array it stands for.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ from array import array
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, is_not, itemgetter, mul
 
-from repro.relational.arrays import RangeEncodedArray
+from repro.relational.arrays import RIDS, RangeEncodedArray
 
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _LISTS, _RANGES = "lists", "ranges"
 _RANGES_OF = attrgetter("_ranges")  # a slot: read without a Python call
+_TYPECODE_OF = attrgetter("typecode")
 
 ROWS_V2 = "rows.v2"
 PICKLE_V1 = "pickle.v1"
@@ -82,20 +86,41 @@ def _pack_ints(values: list) -> array | None:
             lanes = array(typecode, values)
         except OverflowError:  # a negative value, or one too wide
             continue
-        n_bits = 8 * lanes.itemsize * len(lanes)
-        current = int.from_bytes(lanes.tobytes(), "little")
-        sign = int.from_bytes(
-            (bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little"
-        )
-        if current & sign:  # no room for the sign of a delta
-            continue
-        previous = (current << 8 * lanes.itemsize) & ((1 << n_bits) - 1)
-        deltas = array(typecode.lower())
-        deltas.frombytes(
-            (((current | sign) - previous) ^ sign).to_bytes(n_bits // 8, "little")
-        )
-        return deltas
+        deltas = _deltas(lanes)
+        if deltas is not None:
+            return deltas
     return None
+
+
+def _deltas(lanes: array) -> array | None:
+    """:func:`_pack_ints` of unsigned ``lanes``; ``None`` when a lane
+    has its top bit set, leaving no room for the sign of a delta."""
+    n_bits = 8 * lanes.itemsize * len(lanes)
+    current = int.from_bytes(lanes.tobytes(), "little")
+    sign = int.from_bytes(
+        (bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little"
+    )
+    if current & sign:
+        return None
+    previous = (current << 8 * lanes.itemsize) & ((1 << n_bits) - 1)
+    deltas = array(lanes.typecode.lower())
+    deltas.frombytes(
+        (((current | sign) - previous) ^ sign).to_bytes(n_bits // 8, "little")
+    )
+    return deltas
+
+
+def _pack_rids(column: list[array]) -> array | None:
+    """:func:`_pack_ints` of rid arrays' members end to end, taken from
+    their bytes rather than one ``int`` per member: the 32-bit lanes are
+    each rid's low word, when every high word is 0. ``None`` when the
+    list path must decide (a member negative or of 32 bits or more)."""
+    if sys.byteorder != "little" or set(map(_TYPECODE_OF, column)) != {RIDS}:
+        return None
+    words = array("I", b"".join(map(array.tobytes, column)))
+    if words[1::2].tobytes() != bytes(2 * len(words)):
+        return None
+    return _deltas(words[::2])
 
 
 def _unpack_ints(deltas: array) -> list[int]:
@@ -103,15 +128,19 @@ def _unpack_ints(deltas: array) -> list[int]:
 
 
 def _pack_column(column: list) -> array | tuple | list:
-    """An int column as its delta array; a column of rid lists, or of
-    ``RangeEncodedArray`` (their range bounds), as ``(kind, length of
-    each value, delta array of all the values end to end)``; any other
-    column as it is."""
+    """An int column as its delta array; a column of rid lists or rid
+    arrays, or of ``RangeEncodedArray`` (their range bounds), as
+    ``(kind, length of each value, delta array of all the values end to
+    end)``; any other column as it is."""
     packed = _pack_ints(column)
     if packed is not None:
         return packed
     kinds = list(map(type, column))
-    if kinds.count(list) == len(column):
+    if kinds.count(array) == len(column):
+        packed = _pack_rids(column)
+        if packed is not None:
+            return _LISTS, list(map(len, column)), packed
+    if kinds.count(list) + kinds.count(array) == len(column):
         kind, values, members = _LISTS, column, chain.from_iterable(column)
     elif kinds.count(RangeEncodedArray) == len(column):
         kind, values = _RANGES, list(map(_RANGES_OF, column))
@@ -130,9 +159,14 @@ def _unpack_column(packed: array | tuple | list) -> list:
     if not isinstance(packed, tuple):
         return packed
     kind, lengths, deltas = packed
-    flat = _unpack_ints(deltas)
     if kind == _RANGES:
+        flat = _unpack_ints(deltas)
         flat = list(zip(flat[::2], flat[1::2]))
+    else:  # its slices are rid arrays
+        try:
+            flat = array(RIDS, accumulate(deltas))
+        except OverflowError:  # a member past 64 bits: lists, as stored
+            flat = _unpack_ints(deltas)
     ends = list(accumulate(lengths))
     values = map(flat.__getitem__, map(slice, chain((0,), ends), ends))
     if kind == _RANGES:
@@ -250,7 +284,7 @@ def _decode_column_v1(
             if flag == _VAL_RANGE_ARRAY:
                 values.append(RangeEncodedArray(decoded))
             else:
-                values.append(decoded)
+                values.append(array(RIDS, decoded))
         return values, pos
     if tag == _COL_PICKLE:
         # Pickle reports how many bytes it consumed via Unpickler.

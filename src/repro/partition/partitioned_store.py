@@ -17,6 +17,7 @@ partitions instead of rebuilding from scratch.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,6 +25,7 @@ from repro import telemetry
 from repro.core.models.base import DataModel
 from repro.core.models.split_by_rlist import SplitByRlistModel
 from repro.invariants import MU, within_tolerance
+from repro.relational.arrays import rids_without
 from repro.partition.lyresplit import LyreSplitResult, lyresplit_for_budget
 from repro.partition.version_graph import (
     Partitioning,
@@ -93,11 +95,11 @@ class PartitionedRlistStore(DataModel):
     # ------------------------------------------------------------------
     # The memo: what this process has read or written of the partitions'
     # tables, which are the only stored copy. Commits keep it current; a
-    # miss reads the owning partition.
+    # miss reads the owning partition. A version's rids are its rlist
+    # row's array, which the CVD memoizes: they have no memo here.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
         self._payloads: dict[int, tuple] = {}
-        self._membership: dict[int, frozenset[int]] = {}
         #: Per partition, the rids its data table holds (None: not read).
         self._partition_records: list[set[int] | None] = [None] * len(
             self._partitions
@@ -112,12 +114,8 @@ class PartitionedRlistStore(DataModel):
         )
         self._reset_memo()
 
-    def rids_of(self, vid: int) -> frozenset[int]:
-        rids = self._membership.get(vid)
-        if rids is None:
-            partition = self._partitions[self._partition_of[vid]]
-            rids = self._membership[vid] = partition.rids_of(vid)
-        return rids
+    def rids_of(self, vid: int) -> array:
+        return self._partitions[self._partition_of[vid]].rids_of(vid)
 
     def _records_in(self, index: int) -> set[int]:
         """The rids partition ``index`` holds — the keys of its data
@@ -153,14 +151,13 @@ class PartitionedRlistStore(DataModel):
         self,
         vid: int,
         parents: Sequence[int],
-        membership: frozenset[int],
+        membership: array,
         new_records: Mapping[int, tuple],
-        parent_membership: Mapping[int, frozenset[int]],
+        parent_membership: Mapping[int, array],
         records: Mapping[int, tuple],
     ) -> None:
         self._num_records += len(new_records)
         self._payloads.update(new_records)
-        self._membership[vid] = membership
         self._parents[vid] = tuple(parents)
         self._order.append(vid)
 
@@ -254,20 +251,21 @@ class PartitionedRlistStore(DataModel):
     # ------------------------------------------------------------------
     def _route_commit(
         self,
-        parent_membership: Mapping[int, frozenset[int]],
-        membership: frozenset[int],
+        parent_membership: Mapping[int, array],
+        membership: array,
     ) -> int | None:
         """Choose an existing partition for the new version, or None to
         open a fresh one."""
         if not self._partitions:
             return None
+        members = set(membership)
         best_index: int | None = None
         best_weight = -1
         for parent, parent_rids in parent_membership.items():
             index = self._partition_of.get(parent)
             if index is None:
                 continue
-            weight = len(parent_rids & membership)
+            weight = len(members.intersection(parent_rids))
             if weight > best_weight:
                 best_weight = weight
                 best_index = index
@@ -288,7 +286,7 @@ class PartitionedRlistStore(DataModel):
     def _add_version_to_partition(
         self,
         vid: int,
-        membership: frozenset[int],
+        membership: array,
         index: int | None,
         records: Mapping[int, tuple],
     ) -> None:
@@ -298,13 +296,13 @@ class PartitionedRlistStore(DataModel):
         else:
             partition = self._partitions[index]
         held = self._records_in(index)
-        missing = membership - held
+        missing = rids_without(membership, held)
         partition.data_table.insert_many(
-            (rid, *records[rid]) for rid in sorted(missing)
+            (rid, *records[rid]) for rid in missing
         )
         telemetry.count("partition.commit.rows_copied", len(missing))
-        partition.versioning_table.insert((vid, sorted(membership)))
-        held |= membership
+        partition.versioning_table.insert((vid, membership))
+        held.update(membership)
         self._partition_versions[index].add(vid)
         self._partition_of[vid] = index
 
@@ -345,8 +343,9 @@ class PartitionedRlistStore(DataModel):
         return sum(p.data_record_count() for p in self._partitions)
 
     def _lyresplit(self) -> tuple[LyreSplitResult, float]:
-        """LyreSplit under the current budget, and its C*_avg."""
-        membership = {vid: self.rids_of(vid) for vid in self._order}
+        """LyreSplit under the current budget, and its C*_avg. The
+        Chapter 5 algorithms take rid sets: these live for the call."""
+        membership = {vid: frozenset(self.rids_of(vid)) for vid in self._order}
         graph = build_version_graph(membership, self._order, self._parents)
         budget = self.storage_threshold_factor * self._num_records
         result = lyresplit_for_budget(graph, budget, membership=membership)
@@ -462,9 +461,7 @@ class PartitionedRlistStore(DataModel):
             self._partition_versions[index] = set(group)
             for vid in group:
                 self._partition_of[vid] = index
-                partition.versioning_table.insert(
-                    (vid, sorted(membership[vid]))
-                )
+                partition.versioning_table.insert((vid, membership[vid]))
 
         # Drop old partitions that were not reused.
         for old_index, partition in enumerate(old_partitions):

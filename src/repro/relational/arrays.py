@@ -1,4 +1,9 @@
-"""Range encoding for integer arrays (the Section 4.2 remark).
+"""Integer arrays: a version's rids, and their range encoding.
+
+A version's rids are one ascending ``array('q')``, the rlist of Chapter
+4, shared by the CVD's memo and the rlist row: nobody modifies one.
+``x in rids`` is a linear scan, so a per-rid probe uses a hash set made
+for the one call (:func:`rids_without`, :func:`rids_within`).
 
 The versioning table's ``rlist`` arrays are long, sorted, and dense —
 rids are allocated sequentially and versions inherit contiguous runs
@@ -10,7 +15,40 @@ provides that codec and a transparent storage estimate.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from array import array
+from itertools import filterfalse, islice
+from operator import lt
+from typing import Container, Iterable, Iterator, Sequence
+
+#: A rid array's typecode: a signed 64-bit integer per rid.
+RIDS = "q"
+
+
+def rid_array(rids: Iterable[int] = ()) -> array:
+    """``rids``, in the order given, as a rid array."""
+    return array(RIDS, rids)
+
+
+def ascending(rids: Sequence[int]) -> bool:
+    """Whether ``rids`` strictly ascend (compared in C, without a sort)."""
+    return all(map(lt, rids, islice(rids, 1, None)))
+
+
+def as_stored(value: object) -> object:
+    """A rid array as the list it stands for; anything else as it is."""
+    return value.tolist() if type(value) is array else value
+
+
+def rids_without(rids: Iterable[int], exclude: Container[int]) -> array:
+    """The rids of ``rids`` that ``exclude`` lacks, in their order.
+    ``exclude`` hashes (a set, a dict): it is probed once per rid."""
+    return array(RIDS, filterfalse(exclude.__contains__, rids))
+
+
+def rids_within(rids: Iterable[int], keep: Container[int]) -> array:
+    """The rids of ``rids`` that ``keep`` holds, in their order.
+    ``keep`` hashes (a set, a dict): it is probed once per rid."""
+    return array(RIDS, filter(keep.__contains__, rids))
 
 
 def encode_ranges(values: Sequence[int]) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ and the PostgreSQL array operators the data models rely on —
 from __future__ import annotations
 
 import operator
+from array import array as int_array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -198,7 +199,8 @@ class ArrayContainedBy(Expression):
 
 @dataclass(eq=False)
 class ArrayAppend(Expression):
-    """``vlist + v``: a new array with ``element`` appended.
+    """``vlist + v``: a new array with ``element`` appended (a rid array
+    stays one; anything else becomes a list).
 
     Deliberately copies the array — this copy is exactly the expensive
     per-record append that makes combined-table/split-by-vlist commits slow
@@ -214,7 +216,10 @@ class ArrayAppend(Expression):
 
         def evaluate(row: Sequence[object]) -> list[object]:
             current = array(row)
-            appended = list(current) if current is not None else []
+            if isinstance(current, int_array):
+                appended = current[:]
+            else:
+                appended = list(current) if current is not None else []
             appended.append(element(row))
             return appended
 

@@ -11,6 +11,7 @@ which :func:`generalize_types` implements.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -49,6 +50,8 @@ class DataType:
 
             if isinstance(value, RangeEncodedArray):
                 return True
+            if isinstance(value, array):  # a rid array
+                return value.typecode == "q"
             return isinstance(value, (list, tuple)) and all(
                 map(isinstance, value, repeat(int))  # no call per member
             )
@@ -65,6 +68,8 @@ class DataType:
             return None
         name = self.name
         if name == INT_ARRAY.name:
+            if isinstance(value, array):
+                return value
             return list(value)  # type: ignore[arg-type]
         if name == TEXT.name:
             return str(value)

@@ -851,7 +851,7 @@ class ServiceDaemon:
                     ):
                         rids = source.rids
                         if rids is None:  # one version: ascending rids
-                            rids = sorted(cvd.membership(vids[0]))
+                            rids = cvd.membership(vids[0])
                         body = protocol.encode_rows(
                             source.rows, rids, cvd.json_fragments
                         )
@@ -880,7 +880,7 @@ class ServiceDaemon:
         order). Its rids and payloads are memo hits after the commit;
         the entry gets its own list of the memo's tuples."""
         cvd = self.orpheus.cvd(dataset)
-        rows = cvd.payloads_of(sorted(cvd.membership(vid)), vid)
+        rows = cvd.payloads_of(cvd.membership(vid), vid)
         entry = CacheEntry(cvd.schema.column_names, rows, (vid,))
         self.cache.put(dataset, [vid], entry, cvd.schema)
 

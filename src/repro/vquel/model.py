@@ -276,8 +276,8 @@ class Repository:
             if not metadata.parents:
                 changed = True
             relation = VRelation(relation_name, columns, changed=changed)
-            rids = sorted(membership)
-            for rid, payload in zip(rids, cvd.payloads_of(rids, vid)):
+            payloads = cvd.payloads_of(membership, vid)
+            for rid, payload in zip(membership, payloads):
                 record = VRecord(
                     f"{record_id_prefix}{rid}",
                     dict(zip(columns, payload)),

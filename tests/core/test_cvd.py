@@ -29,13 +29,13 @@ class TestCommit:
         v2 = cvd.commit([("a", 1), ("b", 2), ("c", 3)], parents=[v1])
         # Only 'c' is new: 3 distinct records total.
         assert cvd.num_records == 3
-        assert cvd.membership(v1) < cvd.membership(v2)
+        assert set(cvd.membership(v1)) < set(cvd.membership(v2))
 
     def test_modified_record_gets_new_rid(self, cvd):
         v1 = cvd.commit([("a", 1)])
         v2 = cvd.commit([("a", 2)], parents=[v1])
         assert cvd.num_records == 2
-        assert cvd.membership(v1).isdisjoint(cvd.membership(v2))
+        assert set(cvd.membership(v1)).isdisjoint(cvd.membership(v2))
 
     def test_no_cross_version_diff_rule(self, cvd):
         """A record deleted then re-added (relative to grandparent) gets a
@@ -44,8 +44,8 @@ class TestCommit:
         v2 = cvd.commit([("b", 2)], parents=[v1])  # 'a' deleted
         v3 = cvd.commit([("a", 1), ("b", 2)], parents=[v2])  # re-added
         assert cvd.num_records == 3  # ('a',1) stored twice
-        (rid_a_v1,) = cvd.membership(v1) - cvd.membership(v2)
-        (rid_a_v3,) = cvd.membership(v3) - cvd.membership(v2)
+        (rid_a_v1,) = set(cvd.membership(v1)).difference(cvd.membership(v2))
+        (rid_a_v3,) = set(cvd.membership(v3)).difference(cvd.membership(v2))
         assert rid_a_v1 != rid_a_v3
         assert cvd.payload_of(rid_a_v1) == cvd.payload_of(rid_a_v3)
 
@@ -84,8 +84,9 @@ class TestCommit:
 
         for each in (cvd, twin):
             each.commit([("b", 2), ("e", 5)], parents=[first])
-        (new,) = cvd.membership(cvd.versions.vids()[-1]) - cvd.membership(first)
-        (expected,) = twin.membership(2) - twin.membership(first)
+        head = cvd.versions.vids()[-1]
+        (new,) = set(cvd.membership(head)).difference(cvd.membership(first))
+        (expected,) = set(twin.membership(2)).difference(twin.membership(first))
         assert new == expected == 3
         assert cvd.payload_of(new) == twin.payload_of(expected) == ("e", 5)
 

@@ -43,7 +43,7 @@ def test_single_version_checkout_is_in_ascending_rid_order(model):
     """The one canonical row order: a version's rows by ascending rid,
     in every model, and partitioned before and after ``optimize``. It
     is what lets orpheusd build a cache entry from the memo at commit
-    (``payloads_of(sorted(membership))``) that equals the checkout."""
+    (``payloads_of(membership)``) that equals the checkout."""
     rng = random.Random(5)
     schema = Schema([ColumnDef("k", TEXT), ColumnDef("v", INT)], primary_key=("k",))
     cvd = CVD(Database(), "d", schema, model=model)
@@ -62,8 +62,9 @@ def test_single_version_checkout_is_in_ascending_rid_order(model):
     def assert_ascending():
         for vid in vids:
             rids = cvd.model.checkout_columns(vid)[0]
-            assert rids == sorted(rids), vid
-            by_rid = cvd.payloads_of(sorted(cvd.membership(vid)))
+            assert list(rids) == sorted(rids), vid
+            assert rids == list(cvd.membership(vid)), vid
+            by_rid = cvd.payloads_of(cvd.membership(vid))
             assert cvd.checkout(vid).rows == by_rid, vid
 
     assert_ascending()

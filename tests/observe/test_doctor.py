@@ -16,6 +16,7 @@ from repro.observe.doctor import (
     run_doctor,
 )
 from repro.partition.partitioned_store import PartitionedRlistStore
+from repro.relational.arrays import rid_array
 from repro.relational.expressions import col
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
@@ -94,7 +95,7 @@ class TestProbes:
     def test_a_version_the_graph_does_not_list_fails(self):
         orpheus = make_orpheus()
         model = orpheus.cvd("d").model
-        model.insert_versions_bulk([(9, frozenset({1, 2}))])
+        model.insert_versions_bulk([(9, rid_array((1, 2)))])
         (result,) = probe_orphaned_versions(Checkup(orpheus))
         assert result.severity == "fail"
         assert result.data["missing_metadata"] == [9]

@@ -8,19 +8,25 @@ from __future__ import annotations
 import gc
 import random
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pagestore import codec
-from repro.relational.arrays import RangeEncodedArray
+from repro.relational.arrays import RangeEncodedArray, rid_array
 
 
 def exact(value: object) -> object:
     """``value`` with every type spelled out, so that ``True == 1`` or a
-    list standing in for a ``RangeEncodedArray`` cannot pass for equal."""
+    list standing in for a ``RangeEncodedArray`` cannot pass for equal.
+    A rid array is exactly the list of integers it stands for: that is
+    how it is stored, and such a list decodes as one."""
     if isinstance(value, RangeEncodedArray):
         return ("RangeEncodedArray", value._ranges)
+    if isinstance(value, array):
+        assert value.typecode == "q", value
+        return ("list", [exact(item) for item in value])
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, [exact(item) for item in value])
     if isinstance(value, (set, frozenset)):
@@ -310,7 +316,8 @@ def python_calls(operation) -> int:
 
 def _heap(n: int) -> list[tuple | None]:
     rows = [
-        (i, (i * 7919) % 1000, f"text-{i}", list(range(i, i + 4))) for i in range(n)
+        (i, (i * 7919) % 1000, f"text-{i}", rid_array(range(i, i + 4)))
+        for i in range(n)
     ]
     rows[n // 2] = None
     return rows

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import pickle
+from array import array
 import pickletools
 import random
 import tarfile
@@ -210,7 +211,7 @@ def test_a_one_version_checkout_returns_the_models_columns(
         result = cvd.checkout(vid)
         ((rids, payloads),) = built
         assert result.rows is payloads and result.rids is rids
-        assert rids == sorted(cvd.membership(vid))
+        assert rids == list(cvd.membership(vid))
         assert sorted(payloads) == versions[vid - 1][1]
 
 
@@ -331,7 +332,7 @@ def script(
                     else None
                 ),
             )
-            return committed, sorted(cvd.membership(committed)), cvd.num_records
+            return committed, cvd.membership(committed), cvd.num_records
 
         return operation
 
@@ -373,6 +374,17 @@ def script(
     return operations, rows[1]
 
 
+def as_stored(value: object) -> object:
+    """``value`` with each rid array as the list of integers it is
+    stored as: a pickle-layout load leaves an int-array row's list in
+    place, where the process that wrote it holds the array."""
+    if isinstance(value, array):
+        return value.tolist()
+    if type(value) in (list, tuple):
+        return type(value)(map(as_stored, value))
+    return value
+
+
 def run_cold(root, model: str, **shape) -> list:
     operations, root_rows = script(model, **shape)
     orpheus = new_repository()
@@ -409,7 +421,7 @@ def test_a_process_that_always_reloads_agrees_with_one_that_never_does(
         root.mkdir()
         cold = run_cold(root, model, partly_read=partly_read, **shape)
         for step, (got, expected) in enumerate(zip(cold, warm, strict=True)):
-            assert got == expected, (layout, step)
+            assert as_stored(got) == as_stored(expected), (layout, step)
     if shape:
         chunks = Counter(key.partition("#")[0] for key in newest_segments(root))
         assert max(chunks.values()) >= 5, chunks
@@ -522,8 +534,8 @@ class History:
         StateStore(self.root).save(self.orpheus)
         self.versions = vid
         wrote = dict(zip(names, (counters(n) - b for n, b in zip(names, before))))
-        new = sorted(cvd.membership(vid) - cvd.membership(vid - 1))
-        wrote["rid_list"] = len(pickle.dumps(sorted(cvd.membership(vid))))
+        new = sorted(set(cvd.membership(vid)).difference(cvd.membership(vid - 1)))
+        wrote["rid_list"] = len(pickle.dumps(cvd.membership(vid).tolist()))
         # A record as the pickle layout stores it: its heap row and its
         # entry in the data table's rid index (slot numbers run like rids).
         wrote["new_records"] = len(

@@ -64,7 +64,7 @@ class TestCommitRouting:
         cvd.commit([("a", 1)])
         cvd.commit([("b", 2)])  # no parents: new partition
         assert len(store._partitions) == 2
-        assert set(store.checkout_columns(2)[0]) == store._membership[2]
+        assert store.checkout_columns(2)[0] == list(store.rids_of(2))
 
 
 class TestCostTracking:
@@ -102,7 +102,7 @@ class TestCostTracking:
         before = store._delta_star
         store.best_partitioning()
         assert store._delta_star == before
-        membership = {vid: store.rids_of(vid) for vid in store._order}
+        membership = {vid: frozenset(store.rids_of(vid)) for vid in store._order}
         graph = build_version_graph(membership, store._order, store._parents)
         budget = store.storage_threshold_factor * store._num_records
         run = lyresplit_for_budget(graph, budget, membership=membership)

@@ -37,7 +37,7 @@ class TestCorrectness:
         for index, versions in enumerate(store._partition_versions):
             records = store._partition_records[index]
             for vid in versions:
-                assert store._membership[vid] <= records
+                assert records.issuperset(store.rids_of(vid))
 
     def test_checkout_touches_single_partition(self, sci_tiny):
         """The whole point of partitioning: a checkout scans only its
@@ -47,10 +47,11 @@ class TestCorrectness:
         vid = sci_tiny.commits[-1].vid
         index = store._partition_of[vid]
         partition_rows = store._partitions[index].data_table.row_count
+        rids = store.rids_of(vid)
         db.accountant.reset()
         store.checkout_columns(vid)
         scanned = db.accountant.seq_rows + db.accountant.random_rows
-        assert scanned <= partition_rows + len(store._membership[vid]) + 1
+        assert scanned <= partition_rows + len(rids) + 1
 
     def test_storage_within_threshold(self, sci_tiny):
         _cvd, store = make_store(sci_tiny, storage_threshold_factor=2.0)
@@ -132,7 +133,7 @@ class TestMigrationEngine:
     def test_optimize_command_path(self, sci_tiny):
         _cvd, store = make_store(sci_tiny)
         partitioning = store.optimize(storage_threshold_factor=1.5)
-        membership = store._membership
+        membership = {vid: frozenset(store.rids_of(vid)) for vid in store._order}
         assert partitioning.storage_cost(membership) <= 1.5 * len(
             store._payloads
         )

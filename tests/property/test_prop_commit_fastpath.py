@@ -9,6 +9,7 @@ rid of the first parent holding it, and is a new record otherwise), one
 row at a time."""
 
 import pickle
+from array import array
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.cvd import CVD
 from repro.core.errors import PrimaryKeyViolationError
 from repro.core.models import DATA_MODELS
+from repro.relational.arrays import rid_array
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
@@ -115,6 +117,13 @@ def rows_from(cvd: CVD, parents, kept, fresh) -> list[tuple]:
     return chosen + [row + (None,) * (width - len(row)) for row in fresh]
 
 
+def assert_rid_array(rids, records) -> None:
+    """``rids`` is a version's rid array holding exactly ``records``'
+    rids: an ``array('q')``, strictly ascending."""
+    assert type(rids) is array and rids.typecode == "q"
+    assert list(rids) == sorted(records)
+
+
 def checked_commit(cvd: CVD, rows: list[tuple], parents=(), **evolution) -> None:
     """Commit ``rows`` and check the rids against the reference. The
     reference runs after the commit, so that it sees the schema a
@@ -123,7 +132,7 @@ def checked_commit(cvd: CVD, rows: list[tuple], parents=(), **evolution) -> None
     next_rid = cvd._next_rid
     vid = cvd.commit(rows, parents=list(parents), **evolution)
     records, new_records = reference_assign(cvd, rows, parents, next_rid)
-    assert cvd.membership(vid) == frozenset(records)
+    assert_rid_array(cvd.membership(vid), records)
     assert cvd._next_rid == next_rid + len(new_records)
     assert {rid: cvd.payload_of(rid) for rid in new_records} == new_records
 
@@ -198,12 +207,12 @@ def test_commit_assigns_rids_like_the_per_row_reference(scenario):
         return
     records, new_records = expected
     vid = fast.commit(rows, parents=parents)
-    assert fast.membership(vid) == frozenset(records)
+    assert_rid_array(fast.membership(vid), records)
     assert fast._next_rid == reference._next_rid + len(new_records)
     assert {rid: fast.payload_of(rid) for rid in new_records} == new_records
 
     reference.model.commit_version(
-        vid, tuple(parents), frozenset(records), new_records,
+        vid, tuple(parents), rid_array(sorted(records)), new_records,
         {p: reference.membership(p) for p in parents}, records,
     )
     assert fast.storage_bytes() == reference.storage_bytes()

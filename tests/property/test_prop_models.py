@@ -179,5 +179,5 @@ class TestPrecedenceCheckout:
                     (key, value, f"n{value % 3}" if index >= evolve_at else None)
                     for key, value in sorted(state.items())
                 ], (model_name, index)
-                assert result.rids == sorted(cvd.membership(vids[index]))
+                assert result.rids == list(cvd.membership(vids[index]))
                 assert cvd.payloads_of(result.rids) == result.rows

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro import telemetry
 from repro.core.models.split_by_rlist import SplitByRlistModel
+from repro.relational.arrays import rid_array
 from repro.relational.database import Database
 from repro.relational.joins import hash_join
 from repro.relational.schema import ColumnDef, Schema
@@ -38,7 +39,7 @@ def accounting_calls(n_rows: int, monkeypatch) -> dict[str, tuple[int, int]]:
     database.accountant = accountant
     model = SplitByRlistModel(database, "guard", Schema([ColumnDef("a", INT)]))
     records = {rid: (rid * rid,) for rid in range(1, n_rows + 1)}
-    model.commit_version(1, (), frozenset(records), records, {}, records)
+    model.commit_version(1, (), rid_array(records), records, {}, records)
     table = model.data_table
 
     counted = [0]

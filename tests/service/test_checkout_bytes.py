@@ -23,6 +23,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.commands import Orpheus
+from repro.relational.arrays import rid_array
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
 from repro.resilience import failpoints
@@ -91,7 +92,7 @@ class StubRepository:
         return self
 
     def membership(self, vid):
-        return frozenset(vid * 10**6 + n for n in range(len(self.versions[vid])))
+        return rid_array(vid * 10**6 + n for n in range(len(self.versions[vid])))
 
     def checkout(self, vids):
         self.checkouts += 1
@@ -99,7 +100,7 @@ class StubRepository:
         rows = [row for vid in vids for row in self.versions[vid]]
         return SimpleNamespace(
             columns=["key", "value"], rows=rows, parents=tuple(vids),
-            rids=[rid for vid in vids for rid in sorted(self.membership(vid))],
+            rids=[rid for vid in vids for rid in self.membership(vid)],
         )
 
 
@@ -334,7 +335,7 @@ def test_corrupt_write_through_entry_is_caught_and_healed(
             assert pulled["cached"] is False
             assert "__corrupt__" not in work.read_text()
             assert not admitted.verify()
-            assert cvd.payloads_of(sorted(cvd.membership(2))) == oracle
+            assert cvd.payloads_of(cvd.membership(2)) == oracle
             assert cvd.checkout(2).rows == oracle
             healed = cached_entry(handle, 2)
             assert healed is not admitted and healed.verify()

@@ -220,7 +220,7 @@ class TestDaemonDegradedMode:
             assert cvd._membership == {} and cvd._payloads == {}
             kept = client.commit("inter", file=str(work), message="kept", parents=[1])
             assert kept["version"] == 2
-            (new,) = cvd.membership(2) - cvd.membership(1)
+            (new,) = set(cvd.membership(2)).difference(cvd.membership(1))
             assert new == cvd.num_records == 4
             assert cvd.payload_of(new) == ("k9", 9)
 

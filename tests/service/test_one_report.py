@@ -29,6 +29,26 @@ from ..test_one_of_each import LEDGER_ONLY
 from .conftest import await_ledger, seed_dataset
 
 
+def _await(condition, what: str, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail the test, never hang,
+    once ``timeout`` seconds pass without it."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out after {timeout} s waiting for {what}")
+        time.sleep(0.002)
+
+
+def _await_delayed_execute() -> None:
+    """Wait until a commit armed with ``worker.before_execute=delay``
+    is inside its delay: the site counts a firing before it sleeps, and
+    the writer holds the write lock while it executes."""
+    _await(
+        lambda: failpoints.stats()["fired"].get("worker.before_execute", 0) >= 1,
+        "the delayed commit to reach its delay",
+    )
+
+
 def _commit(client, work, message, **params):
     return client.request(
         "commit", dataset="inter", file=str(work), message=message,
@@ -52,13 +72,16 @@ def _shed_one_in_the_queue(handle, work, busy_too=False) -> None:
     failpoints.activate("worker.before_execute", "delay", arg=0.5, count=1)
     slow = threading.Thread(target=run, args=("slow",))
     slow.start()
-    time.sleep(0.15)  # the slow commit is executing
+    _await_delayed_execute()
     hurried = threading.Thread(
         target=run, args=("hurried",),
         kwargs={"trace": new_trace_context(deadline_ms=100)},
     )
     hurried.start()
-    time.sleep(0.1)  # the hurried commit is queued
+    _await(  # the slow commit left the queue: this is the hurried one
+        lambda: handle.daemon.scheduler.status()["write_queue_depth"] >= 1,
+        "the hurried commit to queue",
+    )
     if busy_too:
         with handle.client() as client, pytest.raises(ServiceBusyError):
             _commit(client, work, "refused")
@@ -110,7 +133,7 @@ def test_stats_does_not_queue_behind_a_writer(
                 target=_commit, args=(writer, work, "slow")
             )
             thread.start()
-            time.sleep(0.15)  # the commit holds the writer lock, asleep
+            _await_delayed_execute()  # it holds the writer lock, asleep
             started = time.perf_counter()
             stats = watcher.stats()
             elapsed = time.perf_counter() - started
@@ -401,7 +424,7 @@ def test_busy_sheds_among_writers_are_counted_not_lost(
         failpoints.activate("worker.before_execute", "delay", arg=1.0, count=1)
         slow = threading.Thread(target=slow_commit, args=(handle,))
         slow.start()
-        time.sleep(0.15)  # the slow commit holds the dataset's one slot
+        _await_delayed_execute()  # it holds the dataset's one slot
         for turn in range(3):
             with handle.client() as client, pytest.raises(ServiceBusyError):
                 _commit(client, work, f"refused {turn}")
@@ -411,7 +434,10 @@ def test_busy_sheds_among_writers_are_counted_not_lost(
             for _ in range(5):
                 assert client.checkout("inter", [2], inline=True)["rows"] == 4
         with handle.client() as client:
-            report = _settled(client, {"by_op.commit.count": 4})
+            # The last checkout is counted just after its reply.
+            report = _settled(
+                client, {"by_op.commit.count": 4, "by_op.checkout.count": 6}
+            )
     assert outcomes["slow"]["version"] == 2
 
     by_op = report["by_op"]
