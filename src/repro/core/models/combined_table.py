@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
-from repro.relational.arrays import rid_array, rids_without
+from repro.relational.arrays import rids_without
 from repro.relational.expressions import (
     ArrayAppend,
     ArrayContainedBy,
@@ -58,8 +58,7 @@ class CombinedTableModel(DataModel):
             )
         telemetry.count("model.combined_table.vlist_appends", len(existing))
         self._table.insert_many(
-            (rid, rid_array((vid,)), *payload)
-            for rid, payload in new_records.items()
+            (rid, [vid], *payload) for rid, payload in new_records.items()
         )
         telemetry.count("model.combined_table.rows_inserted", len(new_records))
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
-from repro.relational.arrays import rid_array, rids_without
+from repro.relational.arrays import rids_without
 from repro.relational.expressions import (
     ArrayAppend,
     ArrayContainedBy,
@@ -73,9 +73,7 @@ class SplitByVlistModel(DataModel):
         self._data.insert_many(
             (rid, *payload) for rid, payload in new_records.items()
         )
-        self._versioning.insert_many(
-            (rid, rid_array((vid,))) for rid in new_records
-        )
+        self._versioning.insert_many((rid, [vid]) for rid in new_records)
         telemetry.count("model.split_by_vlist.rows_inserted", len(new_records))
         if self.vlist_index_enabled:
             # The footnote's extra commit cost: one more index write per

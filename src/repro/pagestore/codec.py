@@ -49,7 +49,6 @@ from repro.relational.arrays import RIDS, RangeEncodedArray
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _LISTS, _RANGES = "lists", "ranges"
 _RANGES_OF = attrgetter("_ranges")  # a slot: read without a Python call
-_TYPECODE_OF = attrgetter("typecode")
 
 ROWS_V2 = "rows.v2"
 PICKLE_V1 = "pickle.v1"
@@ -86,41 +85,20 @@ def _pack_ints(values: list) -> array | None:
             lanes = array(typecode, values)
         except OverflowError:  # a negative value, or one too wide
             continue
-        deltas = _deltas(lanes)
-        if deltas is not None:
-            return deltas
+        n_bits = 8 * lanes.itemsize * len(lanes)
+        current = int.from_bytes(lanes.tobytes(), "little")
+        sign = int.from_bytes(
+            (bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little"
+        )
+        if current & sign:  # no room for the sign of a delta
+            continue
+        previous = (current << 8 * lanes.itemsize) & ((1 << n_bits) - 1)
+        deltas = array(typecode.lower())
+        deltas.frombytes(
+            (((current | sign) - previous) ^ sign).to_bytes(n_bits // 8, "little")
+        )
+        return deltas
     return None
-
-
-def _deltas(lanes: array) -> array | None:
-    """:func:`_pack_ints` of unsigned ``lanes``; ``None`` when a lane
-    has its top bit set, leaving no room for the sign of a delta."""
-    n_bits = 8 * lanes.itemsize * len(lanes)
-    current = int.from_bytes(lanes.tobytes(), "little")
-    sign = int.from_bytes(
-        (bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little"
-    )
-    if current & sign:
-        return None
-    previous = (current << 8 * lanes.itemsize) & ((1 << n_bits) - 1)
-    deltas = array(lanes.typecode.lower())
-    deltas.frombytes(
-        (((current | sign) - previous) ^ sign).to_bytes(n_bits // 8, "little")
-    )
-    return deltas
-
-
-def _pack_rids(column: list[array]) -> array | None:
-    """:func:`_pack_ints` of rid arrays' members end to end, taken from
-    their bytes rather than one ``int`` per member: the 32-bit lanes are
-    each rid's low word, when every high word is 0. ``None`` when the
-    list path must decide (a member negative or of 32 bits or more)."""
-    if sys.byteorder != "little" or set(map(_TYPECODE_OF, column)) != {RIDS}:
-        return None
-    words = array("I", b"".join(map(array.tobytes, column)))
-    if words[1::2].tobytes() != bytes(2 * len(words)):
-        return None
-    return _deltas(words[::2])
 
 
 def _unpack_ints(deltas: array) -> list[int]:
@@ -136,10 +114,6 @@ def _pack_column(column: list) -> array | tuple | list:
     if packed is not None:
         return packed
     kinds = list(map(type, column))
-    if kinds.count(array) == len(column):
-        packed = _pack_rids(column)
-        if packed is not None:
-            return _LISTS, list(map(len, column)), packed
     if kinds.count(list) + kinds.count(array) == len(column):
         kind, values, members = _LISTS, column, chain.from_iterable(column)
     elif kinds.count(RangeEncodedArray) == len(column):

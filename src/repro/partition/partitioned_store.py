@@ -344,7 +344,8 @@ class PartitionedRlistStore(DataModel):
 
     def _lyresplit(self) -> tuple[LyreSplitResult, float]:
         """LyreSplit under the current budget, and its C*_avg. The
-        Chapter 5 algorithms take rid sets: these live for the call."""
+        Chapter 5 algorithms take rid sets: these live for the call, so
+        with ``auto_migrate`` every commit builds a set per version."""
         membership = {vid: frozenset(self.rids_of(vid)) for vid in self._order}
         graph = build_version_graph(membership, self._order, self._parents)
         budget = self.storage_threshold_factor * self._num_records

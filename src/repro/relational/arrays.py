@@ -34,11 +34,6 @@ def ascending(rids: Sequence[int]) -> bool:
     return all(map(lt, rids, islice(rids, 1, None)))
 
 
-def as_stored(value: object) -> object:
-    """A rid array as the list it stands for; anything else as it is."""
-    return value.tolist() if type(value) is array else value
-
-
 def rids_without(rids: Iterable[int], exclude: Container[int]) -> array:
     """The rids of ``rids`` that ``exclude`` lacks, in their order.
     ``exclude`` hashes (a set, a dict): it is probed once per rid."""

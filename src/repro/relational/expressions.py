@@ -10,7 +10,6 @@ and the PostgreSQL array operators the data models rely on —
 from __future__ import annotations
 
 import operator
-from array import array as int_array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -199,8 +198,7 @@ class ArrayContainedBy(Expression):
 
 @dataclass(eq=False)
 class ArrayAppend(Expression):
-    """``vlist + v``: a new array with ``element`` appended (a rid array
-    stays one; anything else becomes a list).
+    """``vlist + v``: a new array with ``element`` appended.
 
     Deliberately copies the array — this copy is exactly the expensive
     per-record append that makes combined-table/split-by-vlist commits slow
@@ -216,10 +214,7 @@ class ArrayAppend(Expression):
 
         def evaluate(row: Sequence[object]) -> list[object]:
             current = array(row)
-            if isinstance(current, int_array):
-                appended = current[:]
-            else:
-                appended = list(current) if current is not None else []
+            appended = list(current) if current is not None else []
             appended.append(element(row))
             return appended
 

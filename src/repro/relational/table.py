@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
+from array import array
 from itertools import compress, repeat
-from operator import is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.relational.arrays import as_stored
 from repro.relational.costs import CostAccountant
 from repro.relational.errors import DuplicateKeyError
 from repro.relational.expressions import Expression
@@ -613,7 +613,16 @@ class Table:
             state.pop(transient, None)
         # A rid array is pickled as the list it stands for: the bytes the
         # plain layout has always written. A load leaves the lists.
-        state["_rows"] = self._int_arrays(self._rows, as_stored)
+        if INT_ARRAY in map(attrgetter("dtype"), self.schema.columns):
+            state["_rows"] = [
+                row
+                if row is None or array not in map(type, row)
+                else tuple(
+                    value.tolist() if type(value) is array else value
+                    for value in row
+                )
+                for row in self._rows
+            ]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -622,29 +631,6 @@ class Table:
         self._pager = None
         self._saved_chunks = ()  # no paged save has seen these rows
         self._dirty_from = 0
-
-    def _int_arrays(self, rows: list, convert) -> list:
-        """``rows`` with each value of an integer-array column passed
-        through ``convert``; ``rows`` itself when there is no such
-        column."""
-        positions = [
-            position
-            for position, column in enumerate(self.schema.columns)
-            if column.dtype.name == INT_ARRAY.name
-        ]
-        if not positions:
-            return rows
-
-        def converted(row: Row | None) -> Row | None:
-            if row is None:
-                return None
-            values = list(row)
-            for position in positions:
-                if position < len(values):  # short rows mid-evolution
-                    values[position] = convert(values[position])
-            return tuple(values)
-
-        return list(map(converted, rows))
 
 
 class _PkAdapter:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import io
 import pickle
-from array import array
 import pickletools
 import random
 import tarfile
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -374,10 +374,25 @@ def script(
     return operations, rows[1]
 
 
+#: Models whose heaps hold a vlist column, which they write as lists.
+VLIST_MODELS = ("combined_table", "split_by_vlist")
+
+
+def stored_form_may_differ(layout: str, model: str, operation) -> bool:
+    """Whether ``operation`` returns raw heap rows whose int-array
+    values a reloaded process may hold in the other form than the
+    process that wrote them: a pickle-layout load leaves an rlist row's
+    list where the writer holds the rid array, and a paged load decodes
+    a vlist row's list as a rid array. Every other step compares as
+    it is."""
+    return operation.__name__ == "probe" and (
+        layout == "pickle" or model in VLIST_MODELS
+    )
+
+
 def as_stored(value: object) -> object:
     """``value`` with each rid array as the list of integers it is
-    stored as: a pickle-layout load leaves an int-array row's list in
-    place, where the process that wrote it holds the array."""
+    stored as."""
     if isinstance(value, array):
         return value.tolist()
     if type(value) in (list, tuple):
@@ -420,8 +435,13 @@ def test_a_process_that_always_reloads_agrees_with_one_that_never_does(
         root = tmp_path / layout
         root.mkdir()
         cold = run_cold(root, model, partly_read=partly_read, **shape)
-        for step, (got, expected) in enumerate(zip(cold, warm, strict=True)):
-            assert as_stored(got) == as_stored(expected), (layout, step)
+        operations, _ = script(model, **shape)
+        for step, (got, expected, operation) in enumerate(
+            zip(cold, warm, operations, strict=True)
+        ):
+            if stored_form_may_differ(layout, model, operation):
+                got, expected = as_stored(got), as_stored(expected)
+            assert got == expected, (layout, step)
     if shape:
         chunks = Counter(key.partition("#")[0] for key in newest_segments(root))
         assert max(chunks.values()) >= 5, chunks

@@ -82,8 +82,7 @@ def rlist_rows(cvd) -> dict[int, object]:
 
 @pytest.mark.parametrize("first", [1, 2**31 - 1000, 2**40])
 def test_an_rlist_chunk_of_rid_arrays_encodes_as_its_lists_did(first):
-    """From 32-bit lanes taken from the arrays' bytes, or (rids of 31
-    bits or more) from 64-bit ones the way lists are packed."""
+    """At rids of 31, 32 and 41 bits: 32- and 64-bit delta lanes."""
     rng = random.Random(7)
     members, next_rid, lists = list(range(first, first + 2000)), first + 2000, []
     for vid in range(1, 25):
