@@ -323,8 +323,9 @@ class Orpheus:
         CSV (and the schema to ``schema``) and pin the file's parents
         for its commit. ``materialize(cvd, vids)`` returns anything with
         ``columns``/``rows``/``parents``/``rids`` — orpheusd's version
-        cache, whose ``rids`` are None for one version (its rows are in
-        ascending rid order)."""
+        cache, whose entries keep no rows (``rows`` is None, ``count``
+        their number; a file's lines come from the CVD by rid) and no
+        ``rids`` for one version (its ascending rids)."""
         dataset = params.get("dataset")
         vids = [int(v) for v in params.get("versions") or ()]
         if not dataset or not vids:
@@ -332,9 +333,11 @@ class Orpheus:
         self.access.check_cvd_access(dataset, user=user or None)
         cvd = self.cvd(dataset)
         result = materialize(cvd, vids) if materialize else cvd.checkout(vids)
-        telemetry.count("command.checkout.rows_materialized", len(result.rows))
+        rows = result.rows
+        count = result.count if rows is None else len(rows)
+        telemetry.count("command.checkout.rows_materialized", count)
         data = {
-            "rows": len(result.rows),
+            "rows": count,
             "columns": list(result.columns),
             "parents": list(result.parents),
         }
@@ -343,7 +346,7 @@ class Orpheus:
             rids = result.rids
             if rids is None:
                 rids = cvd.membership(vids[0])
-            write_csv(path, result.columns, cvd.lines_of(rids, result.rows))
+            write_csv(path, result.columns, cvd.lines_of(rids, rows))
             if params.get("schema"):
                 write_schema_file(params["schema"], cvd.schema)
             self.staging.pin(path, dataset, result.parents, user)

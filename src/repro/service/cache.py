@@ -4,10 +4,11 @@ A checkout of a hot version does the same membership walk and row
 materialization every time; under a multi-client daemon the same few
 versions are requested over and over (the paper's workloads are
 exactly that shape: many analysts pulling the latest curated version).
-This cache keeps fully materialized checkouts — ``(columns, rows,
-parents)``, plus the rows' wire encoding once an inline checkout has
-asked for it — keyed by ``(dataset, vids-tuple, schema token)`` under a
-byte budget:
+This cache keeps materialized checkouts as what a hit serves — the row
+count, columns and parents, the rows' wire encoding once an inline
+checkout has asked for it, and a merge's rids; never the rows, which
+the CVD holds once — keyed by ``(dataset, vids-tuple, schema token)``
+under a byte budget:
 
 * **Immutable entries** — a committed version never changes, so a
   commit or ``optimize`` evicts nothing (the daemon admits the version
@@ -29,8 +30,9 @@ from __future__ import annotations
 import sys
 import threading
 import zlib
+from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import Callable, Sequence
 
 from repro import telemetry
@@ -45,59 +47,60 @@ DEFAULT_BUDGET_BYTES = 64 * 1024 * 1024
 
 @dataclass
 class CacheEntry:
-    """One materialized checkout."""
+    """One materialized checkout, as a hit serves it. The records stay
+    in the CVD, which reads them by rid (``CVD.lines_of``/``payloads_of``)
+    for a hit that needs them."""
 
     columns: list[str]
-    rows: list[tuple]
-    parents: tuple[int, ...]
+    #: The rows, or a :func:`size_sample` of ``count`` rows: they count
+    #: and size the entry and are not kept (``rows`` is always None).
+    rows: InitVar[Sequence[tuple] | None] = None
+    parents: tuple[int, ...] = ()
     size_bytes: int = 0
-    #: Row count sealed at admission; :meth:`verify` compares against
-    #: it so an entry mutated after admission (a bug, or the
-    #: ``cache.corrupt_entry`` chaos fault) is caught at read time
-    #: instead of being served as version history.
-    sealed_rows: int = -1
     #: The rows as the JSON array an inline checkout's frame carries
     #: (``protocol.encode_rows``, joined from the CVD's per-record
     #: ``json_fragments``): a hit sends these bytes instead of joining
     #: them again. None until an inline checkout needs it; a file
     #: checkout never builds one.
     body: bytes | None = None
-    #: ``(length, crc32)`` of ``body`` at admission, checked like
-    #: ``sealed_rows`` — the seal covers the representation served.
-    sealed_body: tuple[int, int] | None = field(default=None, init=False)
     #: The rows' rids, in row order, for an entry of several versions;
-    #: None for one version, whose rows are in ascending rid order.
-    rids: list[int] | None = None
+    #: None for one version, whose rows are its ascending rids.
+    rids: array | None = None
+    count: int = 0
+    #: What a hit serves, sealed at admission: :meth:`verify` compares
+    #: against it so an entry mutated after admission (a bug, or the
+    #: ``cache.corrupt_entry`` chaos fault) is caught at read time
+    #: instead of being served as version history.
+    seal: tuple = field(default=(), init=False)
 
-    def __post_init__(self) -> None:
-        if not self.size_bytes:
-            self.size_bytes = estimate_entry_bytes(
-                self.columns, self.rows
-            ) + len(self.body or b"")
-        if self.sealed_rows < 0:
-            self.sealed_rows = len(self.rows)
-        self.sealed_body = self._body_seal()
+    def __post_init__(self, rows: Sequence[tuple] | None) -> None:
+        if rows is not None:
+            self.count = self.count or len(rows)
+            if not self.size_bytes:
+                self.size_bytes = estimate_entry_bytes(
+                    self.columns, rows, self.count
+                ) + len(self.body or b"")
+        self.seal = self._seal()
 
-    def _body_seal(self) -> tuple[int, int] | None:
-        if self.body is None:
-            return None
-        return len(self.body), zlib.crc32(self.body)
+    def _seal(self) -> tuple[int, ...]:
+        """The row count, the body's length and crc32, the rids' crc32."""
+        body, rids = self.body or b"", self.rids or b""
+        return self.count, len(body), zlib.crc32(body), zlib.crc32(rids)
 
     def verify(self) -> bool:
         """True when the entry still matches its admission-time seal."""
-        return (
-            len(self.rows) == self.sealed_rows
-            and self._body_seal() == self.sealed_body
-        )
+        return self._seal() == self.seal
 
     def corrupt(self) -> None:
         """Chaos-testing only (``cache.corrupt_entry``): damage the
         representation a hit would serve — the body when there is one,
-        else the rows."""
+        else the rids when there are rids, else the row count."""
         if self.body is not None:
             self.body = self.body[:-1] + b"?"
+        elif self.rids is not None:
+            self.rids.append(0)
         else:
-            self.rows.append(("__corrupt__",))
+            self.count += 1
 
 
 @dataclass
@@ -118,20 +121,20 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "budget_bytes": self.budget_bytes,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
-def estimate_entry_bytes(columns: Sequence[str], rows: Sequence[tuple]) -> int:
+def size_sample(rows: Sequence) -> Sequence:
+    """The rows (or rids) :func:`estimate_entry_bytes` sizes an entry
+    by: at most 32, evenly spaced. A sample is its own sample."""
+    return rows[:: max(1, len(rows) // 32)][:32]
+
+
+def estimate_entry_bytes(
+    columns: Sequence[str], rows: Sequence[tuple], count: int | None = None
+) -> int:
     """Cheap size estimate: sampled row payload size x row count.
+    ``rows`` may be just the :func:`size_sample` of ``count`` rows.
 
     Sampling keeps admission O(1)-ish for wide versions; the estimate
     only steers the budget, it is not an accounting invariant.
@@ -139,12 +142,12 @@ def estimate_entry_bytes(columns: Sequence[str], rows: Sequence[tuple]) -> int:
     base = 256 + sum(sys.getsizeof(c) for c in columns)
     if not rows:
         return base
-    sample = rows[:: max(1, len(rows) // 32)][:32]
+    sample = size_sample(rows)
     per_row = sum(
         sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row)
         for row in sample
     ) / len(sample)
-    return int(base + per_row * len(rows))
+    return int(base + per_row * (len(rows) if count is None else count))
 
 
 class VersionCache:
@@ -245,7 +248,3 @@ class VersionCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        with self._lock:
-            return key in self._entries

@@ -41,7 +41,7 @@ import os
 import socket
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import telemetry
@@ -57,12 +57,14 @@ from repro.observe.journal import (
     op_fields,
     requested_versions,
 )
+from repro.relational.arrays import rid_array
 from repro.resilience import failpoints, fsio
 from repro.resilience.lock import RepositoryLock
 from repro.resilience.recovery import needs_recovery, run_recovery
 from repro.resilience.statestore import StateStore
 from repro.service import protocol
 from repro.service.cache import DEFAULT_BUDGET_BYTES, CacheEntry, VersionCache
+from repro.service.cache import size_sample
 from repro.service.degrade import (
     DegradeController,
     DegradedError,
@@ -831,39 +833,50 @@ class ServiceDaemon:
                 cached = entry is not None
                 if lookup is not None:
                     lookup.set_attr("hit", cached)
-            if entry is None or (inline and entry.body is None):
-                # The rows are encoded once per entry, by the first
-                # inline checkout that needs them (a miss, or a hit on
-                # an entry a commit or a file checkout admitted), and a
-                # record once per CVD: the body joins its records'
-                # memoized fragments. Admitting again keeps the byte
-                # budget exact. A file checkout never pays for a body.
-                source = entry
-                if source is None:
-                    with telemetry.span(
-                        "service.checkout.materialize", dataset=dataset
-                    ):
-                        source = cvd.checkout(vids)
+            if entry is None:
+                with telemetry.span(
+                    "service.checkout.materialize", dataset=dataset
+                ):
+                    result = cvd.checkout(vids)
+                rids, rows = result.rids, result.rows
                 body = None
-                if inline:
+                if inline:  # a record never encoded: its row is in hand
                     with telemetry.span(
                         "service.checkout.encode", dataset=dataset
                     ):
-                        rids = source.rids
-                        if rids is None:  # one version: ascending rids
-                            rids = cvd.membership(vids[0])
                         body = protocol.encode_rows(
-                            source.rows, rids, cvd.json_fragments
+                            rids,
+                            cvd.json_fragments,
+                            lambda lack: [*map(dict(zip(rids, rows)).get, lack)],
                         )
                 entry = CacheEntry(
-                    list(source.columns),
-                    source.rows,
-                    tuple(source.parents),
+                    list(result.columns),
+                    rows,
+                    tuple(result.parents),
                     body=body,
-                    rids=source.rids if len(vids) > 1 else None,
+                    rids=rid_array(rids) if len(vids) > 1 else None,
                 )
-                self.cache.put(dataset, vids, entry, cvd.schema)
-            return entry
+            elif inline and entry.body is None:
+                # An entry a commit or a file checkout admitted: its
+                # first inline hit encodes the rows, a record once per
+                # CVD (the body joins the records' memoized fragments).
+                # Admitting again keeps the byte budget exact.
+                vid = vids[0] if len(vids) == 1 else None
+                with telemetry.span(
+                    "service.checkout.encode", dataset=dataset
+                ):
+                    body = protocol.encode_rows(
+                        entry.rids if vid is None else cvd.membership(vid),
+                        cvd.json_fragments,
+                        lambda lack: cvd.payloads_of(lack, vid),
+                    )
+                entry = replace(
+                    entry, body=body, size_bytes=entry.size_bytes + len(body)
+                )
+            else:
+                return entry  # a file checkout never builds a body
+            self.cache.put(dataset, vids, entry, cvd.schema)
+            return entry if cached else result
 
         data = self.orpheus.cmd_checkout(
             request.params, session.user, through_cache
@@ -876,12 +889,14 @@ class ServiceDaemon:
 
     def _admit(self, dataset: str, vid: int) -> None:
         """Write-through: admit the version a commit just made durable,
-        as its checkout would materialize it (rows in ascending rid
-        order). Its rids and payloads are memo hits after the commit;
-        the entry gets its own list of the memo's tuples."""
+        as its checkout would: its count, sized by a sample of its
+        payloads (memo hits after the commit)."""
         cvd = self.orpheus.cvd(dataset)
-        rows = cvd.payloads_of(cvd.membership(vid), vid)
-        entry = CacheEntry(cvd.schema.column_names, rows, (vid,))
+        rids = cvd.membership(vid)
+        sample = cvd.payloads_of(size_sample(rids), vid)
+        entry = CacheEntry(
+            cvd.schema.column_names, sample, (vid,), count=len(rids)
+        )
         self.cache.put(dataset, [vid], entry, cvd.schema)
 
     # ------------------------------------------------------------------

@@ -55,6 +55,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 #: Bumped on incompatible wire changes; the handshake rejects mismatches.
 PROTOCOL_VERSION = 1
@@ -159,26 +160,26 @@ def encode(payload: dict) -> bytes:
     return (_dumps(payload) + "\n").encode("utf-8")
 
 
-def encode_rows(rows: list, rids: list[int], memo: dict) -> bytes:
+def encode_rows(rids: Sequence[int], memo: dict, payloads_of) -> bytes:
     """A checkout's rows as the JSON array a frame carries at
-    ``data.data``, byte for byte one dump of ``rows``. The daemon
+    ``data.data``, byte for byte one dump of the rows. The daemon
     encodes a version once, keeps these bytes on its cache entry, and
     :func:`encode_response` splices them.
 
     A record is encoded once for every version that holds it. ``memo``
     is a CVD's rid -> fragment memo (``CVD.json_fragments``: each
-    record's JSON array less its brackets) and ``rids[i]`` is the rid
-    of ``rows[i]``. Only the rows whose rids the memo lacks are
-    encoded, into the memo; the array joins the fragments. Readers fill
+    record's JSON array less its brackets) and ``rids`` are the rows'
+    rids, in row order. Only the records the memo lacks are encoded,
+    into the memo, from their payloads, ``payloads_of(lacking rids)``
+    (``CVD.payloads_of``); the array joins the fragments. Readers fill
     one memo without a lock: a fragment depends on its record alone, so
     a race encodes it twice alike, and no key ever leaves a memo (a
     schema change replaces the CVD's)."""
     try:  # a version's records are most often all known
         joined = b"],[".join(map(memo.__getitem__, rids))
     except KeyError:
-        missing = [n for n, rid in enumerate(rids) if rid not in memo]
-        fresh = _fragments([rows[n] for n in missing])
-        memo.update(zip(map(rids.__getitem__, missing), fresh))
+        lacking = [rid for rid in rids if rid not in memo]
+        memo.update(zip(lacking, _fragments(payloads_of(lacking))))
         joined = b"],[".join(map(memo.__getitem__, rids))
     return b"[[" + joined + b"]]" if rids else b"[]"
 

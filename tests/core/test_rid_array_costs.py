@@ -21,6 +21,9 @@ from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
 from repro.service import protocol
+from repro.service.cache import size_sample
+
+from tests.service.test_checkout_bytes import in_hand
 
 SCHEMA = Schema([ColumnDef("key", TEXT), ColumnDef("value", INT)], primary_key=("key",))
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -108,8 +111,12 @@ def test_checkout_encode_and_commit_sort_no_version(model, large_sorts):
     with large_sorts as found:
         result = cvd.checkout(head)
         rids = cvd.membership(head)
-        protocol.encode_rows(result.rows, rids, cvd.json_fragments)
-        cvd.payloads_of(rids, head)  # orpheusd admitting a commit
+        protocol.encode_rows(rids, cvd.json_fragments, in_hand(result))
+        cvd.payloads_of(size_sample(rids), head)  # orpheusd admitting a commit
+        cvd.json_fragments.clear()  # an inline hit on a row-less entry
+        protocol.encode_rows(
+            rids, cvd.json_fragments, lambda lack: cvd.payloads_of(lack, head)
+        )
         cvd.commit(result.rows[5:] + [("new", 1)], parents=[head])
     assert found == []
 

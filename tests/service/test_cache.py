@@ -1,9 +1,17 @@
 """Materialized-version cache: LRU, byte budget, schema-token keys,
 surgical eviction."""
 
+import pytest
+
+from repro.relational.arrays import rid_array
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import FLOAT, INT, TEXT
-from repro.service.cache import CacheEntry, VersionCache
+from repro.service.cache import (
+    CacheEntry,
+    VersionCache,
+    estimate_entry_bytes,
+    size_sample,
+)
 
 
 def entry(rows=3, marker="x"):
@@ -104,3 +112,30 @@ class TestInvalidation:
         cache.put("b", [1], entry())
         assert cache.clear() == 2
         assert cache.stats().bytes == 0
+
+
+class TestEntry:
+    def test_rows_count_and_size_the_entry_and_are_not_kept(self):
+        rows = [(f"k{i}", i) for i in range(500)]
+        made = CacheEntry(["key", "value"], rows, (1,))
+        assert made.rows is None and made.count == 500
+        assert made.size_bytes == estimate_entry_bytes(["key", "value"], rows)
+        # A sample and the count size it alike (write-through admission).
+        sampled = CacheEntry(["key", "value"], size_sample(rows), (1,), count=500)
+        assert (sampled.count, sampled.size_bytes) == (500, made.size_bytes)
+
+    @pytest.mark.parametrize("kind", ["body", "rids", "count"])
+    def test_the_seal_covers_what_a_hit_serves(self, kind):
+        """The body when there is one, a merge's rids, else the count:
+        the fault damages it and the seal catches it."""
+        made = CacheEntry(
+            ["key", "value"],
+            [("a", 1), ("b", 2)],
+            (2, 1),
+            body=b'[["a",1],["b",2]]' if kind == "body" else None,
+            rids=rid_array([7, 3]) if kind == "rids" else None,
+        )
+        assert made.verify()
+        made.corrupt()
+        assert not made.verify()
+        assert made.count == (3 if kind == "count" else 2)

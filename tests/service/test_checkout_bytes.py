@@ -74,6 +74,12 @@ def reference_body(rows) -> bytes:
     return json.dumps(rows, separators=(",", ":"), default=str).encode("utf-8")
 
 
+def in_hand(result):
+    """``payloads_of`` over a checkout's own rows, as a miss encodes."""
+    by_rid = dict(zip(result.rids, result.rows))
+    return lambda lacking: [by_rid[rid] for rid in lacking]
+
+
 class StubRepository:
     """Just enough of an Orpheus for ``_op_checkout``: versions hold
     whatever rows a case needs (a real CVD cannot store a date). The
@@ -93,6 +99,9 @@ class StubRepository:
 
     def membership(self, vid):
         return rid_array(vid * 10**6 + n for n in range(len(self.versions[vid])))
+
+    def payloads_of(self, rids, vid=None):
+        return [self.versions[rid // 10**6][rid % 10**6] for rid in rids]
 
     def checkout(self, vids):
         self.checkouts += 1
@@ -164,12 +173,13 @@ def test_memo_built_body_is_byte_equal_to_the_bulk_dump(case, monkeypatch):
     a cold memo costs one dump, unless a row holds a boundary."""
     rows = ROW_CASES[case]
     rids = list(range(10, 10 + len(rows)))
+    payloads_of = in_hand(SimpleNamespace(rids=rids, rows=rows))
     expected = reference_body(rows)
     dumps = []
     real = protocol._dumps
     monkeypatch.setattr(protocol, "_dumps", lambda v: dumps.append(v) or real(v))
     memo: dict[int, bytes] = {}
-    assert protocol.encode_rows(rows, rids, memo) == expected
+    assert protocol.encode_rows(rids, memo, payloads_of) == expected
     if not rows:
         assert dumps == []
     elif case in UNSPLITTABLE:
@@ -178,10 +188,10 @@ def test_memo_built_body_is_byte_equal_to_the_bulk_dump(case, monkeypatch):
         assert len(dumps) == 1
     assert sorted(memo) == rids
     dumps.clear()
-    assert protocol.encode_rows(rows, rids, memo) == expected
+    assert protocol.encode_rows(rids, memo, payloads_of) == expected
     assert dumps == []  # warm: joined, nothing encoded
     half = {rid: memo[rid] for rid in rids[::2]}
-    assert protocol.encode_rows(rows, rids, half) == expected
+    assert protocol.encode_rows(rids, half, payloads_of) == expected
     assert half == memo
 
 
@@ -306,8 +316,8 @@ def test_corrupt_body_is_caught_by_the_byte_seal(workspace, daemon_factory):
                 == before + 1
             )
             # It was the bytes that were damaged and the byte seal that
-            # caught it; the row seal alone would have passed.
-            assert len(stale.rows) == stale.sealed_rows
+            # caught it; the count seal alone would have passed.
+            assert stale.count == stale.seal[0] == 3
             assert not stale.verify()
             fresh = cached_entry(handle, 1)
             assert fresh is not stale and fresh.verify()
@@ -317,8 +327,9 @@ def test_corrupt_body_is_caught_by_the_byte_seal(workspace, daemon_factory):
 def test_corrupt_write_through_entry_is_caught_and_healed(
     workspace, daemon_factory, tmp_path
 ):
-    """The entry a commit admits is sealed like any other, and its rows
-    are its own list: damaging them leaves the CVD untouched."""
+    """The entry a commit admits is sealed like any other. It keeps no
+    rows, so the fault damages its count: the pull that caught it
+    rematerializes and writes the version's own rows."""
     seed_dataset(workspace)
     with daemon_factory() as handle:
         with handle.client() as client:
@@ -327,19 +338,22 @@ def test_corrupt_write_through_entry_is_caught_and_healed(
             work.write_text(work.read_text() + "k4,4\n")
             assert client.commit("inter", file=str(work))["version"] == 2
             admitted = cached_entry(handle, 2)
-            assert admitted.body is None  # so the fault damages the rows
+            assert admitted.body is None  # so the fault damages the count
             cvd = handle.daemon.orpheus.cvd("inter")
             oracle = cvd.checkout(2).rows
             failpoints.activate("cache.corrupt_entry", "corrupt", count=1)
             pulled = client.checkout("inter", [2], file=str(work))
             assert pulled["cached"] is False
-            assert "__corrupt__" not in work.read_text()
+            assert pulled["rows"] == len(oracle) == 4
+            assert work.read_text().splitlines()[1:] == [
+                ",".join(map(str, row)) for row in oracle
+            ]
             assert not admitted.verify()
             assert cvd.payloads_of(cvd.membership(2)) == oracle
             assert cvd.checkout(2).rows == oracle
             healed = cached_entry(handle, 2)
             assert healed is not admitted and healed.verify()
-            assert healed.rows == oracle
+            assert healed.count == len(oracle) and healed.rows is None
             assert client.checkout("inter", [2], file=str(work))["cached"] is True
 
 
@@ -378,7 +392,7 @@ def test_budget_counts_bodies_and_file_checkouts_build_none(
             assert data["cached"] is True
             with_body = cached_entry(handle, 1)
             assert with_body.body is not None
-            assert with_body.rows is file_only.rows
+            assert with_body.count == file_only.count == 3
             assert with_body.size_bytes == file_only.size_bytes + len(with_body.body)
             assert cache.stats().bytes == admitted() == with_body.size_bytes
 

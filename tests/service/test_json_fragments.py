@@ -19,7 +19,7 @@ import threading
 from repro.resilience.statestore import StateStore
 from repro.service import protocol
 
-from tests.service.test_checkout_bytes import reference_body
+from tests.service.test_checkout_bytes import in_hand, reference_body
 from tests.service.test_write_through import DATASET, write_inputs
 
 ROWS = 20
@@ -160,7 +160,7 @@ def test_concurrent_readers_filling_one_memo_agree(workspace, daemon_factory):
                 for vid in order:
                     result = results[vid]
                     out[vid] = protocol.encode_rows(
-                        result.rows, result.rids, cvd.json_fragments
+                        result.rids, cvd.json_fragments, in_hand(result)
                     )
 
             readers = [
