@@ -687,10 +687,13 @@ def _dispatch(args: argparse.Namespace, record=None) -> int:
     if record is not None:
         record.user = user
     if args.command == "doctor":
-        from repro.observe.doctor import run_doctor
+        from repro.observe.doctor import render_text, run_doctor
 
         report = run_doctor(orpheus, args.root)
-        out.write(report.to_json() + "\n" if args.json else report.render_text())
+        out.write(
+            report.to_json() + "\n" if args.json
+            else render_text(report.to_dict())
+        )
         return report.exit_code
     if args.command == "config":
         orpheus.config(args.name)
@@ -878,7 +881,8 @@ def _run_remote(args: argparse.Namespace) -> int:
     The daemon runs the same command code as the local CLI and the
     answer is rendered by the same renderer, so scripts can switch
     between direct and served execution by inserting ``remote``;
-    ``--json`` prints the raw response data instead.
+    ``--json`` prints the raw response data instead. A failing
+    ``doctor`` exits 1 either way, as it does locally.
     """
     from repro.service.client import (
         ServiceBusyError,
@@ -910,9 +914,9 @@ def _run_remote(args: argparse.Namespace) -> int:
         return 1
     if args.json:
         sys.stdout.write(json.dumps(data, default=str, sort_keys=True) + "\n")
-        return 0
-    _render(sys.stdout, op, params, data)
-    return 0
+    else:
+        _render(sys.stdout, op, params, data)
+    return 1 if op == "doctor" and data["severity"] == "fail" else 0
 
 
 def _render(out, op: str, params: dict, data: dict) -> None:
@@ -977,7 +981,11 @@ def _render(out, op: str, params: dict, data: dict) -> None:
         out.write(f"created user {data['user']!r}\n")
     elif op == "whoami":
         out.write((data.get("user") or "anonymous") + "\n")
-    elif op in ("doctor", "stats"):
+    elif op == "doctor":
+        from repro.observe.doctor import render_text
+
+        out.write(render_text(data))
+    elif op == "stats":
         out.write(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n")
     elif op == "ping":
         out.write("pong\n" if data.get("pong") else "no reply\n")

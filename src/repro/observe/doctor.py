@@ -33,11 +33,12 @@ summary, a concrete remediation, and machine-readable data. The probes:
   live file) once the repository has history.
 * **pending intents** — torn operations (a journal ``begin`` nothing
   closed) fail the probe and point at ``orpheus recover``.
-* **service health / service faults** — orpheusd's report: draining,
-  writer-queue saturation, degraded read-only mode, quarantined poison
-  requests, and worker-error / deadline-shed rates against the fault
-  budget. From the CLI, which holds the repository lock no daemon can
-  share, a ``service.json`` left behind is stale.
+* **service health** — orpheusd's report as :func:`judge_report`
+  judges it: draining, writer-queue saturation, degraded read-only
+  mode, quarantined poison requests, and worker-error / deadline-shed
+  rates against the fault budget. ``orpheus top`` prints the same
+  verdicts. From the CLI, which holds the repository lock no daemon
+  can share, a ``service.json`` left behind is stale.
 * **flight recorder** — flight segments within the recorder's bound,
   no torn tail once nothing writes, few slow requests.
 * **heat skew** — decayed partition heat mined from the journal and
@@ -51,6 +52,7 @@ summary, a concrete remediation, and machine-readable data. The probes:
 
 ``run_doctor`` runs the table; the report's exit code is non-zero when
 any probe fails, so CI can gate on ``orpheus doctor --json``.
+:func:`render_text` prints a report's dict, local or from orpheusd.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ IMBALANCE_FACTOR = 4.0
 STALE_STAGING_SECONDS = 7 * 24 * 3600.0
 #: A flight directory holding at least this many slow requests warns.
 SLOW_LOG_WARN_ENTRIES = 50
-
-#: Fault budget for the service_faults probe: worker errors or deadline
-#: sheds above this percentage of total requests warn.
-FAULT_BUDGET_PCT = 1.0
 
 
 @dataclass
@@ -131,17 +129,28 @@ class DoctorReport:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    def render_text(self) -> str:
-        lines = []
-        for result in self.results:
-            lines.append(
-                f"[{result.severity.upper():<4}] {result.probe:<24} "
-                f"{result.summary}"
-            )
-            if result.remediation:
-                lines.append(f"       -> {result.remediation}")
-        lines.append(f"overall: {self.severity}")
-        return "\n".join(lines) + "\n"
+
+def verdict_lines(probes: list[dict]) -> list[str]:
+    """Each probe line (:meth:`ProbeResult.to_dict`) as ``[WARN] probe
+    summary``, its remedy on a ``-> remedy`` line below."""
+    lines = []
+    for probe in probes:
+        lines.append(
+            f"[{probe['severity'].upper():<4}] {probe['probe']:<24} "
+            f"{probe['summary']}"
+        )
+        if probe.get("remediation"):
+            lines.append(f"       -> {probe['remediation']}")
+    return lines
+
+
+def render_text(report: dict) -> str:
+    """A doctor report's dict (:meth:`DoctorReport.to_dict`, which is
+    also what orpheusd answers ``orpheus remote -- doctor`` with) as
+    ``orpheus doctor`` prints it."""
+    lines = verdict_lines(report["probes"])
+    lines.append(f"overall: {report['severity']}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -487,168 +496,132 @@ def probe_pending_intents(checkup: Checkup) -> list[ProbeResult]:
     ]
 
 
+#: Fault budget of :func:`judge_report`: worker errors or deadline
+#: sheds above this percentage of total requests warn.
+FAULT_BUDGET_PCT = 1.0
+
+
+def judge_report(report: dict) -> list[ProbeResult]:
+    """orpheusd's report (``stats_payload()``) as verdicts: one WARN
+    ``service_health[<finding>]`` with its remedy per finding, else one
+    OK ``service_health``. The deadline count already includes every
+    queue shed. The doctor returns these; ``orpheus top`` prints the
+    WARN ones."""
+    server = report.get("server", {})
+    scheduler = report.get("scheduler", {})
+    requests = report.get("requests", {})
+    degrade = report.get("degrade", {})
+    quarantine = report.get("quarantine", {})
+    total = requests.get("total", 0)
+    findings: list[tuple[str, str, str]] = []
+    if server.get("draining"):
+        findings.append(("draining", "daemon is draining", ""))
+    if scheduler.get("write_queue_depth", 0) >= max(
+        1, scheduler.get("write_queue_capacity", 1)
+    ):
+        findings.append((
+            "writer_queue",
+            "writer queue is saturated",
+            "raise `orpheus serve --queue-depth`/--workers or slow the "
+            "writers; shed requests surface as BUSY to clients",
+        ))
+    if degrade.get("degraded"):
+        findings.append((
+            "degraded",
+            f"degraded read-only mode ({degrade.get('cause') or 'unknown'})",
+            "fix the storage fault behind the failing saves (disk full? "
+            "permissions?); the daemon probes a save each housekeeping "
+            "tick and exits degraded mode on success",
+        ))
+    if quarantine.get("quarantined"):
+        findings.append((
+            "quarantine",
+            f"{quarantine['quarantined']} request digest(s) quarantined",
+            "inspect `quarantine.entries` in `orpheus remote --json "
+            "stats`, fix or stop the offending request, then `orpheus "
+            "remote -- flush-quarantine`",
+        ))
+    for key, what, remedy in (
+        (
+            "worker_errors",
+            "worker-error",
+            "check the daemon stderr and the journal for the failing op; "
+            "repeated crashers quarantine automatically",
+        ),
+        (
+            "deadline_exceeded",
+            "deadline-shed",
+            "the queue is slow, not full: raise client deadlines "
+            "(ORPHEUS_CLIENT_DEADLINE_MS), add workers, or shed load",
+        ),
+    ):
+        pct = 100.0 * requests.get(key, 0) / max(1, total)
+        if pct > FAULT_BUDGET_PCT:
+            findings.append((
+                key,
+                f"{what} rate {pct:.1f}% exceeds the "
+                f"{FAULT_BUDGET_PCT:.1f}% budget",
+                remedy,
+            ))
+    data = {
+        "pid": server.get("pid"),
+        "uptime_s": report.get("uptime_s"),
+        "requests": requests,
+        "budget_pct": FAULT_BUDGET_PCT,
+    }
+    if findings:
+        return [
+            ProbeResult(f"service_health[{name}]", WARN, summary, remedy, data)
+            for name, summary, remedy in findings
+        ]
+    return [
+        ProbeResult(
+            "service_health",
+            OK,
+            (
+                f"daemon healthy: pid {server.get('pid')}, uptime "
+                f"{report.get('uptime_s', 0):.0f}s, {total} requests "
+                f"({requests.get('busy', 0)} shed busy), cache hit rate "
+                f"{report.get('cache', {}).get('hit_rate', 0.0):.0%}, "
+                f"{requests.get('worker_errors', 0)} worker error(s), "
+                f"{requests.get('deadline_exceeded', 0)} deadline shed(s), "
+                f"quarantine empty"
+            ),
+            data=data,
+        )
+    ]
+
+
 def probe_service_health(checkup: Checkup) -> list[ProbeResult]:
-    """orpheusd's queue pressure and cache hit rate, from its report.
+    """orpheusd as :func:`judge_report` judges its report.
 
     Without a report the doctor runs in a CLI process holding the
     repository lock, which a live daemon never shares: a
     ``service.json`` it finds was left by a daemon that died. No status
     file at all is OK; serving is optional.
     """
-    live = checkup.report
-    if live is None:
-        from repro.service.status import read_status_file
+    if checkup.report is not None:
+        return judge_report(checkup.report)
+    from repro.service.status import read_status_file
 
-        status = read_status_file(checkup.root)
-        if status is None:
-            return []
-        pid = int(status.get("pid") or 0)
-        return [
-            ProbeResult(
-                probe="service_health",
-                severity=WARN,
-                summary=(
-                    f"stale service.json: the daemon that wrote it "
-                    f"(pid {pid}) is dead"
-                ),
-                remediation=(
-                    "remove .orpheus/service.json and the stale socket, "
-                    "then restart with `orpheus serve` (startup also "
-                    "recovers any torn operations)"
-                ),
-                data={"pid": pid, "socket": status.get("socket")},
-            )
-        ]
-    server = live.get("server", {})
-    scheduler = live.get("scheduler", {})
-    cache = live.get("cache", {})
-    requests = live.get("requests", {})
-    remediation = (
-        "raise `orpheus serve --queue-depth`/--workers or slow the "
-        "writers; shed requests surface as BUSY to clients"
-    )
-    queue_full = scheduler.get("write_queue_depth", 0) >= max(
-        1, scheduler.get("write_queue_capacity", 1)
-    )
-    if server.get("draining", False):
-        severity, note, remediation = WARN, "daemon is draining", ""
-    elif queue_full:
-        severity, note = WARN, "writer queue is saturated"
-    else:
-        severity, note = OK, "daemon healthy"
+    status = read_status_file(checkup.root)
+    if status is None:
+        return []
+    pid = int(status.get("pid") or 0)
     return [
         ProbeResult(
             probe="service_health",
-            severity=severity,
+            severity=WARN,
             summary=(
-                f"{note}: pid {server.get('pid')}, uptime "
-                f"{live.get('uptime_s', 0):.0f}s, "
-                f"{requests.get('total', 0)} requests "
-                f"({requests.get('busy', 0)} shed busy), "
-                f"cache hit rate {cache.get('hit_rate', 0.0):.0%}"
+                f"stale service.json: the daemon that wrote it "
+                f"(pid {pid}) is dead"
             ),
-            remediation=remediation,
-            data={
-                "pid": server.get("pid"),
-                "uptime_s": live.get("uptime_s"),
-                "requests": requests,
-                "shed": scheduler.get("shed_reads", 0)
-                + scheduler.get("shed_writes", 0),
-                "scheduler": scheduler,
-                "cache": cache,
-                "sessions": live.get("sessions", {}).get("active"),
-            },
-        )
-    ]
-
-
-def probe_service_faults(checkup: Checkup) -> list[ProbeResult]:
-    """Fault-tolerance posture of orpheusd, from its report.
-
-    Warns when the daemon is in degraded read-only mode (writes are
-    bouncing), when poisoned requests sit quarantined, or when the
-    worker-error / deadline rate exceeds the fault budget
-    (``FAULT_BUDGET_PCT``, 1% of total requests). The deadline count is
-    the report's ``requests.deadline_exceeded``, which already includes
-    every queue shed. Without a report there is no daemon to judge.
-    """
-    live = checkup.report
-    if live is None:
-        return []
-    pid = live.get("server", {}).get("pid")
-    requests = live.get("requests", {})
-    degrade = live.get("degrade", {})
-    quarantine = live.get("quarantine", {})
-    total = max(1, int(requests.get("total", 0) or 0))
-    worker_errors = int(requests.get("worker_errors", 0) or 0)
-    deadline_exceeded = int(requests.get("deadline_exceeded", 0) or 0)
-    quarantined = int(quarantine.get("quarantined", 0) or 0)
-    problems: list[str] = []
-    remediation: list[str] = []
-    if degrade.get("degraded"):
-        problems.append(
-            f"degraded read-only mode ({degrade.get('cause') or 'unknown'})"
-        )
-        remediation.append(
-            "fix the storage fault behind the failing saves (disk full? "
-            "permissions?); the daemon probes a save each housekeeping "
-            "tick and exits degraded mode on success"
-        )
-    if quarantined:
-        problems.append(f"{quarantined} request digest(s) quarantined")
-        remediation.append(
-            "inspect `quarantine.entries` in `orpheus remote --json "
-            "stats`, fix or stop the offending request, then `orpheus "
-            "remote -- flush-quarantine`"
-        )
-    for count, what, remedy in (
-        (
-            worker_errors,
-            "worker-error",
-            "check the daemon stderr and the journal for the failing op; "
-            "repeated crashers quarantine automatically",
-        ),
-        (
-            deadline_exceeded,
-            "deadline-shed",
-            "the queue is slow, not full: raise client deadlines "
-            "(ORPHEUS_CLIENT_DEADLINE_MS), add workers, or shed load",
-        ),
-    ):
-        pct = 100.0 * count / total
-        if pct > FAULT_BUDGET_PCT:
-            problems.append(
-                f"{what} rate {pct:.1f}% exceeds the "
-                f"{FAULT_BUDGET_PCT:.1f}% budget"
-            )
-            remediation.append(remedy)
-    if problems:
-        severity, summary = WARN, "; ".join(problems)
-    else:
-        severity = OK
-        summary = (
-            f"daemon pid {pid} healthy: {worker_errors} worker error(s), "
-            f"{deadline_exceeded} deadline shed(s), quarantine empty"
-        )
-    return [
-        ProbeResult(
-            probe="service_faults",
-            severity=severity,
-            summary=summary,
-            remediation="; ".join(remediation),
-            data={
-                "pid": pid,
-                "total": requests.get("total", 0),
-                "worker_errors": worker_errors,
-                "deadline_exceeded": deadline_exceeded,
-                "budget_pct": FAULT_BUDGET_PCT,
-                "degrade": degrade,
-                "quarantine": {
-                    key: value
-                    for key, value in quarantine.items()
-                    if key != "entries"
-                },
-            },
+            remediation=(
+                "remove .orpheus/service.json and the stale socket, "
+                "then restart with `orpheus serve` (startup also "
+                "recovers any torn operations)"
+            ),
+            data={"pid": pid, "socket": status.get("socket")},
         )
     ]
 
@@ -1045,10 +1018,6 @@ PROBES = {
     "service_health": (
         probe_service_health,
         "no daemon registered (orpheus serve not running)",
-    ),
-    "service_faults": (
-        probe_service_faults,
-        "no daemon report: `orpheus remote -- doctor` judges orpheusd",
     ),
     "flight_recorder": (probe_flight_recorder, "no flight segments recorded"),
     "heat_skew": (probe_heat_skew, "no heat recorded"),

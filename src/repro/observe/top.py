@@ -1,21 +1,25 @@
 """``orpheus top`` — a live terminal dashboard for a running daemon.
 
 Renders the daemon's ``stats`` protocol payload: where it listens,
-degraded mode and its cause, refusals and worker errors, per-op
-throughput (rates are deltas between consecutive polls), latency
+the doctor's verdicts on it (:func:`repro.observe.doctor.judge_report`:
+degraded mode and its cause, quarantined digests, ... each with its
+remedy, in the doctor's ``[WARN]`` form), refusals and worker errors,
+per-op throughput (rates are deltas between consecutive polls), latency
 percentiles with the queue-wait/execute split, queue depths, cache
-efficiency, the flight record, the quarantine, and the busiest
-sessions — the glanceable answer to "what is the daemon doing right
-now", without log spelunking. ``orpheus remote --json stats`` prints
-the same payload raw. A scan table shows the rows and
-bytes each dataset's requests scanned (``orpheus heat`` has the heat,
-partition and amplification analysis).
+efficiency, the flight record, and the busiest sessions — the
+glanceable answer to "what is the daemon doing right now", without log
+spelunking. ``orpheus remote --json stats`` prints the same payload
+raw. A scan table shows the rows and bytes each dataset's requests
+scanned (``orpheus heat`` has the heat, partition and amplification
+analysis).
 
 This module only renders: the CLI's poll loop (``repro.cli``) owns
 the daemon connection and hands each payload to :func:`render_frame`.
 """
 
 from __future__ import annotations
+
+from repro.observe.doctor import OK, judge_report, verdict_lines
 
 
 def _fmt_ms(seconds) -> str:
@@ -77,8 +81,6 @@ def render_frame(
     scheduler = stats.get("scheduler", {})
     cache = stats.get("cache", {})
     sessions = stats.get("sessions", {})
-    degrade = stats.get("degrade", {})
-    quarantine = stats.get("quarantine", {})
     flight = stats.get("flight", {})
 
     lines = [
@@ -98,11 +100,9 @@ def render_frame(
             )
         ),
     ]
-    if degrade.get("degraded"):
-        lines.append(
-            f"DEGRADED (read-only): {degrade.get('cause') or 'unknown'} — "
-            f"writes are refused until a state save succeeds"
-        )
+    lines += verdict_lines(
+        [v.to_dict() for v in judge_report(stats) if v.severity != OK]
+    )
     lines += [
         (
             f"requests {requests.get('total', 0)} "
@@ -120,7 +120,9 @@ def render_frame(
             f"failures: {requests.get('worker_errors', 0)} worker error(s), "
             f"{requests.get('deadline_exceeded', 0)} deadline refusal(s) "
             f"({scheduler.get('deadline_shed', 0)} shed in the queue), "
-            f"{requests.get('degraded', 0)} degraded refusal(s)"
+            f"{requests.get('degraded', 0)} degraded refusal(s), "
+            f"{stats.get('quarantine', {}).get('refused_total', 0)} "
+            f"quarantine refusal(s)"
         ),
         (
             f"queues  read {scheduler.get('read_queue_depth', 0)}"
@@ -142,14 +144,6 @@ def render_frame(
             f"recorded, {flight.get('segments', 0)} segment(s), "
             f"{_fmt_bytes(flight.get('bytes', 0))}"
         ),
-    ]
-    if quarantine.get("quarantined"):
-        lines.append(
-            f"quarantine: {quarantine['quarantined']} poisoned digest(s), "
-            f"{quarantine.get('refused_total', 0)} refusal(s) (clear with "
-            f"`orpheus remote -- flush-quarantine`)"
-        )
-    lines += [
         "",
         (
             f"{'op':<12} {'count':>7} {'rate':>8} {'p50':>8} {'p95':>8}"

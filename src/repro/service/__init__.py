@@ -40,8 +40,11 @@ concurrency, caching, and backpressure become first-class subsystems:
   quarantine for requests that crash workers.
 
 Start it with ``orpheus serve``; watch it with ``orpheus top``, read
-its raw report with ``orpheus remote --json stats``, or ask the
-``service_health``/``service_faults`` doctor probes.
+its raw report with ``orpheus remote --json stats``, scrape it as
+``/metrics`` (:func:`repro.service.metrics.exposition`), or ask the
+doctor's ``service_health`` probe (``orpheus remote -- doctor``). One
+function judges that report,
+:func:`repro.observe.doctor.judge_report`; ``top`` prints its verdicts.
 """
 
 from repro.service.cache import CacheStats, VersionCache

@@ -453,6 +453,9 @@ class ServiceDaemon:
                         channel.send(frame)
                     except OSError:
                         send_failed = True
+                # An idle connection must not keep its last response
+                # alive while it waits for the next request.
+                del frame, response
                 if rtrace is not None:
                     # The serialize phase closes only once the bytes are
                     # on the wire (or the send failed); finalize
@@ -1010,9 +1013,11 @@ class ServiceDaemon:
 
     def stats_payload(self, recent: int = 0) -> dict:
         """The daemon's one report, behind the ``stats`` op (``orpheus
-        remote --json stats``), ``/stats``, ``orpheus top`` and the
-        doctor's daemon probes. Built outside the scheduler, so it never
-        waits for a writer; nothing here iterates what a writer mutates."""
+        remote --json stats``), ``/stats``, ``/metrics``
+        (:func:`~repro.service.metrics.exposition`), ``orpheus top`` and
+        the doctor's ``service_health`` probe. Built outside the
+        scheduler, so it never waits for a writer; nothing here iterates
+        what a writer mutates."""
         payload = self.metrics.to_dict(recent=recent)
         started = self.started_ts
         payload["uptime_s"] = round(
@@ -1043,44 +1048,6 @@ class ServiceDaemon:
             "counters": telemetry.get_registry().counters("service.")
         }
         return payload
-
-    def render_metrics(self) -> str:
-        """Prometheus exposition for the ``/metrics`` endpoint."""
-        from repro.pagestore.store import page_reads
-
-        scheduler = self.scheduler.status()
-        cache = self.cache.stats().to_dict()
-        sessions = self.sessions.status()
-        return self.metrics.render_prometheus(
-            extra_counters={
-                "cache_hits_total": cache.get("hits", 0),
-                "cache_misses_total": cache.get("misses", 0),
-                "cache_evictions_total": cache.get("evictions", 0),
-                "cache_invalidations_total": cache.get("invalidations", 0),
-                "scheduler_shed_reads_total": scheduler.get("shed_reads", 0),
-                "scheduler_shed_writes_total": scheduler.get(
-                    "shed_writes", 0
-                ),
-                "scheduler_deadline_shed_total": scheduler.get(
-                    "deadline_shed", 0
-                ),
-                "sessions_opened_total": sessions.get("total_opened", 0),
-                "degraded_entries_total": self.degrade.entries_total,
-                "page_faults_total": page_reads().faults,
-            },
-            extra_gauges={
-                "read_queue_depth": scheduler.get("read_queue_depth", 0),
-                "write_queue_depth": scheduler.get("write_queue_depth", 0),
-                "cache_entries": cache.get("entries", 0),
-                "cache_bytes": cache.get("bytes", 0),
-                "sessions_active": sessions.get("active", 0),
-                "draining": 1 if self.sessions.draining else 0,
-                "degraded": 1 if self.degrade.degraded else 0,
-                "quarantined_digests": self.quarantine.status()[
-                    "quarantined"
-                ],
-            },
-        )
 
     @property
     def draining(self) -> bool:

@@ -4,9 +4,9 @@
 next to the socket protocol, so fleet tooling can watch a daemon
 without speaking the orpheus wire protocol:
 
-* ``GET /metrics`` — Prometheus text exposition (daemon-lifetime
-  counters and per-op latency summaries from :class:`ServiceMetrics`,
-  plus cache/scheduler state);
+* ``GET /metrics`` — Prometheus text exposition of the daemon's report
+  (:func:`~repro.service.metrics.exposition`: daemon-lifetime
+  counters, per-op latency summaries, cache/scheduler state);
 * ``GET /stats``  — the same JSON payload as the ``stats`` protocol op;
 * ``GET /healthz`` — 200 ``ok`` while serving, 200 ``degraded: <cause>``
   while in degraded read-only mode (reads still flow, so the daemon is
@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from repro.service.metrics import exposition
 
 
 class MetricsServer:
@@ -66,7 +68,7 @@ def _make_handler(daemon):
             path = self.path.split("?", 1)[0]
             try:
                 if path == "/metrics":
-                    body = daemon.render_metrics().encode("utf-8")
+                    body = exposition(daemon.stats_payload()).encode("utf-8")
                     ctype = "text/plain; version=0.0.4; charset=utf-8"
                     code = 200
                 elif path == "/stats":

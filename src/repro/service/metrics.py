@@ -15,20 +15,25 @@ one lock:
   hand back whole span trees without a log file round-trip. A tree is
   rendered only when a reader asks for it.
 
-Rendering reuses the telemetry layer's exposition-format helpers so the
-``/metrics`` endpoint and ``orpheus stats --prometheus`` agree on
-escaping rules; service families are prefixed ``orpheusd_`` to keep
-them distinct from the ``repro_*`` telemetry families.
+:func:`exposition` renders the daemon's whole report, this ledger's
+part included, for the ``/metrics`` endpoint. It reuses the telemetry
+layer's exposition-format helpers so ``/metrics`` and ``orpheus stats
+--prometheus`` agree on escaping rules; service families are prefixed
+``orpheusd_`` to keep them distinct from the ``repro_*`` telemetry
+families.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import deque
 
 from repro.telemetry.registry import Histogram
-from repro.telemetry.snapshot import _prom_label_value, _prom_value
+from repro.telemetry.snapshot import (
+    _prom_label_value,
+    _prom_summary,
+    _prom_value,
+)
 
 from repro.service.tracing import PHASES, RequestTrace
 
@@ -206,108 +211,83 @@ class ServiceMetrics:
             payload["recent"] = [rtrace.to_span_tree() for rtrace in traces]
         return payload
 
-    def render_prometheus(
-        self,
-        extra_counters: dict[str, float] | None = None,
-        extra_gauges: dict[str, float] | None = None,
-    ) -> str:
-        """Exposition-format text for the ``/metrics`` endpoint.
 
-        ``extra_counters``/``extra_gauges`` let the daemon fold in
-        cache and scheduler state (monotonic for its lifetime) without
-        this module knowing their shape.
-        """
-        with self._lock:
-            lines: list[str] = []
-            totals = self.totals
-            rolls = self.by_dataset.values()
-            scanned_rows = sum(r["rows_scanned"] for r in rolls)
-            scanned_bytes = sum(r["bytes_scanned"] for r in rolls)
-            for name, value in (
-                ("requests_total", totals.count),
-                ("errors_total", totals.errors),
-                ("busy_total", totals.busy),
-                ("deadline_exceeded_responses_total", totals.deadline),
-                ("degraded_responses_total", totals.degraded),
-                ("worker_errors_total", totals.worker_errors),
-                ("slow_requests_total", self.slow_total),
-                ("scanned_rows_total", scanned_rows),
-                ("scanned_bytes_total", scanned_bytes),
-                *sorted((extra_counters or {}).items()),
-            ):
-                _counter(lines, _family(name), value)
-            for name, value in sorted((extra_gauges or {}).items()):
-                _gauge(lines, _family(name), value)
-
-            ops = sorted(self.by_op.items())
-            if ops:
-                lines.append("# TYPE orpheusd_op_requests_total counter")
-                for op, stats in ops:
-                    lines.append(
-                        f'orpheusd_op_requests_total{{op="'
-                        f'{_prom_label_value(op)}"}} {stats.count}'
-                    )
-                lines.append("# TYPE orpheusd_op_errors_total counter")
-                for op, stats in ops:
-                    lines.append(
-                        f'orpheusd_op_errors_total{{op="'
-                        f'{_prom_label_value(op)}"}} {stats.errors}'
-                    )
-                lines.append("# TYPE orpheusd_request_seconds summary")
-                for op, stats in ops:
-                    lines.extend(
-                        _labeled_summary(
-                            "orpheusd_request_seconds",
-                            {"op": op},
-                            stats.latency,
-                        )
-                    )
-                lines.append("# TYPE orpheusd_phase_seconds summary")
-                for op, stats in ops:
-                    for phase in PHASES:
-                        histogram = stats.phases[phase]
-                        if histogram.count:
-                            lines.extend(
-                                _labeled_summary(
-                                    "orpheusd_phase_seconds",
-                                    {"op": op, "phase": phase},
-                                    histogram,
-                                )
-                            )
-            return "\n".join(lines) + "\n"
+#: The ``/metrics`` families read straight off the report, in
+#: exposition order: family (after ``orpheusd_``) -> (report block,
+#: key). A ``_total`` family is a counter, any other a gauge.
+FAMILIES = {
+    "requests_total": ("requests", "total"),
+    "errors_total": ("requests", "errors"),
+    "busy_total": ("requests", "busy"),
+    "deadline_exceeded_responses_total": ("requests", "deadline_exceeded"),
+    "degraded_responses_total": ("requests", "degraded"),
+    "worker_errors_total": ("requests", "worker_errors"),
+    "slow_requests_total": ("requests", "slow"),
+    "cache_hits_total": ("cache", "hits"),
+    "cache_misses_total": ("cache", "misses"),
+    "cache_evictions_total": ("cache", "evictions"),
+    "cache_invalidations_total": ("cache", "invalidations"),
+    "scheduler_shed_reads_total": ("scheduler", "shed_reads"),
+    "scheduler_shed_writes_total": ("scheduler", "shed_writes"),
+    "scheduler_deadline_shed_total": ("scheduler", "deadline_shed"),
+    "sessions_opened_total": ("sessions", "total_opened"),
+    "degraded_entries_total": ("degrade", "entries_total"),
+    "page_faults_total": ("buffer_pool", "faults"),
+    "read_queue_depth": ("scheduler", "read_queue_depth"),
+    "write_queue_depth": ("scheduler", "write_queue_depth"),
+    "cache_entries": ("cache", "entries"),
+    "cache_bytes": ("cache", "bytes"),
+    "sessions_active": ("sessions", "active"),
+    "draining": ("server", "draining"),
+    "degraded": ("degrade", "degraded"),
+    "quarantined_digests": ("quarantine", "quarantined"),
+}
 
 
-def _family(name: str) -> str:
-    """A legal ``orpheusd_*`` family name from a dotted stats key."""
-    return "orpheusd_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-
-
-def _counter(lines: list[str], family: str, value: float) -> None:
-    lines.append(f"# TYPE {family} counter")
-    lines.append(f"{family} {_prom_value(float(value))}")
-
-
-def _gauge(lines: list[str], family: str, value: float) -> None:
-    lines.append(f"# TYPE {family} gauge")
-    lines.append(f"{family} {_prom_value(float(value))}")
-
-
-def _labeled_summary(
-    family: str, labels: dict[str, str], histogram: Histogram
-) -> list[str]:
-    """Summary sample lines for one labeled series (no TYPE header —
-    the caller declares the family type once)."""
-    base = ",".join(
-        f'{name}="{_prom_label_value(value)}"'
-        for name, value in labels.items()
-    )
-    lines = []
-    for quantile, fraction in (("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)):
-        value = histogram.percentile(fraction)
-        if value is not None:
-            lines.append(
-                f'{family}{{{base},quantile="{quantile}"}} {value}'
+def exposition(report: dict) -> str:
+    """Prometheus text exposition of orpheusd's one report
+    (``stats_payload()``): the ``/metrics`` endpoint. Every value is the
+    report's, latency summaries at its 1 µs rounding; a block the report
+    lacks reads 0."""
+    datasets = report.get("by_dataset", {}).values()
+    samples = {
+        family: report.get(block, {}).get(key, 0)
+        for family, (block, key) in FAMILIES.items()
+    }
+    samples["scanned_rows_total"] = sum(d["rows_scanned"] for d in datasets)
+    samples["scanned_bytes_total"] = sum(d["bytes_scanned"] for d in datasets)
+    lines: list[str] = []
+    for family, value in samples.items():
+        kind = "counter" if family.endswith("_total") else "gauge"
+        lines.append(f"# TYPE orpheusd_{family} {kind}")
+        lines.append(f"orpheusd_{family} {_prom_value(float(value))}")
+    ops = sorted(report.get("by_op", {}).items())
+    if ops:
+        for family, key in (
+            ("op_requests_total", "count"), ("op_errors_total", "errors"),
+        ):
+            lines.append(f"# TYPE orpheusd_{family} counter")
+            lines.extend(
+                f'orpheusd_{family}{{op="{_prom_label_value(op)}"}} '
+                f"{stats[key]}"
+                for op, stats in ops
             )
-    lines.append(f"{family}_sum{{{base}}} {histogram.total}")
-    lines.append(f"{family}_count{{{base}}} {histogram.count}")
-    return lines
+        lines += _prom_summary(
+            "orpheusd_request_seconds",
+            *(({"op": op}, _unsuffixed(stats["latency"])) for op, stats in ops),
+        )
+        lines += _prom_summary(
+            "orpheusd_phase_seconds",
+            *(
+                ({"op": op, "phase": phase}, _unsuffixed(summary))
+                for op, stats in ops
+                for phase, summary in stats["phases"].items()
+            ),
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _unsuffixed(summary: dict) -> dict:
+    """A report latency summary (``p50_s``, ``total_s``, ...) keyed as
+    the summary writer reads it (``p50``, ``total``, ...)."""
+    return {key.removesuffix("_s"): value for key, value in summary.items()}

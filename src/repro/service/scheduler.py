@@ -320,11 +320,12 @@ class RequestScheduler:
             job = self._reads.get()
             if job is None:
                 return
-            if self._shed_expired(job):
-                continue
-            with self.lock.read_locked():
-                job.run()
-            self.executed_reads += 1
+            if not self._shed_expired(job):
+                with self.lock.read_locked():
+                    job.run()
+                self.executed_reads += 1
+            # An idle worker must not keep its last response alive.
+            del job
 
     def _write_loop(self) -> None:
         while True:
@@ -344,6 +345,7 @@ class RequestScheduler:
                     self._pending_per_cvd[key] = remaining
                 else:
                     self._pending_per_cvd.pop(key, None)
+            del job
 
     # ------------------------------------------------------------------
     def stop(self, timeout: float = 30.0) -> bool:

@@ -101,16 +101,18 @@ class Snapshot:
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric} {_prom_value(self.gauges[name])}")
         for name in sorted(self.histograms):
-            lines.extend(_prom_summary(_prom_name(name), self.histograms[name]))
+            lines.extend(
+                _prom_summary(_prom_name(name), ({}, self.histograms[name]))
+            )
         for name in sorted(self.spans):
             stats = self.spans[name]
             metric = _prom_name(f"span.{name}.seconds")
-            lines.extend(_prom_summary(metric, stats["seconds"]))
+            lines.extend(_prom_summary(metric, ({}, stats["seconds"])))
             failed = stats.get("failed_seconds")
             if failed:
                 lines.extend(
                     _prom_summary(
-                        _prom_name(f"span.{name}.failed_seconds"), failed
+                        _prom_name(f"span.{name}.failed_seconds"), ({}, failed)
                     )
                 )
             error_metric = _prom_name(f"span.{name}.errors")
@@ -152,17 +154,25 @@ def _prom_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _prom_summary(metric: str, histogram: dict) -> list[str]:
+def _prom_summary(metric: str, *series: tuple[dict, dict]) -> list[str]:
+    """One summary family: its TYPE line, then for each ``(labels,
+    summary)`` series the quantile, ``_sum`` and ``_count`` samples of
+    ``summary`` (a dict with ``p50``/``p95``/``p99``/``total``/``count``)
+    under ``labels``."""
     lines = [f"# TYPE {metric} summary"]
-    label = _prom_label_name("quantile")
-    for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-        value = histogram.get(key)
-        if value is not None:
-            lines.append(
-                f'{metric}{{{label}="{_prom_label_value(quantile)}"}} {value}'
-            )
-    lines.append(f"{metric}_sum {histogram['total']}")
-    lines.append(f"{metric}_count {histogram['count']}")
+    for labels, summary in series:
+        pairs = [
+            f'{_prom_label_name(name)}="{_prom_label_value(value)}"'
+            for name, value in labels.items()
+        ]
+        for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
+            value = summary.get(key)
+            if value is not None:
+                selector = ",".join([*pairs, f'quantile="{quantile}"'])
+                lines.append(f"{metric}{{{selector}}} {value}")
+        selector = "{" + ",".join(pairs) + "}" if pairs else ""
+        lines.append(f"{metric}_sum{selector} {summary['total']}")
+        lines.append(f"{metric}_count{selector} {summary['count']}")
     return lines
 
 

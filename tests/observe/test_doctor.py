@@ -11,8 +11,10 @@ from repro.cli import main
 from repro.core.commands import Orpheus
 from repro.observe.doctor import (
     Checkup,
+    judge_report,
     probe_checkout_cost,
     probe_orphaned_versions,
+    render_text,
     run_doctor,
 )
 from repro.partition.partitioned_store import PartitionedRlistStore
@@ -113,10 +115,106 @@ class TestReport:
     def test_text_render_shows_remediation_on_failure(self):
         orpheus = make_orpheus("partitioned_rlist")
         degrade(orpheus)
-        text = run_doctor(orpheus).render_text()
+        text = render_text(run_doctor(orpheus).to_dict())
         assert "[FAIL]" in text
         assert "->" in text
         assert text.strip().endswith("overall: fail")
+
+
+#: A healthy orpheusd report, as far as the judge reads it.
+HEALTHY = {
+    "server": {"pid": 7, "draining": False},
+    "uptime_s": 12.0,
+    "requests": {
+        "total": 200, "busy": 1, "worker_errors": 0, "deadline_exceeded": 0,
+    },
+    "scheduler": {"write_queue_depth": 0, "write_queue_capacity": 8},
+    "cache": {"hit_rate": 0.5},
+    "degrade": {"degraded": False, "cause": None},
+    "quarantine": {"quarantined": 0, "refused_total": 0},
+}
+
+#: finding -> (the report blocks that make it fire, a phrase of its
+#: summary, a phrase of its remedy).
+FINDINGS = {
+    "draining": (
+        {"server": {"pid": 7, "draining": True}}, "daemon is draining", "",
+    ),
+    "writer_queue": (
+        {"scheduler": {"write_queue_depth": 8, "write_queue_capacity": 8}},
+        "writer queue is saturated",
+        "--queue-depth",
+    ),
+    "degraded": (
+        {"degrade": {"degraded": True, "cause": "OSError: disk full"}},
+        "degraded read-only mode (OSError: disk full)",
+        "exits degraded mode on success",
+    ),
+    "quarantine": (
+        {"quarantine": {"quarantined": 2, "refused_total": 5}},
+        "2 request digest(s) quarantined",
+        "remote -- flush-quarantine",
+    ),
+    "worker_errors": (
+        {"requests": {**HEALTHY["requests"], "worker_errors": 3}},
+        "worker-error rate 1.5% exceeds the 1.0% budget",
+        "repeated crashers quarantine automatically",
+    ),
+    "deadline_exceeded": (
+        {"requests": {**HEALTHY["requests"], "deadline_exceeded": 3}},
+        "deadline-shed rate 1.5% exceeds the 1.0% budget",
+        "ORPHEUS_CLIENT_DEADLINE_MS",
+    ),
+}
+
+
+class TestJudge:
+    """``judge_report`` is the one reader of orpheusd's report that
+    turns it into verdicts; each finding fires on its own and clears
+    when the report is healthy again."""
+
+    def test_a_healthy_report_is_one_ok_line(self):
+        (verdict,) = judge_report(HEALTHY)
+        assert (verdict.probe, verdict.severity) == ("service_health", "ok")
+        assert verdict.summary == (
+            "daemon healthy: pid 7, uptime 12s, 200 requests (1 shed busy), "
+            "cache hit rate 50%, 0 worker error(s), 0 deadline shed(s), "
+            "quarantine empty"
+        )
+        assert verdict.data["pid"] == 7
+
+    @pytest.mark.parametrize("finding", list(FINDINGS))
+    def test_each_finding_fires_with_its_remedy(self, finding):
+        blocks, summary, remedy = FINDINGS[finding]
+        (verdict,) = judge_report({**HEALTHY, **blocks})
+        assert verdict.probe == f"service_health[{finding}]"
+        assert verdict.severity == "warn"
+        assert summary in verdict.summary
+        assert remedy in verdict.remediation
+        assert verdict.data["budget_pct"] == 1.0
+
+    def test_rates_at_the_budget_do_not_fire(self):
+        requests = {**HEALTHY["requests"], "worker_errors": 2,
+                    "deadline_exceeded": 2}
+        (verdict,) = judge_report({**HEALTHY, "requests": requests})
+        assert verdict.severity == "ok"
+
+    def test_every_finding_is_its_own_verdict(self):
+        report = dict(HEALTHY)
+        for blocks, _summary, _remedy in FINDINGS.values():
+            report.update(blocks)
+        report["requests"] = {
+            **HEALTHY["requests"], "worker_errors": 3, "deadline_exceeded": 3,
+        }
+        verdicts = judge_report(report)
+        assert [v.probe for v in verdicts] == [
+            f"service_health[{finding}]" for finding in FINDINGS
+        ]
+        assert {v.severity for v in verdicts} == {"warn"}
+
+    def test_an_empty_report_judges_ok(self):
+        (verdict,) = judge_report({})
+        assert verdict.severity == "ok"
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Every doctor probe fires, and the remediation it prints clears it.
 
-One case per entry of :data:`repro.observe.doctor.PROBES`: the case
-drives a repository (or an in-process orpheusd) into the state the probe
-exists to catch, takes the doctor's report, then does what the
+At least one case per entry of :data:`repro.observe.doctor.PROBES`: the
+case drives a repository (or an in-process orpheusd) into a state the
+probe exists to catch, takes the doctor's report, then does what the
 remediation names — a CLI command where one exists — and takes the
 report again. The parametrization must cover ``PROBES`` exactly, so a
 probe added without a pair fails here.
@@ -108,8 +108,8 @@ def disjoint(tag: str, count: int = 20) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# One case per probe: each returns (report when fired, report after
-# the remediation).
+# The cases: each returns (report when fired, report after the
+# remediation).
 # ----------------------------------------------------------------------
 def checkout_cost(scene):
     orpheus = library_cvd("partitioned_rlist")
@@ -236,7 +236,7 @@ def service_health(scene):
     return fired, scene.doctor()
 
 
-def service_faults(scene):
+def service_health_quarantine(scene):
     """orpheusd's own doctor sees a quarantined request digest, which
     ``remote --json stats`` lists; ``remote -- flush-quarantine``
     clears it."""
@@ -247,15 +247,15 @@ def service_faults(scene):
         for _ in range(strikes):
             with pytest.raises(ServiceError):
                 client.checkout("d", [1], inline=True)
+        # Enough requests dilute the worker-error rate under the fault
+        # budget, so the quarantine is the one finding.
+        for _ in range(100 * strikes):
+            client.ping()
         fired = client.doctor()
         (digest,) = handle.daemon.quarantine.status()["entries"]
         stats = json.loads(scene.cli("remote", "--json", "stats"))
         assert digest in stats["quarantine"]["entries"]
         scene.cli("remote", "--", "flush-quarantine")
-        # The cleared daemon answers again; enough requests dilute the
-        # worker-error rate back under the fault budget.
-        for _ in range(100 * strikes):
-            client.ping()
         return fired, client.doctor()
 
 
@@ -326,24 +326,33 @@ def page_store_health(scene):
     return fired, scene.doctor()
 
 
-#: probe -> (case, a phrase of the remediation that names the clear).
+#: probe -> its cases: (case, a phrase of the remediation that names the
+#: clear).
 PAIRS = {
-    "checkout_cost": (checkout_cost, "orpheus optimize -d d"),
-    "partition_imbalance": (partition_imbalance, "orpheus optimize -d d"),
-    "delta_chains": (delta_chains, "--model split_by_rlist"),
-    "orphaned_versions": (orphaned_versions, "restore .orpheus/state.pkl"),
-    "stale_staging": (stale_staging, "orpheus recover"),
-    "journal": (journal, "redo the operations"),
-    "state_integrity": (state_integrity, "orpheus recover"),
-    "backup_freshness": (backup_freshness, "a commit"),
-    "pending_intents": (pending_intents, "orpheus recover"),
-    "service_health": (service_health, "remove .orpheus/service.json"),
-    "service_faults": (service_faults, "remote -- flush-quarantine"),
-    "flight_recorder": (flight_recorder, "delete the oldest"),
-    "heat_skew": (heat_skew, "orpheus optimize"),
-    "io_amplification": (io_amplification, "--model partitioned_rlist"),
-    "page_store_health": (page_store_health, "orpheus recover"),
+    "checkout_cost": [(checkout_cost, "orpheus optimize -d d")],
+    "partition_imbalance": [(partition_imbalance, "orpheus optimize -d d")],
+    "delta_chains": [(delta_chains, "--model split_by_rlist")],
+    "orphaned_versions": [(orphaned_versions, "restore .orpheus/state.pkl")],
+    "stale_staging": [(stale_staging, "orpheus recover")],
+    "journal": [(journal, "redo the operations")],
+    "state_integrity": [(state_integrity, "orpheus recover")],
+    "backup_freshness": [(backup_freshness, "a commit")],
+    "pending_intents": [(pending_intents, "orpheus recover")],
+    "service_health": [
+        (service_health, "remove .orpheus/service.json"),
+        (service_health_quarantine, "remote -- flush-quarantine"),
+    ],
+    "flight_recorder": [(flight_recorder, "delete the oldest")],
+    "heat_skew": [(heat_skew, "orpheus optimize")],
+    "io_amplification": [(io_amplification, "--model partitioned_rlist")],
+    "page_store_health": [(page_store_health, "orpheus recover")],
 }
+
+CASES = [
+    pytest.param(probe, case, remedy, id=case.__name__)
+    for probe, cases in PAIRS.items()
+    for case, remedy in cases
+]
 
 
 @pytest.fixture(autouse=True)
@@ -367,11 +376,10 @@ def test_every_probe_has_a_pair():
     assert list(PAIRS) == list(PROBES)
 
 
-@pytest.mark.parametrize("probe", list(PAIRS))
+@pytest.mark.parametrize("probe, case, remedy", CASES)
 def test_probe_fires_and_its_remediation_clears_it(
-    probe, tmp_path, monkeypatch
+    probe, case, remedy, tmp_path, monkeypatch
 ):
-    case, remedy = PAIRS[probe]
     fired, cleared = case(Scene(tmp_path, monkeypatch))
     firing = [line for line in lines(fired, probe) if line["severity"] != "ok"]
     assert firing, lines(fired, probe)

@@ -393,9 +393,13 @@ class TestDoctorProbe:
         assert "service.json" in result.remediation
 
     @staticmethod
-    def _faults(client) -> dict:
-        probes = {p["probe"]: p for p in client.doctor()["probes"]}
-        return probes["service_faults"]
+    def _verdicts(client) -> dict:
+        """The remote doctor's ``service_health`` lines, by probe."""
+        return {
+            p["probe"]: p
+            for p in client.doctor()["probes"]
+            if p["probe"].partition("[")[0] == "service_health"
+        }
 
     def test_remote_doctor_sees_degraded_mode(self, workspace, daemon_factory):
         seed_dataset(workspace)
@@ -403,11 +407,11 @@ class TestDoctorProbe:
             degrade = handle.daemon.degrade
             for _ in range(degrade.threshold):
                 degrade.record_save_failure(RuntimeError("disk full"))
-            faults = self._faults(client)
-        assert faults["severity"] == "warn"
-        assert "degraded read-only mode" in faults["summary"]
-        assert "disk full" in faults["summary"]
-        assert faults["data"]["degrade"]["degraded"] is True
+            (verdict,) = self._verdicts(client).values()
+        assert verdict["probe"] == "service_health[degraded]"
+        assert verdict["severity"] == "warn"
+        assert "degraded read-only mode" in verdict["summary"]
+        assert "disk full" in verdict["summary"]
 
     def test_remote_doctor_sees_a_quarantined_digest(
         self, workspace, daemon_factory
@@ -419,10 +423,10 @@ class TestDoctorProbe:
             for _ in range(strikes):
                 with pytest.raises(ServiceError):
                     client.checkout("inter", [1], inline=True)
-            faults = self._faults(client)
-        assert faults["severity"] == "warn"
-        assert "1 request digest(s) quarantined" in faults["summary"]
-        assert "flush-quarantine" in faults["remediation"]
+            verdict = self._verdicts(client)["service_health[quarantine]"]
+        assert verdict["severity"] == "warn"
+        assert "1 request digest(s) quarantined" in verdict["summary"]
+        assert "flush-quarantine" in verdict["remediation"]
 
     def test_remote_doctor_sees_worker_errors_over_budget(
         self, workspace, daemon_factory
@@ -432,10 +436,10 @@ class TestDoctorProbe:
             failpoints.activate("worker.mid_execute", "error", count=1)
             with pytest.raises(ServiceError):
                 client.checkout("inter", [1], inline=True)
-            faults = self._faults(client)
-        assert faults["severity"] == "warn"
-        assert "worker-error rate" in faults["summary"]
-        assert faults["data"]["worker_errors"] == 1
+            verdict = self._verdicts(client)["service_health[worker_errors]"]
+        assert verdict["severity"] == "warn"
+        assert "worker-error rate" in verdict["summary"]
+        assert verdict["data"]["requests"]["worker_errors"] == 1
 
     def test_remote_doctor_runs_clean(self, workspace, daemon_factory):
         seed_dataset(workspace)
@@ -443,8 +447,41 @@ class TestDoctorProbe:
             with handle.client() as client:
                 report = client.doctor()
         assert report["severity"] in ("ok", "warn")
-        probes = {p["probe"] for p in report["probes"]}
-        assert "service_health" in probes
+        probes = {p["probe"]: p["severity"] for p in report["probes"]}
+        assert probes["service_health"] == "ok"
+
+    def test_remote_doctor_renders_and_exits_as_the_local_one(
+        self, workspace, daemon_factory, monkeypatch, capsys
+    ):
+        """One renderer of a doctor report: ``remote -- doctor`` prints
+        what ``doctor`` prints for the same report, both exit 1 when a
+        probe fails, and ``remote --json -- doctor`` prints it raw."""
+        from repro.cli import main
+        from repro.observe import doctor
+
+        seed_dataset(workspace)
+        canned = doctor.DoctorReport([
+            doctor.ProbeResult("journal", "fail", "1 divergence(s)", "redo"),
+            doctor.ProbeResult("service_health", "ok", "daemon healthy"),
+        ])
+        monkeypatch.setattr(doctor, "run_doctor", lambda *args: canned)
+        root = ["--root", str(workspace)]
+        capsys.readouterr()
+        assert main([*root, "doctor"]) == 1
+        local = capsys.readouterr().out
+        with daemon_factory():
+            assert main([*root, "remote", "--", "doctor"]) == 1
+            remote = capsys.readouterr().out
+            assert main([*root, "remote", "--json", "--", "doctor"]) == 1
+            raw = json.loads(capsys.readouterr().out)
+        assert remote == local == doctor.render_text(canned.to_dict())
+        assert local.splitlines() == [
+            "[FAIL] journal                  1 divergence(s)",
+            "       -> redo",
+            "[OK  ] service_health           daemon healthy",
+            "overall: fail",
+        ]
+        assert raw == canned.to_dict()
 
 
 class TestSecondDaemonRefused:

@@ -11,6 +11,7 @@ from pathlib import Path
 from repro.pagestore import store as pagestore
 from repro.pagestore.store import orphan_pages
 from repro.resilience.statestore import LAYOUT_ENV, MAGIC, MAGIC2
+from repro.service.metrics import exposition
 
 from tests.pagestore.conftest import newest_segments
 from tests.service.conftest import assert_healthy_on_disk, seed_dataset
@@ -155,7 +156,7 @@ def test_the_daemon_counts_the_pages_it_reads_and_keeps_none(
     with daemon_factory() as handle, handle.client() as client:
         client.checkout("inter", [1], file=str(tmp_path / "pull.csv"))
         stats = client.stats()
-        metrics = handle.daemon.render_metrics()
+        metrics = exposition(handle.daemon.stats_payload())
         probes = {line["probe"] for line in client.doctor()["probes"]}
     assert reads.faults > 0
     assert stats["buffer_pool"] == {"faults": reads.faults, "hits": 0}
@@ -163,4 +164,4 @@ def test_the_daemon_counts_the_pages_it_reads_and_keeps_none(
     for gone in ("page_evictions", "page_writebacks", "buffer_pool"):
         assert f"orpheusd_{gone}" not in metrics
     assert "buffer_pool" not in probes
-    assert {"page_store_health", "service_faults"} <= probes
+    assert {"page_store_health", "service_health"} <= probes

@@ -170,8 +170,9 @@ class TestDaemonDegradedMode:
         self, workspace, daemon_factory, tmp_path, capsys
     ):
         """``orpheus top --once`` is the human view of a degraded daemon:
-        its frame names the mode, the failing save's cause and the
-        worker errors the doomed commits answered with."""
+        the doctor's verdicts name the mode, the failing save's cause
+        and the worker-error rate, and the frame counts the worker
+        errors the doomed commits answered with."""
         from repro.cli import main
 
         seed_dataset(workspace)
@@ -189,9 +190,17 @@ class TestDaemonDegradedMode:
             capsys.readouterr()
             assert main(["--root", str(workspace), "top", "--once"]) == 0
             frame = capsys.readouterr().out.splitlines()
-        (degraded,) = [line for line in frame if line.startswith("DEGRADED")]
-        assert degraded.startswith("DEGRADED (read-only): FailpointError")
+        degraded, errors = [
+            line for line in frame if line.startswith("[WARN]")
+        ]
+        assert degraded.startswith(
+            "[WARN] service_health[degraded] degraded read-only mode "
+            "(FailpointError"
+        )
         assert "state.before_save" in degraded
+        assert errors.startswith(
+            "[WARN] service_health[worker_errors] worker-error rate "
+        )
         assert any(
             line.startswith("failures: 3 worker error(s), ") for line in frame
         ), frame

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import load_state, main
 from repro.observe import heat as heat_module
 from repro.observe.heat import mine
+from repro.service.metrics import exposition
 from repro.service.recorder import FlightRecorder, flight_dir_path, read_flight
 from tests.service.conftest import DaemonHandle, seed_dataset
 
@@ -35,7 +36,7 @@ def busy_daemon(workspace):
             client.commit("demo", str(commit_file), message="grow")
             client.diff("demo", 1, 2)
             stats = client.stats()
-            metrics_text = handle.daemon.render_metrics()
+            metrics_text = exposition(handle.daemon.stats_payload())
     return workspace, stats, metrics_text
 
 

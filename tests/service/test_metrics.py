@@ -16,7 +16,12 @@ import pytest
 from repro.observe.top import render_frame
 from repro.service.daemon import ServiceConfig
 from repro.service.httpmon import MetricsServer
-from repro.service.metrics import RECENT_CAP, ServiceMetrics
+from repro.service.metrics import (
+    FAMILIES,
+    RECENT_CAP,
+    ServiceMetrics,
+    exposition,
+)
 from repro.service.protocol import Request
 from repro.service.recorder import flight_dir_path, read_slow
 from repro.service.tracing import DEFAULT_SLOW_MS, RequestTrace
@@ -117,10 +122,11 @@ class TestServiceMetrics:
             metrics.record(make_trace())
         metrics.record(make_trace(op="commit", status="error",
                                   error_type="ValueError"))
-        text = metrics.render_prometheus(
-            extra_counters={"cache_hits_total": 5},
-            extra_gauges={"read_queue_depth": 0},
-        )
+        text = exposition({
+            **metrics.to_dict(),
+            "cache": {"hits": 5},
+            "scheduler": {"read_queue_depth": 0},
+        })
         type_families = []
         for line in text.splitlines():
             if not line:
@@ -149,6 +155,52 @@ class TestServiceMetrics:
             r'quantile="0\.95"\} ',
             text,
         )
+
+
+#: Every family ``/metrics`` exposes.
+EXPOSED = {
+    *(f"orpheusd_{family}" for family in FAMILIES),
+    "orpheusd_scanned_rows_total", "orpheusd_scanned_bytes_total",
+    "orpheusd_op_requests_total", "orpheusd_op_errors_total",
+    "orpheusd_request_seconds", "orpheusd_phase_seconds",
+}
+
+
+class TestExposition:
+    def test_metrics_is_the_report(self, workspace, daemon_factory):
+        """``/metrics`` is a function of the report: the same families
+        as ever, and each value the report's own."""
+        seed_dataset(workspace)
+        with daemon_factory() as handle, handle.client() as client:
+            client.checkout("inter", [1], inline=True)
+            client.checkout("inter", [1], inline=True)
+            await_ledger(handle, lambda m: m.totals.count >= 2)
+            report = handle.daemon.stats_payload()
+        text = exposition(report)
+        families = {
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert families == EXPOSED and len(EXPOSED) == 31
+        samples = dict(
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        for family, (block, key) in FAMILIES.items():
+            assert float(samples[f"orpheusd_{family}"]) == float(
+                report[block][key]
+            ), family
+        assert float(samples["orpheusd_cache_hits_total"]) == 1
+        checkout = report["by_op"]["checkout"]
+        latency = checkout["latency"]
+        assert float(samples['orpheusd_request_seconds_sum{op="checkout"}']) \
+            == latency["total_s"]
+        assert float(samples[
+            'orpheusd_request_seconds{op="checkout",quantile="0.95"}'
+        ]) == latency["p95_s"]
+        assert int(samples[
+            'orpheusd_phase_seconds_count{op="checkout",phase="execute"}'
+        ]) == checkout["phases"]["execute"]["count"] == 2
 
 
 class TestStatsOp:
@@ -293,9 +345,6 @@ class _FakeDaemon:
     def __init__(self):
         self.draining = False
 
-    def render_metrics(self):
-        return "orpheusd_requests_total 7\n"
-
     def stats_payload(self, recent: int = 0):
         return {"requests": {"total": 7}}
 
@@ -412,14 +461,17 @@ class TestTopDashboard:
 
     def test_render_frame_shows_degraded_mode_only_while_degraded(self):
         healthy = render_frame(self._report(degrade={"degraded": False}))
-        assert "DEGRADED" not in healthy
+        assert "[WARN]" not in healthy
         frame = render_frame(self._report(
             degrade={"degraded": True, "cause": "OSError: disk full"}
         ))
-        assert frame.splitlines()[2] == (
-            "DEGRADED (read-only): OSError: disk full — writes are refused "
-            "until a state save succeeds"
-        )
+        assert frame.splitlines()[2:4] == [
+            "[WARN] service_health[degraded] degraded read-only mode "
+            "(OSError: disk full)",
+            "       -> fix the storage fault behind the failing saves (disk "
+            "full? permissions?); the daemon probes a save each "
+            "housekeeping tick and exits degraded mode on success",
+        ]
 
     def test_render_frame_counts_each_failure_outcome(self):
         frame = render_frame(self._report(
@@ -429,7 +481,8 @@ class TestTopDashboard:
         ))
         assert (
             "failures: 1 worker error(s), 3 deadline refusal(s) "
-            "(2 shed in the queue), 4 degraded refusal(s)"
+            "(2 shed in the queue), 4 degraded refusal(s), "
+            "0 quarantine refusal(s)"
         ) in frame.splitlines()
 
     def test_render_frame_shows_the_flight_and_a_quarantine(self):
@@ -439,12 +492,15 @@ class TestTopDashboard:
         )
         lines = render_frame(report).splitlines()
         assert "flight: 7 request(s) recorded, 2 segment(s), 2.0KB" in lines
-        assert not [line for line in lines if line.startswith("quarantine")]
+        assert not [line for line in lines if line.startswith("[WARN]")]
         report["quarantine"] = {"quarantined": 1, "refused_total": 5}
-        assert (
-            "quarantine: 1 poisoned digest(s), 5 refusal(s) (clear with "
-            "`orpheus remote -- flush-quarantine`)"
-        ) in render_frame(report).splitlines()
+        lines = render_frame(report).splitlines()
+        assert lines[2] == (
+            "[WARN] service_health[quarantine] 1 request digest(s) "
+            "quarantined"
+        )
+        assert lines[3].endswith("then `orpheus remote -- flush-quarantine`")
+        assert lines[5].endswith(", 5 quarantine refusal(s)")
 
     def test_render_frame_reads_the_live_slow_count_and_threshold(
         self, workspace, daemon_factory
@@ -549,7 +605,7 @@ class TestFaultOutcomeCounters:
                                   error_type="DeadlineExceededError"))
         metrics.record(make_trace(op="commit", status="degraded",
                                   error_type="DegradedError"))
-        text = metrics.render_prometheus()
+        text = exposition(metrics.to_dict())
         assert "orpheusd_deadline_exceeded_responses_total 1" in text
         assert "orpheusd_degraded_responses_total 1" in text
         assert "orpheusd_errors_total 0" in text
@@ -564,7 +620,7 @@ class TestFaultOutcomeCounters:
                                       error_type="DegradedError"))
         samples = [
             line.split()
-            for line in metrics.render_prometheus().splitlines()
+            for line in exposition(metrics.to_dict()).splitlines()
             if line.startswith("orpheusd_") and "{" not in line
         ]
         families = {}

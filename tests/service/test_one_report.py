@@ -1,6 +1,6 @@
 """orpheusd keeps one set of books: every request outcome is counted once
 (in :class:`ServiceMetrics`), the ``stats`` op and HTTP ``/stats`` return
-one report, and the doctor's daemon probes classify that report without
+one report, and the doctor's judge classifies that report without
 double counting."""
 
 from __future__ import annotations
@@ -113,9 +113,14 @@ def test_one_queue_shed_is_one_deadline_event(
     assert report["requests"]["deadline_exceeded"] == 1
     assert report["scheduler"]["deadline_shed"] == 1
 
-    # The probe judges this very report, as the daemon hands it over.
-    (result,) = doctor.probe_service_faults(doctor.Checkup(report=report))
-    assert result.data["deadline_exceeded"] == 1
+    # The judge reads this very report, as the daemon hands it over:
+    # one deadline event, once.
+    (result,) = [
+        verdict for verdict in doctor.judge_report(report)
+        if verdict.probe == "service_health[deadline_exceeded]"
+    ]
+    pct = 100.0 / report["requests"]["total"]
+    assert result.summary.startswith(f"deadline-shed rate {pct:.1f}% ")
 
 
 def test_stats_does_not_queue_behind_a_writer(

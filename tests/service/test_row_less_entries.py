@@ -26,6 +26,7 @@ import pytest
 from repro.core import csvio
 from repro.core.models import DATA_MODELS
 
+from tests.service.conftest import await_ledger
 from tests.service.test_checkout_bytes import reference_body
 
 DATASET = "inter"
@@ -187,6 +188,12 @@ def test_entries_hold_their_bodies_and_no_rows(tmp_path, daemon_factory):
             try:
                 for vid in range(1, VERSIONS + 1):
                     assert client.checkout("big", [vid], inline=True)["rows"] == ROWS
+                # Every checkout finalized: its connection holds nothing
+                # of it, so the flush below frees only what the cache held.
+                await_ledger(
+                    handle,
+                    lambda m: m.by_op["checkout"].count == 2 * VERSIONS - 1,
+                )
                 entries = list(daemon.cache._entries.values())
                 assert len(entries) == VERSIONS
                 bodies = sum(len(entry.body) for entry in entries)
@@ -200,7 +207,10 @@ def test_entries_hold_their_bodies_and_no_rows(tmp_path, daemon_factory):
                 del entry, entries
                 gc.collect()
                 held = tracemalloc.take_snapshot()
-                client.flush_cache()
+                # On a connection of its own: the idle one above keeps
+                # its pending receive across both snapshots.
+                with handle.client() as flusher:
+                    flusher.flush_cache()
                 gc.collect()
                 # What the flush freed; what it allocated offsets nothing.
                 retained = -sum(

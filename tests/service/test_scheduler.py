@@ -1,8 +1,10 @@
 """Scheduler semantics: reader concurrency, writer serialization,
 bounded-queue load shedding, per-CVD depth, graceful drain."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -183,3 +185,23 @@ class TestScheduling:
         assert status["workers"] == 3
         assert status["executed_reads"] >= 1
         assert status["read_queue_capacity"] == 4
+
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_an_idle_worker_keeps_no_response_alive(self, scheduler, kind):
+        """Once its waiter has the answer, nothing of a finished job is
+        left to a worker blocked on its next ``get()``: a response body
+        the cache has flushed is freed, not held by the last worker that
+        built it."""
+
+        class Body:
+            pass
+
+        submit = getattr(scheduler, f"submit_{kind}")
+        job = submit(Body)
+        body = weakref.ref(job.wait(5))
+        del job
+        deadline = time.monotonic() + 5.0
+        while body() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert body() is None, gc.get_referrers(body())

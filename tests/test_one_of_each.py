@@ -240,6 +240,56 @@ def test_orpheusd_keeps_one_set_of_books():
     assert "stats_payload" in methods and "status" not in methods
 
 
+#: The report's judged flags, by the block that holds each.
+JUDGED = {"degrade": "degraded", "quarantine": "quarantined"}
+
+
+def key_read(node):
+    """``(receiver, key)`` when ``node`` reads a constant key, as
+    ``receiver["key"]`` or ``receiver.get("key", ...)``; else None."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        return node.value, node.slice.value
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ):
+        return node.func.value, node.args[0].value
+    return None
+
+
+def test_one_module_judges_the_daemon_report():
+    """Only the doctor reads the report's ``degrade.degraded`` and
+    ``quarantine.quarantined`` flags, straight off the block or off a
+    name bound to it: ``judge_report`` turns them into verdicts, and
+    ``top`` prints those instead of judging again."""
+    judges = set()
+    for name, tree in modules():
+        blocks = {}  # name -> the report block it was bound to
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and (read := key_read(node.value))
+                and read[1] in JUDGED
+            ):
+                blocks[node.targets[0].id] = read[1]
+        for node in ast.walk(tree):
+            if not (read := key_read(node)):
+                continue
+            receiver, key = read
+            if isinstance(receiver, ast.Name):
+                block = blocks.get(receiver.id)
+            else:
+                block = (key_read(receiver) or (None, None))[1]
+            if block in JUDGED and JUDGED[block] == key:
+                judges.add(name)
+    assert judges == {"observe/doctor.py"}
+
+
 #: What the one-request-path change took out of the client (split so a
 #: search stays empty).
 BREAKER_NAMES = ["Circuit" + "Breaker", "Circuit" + "OpenError"]
