@@ -6,15 +6,18 @@ and committing a CSV back, with a schema file ensuring columns map
 correctly.
 
 A checkout writes the lines a CVD rendered once per record
-(:func:`render_lines`); a commit takes a line it knows parses back to
-exactly its record's payload for that payload (:func:`parsed_back`).
+(:func:`render_lines`, kept less the line end); a commit takes a line it
+knows parses back to exactly its record's payload for that payload
+(:func:`parsed_back`).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import repeat
 from pathlib import Path
+from typing import Sequence
 
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import type_by_name
@@ -37,13 +40,15 @@ def render_lines(rows: list[tuple]) -> list[str]:
 
 def write_csv(path: str | Path, columns: list[str], lines: list[str]) -> None:
     """Write a checkout to ``path``: a header row, then ``lines``, the
-    rows' canonical lines (:func:`render_lines`)."""
+    rows' canonical lines (:func:`render_lines`) less :data:`LINE_END`."""
     from repro.resilience import failpoints
 
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(columns)
         failpoints.fire("csv.mid_write")
-        handle.write("".join(lines))
+        if lines:
+            handle.write(LINE_END.join(lines))
+            handle.write(LINE_END)
 
 
 def write_schema_file(path: str | Path, schema: Schema) -> None:
@@ -75,9 +80,9 @@ def read_schema_file(path: str | Path) -> Schema:
 def read_csv(
     path: str | Path,
     schema: Schema,
-    known: dict[str, tuple] | None = None,
-    rids: dict[str, int] | None = None,
-) -> list[tuple] | tuple[list[tuple], list[int | None] | None]:
+    known: dict[str, tuple] | dict[str, int] | None = None,
+    payloads: Sequence[tuple | None] | None = None,
+) -> list[tuple] | tuple[list[tuple], list[int] | None]:
     """Read rows from ``path``, coercing values per the schema.
 
     The header row must match the schema's column names (order included);
@@ -89,15 +94,16 @@ def read_csv(
     ``known`` maps lines to the rows this function returns for them
     (:func:`parsed_back`), which are then not parsed again; a file with
     a quote or a bare carriage return, or one it rejects, is read in
-    full, so errors read the same. With ``rids`` (line -> a record id)
-    it returns ``(rows, matched)``: the rid of each row's line, None for
-    a line ``rids`` lacks; ``matched`` is None for a file read in full.
+    full, so errors read the same. With ``payloads`` (rid -> row),
+    ``known`` maps a line to a record id, whose row is ``payloads[rid]``,
+    and it returns ``(rows, matched)``: the rid of each row's line, 0
+    (no record's) for a line ``known`` lacks; ``matched`` is None for a
+    file read in full.
     """
     if known:
-        rows = _read_known(path, schema, known)
-        if rows is not None:
-            rows, lines = rows
-            return rows if rids is None else (rows, list(map(rids.get, lines)))
+        read = _read_known(path, schema, known, payloads)
+        if read is not None:
+            return read[0] if payloads is None else read
     width = len(schema.columns)
     raws: list[list[str]] = []
     with open(path, newline="") as handle:
@@ -116,15 +122,15 @@ def read_csv(
                 )
             raws.append(raw)
     rows = _convert(schema, raws)
-    return rows if rids is None else (rows, None)
+    return rows if payloads is None else (rows, None)
 
 
 def _read_known(
-    path: str | Path, schema: Schema, known: dict[str, tuple]
-) -> tuple[list[tuple], list[str]] | None:
+    path: str | Path, schema: Schema, known: dict, payloads
+) -> tuple[list[tuple], list] | None:
     """:func:`read_csv` for a file of unquoted lines, parsing only the
-    lines ``known`` lacks, and those lines; None when the file needs the
-    full reader."""
+    lines ``known`` lacks, and what ``known`` maps each line to; None
+    when the file needs the full reader."""
     try:
         with open(path, newline="") as handle:
             text = handle.read()
@@ -142,27 +148,29 @@ def _read_known(
     if not lines or lines[0].split(",") != schema.column_names:
         return None
     del lines[0]
-    rows = list(map(known.get, lines))
+    found = list(map(known.get, lines, repeat(None if payloads is None else 0)))
+    rows = found if payloads is None else list(map(payloads.__getitem__, found))
     unseen = [n for n, row in enumerate(rows) if row is None]
     raws = list(csv.reader([lines[n] for n in unseen]))
     if any(len(raw) != len(schema.columns) for raw in raws):
         return None
     for n, row in zip(unseen, _convert(schema, raws)):
         rows[n] = row
-    return rows, lines
+    return rows, found
 
 
 def parsed_back(
     schema: Schema, rows: list[tuple], lines: list[str]
 ) -> dict[str, tuple]:
     """``{line: row}`` for each row :func:`read_csv` returns unchanged, in
-    value and in type, from its line (:func:`render_lines`; the key lacks
-    :data:`LINE_END`): one with no NULL, empty text, NaN or quoted field,
-    each value of the type its column parses to. A line with a ``-0.0``
-    field is left out too: its payload equals ``0.0``'s, its line does
-    not, and a commit matches payloads by their lines."""
+    value and in type, from its line (:func:`render_lines`, with or
+    without :data:`LINE_END`; the key lacks it): one with no NULL, empty
+    text, NaN or quoted field, each value of the type its column parses
+    to. A line with a ``-0.0`` field is left out too: its payload equals
+    ``0.0``'s, its line does not, and a commit matches payloads by their
+    lines."""
     kinds = tuple(_PARSED_TYPES.get(c.dtype.name, str) for c in schema.columns)
-    lines = [line[: -len(LINE_END)] for line in lines]
+    lines = [line.removesuffix(LINE_END) for line in lines]
     text = "\n".join(lines)
     if (  # the common case, checked a column at a time
         set(map(len, rows)) == {len(kinds)}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -28,10 +27,14 @@ from repro.core import csvio
 from repro.core.errors import NoSuchVersionError, PrimaryKeyViolationError
 from repro.core.metadata import AttributeRegistry, VersionManager, VersionMetadata
 from repro.core.models import DataModel, make_model
-from repro.relational.arrays import rid_array, rids_within, rids_without
+from repro.relational.arrays import Slots, rid_array, rids_within, rids_without
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import DataType, generalize_types
+
+
+#: A rendered line less the ``\r\n`` that ``csv.writer`` ends it with.
+_LESS_LINE_END = itemgetter(slice(None, -len(csvio.LINE_END)))
 
 
 @dataclass
@@ -90,41 +93,41 @@ class CVD:
         self._reset_memo()
 
     # ------------------------------------------------------------------
-    # The memo: version -> rids and rid -> payload, as this process has
-    # seen them. The model's tables are the only stored copy; a miss
+    # The memo: version -> rids, and one record store, as this process
+    # has seen them. The model's tables are the only stored copy; a miss
     # reads them, so a long-lived process pays for a version once and a
     # one-shot command only for the versions it touches. A version's
     # rids are one ascending rid array, the very object its rlist row
-    # holds where the model stores one (nobody modifies it). Beside it, the
-    # records' CSV lines as file checkouts rendered them, and which of
-    # those lines a commit may take for their payload unparsed, judged
-    # once per line when a commit first asks (a pull never pays for it),
-    # and the records' JSON fragments as orpheusd's inline checkouts
-    # encoded them. All follow the schema, so a schema change drops them.
+    # holds where the model stores one (nobody modifies it).
+    #
+    # The record store keeps each record once, in slots indexed by its
+    # rid: its payload, its CSV line as file checkouts render it (less
+    # the line end), and its JSON fragment as orpheusd's inline
+    # checkouts encode it. A line is judged once, when a commit first
+    # asks (a pull never pays for it): a judged line parses back to its
+    # payload, so a commit takes it unparsed. It maps, as the very string
+    # its slot holds, to the lowest judged rid whose line it is, and a
+    # bitmap marks the judged rids. All of it follows the schema, so a
+    # schema change empties the store.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
         self._membership: dict[int, array] = {}
-        self._payloads: dict[int, tuple] = {}
-        self._reset_lines()
+        self._reset_records()
 
-    def _reset_lines(self) -> None:
-        #: rid -> its canonical CSV line (csvio.render_lines).
-        self._lines: dict[int, str] = {}
-        #: line -> payload, for the lines read_csv parses back to it;
-        #: line -> the lowest rid it is the line of, those rids, and the
-        #: lines that are several rids'.
-        self._parses: dict[str, tuple] = {}
+    def _reset_records(self) -> None:
+        self._payloads = Slots()
+        self._lines = Slots()
+        self.json_fragments = Slots()
         self._line_rids: dict[str, int] = {}
-        self._judged: set[int] = set()
+        self._judged = bytearray()
+        #: judged lines that are several rids'; (rids, payloads, lines)
+        #: rendered and not yet judged.
         self._shared: set[str] = set()
-        #: (rids, payloads, lines) rendered and not yet judged.
         self._unjudged: list[tuple] = []
-        #: rid -> its JSON array less the brackets (protocol.encode_rows).
-        self.json_fragments: dict[int, bytes] = {}
 
     def __getstate__(self) -> dict:
-        memo = {"_membership", "_payloads", "_lines", "_parses", "_line_rids"}
-        memo |= {"_judged", "_shared", "_unjudged", "json_fragments"}
+        memo = {"_membership", "_payloads", "_lines", "_line_rids", "_judged"}
+        memo |= {"_shared", "_unjudged", "json_fragments"}
         return {k: v for k, v in self.__dict__.items() if k not in memo}
 
     def __setstate__(self, state: dict) -> None:
@@ -168,57 +171,65 @@ class CVD:
         model in one batch (``KeyError`` for a rid it does not hold).
         ``vid``, if given, is a version known to contain them all."""
         memo = self._payloads
-        missing = list(filterfalse(memo.__contains__, rids))
-        if missing:
+        memo.grow(max(rids, default=0))
+        payloads = list(map(memo.__getitem__, rids))
+        if None in payloads:
+            missing = [rid for rid, got in zip(rids, payloads) if got is None]
             memo.update(self.model.payloads_of(missing, vid))
-        return list(map(memo.__getitem__, rids))
+            payloads = list(map(memo.__getitem__, rids))
+            if None in payloads:
+                raise KeyError(rids[payloads.index(None)])
+        return payloads
 
     def lines_of(
         self, rids: Sequence[int], rows: Sequence[tuple] | None = None
     ) -> list[str]:
         """The canonical CSV line of each of ``rids``, in order: what
-        ``csv.writer`` writes for its payload, terminator included.
-        Only rids never rendered before are formatted, from ``rows``
-        (their payloads, in order) when the caller holds them."""
-        lines = self._lines
-        if not lines:  # nothing rendered yet: all of them, in order
-            payloads = self.payloads_of(rids) if rows is None else rows
-            return self._render(rids, payloads)
-        todo = [n for n, rid in enumerate(rids) if rid not in lines]
-        if todo:
+        ``csv.writer`` writes for its payload, less the line end. Only
+        rids never rendered before are formatted, from ``rows`` (their
+        payloads, in order) when the caller holds them."""
+        memo = self._lines
+        memo.grow(max(rids, default=0))
+        lines = list(map(memo.__getitem__, rids))
+        unrendered = lines.count(None)
+        if unrendered == len(lines):  # the first pull of these records
+            return self._render(rids, self.payloads_of(rids) if rows is None else rows)
+        if unrendered:
+            todo = [n for n, line in enumerate(lines) if line is None]
             new = [rids[n] for n in todo]
             if rows is None:
                 payloads = self.payloads_of(new)
             else:
                 payloads = [rows[n] for n in todo]
-            self._render(new, payloads)
-        return list(map(lines.__getitem__, rids))
+            for n, line in zip(todo, self._render(new, payloads)):
+                lines[n] = line
+        return lines
 
     def _render(
         self, rids: Sequence[int], payloads: Sequence[tuple]
     ) -> list[str]:
-        rendered = csvio.render_lines(payloads)
-        self._lines.update(zip(rids, rendered))
+        rendered = list(map(_LESS_LINE_END, csvio.render_lines(payloads)))
+        self._lines.put(rids, rendered)
         self._unjudged.append((rids, payloads, rendered))
         return rendered
 
-    def parsed_lines(self) -> tuple[dict[str, tuple], dict[str, int]]:
+    def parsed_lines(self) -> tuple[dict[str, int], Slots]:
         """Every rendered line that ``read_csv`` parses back to exactly
-        its record's payload, mapped to that payload and to the lowest
-        rid whose line it is (both live, not copies)."""
-        line_rids = self._line_rids
-        for rids, payloads, rendered in self._unjudged:
-            judged = csvio.parsed_back(self.schema, payloads, rendered)
-            self._parses.update(judged)
-            for rid, line in zip(rids, rendered):
-                line = line[: -len(csvio.LINE_END)]
-                if line in judged:
-                    self._judged.add(rid)
+        its record's payload, mapped to the lowest rid whose line it is,
+        and the payloads by rid (both live, not copies)."""
+        line_rids, judged, slots = self._line_rids, self._judged, self._payloads
+        judged.extend(bytes(self._next_rid - len(judged)))  # a byte a rid
+        slots.grow(self._next_rid - 1)
+        for rids, payloads, lines in self._unjudged:
+            parses = csvio.parsed_back(self.schema, payloads, lines)
+            for rid, payload, line in zip(rids, payloads, lines):
+                if line in parses:
+                    judged[rid], slots[rid] = 1, payload
                     if line_rids.setdefault(line, rid) != rid:
                         self._shared.add(line)
                         line_rids[line] = min(line_rids[line], rid)
         self._unjudged.clear()
-        return self._parses, line_rids
+        return line_rids, slots
 
     def storage_bytes(self) -> int:
         return self.model.storage_bytes()
@@ -260,7 +271,7 @@ class CVD:
                 pass all ancestors to trade commit time for deduplication
                 of deleted-then-re-added records.
             matched: For each row, the rid ``read_csv`` matched its line
-                to (None: none), from the lines :meth:`parsed_lines`
+                to (0: none), from the lines :meth:`parsed_lines`
                 returned just before.
         """
         started = telemetry.monotonic()
@@ -347,19 +358,22 @@ class CVD:
             if model_span is not None:
                 model_span.set_attr("rows", len(new_records))
         # Only now: a model that refused the version must leave neither
-        # the memo nor the rid counter ahead of its tables.
-        self._next_rid = next_rid
+        # the memo nor the rid counter ahead of its tables. The new rids
+        # run from the old counter on, so each store is one slice.
+        first, self._next_rid = self._next_rid, next_rid
         self._num_records += len(new_records)
-        # A row the reader matched is its record's payload exactly (the
-        # two render alike), so the memo holds the whole version.
-        self._payloads.update(new_records if rendered is None else records)
+        payloads = list(map(records.get, new_records))
+        self._payloads.put(range(first, next_rid), payloads)
         self._membership[vid] = membership
         if rendered:  # what a pull of the version would render again
-            fresh = [rid for rid, row in new_records.items() if row in rendered]
-            payloads = list(map(new_records.__getitem__, fresh))
-            lines = list(map(rendered.__getitem__, payloads))
-            self._lines.update(zip(fresh, lines))
-            self._unjudged.append((fresh, payloads, lines))
+            lines = list(map(rendered.get, payloads))
+            self._lines.put(range(first, next_rid), lines)
+            fresh = [n for n, line in enumerate(lines) if line is not None]
+            self._unjudged.append((
+                [first + n for n in fresh],
+                list(map(payloads.__getitem__, fresh)),
+                list(map(lines.__getitem__, fresh)),
+            ))
         attribute_ids = tuple(
             self.attributes.intern(column.name, column.dtype)
             for column in self.schema.columns
@@ -433,14 +447,17 @@ class CVD:
         for -0.0, never judged). None where it is not: the parent holds
         a record not judged, or a line looked up is -0.0's or several
         records', the lowest of them not the parent's."""
-        members = set(self.membership(parent))  # probed per row
-        if not members <= self._judged:
+        rids, judged = self.membership(parent), self._judged
+        if rids and rids[-1] >= len(judged):  # rids ascend
             return None
+        if not all(map(judged.__getitem__, rids)):
+            return None
+        members = set(rids)  # probed per row
         candidates = list(matched)
         missed = [n for n, rid in enumerate(matched) if rid not in members]
         rendered = csvio.render_lines([rows[n] for n in missed])
+        rendered = list(map(_LESS_LINE_END, rendered))
         for n, line in zip(missed, rendered):
-            line = line[: -len(csvio.LINE_END)]
             rid = self._line_rids.get(line)
             if rid not in members:
                 if line in self._shared or "-0.0" in line.split(","):
@@ -536,10 +553,8 @@ class CVD:
         # CVD table.
         self.model.alter_schema(self.schema)
         # The tables now hold every record NULL-extended and coerced to
-        # the evolved types; payloads memoized before that are stale,
-        # and so are the lines rendered from them.
-        self._payloads = {}
-        self._reset_lines()
+        # the evolved types; what the record store holds is stale.
+        self._reset_records()
         # Re-order incoming rows into full-schema order.
         order = {name: i for i, name in enumerate(columns)}
         remapped: list[tuple] = []
@@ -805,7 +820,7 @@ class CVD:
                 new_rids -= history.records_of(parent)
             new_records = {
                 rid: history.payloads[rid] for rid in new_rids
-                if rid not in cvd._payloads
+                if cvd._payloads.get(rid) is None
             }
             parent_membership = {
                 p: cvd._membership[p] for p in commit.parents

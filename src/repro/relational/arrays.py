@@ -1,9 +1,11 @@
-"""Integer arrays: a version's rids, and their range encoding.
+"""Integer arrays: a version's rids, their range encoding, and slots
+indexed by rid.
 
 A version's rids are one ascending ``array('q')``, the rlist of Chapter
 4, shared by the CVD's memo and the rlist row: nobody modifies one.
 ``x in rids`` is a linear scan, so a per-rid probe uses a hash set made
-for the one call (:func:`rids_without`, :func:`rids_within`).
+for the one call (:func:`rids_without`, :func:`rids_within`). Rids are
+dense, so what a process keeps per record sits in :class:`Slots`.
 
 The versioning table's ``rlist`` arrays are long, sorted, and dense —
 rids are allocated sequentially and versions inherit contiguous runs
@@ -44,6 +46,49 @@ def rids_within(rids: Iterable[int], keep: Container[int]) -> array:
     """The rids of ``rids`` that ``keep`` holds, in their order.
     ``keep`` hashes (a set, a dict): it is probed once per rid."""
     return array(RIDS, filter(keep.__contains__, rids))
+
+
+class Slots(list):
+    """A map rid -> value kept as a list indexed by rid: rids are dense,
+    so a slot costs a pointer where a dict entry costs an entry and a
+    key. None is an empty slot. It grows by one ``extend`` and stores in
+    bulk, so readers fill one without a lock: a race stores a value
+    twice alike, or grows the list past what it needs. ``get``,
+    ``update``, ``len`` and ``==`` read it as the map of its filled
+    slots."""
+
+    def get(self, rid: int):
+        return self[rid] if rid < list.__len__(self) else None
+
+    def grow(self, top: int) -> None:
+        """Make room for rid ``top``."""
+        self.extend([None] * (top + 1 - list.__len__(self)))
+
+    def put(self, rids: Sequence[int], values: Iterable) -> None:
+        """Store ``values`` in the slots of ``rids``, in order: a range
+        of rids (a commit's new records) in one slice."""
+        self.grow(max(rids, default=0))
+        if isinstance(rids, range):
+            self[rids.start : rids.stop] = values
+        else:
+            for rid, value in zip(rids, values):
+                self[rid] = value
+
+    def update(self, pairs) -> None:
+        """Store each rid's value, from a mapping or (rid, value) pairs."""
+        pairs = dict(pairs)
+        self.put(pairs.keys(), pairs.values())
+
+    def __len__(self) -> int:
+        return list.__len__(self) - self.count(None)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, dict):
+            return {r: v for r, v in enumerate(self) if v is not None} == other
+        return isinstance(other, list) and list.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
 
 def encode_ranges(values: Sequence[int]) -> list[tuple[int, int]]:

@@ -3,27 +3,16 @@
 from __future__ import annotations
 
 import bisect
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 
 class HashIndex:
-    """A hash index from a key to the set of row positions holding it.
-
-    This is the physical structure behind primary-key lookups (``rid`` in
-    the data table, ``vid`` in the versioning table of split-by-rlist).
-    """
+    """A hash index from a key to the row positions holding it: a
+    secondary index, whose keys repeat. (A primary key's index maps each
+    key to its one position, a plain dict: see ``Table``.)"""
 
     def __init__(self) -> None:
         self._buckets: dict[Hashable, list[int]] = {}
-
-    def add_distinct(
-        self, keys: Iterable[Hashable], positions: Iterable[int]
-    ) -> None:
-        """Bulk-add parallel keys and row positions. The keys must be
-        distinct from each other and from those already held, as a
-        primary key's are: of a repeated key only the last position
-        would be kept."""
-        self._buckets.update(zip(keys, map(list, zip(positions))))
 
     def add(self, key: Hashable, position: int) -> None:
         self._buckets.setdefault(key, []).append(position)
@@ -48,9 +37,6 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._buckets.values())
-
-    def keys(self) -> Iterable[Hashable]:
-        return self._buckets.keys()
 
 
 class OrderedIndex:

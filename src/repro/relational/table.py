@@ -63,8 +63,10 @@ class Table:
         self._live_count = 0
         self._bytes = 0
         self._bytes_skew = 0  # every row will be sized by this process
-        self._pk_index: HashIndex | None = (
-            HashIndex() if self.enforce_primary_key else None
+        #: The primary key's index: each key to its one heap slot (keys
+        #: are unique, so no list per key).
+        self._pk_index: dict[tuple, int] | None = (
+            {} if self.enforce_primary_key else None
         )
         self._secondary: dict[str, HashIndex] = {}
         self._ordered: dict[str, OrderedIndex] = {}
@@ -93,7 +95,7 @@ class Table:
         self._rows = [None] * pager.slots
         self._saved_chunks = tuple(zip(pager.ends, pager.refs))
         self._dirty_from = None  # what the pager names is what is saved
-        self._pk_index = HashIndex() if self.enforce_primary_key else None
+        self._pk_index = {} if self.enforce_primary_key else None
         self._secondary = {c: HashIndex() for c in index_spec.get("secondary", ())}
         self._ordered = {c: OrderedIndex() for c in index_spec.get("ordered", ())}
         if self._pk_index is None and not (self._secondary or self._ordered):
@@ -153,7 +155,7 @@ class Table:
                 map(itemgetter(position), live)
                 for position in self.schema.key_positions()
             )
-            self._pk_index.add_distinct(zip(*key_columns), slots)
+            self._pk_index.update(zip(zip(*key_columns), slots))
         for column, index in (*self._secondary.items(), *self._ordered.items()):
             position = self.schema.position(column)
             for row, slot in zip(live, slots):
@@ -272,7 +274,7 @@ class Table:
             if pager is not None:
                 self._fault(pager, pager.covering(keys), index=True)
             if not pk_index.keys().isdisjoint(keys):
-                key = next(filter(pk_index.contains, keys))
+                key = next(filter(pk_index.__contains__, keys))
                 raise DuplicateKeyError(
                     f"duplicate primary key {key!r} in table {self.name!r}"
                 )
@@ -284,8 +286,8 @@ class Table:
         size = self.schema.rows_bytes(stored)
         self._bytes += size
         self.accountant.charge_write(len(stored), size)
-        for key, slot in zip(keys, slots):
-            pk_index.add(key, slot)
+        if pk_index is not None:
+            pk_index.update(zip(keys, slots))
         for column, index in (*self._secondary.items(), *self._ordered.items()):
             position = self.schema.position(column)
             for row, slot in zip(stored, slots):
@@ -308,7 +310,7 @@ class Table:
         if not indexed:
             return
         if self._pk_index is not None:
-            self._pk_index.remove(self.schema.key_of(row), slot)
+            del self._pk_index[self.schema.key_of(row)]
         for column, index in self._secondary.items():
             index.remove(row[self.schema.position(column)], slot)
         for column, ordered_index in self._ordered.items():
@@ -379,12 +381,12 @@ class Table:
                 # leave this chunk's zone map: index every chunk first.
                 self._fault_all(index=True)
                 indexed = True
-                if self._pk_index.contains(new_key):
+                if new_key in self._pk_index:
                     raise DuplicateKeyError(
                         f"duplicate primary key {new_key!r} in {self.name!r}"
                     )
-                self._pk_index.remove(old_key, slot)
-                self._pk_index.add(new_key, slot)
+                del self._pk_index[old_key]
+                self._pk_index[new_key] = slot
         if indexed:
             for column, index in self._secondary.items():
                 position = self.schema.position(column)
@@ -455,7 +457,7 @@ class Table:
         self._dirty(0)
         self._rows = [row for row in self._rows if row is not None]
         if self._pk_index is not None:
-            self._pk_index = HashIndex()
+            self._pk_index = {}
         self._secondary = {column: HashIndex() for column in self._secondary}
         self._ordered = {column: OrderedIndex() for column in self._ordered}
         self._index_slots(0, len(self._rows))
@@ -628,16 +630,20 @@ class Table:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.__dict__.pop("_stamp", None)  # states from before _dirty_from
+        pk_index = state.get("_pk_index")
+        if isinstance(pk_index, HashIndex):  # of one-element lists
+            self._pk_index = {key: slot for key, (slot,) in pk_index._buckets.items()}
         self._pager = None
         self._saved_chunks = ()  # no paged save has seen these rows
         self._dirty_from = 0
 
 
 class _PkAdapter:
-    """Adapts the primary-key hash index to the single-key lookup shape."""
+    """Adapts the primary-key index to the single-key lookup shape."""
 
-    def __init__(self, pk_index: HashIndex) -> None:
+    def __init__(self, pk_index: dict[tuple, int]) -> None:
         self._pk_index = pk_index
 
     def lookup(self, key: Hashable) -> list[int]:
-        return self._pk_index.lookup((key,))
+        slot = self._pk_index.get((key,))
+        return [] if slot is None else [slot]

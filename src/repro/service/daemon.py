@@ -453,8 +453,8 @@ class ServiceDaemon:
                         channel.send(frame)
                     except OSError:
                         send_failed = True
-                # An idle connection must not keep its last response
-                # alive while it waits for the next request.
+                # An idle connection must not keep its last request or
+                # response alive while it waits for the next request.
                 del frame, response
                 if rtrace is not None:
                     # The serialize phase closes only once the bytes are
@@ -463,6 +463,7 @@ class ServiceDaemon:
                     # leaves a span.
                     rtrace.mark_sent()
                     self._finalize_request(rtrace, request)
+                del line, request, rtrace
                 if send_failed:
                     return
                 if session.wants_shutdown:

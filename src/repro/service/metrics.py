@@ -9,8 +9,9 @@ one lock:
 * global request/error/BUSY/deadline/degraded/worker-error totals;
 * per-op latency and per-phase (admission/queue-wait/execute/serialize)
   histograms with p50/p95/p99;
-* per-session and per-dataset (CVD) rollups, the dataset ones with the
-  rows and bytes each dataset's requests scanned;
+* per-session and per-dataset (CVD) rollups, outcomes classified as
+  the totals classify them, the dataset ones with the rows and bytes
+  each dataset's requests scanned;
 * a bounded ring of recent requests, so ``stats {"recent": n}`` can
   hand back whole span trees without a log file round-trip. A tree is
   rendered only when a reader asks for it.
@@ -128,6 +129,30 @@ class _OpStats(_Outcomes):
         }
 
 
+class _Rollup(_Outcomes):
+    """One session's or one dataset's requests: their outcomes, and
+    ``fields`` (their time, the last of them, a session's user, a
+    dataset's scans)."""
+
+    __slots__ = ("fields",)
+
+    def __init__(self, **fields) -> None:
+        super().__init__()
+        self.fields = {"total_s": 0.0, **fields}
+
+    def add(self, rtrace: RequestTrace) -> None:
+        super().add(rtrace)
+        fields = self.fields
+        fields["total_s"] = round(fields["total_s"] + rtrace.total_s, 6)
+        fields.update(last_op=rtrace.op, last_ts=rtrace.started_ts)
+        for scanned in ("rows_scanned", "bytes_scanned"):
+            if scanned in fields:
+                fields[scanned] += getattr(rtrace, scanned) or 0
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), **self.fields}
+
+
 class ServiceMetrics:
     """Thread-safe daemon-lifetime aggregation of request traces."""
 
@@ -136,8 +161,8 @@ class ServiceMetrics:
         self.totals = _Outcomes()
         self.slow_total = 0
         self.by_op: dict[str, _OpStats] = {}
-        self.by_session: dict[int, dict] = {}
-        self.by_dataset: dict[str, dict] = {}
+        self.by_session: dict[int, _Rollup] = {}
+        self.by_dataset: dict[str, _Rollup] = {}
         self.recent: deque[RequestTrace] = deque(maxlen=RECENT_CAP)
 
     def record(self, rtrace: RequestTrace, slow: bool = False) -> None:
@@ -151,35 +176,16 @@ class ServiceMetrics:
                 op_stats = self.by_op[rtrace.op] = _OpStats(rtrace.op)
             op_stats.record(rtrace)
             if rtrace.session_id is not None:
-                self._roll(
-                    self.by_session, rtrace.session_id, rtrace,
-                    user=rtrace.user,
-                )
+                sessions, session = self.by_session, rtrace.session_id
+                if session not in sessions:
+                    sessions[session] = _Rollup(user=rtrace.user)
+                sessions[session].add(rtrace)
             if rtrace.dataset:
-                entry = self._roll(
-                    self.by_dataset, rtrace.dataset, rtrace,
-                    rows_scanned=0, bytes_scanned=0,
-                )
-                entry["rows_scanned"] += rtrace.rows_scanned or 0
-                entry["bytes_scanned"] += rtrace.bytes_scanned or 0
+                datasets, dataset = self.by_dataset, rtrace.dataset
+                if dataset not in datasets:
+                    datasets[dataset] = _Rollup(rows_scanned=0, bytes_scanned=0)
+                datasets[dataset].add(rtrace)
             self.recent.append(rtrace)
-
-    def _roll(self, table: dict, key, rtrace: RequestTrace, **extra) -> dict:
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {
-                "count": 0, "errors": 0, "busy": 0, "total_s": 0.0,
-            }
-            entry.update(extra)
-        entry["count"] += 1
-        if rtrace.status == "busy":
-            entry["busy"] += 1
-        elif rtrace.status not in ("ok", "shutdown"):
-            entry["errors"] += 1
-        entry["total_s"] = round(entry["total_s"] + rtrace.total_s, 6)
-        entry["last_op"] = rtrace.op
-        entry["last_ts"] = rtrace.started_ts
-        return entry
 
     # ------------------------------------------------------------------
     # Readers
@@ -198,11 +204,11 @@ class ServiceMetrics:
                     for op, stats in sorted(self.by_op.items())
                 },
                 "by_session": {
-                    str(sid): dict(entry)
+                    str(sid): entry.to_dict()
                     for sid, entry in sorted(self.by_session.items())
                 },
                 "by_dataset": {
-                    name: dict(entry)
+                    name: entry.to_dict()
                     for name, entry in sorted(self.by_dataset.items())
                 },
             }

@@ -64,6 +64,11 @@ PROTOCOL_VERSION = 1
 #: against unbounded memory from a garbage or hostile peer).
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
+#: What one receive reads into at first, and at most: a receive that
+#: fills it doubles it, so only a connection that carried a large frame
+#: holds a large one while it waits.
+RECV_BYTES = (256, 64 * 1024)
+
 OK = "ok"
 ERROR = "error"
 BUSY = "busy"
@@ -160,25 +165,25 @@ def encode(payload: dict) -> bytes:
     return (_dumps(payload) + "\n").encode("utf-8")
 
 
-def encode_rows(rids: Sequence[int], memo: dict, payloads_of) -> bytes:
+def encode_rows(rids: Sequence[int], memo, payloads_of) -> bytes:
     """A checkout's rows as the JSON array a frame carries at
     ``data.data``, byte for byte one dump of the rows. The daemon
     encodes a version once, keeps these bytes on its cache entry, and
     :func:`encode_response` splices them.
 
     A record is encoded once for every version that holds it. ``memo``
-    is a CVD's rid -> fragment memo (``CVD.json_fragments``: each
-    record's JSON array less its brackets) and ``rids`` are the rows'
-    rids, in row order. Only the records the memo lacks are encoded,
-    into the memo, from their payloads, ``payloads_of(lacking rids)``
-    (``CVD.payloads_of``); the array joins the fragments. Readers fill
-    one memo without a lock: a fragment depends on its record alone, so
-    a race encodes it twice alike, and no key ever leaves a memo (a
-    schema change replaces the CVD's)."""
+    is a CVD's rid -> fragment memo (``CVD.json_fragments``, slots by
+    rid: each record's JSON array less its brackets) and ``rids`` are
+    the rows' rids, in row order. Only the records the memo lacks are
+    encoded, into the memo, from their payloads, ``payloads_of(lacking
+    rids)`` (``CVD.payloads_of``); the array joins the fragments.
+    Readers fill one memo without a lock: a fragment depends on its
+    record alone, so a race encodes it twice alike, and no fragment
+    ever leaves a memo (a schema change replaces the CVD's)."""
     try:  # a version's records are most often all known
         joined = b"],[".join(map(memo.__getitem__, rids))
-    except KeyError:
-        lacking = [rid for rid in rids if rid not in memo]
+    except (LookupError, TypeError):  # past the slots, or an empty one
+        lacking = [rid for rid in rids if memo.get(rid) is None]
         memo.update(zip(lacking, _fragments(payloads_of(lacking))))
         joined = b"],[".join(map(memo.__getitem__, rids))
     return b"[[" + joined + b"]]" if rids else b"[]"
@@ -273,6 +278,9 @@ class LineChannel:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._buffer = bytearray()
+        #: What a receive reads into (``recv`` would allocate its whole
+        #: size before it blocks, and an idle connection blocks there).
+        self._chunk = bytearray(RECV_BYTES[0])
         #: Prefix of the buffer already searched for a newline, so a
         #: frame arriving in many chunks is scanned once, not per chunk.
         self._scanned = 0
@@ -331,14 +339,16 @@ class LineChannel:
                     f"peer sent more than {MAX_LINE_BYTES} bytes without "
                     f"a newline"
                 )
-            chunk = self.sock.recv(65536)
-            if not chunk:
+            received = self.sock.recv_into(self._chunk)
+            if not received:
                 if self._buffer:
                     # torn tail: drop it, same policy as the journals
                     self._buffer.clear()
                     self._scanned = 0
                 return None
-            self._buffer.extend(chunk)
+            self._buffer += memoryview(self._chunk)[:received]
+            if received == len(self._chunk) < RECV_BYTES[1]:
+                self._chunk = bytearray(2 * received)
 
     def close(self) -> None:
         try:

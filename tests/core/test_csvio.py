@@ -28,9 +28,14 @@ ROWS = [("a", 1, 0.5, True), ("b", 2, 1.25, False), ("c", None, None, None)]
 class TestRoundtrip:
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"
-        write_csv(path, SCHEMA.column_names, render_lines(ROWS))
+        lines = [line[:-2] for line in render_lines(ROWS)]  # as a CVD keeps them
+        write_csv(path, SCHEMA.column_names, lines)
+        header = ",".join(SCHEMA.column_names) + "\r\n"
+        assert path.read_bytes() == "".join([header, *render_lines(ROWS)]).encode()
         back = read_csv(path, SCHEMA)
         assert back == ROWS
+        write_csv(path, SCHEMA.column_names, [])  # no row, no blank line
+        assert path.read_bytes() == header.encode()
 
     def test_schema_roundtrip(self, tmp_path):
         path = tmp_path / "schema.csv"

@@ -71,9 +71,9 @@ def naive_insert_many(table, rows):
         stored = tuple(row)
         if table._pk_index is not None:
             key = table.schema.key_of(stored)
-            if table._pk_index.contains(key):
+            if key in table._pk_index:
                 raise DuplicateKeyError(f"duplicate primary key {key!r}")
-            table._pk_index.add(key, len(table._rows))
+            table._pk_index[key] = len(table._rows)
         for indexes in (table._secondary, table._ordered):
             for column, index in indexes.items():
                 index.add(stored[table.schema.position(column)], len(table._rows))

@@ -1,6 +1,12 @@
 """Tests for the index structures."""
 
+import gc
+
+from repro.relational.expressions import col, lit
 from repro.relational.index import HashIndex, OrderedIndex
+from repro.relational.schema import ColumnDef, Schema
+from repro.relational.table import Table
+from repro.relational.types import INT, TEXT
 
 
 class TestHashIndex:
@@ -31,12 +37,26 @@ class TestHashIndex:
         index.add("b", 2)
         assert len(index) == 3
 
-    def test_add_distinct_adds_one_position_per_key(self):
-        index = HashIndex()
-        index.add("a", 0)
-        index.add_distinct(["b", "c"], [4, 7])
-        assert [index.lookup(k) for k in "abc"] == [[0], [4], [7]]
-        assert len(index) == 3
+
+class TestPrimaryKeyIndex:
+    def test_a_10000_row_tables_index_holds_one_int_per_key(self):
+        """Each key maps to its one heap slot: no list per key (a
+        one-element list cost 64 bytes a key beside the dict entry)."""
+        schema = Schema([ColumnDef("k", INT), ColumnDef("v", TEXT)], ("k",))
+        table = Table("t", schema)
+        table.insert_many((n, f"v{n}") for n in range(10_000))
+        index = table._pk_index
+        assert type(index) is dict and len(index) == 10_000
+        assert all(type(slot) is int for slot in index.values())
+        assert index == {(n,): n for n in range(10_000)}
+        assert not any(isinstance(ref, list) for ref in gc.get_referents(index))
+        # Every path that moves a key keeps one slot per key.
+        table.delete_at(3)
+        table.update_where(col("k") == 4, {"k": lit(-4)})
+        assert (3,) not in index and (4,) not in index and index[(-4,)] == 4
+        assert table.lookup("k", -4) == [(-4, "v4")] and table.lookup("k", 3) == []
+        table.vacuum()
+        assert table._pk_index[(-4,)] == 3 and len(table._pk_index) == 9_999
 
 
 class TestOrderedIndex:

@@ -88,6 +88,31 @@ class TestServiceMetrics:
         assert len(payload["recent"]) == 4
         assert payload["recent"][-1]["error_type"] == "ValueError"
 
+    def test_every_rollup_classifies_an_outcome_alike(self):
+        """One request of each status: the totals, the op, the session
+        and the dataset each count it under the same outcome, so a
+        deadline shed or a degraded refusal is an error in none."""
+        metrics = ServiceMetrics()
+        statuses = (
+            "ok", "busy", "deadline_exceeded", "degraded", "error", "shutdown",
+        )
+        for status in statuses:
+            metrics.record(make_trace(status=status, error_type="E"))
+        payload = metrics.to_dict()
+        outcomes = {
+            "errors": 1, "busy": 1, "deadline_exceeded": 1, "degraded": 1,
+            "worker_errors": 0,
+        }
+        rollups = {
+            "requests": payload["requests"],
+            "by_op": payload["by_op"]["checkout"],
+            "by_session": payload["by_session"]["1"],
+            "by_dataset": payload["by_dataset"]["inter"],
+        }
+        for name, rollup in rollups.items():
+            assert {key: rollup[key] for key in outcomes} == outcomes, name
+            assert rollup.get("count", rollup.get("total")) == len(statuses), name
+
     def test_recent_ring_is_bounded(self):
         metrics = ServiceMetrics()
         for _ in range(RECENT_CAP + 6):
