@@ -88,8 +88,6 @@ class CVD:
             self.model = model
         self._next_rid = 1
         self._num_records = 0
-        #: attribute ids (single pool) per version, for schema evolution.
-        self._version_columns: dict[int, list[str]] = {}
         self._reset_memo()
 
     # ------------------------------------------------------------------
@@ -98,7 +96,9 @@ class CVD:
     # reads them, so a long-lived process pays for a version once and a
     # one-shot command only for the versions it touches. A version's
     # rids are one ascending rid array, the very object its rlist row
-    # holds where the model stores one (nobody modifies it).
+    # holds where the model stores it whole (nobody modifies it). The
+    # memo is lent to the model, which rebuilds a version stored as a
+    # delta from its base's entry, each version once.
     #
     # The record store keeps each record once, in slots indexed by its
     # rid: its payload, its CSV line as file checkouts render it (less
@@ -112,6 +112,7 @@ class CVD:
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
         self._membership: dict[int, array] = {}
+        self.model.rids_memo = self._membership
         self._reset_records()
 
     def _reset_records(self) -> None:
@@ -132,9 +133,12 @@ class CVD:
 
     def __setstate__(self, state: dict) -> None:
         # A state from before the memo stored both maps: they only give
-        # the record count now, the next save leaves them out.
+        # the record count now, the next save leaves them out, as it does
+        # the column names an older state kept per version (its
+        # ``attribute_ids`` record them).
         stored_payloads = state.pop("_payloads", ())
         state.pop("_membership", None)
+        state.pop("_version_columns", None)
         state.setdefault("_num_records", len(stored_payloads))
         self.__dict__.update(state)
         self._reset_memo()
@@ -233,11 +237,6 @@ class CVD:
 
     def storage_bytes(self) -> int:
         return self.model.storage_bytes()
-
-    def columns_of(self, vid: int) -> list[str]:
-        """Column names present in a version (schema may evolve)."""
-        self.versions.get(vid)
-        return list(self._version_columns[vid])
 
     # ------------------------------------------------------------------
     # Commit
@@ -390,7 +389,6 @@ class CVD:
                 record_count=len(membership),
             )
         )
-        self._version_columns[vid] = self.schema.column_names
         return vid
 
     def _rids_of_commit(
@@ -849,6 +847,5 @@ class CVD:
                     ),
                 )
             )
-            cvd._version_columns[commit.vid] = schema.column_names
             cvd._next_rid = max(cvd._next_rid, max(commit.rids, default=0) + 1)
         return cvd

@@ -31,7 +31,12 @@ class DataModel(abc.ABC):
     #: and rid -> payload. A model that keeps payloads (the partitioned
     #: store) keeps them as a per-process memo over its tables; states
     #: written while these were stored shed them at their next save.
-    _UNSAVED = frozenset({"_payloads", "_membership"})
+    _UNSAVED = frozenset({"_payloads", "_membership", "rids_memo"})
+
+    #: The CVD's memo of version -> rids, lent by the CVD (None: a model
+    #: used on its own). A model storing rid lists as deltas rebuilds
+    #: versions into it; it holds no memo of its own.
+    rids_memo: dict[int, array] | None = None
 
     def __init__(
         self, database: Database, cvd_name: str, data_schema: Schema

@@ -5,6 +5,15 @@ versioning table keyed on vid whose ``rlist`` array lists the version's
 records. Commit inserts the new records plus exactly one versioning
 tuple — no array appends — and checkout unnests one rlist and hash-joins
 it with the data table.
+
+An rlist row holds the version's rids whole, or as a
+:class:`~repro.relational.arrays.RidDelta` on a parent whose row is in
+the same table: Problem 6 of Chapter 7 (least storage with every
+version's recreation cost R ≤ θ), solved online at commit. R counts the
+rids decoded to rebuild a version: R(whole) = |v|, R(delta) = R(base) +
+|removed| + |added|. A chain also reads at most ``CHAIN_ROWS`` delta
+rows, and a delta row records its R and depth, so choosing a row reads
+only its parents' rows.
 """
 
 from __future__ import annotations
@@ -14,9 +23,11 @@ from typing import Iterable, Mapping, Sequence
 
 from repro import telemetry
 from repro.core.models.base import DataModel
-from repro.relational.arrays import RangeEncodedArray, rid_array
+from repro.invariants import recreation_within
+from repro.relational.arrays import RangeEncodedArray, RidDelta, rid_array
 from repro.relational.joins import JOIN_ALGORITHMS
 from repro.relational.table import ClusterOrder, Table
+from repro.relational.types import INT_ARRAY
 
 
 class SplitByRlistModel(DataModel):
@@ -79,42 +90,88 @@ class SplitByRlistModel(DataModel):
             (rid, *payload) for rid, payload in new_records.items()
         )
         # One tuple into the versioning table; no array rewriting.
-        self._versioning.insert((vid, self._encode_rlist(membership)))
+        self._versioning.insert(
+            (vid, self._encode_rlist(membership, parent_membership, records))
+        )
         telemetry.count("model.split_by_rlist.rows_inserted", len(new_records))
 
     def insert_versions_bulk(self, versions: Iterable[tuple[int, array]]) -> None:
-        """Register membership rows without data inserts (migration path)."""
+        """Register membership rows without data inserts, whole."""
         for vid, membership in versions:
-            self._versioning.insert((vid, self._encode_rlist(membership)))
+            self._versioning.insert((vid, self._encode_rlist(membership, {})))
 
-    def _encode_rlist(self, membership: array) -> array | RangeEncodedArray:
-        """The rlist row's value: the version's rid array itself, or its
-        ranges when rlists are compressed."""
-        if self.compress_rlists:
-            return RangeEncodedArray(membership)
-        return membership
+    def _encode_rlist(
+        self,
+        membership: array,
+        parent_membership: Mapping[int, array],
+        records: Mapping[int, tuple] = {},
+    ) -> array | RangeEncodedArray | RidDelta:
+        """The rlist row's value: the smallest delta on a parent with a
+        row here whose chain stays within :func:`recreation_within` and
+        that is smaller than the whole row; else the whole row, the
+        version's rid array itself or its ranges when rlists are
+        compressed. ``records`` of the version's size are keyed by its
+        rids, so they serve as its members."""
+        best = RangeEncodedArray(membership) if self.compress_rlists else membership
+        size = len(membership)
+        members = records if len(records) == size else None
+        for parent, parent_rids in parent_membership.items():
+            under = self.recreation_chain(parent)
+            if under is None or not recreation_within(under[0], size, under[1] + 1):
+                continue
+            delta = RidDelta.between(parent, parent_rids, membership, members, under)
+            if recreation_within(delta.cost, size, delta.depth) and (
+                INT_ARRAY.sizeof(delta) < INT_ARRAY.sizeof(best)
+            ):
+                best = delta
+        return best
 
     def _rlist(self, vid: int):
-        """The version's rlist row value, as the row holds it."""
+        """The version's rlist row value, as the row holds it (None: no row)."""
         rows = self._versioning.lookup("vid", vid)
-        return rows[0][1] if rows else ()
+        return rows[0][1] if rows else None
 
-    def rlist_of(self, vid: int) -> array:
-        """unnest(rlist): the row's rid array itself, which is the
-        version's memo entry too; one is made from ranges, or from the
-        list a pickle-layout load left in the row."""
-        rlist = self._rlist(vid)
-        return rlist if type(rlist) is array else rid_array(rlist)
+    def recreation_chain(self, vid: int) -> tuple[int, int] | None:
+        """(R, delta rows read) to rebuild version ``vid``, from its row
+        alone; None when this table holds no row for it."""
+        row = self._rlist(vid)
+        if type(row) is RidDelta:
+            return row.cost, row.depth
+        return None if row is None else (len(row), 0)
 
-    def rids_of(self, vid: int) -> array:
-        return self.rlist_of(vid)
+    def rids_of(self, vid: int, known: dict[int, array] | None = None) -> array:
+        """unnest(rlist): version ``vid``'s ascending rid array. A whole
+        row's is its array itself (made from ranges, or from the list a
+        pickle-layout load left in the row); a delta's is rebuilt from
+        the nearest version down its chain that ``known`` (by default
+        the CVD's memo) holds, or that is whole, by the chain's deltas
+        made one. What it reads and rebuilds goes into ``known``."""
+        if known is None:
+            known = {} if self.rids_memo is None else self.rids_memo
+        target, chain = vid, []
+        while vid not in known:
+            row = self._rlist(vid)
+            if type(row) is not RidDelta:
+                if row is None and not chain:
+                    return rid_array()
+                known[vid] = row if type(row) is array else rid_array(row)
+                break
+            chain.append(row)
+            vid = row.base
+        if chain:
+            known[target] = RidDelta.chained(chain[::-1]).apply(known[vid])
+        return known[target]
 
     def stored_versions(self) -> set[int]:
         return {row[0] for row in self._versioning.rows_snapshot()}
 
-    def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
+    def checkout_columns(
+        self, vid: int, known: dict[int, array] | None = None
+    ) -> tuple[list[int], list[tuple]]:
+        """Joins the version's rid array (see :meth:`rids_of`), so a
+        version already rebuilt decodes no delta again."""
         join = JOIN_ALGORITHMS[self.join_algorithm]
-        rows = join(self._rlist(vid), self._data, "rid")
+        rows = join(self.rids_of(vid, known), self._data, "rid")
         telemetry.count("model.split_by_rlist.rows_checked_out", len(rows))
         return self._columns_of(rows)
 
@@ -122,7 +179,7 @@ class SplitByRlistModel(DataModel):
         """rlist lookup (one index probe) + join against the data table."""
         from repro.observe.explain import ExplainNode, io_cost
 
-        rids = self.rlist_of(vid)
+        rids = self.rids_of(vid)
         data_rows = self._data.row_count
         node = ExplainNode(
             op="model.split_by_rlist.checkout",

@@ -20,7 +20,10 @@ summary, a concrete remediation, and machine-readable data. The probes:
 * **partition imbalance** — one partition holding most of the records
   defeats the point of partitioning.
 * **delta-chain length** — delta-based models recreate a version by
-  walking its base chain; long chains make checkout O(chain).
+  walking its base chain; long chains make checkout O(chain). For CVDs
+  storing rlists: whole rows and deltas, the largest R(v)/|v| and chain
+  depth against :func:`repro.invariants.recreation_within`, and, for
+  information, the rows' storage beside MP's Problem 6 plan (Chapter 7).
 * **orphaned versions** — version-graph metadata and physical membership
   must cover the same vids.
 * **stale staging** — staged checkouts whose backing file vanished or
@@ -254,12 +257,19 @@ def probe_partition_imbalance(checkup: Checkup) -> list[ProbeResult]:
 
 
 def probe_delta_chains(checkup: Checkup) -> list[ProbeResult]:
-    """Delta-chain length distribution for delta-based CVDs."""
+    """Delta-chain length distribution for delta-based CVDs; the rlist
+    rows of split-by-rlist and partitioned ones (:func:`_rlist_rows`)."""
     from repro.core.models.delta_based import DeltaBasedModel
+    from repro.core.models.split_by_rlist import SplitByRlistModel
+    from repro.partition.partitioned_store import PartitionedRlistStore
 
     results: list[ProbeResult] = []
     for name in checkup.orpheus.ls():
         cvd = checkup.orpheus.cvd(name)
+        if isinstance(cvd.model, PartitionedRlistStore):
+            results.append(_rlist_rows(name, cvd, cvd.model._partitions))
+        elif isinstance(cvd.model, SplitByRlistModel):
+            results.append(_rlist_rows(name, cvd, [cvd.model]))
         if not isinstance(cvd.model, DeltaBasedModel):
             continue
         histogram: dict[int, int] = {}
@@ -294,6 +304,70 @@ def probe_delta_chains(checkup: Checkup) -> list[ProbeResult]:
             )
         )
     return results
+
+
+def _rlist_rows(name: str, cvd, tables) -> ProbeResult:
+    """A CVD's rlist rows: how many are deltas, and the largest R(v)/|v|
+    and depth, as each row records them; a row past
+    :func:`~repro.invariants.recreation_within` fails. For information
+    only: the rids the rows store beside MP's Problem 6 plan over the
+    same parent edges read either way (Δ rids stored, Φ rids decoded)
+    under one bound, θ times the largest version, looser than each
+    row's θ·|v|. Versions are rebuilt for the call, one table at a
+    time, never into the CVD's memo."""
+    from repro.invariants import CHAIN_ROWS, THETA, recreation_within
+    from repro.relational.arrays import RidDelta
+    from repro.storage.graph import ROOT, StorageGraph
+    from repro.storage.solvers.mp import mp_min_storage
+
+    total = deltas = stored = planned = deepest = 0
+    worst, over = 0.0, []
+    for table in tables:
+        rows = dict(table.versioning_table.rows_snapshot())
+        index = {vid: n for n, vid in enumerate(sorted(rows), start=1)}
+        graph, known = StorageGraph(len(index)), {}
+        for vid, n in index.items():  # parents first: a base's vid is lower
+            row, rids = rows[vid], table.rids_of(vid, known)
+            cost, depth = table.recreation_chain(vid)
+            deltas += depth > 0
+            stored += len(row)
+            worst = max(worst, cost / max(len(rids), 1))
+            deepest = max(deepest, depth)
+            if not recreation_within(cost, len(rids), depth):
+                over.append(vid)
+            graph.edges[(ROOT, n)] = (len(rids), len(rids))
+            for parent in cvd.versions.get(vid).parents:
+                if parent in index:
+                    step = len(RidDelta.between(parent, known[parent], rids))
+                    graph.edges[(index[parent], n)] = (step, step)
+                    graph.edges[(n, index[parent])] = (step, step)
+        if index:
+            bound = THETA * max(map(len, known.values()))
+            planned += mp_min_storage(graph, bound).total_storage_cost(graph)
+        total += len(index)
+    severity, remediation = OK, ""
+    if over:
+        severity, remediation = FAIL, (
+            f"rows past the bound are no commit's; reads stay right, only "
+            f"slower: `orpheus optimize -d {name}` writes a partitioned "
+            f"CVD's rows again"
+        )
+    return ProbeResult(
+        probe=f"delta_chains[{name}]",
+        severity=severity,
+        summary=(
+            f"{total - deltas} whole rlist rows, {deltas} deltas, max R/|v| "
+            f"{worst:.2f} (θ {THETA}), max depth {deepest} ({CHAIN_ROWS}); "
+            f"{stored} rids stored, MP {planned}"
+        ),
+        remediation=remediation,
+        data={
+            "dataset": name, "whole_rows": total - deltas, "delta_rows": deltas,
+            "max_recreation_ratio": round(worst, 4), "theta": THETA,
+            "max_depth": deepest, "chain_rows": CHAIN_ROWS,
+            "over_bound": over[:20], "stored_rids": stored, "mp_rids": planned,
+        },
+    )
 
 
 def probe_orphaned_versions(checkup: Checkup) -> list[ProbeResult]:
@@ -999,7 +1073,7 @@ PROBES = {
     "partition_imbalance": (
         probe_partition_imbalance, "no partitioned CVDs to check",
     ),
-    "delta_chains": (probe_delta_chains, "no delta-based CVDs to check"),
+    "delta_chains": (probe_delta_chains, "no delta-based or rlist CVDs to check"),
     "orphaned_versions": (
         probe_orphaned_versions,
         "version graph and physical membership agree",

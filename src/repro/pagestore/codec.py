@@ -15,7 +15,11 @@ fault. Saves write:
     :class:`~repro.relational.arrays.RangeEncodedArray` is written as
     its ranges, never as its members. A rid array (``array('q')``) is
     written as the list of its members would be, byte for byte, and
-    every list of such a column decodes as a rid array.
+    every list of such a column decodes as a rid array. A column that
+    also holds :class:`~repro.relational.arrays.RidDelta` rows is its
+    heads (a delta's base, R and depth; None for a whole row), two
+    lengths a row (a whole row's and 0, or a delta's removed and added)
+    and one delta array of all the members, never a pickled object.
 ``pickle.v1``
     Fallback for irregular shapes (e.g. rows of mixed arity mid
     schema-evolution).
@@ -30,8 +34,9 @@ a clean segment keeps its v1 pages until something dirties it.
 
 All codecs are exact round-trips: value types are preserved (``bool``
 never becomes ``int``, integers beyond int64 survive, tombstones stay
-``None``, ``RangeEncodedArray`` stays range-encoded), but for a list of
-integers, which is held as the rid array it stands for.
+``None``, ``RangeEncodedArray`` stays range-encoded, a ``RidDelta`` a
+delta), but for a list of integers, which is held as the rid array it
+stands for.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from array import array
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, is_not, itemgetter, mul
 
-from repro.relational.arrays import RIDS, RangeEncodedArray
+from repro.relational.arrays import RIDS, RangeEncodedArray, RidDelta
 
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-_LISTS, _RANGES = "lists", "ranges"
+_LISTS, _RANGES, _DELTAS = "lists", "ranges", "deltas"
 _RANGES_OF = attrgetter("_ranges")  # a slot: read without a Python call
 
 ROWS_V2 = "rows.v2"
@@ -114,11 +119,14 @@ def _pack_column(column: list) -> array | tuple | list:
     if packed is not None:
         return packed
     kinds = list(map(type, column))
-    if kinds.count(list) + kinds.count(array) == len(column):
+    wholes = kinds.count(list) + kinds.count(array)
+    if wholes == len(column):
         kind, values, members = _LISTS, column, chain.from_iterable(column)
     elif kinds.count(RangeEncodedArray) == len(column):
         kind, values = _RANGES, list(map(_RANGES_OF, column))
         members = chain.from_iterable(chain.from_iterable(values))
+    elif wholes + kinds.count(RidDelta) == len(column):
+        return _pack_deltas(column, kinds)
     else:
         return column
     packed = _pack_ints(list(members))
@@ -127,11 +135,41 @@ def _pack_column(column: list) -> array | tuple | list:
     return kind, list(map(len, values)), packed
 
 
+def _pack_deltas(column: list, kinds: list) -> tuple | list:
+    """Whole rid lists and ``RidDelta`` rows as ``(_DELTAS, heads,
+    lengths, members)``: each row is two runs of members, a whole row's
+    and none, or a delta's removed and added rids; a delta's head is its
+    base, R and depth (None for a whole row)."""
+    heads, runs = [], []
+    for value, kind in zip(column, kinds):  # a step a row, not a rid
+        if kind is RidDelta:
+            heads.append((value.base, value.cost, value.depth))
+            runs += (value.removed, value.added)
+        else:
+            heads.append(None)
+            runs += (value, ())
+    packed = _pack_ints(list(chain.from_iterable(runs)))
+    if packed is None:
+        return column
+    return _DELTAS, heads, list(map(len, runs)), packed
+
+
+def _row_value(head: tuple | None, first: array, second: array):
+    if head is None:
+        return first
+    base, cost, depth = head
+    return RidDelta(base, first, second, cost, depth)
+
+
 def _unpack_column(packed: array | tuple | list) -> list:
     if isinstance(packed, array):
         return _unpack_ints(packed)
     if not isinstance(packed, tuple):
         return packed
+    if packed[0] == _DELTAS:
+        _kind, heads, lengths, deltas = packed
+        runs = _unpack_column((_LISTS, lengths, deltas))
+        return list(map(_row_value, heads, runs[::2], runs[1::2]))
     kind, lengths, deltas = packed
     if kind == _RANGES:
         flat = _unpack_ints(deltas)

@@ -95,8 +95,9 @@ class PartitionedRlistStore(DataModel):
     # ------------------------------------------------------------------
     # The memo: what this process has read or written of the partitions'
     # tables, which are the only stored copy. Commits keep it current; a
-    # miss reads the owning partition. A version's rids are its rlist
-    # row's array, which the CVD memoizes: they have no memo here.
+    # miss reads the owning partition. A version's rids are rebuilt from
+    # its partition's rlist rows into the CVD's memo (``rids_memo``):
+    # they have no memo here.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
         self._payloads: dict[int, tuple] = {}
@@ -114,8 +115,19 @@ class PartitionedRlistStore(DataModel):
         )
         self._reset_memo()
 
-    def rids_of(self, vid: int) -> array:
-        return self._partitions[self._partition_of[vid]].rids_of(vid)
+    def _known(self) -> dict[int, array]:
+        """Where rebuilt versions go: the CVD's memo, or a map for the
+        caller's run when the store is used on its own."""
+        return {} if self.rids_memo is None else self.rids_memo
+
+    def rids_of(self, vid: int, known: dict[int, array] | None = None) -> array:
+        known = self._known() if known is None else known
+        return self._partitions[self._partition_of[vid]].rids_of(vid, known)
+
+    def _every_version(self) -> dict[int, array]:
+        """Every version's rids, each rebuilt at most once."""
+        known = self._known()
+        return {vid: self.rids_of(vid, known) for vid in self._order}
 
     def _records_in(self, index: int) -> set[int]:
         """The rids partition ``index`` holds — the keys of its data
@@ -162,14 +174,16 @@ class PartitionedRlistStore(DataModel):
         self._order.append(vid)
 
         target = self._route_commit(parent_membership, membership)
-        self._add_version_to_partition(vid, membership, target, records)
+        self._add_version_to_partition(
+            vid, membership, target, records, parent_membership
+        )
 
         if self.auto_migrate and len(self._order) > 1:
             self.maybe_migrate()
 
     def checkout_columns(self, vid: int) -> tuple[list[int], list[tuple]]:
         index = self._partition_of[vid]
-        return self._partitions[index].checkout_columns(vid)
+        return self._partitions[index].checkout_columns(vid, self._known())
 
     def alter_schema(self, new_schema) -> None:
         super().alter_schema(new_schema)
@@ -289,6 +303,7 @@ class PartitionedRlistStore(DataModel):
         membership: array,
         index: int | None,
         records: Mapping[int, tuple],
+        parent_membership: Mapping[int, array],
     ) -> None:
         if index is None:
             partition = self._new_partition()
@@ -301,7 +316,9 @@ class PartitionedRlistStore(DataModel):
             (rid, *records[rid]) for rid in missing
         )
         telemetry.count("partition.commit.rows_copied", len(missing))
-        partition.versioning_table.insert((vid, membership))
+        partition.versioning_table.insert(
+            (vid, partition._encode_rlist(membership, parent_membership, records))
+        )
         held.update(membership)
         self._partition_versions[index].add(vid)
         self._partition_of[vid] = index
@@ -346,7 +363,9 @@ class PartitionedRlistStore(DataModel):
         """LyreSplit under the current budget, and its C*_avg. The
         Chapter 5 algorithms take rid sets: these live for the call, so
         with ``auto_migrate`` every commit builds a set per version."""
-        membership = {vid: frozenset(self.rids_of(vid)) for vid in self._order}
+        membership = {
+            vid: frozenset(rids) for vid, rids in self._every_version().items()
+        }
         graph = build_version_graph(membership, self._order, self._parents)
         budget = self.storage_threshold_factor * self._num_records
         result = lyresplit_for_budget(graph, budget, membership=membership)
@@ -393,7 +412,7 @@ class PartitionedRlistStore(DataModel):
         rebuilt = 0
         reused = 0
 
-        membership = {vid: self.rids_of(vid) for vid in self._order}
+        membership = self._every_version()
         new_groups = [set(group) for group in target.groups]
         new_records = [
             set().union(*(membership[v] for v in group))
@@ -460,9 +479,12 @@ class PartitionedRlistStore(DataModel):
                 self._reset_versioning(partition)
             self._partition_records[index] = set(records)
             self._partition_versions[index] = set(group)
-            for vid in group:
+            for vid in sorted(group):  # parents first: a row may be a delta
                 self._partition_of[vid] = index
-                partition.versioning_table.insert((vid, membership[vid]))
+                parents = {p: membership[p] for p in self._parents[vid]}
+                partition.versioning_table.insert(
+                    (vid, partition._encode_rlist(membership[vid], parents))
+                )
 
         # Drop old partitions that were not reused.
         for old_index, partition in enumerate(old_partitions):

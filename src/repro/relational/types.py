@@ -46,9 +46,9 @@ class DataType:
             return True
         name = self.name
         if name == INT_ARRAY.name:
-            from repro.relational.arrays import RangeEncodedArray
+            from repro.relational.arrays import RangeEncodedArray, RidDelta
 
-            if isinstance(value, RangeEncodedArray):
+            if isinstance(value, (RangeEncodedArray, RidDelta)):
                 return True
             if isinstance(value, array):  # a rid array
                 return value.typecode == "q"
@@ -91,7 +91,7 @@ class DataType:
 
             if isinstance(value, RangeEncodedArray):
                 return value.encoded_bytes()
-            return 4 * len(value) + 4  # type: ignore[arg-type]
+            return 4 * len(value) + 4  # a RidDelta's len is its members
         if name == TEXT.name:
             return len(str(value)) + 1
         return self.byte_size

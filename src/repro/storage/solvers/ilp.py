@@ -13,9 +13,6 @@ optimality reference the heuristics are judged against in tests.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-
 from repro.storage.graph import ROOT, StorageGraph, StoragePlan
 
 _EPSILON = 1e-6
@@ -26,6 +23,9 @@ def _solve(
     max_recreation: float | None,
     sum_recreation: float | None,
 ) -> StoragePlan:
+    import numpy as np  # scipy is paid for by the exact solve alone
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     edges = sorted(graph.edges)
     num_edges = len(edges)
     versions = list(graph.vertices())
@@ -38,7 +38,7 @@ def _solve(
     for e, (source, target) in enumerate(edges):
         cost[e] = graph.edges[(source, target)][0]
 
-    constraints: list[LinearConstraint] = []
+    constraints: list = []
 
     # In-degree exactly one per version.
     in_degree = np.zeros((num_versions, num_vars))

@@ -187,3 +187,36 @@ class TestVersionGraph:
         assert cvd.versions.ancestors(v3, max_hops=1) == {v2}
         assert cvd.versions.neighbors(v1, 1) == {v2}
         assert cvd.versions.neighbors(v1, 2) == {v2, v3}
+
+
+@pytest.mark.parametrize("layout", ["pickle", "paged"])
+def test_a_state_with_column_names_per_version_loads_and_saves_without_them(
+    tmp_path, monkeypatch, layout
+):
+    """``data/head_repo.tar.gz`` was written while a CVD kept its column
+    names per version: it loads, every version's ``attribute_ids`` name
+    its columns, and the next save leaves the names out."""
+    import pickle
+    import tarfile
+    from pathlib import Path
+
+    from repro.resilience.statestore import LAYOUT_ENV, StateStore
+
+    data = Path(__file__).resolve().parents[1] / "pagestore" / "data"
+    with tarfile.open(data / "head_repo.tar.gz") as archive:
+        archive.extractall(tmp_path)
+    root = tmp_path / layout
+    monkeypatch.setenv(LAYOUT_ENV, layout)
+    held = (root / ".orpheus" / "state.pkl").read_bytes()
+    if layout == "pickle":
+        assert b"_version_columns" in held
+    orpheus, _info = StateStore(root).load(warn=None)
+    for name in orpheus.ls():
+        cvd = orpheus.cvd(name)
+        assert "_version_columns" not in vars(cvd)
+        for vid in cvd.versions.vids():
+            ids = cvd.versions.get(vid).attribute_ids
+            assert [cvd.attributes.entry(i).name for i in ids] == ["key", "value"]
+    assert b"_version_columns" not in pickle.dumps(orpheus)
+    StateStore(root).save(orpheus)
+    assert b"_version_columns" not in (root / ".orpheus" / "state.pkl").read_bytes()

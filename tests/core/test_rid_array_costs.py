@@ -17,6 +17,8 @@ import pytest
 from repro.core.commands import Orpheus
 from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
+from repro.invariants import CHAIN_ROWS, THETA
+from repro.relational.arrays import RidDelta
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
@@ -48,19 +50,30 @@ def history(model: str, rows: int, versions: int) -> CVD:
 
 def test_the_membership_memo_is_eight_bytes_a_rid_and_shared_with_the_rlist_rows():
     """3,000 rows x 100 versions: one frozenset per version held 13.1 MB;
-    the rid arrays hold 2.4 MB of rids. Each is the rlist row's own
-    object, and the collector reaches no rid through one (CPython tracks
-    an ``array`` object, but it refers to nothing but its type)."""
+    the rid arrays hold 2.4 MB of rids. A whole rlist row is the memo
+    entry's own object; a delta row holds only the rids it changes, and
+    rebuilding its version decodes at most θ·|v| rids. The collector
+    reaches no rid through an entry (CPython tracks an ``array`` object,
+    but it refers to nothing but its type)."""
     cvd = history("split_by_rlist", 3000, 100)
     memo = cvd._membership
     assert sorted(memo) == list(range(1, 101))
     distinct = {id(rids): rids for rids in memo.values()}
     assert sum(map(sys.getsizeof, distinct.values())) <= 3.3e6
     rows = dict(cvd.model.versioning_table.rows_snapshot())
+    deltas = 0
     for vid, rids in memo.items():
         assert type(rids) is array and rids.typecode == "q"
-        assert rids is rows[vid]
         assert gc.get_referents(rids) == [array]
+        if type(rows[vid]) is RidDelta:
+            deltas += 1
+            assert len(rows[vid]) == 300  # 150 rows swapped
+            cost, depth = cvd.model.recreation_chain(vid)
+            assert cost <= THETA * len(rids) and depth <= CHAIN_ROWS
+            assert rows[vid].apply(memo[rows[vid].base]) == rids
+        else:
+            assert rids is rows[vid]
+    assert deltas >= 88  # a whole row at least every ninth
 
 
 @pytest.fixture

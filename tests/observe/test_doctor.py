@@ -103,6 +103,31 @@ class TestProbes:
         assert result.data["missing_metadata"] == [9]
 
 
+    def test_rlist_rows_report_mp_beside_them_and_leave_the_memo_alone(self):
+        """Thirty versions, each one row short of its parent's: as each
+        version's bound θ·|v| falls the rows store one whole every few,
+        while MP under the one looser bound θ·max|v| stores less. That
+        is information, not a finding; the probe rebuilds versions for
+        itself, and the CVD's memo stays empty."""
+        orpheus = make_orpheus()
+        cvd = orpheus.cvd("d")
+        rows = [(f"r{i}", i) for i in range(30)]
+        vid = cvd.commit(rows)
+        while len(rows) > 2:
+            rows = rows[1:]
+            vid = cvd.commit(rows, parents=(vid,))
+        cvd._membership.clear()
+        (line,) = [
+            line for line in run_doctor(orpheus).to_dict()["probes"]
+            if line["probe"] == "delta_chains[d]"
+        ]
+        assert line["severity"] == "ok" and "remediation" not in line
+        data = line["data"]
+        assert data["stored_rids"] > 1.5 * data["mp_rids"]
+        assert data["delta_rows"] > 0 and data["max_recreation_ratio"] <= 2
+        assert cvd._membership == {}
+
+
 class TestReport:
     def test_json_shape(self):
         report = run_doctor(make_orpheus())

@@ -24,6 +24,7 @@ from repro.invariants import within_tolerance
 from repro.observe.doctor import PROBES, run_doctor
 from repro.observe.journal import Journal
 from repro.pagestore import pages as pagefiles
+from repro.relational.arrays import RidDelta
 from repro.relational.expressions import col
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
@@ -161,6 +162,30 @@ def delta_chains(scene):
         "init", "-d", "d", "-f", str(head),
         "-s", str(scene.root / "schema.csv"), "--model", "split_by_rlist",
     )
+    return fired, scene.doctor()
+
+
+def rlist_over_theta(scene):
+    """A partitioned CVD whose version 2 is stored as a delta no commit
+    writes: every rid of version 1 dropped, every one of its own added,
+    so it rebuilds right but decodes 59 rids for 19. ``optimize``
+    writes every row again under the online rule."""
+    orpheus = library_cvd("partitioned_rlist")
+    cvd = orpheus.cvd("d")
+    cvd.commit(disjoint("k")[1:], parents=(1,))
+    (partition,) = cvd.model._partitions
+    table = partition.versioning_table
+    assert table.delete_where(col("vid") == 2) == 1
+    first, second = cvd.membership(1), cvd.membership(2)
+    cost = 2 * len(first) + len(second)  # R(1), then the delta's rids
+    table.insert((2, RidDelta(1, first, second, cost)))
+    scene.save(orpheus)
+    fired = scene.report()
+    assert fired.exit_code == 1
+    fired = fired.to_dict()
+    (line,) = lines(fired, "delta_chains")
+    assert line["data"]["over_bound"] == [2]
+    scene.cli("optimize", "-d", "d")
     return fired, scene.doctor()
 
 
@@ -331,7 +356,10 @@ def page_store_health(scene):
 PAIRS = {
     "checkout_cost": [(checkout_cost, "orpheus optimize -d d")],
     "partition_imbalance": [(partition_imbalance, "orpheus optimize -d d")],
-    "delta_chains": [(delta_chains, "--model split_by_rlist")],
+    "delta_chains": [
+        (delta_chains, "--model split_by_rlist"),
+        (rlist_over_theta, "orpheus optimize -d d"),
+    ],
     "orphaned_versions": [(orphaned_versions, "restore .orpheus/state.pkl")],
     "stale_staging": [(stale_staging, "orpheus recover")],
     "journal": [(journal, "redo the operations")],

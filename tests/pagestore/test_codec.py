@@ -6,15 +6,17 @@ earlier saves wrote."""
 from __future__ import annotations
 
 import gc
+import pickle
 import random
 import sys
+import zlib
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pagestore import codec
-from repro.relational.arrays import RangeEncodedArray, rid_array
+from repro.relational.arrays import RangeEncodedArray, RidDelta, rid_array
 
 
 def exact(value: object) -> object:
@@ -268,6 +270,33 @@ def test_a_range_encoded_array_is_written_from_its_ranges():
     name, blob = codec.encode_table_rows([(1, huge)], 2)
     assert len(blob) < 200
     assert exact(codec.decode_segment(name, blob)) == exact([(1, huge)])
+
+
+def test_rid_deltas_are_written_as_their_members_never_as_objects():
+    """A column of rid arrays and ``RidDelta`` rows is its heads (base,
+    R and depth), two lengths a row and one delta array of every member:
+    no pickled class
+    (and no pickle opcode per rid) in the blob. It decodes to equal rows,
+    a delta's members as rid arrays; a column without a delta keeps the
+    list kind, byte for byte."""
+    whole = rid_array(range(1, 3001))
+    delta = RidDelta(1, rid_array(range(10, 160)), rid_array(range(3001, 3151)), 3300)
+    empty = RidDelta(2, rid_array(), rid_array(), 3300, 2)
+    rows = [(1, whole), (2, delta), None, (3, empty)]
+    name, blob = codec.encode_table_rows(rows, 2)
+    assert name == codec.ROWS_V2 and b"RidDelta" not in zlib.decompress(blob)
+    _mask, (_vids, packed) = pickle.loads(zlib.decompress(blob))
+    kind, heads, lengths, members = packed
+    assert heads == [None, (1, 3300, 1), (2, 3300, 2)]
+    assert lengths == [3000, 0, 150, 150, 0, 0]
+    assert type(members) is array and len(members) == 3300
+    decoded = codec.decode_segment(name, blob)
+    assert decoded == rows
+    assert type(decoded[1][1].removed) is array and type(decoded[0][1]) is array
+    lists_only = [(1, whole), (3, rid_array([1, 5]))]
+    assert codec.encode_table_rows(lists_only, 2) == codec.encode_table_rows(
+        [(1, whole.tolist()), (3, [1, 5])], 2
+    )
 
 
 # ----------------------------------------------------------------------

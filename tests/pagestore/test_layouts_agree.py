@@ -41,6 +41,7 @@ from repro.core.models import DATA_MODELS
 from repro.pagestore import codec
 from repro.pagestore import pages as pagefiles
 from repro.pagestore.store import PageStore, migrate_state
+from repro.relational.arrays import RidDelta
 from repro.relational.errors import DuplicateKeyError
 from repro.relational.expressions import col, lit
 from repro.relational.schema import ColumnDef, Schema
@@ -625,9 +626,10 @@ def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
     encodes its own rows as a chunk of their own and keeps every saved
     chunk; one that brings a table's open run to a share (seals it) also
     encodes that run again, and keeps every other chunk. A process that
-    loads the state reads one chunk of rid lists to pull a version, the
-    same one to commit it, and the open run besides when the commit
-    seals it; a pull builds no index on the data table."""
+    loads the state reads exactly the chunks of rid lists that hold a
+    version's recreation chain to pull it (never all of them), the same
+    ones to commit on it, and the open run besides when the commit seals
+    it; a pull builds no index on the data table."""
     monkeypatch.setenv(LAYOUT_ENV, "paged")
     telemetry.enable()
     slots, decoded = [], []
@@ -644,58 +646,88 @@ def test_a_paged_commit_costs_the_same_at_any_point_in_the_history(
         ),
     )
 
-    def rid_lists_decoded() -> int:
-        return sum(key.startswith("table:mid__rlist#") for key in decoded)
+    def rid_lists_decoded() -> set[str]:
+        keys = [key for key in decoded if key.startswith("table:mid__rlist#")]
+        assert len(keys) == len(set(keys)), keys  # each decoded once
+        return set(keys)
+
+    def chain_chunks(segments, vid: int) -> set[str]:
+        """The rid-list chunks holding the rows of ``vid``'s recreation
+        chain: its own row, then each delta's base, to a whole row."""
+        chain, model = [vid], history.orpheus.cvd("mid").model
+        while type(row := model._rlist(chain[-1])) is RidDelta:
+            chain.append(row.base)
+        return {
+            key for key, ref in segments.items()
+            if key.startswith("table:mid__rlist#")
+            and any(ref.zone[0] <= (v,) <= ref.zone[1] for v in chain)
+        }
 
     history = History(tmp_path)
-    # A share is a page of 27-byte data rows, or 5 rid lists (12,008
-    # bytes each); a commit appends 150 data rows and one rid list.
-    per_data, per_rlist = 65536 // 27, 65536 // 12008
+    # A share is a page of 27-byte data rows, or some 25 rid lists: a
+    # whole one is 12,008 bytes, a delta of a 5 % commit 1,204, and every
+    # ninth is whole. A commit appends 150 data rows and one rid list.
+    per_data, fresh_commits = 65536 // 27, 12
     appended = {"mid__data": 150, "mid__rlist": 1}
     window, seals = {}, Counter()
+
+    def fresh_commit() -> int:
+        """One commit by a process that loads the state, checked; the
+        heap slots it handed the encoder."""
+        del slots[:], decoded[:]
+        before = newest_segments(tmp_path)
+        wrote = history.commit(fresh=True)
+        sealed = {}
+        for name, rows in appended.items():
+            table = history.orpheus.database.table(name)
+            share = 65536 * len(table) // table._bytes
+            run = open_run(before, name, share)
+            if sum(ref.count_hint for ref in run) + rows >= share:
+                sealed[name] = run
+        seals["mid__rlist" in sealed] += 1
+        read = rid_lists_decoded()
+        chain = chain_chunks(before, history.versions - 1)
+        if "mid__rlist" in sealed:  # the parent's chain and the run
+            assert chain <= read <= chain | {ref.key for ref in sealed["mid__rlist"]}
+        else:  # the parent's chain only
+            assert read == chain
+        assert wrote["pagestore.segments_encoded"] == len(slots) <= 3
+        assert wrote["pagestore.pages_written"] <= 3
+        # The commit's own rows, and a run short of a share per seal.
+        resealed = [ref for run in sealed.values() for ref in run]
+        assert sum(slots) <= 151 + sum(ref.count_hint for ref in resealed)
+        if not sealed:
+            assert slots == [150, 1], slots
+        after = newest_segments(tmp_path)
+        assert all(key.startswith("table:mid__") and "#" in key for key in after)
+        for table in ("table:mid__data#", "table:mid__rlist#"):
+            assert sum(key.startswith(table) for key in before) > 1
+        cut = {ref.key for ref in resealed}
+        for key in before.keys() - cut:  # every other chunk: untouched
+            assert after[key] == before[key], key
+        return sum(slots)
+
     for versions in (24, 124, 240):
         history.commit_until(versions - 16)
         del slots[:]
-        for _ in range(16 - per_rlist):
+        for _ in range(16 - fresh_commits):
             wrote = history.commit()
             assert wrote["pagestore.segments_encoded"] <= 3, history.versions
         window[versions] = sum(slots)
-        for _ in range(per_rlist):  # a rid-list seal among them
-            del slots[:], decoded[:]
-            before = newest_segments(tmp_path)
-            wrote = history.commit(fresh=True)
-            sealed = {}
-            for name, rows in appended.items():
-                table = history.orpheus.database.table(name)
-                share = 65536 * len(table) // table._bytes
-                run = open_run(before, name, share)
-                if sum(ref.count_hint for ref in run) + rows >= share:
-                    sealed[name] = run
-            seals["mid__rlist" in sealed] += 1
-            if "mid__rlist" in sealed:  # the parent's chunk and the run
-                assert 1 <= rid_lists_decoded() <= 1 + len(sealed["mid__rlist"])
-            else:  # the parent's chunk only
-                assert rid_lists_decoded() == 1
-            assert wrote["pagestore.segments_encoded"] == len(slots) <= 3
-            assert wrote["pagestore.pages_written"] <= 3
-            # The commit's own rows, and a run short of a share per seal.
-            resealed = [ref for run in sealed.values() for ref in run]
-            assert sum(slots) <= 151 + sum(ref.count_hint for ref in resealed)
-            if not sealed:
-                assert slots == [150, 1], slots
-            window[versions] += sum(slots)
-            after = newest_segments(tmp_path)
-            assert all(key.startswith("table:mid__") and "#" in key for key in after)
-            for table in ("table:mid__data#", "table:mid__rlist#"):
-                assert sum(key.startswith(table) for key in before) > 1
-            cut = {ref.key for ref in resealed}
-            for key in before.keys() - cut:  # every other chunk: untouched
-                assert after[key] == before[key], key
+        for _ in range(fresh_commits):
+            window[versions] += fresh_commit()
         assert history.versions == versions
         del decoded[:]
         data = pull(tmp_path, versions)
-        assert rid_lists_decoded() == 1
+        segments = newest_segments(tmp_path)
+        read = rid_lists_decoded()
+        assert read == chain_chunks(segments, versions)
+        assert len(read) < sum(key.startswith("table:mid__rlist#") for key in segments)
         assert not data._pk_index.keys() and data._pager is not None
+    for _ in range(32):  # a share of fresh commits: one seals the rid lists
+        if seals[True]:
+            break
+        fresh_commit()
     assert seals[True] and seals[False], seals  # both kinds were checked
     assert window[24] <= SLOTS_PER_WINDOW_BEFORE / 2, window
     assert window[124] == pytest.approx(window[24], rel=0.10)

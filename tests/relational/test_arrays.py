@@ -1,4 +1,7 @@
-"""Tests for range-encoded arrays and the compressed rlist option."""
+"""Tests for range-encoded arrays, rid deltas and the compressed rlist
+option."""
+
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,12 @@ from hypothesis import strategies as st
 
 from repro.relational.arrays import (
     RangeEncodedArray,
+    RidDelta,
     decode_ranges,
     encode_ranges,
+    rid_array,
 )
+from repro.relational.types import INT_ARRAY
 
 
 class TestEncoding:
@@ -104,3 +110,40 @@ class TestCompressedRlistModel:
         # Sequential rid allocation makes rlists run-heavy: compression
         # must shrink the versioning table (the Section 4.2 remark).
         assert storage[True] < storage[False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.integers(1, 300), max_size=120),
+    st.sets(st.integers(1, 400), max_size=120),
+)
+def test_a_rid_delta_rebuilds_any_version_from_any_base(base, target):
+    """Removed and added rids ascend, and applying the delta to the
+    base's rids gives the target's, ascending, wherever the added rids
+    fall among the kept ones (a merge's do not all come last)."""
+    base_rids, rids = rid_array(sorted(base)), rid_array(sorted(target))
+    delta = RidDelta.between(7, base_rids, rids)
+    assert delta.base == 7
+    assert list(delta.removed) == sorted(base - target)
+    assert list(delta.added) == sorted(target - base)
+    assert len(delta) == len(base ^ target)
+    rebuilt = delta.apply(base_rids)
+    assert type(rebuilt) is array and rebuilt == rids
+    assert base_rids == rid_array(sorted(base))  # the base is not touched
+    assert INT_ARRAY.validate(delta) and INT_ARRAY.sizeof(delta) == 4 * len(delta) + 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 60), max_size=40), min_size=2, max_size=6))
+def test_a_chain_of_rid_deltas_makes_one(versions):
+    """Deltas between consecutive versions, made one, rebuild the last
+    version from the first, however rids come, go and come back."""
+    rids = [rid_array(sorted(version)) for version in versions]
+    deltas = [
+        RidDelta.between(n, before, after) for n, (before, after) in enumerate(zip(rids, rids[1:]))
+    ]
+    made = RidDelta.chained(deltas)
+    assert made.base == 0
+    assert made.apply(rids[0]) == rids[-1]
+    assert list(made.removed) == sorted(versions[0] - versions[-1])
+    assert list(made.added) == sorted(versions[-1] - versions[0])
