@@ -116,7 +116,7 @@ class CVD:
         self._reset_records()
 
     def _reset_records(self) -> None:
-        self._payloads = Slots()
+        self._payloads = self.model.records_memo = Slots()
         self._lines = Slots()
         self.json_fragments = Slots()
         self._line_rids: dict[str, int] = {}

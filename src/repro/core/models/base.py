@@ -15,7 +15,7 @@ from array import array
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.relational.arrays import ascending, rid_array
+from repro.relational.arrays import Slots, ascending, rid_array
 from repro.relational.database import Database
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Row, Table
@@ -28,15 +28,20 @@ class DataModel(abc.ABC):
     model_name: str = ""
 
     #: Never saved: the tables are the one stored copy of version -> rids
-    #: and rid -> payload. A model that keeps payloads (the partitioned
-    #: store) keeps them as a per-process memo over its tables; states
-    #: written while these were stored shed them at their next save.
-    _UNSAVED = frozenset({"_payloads", "_membership", "rids_memo"})
+    #: and rid -> payload, and the memos over them are the CVD's, lent;
+    #: states written while a model stored these shed them at their next
+    #: save.
+    _UNSAVED = frozenset({"_payloads", "_membership", "rids_memo", "records_memo"})
 
     #: The CVD's memo of version -> rids, lent by the CVD (None: a model
     #: used on its own). A model storing rid lists as deltas rebuilds
     #: versions into it; it holds no memo of its own.
     rids_memo: dict[int, array] | None = None
+
+    #: The CVD's record slots, rid -> payload, lent by the CVD (None: a
+    #: model used on its own). A model that copies records between its
+    #: tables (the partitioned store's migration) reads them through it.
+    records_memo: Slots | None = None
 
     def __init__(
         self, database: Database, cvd_name: str, data_schema: Schema

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from repro import telemetry
 from repro.core.models.base import DataModel
 from repro.invariants import recreation_within
-from repro.relational.arrays import RangeEncodedArray, RidDelta, rid_array
+from repro.relational.arrays import RidDelta, rid_array
 from repro.relational.joins import JOIN_ALGORITHMS
 from repro.relational.table import ClusterOrder, Table
 from repro.relational.types import INT_ARRAY
@@ -40,7 +40,6 @@ class SplitByRlistModel(DataModel):
         data_schema,
         join_algorithm: str = "hash",
         table_suffix: str = "",
-        compress_rlists: bool = False,
     ) -> None:
         """Args:
         join_algorithm: Which physical join the checkout uses — ``hash``
@@ -48,15 +47,11 @@ class SplitByRlistModel(DataModel):
             exposed for the Section 5.5.5 cost-model validation.
         table_suffix: Distinguishes multiple physical instances of the
             model over one CVD (used by the partitioned store).
-        compress_rlists: Store rlists range-encoded (the Section 4.2
-            remark that array storage can shrink further via
-            range-encoding); transparent to readers.
         """
         super().__init__(database, cvd_name, data_schema)
         if join_algorithm not in JOIN_ALGORITHMS:
             raise ValueError(f"unknown join algorithm {join_algorithm!r}")
         self.join_algorithm = join_algorithm
-        self.compress_rlists = compress_rlists
         self._data: Table = database.create_table(
             f"{cvd_name}__data{table_suffix}",
             self._rid_data_schema(),
@@ -105,14 +100,13 @@ class SplitByRlistModel(DataModel):
         membership: array,
         parent_membership: Mapping[int, array],
         records: Mapping[int, tuple] = {},
-    ) -> array | RangeEncodedArray | RidDelta:
+    ) -> array | RidDelta:
         """The rlist row's value: the smallest delta on a parent with a
         row here whose chain stays within :func:`recreation_within` and
-        that is smaller than the whole row; else the whole row, the
-        version's rid array itself or its ranges when rlists are
-        compressed. ``records`` of the version's size are keyed by its
-        rids, so they serve as its members."""
-        best = RangeEncodedArray(membership) if self.compress_rlists else membership
+        that holds fewer rids than the version; else the whole row, the
+        version's rid array itself. ``records`` of the version's size
+        are keyed by its rids, so they serve as its members."""
+        best = membership
         size = len(membership)
         members = records if len(records) == size else None
         for parent, parent_rids in parent_membership.items():
@@ -141,8 +135,8 @@ class SplitByRlistModel(DataModel):
 
     def rids_of(self, vid: int, known: dict[int, array] | None = None) -> array:
         """unnest(rlist): version ``vid``'s ascending rid array. A whole
-        row's is its array itself (made from ranges, or from the list a
-        pickle-layout load left in the row); a delta's is rebuilt from
+        row's is its array itself (or made from the list a pickle-layout
+        load left in the row); a delta's is rebuilt from
         the nearest version down its chain that ``known`` (by default
         the CVD's memo) holds, or that is whole, by the chain's deltas
         made one. What it reads and rebuilds goes into ``known``."""

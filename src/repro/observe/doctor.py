@@ -325,7 +325,7 @@ def _rlist_rows(name: str, cvd, tables) -> ProbeResult:
     for table in tables:
         rows = dict(table.versioning_table.rows_snapshot())
         index = {vid: n for n, vid in enumerate(sorted(rows), start=1)}
-        graph, known = StorageGraph(len(index)), {}
+        graph, known = StorageGraph(len(index), symmetric=True), {}
         for vid, n in index.items():  # parents first: a base's vid is lower
             row, rids = rows[vid], table.rids_of(vid, known)
             cost, depth = table.recreation_chain(vid)
@@ -340,7 +340,6 @@ def _rlist_rows(name: str, cvd, tables) -> ProbeResult:
                 if parent in index:
                     step = len(RidDelta.between(parent, known[parent], rids))
                     graph.edges[(index[parent], n)] = (step, step)
-                    graph.edges[(n, index[parent])] = (step, step)
         if index:
             bound = THETA * max(map(len, known.values()))
             planned += mp_min_storage(graph, bound).total_storage_cost(graph)

@@ -11,15 +11,16 @@ fault. Saves write:
     lists' lengths plus one delta array of all their members, so a run
     of consecutive rids costs the compressor a repeated ``1``; any other
     column (text, mixed types) is the column itself — still
-    column-major, so a wide table compresses per attribute, and a
-    :class:`~repro.relational.arrays.RangeEncodedArray` is written as
-    its ranges, never as its members. A rid array (``array('q')``) is
-    written as the list of its members would be, byte for byte, and
-    every list of such a column decodes as a rid array. A column that
-    also holds :class:`~repro.relational.arrays.RidDelta` rows is its
-    heads (a delta's base, R and depth; None for a whole row), two
-    lengths a row (a whole row's and 0, or a delta's removed and added)
-    and one delta array of all the members, never a pickled object.
+    column-major, so a wide table compresses per attribute. A rid
+    array (``array('q')``) is written as the list of its members would
+    be, byte for byte, and every list of such a column decodes as a rid
+    array. This is the paper's §4.2 remark that array-based rlists
+    shrink further under range encoding, without a search for the
+    ranges. A column that also holds
+    :class:`~repro.relational.arrays.RidDelta` rows is its heads (a
+    delta's base, R and depth; None for a whole row), two lengths a row
+    (a whole row's and 0, or a delta's removed and added) and one delta
+    array of all the members, never a pickled object.
 ``pickle.v1``
     Fallback for irregular shapes (e.g. rows of mixed arity mid
     schema-evolution).
@@ -34,9 +35,8 @@ a clean segment keeps its v1 pages until something dirties it.
 
 All codecs are exact round-trips: value types are preserved (``bool``
 never becomes ``int``, integers beyond int64 survive, tombstones stay
-``None``, ``RangeEncodedArray`` stays range-encoded, a ``RidDelta`` a
-delta), but for a list of integers, which is held as the rid array it
-stands for.
+``None``, a ``RidDelta`` stays a delta), but for a list of integers,
+which is held as the rid array it stands for.
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ import sys
 import zlib
 from array import array
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, is_not, itemgetter, mul
+from operator import is_not, itemgetter, mul
 
-from repro.relational.arrays import RIDS, RangeEncodedArray, RidDelta
+from repro.relational.arrays import RIDS, RidDelta
 
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-_LISTS, _RANGES, _DELTAS = "lists", "ranges", "deltas"
-_RANGES_OF = attrgetter("_ranges")  # a slot: read without a Python call
+_LISTS, _DELTAS = "lists", "deltas"
 
 ROWS_V2 = "rows.v2"
 PICKLE_V1 = "pickle.v1"
@@ -112,27 +111,20 @@ def _unpack_ints(deltas: array) -> list[int]:
 
 def _pack_column(column: list) -> array | tuple | list:
     """An int column as its delta array; a column of rid lists or rid
-    arrays, or of ``RangeEncodedArray`` (their range bounds), as
-    ``(kind, length of each value, delta array of all the values end to
-    end)``; any other column as it is."""
+    arrays as ``(_LISTS, length of each list, delta array of all the
+    lists end to end)``; one that also holds ``RidDelta`` rows as
+    :func:`_pack_deltas` packs it; any other column as it is."""
     packed = _pack_ints(column)
     if packed is not None:
         return packed
     kinds = list(map(type, column))
     wholes = kinds.count(list) + kinds.count(array)
     if wholes == len(column):
-        kind, values, members = _LISTS, column, chain.from_iterable(column)
-    elif kinds.count(RangeEncodedArray) == len(column):
-        kind, values = _RANGES, list(map(_RANGES_OF, column))
-        members = chain.from_iterable(chain.from_iterable(values))
-    elif wholes + kinds.count(RidDelta) == len(column):
+        packed = _pack_ints(list(chain.from_iterable(column)))
+        return column if packed is None else (_LISTS, list(map(len, column)), packed)
+    if wholes + kinds.count(RidDelta) == len(column):
         return _pack_deltas(column, kinds)
-    else:
-        return column
-    packed = _pack_ints(list(members))
-    if packed is None:
-        return column
-    return kind, list(map(len, values)), packed
+    return column
 
 
 def _pack_deltas(column: list, kinds: list) -> tuple | list:
@@ -170,20 +162,13 @@ def _unpack_column(packed: array | tuple | list) -> list:
         _kind, heads, lengths, deltas = packed
         runs = _unpack_column((_LISTS, lengths, deltas))
         return list(map(_row_value, heads, runs[::2], runs[1::2]))
-    kind, lengths, deltas = packed
-    if kind == _RANGES:
+    _kind, lengths, deltas = packed  # its slices are rid arrays
+    try:
+        flat = array(RIDS, accumulate(deltas))
+    except OverflowError:  # a member past 64 bits: lists, as stored
         flat = _unpack_ints(deltas)
-        flat = list(zip(flat[::2], flat[1::2]))
-    else:  # its slices are rid arrays
-        try:
-            flat = array(RIDS, accumulate(deltas))
-        except OverflowError:  # a member past 64 bits: lists, as stored
-            flat = _unpack_ints(deltas)
     ends = list(accumulate(lengths))
-    values = map(flat.__getitem__, map(slice, chain((0,), ends), ends))
-    if kind == _RANGES:
-        values = map(RangeEncodedArray.from_ranges, values)
-    return list(values)
+    return list(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
 
 
 def encode_table_rows(
@@ -220,8 +205,6 @@ def _decode_table_rows(blob: bytes) -> list[tuple | None]:
 _COL_PICKLE = 0
 _COL_INT = 1
 _COL_INT_ARRAY = 2
-
-_VAL_RANGE_ARRAY = 1
 
 
 def read_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
@@ -290,13 +273,9 @@ def _decode_column_v1(
     if tag == _COL_INT_ARRAY:
         values = []
         for _ in range(count):
-            flag = blob[pos]
-            pos += 1
+            pos += 1  # its flag (1: range-encoded): either way a rid array
             decoded, pos = _read_range_values(blob, pos)
-            if flag == _VAL_RANGE_ARRAY:
-                values.append(RangeEncodedArray(decoded))
-            else:
-                values.append(array(RIDS, decoded))
+            values.append(array(RIDS, decoded))
         return values, pos
     if tag == _COL_PICKLE:
         # Pickle reports how many bytes it consumed via Unpickler.

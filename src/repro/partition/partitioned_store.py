@@ -25,7 +25,7 @@ from repro import telemetry
 from repro.core.models.base import DataModel
 from repro.core.models.split_by_rlist import SplitByRlistModel
 from repro.invariants import MU, within_tolerance
-from repro.relational.arrays import rids_without
+from repro.relational.arrays import Slots, rids_without
 from repro.partition.lyresplit import LyreSplitResult, lyresplit_for_budget
 from repro.partition.version_graph import (
     Partitioning,
@@ -93,22 +93,21 @@ class PartitionedRlistStore(DataModel):
         self.migrations: list[MigrationStats] = []
 
     # ------------------------------------------------------------------
-    # The memo: what this process has read or written of the partitions'
-    # tables, which are the only stored copy. Commits keep it current; a
-    # miss reads the owning partition. A version's rids are rebuilt from
-    # its partition's rlist rows into the CVD's memo (``rids_memo``):
-    # they have no memo here.
+    # The memo: what this process has read of the partitions' tables,
+    # which are the only stored copy. A version's rids are rebuilt from
+    # its partition's rlist rows into the CVD's memo (``rids_memo``), and
+    # a migration reads the records it copies through the CVD's record
+    # slots (``records_memo``): neither has a memo here.
     # ------------------------------------------------------------------
     def _reset_memo(self) -> None:
-        self._payloads: dict[int, tuple] = {}
         #: Per partition, the rids its data table holds (None: not read).
         self._partition_records: list[set[int] | None] = [None] * len(
             self._partitions
         )
 
     def __setstate__(self, state: dict) -> None:
-        # A state from before the memo stored these maps: they only give
-        # the record count now, the next save leaves them out.
+        # A state from before the memo stored its record map: it only
+        # gives the record count now, the next save leaves it out.
         state.setdefault("_num_records", len(state.get("_payloads", ())))
         self.__dict__.update(
             (k, v) for k, v in state.items() if k not in self._UNSAVED
@@ -119,6 +118,11 @@ class PartitionedRlistStore(DataModel):
         """Where rebuilt versions go: the CVD's memo, or a map for the
         caller's run when the store is used on its own."""
         return {} if self.rids_memo is None else self.rids_memo
+
+    def _records(self) -> Slots:
+        """Where read records go: the CVD's record slots, or slots for
+        the caller's run when the store is used on its own."""
+        return Slots() if self.records_memo is None else self.records_memo
 
     def rids_of(self, vid: int, known: dict[int, array] | None = None) -> array:
         known = self._known() if known is None else known
@@ -169,7 +173,6 @@ class PartitionedRlistStore(DataModel):
         records: Mapping[int, tuple],
     ) -> None:
         self._num_records += len(new_records)
-        self._payloads.update(new_records)
         self._parents[vid] = tuple(parents)
         self._order.append(vid)
 
@@ -188,11 +191,9 @@ class PartitionedRlistStore(DataModel):
     def alter_schema(self, new_schema) -> None:
         super().alter_schema(new_schema)
         # The tables now hold every record NULL-extended and coerced to
-        # the evolved types: each partition reads them at the new width,
-        # and a migration must not copy the old payloads.
+        # the evolved types: each partition reads them at the new width.
         for partition in self._partitions:
             partition.data_schema = new_schema
-        self._payloads = {}
 
     def storage_bytes(self) -> int:
         return sum(p.storage_bytes() for p in self._partitions)
@@ -423,8 +424,8 @@ class PartitionedRlistStore(DataModel):
             self._records_in(index) for index in range(len(old_partitions))
         ]
         # Everything that may move, read while the old tables still stand.
-        payloads = self._payloads
-        unread = set().union(*new_records).difference(payloads)
+        payloads = self._records()
+        unread = [rid for rid in set().union(*new_records) if payloads.get(rid) is None]
         if unread:
             payloads.update(self.payloads_of(unread))
 

@@ -1,5 +1,5 @@
-"""Integer arrays: a version's rids, their range encoding, and slots
-indexed by rid.
+"""Integer arrays: a version's rids, their deltas, and slots indexed by
+rid.
 
 A version's rids are one ascending ``array('q')``, the rlist of Chapter
 4, shared by the CVD's memo and the rlist row: nobody modifies one.
@@ -8,13 +8,6 @@ for the one call (:func:`rids_without`, :func:`rids_within`). Rids are
 dense, so what a process keeps per record sits in :class:`Slots`. An
 rlist row may instead hold a :class:`RidDelta`, the version's rids as a
 change to another version's.
-
-The versioning table's ``rlist`` arrays are long, sorted, and dense —
-rids are allocated sequentially and versions inherit contiguous runs
-from their parents — so run-length (range) encoding compresses them
-well. The paper notes array-based storage "can be further reduced by
-applying compression techniques like range-encoding [41]"; this module
-provides that codec and a transparent storage estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +16,7 @@ from array import array
 from bisect import bisect_right
 from itertools import chain, filterfalse, islice
 from operator import lt
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Sequence
 
 #: A rid array's typecode: a signed 64-bit integer per rid.
 RIDS = "q"
@@ -185,107 +178,3 @@ class Slots(list):
     def __ne__(self, other: object) -> bool:
         return not self == other
 
-
-def encode_ranges(values: Sequence[int]) -> list[tuple[int, int]]:
-    """Encode a sorted, duplicate-free integer sequence as closed ranges.
-
-    ``[1, 2, 3, 7, 9, 10]`` becomes ``[(1, 3), (7, 7), (9, 10)]``.
-    Raises ValueError on unsorted or duplicated input — rlists are
-    maintained sorted by construction and silent misuse would corrupt
-    version membership.
-    """
-    ranges: list[tuple[int, int]] = []
-    start: int | None = None
-    previous: int | None = None
-    for value in values:
-        if previous is not None and value <= previous:
-            raise ValueError("input must be strictly increasing")
-        if start is None:
-            start = previous = value
-            continue
-        if value == previous + 1:
-            previous = value
-            continue
-        ranges.append((start, previous))
-        start = previous = value
-    if start is not None:
-        ranges.append((start, previous))  # type: ignore[arg-type]
-    return ranges
-
-
-def decode_ranges(ranges: Iterable[tuple[int, int]]) -> list[int]:
-    """Inverse of :func:`encode_ranges`."""
-    values: list[int] = []
-    for start, end in ranges:
-        if end < start:
-            raise ValueError(f"invalid range ({start}, {end})")
-        values.extend(range(start, end + 1))
-    return values
-
-
-class RangeEncodedArray:
-    """A sorted integer set stored as ranges, with list-like reads.
-
-    Supports the operations the versioning table needs: membership,
-    iteration (unnest), length, and byte-size accounting. Immutable —
-    rlists are written once per version.
-    """
-
-    __slots__ = ("_ranges", "_length")
-
-    def __init__(self, values: Sequence[int]) -> None:
-        self._ranges = encode_ranges(values)
-        self._length = sum(end - start + 1 for start, end in self._ranges)
-
-    @classmethod
-    def from_ranges(cls, ranges: list[tuple[int, int]]) -> "RangeEncodedArray":
-        instance = cls([])
-        instance._ranges = list(ranges)
-        instance._length = sum(end - start + 1 for start, end in ranges)
-        return instance
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[int]:
-        for start, end in self._ranges:
-            yield from range(start, end + 1)
-
-    def __contains__(self, value: object) -> bool:
-        if not isinstance(value, int):
-            return False
-        import bisect
-
-        position = bisect.bisect_right(self._ranges, (value, float("inf")))
-        if position == 0:
-            return False
-        start, end = self._ranges[position - 1]
-        return start <= value <= end
-
-    def to_list(self) -> list[int]:
-        return list(self)
-
-    @property
-    def num_ranges(self) -> int:
-        return len(self._ranges)
-
-    def encoded_bytes(self) -> int:
-        """8 bytes per range (two 4-byte ints)."""
-        return 8 * len(self._ranges) + 4
-
-    def plain_bytes(self) -> int:
-        """What the uncompressed array would cost."""
-        return 4 * self._length + 4
-
-    def compression_ratio(self) -> float:
-        return self.plain_bytes() / max(self.encoded_bytes(), 1)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RangeEncodedArray):
-            return self._ranges == other._ranges
-        if isinstance(other, (list, tuple)):
-            return self.to_list() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"RangeEncodedArray({self._ranges!r})"

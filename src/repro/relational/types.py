@@ -46,9 +46,9 @@ class DataType:
             return True
         name = self.name
         if name == INT_ARRAY.name:
-            from repro.relational.arrays import RangeEncodedArray, RidDelta
+            from repro.relational.arrays import RidDelta
 
-            if isinstance(value, (RangeEncodedArray, RidDelta)):
+            if isinstance(value, RidDelta):
                 return True
             if isinstance(value, array):  # a rid array
                 return value.typecode == "q"
@@ -87,10 +87,6 @@ class DataType:
             return 1
         name = self.name
         if name == INT_ARRAY.name:
-            from repro.relational.arrays import RangeEncodedArray
-
-            if isinstance(value, RangeEncodedArray):
-                return value.encoded_bytes()
             return 4 * len(value) + 4  # a RidDelta's len is its members
         if name == TEXT.name:
             return len(str(value)) + 1

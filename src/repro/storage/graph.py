@@ -26,7 +26,8 @@ class StorageGraph:
         num_versions: n.
         edges: (source, target) -> (Δ, Φ). Root edges use source 0.
         symmetric: Whether delta edges exist in both directions with the
-            same weight (the undirected scenario).
+            same weight (the undirected scenario): a delta edge stored
+            one way is read either way.
     """
 
     num_versions: int
@@ -58,11 +59,28 @@ class StorageGraph:
             if target == vertex:
                 yield source, delta, phi
 
+    def edge_key(self, source: int, target: int) -> tuple[int, int] | None:
+        """The key edge (source, target) is stored under: itself, or on a
+        symmetric graph the same delta edge stored the other way; None
+        when the graph has neither. A root edge is only ever itself."""
+        if (source, target) in self.edges:
+            return source, target
+        if self.symmetric and ROOT not in (source, target):
+            if (target, source) in self.edges:
+                return target, source
+        return None
+
     def storage_weight(self, source: int, target: int) -> float:
-        return self.edges[(source, target)][0]
+        return self._weights(source, target)[0]
 
     def recreation_weight(self, source: int, target: int) -> float:
-        return self.edges[(source, target)][1]
+        return self._weights(source, target)[1]
+
+    def _weights(self, source: int, target: int) -> tuple[float, float]:
+        key = self.edge_key(source, target)
+        if key is None:
+            raise KeyError((source, target))
+        return self.edges[key]
 
     def adjacency(self) -> dict[int, list[tuple[int, float, float]]]:
         """source -> [(target, Δ, Φ), ...] for fast solver loops."""
@@ -94,7 +112,7 @@ class StoragePlan:
             missing = versions - set(self.parent)
             raise ValueError(f"plan misses versions {sorted(missing)[:5]}")
         for vertex, parent in self.parent.items():
-            if (parent, vertex) not in graph.edges:
+            if graph.edge_key(parent, vertex) is None:
                 raise ValueError(
                     f"plan uses unrevealed edge ({parent} -> {vertex})"
                 )

@@ -40,7 +40,7 @@ def last_tree(graph: StorageGraph, alpha: float = 2.0) -> StoragePlan:
     parent: dict[int, int] = dict(mst.parent)
 
     def relax(u: int, v: int) -> None:
-        weight = graph.recreation_weight(*_edge_key(graph, u, v))
+        weight = graph.recreation_weight(u, v)
         if distance.get(u, float("inf")) + weight < distance.get(
             v, float("inf")
         ):
@@ -76,12 +76,3 @@ def last_tree(graph: StorageGraph, alpha: float = 2.0) -> StoragePlan:
             stack.append((child, vertex))
 
     return StoragePlan(parent)
-
-
-def _edge_key(graph: StorageGraph, u: int, v: int) -> tuple[int, int]:
-    """Resolve the stored direction of a symmetric edge."""
-    if (u, v) in graph.edges:
-        return (u, v)
-    if (v, u) in graph.edges:
-        return (v, u)
-    raise KeyError(f"no edge between {u} and {v}")

@@ -5,7 +5,8 @@ string its slot holds, to the lowest judged rid whose line it is, and a
 bitmap marks the judged rids.
 
 * counted memory — 3,000 rows x 100 versions, every version pulled once
-  as a file and once inline, every line judged;
+  as a file and once inline, every line judged; the partitioned store
+  keeps no record map beside the CVD's;
 * readers filling one store at once, with no lock, each get what a
   fresh store gives;
 * the slots read as the map of their filled slots.
@@ -64,6 +65,25 @@ def test_the_record_store_holds_each_record_once():
     store = (payloads, lines, fragments, line_rids, judged, cvd._shared)
     assert sized(*store) <= 6e6, sized(*store)
     assert sized(cvd._membership) <= 2.6e6
+
+
+def test_the_partitioned_store_keeps_no_record_map_of_its_own():
+    """A migration copies records through the CVD's slots, lent to the
+    store as its rid memo is. At 3,000 rows x 100 versions, after a
+    migration, the store's own attributes took 5.0 MB while it kept a
+    rid -> payload dict of its own (3.2 MB of it); they take 1.8 MB now,
+    nearly all of it the rids each partition's data table holds."""
+    cvd = history("partitioned_rlist", 3000, 100)
+    store = cvd.model
+    store.optimize()
+    assert store.records_memo is cvd._payloads
+    assert len(cvd._payloads) == cvd.num_records == 17_850
+    lent = {"database", "data_schema", "_partitions", "rids_memo", "records_memo"}
+    own = [value for name, value in vars(store).items() if name not in lent]
+    assert not any(
+        isinstance(value, dict) and len(value) >= cvd.num_records for value in own
+    )
+    assert sized(*own) <= 2e6, sized(*own)
 
 
 def test_readers_filling_one_store_agree():

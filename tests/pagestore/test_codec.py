@@ -16,16 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pagestore import codec
-from repro.relational.arrays import RangeEncodedArray, RidDelta, rid_array
+from repro.relational.arrays import RidDelta, rid_array
 
 
 def exact(value: object) -> object:
-    """``value`` with every type spelled out, so that ``True == 1`` or a
-    list standing in for a ``RangeEncodedArray`` cannot pass for equal.
-    A rid array is exactly the list of integers it stands for: that is
-    how it is stored, and such a list decodes as one."""
-    if isinstance(value, RangeEncodedArray):
-        return ("RangeEncodedArray", value._ranges)
+    """``value`` with every type spelled out, so that ``True == 1``
+    cannot pass for equal. A rid array is exactly the list of integers
+    it stands for: that is how it is stored, and such a list decodes as
+    one."""
     if isinstance(value, array):
         assert value.typecode == "q", value
         return ("list", [exact(item) for item in value])
@@ -64,20 +62,6 @@ def test_rows_empty_and_all_tombstone_heaps(rows):
 def test_rows_of_no_columns_keep_their_count():
     rows = [(), None, ()]
     assert rows_round_trip(rows, 0) == (codec.ROWS_V2, rows)
-
-
-def test_rows_preserve_range_encoded_arrays():
-    """rlist columns must come back as the same type they went in —
-    a RangeEncodedArray decaying to a list would change the versioning
-    table's storage accounting."""
-    rows = [
-        (1, RangeEncodedArray([1, 2, 3, 10])),
-        (2, [5, 6, 9]),
-        (3, RangeEncodedArray([100])),
-    ]
-    name, decoded = rows_round_trip(rows, 2)
-    assert name == codec.ROWS_V2
-    assert exact(decoded) == exact(rows)
 
 
 def test_rows_mixed_types_stay_columnar():
@@ -165,8 +149,7 @@ cells = {
     "text": st.text(max_size=6),
     "float": st.floats(allow_nan=False),
     "ids": id_lists,
-    "ranges": id_lists.map(RangeEncodedArray),
-    "ids+ranges": st.one_of(id_lists, id_lists.map(RangeEncodedArray), st.none()),
+    "ids+none": st.one_of(id_lists, st.none()),
     "any lists": st.lists(st.one_of(ints, st.booleans()), max_size=6),
 }
 
@@ -228,20 +211,15 @@ def _data_rows() -> list[tuple[int, str, int, int]]:
     ]
 
 
-def _rlist_segment_sizes(rlists) -> tuple[int, int]:
-    ranged = [(vid, RangeEncodedArray(rids)) for vid, rids in rlists]
-    return (
-        len(codec.encode_table_rows(rlists, 2)[1]),
-        len(codec.encode_table_rows(ranged, 2)[1]),
-    )
+def _rlist_segment_size(rlists) -> int:
+    return len(codec.encode_table_rows(rlists, 2)[1])
 
 
 def test_v2_segments_are_no_larger_than_v1_wrote():
     """The v1 sizes are what the v1 encoders (deleted with this test's
     arrival) produced for the very same seeded inputs."""
-    plain, ranged = _rlist_segment_sizes(_versioned_rlists())
+    plain = _rlist_segment_size(_versioned_rlists())
     assert plain <= 39_165
-    assert ranged <= 39_165
     assert len(codec.encode_table_rows(_data_rows(), 4)[1]) <= 75_972
 
 
@@ -249,9 +227,8 @@ def test_v2_rlists_stay_no_larger_than_v1_past_the_compression_window():
     """One version's 20,000 rids no longer fit the 32 KB window zlib
     matches in, so nothing here can come from one version's list
     repeating its parent's: each list has to be compact by itself."""
-    plain, ranged = _rlist_segment_sizes(_versioned_rlists(20_000, 24))
+    plain = _rlist_segment_size(_versioned_rlists(20_000, 24))
     assert plain <= 286_119
-    assert ranged <= 286_119
 
 
 def test_append_only_rlists_cost_a_few_bytes_a_version():
@@ -260,16 +237,8 @@ def test_append_only_rlists_cost_a_few_bytes_a_version():
     compression pass, which is some seventy bytes a version, and a plain
     pickled list (10.9 KB) would fail this."""
     dense = [(vid, list(range(1, 2001 + 50 * vid))) for vid in range(1, 31)]
-    plain, ranged = _rlist_segment_sizes(dense)
+    plain = _rlist_segment_size(dense)
     assert plain < 2_500
-    assert ranged < 400
-
-
-def test_a_range_encoded_array_is_written_from_its_ranges():
-    huge = RangeEncodedArray.from_ranges([(0, 10**12)])
-    name, blob = codec.encode_table_rows([(1, huge)], 2)
-    assert len(blob) < 200
-    assert exact(codec.decode_segment(name, blob)) == exact([(1, huge)])
 
 
 def test_rid_deltas_are_written_as_their_members_never_as_objects():
@@ -304,7 +273,8 @@ def test_rid_deltas_are_written_as_their_members_never_as_objects():
 # ----------------------------------------------------------------------
 def test_golden_rows_v1_blob_decodes():
     """Every column tag (int, int-array with both value flags, pickled)
-    and a tombstone."""
+    and a tombstone. A value flagged range-encoded decodes as the rid
+    array it stands for, as an unflagged one does."""
     blob = (
         b"\x04\x04\r\x01\x02\x0b\x8a\x80\x80\x80\x80@\x00\x80\x05\x95\x11\x00"
         b"\x00\x00\x00\x00\x00\x00]\x94(\x8c\x01a\x94\x8c\x01b\x94\x8c\x01c"
@@ -315,10 +285,13 @@ def test_golden_rows_v1_blob_decodes():
     expected = [
         (1, "a", [1, 2, 3, 9], None),
         None,
-        (-5, "b", RangeEncodedArray([4, 5, 6, 20]), True),
+        (-5, "b", [4, 5, 6, 20], True),
         (2**40, "c", [], 2.5),
     ]
-    assert exact(codec.decode_segment(codec.ROWS_V1, blob)) == exact(expected)
+    decoded = codec.decode_segment(codec.ROWS_V1, blob)
+    assert exact(decoded) == exact(expected)
+    assert all(type(row[2]) is array for row in decoded if row is not None)
+    assert decoded[2][2].typecode == "q"
 
 
 # ----------------------------------------------------------------------

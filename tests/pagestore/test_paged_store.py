@@ -27,7 +27,7 @@ from repro.pagestore.store import (
     reset_page_reads,
     state_outers,
 )
-from repro.relational.arrays import RangeEncodedArray
+from repro.relational.arrays import RidDelta
 from repro.relational.errors import DuplicateKeyError, SchemaError
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
@@ -607,7 +607,7 @@ def test_data_types_behave_the_same_after_a_reload(tmp_path, layout):
     else:
         loaded = pickle.loads(pickle.dumps(orpheus))
     probes = [None, 3, True, 2.5, "3", "hello", [1, 2, 3], (4, 5),
-              RangeEncodedArray([1, 2, 3, 9])]
+              RidDelta(1, [2], [3, 9])]
 
     def outcome(method, value):
         try:
@@ -630,7 +630,7 @@ def test_data_types_behave_the_same_after_a_reload(tmp_path, layout):
     text, array, integer = reloaded[2], reloaded[4], reloaded[0]
     assert text.sizeof("hello") == 6
     assert array.sizeof([1, 2, 3]) == 16
-    assert array.validate(RangeEncodedArray([1, 2]))
+    assert array.validate(RidDelta(1, [1], [2]))
     assert not integer.validate(True)
     assert integer.coerce("3") == 3
 

@@ -2,7 +2,7 @@
 as the list of integers they always were: a chunk of rid arrays encodes
 byte for byte as the same chunk of lists, a pickle-layout save is the
 size it was before arrays, and every stored form — v2 and v1 segments,
-range-encoded rlists, the pickle layout — reads as ascending rid arrays;
+the pickle layout — reads as ascending rid arrays;
 a decoded rlist row's array is the very object the CVD memoizes."""
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.commands import Orpheus
 from repro.pagestore import codec
-from repro.relational.arrays import RangeEncodedArray, RidDelta, ascending, rid_array
+from repro.relational.arrays import RidDelta, ascending, rid_array
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import INT, TEXT
 from repro.resilience.statestore import LAYOUT_ENV, StateStore
@@ -39,13 +39,15 @@ MODELS = (
 #: less the column names a CVD kept per version (103 bytes: its versions'
 #: ``attribute_ids`` record them), and, for the two rlist models, less
 #: what versions 2-8 save as deltas on their parents (60 rids each, and
-#: their chain's R and depth, not 600 rids). At deb26c4 they read 37,515,
+#: their chain's R and depth, not 600 rids), and for those two less the
+#: 19 bytes of the range-encoding flag a split-by-rlist model no longer
+#: pickles (25,152 and 25,642 with it). At deb26c4 they read 37,515,
 #: 38,005, 38,071, 49,686, 114,089 and 31,307 bytes, in this order;
 #: before the deltas and the column names went, 34,987, 35,477, 35,584,
 #: 44,752, 99,513 and 28,078.
 PICKLED_BEFORE = {
-    "split_by_rlist": 25_152,
-    "partitioned_rlist": 25_642,
+    "split_by_rlist": 25_133,
+    "partitioned_rlist": 25_623,
     "combined_table": 35_481,
     "split_by_vlist": 44_649,
     "table_per_version": 99_410,
@@ -125,35 +127,6 @@ def test_the_v1_golden_repository_loads_its_rids_as_rid_arrays(tmp_path):
         assert_rid_array(rids)
         assert rids is stored[vid]  # the row's array is the memo entry
     assert set(cvd.membership(1)) >= {1, 2}
-
-
-@pytest.mark.parametrize("layout", ["pickle", "paged"])
-def test_a_range_encoded_rlist_reloads_range_encoded_and_reads_as_rid_arrays(
-    tmp_path, monkeypatch, layout
-):
-    """A compressed rlist stays range-encoded in its row (its storage
-    accounting is the ranges'); the model hands out the rid array."""
-    monkeypatch.setenv(LAYOUT_ENV, layout)
-    orpheus = build(tmp_path, "split_by_rlist", versions=1)
-    cvd = orpheus.cvd("ds")
-    cvd.model.compress_rlists = True
-    rows = cvd.checkout(1).rows
-    for vid in (2, 3):
-        rows = rows[5:] + [(f"z{vid}.{n}", n) for n in range(5)]
-        cvd.commit(rows, parents=(vid - 1,))
-    expected = {vid: cvd.membership(vid) for vid in (1, 2, 3)}
-    StateStore(tmp_path).save(orpheus)
-
-    loaded, _info = StateStore(tmp_path).load(warn=None)
-    cvd = loaded.cvd("ds")
-    stored = rlist_rows(cvd)
-    assert list(stored[1]) == list(expected[1])  # a list on the pickle layout
-    for vid in (2, 3):
-        assert isinstance(stored[vid], RangeEncodedArray)
-        assert list(stored[vid]) == list(expected[vid])
-    for vid, rids in expected.items():
-        assert_rid_array(cvd.membership(vid))
-        assert cvd.membership(vid) == rids
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -56,7 +56,7 @@ class TestCommitRouting:
             parents=[2],
         )
         assert store.current_storage_cost() <= (
-            1.05 * len(store._payloads) + 80
+            1.05 * store._num_records + 80
         )
 
     def test_orphan_commit_without_parents(self):

@@ -55,7 +55,7 @@ class TestCorrectness:
 
     def test_storage_within_threshold(self, sci_tiny):
         _cvd, store = make_store(sci_tiny, storage_threshold_factor=2.0)
-        assert store.current_storage_cost() <= 2.0 * len(store._payloads) * 1.05
+        assert store.current_storage_cost() <= 2.0 * store._num_records * 1.05
 
     def test_dag_history(self, cur_tiny):
         _cvd, store = make_store(cur_tiny)
@@ -134,18 +134,24 @@ class TestMigrationEngine:
         _cvd, store = make_store(sci_tiny)
         partitioning = store.optimize(storage_threshold_factor=1.5)
         membership = {vid: frozenset(store.rids_of(vid)) for vid in store._order}
-        assert partitioning.storage_cost(membership) <= 1.5 * len(
-            store._payloads
-        )
+        assert partitioning.storage_cost(membership) <= 1.5 * store._num_records
+
+    def test_a_store_on_its_own_reads_what_a_migration_moves(self, sci_tiny):
+        """Without a CVD to lend its memos, a migration reads the rids
+        and records it needs from the tables, for the one call."""
+        cvd, store = make_store(sci_tiny)
+        expected = {c.vid: cvd.checkout(c.vid).rows for c in sci_tiny.commits}
+        store.rids_memo = store.records_memo = None
+        target, _ = store.best_partitioning()
+        store.migrate_to(target)
+        for vid, rows in expected.items():
+            assert sorted(store.checkout_columns(vid)[1]) == sorted(rows)
 
     def test_commits_after_migration_still_work(self, sci_tiny, protein_schema):
         cvd, store = make_store(sci_tiny)
         target, _ = store.best_partitioning()
         store.migrate_to(target)
-        rows = [
-            store._payloads[rid]
-            for rid in sorted(sci_tiny.commits[-1].rids)
-        ][:50]
+        rows = cvd.payloads_of(sorted(sci_tiny.commits[-1].rids))[:50]
         vid = cvd.commit(rows, parents=[sci_tiny.commits[-1].vid])
         got = set(store.checkout_columns(vid)[0])
         assert len(got) == len(rows)

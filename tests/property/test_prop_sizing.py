@@ -5,20 +5,19 @@ rows, valid for the schema or not."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.arrays import RangeEncodedArray
+from repro.relational.arrays import RidDelta
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
 
 TYPES = (INT, FLOAT, TEXT, BOOL, INT_ARRAY)
 
-range_arrays = st.sets(st.integers(0, 500), max_size=12).map(
-    lambda members: RangeEncodedArray(sorted(members))
-)
+rid_lists = st.sets(st.integers(0, 500), max_size=12).map(sorted)
+rid_deltas = st.builds(RidDelta, st.integers(1, 9), rid_lists, rid_lists)
 arrays = st.one_of(
     st.none(),
     st.lists(st.integers(0, 2**40), max_size=6),
     st.lists(st.integers(0, 9), max_size=3).map(tuple),
-    range_arrays,
+    rid_deltas,
 )
 #: What any other column may hold: sizing never validates, and only an
 #: array is sized by a length a value might not have.

@@ -21,7 +21,7 @@ from repro.core.cvd import CVD
 from repro.core.models import DATA_MODELS
 from repro.core.models.split_by_rlist import SplitByRlistModel
 from repro.pagestore.store import paged_save
-from repro.relational.arrays import RangeEncodedArray
+from repro.relational.arrays import RidDelta
 from repro.relational.database import Database
 from repro.relational.errors import DuplicateKeyError, SchemaError
 from repro.relational.expressions import col, lit
@@ -296,7 +296,7 @@ def _mixed_rows(n: int, start: int = 0) -> list[tuple]:
             None if i % 7 == 0 else i / 3,
             None if i % 3 == 0 else i % 2 == 0,
             None if i % 4 == 0
-            else RangeEncodedArray(range(i, 2 * i)) if i % 4 == 1
+            else RidDelta(1, range(i), range(i, 2 * i)) if i % 4 == 1
             else list(range(i % 9)),
         )
         for i in range(start, start + n)

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.relational.arrays import RangeEncodedArray
+from repro.relational.arrays import RidDelta
 from repro.relational.types import (
     BOOL,
     FLOAT,
@@ -131,8 +131,8 @@ class TestPickling:
         text, array, integer = map(self.legacy_copy, (TEXT, INT_ARRAY, INT))
         assert text.sizeof("hello") == 6
         assert array.sizeof([1, 2, 3]) == 16
-        assert array.validate(RangeEncodedArray([1, 2]))
-        assert array.sizeof(RangeEncodedArray([1, 2])) == 12
+        assert array.validate(RidDelta(1, [1], [2]))
+        assert array.sizeof(RidDelta(1, [1], [2])) == 12
         assert not integer.validate(True)
         assert integer.coerce("3") == 3
         for dtype in self.ALL:

@@ -76,3 +76,50 @@ class TestMatrixEdgecases:
         matrices.set_materialization(1, 9, 9)
         edges = list(matrices.edges())
         assert edges == [(0, 1, 9, 9)]
+
+
+def _shrinking(symmetric: bool) -> StorageGraph:
+    """30 versions of 100 down to 71 rows, each a one-row delta on the
+    one before, its delta edge stored parent -> child only."""
+    graph = StorageGraph(num_versions=30, symmetric=symmetric)
+    for vid in graph.vertices():
+        graph.edges[(ROOT, vid)] = (101 - vid, 101 - vid)
+        if vid > 1:
+            graph.edges[(vid - 1, vid)] = (1, 1)
+    return graph
+
+
+class TestSymmetricEdges:
+    def test_a_symmetric_graph_reads_a_delta_edge_either_way(self):
+        """MP attaches versions child -> parent through edges stored the
+        other way; the plan's costs and its validation read them."""
+        from repro.storage.solvers.mp import mp_min_storage
+
+        graph = _shrinking(symmetric=True)
+        plan = mp_min_storage(graph, 200)
+        plan.validate(graph)
+        assert plan.parent[29] == 30 and plan.materialized() == [30]
+        assert plan.total_storage_cost(graph) == 71 + 29
+        assert plan.max_recreation(graph) == 100
+        assert graph.edge_key(30, 29) == (29, 30)
+        assert graph.storage_weight(30, 29) == graph.recreation_weight(30, 29) == 1
+
+    def test_only_a_symmetric_graph_reads_an_edge_backwards(self):
+        from repro.storage.solvers.mp import mp_min_storage
+
+        one_way = _shrinking(symmetric=False)
+        assert one_way.edge_key(30, 29) is None
+        with pytest.raises(KeyError):
+            one_way.storage_weight(30, 29)
+        with pytest.raises(ValueError, match="unrevealed edge"):
+            StoragePlan({**{v: v + 1 for v in range(1, 30)}, 30: ROOT}).validate(
+                one_way
+            )
+        # Prim stores the one-way history whole (see mp_min_storage).
+        plan = mp_min_storage(one_way, 200)
+        assert plan.total_storage_cost(one_way) == 2_565
+
+    def test_a_root_edge_is_never_read_backwards(self):
+        graph = _shrinking(symmetric=True)
+        assert graph.edge_key(5, ROOT) is None
+        assert graph.edge_key(ROOT, 5) == (ROOT, 5)

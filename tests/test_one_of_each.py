@@ -747,3 +747,49 @@ def test_timings_has_no_resource_columns_whatever_the_environment(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr.startswith("cli.ls  ")
     assert "cpu=" not in done.stderr and "peak_mem=" not in done.stderr
+
+
+def test_one_rid_list_form():
+    """An rlist row is a rid array or a ``RidDelta``: ``INT_ARRAY``
+    accepts no other class defined under ``src/repro``, and the codec
+    packs a column of them as one of two kinds, ``lists`` or
+    ``deltas``."""
+    from repro.pagestore import codec
+    from repro.relational.arrays import RidDelta, rid_array
+
+    defined = {
+        node.name
+        for _name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    types = ast.parse((SRC / "relational" / "types.py").read_text())
+    (validate,) = [
+        node for node in ast.walk(types)
+        if isinstance(node, ast.FunctionDef) and node.name == "validate"
+    ]
+    accepted = {
+        name.id
+        for call in ast.walk(validate)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+        for name in ast.walk(call.args[1])
+        if isinstance(name, ast.Name)
+    }
+    assert accepted & defined == {"RidDelta"}
+
+    # The kinds the column packer and unpacker name: private constants.
+    source = ast.parse(Path(codec.__file__).read_text())
+    kinds = {
+        getattr(codec, node.id)
+        for function in ast.walk(source)
+        if isinstance(function, ast.FunctionDef)
+        and function.name in ("_pack_column", "_pack_deltas", "_unpack_column")
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id.startswith("_")
+        and node.id.isupper() and isinstance(getattr(codec, node.id, None), str)
+    }
+    assert kinds == {"lists", "deltas"}
+    whole = rid_array([1, 2, 3])
+    assert codec._pack_column([whole, [4]])[0] == "lists"
+    assert codec._pack_column([whole, RidDelta(1, [2], [5])])[0] == "deltas"
