@@ -129,6 +129,31 @@ def test_the_v1_golden_repository_loads_its_rids_as_rid_arrays(tmp_path):
     assert set(cvd.membership(1)) >= {1, 2}
 
 
+@pytest.mark.parametrize("layout", ["pickle", "paged"])
+def test_an_rlist_of_deltas_reloads_as_deltas_and_reads_as_rid_arrays(
+    tmp_path, monkeypatch, layout
+):
+    """A delta row stays a delta in its row, with its chain; the model
+    hands out the version's rid array, rebuilt from the whole row."""
+    monkeypatch.setenv(LAYOUT_ENV, layout)
+    built = build(tmp_path, "split_by_rlist", versions=3).cvd("ds")
+    expected = {vid: built.membership(vid) for vid in (1, 2, 3)}
+    written = rlist_rows(built)
+
+    loaded, info = StateStore(tmp_path).load(warn=None)
+    assert info.paged == (layout == "paged")
+    cvd = loaded.cvd("ds")
+    stored = rlist_rows(cvd)
+    assert list(stored[1]) == list(expected[1])
+    for vid in (2, 3):
+        assert type(stored[vid]) is RidDelta
+        assert stored[vid] == written[vid]
+        assert (stored[vid].base, stored[vid].depth) == (vid - 1, vid - 1)
+    for vid, rids in expected.items():
+        assert_rid_array(cvd.membership(vid))
+        assert cvd.membership(vid) == rids
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_a_pickle_layout_state_loads_its_rids_as_rid_arrays(
     tmp_path, monkeypatch, model
